@@ -18,9 +18,9 @@
  *              bit-identical for any N: seeds derive from
  *              {base seed, grid point, rep}, never from thread order.
  *   --shards S deterministic intra-trial sharding: each simulation
- *              partitions its switches into S shards with seed-split
- *              RNGs.  S is part of the experiment definition (S = 0,
- *              the default, is the legacy single-stream engine).
+ *              partitions its switches into S >= 1 shards with
+ *              seed-split RNGs.  S is part of the experiment definition
+ *              (default SimConfig::shards = 1, one stream).
  *   --sim-jobs N  threads advancing the shards of one simulation;
  *              results are bit-identical for any N at fixed S.
  *

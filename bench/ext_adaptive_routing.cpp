@@ -90,7 +90,7 @@ main(int argc, char **argv)
     base.flowlet_gap = opts.getInt("flowlet-gap", 64);
     // Intra-trial engine options: the shard count is part of the
     // experiment definition; the thread counts never change results.
-    base.shards = static_cast<int>(opts.getInt("shards", 0));
+    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
     base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
 
     // ---- scenario 1: adversarial shift, policy axis ----------------

@@ -148,7 +148,8 @@ main(int argc, char **argv)
         opts.getInt("warmup", smoke ? 500 : 2000);
     proto.base.measure =
         opts.getInt("measure", smoke ? 3000 : 8000);
-    proto.base.shards = static_cast<int>(opts.getInt("shards", 0));
+    proto.base.shards =
+        static_cast<int>(opts.getInt("shards", proto.base.shards));
     proto.base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
     proto.repetitions =
         static_cast<int>(opts.getInt("trials", smoke ? 1 : 3));

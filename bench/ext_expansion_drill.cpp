@@ -171,7 +171,7 @@ main(int argc, char **argv)
         opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
     base.load = opts.getDouble("load", 0.6);
-    base.shards = static_cast<int>(opts.getInt("shards", 0));
+    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
     base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
     base.route_ttl =
         static_cast<int>(opts.getInt("route-ttl", smoke ? 128 : 256));

@@ -67,7 +67,7 @@ main(int argc, char **argv)
         opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
     base.load = opts.getDouble("load", 0.7);
-    base.shards = static_cast<int>(opts.getInt("shards", 0));
+    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
     base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
     // Bounded graceful degradation: a head packet that cannot route
     // retries against the (incrementally repaired) tables for up to

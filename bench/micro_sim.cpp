@@ -4,14 +4,9 @@
  * the inject/route/arbitrate/drain hot loop that dominates Figures
  * 8-10, 12.  The headline counter is cycles_per_sec: simulated
  * cycles retired per wall-clock second, the number future PRs watch
- * for regressions.
- *
- * Modes:
- *  - legacy (shards = 0): the sequential compatibility mode that must
- *    reproduce the recorded golden baselines draw-for-draw;
- *  - sharded (shards >= 1): the deterministic wake-wheel scheduler,
- *    single worker thread unless jobs is raised - this is the mode
- *    the >= 1.3x single-thread target is measured on.
+ * for regressions.  Rows vary the shard count (one worker thread
+ * unless jobs is raised) to expose the shard partition overhead and
+ * the intra-trial parallel speedup.
  */
 #include <benchmark/benchmark.h>
 
@@ -75,10 +70,8 @@ BM_IndirectHotLoop(benchmark::State &state)
 }
 BENCHMARK(BM_IndirectHotLoop)
     ->ArgNames({"load%", "shards", "jobs"})
-    ->Args({50, 0, 1})   // legacy, mid load
-    ->Args({90, 0, 1})   // legacy, saturated
-    ->Args({50, 1, 1})   // sharded single-thread (speedup target)
-    ->Args({90, 1, 1})
+    ->Args({50, 1, 1})   // default engine, mid load
+    ->Args({90, 1, 1})   // default engine, saturated
     ->Args({90, 4, 1})   // shard partition overhead at one thread
     ->Args({90, 4, 4})   // intra-trial parallel speedup
     ->Unit(benchmark::kMillisecond);
@@ -107,8 +100,7 @@ BM_DirectHotLoop(benchmark::State &state)
 }
 BENCHMARK(BM_DirectHotLoop)
     ->ArgNames({"load%", "shards", "jobs"})
-    ->Args({50, 0, 1})
-    ->Args({90, 0, 1})
+    ->Args({50, 1, 1})
     ->Args({90, 1, 1})
     ->Args({90, 4, 4})
     ->Unit(benchmark::kMillisecond);

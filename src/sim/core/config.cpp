@@ -15,9 +15,10 @@ SimConfig::validate() const
         throw std::invalid_argument("SimConfig: buf_packets must be >= 1");
     if (pkt_phits < 1)
         throw std::invalid_argument("SimConfig: pkt_phits must be >= 1");
-    if (link_latency < 0)
+    if (link_latency < 1)
         throw std::invalid_argument(
-            "SimConfig: link_latency must be >= 0");
+            "SimConfig: link_latency must be >= 1 (cross-shard arrivals "
+            "are exchanged at cycle barriers)");
     if (warmup < 0)
         throw std::invalid_argument("SimConfig: warmup must be >= 0");
     if (measure < 1)
@@ -33,14 +34,12 @@ SimConfig::validate() const
             std::to_string(load));
     if (source_queue < 1)
         throw std::invalid_argument("SimConfig: source_queue must be >= 1");
-    if (shards < 0)
-        throw std::invalid_argument("SimConfig: shards must be >= 0");
+    if (shards < 1)
+        throw std::invalid_argument(
+            "SimConfig: shards must be >= 1 (the sequential shards = 0 "
+            "mode was removed; shards = 1 is the single-stream engine)");
     if (shards > 256)
         throw std::invalid_argument("SimConfig: shards must be <= 256");
-    if (shards >= 1 && link_latency < 1)
-        throw std::invalid_argument(
-            "SimConfig: sharded mode needs link_latency >= 1 "
-            "(cross-shard arrivals are exchanged at cycle barriers)");
     if (route_ttl < 0)
         throw std::invalid_argument("SimConfig: route_ttl must be >= 0");
     if (telemetry_bin < 0)

@@ -8,18 +8,12 @@
  * Table 2 parameters, the warm-up/measurement window, and the
  * deterministic execution controls.
  *
- * Execution modes:
- *  - `shards == 0` (default): sequential compatibility mode.  One RNG
- *    drives traffic, injection and arbitration exactly as the original
- *    single-threaded simulators did, so fixed-seed results reproduce
- *    the recorded golden baselines bit-for-bit.
- *  - `shards >= 1`: deterministic sharded mode.  Switches are
- *    partitioned into `shards` contiguous shards, each advanced with
- *    its own seed-split RNG under a per-cycle barrier.  Results depend
- *    on the shard count but NOT on `jobs`: any thread count yields
- *    bit-identical output, because every draw comes from a per-shard
- *    stream and all cross-shard effects are exchanged at deterministic
- *    barrier points.
+ * Execution: switches are partitioned into `shards` contiguous shards,
+ * each advanced with its own seed-split RNG under a per-cycle barrier.
+ * Results depend on the shard count but NOT on `jobs`: any thread
+ * count yields bit-identical output, because every draw comes from a
+ * per-shard stream and all cross-shard effects are exchanged at
+ * deterministic barrier points.
  */
 #ifndef RFC_SIM_CORE_CONFIG_HPP
 #define RFC_SIM_CORE_CONFIG_HPP
@@ -74,12 +68,11 @@ struct SimConfig
     RouteMode route_mode = RouteMode::kMinimal;
 
     /**
-     * 0 = sequential compatibility mode (golden-baseline exact);
-     * >= 1 = deterministic sharded mode with this many switch shards.
+     * Switch shards (>= 1), each with its own seed-split RNG stream.
      * The shard count is part of the experiment definition: different
      * values give different (equally valid) random streams.
      */
-    int shards = 0;
+    int shards = 1;
 
     /**
      * Worker threads advancing the shards (clamped to the shard
@@ -149,15 +142,15 @@ struct SimConfig
 
     /**
      * Throw std::invalid_argument on any parameter a simulation cannot
-     * run with: vcs or buf_packets or pkt_phits < 1, negative link
-     * latency, empty measurement window (measure < 1, which is also
-     * what a "warmup >= total cycles" misconfiguration reduces to),
-     * negative warmup, load outside [0, 1], source_queue < 1, negative
-     * shard count, a ugal_threshold that is negative or not finite
-     * (NaN/inf), a negative flowlet_gap, sharded mode with
-     * link_latency < 1 (cross-shard arrivals are exchanged at
-     * end-of-cycle barriers, so a zero latency link cannot be modeled
-     * there), or an active_terminals value other than -1 or >= 1.
+     * run with: vcs or buf_packets or pkt_phits < 1, link_latency < 1
+     * (cross-shard arrivals are exchanged at end-of-cycle barriers, so
+     * a zero latency link cannot be modeled), empty measurement window
+     * (measure < 1, which is also what a "warmup >= total cycles"
+     * misconfiguration reduces to), negative warmup, load outside
+     * (0, 1], source_queue < 1, a shard count outside [1, 256], a
+     * ugal_threshold that is negative or not finite (NaN/inf), a
+     * negative flowlet_gap, or an active_terminals value other than -1
+     * or >= 1.
      */
     void validate() const;
 };
@@ -171,7 +164,7 @@ struct SimConfig
 struct PerfCounters
 {
     long long cycles = 0;         //!< simulated cycles (warmup + measure)
-    long long switch_scans = 0;   //!< arbitration passes over a switch
+    long long switch_scans = 0;   //!< input-VC visits by the arbiter
     long long arb_conflicts = 0;  //!< losing candidates in random arbitration
     long long credit_stalls = 0;  //!< forward attempts blocked on credits
     long long forwards = 0;       //!< committed packet moves (incl. ejection)

@@ -14,9 +14,9 @@
  * into the engine's SoA arrays, built on the stack per call; policies
  * that ignore it pay nothing.
  *
- * Shard-locality contract: in sharded execution a policy runs on the
- * shard owning the deciding switch/terminal, concurrently with other
- * shards mutating *their* state.  A policy may therefore only read
+ * Shard-locality contract: a policy runs on the shard owning the
+ * deciding switch/terminal, concurrently with other shards mutating
+ * *their* state.  A policy may therefore only read
  *
  *  - out-port credits, busy times and input-VC depths of ports owned
  *    by switches of the calling shard (in particular: the switch the
@@ -27,11 +27,9 @@
  *
  * Reading a *peer switch's* input queues would race with the shard
  * that owns them; the downstream congestion of a link is instead
- * visible locally as consumed credits (backlog() below).  Legacy mode
- * (shards == 0) is single-threaded, so every read is safe there - but
- * policies written to the shard-local rule are correct in both modes.
- * The rule is documented, not runtime-enforced: enforcing it would put
- * an ownership check on the hottest paths of the engine.
+ * visible locally as consumed credits (backlog() below).  The rule is
+ * documented, not runtime-enforced: enforcing it would put an
+ * ownership check on the hottest paths of the engine.
  */
 #ifndef RFC_SIM_CORE_CONGESTION_HPP
 #define RFC_SIM_CORE_CONGESTION_HPP

@@ -67,28 +67,23 @@
  * Policies never read or write these four; they only make room for
  * them.
  *
- * Policies must be copyable: sharded execution clones one instance
- * per shard so that routing scratch buffers never cross threads.
+ * Policies must be copyable: the engine clones one instance per shard
+ * so that routing scratch buffers never cross threads.
  *
- * Execution modes (see SimConfig::shards):
+ * Execution (see SimConfig::shards): switches are split into S >= 1
+ * contiguous shards, each with its own seed-split RNG, wheels, packet
+ * arena and stats.  A cycle runs in two phases under barriers: phase 1
+ * advances each shard against its own state (releases, generation,
+ * injection, arbitration) and queues cross-shard effects in
+ * per-destination outboxes; phase 2 drains the outboxes in source
+ * shard order.  Results depend on S but never on how many worker
+ * threads advance the shards, so any `jobs` value is bit-identical.
  *
- *  - Legacy (shards == 0): one RNG, switches processed from a
- *    per-cycle active list in activation order - the draw-for-draw
- *    replica of the original simulators that reproduces the recorded
- *    golden baselines bit-identically.
- *
- *  - Sharded (shards == S >= 1): switches are split into S contiguous
- *    shards, each with its own seed-split RNG, wheels, packet arena
- *    and stats.  A cycle runs in two phases under barriers: phase 1
- *    advances each shard against its own state (releases, generation,
- *    injection, arbitration) and queues cross-shard effects in
- *    per-destination outboxes; phase 2 drains the outboxes in source
- *    shard order.  Results depend on S but never on how many worker
- *    threads advance the shards, so any `jobs` value is bit-identical.
- *    Instead of rescanning every nonempty VC each cycle, sharded mode
- *    schedules each input VC on a wake wheel at the earliest cycle it
- *    could next act (head-ready time or input-port busy release) -
- *    the main single-thread speedup over the legacy scan.
+ * Nothing rescans idle state: each input VC sleeps on its shard's wake
+ * wheel until the earliest cycle it could next act (head-ready time or
+ * input-port busy release).  A wheel slot is an intrusive FIFO list
+ * threaded through one per-VC next index, so the scheduler's memory is
+ * four bytes per input VC at any load.
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -99,9 +94,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,11 +199,10 @@ class VctEngine
      */
     VctEngine(const FabricLayout &lay, Traffic &traffic, SimConfig cfg,
               Policy policy)
-        : lay_(lay), traffic_(traffic), cfg_(cfg), rng_(cfg.seed),
+        : lay_(lay), traffic_(traffic), cfg_(cfg),
           policy_proto_(std::move(policy))
     {
         cfg_.validate();
-        sharded_ = cfg_.shards >= 1;
         buildStructures();
     }
 
@@ -355,6 +351,12 @@ class VctEngine
         std::int32_t ready;
     };
 
+    /** One wake-wheel slot: a FIFO of input VCs linked by wake_next_. */
+    struct WakeList
+    {
+        std::int32_t head = -1, tail = -1;
+    };
+
     struct ShardCtx
     {
         int id = 0;
@@ -367,11 +369,10 @@ class VctEngine
 
         std::vector<std::vector<Release>> release_wheel;
         std::vector<std::vector<std::int32_t>> gen_wheel, inj_wheel;
-        std::vector<std::vector<std::int64_t>> wake_wheel;
+        std::vector<WakeList> wake_wheel;
 
-        std::vector<std::int64_t> touched_outs;   //!< out gids (sharded)
-        std::vector<std::int64_t> scanned_ivcs;
-        std::vector<std::int32_t> active_list;    //!< legacy mode only
+        std::vector<std::int32_t> touched_outs;   //!< out gids
+        std::vector<std::int32_t> scanned_ivcs;
 
         std::vector<std::vector<OutRelease>> out_rel;  //!< per dst shard
         std::vector<std::vector<OutForward>> out_fwd;
@@ -446,7 +447,7 @@ class VctEngine
     void
     scheduleRelease(ShardCtx &c, long long at, std::int32_t feeder, int vc)
     {
-        if (feeder >= 0 && sharded_) {
+        if (feeder >= 0) {
             int owner = shardOfSwitch(lay_.port_owner[feeder]);
             if (owner != c.id) {
                 c.out_rel[owner].push_back(
@@ -462,15 +463,6 @@ class VctEngine
     }
 
     void
-    activateSwitch(ShardCtx &c, int s)
-    {
-        if (!sw_active_[s]) {
-            sw_active_[s] = 1;
-            c.active_list.push_back(s);
-        }
-    }
-
-    void
     scheduleInjection(ShardCtx &c, long long t, long long at)
     {
         if (!inj_scheduled_[t]) {
@@ -480,13 +472,20 @@ class VctEngine
         }
     }
 
+    /** Append @p ivc to the wake slot of cycle @p at, unless queued. */
     void
     wakePush(ShardCtx &c, std::int64_t ivc, long long at)
     {
-        if (!ivc_in_wheel_[ivc]) {
-            ivc_in_wheel_[ivc] = 1;
-            c.wake_wheel[at % wheel_size_].push_back(ivc);
-        }
+        if (wake_next_[ivc] != kNotQueued)
+            return;
+        const auto id = static_cast<std::int32_t>(ivc);
+        wake_next_[ivc] = -1;
+        WakeList &slot = c.wake_wheel[at % wheel_size_];
+        if (slot.tail < 0)
+            slot.head = id;
+        else
+            wake_next_[slot.tail] = id;
+        slot.tail = id;
     }
 
     /** Enqueue @p pkt_id on input VC @p gi (ring insert + scheduling). */
@@ -499,19 +498,8 @@ class VctEngine
         if (pos >= cap)
             pos -= cap;
         ring_[gi * cap + pos] = {pkt_id, ready};
-        if (q_count_[gi]++ == 0) {
-            if (sharded_) {
-                wakePush(c, gi, std::max<long long>(ready, now + 1));
-            } else {
-                std::int64_t iport = gi / cfg_.vcs;
-                int sw = lay_.port_owner[iport];
-                nonempty_pos_[gi] = static_cast<std::int32_t>(
-                    nonempty_[sw].size());
-                nonempty_[sw].push_back(static_cast<std::uint16_t>(
-                    (iport - lay_.iport_off[sw]) * cfg_.vcs +
-                    (gi % cfg_.vcs)));
-            }
-        }
+        if (q_count_[gi]++ == 0)
+            wakePush(c, gi, std::max<long long>(ready, now + 1));
         if constexpr (kGuards) {
             ++slots_held_[gi];
             c.check.countChecks();
@@ -575,8 +563,7 @@ class VctEngine
     ShardCtx &
     ownerShard(long long term)
     {
-        return shards_[sharded_ ? shardOfSwitch(lay_.term_switch[term])
-                                : 0];
+        return shards_[shardOfSwitch(lay_.term_switch[term])];
     }
 
     bool workloadSend(ShardCtx *caller, bool global, long long src,
@@ -589,9 +576,7 @@ class VctEngine
     /** End-of-cycle onGlobalStep dispatch (single-threaded). */
     void workloadGlobalStep(long long now);
 
-    /** Legacy-mode arbitration: one switch, old draw order. */
-    void arbitrateSwitchLegacy(ShardCtx &c, int s, long long now);
-    /** Sharded-mode arbitration: wake-wheel driven, whole shard. */
+    /** Arbitrate the input VCs due on the shard's wake wheel. */
     void arbitrateShard(ShardCtx &c, long long now);
     /** Shared commit step; returns true when the packet moved. */
     bool commitCandidate(ShardCtx &c, std::int64_t gi, std::int64_t o_gid,
@@ -616,7 +601,8 @@ class VctEngine
     void sampleOccupancy(ShardCtx &c);
 
     // ---- guards -----------------------------------------------------
-    void guardCycleLegacy(ShardCtx &c, long long now);
+    /** End-of-cycle guards; callers ensure every worker is parked. */
+    void guardCycle(long long now);
     void guardScanGlobal(long long now);
     void guardConservationGlobal(long long now);
 
@@ -638,9 +624,8 @@ class VctEngine
             c.policy.onTopologyChange();
     }
 
-    // ---- run loops --------------------------------------------------
-    void runLegacy(long long total);
-    void runSharded(long long total);
+    // ---- run loop ---------------------------------------------------
+    void runCycles(long long total);
     void shardCyclePhase1(ShardCtx &c, long long now);
     void shardCyclePhase2(ShardCtx &c, long long now);
     SimResult collectResult(double wall_seconds);
@@ -649,9 +634,7 @@ class VctEngine
     const FabricLayout &lay_;
     Traffic &traffic_;
     SimConfig cfg_;
-    Rng rng_;
     Policy policy_proto_;
-    bool sharded_ = false;
     int wheel_size_ = 0;
 
     std::vector<std::int64_t> out_peer_ivc_base_;  //!< peer iport * vcs
@@ -664,13 +647,10 @@ class VctEngine
     std::vector<RingSlot> ring_;             //!< [ivc * cap + slot]
     std::vector<std::uint8_t> q_head_, q_count_;
 
-    // Legacy-mode activity tracking.
-    std::vector<std::vector<std::uint16_t>> nonempty_;
-    std::vector<std::int32_t> nonempty_pos_;
-    std::vector<std::uint8_t> sw_active_;
-
-    // Sharded-mode wake wheel membership.
-    std::vector<std::uint8_t> ivc_in_wheel_;
+    /** Wake-wheel links, [ivc]: the next VC in the same slot (-1 ends
+     *  the slot), or kNotQueued while the VC is in no slot. */
+    static constexpr std::int32_t kNotQueued = -2;
+    std::vector<std::int32_t> wake_next_;
 
     // ---- terminals --------------------------------------------------
     std::vector<std::int64_t> inj_busy_;
@@ -684,14 +664,9 @@ class VctEngine
      *  (== num_terms unless gated; raised by activateTerminals()). */
     long long active_terms_ = 0;
 
-    // ---- arbitration scratch ---------------------------------------
-    // Legacy indexes by local out port; sharded by global out gid.
-    std::vector<std::int64_t> cand_ivc_;
-    std::vector<std::int32_t> cand_count_;
-    std::vector<std::int64_t> cand_stamp_;
-    // Legacy-mode TTL drops, deferred past the commit phase (the scan
-    // iterates nonempty_[s], which dropping would mutate).
-    std::vector<std::int64_t> drop_scratch_;
+    // ---- arbitration scratch, [out gid] ----------------------------
+    std::vector<std::int32_t> cand_ivc_;    //!< reservoir-sampled winner
+    std::vector<std::int32_t> cand_count_;  //!< 0 = no candidate yet
 
     // ---- cycle hook -------------------------------------------------
     std::vector<long long> hook_cycles_;
@@ -727,12 +702,20 @@ void
 VctEngine<Policy>::buildStructures()
 {
     const int V = cfg_.vcs;
-    const int S = sharded_ ? cfg_.shards : 1;
+    const int S = cfg_.shards;
     const int nsw = lay_.num_switches;
 
-    if (sharded_ && S > nsw)
+    if (S > nsw)
         throw std::invalid_argument(
             "SimConfig: more shards than switches");
+    // Wake lists and the arbitration scratch hold input-VC ids as int32.
+    const std::int64_t ivcs = lay_.total_ports * V;
+    if (ivcs > std::numeric_limits<std::int32_t>::max())
+        throw std::invalid_argument(
+            "VctEngine: " + std::to_string(lay_.total_ports) +
+            " ports x " + std::to_string(V) + " VCs = " +
+            std::to_string(ivcs) +
+            " input VCs exceed the 32-bit VC index limit");
 
     out_peer_ivc_base_.resize(lay_.total_ports);
     for (std::int64_t gid = 0; gid < lay_.total_ports; ++gid) {
@@ -758,18 +741,10 @@ VctEngine<Policy>::buildStructures()
                         static_cast<std::int16_t>(cfg_.buf_packets));
     in_busy_.assign(lay_.total_ports, 0);
 
-    const std::int64_t ivcs = lay_.total_ports * V;
     ring_.assign(ivcs * cfg_.buf_packets, {-1, 0});
     q_head_.assign(ivcs, 0);
     q_count_.assign(ivcs, 0);
-
-    if (sharded_) {
-        ivc_in_wheel_.assign(ivcs, 0);
-    } else {
-        nonempty_.resize(nsw);
-        nonempty_pos_.assign(ivcs, -1);
-        sw_active_.assign(nsw, 0);
-    }
+    wake_next_.assign(ivcs, kNotQueued);
 
     inj_busy_.assign(lay_.num_terms, 0);
     inj_credits_.assign(lay_.num_terms * V,
@@ -786,15 +761,8 @@ VctEngine<Policy>::buildStructures()
 
     wheel_size_ = cfg_.pkt_phits + cfg_.link_latency + 2;
 
-    if (sharded_) {
-        cand_ivc_.assign(lay_.total_ports, -1);
-        cand_count_.assign(lay_.total_ports, 0);
-        cand_stamp_.assign(lay_.total_ports, -1);
-    } else {
-        cand_ivc_.assign(lay_.max_local_ports, -1);
-        cand_count_.assign(lay_.max_local_ports, 0);
-        cand_stamp_.assign(lay_.max_local_ports, -1);
-    }
+    cand_ivc_.assign(lay_.total_ports, -1);
+    cand_count_.assign(lay_.total_ports, 0);
 
     if constexpr (kGuards)
         slots_held_.assign(ivcs, 0);
@@ -809,16 +777,13 @@ VctEngine<Policy>::buildStructures()
             static_cast<std::int64_t>(k) * nsw / S);
         c.sw_end = static_cast<int>(
             static_cast<std::int64_t>(k + 1) * nsw / S);
-        c.rng = sharded_ ? Rng(deriveSeed(cfg_.seed, 0x5A4D0000ULL + k, 0))
-                         : Rng(cfg_.seed);
+        c.rng = Rng(deriveSeed(cfg_.seed, 0x5A4D0000ULL + k, 0));
         c.release_wheel.assign(wheel_size_, {});
         c.gen_wheel.assign(kGenWheel, {});
         c.inj_wheel.assign(kGenWheel, {});
-        if (sharded_) {
-            c.wake_wheel.assign(wheel_size_, {});
-            c.out_rel.resize(S);
-            c.out_fwd.resize(S);
-        }
+        c.wake_wheel.assign(wheel_size_, {});
+        c.out_rel.resize(S);
+        c.out_fwd.resize(S);
         c.perf.occupancy.assign(cfg_.buf_packets + 1, 0);
     }
     // Terminals follow their switch's shard (term_switch is monotone,
@@ -838,7 +803,7 @@ VctEngine<Policy>::buildStructures()
 }
 
 // ======================================================================
-// per-cycle machinery shared by both modes
+// per-cycle machinery
 // ======================================================================
 
 template <class Policy>
@@ -985,8 +950,6 @@ VctEngine<Policy>::processInjection(ShardCtx &c, long long now)
                      now);
         --inj_credits_[static_cast<std::int64_t>(t) * V + best_vc];
         inj_busy_[t] = now + cfg_.pkt_phits;
-        if (!sharded_)
-            activateSwitch(c, lay_.term_switch[t]);
         if (sq_count_[t] > 0)
             scheduleInjection(c, t, inj_busy_[t]);
     }
@@ -1022,7 +985,7 @@ VctEngine<Policy>::workloadSend(ShardCtx *caller, bool global,
         throw std::invalid_argument(
             "WorkloadPort::send: terminal out of range");
     ShardCtx &o = ownerShard(src);
-    if (sharded_ && !global && &o != caller)
+    if (!global && &o != caller)
         throw std::logic_error(
             "WorkloadPort::send: per-terminal callbacks may only send "
             "from their own terminal (use signalGlobal/onGlobalStep)");
@@ -1058,7 +1021,7 @@ VctEngine<Policy>::workloadWake(ShardCtx *caller, bool global,
         throw std::invalid_argument(
             "WorkloadPort::wakeAt: terminal out of range");
     ShardCtx &o = ownerShard(term);
-    if (sharded_ && !global && &o != caller)
+    if (!global && &o != caller)
         throw std::logic_error(
             "WorkloadPort::wakeAt: per-terminal callbacks may only arm "
             "their own terminal (use signalGlobal/onGlobalStep)");
@@ -1144,16 +1107,7 @@ VctEngine<Policy>::dequeueHead(ShardCtx &c, std::int64_t gi, long long now)
     std::int32_t id = ring_[gi * cap + head].pkt;
     int nh = head + 1;
     q_head_[gi] = static_cast<std::uint8_t>(nh >= cap ? nh - cap : nh);
-    if (--q_count_[gi] == 0 && !sharded_) {
-        int s = lay_.port_owner[iport];
-        auto pos = nonempty_pos_[gi];
-        auto &list = nonempty_[s];
-        nonempty_pos_[static_cast<std::int64_t>(lay_.iport_off[s]) * V +
-                      static_cast<std::int64_t>(list.back())] = pos;
-        list[pos] = list.back();
-        list.pop_back();
-        nonempty_pos_[gi] = -1;
-    }
+    --q_count_[gi];
     // The buffer slot at this switch drains when the tail leaves.
     scheduleRelease(c, now + cfg_.pkt_phits, lay_.feeder_out[iport],
                     static_cast<int>(gi % V));
@@ -1175,7 +1129,7 @@ VctEngine<Policy>::dropHead(ShardCtx &c, std::int64_t gi, long long now)
     freePkt(c, id);
     if constexpr (kGuards)
         c.last_progress = now;
-    if (sharded_ && q_count_[gi] > 0) {
+    if (q_count_[gi] > 0) {
         long long ready =
             ring_[gi * cfg_.buf_packets + q_head_[gi]].ready;
         wakePush(c, gi, std::max<long long>(ready, now + 1));
@@ -1260,15 +1214,11 @@ VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
         c.policy.onForward(p);
         std::int64_t di = peer + out_vc;
         auto ready = static_cast<std::int32_t>(now + cfg_.link_latency);
-        int dest_sw = lay_.port_owner[peer / V];
-        int dest_shard = shardOfSwitch(dest_sw);
-        if (sharded_ && dest_shard != c.id) {
+        int dest_shard = shardOfSwitch(lay_.port_owner[peer / V]);
+        if (dest_shard != c.id)
             c.out_fwd[dest_shard].push_back({id, di, ready});
-        } else {
+        else
             enqueueInput(c, di, id, ready, now);
-            if (!sharded_)
-                activateSwitch(c, dest_sw);
-        }
         if constexpr (kGuards)
             c.last_progress = now;
     }
@@ -1276,105 +1226,7 @@ VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
 }
 
 // ======================================================================
-// legacy-mode arbitration (draw-for-draw replica of the original)
-// ======================================================================
-
-template <class Policy>
-void
-VctEngine<Policy>::arbitrateSwitchLegacy(ShardCtx &c, int s, long long now)
-{
-    const int V = cfg_.vcs;
-    const int cap = cfg_.buf_packets;
-    const std::int64_t base_port = lay_.iport_off[s];
-    c.touched_outs.clear();
-    ++c.perf.switch_scans;
-    const CongestionView cv = view(now);
-
-    // Scan phase: pick one random candidate per free output.
-    for (std::uint16_t local : nonempty_[s]) {
-        std::int64_t iport = base_port + local / V;
-        std::int64_t gi = iport * V + (local % V);
-        const RingSlot &head = ring_[gi * cap + q_head_[gi]];
-        if (head.ready > now)
-            continue;
-        if (in_busy_[iport] > now)
-            continue;
-        Pkt &p = pkt(head.pkt);
-        int fixed_vc = -1;
-        int o_local = c.policy.routeOut(cv, s, p, c.rng, fixed_vc);
-        if (o_local < 0) {
-            // No route from here (runtime fault): park, or drop once
-            // older than the TTL.  Dropping is deferred past the
-            // commit phase - it mutates the nonempty list this scan
-            // iterates.
-            ++c.route_retries;
-            p.noroute = 1;
-            if (cfg_.route_ttl > 0 &&
-                now - static_cast<long long>(p.gen) >= cfg_.route_ttl)
-                drop_scratch_.push_back(gi);
-            continue;
-        }
-        if (p.noroute) {
-            p.noroute = 0;
-            ++c.rerouted;
-        }
-        std::int64_t o_gid = base_port + o_local;
-        if (out_busy_[o_gid] > now)
-            continue;
-        if (out_peer_ivc_base_[o_gid] >= 0) {
-            bool has_credit;
-            if (fixed_vc >= 0) {
-                has_credit = out_credits_[o_gid * V + fixed_vc] > 0;
-            } else {
-                has_credit = false;
-                int vc_lo, vc_hi;
-                c.policy.vcRange(p, vc_lo, vc_hi);
-                for (int v = vc_lo; v < vc_hi; ++v) {
-                    if (out_credits_[o_gid * V + v] > 0) {
-                        has_credit = true;
-                        break;
-                    }
-                }
-            }
-            if (!has_credit) {
-                ++c.perf.credit_stalls;
-                continue;
-            }
-        }
-        // Reservoir-sample among this output's candidates (random
-        // arbiter, one iteration).
-        if (cand_stamp_[o_local] != now) {
-            cand_stamp_[o_local] = now;
-            cand_count_[o_local] = 1;
-            cand_ivc_[o_local] = gi;
-            c.touched_outs.push_back(o_local);
-        } else {
-            ++cand_count_[o_local];
-            ++c.perf.arb_conflicts;
-            if (c.rng.uniform(cand_count_[o_local]) == 0)
-                cand_ivc_[o_local] = gi;
-        }
-    }
-
-    // Commit phase.
-    for (std::int64_t o_local : c.touched_outs)
-        commitCandidate(c, cand_ivc_[o_local], base_port + o_local, now);
-
-    // The candidate scratch is shared across switches; invalidate the
-    // stamps so the next switch processed this cycle starts clean.
-    for (std::int64_t o_local : c.touched_outs)
-        cand_stamp_[o_local] = -1;
-
-    // Deferred TTL drops (each gi appears at most once per scan, and
-    // commits never dequeue from a route-less VC, so the head each
-    // entry refers to is still in place).
-    for (std::int64_t gi : drop_scratch_)
-        dropHead(c, gi, now);
-    drop_scratch_.clear();
-}
-
-// ======================================================================
-// sharded-mode arbitration (wake-wheel scheduler)
+// arbitration (wake-wheel scheduler)
 // ======================================================================
 
 template <class Policy>
@@ -1383,16 +1235,22 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
 {
     const int V = cfg_.vcs;
     const int cap = cfg_.buf_packets;
-    auto &slot = c.wake_wheel[now % wheel_size_];
-    if (slot.empty())
+    WakeList &slot = c.wake_wheel[now % wheel_size_];
+    if (slot.head < 0)
         return;
     c.touched_outs.clear();
     c.scanned_ivcs.clear();
     const CongestionView cv = view(now);
 
-    // Scan phase over the input VCs due this cycle.
-    for (std::int64_t gi : slot) {
-        ivc_in_wheel_[gi] = 0;
+    // Scan phase over the input VCs due this cycle, in wake order.
+    // Detaching the slot first is safe: every wake this cycle lands at
+    // now + 1 or later, never back in this slot.
+    std::int32_t next = slot.head;
+    slot = WakeList{};
+    while (next >= 0) {
+        const std::int64_t gi = next;
+        next = wake_next_[gi];
+        wake_next_[gi] = kNotQueued;
         if (q_count_[gi] == 0)
             continue;
         ++c.perf.switch_scans;
@@ -1455,31 +1313,30 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             wakePush(c, gi, now + 1);
             continue;
         }
-        c.scanned_ivcs.push_back(gi);
-        if (cand_stamp_[o_gid] != now) {
-            cand_stamp_[o_gid] = now;
-            cand_count_[o_gid] = 1;
-            cand_ivc_[o_gid] = gi;
-            c.touched_outs.push_back(o_gid);
+        c.scanned_ivcs.push_back(static_cast<std::int32_t>(gi));
+        // Reservoir-sample among this output's candidates (random
+        // arbiter, one iteration).
+        if (cand_count_[o_gid]++ == 0) {
+            cand_ivc_[o_gid] = static_cast<std::int32_t>(gi);
+            c.touched_outs.push_back(static_cast<std::int32_t>(o_gid));
         } else {
-            ++cand_count_[o_gid];
             ++c.perf.arb_conflicts;
             if (c.rng.uniform(cand_count_[o_gid]) == 0)
-                cand_ivc_[o_gid] = gi;
+                cand_ivc_[o_gid] = static_cast<std::int32_t>(gi);
         }
     }
-    slot.clear();
 
-    // Commit phase.
-    for (std::int64_t o_gid : c.touched_outs) {
+    // Commit phase; resetting the count leaves the output untouched
+    // for the next cycle.
+    for (std::int32_t o_gid : c.touched_outs) {
         commitCandidate(c, cand_ivc_[o_gid], o_gid, now);
-        cand_stamp_[o_gid] = -1;
+        cand_count_[o_gid] = 0;
     }
 
     // Reschedule every scanned VC that still holds packets: losers and
     // blocked movers retry, winners sleep out their port's busy time.
     for (std::int64_t gi : c.scanned_ivcs) {
-        if (q_count_[gi] == 0 || ivc_in_wheel_[gi])
+        if (q_count_[gi] == 0 || wake_next_[gi] != kNotQueued)
             continue;
         long long busy = in_busy_[gi / V];
         long long ready = ring_[gi * cap + q_head_[gi]].ready;
@@ -1512,13 +1369,10 @@ void
 VctEngine<Policy>::sampleOccupancy(ShardCtx &c)
 {
     const int V = cfg_.vcs;
-    std::int64_t lo = sharded_
-                          ? static_cast<std::int64_t>(
-                                lay_.iport_off[c.sw_begin]) *
-                                V
-                          : 0;
+    std::int64_t lo =
+        static_cast<std::int64_t>(lay_.iport_off[c.sw_begin]) * V;
     std::int64_t hi =
-        sharded_ && c.sw_end < lay_.num_switches
+        c.sw_end < lay_.num_switches
             ? static_cast<std::int64_t>(lay_.iport_off[c.sw_end]) * V
             : static_cast<std::int64_t>(q_count_.size());
     for (std::int64_t ivc = lo; ivc < hi; ++ivc)
@@ -1662,12 +1516,16 @@ VctEngine<Policy>::guardConservationGlobal(long long now)
     }
 }
 
+/**
+ * Packet conservation every cycle, the full credit/occupancy scan every
+ * 256th.  Runs once per cycle after the outboxes drained and the
+ * workload's global step, so no effect is in transit between shards.
+ */
 template <class Policy>
 void
-VctEngine<Policy>::guardCycleLegacy(ShardCtx &c, long long now)
+VctEngine<Policy>::guardCycle(long long now)
 {
     if constexpr (kGuards) {
-        (void)c;
         guardConservationGlobal(now);
         if ((now & 255) == 0)
             guardScanGlobal(now);
@@ -1675,60 +1533,8 @@ VctEngine<Policy>::guardCycleLegacy(ShardCtx &c, long long now)
 }
 
 // ======================================================================
-// run loops
+// run loop
 // ======================================================================
-
-template <class Policy>
-void
-VctEngine<Policy>::runLegacy(long long total)
-{
-    ShardCtx &c = shards_[0];
-    std::vector<std::int32_t> active_scratch;
-
-    // Stagger initial generation times uniformly over one packet time
-    // to avoid a synchronized burst at cycle 0 (open-loop only: with a
-    // workload attached the engine never generates traffic itself).
-    // Only the active prefix draws; ungated runs have active_terms_ ==
-    // num_terms, so the draw sequence matches the golden baselines.
-    for (long long t = 0; wl_ == nullptr && cfg_.load > 0.0 &&
-                          t < active_terms_;
-         ++t) {
-        long long start = static_cast<long long>(
-            c.rng.uniform(static_cast<std::uint64_t>(cfg_.pkt_phits)));
-        next_gen_[t] = start;
-        c.gen_wheel[start % kGenWheel].push_back(
-            static_cast<std::int32_t>(t));
-    }
-
-    for (long long now = 0; now < total; ++now) {
-        if (hookDue(now))
-            runHook(now);
-        processReleases(c, now);
-        if (wl_ != nullptr)
-            processWorkloadWakes(c, now);
-        else
-            processGeneration(c, now);
-        processInjection(c, now);
-
-        std::swap(c.active_list, active_scratch);
-        c.active_list.clear();
-        for (int s : active_scratch)
-            sw_active_[s] = 0;
-        for (int s : active_scratch) {
-            arbitrateSwitchLegacy(c, s, now);
-            if (!nonempty_[s].empty())
-                activateSwitch(c, s);
-        }
-        active_scratch.clear();
-
-        if (wl_global_)
-            workloadGlobalStep(now);
-        if constexpr (kGuards)
-            guardCycleLegacy(c, now);
-        if ((now & 255) == 0)
-            sampleOccupancy(c);
-    }
-}
 
 template <class Policy>
 void
@@ -1754,7 +1560,7 @@ VctEngine<Policy>::shardCyclePhase2(ShardCtx &c, long long now)
 
 template <class Policy>
 void
-VctEngine<Policy>::runSharded(long long total)
+VctEngine<Policy>::runCycles(long long total)
 {
     const int S = static_cast<int>(shards_.size());
 
@@ -1790,12 +1596,8 @@ VctEngine<Policy>::runSharded(long long total)
                 shardCyclePhase2(c, now);
             if (wl_global_)
                 workloadGlobalStep(now);
-            if constexpr (kGuards) {
-                if ((now & 255) == 0) {
-                    guardConservationGlobal(now);
-                    guardScanGlobal(now);
-                }
-            }
+            if constexpr (kGuards)
+                guardCycle(now);
         }
         return;
     }
@@ -1829,13 +1631,9 @@ VctEngine<Policy>::runSharded(long long total)
                 barrier.arriveAndWait();
             }
             if constexpr (kGuards) {
-                if ((now & 255) == 0) {
-                    if (tid == 0) {
-                        guardConservationGlobal(now);
-                        guardScanGlobal(now);
-                    }
-                    barrier.arriveAndWait();
-                }
+                if (tid == 0)
+                    guardCycle(now);
+                barrier.arriveAndWait();
             }
         }
     };
@@ -1992,9 +1790,10 @@ VctEngine<Policy>::run()
     win_end_ = total;
 
     auto t0 = std::chrono::steady_clock::now();
-    // The traffic pattern is initialized from the base seed in both
-    // modes, so legacy and sharded runs see the same demand matrix.
-    traffic_.init(lay_.num_terms, rng_);
+    // The traffic pattern is initialized from the base seed, so every
+    // shard count sees the same demand matrix.
+    Rng traffic_rng(cfg_.seed);
+    traffic_.init(lay_.num_terms, traffic_rng);
     if (active_terms_ < lay_.num_terms) {
         if (wl_ != nullptr)
             throw std::invalid_argument(
@@ -2002,10 +1801,6 @@ VctEngine<Policy>::run()
                 "(closed-loop workloads schedule every terminal)");
         traffic_.setActiveTerminals(active_terms_);
     }
-    // Legacy mode continues drawing from the very stream that seeded
-    // the traffic, exactly like the pre-refactor single-RNG loop.
-    if (!sharded_)
-        shards_[0].rng = rng_;
 
     if (wl_ != nullptr) {
         // The workload draws from its own deriveSeed stream and every
@@ -2022,10 +1817,7 @@ VctEngine<Policy>::run()
         }
     }
 
-    if (sharded_)
-        runSharded(total);
-    else
-        runLegacy(total);
+    runCycles(total);
 
     auto t1 = std::chrono::steady_clock::now();
     return collectResult(

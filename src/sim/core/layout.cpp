@@ -29,8 +29,6 @@ FabricLayout::fromFoldedClos(const FoldedClos &fc)
         lay.n_ports[s] = ups + downs + term_ports;
         lay.iport_off[s] = static_cast<std::int32_t>(off);
         off += lay.n_ports[s];
-        lay.max_local_ports = std::max(lay.max_local_ports,
-                                       lay.n_ports[s]);
     }
     lay.total_ports = off;
 
@@ -101,8 +99,6 @@ FabricLayout::fromGraph(const Graph &g, int hosts_per_switch)
         lay.n_ports[s] = lay.n_net[s] + hosts_per_switch;
         lay.iport_off[s] = static_cast<std::int32_t>(off);
         off += lay.n_ports[s];
-        lay.max_local_ports = std::max(lay.max_local_ports,
-                                       lay.n_ports[s]);
     }
     lay.total_ports = off;
 

@@ -33,7 +33,6 @@ struct FabricLayout
     std::vector<std::int32_t> n_net;      //!< network ports (terminals after)
     std::vector<std::int32_t> n_ports;    //!< total local ports
     std::vector<std::int32_t> n_up;       //!< folded Clos only (else empty)
-    int max_local_ports = 0;
     std::int64_t total_ports = 0;
 
     /** Per out gid: the peer in-port gid, or -1 (ejection port). */

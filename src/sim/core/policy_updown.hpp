@@ -4,8 +4,8 @@
  * reachability oracle, with optional Valiant randomization (see
  * RouteMode).  Plugged into VctEngine as its compile-time Policy.
  *
- * Draw discipline (kept draw-for-draw compatible with the original
- * simulator so golden baselines reproduce): injection first resolves
+ * Draw discipline (part of the recorded random stream: changing it
+ * moves the golden baselines): injection first resolves
  * the Valiant intermediate (if any), then picks the highest-credit VC
  * with a random tie-break; every arbitration re-draws the up/down ECMP
  * choice; the output VC is drawn uniformly among the credited channels

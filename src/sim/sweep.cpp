@@ -119,8 +119,11 @@ loadRange(double lo, double hi, int points)
         out.push_back(hi);
         return out;
     }
+    // The last point is hi exactly: the interpolated value can round
+    // past it (0.2 + 0.8 * 6 / 6 > 1.0), which SimConfig rejects.
     for (int i = 0; i < points; ++i)
-        out.push_back(lo + (hi - lo) * i / (points - 1));
+        out.push_back(i == points - 1 ? hi
+                                      : lo + (hi - lo) * i / (points - 1));
     return out;
 }
 

@@ -220,12 +220,6 @@ TEST(LiveExpansion, BitIdenticalAcrossSimJobsAndReproducible)
     expectSameResult(r1, r4);
     auto r4b = run(4);
     expectSameResult(r4, r4b);
-
-    // Legacy (unsharded) engine: reproducible run to run.
-    cfg.shards = 0;
-    auto l1 = run(1);
-    auto l2 = run(1);
-    expectSameResult(l1, l2);
 }
 
 TEST(LiveExpansion, StagedLinkAbsentFromTopologyThrows)

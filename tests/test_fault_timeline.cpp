@@ -339,17 +339,6 @@ TEST(FaultSim, BitIdenticalAcrossSimJobsWithTimeline)
     expectSameResult(r1, r1b);
 }
 
-TEST(FaultSim, LegacyModeReproducible)
-{
-    auto fc = buildCft(8, 2);
-    auto tl = FaultTimeline::randomFailRepair(fc, 8, 300, 700,
-                                              deriveSeed(5, 2, 0));
-    SimConfig cfg = faultConfig();  // shards = 0: legacy engine
-    auto a = runFaultSim(fc, tl, cfg);
-    auto b = runFaultSim(fc, tl, cfg);
-    expectSameResult(a, b);
-}
-
 void
 expectConservation(const SimResult &r)
 {
@@ -362,22 +351,20 @@ expectConservation(const SimResult &r)
                   r.dropped_packets + r.in_flight_packets);
 }
 
-TEST(FaultSim, ConservationUnderFaultsLegacyAndSharded)
+TEST(FaultSim, ConservationUnderFaults)
 {
     auto fc = buildCft(8, 2);
     // Aggressive drill: a third of the wires die, later all repaired.
     auto tl = FaultTimeline::randomFailRepair(
         fc, static_cast<std::size_t>(fc.numWires() / 3), 300, 700,
         deriveSeed(5, 3, 0));
-    SimConfig cfg = faultConfig();
-
-    auto legacy = runFaultSim(fc, tl, cfg);
-    expectConservation(legacy);
-
-    cfg.shards = 4;
-    cfg.jobs = 4;
-    auto sharded = runFaultSim(fc, tl, cfg);
-    expectConservation(sharded);
+    for (int shards : {1, 4}) {
+        SimConfig cfg = faultConfig();
+        cfg.shards = shards;
+        cfg.jobs = shards;
+        SCOPED_TRACE(shards);
+        expectConservation(runFaultSim(fc, tl, cfg));
+    }
 }
 
 TEST(FaultSim, TtlDropsPermanentlyUnroutablePackets)

@@ -12,11 +12,7 @@
  *    initPacket follows a successful injectVc),
  *  - now() never runs backwards within one policy clone,
  *  - credits stay within [0, bufPackets] and backlog within
- *    [0, vcs * bufPackets] for every port of the deciding switch,
- *  - in legacy mode, credit + peer queue depth never exceeds the
- *    buffer capacity per VC (the credit loop closes over the peer's
- *    input buffer; sharded mode skips this cross-switch read, which
- *    the shard-locality contract forbids).
+ *    [0, vcs * bufPackets] for every port of the deciding switch.
  *
  * When the library is built with -DRFC_CHECK_INVARIANTS=ON, the
  * engine's own credit-conservation guards run concurrently with these
@@ -52,7 +48,6 @@ struct MockStats
     std::atomic<long long> nonmonotone_now{0};
     int vcs = 0;
     int buf = 0;
-    bool check_peer = false;  //!< legacy mode only (cross-switch read)
 };
 
 class MockPolicy
@@ -158,12 +153,6 @@ class MockPolicy
                 if (c < 0 || c > buf)
                     ++stats_->bounds_violations;
                 used += buf - c;
-                if (stats_->check_peer) {
-                    const std::int64_t peer = lay.out_peer_iport[gid];
-                    if (peer >= 0 &&
-                        c + cv.queueDepth(peer, v) > buf)
-                        ++stats_->bounds_violations;
-                }
             }
             // backlog() must agree with the per-VC credit sum and stay
             // within the physical buffer capacity.
@@ -195,7 +184,6 @@ runMock(int shards, int jobs)
     cfg.validate();
 
     auto stats = std::make_shared<MockStats>();
-    stats->check_peer = (shards == 0);
     VctEngine<MockPolicy> engine(
         lay, traffic, cfg, MockPolicy(fc, oracle, lay, cfg, stats));
     SimResult r = engine.run();
@@ -225,9 +213,9 @@ expectCleanContract(const MockStats &s)
     EXPECT_EQ(s.nonmonotone_now.load(), 0);
 }
 
-TEST(PolicyContract, LegacyModeHooksAndBounds)
+TEST(PolicyContract, OneShardHooksAndBounds)
 {
-    auto stats = runMock(0, 1);
+    auto stats = runMock(1, 1);
     expectCleanContract(*stats);
 }
 

@@ -326,6 +326,19 @@ TEST(Sweep, LoadRangeSpacing)
     EXPECT_NEAR(loads[1] - loads[0], 0.1, 1e-12);
 }
 
+TEST(Sweep, LoadRangeEndsExactlyAtHi)
+{
+    // The bench default (0.2, 1.0, 7) interpolates its last point to
+    // 1.0000000000000002, a load SimConfig rejects.
+    auto loads = loadRange(0.2, 1.0, 7);
+    EXPECT_EQ(loads.back(), 1.0);
+    SimConfig cfg;
+    for (double l : loads) {
+        cfg.load = l;
+        EXPECT_NO_THROW(cfg.validate()) << l;
+    }
+}
+
 TEST(Sweep, LoadRangeRejectsZeroAndBadBounds)
 {
     // A range touching 0 would hand SimConfig a load it rejects.

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the shared VCT core pieces: SimConfig validation,
  * the type-7 binned latency histogram and its deterministic merge,
- * and - once both simulators run on the unified engine - the
- * deterministic sharded execution mode (results must depend on the
- * shard count only, never on the worker thread count).
+ * and the engine's deterministic shard execution (results must depend
+ * on the shard count only, never on the worker thread count).
  */
 #include <gtest/gtest.h>
 
@@ -53,10 +52,10 @@ TEST(SimConfigValidate, RejectsBadParameters)
     broken([](SimConfig &c) { c.load = 1.5; });
     broken([](SimConfig &c) { c.source_queue = 0; });
     broken([](SimConfig &c) { c.shards = -1; });
-    broken([](SimConfig &c) {
-        c.shards = 2;
-        c.link_latency = 0;
-    });
+    // shards = 0 was the retired sequential mode; a zero-latency link
+    // cannot cross the end-of-cycle shard barrier.
+    broken([](SimConfig &c) { c.shards = 0; });
+    broken([](SimConfig &c) { c.link_latency = 0; });
     broken([](SimConfig &c) {
         c.route_mode = RouteMode::kValiant;
         c.vcs = 1;
@@ -84,6 +83,20 @@ TEST(SimConfigValidate, ConstructorsValidate)
     UniformTraffic traffic;
     SimConfig cfg;
     cfg.vcs = 0;
+    EXPECT_THROW(Simulator(fc, oracle, traffic, cfg),
+                 std::invalid_argument);
+}
+
+TEST(SimConfigValidate, RejectsInputVcCountBeyondInt32)
+{
+    // The engine stores input-VC ids as int32; ports x vcs past
+    // INT32_MAX must be refused at construction, before any per-VC
+    // array is sized.
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    UniformTraffic traffic;
+    SimConfig cfg;
+    cfg.vcs = 1 << 25;
     EXPECT_THROW(Simulator(fc, oracle, traffic, cfg),
                  std::invalid_argument);
 }
@@ -205,7 +218,7 @@ TEST(PerfCountersCore, MergeSumsDeterministicFields)
 }
 
 // ---------------------------------------------------------------------
-// Deterministic sharded execution
+// Deterministic shard execution
 // ---------------------------------------------------------------------
 
 SimResult
@@ -292,23 +305,15 @@ TEST(ShardedSim, ShardCountIsPartOfTheExperiment)
     EXPECT_NEAR(s1.accepted, s4.accepted, 0.1 * s1.accepted);
 }
 
-TEST(ShardedSim, MatchesLegacyAggregates)
+TEST(ShardedSim, DefaultIsOneShard)
 {
-    // The wake-wheel scheduler must agree with the legacy scan on the
-    // physics, not just run: same offered load in, statistically
-    // indistinguishable accepted load and latency out.
-    SimResult legacy = runCft(0, 1, 0.5);
-    SimResult sharded = runCft(1, 1, 0.5);
-    EXPECT_NEAR(sharded.accepted, legacy.accepted,
-                0.05 * legacy.accepted);
-    EXPECT_NEAR(sharded.avg_latency, legacy.avg_latency,
-                0.10 * legacy.avg_latency);
-    EXPECT_NEAR(sharded.avg_hops, legacy.avg_hops,
-                0.05 * legacy.avg_hops);
+    EXPECT_EQ(SimConfig{}.shards, 1);
+    SimResult r = runCft(SimConfig{}.shards, 1, 0.5);
     // Every delivery is a commit, and multi-hop paths mean strictly
     // more commits than deliveries.
-    EXPECT_GT(sharded.perf.forwards, sharded.delivered_packets);
-    EXPECT_LE(sharded.delivered_packets, sharded.generated_packets);
+    EXPECT_GT(r.perf.forwards, r.delivered_packets);
+    EXPECT_LE(r.delivered_packets, r.generated_packets);
+    EXPECT_NEAR(r.accepted, 0.5, 0.05);
 }
 
 TEST(ShardedSim, RejectsMoreShardsThanSwitches)
@@ -369,11 +374,11 @@ TEST(AdaptivePolicies, UgalBitIdenticalAcrossJobs)
     EXPECT_GT(one.delivered_packets, 0);
 }
 
-TEST(AdaptivePolicies, UgalRunsInLegacyMode)
+TEST(AdaptivePolicies, UgalRunsOnOneShard)
 {
-    SimResult legacy = runCftUgal(0, 1);
-    EXPECT_GT(legacy.delivered_packets, 0);
-    EXPECT_GT(legacy.accepted, 0.0);
+    SimResult r = runCftUgal(1, 1);
+    EXPECT_GT(r.delivered_packets, 0);
+    EXPECT_GT(r.accepted, 0.0);
 }
 
 TEST(AdaptivePolicies, UgalNeedsTwoVcs)
@@ -403,9 +408,9 @@ TEST(AdaptivePolicies, FlowletGapZeroIsPerPacketEcmp)
 {
     // gap = 0 means "idle >= 0 cycles", which is true for every
     // packet: each one re-draws, i.e. plain per-packet ECMP.  The two
-    // engines consume RNG draws differently, so compare statistically.
-    SimResult ecmp = runDirect(0, 1);
-    SimResult gap0 = runDirectFlowlet(0, 1, 0);
+    // policies consume RNG draws differently, so compare statistically.
+    SimResult ecmp = runDirect(1, 1);
+    SimResult gap0 = runDirectFlowlet(1, 1, 0);
     EXPECT_GT(gap0.delivered_packets, 0);
     EXPECT_NEAR(gap0.accepted, ecmp.accepted, 0.15 * ecmp.accepted);
 }

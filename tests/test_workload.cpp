@@ -167,23 +167,6 @@ TEST(Workload, ShardedResultsIndependentOfJobs)
     }
 }
 
-TEST(Workload, LegacyAndShardedBothRun)
-{
-    // Legacy (shards = 0) and sharded (shards = 1) are different draw
-    // streams but both must complete RPCs and conserve.
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    WorkloadSpec spec;
-    for (int shards : {0, 1}) {
-        SimConfig cfg = smallConfig();
-        cfg.shards = shards;
-        SimResult r = runOn(fc, oracle, spec, 0.5, cfg);
-        SCOPED_TRACE(shards);
-        EXPECT_GT(r.workload.rpcs_completed, 0);
-        expectConserving(r);
-    }
-}
-
 TEST(Workload, MakeWorkloadValidates)
 {
     WorkloadSpec spec;
