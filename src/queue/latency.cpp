@@ -137,72 +137,78 @@ queueLatencySweep(const FlowProblem &problem, QueueModel &model,
     if (result.routed == 0)
         return result;
 
-    // Phase A: per (load, demand-range), accumulate one shifted-gamma
-    // component per candidate path.  Fixed ranges merged in index
-    // order keep the output bit-identical at any pool size.
+    // One live load at a time, so only that load's partial mixtures
+    // are alive.  A per-link waiting table makes each path hop a
+    // lookup.  Phase A accumulates one shifted-gamma component per
+    // candidate path over fixed demand ranges; merging the ranges in
+    // index order keeps the output bit-identical at any pool size.
+    // Phase B evaluates the merged mixture (mean exactly, quantiles via
+    // util/stats).
     constexpr std::size_t kRanges = 32;
-    std::vector<std::size_t> live;
-    for (std::size_t li = 0; li < n_loads; ++li)
-        if (!result.points[li].saturated)
-            live.push_back(li);
-    std::vector<std::vector<RangePartial>> parts(
-        live.size(), std::vector<RangePartial>(kRanges));
     const QueueModel &cmodel = model;  // waiting() is const and pure
+    std::vector<QueueDelay> delay(fluid.utilization.size());
+    std::vector<RangePartial> parts(kRanges);
+    for (auto &pt : result.points) {
+        if (pt.saturated)
+            continue;
+        for (std::size_t l = 0; l < delay.size(); ++l)
+            delay[l] = cmodel.waiting(pt.load * fluid.utilization[l]);
 
-    runRange(opt.pool, live.size() * kRanges, [&](std::size_t job) {
-        std::size_t slot = job / kRanges;
-        std::size_t rg = job % kRanges;
-        double load = opt.loads[live[slot]];
-        RangePartial &out = parts[slot][rg];
-        std::size_t lo = nd * rg / kRanges;
-        std::size_t hi = nd * (rg + 1) / kRanges;
-        for (std::size_t d = lo; d < hi; ++d) {
-            std::size_t np = problem.numPaths(d);
-            if (np == 0)
-                continue;
-            double share =
-                problem.weight(d) / static_cast<double>(np);
-            std::size_t pb = problem.pathBegin(d);
-            for (std::size_t q = pb; q < pb + np; ++q) {
-                std::size_t len = problem.pathLength(q);
-                const std::int32_t *links = problem.pathLinks(q);
-                double wmean = 0.0, wvar = 0.0;
-                for (std::size_t k = 0; k < len; ++k) {
-                    double rho =
-                        load * fluid.utilization[static_cast<
-                                   std::size_t>(links[k])];
-                    QueueDelay w = cmodel.waiting(rho);
-                    wmean += w.mean;
-                    wvar += w.variance;
+        runRange(opt.pool, kRanges, [&](std::size_t rg) {
+            RangePartial &out = parts[rg];
+            std::size_t lo = nd * rg / kRanges;
+            std::size_t hi = nd * (rg + 1) / kRanges;
+            for (std::size_t d = lo; d < hi; ++d) {
+                std::size_t np = problem.numPaths(d);
+                if (np == 0)
+                    continue;
+                double share =
+                    problem.weight(d) / static_cast<double>(np);
+                std::size_t pb = problem.pathBegin(d);
+                for (std::size_t q = pb; q < pb + np; ++q) {
+                    std::size_t len = problem.pathLength(q);
+                    const std::int32_t *links = problem.pathLinks(q);
+                    double wmean = 0.0, wvar = 0.0;
+                    for (std::size_t k = 0; k < len; ++k) {
+                        const QueueDelay &w =
+                            delay[static_cast<std::size_t>(links[k])];
+                        wmean += w.mean;
+                        wvar += w.variance;
+                    }
+                    double shift =
+                        static_cast<double>(len) * opt.link_latency +
+                        service;
+                    out.comps.push_back({shift, wmean, wvar, share});
+                    out.weight_sum += share;
+                    out.weighted_latency += share * (shift + wmean);
                 }
-                double shift =
-                    static_cast<double>(len) * opt.link_latency +
-                    service;
-                out.comps.push_back({shift, wmean, wvar, share});
-                out.weight_sum += share;
-                out.weighted_latency += share * (shift + wmean);
             }
-        }
-        dedupComponents(out.comps);
-    });
+            dedupComponents(out.comps);
+        });
 
-    // Phase B: per live load, merge ranges in order and evaluate the
-    // mixture (mean exactly, quantiles via util/stats).
-    runRange(opt.pool, live.size(), [&](std::size_t slot) {
-        auto &pt = result.points[live[slot]];
+        std::size_t n_comps = 0;
+        for (const auto &rp : parts)
+            n_comps += rp.comps.size();
         std::vector<ShiftedGamma> comps;
+        comps.reserve(n_comps);
         double wsum = 0.0, wlat = 0.0;
-        for (const auto &rp : parts[slot]) {
+        for (auto &rp : parts) {
             comps.insert(comps.end(), rp.comps.begin(),
                          rp.comps.end());
             wsum += rp.weight_sum;
             wlat += rp.weighted_latency;
+            rp = RangePartial();
         }
         dedupComponents(comps);
         pt.mean_latency = wlat / wsum;
-        pt.p50_latency = shiftedGammaMixtureQuantile(comps, 0.50);
-        pt.p99_latency = shiftedGammaMixtureQuantile(comps, 0.99);
-    });
+        const double qs[2] = {0.50, 0.99};
+        double qv[2];
+        runRange(opt.pool, 2, [&](std::size_t i) {
+            qv[i] = shiftedGammaMixtureQuantile(comps, qs[i]);
+        });
+        pt.p50_latency = qv[0];
+        pt.p99_latency = qv[1];
+    }
 
     return result;
 }

@@ -28,9 +28,16 @@
  *
  * Determinism: identical inputs give bit-identical results at any
  * pool size - work is partitioned into fixed ranges merged in index
- * order, exactly like the flow solver.  Cost is O(paths * hops) per
- * load point, typically 10-100x faster than a VCT sweep at sandbox
- * scale and the only affordable option at the million-terminal tier.
+ * order, exactly like the flow solver.
+ *
+ * Cost per load point: one waiting() call per link, O(paths * hops)
+ * table lookups to build the mixture, a sort to merge equal
+ * components, and then - the dominant term at scale - the two
+ * quantiles, each a handful of full-mixture CDF evaluations costing a
+ * cbrt and an erfc per distinct component (util/stats).  Loads are
+ * processed one at a time, so memory holds one load's mixture.  This
+ * is typically 10-100x faster than a VCT sweep at sandbox scale and
+ * the only affordable option at the million-terminal tier.
  */
 #ifndef RFC_QUEUE_LATENCY_HPP
 #define RFC_QUEUE_LATENCY_HPP

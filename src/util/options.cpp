@@ -1,9 +1,50 @@
 #include "util/options.hpp"
 
+#include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace rfc {
+
+namespace {
+
+/**
+ * @p parse (a std::sto* call) applied to all of @p text; throws
+ * std::invalid_argument naming @p what and the text when any of it,
+ * leading whitespace included, is not part of the number or the
+ * number is out of range.
+ */
+template <typename Parse>
+auto
+parseWhole(const std::string &what, const std::string &text,
+           const char *kind, Parse parse)
+{
+    if (!text.empty() &&
+        !std::isspace(static_cast<unsigned char>(text[0]))) {
+        try {
+            std::size_t used = 0;
+            auto value = parse(text, &used);
+            if (used == text.size())
+                return value;
+        } catch (const std::logic_error &) {
+            // invalid_argument or out_of_range: reported below
+        }
+    }
+    throw std::invalid_argument(what + ": expected " + kind + ", got '" +
+                                text + "'");
+}
+
+std::int64_t
+parseInteger(const std::string &what, const std::string &text)
+{
+    return parseWhole(what, text, "an integer",
+                      [](const std::string &s, std::size_t *used) {
+                          return std::stoll(s, used);
+                      });
+}
+
+} // namespace
 
 Options::Options(int argc, const char *const *argv)
 {
@@ -43,7 +84,7 @@ Options::getInt(const std::string &name, std::int64_t def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return std::stoll(it->second);
+    return parseInteger("option --" + name, it->second);
 }
 
 double
@@ -52,7 +93,10 @@ Options::getDouble(const std::string &name, double def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return std::stod(it->second);
+    return parseWhole("option --" + name, it->second, "a number",
+                      [](const std::string &s, std::size_t *used) {
+                          return std::stod(s, used);
+                      });
 }
 
 bool
@@ -77,11 +121,19 @@ Options::fullScale() const
 int
 Options::jobs() const
 {
-    if (has("jobs"))
-        return static_cast<int>(getInt("jobs", 0));
-    if (const char *env = std::getenv("RFC_JOBS"))
-        return std::stoi(env);
-    return 0;  // 0 = auto (hardware concurrency)
+    std::string what = "option --jobs";
+    std::int64_t n = 0;  // 0 = auto (hardware concurrency)
+    if (has("jobs")) {
+        n = getInt("jobs", 0);
+    } else if (const char *env = std::getenv("RFC_JOBS")) {
+        what = "environment variable RFC_JOBS";
+        n = parseInteger(what, env);
+    }
+    if (n < std::numeric_limits<int>::min() ||
+        n > std::numeric_limits<int>::max())
+        throw std::invalid_argument(what + ": " + std::to_string(n) +
+                                    " is out of range");
+    return static_cast<int>(n);
 }
 
 } // namespace rfc

@@ -29,10 +29,14 @@ class Options
     /** String option with default. */
     std::string get(const std::string &name, const std::string &def) const;
 
-    /** Integer option with default. */
+    /**
+     * Integer option with default.  Throws std::invalid_argument,
+     * naming the flag and the value, unless the whole value parses
+     * ("4x", "abc", " 4" and out-of-range values are rejected).
+     */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
 
-    /** Floating-point option with default. */
+    /** Floating-point option with default; parsed as strictly as getInt. */
     double getDouble(const std::string &name, double def) const;
 
     /** Boolean option: bare flag, or values 0/1/true/false. */
@@ -44,7 +48,8 @@ class Options
     /**
      * Worker threads for parallel experiment grids: --jobs N (or env
      * RFC_JOBS).  Defaults to hardware concurrency; the deterministic
-     * engine guarantees identical results at any value.
+     * engine guarantees identical results at any value.  Both sources
+     * parse like getInt and must fit an int.
      */
     int jobs() const;
 

@@ -195,44 +195,235 @@ normalCdf(double z)
 }
 
 /**
- * CDF of one mixture component at @p x.  Degenerate components
- * (mean <= 0 or variance <= 0) are point masses; proper components
- * use Wilson-Hilferty on the moment-matched gamma.
+ * One mixture component with its Wilson-Hilferty constants hoisted out
+ * of the CDF loop.  A point mass (mean <= 0 or variance <= 0) sits at
+ * @c origin = shift + max(mean, 0); a gamma component's excess starts
+ * at @c origin = shift.
  */
-double
-componentCdf(const ShiftedGamma &c, double x)
+struct PreparedComponent
 {
-    if (c.mean <= 0.0 || c.variance <= 0.0) {
-        double at = c.shift + (c.mean > 0.0 ? c.mean : 0.0);
-        return x >= at ? 1.0 : 0.0;
-    }
-    double t = x - c.shift;
-    if (t <= 0.0)
-        return 0.0;
-    // Gamma(k, theta) with k theta = mean: (X / mean)^(1/3) is
-    // approximately Normal(1 - h, h) with h = 1 / (9 k).
-    double k = c.mean * c.mean / c.variance;
-    double h = 1.0 / (9.0 * k);
-    double z = (std::cbrt(t / c.mean) - (1.0 - h)) / std::sqrt(h);
-    return normalCdf(z);
-}
+    bool point;
+    double origin, inv_mean, omh, inv_sqrt_h, weight;
+};
 
-double
-checkMixture(const std::vector<ShiftedGamma> &mix)
+/** A validated mixture ready for CDF evaluation. */
+struct PreparedMixture
+{
+    std::vector<PreparedComponent> comps;
+    double total = 0.0;  //!< sum of weights, in component order
+    /** Initial quantile bracket: lowest origin, highest at + 12 sd. */
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    /** Worst-case rounding error of mixtureCdf (see prepareMixture). */
+    double err = 0.0;
+};
+
+PreparedMixture
+prepareMixture(const std::vector<ShiftedGamma> &mix)
 {
     if (mix.empty())
         throw std::invalid_argument(
             "shiftedGammaMixture: empty mixture");
-    double total = 0.0;
+    PreparedMixture m;
     for (const auto &c : mix) {
         if (!(c.weight > 0.0) || !std::isfinite(c.weight) ||
             !std::isfinite(c.shift) || !std::isfinite(c.mean) ||
             !std::isfinite(c.variance))
             throw std::invalid_argument(
                 "shiftedGammaMixture: bad component");
-        total += c.weight;
+        m.total += c.weight;
     }
-    return total;
+    m.comps.reserve(mix.size());
+    double spread = 0.0;  // sum of weight * (1 + inv_sqrt_h)
+    bool bounded = std::isfinite(m.total);
+    for (const auto &c : mix) {
+        PreparedComponent p;
+        p.point = c.mean <= 0.0 || c.variance <= 0.0;
+        double at = c.shift + (c.mean > 0.0 ? c.mean : 0.0);
+        p.origin = p.point ? at : c.shift;
+        p.weight = c.weight;
+        if (!p.point) {
+            // Gamma(k, theta) with k theta = mean: (X / mean)^(1/3) is
+            // approximately Normal(1 - h, h) with h = 1 / (9 k).
+            double k = c.mean * c.mean / c.variance;
+            double h = 1.0 / (9.0 * k);
+            p.inv_mean = 1.0 / c.mean;
+            p.omh = 1.0 - h;
+            p.inv_sqrt_h = 1.0 / std::sqrt(h);
+            // h = 0 or h = inf (extreme mean/variance ratios) can turn
+            // z into NaN; such a mixture gets no certificates.
+            bounded = bounded && h > 0.0 && std::isfinite(h);
+        } else {
+            p.inv_mean = p.omh = p.inv_sqrt_h = 0.0;
+        }
+        m.lo = std::min(m.lo, p.origin);
+        m.hi = std::max(m.hi, at + (p.point ? 0.0
+                                            : 12.0 * std::sqrt(
+                                                         c.variance)));
+        spread += p.weight * (1.0 + p.inv_sqrt_h);
+        m.comps.push_back(p);
+    }
+    // Rounding-error bound of mixtureCdf against the same formula in
+    // exact arithmetic on the stored constants and the rounded
+    // t = x - origin, a function nondecreasing in x.  With eps = 2^-52
+    // and libm's cbrt within 4 ulps and erfc within 8:
+    //  - z = (cbrt(t inv_mean) - omh) inv_sqrt_h is off by at most
+    //    4.2 eps inv_sqrt_h cbrt(.) + eps |z|; since inv_sqrt_h cbrt(.)
+    //    <= |z| + inv_sqrt_h and phi(z) <= 0.4, phi(z) |z| <= 0.25, the
+    //    component CDF moves by <= eps (1.3 + 1.7 inv_sqrt_h);
+    //  - -z / sqrt(2), erfc and the weight product add <= 8.8 eps per
+    //    unit weight;
+    //  - summing n nonnegative terms adds <= n eps / 2 of the total and
+    //    the division by the total eps / 2.
+    // That totals eps (n / 2 + 1 + sum w (10.1 + 1.7 inv_sqrt_h) / total).
+    // The bound below exceeds it by over 60 eps, which also covers the
+    // rounding of q -/+ 2 err in CertifiedCdf.
+    constexpr double eps = std::numeric_limits<double>::epsilon();
+    m.err = bounded ? eps * (2.0 * static_cast<double>(m.comps.size()) +
+                             64.0 + 16.0 * spread / m.total)
+                    : std::numeric_limits<double>::infinity();
+    return m;
+}
+
+/** Sum of weight * component CDF at @p x (not yet divided by total). */
+double
+weightedCdfSum(const std::vector<PreparedComponent> &comps, double x)
+{
+    double sum = 0.0;
+    for (const auto &p : comps) {
+        if (p.point) {
+            sum += x >= p.origin ? p.weight : 0.0;
+            continue;
+        }
+        double t = x - p.origin;
+        if (t <= 0.0)
+            continue;
+        double z = (std::cbrt(t * p.inv_mean) - p.omh) * p.inv_sqrt_h;
+        sum += p.weight * normalCdf(z);
+    }
+    return sum;
+}
+
+double
+mixtureCdf(const PreparedMixture &m, double x)
+{
+    return weightedCdfSum(m.comps, x) / m.total;
+}
+
+/**
+ * The decision "mixtureCdf(x) >= q", answered from certificates where
+ * possible.  Every exact evaluation v = mixtureCdf(x) with v < q - 2E
+ * proves F(x) < q - E for the exact-arithmetic CDF F (E = m.err), so
+ * by monotonicity every x' <= x has F(x') < q - E and a computed value
+ * below q; symmetrically for v >= q + 2E.  Only points strictly
+ * between the two certificates are evaluated, so each answer equals
+ * the one a fresh evaluation would give, bit for bit.
+ */
+class CertifiedCdf
+{
+  public:
+    CertifiedCdf(const PreparedMixture &m, double q) : m_(m), q_(q) {}
+
+    double
+    exact(double x)
+    {
+        double v = mixtureCdf(m_, x);
+        if (v < q_ - 2.0 * m_.err)
+            below_ = std::max(below_, x);
+        else if (v >= q_ + 2.0 * m_.err)
+            above_ = std::min(above_, x);
+        return v;
+    }
+
+    bool
+    atOrAbove(double x)
+    {
+        if (x <= below_)
+            return false;
+        if (x >= above_)
+            return true;
+        return exact(x) >= q_;
+    }
+
+    double below() const { return below_; }
+    double above() const { return above_; }
+
+  private:
+    const PreparedMixture &m_;
+    double q_;
+    double below_ = -std::numeric_limits<double>::infinity();
+    double above_ = std::numeric_limits<double>::infinity();
+};
+
+/**
+ * Place exact evaluations just either side of the q-quantile so that
+ * the bisection's certificates decide nearly all of its steps.  A
+ * guess from bisecting a strided subsample's CDF seeds secant steps on
+ * the exact CDF; two probes at twice the uncertifiable band 2E / slope
+ * (at least half the bisection tolerance) then pin the root from both
+ * sides.  Nothing here decides the result: a poor guess only costs
+ * evaluations.
+ */
+void
+certifyNearRoot(CertifiedCdf &cdf, const PreparedMixture &m, double q,
+                double lo, double hi)
+{
+    constexpr std::size_t kSubsample = 4096;
+    constexpr int kGuessSteps = 16;
+    constexpr int kSecantSteps = 6;
+
+    std::size_t stride = std::max<std::size_t>(
+        8, m.comps.size() / kSubsample);
+    std::vector<PreparedComponent> sub;
+    double sub_total = 0.0;
+    for (std::size_t i = 0; i < m.comps.size(); i += stride) {
+        sub.push_back(m.comps[i]);
+        sub_total += m.comps[i].weight;
+    }
+    double glo = lo, ghi = hi;
+    double vlo = 0.0, vhi = 1.0;
+    for (int i = 0; i < kGuessSteps; ++i) {
+        double mid = 0.5 * (glo + ghi);
+        double v = weightedCdfSum(sub, mid) / sub_total;
+        if (v >= q) {
+            ghi = mid;
+            vhi = v;
+        } else {
+            glo = mid;
+            vlo = v;
+        }
+    }
+
+    double x = 0.5 * (glo + ghi);
+    double v = cdf.exact(x);
+    double slope = (vhi - vlo) / (ghi - glo);
+    const double tol = 1e-9 * std::max(1.0, std::abs(x));
+    for (int i = 0; i < kSecantSteps && std::abs(v - q) >= 2.0 * m.err;
+         ++i) {
+        if (!(slope > 0.0 && std::isfinite(slope)))
+            break;
+        double next = x - (v - q) / slope;
+        // A step outside the certified bracket would learn nothing.
+        if (!(next > std::max(lo, cdf.below()) &&
+              next < std::min(hi, cdf.above())))
+            break;
+        if (std::abs(next - x) < 0.25 * tol) {
+            x = next;
+            break;
+        }
+        double vn = cdf.exact(next);
+        slope = (vn - v) / (next - x);
+        x = next;
+        v = vn;
+    }
+
+    double d = 0.5 * tol;
+    if (slope > 0.0)
+        d = std::max(d, 4.0 * m.err / slope);
+    if (cdf.below() < x - d)
+        cdf.exact(x - d);
+    if (cdf.above() > x + d)
+        cdf.exact(x + d);
 }
 
 } // namespace
@@ -240,84 +431,36 @@ checkMixture(const std::vector<ShiftedGamma> &mix)
 double
 shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix, double x)
 {
-    double total = checkMixture(mix);
-    double sum = 0.0;
-    for (const auto &c : mix)
-        sum += c.weight * componentCdf(c, x);
-    return sum / total;
+    return mixtureCdf(prepareMixture(mix), x);
 }
 
 double
 shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
                             double q)
 {
-    double total = checkMixture(mix);
+    const PreparedMixture m = prepareMixture(mix);
     if (!(q >= 0.0 && q <= 1.0))
         throw std::invalid_argument(
             "shiftedGammaMixtureQuantile: q outside [0, 1]");
-
-    // Hoist the per-component Wilson-Hilferty constants out of the
-    // bisection loop: the inner CDF evaluation runs ~50 times over
-    // every component and dominates large-mixture sweeps.
-    struct Prepared
-    {
-        bool point;
-        double shift, at, inv_mean, omh, inv_sqrt_h, weight;
-    };
-    std::vector<Prepared> prep;
-    prep.reserve(mix.size());
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const auto &c : mix) {
-        Prepared p;
-        p.point = c.mean <= 0.0 || c.variance <= 0.0;
-        p.shift = c.shift;
-        p.at = c.shift + (c.mean > 0.0 ? c.mean : 0.0);
-        p.weight = c.weight;
-        if (!p.point) {
-            double k = c.mean * c.mean / c.variance;
-            double h = 1.0 / (9.0 * k);
-            p.inv_mean = 1.0 / c.mean;
-            p.omh = 1.0 - h;
-            p.inv_sqrt_h = 1.0 / std::sqrt(h);
-        } else {
-            p.inv_mean = p.omh = p.inv_sqrt_h = 0.0;
-        }
-        lo = std::min(lo, p.point ? p.at : p.shift);
-        hi = std::max(hi, p.at + (p.point ? 0.0
-                                          : 12.0 * std::sqrt(
-                                                       c.variance)));
-        prep.push_back(p);
-    }
+    double lo = m.lo, hi = m.hi;
     if (q == 0.0 || hi <= lo)
         return lo;
 
-    auto cdf = [&](double x) {
-        double sum = 0.0;
-        for (const auto &p : prep) {
-            if (p.point) {
-                sum += x >= p.at ? p.weight : 0.0;
-                continue;
-            }
-            double t = x - p.shift;
-            if (t <= 0.0)
-                continue;
-            double z =
-                (std::cbrt(t * p.inv_mean) - p.omh) * p.inv_sqrt_h;
-            sum += p.weight * normalCdf(z);
-        }
-        return sum / total;
-    };
+    // A plain bisection whose "CDF >= q" tests are answered by
+    // CertifiedCdf: the same steps, stop rule and result as evaluating
+    // every test, at a fraction of the evaluations.
+    CertifiedCdf cdf(m, q);
+    certifyNearRoot(cdf, m, q, lo, hi);
     // Expand the bracket until it contains the quantile (gamma tails
     // reach CDF = 1 in floating point once erfc underflows).
     double width = hi - lo;
-    for (int i = 0; i < 200 && cdf(hi) < q; ++i)
+    for (int i = 0; i < 200 && !cdf.atOrAbove(hi); ++i)
         hi += width;
     for (int it = 0;
          it < 200 && hi - lo > 1e-9 * std::max(1.0, std::abs(hi));
          ++it) {
         double mid = 0.5 * (lo + hi);
-        if (cdf(mid) >= q)
+        if (cdf.atOrAbove(mid))
             hi = mid;
         else
             lo = mid;

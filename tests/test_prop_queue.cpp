@@ -16,6 +16,9 @@
  *  - the full grid JSON is bit-identical at any jobs value once the
  *    timing fields are stripped (the same filter the CI determinism
  *    job applies to ext_latency_curves output).
+ *
+ * Over random shifted-gamma mixtures, the certified-replay quantile
+ * must return the plain bisection's double bit for bit.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
+#include "mixture_reference.hpp"
 #include "queue/latency.hpp"
 #include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
@@ -212,6 +216,72 @@ TEST(PropQueue, GridJsonIdenticalAtAnyJobsValue)
     auto res = forAll<TopoParams>(
         cfg, genTopoParams, jsonJobsInvariance, shrinkTopoParams,
         describeTopoParams);
+    EXPECT_TRUE(res.passed) << res.report();
+}
+
+using Mixture = std::vector<ShiftedGamma>;
+
+/** A random family and up to ~200 * size components. */
+Mixture
+genMixture(Rng &rng, int size)
+{
+    auto family = static_cast<reference::Family>(
+        rng.uniform(reference::kFamilies));
+    auto n = static_cast<std::size_t>(
+        rng.uniformInRange(1, 200 * static_cast<std::int64_t>(size)));
+    return reference::randomMixture(rng, family, n);
+}
+
+/** Drop either half of the components. */
+std::vector<Mixture>
+shrinkMixture(const Mixture &mix)
+{
+    if (mix.size() < 2)
+        return {};
+    auto half = static_cast<std::ptrdiff_t>(mix.size() / 2);
+    return {Mixture(mix.begin(), mix.begin() + half),
+            Mixture(mix.begin() + half, mix.end())};
+}
+
+std::string
+describeMixture(const Mixture &mix)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << mix.size() << " components";
+    for (std::size_t i = 0; i < mix.size() && i < 8; ++i)
+        os << " {" << mix[i].shift << ", " << mix[i].mean << ", "
+           << mix[i].variance << ", " << mix[i].weight << "}";
+    return os.str();
+}
+
+CheckResult
+certifiedQuantileIsPlainBisection(const Mixture &mix)
+{
+    for (double q : reference::levels()) {
+        double want = reference::plainBisectionQuantile(mix, q);
+        double got = shiftedGammaMixtureQuantile(mix, q);
+        if (!reference::sameBits(want, got)) {
+            std::ostringstream err;
+            err.precision(17);
+            err << "q=" << q << ": plain bisection " << want
+                << ", certified replay " << got;
+            return CheckResult::fail(err.str());
+        }
+    }
+    return CheckResult::pass();
+}
+
+TEST(PropQueue, CertifiedQuantileIsPlainBisection)
+{
+    PropConfig cfg;
+    cfg.cases = 150;
+    cfg.seed = 0x90e10;
+    cfg.min_size = 1;
+    cfg.max_size = 40;
+    auto res = forAll<Mixture>(cfg, genMixture,
+                               certifiedQuantileIsPlainBisection,
+                               shrinkMixture, describeMixture);
     EXPECT_TRUE(res.passed) << res.report();
 }
 

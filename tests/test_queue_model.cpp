@@ -17,6 +17,7 @@
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
+#include "mixture_reference.hpp"
 #include "queue/latency.hpp"
 #include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
@@ -248,6 +249,53 @@ TEST(GammaMixtureCore, QuantileMonotoneInQ)
     std::vector<ShiftedGamma> bad = {{0.0, 1.0, 1.0, 0.0}};
     EXPECT_THROW(shiftedGammaMixtureQuantile(bad, 0.5),
                  std::invalid_argument);
+}
+
+TEST(GammaMixtureCore, CertifiedQuantileMatchesPlainBisection)
+{
+    // The certified replay answers each bisection step from rounding-
+    // error certificates where it can; the result must be the plain
+    // bisection's double, bit for bit.
+    auto check = [](const std::vector<ShiftedGamma> &mix,
+                    const char *family) {
+        for (double q : reference::levels()) {
+            double want = reference::plainBisectionQuantile(mix, q);
+            double got = shiftedGammaMixtureQuantile(mix, q);
+            EXPECT_TRUE(reference::sameBits(want, got))
+                << family << " n=" << mix.size() << " q=" << q
+                << ": plain " << want << " certified " << got;
+        }
+    };
+    const char *names[] = {"fig10-like", "tiny variance", "point masses",
+                           "wide weights", "rugged"};
+    Rng rng(0xce27);
+    for (int rep = 0; rep < 4; ++rep)
+        for (int f = 0; f < reference::kFamilies; ++f)
+            for (std::size_t n : {1, 7, 300, 3000})
+                check(reference::randomMixture(
+                          rng, static_cast<reference::Family>(f), n),
+                      names[f]);
+    check(reference::randomMixture(rng, reference::Family::kFig10, 100000),
+          "fig10-like, 100k components");
+}
+
+TEST(GammaMixtureCore, PublicCdfIsTheBisectedFunction)
+{
+    // shiftedGammaMixtureCdf evaluates exactly the function the
+    // quantile bisects (same hoisted constants, same operation order).
+    Rng rng(0xcdf);
+    for (int f = 0; f < reference::kFamilies; ++f) {
+        auto mix = reference::randomMixture(
+            rng, static_cast<reference::Family>(f), 200);
+        for (int i = 0; i < 50; ++i) {
+            double x = 15.0 + 60.0 * rng.uniformReal();
+            double want = reference::mixtureCdf(mix, x);
+            double got = shiftedGammaMixtureCdf(mix, x);
+            EXPECT_TRUE(reference::sameBits(want, got))
+                << "family " << f << " x=" << x << ": " << want
+                << " vs " << got;
+        }
+    }
 }
 
 // --- the latency sweep on a hand-checkable instance -----------------

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/options.hpp"
 #include "util/stats.hpp"
@@ -239,6 +241,79 @@ TEST(Options, NonNumericValueThrowsFromTypedAccessors)
     EXPECT_THROW(o.getInt("radix", 0), std::invalid_argument);
     EXPECT_THROW(o.getDouble("radix", 0.0), std::invalid_argument);
     EXPECT_EQ(o.get("radix", ""), "abc");  // string access still works
+}
+
+/** The what() of the std::invalid_argument @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+invalidArgumentMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Options, NumbersMustParseAsTheWholeValue)
+{
+    const char *argv[] = {"prog",        "--shards=4x", "--load=0.5x",
+                          "--radix= 8",  "--big=99999999999999999999",
+                          "--hex=0x10",  "--ok=-3",     "--frac=2.5e-1"};
+    Options o(8, argv);
+    EXPECT_THROW(o.getInt("shards", 1), std::invalid_argument);
+    EXPECT_THROW(o.getDouble("shards", 1.0), std::invalid_argument);
+    EXPECT_THROW(o.getDouble("load", 0.0), std::invalid_argument);
+    EXPECT_THROW(o.getInt("radix", 0), std::invalid_argument);
+    EXPECT_THROW(o.getInt("big", 0), std::invalid_argument);
+    EXPECT_THROW(o.getInt("hex", 0), std::invalid_argument);
+    EXPECT_THROW(o.getInt("frac", 0), std::invalid_argument);
+    EXPECT_EQ(o.getInt("ok", 0), -3);
+    EXPECT_DOUBLE_EQ(o.getDouble("ok", 0.0), -3.0);
+    EXPECT_DOUBLE_EQ(o.getDouble("frac", 0.0), 0.25);
+}
+
+TEST(Options, BadNumberMessageNamesFlagAndValue)
+{
+    const char *argv[] = {"prog", "--shards", "abc", "--load=1.5q"};
+    Options o(4, argv);
+    std::string m = invalidArgumentMessage([&] { o.getInt("shards", 1); });
+    EXPECT_NE(m.find("--shards"), std::string::npos) << m;
+    EXPECT_NE(m.find("'abc'"), std::string::npos) << m;
+    m = invalidArgumentMessage([&] { o.getDouble("load", 0.0); });
+    EXPECT_NE(m.find("--load"), std::string::npos) << m;
+    EXPECT_NE(m.find("'1.5q'"), std::string::npos) << m;
+}
+
+TEST(Options, JobsParsesFlagAndEnvironmentStrictly)
+{
+    const char *saved = std::getenv("RFC_JOBS");
+    std::string restore = saved ? saved : "";
+
+    const char *none[] = {"prog"};
+    Options bare(1, none);
+    ::setenv("RFC_JOBS", "3", 1);
+    EXPECT_EQ(bare.jobs(), 3);
+    ::setenv("RFC_JOBS", "3x", 1);
+    std::string m = invalidArgumentMessage([&] { bare.jobs(); });
+    EXPECT_NE(m.find("RFC_JOBS"), std::string::npos) << m;
+    EXPECT_NE(m.find("'3x'"), std::string::npos) << m;
+    ::setenv("RFC_JOBS", "abc", 1);
+    EXPECT_THROW(bare.jobs(), std::invalid_argument);
+
+    // The flag wins over the environment and parses the same way.
+    const char *flag[] = {"prog", "--jobs=2"};
+    EXPECT_EQ(Options(2, flag).jobs(), 2);
+    const char *bad[] = {"prog", "--jobs=2 "};
+    EXPECT_THROW(Options(2, bad).jobs(), std::invalid_argument);
+    const char *huge[] = {"prog", "--jobs=4294967296"};
+    EXPECT_THROW(Options(2, huge).jobs(), std::invalid_argument);
+
+    if (saved)
+        ::setenv("RFC_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("RFC_JOBS");
 }
 
 TEST(ChiSquare, ExactStatisticOnSmallExample)
