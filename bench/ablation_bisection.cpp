@@ -25,13 +25,11 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Ablation: bisection bounds vs empirical cuts");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "ablation_bisection", 17);
+    b.banner("Ablation: bisection bounds vs empirical cuts");
+    const bool full = b.opts.fullScale();
     const int restarts = static_cast<int>(
-        opts.getInt("restarts", full ? 20 : 6));
-
-    ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 17));
+        b.opts.getInt("restarts", full ? 20 : 6));
 
     // Paper's quoted normalized bisections at R=36.
     TablePrinter q({"configuration", "paper", "model"});
@@ -42,7 +40,7 @@ main(int argc, char **argv)
     q.addRow({"RFC l=3, R=36", "0.86",
               TablePrinter::fmt(normalizedBisectionRfc(36, 3), 2)});
     q.addRow({"CFT (any)", "1.00", "1.00"});
-    emit(opts, "normalized bisection (Sec 4.2)", q);
+    b.emit("normalized bisection (Sec 4.2)", q);
 
     // Bound vs empirical cut on random regular graphs.
     const std::vector<std::pair<int, int>> rrg_cases{
@@ -52,8 +50,8 @@ main(int argc, char **argv)
         long long edges = 0;
         double bound = 0.0, cut = 0.0, l2 = 0.0;
     };
-    auto rrg_rows = engine.map<RrgRow>(
-        /*stream=*/0, rrg_cases.size(),
+    auto rrg_rows = b.engine.map<RrgRow>(
+        /*stream=*/0, static_cast<int>(rrg_cases.size()),
         [&](std::size_t i, std::uint64_t seed) {
             auto [n, d] = rrg_cases[i];
             Rng row_rng(seed);
@@ -82,7 +80,7 @@ main(int argc, char **argv)
                   TablePrinter::fmt(spectralExpansionBound(d, row.l2),
                                     2)});
     }
-    emit(opts, "random regular graphs", t);
+    b.emit("random regular graphs", t);
 
     // The same on RFC switch graphs (lower bound via the multigraph
     // contraction of Sec 4.2 is per-construction; empirical cut shown).
@@ -94,8 +92,8 @@ main(int argc, char **argv)
         long long wires = 0;
         double cut = 0.0, norm = 0.0;
     };
-    auto rfc_rows = engine.map<RfcRow>(
-        /*stream=*/1, rfc_cases.size(),
+    auto rfc_rows = b.engine.map<RfcRow>(
+        /*stream=*/1, static_cast<int>(rfc_cases.size()),
         [&](std::size_t i, std::uint64_t seed) {
             auto [radix, levels] = rfc_cases[i];
             Rng row_rng(seed);
@@ -119,11 +117,11 @@ main(int argc, char **argv)
                   TablePrinter::fmtInt(static_cast<long long>(row.cut)),
                   TablePrinter::fmt(row.norm, 2)});
     }
-    emit(opts, "RFC instances (empirical normalized bisection)", r);
-    std::cout << "note: the empirical cut balances *switches*, not "
-                 "leaves, so it can dip below\nthe Sec 4.2 normalized "
-                 "figures (which assume terminal-balanced halves); it "
-                 "is a\nconservative lower proxy, not a refutation of "
-                 "the bound.\n";
-    return 0;
+    b.emit("RFC instances (empirical normalized bisection)", r);
+    b.text() << "note: the empirical cut balances *switches*, not "
+                "leaves, so it can dip below\nthe Sec 4.2 normalized "
+                "figures (which assume terminal-balanced halves); it "
+                "is a\nconservative lower proxy, not a refutation of "
+                "the bound.\n";
+    return b.finish();
 }

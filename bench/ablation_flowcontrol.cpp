@@ -8,8 +8,8 @@
  * head-of-line blocking"; this bench quantifies that choice and shows
  * the CFT-vs-RFC ranking is robust to it.
  *
- * The (vcs, buf) x network grid is declared as engine trial specs with
- * per-point SimConfig overrides and runs in parallel (--jobs).
+ * The (vcs, buf) x network points are hand-built with per-point
+ * SimConfig overrides and run in parallel (--jobs).
  */
 #include <iostream>
 
@@ -23,48 +23,49 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Ablation: virtual channels and buffer depth");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "ablation_flowcontrol", 21);
+    b.banner("Ablation: virtual channels and buffer depth");
+    const bool full = b.opts.fullScale();
     const int radix = static_cast<int>(
-        opts.getInt("radix", full ? 36 : 12));
-    Rng rng(opts.getInt("seed", 21));
+        b.opts.getInt("radix", full ? 36 : 12));
+    Rng rng(b.seed);
 
     auto cft = buildCft(radix, 3);
     auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
     UpDownOracle o_cft(cft), o_rfc(built.topology);
+    const Network nets[] = {{"CFT", &cft, &o_cft},
+                            {"RFC", &built.topology, &o_rfc}};
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 2000 : 500);
-    base.measure = opts.getInt("measure", full ? 6000 : 1500);
-    base.seed = opts.getInt("seed", 21);
-    base.load = 1.0;  // saturation everywhere in this ablation
-
-    ExperimentEngine engine(opts.jobs(), base.seed);
+    base.warmup = b.opts.getInt("warmup", full ? 2000 : 500);
+    base.measure = b.opts.getInt("measure", full ? 6000 : 1500);
+    base.seed = b.seed;
 
     const std::vector<int> vc_axis{1, 2, 4, 8};
     const std::vector<int> buf_axis{2, 4, 8};
 
-    // Grid 1: (vcs x buf x network) under uniform traffic.
-    std::vector<TrialSpec> specs;
+    // Saturation (offered 1.0) everywhere in this ablation; each point
+    // carries its own flow-control config.
+    auto add = [&](Study &s, const std::string &traffic,
+                   const std::string &knobs, const SimConfig &cfg) {
+        const Case c{knobs, namedTraffic(traffic)};
+        for (const Network &net : nets)
+            s.points.push_back({net, c, 1.0, cfg, net.label + "/" + knobs});
+    };
+
+    // Study 1: (vcs x buf x network) under uniform traffic.
+    Study uniform{"uniform"};
     for (int vcs : vc_axis) {
         for (int buf : buf_axis) {
             SimConfig cfg = base;
             cfg.vcs = vcs;
             cfg.buf_packets = buf;
-            TrialSpec cft_spec{&cft, &o_cft, namedTraffic("uniform"),
-                               cfg,
-                               "CFT/vcs=" + std::to_string(vcs) +
-                                   "/buf=" + std::to_string(buf)};
-            TrialSpec rfc_spec{&built.topology, &o_rfc,
-                               namedTraffic("uniform"), cfg,
-                               "RFC/vcs=" + std::to_string(vcs) +
-                                   "/buf=" + std::to_string(buf)};
-            specs.push_back(std::move(cft_spec));
-            specs.push_back(std::move(rfc_spec));
+            add(uniform, "uniform",
+                "vcs=" + std::to_string(vcs) + "/buf=" + std::to_string(buf),
+                cfg);
         }
     }
-    auto points = engine.runPoints(specs, 1);
+    const auto points = b.run(uniform).points;
 
     TablePrinter t({"vcs", "buf", "thr(CFT)", "lat(CFT)", "thr(RFC)",
                     "lat(RFC)"});
@@ -74,38 +75,32 @@ main(int argc, char **argv)
             const auto &r1 = points[p++];
             const auto &r2 = points[p++];
             t.addRow({std::to_string(vcs), std::to_string(buf),
-                      TablePrinter::fmt(r1.accepted.mean, 3),
-                      TablePrinter::fmt(r1.avg_latency.mean, 1),
-                      TablePrinter::fmt(r2.accepted.mean, 3),
-                      TablePrinter::fmt(r2.avg_latency.mean, 1)});
+                      TablePrinter::fmt(r1.mean("accepted"), 3),
+                      TablePrinter::fmt(r1.mean("avg_latency"), 1),
+                      TablePrinter::fmt(r2.mean("accepted"), 3),
+                      TablePrinter::fmt(r2.mean("avg_latency"), 1)});
         }
     }
-    emit(opts, "uniform traffic at saturation (offered 1.0)", t);
+    b.emit("uniform traffic at saturation (offered 1.0)", t);
 
-    // Grid 2: pairing is the pattern most sensitive to HoL blocking.
-    std::vector<TrialSpec> pairing;
+    // Study 2: pairing is the pattern most sensitive to HoL blocking.
+    Study pairing{"random-pairing"};
     for (int vcs : vc_axis) {
         SimConfig cfg = base;
         cfg.vcs = vcs;
-        pairing.push_back({&cft, &o_cft, namedTraffic("random-pairing"),
-                           cfg, "CFT/vcs=" + std::to_string(vcs)});
-        pairing.push_back({&built.topology, &o_rfc,
-                           namedTraffic("random-pairing"), cfg,
-                           "RFC/vcs=" + std::to_string(vcs)});
+        add(pairing, "random-pairing", "vcs=" + std::to_string(vcs), cfg);
     }
-    auto pair_points = engine.runPoints(pairing, 1);
+    const auto pair_points = b.run(pairing).points;
 
     TablePrinter pt({"vcs", "thr(CFT)", "thr(RFC)", "RFC/CFT"});
     p = 0;
     for (int vcs : vc_axis) {
-        const auto &r1 = pair_points[p++];
-        const auto &r2 = pair_points[p++];
-        pt.addRow({std::to_string(vcs),
-                   TablePrinter::fmt(r1.accepted.mean, 3),
-                   TablePrinter::fmt(r2.accepted.mean, 3),
-                   TablePrinter::fmtPct(
-                       r2.accepted.mean / r1.accepted.mean, 1)});
+        const double r1 = pair_points[p++].mean("accepted");
+        const double r2 = pair_points[p++].mean("accepted");
+        pt.addRow({std::to_string(vcs), TablePrinter::fmt(r1, 3),
+                   TablePrinter::fmt(r2, 3),
+                   TablePrinter::fmtPct(r2 / r1, 1)});
     }
-    emit(opts, "random-pairing at saturation vs VC count", pt);
-    return 0;
+    b.emit("random-pairing at saturation vs VC count", pt);
+    return b.finish();
 }

@@ -9,8 +9,8 @@
  *
  *  1. Adversarial leaf-shift on CFT and RFC (the ext_adversarial
  *     scenario) with minimal, Valiant and UGAL routing side by side -
- *     the ExperimentGrid policy axis sweeps routing policies exactly
- *     like topologies.
+ *     the study's case axis crosses routing policies with traffic
+ *     patterns, so policies sweep exactly like topologies.
  *  2. RFC vs Jellyfish-style RRN (the ext_jellyfish scenario) with the
  *     RRN under per-packet ECMP vs flowlet switching and the RFC under
  *     oblivious vs UGAL.
@@ -43,18 +43,6 @@ namespace {
 long long g_violations = 0;
 
 void
-auditPoints(const std::vector<PointResult> &points)
-{
-    for (const auto &p : points)
-        if (p.conservation_violations != 0) {
-            std::cerr << "[conservation] VIOLATION at " << p.label
-                      << " (" << p.conservation_violations
-                      << " trial(s))\n";
-            g_violations += p.conservation_violations;
-        }
-}
-
-void
 auditDirect(const char *label, const SimResult &r)
 {
     const long long gap = conservationGap(r);
@@ -70,32 +58,29 @@ auditDirect(const char *label, const SimResult &r)
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    const bool smoke = opts.getBool("smoke", false);
-    const bool full = opts.fullScale();
-    std::cout << "== Extension: oblivious vs adaptive routing ==\n"
-              << (smoke ? "mode: SMOKE (CI-sized, conservation-audited)\n"
-                  : full
-                      ? "mode: FULL (paper-scale; may take a long time)\n"
-                      : "mode: default (reduced scale; --full or "
-                        "RFC_FULL=1 for paper scale)\n");
-    Rng rng(opts.getInt("seed", 91));
+    Bench b(argc, argv, "ext_adaptive_routing", 91);
+    const bool smoke = b.opts.getBool("smoke", false);
+    const bool full = b.opts.fullScale();
+    b.banner("Extension: oblivious vs adaptive routing",
+             smoke ? "mode: SMOKE (CI-sized, conservation-audited)" : "");
+    Rng rng(b.seed);
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", smoke ? 200 : full ? 2000 : 600);
+    base.warmup =
+        b.opts.getInt("warmup", smoke ? 200 : full ? 2000 : 600);
     base.measure =
-        opts.getInt("measure", smoke ? 500 : full ? 8000 : 2000);
-    base.seed = opts.getInt("seed", 91);
-    base.ugal_threshold = opts.getDouble("ugal-threshold", 1.0);
-    base.flowlet_gap = opts.getInt("flowlet-gap", 64);
+        b.opts.getInt("measure", smoke ? 500 : full ? 8000 : 2000);
+    base.seed = b.seed;
+    base.ugal_threshold = b.opts.getDouble("ugal-threshold", 1.0);
+    base.flowlet_gap = b.opts.getInt("flowlet-gap", 64);
     // Intra-trial engine options: the shard count is part of the
     // experiment definition; the thread counts never change results.
-    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
+    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
+    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
 
     // ---- scenario 1: adversarial shift, policy axis ----------------
     const int radix =
-        static_cast<int>(opts.getInt("radix", smoke ? 8 : 12));
+        static_cast<int>(b.opts.getInt("radix", smoke ? 8 : 12));
     auto cft = buildCft(radix, 3);
     auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
     UpDownOracle o_cft(cft), o_rfc(built.topology);
@@ -103,80 +88,82 @@ main(int argc, char **argv)
     const int tpl = cft.terminalsPerLeaf();
     const long long stride = tpl;  // neighbor-leaf flood
 
-    ExperimentGrid grid;
-    grid.addNetwork("CFT", cft, o_cft);
-    grid.addNetwork("RFC", built.topology, o_rfc);
-    grid.addPolicy("minimal", ClosPolicy::kOblivious,
-                   RouteMode::kMinimal);
-    grid.addPolicy("valiant", ClosPolicy::kOblivious,
-                   RouteMode::kValiant);
-    grid.addPolicy("ugal", ClosPolicy::kAdaptiveUgal);
-    grid.addTraffic("neighbor-shift", [stride]() {
-        return std::make_unique<ShiftTraffic>(stride);
-    });
-    grid.addTraffic("uniform");
-    grid.loads = {1.0};
-    grid.base = base;
-    grid.repetitions = static_cast<int>(opts.getInt("trials", 1));
+    // Cases: policy x traffic, so points are network x policy x traffic.
+    const Case policies[] = {
+        {.label = "minimal", .route_mode = RouteMode::kMinimal},
+        {.label = "valiant", .route_mode = RouteMode::kValiant},
+        {.label = "ugal", .policy = ClosPolicy::kAdaptiveUgal},
+    };
+    const std::pair<const char *, TrafficFactory> traffics[] = {
+        {"neighbor-shift",
+         [stride]() { return std::make_unique<ShiftTraffic>(stride); }},
+        {"uniform", namedTraffic("uniform")},
+    };
+    std::vector<Case> cases;
+    for (const Case &pol : policies)
+        for (const auto &[name, make] : traffics) {
+            Case c = pol;
+            c.label = pol.label + "/" + name;
+            c.traffic = make;
+            cases.push_back(std::move(c));
+        }
+    const std::vector<Network> nets{{"CFT", &cft, &o_cft},
+                                    {"RFC", &built.topology, &o_rfc}};
+    const StudyResult result = b.run(
+        {"policy-sweep", Tier::kVct, crossPoints(nets, cases, {1.0}, base),
+         static_cast<int>(b.opts.getInt("trials", 1))});
+    g_violations += conservationViolations(result);
 
-    ExperimentEngine engine(opts.jobs(), base.seed);
-    GridResult result = engine.run(grid);
-    reportEngine(result, grid.numPoints(), grid.repetitions);
-    auditPoints(result.points);
-
-    const std::size_t n_tr = grid.traffics.size();
-    const std::size_t n_pol = grid.policies.size();
     auto at = [&](std::size_t net, std::size_t pol, std::size_t tr)
         -> const PointResult & {
-        return result.points[(net * n_pol + pol) * n_tr + tr];
+        return result.points[gridIndex(
+            {nets.size(), std::size(policies), std::size(traffics)},
+            {net, pol, tr})];
     };
 
-    if (opts.getBool("json", false)) {
-        writeGridJson(std::cout, grid, result, base.seed);
-        std::cout << "\n";
-    } else {
-        TablePrinter t({"network", "traffic", "thr(minimal)",
-                        "lat(minimal)", "thr(valiant)", "lat(valiant)",
-                        "thr(UGAL)", "lat(UGAL)"});
-        const char *nets[] = {"CFT", "RFC"};
-        const char *trs[] = {"neighbor-shift", "uniform"};
-        for (std::size_t n = 0; n < 2; ++n)
-            for (std::size_t tr = 0; tr < n_tr; ++tr)
-                t.addRow({nets[n], trs[tr],
-                          TablePrinter::fmt(at(n, 0, tr).accepted.mean, 3),
-                          TablePrinter::fmt(at(n, 0, tr).avg_latency.mean, 1),
-                          TablePrinter::fmt(at(n, 1, tr).accepted.mean, 3),
-                          TablePrinter::fmt(at(n, 1, tr).avg_latency.mean, 1),
-                          TablePrinter::fmt(at(n, 2, tr).accepted.mean, 3),
-                          TablePrinter::fmt(at(n, 2, tr).avg_latency.mean, 1)});
-        emit(opts, "saturation under neighbor-shift: policy sweep", t);
-    }
+    TablePrinter t({"network", "traffic", "thr(minimal)", "lat(minimal)",
+                    "thr(valiant)", "lat(valiant)", "thr(UGAL)",
+                    "lat(UGAL)"});
+    for (std::size_t n = 0; n < nets.size(); ++n)
+        for (std::size_t tr = 0; tr < std::size(traffics); ++tr) {
+            std::vector<std::string> row{nets[n].label, traffics[tr].first};
+            for (std::size_t pol = 0; pol < std::size(policies); ++pol) {
+                row.push_back(
+                    TablePrinter::fmt(at(n, pol, tr).mean("accepted"), 3));
+                row.push_back(TablePrinter::fmt(
+                    at(n, pol, tr).mean("avg_latency"), 1));
+            }
+            t.addRow(row);
+        }
+    b.emit("saturation under neighbor-shift: policy sweep", t);
 
     // The acceptance headline: UGAL vs minimal on the adversarial
     // pattern, per network.  Positive = adaptive wins throughput.
-    for (std::size_t n = 0; n < 2; ++n) {
-        const double thr_min = at(n, 0, 0).accepted.mean;
-        const double thr_ugal = at(n, 2, 0).accepted.mean;
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+        const double thr_min = at(n, 0, 0).mean("accepted");
+        const double thr_ugal = at(n, 2, 0).mean("accepted");
         const double rel =
             thr_min > 0.0 ? (thr_ugal - thr_min) / thr_min * 100.0 : 0.0;
-        std::cout << "[adaptive-delta] " << (n == 0 ? "CFT" : "RFC")
-                  << " neighbor-shift: minimal "
-                  << TablePrinter::fmt(thr_min, 3) << ", ugal "
-                  << TablePrinter::fmt(thr_ugal, 3) << " ("
-                  << (rel >= 0 ? "+" : "") << TablePrinter::fmt(rel, 1)
-                  << "%)\n";
+        b.text() << "[adaptive-delta] " << nets[n].label
+                 << " neighbor-shift: minimal "
+                 << TablePrinter::fmt(thr_min, 3) << ", ugal "
+                 << TablePrinter::fmt(thr_ugal, 3) << " ("
+                 << (rel >= 0 ? "+" : "") << TablePrinter::fmt(rel, 1)
+                 << "%)\n";
+        b.field("ugal_vs_minimal_pct." + nets[n].label, rel);
     }
 
     // ---- scenario 2: RRN per-packet ECMP vs flowlet switching ------
-    const int delta = static_cast<int>(opts.getInt("degree", smoke ? 5 : 9));
+    const int delta =
+        static_cast<int>(b.opts.getInt("degree", smoke ? 5 : 9));
     const int hosts =
-        static_cast<int>(opts.getInt("hosts", smoke ? 3 : 3));
+        static_cast<int>(b.opts.getInt("hosts", smoke ? 3 : 3));
     int rrn_switches = static_cast<int>(
-        opts.getInt("rrn-switches", smoke ? 40 : 340));
+        b.opts.getInt("rrn-switches", smoke ? 40 : 340));
     if ((static_cast<long long>(rrn_switches) * delta) % 2)
         ++rrn_switches;
     Graph rrn = randomRegularGraph(rrn_switches, delta, rng);
-    KspRoutes routes(rrn, static_cast<int>(opts.getInt("k", 4)));
+    KspRoutes routes(rrn, static_cast<int>(b.opts.getInt("k", 4)));
 
     SimConfig dcfg = base;
     dcfg.vcs = std::max(4, routes.maxHops());
@@ -203,17 +190,17 @@ main(int argc, char **argv)
                   TablePrinter::fmt(r2.accepted, 3),
                   TablePrinter::fmt(r2.avg_latency, 1)});
     }
-    emit(opts, "RRN uniform: per-packet ECMP vs flowlet switching", d);
+    b.emit("RRN uniform: per-packet ECMP vs flowlet switching", d);
 
     if (g_violations != 0) {
         std::cerr << "[conservation] " << g_violations
                   << " violating trial(s); failing the run\n";
-        return 1;
+        return b.finish(1);
     }
-    std::cout << "UGAL routes minimally until the minimal queues back "
-                 "up, then detours like\nValiant - matching minimal on "
-                 "benign traffic and Valiant on adversarial,\nwithout "
-                 "choosing in advance.  Flowlet switching keeps ECMP's "
-                 "load spreading\nwhile pinning bursts to one path.\n";
-    return 0;
+    b.text() << "UGAL routes minimally until the minimal queues back "
+                "up, then detours like\nValiant - matching minimal on "
+                "benign traffic and Valiant on adversarial,\nwithout "
+                "choosing in advance.  Flowlet switching keeps ECMP's "
+                "load spreading\nwhile pinning bursts to one path.\n";
+    return b.finish();
 }

@@ -12,8 +12,8 @@
  * destination) and measures the saturation throughput on CFT and RFC
  * at equal resources.
  *
- * The (pattern x topology x route mode) grid is declared as engine
- * trial specs and runs in parallel (--jobs).
+ * The (pattern x topology x route mode) points are hand-built and run
+ * in parallel (--jobs).
  */
 #include <iostream>
 
@@ -27,90 +27,83 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Extension: adversarial (leaf-shift) traffic");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "ext_adversarial", 55);
+    b.banner("Extension: adversarial (leaf-shift) traffic");
+    const bool full = b.opts.fullScale();
     const int radix = static_cast<int>(
-        opts.getInt("radix", full ? 36 : 12));
-    Rng rng(opts.getInt("seed", 55));
+        b.opts.getInt("radix", full ? 36 : 12));
+    Rng rng(b.seed);
 
     auto cft = buildCft(radix, 3);
     auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
     UpDownOracle o_cft(cft), o_rfc(built.topology);
+    const Network cft_net{"CFT", &cft, &o_cft};
+    const Network rfc_net{"RFC", &built.topology, &o_rfc};
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 2000 : 600);
-    base.measure = opts.getInt("measure", full ? 8000 : 2000);
-    base.seed = opts.getInt("seed", 55);
-    base.load = 1.0;
+    base.warmup = b.opts.getInt("warmup", full ? 2000 : 600);
+    base.measure = b.opts.getInt("measure", full ? 8000 : 2000);
+    base.seed = b.seed;
 
     const int tpl = cft.terminalsPerLeaf();
-    struct Case
-    {
-        const char *label;
-        long long stride;
-    };
-    const Case cases[] = {
+    const std::pair<const char *, long long> patterns[] = {
         {"neighbor-leaf shift", tpl},
-        {"distant-leaf shift", static_cast<long long>(tpl) *
-                                   (cft.numLeaves() / 2)},
+        {"distant-leaf shift",
+         static_cast<long long>(tpl) * (cft.numLeaves() / 2)},
         {"intra-leaf rotate", 1},
     };
 
-    auto shift = [](long long stride) -> TrafficFactory {
-        return [stride]() {
-            return std::make_unique<ShiftTraffic>(stride);
-        };
-    };
-
-    // Five configurations per case: CFT minimal, RFC minimal, RFC
+    // Five configurations per pattern: CFT minimal, RFC minimal, RFC
     // up/down-random, RFC Valiant, RFC UGAL-adaptive.
-    std::vector<TrialSpec> specs;
-    for (const auto &c : cases) {
-        SimConfig cfg = base;
-        cfg.route_mode = RouteMode::kMinimal;
-        specs.push_back({&cft, &o_cft, shift(c.stride), cfg,
-                         std::string(c.label) + "/CFT"});
-        specs.push_back({&built.topology, &o_rfc, shift(c.stride), cfg,
-                         std::string(c.label) + "/RFC-minimal"});
-        cfg.route_mode = RouteMode::kUpDownRandom;
-        specs.push_back({&built.topology, &o_rfc, shift(c.stride), cfg,
-                         std::string(c.label) + "/RFC-updown-random"});
-        cfg.route_mode = RouteMode::kValiant;
-        specs.push_back({&built.topology, &o_rfc, shift(c.stride), cfg,
-                         std::string(c.label) + "/RFC-valiant"});
-        TrialSpec ugal{&built.topology, &o_rfc, shift(c.stride), cfg,
-                       std::string(c.label) + "/RFC-ugal"};
-        ugal.policy = ClosPolicy::kAdaptiveUgal;
-        specs.push_back(std::move(ugal));
+    struct Config
+    {
+        const Network *net;
+        const char *name;
+        RouteMode mode;
+        ClosPolicy policy;
+    };
+    const Config configs[] = {
+        {&cft_net, "CFT", RouteMode::kMinimal, ClosPolicy::kOblivious},
+        {&rfc_net, "RFC-minimal", RouteMode::kMinimal,
+         ClosPolicy::kOblivious},
+        {&rfc_net, "RFC-updown-random", RouteMode::kUpDownRandom,
+         ClosPolicy::kOblivious},
+        {&rfc_net, "RFC-valiant", RouteMode::kValiant,
+         ClosPolicy::kOblivious},
+        {&rfc_net, "RFC-ugal", RouteMode::kValiant,
+         ClosPolicy::kAdaptiveUgal},
+    };
+    Study study{"shift", Tier::kVct, {},
+                static_cast<int>(b.opts.getInt("trials", 1))};
+    for (const auto &[pattern, stride] : patterns) {
+        for (const Config &c : configs) {
+            SimConfig cfg = base;
+            cfg.route_mode = c.mode;
+            Case shift{c.name, [stride = stride]() {
+                           return std::make_unique<ShiftTraffic>(stride);
+                       }};
+            shift.policy = c.policy;
+            study.points.push_back({*c.net, std::move(shift), 1.0, cfg,
+                                    std::string(pattern) + "/" + c.name});
+        }
     }
-
-    ExperimentEngine engine(opts.jobs(), base.seed);
-    auto points = engine.runPoints(
-        specs, static_cast<int>(opts.getInt("trials", 1)));
+    const auto points = b.run(study).points;
 
     TablePrinter t({"pattern", "stride", "thr(CFT)", "thr(RFC minimal)",
                     "thr(RFC updown-random)", "thr(RFC Valiant)",
                     "thr(RFC UGAL)"});
     std::size_t p = 0;
-    for (const auto &c : cases) {
-        const auto &r1 = points[p++];
-        const auto &r2 = points[p++];
-        const auto &r3 = points[p++];
-        const auto &r4 = points[p++];
-        const auto &r5 = points[p++];
-        t.addRow({c.label, TablePrinter::fmtInt(c.stride),
-                  TablePrinter::fmt(r1.accepted.mean, 3),
-                  TablePrinter::fmt(r2.accepted.mean, 3),
-                  TablePrinter::fmt(r3.accepted.mean, 3),
-                  TablePrinter::fmt(r4.accepted.mean, 3),
-                  TablePrinter::fmt(r5.accepted.mean, 3)});
+    for (const auto &[pattern, stride] : patterns) {
+        std::vector<std::string> row{pattern, TablePrinter::fmtInt(stride)};
+        for (std::size_t i = 0; i < std::size(configs); ++i)
+            row.push_back(TablePrinter::fmt(points[p++].mean("accepted"), 3));
+        t.addRow(row);
     }
-    emit(opts, "saturation throughput under shift patterns", t);
-    std::cout << "Minimal up/down funnels a leaf-to-leaf flood through "
-                 "the pair's few lowest\ncommon ancestors; the "
-                 "'up/down random' request mode (any feasible parent)\n"
-                 "recovers well above 0.5 without Valiant-style "
-                 "randomization - the Section 3\nclaim.\n";
-    return 0;
+    b.emit("saturation throughput under shift patterns", t);
+    b.text() << "Minimal up/down funnels a leaf-to-leaf flood through "
+                "the pair's few lowest\ncommon ancestors; the "
+                "'up/down random' request mode (any feasible parent)\n"
+                "recovers well above 0.5 without Valiant-style "
+                "randomization - the Section 3\nclaim.\n";
+    return b.finish();
 }

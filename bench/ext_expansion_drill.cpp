@@ -36,7 +36,6 @@
  * (paper-scale R = 36).  --json emits the point aggregates.
  */
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -130,15 +129,15 @@ rrnIncrementalGrow(Graph &g, int add_switches, int d, Rng &rng)
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Extension: live expansion drill (grow under traffic)");
-    const bool full = opts.fullScale();
-    const bool smoke = opts.getBool("smoke", false);
+    Bench b(argc, argv, "ext_expansion_drill", 17);
+    b.banner("Extension: live expansion drill (grow under traffic)");
+    const bool full = b.opts.fullScale();
+    const bool smoke = b.opts.getBool("smoke", false);
     const int radix = static_cast<int>(
-        opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
-    const std::uint64_t seed = opts.getInt("seed", 17);
+        b.opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
+    const std::uint64_t seed = b.seed;
     const int steps = static_cast<int>(
-        opts.getInt("steps", full ? 4 : (smoke ? 1 : 2)));
+        b.opts.getInt("steps", full ? 4 : (smoke ? 1 : 2)));
     Rng rng(seed);
 
     auto cft = buildCft(radix, 3);
@@ -166,28 +165,29 @@ main(int argc, char **argv)
             "no routable strong expansion in 64 attempts");
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
+    base.warmup =
+        b.opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
     base.measure =
-        opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
+        b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
-    base.load = opts.getDouble("load", 0.6);
-    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
+    base.load = b.opts.getDouble("load", 0.6);
+    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
+    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
     base.route_ttl =
-        static_cast<int>(opts.getInt("route-ttl", smoke ? 128 : 256));
+        static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
     // Smoke doubles as the CI self-check: prove every incremental
     // oracle repair equal to a fresh build (cheap at smoke scale).
     base.fault_crosscheck = smoke;
     const long long total = base.warmup + base.measure;
-    base.telemetry_bin =
-        opts.getInt("telemetry-bin", std::max<long long>(total / 40, 1));
-    int reps = static_cast<int>(opts.getInt("trials", full ? 5 : 2));
+    base.telemetry_bin = b.opts.getInt(
+        "telemetry-bin", std::max<long long>(total / 40, 1));
+    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 2));
 
     // Upgrade schedule: changes start one third into the run; RFC steps
     // spread across the middle third, the forklift and the plane-add
     // land in one barrier.  New terminals pass their activation barrier
     // two packet times after their step's links attach.
-    const long long change_at = opts.getInt("change-at", total / 3);
+    const long long change_at = b.opts.getInt("change-at", total / 3);
     const long long spacing = std::max<long long>(total / (3 * steps), 1);
     const long long activate_delay = 2LL * base.pkt_phits;
 
@@ -204,50 +204,41 @@ main(int argc, char **argv)
     if (!plane.detach.empty())
         throw std::logic_error("plane-add morph must be attach-only");
 
-    std::cout << "base terminals: " << plan->baseTerminals()
-              << " (RFC) / " << cft.numTerminals() << " (CFT), +"
-              << plan->addedTerminals() << " over " << steps
-              << " step(s); changes start @" << change_at
-              << ", RFC step spacing " << spacing << ", route_ttl "
-              << base.route_ttl << "\n\n";
+    b.text() << "base terminals: " << plan->baseTerminals()
+             << " (RFC) / " << cft.numTerminals() << " (CFT), +"
+             << plan->addedTerminals() << " over " << steps
+             << " step(s); changes start @" << change_at
+             << ", RFC step spacing " << spacing << ", route_ttl "
+             << base.route_ttl << "\n\n";
 
-    const std::string traffic = opts.get("traffic", "uniform");
-    std::vector<TrialSpec> specs;
-    auto add = [&](std::string label, const FoldedClos *topo,
-                   const UpDownOracle *oracle,
+    const std::string traffic = b.opts.get("traffic", "uniform");
+    Study study{"upgrades", Tier::kVct, {}, reps};
+    study.config = {{"traffic", traffic},
+                    {"steps", steps},
+                    {"change_at", change_at},
+                    {"spacing", spacing},
+                    {"route_ttl", base.route_ttl},
+                    {"telemetry_bin", base.telemetry_bin}};
+    auto add = [&](const std::string &net, const std::string &upgrade,
+                   const FoldedClos &topo, const UpDownOracle *oracle,
                    const TopologyTimeline *tl, long long gate) {
-        TrialSpec spec;
-        spec.topology = topo;
-        spec.oracle = oracle;
-        spec.traffic = namedTraffic(traffic);
-        spec.config = base;
-        spec.config.active_terminals = gate;
-        spec.label = std::move(label);
-        spec.topo_timeline = tl;
-        specs.push_back(std::move(spec));
+        Case c{upgrade, namedTraffic(traffic)};
+        c.changes = tl;
+        SimConfig cfg = base;
+        cfg.active_terminals = gate;
+        const Network network{net, &topo, oracle};
+        study.points.push_back(
+            {network, std::move(c), base.load, cfg, net + "@" + upgrade});
     };
-    add("CFT@static", &cft, &o_cft, nullptr, -1);
-    add("RFC@static", &rfc_base, &o_rfc, nullptr, -1);
-    add("RFC@expand", &rfc_union, nullptr, &tl_expand,
+    add("CFT", "static", cft, &o_cft, nullptr, -1);
+    add("RFC", "static", rfc_base, &o_rfc, nullptr, -1);
+    add("RFC", "expand", rfc_union, nullptr, &tl_expand,
         plan->baseTerminals());
-    add("CFT@forklift", &forklift.union_topology, nullptr, &tl_forklift,
+    add("CFT", "forklift", forklift.union_topology, nullptr, &tl_forklift,
         cft.numTerminals());
-    add("CFT@plane-add", &plane.union_topology, nullptr, &tl_plane, -1);
-
-    ExperimentEngine engine(opts.jobs(), seed);
-    auto t0 = std::chrono::steady_clock::now();
-    auto points = engine.runPoints(specs, reps);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    std::cerr << "[engine] "
-              << specs.size() * static_cast<std::size_t>(reps)
-              << " trials on " << engine.jobs() << " job(s): " << wall
-              << " s wall\n";
-
-    long long violations = 0;
-    for (const auto &p : points)
-        violations += p.conservation_violations;
+    add("CFT", "plane-add", plane.union_topology, nullptr, &tl_plane, -1);
+    const StudyResult result = b.run(study);
+    const long long violations = conservationViolations(result);
 
     // The RRN cost column: equal terminals (one leaf-equivalent switch
     // each), equal capacity steps, surgery done offline because a flat
@@ -258,41 +249,28 @@ main(int argc, char **argv)
     const long long rrn_detached =
         rrnIncrementalGrow(rrn, 2 * steps, d, rrn_rng);
 
-    if (opts.getBool("json", false)) {
-        writePointsJson(std::cout, points, seed, engine.jobs(), wall,
-                        reps);
-        if (violations > 0) {
-            std::cerr << "conservation violations: " << violations
-                      << "\n";
-            return 1;
-        }
-        return 0;
-    }
-
     TablePrinter t({"upgrade", "terms added", "detached", "attached",
                     "accepted", "dropped", "retry cycles",
                     "in-flight@change", "dip", "reconverge"});
-    for (const auto &p : points) {
-        const bool live = p.expansion.active;
-        const bool disrupted = live && p.expansion.links_detached > 0;
-        long long ttr = std::llround(p.time_to_reconverge.mean);
-        t.addRow({p.label,
-                  live ? TablePrinter::fmtInt(
-                             p.expansion.terminals_activated)
-                       : "-",
-                  live ? TablePrinter::fmtInt(p.expansion.links_detached)
-                       : "-",
-                  live ? TablePrinter::fmtInt(p.expansion.links_attached)
-                       : "-",
-                  TablePrinter::fmt(p.accepted.mean, 3),
-                  TablePrinter::fmtInt(
-                      std::llround(p.dropped_packets.mean)),
-                  TablePrinter::fmtInt(
-                      std::llround(p.route_retries.mean)),
-                  live ? TablePrinter::fmtInt(std::llround(
-                             p.barrier_inflight.mean))
-                       : "-",
-                  disrupted ? TablePrinter::fmt(p.dip_fraction.mean, 3)
+    for (const auto &p : result.points) {
+        // Counters only live runs carry; "-" elsewhere.
+        const bool live = p.has("links_detached");
+        auto count = [&](const char *name, bool shown) -> std::string {
+            return shown ? TablePrinter::fmtInt(std::llround(p.mean(name)))
+                         : "-";
+        };
+        const bool disrupted = live && p.mean("links_detached") > 0 &&
+                               p.has("dip_fraction");
+        const long long ttr =
+            disrupted ? std::llround(p.mean("time_to_reconverge")) : 0;
+        t.addRow({p.label, count("terminals_activated", live),
+                  count("links_detached", live),
+                  count("links_attached", live),
+                  TablePrinter::fmt(p.mean("accepted"), 3),
+                  count("dropped_packets", true),
+                  count("route_retries", true),
+                  count("barrier_inflight_max", live),
+                  disrupted ? TablePrinter::fmt(p.mean("dip_fraction"), 3)
                             : "-",
                   disrupted ? (ttr < 0 ? "never"
                                        : TablePrinter::fmtInt(ttr))
@@ -304,11 +282,11 @@ main(int argc, char **argv)
               TablePrinter::fmtInt(rrn_detached),
               TablePrinter::fmtInt(2 * rrn_detached), "-", "-", "-", "-",
               "-", "-"});
-    emit(opts, "traffic: " + traffic + " @ load " +
-                   TablePrinter::fmt(base.load, 2),
-         t);
+    b.emit("traffic: " + traffic + " @ load " +
+               TablePrinter::fmt(base.load, 2),
+           t);
 
-    std::cout
+    b.text()
         << "reading the table: every live row runs on its union fabric "
            "(base plus staged\nlinks, staged masked dead), so 'accepted' "
            "is normalized by the *final* terminal\ncount - pre-expansion "
@@ -322,7 +300,7 @@ main(int argc, char **argv)
            "switch.\n";
     if (violations > 0) {
         std::cerr << "conservation violations: " << violations << "\n";
-        return 1;
+        return b.finish(1);
     }
-    return 0;
+    return b.finish();
 }

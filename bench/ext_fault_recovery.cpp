@@ -23,7 +23,6 @@
  * (paper-scale R = 36).  --json emits the point aggregates plus the
  * per-bin recovery curve.
  */
-#include <chrono>
 #include <cmath>
 #include <iostream>
 
@@ -38,58 +37,62 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Extension: dynamic faults + online up/down recovery");
-    const bool full = opts.fullScale();
-    const bool smoke = opts.getBool("smoke", false);
+    Bench b(argc, argv, "ext_fault_recovery", 12);
+    b.banner("Extension: dynamic faults + online up/down recovery");
+    const bool full = b.opts.fullScale();
+    const bool smoke = b.opts.getBool("smoke", false);
     const int radix = static_cast<int>(
-        opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
-    const std::uint64_t seed = opts.getInt("seed", 12);
+        b.opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
+    const std::uint64_t seed = b.seed;
     Rng rng(seed);
 
     auto cft = buildCft(radix, 3);
     auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
     auto &rfc_fc = built.topology;
     UpDownOracle o_cft(cft), o_rfc(rfc_fc);
+    const Network nets[] = {{"CFT", &cft, &o_cft},
+                            {"RFC", &rfc_fc, &o_rfc}};
 
     const long long wires = cft.numWires();
     // Fault levels: level s kills s * step links (~1.29% of the wires
     // per step, the Figure 12 progression); level 0 is the fault-free
     // baseline running the ordinary static-oracle path.
     const int steps = static_cast<int>(
-        opts.getInt("steps", full ? 8 : (smoke ? 2 : 4)));
-    const long long step_links = opts.getInt(
+        b.opts.getInt("steps", full ? 8 : (smoke ? 2 : 4)));
+    const long long step_links = b.opts.getInt(
         "step-links", std::max<long long>(wires * 129 / 10000, 1));
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
+    base.warmup =
+        b.opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
     base.measure =
-        opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
+        b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
-    base.load = opts.getDouble("load", 0.7);
-    base.shards = static_cast<int>(opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(opts.getInt("sim-jobs", 1));
+    base.load = b.opts.getDouble("load", 0.7);
+    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
+    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
     // Bounded graceful degradation: a head packet that cannot route
     // retries against the (incrementally repaired) tables for up to
     // route-ttl cycles of age, then is dropped and counted.
     base.route_ttl =
-        static_cast<int>(opts.getInt("route-ttl", smoke ? 128 : 256));
+        static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
     const long long total = base.warmup + base.measure;
-    base.telemetry_bin =
-        opts.getInt("telemetry-bin", std::max<long long>(total / 40, 1));
-    int reps = static_cast<int>(opts.getInt("trials", full ? 5 : 2));
+    base.telemetry_bin = b.opts.getInt(
+        "telemetry-bin", std::max<long long>(total / 40, 1));
+    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 2));
 
     // Failure schedule: links die one third into the run; by default
     // they are all repaired at two thirds, so the tail of the curve
     // shows the post-repair re-convergence.
-    const long long fail_at = opts.getInt("fail-at", total / 3);
-    const long long repair_at = opts.getInt(
-        "repair-at", opts.getBool("no-repair", false) ? -1 : 2 * total / 3);
+    const long long fail_at = b.opts.getInt("fail-at", total / 3);
+    const long long repair_at = b.opts.getInt(
+        "repair-at",
+        b.opts.getBool("no-repair", false) ? -1 : 2 * total / 3);
 
-    std::cout << "terminals: " << cft.numTerminals() << ", wires: "
-              << wires << ", fault step: " << step_links
-              << " links, fail@" << fail_at << ", repair@" << repair_at
-              << ", route_ttl: " << base.route_ttl << "\n\n";
+    b.text() << "terminals: " << cft.numTerminals() << ", wires: "
+             << wires << ", fault step: " << step_links
+             << " links, fail@" << fail_at << ", repair@" << repair_at
+             << ", route_ttl: " << base.route_ttl << "\n\n";
 
     // Timelines are shared read-only by the trials; materialize them
     // all before taking addresses.
@@ -106,40 +109,27 @@ main(int argc, char **argv)
             deriveSeed(seed, 0xFA18ULL, static_cast<std::uint64_t>(s))));
     }
 
-    const std::string traffic = opts.get("traffic", "uniform");
-    std::vector<TrialSpec> specs;
+    const std::string traffic = b.opts.get("traffic", "uniform");
+    Study study{"faults", Tier::kVct, {}, reps};
+    study.config = {{"traffic", traffic},
+                    {"step_links", step_links},
+                    {"wires", wires},
+                    {"fail_at", fail_at},
+                    {"repair_at", repair_at},
+                    {"route_ttl", base.route_ttl},
+                    {"telemetry_bin", base.telemetry_bin}};
     for (int s = 0; s <= steps; ++s) {
         for (int net = 0; net < 2; ++net) {
-            TrialSpec spec;
-            spec.topology = net == 0 ? &cft : &rfc_fc;
-            spec.oracle = net == 0 ? &o_cft : &o_rfc;
-            spec.traffic = namedTraffic(traffic);
-            spec.config = base;
-            spec.label = (net == 0 ? "CFT@" : "RFC@") + std::to_string(s);
+            Case c{"level " + std::to_string(s), namedTraffic(traffic)};
             if (s > 0)
-                spec.timeline =
-                    &timelines[2 * static_cast<std::size_t>(s - 1) +
-                               static_cast<std::size_t>(net)];
-            specs.push_back(std::move(spec));
+                c.faults = &timelines[2 * static_cast<std::size_t>(s - 1) +
+                                      static_cast<std::size_t>(net)];
+            study.points.push_back(
+                {nets[net], std::move(c), base.load, base,
+                 nets[net].label + "@" + std::to_string(s)});
         }
     }
-
-    ExperimentEngine engine(opts.jobs(), seed);
-    auto t0 = std::chrono::steady_clock::now();
-    auto points = engine.runPoints(specs, reps);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    std::cerr << "[engine] " << specs.size() * static_cast<std::size_t>(
-                                                   reps)
-              << " trials on " << engine.jobs() << " job(s): " << wall
-              << " s wall\n";
-
-    if (opts.getBool("json", false)) {
-        writePointsJson(std::cout, points, seed, engine.jobs(), wall,
-                        reps);
-        return 0;
-    }
+    const auto points = b.run(study).points;
 
     TablePrinter t({"net", "faulty links", "% of wires", "accepted",
                     "dropped", "rerouted", "retry cycles", "dip",
@@ -150,38 +140,36 @@ main(int argc, char **argv)
                 points[2 * static_cast<std::size_t>(s) +
                        static_cast<std::size_t>(net)];
             long long f = s * step_links;
+            auto count = [&](const char *name) {
+                return TablePrinter::fmtInt(std::llround(p.mean(name)));
+            };
             long long ttr =
-                std::llround(p.time_to_reconverge.mean);
-            t.addRow({net == 0 ? "CFT" : "RFC",
-                      TablePrinter::fmtInt(f),
+                s == 0 ? 0 : std::llround(p.mean("time_to_reconverge"));
+            t.addRow({nets[net].label, TablePrinter::fmtInt(f),
                       TablePrinter::fmtPct(
                           static_cast<double>(f) / wires, 1),
-                      TablePrinter::fmt(p.accepted.mean, 3),
-                      TablePrinter::fmtInt(
-                          std::llround(p.dropped_packets.mean)),
-                      TablePrinter::fmtInt(
-                          std::llround(p.rerouted_packets.mean)),
-                      TablePrinter::fmtInt(
-                          std::llround(p.route_retries.mean)),
+                      TablePrinter::fmt(p.mean("accepted"), 3),
+                      count("dropped_packets"), count("rerouted_packets"),
+                      count("route_retries"),
                       s == 0 ? "-"
-                             : TablePrinter::fmt(p.dip_fraction.mean, 3),
+                             : TablePrinter::fmt(p.mean("dip_fraction"), 3),
                       s == 0 ? "-"
                              : (ttr < 0 ? "never"
                                         : TablePrinter::fmtInt(ttr))});
         }
     }
-    emit(opts, "traffic: " + traffic + " @ load " +
-                   TablePrinter::fmt(base.load, 2),
-         t);
+    b.emit("traffic: " + traffic + " @ load " +
+               TablePrinter::fmt(base.load, 2),
+           t);
 
-    std::cout << "reading the table: links fail at cycle " << fail_at
-              << (repair_at >= 0 ? " and are repaired at cycle " +
-                                       std::to_string(repair_at)
-                                 : " and stay dead")
-              << ".\n'dip' is the lowest binned delivery rate after the "
-                 "failure relative to the\npre-failure baseline; "
-                 "'reconverge' is the cycle count from first failure "
-                 "to a\nsustained return to >= 90% of baseline "
-                 "('never' = still degraded at run end).\n";
-    return 0;
+    b.text() << "reading the table: links fail at cycle " << fail_at
+             << (repair_at >= 0 ? " and are repaired at cycle " +
+                                      std::to_string(repair_at)
+                                : " and stay dead")
+             << ".\n'dip' is the lowest binned delivery rate after the "
+                "failure relative to the\npre-failure baseline; "
+                "'reconverge' is the cycle count from first failure "
+                "to a\nsustained return to >= 90% of baseline "
+                "('never' = still degraded at run end).\n";
+    return b.finish();
 }

@@ -23,77 +23,61 @@
  */
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
 #include "clos/rfc.hpp"
-#include "exp/flow_experiment.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
+/** Run one scenario study: networks x patterns on the flow tier. */
+StudyResult
+runFlow(Bench &b, Study study, const std::string &heading,
+        const std::vector<Network> &nets,
+        const std::vector<std::string> &patterns)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
+    std::vector<Case> cases;
+    for (const auto &pat : patterns) {
+        Case c;
+        c.label = c.pattern = pat;
+        cases.push_back(c);
+    }
+    study.points = crossPoints(nets, cases, {1.0});
+    StudyResult result = b.run(study);
+    b.text() << "## " << heading << "\n";
+    return result;
 }
 
+/** Print one scenario's table per demand pattern. */
 void
-reportFlowEngine(const FlowGridResult &result)
+printScenario(Bench &b, const StudyResult &result,
+              const std::vector<Network> &nets,
+              const std::vector<std::string> &patterns)
 {
-    double build = 0.0, solve = 0.0;
-    for (const auto &p : result.points) {
-        build += p.build_seconds;
-        solve += p.solve_seconds;
-    }
-    std::cerr << "[flow] " << result.points.size() << " point(s) on "
-              << result.jobs << " job(s): " << result.wall_seconds
-              << " s wall (" << build << " s build, " << solve
-              << " s solve)\n";
-}
-
-/** Run one scenario grid and print a table per demand pattern. */
-void
-runScenario(const Options &opts, const std::string &heading,
-            FlowGrid &grid, const ExperimentEngine &engine)
-{
-    FlowGridResult result = runFlowGrid(grid, engine);
-    reportFlowEngine(result);
-
-    std::cout << "## " << heading << "\n";
-    if (opts.getBool("json", false)) {
-        writeFlowGridJson(std::cout, grid, result, engine.baseSeed());
-        return;
-    }
-    for (std::size_t pi = 0; pi < grid.patterns.size(); ++pi) {
+    for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
         TablePrinter t({"network", "terminals", "demands", "unrouted",
                         "maxflow", "dual", "conv", "ecmp_sat",
                         "ecmp_worst", "ecmp_avg"});
-        for (std::size_t ni = 0; ni < grid.networks.size(); ++ni) {
-            const auto &p =
-                result.points[result.index(ni, pi,
-                                           grid.patterns.size())];
+        for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+            const auto &p = result.points[gridIndex(
+                {nets.size(), patterns.size()}, {ni, pi})];
+            auto whole = [&](const char *name) {
+                return std::to_string(std::llround(p.mean(name)));
+            };
             t.addRow({p.network, std::to_string(p.terminals),
-                      std::to_string(p.demands),
-                      std::to_string(p.unrouted),
-                      TablePrinter::fmt(p.throughput, 4),
-                      TablePrinter::fmt(p.dual_bound, 4),
-                      p.converged ? "yes" : "no",
-                      TablePrinter::fmt(p.ecmp_saturation, 4),
-                      TablePrinter::fmt(p.ecmp_worst, 4),
-                      TablePrinter::fmt(p.ecmp_average, 4)});
+                      whole("demands"), whole("unrouted"),
+                      TablePrinter::fmt(p.mean("throughput"), 4),
+                      TablePrinter::fmt(p.mean("dual_bound"), 4),
+                      p.mean("converged") != 0.0 ? "yes" : "no",
+                      TablePrinter::fmt(p.mean("ecmp_saturation"), 4),
+                      TablePrinter::fmt(p.mean("ecmp_worst"), 4),
+                      TablePrinter::fmt(p.mean("ecmp_average"), 4)});
         }
-        emit(opts, "pattern: " + grid.patterns[pi], t);
+        b.emit("pattern: " + patterns[pi], t);
     }
 }
 
@@ -102,38 +86,36 @@ runScenario(const Options &opts, const std::string &heading,
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Extension: flow-level throughput (Figs 8-10 + fault "
-                 "sweep)");
-    const bool full = opts.fullScale();
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(opts.getInt("seed", 13));
+    Bench b(argc, argv, "ext_flow_throughput", 13);
+    b.banner("Extension: flow-level throughput (Figs 8-10 + fault "
+             "sweep)");
+    const bool full = b.opts.fullScale();
+    const std::uint64_t seed = b.seed;
 
     // At paper scale default to the headline 200K comparison; the
     // sandbox default covers every scenario.
-    auto scenarios =
-        splitList(opts.get("scenario", full ? "200k" : "all"));
-    auto want = [&](const std::string &s) {
-        for (const auto &x : scenarios)
-            if (x == s || x == "all")
-                return true;
-        return false;
-    };
-    FlowGrid proto;
-    proto.patterns = splitList(
-        opts.get("patterns", "uniform,fixed-random,random-pairing"));
+    const auto scenarios =
+        b.opts.getList("scenario", full ? "200k" : "all",
+                       {"11k", "100k", "200k", "faults", "all"});
+    const auto patterns = b.opts.getList(
+        "patterns", "uniform,fixed-random,random-pairing");
+    Study proto{.tier = Tier::kFlow};
     proto.max_paths =
-        static_cast<int>(opts.getInt("max-paths", full ? 8 : 16));
+        static_cast<int>(b.opts.getInt("max-paths", full ? 8 : 16));
     proto.uniform_samples =
-        static_cast<int>(opts.getInt("samples", full ? 2 : 4));
-    proto.solve.epsilon = opts.getDouble("epsilon", 0.05);
+        static_cast<int>(b.opts.getInt("samples", full ? 2 : 4));
+    proto.solve.epsilon = b.opts.getDouble("epsilon", 0.05);
     proto.solve.max_phases =
-        static_cast<int>(opts.getInt("phases", full ? 200 : 400));
+        static_cast<int>(b.opts.getInt("phases", full ? 200 : 400));
+    auto section = [&](const char *name) {
+        Study s = proto;
+        s.section = name;
+        return s;
+    };
 
-    ExperimentEngine engine(opts.jobs(), seed);
     Rng rng(seed);
 
-    if (want("11k")) {
+    if (selected(scenarios, "11k")) {
         // Figure 8 shape: 3-level CFT vs equal-resources RFC vs the
         // radix-reduced RFC at ~the same terminal count.
         const int radix = full ? 36 : 16;
@@ -148,16 +130,20 @@ main(int argc, char **argv)
         UpDownOracle o_cft(cft), o_eq(rfc_eq.topology),
             o_small(rfc_small.topology);
 
-        FlowGrid grid = proto;
-        grid.addClos("CFT", cft, o_cft)
-            .addClos("RFC", rfc_eq.topology, o_eq)
-            .addClos("RFC-r" + std::to_string(small_radix),
-                     rfc_small.topology, o_small);
-        runScenario(opts, "11K scenario (equal resources, 3 levels)",
-                    grid, engine);
+        const std::vector<Network> nets{
+            {"CFT", &cft, &o_cft},
+            {"RFC", &rfc_eq.topology, &o_eq},
+            {"RFC-r" + std::to_string(small_radix), &rfc_small.topology,
+             &o_small}};
+        printScenario(
+            b,
+            runFlow(b, section("11k"),
+                    "11K scenario (equal resources, 3 levels)", nets,
+                    patterns),
+            nets, patterns);
     }
 
-    if (want("100k")) {
+    if (selected(scenarios, "100k")) {
         // Figure 9 shape: 4-level CFT (full and half-pruned) vs the
         // 3-level RFC at the same terminal count.
         const int cft_radix = full ? 36 : 8;
@@ -172,15 +158,19 @@ main(int argc, char **argv)
         UpDownOracle o_cft(cft), o_pruned(pruned),
             o_rfc(built.topology);
 
-        FlowGrid grid = proto;
-        grid.addClos("CFT4", cft, o_cft)
-            .addClos("CFT4-half", pruned, o_pruned)
-            .addClos("RFC3", built.topology, o_rfc);
-        runScenario(opts, "100K scenario (4-level CFT vs 3-level RFC)",
-                    grid, engine);
+        const std::vector<Network> nets{
+            {"CFT4", &cft, &o_cft},
+            {"CFT4-half", &pruned, &o_pruned},
+            {"RFC3", &built.topology, &o_rfc}};
+        printScenario(
+            b,
+            runFlow(b, section("100k"),
+                    "100K scenario (4-level CFT vs 3-level RFC)", nets,
+                    patterns),
+            nets, patterns);
     }
 
-    if (want("200k")) {
+    if (selected(scenarios, "200k")) {
         // Figure 10 shape: the largest routable 3-level RFC vs the
         // 4-level CFT.
         const int radix = full ? 36 : 12;
@@ -188,18 +178,20 @@ main(int argc, char **argv)
         int n1 = rfcMaxLeaves(radix, 3);
         auto built = buildRfc(radix, 3, n1, rng, 50);
         if (!built.routable)
-            std::cout << "warning: RFC not routable after 50 attempts\n";
+            b.text() << "warning: RFC not routable after 50 attempts\n";
         UpDownOracle o_cft(cft), o_rfc(built.topology);
 
-        FlowGrid grid = proto;
-        grid.addClos("CFT4", cft, o_cft)
-            .addClos("RFC3", built.topology, o_rfc);
-        runScenario(opts,
-                    "200K scenario (max 3-level RFC vs 4-level CFT)",
-                    grid, engine);
+        const std::vector<Network> nets{{"CFT4", &cft, &o_cft},
+                                        {"RFC3", &built.topology, &o_rfc}};
+        printScenario(
+            b,
+            runFlow(b, section("200k"),
+                    "200K scenario (max 3-level RFC vs 4-level CFT)", nets,
+                    patterns),
+            nets, patterns);
     }
 
-    if (want("faults")) {
+    if (selected(scenarios, "faults")) {
         // Figure 12 shape: equal-resources CFT/RFC under progressive
         // link faults; unrouted demands are reported, not re-spread.
         const int radix = full ? 36 : 12;
@@ -207,8 +199,8 @@ main(int argc, char **argv)
         auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
         const long long wires = cft.numWires();
         const int steps =
-            static_cast<int>(opts.getInt("fault-steps", full ? 10 : 6));
-        const long long step_links = opts.getInt(
+            static_cast<int>(b.opts.getInt("fault-steps", full ? 10 : 6));
+        const long long step_links = b.opts.getInt(
             "step-links", std::max<long long>(wires * 129 / 10000, 1));
 
         Rng order_rng(static_cast<std::uint64_t>(seed + 1));
@@ -221,7 +213,7 @@ main(int argc, char **argv)
             std::unique_ptr<UpDownOracle> o_cft, o_rfc;
         };
         std::vector<Level> levels(static_cast<std::size_t>(steps + 1));
-        FlowGrid grid = proto;
+        std::vector<Network> nets;
         for (int s = 0; s <= steps; ++s) {
             auto f = static_cast<std::size_t>(s) *
                      static_cast<std::size_t>(step_links);
@@ -230,43 +222,41 @@ main(int argc, char **argv)
             lvl.rfc_cut = withLinksRemoved(built.topology, rfc_order, f);
             lvl.o_cft = std::make_unique<UpDownOracle>(lvl.cft_cut);
             lvl.o_rfc = std::make_unique<UpDownOracle>(lvl.rfc_cut);
-            grid.addClos("CFT@" + std::to_string(s), lvl.cft_cut,
-                         *lvl.o_cft)
-                .addClos("RFC@" + std::to_string(s), lvl.rfc_cut,
-                         *lvl.o_rfc);
+            nets.push_back({"CFT@" + std::to_string(s), &lvl.cft_cut,
+                            lvl.o_cft.get()});
+            nets.push_back({"RFC@" + std::to_string(s), &lvl.rfc_cut,
+                            lvl.o_rfc.get()});
         }
 
-        FlowGridResult result = runFlowGrid(grid, engine);
-        reportFlowEngine(result);
-        std::cout << "## Fault sweep (equal resources, step "
-                  << step_links << " of " << wires << " wires)\n";
-        if (opts.getBool("json", false)) {
-            writeFlowGridJson(std::cout, grid, result,
-                              engine.baseSeed());
-            return 0;
-        }
-        for (std::size_t pi = 0; pi < grid.patterns.size(); ++pi) {
+        const StudyResult result = runFlow(
+            b, section("faults"),
+            "Fault sweep (equal resources, step " +
+                std::to_string(step_links) + " of " +
+                std::to_string(wires) + " wires)",
+            nets, patterns);
+        for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
             TablePrinter t({"faults%", "maxflow(CFT)", "unrouted(CFT)",
                             "maxflow(RFC)", "unrouted(RFC)"});
             for (int s = 0; s <= steps; ++s) {
-                const auto &pc = result.points[result.index(
-                    static_cast<std::size_t>(2 * s), pi,
-                    grid.patterns.size())];
-                const auto &pr = result.points[result.index(
-                    static_cast<std::size_t>(2 * s + 1), pi,
-                    grid.patterns.size())];
+                auto at = [&](std::size_t net) -> const PointResult & {
+                    return result.points[gridIndex(
+                        {nets.size(), patterns.size()}, {net, pi})];
+                };
+                const auto &pc = at(2 * static_cast<std::size_t>(s));
+                const auto &pr = at(2 * static_cast<std::size_t>(s) + 1);
                 double pct = 100.0 *
                              static_cast<double>(s) *
                              static_cast<double>(step_links) /
                              static_cast<double>(wires);
                 t.addRow({TablePrinter::fmt(pct, 2),
-                          TablePrinter::fmt(pc.throughput, 4),
-                          std::to_string(pc.unrouted),
-                          TablePrinter::fmt(pr.throughput, 4),
-                          std::to_string(pr.unrouted)});
+                          TablePrinter::fmt(pc.mean("throughput"), 4),
+                          std::to_string(std::llround(pc.mean("unrouted"))),
+                          TablePrinter::fmt(pr.mean("throughput"), 4),
+                          std::to_string(
+                              std::llround(pr.mean("unrouted")))});
             }
-            emit(opts, "pattern: " + grid.patterns[pi], t);
+            b.emit("pattern: " + patterns[pi], t);
         }
     }
-    return 0;
+    return b.finish();
 }

@@ -28,27 +28,27 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Extension: RFC vs Jellyfish (RRN) head to head");
-    Rng rng(opts.getInt("seed", 77));
+    Bench b(argc, argv, "ext_jellyfish", 77);
+    b.banner("Extension: RFC vs Jellyfish (RRN) head to head");
+    Rng rng(b.seed);
 
     // Matched design: radix-12 switches.  RFC: 3 levels, 170 leaves,
     // 1,020 terminals.  RRN: degree 9 + 3 hosts -> 340 switches,
     // 1,020 terminals (same switch port budget per terminal).
-    const int radix = static_cast<int>(opts.getInt("radix", 12));
+    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
     const int rfc_levels = 3;
-    int n1 = static_cast<int>(opts.getInt("leaves", 170));
+    int n1 = static_cast<int>(b.opts.getInt("leaves", 170));
     auto built = buildRfc(radix, rfc_levels, n1, rng);
     UpDownOracle oracle(built.topology);
 
-    const int delta = static_cast<int>(opts.getInt("degree", 9));
+    const int delta = static_cast<int>(b.opts.getInt("degree", 9));
     const int hosts = radix - delta;
     int rrn_switches = static_cast<int>(
         built.topology.numTerminals() / hosts);
     if ((static_cast<long long>(rrn_switches) * delta) % 2)
         ++rrn_switches;
     Graph rrn = randomRegularGraph(rrn_switches, delta, rng);
-    const int k = static_cast<int>(opts.getInt("k", 4));
+    const int k = static_cast<int>(b.opts.getInt("k", 4));
     KspRoutes routes(rrn, k);
 
     // The machinery price list.
@@ -71,13 +71,13 @@ main(int argc, char **argv)
               std::to_string(routes.maxHops()) + " (hop-escalating)"});
     m.addRow({"recompute on expansion/fault", "reachability bitsets",
               "all-pairs Yen k-shortest paths"});
-    emit(opts, "machinery comparison", m);
+    b.emit("machinery comparison", m);
 
     // The match, same Table 2 flow control.
     SimConfig base;
-    base.warmup = opts.getInt("warmup", 600);
-    base.measure = opts.getInt("measure", 2000);
-    base.seed = opts.getInt("seed", 77);
+    base.warmup = b.opts.getInt("warmup", 600);
+    base.measure = b.opts.getInt("measure", 2000);
+    base.seed = b.seed;
     base.vcs = std::max(4, routes.maxHops());
     auto loads = loadRange(0.2, 1.0, 5);
 
@@ -114,7 +114,7 @@ main(int argc, char **argv)
                       TablePrinter::fmt(r4.accepted, 3),
                       TablePrinter::fmt(r4.avg_latency, 1)});
         }
-        emit(opts, std::string("traffic: ") + tname, t);
+        b.emit(std::string("traffic: ") + tname, t);
     }
-    return 0;
+    return b.finish();
 }

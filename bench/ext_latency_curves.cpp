@@ -33,17 +33,13 @@
  * to stderr (or the JSON timing blocks, filtered by the CI
  * determinism diff).
  */
-#include <chrono>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
 #include "clos/rfc.hpp"
-#include "exp/queue_experiment.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -51,79 +47,52 @@ using namespace rfc;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::vector<double>
-parseLoads(const std::string &s)
-{
-    std::vector<double> out;
-    for (const auto &tok : splitList(s))
-        out.push_back(std::stod(tok));
-    return out;
-}
-
-/** Run one section grid and print a curve table per demand pattern. */
+/**
+ * Run one section on the queue tier (networks x patterns x loads) and
+ * print a curve table per demand pattern; returns the study's wall
+ * clock.
+ */
 double
-runSection(const Options &opts, const std::string &heading,
-           QueueGrid &grid, const ExperimentEngine &engine)
+runSection(Bench &b, Study study, const std::string &heading,
+           const std::vector<Network> &nets,
+           const std::vector<std::string> &patterns,
+           const std::vector<double> &loads, const SimConfig &base)
 {
-    QueueGridResult result = runQueueGrid(grid, engine);
-    double build = 0.0, sweep = 0.0;
-    for (const auto &p : result.points) {
-        build += p.build_seconds;
-        sweep += p.sweep_seconds;
+    std::vector<Case> cases;
+    for (const auto &pat : patterns) {
+        Case c;
+        c.label = c.pattern = pat;
+        cases.push_back(c);
     }
-    std::cerr << "[queue] " << result.points.size() << " point(s) on "
-              << result.jobs << " job(s): " << result.wall_seconds
-              << " s wall (" << build << " s build, " << sweep
-              << " s sweep)\n";
+    study.points = crossPoints(nets, cases, loads, base);
+    const StudyResult result = b.run(study);
 
-    std::cout << "## " << heading << "\n";
-    if (opts.getBool("json", false)) {
-        writeQueueGridJson(std::cout, grid, result, engine.baseSeed());
-        return result.wall_seconds;
-    }
-    for (std::size_t pi = 0; pi < grid.patterns.size(); ++pi) {
+    b.text() << "## " << heading << "\n";
+    for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
         TablePrinter t({"network", "load", "mean", "p50", "p99",
                         "max_util", "sat"});
-        for (std::size_t ni = 0; ni < grid.networks.size(); ++ni) {
-            const auto &p =
-                result.points[result.index(ni, pi,
-                                           grid.patterns.size())];
-            for (const auto &pt : p.curve)
-                t.addRow({p.network, TablePrinter::fmt(pt.load, 2),
-                          pt.saturated
-                              ? "-"
-                              : TablePrinter::fmt(pt.mean_latency, 1),
-                          pt.saturated
-                              ? "-"
-                              : TablePrinter::fmt(pt.p50_latency, 1),
-                          pt.saturated
-                              ? "-"
-                              : TablePrinter::fmt(pt.p99_latency, 1),
-                          TablePrinter::fmt(pt.max_utilization, 2),
-                          pt.saturated ? "yes" : "no"});
-        }
-        emit(opts,
-             "pattern: " + grid.patterns[pi] + " (fluid saturation " +
-                 TablePrinter::fmt(
-                     result
-                         .points[result.index(0, pi,
-                                              grid.patterns.size())]
-                         .saturation,
-                     3) +
-                 " for " + grid.networks[0].label + ")",
-             t);
+        auto at = [&](std::size_t ni, std::size_t li) -> const auto & {
+            return result.points[gridIndex(
+                {nets.size(), patterns.size(), loads.size()},
+                {ni, pi, li})];
+        };
+        for (std::size_t ni = 0; ni < nets.size(); ++ni)
+            for (std::size_t li = 0; li < loads.size(); ++li) {
+                const PointResult &p = at(ni, li);
+                const bool sat = p.mean("saturated") != 0.0;
+                auto latency = [&](const char *name) {
+                    return sat ? "-" : TablePrinter::fmt(p.mean(name), 1);
+                };
+                t.addRow({p.network, TablePrinter::fmt(p.load, 2),
+                          latency("mean_latency"), latency("p50_latency"),
+                          latency("p99_latency"),
+                          TablePrinter::fmt(p.mean("max_utilization"), 2),
+                          sat ? "yes" : "no"});
+            }
+        b.emit("pattern: " + patterns[pi] + " (fluid saturation " +
+                   TablePrinter::fmt(at(0, 0).mean("saturation"), 3) +
+                   " for " + nets[0].label + ")",
+               t);
     }
     return result.wall_seconds;
 }
@@ -133,9 +102,8 @@ runSection(const Options &opts, const std::string &heading,
  * same networks and loads by >= 10x (the tier's reason to exist).
  */
 bool
-selfCheck(const Options &opts, double queue_seconds,
-          const std::vector<PerfNetwork> &nets,
-          const std::vector<double> &loads, std::uint64_t seed)
+selfCheck(const Bench &b, double queue_seconds,
+          const std::vector<Network> &nets, const std::vector<double> &loads)
 {
     // Validation-grade cycle counts (test_queue_validation uses the
     // same): an "equivalent" VCT sweep is one whose latency estimates
@@ -143,17 +111,12 @@ selfCheck(const Options &opts, double queue_seconds,
     SimConfig base;
     base.warmup = 1000;
     base.measure = 5000;
-    base.seed = seed;
-    TrafficFactory uniform = []() { return makeTraffic("uniform"); };
-
-    auto t0 = std::chrono::steady_clock::now();
-    for (const auto &n : nets)
-        runLoadSweep(*n.topology, *n.oracle, uniform, base, loads,
-                     /*repetitions=*/1, opts.jobs());
-    double vct_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    const double vct_seconds =
+        b.engine
+            .run({"self-check", Tier::kVct,
+                  crossPoints(nets, {{"uniform", namedTraffic("uniform")}},
+                              loads, base)})
+            .wall_seconds;
 
     double ratio = queue_seconds > 0.0 ? vct_seconds / queue_seconds
                                        : 1e9;
@@ -173,39 +136,38 @@ selfCheck(const Options &opts, double queue_seconds,
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    const bool smoke = opts.getBool("smoke", false);
-    std::cout << "== Latency-vs-load curves from the queue-model "
-                 "engine (CFT vs RFC) ==\n"
-              << (smoke ? "mode: SMOKE (CI-sized, with VCT self-check)\n"
-                        : "mode: FULL (paper shapes up to 1M terminals; "
-                          "--smoke for CI scale)\n");
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(opts.getInt("seed", 21));
-    auto sections = splitList(opts.get("section", "fig8,fig10,1m"));
-    auto want = [&](const std::string &s) {
-        for (const auto &x : sections)
-            if (x == s || x == "all")
-                return true;
-        return false;
+    Bench b(argc, argv, "ext_latency_curves", 21);
+    const bool smoke = b.opts.getBool("smoke", false);
+    b.banner("Latency-vs-load curves from the queue-model engine (CFT vs "
+             "RFC)",
+             smoke ? "mode: SMOKE (CI-sized, with VCT self-check)"
+                   : "mode: FULL (paper shapes up to 1M terminals; "
+                     "--smoke for CI scale)");
+    const std::uint64_t seed = b.seed;
+    const auto sections = b.opts.getList("section", "fig8,fig10,1m",
+                                         {"fig8", "fig10", "1m", "all"});
+
+    const auto patterns = b.opts.getList("patterns", "uniform");
+    const auto loads = b.opts.getDoubleList(
+        "loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9");
+    Study proto{.tier = Tier::kQueue};
+    proto.max_paths =
+        static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 16));
+    proto.uniform_samples =
+        static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 4));
+    proto.model = b.opts.get("model", "md1");
+    proto.mg1_cv2 = b.opts.getDouble("cv2", 0.0);
+    // The queue model's service time and hop latency.
+    SimConfig base;
+    base.pkt_phits = static_cast<int>(b.opts.getInt("pkt-phits", 16));
+    base.link_latency =
+        static_cast<int>(b.opts.getInt("link-latency", 1));
+    auto section = [&](const char *name) {
+        Study s = proto;
+        s.section = name;
+        return s;
     };
 
-    QueueGrid proto;
-    proto.patterns = splitList(opts.get("patterns", "uniform"));
-    proto.loads = parseLoads(
-        opts.get("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"));
-    proto.max_paths =
-        static_cast<int>(opts.getInt("max-paths", smoke ? 8 : 16));
-    proto.uniform_samples =
-        static_cast<int>(opts.getInt("samples", smoke ? 2 : 4));
-    proto.pkt_phits =
-        static_cast<int>(opts.getInt("pkt-phits", 16));
-    proto.link_latency =
-        static_cast<int>(opts.getInt("link-latency", 1));
-    proto.model = opts.get("model", "md1");
-    proto.mg1_cv2 = opts.getDouble("cv2", 0.0);
-
-    ExperimentEngine engine(opts.jobs(), seed);
     // Per-section rng streams (fig_perf_1M convention): running one
     // section alone builds the same wirings as the full run.
     Rng fig8_rng(seed);
@@ -213,7 +175,7 @@ main(int argc, char **argv)
     Rng m1_rng(deriveSeed(seed, 2, 0));
     bool ok = true;
 
-    if (want("fig8")) {
+    if (selected(sections, "fig8")) {
         // Figure 8 shape: 3-level CFT vs the equal-resources RFC.
         // This is the configuration test_queue_validation pins the
         // model against VCT on (radix 8 there and under --smoke).
@@ -221,27 +183,22 @@ main(int argc, char **argv)
         auto cft = buildCft(radix, 3);
         auto built = buildRfc(radix, 3, cft.numLeaves(), fig8_rng, 50);
         if (!built.routable)
-            std::cout << "warning: RFC not routable\n";
+            b.text() << "warning: RFC not routable\n";
         UpDownOracle o_cft(cft), o_rfc(built.topology);
 
-        QueueGrid grid = proto;
-        grid.addClos("CFT", cft, o_cft)
-            .addClos("RFC", built.topology, o_rfc);
+        const std::vector<Network> nets{{"CFT", &cft, &o_cft},
+                                        {"RFC", &built.topology, &o_rfc}};
         double queue_seconds = runSection(
-            opts,
+            b, section("fig8"),
             "Fig 8 shape (" + std::to_string(cft.numTerminals()) +
                 " terminals, equal resources, 3 levels)",
-            grid, engine);
+            nets, patterns, loads, base);
 
         if (smoke)
-            ok = selfCheck(opts, queue_seconds,
-                           {{"CFT", &cft, &o_cft},
-                            {"RFC", &built.topology, &o_rfc}},
-                           proto.loads, seed) &&
-                 ok;
+            ok = selfCheck(b, queue_seconds, nets, loads) && ok;
     }
 
-    if (want("fig10")) {
+    if (selected(sections, "fig10")) {
         // Figure 10 shape: 4-level CFT vs the largest routable
         // 3-level RFC.
         const int radix = smoke ? 8 : 36;
@@ -249,20 +206,17 @@ main(int argc, char **argv)
         int n1 = rfcMaxLeaves(radix, 3);
         auto built = buildRfc(radix, 3, n1, fig10_rng, 50);
         if (!built.routable)
-            std::cout << "warning: RFC not routable\n";
+            b.text() << "warning: RFC not routable\n";
         UpDownOracle o_cft(cft), o_rfc(built.topology);
 
-        QueueGrid grid = proto;
-        grid.addClos("CFT4", cft, o_cft)
-            .addClos("RFC3", built.topology, o_rfc);
-        runSection(opts,
-                   "Fig 10 shape (" +
-                       std::to_string(cft.numTerminals()) +
+        runSection(b, section("fig10"),
+                   "Fig 10 shape (" + std::to_string(cft.numTerminals()) +
                        "-terminal CFT4 vs max RFC3)",
-                   grid, engine);
+                   {{"CFT4", &cft, &o_cft}, {"RFC3", &built.topology, &o_rfc}},
+                   patterns, loads, base);
     }
 
-    if (want("1m")) {
+    if (selected(sections, "1m")) {
         // The fig_perf_1M flow point: same terminal count, RFC one
         // level shorter.  Smoke keeps both at 3 levels (radix 8);
         // full is R=54 - 1,062,882 terminals each.
@@ -274,25 +228,25 @@ main(int argc, char **argv)
             ++n1;
         auto built = buildRfc(radix, 3, n1, m1_rng, smoke ? 50 : 5);
         if (!built.routable)
-            std::cout << "warning: RFC not routable\n";
+            b.text() << "warning: RFC not routable\n";
         UpDownOracle o_cft(cft), o_rfc(built.topology);
         std::cerr << "[build] topologies + oracles ready, peak RSS "
                   << static_cast<double>(peakRssBytes()) /
                          (1024.0 * 1024.0)
                   << " MiB\n";
 
-        QueueGrid grid = proto;
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", smoke ? 8 : 4));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", smoke ? 2 : 1));
-        grid.addClos(smoke ? "CFT3" : "CFT4", cft, o_cft)
-            .addClos("RFC3", built.topology, o_rfc);
-        runSection(opts,
+        Study study = section("1m");
+        study.max_paths =
+            static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 4));
+        study.uniform_samples =
+            static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 1));
+        runSection(b, study,
                    std::to_string(terms) +
                        "-terminal latency curves (CFT vs RFC)",
-                   grid, engine);
+                   {{smoke ? "CFT3" : "CFT4", &cft, &o_cft},
+                    {"RFC3", &built.topology, &o_rfc}},
+                   patterns, loads, base);
     }
 
-    return ok ? 0 : 1;
+    return b.finish(ok ? 0 : 1);
 }

@@ -24,9 +24,9 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 5: diameter vs compute nodes (R = 36)");
-    const int radix = static_cast<int>(opts.getInt("radix", 36));
+    Bench b(argc, argv, "fig05_diameter", 1);
+    b.banner("Figure 5: diameter vs compute nodes (R = 36)");
+    const int radix = static_cast<int>(b.opts.getInt("radix", 36));
 
     TablePrinter t({"terminals", "D(RRN)", "D(RFC)", "D(CFT)", "D(OFT)"});
     for (long long T = 64; T <= 100000000LL; T *= 2) {
@@ -36,7 +36,7 @@ main(int argc, char **argv)
                   std::to_string(cftDiameterFor(T, radix)),
                   std::to_string(oftDiameterFor(T, radix))});
     }
-    emit(opts, "diameter by topology (analytic)", t);
+    b.emit("diameter by topology (analytic)", t);
 
     // Capacity landmarks at diameter 4 (paper Section 4.2 example).
     TablePrinter lm({"topology", "max terminals at D=4", "note"});
@@ -49,10 +49,10 @@ main(int argc, char **argv)
     int q = oftOrderFromRadix(radix);
     lm.addRow({"OFT", TablePrinter::fmtInt(oftTerminals(q, 3)),
                "q = R/2 - 1"});
-    emit(opts, "diameter-4 capacity landmarks", lm);
+    b.emit("diameter-4 capacity landmarks", lm);
 
     // Verify the model against real instances (small sizes).
-    Rng rng(opts.getInt("seed", 1));
+    Rng rng(b.seed);
     TablePrinter v({"instance", "terminals", "model D", "measured D"});
     {
         auto fc = buildCft(8, 3);
@@ -79,6 +79,6 @@ main(int argc, char **argv)
                   TablePrinter::fmtInt(n * 2), "<= 4 whp",
                   std::to_string(diameterExact(g))});
     }
-    emit(opts, "model vs constructed instances", v);
-    return 0;
+    b.emit("model vs constructed instances", v);
+    return b.finish();
 }

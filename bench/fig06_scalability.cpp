@@ -18,8 +18,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 6: scalability (terminals vs radix)");
+    Bench b(argc, argv, "fig06_scalability", 1);
+    b.banner("Figure 6: scalability (terminals vs radix)");
 
     for (int levels : {2, 3, 4}) {
         TablePrinter t({"radix", "T(CFT)", "T(RFC)", "T(RRN)", "T(OFT)"});
@@ -35,10 +35,9 @@ main(int argc, char **argv)
                           rrnMaxTerminals(radix, 2 * (levels - 1))),
                       oft});
         }
-        emit(opts,
-             "levels = " + std::to_string(levels) +
-                 " (diameter " + std::to_string(2 * (levels - 1)) + ")",
-             t);
+        b.emit("levels = " + std::to_string(levels) + " (diameter " +
+                   std::to_string(2 * (levels - 1)) + ")",
+               t);
     }
 
     // Paper's headline orderings: OFT > RFC ~ RRN > CFT.  The RFC
@@ -61,6 +60,6 @@ main(int argc, char **argv)
               rfc_beats_cft ? "yes" : "NO"});
     s.addRow({"OFT scales beyond RFC at every (R>=16, l<=3)",
               oft_beats_rfc ? "yes" : "NO"});
-    emit(opts, "headline ordering checks", s);
-    return 0;
+    b.emit("headline ordering checks", s);
+    return b.finish();
 }

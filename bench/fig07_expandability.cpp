@@ -21,9 +21,9 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 7: expandability (ports vs terminals, R = 36)");
-    const int radix = static_cast<int>(opts.getInt("radix", 36));
+    Bench b(argc, argv, "fig07_expandability", 3);
+    b.banner("Figure 7: expandability (ports vs terminals, R = 36)");
+    const int radix = static_cast<int>(b.opts.getInt("radix", 36));
 
     TablePrinter t({"terminals", "ports(CFT)", "ports(OFT)", "ports(RFC)",
                     "ports(RRN)", "l(CFT)", "l(RFC)"});
@@ -40,18 +40,18 @@ main(int argc, char **argv)
                   std::to_string(cft.levels),
                   std::to_string(rfc_c.levels)});
     }
-    emit(opts, "cost curves", t);
+    b.emit("cost curves", t);
 
     // Incremental rewiring cost on a real instance.  Default scale
     // R=12, T~1000; full scale R=36, T~10000 (the paper's example).
-    const bool full = opts.fullScale();
+    const bool full = b.opts.fullScale();
     const int r = full ? 36 : 12;
     const int m = r / 2;
     long long target = full ? 10000 : 1000;
     int n1 = static_cast<int>(target / m);
     if (n1 % 2)
         ++n1;
-    Rng rng(opts.getInt("seed", 3));
+    Rng rng(b.seed);
     auto built = buildRfc(r, 3, n1, rng);
     auto &fc = built.topology;
     long long wires = fc.numWires();
@@ -71,6 +71,6 @@ main(int argc, char **argv)
                        static_cast<double>(wires), 2)});
     rw.addRow({"radix-regular after",
                res.topology.isRadixRegular() ? "yes" : "NO"});
-    emit(opts, "incremental expansion rewiring (Sec 5 example)", rw);
-    return 0;
+    b.emit("incremental expansion rewiring (Sec 5 example)", rw);
+    return b.finish();
 }

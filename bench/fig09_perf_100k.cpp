@@ -25,10 +25,10 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 9: 100K scenario (3-level RFC vs 4-level CFT)");
-    const bool full = opts.fullScale();
-    Rng rng(opts.getInt("seed", 9));
+    Bench b(argc, argv, "fig09_perf_100k", 9);
+    b.banner("Figure 9: 100K scenario (3-level RFC vs 4-level CFT)");
+    const bool full = b.opts.fullScale();
+    Rng rng(b.seed);
 
     FoldedClos cft = full ? buildCft(36, 4) : buildCft(8, 4);
     // The paper's 100K CFT is partially equipped ("free ports for
@@ -42,31 +42,32 @@ main(int argc, char **argv)
                   : static_cast<int>(cft.numTerminals() / (rfc_radix / 2));
     auto built = buildRfc(rfc_radix, 3, n1, rng);
     if (!built.routable)
-        std::cout << "warning: RFC not routable\n";
+        b.text() << "warning: RFC not routable\n";
 
     UpDownOracle o_cft(cft), o_pruned(pruned), o_rfc(built.topology);
-    std::cout << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
-              << "pruned CFT roots:   " << pruned.switchesAtLevel(4)
-              << " of " << cft.switchesAtLevel(4) << "\n"
-              << "RFC(l=3) terminals: " << built.topology.numTerminals()
-              << "\n\n";
+    b.text() << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
+             << "pruned CFT roots:   " << pruned.switchesAtLevel(4)
+             << " of " << cft.switchesAtLevel(4) << "\n"
+             << "RFC(l=3) terminals: " << built.topology.numTerminals()
+             << "\n\n";
+    b.field("pruned_cft_roots", pruned.switchesAtLevel(4));
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 3000 : 600);
-    base.measure = opts.getInt("measure", full ? 10000 : 2000);
-    base.seed = opts.getInt("seed", 9);
-    auto loads = loadRange(opts.getDouble("min-load", 0.2),
-                           opts.getDouble("max-load", 1.0),
-                           static_cast<int>(opts.getInt("points", 7)));
-    int reps = static_cast<int>(opts.getInt("trials", full ? 5 : 1));
+    base.warmup = b.opts.getInt("warmup", full ? 3000 : 600);
+    base.measure = b.opts.getInt("measure", full ? 10000 : 2000);
+    base.seed = b.seed;
+    auto loads = loadRange(b.opts.getDouble("min-load", 0.2),
+                           b.opts.getDouble("max-load", 1.0),
+                           static_cast<int>(b.opts.getInt("points", 7)));
+    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::vector<PerfNetwork> nets{
+    std::vector<Network> nets{
         {"CFT4", &cft, &o_cft},
         {"CFT4-half", &pruned, &o_pruned},
         {"RFC3", &built.topology, &o_rfc},
     };
-    runPerfScenario(opts, nets,
+    runPerfScenario(b, "perf", nets,
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
-    return 0;
+    return b.finish();
 }

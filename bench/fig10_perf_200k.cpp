@@ -26,41 +26,43 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 10: 200K scenario (max 3-level RFC vs 4-level "
-                 "CFT)");
-    const bool full = opts.fullScale();
-    Rng rng(opts.getInt("seed", 10));
+    Bench b(argc, argv, "fig10_perf_200k", 10);
+    b.banner("Figure 10: 200K scenario (max 3-level RFC vs 4-level "
+             "CFT)");
+    const bool full = b.opts.fullScale();
+    Rng rng(b.seed);
 
     const int radix = full ? 36 : 12;
     FoldedClos cft = buildCft(radix, 4);
     int n1 = rfcMaxLeaves(radix, 3);
     auto built = buildRfc(radix, 3, n1, rng, 50);
     if (!built.routable)
-        std::cout << "warning: RFC not routable after 50 attempts "
-                     "(expected ~e attempts at the threshold)\n";
+        b.text() << "warning: RFC not routable after 50 attempts "
+                    "(expected ~e attempts at the threshold)\n";
 
     UpDownOracle o_cft(cft), o_rfc(built.topology);
-    std::cout << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
-              << "RFC(l=3) terminals: " << built.topology.numTerminals()
-              << " (threshold N1 = " << n1 << ", attempts = "
-              << built.attempts << ")\n\n";
+    b.text() << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
+             << "RFC(l=3) terminals: " << built.topology.numTerminals()
+             << " (threshold N1 = " << n1 << ", attempts = "
+             << built.attempts << ")\n\n";
+    b.field("rfc_threshold_n1", n1);
+    b.field("rfc_attempts", built.attempts);
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 3000 : 600);
-    base.measure = opts.getInt("measure", full ? 10000 : 2000);
-    base.seed = opts.getInt("seed", 10);
-    auto loads = loadRange(opts.getDouble("min-load", 0.2),
-                           opts.getDouble("max-load", 1.0),
-                           static_cast<int>(opts.getInt("points", 7)));
-    int reps = static_cast<int>(opts.getInt("trials", full ? 5 : 1));
+    base.warmup = b.opts.getInt("warmup", full ? 3000 : 600);
+    base.measure = b.opts.getInt("measure", full ? 10000 : 2000);
+    base.seed = b.seed;
+    auto loads = loadRange(b.opts.getDouble("min-load", 0.2),
+                           b.opts.getDouble("max-load", 1.0),
+                           static_cast<int>(b.opts.getInt("points", 7)));
+    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::vector<PerfNetwork> nets{
+    std::vector<Network> nets{
         {"CFT4", &cft, &o_cft},
         {"RFC3", &built.topology, &o_rfc},
     };
-    runPerfScenario(opts, nets,
+    runPerfScenario(b, "perf", nets,
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
-    return 0;
+    return b.finish();
 }

@@ -26,23 +26,22 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 11: up/down-preserving fault tolerance (R=12)");
-    const bool full = opts.fullScale();
-    const int radix = static_cast<int>(opts.getInt("radix", 12));
+    Bench b(argc, argv, "fig11_updown_faults", 11);
+    b.banner("Figure 11: up/down-preserving fault tolerance (R=12)");
+    const bool full = b.opts.fullScale();
+    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
     const int trials =
-        static_cast<int>(opts.getInt("trials", full ? 20 : 5));
-    Rng rng(opts.getInt("seed", 11));
+        static_cast<int>(b.opts.getInt("trials", full ? 20 : 5));
+    Rng rng(b.seed);
 
-    ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 11));
     std::uint64_t stream = 0;  // one stream id per studied instance
     auto tolerance = [&](const FoldedClos &fc) {
-        return engine.study(stream++, trials,
-                            [&fc](int, std::uint64_t seed) {
-                                Rng trial_rng(seed);
-                                return updownToleranceFraction(
-                                    fc, trial_rng);
-                            });
+        return b.engine.study(stream++, trials,
+                              [&fc](int, std::uint64_t seed) {
+                                  Rng trial_rng(seed);
+                                  return updownToleranceFraction(
+                                      fc, trial_rng);
+                              });
     };
 
     for (int levels : {2, 3, 4}) {
@@ -71,10 +70,9 @@ main(int argc, char **argv)
                       TablePrinter::fmtPct(stat.mean(), 1),
                       TablePrinter::fmtPct(stat.ci95(), 1)});
         }
-        emit(opts,
-             "RFC levels = " + std::to_string(levels) +
-                 " (threshold N1 = " + std::to_string(n1_max) + ")",
-             t);
+        b.emit("RFC levels = " + std::to_string(levels) +
+                   " (threshold N1 = " + std::to_string(n1_max) + ")",
+               t);
     }
 
     // CFT points: the fixed-capacity networks at this radix.
@@ -100,6 +98,6 @@ main(int argc, char **argv)
                   TablePrinter::fmtPct(stat.mean(), 1),
                   TablePrinter::fmtPct(stat.ci95(), 1)});
     }
-    emit(opts, "CFT / OFT isolated points", c);
-    return 0;
+    b.emit("CFT / OFT isolated points", c);
+    return b.finish();
 }

@@ -32,12 +32,12 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Figure 12: throughput under faults (equal resources)");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "fig12_perf_faults", 12);
+    b.banner("Figure 12: throughput under faults (equal resources)");
+    const bool full = b.opts.fullScale();
     const int radix = static_cast<int>(
-        opts.getInt("radix", full ? 36 : 12));
-    Rng rng(opts.getInt("seed", 12));
+        b.opts.getInt("radix", full ? 36 : 12));
+    Rng rng(b.seed);
 
     auto cft = buildCft(radix, 3);
     auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
@@ -45,21 +45,20 @@ main(int argc, char **argv)
 
     const long long wires = cft.numWires();
     // Paper: steps of 300 of 23,328 wires -> ~1.29% per step, 10 steps.
-    const int steps = static_cast<int>(opts.getInt("steps", 10));
+    const int steps = static_cast<int>(b.opts.getInt("steps", 10));
     const long long step_links =
-        opts.getInt("step-links", std::max<long long>(wires * 129 /
-                                                      10000, 1));
+        b.opts.getInt("step-links", std::max<long long>(wires * 129 /
+                                                        10000, 1));
 
     SimConfig base;
-    base.warmup = opts.getInt("warmup", full ? 3000 : 500);
-    base.measure = opts.getInt("measure", full ? 10000 : 1500);
-    base.seed = opts.getInt("seed", 12);
-    base.load = 1.0;  // saturation throughput at every fault level
-    int reps = static_cast<int>(opts.getInt("trials", full ? 5 : 1));
+    base.warmup = b.opts.getInt("warmup", full ? 3000 : 500);
+    base.measure = b.opts.getInt("measure", full ? 10000 : 1500);
+    base.seed = b.seed;
+    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::cout << "terminals: " << cft.numTerminals()
-              << ", wires: " << wires
-              << ", fault step: " << step_links << " links\n\n";
+    b.text() << "terminals: " << cft.numTerminals()
+             << ", wires: " << wires
+             << ", fault step: " << step_links << " links\n\n";
 
     // Nested fault sets: one removal order per topology, prefixes of
     // which define every fault level (the CFT order is drawn before
@@ -76,34 +75,25 @@ main(int argc, char **argv)
 
     const std::vector<std::string> traffics{"uniform", "random-pairing",
                                             "fixed-random"};
-    ExperimentGrid grid;
-    for (int s = 0; s <= steps; ++s) {
-        auto b = static_cast<std::size_t>(s);
-        grid.addNetwork("CFT@" + std::to_string(s), cft_levels.cuts[b],
-                        *cft_levels.oracles[b]);
-        grid.addNetwork("RFC@" + std::to_string(s), rfc_levels.cuts[b],
-                        *rfc_levels.oracles[b]);
+    std::vector<Network> nets;
+    for (std::size_t s = 0; s < n_levels; ++s) {
+        nets.push_back({"CFT@" + std::to_string(s), &cft_levels.cuts[s],
+                        cft_levels.oracles[s].get()});
+        nets.push_back({"RFC@" + std::to_string(s), &rfc_levels.cuts[s],
+                        rfc_levels.oracles[s].get()});
     }
+    std::vector<Case> cases;
     for (const auto &tname : traffics)
-        grid.addTraffic(tname);
-    grid.loads = {1.0};
-    grid.base = base;
-    grid.repetitions = reps;
-
-    ExperimentEngine engine(opts.jobs(), base.seed);
-    GridResult result = engine.run(grid);
-    reportEngine(result, grid.numPoints(), reps);
-
-    if (opts.getBool("json", false)) {
-        writeGridJson(std::cout, grid, result, base.seed);
-        return 0;
-    }
+        cases.push_back({tname, namedTraffic(tname)});
+    // Saturation throughput at every fault level.
+    const StudyResult result = b.run(
+        {"faults", Tier::kVct, crossPoints(nets, cases, {1.0}, base), reps});
 
     // Networks are interleaved CFT@s, RFC@s; one table per traffic.
     auto point = [&](std::size_t net, std::size_t ti) -> const
         PointResult & {
-        return result.points[result.index(net, ti, 0, traffics.size(),
-                                          1)];
+        return result.points[gridIndex({nets.size(), traffics.size()},
+                                       {net, ti})];
     };
     for (std::size_t ti = 0; ti < traffics.size(); ++ti) {
         TablePrinter t({"faulty links", "% of wires", "thr(CFT)",
@@ -119,14 +109,14 @@ main(int argc, char **argv)
             t.addRow({TablePrinter::fmtInt(f),
                       TablePrinter::fmtPct(
                           static_cast<double>(f) / wires, 1),
-                      TablePrinter::fmt(r_cft.accepted.mean, 3),
-                      TablePrinter::fmt(r_rfc.accepted.mean, 3),
+                      TablePrinter::fmt(r_cft.mean("accepted"), 3),
+                      TablePrinter::fmt(r_rfc.mean("accepted"), 3),
                       TablePrinter::fmtInt(std::llround(
-                          r_cft.unroutable_packets.mean)),
+                          r_cft.mean("unroutable_packets"))),
                       TablePrinter::fmtInt(std::llround(
-                          r_rfc.unroutable_packets.mean))});
+                          r_rfc.mean("unroutable_packets")))});
         }
-        emit(opts, "traffic: " + traffics[ti], t);
+        b.emit("traffic: " + traffics[ti], t);
     }
-    return 0;
+    return b.finish();
 }

@@ -20,21 +20,20 @@
  *    3-level RFC, ~200K terminals) - compressed vs dense bytes and the
  *    hash-consing compression ratio.
  *
- * Every JSON document carries a "memory" object: bit-stable structure
- * bytes per point (topology, oracle, tables) and the process peak RSS
- * at the top level.  `--smoke` shrinks every section to seconds for
- * CI; other knobs: --section=flow,vct,tables, --pattern, --samples,
- * --max-paths, --epsilon, --phases, --seed, --jobs, --json.
+ * Every point of the JSON document carries a "memory" object of
+ * bit-stable structure bytes (topology, oracle); the process peak RSS
+ * is run-dependent and sits in the top-level "timing" object.
+ * `--smoke` shrinks every section to seconds for CI; other knobs:
+ * --section=flow,vct,tables, --pattern, --samples, --max-paths,
+ * --epsilon, --phases, --seed, --jobs, --json.
  */
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
 #include "clos/rfc.hpp"
-#include "exp/flow_experiment.hpp"
 #include "routing/tables.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
@@ -43,59 +42,47 @@ using namespace rfc;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
 double
 toMiB(long long bytes)
 {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-/** Run one flow grid and print throughput + memory per network. */
+/** Run one flow study and print throughput + memory per network. */
 void
-runFlowSection(const Options &opts, const std::string &heading,
-               FlowGrid &grid, const ExperimentEngine &engine)
+runFlowSection(Bench &b, Study study, const std::string &heading,
+               const std::vector<Network> &nets,
+               const std::vector<std::string> &patterns)
 {
-    FlowGridResult result = runFlowGrid(grid, engine);
-    std::cerr << "[flow] " << result.points.size() << " point(s) on "
-              << result.jobs << " job(s): " << result.wall_seconds
-              << " s wall, peak RSS " << toMiB(peakRssBytes())
-              << " MiB\n";
-
-    std::cout << "## " << heading << "\n";
-    if (opts.getBool("json", false)) {
-        writeFlowGridJson(std::cout, grid, result, engine.baseSeed());
-        return;
+    std::vector<Case> cases;
+    for (const auto &pat : patterns) {
+        Case c;
+        c.label = c.pattern = pat;
+        cases.push_back(c);
     }
-    for (std::size_t pi = 0; pi < grid.patterns.size(); ++pi) {
+    study.points = crossPoints(nets, cases, {1.0});
+    const StudyResult result = b.run(study);
+    std::cerr << "[flow] peak RSS " << toMiB(peakRssBytes()) << " MiB\n";
+
+    b.text() << "## " << heading << "\n";
+    for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
         TablePrinter t({"network", "terminals", "demands", "maxflow",
                         "dual", "conv", "ecmp_sat", "ecmp_avg",
                         "topo_MiB", "oracle_MiB"});
-        for (std::size_t ni = 0; ni < grid.networks.size(); ++ni) {
-            const auto &p =
-                result.points[result.index(ni, pi,
-                                           grid.patterns.size())];
+        for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+            const auto &p = result.points[gridIndex(
+                {nets.size(), patterns.size()}, {ni, pi})];
             t.addRow({p.network, std::to_string(p.terminals),
-                      std::to_string(p.demands),
-                      TablePrinter::fmt(p.throughput, 4),
-                      TablePrinter::fmt(p.dual_bound, 4),
-                      p.converged ? "yes" : "no",
-                      TablePrinter::fmt(p.ecmp_saturation, 4),
-                      TablePrinter::fmt(p.ecmp_average, 4),
+                      std::to_string(std::llround(p.mean("demands"))),
+                      TablePrinter::fmt(p.mean("throughput"), 4),
+                      TablePrinter::fmt(p.mean("dual_bound"), 4),
+                      p.mean("converged") != 0.0 ? "yes" : "no",
+                      TablePrinter::fmt(p.mean("ecmp_saturation"), 4),
+                      TablePrinter::fmt(p.mean("ecmp_average"), 4),
                       TablePrinter::fmt(toMiB(p.topology_bytes), 1),
                       TablePrinter::fmt(toMiB(p.oracle_bytes), 1)});
         }
-        emit(opts, "pattern: " + grid.patterns[pi], t);
+        b.emit("pattern: " + patterns[pi], t);
     }
 }
 
@@ -104,24 +91,17 @@ runFlowSection(const Options &opts, const std::string &heading,
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    const bool smoke = opts.getBool("smoke", false);
-    std::cout << "== Million-terminal scale tier (flow CFT-vs-RFC, VCT "
-                 "subtree, table compression) ==\n"
-              << (smoke ? "mode: SMOKE (CI-sized)\n"
-                        : "mode: FULL (1M terminals; needs a few GB of "
-                          "RAM; --smoke for CI scale)\n");
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(opts.getInt("seed", 21));
-    auto sections = splitList(opts.get("section", "flow,vct,tables"));
-    auto want = [&](const std::string &s) {
-        for (const auto &x : sections)
-            if (x == s || x == "all")
-                return true;
-        return false;
-    };
+    Bench b(argc, argv, "fig_perf_1M", 21);
+    const bool smoke = b.opts.getBool("smoke", false);
+    b.banner("Million-terminal scale tier (flow CFT-vs-RFC, VCT subtree, "
+             "table compression)",
+             smoke ? "mode: SMOKE (CI-sized)"
+                   : "mode: FULL (1M terminals; needs a few GB of RAM; "
+                     "--smoke for CI scale)");
+    const std::uint64_t seed = b.seed;
+    const auto sections = b.opts.getList("section", "flow,vct,tables",
+                                         {"flow", "vct", "tables", "all"});
 
-    ExperimentEngine engine(opts.jobs(), seed);
     // Per-section rng streams: running `--section=tables` alone must
     // build the same wirings as the full run, so no section may consume
     // another's draws.
@@ -129,7 +109,7 @@ main(int argc, char **argv)
     Rng vct_rng(deriveSeed(seed, 1, 0));
     Rng tables_rng(deriveSeed(seed, 2, 0));
 
-    if (want("flow")) {
+    if (selected(sections, "flow")) {
         // The headline point: same terminal count, RFC one level
         // shorter.  Smoke keeps both at 3 levels (equal resources,
         // radix 8); full is R=54 - CFT l=4 vs RFC l=3, 1,062,882
@@ -142,54 +122,53 @@ main(int argc, char **argv)
             ++n1;
         auto built = buildRfc(radix, 3, n1, flow_rng, smoke ? 50 : 5);
         if (!built.routable)
-            std::cout << "warning: RFC not routable\n";
+            b.text() << "warning: RFC not routable\n";
         UpDownOracle o_cft(cft), o_rfc(built.topology);
         std::cerr << "[build] topologies + oracles ready, peak RSS "
                   << toMiB(peakRssBytes()) << " MiB\n";
 
-        FlowGrid grid;
-        grid.patterns = splitList(opts.get("pattern", "uniform"));
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", smoke ? 8 : 4));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", smoke ? 2 : 1));
-        grid.solve.epsilon =
-            opts.getDouble("epsilon", smoke ? 0.05 : 0.12);
-        grid.solve.max_phases =
-            static_cast<int>(opts.getInt("phases", smoke ? 200 : 60));
-        grid.addClos(smoke ? "CFT3" : "CFT4", cft, o_cft)
-            .addClos("RFC3", built.topology, o_rfc);
-        runFlowSection(opts,
+        Study study{"flow", Tier::kFlow};
+        study.max_paths =
+            static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 4));
+        study.uniform_samples =
+            static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 1));
+        study.solve.epsilon =
+            b.opts.getDouble("epsilon", smoke ? 0.05 : 0.12);
+        study.solve.max_phases =
+            static_cast<int>(b.opts.getInt("phases", smoke ? 200 : 60));
+        runFlowSection(b, study,
                        std::to_string(terms) +
                            "-terminal flow throughput (CFT vs RFC)",
-                       grid, engine);
+                       {{smoke ? "CFT3" : "CFT4", &cft, &o_cft},
+                        {"RFC3", &built.topology, &o_rfc}},
+                       b.opts.getList("pattern", "uniform"));
     }
 
-    if (want("vct")) {
+    if (selected(sections, "vct")) {
         // Cycle-accurate sanity point on the 2-level building block of
         // the same radix (whole-network VCT at 1M is out of reach).
         const int radix = smoke ? 8 : 54;
         auto cft2 = buildCft(radix, 2);
         auto built = buildRfc(radix, 2, cft2.numLeaves(), vct_rng, 50);
         if (!built.routable)
-            std::cout << "warning: subtree RFC not routable\n";
+            b.text() << "warning: subtree RFC not routable\n";
         UpDownOracle o_cft(cft2), o_rfc(built.topology);
 
         SimConfig base;
-        base.warmup = opts.getInt("warmup", smoke ? 200 : 1000);
-        base.measure = opts.getInt("measure", smoke ? 600 : 4000);
+        base.warmup = b.opts.getInt("warmup", smoke ? 200 : 1000);
+        base.measure = b.opts.getInt("measure", smoke ? 600 : 4000);
         base.seed = seed;
-        std::cout << "## VCT sampled-subtree point (radix "
-                  << radix << ", 2 levels, "
-                  << cft2.numTerminals() << " terminals)\n";
-        runPerfScenario(opts,
+        b.text() << "## VCT sampled-subtree point (radix " << radix
+                 << ", 2 levels, " << cft2.numTerminals()
+                 << " terminals)\n";
+        runPerfScenario(b, "vct",
                         {{"CFT2-subtree", &cft2, &o_cft},
                          {"RFC2-subtree", &built.topology, &o_rfc}},
                         {"uniform"}, {0.5}, base,
-                        static_cast<int>(opts.getInt("trials", 1)));
+                        static_cast<int>(b.opts.getInt("trials", 1)));
     }
 
-    if (want("tables")) {
+    if (selected(sections, "tables")) {
         // Figure 10 configuration: compressed vs dense forwarding
         // tables.  The >= 5x criterion the compressed representation
         // is held to lives here.
@@ -198,7 +177,7 @@ main(int argc, char **argv)
         int n1 = rfcMaxLeaves(radix, 3);
         auto built = buildRfc(radix, 3, n1, tables_rng, 50);
         if (!built.routable)
-            std::cout << "warning: RFC not routable\n";
+            b.text() << "warning: RFC not routable\n";
 
         TablePrinter t({"network", "switches", "leaves", "topo_bytes",
                         "oracle_bytes", "tables_bytes", "dense_bytes",
@@ -223,14 +202,14 @@ main(int argc, char **argv)
         };
         addRow("CFT4", cft);
         addRow("RFC3", built.topology);
-        std::cout << "## Forwarding-table compression (Fig 10 "
-                     "configuration, R="
-                  << radix << ")\n";
-        emit(opts, "table memory", t);
+        b.text() << "## Forwarding-table compression (Fig 10 "
+                    "configuration, R="
+                 << radix << ")\n";
+        b.emit("table memory", t);
         // stderr: stdout stays bit-stable across runs (CI determinism).
         std::cerr << "[tables] peak RSS "
                   << TablePrinter::fmt(toMiB(peakRssBytes()), 1)
                   << " MiB\n";
     }
-    return 0;
+    return b.finish();
 }

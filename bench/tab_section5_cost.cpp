@@ -32,8 +32,8 @@ addRow(TablePrinter &t, const std::string &name, const CostPoint &c)
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Section 5: cost comparison scenarios (R = 36)");
+    Bench b(argc, argv, "tab_section5_cost", 1);
+    b.banner("Section 5: cost comparison scenarios (R = 36)");
 
     TablePrinter t({"configuration", "terminals", "levels", "switches",
                     "wires", "ports"});
@@ -44,7 +44,7 @@ main(int argc, char **argv)
     addRow(t, "100K CFT(36,4) fully equipped", cftCost(36, 4));
     addRow(t, "200K RFC(36,3) max expansion", rfcCost(36, 3, 11254));
     addRow(t, "200K CFT(36,4)", cftCost(36, 4));
-    emit(opts, "scenario costs", t);
+    b.emit("scenario costs", t);
 
     auto cft4 = cftCost(36, 4);
     auto rfc200 = rfcCost(36, 3, 11254);
@@ -68,6 +68,6 @@ main(int argc, char **argv)
               TablePrinter::fmtInt(cft4.switches)});
     s.addRow({"100K CFT(4) wires", "629,856",
               TablePrinter::fmtInt(cft4.wires)});
-    emit(opts, "paper vs measured", s);
-    return 0;
+    b.emit("paper vs measured", s);
+    return b.finish();
 }

@@ -88,22 +88,21 @@ oftOrderFor(long long t)
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Table 3: faults to disconnect a diameter-4 network");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "table3_disconnect", 33);
+    b.banner("Table 3: faults to disconnect a diameter-4 network");
+    const bool full = b.opts.fullScale();
     const int trials =
-        static_cast<int>(opts.getInt("trials", full ? 100 : 10));
-    Rng rng(opts.getInt("seed", 33));
+        static_cast<int>(b.opts.getInt("trials", full ? 100 : 10));
+    Rng rng(b.seed);
 
-    ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 33));
     std::uint64_t stream = 0;  // one stream id per table cell
     auto disconnect = [&](const Graph &g) {
-        return engine.study(stream++, trials,
-                            [&g](int, std::uint64_t seed) {
-                                Rng trial_rng(seed);
-                                return disconnectionFraction(g,
-                                                             trial_rng);
-                            });
+        return b.engine.study(stream++, trials,
+                              [&g](int, std::uint64_t seed) {
+                                  Rng trial_rng(seed);
+                                  return disconnectionFraction(
+                                      g, trial_rng);
+                              });
     };
 
     TablePrinter t({"~T", "CFT", "R", "RRN", "R", "RFC", "R", "OFT", "R",
@@ -153,6 +152,6 @@ main(int argc, char **argv)
                   TablePrinter::fmtPct(s_oft.mean(), 1),
                   std::to_string(2 * (q + 1)), paper[row++]});
     }
-    emit(opts, "percentage of removed links at first disconnection", t);
-    return 0;
+    b.emit("percentage of removed links at first disconnection", t);
+    return b.finish();
 }

@@ -25,18 +25,17 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    banner(opts, "Theorem 4.2: sharp threshold for up/down routing");
-    const bool full = opts.fullScale();
+    Bench b(argc, argv, "thm42_threshold", 42);
+    b.banner("Theorem 4.2: sharp threshold for up/down routing");
+    const bool full = b.opts.fullScale();
     // Defaults chosen so the asymptotic theorem is visible: 2-level
     // RFCs at tiny N1 are trivially routable (finite-size effect), so
     // the default sweep uses 3 levels where N1* ~ 230.
-    const int radix = static_cast<int>(opts.getInt("radix", 12));
-    const int levels = static_cast<int>(opts.getInt("levels", 3));
+    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
+    const int levels = static_cast<int>(b.opts.getInt("levels", 3));
     const int gens =
-        static_cast<int>(opts.getInt("generations", full ? 400 : 80));
+        static_cast<int>(b.opts.getInt("generations", full ? 400 : 80));
 
-    ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 42));
     std::uint64_t stream = 0;  // one stream per table row
 
     const int n1_star = rfcMaxLeaves(radix, levels);
@@ -63,8 +62,8 @@ main(int argc, char **argv)
             int routable = 0;
             double coverage = 0.0;
         };
-        auto results = engine.map<Gen>(
-            stream++, static_cast<std::size_t>(gens),
+        auto results = b.engine.map<Gen>(
+            stream++, gens,
             [&](std::size_t, std::uint64_t seed) {
                 Rng gen_rng(seed);
                 auto fc = buildRfcUnchecked(radix, levels, n1, gen_rng);
@@ -83,18 +82,17 @@ main(int argc, char **argv)
                   TablePrinter::fmt(static_cast<double>(ok) / gens, 3),
                   TablePrinter::fmt(coverage / gens, 4)});
     }
-    emit(opts,
-         "R=" + std::to_string(radix) + ", l=" + std::to_string(levels) +
-             ", threshold N1* = " + std::to_string(n1_star) + ", " +
-             std::to_string(gens) + " generations per row",
-         t);
+    b.emit("R=" + std::to_string(radix) + ", l=" + std::to_string(levels) +
+               ", threshold N1* = " + std::to_string(n1_star) + ", " +
+               std::to_string(gens) + " generations per row",
+           t);
 
     // The paper's practical corollary: the acceptance loop needs ~e
     // attempts at the threshold.
     TablePrinter a({"metric", "value"});
     const int builds = full ? 60 : 20;
-    auto attempts = engine.map<long long>(
-        stream++, static_cast<std::size_t>(builds),
+    auto attempts = b.engine.map<long long>(
+        stream++, builds,
         [&](std::size_t, std::uint64_t seed) {
             Rng build_rng(seed);
             auto built = buildRfc(radix, levels, n1_star, build_rng,
@@ -107,6 +105,6 @@ main(int argc, char **argv)
     a.addRow({"mean attempts at threshold (expect ~e = 2.72)",
               TablePrinter::fmt(
                   static_cast<double>(total_attempts) / builds, 2)});
-    emit(opts, "acceptance-loop cost", a);
-    return 0;
+    b.emit("acceptance-loop cost", a);
+    return b.finish();
 }

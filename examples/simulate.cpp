@@ -25,10 +25,12 @@
  *   --csv | --json   machine-readable output (JSON includes
  *                    stddev/ci95 when --trials > 1, plus timing)
  *
- * The load sweep is declared as an experiment grid (1 network x 1
- * traffic x points x trials) and runs on the shared engine; per-trial
- * seeds are derived from --seed, so results do not depend on --jobs.
+ * The load sweep is declared as a study (1 network x 1 traffic x
+ * points x trials) and runs on the shared engine; per-trial seeds are
+ * derived from --seed, so results do not depend on --jobs.  With
+ * --json the text lines go to stderr and stdout is one document.
  */
+#include <cmath>
 #include <iostream>
 
 #include "rfc/rfc.hpp"
@@ -73,12 +75,13 @@ main(int argc, char **argv)
         return 1;
     }
 
+    const bool json = opts.getBool("json", false);
+    std::ostream &text = json ? std::cerr : std::cout;
     UpDownOracle oracle(fc);
-    std::cout << "topology: " << fc.name() << "  terminals "
+    text << "topology: " << fc.name() << "  terminals "
               << fc.numTerminals() << ", switches " << fc.numSwitches()
-              << ", wires " << fc.numWires() << ", avg up/down distance "
-              << TablePrinter::fmt(oracle.averageLeafDistance(), 2)
-              << "\n";
+         << ", wires " << fc.numWires() << ", avg up/down distance "
+         << TablePrinter::fmt(oracle.averageLeafDistance(), 2) << "\n";
     if (!oracle.routable()) {
         std::cerr << "error: topology is not up/down routable\n";
         return 1;
@@ -131,39 +134,37 @@ main(int argc, char **argv)
     }
     const int trials = static_cast<int>(opts.getInt("trials", 1));
 
-    ExperimentGrid grid;
-    grid.addNetwork(fc.name(), fc, oracle);
-    grid.addTraffic(tname, make_traffic);
-    grid.loads = loads;
-    grid.base = cfg;
-    grid.repetitions = trials;
-
     ExperimentEngine engine(opts.jobs(), cfg.seed);
-    GridResult result = engine.run(grid);
+    const StudyResult result = engine.run(
+        {"sweep", Tier::kVct,
+         crossPoints({{fc.name(), &fc, &oracle}}, {{tname, make_traffic}},
+                     loads, cfg),
+         trials});
 
-    std::cout << "traffic: " << tname << ", route mode: " << mode
-              << ", " << trials << " trial(s)/point, "
-              << result.jobs << " job(s), "
-              << TablePrinter::fmt(result.wall_seconds, 2) << " s\n";
+    text << "traffic: " << tname << ", route mode: " << mode << ", "
+         << trials << " trial(s)/point, " << engine.jobs() << " job(s), "
+         << TablePrinter::fmt(result.wall_seconds, 2) << " s\n";
 
-    if (opts.getBool("json", false)) {
-        writeGridJson(std::cout, grid, result, cfg.seed);
+    if (json) {
+        Report report("simulate", cfg.seed, engine.jobs());
+        report.add(result);
+        report.write(std::cout);
         return 0;
     }
 
     TablePrinter t({"offered", "accepted", "avg-lat", "p50-lat",
                     "p99-lat", "avg-hops", "suppressed", "unroutable"});
-    for (const auto &p : result.points) {
-        auto r = p.toSimResult();
-        t.addRow({TablePrinter::fmt(r.offered, 3),
-                  TablePrinter::fmt(r.accepted, 3),
-                  TablePrinter::fmt(r.avg_latency, 1),
-                  TablePrinter::fmt(r.p50_latency, 1),
-                  TablePrinter::fmt(r.p99_latency, 1),
-                  TablePrinter::fmt(r.avg_hops, 2),
-                  TablePrinter::fmtInt(r.suppressed_packets),
-                  TablePrinter::fmtInt(r.unroutable_packets)});
-    }
+    for (const auto &p : result.points)
+        t.addRow({TablePrinter::fmt(p.load, 3),
+                  TablePrinter::fmt(p.mean("accepted"), 3),
+                  TablePrinter::fmt(p.mean("avg_latency"), 1),
+                  TablePrinter::fmt(p.mean("p50_latency"), 1),
+                  TablePrinter::fmt(p.mean("p99_latency"), 1),
+                  TablePrinter::fmt(p.mean("avg_hops"), 2),
+                  TablePrinter::fmtInt(
+                      std::llround(p.mean("suppressed_packets"))),
+                  TablePrinter::fmtInt(
+                      std::llround(p.mean("unroutable_packets")))});
     if (opts.getBool("csv", false))
         t.printCsv(std::cout);
     else

@@ -70,130 +70,110 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
+    // The flow, queue and closed-loop studies below share one engine
+    // and one network list.
+    const ExperimentEngine engine(
+        opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed", 2)));
+    std::vector<UpDownOracle> oracles;
+    oracles.reserve(nets.size());
+    for (const auto &net : nets)
+        oracles.emplace_back(net);
+    std::vector<Network> studied;
+    for (std::size_t i = 0; i < nets.size(); ++i)
+        studied.push_back({nets[i].name(), &nets[i], &oracles[i]});
+    Case uniform;
+    uniform.label = uniform.pattern = "uniform";
+
     // Flow-level throughput under sampled uniform demand: the
     // saturation answer of Figures 8-10 without packet simulation.
-    {
-        FlowGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            grid.addClos(nets[i].name(), nets[i], oracles[i]);
-        grid.patterns = {"uniform"};
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", 16));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", 4));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
-        FlowGridResult flows = runFlowGrid(grid, engine);
+    Study analytic{"flow", Tier::kFlow};
+    analytic.max_paths = static_cast<int>(opts.getInt("max-paths", 16));
+    analytic.uniform_samples = static_cast<int>(opts.getInt("samples", 4));
+    analytic.points = crossPoints(studied, {uniform}, {1.0});
+    const StudyResult flows = engine.run(analytic);
 
-        std::cout << "\nflow model, sampled uniform demand ("
-                  << grid.uniform_samples << " permutations, <= "
-                  << grid.max_paths << " paths/pair):\n";
-        TablePrinter f({"topology", "maxflow", "dual-bound", "ecmp-sat",
-                        "worst-demand", "avg-demand"});
-        for (const auto &p : flows.points)
-            f.addRow({p.network, TablePrinter::fmt(p.throughput, 3),
-                      TablePrinter::fmt(p.dual_bound, 3),
-                      TablePrinter::fmt(p.ecmp_saturation, 3),
-                      TablePrinter::fmt(p.ecmp_worst, 3),
-                      TablePrinter::fmt(p.ecmp_average, 3)});
-        f.print(std::cout);
-    }
+    std::cout << "\nflow model, sampled uniform demand ("
+              << analytic.uniform_samples << " permutations, <= "
+              << analytic.max_paths << " paths/pair):\n";
+    TablePrinter f({"topology", "maxflow", "dual-bound", "ecmp-sat",
+                    "worst-demand", "avg-demand"});
+    for (const auto &p : flows.points)
+        f.addRow({p.network, TablePrinter::fmt(p.mean("throughput"), 3),
+                  TablePrinter::fmt(p.mean("dual_bound"), 3),
+                  TablePrinter::fmt(p.mean("ecmp_saturation"), 3),
+                  TablePrinter::fmt(p.mean("ecmp_worst"), 3),
+                  TablePrinter::fmt(p.mean("ecmp_average"), 3)});
+    f.print(std::cout);
 
     // Queue-model latency curves: the analytic contention tier turns
     // the flow ranking above into latency-vs-load numbers (mean and
     // p99) without a packet simulation.  "-" marks loads past the
     // topology's fluid saturation.
-    {
-        QueueGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            grid.addClos(nets[i].name(), nets[i], oracles[i]);
-        grid.patterns = {"uniform"};
-        grid.loads = {0.2, 0.5, 0.8};
-        grid.max_paths =
-            static_cast<int>(opts.getInt("max-paths", 16));
-        grid.uniform_samples =
-            static_cast<int>(opts.getInt("samples", 4));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
-        QueueGridResult curves = runQueueGrid(grid, engine);
+    analytic.section = "queue";
+    analytic.tier = Tier::kQueue;
+    analytic.points = crossPoints(studied, {uniform}, {0.2, 0.5, 0.8});
+    const StudyResult curves = engine.run(analytic);
 
-        std::cout << "\nqueue model (M/D/1 per port), latency in "
-                     "cycles at 16-phit packets:\n";
-        TablePrinter c({"topology", "saturation", "zero-load",
-                        "mean@0.2", "p99@0.2", "mean@0.5", "p99@0.5",
-                        "mean@0.8", "p99@0.8"});
-        for (const auto &p : curves.points) {
-            std::vector<std::string> row = {
-                p.network, TablePrinter::fmt(p.saturation, 3),
-                TablePrinter::fmt(p.zero_load_latency, 1)};
-            for (const auto &pt : p.curve) {
-                row.push_back(pt.saturated
-                                  ? "-"
-                                  : TablePrinter::fmt(pt.mean_latency,
-                                                      1));
-                row.push_back(pt.saturated
-                                  ? "-"
-                                  : TablePrinter::fmt(pt.p99_latency,
-                                                      1));
-            }
-            c.addRow(row);
+    std::cout << "\nqueue model (M/D/1 per port), latency in "
+                 "cycles at 16-phit packets:\n";
+    TablePrinter c({"topology", "saturation", "zero-load", "mean@0.2",
+                    "p99@0.2", "mean@0.5", "p99@0.5", "mean@0.8",
+                    "p99@0.8"});
+    for (std::size_t i = 0; i < curves.points.size(); i += 3) {
+        const PointResult &first = curves.points[i];
+        std::vector<std::string> row = {
+            first.network, TablePrinter::fmt(first.mean("saturation"), 3),
+            TablePrinter::fmt(first.mean("zero_load_latency"), 1)};
+        for (std::size_t li = i; li < i + 3; ++li) {
+            const PointResult &pt = curves.points[li];
+            const bool sat = pt.mean("saturated") != 0.0;
+            row.push_back(sat ? "-"
+                              : TablePrinter::fmt(pt.mean("mean_latency"), 1));
+            row.push_back(sat ? "-"
+                              : TablePrinter::fmt(pt.mean("p99_latency"), 1));
         }
-        c.print(std::cout);
+        c.addRow(row);
     }
+    c.print(std::cout);
 
     // Closed-loop workloads: the completion-time view of the same
     // ranking - RPC tail latency and coflow completion time from the
     // VCT engine driven by src/workload (small window; increase
     // --measure for converged tails).
     {
-        WorkloadGrid grid;
-        std::vector<UpDownOracle> oracles;
-        oracles.reserve(nets.size());
-        for (const auto &net : nets)
-            oracles.emplace_back(net);
-        for (std::size_t i = 0; i < nets.size(); ++i)
-            grid.addNetwork(nets[i].name(), nets[i], oracles[i]);
-        WorkloadSpec rpc;
         WorkloadSpec coflow;
         coflow.kind = "coflow";
-        grid.workloads = {rpc, coflow};
-        grid.loads = {opts.getDouble("load", 0.5)};
-        grid.base.warmup = 400;
-        grid.base.measure =
-            opts.getInt("measure", 2000);
-        grid.base.seed =
-            static_cast<std::uint64_t>(opts.getInt("seed", 2));
-        ExperimentEngine engine(
-            opts.jobs(), static_cast<std::uint64_t>(opts.getInt("seed",
-                                                                2)));
-        WorkloadGridResult wl = runWorkloadGrid(grid, engine);
+        std::vector<Case> cases;
+        for (const WorkloadSpec &spec : {WorkloadSpec{}, coflow}) {
+            Case wl;
+            wl.label = spec.label();
+            wl.workload = spec;
+            cases.push_back(wl);
+        }
+        SimConfig base;
+        base.warmup = 400;
+        base.measure = opts.getInt("measure", 2000);
+        const double load = opts.getDouble("load", 0.5);
+        const StudyResult wl = engine.run(
+            {"closed-loop", Tier::kWorkload,
+             crossPoints(studied, cases, {load}, base)});
 
         std::cout << "\nclosed-loop workloads at load "
-                  << TablePrinter::fmt(grid.loads[0], 2)
-                  << " (cycles):\n";
+                  << TablePrinter::fmt(load, 2) << " (cycles):\n";
         TablePrinter w({"topology", "workload", "rpc-p50", "rpc-p99",
                         "cct-mean", "goodput"});
-        for (const auto &p : wl.points) {
-            const bool coflow_row = p.kind == "coflow";
-            w.addRow({p.network, p.workload,
-                      coflow_row ? "-"
-                                 : TablePrinter::fmt(p.rpc_p50.mean, 1),
-                      coflow_row ? "-"
-                                 : TablePrinter::fmt(p.rpc_p99.mean, 1),
-                      coflow_row
-                          ? TablePrinter::fmt(p.cct_mean.mean, 1)
-                          : "-",
-                      TablePrinter::fmt(p.goodput.mean, 3)});
+        for (std::size_t i = 0; i < wl.points.size(); ++i) {
+            const PointResult &p = wl.points[i];
+            const bool coflow_row = i % 2 == 1;
+            auto cell = [&](const char *name, bool shown) {
+                return shown ? TablePrinter::fmt(p.mean(name), 1)
+                             : std::string("-");
+            };
+            w.addRow({p.network, p.scenario,
+                      cell("rpc_p50", !coflow_row),
+                      cell("rpc_p99", !coflow_row),
+                      cell("cct_mean", coflow_row),
+                      TablePrinter::fmt(p.mean("goodput"), 3)});
         }
         w.print(std::cout);
     }

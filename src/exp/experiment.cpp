@@ -1,25 +1,397 @@
 #include "exp/experiment.hpp"
 
-#include <chrono>
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "analysis/fault_sweep.hpp"
+#include "clos/topology_events.hpp"
+#include "flow/demand.hpp"
+#include "flow/paths.hpp"
+#include "queue/latency.hpp"
+#include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
 #include "util/json.hpp"
 #include "util/mem.hpp"
-#include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace rfc {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 double
-seconds(std::chrono::steady_clock::time_point a,
-        std::chrono::steady_clock::time_point b)
+since(Clock::time_point start)
 {
-    return std::chrono::duration<double>(b - a).count();
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/** One trial's named outputs; the engine folds each name over reps. */
+struct Sample
+{
+    std::vector<Metric> metrics;  //!< raw values, no stat yet
+    std::vector<std::pair<std::string, double>> timing;
+    double seconds = 0.0;  //!< trial wall clock, set by the engine
+
+    void
+    add(std::string name, double x, Fold fold = Fold::kStat)
+    {
+        metrics.push_back({std::move(name), fold, {}, {x}});
+    }
+
+    void
+    add(std::string name, const std::vector<long long> &xs, Fold fold)
+    {
+        metrics.push_back(
+            {std::move(name), fold, {}, std::vector<double>(xs.begin(),
+                                                            xs.end())});
+    }
+};
+
+using Named = std::pair<const char *, double>;
+
+void
+addAll(Sample &s, std::initializer_list<Named> values)
+{
+    for (const auto &[name, x] : values)
+        s.add(name, x);
+}
+
+double
+num(long long v)
+{
+    return static_cast<double>(v);
+}
+
+/** One open-loop packet-simulation trial. */
+Sample
+vctTrial(const Point &pt, const SimConfig &cfg)
+{
+    const Case &c = pt.scenario;
+    const FoldedClos &fc = *pt.network.topology;
+    auto traffic = c.traffic();
+    const SimResult r =
+        c.changes  ? Simulator(fc, *traffic, cfg, *c.changes, c.policy).run()
+        : c.faults ? Simulator(fc, *traffic, cfg, *c.faults, c.policy).run()
+                   : Simulator(fc, *pt.network.oracle, *traffic, cfg,
+                               c.policy)
+                         .run();
+
+    Sample s;
+    addAll(s, {{"accepted", r.accepted},
+               {"avg_latency", r.avg_latency},
+               {"p50_latency", r.p50_latency},
+               {"p99_latency", r.p99_latency},
+               {"avg_hops", r.avg_hops},
+               {"delivered_packets", num(r.delivered_packets)},
+               {"generated_packets", num(r.generated_packets)},
+               {"suppressed_packets", num(r.suppressed_packets)},
+               {"unroutable_packets", num(r.unroutable_packets)},
+               {"dropped_packets", num(r.dropped_packets)},
+               {"rerouted_packets", num(r.rerouted_packets)},
+               {"route_retries", num(r.route_retries)}});
+    s.add("conservation_violations", conservationGap(r) != 0 ? 1 : 0,
+          Fold::kSum);
+    if ((c.changes || c.faults) && cfg.telemetry_bin > 0) {
+        // Recovery after the first disruption (expansion) or failure.
+        const long long first = c.changes
+                                    ? c.changes->firstDisruptionCycle()
+                                    : c.faults->firstFailCycle();
+        const RecoveryStats rec =
+            computeRecovery(r.delivered_bins, r.telemetry_bin,
+                            cfg.warmup + cfg.measure, first);
+        s.add("time_to_reconverge", num(rec.time_to_reconverge));
+        s.add("dip_fraction", rec.dip_fraction);
+        s.add("delivered_bins_mean", r.delivered_bins, Fold::kSeriesMean);
+    }
+    if (const ExpansionCounters &e = r.expansion; e.active)
+        addAll(s, {{"links_failed", num(e.links_failed)},
+                   {"links_repaired", num(e.links_repaired)},
+                   {"links_detached", num(e.links_detached)},
+                   {"links_attached", num(e.links_attached)},
+                   {"switches_added", num(e.switches_added)},
+                   {"terminals_activated", num(e.terminals_activated)},
+                   {"barrier_inflight_max", num(e.barrier_inflight_max)}});
+    // Engine counters depend on the simulated physics only.
+    s.add("cycles", num(r.perf.cycles));
+    s.add("switch_scans", num(r.perf.switch_scans), Fold::kSum);
+    s.add("arb_conflicts", num(r.perf.arb_conflicts), Fold::kSum);
+    s.add("credit_stalls", num(r.perf.credit_stalls), Fold::kSum);
+    s.add("forwards", num(r.perf.forwards), Fold::kSum);
+    s.add("occupancy", r.perf.occupancy, Fold::kSeriesSum);
+    s.timing.push_back({"cycles_per_sec", r.perf.cycles_per_sec});
+    return s;
+}
+
+/** One closed-loop workload trial. */
+Sample
+workloadTrial(const Point &pt, const SimConfig &cfg)
+{
+    auto wl = makeWorkload(pt.scenario.workload, cfg.load);
+    // The simulator still needs a pattern (its ctor seeds the demand
+    // matrix); the workload replaces it, so pass the cheapest one.
+    auto traffic = makeTraffic("uniform");
+    Simulator sim(*pt.network.topology, *pt.network.oracle, *traffic, cfg);
+    sim.attachWorkload(*wl);
+    const SimResult r = sim.run();
+    const WorkloadMetrics &w = r.workload;
+
+    Sample s;
+    addAll(s, {{"goodput", w.goodput},
+               {"accepted", r.accepted},
+               {"avg_latency", r.avg_latency},
+               {"p99_latency", r.p99_latency},
+               {"fct_mean", w.fct_mean},
+               {"fct_p50", w.fct_p50},
+               {"fct_p99", w.fct_p99},
+               {"fct_max", w.fct_max},
+               {"rpc_mean", w.rpc_mean},
+               {"rpc_p50", w.rpc_p50},
+               {"rpc_p99", w.rpc_p99},
+               {"rpc_p999", w.rpc_p999},
+               {"rpc_max", w.rpc_max},
+               {"cct_mean", w.cct_mean},
+               {"cct_max", w.cct_max},
+               {"messages_sent", num(w.messages_sent)},
+               {"flows_completed", num(w.flows_completed)},
+               {"rpcs_completed", num(w.rpcs_completed)},
+               {"coflow_phases", num(w.coflow_phases)}});
+    s.add("conservation_violations",
+          w.conservation_residual != 0 || w.eject_mismatch != 0 ? 1 : 0,
+          Fold::kSum);
+    return s;
+}
+
+/**
+ * One rep of an analytic group: the flow problem of its network and
+ * case, then the flow solve or the queue sweep over the group's loads.
+ */
+std::vector<Sample>
+analyticGroup(const Study &st, const Point *pts, std::size_t n,
+              std::uint64_t demand_seed, std::uint64_t path_seed,
+              ThreadPool &pool)
+{
+    const Network &net = pts->network;
+    const DemandMatrix dm =
+        makeDemandMatrix(pts->scenario.pattern, net.terminals(),
+                         demand_seed, st.uniform_samples);
+    const auto build_start = Clock::now();
+    FlowProblem problem;
+    if (net.topology) {
+        UpDownEcmpPaths provider(*net.topology, *net.oracle, st.max_paths,
+                                 path_seed);
+        problem = buildClosFlowProblem(*net.topology, provider, dm, &pool);
+    } else if (net.graph) {
+        KspPaths provider(*net.graph, st.max_paths);
+        problem = buildGraphFlowProblem(*net.graph, net.hosts_per_switch,
+                                        provider, dm, &pool);
+    } else {
+        throw std::invalid_argument("ExperimentEngine: " + net.label +
+                                    " has neither topology nor graph");
+    }
+    const double build = since(build_start);
+    const auto solve_start = Clock::now();
+
+    std::vector<Sample> out(n);
+    for (Sample &s : out)
+        addAll(s, {{"demands", num(problem.numDemands())},
+                   {"links", num(problem.numLinks())},
+                   {"paths", num(problem.numPathsTotal())}});
+    const char *phase = "solve_seconds";
+    if (st.tier == Tier::kFlow) {
+        SolveOptions solve = st.solve;
+        solve.pool = &pool;
+        const FlowSolution sol = solveMaxConcurrentFlow(problem, solve);
+        const EcmpFluidResult fluid = ecmpFluid(problem, &pool);
+        for (Sample &s : out)
+            addAll(s, {{"routed", num(sol.routed_demands)},
+                       {"unrouted", num(sol.unrouted_demands)},
+                       {"throughput", sol.throughput},
+                       {"dual_bound", sol.dual_bound},
+                       {"converged", sol.converged ? 1.0 : 0.0},
+                       {"phases", num(sol.phases)},
+                       {"ecmp_saturation", fluid.saturation},
+                       {"ecmp_worst", fluid.worst},
+                       {"ecmp_average", fluid.average}});
+    } else {
+        phase = "sweep_seconds";
+        const SimConfig &cfg = pts->config;
+        auto model = makeQueueModel(
+            st.model, static_cast<double>(cfg.pkt_phits), st.mg1_cv2);
+        QueueSweepOptions opt;
+        for (std::size_t i = 0; i < n; ++i)
+            opt.loads.push_back(pts[i].load);
+        opt.pkt_phits = cfg.pkt_phits;
+        opt.link_latency = cfg.link_latency;
+        opt.pool = &pool;
+        const QueueSweepResult sweep =
+            queueLatencySweep(problem, *model, opt);
+        for (std::size_t i = 0; i < n; ++i) {
+            const QueueLoadPoint &q = sweep.points[i];
+            addAll(out[i], {{"routed", num(sweep.routed)},
+                            {"unrouted", num(sweep.unrouted)},
+                            {"saturation", sweep.saturation},
+                            {"zero_load_latency", sweep.zero_load_latency},
+                            {"offered_weight", sweep.offered_weight},
+                            {"saturated", q.saturated ? 1.0 : 0.0},
+                            {"mean_latency", q.mean_latency},
+                            {"p50_latency", q.p50_latency},
+                            {"p99_latency", q.p99_latency},
+                            {"max_utilization", q.max_utilization}});
+        }
+    }
+    // The group's timers are shared evenly by its points.
+    const double solve = since(solve_start);
+    for (Sample &s : out)
+        s.timing = {{"build_seconds", build / num(n)},
+                    {phase, solve / num(n)}};
+    return out;
+}
+
+MetricStat
+toMetricStat(const RunningStat &s)
+{
+    return {s.mean(), s.stddev(), s.ci95(), s.min(), s.max()};
+}
+
+/** Serial fold of one point's trials, in rep order. */
+PointResult
+foldPoint(const Point &pt, const Sample *trials, std::size_t reps)
+{
+    PointResult pr;
+    pr.network = pt.network.label;
+    pr.scenario = pt.scenario.label;
+    pr.label = pt.label;
+    pr.load = pt.load;
+    pr.reps = static_cast<int>(reps);
+    pr.terminals = pt.network.terminals();
+    pr.topology_bytes = pt.network.topologyBytes();
+    pr.oracle_bytes = pt.network.oracleBytes();
+
+    for (std::size_t k = 0; k < trials[0].metrics.size(); ++k) {
+        Metric m{trials[0].metrics[k].name, trials[0].metrics[k].fold,
+                 {}, {}};
+        RunningStat stat;
+        for (std::size_t r = 0; r < reps; ++r) {
+            const Metric &x = trials[r].metrics.at(k);
+            if (x.name != m.name)
+                throw std::logic_error("ExperimentEngine: trials of " +
+                                       pt.label + " emit different metrics");
+            if (m.fold == Fold::kStat) {
+                stat.add(x.values[0]);
+                continue;
+            }
+            if (m.values.size() < x.values.size())
+                m.values.resize(x.values.size(), 0.0);
+            for (std::size_t i = 0; i < x.values.size(); ++i)
+                m.values[i] += m.fold == Fold::kSeriesMean
+                                   ? x.values[i] / num(pr.reps)
+                                   : x.values[i];
+        }
+        m.stat = toMetricStat(stat);
+        pr.metrics.push_back(std::move(m));
+    }
+
+    double total = 0.0, slowest = 0.0;
+    for (std::size_t r = 0; r < reps; ++r) {
+        total += trials[r].seconds;
+        slowest = std::max(slowest, trials[r].seconds);
+    }
+    pr.timing = {{"trial_seconds_total", total},
+                 {"trial_seconds_max", slowest}};
+    // Evaluator timers are per-trial means.
+    for (std::size_t k = 0; k < trials[0].timing.size(); ++k) {
+        double sum = 0.0;
+        for (std::size_t r = 0; r < reps; ++r)
+            sum += trials[r].timing.at(k).second;
+        pr.timing.push_back({trials[0].timing[k].first, sum / num(pr.reps)});
+    }
+    return pr;
+}
+
+/** The tier knobs a section's meta echoes, then the study's own. */
+Fields
+sectionConfig(const Study &st)
+{
+    Fields f;
+    const bool analytic = st.tier == Tier::kFlow || st.tier == Tier::kQueue;
+    if (!st.points.empty()) {
+        const SimConfig &c = st.points.front().config;
+        if (!analytic)
+            f = {{"warmup", c.warmup},
+                 {"measure", c.measure},
+                 {"shards", c.shards}};
+        else if (st.tier == Tier::kQueue)
+            f = {{"model", st.model},
+                 {"pkt_phits", c.pkt_phits},
+                 {"link_latency", c.link_latency}};
+    }
+    if (analytic) {
+        f.push_back({"max_paths", st.max_paths});
+        f.push_back({"uniform_samples", st.uniform_samples});
+    }
+    if (st.tier == Tier::kFlow) {
+        f.push_back({"epsilon", st.solve.epsilon});
+        f.push_back({"max_phases", st.solve.max_phases});
+    }
+    f.insert(f.end(), st.config.begin(), st.config.end());
+    return f;
+}
+
+void
+writeFields(JsonWriter &w, const Fields &fields)
+{
+    for (const auto &[key, value] : fields)
+        std::visit([&w, &key = key](const auto &v) { w.kv(key, v); },
+                   value);
+}
+
+void
+writePoint(JsonWriter &w, const std::string &section, const PointResult &p)
+{
+    w.beginObject();
+    w.kv("section", section);
+    w.kv("network", p.network);
+    w.kv("case", p.scenario);
+    w.kv("label", p.label);
+    w.kv("load", p.load);
+    w.kv("reps", static_cast<std::int64_t>(p.reps));
+    w.kv("terminals", static_cast<std::int64_t>(p.terminals));
+    w.key("metrics");
+    w.beginObject();
+    for (const Metric &m : p.metrics) {
+        w.key(m.name);
+        if (m.fold == Fold::kStat) {
+            w.beginObject();
+            w.kv("mean", m.stat.mean);
+            if (p.reps > 1) {
+                w.kv("stddev", m.stat.stddev);
+                w.kv("ci95", m.stat.ci95);
+                w.kv("min", m.stat.min);
+                w.kv("max", m.stat.max);
+            }
+            w.endObject();
+        } else if (m.fold == Fold::kSum) {
+            w.value(m.values.at(0));
+        } else {
+            w.beginArray();
+            for (double v : m.values)
+                w.value(v);
+            w.endArray();
+        }
+    }
+    w.endObject();
+    w.key("memory");
+    w.beginObject();
+    w.kv("topology_bytes", p.topology_bytes);
+    w.kv("oracle_bytes", p.oracle_bytes);
+    w.endObject();
+    w.key("timing");
+    w.beginObject();
+    for (const auto &[key, seconds] : p.timing)
+        w.kv(key, seconds);
+    w.endObject();
+    w.endObject();
 }
 
 } // namespace
@@ -30,104 +402,120 @@ namedTraffic(const std::string &name)
     return [name]() { return makeTraffic(name); };
 }
 
-SimResult
-PointResult::toSimResult() const
+std::vector<double>
+loadRange(double lo, double hi, int points)
 {
-    SimResult r;
-    r.offered = offered;
-    r.accepted = accepted.mean;
-    r.avg_latency = avg_latency.mean;
-    r.p50_latency = p50_latency.mean;
-    r.p99_latency = p99_latency.mean;
-    r.avg_hops = avg_hops.mean;
-    r.delivered_packets = std::llround(delivered_packets.mean);
-    r.generated_packets = std::llround(generated_packets.mean);
-    r.suppressed_packets = std::llround(suppressed_packets.mean);
-    r.unroutable_packets = std::llround(unroutable_packets.mean);
-    r.dropped_packets = std::llround(dropped_packets.mean);
-    r.rerouted_packets = std::llround(rerouted_packets.mean);
-    r.route_retries = std::llround(route_retries.mean);
-    r.perf = perf;
-    return r;
-}
-
-ExperimentGrid &
-ExperimentGrid::addNetwork(std::string label, const FoldedClos &fc,
-                           const UpDownOracle &oracle)
-{
-    networks.push_back({std::move(label), &fc, &oracle});
-    return *this;
-}
-
-ExperimentGrid &
-ExperimentGrid::addPolicy(std::string label, ClosPolicy policy)
-{
-    policies.push_back({std::move(label), policy, RouteMode::kMinimal,
-                        false});
-    return *this;
-}
-
-ExperimentGrid &
-ExperimentGrid::addPolicy(std::string label, ClosPolicy policy,
-                          RouteMode mode)
-{
-    policies.push_back({std::move(label), policy, mode, true});
-    return *this;
-}
-
-ExperimentGrid &
-ExperimentGrid::addTraffic(const std::string &name)
-{
-    traffics.push_back({name, namedTraffic(name)});
-    return *this;
-}
-
-ExperimentGrid &
-ExperimentGrid::addTraffic(std::string label, TrafficFactory make)
-{
-    traffics.push_back({std::move(label), std::move(make)});
-    return *this;
-}
-
-std::vector<TrialSpec>
-ExperimentGrid::points() const
-{
-    // An empty policy axis degenerates to one implicit oblivious
-    // entry that leaves base.route_mode alone and adds no label
-    // segment - exactly the pre-policy grid, point for point.
-    static const PolicySpec kImplicit{};
-    std::vector<const PolicySpec *> pols;
-    if (policies.empty())
-        pols.push_back(&kImplicit);
-    else
-        for (const auto &pol : policies)
-            pols.push_back(&pol);
-
-    std::vector<TrialSpec> out;
-    out.reserve(numPoints());
-    for (const auto &net : networks) {
-        for (const PolicySpec *pol : pols) {
-            for (const auto &pat : traffics) {
-                for (double load : loads) {
-                    TrialSpec spec;
-                    spec.topology = net.topology;
-                    spec.oracle = net.oracle;
-                    spec.traffic = pat.make;
-                    spec.config = base;
-                    spec.config.load = load;
-                    spec.policy = pol->policy;
-                    if (pol->override_mode)
-                        spec.config.route_mode = pol->route_mode;
-                    spec.label = policies.empty()
-                                     ? net.label + "/" + pat.label
-                                     : net.label + "/" + pol->label +
-                                           "/" + pat.label;
-                    out.push_back(std::move(spec));
-                }
-            }
-        }
+    if (!(lo > 0.0 && lo <= hi && hi <= 1.0))
+        throw std::invalid_argument(
+            "loadRange: need 0 < lo <= hi <= 1 (SimConfig rejects "
+            "zero offered load)");
+    std::vector<double> out;
+    if (points <= 1) {
+        out.push_back(hi);
+        return out;
     }
+    // The last point is hi exactly: the interpolated value can round
+    // past it (0.2 + 0.8 * 6 / 6 > 1.0), which SimConfig rejects.
+    for (int i = 0; i < points; ++i)
+        out.push_back(i == points - 1 ? hi
+                                      : lo + (hi - lo) * i / (points - 1));
     return out;
+}
+
+long long
+Network::terminals() const
+{
+    if (topology)
+        return topology->numTerminals();
+    return graph ? static_cast<long long>(graph->numVertices()) *
+                       hosts_per_switch
+                 : 0;
+}
+
+std::int64_t
+Network::topologyBytes() const
+{
+    if (topology)
+        return topology->memoryBytes();
+    if (!graph)
+        return 0;
+    // Graph stores each edge once per endpoint (4-byte ids) plus a
+    // vector header per vertex.
+    return static_cast<std::int64_t>(graph->numEdges()) * 2 * 4 +
+           static_cast<std::int64_t>(graph->numVertices()) *
+               static_cast<std::int64_t>(sizeof(std::vector<int>));
+}
+
+std::int64_t
+Network::oracleBytes() const
+{
+    return oracle ? oracle->memoryBytes() : 0;
+}
+
+std::vector<Point>
+crossPoints(const std::vector<Network> &networks,
+            const std::vector<Case> &cases,
+            const std::vector<double> &loads, const SimConfig &base)
+{
+    std::vector<Point> out;
+    out.reserve(networks.size() * cases.size() * loads.size());
+    for (const Network &net : networks)
+        for (const Case &c : cases)
+            for (double load : loads) {
+                Point p{net, c, load, base, net.label + "/" + c.label};
+                if (c.route_mode)
+                    p.config.route_mode = *c.route_mode;
+                out.push_back(std::move(p));
+            }
+    return out;
+}
+
+std::size_t
+gridIndex(const std::vector<std::size_t> &sizes,
+          const std::vector<std::size_t> &at)
+{
+    if (sizes.size() != at.size())
+        throw std::invalid_argument(
+            "gridIndex: need one coordinate per axis");
+    std::size_t index = 0;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+        if (at[k] >= sizes[k])
+            throw std::out_of_range(
+                "gridIndex: coordinate " + std::to_string(at[k]) +
+                " outside axis " + std::to_string(k) + " of size " +
+                std::to_string(sizes[k]));
+        index = index * sizes[k] + at[k];
+    }
+    return index;
+}
+
+const char *
+tierName(Tier tier)
+{
+    switch (tier) {
+    case Tier::kVct: return "vct";
+    case Tier::kWorkload: return "closed-loop";
+    case Tier::kFlow: return "flow";
+    case Tier::kQueue: return "queue";
+    }
+    return "unknown";
+}
+
+bool
+PointResult::has(const std::string &name) const
+{
+    return std::any_of(metrics.begin(), metrics.end(),
+                       [&](const Metric &m) { return m.name == name; });
+}
+
+double
+PointResult::mean(const std::string &name) const
+{
+    for (const Metric &m : metrics)
+        if (m.name == name)
+            return m.fold == Fold::kStat ? m.stat.mean : m.values.at(0);
+    throw std::out_of_range("PointResult " + label + ": no metric " +
+                            name);
 }
 
 long long
@@ -137,18 +525,6 @@ conservationGap(const SimResult &r)
            (r.suppressed_packets + r.unroutable_packets +
             r.queued_packets_end + r.in_flight_packets +
             r.ejected_packets + r.dropped_packets);
-}
-
-MetricStat
-toMetricStat(const RunningStat &s)
-{
-    MetricStat m;
-    m.mean = s.mean();
-    m.stddev = s.stddev();
-    m.ci95 = s.ci95();
-    m.min = s.min();
-    m.max = s.max();
-    return m;
 }
 
 ExperimentEngine::ExperimentEngine(int jobs, std::uint64_t base_seed)
@@ -170,164 +546,73 @@ ExperimentEngine::jobs() const
 }
 
 void
+ExperimentEngine::checkCount(const char *what, long long n)
+{
+    if (n < 1)
+        throw std::invalid_argument(std::string("ExperimentEngine: ") +
+                                    what + " must be >= 1, got " +
+                                    std::to_string(n));
+}
+
+void
 ExperimentEngine::forEachIndex(
     std::size_t n, const std::function<void(std::size_t)> &fn) const
 {
     parallelFor(*pool_, n, fn);
 }
 
-std::vector<PointResult>
-ExperimentEngine::runPoints(const std::vector<TrialSpec> &pts,
-                            int reps) const
+StudyResult
+ExperimentEngine::run(const Study &study) const
 {
-    if (reps < 1)
-        throw std::invalid_argument("ExperimentEngine: reps must be >= 1");
-    const std::size_t n_points = pts.size();
-    const std::size_t n_trials = n_points * static_cast<std::size_t>(reps);
+    checkCount("repetition count", study.reps);
+    const auto start = Clock::now();
+    const std::vector<Point> &pts = study.points;
+    const auto reps = static_cast<std::size_t>(study.reps);
+    // One slot per trial (point-major), each written exactly once.
+    std::vector<Sample> slots(pts.size() * reps);
 
-    // One slot per trial, written exactly once by trial index; the
-    // aggregation pass below is serial and in-order, so the whole
-    // result is independent of scheduling.
-    std::vector<SimResult> trial_results(n_trials);
-    std::vector<double> trial_seconds(n_trials, 0.0);
-
-    forEachIndex(n_trials, [&](std::size_t t) {
-        const std::size_t p = t / static_cast<std::size_t>(reps);
-        const std::size_t rep = t % static_cast<std::size_t>(reps);
-        const TrialSpec &spec = pts[p];
-
-        SimConfig cfg = spec.config;
-        cfg.seed = deriveSeed(base_seed_, p, rep);
-
-        auto traffic = spec.traffic();
-        auto start = std::chrono::steady_clock::now();
-        if (spec.topo_timeline) {
-            // Live topology-change trial (expansion drill): the bound
-            // topology is the union fabric, staged links start dead.
-            Simulator sim(*spec.topology, *traffic, cfg,
-                          *spec.topo_timeline, spec.policy);
-            trial_results[t] = sim.run();
-        } else if (spec.timeline) {
-            // Fault-injection trial: the simulator owns a private
-            // overlay + incrementally repaired oracle.
-            Simulator sim(*spec.topology, *traffic, cfg,
-                          *spec.timeline, spec.policy);
-            trial_results[t] = sim.run();
-        } else {
-            Simulator sim(*spec.topology, *spec.oracle, *traffic, cfg,
-                          spec.policy);
-            trial_results[t] = sim.run();
-        }
-        trial_seconds[t] = seconds(start,
-                                   std::chrono::steady_clock::now());
-    });
-
-    std::vector<PointResult> out(n_points);
-    for (std::size_t p = 0; p < n_points; ++p) {
-        RunningStat acc, lat, p50, p99, hops, del, gen, sup, unr;
-        RunningStat drp, rer, ret, ttr, dip, bar;
-        const TrialSpec &spec = pts[p];
-        const bool recovery =
-            (spec.timeline || spec.topo_timeline) &&
-            spec.config.telemetry_bin > 0;
-        const long long fail_cycle =
-            !recovery ? -1
-            : spec.topo_timeline
-                ? spec.topo_timeline->firstDisruptionCycle()
-                : spec.timeline->firstFailCycle();
-        const long long total_cycles =
-            spec.config.warmup + spec.config.measure;
-        PointResult &pr = out[p];
-        pr.label = spec.label;
-        pr.offered = spec.config.load;
-        pr.reps = reps;
-        // Only fault trials carry a recovery story; leaving this 0 for
-        // plain points keeps the "recovery" JSON object off them even
-        // when their config recorded telemetry bins.
-        pr.telemetry_bin = recovery ? spec.config.telemetry_bin : 0;
-        if (spec.topology)
-            pr.topology_bytes = spec.topology->memoryBytes();
-        if (spec.oracle)
-            pr.oracle_bytes = spec.oracle->memoryBytes();
-        for (int rep = 0; rep < reps; ++rep) {
-            const std::size_t t =
-                p * static_cast<std::size_t>(reps) +
-                static_cast<std::size_t>(rep);
-            const SimResult &r = trial_results[t];
-            if (conservationGap(r) != 0)
-                ++pr.conservation_violations;
-            acc.add(r.accepted);
-            lat.add(r.avg_latency);
-            p50.add(r.p50_latency);
-            p99.add(r.p99_latency);
-            hops.add(r.avg_hops);
-            del.add(static_cast<double>(r.delivered_packets));
-            gen.add(static_cast<double>(r.generated_packets));
-            sup.add(static_cast<double>(r.suppressed_packets));
-            unr.add(static_cast<double>(r.unroutable_packets));
-            drp.add(static_cast<double>(r.dropped_packets));
-            rer.add(static_cast<double>(r.rerouted_packets));
-            ret.add(static_cast<double>(r.route_retries));
-            if (r.expansion.active) {
-                // Timeline-determined counters are identical across
-                // reps; rep 0 stands for the point.
-                if (rep == 0)
-                    pr.expansion = r.expansion;
-                bar.add(static_cast<double>(
-                    r.expansion.barrier_inflight_max));
+    if (study.tier == Tier::kVct || study.tier == Tier::kWorkload) {
+        forEachIndex(slots.size(), [&](std::size_t t) {
+            const Point &pt = pts[t / reps];
+            SimConfig cfg = pt.config;
+            cfg.load = pt.load;
+            cfg.seed = deriveSeed(base_seed_, t / reps, t % reps);
+            const auto trial_start = Clock::now();
+            slots[t] = study.tier == Tier::kVct ? vctTrial(pt, cfg)
+                                                : workloadTrial(pt, cfg);
+            slots[t].seconds = since(trial_start);
+        });
+    } else {
+        std::uint64_t group = 0;
+        for (std::size_t first = 0, last = 0; first < pts.size();
+             first = last, ++group) {
+            for (last = first + 1;
+                 last < pts.size() &&
+                 pts[last].network.label == pts[first].network.label &&
+                 pts[last].scenario.label == pts[first].scenario.label;
+                 ++last) {
             }
-            if (recovery) {
-                RecoveryStats rec = computeRecovery(
-                    r.delivered_bins, r.telemetry_bin, total_cycles,
-                    fail_cycle);
-                ttr.add(static_cast<double>(rec.time_to_reconverge));
-                dip.add(rec.dip_fraction);
-                if (pr.delivered_bins_mean.size() <
-                    r.delivered_bins.size())
-                    pr.delivered_bins_mean.resize(
-                        r.delivered_bins.size(), 0.0);
-                for (std::size_t b = 0; b < r.delivered_bins.size();
-                     ++b)
-                    pr.delivered_bins_mean[b] +=
-                        static_cast<double>(r.delivered_bins[b]) /
-                        static_cast<double>(reps);
+            const std::size_t n = last - first;
+            for (std::size_t r = 0; r < reps; ++r) {
+                const auto group_start = Clock::now();
+                std::vector<Sample> out = analyticGroup(
+                    study, &pts[first], n,
+                    deriveSeed(base_seed_, group, 2 * r),
+                    deriveSeed(base_seed_, group, 2 * r + 1), *pool_);
+                const double share = since(group_start) / num(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    out[i].seconds = share;
+                    slots[(first + i) * reps + r] = std::move(out[i]);
+                }
             }
-            pr.trial_seconds_total += trial_seconds[t];
-            pr.trial_seconds_max =
-                std::max(pr.trial_seconds_max, trial_seconds[t]);
-            pr.perf.merge(r.perf);
         }
-        pr.accepted = toMetricStat(acc);
-        pr.avg_latency = toMetricStat(lat);
-        pr.p50_latency = toMetricStat(p50);
-        pr.p99_latency = toMetricStat(p99);
-        pr.avg_hops = toMetricStat(hops);
-        pr.delivered_packets = toMetricStat(del);
-        pr.generated_packets = toMetricStat(gen);
-        pr.suppressed_packets = toMetricStat(sup);
-        pr.unroutable_packets = toMetricStat(unr);
-        pr.dropped_packets = toMetricStat(drp);
-        pr.rerouted_packets = toMetricStat(rer);
-        pr.route_retries = toMetricStat(ret);
-        if (recovery) {
-            pr.time_to_reconverge = toMetricStat(ttr);
-            pr.dip_fraction = toMetricStat(dip);
-        }
-        if (pr.expansion.active)
-            pr.barrier_inflight = toMetricStat(bar);
     }
-    return out;
-}
 
-GridResult
-ExperimentEngine::run(const ExperimentGrid &grid) const
-{
-    GridResult result;
-    result.jobs = jobs();
-    auto start = std::chrono::steady_clock::now();
-    result.points = runPoints(grid.points(), grid.repetitions);
-    result.wall_seconds = seconds(start,
-                                  std::chrono::steady_clock::now());
+    StudyResult result{study.section, study.tier, study.reps,
+                       sectionConfig(study), {}, 0.0};
+    for (std::size_t p = 0; p < pts.size(); ++p)
+        result.points.push_back(foldPoint(pts[p], &slots[p * reps], reps));
+    result.wall_seconds = since(start);
     return result;
 }
 
@@ -336,6 +621,7 @@ ExperimentEngine::study(
     std::uint64_t stream, int reps,
     const std::function<double(int, std::uint64_t)> &fn) const
 {
+    checkCount("repetition count", reps);
     std::vector<double> samples(static_cast<std::size_t>(reps));
     forEachIndex(samples.size(), [&](std::size_t i) {
         samples[i] = fn(static_cast<int>(i),
@@ -347,158 +633,86 @@ ExperimentEngine::study(
     return stat;
 }
 
-namespace {
+Report::Report(std::string bench, std::uint64_t base_seed, int jobs)
+    : bench_(std::move(bench)), base_seed_(base_seed), jobs_(jobs),
+      start_(Clock::now())
+{}
 
 void
-writeMetric(JsonWriter &w, const char *name, const MetricStat &m,
-            int reps)
+Report::add(StudyResult study)
 {
-    w.key(name);
-    w.beginObject();
-    w.kv("mean", m.mean);
-    if (reps > 1) {
-        w.kv("stddev", m.stddev);
-        w.kv("ci95", m.ci95);
-        w.kv("min", m.min);
-        w.kv("max", m.max);
-    }
-    w.endObject();
+    studies_.push_back(std::move(study));
 }
 
-} // namespace
+void
+Report::addTable(std::string heading, TablePrinter table)
+{
+    tables_.emplace_back(std::move(heading), std::move(table));
+}
 
 void
-writePointsJson(std::ostream &os, const std::vector<PointResult> &points,
-                std::uint64_t base_seed, int jobs, double wall_seconds,
-                int repetitions)
+Report::field(std::string key, JsonScalar value)
+{
+    summary_.emplace_back(std::move(key), std::move(value));
+}
+
+void
+Report::write(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
-    w.kv("jobs", static_cast<std::int64_t>(jobs));
-    w.kv("base_seed", static_cast<std::uint64_t>(base_seed));
-    w.kv("repetitions", static_cast<std::int64_t>(repetitions));
-    w.kv("wall_seconds", wall_seconds);
-    // Machine/run dependent like the timing fields: the CI determinism
-    // jobs filter peak_rss_bytes by name.
-    w.key("memory");
+    w.key("meta");
     w.beginObject();
-    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
-    w.endObject();
-
-    w.key("points");
+    w.kv("bench", bench_);
+    w.kv("base_seed", base_seed_);
+    w.key("sections");
     w.beginArray();
-    for (const auto &p : points) {
+    for (const StudyResult &s : studies_) {
         w.beginObject();
-        w.kv("label", p.label);
-        w.kv("offered", p.offered);
-        w.kv("reps", static_cast<std::int64_t>(p.reps));
-        writeMetric(w, "accepted", p.accepted, p.reps);
-        writeMetric(w, "avg_latency", p.avg_latency, p.reps);
-        writeMetric(w, "p50_latency", p.p50_latency, p.reps);
-        writeMetric(w, "p99_latency", p.p99_latency, p.reps);
-        writeMetric(w, "avg_hops", p.avg_hops, p.reps);
-        writeMetric(w, "delivered_packets", p.delivered_packets,
-                    p.reps);
-        writeMetric(w, "generated_packets", p.generated_packets,
-                    p.reps);
-        writeMetric(w, "suppressed_packets", p.suppressed_packets,
-                    p.reps);
-        writeMetric(w, "unroutable_packets", p.unroutable_packets,
-                    p.reps);
-        writeMetric(w, "dropped_packets", p.dropped_packets, p.reps);
-        writeMetric(w, "rerouted_packets", p.rerouted_packets, p.reps);
-        writeMetric(w, "route_retries", p.route_retries, p.reps);
-        w.kv("conservation_violations",
-             static_cast<std::int64_t>(p.conservation_violations));
-        if (p.telemetry_bin > 0) {
-            // Fault-recovery telemetry: the headline numbers plus the
-            // mean throughput dip/recovery curve.
-            w.key("recovery");
-            w.beginObject();
-            w.kv("telemetry_bin",
-                 static_cast<std::int64_t>(p.telemetry_bin));
-            writeMetric(w, "time_to_reconverge", p.time_to_reconverge,
-                        p.reps);
-            writeMetric(w, "dip_fraction", p.dip_fraction, p.reps);
-            w.key("delivered_bins_mean");
-            w.beginArray();
-            for (double b : p.delivered_bins_mean)
-                w.value(b);
-            w.endArray();
-            w.endObject();
-        }
-        if (p.expansion.active) {
-            // Live topology-change accounting: all bit-stable (event
-            // application is barrier-ordered), so the object takes
-            // part in determinism diffs.
-            w.key("expansion");
-            w.beginObject();
-            w.kv("links_failed",
-                 static_cast<std::int64_t>(p.expansion.links_failed));
-            w.kv("links_repaired",
-                 static_cast<std::int64_t>(p.expansion.links_repaired));
-            w.kv("links_detached",
-                 static_cast<std::int64_t>(p.expansion.links_detached));
-            w.kv("links_attached",
-                 static_cast<std::int64_t>(p.expansion.links_attached));
-            w.kv("switches_added",
-                 static_cast<std::int64_t>(p.expansion.switches_added));
-            w.kv("terminals_activated",
-                 static_cast<std::int64_t>(
-                     p.expansion.terminals_activated));
-            writeMetric(w, "barrier_inflight_max", p.barrier_inflight,
-                        p.reps);
-            w.endObject();
-        }
-        // Structure sizes are bit-stable (they depend on the topology
-        // and oracle contents only) and take part in determinism diffs.
-        w.key("memory");
-        w.beginObject();
-        w.kv("topology_bytes",
-             static_cast<std::int64_t>(p.topology_bytes));
-        w.kv("oracle_bytes", static_cast<std::int64_t>(p.oracle_bytes));
-        w.endObject();
-        // Engine counters: bit-stable across jobs values (they depend
-        // on the simulated physics only), so they belong outside
-        // "timing" and take part in determinism diffs.
-        w.key("perf");
-        w.beginObject();
-        w.kv("cycles", static_cast<std::int64_t>(p.perf.cycles));
-        w.kv("switch_scans",
-             static_cast<std::int64_t>(p.perf.switch_scans));
-        w.kv("arb_conflicts",
-             static_cast<std::int64_t>(p.perf.arb_conflicts));
-        w.kv("credit_stalls",
-             static_cast<std::int64_t>(p.perf.credit_stalls));
-        w.kv("forwards", static_cast<std::int64_t>(p.perf.forwards));
-        w.key("occupancy");
-        w.beginArray();
-        for (long long b : p.perf.occupancy)
-            w.value(static_cast<std::int64_t>(b));
-        w.endArray();
-        w.endObject();
-        w.key("timing");
-        w.beginObject();
-        w.kv("trial_seconds_total", p.trial_seconds_total);
-        w.kv("trial_seconds_max", p.trial_seconds_max);
-        if (p.trial_seconds_total > 0.0)
-            w.kv("cycles_per_sec",
-                 static_cast<double>(p.perf.cycles) *
-                     static_cast<double>(p.reps) /
-                     p.trial_seconds_total);
-        w.endObject();
+        w.kv("name", s.section);
+        w.kv("tier", tierName(s.tier));
+        w.kv("repetitions", static_cast<std::int64_t>(s.reps));
+        writeFields(w, s.config);
         w.endObject();
     }
     w.endArray();
     w.endObject();
-}
 
-void
-writeGridJson(std::ostream &os, const ExperimentGrid &grid,
-              const GridResult &result, std::uint64_t base_seed)
-{
-    writePointsJson(os, result.points, base_seed, result.jobs,
-                    result.wall_seconds, grid.repetitions);
+    w.key("points");
+    w.beginArray();
+    for (const StudyResult &s : studies_)
+        for (const PointResult &p : s.points)
+            writePoint(w, s.section, p);
+    w.endArray();
+
+    w.key("tables");
+    w.beginArray();
+    for (const auto &[heading, table] : tables_) {
+        w.beginObject();
+        w.kv("heading", heading);
+        w.key("rows");
+        table.writeJson(w);
+        w.endObject();
+    }
+    w.endArray();
+
+    w.key("summary");
+    w.beginObject();
+    writeFields(w, summary_);
+    w.endObject();
+
+    w.key("timing");
+    w.beginObject();
+    w.kv("jobs", static_cast<std::int64_t>(jobs_));
+    w.kv("wall_seconds", since(start_));
+    w.kv("peak_rss_bytes", static_cast<std::int64_t>(peakRssBytes()));
+    w.key("section_seconds");
+    w.beginObject();
+    for (const StudyResult &s : studies_)
+        w.kv(s.section, s.wall_seconds);
+    w.endObject();
+    w.endObject();
+    w.endObject();
 }
 
 } // namespace rfc

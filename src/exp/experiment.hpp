@@ -1,40 +1,62 @@
 /**
  * @file
- * Deterministic parallel experiment engine.
+ * Deterministic parallel experiment runner: one study type for every
+ * fidelity tier and one JSON document per run.
  *
- * Every figure and table of the paper is a grid of independent
- * simulation trials: topology x traffic pattern x offered load x seed.
- * This module runs such grids on a ThreadPool while keeping the output
- * bit-identical at any --jobs value:
+ * Every figure and table of the paper sweeps networks x cases x offered
+ * loads x seeds.  A Study lists its points (the crossPoints product or a
+ * hand-built list) and names the tier that evaluates them:
  *
- *  - each trial's seed is derived from {base seed, point index, rep}
- *    via deriveSeed (splitmix64 chain), never from shared RNG state or
- *    execution order;
- *  - each trial owns its Traffic instance and Simulator; the topology
- *    and routing oracle are shared read-only;
- *  - results land in slots indexed by trial id and are aggregated in a
- *    serial pass afterwards.
+ *  - kVct: the packet simulator under open-loop traffic;
+ *  - kWorkload: the packet simulator driving a closed-loop workload;
+ *  - kFlow: certified max concurrent flow plus ECMP fluid (src/flow);
+ *  - kQueue: the analytic queue-model latency sweep (src/queue).
  *
- * Aggregation reports per-trial means plus stddev / 95% CI for every
- * metric - including the packet counters, which the legacy
- * sweep::average() summed across reps while averaging the rates (so a
- * 5-rep sweep reported 5x the counters of a 1-rep sweep).  Per-trial
- * wall-clock is recorded so every bench run doubles as perf telemetry.
+ * ExperimentEngine::run keeps the output bit-identical at any --jobs
+ * value: trial r of point p runs at seed deriveSeed(base, p, r), every
+ * trial fills its own slot, and aggregation is one serial pass.  The
+ * packet tiers spread their trials across the engine's pool.  The
+ * analytic tiers run one group at a time (consecutive points with equal
+ * network and case labels, e.g. one load curve) and hand the pool to
+ * the solver instead: a parallelFor nested on one pool can deadlock,
+ * and concurrent million-terminal flow problems would multiply peak
+ * memory.  Rep r of group g draws its demand matrix from
+ * deriveSeed(base, g, 2r) and its sampled paths from
+ * deriveSeed(base, g, 2r + 1); the queue tier builds one flow problem
+ * per group and sweeps all of the group's loads on it.
+ *
+ * Each tier's evaluator emits named values per trial; the engine folds
+ * every name over the reps generically (Fold) and Report writes any
+ * result as {meta, points, tables, summary, timing}, with every
+ * run-dependent value (jobs, wall clock, peak RSS) inside objects named
+ * "timing".
+ *
+ * Packet counters are per-trial means like every other metric; only
+ * the engine perf counters, histograms and conservation-violation
+ * counts are totals over the reps.
  */
 #ifndef RFC_EXP_EXPERIMENT_HPP
 #define RFC_EXP_EXPERIMENT_HPP
 
-#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "flow/solver.hpp"
+#include "graph/graph.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
+#include "workload/closed_loop.hpp"
 
 namespace rfc {
 
@@ -43,42 +65,124 @@ class ThreadPool;
 /** Creates a fresh Traffic instance for one trial (thread-confined). */
 using TrafficFactory = std::function<std::unique_ptr<Traffic>()>;
 
-/** Named factory: @p label appears in reports. */
+/** Factory for the makeTraffic() pattern @p name. */
 TrafficFactory namedTraffic(const std::string &name);
 
-/** One fully specified grid point (shared inputs are read-only). */
-struct TrialSpec
+/**
+ * Evenly spaced loads in [lo, hi] with @p points entries.  Throws
+ * std::invalid_argument unless 0 < lo <= hi <= 1: a load of exactly 0
+ * is not simulable (SimConfig::validate rejects it).
+ */
+std::vector<double> loadRange(double lo, double hi, int points);
+
+/** A network under test: a folded Clos or a direct graph. */
+struct Network
 {
-    const FoldedClos *topology = nullptr;
+    std::string label;
+    const FoldedClos *topology = nullptr;  //!< Clos family
+    /** Routing oracle; null on points whose timeline owns the oracle. */
     const UpDownOracle *oracle = nullptr;
-    TrafficFactory traffic;
-    SimConfig config;      //!< load/mode/etc; seed overridden per trial
-    std::string label;     //!< free-form point label for reports
+    const Graph *graph = nullptr;  //!< direct family (flow and queue tiers)
+    int hosts_per_switch = 0;      //!< direct family
 
-    /**
-     * Routing-policy family for the trial's Simulator (oblivious
-     * up/down by default; kAdaptiveUgal selects the UGAL policy).
-     * Orthogonal to config.route_mode, which tunes the oblivious
-     * policy's up-phase discipline.
-     */
+    long long terminals() const;
+    /** Bit-stable structure sizes (0 where the part is absent). */
+    std::int64_t topologyBytes() const;
+    std::int64_t oracleBytes() const;
+};
+
+/** What a point evaluates on its network; each tier reads its fields. */
+struct Case
+{
+    std::string label;
+
+    // ---- kVct ------------------------------------------------------
+    TrafficFactory traffic{};
     ClosPolicy policy = ClosPolicy::kOblivious;
-
+    /** Replaces the base config's route mode in crossPoints. */
+    std::optional<RouteMode> route_mode{};
+    /** Runtime link faults: each trial owns an overlay and oracle. */
+    const FaultTimeline *faults = nullptr;
     /**
-     * Optional runtime fault schedule: when set, the trial runs the
-     * fault-injection simulator (each trial owns a private link-state
-     * overlay and incrementally repaired oracle; `oracle` above is
-     * ignored and may stay null).  Shared read-only across trials.
+     * Live topology change; the network's topology must be the union
+     * topology.  Takes precedence over `faults`.
      */
-    const FaultTimeline *timeline = nullptr;
+    const TopologyTimeline *changes = nullptr;
 
+    // ---- kWorkload -------------------------------------------------
+    WorkloadSpec workload{};
+
+    // ---- kFlow, kQueue ---------------------------------------------
+    std::string pattern{};  //!< makeDemandMatrix name
+};
+
+/** One fully specified study point (shared inputs are read-only). */
+struct Point
+{
+    Network network;
+    Case scenario;  //!< written as "case"
+    double load = 1.0;
     /**
-     * Optional live topology-change schedule (expansion drills):
-     * `topology` must be the matching *union* topology and takes
-     * precedence over `timeline` when both are set.  Recovery
-     * telemetry is keyed off firstDisruptionCycle() instead of the
-     * first fail.  Shared read-only across trials.
+     * Packet-tier template (load and seed are set per trial); the queue
+     * tier takes its packet size and link latency from here.
      */
-    const TopologyTimeline *topo_timeline = nullptr;
+    SimConfig config;
+    std::string label;
+};
+
+/**
+ * The cross product networks x cases x loads (network-major, then case,
+ * then load), each point labelled "network/case".  A case axis that is
+ * itself a product (policy x traffic) is flattened by the caller.
+ */
+std::vector<Point> crossPoints(const std::vector<Network> &networks,
+                               const std::vector<Case> &cases,
+                               const std::vector<double> &loads,
+                               const SimConfig &base = {});
+
+/**
+ * Row-major flat index of coordinates @p at in a grid whose axes have
+ * @p sizes entries - the order crossPoints expands, with any product
+ * axis (policy x traffic) passed as its separate factors.  Throws
+ * std::out_of_range on a coordinate outside its axis and
+ * std::invalid_argument when the two lists differ in length.
+ */
+std::size_t gridIndex(const std::vector<std::size_t> &sizes,
+                      const std::vector<std::size_t> &at);
+
+/** The fidelity tier evaluating a study. */
+enum class Tier
+{
+    kVct,
+    kWorkload,
+    kFlow,
+    kQueue,
+};
+
+/** "vct", "closed-loop", "flow" or "queue". */
+const char *tierName(Tier tier);
+
+/** A scalar in the document: configuration echoes, headline fields. */
+using JsonScalar = std::variant<std::int64_t, double, std::string>;
+using Fields = std::vector<std::pair<std::string, JsonScalar>>;
+
+/** One section of a run: a point list evaluated at one tier. */
+struct Study
+{
+    std::string section{};
+    Tier tier = Tier::kVct;
+    std::vector<Point> points{};
+    int reps = 1;
+
+    // ---- kFlow, kQueue ---------------------------------------------
+    int max_paths = 16;          //!< candidate paths per pair (ECMP / Yen k)
+    int uniform_samples = 4;     //!< uniform-pattern permutations; <= 0 exact
+    SolveOptions solve{};        //!< kFlow; the pool is the engine's
+    std::string model = "md1";   //!< kQueue: makeQueueModel name
+    double mg1_cv2 = 0.0;        //!< kQueue: mg1 service cv^2
+
+    /** Bench-specific configuration echoed in the section's meta. */
+    Fields config{};
 };
 
 /** Mean / spread snapshot of one metric over the reps of a point. */
@@ -91,160 +195,66 @@ struct MetricStat
     double max = 0.0;
 };
 
-/** Aggregated simulation results at one grid point. */
+/** How a named value folds over the reps of a point. */
+enum class Fold
+{
+    kStat,        //!< MetricStat (spread written when reps > 1)
+    kSum,         //!< total over the reps (counters)
+    kSeriesSum,   //!< elementwise total (histograms)
+    kSeriesMean,  //!< elementwise mean, accumulated as sum of x / reps
+};
+
+/** One named value of a point, folded over its reps. */
+struct Metric
+{
+    std::string name;
+    Fold fold = Fold::kStat;
+    MetricStat stat;             //!< kStat
+    std::vector<double> values;  //!< kSum (one entry) and the series
+};
+
+/** Aggregated results at one point. */
 struct PointResult
 {
+    std::string network;
+    std::string scenario;  //!< the case label
     std::string label;
-    double offered = 0.0;
+    double load = 0.0;
     int reps = 0;
+    long long terminals = 0;
+    std::int64_t topology_bytes = 0;
+    std::int64_t oracle_bytes = 0;
+    std::vector<Metric> metrics;  //!< in evaluator order
+    /** Run-dependent telemetry: trial seconds, evaluator timers. */
+    std::vector<std::pair<std::string, double>> timing;
 
-    MetricStat accepted;
-    MetricStat avg_latency;
-    MetricStat p50_latency;
-    MetricStat p99_latency;
-    MetricStat avg_hops;
-    MetricStat delivered_packets;   //!< per-trial mean, not a sum
-    MetricStat generated_packets;   //!< per-trial mean, not a sum
-    MetricStat suppressed_packets;  //!< per-trial mean, not a sum
-    MetricStat unroutable_packets;  //!< per-trial mean, not a sum
-    MetricStat dropped_packets;     //!< TTL drops (per-trial mean)
-    MetricStat rerouted_packets;    //!< route-loss recoveries (mean)
-    MetricStat route_retries;       //!< route-less head-packet cycles
-
+    bool has(const std::string &name) const;
     /**
-     * Trials of this point whose SimResult violated the packet
-     * conservation identity (see conservationGap); always audited, so
-     * any engine/policy accounting bug fails loudly in bench output.
-     * Bit-stable (0 on a healthy build) and part of determinism diffs.
+     * The per-trial mean of a kStat metric, or a kSum total; throws
+     * std::out_of_range naming @p name when absent.
      */
-    long long conservation_violations = 0;
-
-    /**
-     * Live topology-change counters (expansion.active when the point
-     * ran a timeline).  The timeline-determined fields are identical
-     * across reps by construction (events fire at fixed cycles in a
-     * fixed order), so rep 0's counters stand for the point; the
-     * per-rep barrier in-flight census varies with traffic and is
-     * aggregated separately below.  All bit-stable.
-     */
-    ExpansionCounters expansion;
-    MetricStat barrier_inflight;  //!< in-flight packets at change barriers
-
-    // ---- fault-recovery aggregates ------------------------------
-    // Populated when the point's trials carried a FaultTimeline and
-    // telemetry bins (SimConfig::telemetry_bin > 0).
-    MetricStat time_to_reconverge;  //!< cycles after first failure (-1 = never)
-    MetricStat dip_fraction;        //!< min post-failure rate / baseline
-    std::vector<double> delivered_bins_mean;  //!< mean recovery curve
-    long long telemetry_bin = 0;    //!< bin width of the curve (0 = none)
-
-    double trial_seconds_total = 0.0;  //!< summed per-trial wall clock
-    double trial_seconds_max = 0.0;    //!< slowest trial at this point
-
-    // ---- memory budget ------------------------------------------
-    // Measured structure sizes for the point's shared inputs (bit-
-    // stable, unlike peak RSS which is reported once per run).
-    std::int64_t topology_bytes = 0;  //!< FoldedClos::memoryBytes()
-    std::int64_t oracle_bytes = 0;    //!< UpDownOracle::memoryBytes()
-
-    /**
-     * Engine counters merged over the point's reps (deterministic
-     * fields only: scans, conflicts, stalls, forwards, occupancy;
-     * cycles is the per-trial window length, identical across reps).
-     */
-    PerfCounters perf;
-
-    /**
-     * Collapse to the legacy SimResult shape: every field is the
-     * per-trial mean (counters rounded to the nearest integer).
-     */
-    SimResult toSimResult() const;
+    double mean(const std::string &name) const;
 };
 
-/**
- * Declarative experiment grid: the cross product
- * networks x policies x traffics x loads, each point repeated
- * `repetitions` times with independent derived seeds.  The policy
- * axis is optional: an empty `policies` vector behaves exactly like
- * the pre-policy grid (one implicit oblivious policy using `base`'s
- * route_mode, labels stay "net/pattern").
- */
-struct ExperimentGrid
+/** Result of ExperimentEngine::run: points in study order. */
+struct StudyResult
 {
-    struct Network
-    {
-        std::string label;
-        const FoldedClos *topology;
-        const UpDownOracle *oracle;
-    };
-    struct Pattern
-    {
-        std::string label;
-        TrafficFactory make;
-    };
-    /** One entry on the routing-policy axis. */
-    struct PolicySpec
-    {
-        std::string label;
-        ClosPolicy policy = ClosPolicy::kOblivious;
-        //! Replaces base.route_mode when override_mode is set, so one
-        //! grid can sweep minimal vs Valiant vs UGAL side by side.
-        RouteMode route_mode = RouteMode::kMinimal;
-        bool override_mode = false;
-    };
-
-    std::vector<Network> networks;
-    std::vector<PolicySpec> policies;  //!< empty = implicit oblivious
-    std::vector<Pattern> traffics;
-    std::vector<double> loads;
-    SimConfig base;        //!< template; load and seed set per point
-    int repetitions = 1;
-
-    ExperimentGrid &addNetwork(std::string label, const FoldedClos &fc,
-                               const UpDownOracle &oracle);
-    /** Policy keeping base.route_mode (e.g. the UGAL family). */
-    ExperimentGrid &addPolicy(std::string label, ClosPolicy policy);
-    /** Policy that also pins the oblivious up-phase discipline. */
-    ExperimentGrid &addPolicy(std::string label, ClosPolicy policy,
-                              RouteMode mode);
-    /** Pattern by makeTraffic() name. */
-    ExperimentGrid &addTraffic(const std::string &name);
-    ExperimentGrid &addTraffic(std::string label, TrafficFactory make);
-
-    /** Expand the cross product into flat point specs. */
-    std::vector<TrialSpec> points() const;
-
-    std::size_t numPoints() const
-    {
-        return networks.size() * std::max<std::size_t>(policies.size(), 1) *
-               traffics.size() * loads.size();
-    }
-};
-
-/** Result of ExperimentGrid::run: points in grid declaration order. */
-struct GridResult
-{
-    //! net-major, then policy (when the axis is used), traffic, load.
+    std::string section;
+    Tier tier = Tier::kVct;
+    int reps = 1;
+    Fields config;  //!< tier knobs, then Study::config
     std::vector<PointResult> points;
-    double wall_seconds = 0.0;        //!< engine wall clock for the run
-    int jobs = 1;
-
-    /** Index into points for (network, traffic, load) coordinates. */
-    std::size_t
-    index(std::size_t net, std::size_t traffic, std::size_t load,
-          std::size_t n_traffics, std::size_t n_loads) const
-    {
-        return (net * n_traffics + traffic) * n_loads + load;
-    }
+    double wall_seconds = 0.0;
 };
 
 /**
- * Runs trial grids on a thread pool with deterministic seeding.
+ * Runs studies on a thread pool with deterministic seeding.
  *
  * `jobs` counts total concurrent threads including the caller
  * (jobs = 1 is fully serial); <= 0 selects hardware concurrency.
- * Instances are reusable across grids and cheap enough to create per
- * bench run.
+ * Every entry point throws std::invalid_argument, naming the count,
+ * when its repetition or trial count is below 1; exceptions from
+ * trials are rethrown on the caller.
  */
 class ExperimentEngine
 {
@@ -255,29 +265,12 @@ class ExperimentEngine
     int jobs() const;
     std::uint64_t baseSeed() const { return base_seed_; }
 
-    /**
-     * The engine's worker pool (never null; 0 workers when jobs = 1).
-     * Lets per-point parallel solvers (src/flow) share the engine's
-     * threads instead of spinning up their own.
-     */
-    ThreadPool *pool() const { return pool_.get(); }
-
-    /**
-     * Run every point `reps` times; trial t of point p uses seed
-     * deriveSeed(base_seed, p, t).  Results are bit-identical for any
-     * jobs value.  Exceptions from trials are rethrown on the caller.
-     */
-    std::vector<PointResult> runPoints(const std::vector<TrialSpec> &pts,
-                                       int reps) const;
-
-    /** Expand and run a declarative grid. */
-    GridResult run(const ExperimentGrid &grid) const;
+    /** Evaluate every point of @p study study.reps times. */
+    StudyResult run(const Study &study) const;
 
     /**
      * Generic parallel study: aggregate `reps` scalar-valued trials of
      * fn(rep, seed), with seed = deriveSeed(base_seed, stream, rep).
-     * The serial-RNG equivalent of disconnectionStudy / thm42-style
-     * loops, made deterministic under parallel execution.
      */
     RunningStat study(std::uint64_t stream, int reps,
                       const std::function<double(int, std::uint64_t)>
@@ -285,31 +278,29 @@ class ExperimentEngine
 
     /**
      * Generic deterministic map: out[i] = fn(i, deriveSeed(base, stream,
-     * i)) computed on the pool.
+     * i)) for i < n, computed on the pool.
      */
     template <typename R>
     std::vector<R>
-    map(std::uint64_t stream, std::size_t n,
+    map(std::uint64_t stream, int n,
         const std::function<R(std::size_t, std::uint64_t)> &fn) const
     {
-        std::vector<R> out(n);
-        forEachIndex(n, [&](std::size_t i) {
+        checkCount("trial count", n);
+        std::vector<R> out(static_cast<std::size_t>(n));
+        forEachIndex(out.size(), [&](std::size_t i) {
             out[i] = fn(i, deriveSeed(base_seed_, stream, i));
         });
         return out;
     }
 
   private:
-    /** parallelFor over the engine's pool (implementation detail). */
+    static void checkCount(const char *what, long long n);
     void forEachIndex(std::size_t n,
                       const std::function<void(std::size_t)> &fn) const;
 
     std::unique_ptr<ThreadPool> pool_;
     std::uint64_t base_seed_;
 };
-
-/** Convert a RunningStat snapshot into a MetricStat. */
-MetricStat toMetricStat(const RunningStat &s);
 
 /**
  * Packet conservation audit for one open-loop run: every generated
@@ -318,32 +309,47 @@ MetricStat toMetricStat(const RunningStat &s);
  *   generated == suppressed + unroutable + queued_packets_end
  *              + in_flight_packets + ejected_packets + dropped_packets
  *
- * Returns the (signed) imbalance; 0 on a healthy engine.  runPoints
- * evaluates this for every trial and counts nonzero results in
- * PointResult::conservation_violations.
+ * Returns the (signed) imbalance; 0 on a healthy engine.  The packet
+ * tier audits every trial and reports the violating ones in the
+ * conservation_violations metric.
  */
 long long conservationGap(const SimResult &r);
 
 /**
- * Emit a grid result as a JSON document: run metadata (jobs, seed,
- * wall clock) and per-point aggregates with stddev/ci95 and per-trial
- * timing.  Timing fields vary run to run; everything else is
- * bit-stable across jobs values.
+ * One run's JSON document:
+ *
+ *   {"meta": {bench, base_seed, sections: [{name, tier, repetitions,
+ *             ...config}]},
+ *    "points": [{section, network, case, label, load, reps, terminals,
+ *                metrics: {name: {mean[, stddev, ci95, min, max]} |
+ *                          total | [series]},
+ *                memory: {topology_bytes, oracle_bytes}, timing: {...}}],
+ *    "tables": [{heading, rows: [{header: cell}]}],
+ *    "summary": {headline fields},
+ *    "timing": {jobs, wall_seconds, peak_rss_bytes, section_seconds}}
+ *
+ * Everything outside the "timing" objects is bit-identical at any jobs
+ * value.
  */
-void writeGridJson(std::ostream &os, const ExperimentGrid &grid,
-                   const GridResult &result, std::uint64_t base_seed);
+class Report
+{
+  public:
+    Report(std::string bench, std::uint64_t base_seed, int jobs);
 
-/**
- * Emit a bare point list (the runPoints shape - fault drills and other
- * non-grid sweeps) as the same JSON document writeGridJson produces.
- * Points carrying recovery telemetry additionally get a "recovery"
- * object: time-to-reconverge, dip fraction and the mean delivered-per-
- * bin curve.
- */
-void writePointsJson(std::ostream &os,
-                     const std::vector<PointResult> &points,
-                     std::uint64_t base_seed, int jobs,
-                     double wall_seconds, int repetitions);
+    void add(StudyResult study);
+    void addTable(std::string heading, TablePrinter table);
+    void field(std::string key, JsonScalar value);
+    void write(std::ostream &os) const;
+
+  private:
+    std::string bench_;
+    std::uint64_t base_seed_;
+    int jobs_;
+    std::chrono::steady_clock::time_point start_;
+    std::vector<StudyResult> studies_;
+    std::vector<std::pair<std::string, TablePrinter>> tables_;
+    Fields summary_;
+};
 
 } // namespace rfc
 

@@ -34,9 +34,6 @@
 #include "clos/rfc.hpp"
 #include "clos/serialize.hpp"
 #include "exp/experiment.hpp"
-#include "exp/flow_experiment.hpp"
-#include "exp/queue_experiment.hpp"
-#include "exp/workload_experiment.hpp"
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
@@ -52,7 +49,6 @@
 #include "routing/updown.hpp"
 #include "sim/direct.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "util/bitset.hpp"
 #include "util/json.hpp"

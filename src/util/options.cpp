@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <limits>
@@ -41,6 +42,15 @@ parseInteger(const std::string &what, const std::string &text)
     return parseWhole(what, text, "an integer",
                       [](const std::string &s, std::size_t *used) {
                           return std::stoll(s, used);
+                      });
+}
+
+double
+parseNumber(const std::string &what, const std::string &text)
+{
+    return parseWhole(what, text, "a number",
+                      [](const std::string &s, std::size_t *used) {
+                          return std::stod(s, used);
                       });
 }
 
@@ -93,10 +103,45 @@ Options::getDouble(const std::string &name, double def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return parseWhole("option --" + name, it->second, "a number",
-                      [](const std::string &s, std::size_t *used) {
-                          return std::stod(s, used);
-                      });
+    return parseNumber("option --" + name, it->second);
+}
+
+std::vector<std::string>
+Options::getList(const std::string &name, const std::string &def,
+                 const std::vector<std::string> &valid) const
+{
+    const std::string text = get(name, def);
+    std::vector<std::string> out;
+    for (std::size_t begin = 0;; ) {
+        const std::size_t comma = std::min(text.find(',', begin),
+                                           text.size());
+        std::string item = text.substr(begin, comma - begin);
+        if (item.empty())
+            throw std::invalid_argument("option --" + name +
+                                        ": empty item in '" + text + "'");
+        if (!valid.empty() &&
+            std::find(valid.begin(), valid.end(), item) == valid.end()) {
+            std::string names;
+            for (const auto &v : valid)
+                names += (names.empty() ? "" : ", ") + v;
+            throw std::invalid_argument("option --" + name + ": unknown '" +
+                                        item + "' (valid: " + names + ")");
+        }
+        out.push_back(std::move(item));
+        if (comma == text.size())
+            return out;
+        begin = comma + 1;
+    }
+}
+
+std::vector<double>
+Options::getDoubleList(const std::string &name,
+                       const std::string &def) const
+{
+    std::vector<double> out;
+    for (const auto &item : getList(name, def))
+        out.push_back(parseNumber("option --" + name, item));
+    return out;
 }
 
 bool

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace rfc {
 
@@ -41,6 +42,20 @@ class Options
 
     /** Boolean option: bare flag, or values 0/1/true/false. */
     bool getBool(const std::string &name, bool def) const;
+
+    /**
+     * Comma-separated list option ("a,b,c"), @p def when absent.
+     * Throws std::invalid_argument on an empty item and, when @p valid
+     * is non-empty, on an item outside it (the message lists the valid
+     * names).
+     */
+    std::vector<std::string>
+    getList(const std::string &name, const std::string &def,
+            const std::vector<std::string> &valid = {}) const;
+
+    /** List of numbers, each item parsed as strictly as getDouble. */
+    std::vector<double> getDoubleList(const std::string &name,
+                                      const std::string &def) const;
 
     /** Paper-scale switch: --full flag or env RFC_FULL=1. */
     bool fullScale() const;

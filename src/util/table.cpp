@@ -93,9 +93,8 @@ TablePrinter::printCsv(std::ostream &os) const
 }
 
 void
-TablePrinter::printJson(std::ostream &os) const
+TablePrinter::writeJson(JsonWriter &w) const
 {
-    JsonWriter w(os);
     w.beginArray();
     for (const auto &row : rows_) {
         w.beginObject();

@@ -15,6 +15,8 @@
 
 namespace rfc {
 
+class JsonWriter;
+
 /** Collects rows of string cells and prints them column-aligned or as CSV. */
 class TablePrinter
 {
@@ -41,10 +43,11 @@ class TablePrinter
     void printCsv(std::ostream &os) const;
 
     /**
-     * Print as a JSON array of objects keyed by the headers (cells stay
-     * strings; numeric parsing is the consumer's choice).
+     * Write as a JSON array of objects keyed by the headers (cells stay
+     * strings; numeric parsing is the consumer's choice), as the next
+     * value of @p w.
      */
-    void printJson(std::ostream &os) const;
+    void writeJson(JsonWriter &w) const;
 
     std::size_t rows() const { return rows_.size(); }
 

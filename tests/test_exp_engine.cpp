@@ -1,18 +1,23 @@
 /**
  * @file
- * Tests for the deterministic parallel experiment engine: seed
- * derivation, bit-identical results at any --jobs value, and the
- * counter-aggregation semantics of the legacy sweep API.
+ * Tests for the deterministic parallel experiment runner: seed
+ * derivation, bit-identical documents at any --jobs value on every
+ * fidelity tier, the one JSON envelope, the grid index helper, the
+ * repetition-count check and the per-trial-mean counter semantics.
  */
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "clos/fat_tree.hpp"
 #include "exp/experiment.hpp"
+#include "flow/demand.hpp"
+#include "flow/paths.hpp"
+#include "json_deterministic.hpp"
 #include "routing/updown.hpp"
-#include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
 
@@ -49,66 +54,237 @@ TEST(DeriveSeed, StreamAndRepAreNotInterchangeable)
     EXPECT_NE(deriveSeed(1, 0, 1), deriveSeed(2, 0, 0));
 }
 
-void
-expectSameMetric(const MetricStat &a, const MetricStat &b)
+/** Two loads x two reps of one case on @p net at @p tier. */
+Study
+smallStudy(Tier tier, const Network &net, int shards = 1, int sim_jobs = 1)
 {
-    // Bitwise equality: determinism, not tolerance, is the contract.
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.stddev, b.stddev);
-    EXPECT_EQ(a.ci95, b.ci95);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
+    SimConfig base = quickConfig();
+    base.shards = shards;
+    base.jobs = sim_jobs;
+    Case c;
+    c.label = "uniform";
+    if (tier == Tier::kVct)
+        c.traffic = namedTraffic("uniform");
+    else if (tier == Tier::kWorkload)
+        c.label = c.workload.label();
+    else
+        c.pattern = "uniform";
+    return {tierName(tier), tier, crossPoints({net}, {c}, {0.3, 0.8}, base),
+            2};
 }
 
-void
-expectSamePoint(const PointResult &a, const PointResult &b)
+std::string
+document(const ExperimentEngine &engine, const Study &study)
 {
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.reps, b.reps);
-    expectSameMetric(a.accepted, b.accepted);
-    expectSameMetric(a.avg_latency, b.avg_latency);
-    expectSameMetric(a.p50_latency, b.p50_latency);
-    expectSameMetric(a.p99_latency, b.p99_latency);
-    expectSameMetric(a.avg_hops, b.avg_hops);
-    expectSameMetric(a.delivered_packets, b.delivered_packets);
-    expectSameMetric(a.generated_packets, b.generated_packets);
-    expectSameMetric(a.suppressed_packets, b.suppressed_packets);
-    expectSameMetric(a.unroutable_packets, b.unroutable_packets);
+    Report report("test", engine.baseSeed(), engine.jobs());
+    report.add(engine.run(study));
+    std::ostringstream os;
+    report.write(os);
+    return os.str();
 }
 
-TEST(ExperimentEngine, GridIsBitIdenticalAtJobs148)
+/** Keys of the lines indented by exactly @p indent spaces, in order. */
+std::vector<std::string>
+keysAtIndent(const std::string &doc, int indent)
+{
+    const std::regex key("^ {" + std::to_string(indent) + "}\"([a-z_]+)\":");
+    std::vector<std::string> out;
+    std::istringstream in(doc);
+    std::smatch m;
+    for (std::string line; std::getline(in, line);)
+        if (std::regex_search(line, m, key))
+            out.push_back(m[1]);
+    return out;
+}
+
+class StudyTiers : public ::testing::TestWithParam<Tier>
+{
+  protected:
+    FoldedClos fc_ = buildCft(4, 2);
+    UpDownOracle oracle_{fc_};
+    Network net_{"cft", &fc_, &oracle_};
+};
+
+TEST_P(StudyTiers, DocumentIsBitIdenticalAtJobs1And4)
+{
+    const Study study = smallStudy(GetParam(), net_);
+    const std::string one = document(ExperimentEngine(1, 5), study);
+    const std::string four = document(ExperimentEngine(4, 5), study);
+    // Only the timing objects may differ ("jobs" at least does).
+    EXPECT_NE(one, four);
+    EXPECT_EQ(withoutTiming(one), withoutTiming(four));
+}
+
+TEST_P(StudyTiers, PacketTiersAreBitIdenticalAtSimJobs1And4)
+{
+    if (GetParam() == Tier::kFlow || GetParam() == Tier::kQueue)
+        GTEST_SKIP() << "analytic tiers have no intra-trial threads";
+    const ExperimentEngine engine(1, 5);
+    EXPECT_EQ(withoutTiming(document(engine, smallStudy(GetParam(), net_,
+                                                         4, 1))),
+              withoutTiming(document(engine, smallStudy(GetParam(), net_,
+                                                         4, 4))));
+}
+
+TEST_P(StudyTiers, EnvelopeIsTheSameForEveryTier)
+{
+    const std::string doc =
+        document(ExperimentEngine(2, 5), smallStudy(GetParam(), net_));
+    EXPECT_EQ(keysAtIndent(doc, 2),
+              (std::vector<std::string>{"meta", "points", "tables",
+                                        "summary", "timing"}));
+    // Point members sit at indent 6 of the points array.
+    const std::size_t begin = doc.find("\"points\"");
+    const std::string points = doc.substr(begin, doc.find("\"tables\"") - begin);
+    const std::vector<std::string> point{
+        "section", "network", "case",    "label",  "load",
+        "reps",    "terminals", "metrics", "memory", "timing"};
+    std::vector<std::string> want;
+    for (int p = 0; p < 2; ++p)
+        want.insert(want.end(), point.begin(), point.end());
+    EXPECT_EQ(keysAtIndent(points, 6), want);
+    // reps = 2: every kStat metric carries its spread.
+    EXPECT_NE(doc.find("\"ci95\""), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, StudyTiers,
+                         ::testing::Values(Tier::kVct, Tier::kWorkload,
+                                           Tier::kFlow, Tier::kQueue),
+                         [](const auto &info) {
+                             std::string name = tierName(info.param);
+                             return name == "closed-loop" ? "closed_loop"
+                                                          : name;
+                         });
+
+TEST(ExperimentEngine, SpreadIsWrittenOnlyWhenRepsExceedOne)
 {
     auto fc = buildCft(4, 2);
     UpDownOracle oracle(fc);
+    Study study = smallStudy(Tier::kVct, {"cft", &fc, &oracle});
+    study.reps = 1;
+    const std::string doc = document(ExperimentEngine(1, 5), study);
+    EXPECT_NE(doc.find("\"mean\""), std::string::npos);
+    EXPECT_EQ(doc.find("\"stddev\""), std::string::npos);
+    EXPECT_EQ(doc.find("\"ci95\""), std::string::npos);
+}
 
-    ExperimentGrid grid;
-    grid.addNetwork("cft", fc, oracle);
-    grid.addTraffic("uniform");
-    grid.addTraffic("random-pairing");
-    grid.loads = {0.3, 0.9};
-    grid.base = quickConfig();
-    grid.repetitions = 3;
+TEST(ExperimentEngine, GridIndexCoversEveryAxisIncludingPolicy)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    const std::vector<Network> nets{{"a", &fc, &oracle},
+                                    {"b", &fc, &oracle}};
+    const ClosPolicy policies[] = {ClosPolicy::kOblivious,
+                                   ClosPolicy::kAdaptiveUgal};
+    const std::string traffics[] = {"uniform", "random-pairing"};
+    std::vector<Case> cases;  // policy x traffic, flattened
+    for (ClosPolicy pol : policies)
+        for (const auto &t : traffics) {
+            const Case c{std::to_string(static_cast<int>(pol)) + "/" + t,
+                         namedTraffic(t), pol};
+            cases.push_back(c);
+        }
+    const std::vector<double> loads{0.2, 0.5, 0.9};
+    const std::vector<Point> points = crossPoints(nets, cases, loads);
+    ASSERT_EQ(points.size(), 2u * 2u * 2u * 3u);
 
-    GridResult r1 = ExperimentEngine(1, 5).run(grid);
-    GridResult r4 = ExperimentEngine(4, 5).run(grid);
-    GridResult r8 = ExperimentEngine(8, 5).run(grid);
+    std::set<std::size_t> seen;
+    for (std::size_t n = 0; n < 2; ++n)
+        for (std::size_t p = 0; p < 2; ++p)
+            for (std::size_t t = 0; t < 2; ++t)
+                for (std::size_t l = 0; l < 3; ++l) {
+                    const std::size_t i =
+                        gridIndex({2, 2, 2, 3}, {n, p, t, l});
+                    seen.insert(i);
+                    const Point &pt = points.at(i);
+                    const Case &c = cases[p * 2 + t];
+                    EXPECT_EQ(pt.network.label, nets[n].label);
+                    EXPECT_EQ(pt.scenario.policy, policies[p]);
+                    EXPECT_EQ(pt.scenario.label, c.label);
+                    EXPECT_EQ(pt.load, loads[l]);
+                    EXPECT_EQ(pt.label, nets[n].label + "/" + c.label);
+                }
+    EXPECT_EQ(seen.size(), points.size());
+    EXPECT_THROW(gridIndex({2, 2}, {0, 2}), std::out_of_range);
+    EXPECT_THROW(gridIndex({2, 2}, {0}), std::invalid_argument);
+}
 
-    ASSERT_EQ(r1.points.size(), grid.numPoints());
-    ASSERT_EQ(r4.points.size(), r1.points.size());
-    ASSERT_EQ(r8.points.size(), r1.points.size());
-    for (std::size_t i = 0; i < r1.points.size(); ++i) {
-        expectSamePoint(r1.points[i], r4.points[i]);
-        expectSamePoint(r1.points[i], r8.points[i]);
+TEST(ExperimentEngine, CaseRouteModeOverridesTheBaseConfig)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    Case valiant{"valiant", namedTraffic("uniform")};
+    valiant.route_mode = RouteMode::kValiant;
+    const Case plain{"plain", namedTraffic("uniform")};
+    const auto points = crossPoints({{"cft", &fc, &oracle}},
+                                    {valiant, plain}, {0.5}, quickConfig());
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].config.route_mode, RouteMode::kValiant);
+    EXPECT_EQ(points[1].config.route_mode, quickConfig().route_mode);
+}
+
+TEST(ExperimentEngine, FlowTierDrawsDemandsAndPathsFromPointStreams)
+{
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    Study study = smallStudy(Tier::kFlow, {"cft", &fc, &oracle});
+    study.points = crossPoints({{"a", &fc, &oracle}, {"b", &fc, &oracle}},
+                               {study.points[0].scenario}, {1.0});
+    study.reps = 1;
+    study.max_paths = 4;
+    study.uniform_samples = 2;
+    const StudyResult r = ExperimentEngine(2, 11).run(study);
+    ASSERT_EQ(r.points.size(), 2u);
+    for (std::uint64_t p = 0; p < 2; ++p) {
+        // Point p's demand matrix comes from stream (p, 0), its sampled
+        // paths from (p, 1).
+        const DemandMatrix dm = makeDemandMatrix(
+            "uniform", fc.numTerminals(), deriveSeed(11, p, 0), 2);
+        UpDownEcmpPaths provider(fc, oracle, 4, deriveSeed(11, p, 1));
+        const FlowProblem problem = buildClosFlowProblem(fc, provider, dm);
+        const PointResult &got = r.points[p];
+        EXPECT_EQ(got.mean("throughput"),
+                  solveMaxConcurrentFlow(problem, study.solve).throughput);
+        EXPECT_EQ(got.mean("ecmp_saturation"), ecmpFluid(problem).saturation);
+        EXPECT_EQ(got.mean("paths"),
+                  static_cast<double>(problem.numPathsTotal()));
     }
 }
 
-TEST(ExperimentEngine, EmptyGridYieldsNoPoints)
+TEST(ExperimentEngine, EmptyStudyYieldsNoPoints)
 {
     ExperimentEngine engine(4, 1);
-    ExperimentGrid grid;  // no networks, traffics or loads
-    EXPECT_EQ(engine.run(grid).points.size(), 0u);
-    EXPECT_EQ(engine.runPoints({}, 3).size(), 0u);
+    EXPECT_EQ(engine.run({"empty", Tier::kVct}).points.size(), 0u);
+    EXPECT_EQ(engine.run({"empty", Tier::kFlow}).points.size(), 0u);
+}
+
+TEST(ExperimentEngine, RejectsRepetitionCountsBelowOne)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    ExperimentEngine engine(2, 1);
+    auto scalar = [](int, std::uint64_t) { return 0.0; };
+    auto echo = [](std::size_t, std::uint64_t seed) { return seed; };
+    for (Tier tier : {Tier::kVct, Tier::kFlow}) {
+        Study study = smallStudy(tier, {"cft", &fc, &oracle});
+        for (int reps : {0, -1}) {
+            study.reps = reps;
+            try {
+                engine.run(study);
+                ADD_FAILURE() << "reps " << reps << " accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "got " + std::to_string(reps)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    for (int reps : {0, -1}) {
+        EXPECT_THROW(engine.study(0, reps, scalar), std::invalid_argument);
+        EXPECT_THROW(engine.map<std::uint64_t>(0, reps, echo),
+                     std::invalid_argument);
+    }
 }
 
 TEST(ExperimentEngine, StudyAndMapAreJobCountInvariant)
@@ -139,65 +315,25 @@ TEST(ExperimentEngine, TrialExceptionReachesTheCaller)
                  std::runtime_error);
 }
 
-TEST(Sweep, LegacyCountersReportPerTrialMeansNotSums)
+TEST(ExperimentEngine, CountersReportPerTrialMeansNotSums)
 {
-    // API change (documented in sweep.hpp): the old aggregator summed
-    // delivered/generated/suppressed counters across repetitions while
-    // averaging the rates; counters are now per-trial means too.
+    // The legacy sweep aggregator summed delivered/generated/suppressed
+    // counters across repetitions while averaging the rates; counters
+    // are per-trial means like every other metric.
     auto fc = buildCft(4, 2);
     UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
-
-    UniformTraffic t1, t3;
-    auto one = runLoadSweep(fc, oracle, t1, cfg, {0.5}, 1);
-    auto three = runLoadSweep(fc, oracle, t3, cfg, {0.5}, 3);
-    ASSERT_EQ(one.size(), 1u);
-    ASSERT_EQ(three.size(), 1u);
-    ASSERT_GT(one[0].delivered_packets, 0);
-    // A 3-rep sweep of the same scenario must report a similar counter
+    Study study = smallStudy(Tier::kVct, {"cft", &fc, &oracle});
+    study.reps = 1;
+    const ExperimentEngine engine(2, 5);
+    const double one = engine.run(study).points[0].mean("delivered_packets");
+    study.reps = 3;
+    const double three =
+        engine.run(study).points[0].mean("delivered_packets");
+    ASSERT_GT(one, 0.0);
+    // A 3-rep study of the same scenario must report a similar counter
     // magnitude, not a 3x total.
-    EXPECT_LT(three[0].delivered_packets,
-              2 * one[0].delivered_packets);
-    EXPECT_GT(three[0].delivered_packets,
-              one[0].delivered_packets / 2);
-}
-
-TEST(Sweep, FactoryOverloadMatchesBorrowedTrafficBitForBit)
-{
-    auto fc = buildCft(4, 2);
-    UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
-    std::vector<double> loads{0.2, 0.7};
-
-    UniformTraffic borrowed;
-    auto serial = runLoadSweep(fc, oracle, borrowed, cfg, loads, 2);
-    auto parallel = runLoadSweep(fc, oracle, namedTraffic("uniform"),
-                                 cfg, loads, 2, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].offered, parallel[i].offered);
-        EXPECT_EQ(serial[i].accepted, parallel[i].accepted);
-        EXPECT_EQ(serial[i].avg_latency, parallel[i].avg_latency);
-        EXPECT_EQ(serial[i].avg_hops, parallel[i].avg_hops);
-        EXPECT_EQ(serial[i].delivered_packets,
-                  parallel[i].delivered_packets);
-        EXPECT_EQ(serial[i].generated_packets,
-                  parallel[i].generated_packets);
-    }
-}
-
-TEST(Sweep, SaturationThroughputAgreesAcrossOverloads)
-{
-    auto fc = buildCft(4, 2);
-    UpDownOracle oracle(fc);
-    auto cfg = quickConfig();
-
-    UniformTraffic borrowed;
-    auto serial = saturationThroughput(fc, oracle, borrowed, cfg, 2);
-    auto parallel = saturationThroughput(
-        fc, oracle, namedTraffic("uniform"), cfg, 2, 8);
-    EXPECT_EQ(serial.accepted, parallel.accepted);
-    EXPECT_EQ(serial.offered, 1.0);
+    EXPECT_LT(three, 2 * one);
+    EXPECT_GT(three, one / 2);
 }
 
 } // namespace

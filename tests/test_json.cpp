@@ -199,7 +199,8 @@ TEST(TablePrinter, PrintJsonEmitsOneObjectPerRow)
     t.addRow({"alpha", "1"});
     t.addRow({"beta", "2.5"});
     std::ostringstream os;
-    t.printJson(os);
+    JsonWriter w(os);
+    t.writeJson(w);
     const std::string out = os.str();
     EXPECT_NE(out.find("\"name\": \"alpha\""), std::string::npos);
     EXPECT_NE(out.find("\"name\": \"beta\""), std::string::npos);

@@ -13,9 +13,9 @@
  *  - max_utilization = load / saturation, and stays <= 1 on every
  *    unsaturated point;
  *  - flow conservation: injection = ejection = total routed weight;
- *  - the full grid JSON is bit-identical at any jobs value once the
- *    timing fields are stripped (the same filter the CI determinism
- *    job applies to ext_latency_curves output).
+ *  - the queue-tier study document is bit-identical at any jobs value
+ *    once the timing objects are stripped (the same filter the CI
+ *    determinism job applies to ext_latency_curves output).
  *
  * Over random shifted-gamma mixtures, the certified-replay quantile
  * must return the plain bisection's double bit for bit.
@@ -28,10 +28,11 @@
 #include <vector>
 
 #include "check/prop.hpp"
-#include "exp/queue_experiment.hpp"
+#include "exp/experiment.hpp"
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
+#include "json_deterministic.hpp"
 #include "mixture_reference.hpp"
 #include "queue/latency.hpp"
 #include "queue/queue_model.hpp"
@@ -40,27 +41,6 @@
 
 namespace rfc {
 namespace {
-
-/** Drop the lines the CI determinism diff also ignores. */
-std::string
-stripTimingFields(const std::string &json)
-{
-    static const char *kVolatile[] = {
-        "\"jobs\"",          "\"wall_seconds\"", "\"build_seconds\"",
-        "\"sweep_seconds\"", "\"peak_rss_bytes\""};
-    std::ostringstream out;
-    std::istringstream in(json);
-    std::string line;
-    while (std::getline(in, line)) {
-        bool drop = false;
-        for (const char *key : kVolatile)
-            if (line.find(key) != std::string::npos)
-                drop = true;
-        if (!drop)
-            out << line << "\n";
-    }
-    return out.str();
-}
 
 CheckResult
 queueContract(const TopoParams &params)
@@ -184,21 +164,23 @@ jsonJobsInvariance(const TopoParams &params)
     if (!oracle.routable())
         return CheckResult::pass();
 
-    QueueGrid grid;
-    grid.addClos("net", fc, oracle);
-    grid.patterns = {"uniform"};
-    grid.loads = {0.2, 0.5, 0.8};
-    grid.max_paths = 8;
-    grid.uniform_samples = 2;
+    Case uniform;
+    uniform.label = uniform.pattern = "uniform";
+    Study study{"queue", Tier::kQueue,
+                crossPoints({{"net", &fc, &oracle}}, {uniform},
+                            {0.2, 0.5, 0.8})};
+    study.max_paths = 8;
+    study.uniform_samples = 2;
 
     std::string json[2];
     int jobs[2] = {1, 3};
     for (int i = 0; i < 2; ++i) {
         ExperimentEngine engine(jobs[i], params.wiring_seed);
-        auto result = runQueueGrid(grid, engine);
+        Report report("prop", engine.baseSeed(), engine.jobs());
+        report.add(engine.run(study));
         std::ostringstream os;
-        writeQueueGridJson(os, grid, result, engine.baseSeed());
-        json[i] = stripTimingFields(os.str());
+        report.write(os);
+        json[i] = withoutTiming(os.str());
     }
     if (json[0] != json[1])
         return CheckResult::fail(

@@ -9,10 +9,10 @@
  *    one shard and on two shards advanced by two threads, and
  *    ejection accounting matches the engine's own delivered-packet
  *    counter;
- *  - the workload grid JSON is bit-identical at any --jobs value and
- *    at any SimConfig::jobs value for a fixed shard count, once the
- *    timing fields are stripped (the same filter the CI determinism
- *    job applies to ext_closed_loop output);
+ *  - the closed-loop study document is bit-identical at any --jobs
+ *    value and at any SimConfig::jobs value for a fixed shard count,
+ *    once the timing objects are stripped (the same filter the CI
+ *    determinism job applies to ext_closed_loop output);
  *  - coflow completion time is monotone in the load knob: makeWorkload
  *    maps load onto the per-flow packet count, so a 4x packet range
  *    must produce strictly larger CCTs.
@@ -24,7 +24,8 @@
 #include <vector>
 
 #include "check/prop.hpp"
-#include "exp/workload_experiment.hpp"
+#include "exp/experiment.hpp"
+#include "json_deterministic.hpp"
 #include "routing/updown.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
@@ -33,25 +34,16 @@
 namespace rfc {
 namespace {
 
-/** Drop the lines the CI determinism diff also ignores. */
+/** The study document of @p study, timing objects stripped. */
 std::string
-stripTimingFields(const std::string &json)
+deterministicJson(const Study &study, int jobs, std::uint64_t seed)
 {
-    static const char *kVolatile[] = {
-        "\"jobs\"", "\"wall_seconds\"", "\"trial_seconds_total\"",
-        "\"trial_seconds_max\"", "\"peak_rss_bytes\""};
-    std::ostringstream out;
-    std::istringstream in(json);
-    std::string line;
-    while (std::getline(in, line)) {
-        bool drop = false;
-        for (const char *key : kVolatile)
-            if (line.find(key) != std::string::npos)
-                drop = true;
-        if (!drop)
-            out << line << "\n";
-    }
-    return out.str();
+    ExperimentEngine engine(jobs, seed);
+    Report report("prop", seed, engine.jobs());
+    report.add(engine.run(study));
+    std::ostringstream os;
+    report.write(os);
+    return withoutTiming(os.str());
 }
 
 /** The specs the conservation sweep exercises, sized to @p terminals. */
@@ -148,42 +140,36 @@ jsonJobsInvariance(const TopoParams &params)
     if (!oracle.routable())
         return CheckResult::pass();
 
-    WorkloadGrid grid;
-    grid.addNetwork("net", fc, oracle);
     WorkloadSpec rpc;
     WorkloadSpec coflow;
     coflow.kind = "coflow";
     coflow.group = fc.numTerminals() >= 4 ? 4 : 2;
-    grid.workloads = {rpc, coflow};
-    grid.loads = {0.5};
-    grid.base.warmup = 200;
-    grid.base.measure = 800;
-    grid.base.shards = 2;
-    grid.repetitions = 2;
-
-    // Pool-jobs invariance: the same grid at 1 and 3 engine jobs.
-    std::string json[2];
-    int jobs[2] = {1, 3};
-    for (int i = 0; i < 2; ++i) {
-        ExperimentEngine engine(jobs[i], params.wiring_seed);
-        auto result = runWorkloadGrid(grid, engine);
-        std::ostringstream os;
-        writeWorkloadGridJson(os, grid, result, engine.baseSeed());
-        json[i] = stripTimingFields(os.str());
+    std::vector<Case> cases;
+    for (const WorkloadSpec &spec : {rpc, coflow}) {
+        Case c;
+        c.label = spec.label();
+        c.workload = spec;
+        cases.push_back(c);
     }
-    if (json[0] != json[1])
+    SimConfig base;
+    base.warmup = 200;
+    base.measure = 800;
+    base.shards = 2;
+    Study study{"closed-loop", Tier::kWorkload,
+                crossPoints({{"net", &fc, &oracle}}, cases, {0.5}, base), 2};
+
+    // Pool-jobs invariance: the same study at 1 and 3 engine jobs.
+    const std::string json = deterministicJson(study, 1, params.wiring_seed);
+    if (deterministicJson(study, 3, params.wiring_seed) != json)
         return CheckResult::fail(
-            "grid JSON differs between 1 and 3 jobs");
+            "study JSON differs between 1 and 3 jobs");
 
     // Sim-jobs invariance: same shard count, different worker threads.
-    grid.base.jobs = 2;
-    ExperimentEngine engine(2, params.wiring_seed);
-    auto result = runWorkloadGrid(grid, engine);
-    std::ostringstream os;
-    writeWorkloadGridJson(os, grid, result, engine.baseSeed());
-    if (stripTimingFields(os.str()) != json[0])
+    for (Point &p : study.points)
+        p.config.jobs = 2;
+    if (deterministicJson(study, 2, params.wiring_seed) != json)
         return CheckResult::fail(
-            "grid JSON differs between 1 and 2 sim jobs");
+            "study JSON differs between 1 and 2 sim jobs");
     return CheckResult::pass();
 }
 

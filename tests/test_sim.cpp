@@ -7,9 +7,9 @@
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
 #include "clos/rfc.hpp"
+#include "exp/experiment.hpp"
 #include "routing/updown.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 
 namespace rfc {
 namespace {
@@ -348,29 +348,35 @@ TEST(Sweep, LoadRangeRejectsZeroAndBadBounds)
     EXPECT_THROW(loadRange(0.5, 0.2, 5), std::invalid_argument);
 }
 
-TEST(Sweep, RunLoadSweepProducesMonotoneOffered)
+/** A CFT(8,2) uniform-traffic study at @p loads, 2 reps each. */
+StudyResult
+uniformStudy(const std::vector<double> &loads)
 {
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    UniformTraffic traffic;
-    auto cfg = quickConfig(0.0);
-    auto results = runLoadSweep(fc, oracle, traffic, cfg,
-                                {0.2, 0.4, 0.6}, 2);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_NEAR(results[0].accepted, 0.2, 0.03);
-    EXPECT_NEAR(results[1].accepted, 0.4, 0.04);
-    EXPECT_LE(results[0].avg_latency, results[2].avg_latency);
+    static const FoldedClos fc = buildCft(8, 2);
+    static const UpDownOracle oracle(fc);
+    return ExperimentEngine(2, 5).run(
+        {"sweep", Tier::kVct,
+         crossPoints({{"cft", &fc, &oracle}},
+                     {{"uniform", namedTraffic("uniform")}}, loads,
+                     quickConfig(0.0)),
+         2});
+}
+
+TEST(Sweep, StudyAcceptedLoadTracksOfferedLoad)
+{
+    const auto r = uniformStudy({0.2, 0.4, 0.6});
+    ASSERT_EQ(r.points.size(), 3u);
+    EXPECT_NEAR(r.points[0].mean("accepted"), 0.2, 0.03);
+    EXPECT_NEAR(r.points[1].mean("accepted"), 0.4, 0.04);
+    EXPECT_LE(r.points[0].mean("avg_latency"),
+              r.points[2].mean("avg_latency"));
 }
 
 TEST(Sweep, SaturationThroughputReasonable)
 {
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    UniformTraffic traffic;
-    auto cfg = quickConfig(0.0);
-    auto r = saturationThroughput(fc, oracle, traffic, cfg, 2);
-    EXPECT_GT(r.accepted, 0.5);
-    EXPECT_LE(r.accepted, 1.0);
+    const double accepted = uniformStudy({1.0}).points[0].mean("accepted");
+    EXPECT_GT(accepted, 0.5);
+    EXPECT_LE(accepted, 1.0);
 }
 
 } // namespace

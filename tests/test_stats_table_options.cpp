@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/options.hpp"
 #include "util/stats.hpp"
@@ -284,6 +285,51 @@ TEST(Options, BadNumberMessageNamesFlagAndValue)
     m = invalidArgumentMessage([&] { o.getDouble("load", 0.0); });
     EXPECT_NE(m.find("--load"), std::string::npos) << m;
     EXPECT_NE(m.find("'1.5q'"), std::string::npos) << m;
+}
+
+TEST(Options, ListsSplitOnCommasAndDefault)
+{
+    const char *argv[] = {"prog", "--patterns=uniform,shift",
+                          "--loads=0.25,0.5,9e-1"};
+    Options o(3, argv);
+    EXPECT_EQ(o.getList("patterns", "x"),
+              (std::vector<std::string>{"uniform", "shift"}));
+    EXPECT_EQ(o.getList("absent", "a,b"),
+              (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(o.getDoubleList("loads", "1"),
+              (std::vector<double>{0.25, 0.5, 0.9}));
+    EXPECT_EQ(o.getDoubleList("absent", "0.5"), std::vector<double>{0.5});
+}
+
+TEST(Options, ListItemsParseStrictly)
+{
+    // Every item parses as strictly as getDouble: "0.5x" used to run at
+    // load 0.5 and "abc" aborted with a bare "stod".
+    const char *argv[] = {"prog", "--a=0.5x", "--b=abc", "--c=0.5,,0.9",
+                          "--d=0.5,"};
+    Options o(5, argv);
+    std::string m = invalidArgumentMessage([&] { o.getDoubleList("a", ""); });
+    EXPECT_NE(m.find("--a"), std::string::npos) << m;
+    EXPECT_NE(m.find("'0.5x'"), std::string::npos) << m;
+    m = invalidArgumentMessage([&] { o.getDoubleList("b", ""); });
+    EXPECT_NE(m.find("'abc'"), std::string::npos) << m;
+    EXPECT_THROW(o.getDoubleList("c", ""), std::invalid_argument);
+    EXPECT_THROW(o.getList("d", ""), std::invalid_argument);
+}
+
+TEST(Options, ListOutsideTheValidNamesThrowsListingThem)
+{
+    const char *argv[] = {"prog", "--section=fig8,fig9", "--ok=fig10"};
+    Options o(3, argv);
+    const std::vector<std::string> valid{"fig8", "fig10", "all"};
+    const std::string m =
+        invalidArgumentMessage([&] { o.getList("section", "", valid); });
+    EXPECT_NE(m.find("--section"), std::string::npos) << m;
+    EXPECT_NE(m.find("'fig9'"), std::string::npos) << m;
+    EXPECT_NE(m.find("fig8, fig10, all"), std::string::npos) << m;
+    EXPECT_EQ(o.getList("ok", "", valid), std::vector<std::string>{"fig10"});
+    EXPECT_EQ(o.getList("absent", "all", valid),
+              std::vector<std::string>{"all"});
 }
 
 TEST(Options, JobsParsesFlagAndEnvironmentStrictly)

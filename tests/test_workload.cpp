@@ -4,16 +4,15 @@
  * three concrete workloads complete work on a small folded Clos, every
  * run satisfies message conservation exactly, results are bit-
  * identical across SimConfig::jobs values at a fixed shard count
- * (including the coflow global-step path), and the WorkloadGrid driver
- * follows the deriveSeed contract.
+ * (including the coflow global-step path), and the closed-loop tier of
+ * the study runner aggregates and indexes its points.
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "clos/fat_tree.hpp"
-#include "exp/workload_experiment.hpp"
+#include "exp/experiment.hpp"
 #include "routing/updown.hpp"
 #include "sim/core/histogram.hpp"
 #include "sim/simulator.hpp"
@@ -189,71 +188,39 @@ TEST(Workload, SpecLabels)
     EXPECT_EQ(spec.label(), "coflow(g8,p4)");
 }
 
-TEST(WorkloadGrid, RunsAndIndexes)
+TEST(Workload, StudyRunsAndIndexes)
 {
     auto fc = buildCft(8, 2);
     UpDownOracle oracle(fc);
-    WorkloadGrid grid;
-    grid.addNetwork("cft8", fc, oracle);
     WorkloadSpec rpc;
     WorkloadSpec coflow;
     coflow.kind = "coflow";
     coflow.group = 4;
-    grid.workloads = {rpc, coflow};
-    grid.loads = {0.25, 0.75};
-    grid.base = smallConfig();
-    grid.base.warmup = 200;
-    grid.base.measure = 1500;
-    grid.repetitions = 2;
+    std::vector<Case> cases;
+    for (const WorkloadSpec &spec : {rpc, coflow}) {
+        Case c;
+        c.label = spec.label();
+        c.workload = spec;
+        cases.push_back(c);
+    }
+    SimConfig base = smallConfig();
+    base.warmup = 200;
+    base.measure = 1500;
 
-    ExperimentEngine engine(2, 99);
-    WorkloadGridResult res = runWorkloadGrid(grid, engine);
+    const StudyResult res = ExperimentEngine(2, 99).run(
+        {"closed-loop", Tier::kWorkload,
+         crossPoints({{"cft8", &fc, &oracle}}, cases, {0.25, 0.75}, base),
+         2});
     ASSERT_EQ(res.points.size(), 4u);
-    const WorkloadPointResult &p =
-        res.points[res.index(0, 1, 1, 2, 2)];
-    EXPECT_EQ(p.kind, "coflow");
+    const PointResult &p = res.points[gridIndex({1, 2, 2}, {0, 1, 1})];
+    EXPECT_EQ(p.scenario, coflow.label());
     EXPECT_DOUBLE_EQ(p.load, 0.75);
     EXPECT_EQ(p.reps, 2);
-    EXPECT_EQ(p.conservation_violations, 0);
+    EXPECT_GT(p.mean("coflow_phases"), 0.0);
     for (const auto &pt : res.points) {
-        EXPECT_GT(pt.goodput.mean, 0.0);
-        EXPECT_EQ(pt.conservation_violations, 0);
+        EXPECT_GT(pt.mean("goodput"), 0.0);
+        EXPECT_EQ(pt.mean("conservation_violations"), 0.0);
     }
-}
-
-TEST(WorkloadGrid, JobsInvariantJson)
-{
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    WorkloadGrid grid;
-    grid.addNetwork("cft8", fc, oracle);
-    WorkloadSpec spec;
-    grid.workloads = {spec};
-    grid.loads = {0.5};
-    grid.base = smallConfig();
-    grid.base.warmup = 200;
-    grid.base.measure = 1000;
-    grid.repetitions = 3;
-
-    auto stable = [&](int jobs) {
-        ExperimentEngine engine(jobs, 42);
-        WorkloadGridResult res = runWorkloadGrid(grid, engine);
-        std::ostringstream os;
-        writeWorkloadGridJson(os, grid, res, 42);
-        // Drop run-dependent lines (timing, rss, jobs echo).
-        std::istringstream in(os.str());
-        std::ostringstream out;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.find("jobs") != std::string::npos ||
-                line.find("seconds") != std::string::npos ||
-                line.find("peak_rss_bytes") != std::string::npos)
-                continue;
-            out << line << '\n';
-        }
-        return out.str();
-    };
-    EXPECT_EQ(stable(1), stable(4));
 }
 
 TEST(Workload, HistogramMinMaxSum)
