@@ -65,6 +65,27 @@ SimConfig::validate() const
     if (route_mode == RouteMode::kValiant && vcs < 2)
         throw std::invalid_argument("Valiant routing needs vcs >= 2 "
                                     "(phase-partitioned channels)");
+    // Limits of the engine's narrow hot-state types, which would
+    // otherwise wrap silently mid-run.
+    if (vcs > 127)
+        throw std::invalid_argument(
+            "SimConfig: vcs must be <= 127 (VC indices are stored in 8 "
+            "bits), got " + std::to_string(vcs));
+    if (buf_packets > 127)
+        throw std::invalid_argument(
+            "SimConfig: buf_packets must be <= 127 (injection credits "
+            "are 8-bit), got " + std::to_string(buf_packets));
+    if (source_queue > 32767)
+        throw std::invalid_argument(
+            "SimConfig: source_queue must be <= 32767 (source-queue "
+            "indices are 16-bit), got " + std::to_string(source_queue));
+    if (pkt_phits >= kGenWheelSlots)
+        throw std::invalid_argument(
+            "SimConfig: pkt_phits must be < " +
+            std::to_string(kGenWheelSlots) +
+            " (the injection wheel has that many slots; an injection "
+            "rescheduled pkt_phits ahead would land in the slot being "
+            "drained), got " + std::to_string(pkt_phits));
 }
 
 void

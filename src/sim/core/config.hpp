@@ -140,6 +140,9 @@ struct SimConfig
      */
     long long active_terminals = -1;
 
+    /** Slots of the engine's generation and injection wheels. */
+    static constexpr int kGenWheelSlots = 1024;
+
     /**
      * Throw std::invalid_argument on any parameter a simulation cannot
      * run with: vcs or buf_packets or pkt_phits < 1, link_latency < 1
@@ -150,7 +153,12 @@ struct SimConfig
      * (0, 1], source_queue < 1, a shard count outside [1, 256], a
      * ugal_threshold that is negative or not finite (NaN/inf), a
      * negative flowlet_gap, or an active_terminals value other than -1
-     * or >= 1.
+     * or >= 1.  Also rejects values the engine's narrow hot-state
+     * types would silently wrap: vcs or buf_packets > 127 (8-bit VC
+     * indices and injection credits), source_queue > 32767 (16-bit
+     * source-queue indices) and pkt_phits >= kGenWheelSlots (an
+     * injection rescheduled pkt_phits ahead would land in the slot
+     * being drained).
      */
     void validate() const;
 };

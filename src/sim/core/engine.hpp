@@ -29,8 +29,12 @@
  *     // Local output port at switch s, or -1 (unroutable).  Sets
  *     // fixed_vc >= 0 when exactly one output VC is legal
  *     // (hop-escalating VCs), or -1 when any VC in vcRange works.
+ *     // Sets sole when the returned port was the only legal one
+ *     // (ejection, a one-port choice set, a fixed path's hop), so a
+ *     // head blocked on it may sleep until it frees; false when
+ *     // another call could pick a different port.
  *     int routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
- *                  int &fixed_vc);
+ *                  int &fixed_vc, bool &sole);
  *     void vcRange(const Pkt &p, int &lo, int &hi) const;
  *     // Output VC among those with credit on out port o_gid
  *     // (cv.credit(o_gid, v)), or -1 (blocked).
@@ -80,10 +84,20 @@
  * threads advance the shards, so any `jobs` value is bit-identical.
  *
  * Nothing rescans idle state: each input VC sleeps on its shard's wake
- * wheel until the earliest cycle it could next act (head-ready time or
- * input-port busy release).  A wheel slot is an intrusive FIFO list
- * threaded through one per-VC next index, so the scheduler's memory is
- * four bytes per input VC at any load.
+ * wheel until the earliest cycle it could next act - its head's ready
+ * time, its input port's busy release, or, when the head is blocked on
+ * a transmitting output that routeOut reported as its sole legal port,
+ * that output's busy release (capped at the next cycle-hook cycle,
+ * since a hook may reroute it).  Heads with several legal ports and
+ * credit-blocked heads retry every cycle: the former re-draw their
+ * port, the latter compete for credits another head may take first.
+ * A sleep only skips visits that could not move the head, so flow
+ * control and the arbitration rule are unchanged.  The skipped visits
+ * no longer consume draws and wake order shifts, so the random stream
+ * differs from polling every cycle while the distribution of results
+ * does not.  A wheel slot is an intrusive FIFO list threaded through
+ * one per-VC next index, so the scheduler's memory is four bytes per
+ * input VC at any load.
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -316,7 +330,7 @@ class VctEngine
 
   private:
     static constexpr bool kGuards = invariantChecksEnabled();
-    static constexpr int kGenWheel = 1024;
+    static constexpr int kGenWheel = SimConfig::kGenWheelSlots;
     static constexpr int kPktShardShift = 23;
     static constexpr std::int32_t kPktIdxMask =
         (std::int32_t{1} << kPktShardShift) - 1;
@@ -474,8 +488,19 @@ class VctEngine
 
     /** Append @p ivc to the wake slot of cycle @p at, unless queued. */
     void
-    wakePush(ShardCtx &c, std::int64_t ivc, long long at)
+    wakePush(ShardCtx &c, std::int64_t ivc, long long at, long long now)
     {
+        if constexpr (kGuards) {
+            c.check.countChecks();
+            if (at <= now || at - now >= wheel_size_)
+                c.check.report("wake-horizon", now,
+                               lay_.port_owner[ivc / cfg_.vcs],
+                               static_cast<int>(ivc % cfg_.vcs),
+                               "wake at cycle " + std::to_string(at) +
+                                   " is outside the " +
+                                   std::to_string(wheel_size_) +
+                                   "-slot wheel");
+        }
         if (wake_next_[ivc] != kNotQueued)
             return;
         const auto id = static_cast<std::int32_t>(ivc);
@@ -499,7 +524,7 @@ class VctEngine
             pos -= cap;
         ring_[gi * cap + pos] = {pkt_id, ready};
         if (q_count_[gi]++ == 0)
-            wakePush(c, gi, std::max<long long>(ready, now + 1));
+            wakePush(c, gi, std::max<long long>(ready, now + 1), now);
         if constexpr (kGuards) {
             ++slots_held_[gi];
             c.check.countChecks();
@@ -612,6 +637,19 @@ class VctEngine
     {
         return hook_idx_ < hook_cycles_.size() &&
                hook_cycles_[hook_idx_] == now;
+    }
+
+    /**
+     * @p at, capped at the next pending hook cycle: a hook may change
+     * the routes a sleeping head is waiting on.  Read from the shard
+     * threads; hook_idx_ only moves while every worker is parked.
+     */
+    long long
+    hookCapped(long long at) const
+    {
+        return hook_idx_ < hook_cycles_.size()
+                   ? std::min(at, hook_cycles_[hook_idx_])
+                   : at;
     }
 
     /** Invoke the due hook and refresh every shard's policy caches. */
@@ -1132,7 +1170,7 @@ VctEngine<Policy>::dropHead(ShardCtx &c, std::int64_t gi, long long now)
     if (q_count_[gi] > 0) {
         long long ready =
             ring_[gi * cfg_.buf_packets + q_head_[gi]].ready;
-        wakePush(c, gi, std::max<long long>(ready, now + 1));
+        wakePush(c, gi, std::max<long long>(ready, now + 1), now);
     }
 }
 
@@ -1262,13 +1300,15 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             // could be (this is the scheduling win over rescanning).
             wakePush(c, gi,
                      std::max<long long>(
-                         std::max<long long>(head.ready, busy), now + 1));
+                         std::max<long long>(head.ready, busy), now + 1),
+                     now);
             continue;
         }
         int s = lay_.port_owner[iport];
         Pkt &p = pkt(head.pkt);
         int fixed_vc = -1;
-        int o_local = c.policy.routeOut(cv, s, p, c.rng, fixed_vc);
+        bool sole = false;
+        int o_local = c.policy.routeOut(cv, s, p, c.rng, fixed_vc, sole);
         if (o_local < 0) {
             // No route from here (runtime fault): retry next cycle
             // against the (possibly repaired) tables, or drop once the
@@ -1280,7 +1320,7 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
                 now - static_cast<long long>(p.gen) >= cfg_.route_ttl)
                 dropHead(c, gi, now);
             else
-                wakePush(c, gi, now + 1);
+                wakePush(c, gi, now + 1, now);
             continue;
         }
         if (p.noroute) {
@@ -1288,8 +1328,15 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             ++c.rerouted;
         }
         std::int64_t o_gid = lay_.iport_off[s] + o_local;
-        bool blocked = out_busy_[o_gid] > now;
-        if (!blocked && out_peer_ivc_base_[o_gid] >= 0) {
+        const long long out_free = out_busy_[o_gid];
+        if (out_free > now) {
+            // The output is still transmitting.  With no other legal
+            // port the head cannot move before it frees, so it sleeps
+            // until then; with several, it re-draws next cycle.
+            wakePush(c, gi, sole ? hookCapped(out_free) : now + 1, now);
+            continue;
+        }
+        if (out_peer_ivc_base_[o_gid] >= 0) {
             bool has_credit;
             if (fixed_vc >= 0) {
                 has_credit = out_credits_[o_gid * V + fixed_vc] > 0;
@@ -1306,12 +1353,9 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             }
             if (!has_credit) {
                 ++c.perf.credit_stalls;
-                blocked = true;
+                wakePush(c, gi, now + 1, now);
+                continue;
             }
-        }
-        if (blocked) {
-            wakePush(c, gi, now + 1);
-            continue;
         }
         c.scanned_ivcs.push_back(static_cast<std::int32_t>(gi));
         // Reservoir-sample among this output's candidates (random
@@ -1342,7 +1386,8 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
         long long ready = ring_[gi * cap + q_head_[gi]].ready;
         wakePush(c, gi,
                  std::max<long long>(std::max<long long>(ready, busy),
-                                     now + 1));
+                                     now + 1),
+                 now);
     }
 }
 
@@ -1445,16 +1490,23 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                                   "terminal " + std::to_string(t));
             }
         }
-        // VC occupancy bounds.
+        // VC occupancy bounds, and no lost wakeup: a VC holding packets
+        // but on no wake slot would never be arbitrated again.
         for (std::int64_t ivc = 0;
              ivc < static_cast<std::int64_t>(q_count_.size()); ++ivc) {
-            check_.countChecks();
+            check_.countChecks(2);
             if (q_count_[ivc] > cap)
                 check_.report(
                     "vc-occupancy", now,
                     lay_.port_owner[ivc / V], static_cast<int>(ivc % V),
                     "queue depth " + std::to_string(q_count_[ivc]) +
                         " > cap " + std::to_string(cap));
+            if (q_count_[ivc] > 0 && wake_next_[ivc] == kNotQueued)
+                check_.report(
+                    "lost-wakeup", now, lay_.port_owner[ivc / V],
+                    static_cast<int>(ivc % V),
+                    "VC holds " + std::to_string(q_count_[ivc]) +
+                        " packets but sits on no wake slot");
         }
     }
 }

@@ -94,9 +94,9 @@ class FlowletKspPolicy
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc)
+             int &fixed_vc, bool &sole)
     {
-        return base_.routeOut(cv, s, p, rng, fixed_vc);
+        return base_.routeOut(cv, s, p, rng, fixed_vc, sole);
     }
 
     void

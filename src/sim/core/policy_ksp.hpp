@@ -98,11 +98,12 @@ class KspPolicy
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc)
+             int &fixed_vc, bool &sole)
     {
         (void)cv;  // oblivious: the path was fixed at injection
         (void)rng;
         fixed_vc = -1;
+        sole = true;  // ejection or the path's next hop: no alternative
         if (s == p.dest_sw)
             return lay_->n_net[s] + p.dest_local;  // ejection
         fixed_vc = std::min<int>(p.hop, vcs_ - 1);

@@ -7,13 +7,15 @@
  * Draw discipline (part of the recorded random stream: changing it
  * moves the golden baselines): injection first resolves
  * the Valiant intermediate (if any), then picks the highest-credit VC
- * with a random tie-break; every arbitration re-draws the up/down ECMP
- * choice; the output VC is drawn uniformly among the credited channels
+ * with a random tie-break; every arbitration visit re-draws the up/down
+ * ECMP choice (a head whose only port is busy is not visited until it
+ * frees); the output VC is drawn uniformly among the credited channels
  * of the packet's phase range.
  */
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -125,10 +127,11 @@ class UpDownPolicy
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc)
+             int &fixed_vc, bool &sole)
     {
         (void)cv;  // oblivious: the choice never reads congestion
         fixed_vc = -1;
+        sole = true;
         if (p.phase == 0 && s == p.inter_leaf)
             p.phase = 1;  // Valiant intermediate reached: head for dest
         const std::int32_t target =
@@ -141,13 +144,17 @@ class UpDownPolicy
         // memoized as a port bitmask.  The draw discipline is untouched:
         // one uniform(count) draw mapping to the k-th choice in the same
         // ascending-port order as the oracle scan.
-        const ChoiceEntry &e = entryFor(s, target);
-        if (e.need < 0 || e.count == 0)
+        const Choices ch = choicesFor(s, target);
+        if (ch.need < 0)
             return -1;
-        if (e.count == kWideFallback)
-            return routeOutWide(s, target, e.need, rng);
-        int pick = selectBit(e.mask, rng.uniform(e.count));
-        return e.need == 0 ? lay_->n_up[s] + pick : pick;
+        if (ch.wide)
+            return routeOutWide(s, target, ch.need, rng, sole);
+        if (ch.mask == 0)
+            return -1;
+        const int count = __builtin_popcountll(ch.mask);
+        sole = count == 1;
+        int pick = selectBit(ch.mask, rng.uniform(count));
+        return ch.need == 0 ? lay_->n_up[s] + pick : pick;
     }
 
     void
@@ -233,14 +240,14 @@ class UpDownPolicy
     {
         if (s == target)
             return 0;
-        const ChoiceEntry &e = entryFor(s, target);
-        if (e.need < 0 || e.count == 0)
+        const Choices ch = choicesFor(s, target);
+        if (ch.need < 0 || (!ch.wide && ch.mask == 0))
             return -1;
         const std::int64_t base = cv.portBase(s);
-        const std::int64_t off = e.need == 0 ? lay_->n_up[s] : 0;
+        const std::int64_t off = ch.need == 0 ? lay_->n_up[s] : 0;
         int best = -1;
-        if (e.count == kWideFallback) {
-            fillScratchWide(s, target, e.need);
+        if (ch.wide) {
+            fillScratch(s, target, ch.need);
             for (int p : choice_scratch_) {
                 int b = cv.backlog(base + off + p);
                 if (best < 0 || b < best)
@@ -248,7 +255,7 @@ class UpDownPolicy
             }
             return best;
         }
-        for (std::uint64_t m = e.mask; m != 0; m &= m - 1) {
+        for (std::uint64_t m = ch.mask; m != 0; m &= m - 1) {
             int b = cv.backlog(base + off + __builtin_ctzll(m));
             if (best < 0 || b < best)
                 best = b;
@@ -258,22 +265,30 @@ class UpDownPolicy
 
   private:
     /**
-     * Memoized routing decision for one (switch, target-leaf) pair:
-     * the minimal up-hop count plus the feasible choice set packed as a
-     * bitmask over local port indices (down ports when need == 0, up
-     * ports otherwise; choice k is the k-th set bit, matching the
-     * ascending order of the oracle's scan).
+     * Memoized routing decision for one (switch, target-leaf) pair,
+     * packed into one word: bits [0, kMaskBits) hold the feasible
+     * choice set as a bitmask over local port indices (down ports when
+     * need == 0, up ports otherwise; choice k is the k-th set bit,
+     * matching the ascending order of the oracle's scan), bit kMaskBits
+     * marks a set with an index at or above kMaskBits (served by the
+     * oracle scan instead, which picks the same port), and the top
+     * byte holds need + 2 - so 0 means unfilled.
      */
-    struct ChoiceEntry
-    {
-        std::int8_t need = kUnfilled;
-        std::uint8_t count = 0;
-        std::uint64_t mask = 0;
-    };
+    using ChoiceEntry = std::uint64_t;
 
-    static constexpr std::int8_t kUnfilled = -3;
-    //! count sentinel: > 64 choices, fall back to the oracle scan.
-    static constexpr std::uint8_t kWideFallback = 255;
+    static constexpr int kMaskBits = 55;
+    static constexpr ChoiceEntry kMaskAll =
+        (ChoiceEntry{1} << kMaskBits) - 1;
+    static constexpr ChoiceEntry kWide = ChoiceEntry{1} << kMaskBits;
+    static constexpr int kNeedShift = 56;
+
+    /** A decoded ChoiceEntry. */
+    struct Choices
+    {
+        int need;            //!< minimal up-hops, -1 = unreachable
+        bool wide;           //!< choice set lives only in the oracle
+        std::uint64_t mask;  //!< choice bitmask (0 when wide)
+    };
 
     static int
     selectBit(std::uint64_t mask, std::uint64_t k)
@@ -283,8 +298,8 @@ class UpDownPolicy
         return __builtin_ctzll(mask);
     }
 
-    const ChoiceEntry &
-    entryFor(int s, int target)
+    Choices
+    choicesFor(int s, int target)
     {
         if (memo_.empty())
             memo_.resize(fc_->numSwitches());
@@ -292,9 +307,10 @@ class UpDownPolicy
         if (row.empty())
             row.resize(static_cast<std::size_t>(fc_->numLeaves()));
         ChoiceEntry &e = row[target];
-        if (e.need == kUnfilled)
-            fillEntry(e, s, target);
-        return e;
+        if (e == 0)
+            e = fillEntry(s, target);
+        return {static_cast<int>(e >> kNeedShift) - 2, (e & kWide) != 0,
+                e & kMaskAll};
     }
 
     int
@@ -302,35 +318,30 @@ class UpDownPolicy
     {
         if (s == target)
             return 0;
-        return entryFor(s, target).need;
+        return choicesFor(s, target).need;
     }
 
-    void
-    fillEntry(ChoiceEntry &e, int s, int target)
+    ChoiceEntry
+    fillEntry(int s, int target)
     {
-        int need = oracle_->minUps(s, target);
-        e.need = static_cast<std::int8_t>(need < 0 ? -1 : need);
+        const int need = std::max(oracle_->minUps(s, target), -1);
+        const ChoiceEntry head = static_cast<ChoiceEntry>(need + 2)
+                                 << kNeedShift;
         if (need < 0)
-            return;
-        if (need == 0)
-            oracle_->downChoices(*fc_, s, target, choice_scratch_);
-        else if (mode_ == RouteMode::kUpDownRandom)
-            oracle_->feasibleUpChoices(*fc_, s, target, choice_scratch_);
-        else
-            oracle_->upChoices(*fc_, s, target, choice_scratch_);
-        if (!choice_scratch_.empty() && choice_scratch_.back() >= 64) {
-            e.count = kWideFallback;
-            return;
-        }
-        e.count = static_cast<std::uint8_t>(choice_scratch_.size());
-        e.mask = 0;
+            return head;
+        fillScratch(s, target, need);
+        if (!choice_scratch_.empty() &&
+            choice_scratch_.back() >= kMaskBits)
+            return head | kWide;
+        ChoiceEntry mask = 0;
         for (int i : choice_scratch_)
-            e.mask |= std::uint64_t{1} << i;
+            mask |= ChoiceEntry{1} << i;
+        return head | mask;
     }
 
-    //! Refill choice_scratch_ for a choice set too wide for the mask.
+    //! Fill choice_scratch_ with the oracle's choice set, in port order.
     void
-    fillScratchWide(int s, int target, int need)
+    fillScratch(int s, int target, int need)
     {
         if (need == 0)
             oracle_->downChoices(*fc_, s, target, choice_scratch_);
@@ -340,11 +351,12 @@ class UpDownPolicy
             oracle_->upChoices(*fc_, s, target, choice_scratch_);
     }
 
-    //! Slow path for radices beyond the 64-bit mask (rare).
+    //! Slow path for radices beyond the packed mask (rare).
     int
-    routeOutWide(int s, int target, int need, Rng &rng)
+    routeOutWide(int s, int target, int need, Rng &rng, bool &sole)
     {
-        fillScratchWide(s, target, need);
+        fillScratch(s, target, need);
+        sole = choice_scratch_.size() == 1;
         int pick = choice_scratch_[rng.uniform(choice_scratch_.size())];
         return need == 0 ? lay_->n_up[s] + pick : pick;
     }

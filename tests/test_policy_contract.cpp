@@ -95,12 +95,12 @@ class MockPolicy
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc)
+             int &fixed_vc, bool &sole)
     {
         ++stats_->route_calls;
         observeNow(cv);
         auditSwitch(cv, s);
-        return base_.routeOut(cv, s, p, rng, fixed_vc);
+        return base_.routeOut(cv, s, p, rng, fixed_vc, sole);
     }
 
     void

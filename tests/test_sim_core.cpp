@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "graph/random_regular.hpp"
@@ -76,6 +77,24 @@ TEST(SimConfigValidate, RejectsBadParameters)
     broken([](SimConfig &c) { c.flowlet_gap = -1; });
 }
 
+TEST(SimConfigValidate, RejectsValuesNarrowEngineTypesWouldWrap)
+{
+    // Each bound is the largest value the engine's hot state holds;
+    // one past it used to run and quietly misreport (128 buffers
+    // accepted 0.000, 1024-phit packets lost a sixth of their load).
+    auto check = [](auto mutate, int ok, int bad) {
+        SimConfig cfg;
+        mutate(cfg, ok);
+        EXPECT_NO_THROW(cfg.validate());
+        mutate(cfg, bad);
+        EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    };
+    check([](SimConfig &c, int v) { c.buf_packets = v; }, 127, 128);
+    check([](SimConfig &c, int v) { c.vcs = v; }, 127, 128);
+    check([](SimConfig &c, int v) { c.source_queue = v; }, 32767, 32768);
+    check([](SimConfig &c, int v) { c.pkt_phits = v; }, 1023, 1024);
+}
+
 TEST(SimConfigValidate, ConstructorsValidate)
 {
     auto fc = buildCft(8, 2);
@@ -91,7 +110,8 @@ TEST(SimConfigValidate, RejectsInputVcCountBeyondInt32)
 {
     // The engine stores input-VC ids as int32; ports x vcs past
     // INT32_MAX must be refused at construction, before any per-VC
-    // array is sized.
+    // array is sized.  (validate()'s 8-bit VC bound refuses this vcs
+    // first; the engine's own check covers fabrics past 16.9M ports.)
     auto fc = buildCft(8, 2);
     UpDownOracle oracle(fc);
     UniformTraffic traffic;
@@ -99,6 +119,56 @@ TEST(SimConfigValidate, RejectsInputVcCountBeyondInt32)
     cfg.vcs = 1 << 25;
     EXPECT_THROW(Simulator(fc, oracle, traffic, cfg),
                  std::invalid_argument);
+}
+
+TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
+{
+    // Radix 120: a leaf has 60 up ports and a spine 120 down ports, so
+    // choice sets straddle the memo's packed mask width and both the
+    // bitmask path and the oracle-scan path run.  Either must pick
+    // the port a plain uniform draw over the oracle's list picks, and
+    // report a sole port exactly when that list has one entry.
+    auto fc = buildCft(120, 2);
+    UpDownOracle oracle(fc);
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+    for (RouteMode mode : {RouteMode::kMinimal, RouteMode::kUpDownRandom}) {
+        SimConfig cfg;
+        cfg.route_mode = mode;
+        UpDownPolicy policy(fc, oracle, lay, cfg);
+        const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
+                                nullptr, nullptr, nullptr, nullptr, 0);
+        Rng rng(3), ref_rng(3);
+        std::vector<int> choices;
+        for (int s = 0; s < fc.numSwitches(); s += 7) {
+            for (int target = 0; target < fc.numLeaves(); target += 5) {
+                if (s == target)
+                    continue;
+                const int need = oracle.minUps(s, target);
+                ASSERT_GE(need, 0);
+                if (need == 0)
+                    oracle.downChoices(fc, s, target, choices);
+                else if (mode == RouteMode::kUpDownRandom)
+                    oracle.feasibleUpChoices(fc, s, target, choices);
+                else
+                    oracle.upChoices(fc, s, target, choices);
+                ASSERT_FALSE(choices.empty());
+                const int pick = choices[ref_rng.uniform(choices.size())];
+                const int want = need == 0 ? lay.n_up[s] + pick : pick;
+
+                UpDownPolicy::Pkt p{};
+                p.dest_leaf = target;
+                p.inter_leaf = -1;
+                p.phase = 1;
+                int fixed_vc = 0;
+                bool sole = false;
+                EXPECT_EQ(policy.routeOut(cv, s, p, rng, fixed_vc, sole),
+                          want)
+                    << "switch " << s << " target " << target;
+                EXPECT_EQ(sole, choices.size() == 1);
+                EXPECT_EQ(fixed_vc, -1);
+            }
+        }
+    }
 }
 
 TEST(LatencyHistogramCore, EmptyQuantileIsZero)

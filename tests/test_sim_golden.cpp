@@ -8,14 +8,22 @@
  * flow-control core that alters a single RNG draw, a float summation
  * order, or an arbitration decision shows up here as a failed field.
  *
- * The files were re-recorded once when the sequential shards = 0 mode
- * (the draw-for-draw replica of the original simulators) was retired.
- * That changed the random stream, not the physics:
+ * The files were re-recorded twice, each time for a change of the
+ * random stream that left the physics alone:
+ *  - when the sequential shards = 0 mode (the draw-for-draw replica of
+ *    the original simulators) was retired;
+ *  - when heads blocked on a busy sole output began to sleep until it
+ *    frees instead of re-polling every cycle.
  * SeedMeansWithinBandsOfRetiredEngine pins each configuration's
  * 40-seed means to the retired engine's, kept below as reference data.
+ * The previous files, recorded while every blocked head re-polled each
+ * cycle, stay in tests/golden/polling/: a no-op cycle hook at every
+ * cycle caps every sleep at the next cycle, which must reproduce them
+ * bit for bit (HookEveryCycleReproducesPolling).
  *
  * Re-recording (only legitimate when a behavior change is intended
  * and documented):  RFC_GOLDEN_RECORD=1 ./test_sim_golden
+ * (rewrites the default-path files; polling/ is never rewritten).
  */
 #include <gtest/gtest.h>
 
@@ -23,14 +31,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "clos/rfc.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
+#include "sim/core/engine.hpp"
+#include "sim/core/layout.hpp"
+#include "sim/core/policy_ksp.hpp"
+#include "sim/core/policy_updown.hpp"
 #include "sim/direct.hpp"
 #include "sim/simulator.hpp"
 
@@ -80,18 +94,11 @@ fields(const SimResult &r)
     };
 }
 
+/** Compare @p r field by field with the golden file @p name. */
 void
-checkOrRecord(const std::string &name, const SimResult &r)
+expectGolden(const std::string &name, const SimResult &r)
 {
     auto got = fields(r);
-    if (recordMode()) {
-        std::ofstream out(goldenPath(name));
-        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(name);
-        for (const auto &kv : got)
-            out << kv.first << " " << kv.second << "\n";
-        GTEST_LOG_(INFO) << "recorded golden " << name;
-        return;
-    }
     std::ifstream in(goldenPath(name));
     ASSERT_TRUE(in.good())
         << "missing golden file " << goldenPath(name)
@@ -110,6 +117,27 @@ checkOrRecord(const std::string &name, const SimResult &r)
     }
 }
 
+void
+checkOrRecord(const std::string &name, const SimResult &r)
+{
+    if (!recordMode()) {
+        expectGolden(name, r);
+        return;
+    }
+    std::ofstream out(goldenPath(name));
+    ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(name);
+    for (const auto &kv : fields(r))
+        out << kv.first << " " << kv.second << "\n";
+    GTEST_LOG_(INFO) << "recorded golden " << name;
+}
+
+/** How a golden configuration drives the engine. */
+enum class Drive
+{
+    kDefault,         //!< the public Simulator / DirectSimulator
+    kHookEveryCycle,  //!< VctEngine built directly, no-op hook each cycle
+};
+
 SimConfig
 goldenConfig(double load, std::uint64_t seed)
 {
@@ -121,61 +149,98 @@ goldenConfig(double load, std::uint64_t seed)
     return cfg;
 }
 
+/** Give @p engine a no-op cycle hook at every cycle of the run. */
+template <class Policy>
+void
+hookEveryCycle(VctEngine<Policy> &engine, const SimConfig &cfg)
+{
+    std::vector<long long> cycles(cfg.warmup + cfg.measure);
+    std::iota(cycles.begin(), cycles.end(), 0LL);
+    engine.setCycleHook(std::move(cycles), [](long long) {});
+}
+
 SimResult
-cftUniformMinimal(std::uint64_t seed)
+runClos(const FoldedClos &fc, const UpDownOracle &oracle, Traffic &traffic,
+        const SimConfig &cfg, Drive drive)
+{
+    if (drive == Drive::kDefault)
+        return Simulator(fc, oracle, traffic, cfg).run();
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+    VctEngine<UpDownPolicy> engine(lay, traffic, cfg,
+                                   UpDownPolicy(fc, oracle, lay, cfg));
+    hookEveryCycle(engine, cfg);
+    return engine.run();
+}
+
+SimResult
+runDirect(const Graph &g, const KspRoutes &routes, Traffic &traffic,
+          const SimConfig &cfg, PathPolicy policy, Drive drive)
+{
+    constexpr int kHosts = 2;
+    if (drive == Drive::kDefault)
+        return DirectSimulator(g, routes, kHosts, traffic, cfg, policy)
+            .run();
+    FabricLayout lay = FabricLayout::fromGraph(g, kHosts);
+    VctEngine<KspPolicy> engine(
+        lay, traffic, cfg, KspPolicy(g, routes, lay, cfg, kHosts, policy));
+    hookEveryCycle(engine, cfg);
+    return engine.run();
+}
+
+SimResult
+cftUniformMinimal(std::uint64_t seed, Drive drive)
 {
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     UniformTraffic traffic;
-    return Simulator(fc, oracle, traffic, goldenConfig(0.5, seed)).run();
+    return runClos(fc, oracle, traffic, goldenConfig(0.5, seed), drive);
 }
 
 SimResult
-cftUniformSaturated(std::uint64_t seed)
+cftUniformSaturated(std::uint64_t seed, Drive drive)
 {
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     UniformTraffic traffic;
-    return Simulator(fc, oracle, traffic, goldenConfig(0.95, seed)).run();
+    return runClos(fc, oracle, traffic, goldenConfig(0.95, seed), drive);
 }
 
 SimResult
-cftPairingUpDownRandom(std::uint64_t seed)
+cftPairingUpDownRandom(std::uint64_t seed, Drive drive)
 {
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     RandomPairingTraffic traffic;
     SimConfig cfg = goldenConfig(0.7, seed);
     cfg.route_mode = RouteMode::kUpDownRandom;
-    return Simulator(fc, oracle, traffic, cfg).run();
+    return runClos(fc, oracle, traffic, cfg, drive);
 }
 
 SimResult
-cftUniformValiant(std::uint64_t seed)
+cftUniformValiant(std::uint64_t seed, Drive drive)
 {
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     UniformTraffic traffic;
     SimConfig cfg = goldenConfig(0.4, seed);
     cfg.route_mode = RouteMode::kValiant;
-    return Simulator(fc, oracle, traffic, cfg).run();
+    return runClos(fc, oracle, traffic, cfg, drive);
 }
 
 SimResult
-rfcUniformMinimal(std::uint64_t seed)
+rfcUniformMinimal(std::uint64_t seed, Drive drive)
 {
     Rng rng(5);
     auto built = buildRfc(8, 3, 12, rng);
     EXPECT_TRUE(built.routable);
     UpDownOracle oracle(built.topology);
     UniformTraffic traffic;
-    return Simulator(built.topology, oracle, traffic,
-                     goldenConfig(0.6, seed))
-        .run();
+    return runClos(built.topology, oracle, traffic, goldenConfig(0.6, seed),
+                   drive);
 }
 
 SimResult
-directUniform(std::uint64_t seed)
+directUniform(std::uint64_t seed, Drive drive)
 {
     Rng grng(6);
     Graph g = randomRegularGraph(16, 4, grng);
@@ -183,11 +248,12 @@ directUniform(std::uint64_t seed)
     UniformTraffic traffic;
     SimConfig cfg = goldenConfig(0.4, seed);
     cfg.vcs = 6;
-    return DirectSimulator(g, routes, 2, traffic, cfg).run();
+    return runDirect(g, routes, traffic, cfg, PathPolicy::kShortestEcmp,
+                     drive);
 }
 
 SimResult
-directPairingAllKsp(std::uint64_t seed)
+directPairingAllKsp(std::uint64_t seed, Drive drive)
 {
     Rng grng(7);
     Graph g = randomRegularGraph(16, 4, grng);
@@ -195,50 +261,81 @@ directPairingAllKsp(std::uint64_t seed)
     RandomPairingTraffic traffic;
     SimConfig cfg = goldenConfig(0.8, seed);
     cfg.vcs = 6;
-    return DirectSimulator(g, routes, 2, traffic, cfg, PathPolicy::kAllKsp)
-        .run();
+    return runDirect(g, routes, traffic, cfg, PathPolicy::kAllKsp, drive);
 }
 
-TEST(SimGolden, CftUniformMinimal)
+/** One golden configuration: its file name, runner and recorded seed. */
+struct Golden
 {
-    checkOrRecord("cft8_uniform_minimal", cftUniformMinimal(11));
+    const char *name;
+    SimResult (*run)(std::uint64_t seed, Drive drive);
+    std::uint64_t seed;
+};
+
+constexpr Golden kGoldens[] = {
+    {"cft8_uniform_minimal", cftUniformMinimal, 11},
+    {"cft8_uniform_saturated", cftUniformSaturated, 12},
+    {"cft8_pairing_updownrandom", cftPairingUpDownRandom, 13},
+    {"cft8_uniform_valiant", cftUniformValiant, 14},
+    {"rfc8_uniform_minimal", rfcUniformMinimal, 15},
+    {"rrn16_uniform", directUniform, 16},
+    {"rrn16_pairing_allksp", directPairingAllKsp, 17},
+};
+
+void
+checkGolden(int i)
+{
+    const Golden &g = kGoldens[i];
+    checkOrRecord(g.name, g.run(g.seed, Drive::kDefault));
 }
 
-TEST(SimGolden, CftUniformSaturated)
+TEST(SimGolden, CftUniformMinimal) { checkGolden(0); }
+
+TEST(SimGolden, CftUniformSaturated) { checkGolden(1); }
+
+TEST(SimGolden, CftPairingUpDownRandom) { checkGolden(2); }
+
+TEST(SimGolden, CftUniformValiant) { checkGolden(3); }
+
+TEST(SimGolden, RfcUniformMinimal) { checkGolden(4); }
+
+TEST(SimGolden, DirectUniform) { checkGolden(5); }
+
+TEST(SimGolden, DirectPairingAllKsp) { checkGolden(6); }
+
+TEST(SimGolden, HookEveryCycleReproducesPolling)
 {
-    checkOrRecord("cft8_uniform_saturated", cftUniformSaturated(12));
+    // A hook at every cycle caps every sleep at the next cycle, so each
+    // blocked head is visited every cycle as before the sleep rule: the
+    // run must match the files recorded then, draw for draw.
+    for (const Golden &g : kGoldens) {
+        SCOPED_TRACE(g.name);
+        expectGolden(std::string("polling/") + g.name,
+                     g.run(g.seed, Drive::kHookEveryCycle));
+    }
 }
 
-TEST(SimGolden, CftPairingUpDownRandom)
+TEST(SimGolden, SoleRouteSleepsCutScans)
 {
-    checkOrRecord("cft8_pairing_updownrandom", cftPairingUpDownRandom(13));
-}
-
-TEST(SimGolden, CftUniformValiant)
-{
-    checkOrRecord("cft8_uniform_valiant", cftUniformValiant(14));
-}
-
-TEST(SimGolden, RfcUniformMinimal)
-{
-    checkOrRecord("rfc8_uniform_minimal", rfcUniformMinimal(15));
-}
-
-TEST(SimGolden, DirectUniform)
-{
-    checkOrRecord("rrn16_uniform", directUniform(16));
-}
-
-TEST(SimGolden, DirectPairingAllKsp)
-{
-    checkOrRecord("rrn16_pairing_allksp", directPairingAllKsp(17));
+    // The visits a sleeping head skips are most of the arbiter's work
+    // once 16-phit packets keep outputs busy.
+    for (int i : {0, 1}) {
+        const Golden &g = kGoldens[i];
+        SCOPED_TRACE(g.name);
+        const long long slept =
+            g.run(g.seed, Drive::kDefault).perf.switch_scans;
+        const long long polled =
+            g.run(g.seed, Drive::kHookEveryCycle).perf.switch_scans;
+        EXPECT_GT(slept, 0);
+        EXPECT_LE(static_cast<double>(slept), 0.6 * polled);
+    }
 }
 
 /** Means of one golden configuration over seeds 1000..1039. */
 struct SeedMeans
 {
     const char *name;
-    SimResult (*run)(std::uint64_t seed);
+    SimResult (*run)(std::uint64_t seed, Drive drive);
     double accepted, avg_latency, avg_hops;
 };
 
@@ -270,7 +367,7 @@ TEST(SimGolden, SeedMeansWithinBandsOfRetiredEngine)
     for (const SeedMeans &ref : kRetiredEngine) {
         double acc = 0.0, lat = 0.0, hops = 0.0;
         for (int i = 0; i < kSeeds; ++i) {
-            SimResult r = ref.run(1000 + i);
+            SimResult r = ref.run(1000 + i, Drive::kDefault);
             acc += r.accepted / kSeeds;
             lat += r.avg_latency / kSeeds;
             hops += r.avg_hops / kSeeds;
