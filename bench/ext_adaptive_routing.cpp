@@ -32,7 +32,7 @@
 #include "clos/rfc.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
-#include "sim/direct.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -175,13 +175,13 @@ main(int argc, char **argv)
         SimConfig cfg = dcfg;
         cfg.load = load;
         auto tr1 = makeTraffic("uniform");
-        DirectSimulator ecmp_sim(rrn, routes, hosts, *tr1, cfg,
-                                 PathPolicy::kShortestEcmp);
+        Simulator ecmp_sim(rrn, routes, hosts, *tr1, cfg,
+                           PathPolicy::kShortestEcmp);
         auto r1 = ecmp_sim.run();
         auditDirect("RRN-ecmp", r1);
         auto tr2 = makeTraffic("uniform");
-        DirectSimulator flowlet_sim(rrn, routes, hosts, *tr2, cfg,
-                                    PathPolicy::kFlowletEcmp);
+        Simulator flowlet_sim(rrn, routes, hosts, *tr2, cfg,
+                              PathPolicy::kFlowletEcmp);
         auto r2 = flowlet_sim.run();
         auditDirect("RRN-flowlet", r2);
         d.addRow({TablePrinter::fmt(load, 2),

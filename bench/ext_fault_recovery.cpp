@@ -28,8 +28,8 @@
 
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
-#include "clos/faults.hpp"
 #include "clos/rfc.hpp"
+#include "clos/topology_events.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -96,15 +96,15 @@ main(int argc, char **argv)
 
     // Timelines are shared read-only by the trials; materialize them
     // all before taking addresses.
-    std::vector<FaultTimeline> timelines;
+    std::vector<TopologyTimeline> timelines;
     timelines.reserve(2 * static_cast<std::size_t>(steps));
     for (int s = 1; s <= steps; ++s) {
         auto k = static_cast<std::size_t>(s) *
                  static_cast<std::size_t>(step_links);
-        timelines.push_back(FaultTimeline::randomFailRepair(
+        timelines.push_back(TopologyTimeline::randomFailRepair(
             cft, k, fail_at, repair_at,
             deriveSeed(seed, 0xFA17ULL, static_cast<std::uint64_t>(s))));
-        timelines.push_back(FaultTimeline::randomFailRepair(
+        timelines.push_back(TopologyTimeline::randomFailRepair(
             rfc_fc, k, fail_at, repair_at,
             deriveSeed(seed, 0xFA18ULL, static_cast<std::uint64_t>(s))));
     }
@@ -122,8 +122,8 @@ main(int argc, char **argv)
         for (int net = 0; net < 2; ++net) {
             Case c{"level " + std::to_string(s), namedTraffic(traffic)};
             if (s > 0)
-                c.faults = &timelines[2 * static_cast<std::size_t>(s - 1) +
-                                      static_cast<std::size_t>(net)];
+                c.changes = &timelines[2 * static_cast<std::size_t>(s - 1) +
+                                       static_cast<std::size_t>(net)];
             study.points.push_back(
                 {nets[net], std::move(c), base.load, base,
                  nets[net].label + "@" + std::to_string(s)});

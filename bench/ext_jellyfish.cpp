@@ -5,8 +5,9 @@
  *
  * Section 6 argues the RRN is "out of the natural competition" because
  * it needs k-shortest-path routing plus deadlock avoidance.  Having
- * built both (KspRoutes + hop-escalating virtual channels in
- * DirectSimulator), we can run the match and also price the machinery:
+ * built both (KspRoutes + hop-escalating virtual channels in the
+ * Simulator's direct-network constructor), we can run the match and
+ * also price the machinery:
  * routing-table mass and the VC requirement are printed next to the
  * RFC's equivalents.
  *
@@ -20,7 +21,7 @@
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/tables.hpp"
-#include "sim/direct.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -93,16 +94,16 @@ main(int argc, char **argv)
             Simulator rfc_sim(built.topology, oracle, *tr1, cfg);
             auto r1 = rfc_sim.run();
             auto tr2 = makeTraffic(tname);
-            DirectSimulator ecmp_sim(rrn, routes, hosts, *tr2, cfg,
-                                     PathPolicy::kShortestEcmp);
+            Simulator ecmp_sim(rrn, routes, hosts, *tr2, cfg,
+                               PathPolicy::kShortestEcmp);
             auto r2 = ecmp_sim.run();
             auto tr3 = makeTraffic(tname);
-            DirectSimulator ksp_sim(rrn, routes, hosts, *tr3, cfg,
-                                    PathPolicy::kAllKsp);
+            Simulator ksp_sim(rrn, routes, hosts, *tr3, cfg,
+                              PathPolicy::kAllKsp);
             auto r3 = ksp_sim.run();
             auto tr4 = makeTraffic(tname);
-            DirectSimulator flowlet_sim(rrn, routes, hosts, *tr4, cfg,
-                                        PathPolicy::kFlowletEcmp);
+            Simulator flowlet_sim(rrn, routes, hosts, *tr4, cfg,
+                                  PathPolicy::kFlowletEcmp);
             auto r4 = flowlet_sim.run();
             t.addRow({TablePrinter::fmt(load, 2),
                       TablePrinter::fmt(r1.accepted, 3),

@@ -11,8 +11,8 @@
  * oracle rebuilds; nestedFaultLevels() is that scaffolding, once.
  *
  * Dynamic drills (bench/ext_fault_recovery) run ONE simulation through
- * a FaultTimeline and read the recovery story off the delivered-per-bin
- * telemetry series; computeRecovery() turns that series into the
+ * a TopologyTimeline of link fail/repair events and read the recovery
+ * story off the delivered-per-bin telemetry series; computeRecovery() turns that series into the
  * headline numbers: pre-failure baseline, depth of the throughput dip,
  * and the sustained time-to-reconverge.
  */

@@ -14,10 +14,11 @@
  *  - *Dynamic overlay*: keep the topology object immutable (so port
  *    numbering and adjacency indices stay stable for a running
  *    simulator) and flip links dead/alive in a LinkFaultState mask
- *    while traffic is flowing, driven by a scheduled FaultTimeline.
- *    The up/down oracle repairs itself incrementally against the
- *    overlay (UpDownOracle::applyLinkEvent), which is what the
- *    VctEngine's online fail/recovery path consumes.
+ *    while traffic is flowing, driven by a scheduled TopologyTimeline
+ *    (clos/topology_events.hpp).  The up/down oracle repairs itself
+ *    incrementally against the overlay
+ *    (UpDownOracle::applyTopologyEvent), which is what the VctEngine's
+ *    online fail/recovery path consumes.
  */
 #ifndef RFC_CLOS_FAULTS_HPP
 #define RFC_CLOS_FAULTS_HPP
@@ -98,85 +99,6 @@ class LinkFaultState
     const FoldedClos *fc_ = nullptr;
     std::vector<std::vector<std::uint8_t>> up_dead_, down_dead_;
     std::size_t dead_ = 0;
-};
-
-/** One scheduled runtime link event. */
-struct FaultEvent
-{
-    long long cycle = 0;       //!< simulation cycle the event fires at
-    std::int32_t lower = -1;   //!< link endpoint at level i
-    std::int32_t upper = -1;   //!< link endpoint at level i+1
-    bool fail = true;          //!< true = link fails, false = repaired
-};
-
-/**
- * Deterministic schedule of link fail/repair events, applied by the
- * engine at cycle barriers (so sharded runs stay bit-identical at any
- * thread count).  Events are kept sorted by cycle with insertion order
- * as the tie-break; application order within a cycle is therefore part
- * of the timeline definition, not of the execution.
- *
- * Edge semantics, pinned by test_fault_timeline:
- *
- *  - An event at cycle c applies at the *start* of cycle c, before any
- *    packet generation, routing or movement of that cycle.  Cycle-0
- *    events therefore describe the initial link state: a run with
- *    fail(0, ...) events is bit-identical to a run whose oracle was
- *    built on a pre-masked overlay.
- *  - Multiple events on the same cycle apply back-to-back inside one
- *    barrier, in insertion order.  fail(c, l) inserted before
- *    repair(c, l) nets to a live link, the reverse insertion leaves it
- *    dead; in-flight traffic never observes the intermediate states.
- */
-class FaultTimeline
-{
-  public:
-    FaultTimeline() = default;
-
-    /** Schedule one event (keeps the event list sorted by cycle). */
-    FaultTimeline &add(long long cycle, int lower, int upper, bool fail);
-
-    /** Schedule a link failure at @p cycle. */
-    FaultTimeline &
-    fail(long long cycle, int lower, int upper)
-    {
-        return add(cycle, lower, upper, true);
-    }
-
-    /** Schedule a link repair at @p cycle. */
-    FaultTimeline &
-    repair(long long cycle, int lower, int upper)
-    {
-        return add(cycle, lower, upper, false);
-    }
-
-    /**
-     * The canonical fail/recover drill: @p count uniformly random
-     * distinct links of @p fc fail at @p fail_at and - unless
-     * @p repair_at < 0 - are all repaired at @p repair_at.  The link
-     * draw depends only on @p seed (derive it with deriveSeed so
-     * sweeps stay reproducible at any parallelism).
-     */
-    static FaultTimeline randomFailRepair(const FoldedClos &fc,
-                                          std::size_t count,
-                                          long long fail_at,
-                                          long long repair_at,
-                                          std::uint64_t seed);
-
-    bool empty() const { return events_.empty(); }
-    std::size_t size() const { return events_.size(); }
-
-    /** All events, sorted by (cycle, insertion order). */
-    const std::vector<FaultEvent> &events() const { return events_; }
-
-    /** Cycle of the first failure event, or -1 when none. */
-    long long firstFailCycle() const;
-
-    /** Cycle of the last event of any kind, or -1 when empty. */
-    long long lastEventCycle() const;
-
-  private:
-    std::vector<FaultEvent> events_;
 };
 
 } // namespace rfc

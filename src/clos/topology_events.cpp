@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "clos/faults.hpp"
+#include "util/rng.hpp"
+
 namespace rfc {
 
 TopologyTimeline &
@@ -23,12 +26,25 @@ TopologyTimeline::add(TopologyEvent ev)
 }
 
 TopologyTimeline
-TopologyTimeline::fromFaults(const FaultTimeline &faults)
+TopologyTimeline::randomFailRepair(const FoldedClos &fc, std::size_t count,
+                                   long long fail_at, long long repair_at,
+                                   std::uint64_t seed)
 {
+    Rng rng(seed);
+    auto order = randomLinkOrder(fc, rng);
+    if (count > order.size())
+        throw std::out_of_range(
+            "TopologyTimeline::randomFailRepair: count > links");
+    if (repair_at >= 0 && repair_at <= fail_at)
+        throw std::invalid_argument(
+            "TopologyTimeline::randomFailRepair: repair_at must be after "
+            "fail_at (or < 0 for no repair)");
     TopologyTimeline tl;
-    for (const FaultEvent &e : faults.events())
-        tl.add({e.cycle, e.fail ? TopoOp::kFail : TopoOp::kRepair,
-                e.lower, e.upper, 0});
+    for (std::size_t i = 0; i < count; ++i)
+        tl.fail(fail_at, order[i].lower, order[i].upper);
+    if (repair_at >= 0)
+        for (std::size_t i = 0; i < count; ++i)
+            tl.repair(repair_at, order[i].lower, order[i].upper);
     return tl;
 }
 

@@ -18,8 +18,9 @@
  * Event semantics (the attach/repair distinction matters):
  *
  *  - kFail / kRepair: a live link dies / a *previously failed* link
- *    comes back.  Identical runtime behavior to FaultEvent; kept
- *    distinct so fault and expansion traffic separate in the counters.
+ *    comes back: the runtime fault drill (randomFailRepair), kept
+ *    distinct from detach/attach so fault and expansion traffic
+ *    separate in the counters.
  *  - kDetach / kAttach: one rewire half.  An attached link is *staged*:
  *    it must exist in the bound topology and starts dead (see
  *    initialDead()), coming alive only when its attach event fires.  A
@@ -32,10 +33,20 @@
  *    prefix and begin injecting a deterministic stagger after the
  *    barrier; they never deactivate.
  *
- * Ordering contract (shared with FaultTimeline, see clos/faults.hpp):
- * events are kept sorted by cycle with insertion order as the
- * tie-break, and the engine applies all events of a cycle in that
- * order inside one barrier, before any traffic of that cycle moves.
+ * Ordering contract: events are kept sorted by cycle with insertion
+ * order as the tie-break, and the engine applies all events of a cycle
+ * in that order inside one barrier, before any traffic of that cycle
+ * moves.  Edge semantics, pinned by test_fault_timeline:
+ *
+ *  - An event at cycle c applies at the *start* of cycle c, before any
+ *    packet generation, routing or movement of that cycle.  Cycle-0
+ *    events therefore describe the initial link state: a run with
+ *    fail(0, ...) events is bit-identical to a run whose oracle was
+ *    built on a pre-masked overlay (clos/faults.hpp LinkFaultState).
+ *  - Multiple events on the same cycle apply back-to-back inside one
+ *    barrier, in insertion order.  fail(c, l) inserted before
+ *    repair(c, l) nets to a live link, the reverse insertion leaves it
+ *    dead; in-flight traffic never observes the intermediate states.
  */
 #ifndef RFC_CLOS_TOPOLOGY_EVENTS_HPP
 #define RFC_CLOS_TOPOLOGY_EVENTS_HPP
@@ -43,7 +54,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "clos/faults.hpp"
 #include "clos/folded_clos.hpp"
 
 namespace rfc {
@@ -71,10 +81,9 @@ struct TopologyEvent
 
 /**
  * Deterministic schedule of topology-change events, applied by the
- * engine at cycle barriers.  Same ordering contract as FaultTimeline:
- * sorted by cycle, insertion order breaks ties, and that order is part
- * of the timeline definition - results are bit-identical at any
- * `--jobs` / `--sim-jobs` value.
+ * engine at cycle barriers: sorted by cycle, insertion order breaks
+ * ties, and that order is part of the timeline definition - results
+ * are bit-identical at any `--jobs` / `--sim-jobs` value.
  */
 class TopologyTimeline
 {
@@ -122,12 +131,19 @@ class TopologyTimeline
     }
 
     /**
-     * Lift a link fail/repair schedule into the generalized pipeline.
-     * Event-for-event equivalent: the runtime applies the converted
-     * timeline through the same setLink/applyLinkEvent sequence the
-     * fault path used, so fault-only runs stay bit-identical.
+     * The canonical fail/recover drill: @p count uniformly random
+     * distinct links of @p fc fail at @p fail_at and - unless
+     * @p repair_at < 0 - are all repaired at @p repair_at, in the same
+     * order.  The link draw depends only on @p seed (derive it with
+     * deriveSeed so sweeps stay reproducible at any parallelism).
+     * Throws std::out_of_range when @p count exceeds the link count
+     * and std::invalid_argument when 0 <= repair_at <= fail_at.
      */
-    static TopologyTimeline fromFaults(const FaultTimeline &faults);
+    static TopologyTimeline randomFailRepair(const FoldedClos &fc,
+                                             std::size_t count,
+                                             long long fail_at,
+                                             long long repair_at,
+                                             std::uint64_t seed);
 
     bool empty() const { return events_.empty(); }
     std::size_t size() const { return events_.size(); }
@@ -145,8 +161,7 @@ class TopologyTimeline
 
     /**
      * Cycle of the first service-disrupting event (kFail or kDetach),
-     * or -1 when none - the recovery-analysis anchor generalizing
-     * FaultTimeline::firstFailCycle().
+     * or -1 when none - the recovery-analysis anchor.
      */
     long long firstDisruptionCycle() const;
 

@@ -71,11 +71,10 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     const FoldedClos &fc = *pt.network.topology;
     auto traffic = c.traffic();
     const SimResult r =
-        c.changes  ? Simulator(fc, *traffic, cfg, *c.changes, c.policy).run()
-        : c.faults ? Simulator(fc, *traffic, cfg, *c.faults, c.policy).run()
-                   : Simulator(fc, *pt.network.oracle, *traffic, cfg,
-                               c.policy)
-                         .run();
+        c.changes ? Simulator(fc, *traffic, cfg, *c.changes, c.policy).run()
+                  : Simulator(fc, *pt.network.oracle, *traffic, cfg,
+                              c.policy)
+                        .run();
 
     Sample s;
     addAll(s, {{"accepted", r.accepted},
@@ -92,14 +91,11 @@ vctTrial(const Point &pt, const SimConfig &cfg)
                {"route_retries", num(r.route_retries)}});
     s.add("conservation_violations", conservationGap(r) != 0 ? 1 : 0,
           Fold::kSum);
-    if ((c.changes || c.faults) && cfg.telemetry_bin > 0) {
-        // Recovery after the first disruption (expansion) or failure.
-        const long long first = c.changes
-                                    ? c.changes->firstDisruptionCycle()
-                                    : c.faults->firstFailCycle();
-        const RecoveryStats rec =
-            computeRecovery(r.delivered_bins, r.telemetry_bin,
-                            cfg.warmup + cfg.measure, first);
+    if (c.changes && cfg.telemetry_bin > 0) {
+        // Recovery after the first failure or detach.
+        const RecoveryStats rec = computeRecovery(
+            r.delivered_bins, r.telemetry_bin, cfg.warmup + cfg.measure,
+            c.changes->firstDisruptionCycle());
         s.add("time_to_reconverge", num(rec.time_to_reconverge));
         s.add("dip_fraction", rec.dip_fraction);
         s.add("delivered_bins_mean", r.delivered_bins, Fold::kSeriesMean);

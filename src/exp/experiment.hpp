@@ -101,11 +101,10 @@ struct Case
     ClosPolicy policy = ClosPolicy::kOblivious;
     /** Replaces the base config's route mode in crossPoints. */
     std::optional<RouteMode> route_mode{};
-    /** Runtime link faults: each trial owns an overlay and oracle. */
-    const FaultTimeline *faults = nullptr;
     /**
-     * Live topology change; the network's topology must be the union
-     * topology.  Takes precedence over `faults`.
+     * Live link faults or topology change: each trial owns an overlay
+     * and oracle.  The network's topology must be the union topology
+     * of any staged (attached) links.
      */
     const TopologyTimeline *changes = nullptr;
 

@@ -47,7 +47,6 @@
 #include "routing/ksp_tables.hpp"
 #include "routing/tables.hpp"
 #include "routing/updown.hpp"
-#include "sim/direct.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
 #include "util/bitset.hpp"

@@ -2,9 +2,9 @@
  * @file
  * Shared configuration and result types of the cycle-driven VCT core.
  *
- * Both simulators (`Simulator` for folded Clos, `DirectSimulator` for
- * Jellyfish-style direct networks) are instantiations of one flow
- * control engine (sim/core/engine.hpp) and share this configuration:
+ * Every `Simulator` run, folded Clos or Jellyfish-style direct
+ * network, instantiates one flow control engine (sim/core/engine.hpp)
+ * and shares this configuration:
  * Table 2 parameters, the warm-up/measurement window, and the
  * deterministic execution controls.
  *

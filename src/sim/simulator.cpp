@@ -7,11 +7,26 @@
 
 namespace rfc {
 
+namespace {
+
+/** Rejects a direct network without terminals before any layout exists. */
+int
+checkedHosts(int hosts_per_switch)
+{
+    if (hosts_per_switch < 1)
+        throw std::invalid_argument(
+            "Simulator: hosts_per_switch must be >= 1");
+    return hosts_per_switch;
+}
+
+} // namespace
+
 void
 Simulator::makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
-                      Traffic &traffic, const SimConfig &config)
+                      Traffic &traffic, const SimConfig &config,
+                      ClosPolicy policy)
 {
-    switch (policy_) {
+    switch (policy) {
     case ClosPolicy::kOblivious:
         engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
             layout_, traffic, config,
@@ -33,10 +48,33 @@ Simulator::makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
 Simulator::Simulator(const FoldedClos &fc, const UpDownOracle &oracle,
                      Traffic &traffic, SimConfig config,
                      ClosPolicy policy)
-    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
+    : layout_(FabricLayout::fromFoldedClos(fc))
 {
     config.validate();
-    makeEngine(fc, oracle, traffic, config);
+    makeEngine(fc, oracle, traffic, config, policy);
+}
+
+Simulator::Simulator(const Graph &g, const KspRoutes &routes,
+                     int hosts_per_switch, Traffic &traffic,
+                     SimConfig config, PathPolicy policy)
+    : layout_(FabricLayout::fromGraph(g, checkedHosts(hosts_per_switch)))
+{
+    config.validate();
+    if (config.vcs < routes.maxHops())
+        throw std::invalid_argument(
+            "Simulator: hop-escalating deadlock freedom needs "
+            "vcs >= max path hops (" +
+            std::to_string(routes.maxHops()) + ")");
+    if (policy == PathPolicy::kFlowletEcmp)
+        engine_ = std::make_unique<EngineHolder<FlowletKspPolicy>>(
+            layout_, traffic, config,
+            FlowletKspPolicy(g, routes, layout_, config,
+                             hosts_per_switch));
+    else
+        engine_ = std::make_unique<EngineHolder<KspPolicy>>(
+            layout_, traffic, config,
+            KspPolicy(g, routes, layout_, config, hosts_per_switch,
+                      policy));
 }
 
 Simulator::TopologyRuntime::TopologyRuntime(const FoldedClos &topo,
@@ -116,14 +154,15 @@ Simulator::TopologyRuntime::apply(long long now)
     }
 }
 
-void
-Simulator::initTimeline(const FoldedClos &fc, Traffic &traffic,
-                        const SimConfig &config, TopologyTimeline timeline)
+Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
+                     SimConfig config, const TopologyTimeline &timeline,
+                     ClosPolicy policy)
+    : layout_(FabricLayout::fromFoldedClos(fc))
 {
     config.validate();
-    runtime_ = std::make_unique<TopologyRuntime>(fc, std::move(timeline),
+    runtime_ = std::make_unique<TopologyRuntime>(fc, timeline,
                                                  config.fault_crosscheck);
-    makeEngine(fc, runtime_->oracle, traffic, config);
+    makeEngine(fc, runtime_->oracle, traffic, config, policy);
     runtime_->engine = engine_.get();
     std::vector<long long> cycles;
     cycles.reserve(runtime_->timeline.size());
@@ -132,26 +171,6 @@ Simulator::initTimeline(const FoldedClos &fc, Traffic &traffic,
     TopologyRuntime *tr = runtime_.get();
     engine_->setCycleHook(std::move(cycles),
                           [tr](long long now) { tr->apply(now); });
-}
-
-Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
-                     SimConfig config, const FaultTimeline &timeline,
-                     ClosPolicy policy)
-    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
-{
-    // Lifted into the generalized pipeline: the converted timeline
-    // replays the exact setLink/applyLinkEvent sequence of the
-    // original fault path, so fault-only runs stay bit-identical.
-    initTimeline(fc, traffic, config,
-                 TopologyTimeline::fromFaults(timeline));
-}
-
-Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
-                     SimConfig config, const TopologyTimeline &timeline,
-                     ClosPolicy policy)
-    : layout_(FabricLayout::fromFoldedClos(fc)), policy_(policy)
-{
-    initTimeline(fc, traffic, config, timeline);
 }
 
 const UpDownOracle *

@@ -25,9 +25,14 @@
  * window that follows a warm-up phase.
  *
  * All flow-control mechanics live in the shared core engine
- * (sim/core/engine.hpp); this class is the folded Clos instantiation:
- * it builds the port-level FabricLayout from the FoldedClos and plugs
- * in the up/down routing policy (sim/core/policy_updown.hpp).
+ * (sim/core/engine.hpp); this class builds the port-level FabricLayout
+ * and plugs in a routing policy.  A folded Clos runs up/down routing
+ * (sim/core/policy_updown.hpp, policy_adaptive.hpp).  A direct
+ * (Jellyfish-style) network runs the machinery the paper says it
+ * needs: a path drawn from k-shortest-path tables at injection
+ * (sim/core/policy_ksp.hpp, policy_flowlet.hpp) and hop-escalating
+ * virtual channels for deadlock freedom, under the same flow control,
+ * so CFT/RFC/RRN results are directly comparable.
  */
 #ifndef RFC_SIM_SIMULATOR_HPP
 #define RFC_SIM_SIMULATOR_HPP
@@ -38,11 +43,15 @@
 #include "clos/faults.hpp"
 #include "clos/folded_clos.hpp"
 #include "clos/topology_events.hpp"
+#include "graph/graph.hpp"
+#include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
 #include "sim/core/config.hpp"
 #include "sim/core/engine.hpp"
 #include "sim/core/layout.hpp"
 #include "sim/core/policy_adaptive.hpp"
+#include "sim/core/policy_flowlet.hpp"
+#include "sim/core/policy_ksp.hpp"
 #include "sim/core/policy_updown.hpp"
 #include "sim/traffic.hpp"
 
@@ -81,36 +90,42 @@ class Simulator
               ClosPolicy policy = ClosPolicy::kOblivious);
 
     /**
-     * Fault-injection run: bind a FaultTimeline whose link fail/repair
-     * events fire at cycle barriers while traffic flows.  The
-     * simulator owns a private link-state overlay plus a mutable
-     * oracle copy bound to it, repairs the oracle incrementally on
-     * every event (UpDownOracle::applyLinkEvent), and - when
-     * config.fault_crosscheck is set - proves each repair equal to a
-     * fresh rebuild (std::logic_error on mismatch).  @p fc, @p traffic
-     * must outlive the simulator; the timeline is copied.
-     */
-    Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
-              const FaultTimeline &timeline,
-              ClosPolicy policy = ClosPolicy::kOblivious);
-
-    /**
-     * Live topology-change run, the generalization of the fault ctor:
-     * @p timeline may rewire links (detach/attach against staged links
-     * of the bound *union* topology), commission switches and raise
-     * the active-terminal barrier while packets fly.  Staged links
-     * (every kAttach target) start dead in the overlay; a gated run
-     * additionally sets config.active_terminals to the pre-expansion
-     * terminal count.  Events apply at cycle barriers in timeline
-     * order, the oracle extends incrementally
-     * (UpDownOracle::applyTopologyEvent, crosschecked when
-     * config.fault_crosscheck is set), and SimResult::expansion
+     * Live topology-change run: @p timeline fails and repairs links,
+     * rewires them (detach/attach against staged links of the bound
+     * *union* topology), commissions switches and raises the
+     * active-terminal barrier while packets fly.  The simulator owns a
+     * private link-state overlay plus a mutable oracle copy bound to
+     * it.  Staged links (every kAttach target) start dead in the
+     * overlay; a gated run additionally sets config.active_terminals to
+     * the pre-expansion terminal count.  Events apply at cycle barriers
+     * in timeline order, the oracle repairs itself incrementally
+     * (UpDownOracle::applyTopologyEvent; when config.fault_crosscheck
+     * is set, each repair is proved equal to a fresh rebuild and a
+     * mismatch throws std::logic_error), and SimResult::expansion
      * reports the applied-change counters.  @p fc, @p traffic must
      * outlive the simulator; the timeline is copied.
      */
     Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
               const TopologyTimeline &timeline,
               ClosPolicy policy = ClosPolicy::kOblivious);
+
+    /**
+     * Direct-network run: bind a switch graph, its k-shortest-path
+     * tables and a traffic pattern; all must outlive the simulator.
+     * There is no timeline variant: live repair needs an incrementally
+     * repairable oracle, which KspRoutes is not.
+     *
+     * @param hosts_per_switch Terminals attached to every switch.
+     * @param policy Path selection at injection: per-packet ECMP /
+     *        all-k / flowlet-switching ECMP (kFlowletEcmp runs
+     *        FlowletKspPolicy with SimConfig::flowlet_gap).
+     * @throws std::invalid_argument if hosts_per_switch < 1, or if
+     *         config.vcs < routes.maxHops() (hop-escalating VCs could
+     *         not guarantee deadlock freedom).
+     */
+    Simulator(const Graph &g, const KspRoutes &routes, int hosts_per_switch,
+              Traffic &traffic, SimConfig config,
+              PathPolicy policy = PathPolicy::kShortestEcmp);
 
     /** Run warm-up plus measurement and return the metrics. */
     SimResult
@@ -141,20 +156,17 @@ class Simulator
         return engine_->checkContext();
     }
 
-    /** The active routing-policy family. */
-    ClosPolicy policy() const { return policy_; }
-
     /**
-     * The simulator-owned oracle of a fault or topology-change run
-     * (null otherwise): after run() it reflects the end-of-timeline
-     * link state, which tests compare against a fresh rebuild.
+     * The simulator-owned oracle of a topology-timeline run (null
+     * otherwise): after run() it reflects the end-of-timeline link
+     * state, which tests compare against a fresh rebuild.
      */
     const UpDownOracle *faultOracle() const;
 
   private:
     struct EngineBase;
 
-    /** Owned runtime state of a fault or topology-change run. */
+    /** Owned runtime state of a topology-timeline run. */
     struct TopologyRuntime
     {
         const FoldedClos *fc;
@@ -232,17 +244,13 @@ class Simulator
         }
     };
 
-    /** Build the policy-selected engine (shared by both ctors). */
+    /** Build the policy-selected engine (shared by both Clos ctors). */
     void makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
-                    Traffic &traffic, const SimConfig &config);
-
-    /** Shared tail of the fault / topology-timeline ctors. */
-    void initTimeline(const FoldedClos &fc, Traffic &traffic,
-                      const SimConfig &config, TopologyTimeline timeline);
+                    Traffic &traffic, const SimConfig &config,
+                    ClosPolicy policy);
 
     FabricLayout layout_;  //!< must outlive engine_
     std::unique_ptr<TopologyRuntime> runtime_;  //!< must outlive engine_
-    ClosPolicy policy_ = ClosPolicy::kOblivious;
     std::unique_ptr<EngineBase> engine_;
 };
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the direct-network (Jellyfish/RRN) simulator.
+ * Tests for the Simulator's direct-network (Jellyfish/RRN) constructor:
+ * argument checks, flow-control sanity under KSP routing, and a
+ * closed-loop workload attached to a direct network.
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
-#include "sim/direct.hpp"
+#include "sim/simulator.hpp"
+#include "workload/closed_loop.hpp"
 
 namespace rfc {
 namespace {
@@ -39,7 +44,7 @@ quickConfig(double load, std::uint64_t seed = 3)
     return cfg;
 }
 
-TEST(DirectSimulator, RejectsTooFewVcs)
+TEST(DirectNetworkSim, RejectsTooFewVcs)
 {
     Rrn net(16, 4, 4, 2, 1);
     UniformTraffic traffic;
@@ -47,17 +52,16 @@ TEST(DirectSimulator, RejectsTooFewVcs)
     cfg.vcs = 1;
     if (net.routes.maxHops() > 1) {
         EXPECT_THROW(
-            DirectSimulator(net.g, net.routes, 2, traffic, cfg),
+            Simulator(net.g, net.routes, 2, traffic, cfg),
             std::invalid_argument);
     }
 }
 
-TEST(DirectSimulator, ZeroLoadLatencyNearAnalytic)
+TEST(DirectNetworkSim, ZeroLoadLatencyNearAnalytic)
 {
     Rrn net(16, 4, 4, 2, 2);
     UniformTraffic traffic;
-    DirectSimulator sim(net.g, net.routes, 2, traffic,
-                        quickConfig(0.01));
+    Simulator sim(net.g, net.routes, 2, traffic, quickConfig(0.01));
     auto r = sim.run();
     // ~2-3 switch hops + injection/ejection links + 16-cycle tail.
     EXPECT_GT(r.avg_latency, 17.0);
@@ -66,43 +70,41 @@ TEST(DirectSimulator, ZeroLoadLatencyNearAnalytic)
     EXPECT_LT(r.avg_hops, 4.0);
 }
 
-TEST(DirectSimulator, AcceptedTracksOfferedAtLowLoad)
+TEST(DirectNetworkSim, AcceptedTracksOfferedAtLowLoad)
 {
     Rrn net(24, 5, 4, 3, 3);
     for (double load : {0.1, 0.3}) {
         UniformTraffic traffic;
-        DirectSimulator sim(net.g, net.routes, 3, traffic,
-                            quickConfig(load));
+        Simulator sim(net.g, net.routes, 3, traffic, quickConfig(load));
         auto r = sim.run();
         EXPECT_NEAR(r.accepted, load, 0.04) << "load " << load;
     }
 }
 
-TEST(DirectSimulator, SaturationIsHighOnWellProvisionedRrn)
+TEST(DirectNetworkSim, SaturationIsHighOnWellProvisionedRrn)
 {
     // Degree 6, 2 hosts/switch: plenty of network bandwidth; the
     // Jellyfish promise is near-full uniform throughput.
     Rrn net(32, 6, 4, 2, 4);
     UniformTraffic traffic;
-    DirectSimulator sim(net.g, net.routes, 2, traffic,
-                        quickConfig(1.0));
+    Simulator sim(net.g, net.routes, 2, traffic, quickConfig(1.0));
     auto r = sim.run();
     EXPECT_GT(r.accepted, 0.6);
 }
 
-TEST(DirectSimulator, DeterministicBySeed)
+TEST(DirectNetworkSim, DeterministicBySeed)
 {
     Rrn net(16, 4, 3, 2, 5);
     UniformTraffic t1, t2;
-    DirectSimulator a(net.g, net.routes, 2, t1, quickConfig(0.5, 42));
-    DirectSimulator b(net.g, net.routes, 2, t2, quickConfig(0.5, 42));
+    Simulator a(net.g, net.routes, 2, t1, quickConfig(0.5, 42));
+    Simulator b(net.g, net.routes, 2, t2, quickConfig(0.5, 42));
     auto ra = a.run();
     auto rb = b.run();
     EXPECT_EQ(ra.delivered_packets, rb.delivered_packets);
     EXPECT_DOUBLE_EQ(ra.avg_latency, rb.avg_latency);
 }
 
-TEST(DirectSimulator, IntraSwitchTrafficBypassesNetwork)
+TEST(DirectNetworkSim, IntraSwitchTrafficBypassesNetwork)
 {
     // All traffic between co-located terminals: zero network hops.
     class LocalTraffic : public Traffic
@@ -118,23 +120,22 @@ TEST(DirectSimulator, IntraSwitchTrafficBypassesNetwork)
     };
     Rrn net(8, 3, 3, 2, 6);
     LocalTraffic traffic;
-    DirectSimulator sim(net.g, net.routes, 2, traffic,
-                        quickConfig(0.5));
+    Simulator sim(net.g, net.routes, 2, traffic, quickConfig(0.5));
     auto r = sim.run();
     EXPECT_NEAR(r.accepted, 0.5, 0.05);
     EXPECT_DOUBLE_EQ(r.avg_hops, 0.0);
 }
 
-TEST(DirectSimulator, LatencyGrowsWithLoad)
+TEST(DirectNetworkSim, LatencyGrowsWithLoad)
 {
     Rrn net(24, 4, 4, 2, 7);
     UniformTraffic t1, t2;
-    DirectSimulator lo(net.g, net.routes, 2, t1, quickConfig(0.1));
-    DirectSimulator hi(net.g, net.routes, 2, t2, quickConfig(0.9));
+    Simulator lo(net.g, net.routes, 2, t1, quickConfig(0.1));
+    Simulator hi(net.g, net.routes, 2, t2, quickConfig(0.9));
     EXPECT_LT(lo.run().avg_latency, hi.run().avg_latency);
 }
 
-TEST(DirectSimulator, NoDeadlockAtSaturation)
+TEST(DirectNetworkSim, NoDeadlockAtSaturation)
 {
     // Hop-escalating VCs must keep packets flowing even at overload
     // with deep congestion; deliveries must continue through the
@@ -143,20 +144,80 @@ TEST(DirectSimulator, NoDeadlockAtSaturation)
     UniformTraffic traffic;
     auto cfg = quickConfig(1.0);
     cfg.measure = 4000;
-    DirectSimulator sim(net.g, net.routes, 4, traffic, cfg);
+    Simulator sim(net.g, net.routes, 4, traffic, cfg);
     auto r = sim.run();
     EXPECT_GT(r.delivered_packets, 0);
     EXPECT_GT(r.accepted, 0.1);
 }
 
-TEST(DirectSimulator, PairingWorksOnDirectNetwork)
+TEST(DirectNetworkSim, PairingWorksOnDirectNetwork)
 {
     Rrn net(16, 4, 4, 2, 9);
     RandomPairingTraffic traffic;
-    DirectSimulator sim(net.g, net.routes, 2, traffic,
-                        quickConfig(0.4));
+    Simulator sim(net.g, net.routes, 2, traffic, quickConfig(0.4));
     auto r = sim.run();
     EXPECT_NEAR(r.accepted, 0.4, 0.06);
+}
+
+TEST(DirectNetworkSim, RejectsHostsPerSwitchBelowOne)
+{
+    Rrn net(16, 4, 4, 2, 1);
+    UniformTraffic traffic;
+    for (int hosts : {0, -1})
+        EXPECT_THROW(Simulator(net.g, net.routes, hosts, traffic,
+                               quickConfig(0.3)),
+                     std::invalid_argument)
+            << "hosts_per_switch " << hosts;
+}
+
+SimResult
+runRpc(const Rrn &net, int jobs)
+{
+    SimConfig cfg = quickConfig(0.5, 11);
+    cfg.shards = 4;
+    cfg.jobs = jobs;
+    auto wl = makeWorkload(WorkloadSpec{}, 0.5);  // rpc defaults
+    UniformTraffic traffic;  // replaced by the workload
+    Simulator sim(net.g, net.routes, net.hosts, traffic, cfg);
+    sim.attachWorkload(*wl);
+    return sim.run();
+}
+
+TEST(DirectNetworkSim, ClosedLoopRpcCompletesAndConserves)
+{
+    Rrn net(16, 4, 4, 2, 12);
+    const SimResult one = runRpc(net, 1);
+    const WorkloadMetrics &w = one.workload;
+    EXPECT_TRUE(w.active);
+    EXPECT_EQ(w.name, "rpc");
+    EXPECT_GT(w.rpcs_completed, 0);
+    EXPECT_GT(w.flows_completed, 0);
+    EXPECT_EQ(w.conservation_residual, 0);
+    EXPECT_EQ(w.eject_mismatch, 0);
+
+    // Bit-identical at a fixed shard count, any thread count.
+    const SimResult four = runRpc(net, 4);
+    EXPECT_EQ(one.accepted, four.accepted);
+    EXPECT_EQ(one.avg_latency, four.avg_latency);
+    EXPECT_EQ(one.p99_latency, four.p99_latency);
+    EXPECT_EQ(one.avg_hops, four.avg_hops);
+    EXPECT_EQ(one.generated_packets, four.generated_packets);
+    EXPECT_EQ(one.delivered_packets, four.delivered_packets);
+    EXPECT_EQ(one.ejected_packets, four.ejected_packets);
+    EXPECT_EQ(one.in_flight_packets, four.in_flight_packets);
+    EXPECT_EQ(one.queued_packets_end, four.queued_packets_end);
+    EXPECT_EQ(one.perf.forwards, four.perf.forwards);
+    EXPECT_EQ(w.messages_sent, four.workload.messages_sent);
+    EXPECT_EQ(w.responses_sent, four.workload.responses_sent);
+    EXPECT_EQ(w.rpcs_completed, four.workload.rpcs_completed);
+    EXPECT_EQ(w.flows_completed, four.workload.flows_completed);
+    EXPECT_EQ(w.goodput, four.workload.goodput);
+    EXPECT_EQ(w.fct_mean, four.workload.fct_mean);
+    EXPECT_EQ(w.rpc_mean, four.workload.rpc_mean);
+    EXPECT_EQ(w.rpc_p99, four.workload.rpc_p99);
+    EXPECT_EQ(w.rpc_max, four.workload.rpc_max);
+    EXPECT_EQ(w.pkts_created, four.workload.pkts_created);
+    EXPECT_EQ(w.pkts_received, four.workload.pkts_received);
 }
 
 } // namespace

@@ -53,24 +53,6 @@ TEST(TopologyTimeline, KeepsEventsSortedWithStableTiesAndValidates)
     EXPECT_THROW(tl.activateTerminals(5, -2), std::invalid_argument);
 }
 
-TEST(TopologyTimeline, FromFaultsPreservesTheEventSequence)
-{
-    auto fc = buildCft(8, 2);
-    auto faults = FaultTimeline::randomFailRepair(fc, 6, 100, 300, 42);
-    TopologyTimeline tl = TopologyTimeline::fromFaults(faults);
-    ASSERT_EQ(tl.size(), faults.size());
-    for (std::size_t i = 0; i < tl.size(); ++i) {
-        const auto &t = tl.events()[i];
-        const auto &f = faults.events()[i];
-        EXPECT_EQ(t.cycle, f.cycle);
-        EXPECT_EQ(t.lower, f.lower);
-        EXPECT_EQ(t.upper, f.upper);
-        EXPECT_EQ(t.op, f.fail ? TopoOp::kFail : TopoOp::kRepair);
-    }
-    EXPECT_EQ(tl.firstDisruptionCycle(), faults.firstFailCycle());
-    EXPECT_TRUE(tl.initialDead().empty());  // no staged links in faults
-}
-
 TEST(TopologyTimeline, DisruptionAndStagingSemantics)
 {
     TopologyTimeline tl;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the runtime fault layer (tier 1): FaultTimeline /
- * LinkFaultState semantics, incremental up/down oracle repair vs fresh
- * rebuilds on randomized fail/repair sequences, determinism of
+ * Tests for the runtime fault layer (tier 1): fail/repair
+ * TopologyTimeline / LinkFaultState semantics, incremental up/down
+ * oracle repair vs fresh rebuilds on randomized fail/repair sequences,
+ * determinism of
  * fault-injection simulations at any thread count, packet conservation
  * and TTL-drop accounting under faults, and the recovery-telemetry
  * analysis helpers.
@@ -16,6 +17,7 @@
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
 #include "clos/rfc.hpp"
+#include "clos/topology_events.hpp"
 #include "routing/updown.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
@@ -25,12 +27,12 @@ namespace rfc {
 namespace {
 
 // ======================================================================
-// FaultTimeline / LinkFaultState semantics
+// TopologyTimeline fail/repair / LinkFaultState semantics
 // ======================================================================
 
-TEST(FaultTimeline, AddKeepsEventsSortedWithStableTies)
+TEST(TopologyTimeline, FailRepairKeepsEventsSortedWithStableTies)
 {
-    FaultTimeline tl;
+    TopologyTimeline tl;
     tl.fail(50, 0, 1).repair(10, 2, 3).fail(50, 4, 5).fail(10, 6, 7);
     ASSERT_EQ(tl.size(), 4u);
     const auto &ev = tl.events();
@@ -41,44 +43,62 @@ TEST(FaultTimeline, AddKeepsEventsSortedWithStableTies)
     EXPECT_EQ(ev[2].cycle, 50);
     EXPECT_EQ(ev[2].lower, 0);  // same-cycle events keep insertion order
     EXPECT_EQ(ev[3].lower, 4);
-    EXPECT_EQ(tl.firstFailCycle(), 10);
+    EXPECT_EQ(tl.firstDisruptionCycle(), 10);
     EXPECT_EQ(tl.lastEventCycle(), 50);
-    EXPECT_THROW(tl.add(-1, 0, 1, true), std::invalid_argument);
+    EXPECT_THROW(tl.fail(-1, 0, 1), std::invalid_argument);
 }
 
-TEST(FaultTimeline, FirstFailSkipsRepairs)
+TEST(TopologyTimeline, FirstDisruptionSkipsRepairs)
 {
-    FaultTimeline tl;
-    EXPECT_EQ(tl.firstFailCycle(), -1);
+    TopologyTimeline tl;
+    EXPECT_EQ(tl.firstDisruptionCycle(), -1);
     EXPECT_EQ(tl.lastEventCycle(), -1);
     tl.repair(5, 0, 1);
-    EXPECT_EQ(tl.firstFailCycle(), -1);
+    EXPECT_EQ(tl.firstDisruptionCycle(), -1);
     tl.fail(9, 0, 1);
-    EXPECT_EQ(tl.firstFailCycle(), 9);
+    EXPECT_EQ(tl.firstDisruptionCycle(), 9);
 }
 
-TEST(FaultTimeline, RandomFailRepairIsSeedDeterministic)
+TEST(TopologyTimeline, RandomFailRepairIsSeedDeterministic)
 {
     auto fc = buildCft(8, 2);
-    auto a = FaultTimeline::randomFailRepair(fc, 6, 100, 300, 42);
-    auto b = FaultTimeline::randomFailRepair(fc, 6, 100, 300, 42);
+    auto a = TopologyTimeline::randomFailRepair(fc, 6, 100, 300, 42);
+    auto b = TopologyTimeline::randomFailRepair(fc, 6, 100, 300, 42);
     ASSERT_EQ(a.size(), 12u);  // 6 failures + 6 repairs
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a.events()[i].cycle, b.events()[i].cycle);
+        EXPECT_EQ(a.events()[i].op, b.events()[i].op);
         EXPECT_EQ(a.events()[i].lower, b.events()[i].lower);
         EXPECT_EQ(a.events()[i].upper, b.events()[i].upper);
-        EXPECT_EQ(a.events()[i].fail, b.events()[i].fail);
     }
-    EXPECT_EQ(a.firstFailCycle(), 100);
+    // The draw is the first links of randomLinkOrder under the seed,
+    // failed in that order and repaired in the same order.
+    Rng rng(42);
+    const auto order = randomLinkOrder(fc, rng);
+    for (std::size_t i = 0; i < 6; ++i) {
+        const TopologyEvent &f = a.events()[i];
+        const TopologyEvent &r = a.events()[i + 6];
+        EXPECT_EQ(f.cycle, 100);
+        EXPECT_EQ(f.op, TopoOp::kFail);
+        EXPECT_EQ(r.cycle, 300);
+        EXPECT_EQ(r.op, TopoOp::kRepair);
+        EXPECT_EQ(f.lower, order[i].lower);
+        EXPECT_EQ(f.upper, order[i].upper);
+        EXPECT_EQ(r.lower, order[i].lower);
+        EXPECT_EQ(r.upper, order[i].upper);
+    }
+    EXPECT_EQ(a.firstDisruptionCycle(), 100);
     EXPECT_EQ(a.lastEventCycle(), 300);
+    EXPECT_TRUE(a.initialDead().empty());  // no staged links
 
-    auto none = FaultTimeline::randomFailRepair(fc, 6, 100, -1, 42);
+    auto none = TopologyTimeline::randomFailRepair(fc, 6, 100, -1, 42);
     EXPECT_EQ(none.size(), 6u);  // no repairs scheduled
-    EXPECT_THROW(FaultTimeline::randomFailRepair(fc, 6, 100, 100, 42),
+    EXPECT_THROW(TopologyTimeline::randomFailRepair(fc, 6, 100, 100, 42),
                  std::invalid_argument);
-    EXPECT_THROW(FaultTimeline::randomFailRepair(fc, 1u << 20, 0, -1, 42),
-                 std::out_of_range);
+    EXPECT_THROW(
+        TopologyTimeline::randomFailRepair(fc, 1u << 20, 0, -1, 42),
+        std::out_of_range);
 }
 
 TEST(LinkFaultState, FlipRedundantAndParallelWires)
@@ -225,7 +245,8 @@ TEST(IncrementalRepair, DeadLinksAreNeverOfferedAsNextHops)
 // ======================================================================
 
 SimResult
-runFaultSim(const FoldedClos &fc, const FaultTimeline &tl, SimConfig cfg)
+runFaultSim(const FoldedClos &fc, const TopologyTimeline &tl,
+            SimConfig cfg)
 {
     UniformTraffic traffic;
     Simulator sim(fc, traffic, cfg, tl);
@@ -272,7 +293,7 @@ TEST(FaultSim, CycleZeroEventsApplyBeforeAnyTraffic)
     auto fc = buildCft(8, 2);
     auto links = fc.links();
     ASSERT_GE(links.size(), 3u);
-    FaultTimeline tl;
+    TopologyTimeline tl;
     LinkFaultState overlay(fc);
     for (std::size_t i = 0; i < 3; ++i) {
         tl.fail(0, links[i].lower, links[i].upper);
@@ -297,17 +318,17 @@ TEST(FaultSim, SameCycleEventsApplyInInsertionOrder)
     // fail then repair on one cycle nets to a live link: bit-identical
     // to a no-op barrier on that cycle (repairing a live link).  Any
     // barrier re-visits sleeping heads, so the reference needs one too.
-    FaultTimeline fail_first;
+    TopologyTimeline fail_first;
     fail_first.fail(300, l.lower, l.upper).repair(300, l.lower, l.upper);
     auto r = runFaultSim(fc, fail_first, cfg);
-    FaultTimeline noop;
+    TopologyTimeline noop;
     noop.repair(300, l.lower, l.upper);
     expectSameResult(r, runFaultSim(fc, noop, cfg));
     UpDownOracle pristine(fc);
 
     // The reverse insertion order means repair-of-a-live-link (no-op)
     // then fail: the link ends the run dead.
-    FaultTimeline repair_first;
+    TopologyTimeline repair_first;
     repair_first.repair(300, l.lower, l.upper).fail(300, l.lower,
                                                     l.upper);
     UniformTraffic traffic2;
@@ -325,8 +346,8 @@ TEST(FaultSim, SameCycleEventsApplyInInsertionOrder)
 TEST(FaultSim, BitIdenticalAcrossSimJobsWithTimeline)
 {
     auto fc = buildCft(8, 2);
-    auto tl = FaultTimeline::randomFailRepair(fc, 8, 300, 700,
-                                              deriveSeed(5, 1, 0));
+    auto tl = TopologyTimeline::randomFailRepair(fc, 8, 300, 700,
+                                                 deriveSeed(5, 1, 0));
     SimConfig cfg = faultConfig();
     cfg.shards = 4;
 
@@ -356,7 +377,7 @@ TEST(FaultSim, ConservationUnderFaults)
 {
     auto fc = buildCft(8, 2);
     // Aggressive drill: a third of the wires die, later all repaired.
-    auto tl = FaultTimeline::randomFailRepair(
+    auto tl = TopologyTimeline::randomFailRepair(
         fc, static_cast<std::size_t>(fc.numWires() / 3), 300, 700,
         deriveSeed(5, 3, 0));
     for (int shards : {1, 4}) {
@@ -374,7 +395,7 @@ TEST(FaultSim, TtlDropsPermanentlyUnroutablePackets)
     // Kill half the wires for good: some flows lose every route, and
     // with a finite TTL their parked packets must drain as drops
     // instead of wedging their VCs forever.
-    auto tl = FaultTimeline::randomFailRepair(
+    auto tl = TopologyTimeline::randomFailRepair(
         fc, static_cast<std::size_t>(fc.numWires() / 2), 250, -1,
         deriveSeed(5, 4, 0));
     SimConfig cfg = faultConfig();
@@ -394,8 +415,8 @@ TEST(FaultSim, TtlDropsPermanentlyUnroutablePackets)
 TEST(FaultSim, TtlZeroParksForeverAcrossAnOutage)
 {
     auto fc = buildCft(8, 2);
-    auto tl = FaultTimeline::randomFailRepair(fc, 10, 300, 500,
-                                              deriveSeed(5, 5, 0));
+    auto tl = TopologyTimeline::randomFailRepair(fc, 10, 300, 500,
+                                                 deriveSeed(5, 5, 0));
     SimConfig cfg = faultConfig();
     cfg.route_ttl = 0;  // historical behavior: wait for the repair
     auto r = runFaultSim(fc, tl, cfg);
@@ -406,8 +427,8 @@ TEST(FaultSim, TtlZeroParksForeverAcrossAnOutage)
 TEST(FaultSim, CrosscheckedRepairMatchesFreshOracle)
 {
     auto fc = buildCft(8, 2);
-    auto tl = FaultTimeline::randomFailRepair(fc, 12, 100, 400,
-                                              deriveSeed(5, 6, 0));
+    auto tl = TopologyTimeline::randomFailRepair(fc, 12, 100, 400,
+                                                 deriveSeed(5, 6, 0));
     SimConfig cfg = faultConfig();
     cfg.warmup = 100;
     cfg.measure = 500;
@@ -427,8 +448,8 @@ TEST(FaultSim, CrosscheckedRepairMatchesFreshOracle)
 TEST(FaultSim, TelemetryBinsSumToEjections)
 {
     auto fc = buildCft(8, 2);
-    auto tl = FaultTimeline::randomFailRepair(fc, 8, 300, 700,
-                                              deriveSeed(5, 7, 0));
+    auto tl = TopologyTimeline::randomFailRepair(fc, 8, 300, 700,
+                                                 deriveSeed(5, 7, 0));
     SimConfig cfg = faultConfig();
     auto r = runFaultSim(fc, tl, cfg);
 

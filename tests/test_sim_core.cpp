@@ -18,7 +18,6 @@
 #include "routing/updown.hpp"
 #include "sim/core/config.hpp"
 #include "sim/core/histogram.hpp"
-#include "sim/direct.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -323,7 +322,7 @@ runDirect(int shards, int jobs)
     cfg.vcs = std::max(6, routes.maxHops());
     cfg.shards = shards;
     cfg.jobs = jobs;
-    DirectSimulator sim(g, routes, 2, traffic, cfg);
+    Simulator sim(g, routes, 2, traffic, cfg);
     return sim.run();
 }
 
@@ -428,8 +427,7 @@ runDirectFlowlet(int shards, int jobs, long long gap = 64)
     cfg.shards = shards;
     cfg.jobs = jobs;
     cfg.flowlet_gap = gap;
-    DirectSimulator sim(g, routes, 2, traffic, cfg,
-                        PathPolicy::kFlowletEcmp);
+    Simulator sim(g, routes, 2, traffic, cfg, PathPolicy::kFlowletEcmp);
     return sim.run();
 }
 

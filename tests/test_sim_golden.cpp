@@ -45,7 +45,6 @@
 #include "sim/core/layout.hpp"
 #include "sim/core/policy_ksp.hpp"
 #include "sim/core/policy_updown.hpp"
-#include "sim/direct.hpp"
 #include "sim/simulator.hpp"
 
 #ifndef RFC_GOLDEN_DIR
@@ -134,7 +133,7 @@ checkOrRecord(const std::string &name, const SimResult &r)
 /** How a golden configuration drives the engine. */
 enum class Drive
 {
-    kDefault,         //!< the public Simulator / DirectSimulator
+    kDefault,         //!< the public Simulator
     kHookEveryCycle,  //!< VctEngine built directly, no-op hook each cycle
 };
 
@@ -178,8 +177,7 @@ runDirect(const Graph &g, const KspRoutes &routes, Traffic &traffic,
 {
     constexpr int kHosts = 2;
     if (drive == Drive::kDefault)
-        return DirectSimulator(g, routes, kHosts, traffic, cfg, policy)
-            .run();
+        return Simulator(g, routes, kHosts, traffic, cfg, policy).run();
     FabricLayout lay = FabricLayout::fromGraph(g, kHosts);
     VctEngine<KspPolicy> engine(
         lay, traffic, cfg, KspPolicy(g, routes, lay, cfg, kHosts, policy));

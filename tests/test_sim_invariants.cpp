@@ -2,8 +2,9 @@
  * @file
  * Simulator runtime-guard soak and traffic-distribution checks (tier 2).
  *
- * Runs both simulators across a grid of topologies, loads and routing
- * modes and asserts the CheckContext recorded zero violations.  When
+ * Runs the simulator on Clos and direct networks across a grid of
+ * topologies, loads and routing modes and asserts the CheckContext
+ * recorded zero violations.  When
  * the library is built with -DRFC_CHECK_INVARIANTS=ON the context must
  * also prove non-vacuity (checksPerformed() > 0); in a default build
  * the guards compile out and the context stays empty.  The suite also
@@ -21,7 +22,6 @@
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
-#include "sim/direct.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -103,7 +103,7 @@ TEST(SimInvariants, ClosSimulatorCleanUnderAdversarialTraffic)
     }
 }
 
-TEST(SimInvariants, DirectSimulatorGridRunsClean)
+TEST(SimInvariants, DirectNetworkGridRunsClean)
 {
     Rng grng(11);
     Graph g = randomRegularGraph(20, 4, grng);
@@ -115,7 +115,7 @@ TEST(SimInvariants, DirectSimulatorGridRunsClean)
             UniformTraffic traffic;
             SimConfig cfg = quickConfig(load, ++seed, RouteMode::kMinimal);
             cfg.vcs = 6;  // >= max ksp hops on this small graph
-            DirectSimulator sim(g, routes, 2, traffic, cfg, policy);
+            Simulator sim(g, routes, 2, traffic, cfg, policy);
             auto r = sim.run();
             EXPECT_GT(r.delivered_packets, 0);
             expectCleanContext(sim.checkContext());
