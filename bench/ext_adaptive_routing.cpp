@@ -3,14 +3,15 @@
  * Extension: oblivious vs adaptive routing on the paper's scenarios.
  *
  * The paper's evaluation is entirely oblivious (minimal / up-down
- * random / Valiant).  With adaptive policies now first-class VctEngine
- * citizens (sim/core/policy_adaptive.hpp, policy_flowlet.hpp), this
- * bench reruns the two headline comparisons under both families:
+ * random / Valiant).  UGAL is one more RouteMode of the up/down policy
+ * and flowlet switching one more PathPolicy of the k-shortest-path
+ * policy, so this bench reruns the two headline comparisons under both
+ * oblivious and adaptive routing:
  *
  *  1. Adversarial leaf-shift on CFT and RFC (the ext_adversarial
  *     scenario) with minimal, Valiant and UGAL routing side by side -
- *     the study's case axis crosses routing policies with traffic
- *     patterns, so policies sweep exactly like topologies.
+ *     the study's case axis crosses route modes with traffic patterns,
+ *     so route modes sweep exactly like topologies.
  *  2. RFC vs Jellyfish-style RRN (the ext_jellyfish scenario) with the
  *     RRN under per-packet ECMP vs flowlet switching and the RFC under
  *     oblivious vs UGAL.
@@ -88,11 +89,12 @@ main(int argc, char **argv)
     const int tpl = cft.terminalsPerLeaf();
     const long long stride = tpl;  // neighbor-leaf flood
 
-    // Cases: policy x traffic, so points are network x policy x traffic.
+    // Cases: route mode x traffic, so points are network x mode x
+    // traffic.
     const Case policies[] = {
         {.label = "minimal", .route_mode = RouteMode::kMinimal},
         {.label = "valiant", .route_mode = RouteMode::kValiant},
-        {.label = "ugal", .policy = ClosPolicy::kAdaptiveUgal},
+        {.label = "ugal", .route_mode = RouteMode::kUgal},
     };
     const std::pair<const char *, TrafficFactory> traffics[] = {
         {"neighbor-shift",

@@ -13,7 +13,8 @@
  * at equal resources.
  *
  * The (pattern x topology x route mode) points are hand-built and run
- * in parallel (--jobs).
+ * in parallel (--jobs).  The route modes are the oblivious minimal,
+ * up/down random and Valiant, plus adaptive UGAL (RouteMode::kUgal).
  */
 #include <iostream>
 
@@ -60,18 +61,13 @@ main(int argc, char **argv)
         const Network *net;
         const char *name;
         RouteMode mode;
-        ClosPolicy policy;
     };
     const Config configs[] = {
-        {&cft_net, "CFT", RouteMode::kMinimal, ClosPolicy::kOblivious},
-        {&rfc_net, "RFC-minimal", RouteMode::kMinimal,
-         ClosPolicy::kOblivious},
-        {&rfc_net, "RFC-updown-random", RouteMode::kUpDownRandom,
-         ClosPolicy::kOblivious},
-        {&rfc_net, "RFC-valiant", RouteMode::kValiant,
-         ClosPolicy::kOblivious},
-        {&rfc_net, "RFC-ugal", RouteMode::kValiant,
-         ClosPolicy::kAdaptiveUgal},
+        {&cft_net, "CFT", RouteMode::kMinimal},
+        {&rfc_net, "RFC-minimal", RouteMode::kMinimal},
+        {&rfc_net, "RFC-updown-random", RouteMode::kUpDownRandom},
+        {&rfc_net, "RFC-valiant", RouteMode::kValiant},
+        {&rfc_net, "RFC-ugal", RouteMode::kUgal},
     };
     Study study{"shift", Tier::kVct, {},
                 static_cast<int>(b.opts.getInt("trials", 1))};
@@ -82,7 +78,6 @@ main(int argc, char **argv)
             Case shift{c.name, [stride = stride]() {
                            return std::make_unique<ShiftTraffic>(stride);
                        }};
-            shift.policy = c.policy;
             study.points.push_back({*c.net, std::move(shift), 1.0, cfg,
                                     std::string(pattern) + "/" + c.name});
         }

@@ -251,8 +251,9 @@ main(int argc, char **argv)
             Simulator min_sim(net, oracle, tr_min, cfg);
             auto rm = min_sim.run();
             ShiftTraffic tr_ugal(net.terminalsPerLeaf());
-            Simulator ugal_sim(net, oracle, tr_ugal, cfg,
-                               ClosPolicy::kAdaptiveUgal);
+            SimConfig ugal_cfg = cfg;
+            ugal_cfg.route_mode = RouteMode::kUgal;
+            Simulator ugal_sim(net, oracle, tr_ugal, ugal_cfg);
             auto ru = ugal_sim.run();
             a.addRow({net.name(), TablePrinter::fmt(rm.accepted, 3),
                       TablePrinter::fmt(rm.avg_latency, 1),

@@ -71,10 +71,8 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     const FoldedClos &fc = *pt.network.topology;
     auto traffic = c.traffic();
     const SimResult r =
-        c.changes ? Simulator(fc, *traffic, cfg, *c.changes, c.policy).run()
-                  : Simulator(fc, *pt.network.oracle, *traffic, cfg,
-                              c.policy)
-                        .run();
+        c.changes ? Simulator(fc, *traffic, cfg, *c.changes).run()
+                  : Simulator(fc, *pt.network.oracle, *traffic, cfg).run();
 
     Sample s;
     addAll(s, {{"accepted", r.accepted},

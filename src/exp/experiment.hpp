@@ -98,7 +98,6 @@ struct Case
 
     // ---- kVct ------------------------------------------------------
     TrafficFactory traffic{};
-    ClosPolicy policy = ClosPolicy::kOblivious;
     /** Replaces the base config's route mode in crossPoints. */
     std::optional<RouteMode> route_mode{};
     /**
@@ -132,7 +131,7 @@ struct Point
 /**
  * The cross product networks x cases x loads (network-major, then case,
  * then load), each point labelled "network/case".  A case axis that is
- * itself a product (policy x traffic) is flattened by the caller.
+ * itself a product (route mode x traffic) is flattened by the caller.
  */
 std::vector<Point> crossPoints(const std::vector<Network> &networks,
                                const std::vector<Case> &cases,
@@ -142,7 +141,7 @@ std::vector<Point> crossPoints(const std::vector<Network> &networks,
 /**
  * Row-major flat index of coordinates @p at in a grid whose axes have
  * @p sizes entries - the order crossPoints expands, with any product
- * axis (policy x traffic) passed as its separate factors.  Throws
+ * axis (route mode x traffic) passed as its separate factors.  Throws
  * std::out_of_range on a coordinate outside its axis and
  * std::invalid_argument when the two lists differ in length.
  */

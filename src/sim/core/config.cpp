@@ -65,6 +65,9 @@ SimConfig::validate() const
     if (route_mode == RouteMode::kValiant && vcs < 2)
         throw std::invalid_argument("Valiant routing needs vcs >= 2 "
                                     "(phase-partitioned channels)");
+    if (route_mode == RouteMode::kUgal && vcs < 2)
+        throw std::invalid_argument("UGAL routing needs vcs >= 2 "
+                                    "(phase-partitioned channels)");
     // Limits of the engine's narrow hot-state types, which would
     // otherwise wrap silently mid-run.
     if (vcs > 127)

@@ -24,7 +24,11 @@
 
 namespace rfc {
 
-/** Up-phase port selection discipline (folded Clos networks). */
+/**
+ * Route selection of a folded Clos run: which up ports a packet may
+ * take, and whether it first detours through an intermediate leaf.
+ * UpDownPolicy (sim/core/policy_updown.hpp) implements all four.
+ */
 enum class RouteMode
 {
     /**
@@ -51,6 +55,16 @@ enum class RouteMode
      * lower half, phase 1 the upper half), so it requires vcs >= 2.
      */
     kValiant,
+    /**
+     * UGAL-style adaptive routing: each packet draws a Valiant
+     * intermediate at injection but keeps it only when the minimal
+     * route's first-hop backlog x hops exceeds the detour's by more
+     * than ugal_threshold; otherwise it routes minimally.  Matches
+     * minimal routing on friendly traffic and Valiant on adversarial
+     * funnels, without choosing in advance.  Uses Valiant's
+     * phase-partitioned channels, so it also requires vcs >= 2.
+     */
+    kUgal,
 };
 
 /** Simulation parameters (defaults = Table 2 of the paper). */
@@ -101,8 +115,8 @@ struct SimConfig
     long long telemetry_bin = 0;
 
     /**
-     * UGAL bias of AdaptiveUpDownPolicy, in queue-slot x hop units:
-     * a packet routes minimally unless
+     * UGAL bias of RouteMode::kUgal, in queue-slot x hop units: a
+     * packet routes minimally unless
      *   backlog_min * hops_min > backlog_nonmin * hops_nonmin + ugal_threshold,
      * so larger values bias toward minimal routing (0 = pure product
      * comparison).  Must be finite and >= 0.
@@ -110,11 +124,11 @@ struct SimConfig
     double ugal_threshold = 1.0;
 
     /**
-     * Flowlet idle gap of the kFlowletEcmp path policy, in cycles: a
-     * (terminal, destination) flow keeps its path while consecutive
-     * injections are spaced less than this; after a longer idle gap
-     * the path is re-drawn.  0 degenerates to per-packet ECMP.  Must
-     * be >= 0.
+     * Flowlet idle gap of PathPolicy::kFlowletEcmp on direct
+     * networks, in cycles: a (terminal, destination) flow keeps its
+     * path while consecutive injections are spaced less than this;
+     * after a longer idle gap the path is re-drawn.  0 degenerates to
+     * per-packet ECMP.  Must be >= 0.
      */
     long long flowlet_gap = 64;
 
@@ -152,13 +166,13 @@ struct SimConfig
      * misconfiguration reduces to), negative warmup, load outside
      * (0, 1], source_queue < 1, a shard count outside [1, 256], a
      * ugal_threshold that is negative or not finite (NaN/inf), a
-     * negative flowlet_gap, or an active_terminals value other than -1
-     * or >= 1.  Also rejects values the engine's narrow hot-state
-     * types would silently wrap: vcs or buf_packets > 127 (8-bit VC
-     * indices and injection credits), source_queue > 32767 (16-bit
-     * source-queue indices) and pkt_phits >= kGenWheelSlots (an
-     * injection rescheduled pkt_phits ahead would land in the slot
-     * being drained).
+     * negative flowlet_gap, an active_terminals value other than -1
+     * or >= 1, or Valiant or UGAL routing with vcs < 2.  Also rejects
+     * values the engine's narrow hot-state types would silently wrap:
+     * vcs or buf_packets > 127 (8-bit VC indices and injection
+     * credits), source_queue > 32767 (16-bit source-queue indices) and
+     * pkt_phits >= kGenWheelSlots (an injection rescheduled pkt_phits
+     * ahead would land in the slot being drained).
      */
     void validate() const;
 };

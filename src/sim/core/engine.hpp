@@ -9,7 +9,9 @@
  * accounting, the RFC_CHECK_INVARIANTS conservation guards, and the
  * perf-counter layer.  What differs between the folded Clos and the
  * direct (Jellyfish) simulators is expressed as a compile-time
- * routing Policy:
+ * routing Policy, one per network family: UpDownPolicy
+ * (policy_updown.hpp, every RouteMode) and KspPolicy (policy_ksp.hpp,
+ * every PathPolicy).  The contract:
  *
  *   struct Policy {
  *     // Packet payload.  gen (birth cycle) plus the engine-owned
@@ -20,8 +22,8 @@
  *     bool routable(long long term, long long dest) const;
  *     // Injection VC for the head-of-queue packet, or -1 to retry
  *     // next cycle.  `cv.injCredits(term)` is the terminal's per-VC
- *     // credit row.  May draw from rng (Valiant intermediate pick,
- *     // credit tie-breaks) and stash state for initPacket.
+ *     // credit row.  May draw from rng (Valiant/UGAL intermediate
+ *     // pick, credit tie-breaks) and stash state for initPacket.
  *     int injectVc(const CongestionView &cv, long long term,
  *                  std::int32_t dest, Rng &rng);
  *     void initPacket(Pkt &p, long long term, std::int32_t dest,
@@ -50,9 +52,9 @@
  * The CongestionView (sim/core/congestion.hpp) passed at the three
  * decision points is a read-only, shard-local window over credits,
  * queue depths and busy times; its header documents exactly which
- * state a policy may read from which call.  Oblivious policies ignore
- * it; adaptive policies (policy_adaptive.hpp, policy_flowlet.hpp)
- * steer by it.
+ * state a policy may read from which call.  Oblivious routing ignores
+ * it; UGAL (policy_updown.hpp) steers by it, and flowlet switching
+ * (policy_ksp.hpp) reads its clock.
  *
  * Engine-owned Pkt fields - the one convention every policy's Pkt
  * must carry verbatim (policies reference this block rather than
@@ -80,8 +82,11 @@
  * advances each shard against its own state (releases, generation,
  * injection, arbitration) and queues cross-shard effects in
  * per-destination outboxes; phase 2 drains the outboxes in source
- * shard order.  Results depend on S but never on how many worker
- * threads advance the shards, so any `jobs` value is bit-identical.
+ * shard order.  Cross-shard effects are forwarded packets, credit
+ * releases, and freed packet ids, which go home to the free list of
+ * the shard whose arena holds them.  Results depend on S but never on
+ * how many worker threads advance the shards, so any `jobs` value is
+ * bit-identical.
  *
  * Nothing rescans idle state: each input VC sleeps on its shard's wake
  * wheel until the earliest cycle it could next act - its head's ready
@@ -390,6 +395,8 @@ class VctEngine
 
         std::vector<std::vector<OutRelease>> out_rel;  //!< per dst shard
         std::vector<std::vector<OutForward>> out_fwd;
+        //! Packet ids freed here that belong to the dst shard's arena.
+        std::vector<std::vector<std::int32_t>> out_free;
 
         // Window statistics, merged in shard order after the run.
         long long delivered = 0, generated = 0, suppressed = 0;
@@ -437,7 +444,21 @@ class VctEngine
         return (c.id << kPktShardShift) | c.arena.append();
     }
 
-    void freePkt(ShardCtx &c, std::int32_t id) { c.free_pkts.push_back(id); }
+    /**
+     * Return @p id to the free list of the shard whose arena holds it.
+     * A packet ejected on another shard goes home through the phase-2
+     * outbox; kept locally instead, a shard that injects more than it
+     * ejects would grow its arena for the whole run.
+     */
+    void
+    freePkt(ShardCtx &c, std::int32_t id)
+    {
+        const int home = id >> kPktShardShift;
+        if (home == c.id)
+            c.free_pkts.push_back(id);
+        else
+            c.out_free[home].push_back(id);
+    }
 
     // ---- shared per-cycle machinery --------------------------------
     int shardOfSwitch(int s) const { return sw_shard_[s]; }
@@ -822,6 +843,7 @@ VctEngine<Policy>::buildStructures()
         c.wake_wheel.assign(wheel_size_, {});
         c.out_rel.resize(S);
         c.out_fwd.resize(S);
+        c.out_free.resize(S);
         c.perf.occupancy.assign(cfg_.buf_packets + 1, 0);
     }
     // Terminals follow their switch's shard (term_switch is monotone,
@@ -1406,6 +1428,9 @@ VctEngine<Policy>::drainOutboxes(ShardCtx &c, long long now)
         for (const OutForward &f : fwd)
             enqueueInput(c, f.dest_ivc, f.pkt, f.ready, now);
         fwd.clear();
+        auto &freed = shards_[src].out_free[c.id];
+        c.free_pkts.insert(c.free_pkts.end(), freed.begin(), freed.end());
+        freed.clear();
     }
 }
 
@@ -1489,6 +1514,20 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                     check_.report("inj-credit-conservation", now, sw, v,
                                   "terminal " + std::to_string(t));
             }
+        }
+        // Pool ownership: a free list holding another shard's ids lets
+        // the owner's arena grow without bound.
+        for (const ShardCtx &c : shards_) {
+            check_.countChecks();
+            for (std::int32_t id : c.free_pkts)
+                if (id >> kPktShardShift != c.id) {
+                    check_.report("pkt-pool-ownership", now, -1, -1,
+                                  "shard " + std::to_string(c.id) +
+                                      " holds free packet " +
+                                      std::to_string(id) + " of shard " +
+                                      std::to_string(id >> kPktShardShift));
+                    break;
+                }
         }
         // VC occupancy bounds, and no lost wakeup: a VC holding packets
         // but on no wake slot would never be arbitrated again.

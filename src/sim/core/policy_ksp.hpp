@@ -5,12 +5,24 @@
  * with hop-escalating virtual channels (a packet that has crossed h
  * links occupies VC min(h, vcs-1)) for deadlock freedom.  Plugged into
  * VctEngine as its compile-time Policy.
+ *
+ * Flowlet switching (PathPolicy::kFlowletEcmp) is the compromise
+ * between per-packet ECMP (best load spreading, worst reordering) and
+ * per-flow ECMP (no reordering, worst elephant collisions): bursts stay
+ * on one path, and only an idle gap - where reordering cannot happen
+ * anyway - moves the flow off a congested route.  Its per-flow state is
+ * legal under the CongestionView contract because flows are keyed by
+ * source terminal and every injection decision for a terminal runs on
+ * the shard that owns it: each shard's policy copy only touches flows
+ * of its own terminals, and re-draws consume that shard's RNG stream
+ * in its deterministic injection order.
  */
 #ifndef RFC_SIM_CORE_POLICY_KSP_HPP
 #define RFC_SIM_CORE_POLICY_KSP_HPP
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 
 #include "graph/graph.hpp"
 #include "routing/ksp_tables.hpp"
@@ -31,7 +43,6 @@ enum class PathPolicy
      * rather than per packet - consecutive packets of a (terminal,
      * destination) flow reuse one path until the flow has been idle
      * for SimConfig::flowlet_gap cycles, then the path is re-drawn.
-     * Served by FlowletKspPolicy (policy_flowlet.hpp).
      */
     kFlowletEcmp,
 };
@@ -59,7 +70,8 @@ class KspPolicy
               const FabricLayout &lay, const SimConfig &cfg,
               int hosts_per_switch, PathPolicy path_policy)
         : g_(&g), routes_(&routes), lay_(&lay), vcs_(cfg.vcs),
-          hosts_(hosts_per_switch), path_policy_(path_policy)
+          hosts_(hosts_per_switch), path_policy_(path_policy),
+          flowlet_gap_(cfg.flowlet_gap)
     {}
 
     bool
@@ -76,6 +88,9 @@ class KspPolicy
     {
         (void)dest;
         (void)rng;
+        // The flowlet clock: injectVc may fail and retry on later
+        // cycles, and only the call right before initPacket counts.
+        now_ = cv.now();
         // Injection always targets VC 0 (a packet with 0 hops crossed).
         return cv.injCredit(term, 0) > 0 ? 0 : -1;
     }
@@ -89,11 +104,14 @@ class KspPolicy
         p.dest_local = static_cast<std::int16_t>(dest % hosts_);
         p.hop = 0;
         p.cur_out = -1;
-        p.path = src_sw == dst_sw
-                     ? nullptr
-                     : (path_policy_ == PathPolicy::kShortestEcmp
-                            ? routes_->pickShortest(src_sw, dst_sw, rng)
-                            : routes_->pickPath(src_sw, dst_sw, rng));
+        if (src_sw == dst_sw)
+            p.path = nullptr;
+        else if (path_policy_ == PathPolicy::kAllKsp)
+            p.path = routes_->pickPath(src_sw, dst_sw, rng);
+        else if (path_policy_ == PathPolicy::kShortestEcmp)
+            p.path = routes_->pickShortest(src_sw, dst_sw, rng);
+        else
+            p.path = flowletPath(term, dest, src_sw, dst_sw, rng);
     }
 
     int
@@ -146,16 +164,40 @@ class KspPolicy
 
     double hopsOf(const Pkt &p) const { return p.hop; }
 
-    /** Paths are fixed at injection; nothing cached per topology. */
-    void onTopologyChange() {}
+    /** Cached flowlet paths point into the routes table: drop them. */
+    void onTopologyChange() { flows_.clear(); }
 
   private:
+    struct Flowlet
+    {
+        const Path *path = nullptr;
+        long long last_send = 0;
+    };
+
+    /** The flow's path, re-drawn when it idled flowlet_gap_ cycles. */
+    const Path *
+    flowletPath(long long term, std::int32_t dest, int src_sw, int dst_sw,
+                Rng &rng)
+    {
+        const std::uint64_t key = (static_cast<std::uint64_t>(term) << 32) ^
+                                  static_cast<std::uint32_t>(dest);
+        Flowlet &f = flows_[key];
+        if (f.path == nullptr || now_ - f.last_send >= flowlet_gap_)
+            f.path = routes_->pickShortest(src_sw, dst_sw, rng);
+        f.last_send = now_;
+        return f.path;
+    }
+
     const Graph *g_;
     const KspRoutes *routes_;
     const FabricLayout *lay_;
     int vcs_;
     int hosts_;
     PathPolicy path_policy_;
+    long long flowlet_gap_;  //!< SimConfig::flowlet_gap
+    long long now_ = 0;      //!< cycle of the last injectVc
+    //! Flowlet state per (terminal, destination); shard-local.
+    std::unordered_map<std::uint64_t, Flowlet> flows_;
 };
 
 } // namespace rfc

@@ -1,16 +1,34 @@
 /**
  * @file
  * Routing policy of the folded Clos simulator: up/down ECMP through a
- * reachability oracle, with optional Valiant randomization (see
- * RouteMode).  Plugged into VctEngine as its compile-time Policy.
+ * reachability oracle, with optional Valiant randomization or the
+ * UGAL-style choice between the two (see RouteMode).  Plugged into
+ * VctEngine as its compile-time Policy.
  *
  * Draw discipline (part of the recorded random stream: changing it
- * moves the golden baselines): injection first resolves
- * the Valiant intermediate (if any), then picks the highest-credit VC
- * with a random tie-break; every arbitration visit re-draws the up/down
- * ECMP choice (a head whose only port is busy is not visited until it
+ * moves the golden baselines): injection first samples the Valiant or
+ * UGAL intermediate (if any), then picks the highest-credit VC with a
+ * random tie-break; every arbitration visit re-draws the up/down ECMP
+ * choice (a head whose only port is busy is not visited until it
  * frees); the output VC is drawn uniformly among the credited channels
  * of the packet's phase range.
+ *
+ * UGAL (RouteMode::kUgal) samples its candidate intermediate exactly
+ * like Valiant, then keeps it only when the minimal route is backed
+ * up.  The local congestion estimate of a route is the smallest
+ * backlog (CongestionView::backlog) over the feasible first-hop out
+ * ports at the source leaf, where backpressure from a congested funnel
+ * lands.  With h_min / h_val the up+down hop counts of the two routes,
+ *
+ *   route minimally  iff  q_min * h_min <= q_val * h_val + ugal_threshold
+ *
+ * On friendly traffic q_min stays low and packets route minimally;
+ * under adversarial funnels they spill onto Valiant detours.  Every
+ * packet, minimal or not, lives in Valiant's phase-partitioned VCs
+ * (minimal packets start in phase 1), which keeps the mode deadlock
+ * free.  The decision runs at injection on the shard owning the source
+ * terminal and reads only that leaf's out-port credits - the
+ * shard-local slice the CongestionView contract allows.
  */
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
@@ -51,7 +69,7 @@ class UpDownPolicy
                  const FabricLayout &lay, const SimConfig &cfg)
         : fc_(&fc), oracle_(&oracle), lay_(&lay),
           mode_(cfg.route_mode), vcs_(cfg.vcs),
-          tpl_(fc.terminalsPerLeaf())
+          tpl_(fc.terminalsPerLeaf()), threshold_(cfg.ugal_threshold)
     {}
 
     bool
@@ -65,38 +83,28 @@ class UpDownPolicy
     injectVc(const CongestionView &cv, long long term,
              std::int32_t dest, Rng &rng)
     {
-        const std::int8_t *credits = cv.injCredits(term);
-        // Valiant set-up: pick a random routable intermediate leaf
-        // before choosing the injection VC (the VC range depends on
-        // the packet's phase).
+        // Valiant/UGAL set-up: fix the packet's intermediate leaf (if
+        // any) before choosing the injection VC, whose range depends on
+        // the packet's phase.
         pending_inter_ = -1;
         pending_phase_ = 1;
-        if (mode_ == RouteMode::kValiant) {
-            int src_leaf = static_cast<int>(term / tpl_);
-            int dst_leaf = dest / tpl_;
-            if (src_leaf != dst_leaf && fc_->numLeaves() > 2) {
-                for (int tries = 0; tries < 16; ++tries) {
-                    auto cand = static_cast<std::int32_t>(rng.uniform(
-                        static_cast<std::uint64_t>(fc_->numLeaves())));
-                    if (cand == src_leaf || cand == dst_leaf)
-                        continue;
-                    if (needFor(src_leaf, cand) >= 0 &&
-                        needFor(cand, dst_leaf) >= 0) {
-                        pending_inter_ = cand;
-                        pending_phase_ = 0;
-                        break;
-                    }
-                }
+        if (phased()) {
+            const int src_leaf = static_cast<int>(term / tpl_);
+            const int dst_leaf = dest / tpl_;
+            const std::int32_t cand =
+                sampleIntermediate(src_leaf, dst_leaf, rng);
+            if (cand >= 0 && (mode_ == RouteMode::kValiant ||
+                              ugalDetours(cv, src_leaf, dst_leaf, cand))) {
+                pending_inter_ = cand;
+                pending_phase_ = 0;
             }
         }
-        int vc_lo = 0, vc_hi = vcs_;
-        if (mode_ == RouteMode::kValiant && pending_phase_ == 0)
-            vc_hi = vcs_ / 2;
-        else if (mode_ == RouteMode::kValiant)
-            vc_lo = vcs_ / 2;
+        int vc_lo, vc_hi;
+        phaseVcs(pending_phase_, vc_lo, vc_hi);
 
         // "shortest" injection: the VC with most credits; random among
         // ties; skip if all are full.
+        const std::int8_t *credits = cv.injCredits(term);
         int best_vc = -1, best_credit = 0, ties = 0;
         for (int v = vc_lo; v < vc_hi; ++v) {
             int c = credits[v];
@@ -160,21 +168,7 @@ class UpDownPolicy
     void
     vcRange(const Pkt &p, int &lo, int &hi) const
     {
-        if (mode_ != RouteMode::kValiant) {
-            lo = 0;
-            hi = vcs_;
-            return;
-        }
-        // Phase-partitioned channels keep the two up/down phases'
-        // channel dependencies acyclic.
-        int half = vcs_ / 2;
-        if (p.phase == 0) {
-            lo = 0;
-            hi = half;
-        } else {
-            lo = half;
-            hi = vcs_;
-        }
+        phaseVcs(p.phase, lo, hi);
     }
 
     int
@@ -207,26 +201,61 @@ class UpDownPolicy
      */
     void onTopologyChange() { memo_.clear(); }
 
-    // ---- adaptive-wrapper hooks ------------------------------------
-    // AdaptiveUpDownPolicy (policy_adaptive.hpp) reuses this policy's
-    // memoized route machinery; these three accessors are its whole
-    // interface into it.
-
-    /**
-     * Override the injection-time Valiant decision for the next
-     * initPacket: @p inter = intermediate leaf (-1 = route minimal),
-     * @p phase = starting phase.  The adaptive wrapper makes the
-     * minimal-vs-nonminimal call itself and plants the result here.
-     */
-    void
-    setPendingValiant(std::int32_t inter, std::int8_t phase)
+  private:
+    /** Valiant and UGAL route in two phases over split VC halves. */
+    bool
+    phased() const
     {
-        pending_inter_ = inter;
-        pending_phase_ = phase;
+        return mode_ == RouteMode::kValiant || mode_ == RouteMode::kUgal;
     }
 
-    /** Minimal up-hops from switch @p s to leaf @p target (-1 = none). */
-    int minUpsTo(int s, int target) { return needFor(s, target); }
+    /**
+     * VC range of a packet in @p phase.  Phase-partitioned channels
+     * keep the two up/down phases' channel dependencies acyclic; the
+     * single-phase modes keep every packet in phase 1, i.e. all VCs.
+     */
+    void
+    phaseVcs(int phase, int &lo, int &hi) const
+    {
+        const int half = phased() ? vcs_ / 2 : 0;
+        lo = phase == 0 ? 0 : half;
+        hi = phase == 0 ? half : vcs_;
+    }
+
+    /**
+     * A uniformly random leaf, other than @p src and @p dst, that both
+     * can reach (16 tries), or -1 when there is none or the route
+     * stays inside one leaf.
+     */
+    std::int32_t
+    sampleIntermediate(int src, int dst, Rng &rng)
+    {
+        if (src == dst || fc_->numLeaves() <= 2)
+            return -1;
+        for (int tries = 0; tries < 16; ++tries) {
+            auto cand = static_cast<std::int32_t>(rng.uniform(
+                static_cast<std::uint64_t>(fc_->numLeaves())));
+            if (cand == src || cand == dst)
+                continue;
+            if (needFor(src, cand) >= 0 && needFor(cand, dst) >= 0)
+                return cand;
+        }
+        return -1;
+    }
+
+    /** The UGAL test: detour through @p inter rather than go minimal. */
+    bool
+    ugalDetours(const CongestionView &cv, int src, int dst, int inter)
+    {
+        // Up+down hop estimates: a route of u up hops descends u too.
+        const double h_min = 2.0 * needFor(src, dst);
+        const double h_val =
+            2.0 * (needFor(src, inter) + needFor(inter, dst));
+        const int q_min = bestBacklog(cv, src, dst);
+        const int q_val = bestBacklog(cv, src, inter);
+        return q_min >= 0 && q_val >= 0 &&
+               q_min * h_min > q_val * h_val + threshold_;
+    }
 
     /**
      * First-hop congestion probe: the smallest backlog() over the
@@ -263,7 +292,6 @@ class UpDownPolicy
         return best;
     }
 
-  private:
     /**
      * Memoized routing decision for one (switch, target-leaf) pair,
      * packed into one word: bits [0, kMaskBits) hold the feasible
@@ -367,8 +395,9 @@ class UpDownPolicy
     RouteMode mode_;
     int vcs_;
     int tpl_;
+    double threshold_;  //!< SimConfig::ugal_threshold
 
-    // Injection-time Valiant state, valid between injectVc and the
+    // Injection-time Valiant/UGAL state, valid between injectVc and the
     // following initPacket (per-shard policy copies keep this private
     // to one thread).
     std::int32_t pending_inter_ = -1;

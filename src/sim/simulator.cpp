@@ -21,37 +21,13 @@ checkedHosts(int hosts_per_switch)
 
 } // namespace
 
-void
-Simulator::makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
-                      Traffic &traffic, const SimConfig &config,
-                      ClosPolicy policy)
-{
-    switch (policy) {
-    case ClosPolicy::kOblivious:
-        engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
-            layout_, traffic, config,
-            UpDownPolicy(fc, oracle, layout_, config));
-        return;
-    case ClosPolicy::kAdaptiveUgal:
-        if (config.vcs < 2)
-            throw std::invalid_argument(
-                "Simulator: UGAL adaptive routing needs vcs >= 2 "
-                "(phase-partitioned channels)");
-        engine_ = std::make_unique<EngineHolder<AdaptiveUpDownPolicy>>(
-            layout_, traffic, config,
-            AdaptiveUpDownPolicy(fc, oracle, layout_, config));
-        return;
-    }
-    throw std::invalid_argument("Simulator: unknown ClosPolicy");
-}
-
 Simulator::Simulator(const FoldedClos &fc, const UpDownOracle &oracle,
-                     Traffic &traffic, SimConfig config,
-                     ClosPolicy policy)
+                     Traffic &traffic, SimConfig config)
     : layout_(FabricLayout::fromFoldedClos(fc))
 {
     config.validate();
-    makeEngine(fc, oracle, traffic, config, policy);
+    engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
+        layout_, traffic, config, UpDownPolicy(fc, oracle, layout_, config));
 }
 
 Simulator::Simulator(const Graph &g, const KspRoutes &routes,
@@ -65,16 +41,9 @@ Simulator::Simulator(const Graph &g, const KspRoutes &routes,
             "Simulator: hop-escalating deadlock freedom needs "
             "vcs >= max path hops (" +
             std::to_string(routes.maxHops()) + ")");
-    if (policy == PathPolicy::kFlowletEcmp)
-        engine_ = std::make_unique<EngineHolder<FlowletKspPolicy>>(
-            layout_, traffic, config,
-            FlowletKspPolicy(g, routes, layout_, config,
-                             hosts_per_switch));
-    else
-        engine_ = std::make_unique<EngineHolder<KspPolicy>>(
-            layout_, traffic, config,
-            KspPolicy(g, routes, layout_, config, hosts_per_switch,
-                      policy));
+    engine_ = std::make_unique<EngineHolder<KspPolicy>>(
+        layout_, traffic, config,
+        KspPolicy(g, routes, layout_, config, hosts_per_switch, policy));
 }
 
 Simulator::TopologyRuntime::TopologyRuntime(const FoldedClos &topo,
@@ -155,14 +124,15 @@ Simulator::TopologyRuntime::apply(long long now)
 }
 
 Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
-                     SimConfig config, const TopologyTimeline &timeline,
-                     ClosPolicy policy)
+                     SimConfig config, const TopologyTimeline &timeline)
     : layout_(FabricLayout::fromFoldedClos(fc))
 {
     config.validate();
     runtime_ = std::make_unique<TopologyRuntime>(fc, timeline,
                                                  config.fault_crosscheck);
-    makeEngine(fc, runtime_->oracle, traffic, config, policy);
+    engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
+        layout_, traffic, config,
+        UpDownPolicy(fc, runtime_->oracle, layout_, config));
     runtime_->engine = engine_.get();
     std::vector<long long> cycles;
     cycles.reserve(runtime_->timeline.size());

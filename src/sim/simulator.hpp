@@ -26,13 +26,14 @@
  *
  * All flow-control mechanics live in the shared core engine
  * (sim/core/engine.hpp); this class builds the port-level FabricLayout
- * and plugs in a routing policy.  A folded Clos runs up/down routing
- * (sim/core/policy_updown.hpp, policy_adaptive.hpp).  A direct
- * (Jellyfish-style) network runs the machinery the paper says it
- * needs: a path drawn from k-shortest-path tables at injection
- * (sim/core/policy_ksp.hpp, policy_flowlet.hpp) and hop-escalating
- * virtual channels for deadlock freedom, under the same flow control,
- * so CFT/RFC/RRN results are directly comparable.
+ * and plugs in one routing policy per network family.  A folded Clos
+ * runs up/down routing (sim/core/policy_updown.hpp), with
+ * SimConfig::route_mode selecting minimal, any-feasible, Valiant or
+ * UGAL routes.  A direct (Jellyfish-style) network runs the machinery
+ * the paper says it needs: a path drawn from k-shortest-path tables at
+ * injection (sim/core/policy_ksp.hpp, per packet or per flowlet) and
+ * hop-escalating virtual channels for deadlock freedom, under the same
+ * flow control, so CFT/RFC/RRN results are directly comparable.
  */
 #ifndef RFC_SIM_SIMULATOR_HPP
 #define RFC_SIM_SIMULATOR_HPP
@@ -49,32 +50,11 @@
 #include "sim/core/config.hpp"
 #include "sim/core/engine.hpp"
 #include "sim/core/layout.hpp"
-#include "sim/core/policy_adaptive.hpp"
-#include "sim/core/policy_flowlet.hpp"
 #include "sim/core/policy_ksp.hpp"
 #include "sim/core/policy_updown.hpp"
 #include "sim/traffic.hpp"
 
 namespace rfc {
-
-/**
- * Routing-policy family of a folded Clos run.  Orthogonal to
- * SimConfig::route_mode, which tunes the oblivious policy's up-phase
- * discipline (minimal / any-feasible / Valiant); this selects *which*
- * VctEngine policy runs.
- */
-enum class ClosPolicy
-{
-    /** Oblivious up/down ECMP (UpDownPolicy), the paper's routing. */
-    kOblivious,
-    /**
-     * UGAL-style adaptive routing (AdaptiveUpDownPolicy): per-packet
-     * minimal vs. Valiant-detour choice at injection by queue-depth x
-     * hop-count products (SimConfig::ugal_threshold).  Needs vcs >= 2
-     * (phase-partitioned channels); route_mode is ignored.
-     */
-    kAdaptiveUgal,
-};
 
 /** One network simulation instance. */
 class Simulator
@@ -82,12 +62,10 @@ class Simulator
   public:
     /**
      * Bind a simulator to a topology, its routing oracle and a traffic
-     * pattern.  All three must outlive the simulator.  @p policy
-     * selects the routing-policy family (oblivious by default).
+     * pattern.  All three must outlive the simulator.
      */
     Simulator(const FoldedClos &fc, const UpDownOracle &oracle,
-              Traffic &traffic, SimConfig config,
-              ClosPolicy policy = ClosPolicy::kOblivious);
+              Traffic &traffic, SimConfig config);
 
     /**
      * Live topology-change run: @p timeline fails and repairs links,
@@ -106,8 +84,7 @@ class Simulator
      * outlive the simulator; the timeline is copied.
      */
     Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
-              const TopologyTimeline &timeline,
-              ClosPolicy policy = ClosPolicy::kOblivious);
+              const TopologyTimeline &timeline);
 
     /**
      * Direct-network run: bind a switch graph, its k-shortest-path
@@ -117,8 +94,8 @@ class Simulator
      *
      * @param hosts_per_switch Terminals attached to every switch.
      * @param policy Path selection at injection: per-packet ECMP /
-     *        all-k / flowlet-switching ECMP (kFlowletEcmp runs
-     *        FlowletKspPolicy with SimConfig::flowlet_gap).
+     *        all-k / flowlet-switching ECMP (with
+     *        SimConfig::flowlet_gap).
      * @throws std::invalid_argument if hosts_per_switch < 1, or if
      *         config.vcs < routes.maxHops() (hop-escalating VCs could
      *         not guarantee deadlock freedom).
@@ -243,11 +220,6 @@ class Simulator
             return e.checkContext();
         }
     };
-
-    /** Build the policy-selected engine (shared by both Clos ctors). */
-    void makeEngine(const FoldedClos &fc, const UpDownOracle &oracle,
-                    Traffic &traffic, const SimConfig &config,
-                    ClosPolicy policy);
 
     FabricLayout layout_;  //!< must outlive engine_
     std::unique_ptr<TopologyRuntime> runtime_;  //!< must outlive engine_

@@ -174,14 +174,13 @@ TEST(ExperimentEngine, GridIndexCoversEveryAxisIncludingPolicy)
     UpDownOracle oracle(fc);
     const std::vector<Network> nets{{"a", &fc, &oracle},
                                     {"b", &fc, &oracle}};
-    const ClosPolicy policies[] = {ClosPolicy::kOblivious,
-                                   ClosPolicy::kAdaptiveUgal};
+    const RouteMode modes[] = {RouteMode::kMinimal, RouteMode::kUgal};
     const std::string traffics[] = {"uniform", "random-pairing"};
-    std::vector<Case> cases;  // policy x traffic, flattened
-    for (ClosPolicy pol : policies)
+    std::vector<Case> cases;  // route mode x traffic, flattened
+    for (RouteMode mode : modes)
         for (const auto &t : traffics) {
-            const Case c{std::to_string(static_cast<int>(pol)) + "/" + t,
-                         namedTraffic(t), pol};
+            const Case c{std::to_string(static_cast<int>(mode)) + "/" + t,
+                         namedTraffic(t), mode};
             cases.push_back(c);
         }
     const std::vector<double> loads{0.2, 0.5, 0.9};
@@ -199,7 +198,8 @@ TEST(ExperimentEngine, GridIndexCoversEveryAxisIncludingPolicy)
                     const Point &pt = points.at(i);
                     const Case &c = cases[p * 2 + t];
                     EXPECT_EQ(pt.network.label, nets[n].label);
-                    EXPECT_EQ(pt.scenario.policy, policies[p]);
+                    EXPECT_EQ(pt.scenario.route_mode, modes[p]);
+                    EXPECT_EQ(pt.config.route_mode, modes[p]);
                     EXPECT_EQ(pt.scenario.label, c.label);
                     EXPECT_EQ(pt.load, loads[l]);
                     EXPECT_EQ(pt.label, nets[n].label + "/" + c.label);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "clos/fat_tree.hpp"
@@ -74,6 +75,23 @@ TEST(SimConfigValidate, RejectsBadParameters)
         c.ugal_threshold = std::numeric_limits<double>::infinity();
     });
     broken([](SimConfig &c) { c.flowlet_gap = -1; });
+}
+
+TEST(SimConfigValidate, UgalNeedsTwoVcs)
+{
+    // UGAL shares Valiant's phase-partitioned channels.
+    SimConfig cfg;
+    cfg.route_mode = RouteMode::kUgal;
+    cfg.vcs = 2;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.vcs = 1;
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "UGAL with one VC was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("UGAL"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SimConfigValidate, RejectsValuesNarrowEngineTypesWouldWrap)
@@ -407,7 +425,8 @@ runCftUgal(int shards, int jobs)
     cfg.seed = 23;
     cfg.shards = shards;
     cfg.jobs = jobs;
-    Simulator sim(fc, oracle, traffic, cfg, ClosPolicy::kAdaptiveUgal);
+    cfg.route_mode = RouteMode::kUgal;
+    Simulator sim(fc, oracle, traffic, cfg);
     return sim.run();
 }
 
@@ -449,18 +468,6 @@ TEST(AdaptivePolicies, UgalRunsOnOneShard)
     EXPECT_GT(r.accepted, 0.0);
 }
 
-TEST(AdaptivePolicies, UgalNeedsTwoVcs)
-{
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    UniformTraffic traffic;
-    SimConfig cfg;
-    cfg.vcs = 1;
-    EXPECT_THROW(Simulator(fc, oracle, traffic, cfg,
-                           ClosPolicy::kAdaptiveUgal),
-                 std::invalid_argument);
-}
-
 TEST(AdaptivePolicies, FlowletBitIdenticalAcrossJobs)
 {
     // Flowlet state is keyed by source terminal and terminals are
@@ -476,7 +483,7 @@ TEST(AdaptivePolicies, FlowletGapZeroIsPerPacketEcmp)
 {
     // gap = 0 means "idle >= 0 cycles", which is true for every
     // packet: each one re-draws, i.e. plain per-packet ECMP.  The two
-    // policies consume RNG draws differently, so compare statistically.
+    // runs use different seeds, so compare statistically.
     SimResult ecmp = runDirect(1, 1);
     SimResult gap0 = runDirectFlowlet(1, 1, 0);
     EXPECT_GT(gap0.delivered_packets, 0);

@@ -262,6 +262,31 @@ directPairingAllKsp(std::uint64_t seed, Drive drive)
     return runDirect(g, routes, traffic, cfg, PathPolicy::kAllKsp, drive);
 }
 
+SimResult
+cftShiftUgal(std::uint64_t seed, Drive drive)
+{
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    ShiftTraffic traffic(fc.terminalsPerLeaf());  // neighbor-leaf flood
+    SimConfig cfg = goldenConfig(0.9, seed);
+    cfg.route_mode = RouteMode::kUgal;
+    return runClos(fc, oracle, traffic, cfg, drive);
+}
+
+SimResult
+directUniformFlowlet(std::uint64_t seed, Drive drive)
+{
+    Rng grng(6);
+    Graph g = randomRegularGraph(16, 4, grng);
+    KspRoutes routes(g, 4);
+    UniformTraffic traffic;
+    SimConfig cfg = goldenConfig(0.4, seed);
+    cfg.vcs = 6;
+    cfg.flowlet_gap = 64;
+    return runDirect(g, routes, traffic, cfg, PathPolicy::kFlowletEcmp,
+                     drive);
+}
+
 /** One golden configuration: its file name, runner and recorded seed. */
 struct Golden
 {
@@ -280,12 +305,23 @@ constexpr Golden kGoldens[] = {
     {"rrn16_pairing_allksp", directPairingAllKsp, 17},
 };
 
+/**
+ * Goldens of the adaptive route choices (UGAL, flowlet ECMP).  Kept
+ * apart from kGoldens because they were recorded after the sole-port
+ * sleep rule, so polling/ holds no file for them.
+ */
+constexpr Golden kPolicyGoldens[] = {
+    {"cft8_shift_ugal", cftShiftUgal, 18},
+    {"rrn16_uniform_flowlet", directUniformFlowlet, 19},
+};
+
 void
-checkGolden(int i)
+checkGolden(const Golden &g)
 {
-    const Golden &g = kGoldens[i];
     checkOrRecord(g.name, g.run(g.seed, Drive::kDefault));
 }
+
+void checkGolden(int i) { checkGolden(kGoldens[i]); }
 
 TEST(SimGolden, CftUniformMinimal) { checkGolden(0); }
 
@@ -300,6 +336,10 @@ TEST(SimGolden, RfcUniformMinimal) { checkGolden(4); }
 TEST(SimGolden, DirectUniform) { checkGolden(5); }
 
 TEST(SimGolden, DirectPairingAllKsp) { checkGolden(6); }
+
+TEST(SimGolden, CftShiftUgal) { checkGolden(kPolicyGoldens[0]); }
+
+TEST(SimGolden, DirectUniformFlowlet) { checkGolden(kPolicyGoldens[1]); }
 
 TEST(SimGolden, HookEveryCycleReproducesPolling)
 {
