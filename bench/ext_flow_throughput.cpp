@@ -22,11 +22,10 @@
  * value; timing telemetry goes to stderr (or the JSON timing block).
  */
 #include <iostream>
-#include <memory>
 
+#include "analysis/fault_sweep.hpp"
 #include "bench_common.hpp"
 #include "clos/fat_tree.hpp"
-#include "clos/faults.hpp"
 #include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
@@ -203,29 +202,20 @@ main(int argc, char **argv)
         const long long step_links = b.opts.getInt(
             "step-links", std::max<long long>(wires * 129 / 10000, 1));
 
+        // The CFT order is drawn before the RFC order, from one stream.
         Rng order_rng(static_cast<std::uint64_t>(seed + 1));
-        auto cft_order = randomLinkOrder(cft, order_rng);
-        auto rfc_order = randomLinkOrder(built.topology, order_rng);
-
-        struct Level
-        {
-            FoldedClos cft_cut, rfc_cut;
-            std::unique_ptr<UpDownOracle> o_cft, o_rfc;
-        };
-        std::vector<Level> levels(static_cast<std::size_t>(steps + 1));
+        const auto n_levels = static_cast<std::size_t>(steps + 1);
+        const auto step = static_cast<std::size_t>(step_links);
+        const auto cft_levels = nestedFaultLevels(
+            cft, n_levels, step, order_rng, /*build_oracles=*/true);
+        const auto rfc_levels = nestedFaultLevels(
+            built.topology, n_levels, step, order_rng, /*build_oracles=*/true);
         std::vector<Network> nets;
-        for (int s = 0; s <= steps; ++s) {
-            auto f = static_cast<std::size_t>(s) *
-                     static_cast<std::size_t>(step_links);
-            auto &lvl = levels[static_cast<std::size_t>(s)];
-            lvl.cft_cut = withLinksRemoved(cft, cft_order, f);
-            lvl.rfc_cut = withLinksRemoved(built.topology, rfc_order, f);
-            lvl.o_cft = std::make_unique<UpDownOracle>(lvl.cft_cut);
-            lvl.o_rfc = std::make_unique<UpDownOracle>(lvl.rfc_cut);
-            nets.push_back({"CFT@" + std::to_string(s), &lvl.cft_cut,
-                            lvl.o_cft.get()});
-            nets.push_back({"RFC@" + std::to_string(s), &lvl.rfc_cut,
-                            lvl.o_rfc.get()});
+        for (std::size_t s = 0; s < n_levels; ++s) {
+            nets.push_back({"CFT@" + std::to_string(s), &cft_levels.cuts[s],
+                            cft_levels.oracles[s].get()});
+            nets.push_back({"RFC@" + std::to_string(s), &rfc_levels.cuts[s],
+                            rfc_levels.oracles[s].get()});
         }
 
         const StudyResult result = runFlow(

@@ -27,11 +27,11 @@
  * in EXPERIMENTS.md.
  *
  * Other knobs: --section=fig8,fig10,1m, --loads (comma list),
- * --patterns, --samples, --max-paths, --model (mm1|md1|mg1|
- * mg1-history), --cv2, --pkt-phits, --link-latency, --seed, --jobs,
- * --json.  Output is bit-identical at any --jobs value; timing goes
- * to stderr (or the JSON timing blocks, filtered by the CI
- * determinism diff).
+ * --patterns, --samples, --max-paths, --model (mm1|md1|mg1), --cv2
+ * (service cv^2 of mg1; any other value with mm1 or md1 is an error),
+ * --pkt-phits, --link-latency, --seed, --jobs, --json.  Output is
+ * bit-identical at any --jobs value; timing goes to stderr (or the
+ * JSON timing blocks, filtered by the CI determinism diff).
  */
 #include <iostream>
 #include <string>

@@ -6,7 +6,6 @@
 #include "analysis/fault_sweep.hpp"
 #include "clos/topology_events.hpp"
 #include "flow/demand.hpp"
-#include "flow/paths.hpp"
 #include "queue/latency.hpp"
 #include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
@@ -170,19 +169,10 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
         makeDemandMatrix(pts->scenario.pattern, net.terminals(),
                          demand_seed, st.uniform_samples);
     const auto build_start = Clock::now();
-    FlowProblem problem;
-    if (net.topology) {
-        UpDownEcmpPaths provider(*net.topology, *net.oracle, st.max_paths,
-                                 path_seed);
-        problem = buildClosFlowProblem(*net.topology, provider, dm, &pool);
-    } else if (net.graph) {
-        KspPaths provider(*net.graph, st.max_paths);
-        problem = buildGraphFlowProblem(*net.graph, net.hosts_per_switch,
-                                        provider, dm, &pool);
-    } else {
-        throw std::invalid_argument("ExperimentEngine: " + net.label +
-                                    " has neither topology nor graph");
-    }
+    const UpDownEcmpPaths paths(*net.topology, *net.oracle, st.max_paths,
+                                path_seed);
+    const FlowProblem problem =
+        buildClosFlowProblem(*net.topology, paths, dm, &pool);
     const double build = since(build_start);
     const auto solve_start = Clock::now();
 
@@ -210,7 +200,7 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
     } else {
         phase = "sweep_seconds";
         const SimConfig &cfg = pts->config;
-        auto model = makeQueueModel(
+        const auto model = makeQueueModel(
             st.model, static_cast<double>(cfg.pkt_phits), st.mg1_cv2);
         QueueSweepOptions opt;
         for (std::size_t i = 0; i < n; ++i)
@@ -317,6 +307,8 @@ sectionConfig(const Study &st)
                  {"shards", c.shards}};
         else if (st.tier == Tier::kQueue)
             f = {{"model", st.model},
+                 {"service_cv2",
+                  makeQueueModel(st.model, c.pkt_phits, st.mg1_cv2)->cv2()},
                  {"pkt_phits", c.pkt_phits},
                  {"link_latency", c.link_latency}};
     }
@@ -419,25 +411,13 @@ loadRange(double lo, double hi, int points)
 long long
 Network::terminals() const
 {
-    if (topology)
-        return topology->numTerminals();
-    return graph ? static_cast<long long>(graph->numVertices()) *
-                       hosts_per_switch
-                 : 0;
+    return topology ? topology->numTerminals() : 0;
 }
 
 std::int64_t
 Network::topologyBytes() const
 {
-    if (topology)
-        return topology->memoryBytes();
-    if (!graph)
-        return 0;
-    // Graph stores each edge once per endpoint (4-byte ids) plus a
-    // vector header per vertex.
-    return static_cast<std::int64_t>(graph->numEdges()) * 2 * 4 +
-           static_cast<std::int64_t>(graph->numVertices()) *
-               static_cast<std::int64_t>(sizeof(std::vector<int>));
+    return topology ? topology->memoryBytes() : 0;
 }
 
 std::int64_t

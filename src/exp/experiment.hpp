@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "flow/solver.hpp"
-#include "graph/graph.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
@@ -75,15 +74,13 @@ TrafficFactory namedTraffic(const std::string &name);
  */
 std::vector<double> loadRange(double lo, double hi, int points);
 
-/** A network under test: a folded Clos or a direct graph. */
+/** A network under test: a folded Clos and its routing oracle. */
 struct Network
 {
     std::string label;
-    const FoldedClos *topology = nullptr;  //!< Clos family
+    const FoldedClos *topology = nullptr;
     /** Routing oracle; null on points whose timeline owns the oracle. */
     const UpDownOracle *oracle = nullptr;
-    const Graph *graph = nullptr;  //!< direct family (flow and queue tiers)
-    int hosts_per_switch = 0;      //!< direct family
 
     long long terminals() const;
     /** Bit-stable structure sizes (0 where the part is absent). */
@@ -173,11 +170,11 @@ struct Study
     int reps = 1;
 
     // ---- kFlow, kQueue ---------------------------------------------
-    int max_paths = 16;          //!< candidate paths per pair (ECMP / Yen k)
+    int max_paths = 16;          //!< ECMP paths per leaf pair
     int uniform_samples = 4;     //!< uniform-pattern permutations; <= 0 exact
     SolveOptions solve{};        //!< kFlow; the pool is the engine's
     std::string model = "md1";   //!< kQueue: makeQueueModel name
-    double mg1_cv2 = 0.0;        //!< kQueue: mg1 service cv^2
+    double mg1_cv2 = 0.0;        //!< kQueue: service cv^2 of "mg1" only
 
     /** Bench-specific configuration echoed in the section's meta. */
     Fields config{};

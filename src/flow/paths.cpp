@@ -1,15 +1,21 @@
 #include "flow/paths.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace rfc {
 
 UpDownEcmpPaths::UpDownEcmpPaths(const FoldedClos &fc,
                                  const UpDownOracle &oracle, int max_paths,
                                  std::uint64_t seed)
-    : fc_(fc), oracle_(oracle), max_paths_(std::max(1, max_paths)),
-      seed_(seed)
-{}
+    : fc_(fc), oracle_(oracle), max_paths_(max_paths), seed_(seed)
+{
+    if (max_paths < 1)
+        throw std::invalid_argument(
+            "UpDownEcmpPaths: max_paths must be >= 1, got " +
+            std::to_string(max_paths));
+}
 
 bool
 UpDownEcmpPaths::enumerate(int s, int ups, int dst, Path &prefix,
@@ -93,16 +99,6 @@ UpDownEcmpPaths::paths(int src, int dst, std::vector<Path> &out) const
             ++misses;
     }
     std::sort(out.begin(), out.end());
-}
-
-void
-KspPaths::paths(int src, int dst, std::vector<Path> &out) const
-{
-    if (src == dst) {
-        out.assign(1, {src});
-        return;
-    }
-    out = kShortestPaths(g_, src, dst, k_);
 }
 
 } // namespace rfc

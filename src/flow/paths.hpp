@@ -1,24 +1,18 @@
 /**
  * @file
- * Candidate-path providers for the flow-level throughput engine.
+ * Candidate paths for the flow-level throughput engine.
  *
  * The max-concurrent-flow solver is path-based: each demand routes over
- * an explicit set of candidate switch paths.  Providers encapsulate
- * where those paths come from, which is what makes the engine work for
- * every topology family in the library:
- *
- *  - `UpDownEcmpPaths` enumerates the minimal up/down ECMP paths that
- *    CFT/OFT/RFC switches actually use (driven by the `UpDownOracle`,
- *    the same next-hop sets as the packet simulator's kMinimal mode);
- *  - `KspPaths` yields Yen k-shortest loopless paths over a direct
- *    switch graph, the routing the paper says RRN/Jellyfish networks
- *    require.
+ * an explicit set of candidate switch paths.  `UpDownEcmpPaths`
+ * enumerates the minimal up/down ECMP paths that CFT/OFT/RFC switches
+ * actually use (driven by the `UpDownOracle`, the same next-hop sets as
+ * the packet simulator's kMinimal mode).
  *
  * ECMP fan-outs multiply across levels (a radix-36 3-level Clos has up
  * to 324 minimal paths per leaf pair), so enumeration is capped: when
  * the full set fits the cap it is returned exactly, otherwise a
  * deterministic random sample of distinct minimal paths (seeded per
- * leaf pair) stands in for it.  Providers are immutable after
+ * leaf pair) stands in for it.  The enumerator is immutable after
  * construction and safe to share across solver threads.
  */
 #ifndef RFC_FLOW_PATHS_HPP
@@ -28,49 +22,33 @@
 #include <vector>
 
 #include "clos/folded_clos.hpp"
-#include "graph/graph.hpp"
 #include "graph/ksp.hpp"
 #include "routing/updown.hpp"
 
 namespace rfc {
 
-/** Source of candidate switch-level paths for one endpoint pair. */
-class PathProvider
-{
-  public:
-    virtual ~PathProvider() = default;
-
-    /**
-     * Candidate paths from switch @p src to switch @p dst, as visited
-     * switch sequences (src first, dst last; a single-element path when
-     * src == dst).  Empty when no route exists.  Must be
-     * deterministic and thread safe.
-     */
-    virtual void paths(int src, int dst,
-                       std::vector<Path> &out) const = 0;
-
-    /** Upper bound on paths returned per pair. */
-    virtual int maxPaths() const = 0;
-};
-
 /**
  * Minimal up/down ECMP paths between leaf switches of a folded Clos,
  * enumerated from the reachability oracle.
  */
-class UpDownEcmpPaths : public PathProvider
+class UpDownEcmpPaths
 {
   public:
     /**
      * @param max_paths Cap per leaf pair; pairs with a larger ECMP set
      *        get a deterministic seeded sample of distinct paths.
      * @param seed Base seed for the per-pair sampling streams.
+     * @throws std::invalid_argument if max_paths < 1.
      */
     UpDownEcmpPaths(const FoldedClos &fc, const UpDownOracle &oracle,
                     int max_paths = 16, std::uint64_t seed = 1);
 
-    void paths(int src, int dst, std::vector<Path> &out) const override;
-
-    int maxPaths() const override { return max_paths_; }
+    /**
+     * Candidate paths from leaf @p src to leaf @p dst, as visited
+     * switch sequences (src first, dst last; a single-element path when
+     * src == dst).  Empty when no up/down route exists.
+     */
+    void paths(int src, int dst, std::vector<Path> &out) const;
 
   private:
     /** Exhaustive DFS; returns false once more than max_paths_ exist. */
@@ -85,24 +63,6 @@ class UpDownEcmpPaths : public PathProvider
     const UpDownOracle &oracle_;
     int max_paths_;
     std::uint64_t seed_;
-};
-
-/**
- * Yen k-shortest loopless paths over a direct switch graph
- * (RRN/Jellyfish), computed per pair on demand.
- */
-class KspPaths : public PathProvider
-{
-  public:
-    KspPaths(const Graph &g, int k) : g_(g), k_(k) {}
-
-    void paths(int src, int dst, std::vector<Path> &out) const override;
-
-    int maxPaths() const override { return k_; }
-
-  private:
-    const Graph &g_;
-    int k_;
 };
 
 } // namespace rfc

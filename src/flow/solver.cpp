@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "util/threadpool.hpp"
@@ -59,46 +60,67 @@ runRange(ThreadPool *pool, std::size_t lo, std::size_t hi, Fn &&fn)
     }
 }
 
-/**
- * Shared builder: enumerate candidate paths per demand (parallel),
- * then assemble links, lazily registered terminal links and the CSR
- * path storage in demand order (serial, hence deterministic).
- */
-template <typename SwitchOf, typename LinkId>
-FlowProblem
-buildProblemImpl(std::int32_t num_switch_links, SwitchOf switch_of,
-                 LinkId link_id, const PathProvider &provider,
-                 const DemandMatrix &dm, ThreadPool *pool)
+void
+requireAtLeastOne(const char *field, int value)
 {
+    if (value < 1)
+        throw std::invalid_argument(
+            std::string("solveMaxConcurrentFlow: ") + field +
+            " must be >= 1, got " + std::to_string(value));
+}
+
+} // namespace
+
+FlowProblem
+buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
+                     const DemandMatrix &dm, ThreadPool *pool)
+{
+    // Directed link ids: per switch s, up ports first then down ports,
+    // at base offset off[s] (one id per port, matching the simulator's
+    // one-phit-per-cycle-per-direction links).
+    const int n = fc.numSwitches();
+    std::vector<std::int64_t> off(static_cast<std::size_t>(n) + 1, 0);
+    for (int s = 0; s < n; ++s)
+        off[s + 1] = off[s] + static_cast<std::int64_t>(fc.up(s).size()) +
+                     static_cast<std::int64_t>(fc.down(s).size());
+
+    // Enumerated hops are ports of fc by construction; a -1 (no such
+    // port) would make addPath throw instead of dropping the path.
+    auto link_id = [&](int a, int b) -> std::int32_t {
+        const auto &up = fc.up(a);
+        for (std::size_t k = 0; k < up.size(); ++k)
+            if (up[k] == b)
+                return static_cast<std::int32_t>(off[a] + k);
+        const auto &down = fc.down(a);
+        for (std::size_t k = 0; k < down.size(); ++k)
+            if (down[k] == b)
+                return static_cast<std::int32_t>(off[a] + up.size() + k);
+        return -1;
+    };
+
+    // Enumerate candidate paths per demand (parallel), then assemble
+    // links, lazily registered terminal links and the CSR path storage
+    // in demand order (serial, hence deterministic).
     std::vector<std::vector<std::vector<std::int32_t>>> conv(
         dm.demands.size());
     runRange(pool, 0, dm.demands.size(), [&](std::size_t i) {
         const Demand &d = dm.demands[i];
         std::vector<Path> ps;
-        provider.paths(switch_of(d.src), switch_of(d.dst), ps);
+        paths.paths(fc.leafOfTerminal(d.src), fc.leafOfTerminal(d.dst), ps);
         auto &out = conv[i];
         out.reserve(ps.size());
-        std::vector<std::int32_t> links;
         for (const Path &p : ps) {
-            links.clear();
+            std::vector<std::int32_t> links;
             links.reserve(p.size() + 1);
             links.push_back(0);  // placeholder for the injection link
-            bool ok = true;
-            for (std::size_t h = 0; h + 1 < p.size(); ++h) {
-                std::int32_t id = link_id(p[h], p[h + 1]);
-                if (id < 0) {
-                    ok = false;
-                    break;
-                }
-                links.push_back(id);
-            }
-            if (ok)
-                out.push_back(links);
+            for (std::size_t h = 0; h + 1 < p.size(); ++h)
+                links.push_back(link_id(p[h], p[h + 1]));
+            out.push_back(std::move(links));
         }
     });
 
     FlowProblem prob;
-    for (std::int32_t l = 0; l < num_switch_links; ++l)
+    for (std::int64_t l = 0; l < off[n]; ++l)
         prob.addLink(1.0);
     std::unordered_map<long long, std::int32_t> inj, ej;
     for (std::size_t i = 0; i < dm.demands.size(); ++i) {
@@ -120,64 +142,17 @@ buildProblemImpl(std::int32_t num_switch_links, SwitchOf switch_of,
     return prob;
 }
 
-} // namespace
-
-FlowProblem
-buildClosFlowProblem(const FoldedClos &fc, const PathProvider &provider,
-                     const DemandMatrix &dm, ThreadPool *pool)
-{
-    // Directed link ids: per switch s, up ports first then down ports,
-    // at base offset off[s] (one id per port, matching the simulator's
-    // one-phit-per-cycle-per-direction links).
-    const int n = fc.numSwitches();
-    std::vector<std::int64_t> off(static_cast<std::size_t>(n) + 1, 0);
-    for (int s = 0; s < n; ++s)
-        off[s + 1] = off[s] + static_cast<std::int64_t>(fc.up(s).size()) +
-                     static_cast<std::int64_t>(fc.down(s).size());
-
-    auto link_id = [&](int a, int b) -> std::int32_t {
-        const auto &up = fc.up(a);
-        for (std::size_t k = 0; k < up.size(); ++k)
-            if (up[k] == b)
-                return static_cast<std::int32_t>(off[a] + k);
-        const auto &down = fc.down(a);
-        for (std::size_t k = 0; k < down.size(); ++k)
-            if (down[k] == b)
-                return static_cast<std::int32_t>(off[a] + up.size() + k);
-        return -1;
-    };
-    auto switch_of = [&](long long t) { return fc.leafOfTerminal(t); };
-    return buildProblemImpl(static_cast<std::int32_t>(off[n]), switch_of,
-                            link_id, provider, dm, pool);
-}
-
-FlowProblem
-buildGraphFlowProblem(const Graph &g, int hosts_per_switch,
-                      const PathProvider &provider, const DemandMatrix &dm,
-                      ThreadPool *pool)
-{
-    const int n = g.numVertices();
-    std::vector<std::int64_t> off(static_cast<std::size_t>(n) + 1, 0);
-    for (int v = 0; v < n; ++v)
-        off[v + 1] = off[v] + g.degree(v);
-
-    auto link_id = [&](int a, int b) -> std::int32_t {
-        const auto &nb = g.neighbors(a);
-        for (std::size_t k = 0; k < nb.size(); ++k)
-            if (nb[k] == b)
-                return static_cast<std::int32_t>(off[a] + k);
-        return -1;
-    };
-    auto switch_of = [&](long long t) {
-        return static_cast<int>(t / hosts_per_switch);
-    };
-    return buildProblemImpl(static_cast<std::int32_t>(off[n]), switch_of,
-                            link_id, provider, dm, pool);
-}
-
 FlowSolution
 solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
 {
+    if (!(opt.epsilon > 0.0 && opt.epsilon < 1.0))
+        throw std::invalid_argument(
+            "solveMaxConcurrentFlow: epsilon must be in (0, 1), got " +
+            std::to_string(opt.epsilon));
+    requireAtLeastOne("max_phases", opt.max_phases);
+    requireAtLeastOne("block", opt.block);
+    requireAtLeastOne("dual_every", opt.dual_every);
+
     FlowSolution sol;
     const std::int32_t nl = p.numLinks();
     sol.utilization.assign(static_cast<std::size_t>(nl), 0.0);
@@ -232,10 +207,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
     };
 
     const double log_eps = std::log1p(opt.epsilon);
-    const std::size_t block =
-        std::max<std::size_t>(1, static_cast<std::size_t>(opt.block));
-    const int max_phases = std::max(1, opt.max_phases);
-    const int dual_every = std::max(1, opt.dual_every);
+    const auto block = static_cast<std::size_t>(opt.block);
     double congestion = 0.0;
     double dual_best = std::numeric_limits<double>::infinity();
     double wmax = *std::max_element(w.begin(), w.end());
@@ -245,7 +217,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
 
     int t = 0;
     bool converged = false;
-    while (t < max_phases && !converged) {
+    while (t < opt.max_phases && !converged) {
         ++t;
         for (std::size_t blo = 0; blo < active.size(); blo += block) {
             std::size_t bhi = std::min(blo + block, active.size());
@@ -283,7 +255,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
             }
         }
 
-        if (t % dual_every == 0 || t == max_phases) {
+        if (t % opt.dual_every == 0 || t == opt.max_phases) {
             runRange(opt.pool, 0, active.size(), argmin);
             double dist_sum = 0.0;
             for (std::size_t i = 0; i < active.size(); ++i)

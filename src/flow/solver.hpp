@@ -60,10 +60,10 @@ class ThreadPool;
  *
  * Links are abstract ids with a capacity; paths are link-id sequences.
  * Build directly for hand-crafted instances (tests), or via
- * `buildClosFlowProblem` / `buildGraphFlowProblem`, which translate a
- * topology + path provider + demand matrix into link ids: one directed
- * unit-capacity link per switch port plus one injection and one
- * ejection link per terminal that appears in the demand matrix.
+ * `buildClosFlowProblem`, which translates a folded Clos + its ECMP
+ * paths + a demand matrix into link ids: one directed unit-capacity
+ * link per switch port plus one injection and one ejection link per
+ * terminal that appears in the demand matrix.
  */
 class FlowProblem
 {
@@ -123,28 +123,23 @@ class FlowProblem
 
 /**
  * Build the flow problem for a folded Clos: demands route over
- * @p provider paths between their endpoint leaves, every switch port
- * becomes a directed unit-capacity link, and each terminal appearing
- * in @p dm gets a unit injection/ejection link.  Demand order (and
- * therefore every solver output) follows dm.demands.  Path enumeration
+ * @p paths between their endpoint leaves, every switch port becomes a
+ * directed unit-capacity link, and each terminal appearing in @p dm
+ * gets a unit injection/ejection link.  Demand order (and therefore
+ * every solver output) follows dm.demands.  Path enumeration
  * parallelizes across demands on @p pool (deterministically; nullptr =
  * serial).
  */
 FlowProblem buildClosFlowProblem(const FoldedClos &fc,
-                                 const PathProvider &provider,
+                                 const UpDownEcmpPaths &paths,
                                  const DemandMatrix &dm,
                                  ThreadPool *pool = nullptr);
 
 /**
- * Same over a direct switch graph (RRN/Jellyfish) with
- * @p hosts_per_switch terminals attached to each switch.
+ * Solver knobs; the defaults suit every bench in this repository.
+ * solveMaxConcurrentFlow throws std::invalid_argument, naming the
+ * field, unless 0 < epsilon < 1 and the three counts are >= 1.
  */
-FlowProblem buildGraphFlowProblem(const Graph &g, int hosts_per_switch,
-                                  const PathProvider &provider,
-                                  const DemandMatrix &dm,
-                                  ThreadPool *pool = nullptr);
-
-/** Solver knobs; the defaults suit every bench in this repository. */
 struct SolveOptions
 {
     double epsilon = 0.05;  //!< stop when primal >= (1-eps) * dual

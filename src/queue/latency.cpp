@@ -57,7 +57,7 @@ dedupComponents(std::vector<ShiftedGamma> &comps)
 } // namespace
 
 QueueSweepResult
-queueLatencySweep(const FlowProblem &problem, QueueModel &model,
+queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
                   const QueueSweepOptions &opt)
 {
     if (opt.loads.empty())
@@ -81,9 +81,9 @@ queueLatencySweep(const FlowProblem &problem, QueueModel &model,
     const std::size_t nd = problem.numDemands();
     const double service = static_cast<double>(opt.pkt_phits);
 
-    // Load-independent structure: routed counts, conservation sums,
-    // the zero-load floor, and the history model's observations (all
-    // serial and in demand order, hence deterministic).
+    // Load-independent structure: routed counts, conservation sums and
+    // the zero-load floor (serial and in demand order, hence
+    // deterministic).
     std::vector<char> is_first(
         static_cast<std::size_t>(problem.numLinks()), 0);
     std::vector<char> is_last(
@@ -97,7 +97,6 @@ queueLatencySweep(const FlowProblem &problem, QueueModel &model,
         }
         ++result.routed;
         result.offered_weight += problem.weight(d);
-        model.observe(service);
         double share =
             problem.weight(d) / static_cast<double>(np);
         std::size_t pb = problem.pathBegin(d);
@@ -142,17 +141,16 @@ queueLatencySweep(const FlowProblem &problem, QueueModel &model,
     // lookup.  Phase A accumulates one shifted-gamma component per
     // candidate path over fixed demand ranges; merging the ranges in
     // index order keeps the output bit-identical at any pool size.
-    // Phase B evaluates the merged mixture (mean exactly, quantiles via
+    // Phase B evaluates the merged mixture (mean exactly, p50/p99 via
     // util/stats).
     constexpr std::size_t kRanges = 32;
-    const QueueModel &cmodel = model;  // waiting() is const and pure
     std::vector<QueueDelay> delay(fluid.utilization.size());
     std::vector<RangePartial> parts(kRanges);
     for (auto &pt : result.points) {
         if (pt.saturated)
             continue;
         for (std::size_t l = 0; l < delay.size(); ++l)
-            delay[l] = cmodel.waiting(pt.load * fluid.utilization[l]);
+            delay[l] = model.waiting(pt.load * fluid.utilization[l]);
 
         runRange(opt.pool, kRanges, [&](std::size_t rg) {
             RangePartial &out = parts[rg];

@@ -32,8 +32,8 @@
  *
  * Cost per load point: one waiting() call per link, O(paths * hops)
  * table lookups to build the mixture, a sort to merge equal
- * components, and then - the dominant term at scale - the two
- * quantiles, each a handful of full-mixture CDF evaluations costing a
+ * components, and then - the dominant term at scale - p50 and p99,
+ * each a handful of full-mixture CDF evaluations costing a
  * cbrt and an erfc per distinct component (util/stats).  Loads are
  * processed one at a time, so memory holds one load's mixture.  This
  * is typically 10-100x faster than a VCT sweep at sandbox scale and
@@ -87,9 +87,8 @@ struct QueueSweepResult
     /**
      * Unit-injection utilization summed over the first / last links of
      * all routed paths (the injection and ejection ports for problems
-     * built by buildClosFlowProblem / buildGraphFlowProblem).  Flow
-     * conservation makes both equal offered_weight; tier-2 properties
-     * assert it.
+     * built by buildClosFlowProblem).  Flow conservation makes both
+     * equal offered_weight; tier-2 properties assert it.
      */
     double injection_util = 0.0;
     double ejection_util = 0.0;
@@ -100,14 +99,12 @@ struct QueueSweepResult
 
 /**
  * Sweep @p problem over opt.loads with per-port contention from
- * @p model.  The model first receives one observe(pkt_phits) per
- * routed demand (serially, in demand order - this is what drives the
- * "history" variant), then its waiting() is evaluated from worker
- * threads.  Throws std::invalid_argument on an empty or out-of-range
- * load list, pkt_phits < 1, or link_latency < 0.
+ * @p model, whose waiting() is evaluated from worker threads.  Throws
+ * std::invalid_argument on an empty or out-of-range load list,
+ * pkt_phits < 1, or link_latency < 0.
  */
 QueueSweepResult queueLatencySweep(const FlowProblem &problem,
-                                   QueueModel &model,
+                                   const QueueModel &model,
                                    const QueueSweepOptions &opt);
 
 } // namespace rfc

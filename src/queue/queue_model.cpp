@@ -6,14 +6,19 @@
 
 namespace rfc {
 
-namespace {
+QueueModel::QueueModel(double service, double cv2)
+    : service_(service), cv2_(cv2)
+{
+    if (!(service > 0.0) || !std::isfinite(service))
+        throw std::invalid_argument(
+            "QueueModel: service time must be positive and finite");
+    if (!(cv2 >= 0.0) || !std::isfinite(cv2))
+        throw std::invalid_argument(
+            "QueueModel: cv2 must be >= 0 and finite");
+}
 
-/**
- * Takacs waiting-time moments of an M/G/1 queue with service moments
- * (m1, m2, m3) at utilization rho.
- */
 QueueDelay
-takacsWaiting(double m1, double m2, double m3, double rho)
+QueueModel::waiting(double rho) const
 {
     if (!(rho >= 0.0))
         throw std::invalid_argument(
@@ -24,116 +29,31 @@ takacsWaiting(double m1, double m2, double m3, double rho)
     }
     if (rho == 0.0)
         return {0.0, 0.0};
-    double lambda = rho / m1;
-    double mean = lambda * m2 / (2.0 * (1.0 - rho));
-    // Var = E[W^2] - E[W]^2 with E[W^2] = 2 E[W]^2 + lambda m3/(3(1-rho)).
-    double variance = mean * mean + lambda * m3 / (3.0 * (1.0 - rho));
-    return {mean, variance};
-}
-
-void
-checkService(double service)
-{
-    if (!(service > 0.0) || !std::isfinite(service))
-        throw std::invalid_argument(
-            "QueueModel: service time must be positive and finite");
-}
-
-} // namespace
-
-Mm1Model::Mm1Model(double service) : service_(service)
-{
-    checkService(service);
-}
-
-QueueDelay
-Mm1Model::waiting(double rho) const
-{
-    // Exponential service: E[S^2] = 2 S^2, E[S^3] = 6 S^3.
-    return takacsWaiting(service_, 2.0 * service_ * service_,
-                         6.0 * service_ * service_ * service_, rho);
-}
-
-std::unique_ptr<QueueModel>
-Mm1Model::clone() const
-{
-    return std::make_unique<Mm1Model>(*this);
-}
-
-Mg1Model::Mg1Model(double service, double cv2)
-    : service_(service), cv2_(cv2)
-{
-    checkService(service);
-    if (!(cv2 >= 0.0) || !std::isfinite(cv2))
-        throw std::invalid_argument(
-            "Mg1Model: cv2 must be >= 0 and finite");
-}
-
-QueueDelay
-Mg1Model::waiting(double rho) const
-{
     // Gamma service with mean S and squared cv c:
     // E[S^2] = S^2 (1 + c), E[S^3] = S^3 (1 + c)(1 + 2c).
     double s2 = service_ * service_ * (1.0 + cv2_);
     double s3 = service_ * service_ * service_ * (1.0 + cv2_) *
                 (1.0 + 2.0 * cv2_);
-    return takacsWaiting(service_, s2, s3, rho);
-}
-
-std::unique_ptr<QueueModel>
-Mg1Model::clone() const
-{
-    return std::make_unique<Mg1Model>(*this);
-}
-
-double
-Mg1HistoryModel::meanService() const
-{
-    if (n_ == 0)
-        throw std::logic_error(
-            "Mg1HistoryModel: no service-time observations yet");
-    return sum1_ / static_cast<double>(n_);
-}
-
-QueueDelay
-Mg1HistoryModel::waiting(double rho) const
-{
-    if (n_ == 0)
-        throw std::logic_error(
-            "Mg1HistoryModel: no service-time observations yet");
-    auto n = static_cast<double>(n_);
-    return takacsWaiting(sum1_ / n, sum2_ / n, sum3_ / n, rho);
-}
-
-void
-Mg1HistoryModel::observe(double service)
-{
-    checkService(service);
-    ++n_;
-    sum1_ += service;
-    sum2_ += service * service;
-    sum3_ += service * service * service;
-}
-
-std::unique_ptr<QueueModel>
-Mg1HistoryModel::clone() const
-{
-    return std::make_unique<Mg1HistoryModel>(*this);
+    double lambda = rho / service_;
+    double mean = lambda * s2 / (2.0 * (1.0 - rho));
+    // Var = E[W^2] - E[W]^2 with E[W^2] = 2 E[W]^2 + lambda s3/(3(1-rho)).
+    double variance = mean * mean + lambda * s3 / (3.0 * (1.0 - rho));
+    return {mean, variance};
 }
 
 std::unique_ptr<QueueModel>
 makeQueueModel(const std::string &name, double service, double cv2)
 {
-    if (name == "mm1")
-        return std::make_unique<Mm1Model>(service);
-    if (name == "md1")
-        return std::make_unique<Mg1Model>(service, 0.0);
     if (name == "mg1")
-        return std::make_unique<Mg1Model>(service, cv2);
-    if (name == "mg1-history")
-        return std::make_unique<Mg1HistoryModel>();
-    throw std::invalid_argument("makeQueueModel: unknown model '" +
-                                name + "'");
+        return std::make_unique<QueueModel>(service, cv2);
+    if (name != "mm1" && name != "md1")
+        throw std::invalid_argument("makeQueueModel: unknown model '" +
+                                    name + "'");
+    if (cv2 != 0.0)
+        throw std::invalid_argument(
+            "makeQueueModel: cv2 = " + std::to_string(cv2) + " given with '" +
+            name + "', which fixes it; choose 'mg1' to set cv2");
+    return std::make_unique<QueueModel>(service, name == "mm1" ? 1.0 : 0.0);
 }
 
 } // namespace rfc

@@ -1,35 +1,29 @@
 /**
  * @file
- * Analytic per-output-port contention models for the queue engine.
+ * Analytic per-output-port contention model for the queue engine.
  *
  * The third engine tier (src/queue) needs, for every directed link, the
  * steady-state waiting time a packet spends queued behind other packets
- * contending for that port.  This header supplies that as a small
- * strategy interface: a QueueModel maps a port utilization rho to the
- * first two moments of the waiting time, and the latency sweep
- * (queue/latency.hpp) composes those moments along paths.  The shape
- * follows the per-link QueueModel contention models of the Graphite
- * network stack: an analytic formula family ("basic") plus a
- * history-driven variant whose service-time moments are estimated from
- * the traffic actually fed through it.
+ * contending for that port.  A QueueModel maps a port utilization rho
+ * to the first two moments of the waiting time, and the latency sweep
+ * (queue/latency.hpp) composes those moments along paths.
  *
- * All variants are M/G/1 queues solved with the Takacs moment
- * formulas (Pollaczek-Khinchine for the mean):
+ * The model is an M/G/1 queue with gamma service of mean S and squared
+ * coefficient of variation cv2, solved with the Takacs moment formulas
+ * (Pollaczek-Khinchine for the mean):
  *
  *     E[W]   = lambda E[S^2] / (2 (1 - rho))
  *     E[W^2] = 2 E[W]^2 + lambda E[S^3] / (3 (1 - rho))
  *
- * with lambda = rho / E[S].  They differ only in the service-time
- * moments: exponential service (M/M/1), gamma service with a chosen
- * squared coefficient of variation (M/G/1; cv2 = 0 is M/D/1, the
- * right default for fixed-size packets draining one phit per cycle),
- * or sample moments accumulated from observe() calls (M/G/1 with
- * history).  At rho >= 1 the queue has no steady state and the
- * moments are +infinity - the sweep reports such points as saturated.
+ * with lambda = rho / S, E[S^2] = S^2 (1 + cv2) and
+ * E[S^3] = S^3 (1 + cv2)(1 + 2 cv2).  Three presets name the usual
+ * cases: "md1" (cv2 = 0, deterministic service - the right default for
+ * fixed-size packets draining one phit per cycle), "mm1" (cv2 = 1,
+ * exponential service) and "mg1" (a chosen cv2).  At rho >= 1 the
+ * queue has no steady state and the moments are +infinity - the sweep
+ * reports such points as saturated.
  *
- * Thread-safety contract: waiting() is const and pure; observe() is
- * not thread-safe and must complete before waiting() is called from
- * multiple threads (the sweep feeds all observations serially first).
+ * waiting() is const and pure, so one model serves every worker thread.
  */
 #ifndef RFC_QUEUE_QUEUE_MODEL_HPP
 #define RFC_QUEUE_QUEUE_MODEL_HPP
@@ -46,63 +40,25 @@ struct QueueDelay
     double variance = 0.0;
 };
 
-/** Strategy interface: port utilization -> waiting-time moments. */
+/** M/G/1 port contention: utilization -> waiting-time moments. */
 class QueueModel
 {
   public:
-    virtual ~QueueModel() = default;
+    /**
+     * Gamma service of mean @p service (cycles per packet) and squared
+     * coefficient of variation @p cv2.  Throws std::invalid_argument
+     * unless service > 0 and cv2 >= 0, both finite.
+     */
+    QueueModel(double service, double cv2);
 
-    virtual const char *name() const = 0;
-
-    /** Mean service time (cycles per packet) the model assumes. */
-    virtual double meanService() const = 0;
+    double cv2() const { return cv2_; }
 
     /**
      * Waiting-time moments at utilization @p rho.  {0, 0} at rho = 0,
      * {+inf, +inf} at rho >= 1 (no steady state); throws
      * std::invalid_argument on rho < 0 or NaN.
      */
-    virtual QueueDelay waiting(double rho) const = 0;
-
-    /**
-     * Feed one observed service time (cycles).  Default: ignored;
-     * the history variant accumulates sample moments.
-     */
-    virtual void observe(double service) { (void)service; }
-
-    virtual std::unique_ptr<QueueModel> clone() const = 0;
-};
-
-/** M/M/1: exponential service with the given mean. */
-class Mm1Model : public QueueModel
-{
-  public:
-    explicit Mm1Model(double service);
-
-    const char *name() const override { return "mm1"; }
-    double meanService() const override { return service_; }
-    QueueDelay waiting(double rho) const override;
-    std::unique_ptr<QueueModel> clone() const override;
-
-  private:
-    double service_;
-};
-
-/**
- * M/G/1 with gamma service of mean @p service and squared coefficient
- * of variation @p cv2 >= 0.  cv2 = 0 is M/D/1 (deterministic
- * service), cv2 = 1 coincides with M/M/1.
- */
-class Mg1Model : public QueueModel
-{
-  public:
-    Mg1Model(double service, double cv2);
-
-    const char *name() const override { return "mg1"; }
-    double meanService() const override { return service_; }
-    double cv2() const { return cv2_; }
-    QueueDelay waiting(double rho) const override;
-    std::unique_ptr<QueueModel> clone() const override;
+    QueueDelay waiting(double rho) const;
 
   private:
     double service_;
@@ -110,32 +66,9 @@ class Mg1Model : public QueueModel
 };
 
 /**
- * M/G/1 with service moments estimated from observed service times
- * (the Graphite "history" variant).  waiting() and meanService()
- * throw std::logic_error until at least one observation arrives.
- */
-class Mg1HistoryModel : public QueueModel
-{
-  public:
-    const char *name() const override { return "mg1-history"; }
-    double meanService() const override;
-    QueueDelay waiting(double rho) const override;
-    void observe(double service) override;
-    std::unique_ptr<QueueModel> clone() const override;
-
-    std::size_t observations() const { return n_; }
-
-  private:
-    std::size_t n_ = 0;
-    double sum1_ = 0.0;
-    double sum2_ = 0.0;
-    double sum3_ = 0.0;
-};
-
-/**
- * Factory by name: "mm1", "md1" (= mg1 with cv2 = 0), "mg1" (uses
- * @p cv2), "mg1-history" (starts empty; the caller feeds observe()).
- * Throws std::invalid_argument on an unknown name or service <= 0.
+ * Factory by name: "mm1" (cv2 = 1), "md1" (cv2 = 0) or "mg1" (uses
+ * @p cv2).  Throws std::invalid_argument on an unknown name, on a
+ * nonzero @p cv2 with a preset that fixes it, or on service <= 0.
  */
 std::unique_ptr<QueueModel> makeQueueModel(const std::string &name,
                                            double service,

@@ -50,8 +50,8 @@
  *   };
  *
  * The CongestionView (sim/core/congestion.hpp) passed at the three
- * decision points is a read-only, shard-local window over credits,
- * queue depths and busy times; its header documents exactly which
+ * decision points is a read-only, shard-local window over output and
+ * injection credits; its header documents exactly which
  * state a policy may read from which call.  Oblivious routing ignores
  * it; UGAL (policy_updown.hpp) steers by it, and flowlet switching
  * (policy_ksp.hpp) reads its clock.
@@ -475,8 +475,7 @@ class VctEngine
     {
         return CongestionView(lay_, cfg_.vcs, cfg_.buf_packets,
                               out_credits_.data(), inj_credits_.data(),
-                              q_count_.data(), out_busy_.data(),
-                              in_busy_.data(), now);
+                              now);
     }
 
     void
@@ -1677,23 +1676,13 @@ VctEngine<Policy>::runCycles(long long total)
     }
     const int T = std::min(jobs, S);
 
-    if (T <= 1) {
-        for (long long now = 0; now < total; ++now) {
-            if (hookDue(now))
-                runHook(now);
-            for (ShardCtx &c : shards_)
-                shardCyclePhase1(c, now);
-            for (ShardCtx &c : shards_)
-                shardCyclePhase2(c, now);
-            if (wl_global_)
-                workloadGlobalStep(now);
-            if constexpr (kGuards)
-                guardCycle(now);
-        }
-        return;
-    }
-
+    // One thread (T == 1) runs the worker inline and skips every
+    // barrier wait, so the single-thread path takes no mutex.
     core_detail::CycleBarrier barrier(T);
+    auto sync = [&] {
+        if (T > 1)
+            barrier.arriveAndWait();
+    };
     auto worker = [&](int tid) {
         for (long long now = 0; now < total; ++now) {
             // Cycle hooks mutate shared routing state: park every
@@ -1702,32 +1691,36 @@ VctEngine<Policy>::runCycles(long long total)
             // on hookDue(now) (the previous cycle's barriers order the
             // update before this read).
             if (hookDue(now)) {
-                barrier.arriveAndWait();
+                sync();
                 if (tid == 0)
                     runHook(now);
-                barrier.arriveAndWait();
+                sync();
             }
             for (int k = tid; k < S; k += T)
                 shardCyclePhase1(shards_[k], now);
-            barrier.arriveAndWait();
+            sync();
             for (int k = tid; k < S; k += T)
                 shardCyclePhase2(shards_[k], now);
-            barrier.arriveAndWait();
+            sync();
             // Workload global step: one thread runs the cross-terminal
             // logic while everyone else is parked; the extra barrier
             // orders its sends/wakes before the next cycle's phase 1.
             if (wl_global_) {
                 if (tid == 0)
                     workloadGlobalStep(now);
-                barrier.arriveAndWait();
+                sync();
             }
             if constexpr (kGuards) {
                 if (tid == 0)
                     guardCycle(now);
-                barrier.arriveAndWait();
+                sync();
             }
         }
     };
+    if (T == 1) {
+        worker(0);
+        return;
+    }
     std::vector<std::thread> threads;
     threads.reserve(T);
     for (int tid = 0; tid < T; ++tid)

@@ -92,7 +92,7 @@ class KspPolicy
         // cycles, and only the call right before initPacket counts.
         now_ = cv.now();
         // Injection always targets VC 0 (a packet with 0 hops crossed).
-        return cv.injCredit(term, 0) > 0 ? 0 : -1;
+        return cv.injCredits(term)[0] > 0 ? 0 : -1;
     }
 
     void

@@ -46,52 +46,6 @@ RunningStat::ci95() const
     return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-namespace {
-
-/** Type-7 quantile of @p s, which must already be sorted. */
-double
-sortedQuantile(const std::vector<double> &s, double q)
-{
-    double pos = q * static_cast<double>(s.size() - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    if (lo + 1 >= s.size())
-        return s.back();
-    double frac = pos - static_cast<double>(lo);
-    return s[lo] + frac * (s[lo + 1] - s[lo]);
-}
-
-void
-checkQuantileArgs(const std::vector<double> &samples, double q)
-{
-    if (samples.empty())
-        throw std::invalid_argument("quantile: empty sample set");
-    if (!(q >= 0.0 && q <= 1.0))
-        throw std::invalid_argument("quantile: q outside [0, 1]");
-}
-
-} // namespace
-
-double
-quantile(std::vector<double> samples, double q)
-{
-    checkQuantileArgs(samples, q);
-    std::sort(samples.begin(), samples.end());
-    return sortedQuantile(samples, q);
-}
-
-std::vector<double>
-quantiles(std::vector<double> samples, const std::vector<double> &qs)
-{
-    for (double q : qs)
-        checkQuantileArgs(samples, q);
-    std::sort(samples.begin(), samples.end());
-    std::vector<double> out;
-    out.reserve(qs.size());
-    for (double q : qs)
-        out.push_back(sortedQuantile(samples, q));
-    return out;
-}
-
 double
 binnedQuantile(const std::vector<long long> &counts,
                const std::vector<double> &edges, double q)
@@ -138,51 +92,6 @@ binnedQuantile(const std::vector<long long> &counts,
     if (frac == 0.0 || k + 1 >= total)
         return lo;
     return lo + frac * (value_at(k + 1) - lo);
-}
-
-double
-weightedQuantile(std::vector<std::pair<double, double>> samples,
-                 double q)
-{
-    if (!(q >= 0.0 && q <= 1.0))
-        throw std::invalid_argument("weightedQuantile: q outside [0, 1]");
-    double total = 0.0;
-    std::size_t out = 0;
-    for (const auto &s : samples) {
-        if (s.second < 0.0)
-            throw std::invalid_argument(
-                "weightedQuantile: negative weight");
-        if (s.second == 0.0)
-            continue;
-        total += s.second;
-        samples[out++] = s;
-    }
-    samples.resize(out);
-    if (samples.empty() || total <= 0.0)
-        throw std::invalid_argument(
-            "weightedQuantile: empty sample set");
-    std::sort(samples.begin(), samples.end());
-
-    // Midpoint (Hazen) positions of each sample's mass, walked in
-    // sorted order; interpolate between the two straddling midpoints.
-    double seen = 0.0;
-    double prev_pos = 0.0;
-    double prev_val = samples.front().first;
-    bool have_prev = false;
-    for (const auto &s : samples) {
-        double pos = (seen + s.second / 2.0) / total;
-        if (q <= pos) {
-            if (!have_prev || pos == prev_pos)
-                return s.first;
-            double frac = (q - prev_pos) / (pos - prev_pos);
-            return prev_val + frac * (s.first - prev_val);
-        }
-        seen += s.second;
-        prev_pos = pos;
-        prev_val = s.first;
-        have_prev = true;
-    }
-    return samples.back().first;
 }
 
 namespace {

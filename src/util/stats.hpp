@@ -1,12 +1,14 @@
 /**
  * @file
- * Streaming statistics used to aggregate repeated experiment trials.
+ * Statistics: the streaming accumulator that aggregates repeated
+ * experiment trials, the binned quantile behind the latency
+ * histograms, the queue engine's shifted-gamma mixture, and the
+ * chi-square helpers of the traffic property checks.
  */
 #ifndef RFC_UTIL_STATS_HPP
 #define RFC_UTIL_STATS_HPP
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace rfc {
@@ -44,57 +46,22 @@ class RunningStat
 };
 
 /**
- * The @p q quantile (0 <= q <= 1) of @p samples by linear
- * interpolation between order statistics (the "type 7" definition of
- * Hyndman & Fan, the R/NumPy default): q = 0 is the minimum, q = 1
- * the maximum, q = 0.5 the median.  Takes its input by value (the
- * selection reorders it).  Throws std::invalid_argument on an empty
- * sample set or q outside [0, 1].  Used for the per-demand throughput
- * distributions of the flow engine (worst percentiles, not just the
- * worst demand).
- */
-double quantile(std::vector<double> samples, double q);
-
-/**
- * Several quantiles of one sample set: quantile(samples, qs[i]) for
- * every i, sharing a single sort of the data.
- */
-std::vector<double> quantiles(std::vector<double> samples,
-                              const std::vector<double> &qs);
-
-/**
  * Type-7 quantile of binned (histogram) data.  @p counts[i] samples
  * fall in the half-open interval [edges[i], edges[i+1]) and are
  * treated as evenly spread inside it: the j-th of c samples in a
  * bucket (0-based) sits at lo + (j + 0.5) / c * (hi - lo).  The
- * quantile then interpolates between consecutive order statistics at
- * rank h = (N - 1) q, exactly like quantile() does on raw samples.
+ * quantile then interpolates linearly between consecutive order
+ * statistics at rank h = (N - 1) q (the "type 7" definition of
+ * Hyndman & Fan, the R/NumPy default).
  * Requires edges.size() == counts.size() + 1 with strictly increasing
  * edges; throws std::invalid_argument on malformed input, an empty
  * histogram, or q outside [0, 1].  Merging two histograms by summing
- * counts yields the same quantiles as binning the concatenated
+ * counts yields the same quantile at every q as binning the concatenated
  * samples, which is what makes per-shard latency histograms safely
  * combinable.
  */
 double binnedQuantile(const std::vector<long long> &counts,
                       const std::vector<double> &edges, double q);
-
-/**
- * Quantile of weighted samples: each (value, weight) pair contributes
- * weight > 0 units of probability mass.  The empirical CDF places each
- * sample's mass at its midpoint (the Hazen convention, which reduces
- * binnedQuantile's evenly-spread rule to a single point per sample)
- * and the quantile interpolates linearly between consecutive
- * midpoints, clamping to the extreme values outside them.  For equal
- * weights this is the Hazen variant of the type-7 estimator used
- * elsewhere in this header.  Zero-weight samples are ignored.  Throws
- * std::invalid_argument on an empty/all-zero-weight sample set, a
- * negative weight, or q outside [0, 1].  Used by the queue-model
- * engine for path-latency distributions, where each candidate path
- * carries its ECMP flow share as weight.
- */
-double weightedQuantile(std::vector<std::pair<double, double>> samples,
-                        double q);
 
 /**
  * One component of a shifted-gamma mixture: a deterministic @p shift

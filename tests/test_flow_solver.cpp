@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the flow-level throughput engine (src/flow): demand
- * matrices, path providers, and the Garg-Konemann max concurrent flow
- * solver on hand-solvable instances with known optima.
+ * matrices, ECMP path enumeration, and the Garg-Konemann max
+ * concurrent flow solver on hand-solvable instances with known optima.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "clos/fat_tree.hpp"
 #include "flow/demand.hpp"
@@ -248,6 +250,76 @@ TEST(FlowPaths, CftEnumerationIsExact)
     capped.paths(0, 1, again);
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one, again);
+}
+
+/** Expect std::invalid_argument whose message names @p field. */
+template <typename Fn>
+void
+expectRejected(const std::string &field, Fn &&fn)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+/** Solve a one-link, one-demand problem under @p opt. */
+void
+solveTiny(const SolveOptions &opt)
+{
+    FlowProblem p;
+    std::int32_t l = p.addLink(1.0);
+    p.addDemand(1.0);
+    p.addPath({l});
+    solveMaxConcurrentFlow(p, opt);
+}
+
+TEST(FlowKnobs, RejectsMaxPathsBelowOne)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    for (int bad : {0, -3})
+        expectRejected("max_paths",
+                       [&] { UpDownEcmpPaths(fc, oracle, bad); });
+}
+
+TEST(FlowKnobs, RejectsMaxPhasesBelowOne)
+{
+    for (int bad : {0, -1}) {
+        SolveOptions opt;
+        opt.max_phases = bad;
+        expectRejected("max_phases", [&] { solveTiny(opt); });
+    }
+}
+
+TEST(FlowKnobs, RejectsBlockBelowOne)
+{
+    for (int bad : {0, -2048}) {
+        SolveOptions opt;
+        opt.block = bad;
+        expectRejected("block", [&] { solveTiny(opt); });
+    }
+}
+
+TEST(FlowKnobs, RejectsDualEveryBelowOne)
+{
+    for (int bad : {0, -10}) {
+        SolveOptions opt;
+        opt.dual_every = bad;
+        expectRejected("dual_every", [&] { solveTiny(opt); });
+    }
+}
+
+TEST(FlowKnobs, RejectsEpsilonOutsideOpenUnitInterval)
+{
+    for (double bad : {0.0, 1.0, -1.0, 1.5, std::nan("")}) {
+        SolveOptions opt;
+        opt.epsilon = bad;
+        expectRejected("epsilon", [&] { solveTiny(opt); });
+    }
 }
 
 TEST(FlowDemand, SampledUniformIsDoublyStochastic)

@@ -75,8 +75,9 @@ class MockPolicy
     {
         ++stats_->inject_calls;
         observeNow(cv);
+        const std::int8_t *credits = cv.injCredits(term);
         for (int v = 0; v < stats_->vcs; ++v) {
-            const int c = cv.injCredit(term, v);
+            const int c = credits[v];
             if (c < 0 || c > stats_->buf)
                 ++stats_->bounds_violations;
         }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Unit tests for the queue engine tier: the per-port contention models
- * (queue/queue_model) against their closed forms, the weighted-sample
- * and shifted-gamma-mixture quantile machinery (util/stats), and the
- * latency sweep (queue/latency) on instances small enough to check by
- * hand - plus the determinism contract (bit-identical results on a
- * thread pool, the tier2-tsan path).
+ * Unit tests for the queue engine tier: the per-port contention model
+ * (queue/queue_model) against its closed forms, the shifted-gamma
+ * mixture machinery (util/stats), and the latency sweep
+ * (queue/latency) on instances small enough to check by hand - plus
+ * the determinism contract (bit-identical results on a thread pool,
+ * the tier2-tsan path).
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "clos/fat_tree.hpp"
 #include "flow/demand.hpp"
-#include "flow/paths.hpp"
 #include "flow/solver.hpp"
 #include "mixture_reference.hpp"
 #include "queue/latency.hpp"
@@ -29,13 +28,13 @@ namespace {
 
 constexpr double kS = 16.0;  // service time used throughout (cycles)
 
-// --- contention models vs closed forms ------------------------------
+// --- contention model vs closed forms -------------------------------
 
 TEST(QueueModelCore, Mm1MatchesClosedForm)
 {
     // M/M/1: E[W] = rho S / (1 - rho),
     // Var[W] = rho (2 - rho) S^2 / (1 - rho)^2.
-    Mm1Model m(kS);
+    QueueModel m(kS, 1.0);
     for (double rho : {0.1, 0.5, 0.9, 0.99}) {
         auto w = m.waiting(rho);
         double mean = rho * kS / (1.0 - rho);
@@ -50,7 +49,7 @@ TEST(QueueModelCore, Md1MatchesClosedForm)
 {
     // Deterministic service (cv2 = 0): E[W] = rho S / (2 (1 - rho)),
     // Var[W] = E[W]^2 + rho S^2 / (3 (1 - rho)).
-    Mg1Model m(kS, 0.0);
+    QueueModel m(kS, 0.0);
     for (double rho : {0.2, 0.5, 0.8}) {
         auto w = m.waiting(rho);
         double mean = rho * kS / (2.0 * (1.0 - rho));
@@ -58,56 +57,29 @@ TEST(QueueModelCore, Md1MatchesClosedForm)
         EXPECT_NEAR(w.mean, mean, 1e-9 * mean) << "rho=" << rho;
         EXPECT_NEAR(w.variance, var, 1e-9 * var) << "rho=" << rho;
         // An M/D/1 queue waits exactly half as long as M/M/1.
-        EXPECT_NEAR(2.0 * w.mean, Mm1Model(kS).waiting(rho).mean,
+        EXPECT_NEAR(2.0 * w.mean, QueueModel(kS, 1.0).waiting(rho).mean,
                     1e-9 * mean);
     }
 }
 
 TEST(QueueModelCore, Mg1WithCv2OneIsMm1)
 {
-    Mg1Model g(kS, 1.0);
-    Mm1Model m(kS);
+    // The "mm1" preset is the one formula at cv2 = 1; "mg1" at cv2 = 1
+    // must give the same doubles.
+    auto g = makeQueueModel("mg1", kS, 1.0);
+    auto m = makeQueueModel("mm1", kS);
+    EXPECT_EQ(m->cv2(), 1.0);
     for (double rho : {0.1, 0.4, 0.7, 0.95}) {
-        auto a = g.waiting(rho);
-        auto b = m.waiting(rho);
+        auto a = g->waiting(rho);
+        auto b = m->waiting(rho);
         EXPECT_DOUBLE_EQ(a.mean, b.mean) << "rho=" << rho;
         EXPECT_DOUBLE_EQ(a.variance, b.variance) << "rho=" << rho;
     }
 }
 
-TEST(QueueModelCore, HistoryWithConstantServiceIsMd1)
-{
-    Mg1HistoryModel h;
-    for (int i = 0; i < 5; ++i)
-        h.observe(kS);
-    EXPECT_EQ(h.observations(), 5u);
-    EXPECT_DOUBLE_EQ(h.meanService(), kS);
-    Mg1Model d(kS, 0.0);
-    for (double rho : {0.3, 0.6, 0.9}) {
-        auto a = h.waiting(rho);
-        auto b = d.waiting(rho);
-        EXPECT_NEAR(a.mean, b.mean, 1e-12 * b.mean);
-        EXPECT_NEAR(a.variance, b.variance, 1e-12 * b.variance);
-    }
-}
-
-TEST(QueueModelCore, HistoryMixedServiceMatchesHandComputedMoments)
-{
-    // Observations {8, 24}: m1 = 16, m2 = 320, m3 = 7168.  At rho=0.5,
-    // lambda = 1/32: E[W] = (1/32) 320 / (2 * 0.5) = 10,
-    // Var = 100 + (1/32) 7168 / (3 * 0.5) = 100 + 448/3.
-    Mg1HistoryModel h;
-    h.observe(8.0);
-    h.observe(24.0);
-    EXPECT_DOUBLE_EQ(h.meanService(), 16.0);
-    auto w = h.waiting(0.5);
-    EXPECT_NEAR(w.mean, 10.0, 1e-12);
-    EXPECT_NEAR(w.variance, 100.0 + 448.0 / 3.0, 1e-9);
-}
-
 TEST(QueueModelCore, EdgeUtilizations)
 {
-    Mg1Model m(kS, 0.0);
+    QueueModel m(kS, 0.0);
     auto zero = m.waiting(0.0);
     EXPECT_EQ(zero.mean, 0.0);
     EXPECT_EQ(zero.variance, 0.0);
@@ -120,81 +92,27 @@ TEST(QueueModelCore, EdgeUtilizations)
     EXPECT_THROW(m.waiting(std::nan("")), std::invalid_argument);
 }
 
-TEST(QueueModelCore, ConstructionAndHistoryErrors)
+TEST(QueueModelCore, ConstructionErrors)
 {
-    EXPECT_THROW(Mm1Model(0.0), std::invalid_argument);
-    EXPECT_THROW(Mm1Model(-1.0), std::invalid_argument);
-    EXPECT_THROW(Mg1Model(kS, -0.5), std::invalid_argument);
-
-    Mg1HistoryModel empty;
-    EXPECT_THROW(empty.meanService(), std::logic_error);
-    EXPECT_THROW(empty.waiting(0.5), std::logic_error);
-    EXPECT_THROW(empty.observe(0.0), std::invalid_argument);
+    EXPECT_THROW(QueueModel(0.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(QueueModel(-1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(QueueModel(kS, -0.5), std::invalid_argument);
+    EXPECT_THROW(QueueModel(kS, std::nan("")), std::invalid_argument);
 }
 
-TEST(QueueModelCore, FactoryNamesAndClone)
+TEST(QueueModelCore, FactoryPresets)
 {
-    EXPECT_STREQ(makeQueueModel("mm1", kS)->name(), "mm1");
-    EXPECT_STREQ(makeQueueModel("md1", kS)->name(), "mg1");
-    EXPECT_STREQ(makeQueueModel("mg1", kS, 2.0)->name(), "mg1");
-    EXPECT_STREQ(makeQueueModel("mg1-history", kS)->name(),
-                 "mg1-history");
+    EXPECT_EQ(makeQueueModel("mm1", kS)->cv2(), 1.0);
+    EXPECT_EQ(makeQueueModel("md1", kS)->cv2(), 0.0);
+    EXPECT_EQ(makeQueueModel("mg1", kS, 2.0)->cv2(), 2.0);
     EXPECT_THROW(makeQueueModel("vct", kS), std::invalid_argument);
+    EXPECT_THROW(makeQueueModel("mg1-history", kS), std::invalid_argument);
     EXPECT_THROW(makeQueueModel("mm1", 0.0), std::invalid_argument);
 
-    // "md1" is gamma service with cv2 = 0; the factory honors cv2 only
-    // for "mg1".
-    auto md1 = makeQueueModel("md1", kS, /*cv2=*/5.0);
-    EXPECT_DOUBLE_EQ(md1->waiting(0.5).mean,
-                     Mg1Model(kS, 0.0).waiting(0.5).mean);
-
-    // clone() preserves accumulated history.
-    Mg1HistoryModel h;
-    h.observe(8.0);
-    h.observe(24.0);
-    auto copy = h.clone();
-    EXPECT_DOUBLE_EQ(copy->waiting(0.5).mean, h.waiting(0.5).mean);
-}
-
-// --- weighted quantile ----------------------------------------------
-
-TEST(WeightedQuantileCore, SingleAndEqualWeights)
-{
-    using S = std::vector<std::pair<double, double>>;
-    EXPECT_DOUBLE_EQ(weightedQuantile(S{{7.0, 2.0}}, 0.0), 7.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(S{{7.0, 2.0}}, 0.5), 7.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(S{{7.0, 2.0}}, 1.0), 7.0);
-
-    // Two equal masses at 1 and 3: midpoints at 0.25 and 0.75.
-    S two = {{3.0, 1.0}, {1.0, 1.0}};
-    EXPECT_DOUBLE_EQ(weightedQuantile(two, 0.25), 1.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(two, 0.5), 2.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(two, 0.75), 3.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(two, 1.0), 3.0);
-}
-
-TEST(WeightedQuantileCore, UnequalWeightsAndZeroWeightSamples)
-{
-    using S = std::vector<std::pair<double, double>>;
-    // Mass 3 at value 1 (midpoint 0.375), mass 1 at value 2
-    // (midpoint 0.875); zero-weight samples are ignored.
-    S s = {{2.0, 1.0}, {1.0, 3.0}, {99.0, 0.0}};
-    EXPECT_DOUBLE_EQ(weightedQuantile(s, 0.375), 1.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(s, 0.875), 2.0);
-    EXPECT_DOUBLE_EQ(weightedQuantile(s, 0.625), 1.5);
-    EXPECT_DOUBLE_EQ(weightedQuantile(s, 0.1), 1.0);   // clamp low
-    EXPECT_DOUBLE_EQ(weightedQuantile(s, 0.99), 2.0);  // clamp high
-}
-
-TEST(WeightedQuantileCore, RejectsBadInput)
-{
-    using S = std::vector<std::pair<double, double>>;
-    EXPECT_THROW(weightedQuantile(S{}, 0.5), std::invalid_argument);
-    EXPECT_THROW(weightedQuantile(S{{1.0, 0.0}}, 0.5),
+    // The presets fix cv2: a nonzero one is an error, not ignored.
+    EXPECT_THROW(makeQueueModel("md1", kS, /*cv2=*/5.0),
                  std::invalid_argument);
-    EXPECT_THROW(weightedQuantile(S{{1.0, -1.0}}, 0.5),
-                 std::invalid_argument);
-    EXPECT_THROW(weightedQuantile(S{{1.0, 1.0}}, 1.5),
+    EXPECT_THROW(makeQueueModel("mm1", kS, /*cv2=*/2.0),
                  std::invalid_argument);
 }
 
@@ -316,7 +234,7 @@ tandemProblem()
 TEST(QueueSweepCore, TandemMatchesHandComputation)
 {
     auto p = tandemProblem();
-    Mg1Model model(kS, 0.0);
+    QueueModel model(kS, 0.0);
     QueueSweepOptions opt;
     opt.loads = {0.25, 0.5, 0.75, 1.0};
     auto r = queueLatencySweep(p, model, opt);
@@ -349,7 +267,7 @@ TEST(QueueSweepCore, TandemMatchesHandComputation)
 TEST(QueueSweepCore, RejectsBadOptions)
 {
     auto p = tandemProblem();
-    Mg1Model model(kS, 0.0);
+    QueueModel model(kS, 0.0);
     QueueSweepOptions opt;
     EXPECT_THROW(queueLatencySweep(p, model, opt),
                  std::invalid_argument);  // empty load list
@@ -382,7 +300,7 @@ TEST(QueueSweepCore, CftSweepConservationAndPoolInvariance)
     opt.loads = {0.1, 0.3, 0.5};
 
     auto serial_problem = buildClosFlowProblem(fc, provider, dm);
-    Mg1Model serial_model(kS, 0.0);
+    QueueModel serial_model(kS, 0.0);
     auto serial = queueLatencySweep(serial_problem, serial_model, opt);
 
     // Flow conservation: everything injected is ejected, and both
@@ -399,7 +317,7 @@ TEST(QueueSweepCore, CftSweepConservationAndPoolInvariance)
     // same model, three workers.
     ThreadPool pool(3);
     auto par_problem = buildClosFlowProblem(fc, provider, dm, &pool);
-    Mg1Model par_model(kS, 0.0);
+    QueueModel par_model(kS, 0.0);
     QueueSweepOptions popt = opt;
     popt.pool = &pool;
     auto par = queueLatencySweep(par_problem, par_model, popt);

@@ -153,7 +153,7 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
         cfg.route_mode = mode;
         UpDownPolicy policy(fc, oracle, lay, cfg);
         const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
-                                nullptr, nullptr, nullptr, nullptr, 0);
+                                nullptr, 0);
         Rng rng(3), ref_rng(3);
         std::vector<int> choices;
         for (int s = 0; s < fc.numSwitches(); s += 7) {

@@ -61,54 +61,6 @@ TEST(RunningStat, Ci95ShrinksWithSamples)
     EXPECT_GT(small.ci95(), large.ci95());
 }
 
-TEST(Quantile, SingleSampleAndEndpoints)
-{
-    EXPECT_DOUBLE_EQ(quantile({7.0}, 0.0), 7.0);
-    EXPECT_DOUBLE_EQ(quantile({7.0}, 1.0), 7.0);
-    std::vector<double> v{3.0, 1.0, 2.0};
-    EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(quantile(v, 1.0), 3.0);
-    EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.0);
-}
-
-TEST(Quantile, LinearInterpolationType7)
-{
-    // Four sorted samples: position q * 3 interpolates neighbors.
-    std::vector<double> v{10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(quantile(v, 0.5), 25.0);
-    EXPECT_DOUBLE_EQ(quantile(v, 0.25), 17.5);
-    EXPECT_NEAR(quantile(v, 0.99), 39.7, 1e-12);
-    // Unsorted input gives the same answers.
-    std::vector<double> shuffled{40.0, 10.0, 30.0, 20.0};
-    EXPECT_DOUBLE_EQ(quantile(shuffled, 0.25), 17.5);
-}
-
-TEST(Quantile, BatchMatchesSingle)
-{
-    std::vector<double> v;
-    for (int i = 100; i >= 0; --i)
-        v.push_back(static_cast<double>(i));
-    auto qs = quantiles(v, {0.0, 0.05, 0.5, 0.95, 1.0});
-    ASSERT_EQ(qs.size(), 5u);
-    EXPECT_DOUBLE_EQ(qs[0], 0.0);
-    EXPECT_DOUBLE_EQ(qs[1], 5.0);
-    EXPECT_DOUBLE_EQ(qs[2], 50.0);
-    EXPECT_DOUBLE_EQ(qs[3], 95.0);
-    EXPECT_DOUBLE_EQ(qs[4], 100.0);
-    for (std::size_t i = 0; i < qs.size(); ++i)
-        EXPECT_DOUBLE_EQ(qs[i],
-                         quantile(v, std::vector<double>{
-                                         0.0, 0.05, 0.5, 0.95, 1.0}[i]));
-}
-
-TEST(Quantile, RejectsBadInput)
-{
-    EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-    EXPECT_THROW(quantile({1.0}, -0.1), std::invalid_argument);
-    EXPECT_THROW(quantile({1.0}, 1.1), std::invalid_argument);
-    EXPECT_THROW(quantiles({1.0}, {0.5, 2.0}), std::invalid_argument);
-}
-
 TEST(TablePrinter, AlignedOutputContainsCells)
 {
     TablePrinter t({"name", "value"});
