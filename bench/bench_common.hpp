@@ -20,12 +20,9 @@
  *              hardware concurrency, env RFC_JOBS).  Results are
  *              bit-identical for any N: seeds derive from
  *              {base seed, study point, rep}, never from thread order.
- *   --shards S deterministic intra-trial sharding: each simulation
- *              partitions its switches into S >= 1 shards with
- *              seed-split RNGs.  S is part of the experiment definition
- *              (default SimConfig::shards = 1, one stream).
- *   --sim-jobs N  threads advancing the shards of one simulation;
- *              results are bit-identical for any N at fixed S.
+ *              Each simulation runs on one thread; --jobs is the only
+ *              parallelism lever, and the removed --shards/--sim-jobs
+ *              flags are rejected.
  *
  * Benches declare their studies (points x reps at one fidelity tier)
  * and hand them to Bench::run rather than looping; see runPerfScenario
@@ -37,6 +34,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -65,7 +63,16 @@ class Bench
               "seed", static_cast<std::int64_t>(default_seed)))),
           engine(opts.jobs(), seed),
           report_(std::move(name), seed, engine.jobs())
-    {}
+    {
+        // Options accepts any flag, so a removed one would otherwise
+        // run a different experiment than the user asked for.
+        for (const char *removed : {"shards", "sim-jobs"})
+            if (opts.has(removed))
+                throw std::invalid_argument(
+                    std::string("--") + removed +
+                    " was removed: one simulation now runs on one "
+                    "thread; --jobs N runs N trials in parallel");
+    }
 
     const Options opts;
     const bool json;
@@ -179,15 +186,9 @@ inline void
 runPerfScenario(Bench &b, const std::string &section,
                 const std::vector<Network> &nets,
                 const std::vector<std::string> &traffics,
-                const std::vector<double> &loads, SimConfig base,
+                const std::vector<double> &loads, const SimConfig &base,
                 int repetitions)
 {
-    // Intra-trial engine options: --shards S runs each simulation on S
-    // deterministic switch shards, --sim-jobs N advances them on N
-    // threads.  The shard count is part of the experiment (it selects
-    // the random streams); the thread count never changes results.
-    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", base.jobs));
     std::vector<Case> cases;
     for (const auto &tname : traffics)
         cases.push_back({tname, namedTraffic(tname)});

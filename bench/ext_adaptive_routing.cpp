@@ -18,12 +18,11 @@
  *
  * Every trial is audited against the packet conservation identity
  * (exp/experiment.hpp conservationGap); any violation makes the run
- * exit nonzero.  Output on stdout is bit-identical at any --jobs /
- * --sim-jobs value for a fixed --shards, so the CI determinism job
- * can diff it directly.
+ * exit nonzero.  Output on stdout is bit-identical at any --jobs
+ * value, so the CI determinism job can diff it directly.
  *
- * Flags: --smoke (tiny scale for CI), --json, --csv, --jobs, --shards,
- * --sim-jobs, --seed, --trials, plus the usual size overrides.
+ * Flags: --smoke (tiny scale for CI), --json, --csv, --jobs, --seed,
+ * --trials, plus the usual size overrides.
  */
 #include <cstdlib>
 #include <iostream>
@@ -74,10 +73,6 @@ main(int argc, char **argv)
     base.seed = b.seed;
     base.ugal_threshold = b.opts.getDouble("ugal-threshold", 1.0);
     base.flowlet_gap = b.opts.getInt("flowlet-gap", 64);
-    // Intra-trial engine options: the shard count is part of the
-    // experiment definition; the thread counts never change results.
-    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
 
     // ---- scenario 1: adversarial shift, policy axis ----------------
     const int radix =

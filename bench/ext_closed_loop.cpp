@@ -25,10 +25,9 @@
  * bench-smoke job runs continuously via --smoke.
  *
  * Knobs: --section=fig8,incast,fig10, --loads (comma list), --trials,
- * --smoke, --seed, --jobs, --shards, --sim-jobs, --json, --csv.
- * Output is bit-identical at any --jobs / --sim-jobs value; timing
- * goes to stderr or the JSON timing blocks (filtered by the CI
- * determinism diff).
+ * --smoke, --seed, --jobs, --json, --csv.  Output is bit-identical at
+ * any --jobs value; timing goes to stderr or the JSON timing blocks
+ * (filtered by the CI determinism diff).
  */
 #include <iostream>
 #include <string>
@@ -107,8 +106,6 @@ main(int argc, char **argv)
     base.seed = seed;
     base.warmup = b.opts.getInt("warmup", smoke ? 500 : 2000);
     base.measure = b.opts.getInt("measure", smoke ? 3000 : 8000);
-    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
     const int reps = static_cast<int>(b.opts.getInt("trials", smoke ? 1 : 3));
 
     WorkloadSpec rpc;  // fanout 2, 1:4 packets, think 256

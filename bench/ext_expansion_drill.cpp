@@ -30,7 +30,7 @@
  * pre-change baseline and time to re-converge (computeRecovery over
  * the delivered-per-bin telemetry).  Any packet-conservation violation
  * makes the process exit nonzero.  Output is bit-identical at any
- * --jobs / --sim-jobs value for a fixed shard count.
+ * --jobs value.
  *
  * Scale flags: --smoke (CI seconds), default (sandbox), --full
  * (paper-scale R = 36).  --json emits the point aggregates.
@@ -171,8 +171,6 @@ main(int argc, char **argv)
         b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
     base.load = b.opts.getDouble("load", 0.6);
-    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
     base.route_ttl =
         static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
     // Smoke doubles as the CI self-check: prove every incremental

@@ -17,7 +17,7 @@
  * baseline, and the time to re-converge (sustained return to >= 90% of
  * baseline, in cycles after the first failure).  Fault draws and trial
  * seeds derive from {seed, level, rep}; output is bit-identical at any
- * --jobs / --sim-jobs value.
+ * --jobs value.
  *
  * Scale flags: --smoke (CI seconds), default (sandbox), --full
  * (paper-scale R = 36).  --json emits the point aggregates plus the
@@ -69,8 +69,6 @@ main(int argc, char **argv)
         b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
     base.seed = seed;
     base.load = b.opts.getDouble("load", 0.7);
-    base.shards = static_cast<int>(b.opts.getInt("shards", base.shards));
-    base.jobs = static_cast<int>(b.opts.getInt("sim-jobs", 1));
     // Bounded graceful degradation: a head packet that cannot route
     // retries against the (incrementally repaired) tables for up to
     // route-ttl cycles of age, then is dropped and counted.

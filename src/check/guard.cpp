@@ -30,15 +30,6 @@ CheckContext::report(const char *kind, long long cycle, int sw, int vc,
     ++violations_;
 }
 
-void
-CheckContext::merge(const CheckContext &other)
-{
-    if (violations_ == 0 && other.violations_ > 0)
-        first_ = other.first_;
-    violations_ += other.violations_;
-    checks_ += other.checks_;
-}
-
 std::string
 CheckContext::summary() const
 {

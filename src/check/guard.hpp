@@ -67,14 +67,6 @@ class CheckContext
     /** The first recorded violation (valid iff violations() > 0). */
     const Violation &first() const { return first_; }
 
-    /**
-     * Fold another context's tallies into this one (keeps this
-     * context's first violation if it has one, else adopts the
-     * other's).  Used to combine per-shard guard contexts after a
-     * parallel simulation run.
-     */
-    void merge(const CheckContext &other);
-
     /** One-line status: "N violations / M checks" plus the first. */
     std::string summary() const;
 

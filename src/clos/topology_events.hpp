@@ -83,7 +83,7 @@ struct TopologyEvent
  * Deterministic schedule of topology-change events, applied by the
  * engine at cycle barriers: sorted by cycle, insertion order breaks
  * ties, and that order is part of the timeline definition - results
- * are bit-identical at any `--jobs` / `--sim-jobs` value.
+ * are bit-identical at any `--jobs` value.
  */
 class TopologyTimeline
 {

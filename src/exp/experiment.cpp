@@ -302,9 +302,7 @@ sectionConfig(const Study &st)
     if (!st.points.empty()) {
         const SimConfig &c = st.points.front().config;
         if (!analytic)
-            f = {{"warmup", c.warmup},
-                 {"measure", c.measure},
-                 {"shards", c.shards}};
+            f = {{"warmup", c.warmup}, {"measure", c.measure}};
         else if (st.tier == Tier::kQueue)
             f = {{"model", st.model},
                  {"service_cv2",

@@ -17,8 +17,8 @@ SimConfig::validate() const
         throw std::invalid_argument("SimConfig: pkt_phits must be >= 1");
     if (link_latency < 1)
         throw std::invalid_argument(
-            "SimConfig: link_latency must be >= 1 (cross-shard arrivals "
-            "are exchanged at cycle barriers)");
+            "SimConfig: link_latency must be >= 1 (an arrival wakes its "
+            "input VC at the next cycle at the earliest)");
     if (warmup < 0)
         throw std::invalid_argument("SimConfig: warmup must be >= 0");
     if (measure < 1)
@@ -34,12 +34,6 @@ SimConfig::validate() const
             std::to_string(load));
     if (source_queue < 1)
         throw std::invalid_argument("SimConfig: source_queue must be >= 1");
-    if (shards < 1)
-        throw std::invalid_argument(
-            "SimConfig: shards must be >= 1 (the sequential shards = 0 "
-            "mode was removed; shards = 1 is the single-stream engine)");
-    if (shards > 256)
-        throw std::invalid_argument("SimConfig: shards must be <= 256");
     if (route_ttl < 0)
         throw std::invalid_argument("SimConfig: route_ttl must be >= 0");
     if (telemetry_bin < 0)
@@ -89,20 +83,6 @@ SimConfig::validate() const
             " (the injection wheel has that many slots; an injection "
             "rescheduled pkt_phits ahead would land in the slot being "
             "drained), got " + std::to_string(pkt_phits));
-}
-
-void
-PerfCounters::merge(const PerfCounters &o)
-{
-    cycles = o.cycles > cycles ? o.cycles : cycles;
-    switch_scans += o.switch_scans;
-    arb_conflicts += o.arb_conflicts;
-    credit_stalls += o.credit_stalls;
-    forwards += o.forwards;
-    if (occupancy.size() < o.occupancy.size())
-        occupancy.resize(o.occupancy.size(), 0);
-    for (std::size_t i = 0; i < o.occupancy.size(); ++i)
-        occupancy[i] += o.occupancy[i];
 }
 
 } // namespace rfc

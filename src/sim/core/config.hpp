@@ -4,16 +4,9 @@
  *
  * Every `Simulator` run, folded Clos or Jellyfish-style direct
  * network, instantiates one flow control engine (sim/core/engine.hpp)
- * and shares this configuration:
- * Table 2 parameters, the warm-up/measurement window, and the
- * deterministic execution controls.
- *
- * Execution: switches are partitioned into `shards` contiguous shards,
- * each advanced with its own seed-split RNG under a per-cycle barrier.
- * Results depend on the shard count but NOT on `jobs`: any thread
- * count yields bit-identical output, because every draw comes from a
- * per-shard stream and all cross-shard effects are exchanged at
- * deterministic barrier points.
+ * and shares this configuration: Table 2 parameters, the
+ * warm-up/measurement window, the seed, and the routing and fault
+ * knobs.
  */
 #ifndef RFC_SIM_CORE_CONFIG_HPP
 #define RFC_SIM_CORE_CONFIG_HPP
@@ -82,20 +75,6 @@ struct SimConfig
     RouteMode route_mode = RouteMode::kMinimal;
 
     /**
-     * Switch shards (>= 1), each with its own seed-split RNG stream.
-     * The shard count is part of the experiment definition: different
-     * values give different (equally valid) random streams.
-     */
-    int shards = 1;
-
-    /**
-     * Worker threads advancing the shards (clamped to the shard
-     * count; <= 0 selects hardware concurrency).  Pure execution
-     * detail: results are bit-identical at any value.
-     */
-    int jobs = 1;
-
-    /**
      * Graceful-degradation TTL for packets that lost their route to a
      * runtime fault: an unroutable head-of-queue packet older than
      * this many cycles (age = now - generation cycle, so the TTL also
@@ -160,19 +139,19 @@ struct SimConfig
     /**
      * Throw std::invalid_argument on any parameter a simulation cannot
      * run with: vcs or buf_packets or pkt_phits < 1, link_latency < 1
-     * (cross-shard arrivals are exchanged at end-of-cycle barriers, so
-     * a zero latency link cannot be modeled), empty measurement window
+     * (an arrival wakes its input VC at now + 1 at the earliest, so a
+     * zero latency link cannot be modeled), empty measurement window
      * (measure < 1, which is also what a "warmup >= total cycles"
      * misconfiguration reduces to), negative warmup, load outside
-     * (0, 1], source_queue < 1, a shard count outside [1, 256], a
-     * ugal_threshold that is negative or not finite (NaN/inf), a
-     * negative flowlet_gap, an active_terminals value other than -1
-     * or >= 1, or Valiant or UGAL routing with vcs < 2.  Also rejects
-     * values the engine's narrow hot-state types would silently wrap:
-     * vcs or buf_packets > 127 (8-bit VC indices and injection
-     * credits), source_queue > 32767 (16-bit source-queue indices) and
-     * pkt_phits >= kGenWheelSlots (an injection rescheduled pkt_phits
-     * ahead would land in the slot being drained).
+     * (0, 1], source_queue < 1, a ugal_threshold that is negative or
+     * not finite (NaN/inf), a negative flowlet_gap, an
+     * active_terminals value other than -1 or >= 1, or Valiant or UGAL
+     * routing with vcs < 2.  Also rejects values the engine's narrow
+     * hot-state types would silently wrap: vcs or buf_packets > 127
+     * (8-bit VC indices and injection credits), source_queue > 32767
+     * (16-bit source-queue indices) and pkt_phits >= kGenWheelSlots
+     * (an injection rescheduled pkt_phits ahead would land in the slot
+     * being drained).
      */
     void validate() const;
 };
@@ -180,8 +159,7 @@ struct SimConfig
 /**
  * Cheap always-on performance counters of the core engine.  All
  * fields except the wall-clock telemetry are deterministic: they
- * depend only on (config, seed, topology), not on thread count or
- * machine speed, and are merged across shards in shard order.
+ * depend only on (config, seed, topology), not on machine speed.
  */
 struct PerfCounters
 {
@@ -199,16 +177,13 @@ struct PerfCounters
 
     double wall_seconds = 0.0;    //!< telemetry: run() wall clock
     double cycles_per_sec = 0.0;  //!< telemetry: cycles / wall_seconds
-
-    /** Accumulate another counter set (deterministic fields only). */
-    void merge(const PerfCounters &o);
 };
 
 /**
  * Closed-loop workload results, filled only when a Workload was
  * attached to the run (active == true).  Window-gated metrics use the
  * measurement window; accounting fields cover the whole run.  All
- * fields are deterministic under the engine's sharding contract.
+ * fields are deterministic functions of (config, seed, topology).
  */
 struct WorkloadMetrics
 {

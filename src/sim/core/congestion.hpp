@@ -14,21 +14,19 @@
  * into the engine's SoA arrays, built on the stack per call; policies
  * that ignore it pay nothing.
  *
- * Shard-locality contract: a policy runs on the shard owning the
- * deciding switch/terminal, concurrently with other shards mutating
- * *their* state.  A policy may therefore only read
+ * What a policy reads: the view can address any port, but a decision
+ * models what one switch knows, so the policies read only
  *
- *  - out-port credits of ports owned by switches of the calling shard
- *    (in particular: the switch the decision is being made at - its
- *    out-port credits are the backpressure signal from the downstream
- *    buffers, maintained exclusively by the owning shard), and
- *  - injection credits of terminals owned by the calling shard.
+ *  - out-port credits of the switch the decision is made at (for
+ *    UGAL, the source leaf at injection) - the backpressure signal
+ *    from the downstream buffers, and
+ *  - injection credits of the deciding terminal.
  *
- * Reading a *peer switch's* input queues would race with the shard
- * that owns them; the downstream congestion of a link is instead
- * visible locally as consumed credits (backlog() below).  The rule is
- * documented, not runtime-enforced: enforcing it would put an
- * ownership check on the hottest paths of the engine.
+ * A peer switch's input queues are not local knowledge; the downstream
+ * congestion of a link is visible locally as consumed credits
+ * (backlog() below).  The rule is documented, not runtime-enforced:
+ * enforcing it would put a check on the hottest paths of the engine,
+ * and widening what a policy reads changes its results.
  */
 #ifndef RFC_SIM_CORE_CONGESTION_HPP
 #define RFC_SIM_CORE_CONGESTION_HPP

@@ -50,10 +50,10 @@
  *   };
  *
  * The CongestionView (sim/core/congestion.hpp) passed at the three
- * decision points is a read-only, shard-local window over output and
- * injection credits; its header documents exactly which
- * state a policy may read from which call.  Oblivious routing ignores
- * it; UGAL (policy_updown.hpp) steers by it, and flowlet switching
+ * decision points is a read-only window over output and injection
+ * credits; its header documents exactly which state a policy reads
+ * from which call.  Oblivious routing ignores it; UGAL
+ * (policy_updown.hpp) steers by it, and flowlet switching
  * (policy_ksp.hpp) reads its clock.
  *
  * Engine-owned Pkt fields - the one convention every policy's Pkt
@@ -73,23 +73,15 @@
  * Policies never read or write these four; they only make room for
  * them.
  *
- * Policies must be copyable: the engine clones one instance per shard
- * so that routing scratch buffers never cross threads.
+ * Execution: one simulation runs on one thread with one RNG stream,
+ * deriveSeed(seed, 0x5A4D0000, 0).  Each cycle applies the due cycle
+ * hook, then releases credits, generates (or fires workload wakes),
+ * injects, arbitrates, and ends with the workload's global step and
+ * the guards.  Independent trials run in parallel on the experiment
+ * engine's `--jobs` pool instead (exp/experiment.hpp).
  *
- * Execution (see SimConfig::shards): switches are split into S >= 1
- * contiguous shards, each with its own seed-split RNG, wheels, packet
- * arena and stats.  A cycle runs in two phases under barriers: phase 1
- * advances each shard against its own state (releases, generation,
- * injection, arbitration) and queues cross-shard effects in
- * per-destination outboxes; phase 2 drains the outboxes in source
- * shard order.  Cross-shard effects are forwarded packets, credit
- * releases, and freed packet ids, which go home to the free list of
- * the shard whose arena holds them.  Results depend on S but never on
- * how many worker threads advance the shards, so any `jobs` value is
- * bit-identical.
- *
- * Nothing rescans idle state: each input VC sleeps on its shard's wake
- * wheel until the earliest cycle it could next act - its head's ready
+ * Nothing rescans idle state: each input VC sleeps on the wake wheel
+ * until the earliest cycle it could next act - its head's ready
  * time, its input port's busy release, or, when the head is blocked on
  * a transmitting output that routeOut reported as its sole legal port,
  * that output's busy release (capped at the next cycle-hook cycle,
@@ -110,15 +102,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/guard.hpp"
@@ -136,10 +125,10 @@ namespace core_detail {
 
 /**
  * Chunked packet arena: indices stay valid and storage never moves,
- * so other shards may dereference packets this shard allocated while
- * it keeps allocating (the chunk-pointer table is pre-reserved and
- * only ever appended to; cross-thread visibility of new chunks is
- * ordered by the phase barriers packets travel through).
+ * so a packet reference survives later allocations.  The engine
+ * allocates only when its free list is empty and every live packet
+ * holds an input-VC ring slot, so the arena never outgrows the rings
+ * (ports x vcs x buf_packets, checked to fit int32 at construction).
  */
 template <class Pkt>
 class PktArena
@@ -147,19 +136,13 @@ class PktArena
   public:
     static constexpr int kChunkShift = 12;
     static constexpr std::int32_t kChunkSize = 1 << kChunkShift;
-    static constexpr std::size_t kMaxChunks = 1 << 11;  // 8M packets
-
-    PktArena() { chunks_.reserve(kMaxChunks); }
 
     std::int32_t
     append()
     {
         if (static_cast<std::size_t>(count_ >> kChunkShift) ==
-            chunks_.size()) {
-            if (chunks_.size() == kMaxChunks)
-                throw std::runtime_error("PktArena: packet pool limit");
+            chunks_.size())
             chunks_.push_back(std::make_unique<Pkt[]>(kChunkSize));
-        }
         return count_++;
     }
 
@@ -174,34 +157,6 @@ class PktArena
   private:
     std::vector<std::unique_ptr<Pkt[]>> chunks_;
     std::int32_t count_ = 0;
-};
-
-/** Reusable condvar barrier for the per-cycle phase synchronization. */
-class CycleBarrier
-{
-  public:
-    explicit CycleBarrier(int parties) : parties_(parties) {}
-
-    void
-    arriveAndWait()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        int my_gen = gen_;
-        if (++waiting_ == parties_) {
-            waiting_ = 0;
-            ++gen_;
-            cv_.notify_all();
-        } else {
-            cv_.wait(lock, [&] { return gen_ != my_gen; });
-        }
-    }
-
-  private:
-    std::mutex m_;
-    std::condition_variable cv_;
-    int parties_;
-    int waiting_ = 0;
-    int gen_ = 0;
 };
 
 } // namespace core_detail
@@ -219,7 +174,7 @@ class VctEngine
     VctEngine(const FabricLayout &lay, Traffic &traffic, SimConfig cfg,
               Policy policy)
         : lay_(lay), traffic_(traffic), cfg_(cfg),
-          policy_proto_(std::move(policy))
+          policy_(std::move(policy))
     {
         cfg_.validate();
         buildStructures();
@@ -230,13 +185,11 @@ class VctEngine
 
     /**
      * Install a deterministic cycle hook (the fault-injection entry
-     * point).  At the start of every cycle listed in @p cycles the
-     * engine invokes @p hook(now) with every worker parked at a
-     * barrier, then calls onTopologyChange() on each shard's policy
-     * copy - so the hook may mutate the routing tables all policies
-     * read.  The hook cycles are part of the experiment definition;
-     * results stay bit-identical at any `jobs` value.  Must be called
-     * before run().
+     * point).  At the start of every cycle listed in @p cycles, before
+     * that cycle's releases, the engine invokes @p hook(now) and then
+     * the policy's onTopologyChange() - so the hook may mutate the
+     * routing tables the policy reads.  The hook cycles are part of
+     * the experiment definition.  Must be called before run().
      */
     void
     setCycleHook(std::vector<long long> cycles,
@@ -256,13 +209,12 @@ class VctEngine
     /**
      * Attach a closed-loop workload (see workload/workload.hpp): the
      * engine stops generating open-loop traffic and instead drives
-     * @p wl through onWake/onDeliver callbacks on the shard threads
-     * owning each terminal (plus barrier-ordered onGlobalStep when the
-     * workload wants it).  Every terminal gets an initial onWake at
-     * cycle 0.  @p wl must outlive the engine; nullptr detaches.  Must
-     * be called before run().  Workload draws come from a dedicated
-     * deriveSeed stream, so attaching a workload never perturbs the
-     * engine's arbitration draws.
+     * @p wl through onWake/onDeliver callbacks (plus the end-of-cycle
+     * onGlobalStep when the workload wants it).  Every terminal gets
+     * an initial onWake at cycle 0.  @p wl must outlive the engine;
+     * nullptr detaches.  Must be called before run().  Workload draws
+     * come from a dedicated deriveSeed stream, so attaching a workload
+     * never perturbs the engine's arbitration draws.
      */
     void
     setWorkload(Workload *wl)
@@ -280,12 +232,11 @@ class VctEngine
     /**
      * Raise the active-terminal prefix to min(@p upto, terminal
      * count) at cycle @p now - the expansion activation barrier.  Must
-     * be called from cycle-hook context (every worker parked), i.e.
-     * from the hook installed with setCycleHook(); it mutates
-     * generation state all shards read.  Newly active terminals start
-     * generating from a deterministic stagger (no RNG draws, so the
-     * pre-existing terminals' streams are untouched).  Never
-     * deactivates; excess calls are no-ops.  Incompatible with a
+     * be called from the hook installed with setCycleHook(), which
+     * runs before this cycle's generation pass.  Newly active
+     * terminals start generating from a deterministic stagger (no RNG
+     * draws, so the pre-existing terminals' streams are untouched).
+     * Never deactivates; excess calls are no-ops.  Incompatible with a
      * closed-loop workload.
      */
     void
@@ -299,13 +250,11 @@ class VctEngine
             return;
         for (long long t = active_terms_; t < target; ++t) {
             // Deterministic stagger over one packet time, starting
-            // next cycle (the hook runs before this cycle's
-            // generation pass; +1 keeps activation effects strictly
-            // after the barrier).
+            // next cycle (+1 keeps activation effects strictly after
+            // the hook).
             const long long start = now + 1 + (t % cfg_.pkt_phits);
             next_gen_[t] = start;
-            ShardCtx &c = shards_[sw_shard_[lay_.term_switch[t]]];
-            c.gen_wheel[start % kGenWheel].push_back(
+            gen_wheel_[start % kGenWheel].push_back(
                 static_cast<std::int32_t>(t));
         }
         active_terms_ = target;
@@ -316,18 +265,15 @@ class VctEngine
     long long activeTerminals() const { return active_terms_; }
 
     /**
-     * Packets currently inside the fabric (allocated and not freed),
-     * summed over shards.  Safe from cycle-hook context; used to
-     * account the traffic a topology-change barrier must preserve.
+     * Packets currently inside the fabric (allocated and not freed).
+     * Safe from cycle-hook context; used to account the traffic a
+     * topology-change barrier must preserve.
      */
     long long
     inFlightNow() const
     {
-        long long n = 0;
-        for (const ShardCtx &c : shards_)
-            n += static_cast<long long>(c.arena.size()) -
-                 static_cast<long long>(c.free_pkts.size());
-        return n;
+        return static_cast<long long>(arena_.size()) -
+               static_cast<long long>(free_pkts_.size());
     }
 
     /** Guard results (empty unless built with RFC_CHECK_INVARIANTS). */
@@ -336,32 +282,11 @@ class VctEngine
   private:
     static constexpr bool kGuards = invariantChecksEnabled();
     static constexpr int kGenWheel = SimConfig::kGenWheelSlots;
-    static constexpr int kPktShardShift = 23;
-    static constexpr std::int32_t kPktIdxMask =
-        (std::int32_t{1} << kPktShardShift) - 1;
 
     struct Release
     {
         std::int32_t feeder;
         std::int8_t vc;
-        /** 0 = credit + guard slot, 1 = credit only (arrived from a
-         *  peer shard), 2 = guard slot only (local half of a
-         *  cross-shard release). */
-        std::int8_t kind;
-    };
-
-    struct OutRelease
-    {
-        long long at;
-        std::int32_t feeder;
-        std::int8_t vc;
-    };
-
-    struct OutForward
-    {
-        std::int32_t pkt;
-        std::int64_t dest_ivc;
-        std::int32_t ready;
     };
 
     struct RingSlot
@@ -376,99 +301,30 @@ class VctEngine
         std::int32_t head = -1, tail = -1;
     };
 
-    struct ShardCtx
-    {
-        int id = 0;
-        int sw_begin = 0, sw_end = 0;
-        long long term_begin = 0, term_end = 0;
-        Rng rng{0};
-        Policy policy;
-        core_detail::PktArena<Pkt> arena;
-        std::vector<std::int32_t> free_pkts;
-
-        std::vector<std::vector<Release>> release_wheel;
-        std::vector<std::vector<std::int32_t>> gen_wheel, inj_wheel;
-        std::vector<WakeList> wake_wheel;
-
-        std::vector<std::int32_t> touched_outs;   //!< out gids
-        std::vector<std::int32_t> scanned_ivcs;
-
-        std::vector<std::vector<OutRelease>> out_rel;  //!< per dst shard
-        std::vector<std::vector<OutForward>> out_fwd;
-        //! Packet ids freed here that belong to the dst shard's arena.
-        std::vector<std::vector<std::int32_t>> out_free;
-
-        // Window statistics, merged in shard order after the run.
-        long long delivered = 0, generated = 0, suppressed = 0;
-        long long unroutable = 0;
-        double lat_sum = 0.0, hop_sum = 0.0;
-        long long delivered_phits = 0;
-        LatencyHistogram lat_hist;
-        PerfCounters perf;
-
-        // Fault-recovery accounting (whole run, always on).
-        long long ejected_all = 0, dropped = 0, rerouted = 0;
-        long long route_retries = 0;
-        std::vector<long long> bins;  //!< delivered per telemetry bin
-
-        CheckContext check;
-        long long injected = 0, ejected = 0, queued = 0;
-        long long last_progress = 0;
-
-        // Closed-loop workload accounting (merged in shard order) and
-        // the end-of-cycle global-step request flag.
-        WorkloadStats wl_stats;
-        bool wl_signal = false;
-
-        explicit ShardCtx(Policy p) : policy(std::move(p)) {}
-    };
-
     // ---- construction ----------------------------------------------
     void buildStructures();
 
     // ---- packet pool ------------------------------------------------
-    Pkt &
-    pkt(std::int32_t id)
-    {
-        return shards_[id >> kPktShardShift].arena.at(id & kPktIdxMask);
-    }
+    Pkt &pkt(std::int32_t id) { return arena_.at(id); }
 
     std::int32_t
-    allocPkt(ShardCtx &c)
+    allocPkt()
     {
-        if (!c.free_pkts.empty()) {
-            std::int32_t id = c.free_pkts.back();
-            c.free_pkts.pop_back();
+        if (!free_pkts_.empty()) {
+            std::int32_t id = free_pkts_.back();
+            free_pkts_.pop_back();
             return id;
         }
-        return (c.id << kPktShardShift) | c.arena.append();
-    }
-
-    /**
-     * Return @p id to the free list of the shard whose arena holds it.
-     * A packet ejected on another shard goes home through the phase-2
-     * outbox; kept locally instead, a shard that injects more than it
-     * ejects would grow its arena for the whole run.
-     */
-    void
-    freePkt(ShardCtx &c, std::int32_t id)
-    {
-        const int home = id >> kPktShardShift;
-        if (home == c.id)
-            c.free_pkts.push_back(id);
-        else
-            c.out_free[home].push_back(id);
+        return arena_.append();
     }
 
     // ---- shared per-cycle machinery --------------------------------
-    int shardOfSwitch(int s) const { return sw_shard_[s]; }
-
     /**
      * Materialize the policy-facing congestion window for cycle
      * @p now.  A handful of pointers into the SoA arrays (which never
      * reallocate after buildStructures), so building one per decision
-     * site is free; shard-locality of the reads is the policy's
-     * contract (see congestion.hpp).
+     * site is free; what a policy reads is its contract (see
+     * congestion.hpp).
      */
     CongestionView
     view(long long now) const
@@ -479,53 +335,42 @@ class VctEngine
     }
 
     void
-    scheduleRelease(ShardCtx &c, long long at, std::int32_t feeder, int vc)
+    scheduleRelease(long long at, std::int32_t feeder, int vc)
     {
-        if (feeder >= 0) {
-            int owner = shardOfSwitch(lay_.port_owner[feeder]);
-            if (owner != c.id) {
-                c.out_rel[owner].push_back(
-                    {at, feeder, static_cast<std::int8_t>(vc)});
-                if constexpr (kGuards)
-                    c.release_wheel[at % wheel_size_].push_back(
-                        {feeder, static_cast<std::int8_t>(vc), 2});
-                return;
-            }
-        }
-        c.release_wheel[at % wheel_size_].push_back(
-            {feeder, static_cast<std::int8_t>(vc), 0});
+        release_wheel_[at % wheel_size_].push_back(
+            {feeder, static_cast<std::int8_t>(vc)});
     }
 
     void
-    scheduleInjection(ShardCtx &c, long long t, long long at)
+    scheduleInjection(long long t, long long at)
     {
         if (!inj_scheduled_[t]) {
             inj_scheduled_[t] = 1;
-            c.inj_wheel[at % kGenWheel].push_back(
+            inj_wheel_[at % kGenWheel].push_back(
                 static_cast<std::int32_t>(t));
         }
     }
 
     /** Append @p ivc to the wake slot of cycle @p at, unless queued. */
     void
-    wakePush(ShardCtx &c, std::int64_t ivc, long long at, long long now)
+    wakePush(std::int64_t ivc, long long at, long long now)
     {
         if constexpr (kGuards) {
-            c.check.countChecks();
+            check_.countChecks();
             if (at <= now || at - now >= wheel_size_)
-                c.check.report("wake-horizon", now,
-                               lay_.port_owner[ivc / cfg_.vcs],
-                               static_cast<int>(ivc % cfg_.vcs),
-                               "wake at cycle " + std::to_string(at) +
-                                   " is outside the " +
-                                   std::to_string(wheel_size_) +
-                                   "-slot wheel");
+                check_.report("wake-horizon", now,
+                              lay_.port_owner[ivc / cfg_.vcs],
+                              static_cast<int>(ivc % cfg_.vcs),
+                              "wake at cycle " + std::to_string(at) +
+                                  " is outside the " +
+                                  std::to_string(wheel_size_) +
+                                  "-slot wheel");
         }
         if (wake_next_[ivc] != kNotQueued)
             return;
         const auto id = static_cast<std::int32_t>(ivc);
         wake_next_[ivc] = -1;
-        WakeList &slot = c.wake_wheel[at % wheel_size_];
+        WakeList &slot = wake_wheel_[at % wheel_size_];
         if (slot.tail < 0)
             slot.head = id;
         else
@@ -535,8 +380,8 @@ class VctEngine
 
     /** Enqueue @p pkt_id on input VC @p gi (ring insert + scheduling). */
     void
-    enqueueInput(ShardCtx &c, std::int64_t gi, std::int32_t pkt_id,
-                 std::int32_t ready, long long now)
+    enqueueInput(std::int64_t gi, std::int32_t pkt_id, std::int32_t ready,
+                 long long now)
     {
         const int cap = cfg_.buf_packets;
         int pos = q_head_[gi] + q_count_[gi];
@@ -544,31 +389,29 @@ class VctEngine
             pos -= cap;
         ring_[gi * cap + pos] = {pkt_id, ready};
         if (q_count_[gi]++ == 0)
-            wakePush(c, gi, std::max<long long>(ready, now + 1), now);
+            wakePush(gi, std::max<long long>(ready, now + 1), now);
         if constexpr (kGuards) {
             ++slots_held_[gi];
-            c.check.countChecks();
+            check_.countChecks();
             if (q_count_[gi] > cap)
-                c.check.report("vc-occupancy", now,
-                               lay_.port_owner[gi / cfg_.vcs],
-                               static_cast<int>(gi % cfg_.vcs),
-                               "input buffer overfilled");
+                check_.report("vc-occupancy", now,
+                              lay_.port_owner[gi / cfg_.vcs],
+                              static_cast<int>(gi % cfg_.vcs),
+                              "input buffer overfilled");
         }
     }
 
-    void processReleases(ShardCtx &c, long long now);
-    void processGeneration(ShardCtx &c, long long now);
-    void processInjection(ShardCtx &c, long long now);
+    void processReleases(long long now);
+    void processGeneration(long long now);
+    void processInjection(long long now);
 
     // ---- closed-loop workload hooks --------------------------------
     /** WorkloadPort bound to one callback invocation. */
     class PortImpl final : public WorkloadPort
     {
       public:
-        PortImpl(VctEngine *e, ShardCtx *c, long long now,
-                 long long inject_at, bool global = false)
-            : e_(e), c_(c), now_(now), inject_at_(inject_at),
-              global_(global)
+        PortImpl(VctEngine *e, long long now, long long inject_at)
+            : e_(e), now_(now), inject_at_(inject_at)
         {
         }
 
@@ -576,17 +419,17 @@ class VctEngine
         send(long long src, long long dest, int packets,
              std::uint32_t tag) override
         {
-            return e_->workloadSend(c_, global_, src, dest, packets, tag,
-                                    now_, inject_at_);
+            return e_->workloadSend(src, dest, packets, tag, now_,
+                                    inject_at_);
         }
 
         void
         wakeAt(long long term, long long at) override
         {
-            e_->workloadWake(c_, global_, term, at, now_);
+            e_->workloadWake(term, at, now_);
         }
 
-        void signalGlobal() override { c_->wl_signal = true; }
+        void signalGlobal() override { e_->wl_signal_ = true; }
 
         int
         sourceRoom(long long term) const override
@@ -599,54 +442,43 @@ class VctEngine
 
       private:
         VctEngine *e_;
-        ShardCtx *c_;
         long long now_, inject_at_;
-        bool global_;
     };
 
-    /** Resolve the shard owning terminal @p term's source queue. */
-    ShardCtx &
-    ownerShard(long long term)
-    {
-        return shards_[shardOfSwitch(lay_.term_switch[term])];
-    }
-
-    bool workloadSend(ShardCtx *caller, bool global, long long src,
-                      long long dest, int packets, std::uint32_t tag,
-                      long long now, long long inject_at);
-    void workloadWake(ShardCtx *caller, bool global, long long term,
-                      long long at, long long now);
+    bool workloadSend(long long src, long long dest, int packets,
+                      std::uint32_t tag, long long now,
+                      long long inject_at);
+    void workloadWake(long long term, long long at, long long now);
     /** Closed-loop replacement for processGeneration: fire due timers. */
-    void processWorkloadWakes(ShardCtx &c, long long now);
-    /** End-of-cycle onGlobalStep dispatch (single-threaded). */
+    void processWorkloadWakes(long long now);
+    /** End-of-cycle onGlobalStep dispatch. */
     void workloadGlobalStep(long long now);
 
-    /** Arbitrate the input VCs due on the shard's wake wheel. */
-    void arbitrateShard(ShardCtx &c, long long now);
+    /** Arbitrate the input VCs due on the wake wheel. */
+    void arbitrate(long long now);
     /** Shared commit step; returns true when the packet moved. */
-    bool commitCandidate(ShardCtx &c, std::int64_t gi, std::int64_t o_gid,
+    bool commitCandidate(std::int64_t gi, std::int64_t o_gid,
                          long long now);
     /** Dequeue the head of @p gi and schedule its slot release. */
-    std::int32_t dequeueHead(ShardCtx &c, std::int64_t gi, long long now);
+    std::int32_t dequeueHead(std::int64_t gi, long long now);
     /** TTL-drop the head of @p gi (no route within route_ttl cycles). */
-    void dropHead(ShardCtx &c, std::int64_t gi, long long now);
+    void dropHead(std::int64_t gi, long long now);
     /** Record an ejection in the telemetry bin series. */
     void
-    recordBin(ShardCtx &c, long long now)
+    recordBin(long long now)
     {
         if (cfg_.telemetry_bin > 0) {
             auto b = static_cast<std::size_t>(now / cfg_.telemetry_bin);
-            if (b >= c.bins.size())
-                c.bins.resize(b + 1, 0);
-            ++c.bins[b];
+            if (b >= bins_.size())
+                bins_.resize(b + 1, 0);
+            ++bins_[b];
         }
     }
 
-    void drainOutboxes(ShardCtx &c, long long now);
-    void sampleOccupancy(ShardCtx &c);
+    void sampleOccupancy();
 
     // ---- guards -----------------------------------------------------
-    /** End-of-cycle guards; callers ensure every worker is parked. */
+    /** End-of-cycle guards. */
     void guardCycle(long long now);
     void guardScanGlobal(long long now);
     void guardConservationGlobal(long long now);
@@ -661,8 +493,7 @@ class VctEngine
 
     /**
      * @p at, capped at the next pending hook cycle: a hook may change
-     * the routes a sleeping head is waiting on.  Read from the shard
-     * threads; hook_idx_ only moves while every worker is parked.
+     * the routes a sleeping head is waiting on.
      */
     long long
     hookCapped(long long at) const
@@ -672,31 +503,27 @@ class VctEngine
                    : at;
     }
 
-    /** Invoke the due hook and refresh every shard's policy caches. */
+    /** Invoke the due hook and refresh the policy's caches. */
     void
     runHook(long long now)
     {
         hook_(now);
         ++hook_idx_;
-        for (ShardCtx &c : shards_)
-            c.policy.onTopologyChange();
+        policy_.onTopologyChange();
     }
 
     // ---- run loop ---------------------------------------------------
     void runCycles(long long total);
-    void shardCyclePhase1(ShardCtx &c, long long now);
-    void shardCyclePhase2(ShardCtx &c, long long now);
     SimResult collectResult(double wall_seconds);
 
     // ---- immutable structure ---------------------------------------
     const FabricLayout &lay_;
     Traffic &traffic_;
     SimConfig cfg_;
-    Policy policy_proto_;
+    Policy policy_;
     int wheel_size_ = 0;
 
     std::vector<std::int64_t> out_peer_ivc_base_;  //!< peer iport * vcs
-    std::vector<std::int32_t> sw_shard_;
 
     // ---- hot state (SoA) -------------------------------------------
     std::vector<std::int64_t> out_busy_;
@@ -709,6 +536,14 @@ class VctEngine
      *  the slot), or kNotQueued while the VC is in no slot. */
     static constexpr std::int32_t kNotQueued = -2;
     std::vector<std::int32_t> wake_next_;
+
+    // ---- scheduling and packets ------------------------------------
+    Rng rng_{0};
+    core_detail::PktArena<Pkt> arena_;
+    std::vector<std::int32_t> free_pkts_;
+    std::vector<std::vector<Release>> release_wheel_;
+    std::vector<std::vector<std::int32_t>> gen_wheel_, inj_wheel_;
+    std::vector<WakeList> wake_wheel_;
 
     // ---- terminals --------------------------------------------------
     std::vector<std::int64_t> inj_busy_;
@@ -725,6 +560,8 @@ class VctEngine
     // ---- arbitration scratch, [out gid] ----------------------------
     std::vector<std::int32_t> cand_ivc_;    //!< reservoir-sampled winner
     std::vector<std::int32_t> cand_count_;  //!< 0 = no candidate yet
+    std::vector<std::int32_t> touched_outs_;   //!< out gids
+    std::vector<std::int32_t> scanned_ivcs_;
 
     // ---- cycle hook -------------------------------------------------
     std::vector<long long> hook_cycles_;
@@ -734,21 +571,33 @@ class VctEngine
     // ---- closed-loop workload --------------------------------------
     Workload *wl_ = nullptr;
     bool wl_global_ = false;
-    /** Per-terminal wake timer (-1 = none); gen_wheel entries whose
+    bool wl_signal_ = false;  //!< onGlobalStep requested this cycle
+    /** Per-terminal wake timer (-1 = none); gen_wheel_ entries whose
      *  terminal's timer moved or fired are dropped as stale. */
     std::vector<std::int64_t> wl_next_;
     /** Per source-queue slot: workload tag riding with the packet. */
     std::vector<std::uint32_t> src_tag_;
+    WorkloadStats wl_stats_;
 
-    // ---- shards -----------------------------------------------------
-    std::vector<ShardCtx> shards_;
-
-    // ---- measurement window ----------------------------------------
+    // ---- measurement window and statistics -------------------------
     long long win_start_ = 0, win_end_ = 0;
+    long long delivered_ = 0, generated_ = 0, suppressed_ = 0;
+    long long unroutable_ = 0;
+    double lat_sum_ = 0.0, hop_sum_ = 0.0;
+    long long delivered_phits_ = 0;
+    LatencyHistogram lat_hist_;
+    PerfCounters perf_;
+
+    // Fault-recovery accounting (whole run, always on).
+    long long ejected_all_ = 0, dropped_ = 0, rerouted_ = 0;
+    long long route_retries_ = 0;
+    std::vector<long long> bins_;  //!< delivered per telemetry bin
 
     // ---- guards -----------------------------------------------------
     CheckContext check_;
     std::vector<std::int32_t> slots_held_;
+    long long injected_ = 0, ejected_ = 0, queued_ = 0;
+    long long last_progress_ = 0;
 };
 
 // ======================================================================
@@ -760,20 +609,19 @@ void
 VctEngine<Policy>::buildStructures()
 {
     const int V = cfg_.vcs;
-    const int S = cfg_.shards;
-    const int nsw = lay_.num_switches;
 
-    if (S > nsw)
-        throw std::invalid_argument(
-            "SimConfig: more shards than switches");
-    // Wake lists and the arbitration scratch hold input-VC ids as int32.
+    // Wake lists and the arbitration scratch hold input-VC ids, and
+    // packet ids index an arena no larger than the ring slots (see
+    // PktArena), all as int32.
     const std::int64_t ivcs = lay_.total_ports * V;
-    if (ivcs > std::numeric_limits<std::int32_t>::max())
+    const std::int64_t slots = ivcs * cfg_.buf_packets;
+    if (slots > std::numeric_limits<std::int32_t>::max())
         throw std::invalid_argument(
             "VctEngine: " + std::to_string(lay_.total_ports) +
-            " ports x " + std::to_string(V) + " VCs = " +
-            std::to_string(ivcs) +
-            " input VCs exceed the 32-bit VC index limit");
+            " ports x " + std::to_string(V) + " VCs x " +
+            std::to_string(cfg_.buf_packets) + " buffer packets = " +
+            std::to_string(slots) +
+            " ring slots exceed the 32-bit packet index limit");
 
     out_peer_ivc_base_.resize(lay_.total_ports);
     for (std::int64_t gid = 0; gid < lay_.total_ports; ++gid) {
@@ -781,25 +629,12 @@ VctEngine<Policy>::buildStructures()
         out_peer_ivc_base_[gid] = peer < 0 ? -1 : peer * V;
     }
 
-    // Derived from the same [k*nsw/S, (k+1)*nsw/S) ranges the shard
-    // contexts use below, so shardOfSwitch() always agrees with shard
-    // ownership (a per-switch formula would drift when nsw % S != 0).
-    sw_shard_.assign(nsw, 0);
-    for (int k = 0; k < S; ++k) {
-        const int lo =
-            static_cast<int>(static_cast<std::int64_t>(k) * nsw / S);
-        const int hi =
-            static_cast<int>(static_cast<std::int64_t>(k + 1) * nsw / S);
-        for (int s = lo; s < hi; ++s)
-            sw_shard_[s] = k;
-    }
-
     out_busy_.assign(lay_.total_ports, 0);
     out_credits_.assign(lay_.total_ports * V,
                         static_cast<std::int16_t>(cfg_.buf_packets));
     in_busy_.assign(lay_.total_ports, 0);
 
-    ring_.assign(ivcs * cfg_.buf_packets, {-1, 0});
+    ring_.assign(slots, {-1, 0});
     q_head_.assign(ivcs, 0);
     q_count_.assign(ivcs, 0);
     wake_next_.assign(ivcs, kNotQueued);
@@ -825,40 +660,12 @@ VctEngine<Policy>::buildStructures()
     if constexpr (kGuards)
         slots_held_.assign(ivcs, 0);
 
-    shards_.clear();
-    shards_.reserve(S);
-    for (int k = 0; k < S; ++k) {
-        shards_.emplace_back(policy_proto_);
-        ShardCtx &c = shards_.back();
-        c.id = k;
-        c.sw_begin = static_cast<int>(
-            static_cast<std::int64_t>(k) * nsw / S);
-        c.sw_end = static_cast<int>(
-            static_cast<std::int64_t>(k + 1) * nsw / S);
-        c.rng = Rng(deriveSeed(cfg_.seed, 0x5A4D0000ULL + k, 0));
-        c.release_wheel.assign(wheel_size_, {});
-        c.gen_wheel.assign(kGenWheel, {});
-        c.inj_wheel.assign(kGenWheel, {});
-        c.wake_wheel.assign(wheel_size_, {});
-        c.out_rel.resize(S);
-        c.out_fwd.resize(S);
-        c.out_free.resize(S);
-        c.perf.occupancy.assign(cfg_.buf_packets + 1, 0);
-    }
-    // Terminals follow their switch's shard (term_switch is monotone,
-    // so each shard's terminals form one contiguous range).
-    {
-        long long t = 0;
-        for (int k = 0; k < S; ++k) {
-            ShardCtx &c = shards_[k];
-            while (t < lay_.num_terms && lay_.term_switch[t] < c.sw_begin)
-                ++t;
-            c.term_begin = t;
-            while (t < lay_.num_terms && lay_.term_switch[t] < c.sw_end)
-                ++t;
-            c.term_end = t;
-        }
-    }
+    rng_ = Rng(deriveSeed(cfg_.seed, 0x5A4D0000ULL, 0));
+    release_wheel_.assign(wheel_size_, {});
+    gen_wheel_.assign(kGenWheel, {});
+    inj_wheel_.assign(kGenWheel, {});
+    wake_wheel_.assign(wheel_size_, {});
+    perf_.occupancy.assign(cfg_.buf_packets + 1, 0);
 }
 
 // ======================================================================
@@ -867,38 +674,33 @@ VctEngine<Policy>::buildStructures()
 
 template <class Policy>
 void
-VctEngine<Policy>::processReleases(ShardCtx &c, long long now)
+VctEngine<Policy>::processReleases(long long now)
 {
-    auto &slot = c.release_wheel[now % wheel_size_];
+    auto &slot = release_wheel_[now % wheel_size_];
     for (const Release &r : slot) {
         if (r.feeder >= 0) {
-            if (r.kind != 2) {
-                std::int16_t &cr =
-                    out_credits_[static_cast<std::int64_t>(r.feeder) *
-                                     cfg_.vcs +
-                                 r.vc];
-                ++cr;
-                if constexpr (kGuards) {
-                    c.check.countChecks();
-                    if (cr > cfg_.buf_packets)
-                        c.check.report("credit-overflow", now,
-                                       lay_.port_owner[r.feeder], r.vc,
-                                       "release beyond buffer capacity");
-                }
-            }
+            std::int16_t &cr =
+                out_credits_[static_cast<std::int64_t>(r.feeder) *
+                                 cfg_.vcs +
+                             r.vc];
+            ++cr;
             if constexpr (kGuards) {
-                if (r.kind != 1)
-                    --slots_held_[out_peer_ivc_base_[r.feeder] + r.vc];
+                check_.countChecks();
+                if (cr > cfg_.buf_packets)
+                    check_.report("credit-overflow", now,
+                                  lay_.port_owner[r.feeder], r.vc,
+                                  "release beyond buffer capacity");
+                --slots_held_[out_peer_ivc_base_[r.feeder] + r.vc];
             }
         } else {
             std::int64_t term = -static_cast<std::int64_t>(r.feeder) - 1;
             std::int8_t cr = ++inj_credits_[term * cfg_.vcs + r.vc];
             if constexpr (kGuards) {
-                c.check.countChecks();
+                check_.countChecks();
                 int sw = lay_.term_switch[term];
                 if (cr > cfg_.buf_packets)
-                    c.check.report("credit-overflow", now, sw, r.vc,
-                                   "terminal release beyond capacity");
+                    check_.report("credit-overflow", now, sw, r.vc,
+                                  "terminal release beyond capacity");
                 --slots_held_[lay_.term_iport[term] * cfg_.vcs + r.vc];
             }
         }
@@ -908,9 +710,9 @@ VctEngine<Policy>::processReleases(ShardCtx &c, long long now)
 
 template <class Policy>
 void
-VctEngine<Policy>::processGeneration(ShardCtx &c, long long now)
+VctEngine<Policy>::processGeneration(long long now)
 {
-    auto &slot = c.gen_wheel[now % kGenWheel];
+    auto &slot = gen_wheel_[now % kGenWheel];
     if (slot.empty())
         return;
     const double p = cfg_.load / cfg_.pkt_phits;
@@ -918,16 +720,16 @@ VctEngine<Policy>::processGeneration(ShardCtx &c, long long now)
     for (std::int32_t t : slot) {
         if (next_gen_[t] > now) {
             long long gap = next_gen_[t] - now;
-            c.gen_wheel[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                        kGenWheel]
+            gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
+                       kGenWheel]
                 .push_back(t);
             continue;
         }
-        ++c.generated;
+        ++generated_;
         if (sq_count_[t] < cfg_.source_queue) {
-            long long dest = traffic_.dest(t, c.rng);
-            if (!c.policy.routable(t, dest)) {
-                ++c.unroutable;
+            long long dest = traffic_.dest(t, rng_);
+            if (!policy_.routable(t, dest)) {
+                ++unroutable_;
             } else {
                 int k = sq_head_[t] + sq_count_[t];
                 if (k >= cfg_.source_queue)
@@ -938,21 +740,21 @@ VctEngine<Policy>::processGeneration(ShardCtx &c, long long now)
                 src_gen_[base + k] = static_cast<std::int32_t>(now);
                 ++sq_count_[t];
                 if constexpr (kGuards)
-                    ++c.queued;
-                scheduleInjection(c, t, now);
+                    ++queued_;
+                scheduleInjection(t, now);
             }
         } else {
-            ++c.suppressed;
+            ++suppressed_;
         }
         // Geometric inter-arrival at packet rate p.
-        double u = c.rng.uniformReal();
+        double u = rng_.uniformReal();
         long long gap = 1 + static_cast<long long>(
                                 std::floor(std::log(1.0 - u) / log1mp));
         if (gap < 1)
             gap = 1;
         next_gen_[t] = now + gap;
-        c.gen_wheel[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                    kGenWheel]
+        gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
+                   kGenWheel]
             .push_back(t);
     }
     slot.clear();
@@ -960,9 +762,9 @@ VctEngine<Policy>::processGeneration(ShardCtx &c, long long now)
 
 template <class Policy>
 void
-VctEngine<Policy>::processInjection(ShardCtx &c, long long now)
+VctEngine<Policy>::processInjection(long long now)
 {
-    auto &slot = c.inj_wheel[now % kGenWheel];
+    auto &slot = inj_wheel_[now % kGenWheel];
     if (slot.empty())
         return;
     const int V = cfg_.vcs;
@@ -972,15 +774,15 @@ VctEngine<Policy>::processInjection(ShardCtx &c, long long now)
         if (sq_count_[t] == 0)
             continue;
         if (inj_busy_[t] > now) {
-            scheduleInjection(c, t, inj_busy_[t]);
+            scheduleInjection(t, inj_busy_[t]);
             continue;
         }
         std::int64_t base =
             static_cast<std::int64_t>(t) * cfg_.source_queue;
         std::int32_t dest = src_dest_[base + sq_head_[t]];
-        int best_vc = c.policy.injectVc(cv, t, dest, c.rng);
+        int best_vc = policy_.injectVc(cv, t, dest, rng_);
         if (best_vc < 0) {
-            scheduleInjection(c, t, now + 1);
+            scheduleInjection(t, now + 1);
             continue;
         }
 
@@ -990,27 +792,27 @@ VctEngine<Policy>::processInjection(ShardCtx &c, long long now)
             static_cast<std::int16_t>((k + 1) % cfg_.source_queue);
         --sq_count_[t];
         if constexpr (kGuards) {
-            --c.queued;
-            ++c.injected;
-            c.last_progress = now;
+            --queued_;
+            ++injected_;
+            last_progress_ = now;
         }
 
-        std::int32_t id = allocPkt(c);
+        std::int32_t id = allocPkt();
         Pkt &p = pkt(id);
         p.gen = gen;
         p.noroute = 0;
         p.wl_src = t;
         p.wl_tag = wl_ != nullptr ? src_tag_[base + k] : 0;
-        c.policy.initPacket(p, t, dest, c.rng);
+        policy_.initPacket(p, t, dest, rng_);
 
         std::int64_t gi = lay_.term_iport[t] * V + best_vc;
-        enqueueInput(c, gi, id,
+        enqueueInput(gi, id,
                      static_cast<std::int32_t>(now + cfg_.link_latency),
                      now);
         --inj_credits_[static_cast<std::int64_t>(t) * V + best_vc];
         inj_busy_[t] = now + cfg_.pkt_phits;
         if (sq_count_[t] > 0)
-            scheduleInjection(c, t, inj_busy_[t]);
+            scheduleInjection(t, inj_busy_[t]);
     }
     slot.clear();
 }
@@ -1021,16 +823,11 @@ VctEngine<Policy>::processInjection(ShardCtx &c, long long now)
 
 /**
  * Queue a whole workload message into @p src's source queue (the
- * WorkloadPort::send contract).  All bookkeeping lands on the shard
- * owning the terminal, so onGlobalStep may send on behalf of any
- * terminal; per-terminal callbacks are restricted to their own
- * terminal (enforced below) because touching a peer shard's wheels
- * from phase 1 would race.
+ * WorkloadPort::send contract).
  */
 template <class Policy>
 bool
-VctEngine<Policy>::workloadSend(ShardCtx *caller, bool global,
-                                long long src, long long dest,
+VctEngine<Policy>::workloadSend(long long src, long long dest,
                                 int packets, std::uint32_t tag,
                                 long long now, long long inject_at)
 {
@@ -1043,14 +840,9 @@ VctEngine<Policy>::workloadSend(ShardCtx *caller, bool global,
         dest >= lay_.num_terms)
         throw std::invalid_argument(
             "WorkloadPort::send: terminal out of range");
-    ShardCtx &o = ownerShard(src);
-    if (!global && &o != caller)
-        throw std::logic_error(
-            "WorkloadPort::send: per-terminal callbacks may only send "
-            "from their own terminal (use signalGlobal/onGlobalStep)");
     if (sq_count_[src] + packets > cfg_.source_queue)
         return false;
-    if (!o.policy.routable(src, dest))
+    if (!policy_.routable(src, dest))
         return false;
     const std::int64_t base =
         static_cast<std::int64_t>(src) * cfg_.source_queue;
@@ -1062,34 +854,28 @@ VctEngine<Policy>::workloadSend(ShardCtx *caller, bool global,
         src_gen_[base + k] = static_cast<std::int32_t>(now);
         src_tag_[base + k] = tag;
         ++sq_count_[src];
-        ++o.generated;
+        ++generated_;
         if constexpr (kGuards)
-            ++o.queued;
+            ++queued_;
     }
-    scheduleInjection(o, src, inject_at);
+    scheduleInjection(src, inject_at);
     return true;
 }
 
 template <class Policy>
 void
-VctEngine<Policy>::workloadWake(ShardCtx *caller, bool global,
-                                long long term, long long at,
+VctEngine<Policy>::workloadWake(long long term, long long at,
                                 long long now)
 {
     if (term < 0 || term >= lay_.num_terms)
         throw std::invalid_argument(
             "WorkloadPort::wakeAt: terminal out of range");
-    ShardCtx &o = ownerShard(term);
-    if (!global && &o != caller)
-        throw std::logic_error(
-            "WorkloadPort::wakeAt: per-terminal callbacks may only arm "
-            "their own terminal (use signalGlobal/onGlobalStep)");
     if (at <= now)
         at = now + 1;
     wl_next_[term] = at;
     long long gap = at - now;
-    o.gen_wheel[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                kGenWheel]
+    gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
+               kGenWheel]
         .push_back(static_cast<std::int32_t>(term));
 }
 
@@ -1104,9 +890,9 @@ VctEngine<Policy>::workloadWake(ShardCtx *caller, bool global,
  */
 template <class Policy>
 void
-VctEngine<Policy>::processWorkloadWakes(ShardCtx &c, long long now)
+VctEngine<Policy>::processWorkloadWakes(long long now)
 {
-    auto &slot = c.gen_wheel[now % kGenWheel];
+    auto &slot = gen_wheel_[now % kGenWheel];
     if (slot.empty())
         return;
     for (std::int32_t t : slot) {
@@ -1115,38 +901,32 @@ VctEngine<Policy>::processWorkloadWakes(ShardCtx &c, long long now)
             continue;  // stale: fired already or re-armed earlier
         if (due > now) {
             long long gap = due - now;
-            c.gen_wheel[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                        kGenWheel]
+            gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
+                       kGenWheel]
                 .push_back(t);
             continue;
         }
         wl_next_[t] = -1;
-        PortImpl port(this, &c, now, /*inject_at=*/now);
-        wl_->onWake(t, now, port, c.wl_stats);
+        PortImpl port(this, now, /*inject_at=*/now);
+        wl_->onWake(t, now, port, wl_stats_);
     }
     slot.clear();
 }
 
 /**
- * End-of-cycle global step: when any shard raised wl_signal this
- * cycle, run the workload's cross-terminal logic single-threaded
- * (callers ensure every worker is parked).  Sends/wakes issued here
- * land on each terminal's owner shard and take effect next cycle.
+ * End-of-cycle global step: when a callback raised signalGlobal this
+ * cycle, run the workload's cross-terminal logic.  Sends and wakes
+ * issued here take effect next cycle.
  */
 template <class Policy>
 void
 VctEngine<Policy>::workloadGlobalStep(long long now)
 {
-    bool any = false;
-    for (ShardCtx &c : shards_) {
-        any = any || c.wl_signal;
-        c.wl_signal = false;
-    }
-    if (!any)
+    if (!wl_signal_)
         return;
-    PortImpl port(this, &shards_[0], now, /*inject_at=*/now + 1,
-                  /*global=*/true);
-    wl_->onGlobalStep(now, port, shards_[0].wl_stats);
+    wl_signal_ = false;
+    PortImpl port(this, now, /*inject_at=*/now + 1);
+    wl_->onGlobalStep(now, port, wl_stats_);
 }
 
 /**
@@ -1157,7 +937,7 @@ VctEngine<Policy>::workloadGlobalStep(long long now)
  */
 template <class Policy>
 std::int32_t
-VctEngine<Policy>::dequeueHead(ShardCtx &c, std::int64_t gi, long long now)
+VctEngine<Policy>::dequeueHead(std::int64_t gi, long long now)
 {
     const int V = cfg_.vcs;
     const int cap = cfg_.buf_packets;
@@ -1168,7 +948,7 @@ VctEngine<Policy>::dequeueHead(ShardCtx &c, std::int64_t gi, long long now)
     q_head_[gi] = static_cast<std::uint8_t>(nh >= cap ? nh - cap : nh);
     --q_count_[gi];
     // The buffer slot at this switch drains when the tail leaves.
-    scheduleRelease(c, now + cfg_.pkt_phits, lay_.feeder_out[iport],
+    scheduleRelease(now + cfg_.pkt_phits, lay_.feeder_out[iport],
                     static_cast<int>(gi % V));
     return id;
 }
@@ -1181,17 +961,16 @@ VctEngine<Policy>::dequeueHead(ShardCtx &c, std::int64_t gi, long long now)
  */
 template <class Policy>
 void
-VctEngine<Policy>::dropHead(ShardCtx &c, std::int64_t gi, long long now)
+VctEngine<Policy>::dropHead(std::int64_t gi, long long now)
 {
-    std::int32_t id = dequeueHead(c, gi, now);
-    ++c.dropped;
-    freePkt(c, id);
+    free_pkts_.push_back(dequeueHead(gi, now));
+    ++dropped_;
     if constexpr (kGuards)
-        c.last_progress = now;
+        last_progress_ = now;
     if (q_count_[gi] > 0) {
         long long ready =
             ring_[gi * cfg_.buf_packets + q_head_[gi]].ready;
-        wakePush(c, gi, std::max<long long>(ready, now + 1), now);
+        wakePush(gi, std::max<long long>(ready, now + 1), now);
     }
 }
 
@@ -1202,8 +981,8 @@ VctEngine<Policy>::dropHead(ShardCtx &c, std::int64_t gi, long long now)
  */
 template <class Policy>
 bool
-VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
-                                   std::int64_t o_gid, long long now)
+VctEngine<Policy>::commitCandidate(std::int64_t gi, std::int64_t o_gid,
+                                   long long now)
 {
     const int V = cfg_.vcs;
     const int cap = cfg_.buf_packets;
@@ -1217,32 +996,32 @@ VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
     std::int64_t peer = out_peer_ivc_base_[o_gid];
     int out_vc = -1;
     if (peer >= 0) {
-        out_vc = c.policy.chooseOutVc(view(now), o_gid, p, c.rng);
+        out_vc = policy_.chooseOutVc(view(now), o_gid, p, rng_);
         if (out_vc < 0) {
-            ++c.perf.credit_stalls;
+            ++perf_.credit_stalls;
             return false;
         }
     }
 
-    dequeueHead(c, gi, now);
+    dequeueHead(gi, now);
 
     in_busy_[iport] = now + cfg_.pkt_phits;
     out_busy_[o_gid] = now + cfg_.pkt_phits;
-    ++c.perf.forwards;
+    ++perf_.forwards;
 
     if (peer < 0) {
         // Ejection: delivered when the tail arrives.
         long long done = now + cfg_.link_latency + cfg_.pkt_phits;
         if (now >= win_start_ && now < win_end_) {
-            ++c.delivered;
-            c.delivered_phits += cfg_.pkt_phits;
+            ++delivered_;
+            delivered_phits_ += cfg_.pkt_phits;
             long long lat = done - p.gen;
-            c.lat_sum += static_cast<double>(lat);
-            c.lat_hist.add(lat);
-            c.hop_sum += c.policy.hopsOf(p);
+            lat_sum_ += static_cast<double>(lat);
+            lat_hist_.add(lat);
+            hop_sum_ += policy_.hopsOf(p);
         }
-        ++c.ejected_all;
-        recordBin(c, now);
+        ++ejected_all_;
+        recordBin(now);
         if (wl_ != nullptr) {
             // The terminal sits at this output port; its in- and
             // out-port share the gid, and feeder_out at a terminal
@@ -1250,36 +1029,32 @@ VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
             const long long dst =
                 -static_cast<long long>(lay_.feeder_out[o_gid]) - 1;
             if (now >= win_start_ && now < win_end_)
-                ++c.wl_stats.window_packets;
-            PortImpl port(this, &c, now, /*inject_at=*/now + 1);
+                ++wl_stats_.window_packets;
+            PortImpl port(this, now, /*inject_at=*/now + 1);
             wl_->onDeliver(dst, p.wl_src, p.wl_tag, p.gen, done, now,
-                           port, c.wl_stats);
+                           port, wl_stats_);
         }
-        freePkt(c, id);
+        free_pkts_.push_back(id);
         if constexpr (kGuards) {
-            ++c.ejected;
-            c.last_progress = now;
+            ++ejected_;
+            last_progress_ = now;
         }
     } else {
         if constexpr (kGuards) {
-            c.check.countChecks();
+            check_.countChecks();
             if (out_credits_[o_gid * V + out_vc] <= 0)
-                c.check.report("credit-negative", now,
-                               lay_.port_owner[o_gid], out_vc,
-                               "forwarded without credit on out port " +
-                                   std::to_string(o_gid));
+                check_.report("credit-negative", now,
+                              lay_.port_owner[o_gid], out_vc,
+                              "forwarded without credit on out port " +
+                                  std::to_string(o_gid));
         }
         --out_credits_[o_gid * V + out_vc];
-        c.policy.onForward(p);
-        std::int64_t di = peer + out_vc;
-        auto ready = static_cast<std::int32_t>(now + cfg_.link_latency);
-        int dest_shard = shardOfSwitch(lay_.port_owner[peer / V]);
-        if (dest_shard != c.id)
-            c.out_fwd[dest_shard].push_back({id, di, ready});
-        else
-            enqueueInput(c, di, id, ready, now);
+        policy_.onForward(p);
+        enqueueInput(peer + out_vc, id,
+                     static_cast<std::int32_t>(now + cfg_.link_latency),
+                     now);
         if constexpr (kGuards)
-            c.last_progress = now;
+            last_progress_ = now;
     }
     return true;
 }
@@ -1290,15 +1065,15 @@ VctEngine<Policy>::commitCandidate(ShardCtx &c, std::int64_t gi,
 
 template <class Policy>
 void
-VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
+VctEngine<Policy>::arbitrate(long long now)
 {
     const int V = cfg_.vcs;
     const int cap = cfg_.buf_packets;
-    WakeList &slot = c.wake_wheel[now % wheel_size_];
+    WakeList &slot = wake_wheel_[now % wheel_size_];
     if (slot.head < 0)
         return;
-    c.touched_outs.clear();
-    c.scanned_ivcs.clear();
+    touched_outs_.clear();
+    scanned_ivcs_.clear();
     const CongestionView cv = view(now);
 
     // Scan phase over the input VCs due this cycle, in wake order.
@@ -1312,14 +1087,14 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
         wake_next_[gi] = kNotQueued;
         if (q_count_[gi] == 0)
             continue;
-        ++c.perf.switch_scans;
+        ++perf_.switch_scans;
         std::int64_t iport = gi / V;
         const RingSlot &head = ring_[gi * cap + q_head_[gi]];
         long long busy = in_busy_[iport];
         if (head.ready > now || busy > now) {
             // Not actionable yet: sleep until the earliest cycle it
             // could be (this is the scheduling win over rescanning).
-            wakePush(c, gi,
+            wakePush(gi,
                      std::max<long long>(
                          std::max<long long>(head.ready, busy), now + 1),
                      now);
@@ -1329,32 +1104,32 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
         Pkt &p = pkt(head.pkt);
         int fixed_vc = -1;
         bool sole = false;
-        int o_local = c.policy.routeOut(cv, s, p, c.rng, fixed_vc, sole);
+        int o_local = policy_.routeOut(cv, s, p, rng_, fixed_vc, sole);
         if (o_local < 0) {
             // No route from here (runtime fault): retry next cycle
             // against the (possibly repaired) tables, or drop once the
             // packet is older than the TTL.  route_ttl == 0 preserves
             // the historical park-forever behavior.
-            ++c.route_retries;
+            ++route_retries_;
             p.noroute = 1;
             if (cfg_.route_ttl > 0 &&
                 now - static_cast<long long>(p.gen) >= cfg_.route_ttl)
-                dropHead(c, gi, now);
+                dropHead(gi, now);
             else
-                wakePush(c, gi, now + 1, now);
+                wakePush(gi, now + 1, now);
             continue;
         }
         if (p.noroute) {
             p.noroute = 0;
-            ++c.rerouted;
+            ++rerouted_;
         }
         std::int64_t o_gid = lay_.iport_off[s] + o_local;
-        const long long out_free = out_busy_[o_gid];
-        if (out_free > now) {
+        const long long out_until = out_busy_[o_gid];
+        if (out_until > now) {
             // The output is still transmitting.  With no other legal
             // port the head cannot move before it frees, so it sleeps
             // until then; with several, it re-draws next cycle.
-            wakePush(c, gi, sole ? hookCapped(out_free) : now + 1, now);
+            wakePush(gi, sole ? hookCapped(out_until) : now + 1, now);
             continue;
         }
         if (out_peer_ivc_base_[o_gid] >= 0) {
@@ -1364,7 +1139,7 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
             } else {
                 has_credit = false;
                 int vc_lo, vc_hi;
-                c.policy.vcRange(p, vc_lo, vc_hi);
+                policy_.vcRange(p, vc_lo, vc_hi);
                 for (int v = vc_lo; v < vc_hi; ++v) {
                     if (out_credits_[o_gid * V + v] > 0) {
                         has_credit = true;
@@ -1373,39 +1148,39 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
                 }
             }
             if (!has_credit) {
-                ++c.perf.credit_stalls;
-                wakePush(c, gi, now + 1, now);
+                ++perf_.credit_stalls;
+                wakePush(gi, now + 1, now);
                 continue;
             }
         }
-        c.scanned_ivcs.push_back(static_cast<std::int32_t>(gi));
+        scanned_ivcs_.push_back(static_cast<std::int32_t>(gi));
         // Reservoir-sample among this output's candidates (random
         // arbiter, one iteration).
         if (cand_count_[o_gid]++ == 0) {
             cand_ivc_[o_gid] = static_cast<std::int32_t>(gi);
-            c.touched_outs.push_back(static_cast<std::int32_t>(o_gid));
+            touched_outs_.push_back(static_cast<std::int32_t>(o_gid));
         } else {
-            ++c.perf.arb_conflicts;
-            if (c.rng.uniform(cand_count_[o_gid]) == 0)
+            ++perf_.arb_conflicts;
+            if (rng_.uniform(cand_count_[o_gid]) == 0)
                 cand_ivc_[o_gid] = static_cast<std::int32_t>(gi);
         }
     }
 
     // Commit phase; resetting the count leaves the output untouched
     // for the next cycle.
-    for (std::int32_t o_gid : c.touched_outs) {
-        commitCandidate(c, cand_ivc_[o_gid], o_gid, now);
+    for (std::int32_t o_gid : touched_outs_) {
+        commitCandidate(cand_ivc_[o_gid], o_gid, now);
         cand_count_[o_gid] = 0;
     }
 
     // Reschedule every scanned VC that still holds packets: losers and
     // blocked movers retry, winners sleep out their port's busy time.
-    for (std::int64_t gi : c.scanned_ivcs) {
+    for (std::int64_t gi : scanned_ivcs_) {
         if (q_count_[gi] == 0 || wake_next_[gi] != kNotQueued)
             continue;
         long long busy = in_busy_[gi / V];
         long long ready = ring_[gi * cap + q_head_[gi]].ready;
-        wakePush(c, gi,
+        wakePush(gi,
                  std::max<long long>(std::max<long long>(ready, busy),
                                      now + 1),
                  now);
@@ -1414,38 +1189,10 @@ VctEngine<Policy>::arbitrateShard(ShardCtx &c, long long now)
 
 template <class Policy>
 void
-VctEngine<Policy>::drainOutboxes(ShardCtx &c, long long now)
+VctEngine<Policy>::sampleOccupancy()
 {
-    const int S = static_cast<int>(shards_.size());
-    for (int src = 0; src < S; ++src) {
-        auto &rel = shards_[src].out_rel[c.id];
-        for (const OutRelease &r : rel)
-            c.release_wheel[r.at % wheel_size_].push_back(
-                {r.feeder, r.vc, 1});
-        rel.clear();
-        auto &fwd = shards_[src].out_fwd[c.id];
-        for (const OutForward &f : fwd)
-            enqueueInput(c, f.dest_ivc, f.pkt, f.ready, now);
-        fwd.clear();
-        auto &freed = shards_[src].out_free[c.id];
-        c.free_pkts.insert(c.free_pkts.end(), freed.begin(), freed.end());
-        freed.clear();
-    }
-}
-
-template <class Policy>
-void
-VctEngine<Policy>::sampleOccupancy(ShardCtx &c)
-{
-    const int V = cfg_.vcs;
-    std::int64_t lo =
-        static_cast<std::int64_t>(lay_.iport_off[c.sw_begin]) * V;
-    std::int64_t hi =
-        c.sw_end < lay_.num_switches
-            ? static_cast<std::int64_t>(lay_.iport_off[c.sw_end]) * V
-            : static_cast<std::int64_t>(q_count_.size());
-    for (std::int64_t ivc = lo; ivc < hi; ++ivc)
-        ++c.perf.occupancy[q_count_[ivc]];
+    for (std::uint8_t depth : q_count_)
+        ++perf_.occupancy[depth];
 }
 
 // ======================================================================
@@ -1514,20 +1261,6 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                                   "terminal " + std::to_string(t));
             }
         }
-        // Pool ownership: a free list holding another shard's ids lets
-        // the owner's arena grow without bound.
-        for (const ShardCtx &c : shards_) {
-            check_.countChecks();
-            for (std::int32_t id : c.free_pkts)
-                if (id >> kPktShardShift != c.id) {
-                    check_.report("pkt-pool-ownership", now, -1, -1,
-                                  "shard " + std::to_string(c.id) +
-                                      " holds free packet " +
-                                      std::to_string(id) + " of shard " +
-                                      std::to_string(id >> kPktShardShift));
-                    break;
-                }
-        }
         // VC occupancy bounds, and no lost wakeup: a VC holding packets
         // but on no wake slot would never be arbitrated again.
         for (std::int64_t ivc = 0;
@@ -1554,62 +1287,54 @@ void
 VctEngine<Policy>::guardConservationGlobal(long long now)
 {
     if constexpr (kGuards) {
-        long long allocated = 0, freed = 0;
-        long long injected = 0, ejected = 0, queued = 0;
-        long long generated = 0, suppressed = 0, unroutable = 0;
-        long long dropped = 0;
-        long long last_progress = 0;
-        for (const ShardCtx &c : shards_) {
-            allocated += c.arena.size();
-            freed += static_cast<long long>(c.free_pkts.size());
-            injected += c.injected;
-            ejected += c.ejected;
-            queued += c.queued;
-            generated += c.generated;
-            suppressed += c.suppressed;
-            unroutable += c.unroutable;
-            dropped += c.dropped;
-            last_progress = std::max(last_progress, c.last_progress);
-        }
-        long long in_flight = allocated - freed;
-        check_.countChecks(2);
+        const long long in_flight = inFlightNow();
+        check_.countChecks(3);
         // Packet conservation: every packet entered into the network
         // is still in flight (pool slot in use), was ejected, or was
         // TTL-dropped after losing its route - nothing leaks.
-        if (injected != in_flight + ejected + dropped)
+        if (injected_ != in_flight + ejected_ + dropped_)
             check_.report("packet-conservation", now, -1, -1,
-                          "injected " + std::to_string(injected) +
+                          "injected " + std::to_string(injected_) +
                               " != in-flight " +
                               std::to_string(in_flight) + " + ejected " +
-                              std::to_string(ejected) + " + dropped " +
-                              std::to_string(dropped));
+                              std::to_string(ejected_) + " + dropped " +
+                              std::to_string(dropped_));
         // Source-queue accounting: generated packets are queued,
         // injected, suppressed or unroutable - nothing vanishes.
-        if (generated != queued + injected + suppressed + unroutable)
+        if (generated_ != queued_ + injected_ + suppressed_ + unroutable_)
             check_.report(
                 "generation-accounting", now, -1, -1,
-                "generated " + std::to_string(generated) +
-                    " != queued " + std::to_string(queued) +
-                    " + injected " + std::to_string(injected) +
-                    " + suppressed " + std::to_string(suppressed) +
-                    " + unroutable " + std::to_string(unroutable));
+                "generated " + std::to_string(generated_) +
+                    " != queued " + std::to_string(queued_) +
+                    " + injected " + std::to_string(injected_) +
+                    " + suppressed " + std::to_string(suppressed_) +
+                    " + unroutable " + std::to_string(unroutable_));
+        // Arena bound: the free list is drained before the arena grows
+        // and every live packet holds a ring slot, so the arena never
+        // outgrows the rings.
+        if (static_cast<std::size_t>(arena_.size()) > ring_.size())
+            check_.report("pkt-arena-bound", now, -1, -1,
+                          "arena holds " + std::to_string(arena_.size()) +
+                              " packets > " +
+                              std::to_string(ring_.size()) +
+                              " ring slots");
         // No-progress watchdog: packets in flight but nothing moved
         // for far longer than any legal busy/credit stall can last.
         long long watchdog = 256 + 64LL * cfg_.pkt_phits;
         check_.countChecks();
-        if (in_flight > 0 && now - last_progress > watchdog)
+        if (in_flight > 0 && now - last_progress_ > watchdog)
             check_.report(
                 "no-progress", now, -1, -1,
                 std::to_string(in_flight) +
                     " packets in flight, none moved since cycle " +
-                    std::to_string(last_progress));
+                    std::to_string(last_progress_));
     }
 }
 
 /**
  * Packet conservation every cycle, the full credit/occupancy scan every
- * 256th.  Runs once per cycle after the outboxes drained and the
- * workload's global step, so no effect is in transit between shards.
+ * 256th.  Runs at the end of the cycle, after the workload's global
+ * step.
  */
 template <class Policy>
 void
@@ -1628,105 +1353,35 @@ VctEngine<Policy>::guardCycle(long long now)
 
 template <class Policy>
 void
-VctEngine<Policy>::shardCyclePhase1(ShardCtx &c, long long now)
-{
-    processReleases(c, now);
-    if (wl_ != nullptr)
-        processWorkloadWakes(c, now);
-    else
-        processGeneration(c, now);
-    processInjection(c, now);
-    arbitrateShard(c, now);
-}
-
-template <class Policy>
-void
-VctEngine<Policy>::shardCyclePhase2(ShardCtx &c, long long now)
-{
-    drainOutboxes(c, now);
-    if ((now & 255) == 0)
-        sampleOccupancy(c);
-}
-
-template <class Policy>
-void
 VctEngine<Policy>::runCycles(long long total)
 {
-    const int S = static_cast<int>(shards_.size());
-
-    // Per-shard stagger draws, in shard order: the start times of a
-    // shard's terminals depend only on that shard's RNG stream
-    // (open-loop only; a workload drives all generation itself).
-    for (ShardCtx &c : shards_) {
-        const long long gen_end = std::min(c.term_end, active_terms_);
-        for (long long t = c.term_begin;
-             wl_ == nullptr && cfg_.load > 0.0 && t < gen_end; ++t) {
-            long long start = static_cast<long long>(c.rng.uniform(
-                static_cast<std::uint64_t>(cfg_.pkt_phits)));
-            next_gen_[t] = start;
-            c.gen_wheel[start % kGenWheel].push_back(
-                static_cast<std::int32_t>(t));
-        }
+    // Stagger draws in terminal order (open-loop only; a workload
+    // drives all generation itself).
+    for (long long t = 0; wl_ == nullptr && t < active_terms_; ++t) {
+        long long start = static_cast<long long>(
+            rng_.uniform(static_cast<std::uint64_t>(cfg_.pkt_phits)));
+        next_gen_[t] = start;
+        gen_wheel_[start % kGenWheel].push_back(
+            static_cast<std::int32_t>(t));
     }
 
-    int jobs = cfg_.jobs;
-    if (jobs <= 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        jobs = hw == 0 ? 1 : static_cast<int>(hw);
+    for (long long now = 0; now < total; ++now) {
+        if (hookDue(now))
+            runHook(now);
+        processReleases(now);
+        if (wl_ != nullptr)
+            processWorkloadWakes(now);
+        else
+            processGeneration(now);
+        processInjection(now);
+        arbitrate(now);
+        if ((now & 255) == 0)
+            sampleOccupancy();
+        if (wl_global_)
+            workloadGlobalStep(now);
+        if constexpr (kGuards)
+            guardCycle(now);
     }
-    const int T = std::min(jobs, S);
-
-    // One thread (T == 1) runs the worker inline and skips every
-    // barrier wait, so the single-thread path takes no mutex.
-    core_detail::CycleBarrier barrier(T);
-    auto sync = [&] {
-        if (T > 1)
-            barrier.arriveAndWait();
-    };
-    auto worker = [&](int tid) {
-        for (long long now = 0; now < total; ++now) {
-            // Cycle hooks mutate shared routing state: park every
-            // worker, let one apply the event, resume.  hook_idx_ only
-            // moves inside this double barrier, so all threads agree
-            // on hookDue(now) (the previous cycle's barriers order the
-            // update before this read).
-            if (hookDue(now)) {
-                sync();
-                if (tid == 0)
-                    runHook(now);
-                sync();
-            }
-            for (int k = tid; k < S; k += T)
-                shardCyclePhase1(shards_[k], now);
-            sync();
-            for (int k = tid; k < S; k += T)
-                shardCyclePhase2(shards_[k], now);
-            sync();
-            // Workload global step: one thread runs the cross-terminal
-            // logic while everyone else is parked; the extra barrier
-            // orders its sends/wakes before the next cycle's phase 1.
-            if (wl_global_) {
-                if (tid == 0)
-                    workloadGlobalStep(now);
-                sync();
-            }
-            if constexpr (kGuards) {
-                if (tid == 0)
-                    guardCycle(now);
-                sync();
-            }
-        }
-    };
-    if (T == 1) {
-        worker(0);
-        return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(T);
-    for (int tid = 0; tid < T; ++tid)
-        threads.emplace_back(worker, tid);
-    for (auto &th : threads)
-        th.join();
 }
 
 template <class Policy>
@@ -1737,45 +1392,34 @@ VctEngine<Policy>::collectResult(double wall_seconds)
     r.offered = cfg_.load;
     r.telemetry_bin = cfg_.telemetry_bin;
     if (cfg_.telemetry_bin > 0) {
-        auto nbins = static_cast<std::size_t>(
-            (cfg_.warmup + cfg_.measure + cfg_.telemetry_bin - 1) /
-            cfg_.telemetry_bin);
-        r.delivered_bins.assign(nbins, 0);
+        r.delivered_bins = bins_;
+        r.delivered_bins.resize(
+            static_cast<std::size_t>(
+                (cfg_.warmup + cfg_.measure + cfg_.telemetry_bin - 1) /
+                cfg_.telemetry_bin),
+            0);
     }
-    LatencyHistogram hist;
-    for (ShardCtx &c : shards_) {
-        r.generated_packets += c.generated;
-        r.delivered_packets += c.delivered;
-        r.suppressed_packets += c.suppressed;
-        r.unroutable_packets += c.unroutable;
-        r.ejected_packets += c.ejected_all;
-        r.dropped_packets += c.dropped;
-        r.rerouted_packets += c.rerouted;
-        r.route_retries += c.route_retries;
-        r.in_flight_packets +=
-            c.arena.size() - static_cast<long long>(c.free_pkts.size());
-        for (std::size_t b = 0; b < c.bins.size(); ++b)
-            r.delivered_bins[b] += c.bins[b];
-        r.avg_latency += c.lat_sum;
-        r.avg_hops += c.hop_sum;
-        r.accepted += static_cast<double>(c.delivered_phits);
-        hist.merge(c.lat_hist);
-        r.perf.merge(c.perf);
-        check_.merge(c.check);
-    }
+    r.generated_packets = generated_;
+    r.delivered_packets = delivered_;
+    r.suppressed_packets = suppressed_;
+    r.unroutable_packets = unroutable_;
+    r.ejected_packets = ejected_all_;
+    r.dropped_packets = dropped_;
+    r.rerouted_packets = rerouted_;
+    r.route_retries = route_retries_;
+    r.in_flight_packets = inFlightNow();
     for (long long t = 0; t < lay_.num_terms; ++t)
         r.queued_packets_end += sq_count_[t];
-    r.accepted /= static_cast<double>(cfg_.measure) *
-                  static_cast<double>(lay_.num_terms);
-    if (r.delivered_packets > 0) {
-        r.avg_latency /= static_cast<double>(r.delivered_packets);
-        r.avg_hops /= static_cast<double>(r.delivered_packets);
-        r.p50_latency = hist.quantile(0.50);
-        r.p99_latency = hist.quantile(0.99);
-    } else {
-        r.avg_latency = 0.0;
-        r.avg_hops = 0.0;
+    r.accepted = static_cast<double>(delivered_phits_) /
+                 (static_cast<double>(cfg_.measure) *
+                  static_cast<double>(lay_.num_terms));
+    if (delivered_ > 0) {
+        r.avg_latency = lat_sum_ / static_cast<double>(delivered_);
+        r.avg_hops = hop_sum_ / static_cast<double>(delivered_);
+        r.p50_latency = lat_hist_.quantile(0.50);
+        r.p99_latency = lat_hist_.quantile(0.99);
     }
+    r.perf = perf_;
     r.perf.cycles = cfg_.warmup + cfg_.measure;
     r.perf.wall_seconds = wall_seconds;
     r.perf.cycles_per_sec =
@@ -1784,9 +1428,7 @@ VctEngine<Policy>::collectResult(double wall_seconds)
             : 0.0;
 
     if (wl_ != nullptr) {
-        WorkloadStats ws;
-        for (ShardCtx &c : shards_)
-            ws.merge(c.wl_stats);
+        const WorkloadStats &ws = wl_stats_;
         const WorkloadAccount acc = wl_->account();
         WorkloadMetrics &w = r.workload;
         w.active = true;
@@ -1825,7 +1467,7 @@ VctEngine<Policy>::collectResult(double wall_seconds)
             w.cct_mean = sum / static_cast<double>(ws.ccts.size());
             w.cct_max = mx;
         }
-        w.ccts = std::move(ws.ccts);
+        w.ccts = ws.ccts;
         w.msgs_created = acc.msgs_created;
         w.msgs_delivered = acc.msgs_delivered;
         w.pkts_created = acc.pkts_created;
@@ -1874,8 +1516,8 @@ VctEngine<Policy>::run()
     win_end_ = total;
 
     auto t0 = std::chrono::steady_clock::now();
-    // The traffic pattern is initialized from the base seed, so every
-    // shard count sees the same demand matrix.
+    // The traffic pattern is initialized from the base seed, apart
+    // from the engine's stream.
     Rng traffic_rng(cfg_.seed);
     traffic_.init(lay_.num_terms, traffic_rng);
     if (active_terms_ < lay_.num_terms) {
@@ -1888,16 +1530,12 @@ VctEngine<Policy>::run()
 
     if (wl_ != nullptr) {
         // The workload draws from its own deriveSeed stream and every
-        // terminal gets an initial wake at cycle 0 (pushed onto its
-        // owner shard's wheel so the callback runs on the right
-        // thread).
+        // terminal gets an initial wake at cycle 0.
         wl_->init(lay_.num_terms, win_start_, win_end_,
                   deriveSeed(cfg_.seed, 0x574C4F41ULL, 0));
-        for (ShardCtx &c : shards_) {
-            for (long long t = c.term_begin; t < c.term_end; ++t) {
-                wl_next_[t] = 0;
-                c.gen_wheel[0].push_back(static_cast<std::int32_t>(t));
-            }
+        for (long long t = 0; t < lay_.num_terms; ++t) {
+            wl_next_[t] = 0;
+            gen_wheel_[0].push_back(static_cast<std::int32_t>(t));
         }
     }
 

@@ -7,8 +7,7 @@
  * statistics under an evenly-spread-within-bucket model.  Tail
  * percentiles are what distinguish a loaded RFC from a loaded CFT long
  * before the mean moves.  merge() sums bucket counts, which yields
- * exactly the quantiles of the concatenated sample streams - the
- * property that lets per-shard histograms combine deterministically.
+ * exactly the quantiles of the concatenated sample streams.
  */
 #ifndef RFC_SIM_CORE_HISTOGRAM_HPP
 #define RFC_SIM_CORE_HISTOGRAM_HPP

@@ -11,11 +11,10 @@
  * per-flow ECMP (no reordering, worst elephant collisions): bursts stay
  * on one path, and only an idle gap - where reordering cannot happen
  * anyway - moves the flow off a congested route.  Its per-flow state is
- * legal under the CongestionView contract because flows are keyed by
- * source terminal and every injection decision for a terminal runs on
- * the shard that owns it: each shard's policy copy only touches flows
- * of its own terminals, and re-draws consume that shard's RNG stream
- * in its deterministic injection order.
+ * local knowledge under the CongestionView contract: flows are keyed
+ * by source terminal, so only that terminal's injections touch them,
+ * and re-draws consume the engine's RNG stream in its deterministic
+ * injection order.
  */
 #ifndef RFC_SIM_CORE_POLICY_KSP_HPP
 #define RFC_SIM_CORE_POLICY_KSP_HPP
@@ -196,7 +195,7 @@ class KspPolicy
     PathPolicy path_policy_;
     long long flowlet_gap_;  //!< SimConfig::flowlet_gap
     long long now_ = 0;      //!< cycle of the last injectVc
-    //! Flowlet state per (terminal, destination); shard-local.
+    //! Flowlet state per (terminal, destination).
     std::unordered_map<std::uint64_t, Flowlet> flows_;
 };
 

@@ -26,9 +26,9 @@
  * under adversarial funnels they spill onto Valiant detours.  Every
  * packet, minimal or not, lives in Valiant's phase-partitioned VCs
  * (minimal packets start in phase 1), which keeps the mode deadlock
- * free.  The decision runs at injection on the shard owning the source
- * terminal and reads only that leaf's out-port credits - the
- * shard-local slice the CongestionView contract allows.
+ * free.  The decision runs at injection and reads only the source
+ * leaf's out-port credits - the local slice the CongestionView
+ * contract allows.
  */
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
@@ -261,7 +261,7 @@ class UpDownPolicy
      * First-hop congestion probe: the smallest backlog() over the
      * feasible next-hop out ports from switch @p s toward leaf
      * @p target (the queue a packet would join under the best draw),
-     * or -1 when the target is unreachable.  Shard-local: only reads
+     * or -1 when the target is unreachable.  Local: only reads
      * out-port credits of @p s itself.
      */
     int
@@ -398,15 +398,13 @@ class UpDownPolicy
     double threshold_;  //!< SimConfig::ugal_threshold
 
     // Injection-time Valiant/UGAL state, valid between injectVc and the
-    // following initPacket (per-shard policy copies keep this private
-    // to one thread).
+    // following initPacket.
     std::int32_t pending_inter_ = -1;
     std::int8_t pending_phase_ = 1;
     std::vector<int> choice_scratch_;
 
-    // Lazily filled per-instance choice cache; rows allocate on first
-    // touch, so each shard's policy copy only pays for the switches it
-    // owns.
+    // Lazily filled choice cache; rows allocate on first touch, so a
+    // run only pays for the switches its packets visit.
     std::vector<std::vector<ChoiceEntry>> memo_;
 };
 

@@ -161,7 +161,7 @@ class Simulator
         TopologyRuntime(const FoldedClos &topo, TopologyTimeline tl,
                         bool check);
         /** Apply every event scheduled for cycle @p now (runs in
-         *  cycle-hook context: all workers parked). */
+         *  cycle-hook context, before that cycle's traffic). */
         void apply(long long now);
     };
 

@@ -57,8 +57,7 @@ class RunningStat
  * edges; throws std::invalid_argument on malformed input, an empty
  * histogram, or q outside [0, 1].  Merging two histograms by summing
  * counts yields the same quantile at every q as binning the concatenated
- * samples, which is what makes per-shard latency histograms safely
- * combinable.
+ * samples.
  */
 double binnedQuantile(const std::vector<long long> &counts,
                       const std::vector<double> &edges, double q);

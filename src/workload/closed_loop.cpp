@@ -201,7 +201,7 @@ RequestResponseWorkload::startRequest(long long t, long long now)
         outstanding_[i] = static_cast<std::int32_t>(workers_[i].size());
     } else {
         // fanout_eff_ distinct servers != t, by rejection sampling on a
-        // local scratch (the instance is shared across shard threads).
+        // local scratch.
         std::vector<std::int32_t> picked;
         picked.reserve(static_cast<std::size_t>(fanout_eff_));
         Rng &rng = rngOf(t);

@@ -23,10 +23,10 @@
  *    engine's end-of-cycle global step).  Metric: coflow completion
  *    time (CCT) per phase.
  *
- * All three keep strictly per-terminal mutable state plus one RNG per
- * terminal, which is what makes them shard-safe and bit-identical at
- * any worker-thread count (the coflow phase counter is only advanced
- * inside the single-threaded global step).
+ * All three keep per-terminal mutable state plus one RNG per terminal
+ * derived from the init() seed, so a terminal's draws do not depend on
+ * the order other terminals' callbacks run in (the coflow phase
+ * counter is only advanced inside the global step).
  *
  * The load knob: closed-loop sources have no offered-load parameter,
  * so makeWorkload maps SimConfig::load onto the workload's pressure
@@ -136,7 +136,7 @@ class ClosedLoopWorkload : public Workload
     std::vector<std::vector<Msg>> pending_;
     std::vector<std::uint32_t> pending_head_;
     std::vector<std::vector<Assembly>> assembly_;
-    // Accounting is per-terminal so shards never write shared counters.
+    // Per-terminal accounting, summed by account().
     std::vector<long long> msgs_created_, msgs_delivered_;
     std::vector<long long> pkts_created_, pkts_received_;
 };
@@ -216,8 +216,8 @@ class CoflowWorkload final : public ClosedLoopWorkload
     std::vector<long long> sent_phase_;  //!< last phase this terminal queued
     std::vector<long long> recv_done_;   //!< flows received this phase
     std::vector<long long> last_done_;   //!< latest tail arrival this phase
-    // Phase state: written at init and inside the single-threaded
-    // global step only; shard threads read it across cycle barriers.
+    // Phase state: written at init and inside the global step only;
+    // the per-terminal callbacks only read it.
     long long phase_ = 0;
     long long phase_start_ = 0;
     long long flows_expected_ = 0;

@@ -12,24 +12,22 @@
  *                           WorkloadPort::wakeAt fired for @p term;
  *  - onDeliver(term, ...):  a packet ejected at @p term (called at the
  *                           commit cycle, with the tail-arrival time);
- *  - onGlobalStep(now):     end-of-cycle barrier step, run
- *                           single-threaded after some shard called
- *                           WorkloadPort::signalGlobal this cycle
- *                           (only when wantsGlobalStep() is true).
+ *  - onGlobalStep(now):     end-of-cycle step, run after some
+ *                           callback called WorkloadPort::signalGlobal
+ *                           this cycle (only when wantsGlobalStep() is
+ *                           true).
  *
  * Sources that wait for replies close the loop: a terminal only sends
  * when the workload's state machine says so (request issued, response
  * owed, coflow phase open), and new work is gated on deliveries.
  *
- * Determinism and sharding contract: onWake/onDeliver for terminal t
- * run on the thread that owns t's shard, so a workload whose mutable
- * state is strictly per-terminal (vectors indexed by t, one RNG per
- * terminal) needs no locks and produces bit-identical results at any
- * worker-thread count.  Callbacks for one terminal may only touch that
- * terminal's state and the port; cross-terminal coordination must go
- * through signalGlobal/onGlobalStep, which the engine runs with every
- * worker parked at the cycle barrier (reads of per-terminal state from
- * there are ordered by the barrier).  See DESIGN.md 4.13.
+ * Determinism contract: the engine runs every callback on its one
+ * thread in a fixed order - due wakes before the cycle's injections,
+ * deliveries in arbitration order, then the global step - so a
+ * workload whose draws come from the seed it is given at init()
+ * produces the same results on every run.  A message sent from onWake
+ * can inject the same cycle; one sent from onDeliver or onGlobalStep
+ * injects from the next cycle.  See DESIGN.md 4.13.
  */
 #ifndef RFC_WORKLOAD_WORKLOAD_HPP
 #define RFC_WORKLOAD_WORKLOAD_HPP
@@ -61,8 +59,7 @@ class WorkloadPort
      * and the call returns false - retry from a later callback.
      * Throws std::invalid_argument when the message could never fit
      * (packets outside [1, source_queue]) or a terminal is out of
-     * range.  @p src must be the terminal the callback was invoked
-     * for (onGlobalStep may send on behalf of any terminal).
+     * range.
      */
     virtual bool send(long long src, long long dest, int packets,
                       std::uint32_t tag) = 0;
@@ -75,8 +72,8 @@ class WorkloadPort
     virtual void wakeAt(long long term, long long at) = 0;
 
     /**
-     * Request onGlobalStep at this cycle's end-of-cycle barrier.
-     * Ignored unless wantsGlobalStep() is true.
+     * Request onGlobalStep at the end of this cycle.  Ignored unless
+     * wantsGlobalStep() is true.
      */
     virtual void signalGlobal() = 0;
 
@@ -85,11 +82,9 @@ class WorkloadPort
 };
 
 /**
- * Per-shard workload statistics, merged in shard order after the run
- * (same discipline as the engine's latency stats, so results are
- * bit-identical at any worker-thread count).  Window-gated fields use
- * the tail-arrival time of the completing packet against the
- * measurement window passed to init().
+ * Workload statistics of one run, filled by the callbacks.
+ * Window-gated fields use the tail-arrival time of the completing
+ * packet against the measurement window passed to init().
  */
 struct WorkloadStats
 {
@@ -107,25 +102,6 @@ struct WorkloadStats
     LatencyHistogram fct_hist;     //!< window per-message FCTs
     LatencyHistogram rpc_hist;     //!< window RPC / wave latencies
     std::vector<double> ccts;      //!< window coflow completion times
-
-    void
-    merge(const WorkloadStats &o)
-    {
-        messages_sent += o.messages_sent;
-        requests_sent += o.requests_sent;
-        responses_sent += o.responses_sent;
-        window_packets += o.window_packets;
-        flows_done += o.flows_done;
-        rpcs_done += o.rpcs_done;
-        flows_done_all += o.flows_done_all;
-        rpcs_done_all += o.rpcs_done_all;
-        coflow_phases_all += o.coflow_phases_all;
-        fct_sum += o.fct_sum;
-        rpc_sum += o.rpc_sum;
-        fct_hist.merge(o.fct_hist);
-        rpc_hist.merge(o.rpc_hist);
-        ccts.insert(ccts.end(), o.ccts.begin(), o.ccts.end());
-    }
 };
 
 /**
@@ -162,8 +138,8 @@ class Workload
      * Bind to a fabric of @p terminals terminals before cycle 0.  The
      * measurement window is [win_start, win_end); @p seed is derived
      * from the simulation seed (workload draws never touch the
-     * engine's per-shard streams).  Every terminal receives an initial
-     * onWake at cycle 0.
+     * engine's stream).  Every terminal receives an initial onWake at
+     * cycle 0.
      */
     virtual void init(long long terminals, long long win_start,
                       long long win_end, std::uint64_t seed) = 0;
@@ -183,9 +159,8 @@ class Workload
                            WorkloadPort &port, WorkloadStats &st) = 0;
 
     /**
-     * End-of-cycle barrier step (single-threaded, workers parked);
-     * runs only in cycles where some callback called signalGlobal().
-     * @p st is shard 0's statistics.
+     * End-of-cycle step; runs only in cycles where some callback
+     * called signalGlobal().  @p st is the run's statistics.
      */
     virtual void
     onGlobalStep(long long now, WorkloadPort &port, WorkloadStats &st)

@@ -4,7 +4,7 @@
  *
  * Every run-dependent value a document carries (jobs, wall clock, peak
  * RSS, per-point seconds) lives inside an object named "timing"; the
- * rest must be bit-identical at any --jobs / --sim-jobs value.  This is
+ * rest must be bit-identical at any --jobs value.  This is
  * the C++ twin of tools/json_deterministic.py, which the CI determinism
  * diffs use.
  */

@@ -56,11 +56,8 @@ TEST(DeriveSeed, StreamAndRepAreNotInterchangeable)
 
 /** Two loads x two reps of one case on @p net at @p tier. */
 Study
-smallStudy(Tier tier, const Network &net, int shards = 1, int sim_jobs = 1)
+smallStudy(Tier tier, const Network &net)
 {
-    SimConfig base = quickConfig();
-    base.shards = shards;
-    base.jobs = sim_jobs;
     Case c;
     c.label = "uniform";
     if (tier == Tier::kVct)
@@ -69,8 +66,8 @@ smallStudy(Tier tier, const Network &net, int shards = 1, int sim_jobs = 1)
         c.label = c.workload.label();
     else
         c.pattern = "uniform";
-    return {tierName(tier), tier, crossPoints({net}, {c}, {0.3, 0.8}, base),
-            2};
+    return {tierName(tier), tier,
+            crossPoints({net}, {c}, {0.3, 0.8}, quickConfig()), 2};
 }
 
 std::string
@@ -113,17 +110,6 @@ TEST_P(StudyTiers, DocumentIsBitIdenticalAtJobs1And4)
     // Only the timing objects may differ ("jobs" at least does).
     EXPECT_NE(one, four);
     EXPECT_EQ(withoutTiming(one), withoutTiming(four));
-}
-
-TEST_P(StudyTiers, PacketTiersAreBitIdenticalAtSimJobs1And4)
-{
-    if (GetParam() == Tier::kFlow || GetParam() == Tier::kQueue)
-        GTEST_SKIP() << "analytic tiers have no intra-trial threads";
-    const ExperimentEngine engine(1, 5);
-    EXPECT_EQ(withoutTiming(document(engine, smallStudy(GetParam(), net_,
-                                                         4, 1))),
-              withoutTiming(document(engine, smallStudy(GetParam(), net_,
-                                                         4, 4))));
 }
 
 TEST_P(StudyTiers, EnvelopeIsTheSameForEveryTier)

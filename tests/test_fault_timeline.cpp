@@ -343,22 +343,13 @@ TEST(FaultSim, SameCycleEventsApplyInInsertionOrder)
     EXPECT_TRUE(sim.faultOracle()->sameTables(dead));
 }
 
-TEST(FaultSim, BitIdenticalAcrossSimJobsWithTimeline)
+TEST(FaultSim, ReproducibleWithTimeline)
 {
     auto fc = buildCft(8, 2);
     auto tl = TopologyTimeline::randomFailRepair(fc, 8, 300, 700,
                                                  deriveSeed(5, 1, 0));
-    SimConfig cfg = faultConfig();
-    cfg.shards = 4;
-
-    cfg.jobs = 1;
-    auto r1 = runFaultSim(fc, tl, cfg);
-    cfg.jobs = 4;
-    auto r4 = runFaultSim(fc, tl, cfg);
-    expectSameResult(r1, r4);
-    // And reproducible run to run.
-    auto r1b = runFaultSim(fc, tl, cfg);
-    expectSameResult(r1, r1b);
+    const SimConfig cfg = faultConfig();
+    expectSameResult(runFaultSim(fc, tl, cfg), runFaultSim(fc, tl, cfg));
 }
 
 void
@@ -380,13 +371,7 @@ TEST(FaultSim, ConservationUnderFaults)
     auto tl = TopologyTimeline::randomFailRepair(
         fc, static_cast<std::size_t>(fc.numWires() / 3), 300, 700,
         deriveSeed(5, 3, 0));
-    for (int shards : {1, 4}) {
-        SimConfig cfg = faultConfig();
-        cfg.shards = shards;
-        cfg.jobs = shards;
-        SCOPED_TRACE(shards);
-        expectConservation(runFaultSim(fc, tl, cfg));
-    }
+    expectConservation(runFaultSim(fc, tl, faultConfig()));
 }
 
 TEST(FaultSim, TtlDropsPermanentlyUnroutablePackets)

@@ -10,18 +10,17 @@
  *
  *  - the hooks actually fire (counts > 0) and pair up (every
  *    initPacket follows a successful injectVc),
- *  - now() never runs backwards within one policy clone,
+ *  - now() never runs backwards,
  *  - credits stay within [0, bufPackets] and backlog within
  *    [0, vcs * bufPackets] for every port of the deciding switch.
  *
  * When the library is built with -DRFC_CHECK_INVARIANTS=ON, the
- * engine's own credit-conservation guards run concurrently with these
- * audits; the test requires both to come back clean, tying the view's
- * numbers to the invariant-guard counters.
+ * engine's own credit-conservation guards run alongside these audits;
+ * the test requires both to come back clean, tying the view's numbers
+ * to the invariant-guard counters.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 
 #include "check/guard.hpp"
@@ -36,16 +35,16 @@
 namespace rfc {
 namespace {
 
-/** Shared across the per-shard policy clones (atomics: TSAN-safe). */
+/** Outlives the policy the engine takes by value. */
 struct MockStats
 {
-    std::atomic<long long> inject_calls{0};
-    std::atomic<long long> inject_success{0};
-    std::atomic<long long> init_calls{0};
-    std::atomic<long long> route_calls{0};
-    std::atomic<long long> choose_calls{0};
-    std::atomic<long long> bounds_violations{0};
-    std::atomic<long long> nonmonotone_now{0};
+    long long inject_calls = 0;
+    long long inject_success = 0;
+    long long init_calls = 0;
+    long long route_calls = 0;
+    long long choose_calls = 0;
+    long long bounds_violations = 0;
+    long long nonmonotone_now = 0;
     int vcs = 0;
     int buf = 0;
 };
@@ -165,11 +164,11 @@ class MockPolicy
 
     UpDownPolicy base_;
     std::shared_ptr<MockStats> stats_;
-    long long last_now_ = -1;  //!< per-clone (clones are per-shard)
+    long long last_now_ = -1;
 };
 
 std::shared_ptr<MockStats>
-runMock(int shards, int jobs)
+runMock()
 {
     auto fc = buildCft(8, 2);
     UpDownOracle oracle(fc);
@@ -180,8 +179,6 @@ runMock(int shards, int jobs)
     cfg.measure = 800;
     cfg.load = 0.7;
     cfg.seed = 31;
-    cfg.shards = shards;
-    cfg.jobs = jobs;
     cfg.validate();
 
     auto stats = std::make_shared<MockStats>();
@@ -194,8 +191,9 @@ runMock(int shards, int jobs)
     // -DRFC_CHECK_INVARIANTS=ON) must agree with what the view showed.
     EXPECT_EQ(engine.checkContext().violations(), 0)
         << engine.checkContext().summary();
-    if (invariantChecksEnabled())
+    if (invariantChecksEnabled()) {
         EXPECT_GT(engine.checkContext().checksPerformed(), 0);
+    }
     return stats;
 }
 
@@ -203,32 +201,20 @@ void
 expectCleanContract(const MockStats &s)
 {
     // All three view hooks fire...
-    EXPECT_GT(s.inject_calls.load(), 0);
-    EXPECT_GT(s.route_calls.load(), 0);
-    EXPECT_GT(s.choose_calls.load(), 0);
+    EXPECT_GT(s.inject_calls, 0);
+    EXPECT_GT(s.route_calls, 0);
+    EXPECT_GT(s.choose_calls, 0);
     // ...initPacket pairs with successful injections only...
-    EXPECT_EQ(s.init_calls.load(), s.inject_success.load());
-    EXPECT_LE(s.inject_success.load(), s.inject_calls.load());
+    EXPECT_EQ(s.init_calls, s.inject_success);
+    EXPECT_LE(s.inject_success, s.inject_calls);
     // ...and every view read stayed inside the documented bounds.
-    EXPECT_EQ(s.bounds_violations.load(), 0);
-    EXPECT_EQ(s.nonmonotone_now.load(), 0);
+    EXPECT_EQ(s.bounds_violations, 0);
+    EXPECT_EQ(s.nonmonotone_now, 0);
 }
 
-TEST(PolicyContract, OneShardHooksAndBounds)
+TEST(PolicyContract, HooksFireAndReadsStayInBounds)
 {
-    auto stats = runMock(1, 1);
-    expectCleanContract(*stats);
-}
-
-TEST(PolicyContract, ShardedModeHooksAndBounds)
-{
-    auto stats = runMock(4, 1);
-    expectCleanContract(*stats);
-}
-
-TEST(PolicyContract, ShardedParallelHooksAndBounds)
-{
-    auto stats = runMock(4, 4);
+    auto stats = runMock();
     expectCleanContract(*stats);
 }
 

@@ -5,14 +5,12 @@
  *
  * For every generated routable topology:
  *
- *  - message conservation is exact for all three workload kinds, on
- *    one shard and on two shards advanced by two threads, and
+ *  - message conservation is exact for all three workload kinds, and
  *    ejection accounting matches the engine's own delivered-packet
  *    counter;
  *  - the closed-loop study document is bit-identical at any --jobs
- *    value and at any SimConfig::jobs value for a fixed shard count,
- *    once the timing objects are stripped (the same filter the CI
- *    determinism job applies to ext_closed_loop output);
+ *    value once the timing objects are stripped (the same filter the
+ *    CI determinism job applies to ext_closed_loop output);
  *  - coflow completion time is monotone in the load knob: makeWorkload
  *    maps load onto the per-flow packet count, so a 4x packet range
  *    must produce strictly larger CCTs.
@@ -82,38 +80,30 @@ conservationContract(const TopoParams &params)
 
     std::ostringstream err;
     for (const WorkloadSpec &spec : specsFor(fc.numTerminals())) {
-        for (int shards : {1, 2}) {
-            SimConfig cfg;
-            cfg.warmup = 200;
-            cfg.measure = 1200;
-            cfg.seed = params.wiring_seed + 17;
-            cfg.shards = shards;
-            cfg.jobs = shards;
-            SimResult r = runWorkload(fc, oracle, spec, 0.75, cfg);
-            const WorkloadMetrics &w = r.workload;
-            if (!w.active || w.name != spec.kind) {
-                err << spec.kind << " shards=" << shards
-                    << ": workload metrics missing";
-                return CheckResult::fail(err.str());
-            }
-            if (w.conservation_residual != 0) {
-                err << spec.kind << " shards=" << shards
-                    << ": conservation residual "
-                    << w.conservation_residual << " (created "
-                    << w.pkts_created << " pending " << w.pkts_pending
-                    << " received " << w.pkts_received << ")";
-                return CheckResult::fail(err.str());
-            }
-            if (w.eject_mismatch != 0) {
-                err << spec.kind << " shards=" << shards
-                    << ": eject mismatch " << w.eject_mismatch;
-                return CheckResult::fail(err.str());
-            }
-            if (spec.kind == "rpc" && w.rpcs_completed <= 0) {
-                err << "rpc shards=" << shards
-                    << ": no RPC completed in the window";
-                return CheckResult::fail(err.str());
-            }
+        SimConfig cfg;
+        cfg.warmup = 200;
+        cfg.measure = 1200;
+        cfg.seed = params.wiring_seed + 17;
+        SimResult r = runWorkload(fc, oracle, spec, 0.75, cfg);
+        const WorkloadMetrics &w = r.workload;
+        if (!w.active || w.name != spec.kind) {
+            err << spec.kind << ": workload metrics missing";
+            return CheckResult::fail(err.str());
+        }
+        if (w.conservation_residual != 0) {
+            err << spec.kind << ": conservation residual "
+                << w.conservation_residual << " (created "
+                << w.pkts_created << " pending " << w.pkts_pending
+                << " received " << w.pkts_received << ")";
+            return CheckResult::fail(err.str());
+        }
+        if (w.eject_mismatch != 0) {
+            err << spec.kind << ": eject mismatch " << w.eject_mismatch;
+            return CheckResult::fail(err.str());
+        }
+        if (spec.kind == "rpc" && w.rpcs_completed <= 0) {
+            err << "rpc: no RPC completed in the window";
+            return CheckResult::fail(err.str());
         }
     }
     return CheckResult::pass();
@@ -154,22 +144,15 @@ jsonJobsInvariance(const TopoParams &params)
     SimConfig base;
     base.warmup = 200;
     base.measure = 800;
-    base.shards = 2;
-    Study study{"closed-loop", Tier::kWorkload,
-                crossPoints({{"net", &fc, &oracle}}, cases, {0.5}, base), 2};
+    const Study study{
+        "closed-loop", Tier::kWorkload,
+        crossPoints({{"net", &fc, &oracle}}, cases, {0.5}, base), 2};
 
-    // Pool-jobs invariance: the same study at 1 and 3 engine jobs.
-    const std::string json = deterministicJson(study, 1, params.wiring_seed);
-    if (deterministicJson(study, 3, params.wiring_seed) != json)
+    // The same study at 1 and 3 engine jobs.
+    if (deterministicJson(study, 3, params.wiring_seed) !=
+        deterministicJson(study, 1, params.wiring_seed))
         return CheckResult::fail(
             "study JSON differs between 1 and 3 jobs");
-
-    // Sim-jobs invariance: same shard count, different worker threads.
-    for (Point &p : study.points)
-        p.config.jobs = 2;
-    if (deterministicJson(study, 2, params.wiring_seed) != json)
-        return CheckResult::fail(
-            "study JSON differs between 1 and 2 sim jobs");
     return CheckResult::pass();
 }
 

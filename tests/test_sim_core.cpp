@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the shared VCT core pieces: SimConfig validation,
  * the type-7 binned latency histogram and its deterministic merge,
- * and the engine's deterministic shard execution (results must depend
- * on the shard count only, never on the worker thread count).
+ * the packet arena's ring-slot bound, and the adaptive policies.
  */
 #include <gtest/gtest.h>
 
@@ -13,12 +12,16 @@
 #include <string>
 #include <vector>
 
+#include "check/guard.hpp"
 #include "clos/fat_tree.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
 #include "sim/core/config.hpp"
+#include "sim/core/engine.hpp"
 #include "sim/core/histogram.hpp"
+#include "sim/core/layout.hpp"
+#include "sim/core/policy_updown.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -52,10 +55,8 @@ TEST(SimConfigValidate, RejectsBadParameters)
     broken([](SimConfig &c) { c.load = 0.0; });
     broken([](SimConfig &c) { c.load = 1.5; });
     broken([](SimConfig &c) { c.source_queue = 0; });
-    broken([](SimConfig &c) { c.shards = -1; });
-    // shards = 0 was the retired sequential mode; a zero-latency link
-    // cannot cross the end-of-cycle shard barrier.
-    broken([](SimConfig &c) { c.shards = 0; });
+    // An arrival wakes its input VC at the next cycle at the earliest,
+    // so a zero-latency link cannot be modeled.
     broken([](SimConfig &c) { c.link_latency = 0; });
     broken([](SimConfig &c) {
         c.route_mode = RouteMode::kValiant;
@@ -123,19 +124,27 @@ TEST(SimConfigValidate, ConstructorsValidate)
                  std::invalid_argument);
 }
 
-TEST(SimConfigValidate, RejectsInputVcCountBeyondInt32)
+TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
 {
-    // The engine stores input-VC ids as int32; ports x vcs past
-    // INT32_MAX must be refused at construction, before any per-VC
-    // array is sized.  (validate()'s 8-bit VC bound refuses this vcs
-    // first; the engine's own check covers fabrics past 16.9M ports.)
-    auto fc = buildCft(8, 2);
+    // Packet ids index an arena bounded by the input-VC ring slots, all
+    // as int32: ports x vcs x buf_packets past INT32_MAX must be
+    // refused at construction, before any per-VC array is sized.
+    // CFT(64, 3) has 327,680 ports, so 127 VCs still fit (41.6M input
+    // VCs) but 127 buffer packets each do not (5.3G slots).
+    auto fc = buildCft(64, 3);
     UpDownOracle oracle(fc);
     UniformTraffic traffic;
     SimConfig cfg;
-    cfg.vcs = 1 << 25;
-    EXPECT_THROW(Simulator(fc, oracle, traffic, cfg),
-                 std::invalid_argument);
+    cfg.vcs = 127;
+    cfg.buf_packets = 127;
+    try {
+        Simulator sim(fc, oracle, traffic, cfg);
+        ADD_FAILURE() << "5.3G ring slots were accepted";
+    } catch (const std::invalid_argument &e) {
+        const std::string m = e.what();
+        for (const char *part : {"ports", "VCs", "buffer packets"})
+            EXPECT_NE(m.find(part), std::string::npos) << m;
+    }
 }
 
 TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
@@ -280,140 +289,48 @@ TEST(LatencyHistogramCore, MergeOrderIrrelevant)
         EXPECT_DOUBLE_EQ(a1.quantile(q), b2.quantile(q));
 }
 
-TEST(PerfCountersCore, MergeSumsDeterministicFields)
-{
-    PerfCounters a, b;
-    a.cycles = 100;
-    a.forwards = 7;
-    a.occupancy = {1, 2};
-    b.cycles = 100;
-    b.switch_scans = 3;
-    b.arb_conflicts = 2;
-    b.credit_stalls = 5;
-    b.forwards = 4;
-    b.occupancy = {0, 1, 9};
-    a.merge(b);
-    EXPECT_EQ(a.cycles, 100);
-    EXPECT_EQ(a.switch_scans, 3);
-    EXPECT_EQ(a.arb_conflicts, 2);
-    EXPECT_EQ(a.credit_stalls, 5);
-    EXPECT_EQ(a.forwards, 11);
-    ASSERT_EQ(a.occupancy.size(), 3u);
-    EXPECT_EQ(a.occupancy[0], 1);
-    EXPECT_EQ(a.occupancy[1], 3);
-    EXPECT_EQ(a.occupancy[2], 9);
-}
-
 // ---------------------------------------------------------------------
-// Deterministic shard execution
+// Packet arena bound
 // ---------------------------------------------------------------------
 
-SimResult
-runCft(int shards, int jobs, double load = 0.7)
+TEST(PacketArena, SaturatedRunStaysWithinRingSlots)
 {
+    // Freed ids are reused before the arena grows and every live packet
+    // holds an input-VC ring slot, so even a saturated run stays within
+    // ports x vcs x buf_packets (guard builds also audit the arena size
+    // itself every cycle: pkt-arena-bound).
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
     UniformTraffic traffic;
     SimConfig cfg;
     cfg.warmup = 300;
     cfg.measure = 1200;
-    cfg.load = load;
+    cfg.load = 1.0;
     cfg.seed = 21;
-    cfg.shards = shards;
-    cfg.jobs = jobs;
-    Simulator sim(fc, oracle, traffic, cfg);
-    return sim.run();
-}
-
-SimResult
-runDirect(int shards, int jobs)
-{
-    Rng grng(6);
-    Graph g = randomRegularGraph(16, 4, grng);
-    KspRoutes routes(g, 4);
-    UniformTraffic traffic;
-    SimConfig cfg;
-    cfg.warmup = 300;
-    cfg.measure = 1200;
-    cfg.load = 0.6;
-    cfg.seed = 22;
-    cfg.vcs = std::max(6, routes.maxHops());
-    cfg.shards = shards;
-    cfg.jobs = jobs;
-    Simulator sim(g, routes, 2, traffic, cfg);
-    return sim.run();
-}
-
-void
-expectSameResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.generated_packets, b.generated_packets);
-    EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-    EXPECT_EQ(a.suppressed_packets, b.suppressed_packets);
-    EXPECT_EQ(a.unroutable_packets, b.unroutable_packets);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.avg_latency, b.avg_latency);
-    EXPECT_EQ(a.avg_hops, b.avg_hops);
-    EXPECT_EQ(a.p50_latency, b.p50_latency);
-    EXPECT_EQ(a.p99_latency, b.p99_latency);
-    EXPECT_EQ(a.perf.switch_scans, b.perf.switch_scans);
-    EXPECT_EQ(a.perf.arb_conflicts, b.perf.arb_conflicts);
-    EXPECT_EQ(a.perf.credit_stalls, b.perf.credit_stalls);
-    EXPECT_EQ(a.perf.forwards, b.perf.forwards);
-    EXPECT_EQ(a.perf.occupancy, b.perf.occupancy);
-}
-
-TEST(ShardedSim, IndirectBitIdenticalAcrossJobs)
-{
-    SimResult one = runCft(4, 1);
-    SimResult four = runCft(4, 4);
-    SimResult many = runCft(4, 16);
-    expectSameResult(one, four);
-    expectSameResult(one, many);
-    EXPECT_GT(one.delivered_packets, 0);
-}
-
-TEST(ShardedSim, DirectBitIdenticalAcrossJobs)
-{
-    SimResult one = runDirect(3, 1);
-    SimResult three = runDirect(3, 3);
-    expectSameResult(one, three);
-    EXPECT_GT(one.delivered_packets, 0);
-}
-
-TEST(ShardedSim, ShardCountIsPartOfTheExperiment)
-{
-    // Different shard counts are different (equally valid) random
-    // streams - close in aggregate, not bit-identical.
-    SimResult s1 = runCft(1, 1);
-    SimResult s4 = runCft(4, 1);
-    EXPECT_GT(s1.delivered_packets, 0);
-    EXPECT_GT(s4.delivered_packets, 0);
-    EXPECT_NEAR(s1.accepted, s4.accepted, 0.1 * s1.accepted);
-}
-
-TEST(ShardedSim, DefaultIsOneShard)
-{
-    EXPECT_EQ(SimConfig{}.shards, 1);
-    SimResult r = runCft(SimConfig{}.shards, 1, 0.5);
+    VctEngine<UpDownPolicy> engine(lay, traffic, cfg,
+                                   UpDownPolicy(fc, oracle, lay, cfg));
+    const SimResult r = engine.run();
+    EXPECT_GT(r.suppressed_packets, 0);  // saturated: source queues full
     // Every delivery is a commit, and multi-hop paths mean strictly
     // more commits than deliveries.
     EXPECT_GT(r.perf.forwards, r.delivered_packets);
-    EXPECT_LE(r.delivered_packets, r.generated_packets);
-    EXPECT_NEAR(r.accepted, 0.5, 0.05);
-}
-
-TEST(ShardedSim, RejectsMoreShardsThanSwitches)
-{
-    EXPECT_THROW(runCft(1000, 1), std::invalid_argument);
+    EXPECT_EQ(r.in_flight_packets, engine.inFlightNow());
+    EXPECT_GT(engine.inFlightNow(), 0);
+    EXPECT_LE(engine.inFlightNow(),
+              lay.total_ports * cfg.vcs * cfg.buf_packets);
+    EXPECT_EQ(engine.checkContext().violations(), 0)
+        << engine.checkContext().summary();
+    if (invariantChecksEnabled()) {
+        EXPECT_GT(engine.checkContext().checksPerformed(), 0);
+    }
 }
 
 // ---------------------------------------------------------------------
-// Adaptive policies under the same determinism contract
+// Adaptive policies
 // ---------------------------------------------------------------------
 
-SimResult
-runCftUgal(int shards, int jobs)
+TEST(AdaptivePolicies, UgalRunsAndDelivers)
 {
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
@@ -423,60 +340,11 @@ runCftUgal(int shards, int jobs)
     cfg.measure = 1200;
     cfg.load = 0.9;
     cfg.seed = 23;
-    cfg.shards = shards;
-    cfg.jobs = jobs;
     cfg.route_mode = RouteMode::kUgal;
     Simulator sim(fc, oracle, traffic, cfg);
-    return sim.run();
-}
-
-SimResult
-runDirectFlowlet(int shards, int jobs, long long gap = 64)
-{
-    Rng grng(6);
-    Graph g = randomRegularGraph(16, 4, grng);
-    KspRoutes routes(g, 4);
-    UniformTraffic traffic;
-    SimConfig cfg;
-    cfg.warmup = 300;
-    cfg.measure = 1200;
-    cfg.load = 0.6;
-    cfg.seed = 24;
-    cfg.vcs = std::max(6, routes.maxHops());
-    cfg.shards = shards;
-    cfg.jobs = jobs;
-    cfg.flowlet_gap = gap;
-    Simulator sim(g, routes, 2, traffic, cfg, PathPolicy::kFlowletEcmp);
-    return sim.run();
-}
-
-TEST(AdaptivePolicies, UgalBitIdenticalAcrossJobs)
-{
-    // The UGAL decision reads the CongestionView, but only shard-local
-    // state - so it must stay bit-identical across thread counts like
-    // every policy.
-    SimResult one = runCftUgal(4, 1);
-    SimResult four = runCftUgal(4, 4);
-    expectSameResult(one, four);
-    EXPECT_GT(one.delivered_packets, 0);
-}
-
-TEST(AdaptivePolicies, UgalRunsOnOneShard)
-{
-    SimResult r = runCftUgal(1, 1);
+    SimResult r = sim.run();
     EXPECT_GT(r.delivered_packets, 0);
     EXPECT_GT(r.accepted, 0.0);
-}
-
-TEST(AdaptivePolicies, FlowletBitIdenticalAcrossJobs)
-{
-    // Flowlet state is keyed by source terminal and terminals are
-    // shard-owned, so the per-shard maps never race and the result
-    // only depends on the shard count.
-    SimResult one = runDirectFlowlet(3, 1);
-    SimResult three = runDirectFlowlet(3, 3);
-    expectSameResult(one, three);
-    EXPECT_GT(one.delivered_packets, 0);
 }
 
 TEST(AdaptivePolicies, FlowletGapZeroIsPerPacketEcmp)
@@ -484,8 +352,24 @@ TEST(AdaptivePolicies, FlowletGapZeroIsPerPacketEcmp)
     // gap = 0 means "idle >= 0 cycles", which is true for every
     // packet: each one re-draws, i.e. plain per-packet ECMP.  The two
     // runs use different seeds, so compare statistically.
-    SimResult ecmp = runDirect(1, 1);
-    SimResult gap0 = runDirectFlowlet(1, 1, 0);
+    Rng grng(6);
+    Graph g = randomRegularGraph(16, 4, grng);
+    KspRoutes routes(g, 4);
+    SimConfig cfg;
+    cfg.warmup = 300;
+    cfg.measure = 1200;
+    cfg.load = 0.6;
+    cfg.seed = 22;
+    cfg.vcs = std::max(6, routes.maxHops());
+    UniformTraffic ecmp_traffic;
+    const SimResult ecmp =
+        Simulator(g, routes, 2, ecmp_traffic, cfg).run();
+    cfg.seed = 24;
+    cfg.flowlet_gap = 0;
+    UniformTraffic gap0_traffic;
+    const SimResult gap0 = Simulator(g, routes, 2, gap0_traffic, cfg,
+                                     PathPolicy::kFlowletEcmp)
+                               .run();
     EXPECT_GT(gap0.delivered_packets, 0);
     EXPECT_NEAR(gap0.accepted, ecmp.accepted, 0.15 * ecmp.accepted);
 }

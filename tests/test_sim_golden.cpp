@@ -2,8 +2,8 @@
  * @file
  * Golden-baseline reproduction tests for both VCT simulators.
  *
- * The files under tests/golden/ hold SimResult fields of the default
- * engine (SimConfig::shards = 1) at fixed seeds, doubles in hexfloat,
+ * The files under tests/golden/ hold SimResult fields of the engine
+ * at fixed seeds, doubles in hexfloat,
  * so the comparison is bit-exact, not approximate.  Any change to the
  * flow-control core that alters a single RNG draw, a float summation
  * order, or an arbitration decision shows up here as a failed field.
@@ -399,8 +399,8 @@ constexpr SeedMeans kRetiredEngine[] = {
 TEST(SimGolden, SeedMeansWithinBandsOfRetiredEngine)
 {
     // Accepted load within 5 %, latency within 10 %, hops within 5 %
-    // of the retired engine: the one-shard wake-wheel stream changes
-    // draws, not flow control.
+    // of the retired engine: the wake-wheel stream changes draws, not
+    // flow control.
     constexpr int kSeeds = 40;
     for (const SeedMeans &ref : kRetiredEngine) {
         double acc = 0.0, lat = 0.0, hops = 0.0;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "check/guard.hpp"
@@ -103,52 +102,6 @@ TEST(SimInvariants, ClosSimulatorCleanUnderAdversarialTraffic)
         sim.run();
         expectCleanContext(sim.checkContext());
     }
-}
-
-/** Uniform over the terminals of the last 12 of 32 leaves only. */
-class TailLeavesTraffic : public Traffic
-{
-  public:
-    void
-    init(long long nodes, Rng &rng) override
-    {
-        (void)rng;
-        nodes_ = nodes;
-        lo_ = nodes * 20 / 32;
-    }
-
-    long long
-    dest(long long src, Rng &rng) override
-    {
-        long long d;
-        do
-            d = lo_ + static_cast<long long>(rng.uniform(
-                          static_cast<std::uint64_t>(nodes_ - lo_)));
-        while (d == src);
-        return d;
-    }
-
-    std::string name() const override { return "tail-leaves"; }
-
-  private:
-    long long nodes_ = 0, lo_ = 0;
-};
-
-TEST(SimInvariants, ShardedPoolsStayHomeUnderSkewedTraffic)
-{
-    // Shard 0 owns leaves 0-19, which only inject: every packet it
-    // allocates is ejected on another shard, and its id must still go
-    // back to shard 0's free list (pkt-pool-ownership guard).
-    auto fc = buildCft(8, 3);
-    ASSERT_EQ(fc.numLeaves(), 32);
-    UpDownOracle oracle(fc);
-    TailLeavesTraffic traffic;
-    SimConfig cfg = quickConfig(0.3, 70, RouteMode::kMinimal);
-    cfg.shards = 4;
-    Simulator sim(fc, oracle, traffic, cfg);
-    auto r = sim.run();
-    EXPECT_GT(r.delivered_packets, 0);
-    expectCleanContext(sim.checkContext());
 }
 
 TEST(SimInvariants, DirectNetworkGridRunsClean)

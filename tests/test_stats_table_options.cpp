@@ -211,12 +211,12 @@ invalidArgumentMessage(Fn fn)
 
 TEST(Options, NumbersMustParseAsTheWholeValue)
 {
-    const char *argv[] = {"prog",        "--shards=4x", "--load=0.5x",
+    const char *argv[] = {"prog",        "--trials=4x", "--load=0.5x",
                           "--radix= 8",  "--big=99999999999999999999",
                           "--hex=0x10",  "--ok=-3",     "--frac=2.5e-1"};
     Options o(8, argv);
-    EXPECT_THROW(o.getInt("shards", 1), std::invalid_argument);
-    EXPECT_THROW(o.getDouble("shards", 1.0), std::invalid_argument);
+    EXPECT_THROW(o.getInt("trials", 1), std::invalid_argument);
+    EXPECT_THROW(o.getDouble("trials", 1.0), std::invalid_argument);
     EXPECT_THROW(o.getDouble("load", 0.0), std::invalid_argument);
     EXPECT_THROW(o.getInt("radix", 0), std::invalid_argument);
     EXPECT_THROW(o.getInt("big", 0), std::invalid_argument);
@@ -229,10 +229,10 @@ TEST(Options, NumbersMustParseAsTheWholeValue)
 
 TEST(Options, BadNumberMessageNamesFlagAndValue)
 {
-    const char *argv[] = {"prog", "--shards", "abc", "--load=1.5q"};
+    const char *argv[] = {"prog", "--trials", "abc", "--load=1.5q"};
     Options o(4, argv);
-    std::string m = invalidArgumentMessage([&] { o.getInt("shards", 1); });
-    EXPECT_NE(m.find("--shards"), std::string::npos) << m;
+    std::string m = invalidArgumentMessage([&] { o.getInt("trials", 1); });
+    EXPECT_NE(m.find("--trials"), std::string::npos) << m;
     EXPECT_NE(m.find("'abc'"), std::string::npos) << m;
     m = invalidArgumentMessage([&] { o.getDouble("load", 0.0); });
     EXPECT_NE(m.find("--load"), std::string::npos) << m;

@@ -2,10 +2,8 @@
  * @file
  * Unit/integration tests for the closed-loop workload subsystem: the
  * three concrete workloads complete work on a small folded Clos, every
- * run satisfies message conservation exactly, results are bit-
- * identical across SimConfig::jobs values at a fixed shard count
- * (including the coflow global-step path), and the closed-loop tier of
- * the study runner aggregates and indexes its points.
+ * run satisfies message conservation exactly, and the closed-loop tier
+ * of the study runner aggregates and indexes its points.
  */
 #include <gtest/gtest.h>
 
@@ -106,64 +104,6 @@ TEST(Workload, CoflowPhasesAdvanceAndConserve)
     EXPECT_GT(r.workload.cct_mean, 0.0);
     EXPECT_GE(r.workload.cct_max, r.workload.cct_mean);
     expectConserving(r);
-}
-
-TEST(Workload, CoflowPhasesAdvanceSharded)
-{
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    WorkloadSpec spec;
-    spec.kind = "coflow";
-    spec.group = 4;
-    SimConfig cfg = smallConfig();
-    cfg.shards = 4;
-    cfg.jobs = 4;
-    SimResult r = runOn(fc, oracle, spec, 1.0, cfg);
-    EXPECT_GT(r.workload.coflow_phases, 1);
-    expectConserving(r);
-}
-
-/** Fields that must match bit-for-bit across jobs values. */
-void
-expectSameResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload.messages_sent, b.workload.messages_sent);
-    EXPECT_EQ(a.workload.flows_completed, b.workload.flows_completed);
-    EXPECT_EQ(a.workload.rpcs_completed, b.workload.rpcs_completed);
-    EXPECT_EQ(a.workload.coflow_phases, b.workload.coflow_phases);
-    EXPECT_EQ(a.workload.pkts_created, b.workload.pkts_created);
-    EXPECT_EQ(a.workload.pkts_received, b.workload.pkts_received);
-    EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-    EXPECT_DOUBLE_EQ(a.workload.goodput, b.workload.goodput);
-    EXPECT_DOUBLE_EQ(a.workload.fct_mean, b.workload.fct_mean);
-    EXPECT_DOUBLE_EQ(a.workload.rpc_mean, b.workload.rpc_mean);
-    EXPECT_DOUBLE_EQ(a.workload.rpc_p99, b.workload.rpc_p99);
-    EXPECT_DOUBLE_EQ(a.workload.cct_mean, b.workload.cct_mean);
-    ASSERT_EQ(a.workload.ccts.size(), b.workload.ccts.size());
-    for (std::size_t i = 0; i < a.workload.ccts.size(); ++i)
-        EXPECT_DOUBLE_EQ(a.workload.ccts[i], b.workload.ccts[i]);
-}
-
-TEST(Workload, ShardedResultsIndependentOfJobs)
-{
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    for (const char *kind : {"rpc", "incast", "coflow"}) {
-        WorkloadSpec spec;
-        spec.kind = kind;
-        spec.fanin = 3;
-        spec.group = 4;
-        SimConfig cfg = smallConfig();
-        cfg.shards = 4;
-        cfg.jobs = 1;
-        SimResult serial = runOn(fc, oracle, spec, 0.75, cfg);
-        cfg.jobs = 4;
-        SimResult parallel = runOn(fc, oracle, spec, 0.75, cfg);
-        SCOPED_TRACE(kind);
-        expectSameResult(serial, parallel);
-        expectConserving(serial);
-        expectConserving(parallel);
-    }
 }
 
 TEST(Workload, MakeWorkloadValidates)
