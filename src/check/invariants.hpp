@@ -80,8 +80,9 @@ CheckResult checkUpDownConsistency(const FoldedClos &fc,
 
 /**
  * Materialized forwarding tables match the oracle exactly: per switch
- * and destination leaf, the port set equals the oracle's minimal
- * up/down choices.
+ * and destination leaf, the port list equals the oracle's minimal
+ * up/down choices in port order, found by a per-entry scan
+ * independent of the tables' word-parallel construction.
  */
 CheckResult checkForwardingTables(const FoldedClos &fc,
                                   const UpDownOracle &oracle,

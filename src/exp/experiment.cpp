@@ -111,6 +111,14 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     s.add("arb_conflicts", num(r.perf.arb_conflicts), Fold::kSum);
     s.add("credit_stalls", num(r.perf.credit_stalls), Fold::kSum);
     s.add("forwards", num(r.perf.forwards), Fold::kSum);
+    s.add("scan_not_ready", num(r.perf.scan_not_ready), Fold::kSum);
+    s.add("scan_no_route", num(r.perf.scan_no_route), Fold::kSum);
+    s.add("scan_sole_busy", num(r.perf.scan_sole_busy), Fold::kSum);
+    s.add("scan_choice_busy", num(r.perf.scan_choice_busy), Fold::kSum);
+    s.add("scan_credit_blocked", num(r.perf.scan_credit_blocked),
+          Fold::kSum);
+    s.add("scan_commit_blocked", num(r.perf.scan_commit_blocked),
+          Fold::kSum);
     s.add("occupancy", r.perf.occupancy, Fold::kSeriesSum);
     s.timing.push_back({"cycles_per_sec", r.perf.cycles_per_sec});
     return s;

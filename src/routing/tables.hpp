@@ -27,6 +27,18 @@
  * memoryBytes() is the measured size of the compressed arrays rather
  * than an estimate; denseMemoryBytes() preserves the historical
  * uncompressed figure for comparison.
+ *
+ * Construction reads the oracle's reach bitsets a word (64 leaves) at
+ * a time and builds one switch row at a time: each leaf's port set is a
+ * bit mask of ceil(ports / 64) words, and every alive port ORs its bit
+ * into the leaves its neighbour reaches at the right ascent budget.  A
+ * row costs O(ports * levels * leaves / 64) word operations, one bit
+ * operation per stored port (one per run of parents with equal reach,
+ * which covers all of a fat-tree switch's parents), and one hash
+ * lookup per leaf whose set differs from the previous leaf's.  Pool and
+ * dictionary ids are assigned in first-occurrence order, so the arrays
+ * are those of the per-entry oracle scan (minUps, then upChoices or
+ * downChoices), which check/invariants.cpp keeps as the reference.
  */
 #ifndef RFC_ROUTING_TABLES_HPP
 #define RFC_ROUTING_TABLES_HPP

@@ -169,6 +169,20 @@ struct PerfCounters
     long long credit_stalls = 0;  //!< forward attempts blocked on credits
     long long forwards = 0;       //!< committed packet moves (incl. ejection)
     /**
+     * What each arbiter visit came to.  Every visit ends in exactly one
+     * of these six outcomes, a forward, or a lost arbitration, so
+     *   switch_scans = scan_not_ready + scan_no_route + scan_sole_busy
+     *                + scan_choice_busy + scan_credit_blocked
+     *                + scan_commit_blocked + forwards + arb_conflicts.
+     */
+    long long scan_not_ready = 0;  //!< head not arrived or in-port held
+    long long scan_no_route = 0;   //!< no legal output (= route_retries)
+    long long scan_sole_busy = 0;  //!< the only legal output transmitting
+    long long scan_choice_busy = 0;     //!< drawn output busy, others legal
+    long long scan_credit_blocked = 0;  //!< no output VC credit at scan
+    /** Won its output, then found the in-port taken or credit gone. */
+    long long scan_commit_blocked = 0;
+    /**
      * VC input-buffer occupancy histogram: occupancy[k] counts VC
      * buffers observed holding exactly k packets, sampled every 256
      * cycles over every input VC (k ranges over [0, buf_packets]).

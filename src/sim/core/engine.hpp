@@ -1094,6 +1094,7 @@ VctEngine<Policy>::arbitrate(long long now)
         if (head.ready > now || busy > now) {
             // Not actionable yet: sleep until the earliest cycle it
             // could be (this is the scheduling win over rescanning).
+            ++perf_.scan_not_ready;
             wakePush(gi,
                      std::max<long long>(
                          std::max<long long>(head.ready, busy), now + 1),
@@ -1111,6 +1112,7 @@ VctEngine<Policy>::arbitrate(long long now)
             // packet is older than the TTL.  route_ttl == 0 preserves
             // the historical park-forever behavior.
             ++route_retries_;
+            ++perf_.scan_no_route;
             p.noroute = 1;
             if (cfg_.route_ttl > 0 &&
                 now - static_cast<long long>(p.gen) >= cfg_.route_ttl)
@@ -1129,6 +1131,7 @@ VctEngine<Policy>::arbitrate(long long now)
             // The output is still transmitting.  With no other legal
             // port the head cannot move before it frees, so it sleeps
             // until then; with several, it re-draws next cycle.
+            ++(sole ? perf_.scan_sole_busy : perf_.scan_choice_busy);
             wakePush(gi, sole ? hookCapped(out_until) : now + 1, now);
             continue;
         }
@@ -1149,6 +1152,7 @@ VctEngine<Policy>::arbitrate(long long now)
             }
             if (!has_credit) {
                 ++perf_.credit_stalls;
+                ++perf_.scan_credit_blocked;
                 wakePush(gi, now + 1, now);
                 continue;
             }
@@ -1169,7 +1173,8 @@ VctEngine<Policy>::arbitrate(long long now)
     // Commit phase; resetting the count leaves the output untouched
     // for the next cycle.
     for (std::int32_t o_gid : touched_outs_) {
-        commitCandidate(cand_ivc_[o_gid], o_gid, now);
+        if (!commitCandidate(cand_ivc_[o_gid], o_gid, now))
+            ++perf_.scan_commit_blocked;
         cand_count_[o_gid] = 0;
     }
 

@@ -132,6 +132,12 @@ class DynBitset
         return size_ == o.size_ && words_ == o.words_;
     }
 
+    /**
+     * The backing words, bit i at words()[i / 64] bit i % 64.  Bits at
+     * and past size() are always clear.
+     */
+    const std::vector<std::uint64_t> &words() const { return words_; }
+
   private:
     std::size_t size_ = 0;
     std::vector<std::uint64_t> words_;

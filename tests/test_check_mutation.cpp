@@ -10,7 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "check/guard.hpp"
 #include "check/invariants.hpp"
@@ -80,6 +82,28 @@ TEST(CheckMutation, CorruptedTableEntryIsDetected)
     ASSERT_FALSE(r.ok);
     EXPECT_NE(r.message.find("switch 0"), std::string::npos)
         << r.message;
+}
+
+TEST(CheckMutation, ReorderedTableEntryIsDetected)
+{
+    // The right ports in the wrong order: a table must list them in
+    // port order, as the oracle's choices come.
+    FoldedClos fc = smallRfc();
+    UpDownOracle oracle(fc);
+    ForwardingTables tables(fc, oracle);
+    int sw = -1, d = -1;
+    for (int s = 0; s < fc.numSwitches() && sw < 0; ++s)
+        for (int l = 0; l < fc.numLeaves() && sw < 0; ++l)
+            if (tables.ports(s, l).size() >= 2) {
+                sw = s;
+                d = l;
+            }
+    ASSERT_GE(sw, 0) << "no entry with two ports";
+    const auto good = tables.ports(sw, d);
+    std::vector<std::uint16_t> reversed(good.begin(), good.end());
+    std::reverse(reversed.begin(), reversed.end());
+    tables.setPorts(sw, d, reversed);
+    EXPECT_FALSE(checkForwardingTables(fc, oracle, tables).ok);
 }
 
 TEST(CheckMutation, DroppedTableEntryIsDetected)

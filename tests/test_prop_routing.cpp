@@ -6,13 +6,17 @@
  * must agree with an independent common-ancestor computation (Theorem
  * 4.2), its tables must be consistent (symmetric, minimal, bounded by
  * 2(l-1) hops, every advertised hop making progress), and the
- * materialized forwarding tables must match the oracle exactly.
+ * materialized forwarding tables must match the oracle exactly - also
+ * when the faults are dead links in an overlay rather than removed.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "check/invariants.hpp"
 #include "check/prop.hpp"
 #include "clos/expansion.hpp"
+#include "clos/faults.hpp"
 #include "routing/tables.hpp"
 #include "routing/updown.hpp"
 
@@ -80,6 +84,35 @@ TEST(PropRouting, OracleConsistentUnderLinkFaults)
             return checkRoutingState(
                 materializeFaulted(p),
                 deriveSeed(p.fault_seed, 0x70616972ULL, 1));
+        },
+        kShrinkFault, kDescribeFault);
+    EXPECT_TRUE(res.passed) << res.report();
+}
+
+TEST(PropRouting, TablesMatchOracleUnderDeadLinkOverlay)
+{
+    // Live faults leave the wiring intact and mark links dead in an
+    // overlay; the tables must offer no dead link and no port the
+    // oracle's per-entry scan would not.
+    PropConfig cfg;
+    cfg.cases = 30;
+    cfg.seed = 205;
+    cfg.max_size = 40;
+    auto res = forAll<FaultPlan>(
+        cfg, kGenFault,
+        [](const FaultPlan &p) {
+            const FoldedClos fc = materializeTopo(p.topo);
+            LinkFaultState overlay(fc);
+            Rng rng(p.fault_seed);
+            const auto order = randomLinkOrder(fc, rng);
+            const std::size_t cut = std::min<std::size_t>(
+                static_cast<std::size_t>(p.faults), order.size() / 4 + 1);
+            for (std::size_t i = 0; i < cut; ++i)
+                overlay.setLink(order[i].lower, order[i].upper, true);
+            UpDownOracle oracle;
+            oracle.build(fc, &overlay);
+            ForwardingTables tables(fc, oracle);
+            return checkForwardingTables(fc, oracle, tables);
         },
         kShrinkFault, kDescribeFault);
     EXPECT_TRUE(res.passed) << res.report();

@@ -16,8 +16,10 @@
  *  - addLink/removeLink == push_back / swap-remove shadow model under
  *    random mutation sequences;
  *  - compressed ports(sw, dest) == a dense vector-of-vector rebuild
- *    from the same oracle, element order included, with consistent
- *    populated/total counters and a real compression win;
+ *    from the same oracle, element order included, with all four
+ *    counters equal to a replay of the encoding and a real compression
+ *    win - on plain, dead-link-overlay, radix-72 and expansion-union
+ *    fabrics;
  *  - setPorts is copy-on-write: pre-mutation views stay valid and the
  *    shared pool is untouched for every other entry;
  *  - int-overflow guards at the sizes where the legacy code wrapped
@@ -29,12 +31,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "analysis/scalability.hpp"
 #include "check/prop.hpp"
 #include "clos/expansion.hpp"
 #include "clos/fat_tree.hpp"
+#include "clos/faults.hpp"
 #include "clos/oft.hpp"
 #include "clos/projective.hpp"
 #include "clos/rfc.hpp"
@@ -340,55 +346,168 @@ denseReference(const FoldedClos &fc, const UpDownOracle &oracle)
     return dense;
 }
 
+/**
+ * uniqueSets() and memoryBytes() of the compressed layout replayed from
+ * the dense lists: one pool entry per distinct list in first-occurrence
+ * order, and per switch the cheaper of a local dictionary (1/2/4-byte
+ * entries) and direct 3-byte pool ids.
+ */
+std::pair<long long, long long>
+referencePoolAndBytes(const std::vector<std::vector<std::uint16_t>> &dense,
+                      int switches, int leaves)
+{
+    std::map<std::vector<std::uint16_t>, std::uint32_t> pool;
+    long long pool_ports = 0, dict_ids = 0, entry_bytes = 0;
+    for (int sw = 0; sw < switches; ++sw) {
+        std::set<std::uint32_t> local;
+        std::uint32_t max_gid = 0;
+        for (int d = 0; d < leaves; ++d) {
+            const auto &list =
+                dense[static_cast<std::size_t>(sw) *
+                          static_cast<std::size_t>(leaves) +
+                      static_cast<std::size_t>(d)];
+            const auto gid = static_cast<std::uint32_t>(pool.size());
+            const auto [it, fresh] = pool.emplace(list, gid);
+            if (fresh)
+                pool_ports += static_cast<long long>(list.size());
+            local.insert(it->second);
+            max_gid = std::max(max_gid, it->second);
+        }
+        const auto distinct = static_cast<long long>(local.size());
+        const long long dict_width =
+            distinct <= 0x100 ? 1 : (distinct <= 0x10000 ? 2 : 4);
+        const bool direct =
+            max_gid < (1u << 24) &&
+            3LL * leaves < dict_width * leaves + 4 * distinct;
+        if (!direct)
+            dict_ids += distinct;
+        entry_bytes += static_cast<long long>(leaves) *
+                       (direct ? 3 : dict_width);
+    }
+    const auto unique = static_cast<long long>(pool.size());
+    const long long offsets = 8LL * (unique + 1) + 2 * 8LL * (switches + 1);
+    return {unique, pool_ports * 2 + dict_ids * 4 + entry_bytes + offsets +
+                        switches};
+}
+
+/**
+ * Every ports() list, in order, and all four counters of the tables
+ * built from @p oracle equal the dense per-entry reference.
+ */
+CheckResult
+matchesDenseReference(const FoldedClos &fc, const UpDownOracle &oracle)
+{
+    ForwardingTables tables(fc, oracle);
+    const auto dense = denseReference(fc, oracle);
+    long long populated = 0, total_ports = 0;
+    const int leaves = fc.numLeaves();
+    for (int sw = 0; sw < fc.numSwitches(); ++sw) {
+        for (int d = 0; d < leaves; ++d) {
+            const auto &want =
+                dense[static_cast<std::size_t>(sw) *
+                          static_cast<std::size_t>(leaves) +
+                      static_cast<std::size_t>(d)];
+            const auto got = tables.ports(sw, d);
+            if (!std::equal(got.begin(), got.end(), want.begin(),
+                            want.end()))
+                return CheckResult::fail(
+                    "ports(" + std::to_string(sw) + ", " +
+                    std::to_string(d) + ") diverges from dense reference");
+            if (!want.empty()) {
+                ++populated;
+                total_ports += static_cast<long long>(want.size());
+            }
+        }
+    }
+    const auto [unique, bytes] =
+        referencePoolAndBytes(dense, fc.numSwitches(), leaves);
+    if (tables.populatedEntries() != populated)
+        return CheckResult::fail("populatedEntries mismatch");
+    if (tables.totalPorts() != total_ports)
+        return CheckResult::fail("totalPorts mismatch");
+    if (tables.uniqueSets() != unique)
+        return CheckResult::fail("uniqueSets mismatch");
+    if (tables.memoryBytes() != bytes)
+        return CheckResult::fail("memoryBytes mismatch");
+    return CheckResult::pass();
+}
+
+/** Mark the first @p fraction of a seeded random link order dead. */
+void
+killRandomLinks(const FoldedClos &fc, LinkFaultState &overlay,
+                double fraction, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto order = randomLinkOrder(fc, rng);
+    const auto n = static_cast<std::size_t>(
+        fraction * static_cast<double>(order.size()));
+    for (std::size_t i = 0; i < n; ++i)
+        overlay.setLink(order[i].lower, order[i].upper, true);
+}
+
 TEST(ReprEquivalence, CompressedTablesMatchDenseReference)
 {
     PropConfig cfg;
     cfg.cases = 30;
     cfg.seed = 603;
     cfg.max_size = 40;
+
+    // Plain generated topologies, all links alive.
     auto res = forAll<TopoParams>(
         cfg, kGenTopo,
         [](const TopoParams &p) {
             FoldedClos fc = materializeTopo(p);
-            UpDownOracle oracle(fc);
-            ForwardingTables tables(fc, oracle);
-            auto dense = denseReference(fc, oracle);
-
-            long long populated = 0, total_ports = 0;
-            const int leaves = fc.numLeaves();
-            for (int sw = 0; sw < fc.numSwitches(); ++sw) {
-                for (int d = 0; d < leaves; ++d) {
-                    const auto &want =
-                        dense[static_cast<std::size_t>(sw) *
-                                  static_cast<std::size_t>(leaves) +
-                              static_cast<std::size_t>(d)];
-                    const auto got = tables.ports(sw, d);
-                    if (!std::equal(got.begin(), got.end(),
-                                    want.begin(), want.end()))
-                        return CheckResult::fail(
-                            "ports(" + std::to_string(sw) + ", " +
-                            std::to_string(d) +
-                            ") diverges from dense reference");
-                    if (!want.empty()) {
-                        ++populated;
-                        total_ports +=
-                            static_cast<long long>(want.size());
-                    }
-                }
-            }
-            if (tables.populatedEntries() != populated)
-                return CheckResult::fail("populatedEntries mismatch");
-            if (tables.totalPorts() != total_ports)
-                return CheckResult::fail("totalPorts mismatch");
-            if (tables.memoryBytes() <= 0)
-                return CheckResult::fail("memoryBytes not positive");
-            if (tables.uniqueSets() < 1)
-                return CheckResult::fail("pool has no sets");
-            return CheckResult::pass();
+            return matchesDenseReference(fc, UpDownOracle(fc));
         },
         kShrinkTopo, kDescribeTopo);
     EXPECT_TRUE(res.passed) << res.report();
     EXPECT_EQ(res.cases_run, 30);
+
+    // The same shapes under a random dead-link overlay: dead links
+    // must never appear as ports, and cut pairs get empty entries.
+    cfg.seed = 604;
+    res = forAll<TopoParams>(
+        cfg, kGenTopo,
+        [](const TopoParams &p) {
+            FoldedClos fc = materializeTopo(p);
+            LinkFaultState overlay(fc);
+            killRandomLinks(fc, overlay, 0.2,
+                            deriveSeed(p.wiring_seed, 0x646561ULL, 0));
+            UpDownOracle oracle;
+            oracle.build(fc, &overlay);
+            return matchesDenseReference(fc, oracle);
+        },
+        kShrinkTopo, kDescribeTopo);
+    EXPECT_TRUE(res.passed) << res.report();
+
+    // Radix 72: middle and top switches have 72 ports, so a port mask
+    // spans two words; with and without dead links.
+    Rng rng(605);
+    const FoldedClos wide = buildRfcUnchecked(72, 3, 72, rng);
+    auto r = matchesDenseReference(wide, UpDownOracle(wide));
+    EXPECT_TRUE(r.ok) << r.message;
+    LinkFaultState wide_overlay(wide);
+    killRandomLinks(wide, wide_overlay, 0.3, 606);
+    UpDownOracle wide_faulted;
+    wide_faulted.build(wide, &wide_overlay);
+    r = matchesDenseReference(wide, wide_faulted);
+    EXPECT_TRUE(r.ok) << r.message;
+
+    // An expansion's union fabric with its staged links dead, as a
+    // live run starts: donor switches hold more than R/2 up links.
+    Rng build_rng(607);
+    const FoldedClos base = buildRfcUnchecked(8, 3, 20, build_rng);
+    Rng plan_rng(608);
+    const ExpansionPlan plan(base, 2, plan_rng);
+    const FoldedClos u = plan.unionTopology();
+    LinkFaultState staged(u);
+    for (const ClosLink &l : plan.liveTimeline(100, 50, 8).initialDead())
+        ASSERT_TRUE(staged.setLink(l.lower, l.upper, true));
+    ASSERT_GT(staged.deadLinks(), 0u);
+    UpDownOracle union_oracle;
+    union_oracle.build(u, &staged);
+    r = matchesDenseReference(u, union_oracle);
+    EXPECT_TRUE(r.ok) << r.message;
 }
 
 TEST(ReprEquivalence, CompressionWinsOnFigTenShapedCft)

@@ -327,6 +327,40 @@ TEST(PacketArena, SaturatedRunStaysWithinRingSlots)
 }
 
 // ---------------------------------------------------------------------
+// Arbiter visit outcomes
+// ---------------------------------------------------------------------
+
+TEST(PerfCounters, ScanOutcomesSumToSwitchScans)
+{
+    // Saturated random pairing: heads wait, outputs collide, credits
+    // run out - every outcome class but "no route" occurs, and each
+    // visit lands in exactly one of them.
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    RandomPairingTraffic traffic;
+    SimConfig cfg;
+    cfg.warmup = 300;
+    cfg.measure = 1200;
+    cfg.load = 1.0;
+    cfg.seed = 1;
+    Simulator sim(fc, oracle, traffic, cfg);
+    const PerfCounters p = sim.run().perf;
+    EXPECT_EQ(p.switch_scans,
+              p.scan_not_ready + p.scan_no_route + p.scan_sole_busy +
+                  p.scan_choice_busy + p.scan_credit_blocked +
+                  p.scan_commit_blocked + p.forwards + p.arb_conflicts);
+    EXPECT_GT(p.scan_not_ready, 0);
+    EXPECT_GT(p.scan_sole_busy, 0);
+    EXPECT_GT(p.scan_choice_busy, 0);
+    EXPECT_GT(p.scan_credit_blocked, 0);
+    EXPECT_GT(p.scan_commit_blocked, 0);
+    EXPECT_GT(p.arb_conflicts, 0);
+    EXPECT_EQ(p.scan_no_route, 0);  // no faults
+    // Credit stalls are counted at scan and at commit.
+    EXPECT_GE(p.credit_stalls, p.scan_credit_blocked);
+}
+
+// ---------------------------------------------------------------------
 // Adaptive policies
 // ---------------------------------------------------------------------
 

@@ -2,8 +2,19 @@
  * @file
  * Tests for forwarding-table materialization and k-shortest-path
  * routing tables.
+ *
+ * The golden cases pin every ports(sw, dest) list and the table
+ * counters of five networks to files in tests/golden/tables_*.txt.
+ * Re-recording (only when a change of the table contents is intended):
+ * RFC_GOLDEN_RECORD=1 ./test_tables
  */
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
@@ -13,8 +24,104 @@
 #include "routing/tables.hpp"
 #include "routing/updown.hpp"
 
+#ifndef RFC_GOLDEN_DIR
+#define RFC_GOLDEN_DIR "tests/golden"
+#endif
+
 namespace rfc {
 namespace {
+
+/**
+ * One line per field: the table counters plus an FNV-1a digest of every
+ * ports(sw, dest) list in (switch, leaf) order, each list fed as its
+ * length followed by its ports.
+ */
+std::map<std::string, std::string>
+tableFields(const FoldedClos &fc, const ForwardingTables &tables)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    auto feed = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (int sw = 0; sw < fc.numSwitches(); ++sw)
+        for (int d = 0; d < fc.numLeaves(); ++d) {
+            const auto ports = tables.ports(sw, d);
+            feed(ports.size());
+            for (std::uint16_t p : ports)
+                feed(p);
+        }
+    std::ostringstream digest;
+    digest << std::hex << h;
+    return {{"switches", std::to_string(fc.numSwitches())},
+            {"leaves", std::to_string(fc.numLeaves())},
+            {"populated_entries", std::to_string(tables.populatedEntries())},
+            {"total_ports", std::to_string(tables.totalPorts())},
+            {"unique_sets", std::to_string(tables.uniqueSets())},
+            {"memory_bytes", std::to_string(tables.memoryBytes())},
+            {"ports_fnv1a", digest.str()}};
+}
+
+void
+checkTablesGolden(const std::string &name, const FoldedClos &fc,
+                  const UpDownOracle &oracle)
+{
+    const ForwardingTables tables(fc, oracle);
+    const auto got = tableFields(fc, tables);
+    const std::string path =
+        std::string(RFC_GOLDEN_DIR) + "/tables_" + name + ".txt";
+    const char *env = std::getenv("RFC_GOLDEN_RECORD");
+    if (env != nullptr && env[0] != '\0' && env[0] != '0') {
+        std::ofstream out(path);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        for (const auto &[key, value] : got)
+            out << key << " " << value << "\n";
+        return;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path
+                           << " (record with RFC_GOLDEN_RECORD=1)";
+    std::map<std::string, std::string> want;
+    std::string key, value;
+    while (in >> key >> value)
+        want[key] = value;
+    EXPECT_EQ(got, want) << name;
+}
+
+TEST(ForwardingTables, ContentsMatchGoldens)
+{
+    {
+        const FoldedClos fc = buildCft(8, 3);
+        checkTablesGolden("cft8_3", fc, UpDownOracle(fc));
+    }
+    {
+        // CFT(12,4) is the scaled-down proxy of the Figure 10 tables.
+        const FoldedClos fc = buildCft(12, 4);
+        checkTablesGolden("cft12_4", fc, UpDownOracle(fc));
+    }
+    {
+        // Top switches with 72 ports: port masks wider than one word.
+        const FoldedClos fc = buildCft(72, 2);
+        checkTablesGolden("cft72_2", fc, UpDownOracle(fc));
+    }
+
+    Rng rng(1222);
+    const auto built = buildRfc(12, 3, 72, rng);
+    ASSERT_TRUE(built.routable);
+    const FoldedClos &rfc = built.topology;
+    checkTablesGolden("rfc12_3", rfc, UpDownOracle(rfc));
+
+    // The same RFC under a dead-link overlay that cuts some leaf pairs.
+    LinkFaultState overlay(rfc);
+    Rng fault_rng(1223);
+    const auto order = randomLinkOrder(rfc, fault_rng);
+    for (std::size_t i = 0; i < order.size() / 4; ++i)
+        overlay.setLink(order[i].lower, order[i].upper, true);
+    UpDownOracle faulted;
+    faulted.build(rfc, &overlay);
+    ASSERT_LT(faulted.routablePairFraction(), 1.0);
+    checkTablesGolden("rfc12_3_faults", rfc, faulted);
+}
 
 TEST(ForwardingTables, AgreeWithOracleOnCft)
 {
