@@ -12,7 +12,6 @@
  * Generations are independent wirings, so they run as a deterministic
  * engine map (--jobs threads, per-generation derived seeds).
  */
-#include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -48,14 +47,8 @@ main(int argc, char **argv)
             ++n1;
         if (n1 < radix)
             continue;
-        // Implied x: (R/2)^{2(l-1)} = (N1/2)(ln C(N1,2) + x).
-        double m = radix / 2.0;
-        double log_pairs = std::log(static_cast<double>(n1)) +
-                           std::log(static_cast<double>(n1 - 1)) -
-                           std::log(2.0);
-        double x = std::pow(m, 2.0 * (levels - 1)) / (n1 / 2.0) -
-                   log_pairs;
-        double predicted = std::exp(-std::exp(-x));
+        const auto [x, predicted] =
+            rfcThresholdPrediction(radix, levels, n1);
 
         struct Gen
         {

@@ -33,15 +33,6 @@ disconnectionFraction(const Graph &g, Rng &rng)
     return 0.0;  // never connected
 }
 
-RunningStat
-disconnectionStudy(const Graph &g, int trials, Rng &rng)
-{
-    RunningStat stat;
-    for (int t = 0; t < trials; ++t)
-        stat.add(disconnectionFraction(g, rng));
-    return stat;
-}
-
 double
 updownToleranceFraction(const FoldedClos &fc, Rng &rng)
 {
@@ -68,15 +59,6 @@ updownToleranceFraction(const FoldedClos &fc, Rng &rng)
             hi = mid - 1;
     }
     return static_cast<double>(lo) / static_cast<double>(e);
-}
-
-RunningStat
-updownToleranceStudy(const FoldedClos &fc, int trials, Rng &rng)
-{
-    RunningStat stat;
-    for (int t = 0; t < trials; ++t)
-        stat.add(updownToleranceFraction(fc, rng));
-    return stat;
 }
 
 } // namespace rfc

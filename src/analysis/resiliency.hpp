@@ -9,6 +9,10 @@
  *  - up/down survival: largest fraction of removed links for which
  *    every leaf pair still has a common ancestor (binary search over a
  *    random removal order; routability is monotone in the removals).
+ *
+ * Each call draws one removal order.  table3_disconnect and
+ * fig11_updown_faults average many through the experiment engine's
+ * study(), one derived seed per trial.
  */
 #ifndef RFC_ANALYSIS_RESILIENCY_HPP
 #define RFC_ANALYSIS_RESILIENCY_HPP
@@ -16,7 +20,6 @@
 #include "clos/folded_clos.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace rfc {
 
@@ -26,18 +29,11 @@ namespace rfc {
  */
 double disconnectionFraction(const Graph &g, Rng &rng);
 
-/** Mean disconnection fraction over @p trials random orders. */
-RunningStat disconnectionStudy(const Graph &g, int trials, Rng &rng);
-
 /**
  * Largest fraction of links removable (in one random order) while
  * up/down routing survives.
  */
 double updownToleranceFraction(const FoldedClos &fc, Rng &rng);
-
-/** Mean up/down tolerance over @p trials random orders. */
-RunningStat updownToleranceStudy(const FoldedClos &fc, int trials,
-                                 Rng &rng);
 
 } // namespace rfc
 

@@ -85,10 +85,7 @@ rrnDiameterFor(long long terminals, int radix)
 int
 rfcDiameterFor(long long terminals, int radix)
 {
-    int l = 2;
-    while (rfcMaxTerminals(radix, l) < terminals)
-        ++l;
-    return 2 * (l - 1);
+    return 2 * (rfcLevelsFor(terminals, radix) - 1);
 }
 
 int

@@ -42,8 +42,6 @@ struct CheckResult
     {
         return {false, std::move(msg)};
     }
-
-    explicit operator bool() const { return ok; }
 };
 
 /** Configuration of one forAll() run. */

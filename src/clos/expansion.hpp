@@ -107,13 +107,6 @@ class ExpansionPlan
     long long rewired() const { return rewired_; }
     long long addedTerminals() const { return added_terminals_; }
 
-    /** Switches commissioned by step @p k (final numbering). */
-    const std::vector<int> &
-    newSwitches(int k) const
-    {
-        return new_switches_[static_cast<std::size_t>(k)];
-    }
-
     /** Terminals attached before any expansion step runs. */
     long long baseTerminals() const { return base_.numTerminals(); }
 

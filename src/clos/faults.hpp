@@ -93,8 +93,6 @@ class LinkFaultState
     /** Number of currently dead links. */
     std::size_t deadLinks() const { return dead_; }
 
-    const FoldedClos *topology() const { return fc_; }
-
   private:
     const FoldedClos *fc_ = nullptr;
     std::vector<std::vector<std::uint8_t>> up_dead_, down_dead_;

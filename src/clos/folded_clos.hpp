@@ -40,12 +40,6 @@ struct ClosLink
 {
     std::int32_t lower;  //!< switch at level i
     std::int32_t upper;  //!< switch at level i+1
-
-    bool
-    operator==(const ClosLink &o) const
-    {
-        return lower == o.lower && upper == o.upper;
-    }
 };
 
 /** A folded Clos network (Definition 3.1 of the paper). */

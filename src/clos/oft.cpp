@@ -99,14 +99,4 @@ oftTerminals(int q, int levels)
     return t;
 }
 
-int
-oftLargestOrder(long long max_terminals, int levels)
-{
-    int best = 0;
-    for (int q = 2; oftTerminals(q, levels) <= max_terminals; ++q)
-        if (isPrimePower(q))
-            best = q;
-    return best;
-}
-
 } // namespace rfc

@@ -35,9 +35,6 @@ FoldedClos buildOft(int q, int levels);
 /** Terminals of the l-level OFT of order q: 2(q+1)(q^2+q+1)^(l-1). */
 long long oftTerminals(int q, int levels);
 
-/** Largest prime power q with oftTerminals(q, levels) <= max_terminals. */
-int oftLargestOrder(long long max_terminals, int levels);
-
 } // namespace rfc
 
 #endif // RFC_CLOS_OFT_HPP

@@ -101,31 +101,16 @@ rfcMaxLeaves(int radix, int levels)
     return static_cast<int>(n1);
 }
 
-int
-rfcThresholdRadix(int n1, int levels, double x)
+RfcThresholdPrediction
+rfcThresholdPrediction(int radix, int levels, int n1)
 {
+    double m = radix / 2.0;
     // ln C(N1, 2) = ln(N1 (N1-1) / 2).
     double log_pairs = std::log(static_cast<double>(n1)) +
                        std::log(static_cast<double>(n1 - 1)) -
                        std::log(2.0);
-    double rhs = (n1 / 2.0) * (log_pairs + x);
-    if (rhs < 1.0)
-        rhs = 1.0;
-    double m = std::pow(rhs, 1.0 / (2.0 * (levels - 1)));
-    int mi = static_cast<int>(std::ceil(m - 1e-9));
-    return 2 * std::max(mi, 1);
-}
-
-double
-rfcRoutableProbability(int radix, int levels, int n1)
-{
-    // Invert Theorem 4.2 for x, then return e^{-e^{-x}}.
-    double m = radix / 2.0;
-    double log_pairs = std::log(static_cast<double>(n1)) +
-                       std::log(static_cast<double>(n1 - 1)) -
-                       std::log(2.0);
     double x = std::pow(m, 2.0 * (levels - 1)) / (n1 / 2.0) - log_pairs;
-    return std::exp(-std::exp(-x));
+    return {x, std::exp(-std::exp(-x))};
 }
 
 } // namespace rfc

@@ -60,18 +60,20 @@ int rfcMaxLeaves(int radix, int levels);
 /** 64-bit rfcMaxLeaves for thresholds beyond int range. */
 long long rfcMaxLeavesLL(int radix, int levels);
 
-/**
- * Exact Theorem 4.2 threshold: smallest even radix R such that
- * (R/2)^(2(l-1)) >= (N1/2) * (ln C(N1,2) + x).  Positive x pushes the
- * success probability e^{-e^{-x}} toward 1.
- */
-int rfcThresholdRadix(int n1, int levels, double x = 0.0);
+/** Theorem 4.2's prediction for one (R, l, N1). */
+struct RfcThresholdPrediction
+{
+    double x = 0.0;          //!< offset implied by (R, l, N1)
+    double p_routable = 0.0; //!< success probability e^{-e^{-x}}
+};
 
 /**
- * Theorem 4.2 forward map: success probability e^{-e^{-x}} for the
- * offset x implied by radix R, levels l and N1 leaves.
+ * Theorem 4.2 forward map: the offset x solving
+ * (R/2)^(2(l-1)) = (N1/2) * (ln C(N1,2) + x) for radix R, levels l and
+ * N1 leaves, and the predicted probability e^{-e^{-x}} that a random
+ * wiring admits up/down routing.
  */
-double rfcRoutableProbability(int radix, int levels, int n1);
+RfcThresholdPrediction rfcThresholdPrediction(int radix, int levels, int n1);
 
 } // namespace rfc
 

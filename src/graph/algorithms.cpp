@@ -51,23 +51,6 @@ diameterExact(const Graph &g)
     return diam;
 }
 
-int
-diameterSampled(const Graph &g, int samples, Rng &rng)
-{
-    int n = g.numVertices();
-    if (n == 0)
-        return 0;
-    int diam = 0;
-    for (int s = 0; s < samples; ++s) {
-        int u = static_cast<int>(rng.uniform(n));
-        int e = eccentricity(g, u);
-        if (e == kUnreachable)
-            return kUnreachable;
-        diam = std::max(diam, e);
-    }
-    return diam;
-}
-
 bool
 isConnected(const Graph &g)
 {
@@ -75,27 +58,6 @@ isConnected(const Graph &g)
         return true;
     auto dist = bfsDistances(g, 0);
     return std::find(dist.begin(), dist.end(), kUnreachable) == dist.end();
-}
-
-double
-averageDistanceSampled(const Graph &g, int samples, Rng &rng)
-{
-    int n = g.numVertices();
-    if (n < 2)
-        return 0.0;
-    double total = 0.0;
-    long long pairs = 0;
-    for (int s = 0; s < samples; ++s) {
-        int u = static_cast<int>(rng.uniform(n));
-        auto dist = bfsDistances(g, u);
-        for (int v = 0; v < n; ++v) {
-            if (v == u || dist[v] == kUnreachable)
-                continue;
-            total += dist[v];
-            ++pairs;
-        }
-    }
-    return pairs ? total / static_cast<double>(pairs) : 0.0;
 }
 
 UnionFind::UnionFind(int n)

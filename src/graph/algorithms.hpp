@@ -1,8 +1,8 @@
 /**
  * @file
  * Graph algorithms for topological characterization: BFS distances,
- * diameter, connectivity, average distance, and a union-find helper used
- * by the resiliency experiments (Table 3).
+ * diameter, connectivity, and a union-find helper used by the resiliency
+ * experiments (Table 3).
  */
 #ifndef RFC_GRAPH_ALGORITHMS_HPP
 #define RFC_GRAPH_ALGORITHMS_HPP
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace rfc {
 
@@ -26,18 +25,8 @@ int eccentricity(const Graph &g, int src);
 /** Exact diameter (all-sources BFS); kUnreachable if disconnected. */
 int diameterExact(const Graph &g);
 
-/**
- * Diameter lower bound from @p samples random BFS sources; equals the
- * exact diameter with high probability on random regular graphs.
- * Returns kUnreachable if the graph is disconnected.
- */
-int diameterSampled(const Graph &g, int samples, Rng &rng);
-
 /** True iff the graph is connected (empty graphs count as connected). */
 bool isConnected(const Graph &g);
-
-/** Mean pairwise distance estimated from @p samples BFS sources. */
-double averageDistanceSampled(const Graph &g, int samples, Rng &rng);
 
 /** Disjoint-set forest with union by size and path halving. */
 class UnionFind

@@ -23,13 +23,6 @@ bollobasBisectionRrn(double switches, double degree)
 }
 
 double
-bollobasBisectionRfc(double n1, double radix, int levels)
-{
-    double lm1 = levels - 1;
-    return n1 / 4.0 * (lm1 * radix - std::sqrt(2.0 * lm1 * radix * kLn2));
-}
-
-double
 normalizedBisectionRrn(double degree, double hostsPerSwitch)
 {
     return bollobasIsoperimetric(degree) / hostsPerSwitch;

@@ -21,12 +21,6 @@ double bollobasIsoperimetric(double degree);
 double bollobasBisectionRrn(double switches, double degree);
 
 /**
- * Lower bound on the bisection width of a radix-regular RFC (Sec 4.2):
- * N1/4 * ((l-1) R - sqrt(2 (l-1) R ln 2)).
- */
-double bollobasBisectionRfc(double n1, double radix, int levels);
-
-/**
  * Normalized bisection bandwidth: bisection links divided by (terminals
  * in one half times the average number of bisection traversals per
  * path).  The paper computes 1.0 for CFT, ~0.88 for RRN, ~0.80 for the

@@ -57,8 +57,6 @@ class KspRoutes
     /** Ordered pairs with at least one path. */
     long long connectedPairs() const { return connected_pairs_; }
 
-    int numSwitches() const { return n_; }
-
   private:
     int n_ = 0;
     int max_hops_ = 0;

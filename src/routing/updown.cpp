@@ -269,39 +269,4 @@ UpDownOracle::feasibleUpChoices(const FoldedClos &fc, int s,
             out.push_back(static_cast<int>(i));
 }
 
-int
-UpDownOracle::randomNextHop(const FoldedClos &fc, int s, int dest_leaf,
-                            Rng &rng) const
-{
-    int need = minUps(s, dest_leaf);
-    if (need < 0)
-        return -1;
-    auto d = static_cast<std::size_t>(dest_leaf);
-    if (need == 0) {
-        if (s == dest_leaf)
-            return s;
-        // Reservoir-sample an alive child containing dest.
-        const auto &down = fc.down(s);
-        int chosen = -1, seen = 0;
-        for (std::size_t i = 0; i < down.size(); ++i) {
-            if (downAlive(s, i) && reach_[0][down[i]].test(d)) {
-                ++seen;
-                if (rng.uniform(static_cast<std::uint64_t>(seen)) == 0)
-                    chosen = down[i];
-            }
-        }
-        return chosen;
-    }
-    const auto &up = fc.up(s);
-    int chosen = -1, seen = 0;
-    for (std::size_t i = 0; i < up.size(); ++i) {
-        if (upAlive(s, i) && reach_[need - 1][up[i]].test(d)) {
-            ++seen;
-            if (rng.uniform(static_cast<std::uint64_t>(seen)) == 0)
-                chosen = up[i];
-        }
-    }
-    return chosen;
-}
-
 } // namespace rfc

@@ -34,7 +34,6 @@
 #include "clos/folded_clos.hpp"
 #include "clos/topology_events.hpp"
 #include "util/bitset.hpp"
-#include "util/rng.hpp"
 
 namespace rfc {
 
@@ -147,14 +146,6 @@ class UpDownOracle
      */
     void feasibleUpChoices(const FoldedClos &fc, int s, int dest_leaf,
                            std::vector<int> &out) const;
-
-    /**
-     * One random minimal up/down next hop ("request mode up/down
-     * random").  @return the neighbor switch id, or -1 when dest is
-     * unreachable.
-     */
-    int randomNextHop(const FoldedClos &fc, int s, int dest_leaf,
-                      Rng &rng) const;
 
     int numLeaves() const { return num_leaves_; }
 

@@ -431,15 +431,6 @@ class VctEngine
 
         void signalGlobal() override { e_->wl_signal_ = true; }
 
-        int
-        sourceRoom(long long term) const override
-        {
-            if (term < 0 || term >= e_->lay_.num_terms)
-                throw std::invalid_argument(
-                    "WorkloadPort::sourceRoom: terminal out of range");
-            return e_->cfg_.source_queue - e_->sq_count_[term];
-        }
-
       private:
         VctEngine *e_;
         long long now_, inject_at_;

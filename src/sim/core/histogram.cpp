@@ -58,22 +58,4 @@ LatencyHistogram::quantile(double q) const
         bucketEdges(), q);
 }
 
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    if (other.total_ == 0)
-        return;
-    for (int b = 0; b < kBuckets; ++b)
-        bucket_[b] += other.bucket_[b];
-    if (total_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    sum_ += other.sum_;
-    total_ += other.total_;
-}
-
 } // namespace rfc

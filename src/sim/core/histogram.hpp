@@ -6,8 +6,7 @@
  * binned quantile in util/stats, interpolating between order
  * statistics under an evenly-spread-within-bucket model.  Tail
  * percentiles are what distinguish a loaded RFC from a loaded CFT long
- * before the mean moves.  merge() sums bucket counts, which yields
- * exactly the quantiles of the concatenated sample streams.
+ * before the mean moves.
  */
 #ifndef RFC_SIM_CORE_HISTOGRAM_HPP
 #define RFC_SIM_CORE_HISTOGRAM_HPP
@@ -34,13 +33,6 @@ class LatencyHistogram
      * buckets [0,1), [1,2), [2,4), ... [2^46,2^47)); 0.0 when empty.
      */
     double quantile(double q) const;
-
-    /**
-     * Fold another histogram's samples into this one.  Merging an
-     * empty histogram is a strict no-op (bucket counts, extrema and
-     * sum are all untouched).
-     */
-    void merge(const LatencyHistogram &other);
 
   private:
     static constexpr int kBuckets = 48;

@@ -38,9 +38,6 @@ class Traffic
     /** Destination terminal for a new packet from @p src. */
     virtual long long dest(long long src, Rng &rng) = 0;
 
-    /** Pattern name for reports. */
-    virtual std::string name() const = 0;
-
     /**
      * Live expansion support: restrict destinations to the active
      * prefix [0, n) of the terminals (n grows as activation barriers
@@ -60,7 +57,6 @@ class UniformTraffic : public Traffic
   public:
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "uniform"; }
 
     /** Draw destinations from the active prefix only. */
     void setActiveTerminals(long long n) override;
@@ -76,10 +72,6 @@ class RandomPairingTraffic : public Traffic
   public:
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "random-pairing"; }
-
-    /** The partner table (exposed for tests). */
-    const std::vector<long long> &pairs() const { return partner_; }
 
   private:
     std::vector<long long> partner_;
@@ -91,9 +83,6 @@ class FixedRandomTraffic : public Traffic
   public:
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "fixed-random"; }
-
-    const std::vector<long long> &destinations() const { return dest_; }
 
   private:
     std::vector<long long> dest_;
@@ -105,7 +94,6 @@ class PermutationTraffic : public Traffic
   public:
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "permutation"; }
 
   private:
     std::vector<long long> perm_;
@@ -124,7 +112,6 @@ class HotspotTraffic : public Traffic
 
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "hotspot"; }
 
   private:
     double hot_fraction_;
@@ -148,7 +135,6 @@ class ShiftTraffic : public Traffic
 
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;
-    std::string name() const override { return "shift"; }
 
   private:
     long long stride_;

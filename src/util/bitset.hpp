@@ -34,13 +34,6 @@ class DynBitset
         words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
     }
 
-    void
-    reset(std::size_t i)
-    {
-        assert(i < size_);
-        words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-    }
-
     bool
     test(std::size_t i) const
     {
@@ -111,17 +104,6 @@ class DynBitset
     {
         for (auto w : words_)
             if (w)
-                return true;
-        return false;
-    }
-
-    /** True iff this and @p o share at least one set bit. */
-    bool
-    intersects(const DynBitset &o) const
-    {
-        assert(size_ == o.size_);
-        for (std::size_t i = 0; i < words_.size(); ++i)
-            if (words_[i] & o.words_[i])
                 return true;
         return false;
     }

@@ -152,14 +152,6 @@ JsonWriter::value(bool v)
     os_ << (v ? "true" : "false");
 }
 
-void
-JsonWriter::null()
-{
-    requireValueContext("null");
-    separate();
-    os_ << "null";
-}
-
 std::string
 JsonWriter::escape(const std::string &s)
 {

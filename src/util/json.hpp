@@ -55,7 +55,6 @@ class JsonWriter
     void value(std::int64_t v);
     void value(std::uint64_t v);
     void value(bool v);
-    void null();
 
     /** key + scalar value in one call. */
     template <typename T>

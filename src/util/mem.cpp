@@ -63,11 +63,4 @@ peakRssBytes()
     return v >= 0 ? v : rusageMaxRssBytes();
 }
 
-std::int64_t
-currentRssBytes()
-{
-    std::int64_t v = procStatusBytes("VmRSS");
-    return v >= 0 ? v : rusageMaxRssBytes();
-}
-
 } // namespace rfc

@@ -23,9 +23,6 @@ namespace rfc {
 /** Peak resident set size of this process in bytes (0 if unknown). */
 std::int64_t peakRssBytes();
 
-/** Current resident set size of this process in bytes (0 if unknown). */
-std::int64_t currentRssBytes();
-
 } // namespace rfc
 
 #endif // RFC_UTIL_MEM_HPP

@@ -83,12 +83,6 @@ Rng::bernoulli(double p)
     return uniformReal() < p;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(nextU64());
-}
-
 std::uint64_t
 deriveSeed(std::uint64_t base, std::uint64_t stream, std::uint64_t rep)
 {

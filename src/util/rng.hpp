@@ -62,9 +62,6 @@ class Rng
         return v[uniform(v.size())];
     }
 
-    /** Derive an independent child generator (for parallel experiments). */
-    Rng split();
-
   private:
     std::uint64_t s_[4];
 };

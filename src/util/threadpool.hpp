@@ -4,9 +4,9 @@
  *
  * Every paper artifact is an embarrassingly parallel grid of
  * independent simulation trials; this module supplies the mechanism to
- * exploit that: a persistent ThreadPool plus parallelFor/parallelMap
- * built on a chunked atomic work index (dynamic load balancing without
- * per-item locking).  Determinism is the caller's contract: work items
+ * exploit that: a persistent ThreadPool plus parallelFor built on a
+ * chunked atomic work index (dynamic load balancing without per-item
+ * locking).  Determinism is the caller's contract: work items
  * must not share mutable state, and anything order-dependent (seeds,
  * result slots) must be keyed by the item index, never by thread or
  * completion order.  The ExperimentEngine (src/exp) follows exactly
@@ -160,20 +160,6 @@ parallelFor(ThreadPool &pool, std::size_t n, Fn &&fn)
     }
     if (state->error)
         std::rethrow_exception(state->error);
-}
-
-/**
- * parallelFor that collects return values: out[i] = fn(i).  R must be
- * default-constructible; slots are written exactly once, by index, so
- * the result vector is identical for any pool size.
- */
-template <typename R, typename Fn>
-std::vector<R>
-parallelMap(ThreadPool &pool, std::size_t n, Fn &&fn)
-{
-    std::vector<R> out(n);
-    parallelFor(pool, n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
 }
 
 } // namespace rfc

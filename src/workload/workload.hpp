@@ -76,9 +76,6 @@ class WorkloadPort
      * wantsGlobalStep() is true.
      */
     virtual void signalGlobal() = 0;
-
-    /** Free packet slots in @p term's source queue right now. */
-    virtual int sourceRoom(long long term) const = 0;
 };
 
 /**

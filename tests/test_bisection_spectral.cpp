@@ -51,9 +51,11 @@ TEST(Bollobas, PaperNormalizedBisectionNumbers)
 
 TEST(Bollobas, RfcBisectionFormula)
 {
-    // N1/4 ((l-1) R - sqrt(2 (l-1) R ln 2)) at N1=100, R=36, l=3.
-    double expect = 25.0 * (72.0 - std::sqrt(144.0 * std::log(2.0)));
-    EXPECT_NEAR(bollobasBisectionRfc(100, 36, 3), expect, 1e-9);
+    // The normalized bound ablation_bisection prints: the Bollobas RFC
+    // width N1/4 ((l-1) R - sqrt(2 (l-1) R ln 2)) over T/2 (l-1) with
+    // T = N1 R / 2, i.e. 1 - sqrt(2 ln 2 / ((l-1) R)); R=36, l=3 here.
+    EXPECT_DOUBLE_EQ(normalizedBisectionRfc(36.0, 3),
+                     1.0 - std::sqrt(2.0 * std::log(2.0) / 72.0));
 }
 
 TEST(Bollobas, NormalizedBisectionImprovesWithLevels)

@@ -36,26 +36,16 @@ TEST(DynBitset, SetAndTest)
     EXPECT_EQ(b.count(), 4u);
 }
 
-TEST(DynBitset, Reset)
-{
-    DynBitset b(64);
-    b.set(10);
-    EXPECT_TRUE(b.test(10));
-    b.reset(10);
-    EXPECT_FALSE(b.test(10));
-    EXPECT_EQ(b.count(), 0u);
-}
-
 TEST(DynBitset, AllOnWordBoundaries)
 {
     for (std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u}) {
         DynBitset b(n);
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i + 1 < n; ++i)
             b.set(i);
+        EXPECT_FALSE(b.all()) << "n=" << n;
+        b.set(n - 1);
         EXPECT_TRUE(b.all()) << "n=" << n;
         EXPECT_EQ(b.count(), n);
-        b.reset(n - 1);
-        EXPECT_FALSE(b.all()) << "n=" << n;
     }
 }
 
@@ -92,16 +82,6 @@ TEST(DynBitset, AndAssign)
     a &= b;
     EXPECT_EQ(a.count(), 1u);
     EXPECT_TRUE(a.test(50));
-}
-
-TEST(DynBitset, Intersects)
-{
-    DynBitset a(200), b(200);
-    a.set(150);
-    b.set(151);
-    EXPECT_FALSE(a.intersects(b));
-    b.set(150);
-    EXPECT_TRUE(a.intersects(b));
 }
 
 TEST(DynBitset, Clear)

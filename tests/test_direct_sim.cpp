@@ -116,7 +116,6 @@ TEST(DirectNetworkSim, IntraSwitchTrafficBypassesNetwork)
         {
             return src % 2 == 0 ? src + 1 : src - 1;
         }
-        std::string name() const override { return "local"; }
     };
     Rrn net(8, 3, 3, 2, 6);
     LocalTraffic traffic;

@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace rfc {
 namespace {
@@ -110,15 +109,6 @@ TEST(Diameter, DisconnectedReturnsUnreachable)
     EXPECT_EQ(diameterExact(g), kUnreachable);
 }
 
-TEST(Diameter, SampledIsLowerBoundOfExact)
-{
-    Rng rng(3);
-    auto g = cycleGraph(20);
-    int sampled = diameterSampled(g, 5, rng);
-    EXPECT_LE(sampled, 10);
-    EXPECT_GE(sampled, 5);  // any eccentricity of a cycle is the diameter
-}
-
 TEST(Connectivity, ConnectedAndNot)
 {
     EXPECT_TRUE(isConnected(cycleGraph(5)));
@@ -126,22 +116,6 @@ TEST(Connectivity, ConnectedAndNot)
     EXPECT_FALSE(isConnected(g));
     EXPECT_TRUE(isConnected(Graph(0)));
     EXPECT_TRUE(isConnected(Graph(1)));
-}
-
-TEST(AverageDistance, CompleteGraphIsOne)
-{
-    Rng rng(5);
-    EXPECT_NEAR(averageDistanceSampled(completeGraph(8), 8, rng), 1.0,
-                1e-9);
-}
-
-TEST(AverageDistance, PathSpotCheck)
-{
-    Rng rng(5);
-    // Path of 3: distances {1,1,2} from ends, {1,1} from middle.
-    double avg = averageDistanceSampled(pathGraph(3), 50, rng);
-    EXPECT_GT(avg, 1.0);
-    EXPECT_LT(avg, 1.5);
 }
 
 TEST(UnionFind, MergesAndCounts)

@@ -70,7 +70,7 @@ TEST(JsonWriter, NestedDocumentHasCommasAndIndent)
     w.endObject();
     w.endArray();
     w.key("none");
-    w.null();
+    w.value(std::numeric_limits<double>::quiet_NaN());  // JSON has no NaN
     w.endObject();
 
     const std::string expected = "{\n"
@@ -111,7 +111,7 @@ TEST(JsonWriter, ValueInsideObjectWithoutKeyThrows)
     EXPECT_THROW(w.value(1.5), std::logic_error);
     EXPECT_THROW(w.value(static_cast<std::int64_t>(1)), std::logic_error);
     EXPECT_THROW(w.value(true), std::logic_error);
-    EXPECT_THROW(w.null(), std::logic_error);
+    EXPECT_THROW(w.value(static_cast<std::uint64_t>(1)), std::logic_error);
     EXPECT_THROW(w.beginArray(), std::logic_error);
     EXPECT_THROW(w.beginObject(), std::logic_error);
     // The writer stays usable after the rejected calls.

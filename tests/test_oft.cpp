@@ -164,14 +164,6 @@ TEST(Oft, TerminalsClosedForm)
     EXPECT_EQ(oftTerminals(5, 3), 11532);  // 2*6*31^2
 }
 
-TEST(Oft, LargestOrderSelection)
-{
-    EXPECT_EQ(oftLargestOrder(1352, 3), 3);
-    EXPECT_EQ(oftLargestOrder(1351, 3), 2);
-    EXPECT_EQ(oftLargestOrder(1000000, 2), oftLargestOrder(1000000, 2));
-    EXPECT_GE(oftLargestOrder(912, 2), 7);
-}
-
 TEST(Oft, RejectsBadParameters)
 {
     EXPECT_THROW(buildOft(6, 2), std::invalid_argument);  // 6 not a pp

@@ -191,15 +191,18 @@ TEST(PropTopology, Theorem42ProbabilityMatchesEmpiricalRate)
     // overestimates lambda at this size - so it must underestimate the
     // success probability, never overestimate it.
     EXPECT_GE(empirical + 0.05,
-              rfcRoutableProbability(radix, levels, n1));
+              rfcThresholdPrediction(radix, levels, n1).p_routable);
 }
 
 TEST(PropTopology, WellAboveThresholdAlmostAlwaysRoutable)
 {
     // Two steps of radix above the threshold pushes x up and the
     // predicted probability to ~1; the empirical rate must follow.
+    // Theorem 4.2's threshold for N1 = 60, l = 2 is the smallest even R
+    // with (R/2)^2 >= (60/2) ln C(60, 2) = 30 ln 1770 ~ 224.4, i.e.
+    // R = 30 (15^2 = 225).  Two steps above it: 30 + 4 = 34.
     const int n1 = 60, levels = 2;
-    const int radix = rfcThresholdRadix(n1, levels, 0.0) + 4;
+    const int radix = 34;
     int routable = 0;
     const int trials = 60;
     for (int i = 0; i < trials; ++i) {

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <tuple>
 
@@ -114,32 +115,20 @@ TEST(Threshold, MonotoneInRadixAndLevels)
     EXPECT_LT(rfcMaxLeaves(8, 2), rfcMaxLeaves(8, 3));
 }
 
-TEST(Threshold, RadixInversionConsistent)
-{
-    // rfcThresholdRadix should be the (approximate) inverse of
-    // rfcMaxLeaves: the radix it returns must support n1.
-    for (int radix : {8, 12, 16, 20, 36}) {
-        for (int levels : {2, 3}) {
-            int n1 = rfcMaxLeaves(radix, levels);
-            int back = rfcThresholdRadix(n1, levels, 0.0);
-            EXPECT_LE(back, radix + 2);
-            EXPECT_GE(back, radix - 2);
-        }
-    }
-}
-
 TEST(Threshold, ProbabilityShapeMatchesTheorem)
 {
     // At the threshold the success probability is ~ e^{-1} ~ 0.37 and
     // it must increase with radix.
     int n1 = rfcMaxLeaves(36, 3);
-    double p0 = rfcRoutableProbability(36, 3, n1);
+    auto at = rfcThresholdPrediction(36, 3, n1);
+    double p0 = at.p_routable;
+    EXPECT_DOUBLE_EQ(p0, std::exp(-std::exp(-at.x)));
     EXPECT_GT(p0, 0.2);
     EXPECT_LT(p0, 0.75);
-    EXPECT_GT(rfcRoutableProbability(38, 3, n1), p0);
-    EXPECT_LT(rfcRoutableProbability(34, 3, n1), p0);
+    EXPECT_GT(rfcThresholdPrediction(38, 3, n1).p_routable, p0);
+    EXPECT_LT(rfcThresholdPrediction(34, 3, n1).p_routable, p0);
     // Far below the threshold: near certain.
-    EXPECT_GT(rfcRoutableProbability(36, 3, n1 / 2), 0.999);
+    EXPECT_GT(rfcThresholdPrediction(36, 3, n1 / 2).p_routable, 0.999);
 }
 
 TEST(Threshold, EmpiricalAcceptanceNearTheoreticalRate)
@@ -149,7 +138,7 @@ TEST(Threshold, EmpiricalAcceptanceNearTheoreticalRate)
     // finite-size effects, so the tolerance is loose.
     const int radix = 12, levels = 2;
     int n1 = rfcMaxLeaves(radix, levels);
-    double expect = rfcRoutableProbability(radix, levels, n1);
+    double expect = rfcThresholdPrediction(radix, levels, n1).p_routable;
     Rng rng(2024);
     int ok = 0;
     const int trials = 60;

@@ -150,16 +150,5 @@ TEST(Rng, PickReturnsElement)
     }
 }
 
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(41);
-    Rng child = a.split();
-    // The child stream should differ from the parent's continuation.
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        same += a.nextU64() == child.nextU64();
-    EXPECT_LT(same, 2);
-}
-
 } // namespace
 } // namespace rfc

@@ -221,23 +221,6 @@ TEST(LatencyHistogramCore, MatchesBinnedQuantile)
     EXPECT_LT(p50, p99);
 }
 
-TEST(LatencyHistogramCore, MergeEqualsConcatenation)
-{
-    LatencyHistogram a, b, all;
-    for (long long v = 1; v <= 300; ++v) {
-        a.add(v);
-        all.add(v);
-    }
-    for (long long v = 100; v <= 2000; v += 3) {
-        b.add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), all.quantile(q)) << "q=" << q;
-}
-
 TEST(LatencyHistogramCore, TracksMinMaxSum)
 {
     LatencyHistogram h;
@@ -250,43 +233,6 @@ TEST(LatencyHistogramCore, TracksMinMaxSum)
     EXPECT_EQ(h.minSample(), 5);
     EXPECT_EQ(h.maxSample(), 1000);
     EXPECT_DOUBLE_EQ(h.sum(), 1045.0);
-}
-
-TEST(LatencyHistogramCore, MergeWithEmptyIsNoOp)
-{
-    LatencyHistogram a, empty;
-    a.add(12);
-    a.add(90);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2);
-    EXPECT_EQ(a.minSample(), 12);
-    EXPECT_EQ(a.maxSample(), 90);
-    EXPECT_DOUBLE_EQ(a.sum(), 102.0);
-}
-
-TEST(LatencyHistogramCore, MergeIntoEmptyAdoptsExtrema)
-{
-    LatencyHistogram a, b;
-    b.add(12);
-    b.add(90);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2);
-    EXPECT_EQ(a.minSample(), 12);
-    EXPECT_EQ(a.maxSample(), 90);
-    EXPECT_DOUBLE_EQ(a.sum(), 102.0);
-}
-
-TEST(LatencyHistogramCore, MergeOrderIrrelevant)
-{
-    LatencyHistogram a1, b1, a2, b2;
-    for (long long v = 1; v <= 500; ++v)
-        (v % 2 ? a1 : b1).add(v * 7 % 900 + 1);
-    for (long long v = 1; v <= 500; ++v)
-        (v % 2 ? a2 : b2).add(v * 7 % 900 + 1);
-    a1.merge(b1);
-    b2.merge(a2);
-    for (double q : {0.1, 0.5, 0.99})
-        EXPECT_DOUBLE_EQ(a1.quantile(q), b2.quantile(q));
 }
 
 // ---------------------------------------------------------------------

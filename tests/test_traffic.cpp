@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/traffic.hpp"
@@ -171,12 +172,20 @@ TEST(ShiftTraffic, IsAPermutationWithoutFixedPoints)
     EXPECT_EQ(image.size(), 20u);
 }
 
+/** True iff makeTraffic(@p name) builds a @p T. */
+template <typename T>
+bool
+makesType(const std::string &name)
+{
+    return dynamic_cast<T *>(makeTraffic(name).get()) != nullptr;
+}
+
 TEST(TrafficFactory, KnownNames)
 {
-    EXPECT_EQ(makeTraffic("uniform")->name(), "uniform");
-    EXPECT_EQ(makeTraffic("random-pairing")->name(), "random-pairing");
-    EXPECT_EQ(makeTraffic("fixed-random")->name(), "fixed-random");
-    EXPECT_EQ(makeTraffic("permutation")->name(), "permutation");
+    EXPECT_TRUE(makesType<UniformTraffic>("uniform"));
+    EXPECT_TRUE(makesType<RandomPairingTraffic>("random-pairing"));
+    EXPECT_TRUE(makesType<FixedRandomTraffic>("fixed-random"));
+    EXPECT_TRUE(makesType<PermutationTraffic>("permutation"));
 }
 
 TEST(TrafficFactory, UnknownThrows)

@@ -113,6 +113,27 @@ TEST(UpDownOracle, DownChoicesLeadToDestination)
     }
 }
 
+/**
+ * One random minimal up/down hop from switch @p s toward leaf @p dest,
+ * drawn with rng.pick over the oracle's minimal choices; -1 when dest
+ * is unreachable.
+ */
+int
+randomMinimalHop(const UpDownOracle &oracle, const FoldedClos &fc, int s,
+                 int dest, Rng &rng)
+{
+    const int need = oracle.minUps(s, dest);
+    if (need < 0)
+        return -1;
+    std::vector<int> choices;
+    if (need == 0) {
+        oracle.downChoices(fc, s, dest, choices);
+        return choices.empty() ? -1 : fc.down(s)[rng.pick(choices)];
+    }
+    oracle.upChoices(fc, s, dest, choices);
+    return choices.empty() ? -1 : fc.up(s)[rng.pick(choices)];
+}
+
 TEST(UpDownOracle, RandomNextHopWalksToDestination)
 {
     Rng rng(31);
@@ -126,7 +147,7 @@ TEST(UpDownOracle, RandomNextHopWalksToDestination)
         int b = static_cast<int>(rng.uniform(fc.numLeaves()));
         int cur = a, hops = 0;
         while (cur != b) {
-            cur = oracle.randomNextHop(fc, cur, b, rng);
+            cur = randomMinimalHop(oracle, fc, cur, b, rng);
             ASSERT_GE(cur, 0);
             ++hops;
             ASSERT_LE(hops, 4);
@@ -152,7 +173,7 @@ TEST(UpDownOracle, RandomWalkNeverGoesDownThenUp)
         int cur = a;
         bool went_down = false;
         while (cur != b) {
-            int nxt = oracle.randomNextHop(fc, cur, b, rng);
+            int nxt = randomMinimalHop(oracle, fc, cur, b, rng);
             ASSERT_GE(nxt, 0);
             bool down_hop = fc.levelOf(nxt) < fc.levelOf(cur);
             if (down_hop)

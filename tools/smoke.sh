@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Run every bench and example binary at smoke scale from a build tree:
+#
+#   tools/smoke.sh [BUILD_DIR]        (default: build)
+#
+# Each command's stdout is discarded; the script stops with a nonzero
+# exit at the first command that fails, and at any negative check that
+# unexpectedly passes.  CI's bench-smoke job runs it, and so does
+# tools/coverage.py, so both reach the same code.
+set -euo pipefail
+cd "${1:-build}"
+set -x
+
+# Every bench binary.
+./bench/fig05_diameter > /dev/null
+./bench/fig06_scalability > /dev/null
+./bench/fig07_expandability > /dev/null
+./bench/tab_section5_cost > /dev/null
+./bench/fig08_perf_11k --radix 8 --warmup 50 --measure 200 --points 2 --trials 1 > /dev/null
+./bench/fig09_perf_100k --warmup 50 --measure 200 --points 2 --trials 1 > /dev/null
+./bench/fig10_perf_200k --warmup 50 --measure 200 --points 2 --trials 1 > /dev/null
+# --json prints exactly one document on stdout (the Report field path).
+./bench/fig10_perf_200k --warmup 50 --measure 200 --points 2 --trials 1 --json | python3 -m json.tool > /dev/null
+./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 > /dev/null
+./bench/table3_disconnect --trials 2 > /dev/null
+./bench/fig11_updown_faults --trials 2 > /dev/null
+./bench/thm42_threshold --generations 5 > /dev/null
+./bench/ablation_flowcontrol --warmup 50 --measure 200 > /dev/null
+./bench/ablation_bisection --restarts 2 > /dev/null
+./bench/ext_jellyfish --warmup 50 --measure 200 > /dev/null
+./bench/ext_adversarial --warmup 50 --measure 200 --trials 1 > /dev/null
+./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples 2 > /dev/null
+./bench/ext_fault_recovery --smoke > /dev/null
+# --smoke includes the self-check: the queue sweep must be
+# >= 10x faster than an equivalent VCT sweep (exit 1 if not).
+./bench/ext_latency_curves --smoke > /dev/null
+./bench/ext_latency_curves --smoke --section fig8 --model mm1 > /dev/null
+# --cv2 belongs to --model mg1; with a preset it must be
+# rejected, not ignored (set -e ignores a !-negated command).
+if ./bench/ext_latency_curves --smoke --section fig8 --model md1 --cv2 2 > /dev/null 2>&1; then exit 1; fi
+# One simulation runs on one thread: the removed --shards and
+# --sim-jobs flags must be rejected, not ignored.
+if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
+# --smoke audits message conservation in every trial
+# (exit 1 on any violation).
+./bench/ext_closed_loop --smoke > /dev/null
+# --smoke audits packet conservation in every trial, both
+# routing families (exit 1 on any violation).
+./bench/ext_adaptive_routing --smoke > /dev/null
+# --smoke crosschecks every incremental oracle repair and
+# audits packet conservation (exit 1 on any violation).
+./bench/ext_expansion_drill --smoke > /dev/null
+./bench/fig_perf_1M --smoke --json > perf1m.json
+# --json prints exactly one document on stdout.
+python3 -m json.tool perf1m.json > /dev/null
+# Memory telemetry must be present and nonzero in every run.
+grep -q '"peak_rss_bytes": [1-9]' perf1m.json
+grep -q '"topology_bytes": [1-9]' perf1m.json
+./bench/micro_generators --benchmark_filter=/256 > /dev/null
+
+# Every example binary at small scale.
+./examples/quickstart > /dev/null
+./examples/simulate --topo cft --radix 8 --levels 3 --points 2 --warmup 100 --measure 300 > /dev/null
+# The hotspot pattern and the CSV printer.
+./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --csv > /dev/null
+# Includes oblivious-vs-UGAL runs on every topology.
+./examples/topology_explorer --radix 8 > /dev/null
+./examples/visualize > /dev/null
+./examples/expansion_planner > /dev/null
+./examples/fault_drill --batches 1 > /dev/null
