@@ -12,6 +12,9 @@
  * RFC's equivalents.
  *
  * Default scale: ~1,000 terminals per network at matched radix.
+ * Every run is audited against the packet conservation identity
+ * (exp/experiment.hpp conservationGap); any violation makes the run
+ * exit 1.
  */
 #include <iostream>
 
@@ -25,6 +28,22 @@
 #include "util/rng.hpp"
 
 using namespace rfc;
+
+namespace {
+
+/** Report a run that broke packet conservation; 1 if it did, else 0. */
+int
+auditDirect(const std::string &label, const SimResult &r)
+{
+    const long long gap = conservationGap(r);
+    if (gap == 0)
+        return 0;
+    std::cerr << "[conservation] VIOLATION at " << label << " (gap " << gap
+              << ")\n";
+    return 1;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -81,6 +100,7 @@ main(int argc, char **argv)
     base.seed = b.seed;
     base.vcs = std::max(4, routes.maxHops());
     auto loads = loadRange(0.2, 1.0, 5);
+    int violations = 0;
 
     for (const char *tname : {"uniform", "random-pairing"}) {
         TablePrinter t({"offered", "acc(RFC)", "lat(RFC)",
@@ -90,6 +110,8 @@ main(int argc, char **argv)
         for (double load : loads) {
             SimConfig cfg = base;
             cfg.load = load;
+            const std::string at =
+                std::string(tname) + "/" + TablePrinter::fmt(load, 2) + "/";
             auto tr1 = makeTraffic(tname);
             Simulator rfc_sim(built.topology, oracle, *tr1, cfg);
             auto r1 = rfc_sim.run();
@@ -105,6 +127,10 @@ main(int argc, char **argv)
             Simulator flowlet_sim(rrn, routes, hosts, *tr4, cfg,
                                   PathPolicy::kFlowletEcmp);
             auto r4 = flowlet_sim.run();
+            violations += auditDirect(at + "RFC", r1) +
+                          auditDirect(at + "RRN-ecmp", r2) +
+                          auditDirect(at + "RRN-ksp", r3) +
+                          auditDirect(at + "RRN-flowlet", r4);
             t.addRow({TablePrinter::fmt(load, 2),
                       TablePrinter::fmt(r1.accepted, 3),
                       TablePrinter::fmt(r1.avg_latency, 1),
@@ -116,6 +142,11 @@ main(int argc, char **argv)
                       TablePrinter::fmt(r4.avg_latency, 1)});
         }
         b.emit(std::string("traffic: ") + tname, t);
+    }
+    if (violations != 0) {
+        std::cerr << "[conservation] " << violations
+                  << " violating run(s); failing the run\n";
+        return b.finish(1);
     }
     return b.finish();
 }

@@ -36,12 +36,14 @@ main(int argc, char **argv)
 
     std::uint64_t stream = 0;  // one stream id per studied instance
     auto tolerance = [&](const FoldedClos &fc) {
-        return b.engine.study(stream++, trials,
-                              [&fc](int, std::uint64_t seed) {
-                                  Rng trial_rng(seed);
-                                  return updownToleranceFraction(
-                                      fc, trial_rng);
-                              });
+        RunningStat s;
+        for (double f : b.engine.map<double>(
+                 stream++, trials, [&fc](std::size_t, std::uint64_t seed) {
+                     Rng trial_rng(seed);
+                     return updownToleranceFraction(fc, trial_rng);
+                 }))
+            s.add(f);
+        return s;
     };
 
     for (int levels : {2, 3, 4}) {

@@ -97,12 +97,14 @@ main(int argc, char **argv)
 
     std::uint64_t stream = 0;  // one stream id per table cell
     auto disconnect = [&](const Graph &g) {
-        return b.engine.study(stream++, trials,
-                              [&g](int, std::uint64_t seed) {
-                                  Rng trial_rng(seed);
-                                  return disconnectionFraction(
-                                      g, trial_rng);
-                              });
+        RunningStat s;
+        for (double f : b.engine.map<double>(
+                 stream++, trials, [&g](std::size_t, std::uint64_t seed) {
+                     Rng trial_rng(seed);
+                     return disconnectionFraction(g, trial_rng);
+                 }))
+            s.add(f);
+        return s;
     };
 
     TablePrinter t({"~T", "CFT", "R", "RRN", "R", "RFC", "R", "OFT", "R",

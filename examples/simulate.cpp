@@ -18,7 +18,7 @@
  *   --levels L [3]                    --leaves N1 [auto from Thm 4.2]
  *   --traffic NAME [uniform]          --shift-stride S [tpl]
  *   --load X (single point) | --min-load/--max-load/--points [0.1..1.0 x7]
- *   --route-mode minimal|updown-random|valiant [minimal]
+ *   --route-mode minimal|updown-random|valiant|ugal [minimal]
  *   --vcs [4] --buffers [4] --pkt-phits [16] --warmup [1000]
  *   --measure [4000] --seed [1] --trials [1]
  *   --jobs N [auto]  parallel trials (bit-identical at any N)
@@ -103,6 +103,8 @@ main(int argc, char **argv)
         cfg.route_mode = RouteMode::kUpDownRandom;
     } else if (mode == "valiant") {
         cfg.route_mode = RouteMode::kValiant;
+    } else if (mode == "ugal") {
+        cfg.route_mode = RouteMode::kUgal;
     } else {
         std::cerr << "unknown --route-mode " << mode << "\n";
         return 1;

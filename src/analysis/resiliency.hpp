@@ -12,7 +12,7 @@
  *
  * Each call draws one removal order.  table3_disconnect and
  * fig11_updown_faults average many through the experiment engine's
- * study(), one derived seed per trial.
+ * map(), one derived seed per trial.
  */
 #ifndef RFC_ANALYSIS_RESILIENCY_HPP
 #define RFC_ANALYSIS_RESILIENCY_HPP

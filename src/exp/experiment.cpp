@@ -596,23 +596,6 @@ ExperimentEngine::run(const Study &study) const
     return result;
 }
 
-RunningStat
-ExperimentEngine::study(
-    std::uint64_t stream, int reps,
-    const std::function<double(int, std::uint64_t)> &fn) const
-{
-    checkCount("repetition count", reps);
-    std::vector<double> samples(static_cast<std::size_t>(reps));
-    forEachIndex(samples.size(), [&](std::size_t i) {
-        samples[i] = fn(static_cast<int>(i),
-                        deriveSeed(base_seed_, stream, i));
-    });
-    RunningStat stat;
-    for (double s : samples)
-        stat.add(s);
-    return stat;
-}
-
 Report::Report(std::string bench, std::uint64_t base_seed, int jobs)
     : bench_(std::move(bench)), base_seed_(base_seed), jobs_(jobs),
       start_(Clock::now())

@@ -264,14 +264,6 @@ class ExperimentEngine
     StudyResult run(const Study &study) const;
 
     /**
-     * Generic parallel study: aggregate `reps` scalar-valued trials of
-     * fn(rep, seed), with seed = deriveSeed(base_seed, stream, rep).
-     */
-    RunningStat study(std::uint64_t stream, int reps,
-                      const std::function<double(int, std::uint64_t)>
-                          &fn) const;
-
-    /**
      * Generic deterministic map: out[i] = fn(i, deriveSeed(base, stream,
      * i)) for i < n, computed on the pool.
      */

@@ -1,6 +1,5 @@
 #include "sim/core/config.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -32,20 +31,11 @@ SimConfig::validate() const
         throw std::invalid_argument(
             "SimConfig: load must be within (0, 1], got " +
             std::to_string(load));
-    if (source_queue < 1)
-        throw std::invalid_argument("SimConfig: source_queue must be >= 1");
     if (route_ttl < 0)
         throw std::invalid_argument("SimConfig: route_ttl must be >= 0");
     if (telemetry_bin < 0)
         throw std::invalid_argument(
             "SimConfig: telemetry_bin must be >= 0");
-    // NaN fails the >= comparison too, but test both sides explicitly:
-    // a NaN threshold would otherwise silently disable the adaptive
-    // decision instead of being rejected.
-    if (std::isnan(ugal_threshold) || !(ugal_threshold >= 0.0) ||
-        std::isinf(ugal_threshold))
-        throw std::invalid_argument(
-            "SimConfig: ugal_threshold must be finite and >= 0");
     if (flowlet_gap < 0)
         throw std::invalid_argument(
             "SimConfig: flowlet_gap must be >= 0");
@@ -72,10 +62,6 @@ SimConfig::validate() const
         throw std::invalid_argument(
             "SimConfig: buf_packets must be <= 127 (injection credits "
             "are 8-bit), got " + std::to_string(buf_packets));
-    if (source_queue > 32767)
-        throw std::invalid_argument(
-            "SimConfig: source_queue must be <= 32767 (source-queue "
-            "indices are 16-bit), got " + std::to_string(source_queue));
     if (pkt_phits >= kGenWheelSlots)
         throw std::invalid_argument(
             "SimConfig: pkt_phits must be < " +

@@ -52,10 +52,11 @@ enum class RouteMode
      * UGAL-style adaptive routing: each packet draws a Valiant
      * intermediate at injection but keeps it only when the minimal
      * route's first-hop backlog x hops exceeds the detour's by more
-     * than ugal_threshold; otherwise it routes minimally.  Matches
-     * minimal routing on friendly traffic and Valiant on adversarial
-     * funnels, without choosing in advance.  Uses Valiant's
-     * phase-partitioned channels, so it also requires vcs >= 2.
+     * than UpDownPolicy::kUgalThreshold; otherwise it routes
+     * minimally.  Matches minimal routing on friendly traffic and
+     * Valiant on adversarial funnels, without choosing in advance.
+     * Uses Valiant's phase-partitioned channels, so it also requires
+     * vcs >= 2.
      */
     kUgal,
 };
@@ -71,7 +72,6 @@ struct SimConfig
     long long measure = 10000; //!< measured cycles
     double load = 0.5;        //!< offered load, phits/node/cycle
     std::uint64_t seed = 1;   //!< RNG seed (experiments are reproducible)
-    int source_queue = 16;    //!< per-terminal source queue, packets
     RouteMode route_mode = RouteMode::kMinimal;
 
     /**
@@ -92,15 +92,6 @@ struct SimConfig
      * a fault drill.  0 disables the series.
      */
     long long telemetry_bin = 0;
-
-    /**
-     * UGAL bias of RouteMode::kUgal, in queue-slot x hop units: a
-     * packet routes minimally unless
-     *   backlog_min * hops_min > backlog_nonmin * hops_nonmin + ugal_threshold,
-     * so larger values bias toward minimal routing (0 = pure product
-     * comparison).  Must be finite and >= 0.
-     */
-    double ugal_threshold = 1.0;
 
     /**
      * Flowlet idle gap of PathPolicy::kFlowletEcmp on direct
@@ -136,6 +127,10 @@ struct SimConfig
     /** Slots of the engine's generation and injection wheels. */
     static constexpr int kGenWheelSlots = 1024;
 
+    /** Per-terminal source queue, packets. */
+    static constexpr int kSourceQueue = 16;
+    static_assert(kSourceQueue <= 32767, "source-queue indices are 16-bit");
+
     /**
      * Throw std::invalid_argument on any parameter a simulation cannot
      * run with: vcs or buf_packets or pkt_phits < 1, link_latency < 1
@@ -143,15 +138,13 @@ struct SimConfig
      * zero latency link cannot be modeled), empty measurement window
      * (measure < 1, which is also what a "warmup >= total cycles"
      * misconfiguration reduces to), negative warmup, load outside
-     * (0, 1], source_queue < 1, a ugal_threshold that is negative or
-     * not finite (NaN/inf), a negative flowlet_gap, an
-     * active_terminals value other than -1 or >= 1, or Valiant or UGAL
-     * routing with vcs < 2.  Also rejects values the engine's narrow
-     * hot-state types would silently wrap: vcs or buf_packets > 127
-     * (8-bit VC indices and injection credits), source_queue > 32767
-     * (16-bit source-queue indices) and pkt_phits >= kGenWheelSlots
-     * (an injection rescheduled pkt_phits ahead would land in the slot
-     * being drained).
+     * (0, 1], a negative flowlet_gap, an active_terminals value other
+     * than -1 or >= 1, or Valiant or UGAL routing with vcs < 2.  Also
+     * rejects values the engine's narrow hot-state types would
+     * silently wrap: vcs or buf_packets > 127 (8-bit VC indices and
+     * injection credits) and pkt_phits >= kGenWheelSlots (an injection
+     * rescheduled pkt_phits ahead would land in the slot being
+     * drained).
      */
     void validate() const;
 };

@@ -223,9 +223,8 @@ class VctEngine
         wl_global_ = wl != nullptr && wl->wantsGlobalStep();
         if (wl != nullptr) {
             wl_next_.assign(lay_.num_terms, -1);
-            src_tag_.assign(static_cast<std::size_t>(lay_.num_terms) *
-                                cfg_.source_queue,
-                            0);
+            src_tag_.assign(
+                static_cast<std::size_t>(lay_.num_terms) * kSourceQueue, 0);
         }
     }
 
@@ -282,6 +281,7 @@ class VctEngine
   private:
     static constexpr bool kGuards = invariantChecksEnabled();
     static constexpr int kGenWheel = SimConfig::kGenWheelSlots;
+    static constexpr int kSourceQueue = SimConfig::kSourceQueue;
 
     struct Release
     {
@@ -633,8 +633,8 @@ VctEngine<Policy>::buildStructures()
     inj_busy_.assign(lay_.num_terms, 0);
     inj_credits_.assign(lay_.num_terms * V,
                         static_cast<std::int8_t>(cfg_.buf_packets));
-    src_dest_.assign(lay_.num_terms * cfg_.source_queue, -1);
-    src_gen_.assign(lay_.num_terms * cfg_.source_queue, 0);
+    src_dest_.assign(lay_.num_terms * kSourceQueue, -1);
+    src_gen_.assign(lay_.num_terms * kSourceQueue, 0);
     sq_head_.assign(lay_.num_terms, 0);
     sq_count_.assign(lay_.num_terms, 0);
     next_gen_.assign(lay_.num_terms, 0);
@@ -717,16 +717,16 @@ VctEngine<Policy>::processGeneration(long long now)
             continue;
         }
         ++generated_;
-        if (sq_count_[t] < cfg_.source_queue) {
+        if (sq_count_[t] < kSourceQueue) {
             long long dest = traffic_.dest(t, rng_);
             if (!policy_.routable(t, dest)) {
                 ++unroutable_;
             } else {
                 int k = sq_head_[t] + sq_count_[t];
-                if (k >= cfg_.source_queue)
-                    k -= cfg_.source_queue;
+                if (k >= kSourceQueue)
+                    k -= kSourceQueue;
                 std::int64_t base =
-                    static_cast<std::int64_t>(t) * cfg_.source_queue;
+                    static_cast<std::int64_t>(t) * kSourceQueue;
                 src_dest_[base + k] = static_cast<std::int32_t>(dest);
                 src_gen_[base + k] = static_cast<std::int32_t>(now);
                 ++sq_count_[t];
@@ -768,8 +768,7 @@ VctEngine<Policy>::processInjection(long long now)
             scheduleInjection(t, inj_busy_[t]);
             continue;
         }
-        std::int64_t base =
-            static_cast<std::int64_t>(t) * cfg_.source_queue;
+        std::int64_t base = static_cast<std::int64_t>(t) * kSourceQueue;
         std::int32_t dest = src_dest_[base + sq_head_[t]];
         int best_vc = policy_.injectVc(cv, t, dest, rng_);
         if (best_vc < 0) {
@@ -779,8 +778,7 @@ VctEngine<Policy>::processInjection(long long now)
 
         int k = sq_head_[t];
         std::int32_t gen = src_gen_[base + k];
-        sq_head_[t] =
-            static_cast<std::int16_t>((k + 1) % cfg_.source_queue);
+        sq_head_[t] = static_cast<std::int16_t>((k + 1) % kSourceQueue);
         --sq_count_[t];
         if constexpr (kGuards) {
             --queued_;
@@ -822,25 +820,24 @@ VctEngine<Policy>::workloadSend(long long src, long long dest,
                                 int packets, std::uint32_t tag,
                                 long long now, long long inject_at)
 {
-    if (packets < 1 || packets > cfg_.source_queue)
+    if (packets < 1 || packets > kSourceQueue)
         throw std::invalid_argument(
             "WorkloadPort::send: message of " + std::to_string(packets) +
             " packets can never fit a " +
-            std::to_string(cfg_.source_queue) + "-packet source queue");
+            std::to_string(kSourceQueue) + "-packet source queue");
     if (src < 0 || src >= lay_.num_terms || dest < 0 ||
         dest >= lay_.num_terms)
         throw std::invalid_argument(
             "WorkloadPort::send: terminal out of range");
-    if (sq_count_[src] + packets > cfg_.source_queue)
+    if (sq_count_[src] + packets > kSourceQueue)
         return false;
     if (!policy_.routable(src, dest))
         return false;
-    const std::int64_t base =
-        static_cast<std::int64_t>(src) * cfg_.source_queue;
+    const std::int64_t base = static_cast<std::int64_t>(src) * kSourceQueue;
     for (int i = 0; i < packets; ++i) {
         int k = sq_head_[src] + sq_count_[src];
-        if (k >= cfg_.source_queue)
-            k -= cfg_.source_queue;
+        if (k >= kSourceQueue)
+            k -= kSourceQueue;
         src_dest_[base + k] = static_cast<std::int32_t>(dest);
         src_gen_[base + k] = static_cast<std::int32_t>(now);
         src_tag_[base + k] = tag;

@@ -20,7 +20,7 @@
  * ports at the source leaf, where backpressure from a congested funnel
  * lands.  With h_min / h_val the up+down hop counts of the two routes,
  *
- *   route minimally  iff  q_min * h_min <= q_val * h_val + ugal_threshold
+ *   route minimally  iff  q_min * h_min <= q_val * h_val + kUgalThreshold
  *
  * On friendly traffic q_min stays low and packets route minimally;
  * under adversarial funnels they spill onto Valiant detours.  Every
@@ -49,6 +49,12 @@ namespace rfc {
 class UpDownPolicy
 {
   public:
+    /**
+     * UGAL bias in queue-slot x hop units: larger values favor
+     * minimal routing (0 = pure product comparison).
+     */
+    static constexpr double kUgalThreshold = 1.0;
+
     struct Pkt
     {
         // gen, noroute, wl_src and wl_tag are engine-owned: see the
@@ -69,7 +75,7 @@ class UpDownPolicy
                  const FabricLayout &lay, const SimConfig &cfg)
         : fc_(&fc), oracle_(&oracle), lay_(&lay),
           mode_(cfg.route_mode), vcs_(cfg.vcs),
-          tpl_(fc.terminalsPerLeaf()), threshold_(cfg.ugal_threshold)
+          tpl_(fc.terminalsPerLeaf())
     {}
 
     bool
@@ -254,7 +260,7 @@ class UpDownPolicy
         const int q_min = bestBacklog(cv, src, dst);
         const int q_val = bestBacklog(cv, src, inter);
         return q_min >= 0 && q_val >= 0 &&
-               q_min * h_min > q_val * h_val + threshold_;
+               q_min * h_min > q_val * h_val + kUgalThreshold;
     }
 
     /**
@@ -395,7 +401,6 @@ class UpDownPolicy
     RouteMode mode_;
     int vcs_;
     int tpl_;
-    double threshold_;  //!< SimConfig::ugal_threshold
 
     // Injection-time Valiant/UGAL state, valid between injectVc and the
     // following initPacket.

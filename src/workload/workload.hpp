@@ -58,8 +58,8 @@ class WorkloadPort
      * unreachable under the current routing tables) nothing is queued
      * and the call returns false - retry from a later callback.
      * Throws std::invalid_argument when the message could never fit
-     * (packets outside [1, source_queue]) or a terminal is out of
-     * range.
+     * (packets outside [1, SimConfig::kSourceQueue]) or a terminal is
+     * out of range.
      */
     virtual bool send(long long src, long long dest, int packets,
                       std::uint32_t tag) = 0;

@@ -3,10 +3,12 @@
  * Tests for the deterministic parallel experiment runner: seed
  * derivation, bit-identical documents at any --jobs value on every
  * fidelity tier, the one JSON envelope, the grid index helper, the
- * repetition-count check and the per-trial-mean counter semantics.
+ * repetition-count check, results that appended points leave alone
+ * and the per-trial-mean counter semantics.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -249,7 +251,6 @@ TEST(ExperimentEngine, RejectsRepetitionCountsBelowOne)
     auto fc = buildCft(4, 2);
     UpDownOracle oracle(fc);
     ExperimentEngine engine(2, 1);
-    auto scalar = [](int, std::uint64_t) { return 0.0; };
     auto echo = [](std::size_t, std::uint64_t seed) { return seed; };
     for (Tier tier : {Tier::kVct, Tier::kFlow}) {
         Study study = smallStudy(tier, {"cft", &fc, &oracle});
@@ -266,38 +267,58 @@ TEST(ExperimentEngine, RejectsRepetitionCountsBelowOne)
             }
         }
     }
-    for (int reps : {0, -1}) {
-        EXPECT_THROW(engine.study(0, reps, scalar), std::invalid_argument);
+    for (int reps : {0, -1})
         EXPECT_THROW(engine.map<std::uint64_t>(0, reps, echo),
                      std::invalid_argument);
-    }
 }
 
-TEST(ExperimentEngine, StudyAndMapAreJobCountInvariant)
+TEST(ExperimentEngine, MapIsJobCountInvariant)
 {
-    auto fn = [](int, std::uint64_t seed) {
-        Rng rng(seed);
-        return rng.uniformReal();
-    };
-    auto s1 = ExperimentEngine(1, 9).study(3, 64, fn);
-    auto s8 = ExperimentEngine(8, 9).study(3, 64, fn);
-    EXPECT_EQ(s1.mean(), s8.mean());
-    EXPECT_EQ(s1.stddev(), s8.stddev());
-    EXPECT_EQ(s1.min(), s8.min());
-    EXPECT_EQ(s1.max(), s8.max());
-
     auto echo = [](std::size_t, std::uint64_t seed) { return seed; };
     EXPECT_EQ(ExperimentEngine(1, 9).map<std::uint64_t>(7, 100, echo),
               ExperimentEngine(8, 9).map<std::uint64_t>(7, 100, echo));
 }
 
+TEST(ExperimentEngine, AppendedPointsKeepEarlierResults)
+{
+    // Trials seed from (base seed, point index, rep), so a bench can
+    // append points to a study without moving the earlier results.
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    const Study two = smallStudy(Tier::kVct, {"cft", &fc, &oracle});
+    Study three = two;
+    three.points.push_back(two.points.front());
+    three.points.back().load = 0.5;
+    const ExperimentEngine engine(2, 5);
+    const StudyResult a = engine.run(two);
+    const StudyResult b = engine.run(three);
+    ASSERT_EQ(b.points.size(), 3u);
+    auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t p = 0; p < a.points.size(); ++p) {
+        const auto &x = a.points[p].metrics;
+        const auto &y = b.points[p].metrics;
+        ASSERT_EQ(x.size(), y.size());
+        for (std::size_t m = 0; m < x.size(); ++m) {
+            SCOPED_TRACE("point " + std::to_string(p) + " " + x[m].name);
+            EXPECT_EQ(x[m].name, y[m].name);
+            for (auto field : {&MetricStat::mean, &MetricStat::stddev,
+                               &MetricStat::ci95, &MetricStat::min,
+                               &MetricStat::max})
+                EXPECT_EQ(bits(x[m].stat.*field), bits(y[m].stat.*field));
+            ASSERT_EQ(x[m].values.size(), y[m].values.size());
+            for (std::size_t i = 0; i < x[m].values.size(); ++i)
+                EXPECT_EQ(bits(x[m].values[i]), bits(y[m].values[i]));
+        }
+    }
+}
+
 TEST(ExperimentEngine, TrialExceptionReachesTheCaller)
 {
     ExperimentEngine engine(4, 1);
-    EXPECT_THROW(engine.study(0, 32,
-                              [](int, std::uint64_t) -> double {
-                                  throw std::runtime_error("trial");
-                              }),
+    EXPECT_THROW(engine.map<double>(0, 32,
+                                    [](std::size_t, std::uint64_t) -> double {
+                                        throw std::runtime_error("trial");
+                                    }),
                  std::runtime_error);
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,7 +53,6 @@ TEST(SimConfigValidate, RejectsBadParameters)
     // nothing, leaving quantile readers with an empty histogram.
     broken([](SimConfig &c) { c.load = 0.0; });
     broken([](SimConfig &c) { c.load = 1.5; });
-    broken([](SimConfig &c) { c.source_queue = 0; });
     // An arrival wakes its input VC at the next cycle at the earliest,
     // so a zero-latency link cannot be modeled.
     broken([](SimConfig &c) { c.link_latency = 0; });
@@ -64,17 +62,8 @@ TEST(SimConfigValidate, RejectsBadParameters)
     });
     broken([](SimConfig &c) { c.telemetry_bin = -1; });
     broken([](SimConfig &c) { c.route_ttl = -1; });
-    // Adaptive-policy knobs: the UGAL bias must be a usable number
-    // (the comparison q_min*h_min <= q_val*h_val + threshold would
-    // silently never/always detour on NaN/inf) and the flowlet idle
-    // gap a non-negative cycle count (0 = per-packet ECMP is legal).
-    broken([](SimConfig &c) { c.ugal_threshold = -0.5; });
-    broken([](SimConfig &c) {
-        c.ugal_threshold = std::numeric_limits<double>::quiet_NaN();
-    });
-    broken([](SimConfig &c) {
-        c.ugal_threshold = std::numeric_limits<double>::infinity();
-    });
+    // The flowlet idle gap is a non-negative cycle count (0 =
+    // per-packet ECMP is legal).
     broken([](SimConfig &c) { c.flowlet_gap = -1; });
 }
 
@@ -109,7 +98,6 @@ TEST(SimConfigValidate, RejectsValuesNarrowEngineTypesWouldWrap)
     };
     check([](SimConfig &c, int v) { c.buf_packets = v; }, 127, 128);
     check([](SimConfig &c, int v) { c.vcs = v; }, 127, 128);
-    check([](SimConfig &c, int v) { c.source_queue = v; }, 32767, 32768);
     check([](SimConfig &c, int v) { c.pkt_phits = v; }, 1023, 1024);
 }
 

@@ -27,6 +27,8 @@ set -x
 ./bench/thm42_threshold --generations 5 > /dev/null
 ./bench/ablation_flowcontrol --warmup 50 --measure 200 > /dev/null
 ./bench/ablation_bisection --restarts 2 > /dev/null
+# Both audit packet conservation in every run (exit 1 on any
+# violation).
 ./bench/ext_jellyfish --warmup 50 --measure 200 > /dev/null
 ./bench/ext_adversarial --warmup 50 --measure 200 --trials 1 > /dev/null
 ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples 2 > /dev/null
@@ -44,9 +46,6 @@ if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
 # --smoke audits message conservation in every trial
 # (exit 1 on any violation).
 ./bench/ext_closed_loop --smoke > /dev/null
-# --smoke audits packet conservation in every trial, both
-# routing families (exit 1 on any violation).
-./bench/ext_adaptive_routing --smoke > /dev/null
 # --smoke crosschecks every incremental oracle repair and
 # audits packet conservation (exit 1 on any violation).
 ./bench/ext_expansion_drill --smoke > /dev/null
@@ -61,6 +60,7 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 # Every example binary at small scale.
 ./examples/quickstart > /dev/null
 ./examples/simulate --topo cft --radix 8 --levels 3 --points 2 --warmup 100 --measure 300 > /dev/null
+./examples/simulate --topo rfc --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --route-mode ugal > /dev/null
 # The hotspot pattern and the CSV printer.
 ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --csv > /dev/null
 # Includes oblivious-vs-UGAL runs on every topology.
