@@ -21,6 +21,10 @@
  * cycle caps every sleep at the next cycle, which must reproduce them
  * bit for bit (HookEveryCycleReproducesPolling).
  *
+ * Two timeline goldens pin live topology-change runs (a fail/repair
+ * drill and a staged expansion): their files add the fault-recovery
+ * counters and every ExpansionCounters field to the common set.
+ *
  * Re-recording (only legitimate when a behavior change is intended
  * and documented):  RFC_GOLDEN_RECORD=1 ./test_sim_golden
  * (rewrites the default-path files; polling/ is never rewritten).
@@ -36,8 +40,10 @@
 #include <string>
 #include <vector>
 
+#include "clos/expansion.hpp"
 #include "clos/fat_tree.hpp"
 #include "clos/rfc.hpp"
+#include "clos/topology_events.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
@@ -75,8 +81,10 @@ fmtDouble(double v)
     return buf;
 }
 
+using Fields = std::map<std::string, std::string>;
+
 /** Serialize every deterministic SimResult field (telemetry excluded). */
-std::map<std::string, std::string>
+Fields
 fields(const SimResult &r)
 {
     return {
@@ -93,11 +101,35 @@ fields(const SimResult &r)
     };
 }
 
-/** Compare @p r field by field with the golden file @p name. */
-void
-expectGolden(const std::string &name, const SimResult &r)
+/** fields() plus the fault-recovery and topology-change counters. */
+Fields
+timelineFields(const SimResult &r)
 {
-    auto got = fields(r);
+    Fields f = fields(r);
+    const ExpansionCounters &x = r.expansion;
+    f.insert({
+        {"dropped_packets", std::to_string(r.dropped_packets)},
+        {"rerouted_packets", std::to_string(r.rerouted_packets)},
+        {"route_retries", std::to_string(r.route_retries)},
+        {"ejected_packets", std::to_string(r.ejected_packets)},
+        {"expansion.active", std::to_string(x.active ? 1 : 0)},
+        {"expansion.links_failed", std::to_string(x.links_failed)},
+        {"expansion.links_repaired", std::to_string(x.links_repaired)},
+        {"expansion.links_detached", std::to_string(x.links_detached)},
+        {"expansion.links_attached", std::to_string(x.links_attached)},
+        {"expansion.switches_added", std::to_string(x.switches_added)},
+        {"expansion.terminals_activated",
+         std::to_string(x.terminals_activated)},
+        {"expansion.barrier_inflight_max",
+         std::to_string(x.barrier_inflight_max)},
+    });
+    return f;
+}
+
+/** Compare @p got field by field with the golden file @p name. */
+void
+expectGolden(const std::string &name, const Fields &got)
+{
     std::ifstream in(goldenPath(name));
     ASSERT_TRUE(in.good())
         << "missing golden file " << goldenPath(name)
@@ -117,15 +149,15 @@ expectGolden(const std::string &name, const SimResult &r)
 }
 
 void
-checkOrRecord(const std::string &name, const SimResult &r)
+checkOrRecord(const std::string &name, const Fields &got)
 {
     if (!recordMode()) {
-        expectGolden(name, r);
+        expectGolden(name, got);
         return;
     }
     std::ofstream out(goldenPath(name));
     ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(name);
-    for (const auto &kv : fields(r))
+    for (const auto &kv : got)
         out << kv.first << " " << kv.second << "\n";
     GTEST_LOG_(INFO) << "recorded golden " << name;
 }
@@ -287,6 +319,39 @@ directUniformFlowlet(std::uint64_t seed, Drive drive)
                      drive);
 }
 
+/** CFT(8,3) losing 12 random links at cycle 300, repaired at 700. */
+SimResult
+cftFaultTimeline(std::uint64_t seed)
+{
+    auto fc = buildCft(8, 3);
+    auto tl = TopologyTimeline::randomFailRepair(fc, 12, 300, 700, seed);
+    UniformTraffic traffic;
+    SimConfig cfg = goldenConfig(0.6, seed);
+    cfg.route_ttl = 64;
+    return Simulator(fc, traffic, cfg, tl).run();
+}
+
+/**
+ * A 2-step ExpansionPlan of an RFC(8,3) run live on its union
+ * topology, new terminals gated until their step's activation barrier.
+ */
+SimResult
+rfcExpandTimeline(std::uint64_t seed)
+{
+    Rng rng(11);
+    auto built = buildRfc(8, 3, 20, rng);
+    EXPECT_TRUE(built.routable);
+    Rng plan_rng(seed);
+    ExpansionPlan plan(built.topology, 2, plan_rng);
+    EXPECT_TRUE(UpDownOracle(plan.finalTopology()).routable());
+    FoldedClos u = plan.unionTopology();
+    UniformTraffic traffic;
+    SimConfig cfg = goldenConfig(0.6, seed);
+    cfg.route_ttl = 64;
+    cfg.active_terminals = plan.baseTerminals();
+    return Simulator(u, traffic, cfg, plan.liveTimeline(300, 200, 32)).run();
+}
+
 /** One golden configuration: its file name, runner and recorded seed. */
 struct Golden
 {
@@ -315,10 +380,29 @@ constexpr Golden kPolicyGoldens[] = {
     {"rrn16_uniform_flowlet", directUniformFlowlet, 19},
 };
 
+/** Goldens of live topology-change runs, checked with timelineFields. */
+struct TimelineGolden
+{
+    const char *name;
+    SimResult (*run)(std::uint64_t seed);
+    std::uint64_t seed;
+};
+
+constexpr TimelineGolden kTimelineGoldens[] = {
+    {"cft8_fault_timeline", cftFaultTimeline, 20},
+    {"rfc8_expand_timeline", rfcExpandTimeline, 21},
+};
+
 void
 checkGolden(const Golden &g)
 {
-    checkOrRecord(g.name, g.run(g.seed, Drive::kDefault));
+    checkOrRecord(g.name, fields(g.run(g.seed, Drive::kDefault)));
+}
+
+void
+checkGolden(const TimelineGolden &g)
+{
+    checkOrRecord(g.name, timelineFields(g.run(g.seed)));
 }
 
 void checkGolden(int i) { checkGolden(kGoldens[i]); }
@@ -341,6 +425,10 @@ TEST(SimGolden, CftShiftUgal) { checkGolden(kPolicyGoldens[0]); }
 
 TEST(SimGolden, DirectUniformFlowlet) { checkGolden(kPolicyGoldens[1]); }
 
+TEST(SimGolden, CftFaultTimeline) { checkGolden(kTimelineGoldens[0]); }
+
+TEST(SimGolden, RfcExpandTimeline) { checkGolden(kTimelineGoldens[1]); }
+
 TEST(SimGolden, HookEveryCycleReproducesPolling)
 {
     // A hook at every cycle caps every sleep at the next cycle, so each
@@ -349,7 +437,7 @@ TEST(SimGolden, HookEveryCycleReproducesPolling)
     for (const Golden &g : kGoldens) {
         SCOPED_TRACE(g.name);
         expectGolden(std::string("polling/") + g.name,
-                     g.run(g.seed, Drive::kHookEveryCycle));
+                     fields(g.run(g.seed, Drive::kHookEveryCycle)));
     }
 }
 
