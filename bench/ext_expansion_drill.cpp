@@ -6,8 +6,8 @@
  * fat-tree needs a forklift.  This bench turns that static argument
  * into a service-continuity experiment: each upgrade runs as a
  * TopologyTimeline against the union fabric (base plus staged links)
- * with traffic flowing, the up/down oracle extending incrementally at
- * every change barrier, and head packets that lose their route falling
+ * with traffic flowing, the up/down oracle rebuilt once at every
+ * change barrier, and head packets that lose their route falling
  * into the bounded retry/TTL degradation path.  New terminals start
  * injecting only after their activation barrier.
  *
@@ -173,9 +173,6 @@ main(int argc, char **argv)
     base.load = b.opts.getDouble("load", 0.6);
     base.route_ttl =
         static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
-    // Smoke doubles as the CI self-check: prove every incremental
-    // oracle repair equal to a fresh build (cheap at smoke scale).
-    base.fault_crosscheck = smoke;
     const long long total = base.warmup + base.measure;
     base.telemetry_bin = b.opts.getInt(
         "telemetry-bin", std::max<long long>(total / 40, 1));

@@ -6,10 +6,10 @@
  * Where fig12 compares steady states (links removed before the run,
  * routing rebuilt from scratch), this bench kills links *while traffic
  * is flowing* and watches the network live through it: a batch of
- * random links fails mid-run, the up/down oracle repairs itself
- * incrementally, head packets that lost their route retry against the
- * repaired tables under a bounded TTL, and - unless --no-repair - the
- * same links come back later in the run.
+ * random links fails mid-run, the up/down oracle is rebuilt once
+ * against the link overlay, head packets that lost their route retry
+ * against the new tables under a bounded TTL, and - unless
+ * --no-repair - the same links come back later in the run.
  *
  * Reported per fault level and topology: accepted throughput over the
  * measurement window, TTL drops, successful re-routes, route-less
@@ -70,7 +70,7 @@ main(int argc, char **argv)
     base.seed = seed;
     base.load = b.opts.getDouble("load", 0.7);
     // Bounded graceful degradation: a head packet that cannot route
-    // retries against the (incrementally repaired) tables for up to
+    // retries against the (rebuilt) tables for up to
     // route-ttl cycles of age, then is dropped and counted.
     base.route_ttl =
         static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));

@@ -15,10 +15,9 @@
  *    numbering and adjacency indices stay stable for a running
  *    simulator) and flip links dead/alive in a LinkFaultState mask
  *    while traffic is flowing, driven by a scheduled TopologyTimeline
- *    (clos/topology_events.hpp).  The up/down oracle repairs itself
- *    incrementally against the overlay
- *    (UpDownOracle::applyTopologyEvent), which is what the VctEngine's
- *    online fail/recovery path consumes.
+ *    (clos/topology_events.hpp).  The up/down oracle is bound to the
+ *    overlay and rebuilt once per change barrier (UpDownOracle::build),
+ *    which is what the VctEngine's online fail/recovery path consumes.
  */
 #ifndef RFC_CLOS_FAULTS_HPP
 #define RFC_CLOS_FAULTS_HPP

@@ -12,8 +12,9 @@
  * link any stage will ever add (staged links simply start dead in the
  * LinkFaultState overlay).  The engine applies the events at its
  * existing cycle-hook barrier while packets fly, exactly like fault
- * events, and the up/down oracle extends itself incrementally
- * (UpDownOracle::applyTopologyEvent).
+ * events, and the up/down oracle is rebuilt once per barrier against
+ * the overlay (sim/simulator.cpp).  The runtime rejects, before cycle
+ * 0, any event that names a switch or link the bound topology lacks.
  *
  * Event semantics (the attach/repair distinction matters):
  *

@@ -60,6 +60,9 @@ runRange(ThreadPool *pool, std::size_t lo, std::size_t hi, Fn &&fn)
     }
 }
 
+/** Phases between dual-bound evaluations. */
+constexpr int kDualEvery = 10;
+
 void
 requireAtLeastOne(const char *field, int value)
 {
@@ -151,7 +154,6 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
             std::to_string(opt.epsilon));
     requireAtLeastOne("max_phases", opt.max_phases);
     requireAtLeastOne("block", opt.block);
-    requireAtLeastOne("dual_every", opt.dual_every);
 
     FlowSolution sol;
     const std::int32_t nl = p.numLinks();
@@ -255,7 +257,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
             }
         }
 
-        if (t % opt.dual_every == 0 || t == opt.max_phases) {
+        if (t % kDualEvery == 0 || t == opt.max_phases) {
             runRange(opt.pool, 0, active.size(), argmin);
             double dist_sum = 0.0;
             for (std::size_t i = 0; i < active.size(); ++i)

@@ -138,14 +138,13 @@ FlowProblem buildClosFlowProblem(const FoldedClos &fc,
 /**
  * Solver knobs; the defaults suit every bench in this repository.
  * solveMaxConcurrentFlow throws std::invalid_argument, naming the
- * field, unless 0 < epsilon < 1 and the three counts are >= 1.
+ * field, unless 0 < epsilon < 1 and both counts are >= 1.
  */
 struct SolveOptions
 {
     double epsilon = 0.05;  //!< stop when primal >= (1-eps) * dual
     int max_phases = 400;   //!< phase cap (each routes every demand once)
     int block = 2048;       //!< demands per frozen-weight update block
-    int dual_every = 10;    //!< phases between dual-bound evaluations
     ThreadPool *pool = nullptr;  //!< optional worker pool (deterministic)
 };
 

@@ -1,23 +1,6 @@
 #include "routing/updown.hpp"
 
-#include <stdexcept>
-
 namespace rfc {
-
-void
-UpDownOracle::recomputeBelow(const FoldedClos &fc, int s,
-                             DynBitset &out) const
-{
-    out.clear();
-    if (s < num_leaves_) {
-        out.set(static_cast<std::size_t>(s));
-        return;
-    }
-    const auto &down = fc.down(s);
-    for (std::size_t i = 0; i < down.size(); ++i)
-        if (downAlive(s, i))
-            out |= reach_[0][down[i]];
-}
 
 void
 UpDownOracle::build(const FoldedClos &fc, const LinkFaultState *faults)
@@ -55,100 +38,6 @@ UpDownOracle::build(const FoldedClos &fc, const LinkFaultState *faults)
                 if (upAlive(s, i))
                     reach_[j][s] |= reach_[j - 1][up[i]];
         }
-    }
-
-    scratch_ = DynBitset(static_cast<std::size_t>(num_leaves_));
-    mark_.assign(static_cast<std::size_t>(s_count), 0);
-    mark_epoch_ = 0;
-}
-
-void
-UpDownOracle::applyLinkEvent(const FoldedClos &fc, int lower, int upper)
-{
-    if (reach_.empty())
-        throw std::logic_error("UpDownOracle: applyLinkEvent before build");
-
-    auto push_unique = [&](std::vector<int> &list, int s) {
-        if (mark_[static_cast<std::size_t>(s)] != mark_epoch_) {
-            mark_[static_cast<std::size_t>(s)] = mark_epoch_;
-            list.push_back(s);
-        }
-    };
-
-    // ---- ascent budget 0: the ancestor cone of `upper` --------------
-    // below[upper] may have gained or lost leaves; the change ripples
-    // to exactly those ancestors whose recomputed union differs.
-    changed_.clear();
-    dirty_a_.clear();
-    ++mark_epoch_;
-    push_unique(dirty_a_, upper);
-    while (!dirty_a_.empty()) {
-        dirty_b_.clear();
-        ++mark_epoch_;
-        for (int s : dirty_a_) {
-            recomputeBelow(fc, s, scratch_);
-            if (!(scratch_ == reach_[0][s])) {
-                reach_[0][s] = scratch_;
-                changed_.push_back(s);
-                for (int p : fc.up(s))
-                    push_unique(dirty_b_, p);
-            }
-        }
-        dirty_a_.swap(dirty_b_);
-    }
-
-    // ---- ascent budgets 1 .. l-1 ------------------------------------
-    // reach_j[s] reads reach_{j-1} of s and of its alive parents, so a
-    // budget-j entry can only change when (a) its switch's budget-(j-1)
-    // entry changed, (b) a parent's budget-(j-1) entry changed (i.e. s
-    // is a down-neighbor of a changed switch), or (c) the switch's own
-    // up-edge set changed - which is `lower`, at every budget.
-    // changed_ currently holds the budget-0 changed set.
-    for (int j = 1; j < levels_; ++j) {
-        dirty_a_.clear();
-        ++mark_epoch_;
-        push_unique(dirty_a_, lower);
-        for (int x : changed_) {
-            push_unique(dirty_a_, x);
-            for (int c : fc.down(x))
-                push_unique(dirty_a_, c);
-        }
-        changed_.clear();
-        for (int s : dirty_a_) {
-            scratch_ = reach_[j - 1][s];
-            const auto &up = fc.up(s);
-            for (std::size_t i = 0; i < up.size(); ++i)
-                if (upAlive(s, i))
-                    scratch_ |= reach_[j - 1][up[i]];
-            if (!(scratch_ == reach_[j][s])) {
-                reach_[j][s] = scratch_;
-                changed_.push_back(s);
-            }
-        }
-        // Once a budget level absorbs the event without any entry
-        // changing, every higher budget reads unchanged inputs: the
-        // only budget-(j+1) candidate left would be `lower`, whose
-        // inputs (its own and its parents' budget-j entries) are all
-        // unchanged too.
-        if (changed_.empty())
-            break;
-    }
-}
-
-void
-UpDownOracle::applyTopologyEvent(const FoldedClos &fc,
-                                 const TopologyEvent &ev)
-{
-    switch (ev.op) {
-    case TopoOp::kFail:
-    case TopoOp::kRepair:
-    case TopoOp::kDetach:
-    case TopoOp::kAttach:
-        applyLinkEvent(fc, ev.lower, ev.upper);
-        break;
-    case TopoOp::kAddSwitch:
-    case TopoOp::kActivateTerminals:
-        break;
     }
 }
 

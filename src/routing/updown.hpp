@@ -18,11 +18,9 @@
  *
  * Dynamic faults: bind a LinkFaultState overlay at build time and the
  * oracle sees only alive links - both in the reachability tables and
- * in every next-hop choice.  After the overlay flips one link, call
- * applyLinkEvent() to repair the tables incrementally: only the
- * entries in the affected ancestor cone are recomputed, instead of the
- * full O(levels * switches * leaves / 64) rebuild.  sameTables()
- * cross-checks an incrementally repaired oracle against a fresh one.
+ * in every next-hop choice.  After the overlay flips links, build()
+ * again against it: a live run flips every link of a topology barrier
+ * first and then rebuilds once (sim/simulator.cpp).
  */
 #ifndef RFC_ROUTING_UPDOWN_HPP
 #define RFC_ROUTING_UPDOWN_HPP
@@ -32,7 +30,6 @@
 
 #include "clos/faults.hpp"
 #include "clos/folded_clos.hpp"
-#include "clos/topology_events.hpp"
 #include "util/bitset.hpp"
 
 namespace rfc {
@@ -57,31 +54,7 @@ class UpDownOracle
      */
     void build(const FoldedClos &fc, const LinkFaultState *faults);
 
-    /**
-     * Incrementally repair the tables after the bound overlay changed
-     * the state of the link lower-upper (either direction: fail or
-     * repair).  Only entries whose value can change are recomputed:
-     * reach_0 over the ancestor cone of @p upper, then per ascent
-     * budget the changed set plus its down-neighborhood plus @p lower
-     * (whose up-edge set changed).  The result is exactly equal to a
-     * fresh build() against the same overlay.
-     */
-    void applyLinkEvent(const FoldedClos &fc, int lower, int upper);
-
-    /**
-     * Generalized incremental repair: dispatch one topology-change
-     * event.  All four link-state ops (fail / repair / detach /
-     * attach) reduce to applyLinkEvent() on the flipped link - the
-     * tables only care about the overlay's alive set, not why it
-     * changed.  kAddSwitch and kActivateTerminals do not alter link
-     * state and are no-ops here (pre-staged switches are already
-     * present in @p fc with all-dead links, so their table rows exist
-     * and fill in as their links attach).
-     */
-    void applyTopologyEvent(const FoldedClos &fc,
-                            const TopologyEvent &ev);
-
-    /** Exact table equality (the incremental-repair cross-check). */
+    /** Exact table equality (tests compare against a fresh build). */
     bool sameTables(const UpDownOracle &o) const;
 
     /** The bound link-state overlay (null = all links alive). */
@@ -177,20 +150,11 @@ class UpDownOracle
         return !faults_ || !faults_->downDead(s, i);
     }
 
-    /** reach_0[s] recomputed from alive children into @p out. */
-    void recomputeBelow(const FoldedClos &fc, int s, DynBitset &out) const;
-
     int levels_ = 0;
     int num_leaves_ = 0;
     // reach_[j][s]: leaves reachable from s with <= j up hops.
     std::vector<std::vector<DynBitset>> reach_;
     const LinkFaultState *faults_ = nullptr;
-
-    // applyLinkEvent scratch (kept across events to avoid allocation).
-    DynBitset scratch_;
-    std::vector<std::int32_t> mark_;
-    std::int32_t mark_epoch_ = 0;
-    std::vector<int> dirty_a_, dirty_b_, changed_;
 };
 
 } // namespace rfc

@@ -103,14 +103,6 @@ struct SimConfig
     long long flowlet_gap = 64;
 
     /**
-     * Cross-check mode for incremental oracle repair: after every
-     * fault-timeline event the repaired tables are compared against a
-     * freshly built oracle and a mismatch throws.  Expensive -
-     * meant for tests, not sweeps.
-     */
-    bool fault_crosscheck = false;
-
-    /**
      * Activation barrier for live expansion: number of terminals (a
      * contiguous prefix [0, n)) that inject traffic from cycle 0.  -1
      * (default) activates every terminal, which is exactly the

@@ -203,7 +203,7 @@ class UpDownPolicy
     /**
      * The oracle's tables changed under us (runtime link fail/repair):
      * every memoized choice entry may be stale, so drop the cache and
-     * refill lazily from the repaired oracle.
+     * refill lazily from the rebuilt oracle.
      */
     void onTopologyChange() { memo_.clear(); }
 

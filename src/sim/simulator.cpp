@@ -19,6 +19,39 @@ checkedHosts(int hosts_per_switch)
     return hosts_per_switch;
 }
 
+/** TopoOp names, in enumerator order, for error messages. */
+constexpr const char *kOpNames[] = {"fail",   "repair",     "detach",
+                                    "attach", "add-switch", "activate"};
+
+/**
+ * Rejects an event that names a switch outside @p fc or a link @p fc
+ * does not hold; the overlay would read outside the topology's arrays
+ * for the first and silently ignore the second.
+ */
+void
+checkEvent(const FoldedClos &fc, const TopologyEvent &e)
+{
+    if (e.op == TopoOp::kActivateTerminals)
+        return;
+    const bool link = e.op != TopoOp::kAddSwitch;
+    auto inRange = [&](int s) { return s >= 0 && s < fc.numSwitches(); };
+    const bool ok = link ? inRange(e.lower) && inRange(e.upper) &&
+                               fc.countLink(e.lower, e.upper) > 0
+                         : inRange(e.lower);
+    if (ok)
+        return;
+    std::string msg = "TopologyRuntime: ";
+    msg += kOpNames[static_cast<int>(e.op)];
+    msg += " event at cycle " + std::to_string(e.cycle);
+    msg += link ? " names link " : " names switch ";
+    msg += std::to_string(e.lower);
+    if (link)
+        msg += '-' + std::to_string(e.upper);
+    msg += ", which the bound topology (" + std::to_string(fc.numSwitches()) +
+           " switches) does not hold";
+    throw std::invalid_argument(msg);
+}
+
 } // namespace
 
 Simulator::Simulator(const FoldedClos &fc, const UpDownOracle &oracle,
@@ -47,22 +80,23 @@ Simulator::Simulator(const Graph &g, const KspRoutes &routes,
 }
 
 Simulator::TopologyRuntime::TopologyRuntime(const FoldedClos &topo,
-                                            TopologyTimeline tl,
-                                            bool check)
-    : fc(&topo), timeline(std::move(tl)), overlay(topo),
-      crosscheck(check)
+                                            TopologyTimeline tl)
+    : fc(&topo), timeline(std::move(tl)), overlay(topo)
 {
+    for (const TopologyEvent &e : timeline.events())
+        checkEvent(topo, e);
     // Staged links exist in the (union) topology but must be invisible
     // until their attach event fires: mask them dead before the oracle
     // ever sees the fabric.  setLink() returning false means the link
-    // is absent (or listed twice) - a timeline/topology mismatch.
+    // is staged more often than the topology holds it - a
+    // timeline/topology mismatch.
     for (const ClosLink &l : timeline.initialDead())
         if (!overlay.setLink(l.lower, l.upper, true))
             throw std::invalid_argument(
                 "TopologyRuntime: staged link " +
                 std::to_string(l.lower) + "-" + std::to_string(l.upper) +
-                " is absent from the bound topology (the timeline must "
-                "target the union topology)");
+                " is attached more often than the bound topology holds "
+                "it (the timeline must target the union topology)");
     oracle.build(topo, &overlay);
     counters.active = !timeline.empty();
 }
@@ -83,10 +117,8 @@ Simulator::TopologyRuntime::apply(long long now)
         case TopoOp::kFail:
         case TopoOp::kDetach:
             // setLink() is false when the event is redundant (failing
-            // an already-dead link); the tables cannot have changed
-            // then.
+            // an already-dead link); the tables cannot change then.
             if (overlay.setLink(e.lower, e.upper, true)) {
-                oracle.applyTopologyEvent(*fc, e);
                 touched = true;
                 (e.op == TopoOp::kDetach ? counters.links_detached
                                          : counters.links_failed) += 1;
@@ -95,7 +127,6 @@ Simulator::TopologyRuntime::apply(long long now)
         case TopoOp::kRepair:
         case TopoOp::kAttach:
             if (overlay.setLink(e.lower, e.upper, false)) {
-                oracle.applyTopologyEvent(*fc, e);
                 touched = true;
                 (e.op == TopoOp::kAttach ? counters.links_attached
                                          : counters.links_repaired) += 1;
@@ -113,14 +144,10 @@ Simulator::TopologyRuntime::apply(long long now)
         }
         }
     }
-    if (crosscheck && touched) {
-        UpDownOracle fresh;
-        fresh.build(*fc, &overlay);
-        if (!oracle.sameTables(fresh))
-            throw std::logic_error(
-                "TopologyRuntime: incremental oracle repair diverged "
-                "from a fresh rebuild at cycle " + std::to_string(now));
-    }
+    // Nothing routes inside the barrier, so one rebuild after the last
+    // flip serves every event of it.
+    if (touched)
+        oracle.build(*fc, &overlay);
 }
 
 Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
@@ -128,8 +155,7 @@ Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
     : layout_(FabricLayout::fromFoldedClos(fc))
 {
     config.validate();
-    runtime_ = std::make_unique<TopologyRuntime>(fc, timeline,
-                                                 config.fault_crosscheck);
+    runtime_ = std::make_unique<TopologyRuntime>(fc, timeline);
     engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
         layout_, traffic, config,
         UpDownPolicy(fc, runtime_->oracle, layout_, config));

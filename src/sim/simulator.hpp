@@ -76,12 +76,12 @@ class Simulator
      * it.  Staged links (every kAttach target) start dead in the
      * overlay; a gated run additionally sets config.active_terminals to
      * the pre-expansion terminal count.  Events apply at cycle barriers
-     * in timeline order, the oracle repairs itself incrementally
-     * (UpDownOracle::applyTopologyEvent; when config.fault_crosscheck
-     * is set, each repair is proved equal to a fresh rebuild and a
-     * mismatch throws std::logic_error), and SimResult::expansion
+     * in timeline order; after a barrier's last link flip the oracle
+     * is rebuilt once against the overlay, and SimResult::expansion
      * reports the applied-change counters.  @p fc, @p traffic must
      * outlive the simulator; the timeline is copied.
+     * @throws std::invalid_argument if an event names a switch outside
+     *         @p fc or a link @p fc does not hold.
      */
     Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
               const TopologyTimeline &timeline);
@@ -89,8 +89,8 @@ class Simulator
     /**
      * Direct-network run: bind a switch graph, its k-shortest-path
      * tables and a traffic pattern; all must outlive the simulator.
-     * There is no timeline variant: live repair needs an incrementally
-     * repairable oracle, which KspRoutes is not.
+     * There is no timeline variant: live repair needs an oracle that
+     * reads a link-state overlay, which KspRoutes does not.
      *
      * @param hosts_per_switch Terminals attached to every switch.
      * @param policy Path selection at injection: per-packet ECMP /
@@ -151,17 +151,17 @@ class Simulator
         LinkFaultState overlay;
         UpDownOracle oracle;   //!< mutable copy, bound to the overlay
         std::size_t next = 0;  //!< first unapplied timeline event
-        bool crosscheck = false;
         EngineBase *engine = nullptr;  //!< set once the engine exists
         ExpansionCounters counters;
 
-        /** Masks every staged (kAttach) link dead, then builds the
-         *  oracle; throws std::invalid_argument when a staged link is
+        /** Checks every event against @p topo, masks every staged
+         *  (kAttach) link dead, then builds the oracle; throws
+         *  std::invalid_argument when an event names a switch or link
          *  absent from @p topo. */
-        TopologyRuntime(const FoldedClos &topo, TopologyTimeline tl,
-                        bool check);
+        TopologyRuntime(const FoldedClos &topo, TopologyTimeline tl);
         /** Apply every event scheduled for cycle @p now (runs in
-         *  cycle-hook context, before that cycle's traffic). */
+         *  cycle-hook context, before that cycle's traffic), then
+         *  rebuild the oracle once if a link changed state. */
         void apply(long long now);
     };
 

@@ -41,14 +41,6 @@ class DynBitset
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
 
-    /** Clear all bits. */
-    void
-    clear()
-    {
-        for (auto &w : words_)
-            w = 0;
-    }
-
     /** Bitwise OR-assign; sizes must match. */
     DynBitset &
     operator|=(const DynBitset &o)

@@ -84,15 +84,6 @@ TEST(DynBitset, AndAssign)
     EXPECT_TRUE(a.test(50));
 }
 
-TEST(DynBitset, Clear)
-{
-    DynBitset a(80);
-    a.set(5);
-    a.set(70);
-    a.clear();
-    EXPECT_FALSE(a.any());
-}
-
 TEST(DynBitset, Equality)
 {
     DynBitset a(64), b(64), c(65);

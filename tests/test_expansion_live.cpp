@@ -2,10 +2,9 @@
  * @file
  * Tests for the live topology-change pipeline (tier 1): the
  * TopologyTimeline event model, the union/overlay run of an
- * ExpansionPlan against the cycle-driven simulator (crosschecked
- * incremental oracle extension, conservation, counters, activation
- * barrier), morph drills, and bit-identical determinism at any thread
- * count.
+ * ExpansionPlan against the cycle-driven simulator (oracle rebuilt per
+ * barrier, conservation, counters, activation barrier), morph drills,
+ * and bit-identical determinism at any thread count.
  */
 #include <gtest/gtest.h>
 
@@ -139,7 +138,7 @@ expectSameResult(const SimResult &a, const SimResult &b)
               b.expansion.barrier_inflight_max);
 }
 
-TEST(LiveExpansion, CrosscheckedDrillEndsEqualToOfflineRebuild)
+TEST(LiveExpansion, DrillEndsEqualToOfflineRebuild)
 {
     FoldedClos base;
     auto plan = routablePlan(base);
@@ -147,7 +146,6 @@ TEST(LiveExpansion, CrosscheckedDrillEndsEqualToOfflineRebuild)
     TopologyTimeline tl = plan->liveTimeline(300, 200, 32);
 
     SimConfig cfg = liveConfig();
-    cfg.fault_crosscheck = true;  // every event: repair == fresh build
     cfg.active_terminals = plan->baseTerminals();
     UniformTraffic traffic;
     Simulator sim(u, traffic, cfg, tl);
@@ -213,7 +211,7 @@ TEST(LiveExpansion, StagedLinkAbsentFromTopologyThrows)
 TEST(LiveExpansion, MorphDrillRunsAndConverges)
 {
     // The generic morph path live: base -> final of a 1-step plan, all
-    // rewires in one barrier, crosschecked.
+    // rewires in one barrier.
     FoldedClos base;
     auto staged = routablePlan(base);
     Rng r(deriveSeed(11, 0xE59AULL, 0));
@@ -221,7 +219,6 @@ TEST(LiveExpansion, MorphDrillRunsAndConverges)
     MorphPlan mp = planMorph(base, plan.finalTopology());
 
     SimConfig cfg = liveConfig();
-    cfg.fault_crosscheck = true;
     cfg.active_terminals = mp.from_terminals;
     TopologyTimeline tl = mp.liveTimeline(300, 32);
     UniformTraffic traffic;

@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the runtime fault layer (tier 1): fail/repair
- * TopologyTimeline / LinkFaultState semantics, incremental up/down
- * oracle repair vs fresh rebuilds on randomized fail/repair sequences,
- * determinism of
- * fault-injection simulations at any thread count, packet conservation
- * and TTL-drop accounting under faults, and the recovery-telemetry
- * analysis helpers.
+ * TopologyTimeline / LinkFaultState semantics, the up/down oracle built
+ * against a link overlay, rejection of timelines that name switches or
+ * links the topology lacks, determinism of fault-injection simulations,
+ * packet conservation and TTL-drop accounting under faults, and the
+ * recovery-telemetry analysis helpers.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "analysis/fault_sweep.hpp"
@@ -131,100 +131,43 @@ TEST(LinkFaultState, FlipRedundantAndParallelWires)
 }
 
 // ======================================================================
-// Incremental oracle repair == fresh rebuild
+// Oracle built against a link overlay
 // ======================================================================
 
-/** Applies a random fail/repair walk, checking after every event. */
-void
-randomRepairTrial(const FoldedClos &fc, std::uint64_t seed, int n_events)
-{
-    Rng rng(seed);
-    auto links = fc.links();
-    ASSERT_FALSE(links.empty());
-
-    LinkFaultState overlay(fc);
-    UpDownOracle incremental;
-    incremental.build(fc, &overlay);
-
-    for (int e = 0; e < n_events; ++e) {
-        const auto &l = links[rng.uniform(links.size())];
-        // Biased toward failures so the dead set actually grows, but
-        // with plenty of repairs (including repair-after-repair and
-        // redundant events that must be no-ops).
-        bool dead = rng.uniform(3) != 0;
-        if (!overlay.setLink(l.lower, l.upper, dead))
-            continue;  // redundant event: tables must not need repair
-        incremental.applyLinkEvent(fc, l.lower, l.upper);
-
-        UpDownOracle fresh;
-        fresh.build(fc, &overlay);
-        ASSERT_TRUE(incremental.sameTables(fresh))
-            << "divergence after event " << e << " (link " << l.lower
-            << "-" << l.upper << (dead ? " fail" : " repair")
-            << ", seed " << seed << ")";
-    }
-}
-
-TEST(IncrementalRepair, MatchesFreshBuildOnRandomizedSequences)
-{
-    // >= 100 randomized trials across CFT and RFC shapes.  Every trial
-    // interleaves failures and repairs and cross-checks after every
-    // event, so repair-after-repair chains are covered throughout.
-    auto cft2 = buildCft(8, 2);
-    auto cft3 = buildCft(4, 3);
-    Rng build_rng(7);
-    auto rfc3 = buildRfc(6, 3, 12, build_rng).topology;
-
-    const FoldedClos *topos[] = {&cft2, &cft3, &rfc3};
-    int trial = 0;
-    for (int t = 0; t < 34; ++t)
-        for (const FoldedClos *fc : topos)
-            randomRepairTrial(*fc, deriveSeed(99, 0,
-                                              static_cast<std::uint64_t>(
-                                                  trial++)),
-                              12);
-    EXPECT_GE(trial, 100);
-}
-
-TEST(IncrementalRepair, FullKillAndFullRepairRestoresOriginalTables)
+TEST(OverlayOracle, FullKillAndFullRepairRestoresOriginalTables)
 {
     auto fc = buildCft(4, 3);
     auto links = fc.links();
     LinkFaultState overlay(fc);
     UpDownOracle oracle;
-    oracle.build(fc, &overlay);
 
-    for (const auto &l : links) {
+    for (const auto &l : links)
         ASSERT_TRUE(overlay.setLink(l.lower, l.upper, true));
-        oracle.applyLinkEvent(fc, l.lower, l.upper);
-    }
+    oracle.build(fc, &overlay);
     EXPECT_EQ(overlay.deadLinks(), links.size());
     EXPECT_FALSE(oracle.routable());
 
-    for (const auto &l : links) {
+    for (const auto &l : links)
         ASSERT_TRUE(overlay.setLink(l.lower, l.upper, false));
-        oracle.applyLinkEvent(fc, l.lower, l.upper);
-    }
+    oracle.build(fc, &overlay);
     EXPECT_EQ(overlay.deadLinks(), 0u);
     UpDownOracle pristine(fc);
     EXPECT_TRUE(oracle.sameTables(pristine));
     EXPECT_TRUE(oracle.routable());
 }
 
-TEST(IncrementalRepair, DeadLinksAreNeverOfferedAsNextHops)
+TEST(OverlayOracle, DeadLinksAreNeverOfferedAsNextHops)
 {
     auto fc = buildCft(8, 2);
     LinkFaultState overlay(fc);
     UpDownOracle oracle;
-    oracle.build(fc, &overlay);
 
     // Kill every up link of leaf 0 except local index 0.
     const auto &up = fc.up(0);
     ASSERT_GE(up.size(), 2u);
-    for (std::size_t i = 1; i < up.size(); ++i) {
+    for (std::size_t i = 1; i < up.size(); ++i)
         ASSERT_TRUE(overlay.setLink(0, up[i], true));
-        oracle.applyLinkEvent(fc, 0, up[i]);
-    }
+    oracle.build(fc, &overlay);
     std::vector<int> choices;
     // Any destination needing an ascent from leaf 0 must route through
     // the lone surviving parent link.
@@ -409,7 +352,7 @@ TEST(FaultSim, TtlZeroParksForeverAcrossAnOutage)
     expectConservation(r);
 }
 
-TEST(FaultSim, CrosscheckedRepairMatchesFreshOracle)
+TEST(FaultSim, RepairedRunEndsEqualToFreshOracle)
 {
     auto fc = buildCft(8, 2);
     auto tl = TopologyTimeline::randomFailRepair(fc, 12, 100, 400,
@@ -417,7 +360,6 @@ TEST(FaultSim, CrosscheckedRepairMatchesFreshOracle)
     SimConfig cfg = faultConfig();
     cfg.warmup = 100;
     cfg.measure = 500;
-    cfg.fault_crosscheck = true;  // throws std::logic_error on mismatch
 
     UniformTraffic traffic;
     Simulator sim(fc, traffic, cfg, tl);
@@ -428,6 +370,63 @@ TEST(FaultSim, CrosscheckedRepairMatchesFreshOracle)
     ASSERT_NE(sim.faultOracle(), nullptr);
     UpDownOracle pristine(fc);
     EXPECT_TRUE(sim.faultOracle()->sameTables(pristine));
+}
+
+/** The message of the std::invalid_argument @p tl raises on @p fc. */
+std::string
+rejection(const FoldedClos &fc, const TopologyTimeline &tl)
+{
+    UniformTraffic traffic;
+    try {
+        Simulator sim(fc, traffic, faultConfig(), tl);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "timeline was accepted";
+    return "";
+}
+
+TEST(FaultSim, RejectsEventsNamingAbsentSwitchesOrLinks)
+{
+    auto fc = buildCft(4, 2);
+    // An endpoint past the last switch would read outside the
+    // topology's arrays.
+    TopologyTimeline far;
+    far.fail(50, 1 << 20, 3);
+    std::string msg = rejection(fc, far);
+    EXPECT_NE(msg.find("fail event at cycle 50"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("link 1048576-3"), std::string::npos) << msg;
+
+    // Two leaves share no link: the overlay would ignore the event and
+    // the run would end with links_failed 0 and no warning.
+    TopologyTimeline leaves;
+    leaves.fail(50, 0, 1);
+    msg = rejection(fc, leaves);
+    EXPECT_NE(msg.find("fail event at cycle 50"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("link 0-1"), std::string::npos) << msg;
+
+    TopologyTimeline neg;
+    neg.repair(7, -1, fc.numLeaves());
+    msg = rejection(fc, neg);
+    EXPECT_NE(msg.find("repair event at cycle 7"), std::string::npos)
+        << msg;
+
+    TopologyTimeline sw;
+    sw.addSwitch(9, fc.numSwitches());
+    msg = rejection(fc, sw);
+    EXPECT_NE(msg.find("add-switch event at cycle 9"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("switch " + std::to_string(fc.numSwitches())),
+              std::string::npos)
+        << msg;
+
+    // Every switch id in range and every existing link is accepted.
+    TopologyTimeline ok;
+    ok.addSwitch(9, fc.numSwitches() - 1);
+    const ClosLink l = fc.links().back();
+    ok.fail(10, l.lower, l.upper).fail(11, l.lower, l.upper);
+    UniformTraffic traffic;
+    EXPECT_NO_THROW(Simulator(fc, traffic, faultConfig(), ok));
 }
 
 TEST(FaultSim, TelemetryBinsSumToEjections)

@@ -304,15 +304,6 @@ TEST(FlowKnobs, RejectsBlockBelowOne)
     }
 }
 
-TEST(FlowKnobs, RejectsDualEveryBelowOne)
-{
-    for (int bad : {0, -10}) {
-        SolveOptions opt;
-        opt.dual_every = bad;
-        expectRejected("dual_every", [&] { solveTiny(opt); });
-    }
-}
-
 TEST(FlowKnobs, RejectsEpsilonOutsideOpenUnitInterval)
 {
     for (double bad : {0.0, 1.0, -1.0, 1.5, std::nan("")}) {

@@ -46,8 +46,8 @@ if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
 # --smoke audits message conservation in every trial
 # (exit 1 on any violation).
 ./bench/ext_closed_loop --smoke > /dev/null
-# --smoke crosschecks every incremental oracle repair and
-# audits packet conservation (exit 1 on any violation).
+# --smoke audits packet conservation (exit 1 on any
+# violation).
 ./bench/ext_expansion_drill --smoke > /dev/null
 ./bench/fig_perf_1M --smoke --json > perf1m.json
 # --json prints exactly one document on stdout.
