@@ -62,6 +62,20 @@ num(long long v)
     return static_cast<double>(v);
 }
 
+/** The engine's wall-clock telemetry, for a trial's timing object. */
+void
+addEngineTiming(Sample &s, const PerfCounters &p)
+{
+    s.timing.insert(s.timing.end(),
+                    {{"cycles_per_sec", p.cycles_per_sec},
+                     {"hook_seconds", p.hook_seconds},
+                     {"release_seconds", p.release_seconds},
+                     {"generate_seconds", p.generate_seconds},
+                     {"inject_seconds", p.inject_seconds},
+                     {"arbitrate_seconds", p.arbitrate_seconds},
+                     {"global_step_seconds", p.global_step_seconds}});
+}
+
 /** One open-loop packet-simulation trial. */
 Sample
 vctTrial(const Point &pt, const SimConfig &cfg)
@@ -120,7 +134,7 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     s.add("scan_commit_blocked", num(r.perf.scan_commit_blocked),
           Fold::kSum);
     s.add("occupancy", r.perf.occupancy, Fold::kSeriesSum);
-    s.timing.push_back({"cycles_per_sec", r.perf.cycles_per_sec});
+    addEngineTiming(s, r.perf);
     return s;
 }
 
@@ -160,6 +174,7 @@ workloadTrial(const Point &pt, const SimConfig &cfg)
     s.add("conservation_violations",
           w.conservation_residual != 0 || w.eject_mismatch != 0 ? 1 : 0,
           Fold::kSum);
+    addEngineTiming(s, r.perf);
     return s;
 }
 

@@ -1,5 +1,7 @@
 #include "sim/core/config.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -69,6 +71,25 @@ SimConfig::validate() const
             " (the injection wheel has that many slots; an injection "
             "rescheduled pkt_phits ahead would land in the slot being "
             "drained), got " + std::to_string(pkt_phits));
+    // The last stamp a run writes is an arrival's ready cycle, at most
+    // warmup + measure + link_latency + pkt_phits.  Each term is already
+    // known to be >= 0, so subtracting them one by one cannot overflow.
+    constexpr long long kMaxStamp = std::numeric_limits<std::int32_t>::max();
+    long long room = kMaxStamp;
+    for (long long term : {static_cast<long long>(pkt_phits),
+                           static_cast<long long>(link_latency), warmup,
+                           measure}) {
+        if (term > room)
+            throw std::invalid_argument(
+                "SimConfig: warmup + measure + link_latency + pkt_phits "
+                "must be <= " + std::to_string(kMaxStamp) +
+                " (cycle stamps are 32-bit), got warmup " +
+                std::to_string(warmup) + ", measure " +
+                std::to_string(measure) + ", link_latency " +
+                std::to_string(link_latency) + ", pkt_phits " +
+                std::to_string(pkt_phits));
+        room -= term;
+    }
 }
 
 } // namespace rfc

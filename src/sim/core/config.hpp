@@ -134,9 +134,12 @@ struct SimConfig
      * than -1 or >= 1, or Valiant or UGAL routing with vcs < 2.  Also
      * rejects values the engine's narrow hot-state types would
      * silently wrap: vcs or buf_packets > 127 (8-bit VC indices and
-     * injection credits) and pkt_phits >= kGenWheelSlots (an injection
+     * injection credits), pkt_phits >= kGenWheelSlots (an injection
      * rescheduled pkt_phits ahead would land in the slot being
-     * drained).
+     * drained), and warmup + measure + link_latency + pkt_phits >
+     * INT32_MAX (ring ready times and packet birth cycles are 32-bit
+     * cycle stamps, and the wake and release wheels have pkt_phits +
+     * link_latency + 2 slots).
      */
     void validate() const;
 };
@@ -176,6 +179,18 @@ struct PerfCounters
 
     double wall_seconds = 0.0;    //!< telemetry: run() wall clock
     double cycles_per_sec = 0.0;  //!< telemetry: cycles / wall_seconds
+    /**
+     * Telemetry: wall clock spent in each phase of the cycle loop,
+     * summed over the run.  The occupancy sample, the guards and the
+     * set-up before cycle 0 are in no phase, so the six sum to at most
+     * wall_seconds.
+     */
+    double hook_seconds = 0.0;
+    double release_seconds = 0.0;
+    double generate_seconds = 0.0;  //!< generation or workload wakes
+    double inject_seconds = 0.0;
+    double arbitrate_seconds = 0.0;
+    double global_step_seconds = 0.0;  //!< workload onGlobalStep
 };
 
 /**

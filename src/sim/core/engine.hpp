@@ -94,7 +94,9 @@
  * differs from polling every cycle while the distribution of results
  * does not.  A wheel slot is an intrusive FIFO list threaded through
  * one per-VC next index, so the scheduler's memory is four bytes per
- * input VC at any load.
+ * input VC at any load.  The arbiter drains its slot into a reusable
+ * array first and walks that in the same order, so it can prefetch a
+ * few visits ahead what each due VC's visit will load.
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -512,7 +514,7 @@ class VctEngine
     Traffic &traffic_;
     SimConfig cfg_;
     Policy policy_;
-    int wheel_size_ = 0;
+    long long wheel_size_ = 0;
 
     std::vector<std::int64_t> out_peer_ivc_base_;  //!< peer iport * vcs
 
@@ -553,6 +555,7 @@ class VctEngine
     std::vector<std::int32_t> cand_count_;  //!< 0 = no candidate yet
     std::vector<std::int32_t> touched_outs_;   //!< out gids
     std::vector<std::int32_t> scanned_ivcs_;
+    std::vector<std::int32_t> due_;  //!< this cycle's drained wake slot
 
     // ---- cycle hook -------------------------------------------------
     std::vector<long long> hook_cycles_;
@@ -643,7 +646,8 @@ VctEngine<Policy>::buildStructures()
                         ? lay_.num_terms
                         : std::min(cfg_.active_terminals, lay_.num_terms);
 
-    wheel_size_ = cfg_.pkt_phits + cfg_.link_latency + 2;
+    wheel_size_ = static_cast<long long>(cfg_.pkt_phits) +
+                  cfg_.link_latency + 2;
 
     cand_ivc_.assign(lay_.total_ports, -1);
     cand_count_.assign(lay_.total_ports, 0);
@@ -1064,15 +1068,40 @@ VctEngine<Policy>::arbitrate(long long now)
     scanned_ivcs_.clear();
     const CongestionView cv = view(now);
 
-    // Scan phase over the input VCs due this cycle, in wake order.
-    // Detaching the slot first is safe: every wake this cycle lands at
-    // now + 1 or later, never back in this slot.
-    std::int32_t next = slot.head;
+    // Drain the slot into due_, in wake order.  Draining first is safe:
+    // the scan re-pushes only the VC it visits, always to now + 1 or
+    // later, so the array is exactly the list a walk would have seen.
+    due_.clear();
+    for (std::int32_t next = slot.head; next >= 0;) {
+        due_.push_back(next);
+        const std::int32_t after = wake_next_[next];
+        wake_next_[next] = kNotQueued;
+        next = after;
+    }
     slot = WakeList{};
-    while (next >= 0) {
-        const std::int64_t gi = next;
-        next = wake_next_[gi];
-        wake_next_[gi] = kNotQueued;
+
+    // Scan phase over the due VCs.  Two prefetch stages hide the
+    // dependent misses of a visit: the ring head and in-port busy time
+    // kPrefetchFar visits ahead, then the head packet and switch id
+    // kPrefetchNear ahead, once that ring slot is cached.  Distances
+    // measured on the Fig 8 pair under random pairing; (8, 4) and
+    // (20, 10) timed the same within noise.
+    constexpr std::size_t kPrefetchFar = 12, kPrefetchNear = 6;
+    const std::size_t n_due = due_.size();
+    for (std::size_t i = 0; i < n_due; ++i) {
+        if (i + kPrefetchFar < n_due) {
+            const std::int64_t g = due_[i + kPrefetchFar];
+            __builtin_prefetch(&ring_[g * cap + q_head_[g]]);
+            __builtin_prefetch(&in_busy_[g / V]);
+        }
+        if (i + kPrefetchNear < n_due) {
+            const std::int64_t g = due_[i + kPrefetchNear];
+            if (q_count_[g] != 0) {
+                __builtin_prefetch(&pkt(ring_[g * cap + q_head_[g]].pkt));
+                __builtin_prefetch(&lay_.port_owner[g / V]);
+            }
+        }
+        const std::int64_t gi = due_[i];
         if (q_count_[gi] == 0)
             continue;
         ++perf_.switch_scans;
@@ -1358,20 +1387,40 @@ VctEngine<Policy>::runCycles(long long total)
             static_cast<std::int32_t>(t));
     }
 
+    // Phase timers: one clock read at the start of each cycle and one
+    // at the end of each phase, each lap charged to the phase it ends.
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point t;
+    auto lap = [&t](double &phase) {
+        const Clock::time_point u = Clock::now();
+        phase += std::chrono::duration<double>(u - t).count();
+        t = u;
+    };
     for (long long now = 0; now < total; ++now) {
-        if (hookDue(now))
+        t = Clock::now();
+        if (hookDue(now)) {
             runHook(now);
+            lap(perf_.hook_seconds);
+        }
         processReleases(now);
+        lap(perf_.release_seconds);
         if (wl_ != nullptr)
             processWorkloadWakes(now);
         else
             processGeneration(now);
+        lap(perf_.generate_seconds);
         processInjection(now);
+        lap(perf_.inject_seconds);
         arbitrate(now);
-        if ((now & 255) == 0)
+        lap(perf_.arbitrate_seconds);
+        if ((now & 255) == 0) {
             sampleOccupancy();
-        if (wl_global_)
+            t = Clock::now();
+        }
+        if (wl_global_) {
             workloadGlobalStep(now);
+            lap(perf_.global_step_seconds);
+        }
         if constexpr (kGuards)
             guardCycle(now);
     }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,6 +101,39 @@ TEST(SimConfigValidate, RejectsValuesNarrowEngineTypesWouldWrap)
     check([](SimConfig &c, int v) { c.buf_packets = v; }, 127, 128);
     check([](SimConfig &c, int v) { c.vcs = v; }, 127, 128);
     check([](SimConfig &c, int v) { c.pkt_phits = v; }, 1023, 1024);
+
+    // Ring ready times and packet birth cycles are 32-bit cycle stamps:
+    // warmup + measure + link_latency + pkt_phits must fit in int32.
+    // link_latency = INT32_MAX used to pass, then overflow the wheel
+    // size and die in the constructor with an opaque length error.
+    const long long kMax = std::numeric_limits<std::int32_t>::max();
+    auto stamps = [](long long warmup, long long measure, int latency) {
+        SimConfig c;
+        c.warmup = warmup;
+        c.measure = measure;
+        c.link_latency = latency;
+        return c;
+    };
+    const int phits = SimConfig{}.pkt_phits;
+    EXPECT_NO_THROW(stamps(kMax - 1000 - 1 - phits, 1000, 1).validate());
+    EXPECT_THROW(stamps(kMax - 1000 - 1 - phits + 1, 1000, 1).validate(),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(stamps(0, kMax - 1 - phits, 1).validate());
+    EXPECT_THROW(stamps(0, kMax - phits, 1).validate(),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(
+        stamps(0, 1, static_cast<int>(kMax - 1 - phits)).validate());
+    EXPECT_THROW(stamps(0, 1, static_cast<int>(kMax - phits)).validate(),
+                 std::invalid_argument);
+    EXPECT_THROW(stamps(1LL << 31, 1000, 1).validate(),
+                 std::invalid_argument);
+    try {
+        stamps(0, 1000, static_cast<int>(kMax)).validate();
+        ADD_FAILURE() << "link_latency = INT32_MAX was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SimConfigValidate, ConstructorsValidate)
@@ -264,11 +299,10 @@ TEST(PacketArena, SaturatedRunStaysWithinRingSlots)
 // Arbiter visit outcomes
 // ---------------------------------------------------------------------
 
-TEST(PerfCounters, ScanOutcomesSumToSwitchScans)
+/** Engine counters of saturated random pairing on CFT(8,3). */
+PerfCounters
+saturatedCft8Perf()
 {
-    // Saturated random pairing: heads wait, outputs collide, credits
-    // run out - every outcome class but "no route" occurs, and each
-    // visit lands in exactly one of them.
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     RandomPairingTraffic traffic;
@@ -278,7 +312,15 @@ TEST(PerfCounters, ScanOutcomesSumToSwitchScans)
     cfg.load = 1.0;
     cfg.seed = 1;
     Simulator sim(fc, oracle, traffic, cfg);
-    const PerfCounters p = sim.run().perf;
+    return sim.run().perf;
+}
+
+TEST(PerfCounters, ScanOutcomesSumToSwitchScans)
+{
+    // Saturated random pairing: heads wait, outputs collide, credits
+    // run out - every outcome class but "no route" occurs, and each
+    // visit lands in exactly one of them.
+    const PerfCounters p = saturatedCft8Perf();
     EXPECT_EQ(p.switch_scans,
               p.scan_not_ready + p.scan_no_route + p.scan_sole_busy +
                   p.scan_choice_busy + p.scan_credit_blocked +
@@ -292,6 +334,23 @@ TEST(PerfCounters, ScanOutcomesSumToSwitchScans)
     EXPECT_EQ(p.scan_no_route, 0);  // no faults
     // Credit stalls are counted at scan and at commit.
     EXPECT_GE(p.credit_stalls, p.scan_credit_blocked);
+}
+
+TEST(PerfCounters, PhaseTimersSumWithinWallClock)
+{
+    // The phases are disjoint laps inside run(), which also times the
+    // set-up before cycle 0, the occupancy samples and the guards.
+    const PerfCounters p = saturatedCft8Perf();
+    const double phases[] = {p.hook_seconds,      p.release_seconds,
+                             p.generate_seconds,  p.inject_seconds,
+                             p.arbitrate_seconds, p.global_step_seconds};
+    double sum = 0.0;
+    for (double x : phases) {
+        EXPECT_GE(x, 0.0);
+        sum += x;
+    }
+    EXPECT_LE(sum, p.wall_seconds);
+    EXPECT_GT(p.arbitrate_seconds, 0.0);
 }
 
 // ---------------------------------------------------------------------
