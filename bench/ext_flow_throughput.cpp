@@ -206,10 +206,10 @@ main(int argc, char **argv)
         Rng order_rng(static_cast<std::uint64_t>(seed + 1));
         const auto n_levels = static_cast<std::size_t>(steps + 1);
         const auto step = static_cast<std::size_t>(step_links);
-        const auto cft_levels = nestedFaultLevels(
-            cft, n_levels, step, order_rng, /*build_oracles=*/true);
-        const auto rfc_levels = nestedFaultLevels(
-            built.topology, n_levels, step, order_rng, /*build_oracles=*/true);
+        const auto cft_levels =
+            nestedFaultLevels(cft, n_levels, step, order_rng);
+        const auto rfc_levels =
+            nestedFaultLevels(built.topology, n_levels, step, order_rng);
         std::vector<Network> nets;
         for (std::size_t s = 0; s < n_levels; ++s) {
             nets.push_back({"CFT@" + std::to_string(s), &cft_levels.cuts[s],

@@ -67,11 +67,9 @@ main(int argc, char **argv)
     Rng order_rng(base.seed + 1);
     auto n_levels = static_cast<std::size_t>(steps + 1);
     auto cft_levels = nestedFaultLevels(
-        cft, n_levels, static_cast<std::size_t>(step_links), order_rng,
-        /*build_oracles=*/true);
+        cft, n_levels, static_cast<std::size_t>(step_links), order_rng);
     auto rfc_levels = nestedFaultLevels(
-        rfc_fc, n_levels, static_cast<std::size_t>(step_links),
-        order_rng, /*build_oracles=*/true);
+        rfc_fc, n_levels, static_cast<std::size_t>(step_links), order_rng);
 
     const std::vector<std::string> traffics{"uniform", "random-pairing",
                                             "fixed-random"};

@@ -7,7 +7,7 @@ namespace rfc {
 
 FaultLevels
 nestedFaultLevels(const FoldedClos &fc, std::size_t num_levels,
-                  std::size_t step, Rng &order_rng, bool build_oracles)
+                  std::size_t step, Rng &order_rng)
 {
     if (num_levels < 1)
         throw std::invalid_argument(
@@ -22,12 +22,9 @@ nestedFaultLevels(const FoldedClos &fc, std::size_t num_levels,
     out.cuts.reserve(num_levels);
     for (std::size_t b = 0; b < num_levels; ++b)
         out.cuts.push_back(withLinksRemoved(fc, out.order, b * step));
-    if (build_oracles) {
-        out.oracles.reserve(num_levels);
-        for (std::size_t b = 0; b < num_levels; ++b)
-            out.oracles.push_back(
-                std::make_unique<UpDownOracle>(out.cuts[b]));
-    }
+    out.oracles.reserve(num_levels);
+    for (std::size_t b = 0; b < num_levels; ++b)
+        out.oracles.push_back(std::make_unique<UpDownOracle>(out.cuts[b]));
     return out;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * Shared scaffolding for fault studies, static and dynamic.
  *
- * Static sweeps (Figure 12, the fault-drill example) all follow the
- * same shape: draw one random link-removal order per topology, then
- * materialize nested snapshots - level b removes the first b * step
- * links of the order, so every fault level's faults are a superset of
- * the previous level's, exactly the paper's progression.  Before this
- * helper each bench hand-rolled the orders, the prefix copies and the
- * oracle rebuilds; nestedFaultLevels() is that scaffolding, once.
+ * Static sweeps (fig12_perf_faults, ext_flow_throughput's fault
+ * section) all follow the same shape: draw one random link-removal
+ * order per topology, then materialize nested snapshots - level b
+ * removes the first b * step links of the order, so every fault
+ * level's faults are a superset of the previous level's, exactly the
+ * paper's progression.  Before this helper each bench hand-rolled
+ * the orders, the prefix copies and the oracle rebuilds;
+ * nestedFaultLevels() is that scaffolding, once.
  *
  * Dynamic drills (bench/ext_fault_recovery) run ONE simulation through
  * a TopologyTimeline of link fail/repair events and read the recovery
@@ -33,7 +34,7 @@ namespace rfc {
 struct FaultLevels
 {
     std::vector<FoldedClos> cuts;  //!< cuts[b]: first b * step links removed
-    /** Fresh oracle per level (empty unless build_oracles was set). */
+    /** oracles[b]: a fresh UpDownOracle over cuts[b]. */
     std::vector<std::unique_ptr<UpDownOracle>> oracles;
     std::vector<ClosLink> order;   //!< the removal order the levels share
     std::size_t step = 0;          //!< links removed per level
@@ -51,12 +52,11 @@ struct FaultLevels
  * removal order is drawn from @p order_rng (a single randomLinkOrder
  * call, so sharing the Rng across topologies reproduces the legacy
  * hand-rolled sequence draw-for-draw) and level b removes its first
- * b * step links.  With @p build_oracles, a fresh UpDownOracle is
- * built per level.
+ * b * step links.  A fresh UpDownOracle is built per level.
  */
 FaultLevels nestedFaultLevels(const FoldedClos &fc,
                               std::size_t num_levels, std::size_t step,
-                              Rng &order_rng, bool build_oracles);
+                              Rng &order_rng);
 
 /** Headline numbers of one fault-recovery telemetry series. */
 struct RecoveryStats

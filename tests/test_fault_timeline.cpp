@@ -507,7 +507,7 @@ TEST(Recovery, NestedFaultLevelsShape)
 {
     auto fc = buildCft(8, 2);
     Rng rng(3);
-    auto lv = nestedFaultLevels(fc, 4, 5, rng, /*build_oracles=*/true);
+    auto lv = nestedFaultLevels(fc, 4, 5, rng);
     ASSERT_EQ(lv.cuts.size(), 4u);
     ASSERT_EQ(lv.oracles.size(), 4u);
     EXPECT_EQ(lv.order.size(), static_cast<std::size_t>(fc.numWires()));
@@ -522,11 +522,9 @@ TEST(Recovery, NestedFaultLevelsShape)
         EXPECT_LT(lv.cuts[b].numWires(), lv.cuts[b - 1].numWires());
 
     Rng rng2(3);
-    auto bare = nestedFaultLevels(fc, 4, 5, rng2, /*build_oracles=*/false);
-    EXPECT_TRUE(bare.oracles.empty());
-    EXPECT_THROW(nestedFaultLevels(fc, 1u << 20, 5, rng2, false),
+    EXPECT_THROW(nestedFaultLevels(fc, 1u << 20, 5, rng2),
                  std::out_of_range);
-    EXPECT_THROW(nestedFaultLevels(fc, 0, 5, rng2, false),
+    EXPECT_THROW(nestedFaultLevels(fc, 0, 5, rng2),
                  std::invalid_argument);
 }
 

@@ -63,8 +63,12 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 ./examples/simulate --topo rfc --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --route-mode ugal > /dev/null
 # The hotspot pattern and the CSV printer.
 ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --csv > /dev/null
-# Includes oblivious-vs-UGAL runs on every topology.
+# Structure table and flow-model ranking of every topology.
 ./examples/topology_explorer --radix 8 > /dev/null
+# Its packet-level sections moved to examples/simulate and the benches:
+# the removed flags must be rejected, not ignored.
+if ./examples/topology_explorer --radix 8 --simulate > /dev/null 2>&1; then exit 1; fi
+if ./examples/topology_explorer --radix 8 --load 0.5 > /dev/null 2>&1; then exit 1; fi
+if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then exit 1; fi
 ./examples/visualize > /dev/null
 ./examples/expansion_planner > /dev/null
-./examples/fault_drill --batches 1 > /dev/null
