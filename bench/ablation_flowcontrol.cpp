@@ -14,8 +14,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -30,11 +28,7 @@ main(int argc, char **argv)
         b.opts.getInt("radix", full ? 36 : 12));
     Rng rng(b.seed);
 
-    auto cft = buildCft(radix, 3);
-    auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
-    UpDownOracle o_cft(cft), o_rfc(built.topology);
-    const Network nets[] = {{"CFT", &cft, &o_cft},
-                            {"RFC", &built.topology, &o_rfc}};
+    const Scenario sc = equalResources(radix, rng);
 
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 2000 : 500);
@@ -49,7 +43,7 @@ main(int argc, char **argv)
     auto add = [&](Study &s, const std::string &traffic,
                    const std::string &knobs, const SimConfig &cfg) {
         const Case c{knobs, namedTraffic(traffic)};
-        for (const Network &net : nets)
+        for (const Network &net : sc.networks())
             s.points.push_back({net, c, 1.0, cfg, net.label + "/" + knobs});
     };
 

@@ -27,6 +27,12 @@
  * Benches declare their studies (points x reps at one fidelity tier)
  * and hand them to Bench::run rather than looping; see runPerfScenario
  * below for the Figures 8-10 shape.
+ *
+ * The paper's fixed comparisons are defined once, below: every bench
+ * that runs the equal-resources (Fig 8), 100K (Fig 9), 200K (Fig 10)
+ * or 1M shape builds it through the Scenario builders, and every RFC
+ * they build goes through routableRfc, which throws rather than run a
+ * comparison on an RFC without up/down routes.
  */
 #ifndef RFC_BENCH_COMMON_HPP
 #define RFC_BENCH_COMMON_HPP
@@ -34,11 +40,14 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "clos/fat_tree.hpp"
 #include "clos/folded_clos.hpp"
+#include "clos/rfc.hpp"
 #include "exp/experiment.hpp"
 #include "routing/updown.hpp"
 #include "sim/traffic.hpp"
@@ -216,6 +225,160 @@ runPerfScenario(Bench &b, const std::string &section,
         }
         b.emit("traffic: " + traffics[ti], t);
     }
+}
+
+/** One flow- or queue-tier Case per makeDemandMatrix pattern name. */
+inline std::vector<Case>
+patternCases(const std::vector<std::string> &patterns)
+{
+    std::vector<Case> cases;
+    for (const auto &pat : patterns) {
+        Case c;
+        c.label = c.pattern = pat;
+        cases.push_back(c);
+    }
+    return cases;
+}
+
+/**
+ * buildRfc with its default attempt cap, for benches that compare an
+ * RFC against something: an RFC without up/down routes would count
+ * its unroutable pairs' packets as lost and bias every column.
+ * @throws std::runtime_error naming R, l, N1 and the attempts when no
+ *         generated wiring admits up/down routing.
+ */
+inline RfcBuildResult
+routableRfc(int radix, int levels, int n1, Rng &rng)
+{
+    RfcBuildResult built = buildRfc(radix, levels, n1, rng);
+    if (!built.routable)
+        throw std::runtime_error(
+            "RFC(R=" + std::to_string(radix) + ", l=" +
+            std::to_string(levels) + ", N1=" + std::to_string(n1) +
+            ") has no up/down routable wiring in " +
+            std::to_string(built.attempts) + " attempts");
+    return built;
+}
+
+/**
+ * One paper comparison: the topologies and oracles it owns and the
+ * labelled networks pointing into them.  Each topology and oracle has
+ * its own heap slot, so the Network pointers survive add() and moves;
+ * unique_ptr also makes the Scenario move-only, as a copy would point
+ * into the original.
+ */
+class Scenario
+{
+  public:
+    /** The networks, in the order and under the labels benches print. */
+    const std::vector<Network> &networks() const { return nets_; }
+    const FoldedClos &topology(std::size_t i) const
+    {
+        return *nets_[i].topology;
+    }
+    /** Generations the last addRfc needed (>= 1). */
+    int rfcAttempts() const { return rfc_attempts_; }
+
+    /** Own @p fc, build its oracle and list it as @p label. */
+    void
+    add(std::string label, FoldedClos fc)
+    {
+        const auto &t = topologies_.emplace_back(
+            std::make_unique<const FoldedClos>(std::move(fc)));
+        const auto &o =
+            oracles_.emplace_back(std::make_unique<const UpDownOracle>(*t));
+        nets_.push_back({std::move(label), t.get(), o.get()});
+    }
+
+    /** add() a routableRfc(R, l, N1). */
+    void
+    addRfc(std::string label, int radix, int levels, int n1, Rng &rng)
+    {
+        RfcBuildResult built = routableRfc(radix, levels, n1, rng);
+        rfc_attempts_ = built.attempts;
+        add(std::move(label), std::move(built.topology));
+    }
+
+  private:
+    std::vector<std::unique_ptr<const FoldedClos>> topologies_;
+    std::vector<std::unique_ptr<const UpDownOracle>> oracles_;
+    std::vector<Network> nets_;
+    int rfc_attempts_ = 0;
+};
+
+/** Leaves of an R-radix RFC carrying @p terminals, raised to even. */
+inline int
+rfcLeavesFor(long long terminals, int radix)
+{
+    const auto n1 = static_cast<int>(terminals / (radix / 2));
+    return n1 % 2 ? n1 + 1 : n1;
+}
+
+/**
+ * Figure 8 at equal resources: "CFT" is CFT(R, 3) and "RFC" the
+ * RFC(R, 3) at the CFT's leaf count.
+ */
+inline Scenario
+equalResources(int radix, Rng &rng)
+{
+    Scenario s;
+    s.add("CFT", buildCft(radix, 3));
+    s.addRfc("RFC", radix, 3, s.topology(0).numLeaves(), rng);
+    return s;
+}
+
+/**
+ * Figure 8's radix-reduced variant: "RFC-r<R'>", a 3-level RFC of
+ * radix R' carrying about the first network's terminal count.
+ */
+inline void
+addReducedRadixRfc(Scenario &s, int small_radix, Rng &rng)
+{
+    s.addRfc("RFC-r" + std::to_string(small_radix), small_radix, 3,
+             rfcLeavesFor(s.topology(0).numTerminals(), small_radix), rng);
+}
+
+/**
+ * Figure 9 (100K): "CFT4" is CFT(R_cft, 4), "CFT4-half" the same CFT
+ * with half its roots pruned (Section 5's partially equipped CFT), and
+ * "RFC3" the RFC(R_rfc, 3) with @p n1 leaves.
+ */
+inline Scenario
+fig9Triple(int cft_radix, int rfc_radix, int n1, Rng &rng)
+{
+    Scenario s;
+    s.add("CFT4", buildCft(cft_radix, 4));
+    s.add("CFT4-half",
+          buildPrunedCft(cft_radix, 4, s.topology(0).switchesAtLevel(4) / 2));
+    s.addRfc("RFC3", rfc_radix, 3, n1, rng);
+    return s;
+}
+
+/**
+ * Figure 10 (200K): "CFT4" is CFT(R, 4) and "RFC3" the largest RFC(R, 3)
+ * Theorem 4.2 admits, N1 = rfcMaxLeaves(R, 3).
+ */
+inline Scenario
+fig10Pair(int radix, Rng &rng)
+{
+    Scenario s;
+    s.add("CFT4", buildCft(radix, 4));
+    s.addRfc("RFC3", radix, 3, rfcMaxLeaves(radix, 3), rng);
+    return s;
+}
+
+/**
+ * The 1M point: "CFT<l>" is CFT(R, l) and "RFC3" the RFC(R, 3)
+ * carrying the same terminal count, one level shorter when l = 4.
+ */
+inline Scenario
+sameTerminals(int radix, int cft_levels, Rng &rng)
+{
+    Scenario s;
+    s.add("CFT" + std::to_string(cft_levels), buildCft(radix, cft_levels));
+    s.addRfc("RFC3", radix, 3,
+             rfcLeavesFor(s.topology(0).numTerminals(), radix), rng);
+    return s;
 }
 
 } // namespace rfc

@@ -26,8 +26,6 @@
 #include <tuple>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -42,11 +40,9 @@ main(int argc, char **argv)
         b.opts.getInt("radix", full ? 36 : 12));
     Rng rng(b.seed);
 
-    auto cft = buildCft(radix, 3);
-    auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
-    UpDownOracle o_cft(cft), o_rfc(built.topology);
-    const Network cft_net{"CFT", &cft, &o_cft};
-    const Network rfc_net{"RFC", &built.topology, &o_rfc};
+    const Scenario sc = equalResources(radix, rng);
+    const FoldedClos &cft = sc.topology(0);
+    const Network &cft_net = sc.networks()[0], &rfc_net = sc.networks()[1];
 
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 2000 : 600);

@@ -34,8 +34,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -121,31 +119,20 @@ main(int argc, char **argv)
 
     if (selected(sections, "fig8")) {
         // Figure 8 shape: 3-level CFT vs the equal-resources RFC.
-        const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 3);
-        auto built = buildRfc(radix, 3, cft.numLeaves(), fig8_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
-
+        const Scenario sc = equalResources(smoke ? 8 : 36, fig8_rng);
         violations += runSection(
             b, "fig8",
-            "Fig 8 shape (" + std::to_string(cft.numTerminals()) +
+            "Fig 8 shape (" +
+                std::to_string(sc.topology(0).numTerminals()) +
                 " terminals, equal resources): RPC tail and CCT",
-            {{"CFT", &cft, &o_cft}, {"RFC", &built.topology, &o_rfc}},
-            {rpc, coflow}, loads, base, reps);
+            sc.networks(), {rpc, coflow}, loads, base, reps);
     }
 
     if (selected(sections, "incast")) {
         // Fan-in sweep on the fig8 networks at fixed pressure: the
         // many-to-one response burst is the worst case for the
         // single ejection port.
-        const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 3);
-        auto built = buildRfc(radix, 3, cft.numLeaves(), incast_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
+        const Scenario sc = equalResources(smoke ? 8 : 36, incast_rng);
 
         std::vector<WorkloadSpec> incasts;
         for (int fanin : smoke ? std::vector<int>{2, 4, 8}
@@ -157,32 +144,26 @@ main(int argc, char **argv)
         }
         violations += runSection(
             b, "incast", "Incast stress (fan-in sweep, wave latency + goodput)",
-            {{"CFT", &cft, &o_cft}, {"RFC", &built.topology, &o_rfc}},
-            incasts, {b.opts.getDouble("incast-load", 0.75)}, base, reps);
+            sc.networks(), incasts, {b.opts.getDouble("incast-load", 0.75)},
+            base, reps);
     }
 
     if (selected(sections, "fig10")) {
         // Figure 10 shape: 4-level CFT vs the largest routable 3-level
         // RFC, at reduced cycle counts (every terminal is a closed
         // loop, so cost scales with terminals x cycles).
-        const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 4);
-        int n1 = rfcMaxLeaves(radix, 3);
-        auto built = buildRfc(radix, 3, n1, fig10_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
+        const Scenario sc = fig10Pair(smoke ? 8 : 36, fig10_rng);
 
         SimConfig tall = base;
         tall.warmup = b.opts.getInt("warmup", smoke ? 300 : 1000);
         tall.measure = b.opts.getInt("measure", smoke ? 1500 : 4000);
         violations += runSection(
             b, "fig10",
-            "Fig 10 shape (" + std::to_string(cft.numTerminals()) +
+            "Fig 10 shape (" +
+                std::to_string(sc.topology(0).numTerminals()) +
                 "-terminal CFT4 vs max RFC3): RPC tail and CCT",
-            {{"CFT4", &cft, &o_cft}, {"RFC3", &built.topology, &o_rfc}},
-            {rpc, coflow}, b.opts.getDoubleList("loads", "0.5,0.9"), tall,
-            reps);
+            sc.networks(), {rpc, coflow},
+            b.opts.getDoubleList("loads", "0.5,0.9"), tall, reps);
     }
 
     if (violations > 0) {

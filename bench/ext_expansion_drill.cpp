@@ -44,8 +44,6 @@
 
 #include "bench_common.hpp"
 #include "clos/expansion.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "graph/graph.hpp"
 #include "graph/random_regular.hpp"
 #include "util/rng.hpp"
@@ -140,12 +138,8 @@ main(int argc, char **argv)
         b.opts.getInt("steps", full ? 4 : (smoke ? 1 : 2)));
     Rng rng(seed);
 
-    auto cft = buildCft(radix, 3);
-    auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
-    auto &rfc_base = built.topology;
-    if (!built.routable)
-        throw std::runtime_error("base RFC is not up/down routable");
-    UpDownOracle o_cft(cft), o_rfc(rfc_base);
+    const Scenario sc = equalResources(radix, rng);
+    const FoldedClos &cft = sc.topology(0), &rfc_base = sc.topology(1);
 
     // Strong expansion keeps routability only w.h.p. (Theorem 4.2), so
     // re-plan from derived seeds until the end state routes.  The CFT
@@ -225,8 +219,8 @@ main(int argc, char **argv)
         study.points.push_back(
             {network, std::move(c), base.load, cfg, net + "@" + upgrade});
     };
-    add("CFT", "static", cft, &o_cft, nullptr, -1);
-    add("RFC", "static", rfc_base, &o_rfc, nullptr, -1);
+    add("CFT", "static", cft, sc.networks()[0].oracle, nullptr, -1);
+    add("RFC", "static", rfc_base, sc.networks()[1].oracle, nullptr, -1);
     add("RFC", "expand", rfc_union, nullptr, &tl_expand,
         plan->baseTerminals());
     add("CFT", "forklift", forklift.union_topology, nullptr, &tl_forklift,

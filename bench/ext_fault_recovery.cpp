@@ -27,8 +27,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "clos/topology_events.hpp"
 #include "util/rng.hpp"
 
@@ -46,12 +44,9 @@ main(int argc, char **argv)
     const std::uint64_t seed = b.seed;
     Rng rng(seed);
 
-    auto cft = buildCft(radix, 3);
-    auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
-    auto &rfc_fc = built.topology;
-    UpDownOracle o_cft(cft), o_rfc(rfc_fc);
-    const Network nets[] = {{"CFT", &cft, &o_cft},
-                            {"RFC", &rfc_fc, &o_rfc}};
+    const Scenario sc = equalResources(radix, rng);
+    const FoldedClos &cft = sc.topology(0), &rfc_fc = sc.topology(1);
+    const std::vector<Network> &nets = sc.networks();
 
     const long long wires = cft.numWires();
     // Fault levels: level s kills s * step links (~1.29% of the wires

@@ -25,8 +25,6 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -39,24 +37,20 @@ runFlow(Bench &b, Study study, const std::string &heading,
         const std::vector<Network> &nets,
         const std::vector<std::string> &patterns)
 {
-    std::vector<Case> cases;
-    for (const auto &pat : patterns) {
-        Case c;
-        c.label = c.pattern = pat;
-        cases.push_back(c);
-    }
-    study.points = crossPoints(nets, cases, {1.0});
+    study.points = crossPoints(nets, patternCases(patterns), {1.0});
     StudyResult result = b.run(study);
     b.text() << "## " << heading << "\n";
     return result;
 }
 
-/** Print one scenario's table per demand pattern. */
+/** Run one scenario study and print its table per demand pattern. */
 void
-printScenario(Bench &b, const StudyResult &result,
-              const std::vector<Network> &nets,
-              const std::vector<std::string> &patterns)
+runScenario(Bench &b, Study study, const std::string &heading,
+            const std::vector<Network> &nets,
+            const std::vector<std::string> &patterns)
 {
+    const StudyResult result =
+        runFlow(b, std::move(study), heading, nets, patterns);
     for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
         TablePrinter t({"network", "terminals", "demands", "unrouted",
                         "maxflow", "dual", "conv", "ecmp_sat",
@@ -117,85 +111,37 @@ main(int argc, char **argv)
     if (selected(scenarios, "11k")) {
         // Figure 8 shape: 3-level CFT vs equal-resources RFC vs the
         // radix-reduced RFC at ~the same terminal count.
-        const int radix = full ? 36 : 16;
-        const int small_radix = full ? 20 : 12;
-        auto cft = buildCft(radix, 3);
-        auto rfc_eq = buildRfc(radix, 3, cft.numLeaves(), rng);
-        int n1_small =
-            static_cast<int>(cft.numTerminals() / (small_radix / 2));
-        if (n1_small % 2)
-            ++n1_small;
-        auto rfc_small = buildRfc(small_radix, 3, n1_small, rng);
-        UpDownOracle o_cft(cft), o_eq(rfc_eq.topology),
-            o_small(rfc_small.topology);
-
-        const std::vector<Network> nets{
-            {"CFT", &cft, &o_cft},
-            {"RFC", &rfc_eq.topology, &o_eq},
-            {"RFC-r" + std::to_string(small_radix), &rfc_small.topology,
-             &o_small}};
-        printScenario(
-            b,
-            runFlow(b, section("11k"),
-                    "11K scenario (equal resources, 3 levels)", nets,
-                    patterns),
-            nets, patterns);
+        Scenario sc = equalResources(full ? 36 : 16, rng);
+        addReducedRadixRfc(sc, full ? 20 : 12, rng);
+        runScenario(b, section("11k"),
+                    "11K scenario (equal resources, 3 levels)",
+                    sc.networks(), patterns);
     }
 
     if (selected(scenarios, "100k")) {
         // Figure 9 shape: 4-level CFT (full and half-pruned) vs the
         // 3-level RFC at the same terminal count.
-        const int cft_radix = full ? 36 : 8;
-        const int rfc_radix = full ? 36 : 16;
-        auto cft = buildCft(cft_radix, 4);
-        auto pruned = buildPrunedCft(cft_radix, 4,
-                                     cft.switchesAtLevel(4) / 2);
-        int n1 = full ? 5556
-                      : static_cast<int>(cft.numTerminals() /
-                                         (rfc_radix / 2));
-        auto built = buildRfc(rfc_radix, 3, n1, rng);
-        UpDownOracle o_cft(cft), o_pruned(pruned),
-            o_rfc(built.topology);
-
-        const std::vector<Network> nets{
-            {"CFT4", &cft, &o_cft},
-            {"CFT4-half", &pruned, &o_pruned},
-            {"RFC3", &built.topology, &o_rfc}};
-        printScenario(
-            b,
-            runFlow(b, section("100k"),
-                    "100K scenario (4-level CFT vs 3-level RFC)", nets,
-                    patterns),
-            nets, patterns);
+        const Scenario sc = full ? fig9Triple(36, 36, 5556, rng)
+                                 : fig9Triple(8, 16, 64, rng);
+        runScenario(b, section("100k"),
+                    "100K scenario (4-level CFT vs 3-level RFC)",
+                    sc.networks(), patterns);
     }
 
     if (selected(scenarios, "200k")) {
         // Figure 10 shape: the largest routable 3-level RFC vs the
         // 4-level CFT.
-        const int radix = full ? 36 : 12;
-        auto cft = buildCft(radix, 4);
-        int n1 = rfcMaxLeaves(radix, 3);
-        auto built = buildRfc(radix, 3, n1, rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable after 50 attempts\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
-
-        const std::vector<Network> nets{{"CFT4", &cft, &o_cft},
-                                        {"RFC3", &built.topology, &o_rfc}};
-        printScenario(
-            b,
-            runFlow(b, section("200k"),
-                    "200K scenario (max 3-level RFC vs 4-level CFT)", nets,
-                    patterns),
-            nets, patterns);
+        const Scenario sc = fig10Pair(full ? 36 : 12, rng);
+        runScenario(b, section("200k"),
+                    "200K scenario (max 3-level RFC vs 4-level CFT)",
+                    sc.networks(), patterns);
     }
 
     if (selected(scenarios, "faults")) {
         // Figure 12 shape: equal-resources CFT/RFC under progressive
         // link faults; unrouted demands are reported, not re-spread.
-        const int radix = full ? 36 : 12;
-        auto cft = buildCft(radix, 3);
-        auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
+        const Scenario sc = equalResources(full ? 36 : 12, rng);
+        const FoldedClos &cft = sc.topology(0);
         const long long wires = cft.numWires();
         const int steps =
             static_cast<int>(b.opts.getInt("fault-steps", full ? 10 : 6));
@@ -209,7 +155,7 @@ main(int argc, char **argv)
         const auto cft_levels =
             nestedFaultLevels(cft, n_levels, step, order_rng);
         const auto rfc_levels =
-            nestedFaultLevels(built.topology, n_levels, step, order_rng);
+            nestedFaultLevels(sc.topology(1), n_levels, step, order_rng);
         std::vector<Network> nets;
         for (std::size_t s = 0; s < n_levels; ++s) {
             nets.push_back({"CFT@" + std::to_string(s), &cft_levels.cuts[s],

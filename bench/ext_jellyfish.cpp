@@ -11,7 +11,9 @@
  * routing-table mass and the VC requirement are printed next to the
  * RFC's equivalents.
  *
- * Default scale: ~1,000 terminals per network at matched radix.
+ * Default scale: ~1,000 terminals per network at matched radix.  The
+ * RFC comes from routableRfc, so a --leaves past the radix's up/down
+ * threshold stops the run instead of losing unroutable pairs' packets.
  * Every run is audited against the packet conservation identity
  * (exp/experiment.hpp conservationGap); any violation makes the run
  * exit 1.
@@ -19,7 +21,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/rfc.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
@@ -58,7 +59,7 @@ main(int argc, char **argv)
     const int radix = static_cast<int>(b.opts.getInt("radix", 12));
     const int rfc_levels = 3;
     int n1 = static_cast<int>(b.opts.getInt("leaves", 170));
-    auto built = buildRfc(radix, rfc_levels, n1, rng);
+    auto built = routableRfc(radix, rfc_levels, n1, rng);
     UpDownOracle oracle(built.topology);
 
     const int delta = static_cast<int>(b.opts.getInt("degree", 9));

@@ -38,8 +38,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -58,13 +56,7 @@ runSection(Bench &b, Study study, const std::string &heading,
            const std::vector<std::string> &patterns,
            const std::vector<double> &loads, const SimConfig &base)
 {
-    std::vector<Case> cases;
-    for (const auto &pat : patterns) {
-        Case c;
-        c.label = c.pattern = pat;
-        cases.push_back(c);
-    }
-    study.points = crossPoints(nets, cases, loads, base);
+    study.points = crossPoints(nets, patternCases(patterns), loads, base);
     const StudyResult result = b.run(study);
 
     b.text() << "## " << heading << "\n";
@@ -179,57 +171,35 @@ main(int argc, char **argv)
         // Figure 8 shape: 3-level CFT vs the equal-resources RFC.
         // This is the configuration test_queue_validation pins the
         // model against VCT on (radix 8 there and under --smoke).
-        const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 3);
-        auto built = buildRfc(radix, 3, cft.numLeaves(), fig8_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
-
-        const std::vector<Network> nets{{"CFT", &cft, &o_cft},
-                                        {"RFC", &built.topology, &o_rfc}};
+        const Scenario sc = equalResources(smoke ? 8 : 36, fig8_rng);
         double queue_seconds = runSection(
             b, section("fig8"),
-            "Fig 8 shape (" + std::to_string(cft.numTerminals()) +
+            "Fig 8 shape (" +
+                std::to_string(sc.topology(0).numTerminals()) +
                 " terminals, equal resources, 3 levels)",
-            nets, patterns, loads, base);
+            sc.networks(), patterns, loads, base);
 
         if (smoke)
-            ok = selfCheck(b, queue_seconds, nets, loads) && ok;
+            ok = selfCheck(b, queue_seconds, sc.networks(), loads) && ok;
     }
 
     if (selected(sections, "fig10")) {
         // Figure 10 shape: 4-level CFT vs the largest routable
         // 3-level RFC.
-        const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 4);
-        int n1 = rfcMaxLeaves(radix, 3);
-        auto built = buildRfc(radix, 3, n1, fig10_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
-
+        const Scenario sc = fig10Pair(smoke ? 8 : 36, fig10_rng);
         runSection(b, section("fig10"),
-                   "Fig 10 shape (" + std::to_string(cft.numTerminals()) +
+                   "Fig 10 shape (" +
+                       std::to_string(sc.topology(0).numTerminals()) +
                        "-terminal CFT4 vs max RFC3)",
-                   {{"CFT4", &cft, &o_cft}, {"RFC3", &built.topology, &o_rfc}},
-                   patterns, loads, base);
+                   sc.networks(), patterns, loads, base);
     }
 
     if (selected(sections, "1m")) {
         // The fig_perf_1M flow point: same terminal count, RFC one
         // level shorter.  Smoke keeps both at 3 levels (radix 8);
         // full is R=54 - 1,062,882 terminals each.
-        const int radix = smoke ? 8 : 54;
-        auto cft = buildCft(radix, smoke ? 3 : 4);
-        long long terms = cft.numTerminals();
-        int n1 = static_cast<int>(terms / (radix / 2));
-        if (n1 % 2)
-            ++n1;
-        auto built = buildRfc(radix, 3, n1, m1_rng, smoke ? 50 : 5);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
+        const Scenario sc =
+            sameTerminals(smoke ? 8 : 54, smoke ? 3 : 4, m1_rng);
         std::cerr << "[build] topologies + oracles ready, peak RSS "
                   << static_cast<double>(peakRssBytes()) /
                          (1024.0 * 1024.0)
@@ -241,11 +211,9 @@ main(int argc, char **argv)
         study.uniform_samples =
             static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 1));
         runSection(b, study,
-                   std::to_string(terms) +
+                   std::to_string(sc.topology(0).numTerminals()) +
                        "-terminal latency curves (CFT vs RFC)",
-                   {{smoke ? "CFT3" : "CFT4", &cft, &o_cft},
-                    {"RFC3", &built.topology, &o_rfc}},
-                   patterns, loads, base);
+                   sc.networks(), patterns, loads, base);
     }
 
     return b.finish(ok ? 0 : 1);

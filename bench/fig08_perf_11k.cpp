@@ -17,8 +17,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -33,35 +31,24 @@ main(int argc, char **argv)
     // the full grid machinery; used by the determinism smoke check.
     const bool smoke = b.opts.getBool("smoke", false);
 
+    // Smoke runs R = 12 / R' = 10 (432 / 430 terminals): at R = 8 no
+    // smaller radix gives a routable RFC with the CFT's 128 terminals.
     const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : (smoke ? 8 : 16)));
-    const int levels = 3;
+        b.opts.getInt("radix", full ? 36 : (smoke ? 12 : 16)));
     Rng rng(b.seed);
 
-    auto cft = buildCft(radix, levels);
-    auto rfc_eq = buildRfc(radix, levels, cft.numLeaves(), rng);
-    if (!rfc_eq.routable)
-        b.text() << "warning: equal-resources RFC not routable\n";
-
+    Scenario sc = equalResources(radix, rng);
     // Radix-reduced RFC variant connecting ~the same terminal count.
     const int small_radix = static_cast<int>(
-        b.opts.getInt("small-radix", full ? 20 : (smoke ? 6 : 12)));
-    int n1_small = static_cast<int>(cft.numTerminals() / (small_radix / 2));
-    if (n1_small % 2)
-        ++n1_small;
-    auto rfc_small = buildRfc(small_radix, levels, n1_small, rng);
-    if (!rfc_small.routable)
-        b.text() << "warning: reduced-radix RFC not routable\n";
+        b.opts.getInt("small-radix", full ? 20 : (smoke ? 10 : 12)));
+    addReducedRadixRfc(sc, small_radix, rng);
 
-    UpDownOracle o_cft(cft);
-    UpDownOracle o_eq(rfc_eq.topology);
-    UpDownOracle o_small(rfc_small.topology);
-
-    b.text() << "CFT terminals:        " << cft.numTerminals() << "\n"
-             << "RFC equal terminals:  "
-             << rfc_eq.topology.numTerminals() << "\n"
+    b.text() << "CFT terminals:        " << sc.topology(0).numTerminals()
+             << "\n"
+             << "RFC equal terminals:  " << sc.topology(1).numTerminals()
+             << "\n"
              << "RFC R=" << small_radix << " terminals: "
-             << rfc_small.topology.numTerminals() << "\n\n";
+             << sc.topology(2).numTerminals() << "\n\n";
 
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 3000 : (smoke ? 150 : 600));
@@ -73,13 +60,7 @@ main(int argc, char **argv)
         static_cast<int>(b.opts.getInt("points", smoke ? 3 : 7)));
     int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::vector<Network> nets{
-        {"CFT", &cft, &o_cft},
-        {"RFC", &rfc_eq.topology, &o_eq},
-        {"RFC-r" + std::to_string(small_radix), &rfc_small.topology,
-         &o_small},
-    };
-    runPerfScenario(b, "perf", nets,
+    runPerfScenario(b, "perf", sc.networks(),
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();

@@ -16,8 +16,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -30,25 +28,13 @@ main(int argc, char **argv)
     const bool full = b.opts.fullScale();
     Rng rng(b.seed);
 
-    FoldedClos cft = full ? buildCft(36, 4) : buildCft(8, 4);
-    // The paper's 100K CFT is partially equipped ("free ports for
-    // future expansion"); model it as a plane-pruned CFT with half the
-    // roots - Section 5's "convenient pruning".
-    int cft_radix = full ? 36 : 8;
-    FoldedClos pruned = buildPrunedCft(
-        cft_radix, 4, cft.switchesAtLevel(4) / 2);
-    int rfc_radix = full ? 36 : 16;
-    int n1 = full ? 5556
-                  : static_cast<int>(cft.numTerminals() / (rfc_radix / 2));
-    auto built = buildRfc(rfc_radix, 3, n1, rng);
-    if (!built.routable)
-        b.text() << "warning: RFC not routable\n";
-
-    UpDownOracle o_cft(cft), o_pruned(pruned), o_rfc(built.topology);
+    const Scenario sc = full ? fig9Triple(36, 36, 5556, rng)
+                             : fig9Triple(8, 16, 64, rng);
+    const FoldedClos &cft = sc.topology(0), &pruned = sc.topology(1);
     b.text() << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
              << "pruned CFT roots:   " << pruned.switchesAtLevel(4)
              << " of " << cft.switchesAtLevel(4) << "\n"
-             << "RFC(l=3) terminals: " << built.topology.numTerminals()
+             << "RFC(l=3) terminals: " << sc.topology(2).numTerminals()
              << "\n\n";
     b.field("pruned_cft_roots", pruned.switchesAtLevel(4));
 
@@ -61,12 +47,7 @@ main(int argc, char **argv)
                            static_cast<int>(b.opts.getInt("points", 7)));
     int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::vector<Network> nets{
-        {"CFT4", &cft, &o_cft},
-        {"CFT4-half", &pruned, &o_pruned},
-        {"RFC3", &built.topology, &o_rfc},
-    };
-    runPerfScenario(b, "perf", nets,
+    runPerfScenario(b, "perf", sc.networks(),
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();

@@ -17,8 +17,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -33,20 +31,15 @@ main(int argc, char **argv)
     Rng rng(b.seed);
 
     const int radix = full ? 36 : 12;
-    FoldedClos cft = buildCft(radix, 4);
-    int n1 = rfcMaxLeaves(radix, 3);
-    auto built = buildRfc(radix, 3, n1, rng, 50);
-    if (!built.routable)
-        b.text() << "warning: RFC not routable after 50 attempts "
-                    "(expected ~e attempts at the threshold)\n";
-
-    UpDownOracle o_cft(cft), o_rfc(built.topology);
-    b.text() << "CFT(l=4) terminals: " << cft.numTerminals() << "\n"
-             << "RFC(l=3) terminals: " << built.topology.numTerminals()
+    const Scenario sc = fig10Pair(radix, rng);
+    const int n1 = sc.topology(1).numLeaves();
+    b.text() << "CFT(l=4) terminals: " << sc.topology(0).numTerminals()
+             << "\n"
+             << "RFC(l=3) terminals: " << sc.topology(1).numTerminals()
              << " (threshold N1 = " << n1 << ", attempts = "
-             << built.attempts << ")\n\n";
+             << sc.rfcAttempts() << ")\n\n";
     b.field("rfc_threshold_n1", n1);
-    b.field("rfc_attempts", built.attempts);
+    b.field("rfc_attempts", sc.rfcAttempts());
 
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 3000 : 600);
@@ -57,11 +50,7 @@ main(int argc, char **argv)
                            static_cast<int>(b.opts.getInt("points", 7)));
     int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
 
-    std::vector<Network> nets{
-        {"CFT4", &cft, &o_cft},
-        {"RFC3", &built.topology, &o_rfc},
-    };
-    runPerfScenario(b, "perf", nets,
+    runPerfScenario(b, "perf", sc.networks(),
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();

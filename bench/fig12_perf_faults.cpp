@@ -23,8 +23,6 @@
 
 #include "analysis/fault_sweep.hpp"
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "util/rng.hpp"
 
 using namespace rfc;
@@ -39,9 +37,8 @@ main(int argc, char **argv)
         b.opts.getInt("radix", full ? 36 : 12));
     Rng rng(b.seed);
 
-    auto cft = buildCft(radix, 3);
-    auto built = buildRfc(radix, 3, cft.numLeaves(), rng);
-    auto &rfc_fc = built.topology;
+    const Scenario sc = equalResources(radix, rng);
+    const FoldedClos &cft = sc.topology(0), &rfc_fc = sc.topology(1);
 
     const long long wires = cft.numWires();
     // Paper: steps of 300 of 23,328 wires -> ~1.29% per step, 10 steps.

@@ -24,16 +24,16 @@
  * bit-stable structure bytes (topology, oracle); the process peak RSS
  * is run-dependent and sits in the top-level "timing" object.
  * `--smoke` shrinks every section to seconds for CI; other knobs:
- * --section=flow,vct,tables, --pattern, --samples, --max-paths,
- * --epsilon, --phases, --seed, --jobs, --json.
+ * --section=flow,vct,tables, --patterns (comma list of
+ * makeDemandMatrix names, as in ext_flow_throughput; the old --pattern
+ * is rejected), --samples, --max-paths, --epsilon, --phases, --seed,
+ * --jobs, --json.
  */
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "clos/fat_tree.hpp"
-#include "clos/rfc.hpp"
 #include "routing/tables.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
@@ -54,13 +54,7 @@ runFlowSection(Bench &b, Study study, const std::string &heading,
                const std::vector<Network> &nets,
                const std::vector<std::string> &patterns)
 {
-    std::vector<Case> cases;
-    for (const auto &pat : patterns) {
-        Case c;
-        c.label = c.pattern = pat;
-        cases.push_back(c);
-    }
-    study.points = crossPoints(nets, cases, {1.0});
+    study.points = crossPoints(nets, patternCases(patterns), {1.0});
     const StudyResult result = b.run(study);
     std::cerr << "[flow] peak RSS " << toMiB(peakRssBytes()) << " MiB\n";
 
@@ -101,6 +95,12 @@ main(int argc, char **argv)
     const std::uint64_t seed = b.seed;
     const auto sections = b.opts.getList("section", "flow,vct,tables",
                                          {"flow", "vct", "tables", "all"});
+    // Options accepts any flag, so the old spelling would run uniform
+    // traffic whatever pattern it named.
+    if (b.opts.has("pattern"))
+        throw std::invalid_argument(
+            "--pattern was renamed: use --patterns (a comma list, as in "
+            "ext_flow_throughput and ext_latency_curves)");
 
     // Per-section rng streams: running `--section=tables` alone must
     // build the same wirings as the full run, so no section may consume
@@ -114,16 +114,8 @@ main(int argc, char **argv)
         // shorter.  Smoke keeps both at 3 levels (equal resources,
         // radix 8); full is R=54 - CFT l=4 vs RFC l=3, 1,062,882
         // terminals each.
-        const int radix = smoke ? 8 : 54;
-        auto cft = buildCft(radix, smoke ? 3 : 4);
-        long long terms = cft.numTerminals();
-        int n1 = static_cast<int>(terms / (radix / 2));
-        if (n1 % 2)
-            ++n1;
-        auto built = buildRfc(radix, 3, n1, flow_rng, smoke ? 50 : 5);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
-        UpDownOracle o_cft(cft), o_rfc(built.topology);
+        const Scenario sc =
+            sameTerminals(smoke ? 8 : 54, smoke ? 3 : 4, flow_rng);
         std::cerr << "[build] topologies + oracles ready, peak RSS "
                   << toMiB(peakRssBytes()) << " MiB\n";
 
@@ -137,11 +129,10 @@ main(int argc, char **argv)
         study.solve.max_phases =
             static_cast<int>(b.opts.getInt("phases", smoke ? 200 : 60));
         runFlowSection(b, study,
-                       std::to_string(terms) +
+                       std::to_string(sc.topology(0).numTerminals()) +
                            "-terminal flow throughput (CFT vs RFC)",
-                       {{smoke ? "CFT3" : "CFT4", &cft, &o_cft},
-                        {"RFC3", &built.topology, &o_rfc}},
-                       b.opts.getList("pattern", "uniform"));
+                       sc.networks(),
+                       b.opts.getList("patterns", "uniform"));
     }
 
     if (selected(sections, "vct")) {
@@ -149,9 +140,7 @@ main(int argc, char **argv)
         // the same radix (whole-network VCT at 1M is out of reach).
         const int radix = smoke ? 8 : 54;
         auto cft2 = buildCft(radix, 2);
-        auto built = buildRfc(radix, 2, cft2.numLeaves(), vct_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: subtree RFC not routable\n";
+        auto built = routableRfc(radix, 2, cft2.numLeaves(), vct_rng);
         UpDownOracle o_cft(cft2), o_rfc(built.topology);
 
         SimConfig base;
@@ -173,35 +162,28 @@ main(int argc, char **argv)
         // tables.  The >= 5x criterion the compressed representation
         // is held to lives here.
         const int radix = smoke ? 8 : 36;
-        auto cft = buildCft(radix, 4);
-        int n1 = rfcMaxLeaves(radix, 3);
-        auto built = buildRfc(radix, 3, n1, tables_rng, 50);
-        if (!built.routable)
-            b.text() << "warning: RFC not routable\n";
+        const Scenario sc = fig10Pair(radix, tables_rng);
 
         TablePrinter t({"network", "switches", "leaves", "topo_bytes",
                         "oracle_bytes", "tables_bytes", "dense_bytes",
                         "ratio", "unique_sets", "populated"});
-        auto addRow = [&](const std::string &label,
-                          const FoldedClos &fc) {
-            UpDownOracle oracle(fc);
-            ForwardingTables tables(fc, oracle);
-            t.addRow({label, std::to_string(fc.numSwitches()),
+        for (const Network &net : sc.networks()) {
+            const FoldedClos &fc = *net.topology;
+            ForwardingTables tables(fc, *net.oracle);
+            t.addRow({net.label, std::to_string(fc.numSwitches()),
                       std::to_string(fc.numLeaves()),
                       std::to_string(fc.memoryBytes()),
-                      std::to_string(oracle.memoryBytes()),
+                      std::to_string(net.oracle->memoryBytes()),
                       std::to_string(tables.memoryBytes()),
                       std::to_string(tables.denseMemoryBytes()),
                       TablePrinter::fmt(tables.compressionRatio(), 2),
                       std::to_string(tables.uniqueSets()),
                       std::to_string(tables.populatedEntries())});
-            std::cerr << "[tables] " << label << ": compressed "
+            std::cerr << "[tables] " << net.label << ": compressed "
                       << toMiB(tables.memoryBytes()) << " MiB vs dense "
                       << toMiB(tables.denseMemoryBytes()) << " MiB ("
                       << tables.compressionRatio() << "x)\n";
-        };
-        addRow("CFT4", cft);
-        addRow("RFC3", built.topology);
+        }
         b.text() << "## Forwarding-table compression (Fig 10 "
                     "configuration, R="
                  << radix << ")\n";

@@ -22,6 +22,7 @@ cmds=(
     "./bench/ext_adversarial --radix 8 --warmup 200 --measure 500 --trials 1"
     "./bench/ext_closed_loop --smoke"
     "./bench/ext_expansion_drill --smoke"
+    "./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1"
 )
 for cmd in "${cmds[@]}"; do
     $cmd --json --jobs 1 > j1.json

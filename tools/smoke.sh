@@ -43,6 +43,13 @@ if ./bench/ext_latency_curves --smoke --section fig8 --model md1 --cv2 2 > /dev/
 # One simulation runs on one thread: the removed --shards and
 # --sim-jobs flags must be rejected, not ignored.
 if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
+# An RFC without up/down routes must stop a comparison, not bias it:
+# RFC(8, 3) at 120 leaves stays unroutable through every attempt.
+if ./bench/ext_jellyfish --radix 8 --leaves 120 --degree 5 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
+# fig_perf_1M reads --patterns like the other flow benches; the old
+# --pattern must be rejected, not ignored.
+./bench/fig_perf_1M --smoke --section flow --patterns random-pairing | grep "pattern: random-pairing" > /dev/null
+if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/null 2>&1; then exit 1; fi
 # --smoke audits message conservation in every trial
 # (exit 1 on any violation).
 ./bench/ext_closed_loop --smoke > /dev/null
