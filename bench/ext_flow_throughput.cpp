@@ -93,13 +93,11 @@ main(int argc, char **argv)
     const auto patterns = b.opts.getList(
         "patterns", "uniform,fixed-random,random-pairing");
     Study proto{.tier = Tier::kFlow};
-    proto.max_paths =
-        static_cast<int>(b.opts.getInt("max-paths", full ? 8 : 16));
-    proto.uniform_samples =
-        static_cast<int>(b.opts.getInt("samples", full ? 2 : 4));
+    proto.max_paths = b.opts.getIntAtLeast("max-paths", full ? 8 : 16, 1);
+    proto.uniform_samples = b.opts.getIntAtLeast("samples", full ? 2 : 4, 0);
     proto.solve.epsilon = b.opts.getDouble("epsilon", 0.05);
     proto.solve.max_phases =
-        static_cast<int>(b.opts.getInt("phases", full ? 200 : 400));
+        b.opts.getIntAtLeast("phases", full ? 200 : 400, 1);
     auto section = [&](const char *name) {
         Study s = proto;
         s.section = name;

@@ -143,10 +143,8 @@ main(int argc, char **argv)
     const auto loads = b.opts.getDoubleList(
         "loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9");
     Study proto{.tier = Tier::kQueue};
-    proto.max_paths =
-        static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 16));
-    proto.uniform_samples =
-        static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 4));
+    proto.max_paths = b.opts.getIntAtLeast("max-paths", smoke ? 8 : 16, 1);
+    proto.uniform_samples = b.opts.getIntAtLeast("samples", smoke ? 2 : 4, 0);
     proto.model = b.opts.get("model", "md1");
     proto.mg1_cv2 = b.opts.getDouble("cv2", 0.0);
     // The queue model's service time and hop latency.
@@ -206,10 +204,9 @@ main(int argc, char **argv)
                   << " MiB\n";
 
         Study study = section("1m");
-        study.max_paths =
-            static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 4));
+        study.max_paths = b.opts.getIntAtLeast("max-paths", smoke ? 8 : 4, 1);
         study.uniform_samples =
-            static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 1));
+            b.opts.getIntAtLeast("samples", smoke ? 2 : 1, 0);
         runSection(b, study,
                    std::to_string(sc.topology(0).numTerminals()) +
                        "-terminal latency curves (CFT vs RFC)",

@@ -120,14 +120,13 @@ main(int argc, char **argv)
                   << toMiB(peakRssBytes()) << " MiB\n";
 
         Study study{"flow", Tier::kFlow};
-        study.max_paths =
-            static_cast<int>(b.opts.getInt("max-paths", smoke ? 8 : 4));
+        study.max_paths = b.opts.getIntAtLeast("max-paths", smoke ? 8 : 4, 1);
         study.uniform_samples =
-            static_cast<int>(b.opts.getInt("samples", smoke ? 2 : 1));
+            b.opts.getIntAtLeast("samples", smoke ? 2 : 1, 0);
         study.solve.epsilon =
             b.opts.getDouble("epsilon", smoke ? 0.05 : 0.12);
         study.solve.max_phases =
-            static_cast<int>(b.opts.getInt("phases", smoke ? 200 : 60));
+            b.opts.getIntAtLeast("phases", smoke ? 200 : 60, 1);
         runFlowSection(b, study,
                        std::to_string(sc.topology(0).numTerminals()) +
                            "-terminal flow throughput (CFT vs RFC)",

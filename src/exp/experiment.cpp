@@ -209,7 +209,7 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
         SolveOptions solve = st.solve;
         solve.pool = &pool;
         const FlowSolution sol = solveMaxConcurrentFlow(problem, solve);
-        const EcmpFluidResult fluid = ecmpFluid(problem, &pool);
+        const EcmpFluidResult fluid = ecmpFluid(problem);
         for (Sample &s : out)
             addAll(s, {{"routed", num(sol.routed_demands)},
                        {"unrouted", num(sol.unrouted_demands)},

@@ -19,6 +19,7 @@ UpDownEcmpPaths::UpDownEcmpPaths(const FoldedClos &fc,
 
 bool
 UpDownEcmpPaths::enumerate(int s, int ups, int dst, Path &prefix,
+                           std::vector<std::vector<int>> &choices,
                            std::vector<Path> &out) const
 {
     prefix.push_back(s);
@@ -29,15 +30,16 @@ UpDownEcmpPaths::enumerate(int s, int ups, int dst, Path &prefix,
         else
             out.push_back(prefix);
     } else {
-        std::vector<int> choices;
+        // Deeper nodes use later slots, so this list outlives the loop.
+        std::vector<int> &here = choices[prefix.size() - 1];
         if (ups > 0)
-            oracle_.upChoices(fc_, s, dst, choices);
+            oracle_.upChoices(fc_, s, dst, here);
         else
-            oracle_.downChoices(fc_, s, dst, choices);
+            oracle_.downChoices(fc_, s, dst, here);
         const auto &next = ups > 0 ? fc_.up(s) : fc_.down(s);
-        for (int k : choices) {
+        for (int k : here) {
             if (!enumerate(next[k], ups > 0 ? ups - 1 : 0, dst, prefix,
-                           out)) {
+                           choices, out)) {
                 ok = false;
                 break;
             }
@@ -49,12 +51,11 @@ UpDownEcmpPaths::enumerate(int s, int ups, int dst, Path &prefix,
 
 void
 UpDownEcmpPaths::samplePath(int src, int ups, int dst, Rng &rng,
-                            Path &out) const
+                            std::vector<int> &choices, Path &out) const
 {
     out.clear();
     int s = src;
     out.push_back(s);
-    std::vector<int> choices;
     for (int u = ups; u > 0; --u) {
         oracle_.upChoices(fc_, s, dst, choices);
         s = fc_.up(s)[choices[rng.uniform(choices.size())]];
@@ -79,9 +80,17 @@ UpDownEcmpPaths::paths(int src, int dst, std::vector<Path> &out) const
     if (ups < 0)
         return;  // no up/down route (faulted network)
 
+    // A minimal path is 2 * ups hops long (every hop changes level).
+    const auto depth = static_cast<std::size_t>(2 * ups + 1);
+    std::vector<std::vector<int>> choices(depth);
     Path prefix;
-    prefix.reserve(2 * ups + 1);
-    if (enumerate(src, ups, dst, prefix, out))
+    prefix.reserve(depth);
+    // Every minimal up choice at src starts at least one minimal path,
+    // so when they alone outnumber the cap enumeration can only
+    // overflow: go straight to sampling.
+    oracle_.upChoices(fc_, src, dst, choices[0]);
+    if (static_cast<int>(choices[0].size()) <= max_paths_ &&
+        enumerate(src, ups, dst, prefix, choices, out))
         return;  // complete ECMP set fits the cap
 
     // Cap exceeded: deterministic seeded sample of distinct paths.
@@ -92,7 +101,7 @@ UpDownEcmpPaths::paths(int src, int dst, std::vector<Path> &out) const
     int misses = 0;
     while (static_cast<int>(out.size()) < max_paths_ &&
            misses < 4 * max_paths_) {
-        samplePath(src, ups, dst, rng, p);
+        samplePath(src, ups, dst, rng, choices[0], p);
         if (std::find(out.begin(), out.end(), p) == out.end())
             out.push_back(p);
         else

@@ -51,13 +51,21 @@ class UpDownEcmpPaths
     void paths(int src, int dst, std::vector<Path> &out) const;
 
   private:
-    /** Exhaustive DFS; returns false once more than max_paths_ exist. */
+    /**
+     * Exhaustive DFS; returns false once more than max_paths_ exist.
+     * @p choices holds one next-hop list per path position, reused
+     * across the nodes at that depth.
+     */
     bool enumerate(int s, int ups, int dst, Path &prefix,
+                   std::vector<std::vector<int>> &choices,
                    std::vector<Path> &out) const;
 
-    /** One random minimal up/down path (never fails when routable). */
+    /**
+     * One random minimal up/down path (never fails when routable);
+     * @p choices is scratch.
+     */
     void samplePath(int src, int ups, int dst, Rng &rng,
-                    Path &out) const;
+                    std::vector<int> &choices, Path &out) const;
 
     const FoldedClos &fc_;
     const UpDownOracle &oracle_;

@@ -60,6 +60,28 @@ runRange(ThreadPool *pool, std::size_t lo, std::size_t hi, Fn &&fn)
     }
 }
 
+/**
+ * Fixed demand ranges of the path assembly and the ECMP fluid: work
+ * is split and merged by range index, never by thread, so results are
+ * bit-identical at any pool size.
+ */
+constexpr std::size_t kRanges = 32;
+
+/** First demand of range @p rg out of @p nd demands. */
+std::size_t
+rangeBegin(std::size_t nd, std::size_t rg)
+{
+    return nd * rg / kRanges;
+}
+
+/** One demand range's candidate paths, flat. */
+struct RangePaths
+{
+    std::vector<std::int32_t> hops;          //!< switch-link ids
+    std::vector<std::int32_t> path_hops;     //!< per path: hop count
+    std::vector<std::int32_t> demand_paths;  //!< per demand: path count
+};
+
 /** Phases between dual-bound evaluations. */
 constexpr int kDualEvery = 10;
 
@@ -101,24 +123,29 @@ buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
         return -1;
     };
 
-    // Enumerate candidate paths per demand (parallel), then assemble
-    // links, lazily registered terminal links and the CSR path storage
-    // in demand order (serial, hence deterministic).
-    std::vector<std::vector<std::vector<std::int32_t>>> conv(
-        dm.demands.size());
-    runRange(pool, 0, dm.demands.size(), [&](std::size_t i) {
-        const Demand &d = dm.demands[i];
+    // Enumerate candidate paths over fixed demand ranges (parallel)
+    // into flat per-range buffers, then assemble links, lazily
+    // registered terminal links and the CSR path storage in demand
+    // order (serial, hence deterministic), freeing each range once it
+    // is appended.
+    const std::size_t nd = dm.demands.size();
+    std::vector<RangePaths> parts(kRanges);
+    runRange(pool, 0, kRanges, [&](std::size_t rg) {
+        RangePaths &part = parts[rg];
+        const std::size_t lo = rangeBegin(nd, rg), hi = rangeBegin(nd, rg + 1);
+        part.demand_paths.reserve(hi - lo);
         std::vector<Path> ps;
-        paths.paths(fc.leafOfTerminal(d.src), fc.leafOfTerminal(d.dst), ps);
-        auto &out = conv[i];
-        out.reserve(ps.size());
-        for (const Path &p : ps) {
-            std::vector<std::int32_t> links;
-            links.reserve(p.size() + 1);
-            links.push_back(0);  // placeholder for the injection link
-            for (std::size_t h = 0; h + 1 < p.size(); ++h)
-                links.push_back(link_id(p[h], p[h + 1]));
-            out.push_back(std::move(links));
+        for (std::size_t i = lo; i < hi; ++i) {
+            const Demand &d = dm.demands[i];
+            paths.paths(fc.leafOfTerminal(d.src), fc.leafOfTerminal(d.dst),
+                        ps);
+            part.demand_paths.push_back(static_cast<std::int32_t>(ps.size()));
+            for (const Path &p : ps) {
+                part.path_hops.push_back(
+                    static_cast<std::int32_t>(p.size() - 1));
+                for (std::size_t h = 0; h + 1 < p.size(); ++h)
+                    part.hops.push_back(link_id(p[h], p[h + 1]));
+            }
         }
     });
 
@@ -126,21 +153,31 @@ buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
     for (std::int64_t l = 0; l < off[n]; ++l)
         prob.addLink(1.0);
     std::unordered_map<long long, std::int32_t> inj, ej;
-    for (std::size_t i = 0; i < dm.demands.size(); ++i) {
-        const Demand &d = dm.demands[i];
-        prob.addDemand(d.weight);
-        auto [ii, inew] = inj.try_emplace(d.src, 0);
-        if (inew)
-            ii->second = prob.addLink(1.0);
-        auto [ei, enew] = ej.try_emplace(d.dst, 0);
-        if (enew)
-            ei->second = prob.addLink(1.0);
-        for (auto &links : conv[i]) {
-            links.front() = ii->second;
-            links.push_back(ei->second);
-            prob.addPath(links);
+    std::vector<std::int32_t> links;
+    for (std::size_t rg = 0; rg < kRanges; ++rg) {
+        RangePaths &part = parts[rg];
+        const std::int32_t *hop = part.hops.data();
+        const std::int32_t *hops_of_path = part.path_hops.data();
+        const std::size_t lo = rangeBegin(nd, rg), hi = rangeBegin(nd, rg + 1);
+        for (std::size_t i = lo; i < hi; ++i) {
+            const Demand &d = dm.demands[i];
+            prob.addDemand(d.weight);
+            auto [ii, inew] = inj.try_emplace(d.src, 0);
+            if (inew)
+                ii->second = prob.addLink(1.0);
+            auto [ei, enew] = ej.try_emplace(d.dst, 0);
+            if (enew)
+                ei->second = prob.addLink(1.0);
+            for (std::int32_t k = 0; k < part.demand_paths[i - lo]; ++k) {
+                const std::int32_t len = *hops_of_path++;
+                links.assign(1, ii->second);
+                links.insert(links.end(), hop, hop + len);
+                links.push_back(ei->second);
+                prob.addPath(links);
+                hop += len;
+            }
         }
-        conv[i] = {};  // release as we go
+        part = {};  // release as we go
     }
     return prob;
 }
@@ -290,7 +327,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
 }
 
 EcmpFluidResult
-ecmpFluid(const FlowProblem &p, ThreadPool *pool)
+ecmpFluid(const FlowProblem &p)
 {
     EcmpFluidResult r;
     const std::size_t nd = p.numDemands();
@@ -300,17 +337,18 @@ ecmpFluid(const FlowProblem &p, ThreadPool *pool)
     if (nd == 0)
         return r;
 
-    // Sparse link-load accumulation over a fixed demand partition:
-    // each range accumulates (link, contribution) pairs in demand
-    // order, sorts stably by link and reduces; ranges merge in index
-    // order, so the result is bit-identical at any thread count.
-    constexpr std::size_t kRanges = 32;
-    std::vector<std::vector<std::pair<std::int32_t, double>>> parts(
-        kRanges);
-    runRange(pool, 0, kRanges, [&](std::size_t rg) {
-        std::size_t lo = nd * rg / kRanges, hi = nd * (rg + 1) / kRanges;
-        auto &acc = parts[rg];
-        for (std::size_t d = lo; d < hi; ++d) {
+    // Link-load accumulation over a fixed demand partition: each range
+    // sums its contributions per link in demand order into a dense
+    // scratch array, then adds every link it touched into utilization;
+    // ranges merge in index order.  Per link this is the association
+    // of a per-range reduction sorted by link (0.0 + x == x), which
+    // the output is pinned to (DESIGN.md 4.8).
+    std::vector<double> acc(static_cast<std::size_t>(nl), 0.0);
+    std::vector<std::int32_t> touched;
+    for (std::size_t rg = 0; rg < kRanges; ++rg) {
+        touched.clear();
+        for (std::size_t d = rangeBegin(nd, rg); d < rangeBegin(nd, rg + 1);
+             ++d) {
             std::size_t np = p.numPaths(d);
             if (np == 0)
                 continue;
@@ -319,26 +357,19 @@ ecmpFluid(const FlowProblem &p, ThreadPool *pool)
             for (std::size_t q = pb; q < pb + np; ++q) {
                 const std::int32_t *ls = p.pathLinks(q);
                 std::size_t len = p.pathLength(q);
-                for (std::size_t k = 0; k < len; ++k)
-                    acc.emplace_back(ls[k], c);
+                for (std::size_t k = 0; k < len; ++k) {
+                    std::int32_t l = ls[k];
+                    if (acc[l] == 0.0)
+                        touched.push_back(l);
+                    acc[l] += c;
+                }
             }
         }
-        std::stable_sort(acc.begin(), acc.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-            if (out > 0 && acc[out - 1].first == acc[i].first)
-                acc[out - 1].second += acc[i].second;
-            else
-                acc[out++] = acc[i];
+        for (std::int32_t l : touched) {
+            r.utilization[l] += acc[l];
+            acc[l] = 0.0;
         }
-        acc.resize(out);
-    });
-    for (const auto &acc : parts)
-        for (const auto &[l, v] : acc)
-            r.utilization[l] += v;
+    }
 
     double maxu = 0.0;
     for (std::int32_t l = 0; l < nl; ++l) {
@@ -347,10 +378,10 @@ ecmpFluid(const FlowProblem &p, ThreadPool *pool)
     }
     r.saturation = maxu > 0.0 ? 1.0 / maxu : 0.0;
 
-    runRange(pool, 0, nd, [&](std::size_t d) {
+    for (std::size_t d = 0; d < nd; ++d) {
         std::size_t np = p.numPaths(d);
         if (np == 0)
-            return;
+            continue;
         double m = 0.0;
         std::size_t pb = p.pathBegin(d);
         for (std::size_t q = pb; q < pb + np; ++q) {
@@ -360,7 +391,7 @@ ecmpFluid(const FlowProblem &p, ThreadPool *pool)
                 m = std::max(m, r.utilization[ls[k]]);
         }
         r.demand_throughput[d] = m > 0.0 ? 1.0 / m : 0.0;
-    });
+    }
 
     double worst = std::numeric_limits<double>::infinity();
     double sum = 0.0;

@@ -34,11 +34,11 @@
  * throughput distribution ("who saturates first") that the
  * concurrent optimum, which equalizes all demands, cannot show.
  *
- * Parallelism: cheapest-path selection and sparse link-load
- * accumulation run across demands on a `util/threadpool`, partitioned
- * by fixed demand ranges and merged in index order, so results are
- * bit-identical at any thread count (the src/exp determinism
- * contract).
+ * Parallelism: path assembly and cheapest-path selection run across
+ * demands on a `util/threadpool`, partitioned by fixed demand ranges
+ * and merged in index order, so results are bit-identical at any
+ * thread count (the src/exp determinism contract).  The ECMP fluid is
+ * one serial pass.
  */
 #ifndef RFC_FLOW_SOLVER_HPP
 #define RFC_FLOW_SOLVER_HPP
@@ -127,8 +127,8 @@ class FlowProblem
  * directed unit-capacity link, and each terminal appearing in @p dm
  * gets a unit injection/ejection link.  Demand order (and therefore
  * every solver output) follows dm.demands.  Path enumeration
- * parallelizes across demands on @p pool (deterministically; nullptr =
- * serial).
+ * parallelizes over fixed demand ranges on @p pool (deterministically;
+ * nullptr = serial).
  */
 FlowProblem buildClosFlowProblem(const FoldedClos &fc,
                                  const UpDownEcmpPaths &paths,
@@ -204,8 +204,7 @@ struct EcmpFluidResult
     double average = 0.0;  //!< mean over routed demands
 };
 
-EcmpFluidResult ecmpFluid(const FlowProblem &problem,
-                          ThreadPool *pool = nullptr);
+EcmpFluidResult ecmpFluid(const FlowProblem &problem);
 
 /**
  * Cut-based throughput upper bound (the Section 4.2 bisection argument

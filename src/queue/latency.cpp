@@ -75,7 +75,7 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
             "queueLatencySweep: link_latency must be >= 0");
 
     QueueSweepResult result;
-    EcmpFluidResult fluid = ecmpFluid(problem, opt.pool);
+    EcmpFluidResult fluid = ecmpFluid(problem);
     result.saturation = fluid.saturation;
 
     const std::size_t nd = problem.numDemands();

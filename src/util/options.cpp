@@ -97,6 +97,19 @@ Options::getInt(const std::string &name, std::int64_t def) const
     return parseInteger("option --" + name, it->second);
 }
 
+int
+Options::getIntAtLeast(const std::string &name, int def, int lo) const
+{
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const std::int64_t v = getInt(name, def);
+    if (v < lo || v > kMax)
+        throw std::invalid_argument(
+            "option --" + name + ": " + std::to_string(v) +
+            " is out of range [" + std::to_string(lo) + ", " +
+            std::to_string(kMax) + "]");
+    return static_cast<int>(v);
+}
+
 double
 Options::getDouble(const std::string &name, double def) const
 {

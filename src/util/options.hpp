@@ -37,6 +37,13 @@ class Options
      */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
 
+    /**
+     * getInt narrowed to int: throws std::invalid_argument, naming the
+     * flag, the value and the range, unless lo <= value <= INT_MAX, so
+     * no value wraps in the cast.
+     */
+    int getIntAtLeast(const std::string &name, int def, int lo) const;
+
     /** Floating-point option with default; parsed as strictly as getInt. */
     double getDouble(const std::string &name, double def) const;
 

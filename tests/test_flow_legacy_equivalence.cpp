@@ -1,0 +1,456 @@
+/**
+ * @file
+ * Legacy-equivalence tests for the flow tier's streamed buffers
+ * (tier 1).
+ *
+ * Three passes of src/flow were rewritten to stop materializing
+ * transient copies of the path set, with the promise that every output
+ * bit stays the same.  Each test here pins a rewritten pass to an
+ * executable replica of the code it replaced:
+ *
+ *  - `legacyEcmpFluid`: (link, contribution) pair vectors per fixed
+ *    demand range, stable-sorted by link and reduced, merged in range
+ *    order - against the dense per-range scratch array of ecmpFluid;
+ *  - `legacyBuild`: one heap vector of link ids per candidate path
+ *    kept for every demand, then assembled in demand order - against
+ *    the flat per-range buffers of buildClosFlowProblem (serial and on
+ *    thread pools);
+ *  - `LegacyPaths`: UpDownEcmpPaths as it was, always enumerating
+ *    before it samples and allocating a choice list per DFS node and
+ *    per sample - against the enumerator that skips enumeration when
+ *    the source's up choices alone exceed the cap.
+ *
+ * Every comparison is exact (EXPECT_EQ on doubles and link ids), over
+ * CFT, OFT and random RFC networks (one with link faults, so that
+ * some demands are unroutable), path caps 1, 4, 8 and 64, and
+ * uniform, random-pairing and hand-made unequal demand weights.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "clos/fat_tree.hpp"
+#include "clos/faults.hpp"
+#include "clos/oft.hpp"
+#include "clos/rfc.hpp"
+#include "flow/demand.hpp"
+#include "flow/paths.hpp"
+#include "flow/solver.hpp"
+#include "routing/updown.hpp"
+#include "util/rng.hpp"
+#include "util/threadpool.hpp"
+
+namespace rfc {
+namespace {
+
+/** UpDownEcmpPaths before the allocation-free enumerator. */
+class LegacyPaths
+{
+  public:
+    LegacyPaths(const FoldedClos &fc, const UpDownOracle &oracle,
+                int max_paths, std::uint64_t seed)
+        : fc_(fc), oracle_(oracle), max_paths_(max_paths), seed_(seed)
+    {
+    }
+
+    void
+    paths(int src, int dst, std::vector<Path> &out) const
+    {
+        out.clear();
+        if (src == dst) {
+            out.push_back({src});
+            return;
+        }
+        int ups = oracle_.minUps(src, dst);
+        if (ups < 0)
+            return;
+        Path prefix;
+        prefix.reserve(2 * ups + 1);
+        if (enumerate(src, ups, dst, prefix, out))
+            return;
+        out.clear();
+        Rng rng(deriveSeed(seed_, static_cast<std::uint64_t>(src),
+                           static_cast<std::uint64_t>(dst)));
+        Path p;
+        int misses = 0;
+        while (static_cast<int>(out.size()) < max_paths_ &&
+               misses < 4 * max_paths_) {
+            samplePath(src, ups, dst, rng, p);
+            if (std::find(out.begin(), out.end(), p) == out.end())
+                out.push_back(p);
+            else
+                ++misses;
+        }
+        std::sort(out.begin(), out.end());
+    }
+
+  private:
+    bool
+    enumerate(int s, int ups, int dst, Path &prefix,
+              std::vector<Path> &out) const
+    {
+        prefix.push_back(s);
+        bool ok = true;
+        if (s == dst && ups == 0) {
+            if (static_cast<int>(out.size()) >= max_paths_)
+                ok = false;
+            else
+                out.push_back(prefix);
+        } else {
+            std::vector<int> choices;
+            if (ups > 0)
+                oracle_.upChoices(fc_, s, dst, choices);
+            else
+                oracle_.downChoices(fc_, s, dst, choices);
+            const auto &next = ups > 0 ? fc_.up(s) : fc_.down(s);
+            for (int k : choices) {
+                if (!enumerate(next[k], ups > 0 ? ups - 1 : 0, dst,
+                               prefix, out)) {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        prefix.pop_back();
+        return ok;
+    }
+
+    void
+    samplePath(int src, int ups, int dst, Rng &rng, Path &out) const
+    {
+        out.clear();
+        int s = src;
+        out.push_back(s);
+        std::vector<int> choices;
+        for (int u = ups; u > 0; --u) {
+            oracle_.upChoices(fc_, s, dst, choices);
+            s = fc_.up(s)[choices[rng.uniform(choices.size())]];
+            out.push_back(s);
+        }
+        while (s != dst) {
+            oracle_.downChoices(fc_, s, dst, choices);
+            s = fc_.down(s)[choices[rng.uniform(choices.size())]];
+            out.push_back(s);
+        }
+    }
+
+    const FoldedClos &fc_;
+    const UpDownOracle &oracle_;
+    int max_paths_;
+    std::uint64_t seed_;
+};
+
+/** buildClosFlowProblem before the flat per-range assembly (serial). */
+FlowProblem
+legacyBuild(const FoldedClos &fc, const LegacyPaths &paths,
+            const DemandMatrix &dm)
+{
+    const int n = fc.numSwitches();
+    std::vector<std::int64_t> off(static_cast<std::size_t>(n) + 1, 0);
+    for (int s = 0; s < n; ++s)
+        off[s + 1] = off[s] + static_cast<std::int64_t>(fc.up(s).size()) +
+                     static_cast<std::int64_t>(fc.down(s).size());
+    auto link_id = [&](int a, int b) -> std::int32_t {
+        const auto &up = fc.up(a);
+        for (std::size_t k = 0; k < up.size(); ++k)
+            if (up[k] == b)
+                return static_cast<std::int32_t>(off[a] + k);
+        const auto &down = fc.down(a);
+        for (std::size_t k = 0; k < down.size(); ++k)
+            if (down[k] == b)
+                return static_cast<std::int32_t>(off[a] + up.size() + k);
+        return -1;
+    };
+
+    std::vector<std::vector<std::vector<std::int32_t>>> conv(
+        dm.demands.size());
+    for (std::size_t i = 0; i < dm.demands.size(); ++i) {
+        const Demand &d = dm.demands[i];
+        std::vector<Path> ps;
+        paths.paths(fc.leafOfTerminal(d.src), fc.leafOfTerminal(d.dst), ps);
+        for (const Path &p : ps) {
+            std::vector<std::int32_t> links;
+            links.reserve(p.size() + 1);
+            links.push_back(0);
+            for (std::size_t h = 0; h + 1 < p.size(); ++h)
+                links.push_back(link_id(p[h], p[h + 1]));
+            conv[i].push_back(std::move(links));
+        }
+    }
+
+    FlowProblem prob;
+    for (std::int64_t l = 0; l < off[n]; ++l)
+        prob.addLink(1.0);
+    std::unordered_map<long long, std::int32_t> inj, ej;
+    for (std::size_t i = 0; i < dm.demands.size(); ++i) {
+        const Demand &d = dm.demands[i];
+        prob.addDemand(d.weight);
+        auto [ii, inew] = inj.try_emplace(d.src, 0);
+        if (inew)
+            ii->second = prob.addLink(1.0);
+        auto [ei, enew] = ej.try_emplace(d.dst, 0);
+        if (enew)
+            ei->second = prob.addLink(1.0);
+        for (auto &links : conv[i]) {
+            links.front() = ii->second;
+            links.push_back(ei->second);
+            prob.addPath(links);
+        }
+    }
+    return prob;
+}
+
+/** ecmpFluid before the dense per-range accumulation. */
+EcmpFluidResult
+legacyEcmpFluid(const FlowProblem &p)
+{
+    EcmpFluidResult r;
+    const std::size_t nd = p.numDemands();
+    const std::int32_t nl = p.numLinks();
+    r.utilization.assign(static_cast<std::size_t>(nl), 0.0);
+    r.demand_throughput.assign(nd, 0.0);
+    if (nd == 0)
+        return r;
+
+    constexpr std::size_t kRanges = 32;
+    std::vector<std::vector<std::pair<std::int32_t, double>>> parts(
+        kRanges);
+    for (std::size_t rg = 0; rg < kRanges; ++rg) {
+        std::size_t lo = nd * rg / kRanges, hi = nd * (rg + 1) / kRanges;
+        auto &acc = parts[rg];
+        for (std::size_t d = lo; d < hi; ++d) {
+            std::size_t np = p.numPaths(d);
+            if (np == 0)
+                continue;
+            double c = p.weight(d) / static_cast<double>(np);
+            std::size_t pb = p.pathBegin(d);
+            for (std::size_t q = pb; q < pb + np; ++q)
+                for (std::size_t k = 0; k < p.pathLength(q); ++k)
+                    acc.emplace_back(p.pathLinks(q)[k], c);
+        }
+        std::stable_sort(acc.begin(), acc.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+            if (out > 0 && acc[out - 1].first == acc[i].first)
+                acc[out - 1].second += acc[i].second;
+            else
+                acc[out++] = acc[i];
+        }
+        acc.resize(out);
+    }
+    for (const auto &acc : parts)
+        for (const auto &[l, v] : acc)
+            r.utilization[l] += v;
+
+    double maxu = 0.0;
+    for (std::int32_t l = 0; l < nl; ++l) {
+        r.utilization[l] /= p.capacity(l);
+        maxu = std::max(maxu, r.utilization[l]);
+    }
+    r.saturation = maxu > 0.0 ? 1.0 / maxu : 0.0;
+
+    for (std::size_t d = 0; d < nd; ++d) {
+        std::size_t np = p.numPaths(d);
+        if (np == 0)
+            continue;
+        double m = 0.0;
+        std::size_t pb = p.pathBegin(d);
+        for (std::size_t q = pb; q < pb + np; ++q)
+            for (std::size_t k = 0; k < p.pathLength(q); ++k)
+                m = std::max(m, r.utilization[p.pathLinks(q)[k]]);
+        r.demand_throughput[d] = m > 0.0 ? 1.0 / m : 0.0;
+    }
+
+    double worst = std::numeric_limits<double>::infinity();
+    double sum = 0.0;
+    std::size_t routed = 0;
+    for (std::size_t d = 0; d < nd; ++d) {
+        if (p.numPaths(d) == 0)
+            continue;
+        worst = std::min(worst, r.demand_throughput[d]);
+        sum += r.demand_throughput[d];
+        ++routed;
+    }
+    r.worst = routed ? worst : 0.0;
+    r.average = routed ? sum / static_cast<double>(routed) : 0.0;
+    return r;
+}
+
+/** Every observable of @p a equals that of @p b, bit for bit. */
+void
+expectSameProblem(const FlowProblem &a, const FlowProblem &b,
+                  const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(a.numLinks(), b.numLinks());
+    ASSERT_EQ(a.numDemands(), b.numDemands());
+    ASSERT_EQ(a.numPathsTotal(), b.numPathsTotal());
+    for (std::int32_t l = 0; l < a.numLinks(); ++l)
+        EXPECT_EQ(a.capacity(l), b.capacity(l)) << "link " << l;
+    for (std::size_t d = 0; d < a.numDemands(); ++d) {
+        EXPECT_EQ(a.weight(d), b.weight(d)) << "demand " << d;
+        EXPECT_EQ(a.pathBegin(d), b.pathBegin(d)) << "demand " << d;
+        EXPECT_EQ(a.numPaths(d), b.numPaths(d)) << "demand " << d;
+    }
+    for (std::size_t q = 0; q < a.numPathsTotal(); ++q) {
+        const std::vector<std::int32_t> la(
+            a.pathLinks(q), a.pathLinks(q) + a.pathLength(q));
+        const std::vector<std::int32_t> lb(
+            b.pathLinks(q), b.pathLinks(q) + b.pathLength(q));
+        EXPECT_EQ(la, lb) << "path " << q;
+    }
+}
+
+void
+expectSameFluid(const EcmpFluidResult &a, const EcmpFluidResult &b,
+                const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.utilization, b.utilization);
+    EXPECT_EQ(a.demand_throughput, b.demand_throughput);
+    EXPECT_EQ(a.saturation, b.saturation);
+    EXPECT_EQ(a.worst, b.worst);
+    EXPECT_EQ(a.average, b.average);
+}
+
+/** A named network. */
+struct Net
+{
+    std::string name;
+    FoldedClos fc;
+};
+
+/**
+ * CFT, OFT and random RFC networks; the last has random links removed
+ * so that some leaf pairs lose every up/down route.
+ */
+std::vector<Net>
+networks()
+{
+    std::vector<Net> out;
+    out.push_back({"CFT(4,3)", buildCft(4, 3)});
+    out.push_back({"CFT(8,3)", buildCft(8, 3)});
+    out.push_back({"OFT(2,3)", buildOft(2, 3)});
+    out.push_back({"OFT(3,2)", buildOft(3, 2)});
+    for (std::uint64_t seed : {11u, 12u}) {
+        Rng rng(seed);
+        out.push_back({"RFC(8,3,24) seed " + std::to_string(seed),
+                       buildRfcUnchecked(8, 3, 24, rng)});
+    }
+    Rng rng(13);
+    Net faulted{"RFC(6,3,14) minus 20 links",
+                buildRfcUnchecked(6, 3, 14, rng)};
+    removeRandomLinks(faulted.fc, 20, rng);
+    out.push_back(std::move(faulted));
+    return out;
+}
+
+/** Uniform, random-pairing and hand-made unequal-weight demand. */
+std::vector<std::pair<std::string, DemandMatrix>>
+demands(long long terminals)
+{
+    std::vector<std::pair<std::string, DemandMatrix>> out;
+    out.emplace_back("uniform", makeDemandMatrix("uniform", terminals, 5, 2));
+    out.emplace_back("random-pairing",
+                     makeDemandMatrix("random-pairing", terminals, 6));
+    DemandMatrix unequal;
+    unequal.nodes = terminals;
+    for (long long s = 0; s < terminals; ++s)
+        for (long long k : {1LL, 3LL, terminals / 2 + 1}) {
+            long long t = (s * 7 + k) % terminals;
+            unequal.demands.push_back(
+                {s, t, 0.1 * static_cast<double>(1 + (s * 5 + k) % 9)});
+        }
+    out.emplace_back("unequal", std::move(unequal));
+    return out;
+}
+
+TEST(FlowLegacyEquivalence, PathsMatchAlwaysEnumerateFirst)
+{
+    for (const Net &net : networks()) {
+        UpDownOracle oracle(net.fc);
+        for (int cap : {1, 4, 8, 64}) {
+            SCOPED_TRACE(net.name + " cap " + std::to_string(cap));
+            const UpDownEcmpPaths paths(net.fc, oracle, cap, 99);
+            const LegacyPaths legacy(net.fc, oracle, cap, 99);
+            std::vector<Path> got, want;
+            for (int a = 0; a < net.fc.numLeaves(); ++a)
+                for (int b = 0; b < net.fc.numLeaves(); ++b) {
+                    paths.paths(a, b, got);
+                    legacy.paths(a, b, want);
+                    EXPECT_EQ(got, want) << "leaves " << a << " -> " << b;
+                }
+        }
+    }
+}
+
+TEST(FlowLegacyEquivalence, ProblemAndFluidMatchLegacy)
+{
+    ThreadPool pool2(2), pool3(3);
+    std::size_t unrouted = 0, cases = 0;
+    for (const Net &net : networks()) {
+        UpDownOracle oracle(net.fc);
+        for (const auto &[pattern, dm] : demands(net.fc.numTerminals()))
+            for (int cap : {1, 4, 8, 64}) {
+                const std::string what = net.name + " " + pattern +
+                                         " cap " + std::to_string(cap);
+                const UpDownEcmpPaths paths(net.fc, oracle, cap, 7);
+                const LegacyPaths legacy_paths(net.fc, oracle, cap, 7);
+                const FlowProblem want =
+                    legacyBuild(net.fc, legacy_paths, dm);
+                const EcmpFluidResult want_fluid = legacyEcmpFluid(want);
+                for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr),
+                                         &pool2, &pool3}) {
+                    const std::string where =
+                        what + (pool ? " pool " + std::to_string(pool->size())
+                                     : " serial");
+                    const FlowProblem got =
+                        buildClosFlowProblem(net.fc, paths, dm, pool);
+                    expectSameProblem(got, want, where);
+                    expectSameFluid(ecmpFluid(got), want_fluid, where);
+                }
+                for (std::size_t d = 0; d < want.numDemands(); ++d)
+                    unrouted += want.numPaths(d) == 0 ? 1 : 0;
+                ++cases;
+            }
+    }
+    EXPECT_EQ(cases, 7u * 3u * 4u);
+    // The faulted RFC must exercise demands without a candidate path.
+    EXPECT_GT(unrouted, 0u);
+}
+
+TEST(FlowLegacyEquivalence, FluidMatchesOnHandMadeProblems)
+{
+    // Paths of unequal length, repeated links inside a path, links no
+    // demand crosses, capacities other than 1, unroutable demands and
+    // fewer demands than ranges.
+    FlowProblem p;
+    for (int l = 0; l < 9; ++l)
+        p.addLink(l % 3 == 0 ? 2.5 : 1.0);
+    p.addDemand(0.7);
+    p.addPath({0, 1, 2});
+    p.addPath({0, 3});
+    p.addPath({4, 4, 5, 6});
+    p.addDemand(1.3);
+    p.addDemand(0.2);
+    p.addPath({6, 2, 0});
+    p.addDemand(3.0);
+    p.addPath({8});
+    expectSameFluid(ecmpFluid(p), legacyEcmpFluid(p), "hand-made");
+
+    FlowProblem empty;
+    empty.addLink(1.0);
+    expectSameFluid(ecmpFluid(empty), legacyEcmpFluid(empty), "no demand");
+}
+
+} // namespace
+} // namespace rfc

@@ -215,7 +215,7 @@ TEST(FlowSolver, DeterministicAcrossPools)
         EXPECT_EQ(par_s.dual_bound, serial_s.dual_bound);
         EXPECT_EQ(par_s.utilization, serial_s.utilization);
         EXPECT_EQ(par_s.path_flow, serial_s.path_flow);
-        auto par_f = ecmpFluid(par_p, &pool);
+        auto par_f = ecmpFluid(par_p);
         EXPECT_EQ(par_f.saturation, serial_f.saturation);
         EXPECT_EQ(par_f.utilization, serial_f.utilization);
         EXPECT_EQ(par_f.demand_throughput, serial_f.demand_throughput);

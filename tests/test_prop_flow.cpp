@@ -114,7 +114,7 @@ flowContract(const TopoParams &params)
         par.utilization != sol.utilization) {
         return CheckResult::fail("parallel solve differs from serial");
     }
-    auto fluid_par = ecmpFluid(par_problem, &pool);
+    auto fluid_par = ecmpFluid(par_problem);
     if (fluid_par.saturation != fluid.saturation ||
         fluid_par.utilization != fluid.utilization)
         return CheckResult::fail("parallel fluid differs from serial");

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -225,6 +226,25 @@ TEST(Options, NumbersMustParseAsTheWholeValue)
     EXPECT_EQ(o.getInt("ok", 0), -3);
     EXPECT_DOUBLE_EQ(o.getDouble("ok", 0.0), -3.0);
     EXPECT_DOUBLE_EQ(o.getDouble("frac", 0.0), 0.25);
+}
+
+TEST(Options, IntAtLeastRejectsValuesAnIntCastWouldWrap)
+{
+    const char *argv[] = {"prog", "--max-paths=4294967297", "--samples=-1",
+                          "--phases=2147483647", "--zero=0"};
+    Options o(5, argv);
+    std::string m = invalidArgumentMessage(
+        [&] { o.getIntAtLeast("max-paths", 16, 1); });
+    EXPECT_NE(m.find("--max-paths"), std::string::npos) << m;
+    EXPECT_NE(m.find("4294967297"), std::string::npos) << m;
+    EXPECT_NE(m.find("[1, 2147483647]"), std::string::npos) << m;
+    EXPECT_THROW(o.getIntAtLeast("samples", 4, 0), std::invalid_argument);
+    EXPECT_THROW(o.getIntAtLeast("zero", 1, 1), std::invalid_argument);
+    // Both bounds are inclusive; an absent flag yields its default.
+    EXPECT_EQ(o.getIntAtLeast("phases", 1, 1),
+              std::numeric_limits<int>::max());
+    EXPECT_EQ(o.getIntAtLeast("zero", 1, 0), 0);
+    EXPECT_EQ(o.getIntAtLeast("absent", 8, 1), 8);
 }
 
 TEST(Options, BadNumberMessageNamesFlagAndValue)

@@ -32,6 +32,10 @@ set -x
 ./bench/ext_jellyfish --warmup 50 --measure 200 > /dev/null
 ./bench/ext_adversarial --warmup 50 --measure 200 --trials 1 > /dev/null
 ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples 2 > /dev/null
+# Flow counts outside their range must be rejected: an int cast would
+# run 4294967297 as one path and -1 samples as exact all-pairs demand.
+if ./bench/ext_flow_throughput --phases 50 --max-paths 4294967297 --samples 2 > /dev/null 2>&1; then exit 1; fi
+if ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples -1 > /dev/null 2>&1; then exit 1; fi
 ./bench/ext_fault_recovery --smoke > /dev/null
 # --smoke includes the self-check: the queue sweep must be
 # >= 10x faster than an equivalent VCT sweep (exit 1 if not).
