@@ -25,6 +25,9 @@
  *   --csv | --json   machine-readable output (JSON includes
  *                    stddev/ci95 when --trials > 1, plus timing)
  *
+ * Integer flags are range-checked (--radix >= 2, --trials >= 1, ...):
+ * a value outside its range or past an int throws instead of wrapping.
+ *
  * The load sweep is declared as a study (1 network x 1 traffic x
  * points x trials) and runs on the shared engine; per-trial seeds are
  * derived from --seed, so results do not depend on --jobs.  With
@@ -43,8 +46,8 @@ main(int argc, char **argv)
     Options opts(argc, argv);
 
     const std::string topo = opts.get("topo", "rfc");
-    const int radix = static_cast<int>(opts.getInt("radix", 16));
-    const int levels = static_cast<int>(opts.getInt("levels", 3));
+    const int radix = opts.getIntAtLeast("radix", 16, 2);
+    const int levels = opts.getIntAtLeast("levels", 3, 1);
     Rng rng(opts.getInt("seed", 1));
 
     FoldedClos fc;
@@ -55,7 +58,7 @@ main(int argc, char **argv)
     } else if (topo == "oft") {
         fc = buildOft(radix / 2 - 1, levels);
     } else if (topo == "rfc") {
-        int n1 = static_cast<int>(opts.getInt("leaves", 0));
+        int n1 = opts.getIntAtLeast("leaves", 0, 0);
         if (n1 == 0) {
             n1 = rfcMaxLeaves(radix, levels) * 4 / 5;
             if (n1 % 2)
@@ -88,11 +91,9 @@ main(int argc, char **argv)
     }
 
     SimConfig cfg;
-    cfg.vcs = static_cast<int>(opts.getInt("vcs", cfg.vcs));
-    cfg.buf_packets =
-        static_cast<int>(opts.getInt("buffers", cfg.buf_packets));
-    cfg.pkt_phits =
-        static_cast<int>(opts.getInt("pkt-phits", cfg.pkt_phits));
+    cfg.vcs = opts.getIntAtLeast("vcs", cfg.vcs, 1);
+    cfg.buf_packets = opts.getIntAtLeast("buffers", cfg.buf_packets, 1);
+    cfg.pkt_phits = opts.getIntAtLeast("pkt-phits", cfg.pkt_phits, 1);
     cfg.warmup = opts.getInt("warmup", 1000);
     cfg.measure = opts.getInt("measure", 4000);
     cfg.seed = opts.getInt("seed", 1);
@@ -114,7 +115,7 @@ main(int argc, char **argv)
     const long long stride =
         opts.getInt("shift-stride", fc.terminalsPerLeaf());
     const double hot_fraction = opts.getDouble("hot-fraction", 0.2);
-    const int hotspots = static_cast<int>(opts.getInt("hotspots", 1));
+    const int hotspots = opts.getIntAtLeast("hotspots", 1, 1);
     TrafficFactory make_traffic =
         [tname, stride, hot_fraction,
          hotspots]() -> std::unique_ptr<Traffic> {
@@ -132,9 +133,9 @@ main(int argc, char **argv)
     } else {
         loads = loadRange(opts.getDouble("min-load", 0.1),
                           opts.getDouble("max-load", 1.0),
-                          static_cast<int>(opts.getInt("points", 7)));
+                          opts.getIntAtLeast("points", 7, 1));
     }
-    const int trials = static_cast<int>(opts.getInt("trials", 1));
+    const int trials = opts.getIntAtLeast("trials", 1, 1);
 
     ExperimentEngine engine(opts.jobs(), cfg.seed);
     const StudyResult result = engine.run(

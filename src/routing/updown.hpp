@@ -25,6 +25,7 @@
 #ifndef RFC_ROUTING_UPDOWN_HPP
 #define RFC_ROUTING_UPDOWN_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -120,6 +121,23 @@ class UpDownOracle
     void feasibleUpChoices(const FoldedClos &fc, int s, int dest_leaf,
                            std::vector<int> &out) const;
 
+    /** The next hops of one (switch, leaf) pair. */
+    struct NextHops
+    {
+        int need;            //!< minUps(s, dest_leaf); -1 = unreachable
+        bool wide;           //!< the port list has more than 64 entries
+        std::uint64_t mask;  //!< bit i: port index i is a choice
+    };
+
+    /**
+     * minUps and the choice set of downChoices (need == 0), upChoices
+     * or, with @p feasible, feasibleUpChoices as a mask over the first
+     * 64 port indices; when wide, only the list methods hold the rest.
+     * Tests one reach word per level and per alive port.
+     */
+    NextHops nextHops(const FoldedClos &fc, int s, int dest_leaf,
+                      bool feasible) const;
+
     int numLeaves() const { return num_leaves_; }
 
     /**
@@ -156,6 +174,37 @@ class UpDownOracle
     std::vector<std::vector<DynBitset>> reach_;
     const LinkFaultState *faults_ = nullptr;
 };
+
+// Inline: the packet engine calls it on every up/down routing visit.
+inline UpDownOracle::NextHops
+UpDownOracle::nextHops(const FoldedClos &fc, int s, int dest_leaf,
+                       bool feasible) const
+{
+    const auto d = static_cast<std::size_t>(dest_leaf);
+    int need = 0;
+    while (!reach_[need][s].test(d))
+        if (++need == levels_)
+            return {-1, false, 0};
+
+    std::uint64_t mask = 0;
+    if (need == 0) {
+        const auto down = fc.down(s);
+        const std::size_t n = std::min<std::size_t>(down.size(), 64);
+        for (std::size_t i = 0; i < n; ++i)
+            if (downAlive(s, i) && reach_[0][down[i]].test(d))
+                mask |= std::uint64_t{1} << i;
+        return {need, down.size() > 64, mask};
+    }
+    // Minimal parents reach dest in need - 1 more ups; feasible ones
+    // in whatever budget remains above them (see feasibleUpChoices).
+    const auto up = fc.up(s);
+    const std::size_t n = std::min<std::size_t>(up.size(), 64);
+    const int budget = feasible ? levels_ - fc.levelOf(s) - 1 : need - 1;
+    for (std::size_t i = 0; i < n; ++i)
+        if (upAlive(s, i) && reach_[budget][up[i]].test(d))
+            mask |= std::uint64_t{1} << i;
+    return {need, up.size() > 64, mask};
+}
 
 } // namespace rfc
 

@@ -13,6 +13,10 @@
  * frees); the output VC is drawn uniformly among the credited channels
  * of the packet's phase range.
  *
+ * No state is kept per (switch, leaf): each visit takes its next-hop
+ * set from UpDownOracle::nextHops, so a Simulator adds no routing
+ * memory beyond the oracle's.
+ *
  * UGAL (RouteMode::kUgal) samples its candidate intermediate exactly
  * like Valiant, then keeps it only when the minimal route is backed
  * up.  The local congestion estimate of a route is the smallest
@@ -33,7 +37,6 @@
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -153,22 +156,22 @@ class UpDownPolicy
         if (s == target)
             return lay_->n_up[s] + p.dest_local;  // ejection (phase 1)
 
-        // The choice set depends only on (s, target) and the routing
-        // mode, while blocked packets re-draw it every cycle - so it is
-        // memoized as a port bitmask.  The draw discipline is untouched:
-        // one uniform(count) draw mapping to the k-th choice in the same
-        // ascending-port order as the oracle scan.
-        const Choices ch = choicesFor(s, target);
-        if (ch.need < 0)
+        // Every visit reads the choice set from the oracle's reach words
+        // as a port bitmask; nothing is cached per (switch, leaf).  The
+        // draw discipline: one uniform(count) draw mapping to the k-th
+        // choice in the same ascending-port order as the oracle scan.
+        const UpDownOracle::NextHops h = oracle_->nextHops(
+            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
+        if (h.need < 0)
             return -1;
-        if (ch.wide)
-            return routeOutWide(s, target, ch.need, rng, sole);
-        if (ch.mask == 0)
+        if (h.wide)
+            return routeOutWide(s, target, h.need, rng, sole);
+        if (h.mask == 0)
             return -1;
-        const int count = __builtin_popcountll(ch.mask);
+        const int count = __builtin_popcountll(h.mask);
         sole = count == 1;
-        int pick = selectBit(ch.mask, rng.uniform(count));
-        return ch.need == 0 ? lay_->n_up[s] + pick : pick;
+        int pick = selectBit(h.mask, rng.uniform(count));
+        return h.need == 0 ? lay_->n_up[s] + pick : pick;
     }
 
     void
@@ -201,11 +204,10 @@ class UpDownPolicy
     double hopsOf(const Pkt &p) const { return p.hops; }
 
     /**
-     * The oracle's tables changed under us (runtime link fail/repair):
-     * every memoized choice entry may be stale, so drop the cache and
-     * refill lazily from the rebuilt oracle.
+     * The oracle's tables changed under us (runtime link fail/repair).
+     * Nothing to drop: every visit reads the rebuilt oracle directly.
      */
-    void onTopologyChange() { memo_.clear(); }
+    void onTopologyChange() {}
 
   private:
     /** Valiant and UGAL route in two phases over split VC halves. */
@@ -275,54 +277,28 @@ class UpDownPolicy
     {
         if (s == target)
             return 0;
-        const Choices ch = choicesFor(s, target);
-        if (ch.need < 0 || (!ch.wide && ch.mask == 0))
+        const UpDownOracle::NextHops h = oracle_->nextHops(
+            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
+        if (h.need < 0)
             return -1;
-        const std::int64_t base = cv.portBase(s);
-        const std::int64_t off = ch.need == 0 ? lay_->n_up[s] : 0;
+        const std::int64_t base =
+            cv.portBase(s) + (h.need == 0 ? lay_->n_up[s] : 0);
         int best = -1;
-        if (ch.wide) {
-            fillScratch(s, target, ch.need);
-            for (int p : choice_scratch_) {
-                int b = cv.backlog(base + off + p);
-                if (best < 0 || b < best)
-                    best = b;
-            }
-            return best;
-        }
-        for (std::uint64_t m = ch.mask; m != 0; m &= m - 1) {
-            int b = cv.backlog(base + off + __builtin_ctzll(m));
+        auto consider = [&](int p) {
+            const int b = cv.backlog(base + p);
             if (best < 0 || b < best)
                 best = b;
+        };
+        if (h.wide) {
+            fillScratch(s, target, h.need);
+            for (int p : choice_scratch_)
+                consider(p);
+            return best;
         }
+        for (std::uint64_t m = h.mask; m != 0; m &= m - 1)
+            consider(__builtin_ctzll(m));
         return best;
     }
-
-    /**
-     * Memoized routing decision for one (switch, target-leaf) pair,
-     * packed into one word: bits [0, kMaskBits) hold the feasible
-     * choice set as a bitmask over local port indices (down ports when
-     * need == 0, up ports otherwise; choice k is the k-th set bit,
-     * matching the ascending order of the oracle's scan), bit kMaskBits
-     * marks a set with an index at or above kMaskBits (served by the
-     * oracle scan instead, which picks the same port), and the top
-     * byte holds need + 2 - so 0 means unfilled.
-     */
-    using ChoiceEntry = std::uint64_t;
-
-    static constexpr int kMaskBits = 55;
-    static constexpr ChoiceEntry kMaskAll =
-        (ChoiceEntry{1} << kMaskBits) - 1;
-    static constexpr ChoiceEntry kWide = ChoiceEntry{1} << kMaskBits;
-    static constexpr int kNeedShift = 56;
-
-    /** A decoded ChoiceEntry. */
-    struct Choices
-    {
-        int need;            //!< minimal up-hops, -1 = unreachable
-        bool wide;           //!< choice set lives only in the oracle
-        std::uint64_t mask;  //!< choice bitmask (0 when wide)
-    };
 
     static int
     selectBit(std::uint64_t mask, std::uint64_t k)
@@ -332,45 +308,11 @@ class UpDownPolicy
         return __builtin_ctzll(mask);
     }
 
-    Choices
-    choicesFor(int s, int target)
-    {
-        if (memo_.empty())
-            memo_.resize(fc_->numSwitches());
-        auto &row = memo_[s];
-        if (row.empty())
-            row.resize(static_cast<std::size_t>(fc_->numLeaves()));
-        ChoiceEntry &e = row[target];
-        if (e == 0)
-            e = fillEntry(s, target);
-        return {static_cast<int>(e >> kNeedShift) - 2, (e & kWide) != 0,
-                e & kMaskAll};
-    }
-
+    /** Minimal up hops from @p s to leaf @p target; -1 = none. */
     int
-    needFor(int s, int target)
+    needFor(int s, int target) const
     {
-        if (s == target)
-            return 0;
-        return choicesFor(s, target).need;
-    }
-
-    ChoiceEntry
-    fillEntry(int s, int target)
-    {
-        const int need = std::max(oracle_->minUps(s, target), -1);
-        const ChoiceEntry head = static_cast<ChoiceEntry>(need + 2)
-                                 << kNeedShift;
-        if (need < 0)
-            return head;
-        fillScratch(s, target, need);
-        if (!choice_scratch_.empty() &&
-            choice_scratch_.back() >= kMaskBits)
-            return head | kWide;
-        ChoiceEntry mask = 0;
-        for (int i : choice_scratch_)
-            mask |= ChoiceEntry{1} << i;
-        return head | mask;
+        return oracle_->minUps(s, target);
     }
 
     //! Fill choice_scratch_ with the oracle's choice set, in port order.
@@ -385,11 +327,13 @@ class UpDownPolicy
             oracle_->upChoices(*fc_, s, target, choice_scratch_);
     }
 
-    //! Slow path for radices beyond the packed mask (rare).
+    //! Slow path for port lists longer than the 64-bit mask (rare).
     int
     routeOutWide(int s, int target, int need, Rng &rng, bool &sole)
     {
         fillScratch(s, target, need);
+        if (choice_scratch_.empty())
+            return -1;
         sole = choice_scratch_.size() == 1;
         int pick = choice_scratch_[rng.uniform(choice_scratch_.size())];
         return need == 0 ? lay_->n_up[s] + pick : pick;
@@ -407,10 +351,6 @@ class UpDownPolicy
     std::int32_t pending_inter_ = -1;
     std::int8_t pending_phase_ = 1;
     std::vector<int> choice_scratch_;
-
-    // Lazily filled choice cache; rows allocate on first touch, so a
-    // run only pays for the switches its packets visit.
-    std::vector<std::vector<ChoiceEntry>> memo_;
 };
 
 } // namespace rfc

@@ -8,6 +8,7 @@
 
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
+#include "clos/oft.hpp"
 #include "clos/rfc.hpp"
 #include "graph/algorithms.hpp"
 #include "routing/updown.hpp"
@@ -352,6 +353,91 @@ TEST(UpDownOracle, UnroutableDestinationReportsMinusOne)
     EXPECT_EQ(oracle.minUps(1, 0), -1);
     EXPECT_EQ(oracle.leafDistance(1, 0), -1);
     EXPECT_FALSE(oracle.routable());
+}
+
+// ======================================================================
+// nextHops: the list methods' choice sets as one port mask
+// ======================================================================
+
+/**
+ * Check nextHops against minUps plus the list methods for every
+ * (switch, leaf) pair of @p fc, in minimal and feasible mode; count
+ * the unreachable pairs into @p unreachable.
+ */
+void
+expectNextHopsMatchLists(const FoldedClos &fc, const UpDownOracle &oracle,
+                         long long &unreachable)
+{
+    std::vector<int> list;
+    for (bool feasible : {false, true}) {
+        for (int s = 0; s < fc.numSwitches(); ++s) {
+            for (int leaf = 0; leaf < fc.numLeaves(); ++leaf) {
+                const auto h = oracle.nextHops(fc, s, leaf, feasible);
+                const int need = oracle.minUps(s, leaf);
+                ASSERT_EQ(h.need, need) << "switch " << s << " leaf " << leaf;
+                if (need < 0) {
+                    EXPECT_EQ(h.mask, 0u);
+                    ++unreachable;
+                    continue;
+                }
+                std::size_t ports;
+                if (need == 0) {
+                    oracle.downChoices(fc, s, leaf, list);
+                    ports = fc.down(s).size();
+                } else {
+                    if (feasible)
+                        oracle.feasibleUpChoices(fc, s, leaf, list);
+                    else
+                        oracle.upChoices(fc, s, leaf, list);
+                    ports = fc.up(s).size();
+                }
+                std::uint64_t want = 0;
+                for (int i : list)
+                    if (i < 64)
+                        want |= std::uint64_t{1} << i;
+                EXPECT_EQ(h.mask, want)
+                    << "switch " << s << " leaf " << leaf << " feasible "
+                    << feasible;
+                EXPECT_EQ(h.wide, ports > 64);
+            }
+        }
+    }
+}
+
+/** Kill every @p stride-th link of @p fc in @p overlay. */
+void
+killEvery(const FoldedClos &fc, LinkFaultState &overlay, std::size_t stride)
+{
+    const auto links = fc.links();
+    for (std::size_t i = 0; i < links.size(); i += stride)
+        ASSERT_TRUE(overlay.setLink(links[i].lower, links[i].upper, true));
+}
+
+TEST(UpDownOracle, NextHopsMatchListMethodsExhaustively)
+{
+    Rng rng(61);
+    std::vector<FoldedClos> nets;
+    nets.push_back(buildCft(8, 3));
+    nets.push_back(buildRfcUnchecked(8, 3, 24, rng));
+    nets.push_back(buildRfcUnchecked(6, 4, 12, rng));
+    nets.push_back(buildOft(2, 3));
+    // Radix 130: 65 up ports per leaf, 130 down per spine - both lists
+    // run past the mask.
+    nets.push_back(buildCft(130, 2));
+    long long unreachable = 0;
+    for (const auto &fc : nets) {
+        SCOPED_TRACE(fc.numSwitches());
+        UpDownOracle pristine(fc);
+        expectNextHopsMatchLists(fc, pristine, unreachable);
+
+        LinkFaultState overlay(fc);
+        killEvery(fc, overlay, 5);
+        UpDownOracle faulty;
+        faulty.build(fc, &overlay);
+        ASSERT_GT(overlay.deadLinks(), 0u);
+        expectNextHopsMatchLists(fc, faulty, unreachable);
+    }
+    EXPECT_GT(unreachable, 0);  // the need == -1 case ran
 }
 
 } // namespace

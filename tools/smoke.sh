@@ -74,6 +74,9 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 ./examples/simulate --topo rfc --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --route-mode ugal > /dev/null
 # The hotspot pattern and the CSV printer.
 ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --csv > /dev/null
+# Int flags outside their range must be rejected: an int cast would
+# run --radix 4294967304 as R = 8.
+if ./examples/simulate --topo cft --radix 4294967304 --levels 3 --points 1 --warmup 100 --measure 300 > /dev/null 2>&1; then exit 1; fi
 # Structure table and flow-model ranking of every topology.
 ./examples/topology_explorer --radix 8 > /dev/null
 # Its packet-level sections moved to examples/simulate and the benches:
