@@ -20,7 +20,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    const int radix = static_cast<int>(opts.getInt("radix", 36));
+    const int radix = opts.getIntAtLeast("radix", 36, 2);
     const long long target = opts.getInt("terminals", 100008);
     const int m = radix / 2;
 

@@ -17,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    const int radix = static_cast<int>(opts.getInt("radix", 16));
-    const int levels = static_cast<int>(opts.getInt("levels", 3));
-    int n1 = static_cast<int>(opts.getInt("leaves", 0));
+    const int radix = opts.getIntAtLeast("radix", 16, 2);
+    const int levels = opts.getIntAtLeast("levels", 3, 1);
+    int n1 = opts.getIntAtLeast("leaves", 0, 0);
     const double load = opts.getDouble("load", 0.6);
     Rng rng(opts.getInt("seed", 1));
 

@@ -44,6 +44,10 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
+    // Built first, so the report's wall clock covers the topology and
+    // oracle builds as well as the sweep, as a bench's does.
+    ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 1));
+    Report report("simulate", opts.getInt("seed", 1), engine.jobs());
 
     const std::string topo = opts.get("topo", "rfc");
     const int radix = opts.getIntAtLeast("radix", 16, 2);
@@ -137,7 +141,6 @@ main(int argc, char **argv)
     }
     const int trials = opts.getIntAtLeast("trials", 1, 1);
 
-    ExperimentEngine engine(opts.jobs(), cfg.seed);
     const StudyResult result = engine.run(
         {"sweep", Tier::kVct,
          crossPoints({{fc.name(), &fc, &oracle}}, {{tname, make_traffic}},
@@ -149,7 +152,6 @@ main(int argc, char **argv)
          << TablePrinter::fmt(result.wall_seconds, 2) << " s\n";
 
     if (json) {
-        Report report("simulate", cfg.seed, engine.jobs());
         report.add(result);
         report.write(std::cout);
         return 0;

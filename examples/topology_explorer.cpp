@@ -39,8 +39,8 @@ main(int argc, char **argv)
                 std::string("--") + flag +
                 " was removed from topology_explorer; packet-level "
                 "tables are printed by " + now);
-    const int radix = static_cast<int>(opts.getInt("radix", 12));
-    const int levels = static_cast<int>(opts.getInt("levels", 3));
+    const int radix = opts.getIntAtLeast("radix", 12, 2);
+    const int levels = opts.getIntAtLeast("levels", 3, 1);
     Rng rng(opts.getInt("seed", 2));
 
     std::cout << "== topology explorer: R = " << radix << ", l = "
@@ -101,8 +101,8 @@ main(int argc, char **argv)
     Case uniform;
     uniform.label = uniform.pattern = "uniform";
     Study analytic{"flow", Tier::kFlow};
-    analytic.max_paths = static_cast<int>(opts.getInt("max-paths", 16));
-    analytic.uniform_samples = static_cast<int>(opts.getInt("samples", 4));
+    analytic.max_paths = opts.getIntAtLeast("max-paths", 16, 1);
+    analytic.uniform_samples = opts.getIntAtLeast("samples", 4, 0);
     analytic.points = crossPoints(studied, {uniform}, {1.0});
     const StudyResult flows = engine.run(analytic);
 

@@ -44,8 +44,8 @@ main(int argc, char **argv)
 
     if (opts.has("topo")) {
         const std::string topo = opts.get("topo", "rfc");
-        const int radix = static_cast<int>(opts.getInt("radix", 8));
-        const int levels = static_cast<int>(opts.getInt("levels", 3));
+        const int radix = opts.getIntAtLeast("radix", 8, 2);
+        const int levels = opts.getIntAtLeast("levels", 3, 1);
         Rng rng(opts.getInt("seed", 1));
         FoldedClos fc;
         if (topo == "cft") {
@@ -53,8 +53,7 @@ main(int argc, char **argv)
         } else if (topo == "oft") {
             fc = buildOft(radix / 2 - 1, levels);
         } else if (topo == "rfc") {
-            int n1 = static_cast<int>(
-                opts.getInt("leaves", std::max(radix, 16)));
+            int n1 = opts.getIntAtLeast("leaves", std::max(radix, 16), 1);
             fc = buildRfcUnchecked(radix, levels, n1, rng);
         } else {
             std::cerr << "unknown --topo " << topo

@@ -137,9 +137,9 @@ struct SimConfig
      * injection credits), pkt_phits >= kGenWheelSlots (an injection
      * rescheduled pkt_phits ahead would land in the slot being
      * drained), and warmup + measure + link_latency + pkt_phits >
-     * INT32_MAX (ring ready times and packet birth cycles are 32-bit
-     * cycle stamps, and the wake and release wheels have pkt_phits +
-     * link_latency + 2 slots).
+     * INT32_MAX (packet ready and birth times, busy-until times and
+     * timers are 32-bit cycle stamps, and the wake and release wheels
+     * have pkt_phits + link_latency + 2 slots).
      */
     void validate() const;
 };

@@ -3,7 +3,7 @@
  * The unified cycle-driven virtual cut-through flow-control engine.
  *
  * Everything both simulators share lives here exactly once: per-VC
- * input rings with credit accounting, link/crossbar busy tracking,
+ * input FIFOs with credit accounting, link/crossbar busy tracking,
  * random arbitration (reservoir sampling, one iteration), open-loop
  * Bernoulli injection with finite source queues, warmup/measurement
  * accounting, the RFC_CHECK_INVARIANTS conservation guards, and the
@@ -14,11 +14,10 @@
  * every PathPolicy).  The contract:
  *
  *   struct Policy {
- *     // Packet payload.  gen (birth cycle) plus the engine-owned
- *     // fields listed below are mandatory; everything else is the
- *     // policy's routing state.
- *     struct Pkt { std::int32_t gen; std::uint8_t noroute;
- *                  std::int32_t wl_src; std::uint32_t wl_tag; ... };
+ *     // Packet payload.  The engine-owned fields listed below are
+ *     // mandatory; everything else is the policy's routing state.
+ *     struct Pkt { std::int32_t gen, wl_src, next, ready;
+ *                  std::uint32_t wl_tag; std::uint8_t noroute; ... };
  *     bool routable(long long term, long long dest) const;
  *     // Injection VC for the head-of-queue packet, or -1 to retry
  *     // next cycle.  `cv.injCredits(term)` is the terminal's per-VC
@@ -69,9 +68,14 @@
  *                          workload's ejection callback.
  *   std::uint32_t wl_tag;  workload message tag riding with the
  *                          packet to the same callback.
+ *   std::int32_t next;     the packet behind this one in its input-VC
+ *                          FIFO (-1 at the tail): the FIFOs are
+ *                          threaded through the packet arena.
+ *   std::int32_t ready;    cycle the packet's header reaches the input
+ *                          VC it waits in (set on every enqueue).
  *
- * Policies never read or write these four; they only make room for
- * them.
+ * Policies never read or write these six; they only make room for
+ * them, in whatever order packs their Pkt tightest.
  *
  * Execution: one simulation runs on one thread with one RNG stream,
  * deriveSeed(seed, 0x5A4D0000, 0).  Each cycle applies the due cycle
@@ -97,6 +101,13 @@
  * input VC at any load.  The arbiter drains its slot into a reusable
  * array first and walks that in the same order, so it can prefetch a
  * few visits ahead what each due VC's visit will load.
+ *
+ * Memory follows what is live, not what could be: an input VC's
+ * buffer is a FIFO threaded through the packets' next fields (head,
+ * tail and count per VC), and the release, generation and injection
+ * wheels are SlotQueues whose one node pool holds only the entries
+ * pending at once.  Both are FIFO in push order, which is all the
+ * visit order and the draw sequence rely on.
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -128,9 +139,10 @@ namespace core_detail {
 /**
  * Chunked packet arena: indices stay valid and storage never moves,
  * so a packet reference survives later allocations.  The engine
- * allocates only when its free list is empty and every live packet
- * holds an input-VC ring slot, so the arena never outgrows the rings
- * (ports x vcs x buf_packets, checked to fit int32 at construction).
+ * allocates only when its free list is empty, and every live packet
+ * sits in exactly one input-VC FIFO of at most buf_packets entries, so
+ * the arena never outgrows the input buffers (ports x vcs x
+ * buf_packets, checked to fit int32 at construction).
  */
 template <class Pkt>
 class PktArena
@@ -159,6 +171,76 @@ class PktArena
   private:
     std::vector<std::unique_ptr<Pkt[]>> chunks_;
     std::int32_t count_ = 0;
+};
+
+/**
+ * Timing wheel: one FIFO per slot, all threaded through a single node
+ * pool with a free list.  pop() returns a node to the free list before
+ * the caller handles its entry, and the next push() reuses it, so the
+ * pool holds as many nodes as were ever live at once rather than the
+ * sum of every slot's high-water mark.  Entries are opaque: duplicates
+ * stay queued side by side.  Pushing into any slot while another is
+ * being drained is safe (ids survive pool growth); a slot pushed while
+ * it drains yields those entries in the same drain.
+ */
+template <class T>
+class SlotQueue
+{
+  public:
+    explicit SlotQueue(std::size_t slots = 0) : ends_(slots) {}
+
+    void
+    push(std::size_t slot, const T &value)
+    {
+        std::int32_t id = free_;
+        if (id >= 0) {
+            free_ = nodes_[id].next;
+            nodes_[id] = {value, -1};
+        } else {
+            id = static_cast<std::int32_t>(nodes_.size());
+            nodes_.push_back({value, -1});
+        }
+        Ends &e = ends_[slot];
+        if (e.tail < 0)
+            e.head = id;
+        else
+            nodes_[e.tail].next = id;
+        e.tail = id;
+    }
+
+    bool empty(std::size_t slot) const { return ends_[slot].head < 0; }
+
+    /** Remove and return the oldest entry of @p slot (must be non-empty). */
+    T
+    pop(std::size_t slot)
+    {
+        Ends &e = ends_[slot];
+        const std::int32_t id = e.head;
+        Node &n = nodes_[id];
+        e.head = n.next;
+        if (e.head < 0)
+            e.tail = -1;
+        n.next = free_;
+        free_ = id;
+        return n.value;
+    }
+
+    /** Nodes ever allocated: the peak number of entries live at once. */
+    std::size_t poolSize() const { return nodes_.size(); }
+
+  private:
+    struct Node
+    {
+        T value;
+        std::int32_t next;  //!< next in its slot, or in the free list
+    };
+    struct Ends
+    {
+        std::int32_t head = -1, tail = -1;
+    };
+    std::vector<Node> nodes_;
+    std::vector<Ends> ends_;
+    std::int32_t free_ = -1;
 };
 
 } // namespace core_detail
@@ -254,9 +336,8 @@ class VctEngine
             // next cycle (+1 keeps activation effects strictly after
             // the hook).
             const long long start = now + 1 + (t % cfg_.pkt_phits);
-            next_gen_[t] = start;
-            gen_wheel_[start % kGenWheel].push_back(
-                static_cast<std::int32_t>(t));
+            next_gen_[t] = static_cast<std::int32_t>(start);
+            gen_wheel_.push(start % kGenWheel, static_cast<std::int32_t>(t));
         }
         active_terms_ = target;
         traffic_.setActiveTerminals(active_terms_);
@@ -289,12 +370,6 @@ class VctEngine
     {
         std::int32_t feeder;
         std::int8_t vc;
-    };
-
-    struct RingSlot
-    {
-        std::int32_t pkt;
-        std::int32_t ready;
     };
 
     /** One wake-wheel slot: a FIFO of input VCs linked by wake_next_. */
@@ -339,8 +414,8 @@ class VctEngine
     void
     scheduleRelease(long long at, std::int32_t feeder, int vc)
     {
-        release_wheel_[at % wheel_size_].push_back(
-            {feeder, static_cast<std::int8_t>(vc)});
+        release_wheel_.push(at % wheel_size_,
+                            {feeder, static_cast<std::int8_t>(vc)});
     }
 
     void
@@ -348,9 +423,34 @@ class VctEngine
     {
         if (!inj_scheduled_[t]) {
             inj_scheduled_[t] = 1;
-            inj_wheel_[at % kGenWheel].push_back(
-                static_cast<std::int32_t>(t));
+            inj_wheel_.push(at % kGenWheel, static_cast<std::int32_t>(t));
         }
+    }
+
+    /**
+     * @p at as a 32-bit cycle stamp.  Every cycle a run reaches fits
+     * (SimConfig::validate); a later timer - a long geometric gap, a
+     * far workload wake - saturates at INT32_MAX, past the last cycle,
+     * so it stays unfired either way.
+     */
+    static std::int32_t
+    stamp(long long at)
+    {
+        return static_cast<std::int32_t>(std::min<long long>(
+            at, std::numeric_limits<std::int32_t>::max()));
+    }
+
+    /**
+     * Push terminal @p t onto the generation wheel for cycle @p at >
+     * @p now; an entry due past the wheel's reach lands in its last
+     * slot and is re-pushed from there.
+     */
+    void
+    genPush(std::int32_t t, long long at, long long now)
+    {
+        gen_wheel_.push(
+            (now + std::min<long long>(at - now, kGenWheel - 1)) % kGenWheel,
+            t);
     }
 
     /** Append @p ivc to the wake slot of cycle @p at, unless queued. */
@@ -380,22 +480,25 @@ class VctEngine
         slot.tail = id;
     }
 
-    /** Enqueue @p pkt_id on input VC @p gi (ring insert + scheduling). */
+    /** Append @p pkt_id to input VC @p gi's FIFO (+ scheduling). */
     void
     enqueueInput(std::int64_t gi, std::int32_t pkt_id, std::int32_t ready,
                  long long now)
     {
-        const int cap = cfg_.buf_packets;
-        int pos = q_head_[gi] + q_count_[gi];
-        if (pos >= cap)
-            pos -= cap;
-        ring_[gi * cap + pos] = {pkt_id, ready};
-        if (q_count_[gi]++ == 0)
+        Pkt &p = pkt(pkt_id);
+        p.next = -1;
+        p.ready = ready;
+        if (q_count_[gi]++ == 0) {
+            vc_head_[gi] = pkt_id;
             wakePush(gi, std::max<long long>(ready, now + 1), now);
+        } else {
+            pkt(vc_tail_[gi]).next = pkt_id;
+        }
+        vc_tail_[gi] = pkt_id;
         if constexpr (kGuards) {
             ++slots_held_[gi];
             check_.countChecks();
-            if (q_count_[gi] > cap)
+            if (q_count_[gi] > cfg_.buf_packets)
                 check_.report("vc-occupancy", now,
                               lay_.port_owner[gi / cfg_.vcs],
                               static_cast<int>(gi % cfg_.vcs),
@@ -516,14 +619,23 @@ class VctEngine
     Policy policy_;
     long long wheel_size_ = 0;
 
-    std::vector<std::int64_t> out_peer_ivc_base_;  //!< peer iport * vcs
+    // Two invariants let every per-port, per-VC and per-terminal array
+    // below hold int32: input-VC ids (so peer iport * vcs) fit, since
+    // construction rejects ports x vcs x buf_packets > INT32_MAX; and
+    // every cycle stamp fits, since SimConfig::validate caps warmup +
+    // measure + link_latency + pkt_phits at INT32_MAX (timers past the
+    // run saturate there, see stamp()).
+
+    std::vector<std::int32_t> out_peer_ivc_base_;  //!< peer iport * vcs
 
     // ---- hot state (SoA) -------------------------------------------
-    std::vector<std::int64_t> out_busy_;
+    std::vector<std::int32_t> out_busy_;
     std::vector<std::int16_t> out_credits_;  //!< [gid * vcs + vc]
-    std::vector<std::int64_t> in_busy_;
-    std::vector<RingSlot> ring_;             //!< [ivc * cap + slot]
-    std::vector<std::uint8_t> q_head_, q_count_;
+    std::vector<std::int32_t> in_busy_;
+    /** Input-VC FIFOs through Pkt::next, [ivc]: head and tail packet
+     *  ids (meaningful only while q_count_ > 0) and the depth. */
+    std::vector<std::int32_t> vc_head_, vc_tail_;
+    std::vector<std::uint8_t> q_count_;
 
     /** Wake-wheel links, [ivc]: the next VC in the same slot (-1 ends
      *  the slot), or kNotQueued while the VC is in no slot. */
@@ -534,17 +646,17 @@ class VctEngine
     Rng rng_{0};
     core_detail::PktArena<Pkt> arena_;
     std::vector<std::int32_t> free_pkts_;
-    std::vector<std::vector<Release>> release_wheel_;
-    std::vector<std::vector<std::int32_t>> gen_wheel_, inj_wheel_;
+    core_detail::SlotQueue<Release> release_wheel_;
+    core_detail::SlotQueue<std::int32_t> gen_wheel_, inj_wheel_;
     std::vector<WakeList> wake_wheel_;
 
     // ---- terminals --------------------------------------------------
-    std::vector<std::int64_t> inj_busy_;
+    std::vector<std::int32_t> inj_busy_;
     std::vector<std::int8_t> inj_credits_;   //!< [t * vcs + vc]
     std::vector<std::int32_t> src_dest_;
     std::vector<std::int32_t> src_gen_;
     std::vector<std::int16_t> sq_head_, sq_count_;
-    std::vector<std::int64_t> next_gen_;
+    std::vector<std::int32_t> next_gen_;
     std::vector<std::uint8_t> inj_scheduled_;
     /** Active prefix [0, active_terms_): only these generate traffic
      *  (== num_terms unless gated; raised by activateTerminals()). */
@@ -568,7 +680,7 @@ class VctEngine
     bool wl_signal_ = false;  //!< onGlobalStep requested this cycle
     /** Per-terminal wake timer (-1 = none); gen_wheel_ entries whose
      *  terminal's timer moved or fired are dropped as stale. */
-    std::vector<std::int64_t> wl_next_;
+    std::vector<std::int32_t> wl_next_;
     /** Per source-queue slot: workload tag riding with the packet. */
     std::vector<std::uint32_t> src_tag_;
     WorkloadStats wl_stats_;
@@ -605,7 +717,7 @@ VctEngine<Policy>::buildStructures()
     const int V = cfg_.vcs;
 
     // Wake lists and the arbitration scratch hold input-VC ids, and
-    // packet ids index an arena no larger than the ring slots (see
+    // packet ids index an arena no larger than the buffer slots (see
     // PktArena), all as int32.
     const std::int64_t ivcs = lay_.total_ports * V;
     const std::int64_t slots = ivcs * cfg_.buf_packets;
@@ -615,12 +727,13 @@ VctEngine<Policy>::buildStructures()
             " ports x " + std::to_string(V) + " VCs x " +
             std::to_string(cfg_.buf_packets) + " buffer packets = " +
             std::to_string(slots) +
-            " ring slots exceed the 32-bit packet index limit");
+            " buffer slots exceed the 32-bit packet index limit");
 
     out_peer_ivc_base_.resize(lay_.total_ports);
     for (std::int64_t gid = 0; gid < lay_.total_ports; ++gid) {
         std::int64_t peer = lay_.out_peer_iport[gid];
-        out_peer_ivc_base_[gid] = peer < 0 ? -1 : peer * V;
+        out_peer_ivc_base_[gid] =
+            peer < 0 ? -1 : static_cast<std::int32_t>(peer * V);
     }
 
     out_busy_.assign(lay_.total_ports, 0);
@@ -628,8 +741,8 @@ VctEngine<Policy>::buildStructures()
                         static_cast<std::int16_t>(cfg_.buf_packets));
     in_busy_.assign(lay_.total_ports, 0);
 
-    ring_.assign(slots, {-1, 0});
-    q_head_.assign(ivcs, 0);
+    vc_head_.assign(ivcs, -1);
+    vc_tail_.assign(ivcs, -1);
     q_count_.assign(ivcs, 0);
     wake_next_.assign(ivcs, kNotQueued);
 
@@ -656,9 +769,9 @@ VctEngine<Policy>::buildStructures()
         slots_held_.assign(ivcs, 0);
 
     rng_ = Rng(deriveSeed(cfg_.seed, 0x5A4D0000ULL, 0));
-    release_wheel_.assign(wheel_size_, {});
-    gen_wheel_.assign(kGenWheel, {});
-    inj_wheel_.assign(kGenWheel, {});
+    release_wheel_ = core_detail::SlotQueue<Release>(wheel_size_);
+    gen_wheel_ = core_detail::SlotQueue<std::int32_t>(kGenWheel);
+    inj_wheel_ = core_detail::SlotQueue<std::int32_t>(kGenWheel);
     wake_wheel_.assign(wheel_size_, {});
     perf_.occupancy.assign(cfg_.buf_packets + 1, 0);
 }
@@ -671,8 +784,9 @@ template <class Policy>
 void
 VctEngine<Policy>::processReleases(long long now)
 {
-    auto &slot = release_wheel_[now % wheel_size_];
-    for (const Release &r : slot) {
+    const std::size_t slot = now % wheel_size_;
+    while (!release_wheel_.empty(slot)) {
+        const Release r = release_wheel_.pop(slot);
         if (r.feeder >= 0) {
             std::int16_t &cr =
                 out_credits_[static_cast<std::int64_t>(r.feeder) *
@@ -700,24 +814,21 @@ VctEngine<Policy>::processReleases(long long now)
             }
         }
     }
-    slot.clear();
 }
 
 template <class Policy>
 void
 VctEngine<Policy>::processGeneration(long long now)
 {
-    auto &slot = gen_wheel_[now % kGenWheel];
-    if (slot.empty())
+    const std::size_t slot = now % kGenWheel;
+    if (gen_wheel_.empty(slot))
         return;
     const double p = cfg_.load / cfg_.pkt_phits;
     const double log1mp = std::log(1.0 - p);
-    for (std::int32_t t : slot) {
+    while (!gen_wheel_.empty(slot)) {
+        const std::int32_t t = gen_wheel_.pop(slot);
         if (next_gen_[t] > now) {
-            long long gap = next_gen_[t] - now;
-            gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                       kGenWheel]
-                .push_back(t);
+            genPush(t, next_gen_[t], now);
             continue;
         }
         ++generated_;
@@ -747,24 +858,22 @@ VctEngine<Policy>::processGeneration(long long now)
                                 std::floor(std::log(1.0 - u) / log1mp));
         if (gap < 1)
             gap = 1;
-        next_gen_[t] = now + gap;
-        gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                   kGenWheel]
-            .push_back(t);
+        next_gen_[t] = stamp(now + gap);
+        genPush(t, now + gap, now);
     }
-    slot.clear();
 }
 
 template <class Policy>
 void
 VctEngine<Policy>::processInjection(long long now)
 {
-    auto &slot = inj_wheel_[now % kGenWheel];
-    if (slot.empty())
+    const std::size_t slot = now % kGenWheel;
+    if (inj_wheel_.empty(slot))
         return;
     const int V = cfg_.vcs;
     const CongestionView cv = view(now);
-    for (std::int32_t t : slot) {
+    while (!inj_wheel_.empty(slot)) {
+        const std::int32_t t = inj_wheel_.pop(slot);
         inj_scheduled_[t] = 0;
         if (sq_count_[t] == 0)
             continue;
@@ -803,11 +912,10 @@ VctEngine<Policy>::processInjection(long long now)
                      static_cast<std::int32_t>(now + cfg_.link_latency),
                      now);
         --inj_credits_[static_cast<std::int64_t>(t) * V + best_vc];
-        inj_busy_[t] = now + cfg_.pkt_phits;
+        inj_busy_[t] = static_cast<std::int32_t>(now + cfg_.pkt_phits);
         if (sq_count_[t] > 0)
             scheduleInjection(t, inj_busy_[t]);
     }
-    slot.clear();
 }
 
 // ======================================================================
@@ -864,11 +972,8 @@ VctEngine<Policy>::workloadWake(long long term, long long at,
             "WorkloadPort::wakeAt: terminal out of range");
     if (at <= now)
         at = now + 1;
-    wl_next_[term] = at;
-    long long gap = at - now;
-    gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
-               kGenWheel]
-        .push_back(static_cast<std::int32_t>(term));
+    wl_next_[term] = stamp(at);
+    genPush(static_cast<std::int32_t>(term), at, now);
 }
 
 /**
@@ -884,25 +989,20 @@ template <class Policy>
 void
 VctEngine<Policy>::processWorkloadWakes(long long now)
 {
-    auto &slot = gen_wheel_[now % kGenWheel];
-    if (slot.empty())
-        return;
-    for (std::int32_t t : slot) {
+    const std::size_t slot = now % kGenWheel;
+    while (!gen_wheel_.empty(slot)) {
+        const std::int32_t t = gen_wheel_.pop(slot);
         const long long due = wl_next_[t];
         if (due < now)
             continue;  // stale: fired already or re-armed earlier
         if (due > now) {
-            long long gap = due - now;
-            gen_wheel_[(now + std::min<long long>(gap, kGenWheel - 1)) %
-                       kGenWheel]
-                .push_back(t);
+            genPush(t, due, now);
             continue;
         }
         wl_next_[t] = -1;
         PortImpl port(this, now, /*inject_at=*/now);
         wl_->onWake(t, now, port, wl_stats_);
     }
-    slot.clear();
 }
 
 /**
@@ -932,12 +1032,9 @@ std::int32_t
 VctEngine<Policy>::dequeueHead(std::int64_t gi, long long now)
 {
     const int V = cfg_.vcs;
-    const int cap = cfg_.buf_packets;
     std::int64_t iport = gi / V;
-    int head = q_head_[gi];
-    std::int32_t id = ring_[gi * cap + head].pkt;
-    int nh = head + 1;
-    q_head_[gi] = static_cast<std::uint8_t>(nh >= cap ? nh - cap : nh);
+    const std::int32_t id = vc_head_[gi];
+    vc_head_[gi] = pkt(id).next;
     --q_count_[gi];
     // The buffer slot at this switch drains when the tail leaves.
     scheduleRelease(now + cfg_.pkt_phits, lay_.feeder_out[iport],
@@ -960,8 +1057,7 @@ VctEngine<Policy>::dropHead(std::int64_t gi, long long now)
     if constexpr (kGuards)
         last_progress_ = now;
     if (q_count_[gi] > 0) {
-        long long ready =
-            ring_[gi * cfg_.buf_packets + q_head_[gi]].ready;
+        const long long ready = pkt(vc_head_[gi]).ready;
         wakePush(gi, std::max<long long>(ready, now + 1), now);
     }
 }
@@ -977,12 +1073,10 @@ VctEngine<Policy>::commitCandidate(std::int64_t gi, std::int64_t o_gid,
                                    long long now)
 {
     const int V = cfg_.vcs;
-    const int cap = cfg_.buf_packets;
     std::int64_t iport = gi / V;
     if (in_busy_[iport] > now)
         return false;  // another VC of this port won already
-    int head = q_head_[gi];
-    std::int32_t id = ring_[gi * cap + head].pkt;
+    const std::int32_t id = vc_head_[gi];
     Pkt &p = pkt(id);
 
     std::int64_t peer = out_peer_ivc_base_[o_gid];
@@ -997,8 +1091,8 @@ VctEngine<Policy>::commitCandidate(std::int64_t gi, std::int64_t o_gid,
 
     dequeueHead(gi, now);
 
-    in_busy_[iport] = now + cfg_.pkt_phits;
-    out_busy_[o_gid] = now + cfg_.pkt_phits;
+    in_busy_[iport] = static_cast<std::int32_t>(now + cfg_.pkt_phits);
+    out_busy_[o_gid] = static_cast<std::int32_t>(now + cfg_.pkt_phits);
     ++perf_.forwards;
 
     if (peer < 0) {
@@ -1060,7 +1154,6 @@ void
 VctEngine<Policy>::arbitrate(long long now)
 {
     const int V = cfg_.vcs;
-    const int cap = cfg_.buf_packets;
     WakeList &slot = wake_wheel_[now % wheel_size_];
     if (slot.head < 0)
         return;
@@ -1081,23 +1174,23 @@ VctEngine<Policy>::arbitrate(long long now)
     slot = WakeList{};
 
     // Scan phase over the due VCs.  Two prefetch stages hide the
-    // dependent misses of a visit: the ring head and in-port busy time
-    // kPrefetchFar visits ahead, then the head packet and switch id
-    // kPrefetchNear ahead, once that ring slot is cached.  Distances
-    // measured on the Fig 8 pair under random pairing; (8, 4) and
-    // (20, 10) timed the same within noise.
+    // dependent misses of a visit: the FIFO head id and in-port busy
+    // time kPrefetchFar visits ahead, then the head packet (its ready
+    // time included) and switch id kPrefetchNear ahead, once that head
+    // id is cached.  Distances measured on the Fig 8 pair under random
+    // pairing; (8, 4) and (20, 10) timed the same within noise.
     constexpr std::size_t kPrefetchFar = 12, kPrefetchNear = 6;
     const std::size_t n_due = due_.size();
     for (std::size_t i = 0; i < n_due; ++i) {
         if (i + kPrefetchFar < n_due) {
             const std::int64_t g = due_[i + kPrefetchFar];
-            __builtin_prefetch(&ring_[g * cap + q_head_[g]]);
+            __builtin_prefetch(&vc_head_[g]);
             __builtin_prefetch(&in_busy_[g / V]);
         }
         if (i + kPrefetchNear < n_due) {
             const std::int64_t g = due_[i + kPrefetchNear];
             if (q_count_[g] != 0) {
-                __builtin_prefetch(&pkt(ring_[g * cap + q_head_[g]].pkt));
+                __builtin_prefetch(&pkt(vc_head_[g]));
                 __builtin_prefetch(&lay_.port_owner[g / V]);
             }
         }
@@ -1106,20 +1199,19 @@ VctEngine<Policy>::arbitrate(long long now)
             continue;
         ++perf_.switch_scans;
         std::int64_t iport = gi / V;
-        const RingSlot &head = ring_[gi * cap + q_head_[gi]];
-        long long busy = in_busy_[iport];
-        if (head.ready > now || busy > now) {
+        Pkt &p = pkt(vc_head_[gi]);
+        const long long ready = p.ready;
+        const long long busy = in_busy_[iport];
+        if (ready > now || busy > now) {
             // Not actionable yet: sleep until the earliest cycle it
             // could be (this is the scheduling win over rescanning).
             ++perf_.scan_not_ready;
             wakePush(gi,
-                     std::max<long long>(
-                         std::max<long long>(head.ready, busy), now + 1),
+                     std::max<long long>(std::max(ready, busy), now + 1),
                      now);
             continue;
         }
         int s = lay_.port_owner[iport];
-        Pkt &p = pkt(head.pkt);
         int fixed_vc = -1;
         bool sole = false;
         int o_local = policy_.routeOut(cv, s, p, rng_, fixed_vc, sole);
@@ -1200,8 +1292,8 @@ VctEngine<Policy>::arbitrate(long long now)
     for (std::int64_t gi : scanned_ivcs_) {
         if (q_count_[gi] == 0 || wake_next_[gi] != kNotQueued)
             continue;
-        long long busy = in_busy_[gi / V];
-        long long ready = ring_[gi * cap + q_head_[gi]].ready;
+        const long long busy = in_busy_[gi / V];
+        const long long ready = pkt(vc_head_[gi]).ready;
         wakePush(gi,
                  std::max<long long>(std::max<long long>(ready, busy),
                                      now + 1),
@@ -1283,11 +1375,30 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                                   "terminal " + std::to_string(t));
             }
         }
-        // VC occupancy bounds, and no lost wakeup: a VC holding packets
-        // but on no wake slot would never be arbitrated again.
+        // VC occupancy bounds, FIFO links, and no lost wakeup: a VC
+        // holding packets but on no wake slot would never be arbitrated
+        // again.
         for (std::int64_t ivc = 0;
              ivc < static_cast<std::int64_t>(q_count_.size()); ++ivc) {
-            check_.countChecks(2);
+            check_.countChecks(3);
+            // Walking next from the head must visit exactly q_count_
+            // arena packets and end at the tail; a stale id shows here.
+            std::int32_t id = q_count_[ivc] > 0 ? vc_head_[ivc] : -1;
+            std::int32_t last = -1;
+            int walked = 0;
+            while (id >= 0 && id < arena_.size() && walked <= cap) {
+                last = id;
+                ++walked;
+                id = pkt(id).next;
+            }
+            if (id >= 0 || walked != q_count_[ivc] ||
+                (walked > 0 && last != vc_tail_[ivc]))
+                check_.report(
+                    "vc-fifo", now, lay_.port_owner[ivc / V],
+                    static_cast<int>(ivc % V),
+                    "FIFO walk found " + std::to_string(walked) +
+                        " packets for depth " +
+                        std::to_string(q_count_[ivc]));
             if (q_count_[ivc] > cap)
                 check_.report(
                     "vc-occupancy", now,
@@ -1332,14 +1443,15 @@ VctEngine<Policy>::guardConservationGlobal(long long now)
                     " + suppressed " + std::to_string(suppressed_) +
                     " + unroutable " + std::to_string(unroutable_));
         // Arena bound: the free list is drained before the arena grows
-        // and every live packet holds a ring slot, so the arena never
-        // outgrows the rings.
-        if (static_cast<std::size_t>(arena_.size()) > ring_.size())
+        // and every live packet sits in one input-VC FIFO of at most
+        // buf_packets, so the arena never outgrows the buffer slots.
+        const std::int64_t slots =
+            lay_.total_ports * cfg_.vcs * cfg_.buf_packets;
+        if (arena_.size() > slots)
             check_.report("pkt-arena-bound", now, -1, -1,
                           "arena holds " + std::to_string(arena_.size()) +
-                              " packets > " +
-                              std::to_string(ring_.size()) +
-                              " ring slots");
+                              " packets > " + std::to_string(slots) +
+                              " buffer slots");
         // No-progress watchdog: packets in flight but nothing moved
         // for far longer than any legal busy/credit stall can last.
         long long watchdog = 256 + 64LL * cfg_.pkt_phits;
@@ -1382,9 +1494,8 @@ VctEngine<Policy>::runCycles(long long total)
     for (long long t = 0; wl_ == nullptr && t < active_terms_; ++t) {
         long long start = static_cast<long long>(
             rng_.uniform(static_cast<std::uint64_t>(cfg_.pkt_phits)));
-        next_gen_[t] = start;
-        gen_wheel_[start % kGenWheel].push_back(
-            static_cast<std::int32_t>(t));
+        next_gen_[t] = static_cast<std::int32_t>(start);
+        gen_wheel_.push(start % kGenWheel, static_cast<std::int32_t>(t));
     }
 
     // Phase timers: one clock read at the start of each cycle and one
@@ -1577,7 +1688,7 @@ VctEngine<Policy>::run()
                   deriveSeed(cfg_.seed, 0x574C4F41ULL, 0));
         for (long long t = 0; t < lay_.num_terms; ++t) {
             wl_next_[t] = 0;
-            gen_wheel_[0].push_back(static_cast<std::int32_t>(t));
+            gen_wheel_.push(0, static_cast<std::int32_t>(t));
         }
     }
 

@@ -51,19 +51,24 @@ class KspPolicy
   public:
     struct Pkt
     {
-        // gen, noroute, wl_src and wl_tag are engine-owned: see the
-        // "Engine-owned Pkt fields" convention atop sim/core/engine.hpp.
+        // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
+        // see the "Engine-owned Pkt fields" convention atop
+        // sim/core/engine.hpp.  Six 4-byte fields put the pointer on an
+        // 8-byte boundary, and the narrow fields share the last word.
         std::int32_t gen;
-        std::uint8_t noroute;
         std::int32_t wl_src;
+        std::int32_t next;
+        std::int32_t ready;
         std::uint32_t wl_tag;
         // Policy routing state.
-        const Path *path;        //!< chosen at injection (null = local)
         std::int32_t dest_sw;    //!< destination switch
+        const Path *path;        //!< chosen at injection (null = local)
         std::int16_t dest_local; //!< terminal index at dest_sw
         std::int16_t hop;        //!< links crossed so far
         std::int16_t cur_out;    //!< resolved out port (-1 = not yet)
+        std::uint8_t noroute;
     };
+    static_assert(sizeof(Pkt) <= 40, "KspPolicy::Pkt grew past 40 B");
 
     KspPolicy(const Graph &g, const KspRoutes &routes,
               const FabricLayout &lay, const SimConfig &cfg,

@@ -60,19 +60,24 @@ class UpDownPolicy
 
     struct Pkt
     {
-        // gen, noroute, wl_src and wl_tag are engine-owned: see the
-        // "Engine-owned Pkt fields" convention atop sim/core/engine.hpp.
+        // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
+        // see the "Engine-owned Pkt fields" convention atop
+        // sim/core/engine.hpp.  Fields run widest first, so the two
+        // one-byte fields share the last word.
         std::int32_t gen;
-        std::uint8_t noroute;
         std::int32_t wl_src;
+        std::int32_t next;
+        std::int32_t ready;
         std::uint32_t wl_tag;
         // Policy routing state.
         std::int32_t dest_leaf;
+        std::int32_t inter_leaf;  //!< Valiant intermediate (-1 = none)
         std::int16_t dest_local;
         std::int16_t hops;
-        std::int32_t inter_leaf;  //!< Valiant intermediate (-1 = none)
+        std::uint8_t noroute;
         std::int8_t phase;        //!< 0 = toward intermediate, 1 = final
     };
+    static_assert(sizeof(Pkt) <= 36, "UpDownPolicy::Pkt grew past 36 B");
 
     UpDownPolicy(const FoldedClos &fc, const UpDownOracle &oracle,
                  const FabricLayout &lay, const SimConfig &cfg)

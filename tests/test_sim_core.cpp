@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the shared VCT core pieces: SimConfig validation,
  * the type-7 binned latency histogram and its deterministic merge,
- * the packet arena's ring-slot bound, and the adaptive policies.
+ * the packet arena's buffer-slot bound, the pooled timing wheel
+ * (SlotQueue), and the adaptive policies.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -149,8 +151,8 @@ TEST(SimConfigValidate, ConstructorsValidate)
 
 TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
 {
-    // Packet ids index an arena bounded by the input-VC ring slots, all
-    // as int32: ports x vcs x buf_packets past INT32_MAX must be
+    // Packet ids index an arena bounded by the input-VC buffer slots,
+    // all as int32: ports x vcs x buf_packets past INT32_MAX must be
     // refused at construction, before any per-VC array is sized.
     // CFT(64, 3) has 327,680 ports, so 127 VCs still fit (41.6M input
     // VCs) but 127 buffer packets each do not (5.3G slots).
@@ -162,7 +164,7 @@ TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
     cfg.buf_packets = 127;
     try {
         Simulator sim(fc, oracle, traffic, cfg);
-        ADD_FAILURE() << "5.3G ring slots were accepted";
+        ADD_FAILURE() << "5.3G buffer slots were accepted";
     } catch (const std::invalid_argument &e) {
         const std::string m = e.what();
         for (const char *part : {"ports", "VCs", "buffer packets"})
@@ -173,10 +175,11 @@ TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
 TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
 {
     // Radix 120: a leaf has 60 up ports and a spine 120 down ports, so
-    // choice sets straddle the memo's packed mask width and both the
-    // bitmask path and the oracle-scan path run.  Either must pick
-    // the port a plain uniform draw over the oracle's list picks, and
-    // report a sole port exactly when that list has one entry.
+    // choice sets straddle the 64-bit port mask of
+    // UpDownOracle::nextHops and both the mask path and the oracle-scan
+    // path run.  Either must pick the port a plain uniform draw over
+    // the oracle's list picks, and report a sole port exactly when that
+    // list has one entry.
     auto fc = buildCft(120, 2);
     UpDownOracle oracle(fc);
     FabricLayout lay = FabricLayout::fromFoldedClos(fc);
@@ -259,15 +262,118 @@ TEST(LatencyHistogramCore, TracksMinMaxSum)
 }
 
 // ---------------------------------------------------------------------
+// Pooled timing wheel
+// ---------------------------------------------------------------------
+
+using core_detail::SlotQueue;
+
+/** Pop every entry of @p slot, in order. */
+std::vector<int>
+drain(SlotQueue<int> &q, std::size_t slot)
+{
+    std::vector<int> out;
+    while (!q.empty(slot))
+        out.push_back(q.pop(slot));
+    return out;
+}
+
+TEST(SlotQueue, EachSlotIsFifo)
+{
+    SlotQueue<int> q(3);
+    for (int v = 0; v < 12; ++v)
+        q.push(v % 3, v);
+    EXPECT_EQ(drain(q, 1), (std::vector<int>{1, 4, 7, 10}));
+    EXPECT_EQ(drain(q, 0), (std::vector<int>{0, 3, 6, 9}));
+    EXPECT_EQ(drain(q, 2), (std::vector<int>{2, 5, 8, 11}));
+    for (std::size_t s = 0; s < 3; ++s)
+        EXPECT_TRUE(q.empty(s));
+}
+
+TEST(SlotQueue, ReusesNodesAfterADrain)
+{
+    SlotQueue<int> q(4);
+    for (int v = 0; v < 10; ++v)
+        q.push(0, v);
+    EXPECT_EQ(q.poolSize(), 10u);
+    drain(q, 0);
+    for (int v = 0; v < 10; ++v)
+        q.push(3, v);
+    EXPECT_EQ(q.poolSize(), 10u);
+    EXPECT_EQ(drain(q, 3), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(SlotQueue, PushesIntoOtherSlotsDuringADrainLandInOrder)
+{
+    // The engine's wheels re-push what they pop into later slots while
+    // draining; each popped node is free again before that push.
+    SlotQueue<int> q(3);
+    q.push(2, -1);
+    for (int v = 0; v < 6; ++v)
+        q.push(0, v);
+    while (!q.empty(0)) {
+        const int v = q.pop(0);
+        q.push(1, v);
+        q.push(2, 10 + v);
+    }
+    EXPECT_EQ(drain(q, 1), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(drain(q, 2),
+              (std::vector<int>{-1, 10, 11, 12, 13, 14, 15}));
+    EXPECT_EQ(q.poolSize(), 13u);
+}
+
+TEST(SlotQueue, KeepsDuplicates)
+{
+    // The closed-loop wake wheel leaves stale entries for a terminal
+    // next to its live one and drops them only when they come due.
+    SlotQueue<int> q(2);
+    q.push(1, 7);
+    q.push(1, 7);
+    q.push(0, 7);
+    q.push(1, 7);
+    EXPECT_EQ(drain(q, 1), (std::vector<int>{7, 7, 7}));
+    EXPECT_EQ(drain(q, 0), (std::vector<int>{7}));
+}
+
+TEST(SlotQueue, MatchesPerSlotDequesAndPoolTracksPeakLive)
+{
+    // Random pushes and pops against one std::deque per slot: same
+    // entries in the same order, and the pool never holds more nodes
+    // than were live at once.
+    constexpr std::size_t kSlots = 16;
+    SlotQueue<int> q(kSlots);
+    std::vector<std::deque<int>> ref(kSlots);
+    Rng rng(11);
+    std::size_t live = 0, peak = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::size_t s = rng.uniform(kSlots);
+        if (rng.uniform(100) < 52) {
+            q.push(s, step);
+            ref[s].push_back(step);
+            peak = std::max(peak, ++live);
+        } else if (!ref[s].empty()) {
+            ASSERT_FALSE(q.empty(s));
+            ASSERT_EQ(q.pop(s), ref[s].front());
+            ref[s].pop_front();
+            --live;
+        } else {
+            ASSERT_TRUE(q.empty(s));
+        }
+        ASSERT_EQ(q.poolSize(), peak);
+    }
+    for (std::size_t s = 0; s < kSlots; ++s)
+        EXPECT_EQ(drain(q, s), std::vector<int>(ref[s].begin(), ref[s].end()));
+}
+
+// ---------------------------------------------------------------------
 // Packet arena bound
 // ---------------------------------------------------------------------
 
 TEST(PacketArena, SaturatedRunStaysWithinRingSlots)
 {
     // Freed ids are reused before the arena grows and every live packet
-    // holds an input-VC ring slot, so even a saturated run stays within
-    // ports x vcs x buf_packets (guard builds also audit the arena size
-    // itself every cycle: pkt-arena-bound).
+    // sits in one input-VC FIFO of at most buf_packets, so even a
+    // saturated run stays within ports x vcs x buf_packets (guard builds
+    // also audit the arena size itself every cycle: pkt-arena-bound).
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     FabricLayout lay = FabricLayout::fromFoldedClos(fc);

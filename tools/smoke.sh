@@ -77,8 +77,16 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 # Int flags outside their range must be rejected: an int cast would
 # run --radix 4294967304 as R = 8.
 if ./examples/simulate --topo cft --radix 4294967304 --levels 3 --points 1 --warmup 100 --measure 300 > /dev/null 2>&1; then exit 1; fi
+# The document's wall clock starts before the topology is built, so it
+# covers every study section's own wall clock.
+./examples/simulate --topo rfc --radix 8 --levels 3 --points 2 --warmup 100 --measure 300 --json | python3 -c '
+import json, sys
+t = json.load(sys.stdin)["timing"]
+sys.exit(0 if t["wall_seconds"] >= sum(t["section_seconds"].values()) else 1)'
 # Structure table and flow-model ranking of every topology.
 ./examples/topology_explorer --radix 8 > /dev/null
+# Its int flags are range-checked like every bench's.
+if ./examples/topology_explorer --radix 8 --max-paths 4294967297 > /dev/null 2>&1; then exit 1; fi
 # Its packet-level sections moved to examples/simulate and the benches:
 # the removed flags must be rejected, not ignored.
 if ./examples/topology_explorer --radix 8 --simulate > /dev/null 2>&1; then exit 1; fi
