@@ -56,20 +56,20 @@ main(int argc, char **argv)
     // Matched design: radix-12 switches.  RFC: 3 levels, 170 leaves,
     // 1,020 terminals.  RRN: degree 9 + 3 hosts -> 340 switches,
     // 1,020 terminals (same switch port budget per terminal).
-    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
+    const int radix = b.opts.getIntAtLeast("radix", 12, 2);
     const int rfc_levels = 3;
-    int n1 = static_cast<int>(b.opts.getInt("leaves", 170));
+    int n1 = b.opts.getIntAtLeast("leaves", 170, 1);
     auto built = routableRfc(radix, rfc_levels, n1, rng);
     UpDownOracle oracle(built.topology);
 
-    const int delta = static_cast<int>(b.opts.getInt("degree", 9));
+    const int delta = b.opts.getIntAtLeast("degree", 9, 1);
     const int hosts = radix - delta;
     int rrn_switches = static_cast<int>(
         built.topology.numTerminals() / hosts);
     if ((static_cast<long long>(rrn_switches) * delta) % 2)
         ++rrn_switches;
     Graph rrn = randomRegularGraph(rrn_switches, delta, rng);
-    const int k = static_cast<int>(b.opts.getInt("k", 4));
+    const int k = b.opts.getIntAtLeast("k", 4, 1);
     KspRoutes routes(rrn, k);
 
     // The machinery price list.

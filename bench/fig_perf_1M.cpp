@@ -153,7 +153,7 @@ main(int argc, char **argv)
                         {{"CFT2-subtree", &cft2, &o_cft},
                          {"RFC2-subtree", &built.topology, &o_rfc}},
                         {"uniform"}, {0.5}, base,
-                        static_cast<int>(b.opts.getInt("trials", 1)));
+                        b.opts.getIntAtLeast("trials", 1, 1));
     }
 
     if (selected(sections, "tables")) {

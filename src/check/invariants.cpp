@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "clos/serialize.hpp"
+#include "routing/tables.hpp"
 #include "util/bitset.hpp"
 
 namespace rfc {
@@ -343,15 +344,15 @@ checkUpDownConsistency(const FoldedClos &fc, const UpDownOracle &oracle,
 }
 
 CheckResult
-checkForwardingTables(const FoldedClos &fc, const UpDownOracle &oracle,
-                      const ForwardingTables &tables)
+checkForwardingTables(const FoldedClos &fc, const UpDownOracle &oracle)
 {
-    if (tables.leaves() != fc.numLeaves())
-        return CheckResult::fail("table leaf count differs from topology");
-
+    CheckResult result = CheckResult::pass();
     std::vector<int> choices;
-    std::vector<std::uint16_t> expect;
-    for (int sw = 0; sw < fc.numSwitches(); ++sw) {
+    std::vector<std::uint16_t> expect, got;
+    forEachTableRow(fc, oracle, [&](int sw, const std::uint64_t *masks,
+                                    int words) {
+        if (!result.ok)
+            return;
         const auto n_up = static_cast<int>(fc.up(sw).size());
         for (int d = 0; d < fc.numLeaves(); ++d) {
             expect.clear();
@@ -368,19 +369,26 @@ checkForwardingTables(const FoldedClos &fc, const UpDownOracle &oracle,
                         expect.push_back(static_cast<std::uint16_t>(idx));
                 }
             }
-            // In order: tables list ports ascending, as the oracle does.
-            const auto got = tables.ports(sw, d);
-            if (!std::equal(got.begin(), got.end(), expect.begin(),
-                            expect.end()))
-                return CheckResult::fail(
+            got.clear();
+            const std::uint64_t *m =
+                masks + static_cast<std::size_t>(d) *
+                            static_cast<std::size_t>(words);
+            for (int w = 0; w < words; ++w)
+                for (std::uint64_t bits = m[w]; bits; bits &= bits - 1)
+                    got.push_back(static_cast<std::uint16_t>(
+                        w * 64 + __builtin_ctzll(bits)));
+            if (got != expect) {
+                result = CheckResult::fail(
                     "switch " + std::to_string(sw) + " dest leaf " +
-                    std::to_string(d) + ": table ports (" +
+                    std::to_string(d) + ": table row ports (" +
                     std::to_string(got.size()) +
                     ") differ from oracle minimal choices (" +
-                    std::to_string(expect.size()) + ") or their order");
+                    std::to_string(expect.size()) + ")");
+                return;
+            }
         }
-    }
-    return CheckResult::pass();
+    });
+    return result;
 }
 
 CheckResult

@@ -24,7 +24,6 @@
 
 #include "check/prop.hpp"
 #include "clos/folded_clos.hpp"
-#include "routing/tables.hpp"
 #include "routing/updown.hpp"
 #include "util/rng.hpp"
 
@@ -79,14 +78,13 @@ CheckResult checkUpDownConsistency(const FoldedClos &fc,
                                    int sample_pairs, Rng &rng);
 
 /**
- * Materialized forwarding tables match the oracle exactly: per switch
- * and destination leaf, the port list equals the oracle's minimal
- * up/down choices in port order, found by a per-entry scan
- * independent of the tables' word-parallel construction.
+ * Forwarding-table rows match the oracle exactly: per switch and
+ * destination leaf, every port mask streamed by forEachTableRow equals
+ * the oracle's minimal up/down choices, found by a per-entry scan
+ * independent of the rows' word-parallel construction.
  */
 CheckResult checkForwardingTables(const FoldedClos &fc,
-                                  const UpDownOracle &oracle,
-                                  const ForwardingTables &tables);
+                                  const UpDownOracle &oracle);
 
 /**
  * All structural invariants a freshly generated (unfaulted) topology

@@ -4,8 +4,10 @@
  *
  * The million-terminal tier is memory-bound before it is time-bound,
  * so every bench reports a measured budget: peak RSS for the whole
- * process plus per-structure byte counts (FoldedClos::memoryBytes,
- * UpDownOracle::memoryBytes, ForwardingTables::memoryBytes).
+ * process plus per-structure byte counts (FoldedClos::memoryBytes and
+ * UpDownOracle::memoryBytes, measured from their arrays;
+ * ForwardingTables::memoryBytes, the exact size of an encoding that is
+ * computed, not allocated).
  *
  * Peak RSS is read from /proc/self/status (VmHWM) on Linux with a
  * getrusage(RUSAGE_SELF) fallback; both are kernel-maintained

@@ -1,10 +1,10 @@
 /**
  * @file
- * Minimal contiguous-view type for the CSR adjacency and table layers.
+ * Minimal contiguous-view type for the CSR adjacency layer.
  *
- * The representation refactor stores adjacency and forwarding entries
- * in flat pooled arrays; accessors hand out non-owning views into
- * those arrays instead of references to per-switch vectors.  A tiny
+ * The representation refactor stores adjacency in flat pooled arrays;
+ * accessors hand out non-owning views into those arrays instead of
+ * references to per-switch vectors.  A tiny
  * local span (rather than std::span) keeps the interface drop-in for
  * existing call sites: it supports range-for, indexing, size/empty,
  * and - crucially for the test suite - element-wise operator== and
@@ -12,7 +12,7 @@
  * views directly.
  *
  * Views are invalidated by any mutation of the owning structure
- * (addLink/removeLink/setPorts), exactly like iterators into a
+ * (addLink/removeLink), exactly like iterators into a
  * std::vector.  Callers that mutate while iterating must copy first.
  */
 #ifndef RFC_UTIL_SPAN_HPP

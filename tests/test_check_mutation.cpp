@@ -3,21 +3,20 @@
  * Mutation smoke tests for the invariant validators (tier 1).
  *
  * Each test seeds one deliberate fault - a removed or duplicated
- * inter-level edge, a corrupted forwarding-table entry - and asserts
- * the corresponding validator reports it.  A validator that cannot
- * detect its own fault class is vacuous; these tests keep the check
- * subsystem honest.
+ * inter-level edge, a differently wired twin - and asserts the
+ * corresponding validator reports it.  A validator that cannot detect
+ * its own fault class is vacuous; these tests keep the check subsystem
+ * honest.  checkForwardingTables has no case here: the rows it checks
+ * are streamed from the oracle, not stored, so there is no entry to
+ * corrupt.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "check/guard.hpp"
 #include "check/invariants.hpp"
 #include "clos/rfc.hpp"
-#include "routing/tables.hpp"
 #include "routing/updown.hpp"
 
 namespace rfc {
@@ -62,57 +61,6 @@ TEST(CheckMutation, DuplicatedEdgeBreaksSimpleWiring)
     EXPECT_EQ(fc.countLink(leaf, parent), 2);
     EXPECT_TRUE(checkLevelStructure(fc).ok);
     EXPECT_FALSE(checkBipartiteRegular(fc).ok);
-}
-
-TEST(CheckMutation, CorruptedTableEntryIsDetected)
-{
-    FoldedClos fc = smallRfc();
-    UpDownOracle oracle(fc);
-    ForwardingTables tables(fc, oracle);
-    ASSERT_TRUE(checkForwardingTables(fc, oracle, tables).ok);
-
-    // Point switch 0's entry for leaf 1 at a wrong (but in-range) port.
-    auto good = tables.ports(0, 1);
-    ASSERT_FALSE(good.empty());
-    std::uint16_t bogus = static_cast<std::uint16_t>(
-        (good[0] + 1) %
-        (fc.up(0).size() + fc.down(0).size()));
-    tables.setPorts(0, 1, {bogus});
-    auto r = checkForwardingTables(fc, oracle, tables);
-    ASSERT_FALSE(r.ok);
-    EXPECT_NE(r.message.find("switch 0"), std::string::npos)
-        << r.message;
-}
-
-TEST(CheckMutation, ReorderedTableEntryIsDetected)
-{
-    // The right ports in the wrong order: a table must list them in
-    // port order, as the oracle's choices come.
-    FoldedClos fc = smallRfc();
-    UpDownOracle oracle(fc);
-    ForwardingTables tables(fc, oracle);
-    int sw = -1, d = -1;
-    for (int s = 0; s < fc.numSwitches() && sw < 0; ++s)
-        for (int l = 0; l < fc.numLeaves() && sw < 0; ++l)
-            if (tables.ports(s, l).size() >= 2) {
-                sw = s;
-                d = l;
-            }
-    ASSERT_GE(sw, 0) << "no entry with two ports";
-    const auto good = tables.ports(sw, d);
-    std::vector<std::uint16_t> reversed(good.begin(), good.end());
-    std::reverse(reversed.begin(), reversed.end());
-    tables.setPorts(sw, d, reversed);
-    EXPECT_FALSE(checkForwardingTables(fc, oracle, tables).ok);
-}
-
-TEST(CheckMutation, DroppedTableEntryIsDetected)
-{
-    FoldedClos fc = smallRfc();
-    UpDownOracle oracle(fc);
-    ForwardingTables tables(fc, oracle);
-    tables.setPorts(4, 0, {});  // reachable destination, empty entry
-    EXPECT_FALSE(checkForwardingTables(fc, oracle, tables).ok);
 }
 
 TEST(CheckMutation, SameTopologyDetectsDifferences)

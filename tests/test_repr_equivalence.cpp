@@ -4,9 +4,9 @@
  * (tier 1).
  *
  * The CSR FoldedClos core and the hash-consed compressed
- * ForwardingTables replaced vector-of-vector representations whose
- * semantics (construction order, swap-remove mutation, per-entry port
- * order) other layers observe.  These tests pin the new
+ * ForwardingTables meter replaced vector-of-vector representations
+ * whose semantics (construction order, swap-remove mutation, per-entry
+ * port order) other layers observe.  These tests pin the new
  * representations to executable replicas of the legacy ones over
  * randomized small RFCs (check/prop forAll), plus the scale-boundary
  * overflow guards that make the 1M-terminal operating point reachable:
@@ -15,13 +15,11 @@
  *    (same wiring seed, element order included);
  *  - addLink/removeLink == push_back / swap-remove shadow model under
  *    random mutation sequences;
- *  - compressed ports(sw, dest) == a dense vector-of-vector rebuild
- *    from the same oracle, element order included, with all four
- *    counters equal to a replay of the encoding and a real compression
- *    win - on plain, dead-link-overlay, radix-72 and expansion-union
- *    fabrics;
- *  - setPorts is copy-on-write: pre-mutation views stay valid and the
- *    shared pool is untouched for every other entry;
+ *  - every streamed table row == the per-entry oracle reference
+ *    (checkForwardingTables), with all four meter counters equal to a
+ *    replay of the compressed encoding over those rows and a real
+ *    compression win - on plain, dead-link-overlay, radix-72 and
+ *    expansion-union fabrics;
  *  - int-overflow guards at the sizes where the legacy code wrapped
  *    (rfcMaxLeaves at R=54 l=5, buildOft3 at q ~ 1290, dense-bytes
  *    formula at 1M-terminal parameters).
@@ -37,6 +35,7 @@
 #include <vector>
 
 #include "analysis/scalability.hpp"
+#include "check/invariants.hpp"
 #include "check/prop.hpp"
 #include "clos/expansion.hpp"
 #include "clos/fat_tree.hpp"
@@ -312,60 +311,41 @@ TEST(ReprEquivalence, UnionTopologyGrowSegmentMatchesShadow)
     EXPECT_TRUE(res.ok) << res.message;
 }
 
-/** Dense vector-of-vector rebuild of the tables from the same oracle. */
-std::vector<std::vector<std::uint16_t>>
-denseReference(const FoldedClos &fc, const UpDownOracle &oracle)
+/** Table counters replayed from the streamed rows. */
+struct ReferenceCounters
 {
-    const int leaves = fc.numLeaves();
-    std::vector<std::vector<std::uint16_t>> dense(
-        static_cast<std::size_t>(fc.numSwitches()) *
-        static_cast<std::size_t>(leaves));
-    std::vector<int> choices;
-    for (int sw = 0; sw < fc.numSwitches(); ++sw) {
-        const auto n_up = static_cast<int>(fc.up(sw).size());
-        for (int d = 0; d < leaves; ++d) {
-            if (sw == d)
-                continue;
-            auto &entry =
-                dense[static_cast<std::size_t>(sw) *
-                          static_cast<std::size_t>(leaves) +
-                      static_cast<std::size_t>(d)];
-            const int need = oracle.minUps(sw, d);
-            if (need == 0) {
-                oracle.downChoices(fc, sw, d, choices);
-                for (int idx : choices)
-                    entry.push_back(
-                        static_cast<std::uint16_t>(n_up + idx));
-            } else if (need > 0) {
-                oracle.upChoices(fc, sw, d, choices);
-                for (int idx : choices)
-                    entry.push_back(static_cast<std::uint16_t>(idx));
-            }
-        }
-    }
-    return dense;
-}
+    long long populated = 0, total_ports = 0, unique = 0, bytes = 0;
+};
 
 /**
- * uniqueSets() and memoryBytes() of the compressed layout replayed from
- * the dense lists: one pool entry per distinct list in first-occurrence
- * order, and per switch the cheaper of a local dictionary (1/2/4-byte
- * entries) and direct 3-byte pool ids.
+ * All four counters of the compressed layout replayed from
+ * forEachTableRow's rows: one pool entry per distinct port list in
+ * first-occurrence order, and per switch the cheaper of a local
+ * dictionary (1/2/4-byte entries) and direct 3-byte pool ids.
  */
-std::pair<long long, long long>
-referencePoolAndBytes(const std::vector<std::vector<std::uint16_t>> &dense,
-                      int switches, int leaves)
+ReferenceCounters
+referencePoolAndBytes(const FoldedClos &fc, const UpDownOracle &oracle)
 {
+    ReferenceCounters ref;
     std::map<std::vector<std::uint16_t>, std::uint32_t> pool;
     long long pool_ports = 0, dict_ids = 0, entry_bytes = 0;
-    for (int sw = 0; sw < switches; ++sw) {
+    const long long leaves = fc.numLeaves();
+    std::vector<std::uint16_t> list;
+    forEachTableRow(fc, oracle, [&](int, const std::uint64_t *masks,
+                                    int words) {
         std::set<std::uint32_t> local;
         std::uint32_t max_gid = 0;
-        for (int d = 0; d < leaves; ++d) {
-            const auto &list =
-                dense[static_cast<std::size_t>(sw) *
-                          static_cast<std::size_t>(leaves) +
-                      static_cast<std::size_t>(d)];
+        for (long long d = 0; d < leaves; ++d) {
+            list.clear();
+            for (int w = 0; w < words; ++w)
+                for (std::uint64_t bits = masks[d * words + w]; bits;
+                     bits &= bits - 1)
+                    list.push_back(static_cast<std::uint16_t>(
+                        w * 64 + __builtin_ctzll(bits)));
+            if (!list.empty()) {
+                ++ref.populated;
+                ref.total_ports += static_cast<long long>(list.size());
+            }
             const auto gid = static_cast<std::uint32_t>(pool.size());
             const auto [it, fresh] = pool.emplace(list, gid);
             if (fresh)
@@ -381,53 +361,36 @@ referencePoolAndBytes(const std::vector<std::vector<std::uint16_t>> &dense,
             3LL * leaves < dict_width * leaves + 4 * distinct;
         if (!direct)
             dict_ids += distinct;
-        entry_bytes += static_cast<long long>(leaves) *
-                       (direct ? 3 : dict_width);
-    }
-    const auto unique = static_cast<long long>(pool.size());
-    const long long offsets = 8LL * (unique + 1) + 2 * 8LL * (switches + 1);
-    return {unique, pool_ports * 2 + dict_ids * 4 + entry_bytes + offsets +
-                        switches};
+        entry_bytes += leaves * (direct ? 3 : dict_width);
+    });
+    const long long switches = fc.numSwitches();
+    ref.unique = static_cast<long long>(pool.size());
+    const long long offsets =
+        8LL * (ref.unique + 1) + 2 * 8LL * (switches + 1);
+    ref.bytes = pool_ports * 2 + dict_ids * 4 + entry_bytes + offsets +
+                switches;
+    return ref;
 }
 
 /**
- * Every ports() list, in order, and all four counters of the tables
- * built from @p oracle equal the dense per-entry reference.
+ * Every streamed row equals the per-entry oracle reference
+ * (checkForwardingTables), and all four counters of the meter built
+ * from @p oracle equal a replay of the encoding over those rows.
  */
 CheckResult
 matchesDenseReference(const FoldedClos &fc, const UpDownOracle &oracle)
 {
-    ForwardingTables tables(fc, oracle);
-    const auto dense = denseReference(fc, oracle);
-    long long populated = 0, total_ports = 0;
-    const int leaves = fc.numLeaves();
-    for (int sw = 0; sw < fc.numSwitches(); ++sw) {
-        for (int d = 0; d < leaves; ++d) {
-            const auto &want =
-                dense[static_cast<std::size_t>(sw) *
-                          static_cast<std::size_t>(leaves) +
-                      static_cast<std::size_t>(d)];
-            const auto got = tables.ports(sw, d);
-            if (!std::equal(got.begin(), got.end(), want.begin(),
-                            want.end()))
-                return CheckResult::fail(
-                    "ports(" + std::to_string(sw) + ", " +
-                    std::to_string(d) + ") diverges from dense reference");
-            if (!want.empty()) {
-                ++populated;
-                total_ports += static_cast<long long>(want.size());
-            }
-        }
-    }
-    const auto [unique, bytes] =
-        referencePoolAndBytes(dense, fc.numSwitches(), leaves);
-    if (tables.populatedEntries() != populated)
+    if (CheckResult r = checkForwardingTables(fc, oracle); !r.ok)
+        return r;
+    const ForwardingTables tables(fc, oracle);
+    const ReferenceCounters ref = referencePoolAndBytes(fc, oracle);
+    if (tables.populatedEntries() != ref.populated)
         return CheckResult::fail("populatedEntries mismatch");
-    if (tables.totalPorts() != total_ports)
+    if (tables.totalPorts() != ref.total_ports)
         return CheckResult::fail("totalPorts mismatch");
-    if (tables.uniqueSets() != unique)
+    if (tables.uniqueSets() != ref.unique)
         return CheckResult::fail("uniqueSets mismatch");
-    if (tables.memoryBytes() != bytes)
+    if (tables.memoryBytes() != ref.bytes)
         return CheckResult::fail("memoryBytes mismatch");
     return CheckResult::pass();
 }
@@ -522,58 +485,6 @@ TEST(ReprEquivalence, CompressionWinsOnFigTenShapedCft)
     EXPECT_GE(tables.compressionRatio(), 5.0);
     EXPECT_LT(tables.memoryBytes(), tables.denseMemoryBytes());
     EXPECT_GT(tables.uniqueSets(), 0);
-}
-
-TEST(ReprEquivalence, SetPortsIsCopyOnWrite)
-{
-    Rng rng(7);
-    auto built = buildRfc(8, 2, 12, rng, 200);
-    ASSERT_TRUE(built.routable);
-    const FoldedClos &fc = built.topology;
-    UpDownOracle oracle(fc);
-    ForwardingTables tables(fc, oracle);
-
-    // A view taken before the mutation must stay valid and unchanged:
-    // the override redirects one entry, it does not touch the pool.
-    const auto before = tables.ports(0, 1);
-    std::vector<std::uint16_t> before_copy(before.begin(), before.end());
-    ASSERT_FALSE(before_copy.empty());
-
-    const long long populated = tables.populatedEntries();
-    const long long total = tables.totalPorts();
-
-    // Another entry that shares no override: must be unaffected.
-    const auto other_copy = [&] {
-        const auto v = tables.ports(1, 0);
-        return std::vector<std::uint16_t>(v.begin(), v.end());
-    }();
-
-    tables.setPorts(0, 1, {before_copy[0]});
-    EXPECT_TRUE(std::equal(before.begin(), before.end(),
-                           before_copy.begin(), before_copy.end()))
-        << "pre-mutation view was clobbered (not copy-on-write)";
-    const auto after = tables.ports(0, 1);
-    ASSERT_EQ(after.size(), 1u);
-    EXPECT_EQ(after[0], before_copy[0]);
-    EXPECT_EQ(tables.populatedEntries(), populated);
-    EXPECT_EQ(tables.totalPorts(),
-              total -
-                  static_cast<long long>(before_copy.size()) + 1);
-
-    const auto other_now = tables.ports(1, 0);
-    EXPECT_TRUE(std::equal(other_now.begin(), other_now.end(),
-                           other_copy.begin(), other_copy.end()));
-
-    // Overriding to empty depopulates the entry; overriding the same
-    // entry twice keeps the counters consistent.
-    tables.setPorts(0, 1, {});
-    EXPECT_TRUE(tables.ports(0, 1).empty());
-    EXPECT_EQ(tables.populatedEntries(), populated - 1);
-    EXPECT_EQ(tables.totalPorts(),
-              total - static_cast<long long>(before_copy.size()));
-    tables.setPorts(0, 1, before_copy);
-    EXPECT_EQ(tables.populatedEntries(), populated);
-    EXPECT_EQ(tables.totalPorts(), total);
 }
 
 TEST(ReprEquivalence, OverflowGuardsAtScaleBoundaries)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for forwarding-table materialization and k-shortest-path
- * routing tables.
+ * Tests for forwarding-table metering and k-shortest-path routing
+ * tables.
  *
- * The golden cases pin every ports(sw, dest) list and the table
+ * The golden cases pin every streamed table row and the table
  * counters of five networks to files in tests/golden/tables_*.txt.
  * Re-recording (only when a change of the table contents is intended):
  * RFC_GOLDEN_RECORD=1 ./test_tables
@@ -15,6 +15,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
@@ -33,24 +34,33 @@ namespace {
 
 /**
  * One line per field: the table counters plus an FNV-1a digest of every
- * ports(sw, dest) list in (switch, leaf) order, each list fed as its
- * length followed by its ports.
+ * row's port sets in (switch, leaf) order, each set fed as its size
+ * followed by its ports ascending.
  */
 std::map<std::string, std::string>
-tableFields(const FoldedClos &fc, const ForwardingTables &tables)
+tableFields(const FoldedClos &fc, const UpDownOracle &oracle)
 {
+    const ForwardingTables tables(fc, oracle);
     std::uint64_t h = 1469598103934665603ULL;
     auto feed = [&h](std::uint64_t v) {
         h ^= v;
         h *= 1099511628211ULL;
     };
-    for (int sw = 0; sw < fc.numSwitches(); ++sw)
+    std::vector<std::uint64_t> ports;
+    forEachTableRow(fc, oracle, [&](int, const std::uint64_t *masks,
+                                    int words) {
         for (int d = 0; d < fc.numLeaves(); ++d) {
-            const auto ports = tables.ports(sw, d);
+            ports.clear();
+            for (int w = 0; w < words; ++w)
+                for (std::uint64_t bits = masks[d * words + w]; bits;
+                     bits &= bits - 1)
+                    ports.push_back(static_cast<std::uint64_t>(
+                        w * 64 + __builtin_ctzll(bits)));
             feed(ports.size());
-            for (std::uint16_t p : ports)
+            for (std::uint64_t p : ports)
                 feed(p);
         }
+    });
     std::ostringstream digest;
     digest << std::hex << h;
     return {{"switches", std::to_string(fc.numSwitches())},
@@ -66,8 +76,7 @@ void
 checkTablesGolden(const std::string &name, const FoldedClos &fc,
                   const UpDownOracle &oracle)
 {
-    const ForwardingTables tables(fc, oracle);
-    const auto got = tableFields(fc, tables);
+    const auto got = tableFields(fc, oracle);
     const std::string path =
         std::string(RFC_GOLDEN_DIR) + "/tables_" + name + ".txt";
     const char *env = std::getenv("RFC_GOLDEN_RECORD");
@@ -125,28 +134,38 @@ TEST(ForwardingTables, ContentsMatchGoldens)
 
 TEST(ForwardingTables, AgreeWithOracleOnCft)
 {
-    auto fc = buildCft(8, 3);
-    UpDownOracle oracle(fc);
-    ForwardingTables tables(fc, oracle);
-    std::vector<int> choices;
-    for (int sw = 0; sw < fc.numSwitches(); sw += 3) {
-        auto n_up = static_cast<int>(fc.up(sw).size());
-        for (int d = 0; d < fc.numLeaves(); d += 5) {
-            if (sw == d)
-                continue;
-            const auto &entry = tables.ports(sw, d);
-            int need = oracle.minUps(sw, d);
-            ASSERT_GE(need, 0);
-            if (need == 0) {
-                oracle.downChoices(fc, sw, d, choices);
-                ASSERT_EQ(entry.size(), choices.size());
+    // CFT(72, 2): top switches have 72 children, past the 64-port
+    // nextHops mask, so their down entries come from the choice lists.
+    for (const int radix : {8, 72}) {
+        const auto fc = buildCft(radix, radix == 8 ? 3 : 2);
+        UpDownOracle oracle(fc);
+        ForwardingTables tables(fc, oracle);
+        std::vector<int> choices;
+        int wide = 0;
+        for (int sw = 0; sw < fc.numSwitches(); sw += 3) {
+            auto n_up = static_cast<int>(fc.up(sw).size());
+            for (int d = 0; d < fc.numLeaves(); d += 5) {
+                if (sw == d)
+                    continue;
+                const auto entry = tables.ports(sw, d);
+                int need = oracle.minUps(sw, d);
+                ASSERT_GE(need, 0);
+                wide += oracle.nextHops(fc, sw, d, false).wide;
+                int base = 0;
+                if (need == 0) {
+                    oracle.downChoices(fc, sw, d, choices);
+                    base = n_up;
+                } else {
+                    oracle.upChoices(fc, sw, d, choices);
+                }
+                ASSERT_EQ(entry.size(), choices.size())
+                    << "R=" << radix << " sw=" << sw << " d=" << d;
                 for (std::size_t i = 0; i < entry.size(); ++i)
-                    EXPECT_EQ(entry[i], n_up + choices[i]);
-            } else {
-                oracle.upChoices(fc, sw, d, choices);
-                ASSERT_EQ(entry.size(), choices.size());
+                    EXPECT_EQ(entry[i], base + choices[i])
+                        << "R=" << radix << " sw=" << sw << " d=" << d;
             }
         }
+        EXPECT_EQ(wide > 0, radix == 72);
     }
 }
 

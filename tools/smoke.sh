@@ -50,6 +50,9 @@ if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
 # An RFC without up/down routes must stop a comparison, not bias it:
 # RFC(8, 3) at 120 leaves stays unroutable through every attempt.
 if ./bench/ext_jellyfish --radix 8 --leaves 120 --degree 5 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
+# Int flags outside their range must be rejected: an int cast would
+# run --leaves 4294967466 as the default 170.
+if ./bench/ext_jellyfish --leaves 4294967466 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
 # fig_perf_1M reads --patterns like the other flow benches; the old
 # --pattern must be rejected, not ignored.
 ./bench/fig_perf_1M --smoke --section flow --patterns random-pairing | grep "pattern: random-pairing" > /dev/null
