@@ -28,8 +28,7 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ablation_bisection", 17);
     b.banner("Ablation: bisection bounds vs empirical cuts");
     const bool full = b.opts.fullScale();
-    const int restarts = static_cast<int>(
-        b.opts.getInt("restarts", full ? 20 : 6));
+    const int restarts = b.opts.getIntAtLeast("restarts", full ? 20 : 6, 1);
 
     // Paper's quoted normalized bisections at R=36.
     TablePrinter q({"configuration", "paper", "model"});

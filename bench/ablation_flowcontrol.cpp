@@ -24,8 +24,7 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ablation_flowcontrol", 21);
     b.banner("Ablation: virtual channels and buffer depth");
     const bool full = b.opts.fullScale();
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : 12));
+    const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 
     const Scenario sc = equalResources(radix, rng);

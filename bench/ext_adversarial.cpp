@@ -36,8 +36,7 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ext_adversarial", 55);
     b.banner("Extension: adversarial (leaf-shift) traffic");
     const bool full = b.opts.fullScale();
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : 12));
+    const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 
     const Scenario sc = equalResources(radix, rng);
@@ -92,7 +91,7 @@ main(int argc, char **argv)
     // RFC modes}, then the shifts x the CFT's Valiant and UGAL, then
     // the uniform row.  at[pattern][config] finds a point.
     Study study{"shift", Tier::kVct, {},
-                static_cast<int>(b.opts.getInt("trials", 1))};
+                b.opts.getIntAtLeast("trials", 1, 1)};
     std::array<std::array<std::size_t, kConfigs>, std::size(patterns)>
         at{};
     auto add = [&](std::size_t p, std::size_t c) {

@@ -104,7 +104,7 @@ main(int argc, char **argv)
     base.seed = seed;
     base.warmup = b.opts.getInt("warmup", smoke ? 500 : 2000);
     base.measure = b.opts.getInt("measure", smoke ? 3000 : 8000);
-    const int reps = static_cast<int>(b.opts.getInt("trials", smoke ? 1 : 3));
+    const int reps = b.opts.getIntAtLeast("trials", smoke ? 1 : 3, 1);
 
     WorkloadSpec rpc;  // fanout 2, 1:4 packets, think 256
     WorkloadSpec coflow;

@@ -131,11 +131,11 @@ main(int argc, char **argv)
     b.banner("Extension: live expansion drill (grow under traffic)");
     const bool full = b.opts.fullScale();
     const bool smoke = b.opts.getBool("smoke", false);
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
+    const int radix =
+        b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 8 : 12), 2);
     const std::uint64_t seed = b.seed;
-    const int steps = static_cast<int>(
-        b.opts.getInt("steps", full ? 4 : (smoke ? 1 : 2)));
+    const int steps =
+        b.opts.getIntAtLeast("steps", full ? 4 : (smoke ? 1 : 2), 1);
     Rng rng(seed);
 
     const Scenario sc = equalResources(radix, rng);
@@ -166,11 +166,11 @@ main(int argc, char **argv)
     base.seed = seed;
     base.load = b.opts.getDouble("load", 0.6);
     base.route_ttl =
-        static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
+        b.opts.getIntAtLeast("route-ttl", smoke ? 128 : 256, 0);
     const long long total = base.warmup + base.measure;
     base.telemetry_bin = b.opts.getInt(
         "telemetry-bin", std::max<long long>(total / 40, 1));
-    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 2));
+    int reps = b.opts.getIntAtLeast("trials", full ? 5 : 2, 1);
 
     // Upgrade schedule: changes start one third into the run; RFC steps
     // spread across the middle third, the forklift and the plane-add

@@ -17,7 +17,8 @@
  * baseline, and the time to re-converge (sustained return to >= 90% of
  * baseline, in cycles after the first failure).  Fault draws and trial
  * seeds derive from {seed, level, rep}; output is bit-identical at any
- * --jobs value.
+ * --jobs value.  Any packet-conservation violation (in guard builds,
+ * any runtime guard report) makes the bench exit 1.
  *
  * Scale flags: --smoke (CI seconds), default (sandbox), --full
  * (paper-scale R = 36).  --json emits the point aggregates plus the
@@ -39,8 +40,8 @@ main(int argc, char **argv)
     b.banner("Extension: dynamic faults + online up/down recovery");
     const bool full = b.opts.fullScale();
     const bool smoke = b.opts.getBool("smoke", false);
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : (smoke ? 8 : 12)));
+    const int radix =
+        b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 8 : 12), 2);
     const std::uint64_t seed = b.seed;
     Rng rng(seed);
 
@@ -52,8 +53,8 @@ main(int argc, char **argv)
     // Fault levels: level s kills s * step links (~1.29% of the wires
     // per step, the Figure 12 progression); level 0 is the fault-free
     // baseline running the ordinary static-oracle path.
-    const int steps = static_cast<int>(
-        b.opts.getInt("steps", full ? 8 : (smoke ? 2 : 4)));
+    const int steps =
+        b.opts.getIntAtLeast("steps", full ? 8 : (smoke ? 2 : 4), 0);
     const long long step_links = b.opts.getInt(
         "step-links", std::max<long long>(wires * 129 / 10000, 1));
 
@@ -68,11 +69,11 @@ main(int argc, char **argv)
     // retries against the (rebuilt) tables for up to
     // route-ttl cycles of age, then is dropped and counted.
     base.route_ttl =
-        static_cast<int>(b.opts.getInt("route-ttl", smoke ? 128 : 256));
+        b.opts.getIntAtLeast("route-ttl", smoke ? 128 : 256, 0);
     const long long total = base.warmup + base.measure;
     base.telemetry_bin = b.opts.getInt(
         "telemetry-bin", std::max<long long>(total / 40, 1));
-    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 2));
+    int reps = b.opts.getIntAtLeast("trials", full ? 5 : 2, 1);
 
     // Failure schedule: links die one third into the run; by default
     // they are all repaired at two thirds, so the tail of the curve
@@ -122,7 +123,9 @@ main(int argc, char **argv)
                  nets[net].label + "@" + std::to_string(s)});
         }
     }
-    const auto points = b.run(study).points;
+    const StudyResult result = b.run(study);
+    const long long violations = conservationViolations(result);
+    const std::vector<PointResult> &points = result.points;
 
     TablePrinter t({"net", "faulty links", "% of wires", "accepted",
                     "dropped", "rerouted", "retry cycles", "dip",
@@ -164,5 +167,9 @@ main(int argc, char **argv)
                 "'reconverge' is the cycle count from first failure "
                 "to a\nsustained return to >= 90% of baseline "
                 "('never' = still degraded at run end).\n";
+    if (violations > 0) {
+        std::cerr << "conservation violations: " << violations << "\n";
+        return b.finish(1);
+    }
     return b.finish();
 }

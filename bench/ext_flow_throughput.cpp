@@ -142,7 +142,7 @@ main(int argc, char **argv)
         const FoldedClos &cft = sc.topology(0);
         const long long wires = cft.numWires();
         const int steps =
-            static_cast<int>(b.opts.getInt("fault-steps", full ? 10 : 6));
+            b.opts.getIntAtLeast("fault-steps", full ? 10 : 6, 0);
         const long long step_links = b.opts.getInt(
             "step-links", std::max<long long>(wires * 129 / 10000, 1));
 

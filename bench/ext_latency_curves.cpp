@@ -149,9 +149,9 @@ main(int argc, char **argv)
     proto.mg1_cv2 = b.opts.getDouble("cv2", 0.0);
     // The queue model's service time and hop latency.
     SimConfig base;
-    base.pkt_phits = static_cast<int>(b.opts.getInt("pkt-phits", 16));
+    base.pkt_phits = b.opts.getIntAtLeast("pkt-phits", 16, 1);
     base.link_latency =
-        static_cast<int>(b.opts.getInt("link-latency", 1));
+        b.opts.getIntAtLeast("link-latency", 1, 1);
     auto section = [&](const char *name) {
         Study s = proto;
         s.section = name;

@@ -26,7 +26,8 @@ main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig05_diameter", 1);
     b.banner("Figure 5: diameter vs compute nodes (R = 36)");
-    const int radix = static_cast<int>(b.opts.getInt("radix", 36));
+    // R >= 4: with one port per side (R < 4) the sweep never grows.
+    const int radix = b.opts.getIntAtLeast("radix", 36, 4);
 
     TablePrinter t({"terminals", "D(RRN)", "D(RFC)", "D(CFT)", "D(OFT)"});
     for (long long T = 64; T <= 100000000LL; T *= 2) {

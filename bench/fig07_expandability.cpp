@@ -23,7 +23,8 @@ main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig07_expandability", 3);
     b.banner("Figure 7: expandability (ports vs terminals, R = 36)");
-    const int radix = static_cast<int>(b.opts.getInt("radix", 36));
+    // R >= 4: with one port per side (R < 4) the sweep never grows.
+    const int radix = b.opts.getIntAtLeast("radix", 36, 4);
 
     TablePrinter t({"terminals", "ports(CFT)", "ports(OFT)", "ports(RFC)",
                     "ports(RRN)", "l(CFT)", "l(RFC)"});

@@ -33,14 +33,14 @@ main(int argc, char **argv)
 
     // Smoke runs R = 12 / R' = 10 (432 / 430 terminals): at R = 8 no
     // smaller radix gives a routable RFC with the CFT's 128 terminals.
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : (smoke ? 12 : 16)));
+    const int radix =
+        b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 12 : 16), 2);
     Rng rng(b.seed);
 
     Scenario sc = equalResources(radix, rng);
     // Radix-reduced RFC variant connecting ~the same terminal count.
-    const int small_radix = static_cast<int>(
-        b.opts.getInt("small-radix", full ? 20 : (smoke ? 10 : 12)));
+    const int small_radix = b.opts.getIntAtLeast(
+        "small-radix", full ? 20 : (smoke ? 10 : 12), 2);
     addReducedRadixRfc(sc, small_radix, rng);
 
     b.text() << "CFT terminals:        " << sc.topology(0).numTerminals()
@@ -57,8 +57,8 @@ main(int argc, char **argv)
     base.seed = b.seed;
     auto loads = loadRange(
         b.opts.getDouble("min-load", 0.2), b.opts.getDouble("max-load", 1.0),
-        static_cast<int>(b.opts.getInt("points", smoke ? 3 : 7)));
-    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
+        b.opts.getIntAtLeast("points", smoke ? 3 : 7, 1));
+    int reps = b.opts.getIntAtLeast("trials", full ? 5 : 1, 1);
 
     runPerfScenario(b, "perf", sc.networks(),
                     {"uniform", "random-pairing", "fixed-random"}, loads,

@@ -47,8 +47,8 @@ main(int argc, char **argv)
     base.seed = b.seed;
     auto loads = loadRange(b.opts.getDouble("min-load", 0.2),
                            b.opts.getDouble("max-load", 1.0),
-                           static_cast<int>(b.opts.getInt("points", 7)));
-    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
+                           b.opts.getIntAtLeast("points", 7, 1));
+    int reps = b.opts.getIntAtLeast("trials", full ? 5 : 1, 1);
 
     runPerfScenario(b, "perf", sc.networks(),
                     {"uniform", "random-pairing", "fixed-random"}, loads,

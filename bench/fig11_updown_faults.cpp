@@ -29,9 +29,9 @@ main(int argc, char **argv)
     Bench b(argc, argv, "fig11_updown_faults", 11);
     b.banner("Figure 11: up/down-preserving fault tolerance (R=12)");
     const bool full = b.opts.fullScale();
-    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
+    const int radix = b.opts.getIntAtLeast("radix", 12, 2);
     const int trials =
-        static_cast<int>(b.opts.getInt("trials", full ? 20 : 5));
+        b.opts.getIntAtLeast("trials", full ? 20 : 5, 1);
     Rng rng(b.seed);
 
     std::uint64_t stream = 0;  // one stream id per studied instance

@@ -33,8 +33,7 @@ main(int argc, char **argv)
     Bench b(argc, argv, "fig12_perf_faults", 12);
     b.banner("Figure 12: throughput under faults (equal resources)");
     const bool full = b.opts.fullScale();
-    const int radix = static_cast<int>(
-        b.opts.getInt("radix", full ? 36 : 12));
+    const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 
     const Scenario sc = equalResources(radix, rng);
@@ -42,7 +41,7 @@ main(int argc, char **argv)
 
     const long long wires = cft.numWires();
     // Paper: steps of 300 of 23,328 wires -> ~1.29% per step, 10 steps.
-    const int steps = static_cast<int>(b.opts.getInt("steps", 10));
+    const int steps = b.opts.getIntAtLeast("steps", 10, 0);
     const long long step_links =
         b.opts.getInt("step-links", std::max<long long>(wires * 129 /
                                                         10000, 1));
@@ -51,7 +50,7 @@ main(int argc, char **argv)
     base.warmup = b.opts.getInt("warmup", full ? 3000 : 500);
     base.measure = b.opts.getInt("measure", full ? 10000 : 1500);
     base.seed = b.seed;
-    int reps = static_cast<int>(b.opts.getInt("trials", full ? 5 : 1));
+    int reps = b.opts.getIntAtLeast("trials", full ? 5 : 1, 1);
 
     b.text() << "terminals: " << cft.numTerminals()
              << ", wires: " << wires

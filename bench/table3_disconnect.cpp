@@ -92,7 +92,7 @@ main(int argc, char **argv)
     b.banner("Table 3: faults to disconnect a diameter-4 network");
     const bool full = b.opts.fullScale();
     const int trials =
-        static_cast<int>(b.opts.getInt("trials", full ? 100 : 10));
+        b.opts.getIntAtLeast("trials", full ? 100 : 10, 1);
     Rng rng(b.seed);
 
     std::uint64_t stream = 0;  // one stream id per table cell

@@ -30,10 +30,10 @@ main(int argc, char **argv)
     // Defaults chosen so the asymptotic theorem is visible: 2-level
     // RFCs at tiny N1 are trivially routable (finite-size effect), so
     // the default sweep uses 3 levels where N1* ~ 230.
-    const int radix = static_cast<int>(b.opts.getInt("radix", 12));
-    const int levels = static_cast<int>(b.opts.getInt("levels", 3));
+    const int radix = b.opts.getIntAtLeast("radix", 12, 2);
+    const int levels = b.opts.getIntAtLeast("levels", 3, 1);
     const int gens =
-        static_cast<int>(b.opts.getInt("generations", full ? 400 : 80));
+        b.opts.getIntAtLeast("generations", full ? 400 : 80, 1);
 
     std::uint64_t stream = 0;  // one stream per table row
 

@@ -1,6 +1,8 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <iostream>
+#include <memory>
 #include <stdexcept>
 
 #include "analysis/fault_sweep.hpp"
@@ -76,6 +78,21 @@ addEngineTiming(Sample &s, const PerfCounters &p)
                      {"global_step_seconds", p.global_step_seconds}});
 }
 
+/**
+ * Whether the runtime invariant guards (compiled in only with
+ * -DRFC_CHECK_INVARIANTS=ON) flagged @p sim's run; the first violation
+ * goes to stderr.  A flagged trial counts as a conservation violation.
+ */
+bool
+guardFailed(const Simulator &sim)
+{
+    const CheckContext &check = sim.checkContext();
+    if (check.violations() == 0)
+        return false;
+    std::cerr << "[guard] " + check.summary() + "\n";
+    return true;
+}
+
 /** One open-loop packet-simulation trial. */
 Sample
 vctTrial(const Point &pt, const SimConfig &cfg)
@@ -83,9 +100,12 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     const Case &c = pt.scenario;
     const FoldedClos &fc = *pt.network.topology;
     auto traffic = c.traffic();
-    const SimResult r =
-        c.changes ? Simulator(fc, *traffic, cfg, *c.changes).run()
-                  : Simulator(fc, *pt.network.oracle, *traffic, cfg).run();
+    const auto sim =
+        c.changes
+            ? std::make_unique<Simulator>(fc, *traffic, cfg, *c.changes)
+            : std::make_unique<Simulator>(fc, *pt.network.oracle, *traffic,
+                                          cfg);
+    const SimResult r = sim->run();
 
     Sample s;
     addAll(s, {{"accepted", r.accepted},
@@ -100,7 +120,8 @@ vctTrial(const Point &pt, const SimConfig &cfg)
                {"dropped_packets", num(r.dropped_packets)},
                {"rerouted_packets", num(r.rerouted_packets)},
                {"route_retries", num(r.route_retries)}});
-    s.add("conservation_violations", conservationGap(r) != 0 ? 1 : 0,
+    s.add("conservation_violations",
+          conservationGap(r) != 0 || guardFailed(*sim) ? 1 : 0,
           Fold::kSum);
     if (c.changes && cfg.telemetry_bin > 0) {
         // Recovery after the first failure or detach.
@@ -171,9 +192,9 @@ workloadTrial(const Point &pt, const SimConfig &cfg)
                {"flows_completed", num(w.flows_completed)},
                {"rpcs_completed", num(w.rpcs_completed)},
                {"coflow_phases", num(w.coflow_phases)}});
-    s.add("conservation_violations",
-          w.conservation_residual != 0 || w.eject_mismatch != 0 ? 1 : 0,
-          Fold::kSum);
+    const bool broken = w.conservation_residual != 0 ||
+                        w.eject_mismatch != 0 || guardFailed(sim);
+    s.add("conservation_violations", broken ? 1 : 0, Fold::kSum);
     addEngineTiming(s, r.perf);
     return s;
 }

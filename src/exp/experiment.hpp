@@ -298,7 +298,9 @@ class ExperimentEngine
  *
  * Returns the (signed) imbalance; 0 on a healthy engine.  The packet
  * tier audits every trial and reports the violating ones in the
- * conservation_violations metric.
+ * conservation_violations metric, which in guard builds
+ * (-DRFC_CHECK_INVARIANTS=ON) also counts trials the runtime guards
+ * flagged.
  */
 long long conservationGap(const SimResult &r);
 

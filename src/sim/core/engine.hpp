@@ -46,6 +46,15 @@
  *     // Invalidate routing caches after a cycle hook mutated the
  *     // routing tables (runtime link fail/repair).
  *     void onTopologyChange();
+ *     // Optional, for a policy that caches routing state in its Pkt
+ *     // (UpDownPolicy's next-hop set): right after onTopologyChange
+ *     // the engine calls forgetRoute on every packet in its arena, so
+ *     // no buffered packet keeps a set from the old tables.  With
+ *     // the guards on, routeCacheFresh(s, p) is asked before every
+ *     // routeOut at switch s and a false answer is reported as
+ *     // "route-cache".
+ *     void forgetRoute(Pkt &p) const;
+ *     bool routeCacheFresh(int s, const Pkt &p) const;
  *   };
  *
  * The CongestionView (sim/core/congestion.hpp) passed at the three
@@ -599,13 +608,45 @@ class VctEngine
                    : at;
     }
 
-    /** Invoke the due hook and refresh the policy's caches. */
+    /**
+     * Invoke the due hook and refresh the policy's caches, then empty
+     * every packet's per-packet route cache (the policy's optional
+     * forgetRoute): the hook may have rebuilt the oracle or the
+     * topology the cached sets came from.  The walk covers the whole
+     * arena, so every buffered packet is reached; a free slot is
+     * re-initialized before reuse anyway.
+     */
     void
     runHook(long long now)
     {
         hook_(now);
         ++hook_idx_;
         policy_.onTopologyChange();
+        if constexpr (requires(Policy &pol, Pkt &p) {
+                          pol.forgetRoute(p);
+                      }) {
+            for (std::int32_t id = 0; id < arena_.size(); ++id)
+                policy_.forgetRoute(pkt(id));
+        }
+    }
+
+    /**
+     * Guard: a head's cached next-hop set (if its policy keeps one)
+     * must equal what the oracle gives now, or routeOut would draw
+     * from a stale set.
+     */
+    void
+    guardRouteCache(int s, std::int32_t id, long long now)
+    {
+        if constexpr (requires(const Policy &pol, const Pkt &p) {
+                          pol.routeCacheFresh(s, p);
+                      }) {
+            check_.countChecks();
+            if (!policy_.routeCacheFresh(s, pkt(id)))
+                check_.report("route-cache", now, s, -1,
+                              "packet " + std::to_string(id) +
+                                  " holds a stale next-hop set");
+        }
     }
 
     // ---- run loop ---------------------------------------------------
@@ -1212,6 +1253,8 @@ VctEngine<Policy>::arbitrate(long long now)
             continue;
         }
         int s = lay_.port_owner[iport];
+        if constexpr (kGuards)
+            guardRouteCache(s, vc_head_[gi], now);
         int fixed_vc = -1;
         bool sole = false;
         int o_local = policy_.routeOut(cv, s, p, rng_, fixed_vc, sole);

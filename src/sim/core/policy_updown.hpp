@@ -13,9 +13,16 @@
  * frees); the output VC is drawn uniformly among the credited channels
  * of the packet's phase range.
  *
- * No state is kept per (switch, leaf): each visit takes its next-hop
- * set from UpDownOracle::nextHops, so a Simulator adds no routing
- * memory beyond the oracle's.
+ * No state is kept per (switch, leaf): a packet's next-hop set comes
+ * from UpDownOracle::nextHops, so a Simulator adds no routing memory
+ * beyond the oracle's.  The one cache is per packet: the first visit
+ * at a switch stores the set's port mask in the Pkt when it fits 32
+ * bits, and a head blocked there re-draws from that mask instead of
+ * re-walking the reach words.  The draw discipline is unchanged (one
+ * uniform(count) draw per visit over the same ascending-port set), so
+ * caching moves no result.  onForward and initPacket empty the cache;
+ * the engine empties every packet's cache through forgetRoute after a
+ * cycle hook, which may rebuild the oracle or the topology.
  *
  * UGAL (RouteMode::kUgal) samples its candidate intermediate exactly
  * like Valiant, then keeps it only when the minimal route is backed
@@ -62,7 +69,7 @@ class UpDownPolicy
     {
         // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
         // see the "Engine-owned Pkt fields" convention atop
-        // sim/core/engine.hpp.  Fields run widest first, so the two
+        // sim/core/engine.hpp.  Fields run widest first, so the three
         // one-byte fields share the last word.
         std::int32_t gen;
         std::int32_t wl_src;
@@ -72,12 +79,16 @@ class UpDownPolicy
         // Policy routing state.
         std::int32_t dest_leaf;
         std::int32_t inter_leaf;  //!< Valiant intermediate (-1 = none)
+        //! Next-hop port mask at the switch where the packet waits
+        //! (0 = not cached; a routable set is never empty).
+        std::uint32_t route_mask;
         std::int16_t dest_local;
         std::int16_t hops;
         std::uint8_t noroute;
         std::int8_t phase;        //!< 0 = toward intermediate, 1 = final
+        std::uint8_t route_down;  //!< route_mask holds down ports
     };
-    static_assert(sizeof(Pkt) <= 36, "UpDownPolicy::Pkt grew past 36 B");
+    static_assert(sizeof(Pkt) <= 40, "UpDownPolicy::Pkt grew past 40 B");
 
     UpDownPolicy(const FoldedClos &fc, const UpDownOracle &oracle,
                  const FabricLayout &lay, const SimConfig &cfg)
@@ -145,6 +156,7 @@ class UpDownPolicy
         p.hops = 0;
         p.inter_leaf = pending_inter_;
         p.phase = pending_phase_;
+        forgetRoute(p);
     }
 
     int
@@ -153,6 +165,10 @@ class UpDownPolicy
     {
         (void)cv;  // oblivious: the choice never reads congestion
         fixed_vc = -1;
+        // A cached set implies the phase and target checks below already
+        // ran at this switch.
+        if (p.route_mask != 0)
+            return drawPort(s, p.route_mask, p.route_down != 0, rng, sole);
         sole = true;
         if (p.phase == 0 && s == p.inter_leaf)
             p.phase = 1;  // Valiant intermediate reached: head for dest
@@ -161,10 +177,9 @@ class UpDownPolicy
         if (s == target)
             return lay_->n_up[s] + p.dest_local;  // ejection (phase 1)
 
-        // Every visit reads the choice set from the oracle's reach words
-        // as a port bitmask; nothing is cached per (switch, leaf).  The
-        // draw discipline: one uniform(count) draw mapping to the k-th
-        // choice in the same ascending-port order as the oracle scan.
+        // The choice set comes from the oracle's reach words as a port
+        // bitmask and is cached in the packet when it fits 32 bits;
+        // nothing is cached per (switch, leaf).
         const UpDownOracle::NextHops h = oracle_->nextHops(
             *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
         if (h.need < 0)
@@ -173,10 +188,11 @@ class UpDownPolicy
             return routeOutWide(s, target, h.need, rng, sole);
         if (h.mask == 0)
             return -1;
-        const int count = __builtin_popcountll(h.mask);
-        sole = count == 1;
-        int pick = selectBit(h.mask, rng.uniform(count));
-        return h.need == 0 ? lay_->n_up[s] + pick : pick;
+        if (h.mask >> 32 == 0) {
+            p.route_mask = static_cast<std::uint32_t>(h.mask);
+            p.route_down = h.need == 0;
+        }
+        return drawPort(s, h.mask, h.need == 0, rng, sole);
     }
 
     void
@@ -204,13 +220,47 @@ class UpDownPolicy
         return out_vc;
     }
 
-    void onForward(Pkt &p) { ++p.hops; }
+    void
+    onForward(Pkt &p)
+    {
+        ++p.hops;
+        forgetRoute(p);
+    }
+
+    /** Empty @p p's cached next-hop set (see the file comment). */
+    void
+    forgetRoute(Pkt &p) const
+    {
+        p.route_mask = 0;
+        p.route_down = 0;
+    }
+
+    /**
+     * Whether @p p's cached next-hop set at switch @p s (if any) is the
+     * one routeOut would read from the oracle now: the invariant guard
+     * recomputes every cache hit through this.
+     */
+    bool
+    routeCacheFresh(int s, const Pkt &p) const
+    {
+        if (p.route_mask == 0)
+            return true;
+        const std::int32_t target =
+            p.phase == 0 && s != p.inter_leaf ? p.inter_leaf : p.dest_leaf;
+        if (s == target)
+            return false;
+        const UpDownOracle::NextHops h = oracle_->nextHops(
+            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
+        return h.need >= 0 && !h.wide && h.mask == p.route_mask &&
+               (h.need == 0) == (p.route_down != 0);
+    }
 
     double hopsOf(const Pkt &p) const { return p.hops; }
 
     /**
      * The oracle's tables changed under us (runtime link fail/repair).
-     * Nothing to drop: every visit reads the rebuilt oracle directly.
+     * The policy holds no tables of its own; the packets' cached sets
+     * are dropped by the engine's forgetRoute walk that follows.
      */
     void onTopologyChange() {}
 
@@ -303,6 +353,19 @@ class UpDownPolicy
         for (std::uint64_t m = h.mask; m != 0; m &= m - 1)
             consider(__builtin_ctzll(m));
         return best;
+    }
+
+    /**
+     * The draw discipline: one uniform(count) draw mapping to the k-th
+     * port of @p mask in ascending order, as the oracle scan lists them.
+     */
+    int
+    drawPort(int s, std::uint64_t mask, bool down, Rng &rng, bool &sole)
+    {
+        const int count = __builtin_popcountll(mask);
+        sole = count == 1;
+        const int pick = selectBit(mask, rng.uniform(count));
+        return down ? lay_->n_up[s] + pick : pick;
     }
 
     static int

@@ -113,6 +113,17 @@ expectConservation(const SimResult &r)
                   r.dropped_packets + r.in_flight_packets);
 }
 
+/**
+ * Guard builds: the run broke no runtime guard, route-cache included
+ * (a next-hop set cached before a barrier must not be drawn from).
+ */
+void
+expectGuardsClean(const Simulator &sim)
+{
+    EXPECT_EQ(sim.checkContext().violations(), 0)
+        << sim.checkContext().summary();
+}
+
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
@@ -153,6 +164,7 @@ TEST(LiveExpansion, DrillEndsEqualToOfflineRebuild)
     ASSERT_NO_THROW(r = sim.run());
 
     expectConservation(r);
+    expectGuardsClean(sim);
     EXPECT_GT(r.delivered_packets, 0);
     EXPECT_TRUE(r.expansion.active);
     EXPECT_EQ(r.expansion.links_detached, plan->rewired());
@@ -226,6 +238,7 @@ TEST(LiveExpansion, MorphDrillRunsAndConverges)
     SimResult res;
     ASSERT_NO_THROW(res = sim.run());
     expectConservation(res);
+    expectGuardsClean(sim);
     EXPECT_EQ(res.expansion.links_detached,
               static_cast<long long>(mp.detach.size()));
     EXPECT_EQ(res.expansion.links_attached,

@@ -193,7 +193,12 @@ runFaultSim(const FoldedClos &fc, const TopologyTimeline &tl,
 {
     UniformTraffic traffic;
     Simulator sim(fc, traffic, cfg, tl);
-    return sim.run();
+    const SimResult r = sim.run();
+    // Guard builds: no visit may draw from a next-hop set cached before
+    // a fault or repair (route-cache), among the other guards.
+    EXPECT_EQ(sim.checkContext().violations(), 0)
+        << sim.checkContext().summary();
+    return r;
 }
 
 void

@@ -174,53 +174,186 @@ TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
 
 TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
 {
-    // Radix 120: a leaf has 60 up ports and a spine 120 down ports, so
-    // choice sets straddle the 64-bit port mask of
-    // UpDownOracle::nextHops and both the mask path and the oracle-scan
-    // path run.  Either must pick the port a plain uniform draw over
-    // the oracle's list picks, and report a sole port exactly when that
-    // list has one entry.
-    auto fc = buildCft(120, 2);
-    UpDownOracle oracle(fc);
-    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
-    for (RouteMode mode : {RouteMode::kMinimal, RouteMode::kUpDownRandom}) {
-        SimConfig cfg;
-        cfg.route_mode = mode;
-        UpDownPolicy policy(fc, oracle, lay, cfg);
-        const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
-                                nullptr, 0);
-        Rng rng(3), ref_rng(3);
-        std::vector<int> choices;
-        for (int s = 0; s < fc.numSwitches(); s += 7) {
-            for (int target = 0; target < fc.numLeaves(); target += 5) {
-                if (s == target)
-                    continue;
-                const int need = oracle.minUps(s, target);
-                ASSERT_GE(need, 0);
-                if (need == 0)
-                    oracle.downChoices(fc, s, target, choices);
-                else if (mode == RouteMode::kUpDownRandom)
-                    oracle.feasibleUpChoices(fc, s, target, choices);
-                else
-                    oracle.upChoices(fc, s, target, choices);
-                ASSERT_FALSE(choices.empty());
-                const int pick = choices[ref_rng.uniform(choices.size())];
-                const int want = need == 0 ? lay.n_up[s] + pick : pick;
+    // Radix 40: a spine has 40 down ports, so down sets straddle the
+    // 32-bit per-packet cache.  Radix 120: a leaf has 60 up ports and a
+    // spine 120 down ports, so choice sets straddle the 64-bit port
+    // mask of UpDownOracle::nextHops.  Together the cached path, the
+    // uncached 64-bit mask path and the oracle-scan path all run.  Each
+    // must pick the port a plain uniform draw over the oracle's list
+    // picks, on the first visit and on a second visit of the same
+    // packet (a cache hit where the set fits 32 bits), and report a
+    // sole port exactly when that list has one entry.
+    int hits = 0, masked = 0, wide = 0;
+    for (int radix : {40, 120}) {
+        auto fc = buildCft(radix, 2);
+        UpDownOracle oracle(fc);
+        FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+        for (RouteMode mode :
+             {RouteMode::kMinimal, RouteMode::kUpDownRandom}) {
+            SimConfig cfg;
+            cfg.route_mode = mode;
+            UpDownPolicy policy(fc, oracle, lay, cfg);
+            const CongestionView cv(lay, cfg.vcs, cfg.buf_packets,
+                                    nullptr, nullptr, 0);
+            Rng rng(3), ref_rng(3);
+            std::vector<int> choices;
+            for (int s = 0; s < fc.numSwitches(); s += 7) {
+                for (int target = 0; target < fc.numLeaves();
+                     target += 5) {
+                    if (s == target)
+                        continue;
+                    const int need = oracle.minUps(s, target);
+                    ASSERT_GE(need, 0);
+                    if (need == 0)
+                        oracle.downChoices(fc, s, target, choices);
+                    else if (mode == RouteMode::kUpDownRandom)
+                        oracle.feasibleUpChoices(fc, s, target, choices);
+                    else
+                        oracle.upChoices(fc, s, target, choices);
+                    ASSERT_FALSE(choices.empty());
+                    const bool is_wide =
+                        (need == 0 ? fc.down(s).size()
+                                   : fc.up(s).size()) > 64;
+                    const bool fits =
+                        !is_wide &&
+                        *std::max_element(choices.begin(),
+                                          choices.end()) < 32;
+                    wide += is_wide;
+                    masked += !is_wide && !fits;
+                    hits += fits;
 
-                UpDownPolicy::Pkt p{};
-                p.dest_leaf = target;
-                p.inter_leaf = -1;
-                p.phase = 1;
-                int fixed_vc = 0;
-                bool sole = false;
-                EXPECT_EQ(policy.routeOut(cv, s, p, rng, fixed_vc, sole),
-                          want)
-                    << "switch " << s << " target " << target;
-                EXPECT_EQ(sole, choices.size() == 1);
-                EXPECT_EQ(fixed_vc, -1);
+                    UpDownPolicy::Pkt p{};
+                    p.dest_leaf = target;
+                    p.inter_leaf = -1;
+                    p.phase = 1;
+                    for (int visit = 0; visit < 2; ++visit) {
+                        const int pick =
+                            choices[ref_rng.uniform(choices.size())];
+                        const int want =
+                            need == 0 ? lay.n_up[s] + pick : pick;
+                        int fixed_vc = 0;
+                        bool sole = false;
+                        EXPECT_EQ(policy.routeOut(cv, s, p, rng, fixed_vc,
+                                                  sole),
+                                  want)
+                            << "radix " << radix << " switch " << s
+                            << " target " << target << " visit " << visit;
+                        EXPECT_EQ(sole, choices.size() == 1);
+                        EXPECT_EQ(fixed_vc, -1);
+                        // Cached exactly when the set fits 32 bits.
+                        EXPECT_EQ(p.route_mask != 0, fits);
+                        EXPECT_TRUE(policy.routeCacheFresh(s, p));
+                    }
+                }
             }
         }
     }
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(masked, 0);
+    EXPECT_GT(wide, 0);
+}
+
+TEST(UpDownPolicyMemo, ForwardEmptiesTheRouteCache)
+{
+    // A leaf of CFT(8,3) has 4 up ports: its up set is cached on the
+    // first visit, and the hop to the next switch must drop it.
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+    SimConfig cfg;
+    UpDownPolicy policy(fc, oracle, lay, cfg);
+    const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
+                            nullptr, 0);
+    Rng rng(5);
+    const int target = fc.numLeaves() - 1;
+    UpDownPolicy::Pkt p{};
+    policy.initPacket(p, 0, target * fc.terminalsPerLeaf(), rng);
+    EXPECT_EQ(p.route_mask, 0u);
+    int fixed_vc = 0;
+    bool sole = true;
+    const int port = policy.routeOut(cv, 0, p, rng, fixed_vc, sole);
+    ASSERT_GE(port, 0);
+    EXPECT_LT(port, lay.n_up[0]);
+    EXPECT_EQ(__builtin_popcount(p.route_mask), lay.n_up[0]);
+    EXPECT_EQ(p.route_down, 0);
+    EXPECT_FALSE(sole);
+    policy.onForward(p);
+    EXPECT_EQ(p.route_mask, 0u);
+    EXPECT_EQ(p.route_down, 0);
+    EXPECT_EQ(p.hops, 1);
+}
+
+/**
+ * UpDownPolicy that checks the engine's hook-time walk: every packet
+ * visited in a hook's cycle must arrive with an empty route cache, and
+ * the walk must have found cached sets to drop (so the check is not
+ * vacuous).
+ */
+class HookWalkProbe : public UpDownPolicy
+{
+  public:
+    struct Stats
+    {
+        long long hook_cycle = -1;
+        long long walked = 0, dropped = 0;
+        long long hook_visits = 0, stale_visits = 0;
+    };
+
+    HookWalkProbe(const FoldedClos &fc, const UpDownOracle &oracle,
+                  const FabricLayout &lay, const SimConfig &cfg,
+                  Stats &stats)
+        : UpDownPolicy(fc, oracle, lay, cfg), stats_(&stats)
+    {}
+
+    int
+    routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
+             int &fixed_vc, bool &sole)
+    {
+        if (cv.now() == stats_->hook_cycle) {
+            ++stats_->hook_visits;
+            stats_->stale_visits += p.route_mask != 0;
+        }
+        return UpDownPolicy::routeOut(cv, s, p, rng, fixed_vc, sole);
+    }
+
+    void
+    forgetRoute(Pkt &p)
+    {
+        ++stats_->walked;
+        stats_->dropped += p.route_mask != 0;
+        UpDownPolicy::forgetRoute(p);
+    }
+
+  private:
+    Stats *stats_;
+};
+
+TEST(UpDownPolicyMemo, HookWalkEmptiesEveryRouteCache)
+{
+    // Saturated random pairing: heads wait at switches with their
+    // next-hop sets cached when the (no-op) hooks fire.
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+    RandomPairingTraffic traffic;
+    SimConfig cfg;
+    cfg.warmup = 200;
+    cfg.measure = 800;
+    cfg.load = 1.0;
+    cfg.seed = 7;
+    HookWalkProbe::Stats stats;
+    VctEngine<HookWalkProbe> engine(
+        lay, traffic, cfg, HookWalkProbe(fc, oracle, lay, cfg, stats));
+    engine.setCycleHook({300, 600, 900},
+                        [&stats](long long now) { stats.hook_cycle = now; });
+    const SimResult r = engine.run();
+    EXPECT_GT(r.delivered_packets, 0);
+    EXPECT_GT(stats.walked, 0);
+    EXPECT_GT(stats.dropped, 0);
+    EXPECT_GT(stats.hook_visits, 0);
+    EXPECT_EQ(stats.stale_visits, 0);
+    EXPECT_EQ(engine.checkContext().violations(), 0)
+        << engine.checkContext().summary();
 }
 
 TEST(LatencyHistogramCore, EmptyQuantileIsZero)
