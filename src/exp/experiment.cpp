@@ -221,6 +221,7 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
     const auto solve_start = Clock::now();
 
     std::vector<Sample> out(n);
+    std::vector<std::pair<std::string, double>> sweep_split;
     for (Sample &s : out)
         addAll(s, {{"demands", num(problem.numDemands())},
                    {"links", num(problem.numLinks())},
@@ -267,12 +268,17 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
                             {"p99_latency", q.p99_latency},
                             {"max_utilization", q.max_utilization}});
         }
+        sweep_split = {{"mixture_seconds", sweep.mixture_seconds},
+                       {"quantile_seconds", sweep.quantile_seconds}};
     }
     // The group's timers are shared evenly by its points.
     const double solve = since(solve_start);
-    for (Sample &s : out)
+    for (Sample &s : out) {
         s.timing = {{"build_seconds", build / num(n)},
                     {phase, solve / num(n)}};
+        for (const auto &[name, seconds] : sweep_split)
+            s.timing.push_back({name, seconds / num(n)});
+    }
     return out;
 }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -84,6 +87,41 @@ struct RangePaths
 
 /** Phases between dual-bound evaluations. */
 constexpr int kDualEvery = 10;
+
+/**
+ * Memo of std::exp over the weight-update exponents: a direct-mapped
+ * table of (argument, value) slots indexed by a hash of the argument's
+ * bits.  A slot answers only for the exact argument it stores (args
+ * start as NaN, which equals nothing), so a collision costs one exp
+ * call and never a wrong value.  Unit capacities and equal demand
+ * weights leave only a few distinct exponents per solve.
+ */
+class ExpMemo
+{
+  public:
+    ExpMemo()
+    {
+        std::fill(std::begin(arg_), std::end(arg_),
+                  std::numeric_limits<double>::quiet_NaN());
+    }
+
+    double
+    operator()(double e)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &e, sizeof bits);
+        const std::size_t s = (bits * 0x9e3779b97f4a7c15ULL) >> 56;
+        if (arg_[s] != e) {
+            arg_[s] = e;
+            val_[s] = std::exp(e);
+        }
+        return val_[s];
+    }
+
+  private:
+    double arg_[256];
+    double val_[256];
+};
 
 void
 requireAtLeastOne(const char *field, int value)
@@ -251,8 +289,11 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
     double dual_best = std::numeric_limits<double>::infinity();
     double wmax = *std::max_element(w.begin(), w.end());
 
-    std::vector<std::int32_t> touched;
+    // One slot per link plus the spare the unconditional write below
+    // may land in once every link is listed.
+    std::vector<std::int32_t> touched(static_cast<std::size_t>(nl) + 1);
     std::vector<double> delta(static_cast<std::size_t>(nl), 0.0);
+    ExpMemo exp_memo;
 
     int t = 0;
     bool converged = false;
@@ -261,7 +302,11 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         for (std::size_t blo = 0; blo < active.size(); blo += block) {
             std::size_t bhi = std::min(blo + block, active.size());
             runRange(opt.pool, blo, bhi, argmin);
-            touched.clear();
+            // Each link joins the touched list on its first hop in
+            // the block (delta is still 0 there, and wt > 0 keeps it
+            // nonzero after); the write is unconditional and only the
+            // count depends on the test, so the hop loop has no branch.
+            std::size_t nt = 0;
             for (std::size_t i = blo; i < bhi; ++i) {
                 double wt = p.weight(active[i]);
                 std::size_t q = choice[i];
@@ -270,19 +315,20 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
                 std::size_t len = p.pathLength(q);
                 for (std::size_t k = 0; k < len; ++k) {
                     std::int32_t l = ls[k];
-                    if (delta[l] == 0.0)
-                        touched.push_back(l);
+                    touched[nt] = l;
+                    nt += delta[l] == 0.0;
                     delta[l] += wt;
                 }
             }
-            for (std::int32_t l : touched) {
+            for (std::size_t j = 0; j < nt; ++j) {
+                const std::int32_t l = touched[j];
                 load[l] += delta[l];
                 congestion = std::max(congestion, load[l] * inv_cap[l]);
                 // Exponent-proportional multiplicative update; the cap
                 // keeps one grossly oversubscribed block from
                 // overflowing (any positive weights stay a valid dual).
                 double e = std::min(log_eps * delta[l] * inv_cap[l], 60.0);
-                w[l] *= std::exp(e);
+                w[l] *= exp_memo(e);
                 wmax = std::max(wmax, w[l]);
                 delta[l] = 0.0;
             }

@@ -38,7 +38,9 @@
  * demands on a `util/threadpool`, partitioned by fixed demand ranges
  * and merged in index order, so results are bit-identical at any
  * thread count (the src/exp determinism contract).  The ECMP fluid is
- * one serial pass.
+ * one serial pass.  The solver's serial weight update takes its
+ * exp() values from a per-call memo keyed by the exact argument, so
+ * its results are the same bits as calling exp() each time.
  */
 #ifndef RFC_FLOW_SOLVER_HPP
 #define RFC_FLOW_SOLVER_HPP

@@ -1,8 +1,12 @@
 #include "queue/latency.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/stats.hpp"
 #include "util/threadpool.hpp"
@@ -30,28 +34,74 @@ struct RangePartial
     double weighted_latency = 0.0;
 };
 
-/** Sort by (shift, mean, variance) and merge equal tuples' weights. */
-void
-dedupComponents(std::vector<ShiftedGamma> &comps)
+/**
+ * Merge of equal (shift, mean, variance) components through an
+ * open-addressing table of indices into @c comps: a key's first
+ * occurrence is appended, later ones add their weight to it, so a
+ * merged weight is summed in insertion order.
+ */
+class ComponentMerge
 {
-    std::sort(comps.begin(), comps.end(),
-              [](const ShiftedGamma &a, const ShiftedGamma &b) {
-                  if (a.shift != b.shift)
-                      return a.shift < b.shift;
-                  if (a.mean != b.mean)
-                      return a.mean < b.mean;
-                  return a.variance < b.variance;
-              });
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < comps.size(); ++i) {
-        if (out > 0 && comps[out - 1].shift == comps[i].shift &&
-            comps[out - 1].mean == comps[i].mean &&
-            comps[out - 1].variance == comps[i].variance)
-            comps[out - 1].weight += comps[i].weight;
-        else
-            comps[out++] = comps[i];
+  public:
+    /** Room for @p keys distinct keys at load factor <= 1/2. */
+    ComponentMerge(std::vector<ShiftedGamma> &comps, std::size_t keys)
+        : comps_(comps)
+    {
+        std::size_t n = 16;
+        while (n < 2 * keys)
+            n *= 2;
+        slots_.assign(n, 0);
+        mask_ = n - 1;
     }
-    comps.resize(out);
+
+    void
+    add(const ShiftedGamma &c)
+    {
+        for (std::size_t s = hash(c) & mask_;; s = (s + 1) & mask_) {
+            const std::uint32_t at = slots_[s];
+            if (at == 0) {
+                comps_.push_back(c);
+                slots_[s] = static_cast<std::uint32_t>(comps_.size());
+                return;
+            }
+            ShiftedGamma &m = comps_[at - 1];
+            if (m.shift == c.shift && m.mean == c.mean &&
+                m.variance == c.variance) {
+                m.weight += c.weight;
+                return;
+            }
+        }
+    }
+
+  private:
+    static std::uint64_t
+    bitsOf(double x)
+    {
+        std::uint64_t b;
+        std::memcpy(&b, &x, sizeof b);
+        return b;
+    }
+
+    static std::size_t
+    hash(const ShiftedGamma &c)
+    {
+        std::uint64_t h = bitsOf(c.shift) * 0x9e3779b97f4a7c15ULL;
+        h = (h ^ bitsOf(c.mean)) * 0xc2b2ae3d27d4eb4fULL;
+        h = (h ^ bitsOf(c.variance)) * 0x165667b19e3779f9ULL;
+        return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+
+    std::vector<ShiftedGamma> &comps_;
+    std::vector<std::uint32_t> slots_;  //!< 0 = empty, else index + 1
+    std::size_t mask_;
+};
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 } // namespace
@@ -138,17 +188,22 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
 
     // One live load at a time, so only that load's partial mixtures
     // are alive.  A per-link waiting table makes each path hop a
-    // lookup.  Phase A accumulates one shifted-gamma component per
-    // candidate path over fixed demand ranges; merging the ranges in
-    // index order keeps the output bit-identical at any pool size.
-    // Phase B evaluates the merged mixture (mean exactly, p50/p99 via
-    // util/stats).
+    // lookup.  Phase A builds one shifted-gamma component per
+    // candidate path over fixed demand ranges, merging equal ones
+    // within the range in path order; the ranges then merge into one
+    // table in index order and the unique components are sorted, so
+    // the output is bit-identical at any pool size.  Phase B evaluates
+    // the merged mixture (mean exactly, p50/p99 via util/stats).
     constexpr std::size_t kRanges = 32;
     std::vector<QueueDelay> delay(fluid.utilization.size());
     std::vector<RangePartial> parts(kRanges);
+    auto pathsBefore = [&](std::size_t d) {
+        return d < nd ? problem.pathBegin(d) : problem.numPathsTotal();
+    };
     for (auto &pt : result.points) {
         if (pt.saturated)
             continue;
+        const auto mixture_start = std::chrono::steady_clock::now();
         for (std::size_t l = 0; l < delay.size(); ++l)
             delay[l] = model.waiting(pt.load * fluid.utilization[l]);
 
@@ -156,6 +211,8 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
             RangePartial &out = parts[rg];
             std::size_t lo = nd * rg / kRanges;
             std::size_t hi = nd * (rg + 1) / kRanges;
+            ComponentMerge merge(out.comps,
+                                 pathsBefore(hi) - pathsBefore(lo));
             for (std::size_t d = lo; d < hi; ++d) {
                 std::size_t np = problem.numPaths(d);
                 if (np == 0)
@@ -176,29 +233,39 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
                     double shift =
                         static_cast<double>(len) * opt.link_latency +
                         service;
-                    out.comps.push_back({shift, wmean, wvar, share});
+                    merge.add({shift, wmean, wvar, share});
                     out.weight_sum += share;
                     out.weighted_latency += share * (shift + wmean);
                 }
             }
-            dedupComponents(out.comps);
         });
 
-        std::size_t n_comps = 0;
+        std::size_t n_keys = 0;
         for (const auto &rp : parts)
-            n_comps += rp.comps.size();
+            n_keys += rp.comps.size();
         std::vector<ShiftedGamma> comps;
-        comps.reserve(n_comps);
+        comps.reserve(n_keys);
         double wsum = 0.0, wlat = 0.0;
-        for (auto &rp : parts) {
-            comps.insert(comps.end(), rp.comps.begin(),
-                         rp.comps.end());
-            wsum += rp.weight_sum;
-            wlat += rp.weighted_latency;
-            rp = RangePartial();
+        {
+            ComponentMerge merge(comps, n_keys);
+            for (auto &rp : parts) {
+                for (const ShiftedGamma &c : rp.comps)
+                    merge.add(c);
+                wsum += rp.weight_sum;
+                wlat += rp.weighted_latency;
+                rp = RangePartial();
+            }
         }
-        dedupComponents(comps);
+        // The keys are unique now, so the order is fully determined.
+        std::sort(comps.begin(), comps.end(),
+                  [](const ShiftedGamma &a, const ShiftedGamma &b) {
+                      return std::tie(a.shift, a.mean, a.variance) <
+                             std::tie(b.shift, b.mean, b.variance);
+                  });
         pt.mean_latency = wlat / wsum;
+        result.mixture_seconds += secondsSince(mixture_start);
+
+        const auto quantile_start = std::chrono::steady_clock::now();
         const double qs[2] = {0.50, 0.99};
         double qv[2];
         runRange(opt.pool, 2, [&](std::size_t i) {
@@ -206,6 +273,7 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
         });
         pt.p50_latency = qv[0];
         pt.p99_latency = qv[1];
+        result.quantile_seconds += secondsSince(quantile_start);
     }
 
     return result;

@@ -27,17 +27,24 @@
  * which tier-2 properties assert).
  *
  * Determinism: identical inputs give bit-identical results at any
- * pool size - work is partitioned into fixed ranges merged in index
- * order, exactly like the flow solver.
+ * pool size - work is partitioned into 32 fixed demand ranges merged
+ * in index order, exactly like the flow solver.  Components with equal
+ * (shift, mean, variance) merge into one whose weight is the sum over
+ * ranges, in range order, of each range's sum over its paths, in path
+ * order; the unique components are then sorted by that key.  The
+ * association is fixed by the range partition, not by the pool.
  *
  * Cost per load point: one waiting() call per link, O(paths * hops)
- * table lookups to build the mixture, a sort to merge equal
- * components, and then - the dominant term at scale - p50 and p99,
- * each a handful of full-mixture CDF evaluations costing a
- * cbrt and an erfc per distinct component (util/stats).  Loads are
- * processed one at a time, so memory holds one load's mixture.  This
- * is typically 10-100x faster than a VCT sweep at sandbox scale and
- * the only affordable option at the million-terminal tier.
+ * table lookups to build the mixture, a hash merge of equal
+ * components inside each range and one across ranges, one sort of
+ * the unique components, and then - the dominant term at scale - p50
+ * and p99, each a handful of full-mixture CDF evaluations costing a
+ * cbrt and an erfc per distinct component (util/stats).  The result
+ * reports the wall time of the mixture build and of the quantiles.
+ * Loads are processed one at a time, so memory holds one load's
+ * mixture.  This is typically 10-100x faster than a VCT sweep at
+ * sandbox scale and the only affordable option at the
+ * million-terminal tier.
  */
 #ifndef RFC_QUEUE_LATENCY_HPP
 #define RFC_QUEUE_LATENCY_HPP
@@ -95,6 +102,13 @@ struct QueueSweepResult
     std::size_t routed = 0;
     std::size_t unrouted = 0;
     std::vector<QueueLoadPoint> points;  //!< one per requested load
+    /**
+     * Wall-clock seconds, summed over the unsaturated loads, spent
+     * building and merging the mixtures and extracting p50/p99 (not
+     * deterministic; for reporting only).
+     */
+    double mixture_seconds = 0.0;
+    double quantile_seconds = 0.0;
 };
 
 /**

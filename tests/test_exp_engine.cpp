@@ -156,6 +156,23 @@ TEST(ExperimentEngine, SpreadIsWrittenOnlyWhenRepsExceedOne)
     EXPECT_EQ(doc.find("\"ci95\""), std::string::npos);
 }
 
+TEST(ExperimentEngine, QueuePointsSplitTheSweepTime)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    const Network net{"cft", &fc, &oracle};
+    const std::string queue =
+        document(ExperimentEngine(1, 5), smallStudy(Tier::kQueue, net));
+    for (const char *key : {"\"sweep_seconds\"", "\"mixture_seconds\"",
+                            "\"quantile_seconds\""})
+        EXPECT_NE(queue.find(key), std::string::npos) << key;
+    // Run-dependent, so they sit inside the timing objects only.
+    EXPECT_EQ(withoutTiming(queue).find("_seconds"), std::string::npos);
+    const std::string flow =
+        document(ExperimentEngine(1, 5), smallStudy(Tier::kFlow, net));
+    EXPECT_EQ(flow.find("\"mixture_seconds\""), std::string::npos);
+}
+
 TEST(ExperimentEngine, GridIndexCoversEveryAxisIncludingPolicy)
 {
     auto fc = buildCft(4, 2);

@@ -18,16 +18,24 @@
  *  - `LegacyPaths`: UpDownEcmpPaths as it was, always enumerating
  *    before it samples and allocating a choice list per DFS node and
  *    per sample - against the enumerator that skips enumeration when
- *    the source's up choices alone exceed the cap.
+ *    the source's up choices alone exceed the cap;
+ *  - `legacySolve`: solveMaxConcurrentFlow with a std::exp call per
+ *    weight update and a push_back touched list - against the solver
+ *    that memoises exp by argument and fills the list without a
+ *    branch (serial and on a thread pool).
  *
  * Every comparison is exact (EXPECT_EQ on doubles and link ids), over
  * CFT, OFT and random RFC networks (one with link faults, so that
  * some demands are unroutable), path caps 1, 4, 8 and 64, and
- * uniform, random-pairing and hand-made unequal demand weights.
+ * uniform, random-pairing and hand-made unequal demand weights; the
+ * solver also runs on hand-made problems with non-unit capacities
+ * (many distinct update exponents, so memo slots collide) and on one
+ * whose weights grow past the rescale threshold.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -285,6 +293,134 @@ legacyEcmpFluid(const FlowProblem &p)
     return r;
 }
 
+/**
+ * solveMaxConcurrentFlow before the exp memo and the branch-free
+ * touched list (serial argmin; the pool only splits argmin, which
+ * writes one slot per demand).
+ */
+FlowSolution
+legacySolve(const FlowProblem &p, const SolveOptions &opt)
+{
+    FlowSolution sol;
+    const std::int32_t nl = p.numLinks();
+    sol.utilization.assign(static_cast<std::size_t>(nl), 0.0);
+    sol.path_flow.assign(p.numPathsTotal(), 0.0);
+
+    std::vector<std::size_t> active;
+    for (std::size_t d = 0; d < p.numDemands(); ++d) {
+        if (p.numPaths(d) > 0)
+            active.push_back(d);
+        else
+            ++sol.unrouted_demands;
+    }
+    sol.routed_demands = active.size();
+    if (active.empty()) {
+        sol.converged = true;
+        return sol;
+    }
+
+    std::vector<double> w(static_cast<std::size_t>(nl));
+    std::vector<double> inv_cap(static_cast<std::size_t>(nl));
+    std::vector<double> load(static_cast<std::size_t>(nl), 0.0);
+    for (std::int32_t l = 0; l < nl; ++l) {
+        inv_cap[l] = 1.0 / p.capacity(l);
+        w[l] = inv_cap[l];
+    }
+    std::vector<double> raw_flow(p.numPathsTotal(), 0.0);
+    std::vector<std::size_t> choice(active.size());
+    std::vector<double> mincost(active.size());
+    auto argmin = [&](std::size_t i) {
+        std::size_t d = active[i];
+        std::size_t pb = p.pathBegin(d), np = p.numPaths(d);
+        double best = std::numeric_limits<double>::infinity();
+        std::size_t bestp = pb;
+        for (std::size_t q = pb; q < pb + np; ++q) {
+            double c = 0.0;
+            for (std::size_t k = 0; k < p.pathLength(q); ++k)
+                c += w[p.pathLinks(q)[k]];
+            if (c < best) {
+                best = c;
+                bestp = q;
+            }
+        }
+        choice[i] = bestp;
+        mincost[i] = best;
+    };
+
+    const double log_eps = std::log1p(opt.epsilon);
+    const auto block = static_cast<std::size_t>(opt.block);
+    double congestion = 0.0;
+    double dual_best = std::numeric_limits<double>::infinity();
+    double wmax = *std::max_element(w.begin(), w.end());
+    std::vector<std::int32_t> touched;
+    std::vector<double> delta(static_cast<std::size_t>(nl), 0.0);
+
+    int t = 0;
+    bool converged = false;
+    while (t < opt.max_phases && !converged) {
+        ++t;
+        for (std::size_t blo = 0; blo < active.size(); blo += block) {
+            std::size_t bhi = std::min(blo + block, active.size());
+            for (std::size_t i = blo; i < bhi; ++i)
+                argmin(i);
+            touched.clear();
+            for (std::size_t i = blo; i < bhi; ++i) {
+                double wt = p.weight(active[i]);
+                std::size_t q = choice[i];
+                raw_flow[q] += wt;
+                for (std::size_t k = 0; k < p.pathLength(q); ++k) {
+                    std::int32_t l = p.pathLinks(q)[k];
+                    if (delta[l] == 0.0)
+                        touched.push_back(l);
+                    delta[l] += wt;
+                }
+            }
+            for (std::int32_t l : touched) {
+                load[l] += delta[l];
+                congestion = std::max(congestion, load[l] * inv_cap[l]);
+                double e = std::min(log_eps * delta[l] * inv_cap[l], 60.0);
+                w[l] *= std::exp(e);
+                wmax = std::max(wmax, w[l]);
+                delta[l] = 0.0;
+            }
+            if (wmax > 1e200) {
+                for (auto &x : w)
+                    x /= wmax;
+                wmax = 1.0;
+            }
+        }
+
+        if (t % 10 == 0 || t == opt.max_phases) {
+            for (std::size_t i = 0; i < active.size(); ++i)
+                argmin(i);
+            double dist_sum = 0.0;
+            for (std::size_t i = 0; i < active.size(); ++i)
+                dist_sum += p.weight(active[i]) * mincost[i];
+            double cap_sum = 0.0;
+            for (std::int32_t l = 0; l < nl; ++l)
+                cap_sum += p.capacity(l) * w[l];
+            if (dist_sum > 0.0)
+                dual_best = std::min(dual_best, cap_sum / dist_sum);
+            if (congestion > 0.0 &&
+                t / congestion >= (1.0 - opt.epsilon) * dual_best)
+                converged = true;
+        }
+    }
+
+    sol.phases = t;
+    sol.converged = converged;
+    if (congestion <= 0.0)
+        return sol;
+    sol.throughput = t / congestion;
+    sol.dual_bound = dual_best;
+    double inv_cong = 1.0 / congestion;
+    for (std::int32_t l = 0; l < nl; ++l)
+        sol.utilization[l] = load[l] * inv_cap[l] * inv_cong;
+    for (std::size_t q = 0; q < raw_flow.size(); ++q)
+        sol.path_flow[q] = raw_flow[q] * inv_cong;
+    return sol;
+}
+
 /** Every observable of @p a equals that of @p b, bit for bit. */
 void
 expectSameProblem(const FlowProblem &a, const FlowProblem &b,
@@ -320,6 +456,21 @@ expectSameFluid(const EcmpFluidResult &a, const EcmpFluidResult &b,
     EXPECT_EQ(a.saturation, b.saturation);
     EXPECT_EQ(a.worst, b.worst);
     EXPECT_EQ(a.average, b.average);
+}
+
+void
+expectSameSolution(const FlowSolution &a, const FlowSolution &b,
+                   const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.throughput, b.throughput);
+    EXPECT_EQ(a.dual_bound, b.dual_bound);
+    EXPECT_EQ(a.phases, b.phases);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.routed_demands, b.routed_demands);
+    EXPECT_EQ(a.unrouted_demands, b.unrouted_demands);
+    EXPECT_EQ(a.utilization, b.utilization);
+    EXPECT_EQ(a.path_flow, b.path_flow);
 }
 
 /** A named network. */
@@ -450,6 +601,107 @@ TEST(FlowLegacyEquivalence, FluidMatchesOnHandMadeProblems)
     FlowProblem empty;
     empty.addLink(1.0);
     expectSameFluid(ecmpFluid(empty), legacyEcmpFluid(empty), "no demand");
+}
+
+/**
+ * Random paths over links of random capacity in [0.5, 3.5) and demands
+ * of random weight: nearly every weight update has its own exponent,
+ * far more than the memo has slots.
+ */
+FlowProblem
+irregularProblem(std::uint64_t seed)
+{
+    Rng rng(seed);
+    FlowProblem p;
+    const int links = 300;
+    for (int l = 0; l < links; ++l)
+        p.addLink(0.5 + 3.0 * rng.uniformReal());
+    for (int d = 0; d < 400; ++d) {
+        p.addDemand(0.05 + 2.0 * rng.uniformReal());
+        const auto np = 1 + rng.uniform(4);
+        for (std::uint64_t k = 0; k < np; ++k) {
+            std::vector<std::int32_t> path(1 + rng.uniform(6));
+            for (auto &l : path)
+                l = static_cast<std::int32_t>(rng.uniform(links));
+            p.addPath(path);
+        }
+    }
+    return p;
+}
+
+/**
+ * Demands far above their links' capacities: each update takes the
+ * capped exponent 60, so the largest weight passes 1e200 within a
+ * few phases and the uniform rescale runs.
+ */
+FlowProblem
+rescaleProblem()
+{
+    FlowProblem p;
+    for (double cap : {1.0, 0.25, 2.0, 1.0})
+        p.addLink(cap);
+    p.addDemand(1e5);
+    p.addPath({0, 1});
+    p.addPath({2});
+    p.addDemand(7e4);
+    p.addPath({1, 3});
+    p.addPath({3});
+    p.addDemand(50.0);
+    p.addPath({2, 3});
+    return p;
+}
+
+TEST(FlowLegacyEquivalence, SolverMatchesLegacy)
+{
+    ThreadPool pool3(3);
+    auto check = [&](const FlowProblem &prob, SolveOptions opt,
+                     const std::string &what) {
+        const FlowSolution want = legacySolve(prob, opt);
+        for (ThreadPool *pool :
+             {static_cast<ThreadPool *>(nullptr), &pool3}) {
+            opt.pool = pool;
+            expectSameSolution(solveMaxConcurrentFlow(prob, opt), want,
+                               what + (pool ? " pool 3" : " serial"));
+        }
+    };
+
+    std::size_t cases = 0;
+    for (const Net &net : networks()) {
+        UpDownOracle oracle(net.fc);
+        const UpDownEcmpPaths paths(net.fc, oracle, 8, 7);
+        for (const auto &[pattern, dm] : demands(net.fc.numTerminals())) {
+            if (pattern == "unequal")
+                continue;
+            const FlowProblem prob = buildClosFlowProblem(net.fc, paths, dm);
+            SolveOptions opt;
+            opt.block = 64;  // several frozen-weight blocks per phase
+            check(prob, opt, net.name + " " + pattern);
+            ++cases;
+        }
+    }
+    EXPECT_EQ(cases, 7u * 2u);
+
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SolveOptions opt;
+        opt.epsilon = 0.02;
+        opt.block = 50;
+        opt.max_phases = 120;
+        check(irregularProblem(seed), opt,
+              "irregular seed " + std::to_string(seed));
+    }
+
+    const FlowProblem huge = rescaleProblem();
+    SolveOptions opt;
+    opt.epsilon = 0.01;
+    opt.max_phases = 40;
+    opt.block = 1;
+    check(huge, opt, "rescale");
+    // The case only tests the rescale if the weights really passed the
+    // threshold: without a rescale they would have overflowed to inf.
+    const FlowSolution sol = legacySolve(huge, opt);
+    EXPECT_GE(sol.phases, 10);
+    EXPECT_TRUE(std::isfinite(sol.dual_bound));
+    EXPECT_GT(sol.throughput, 0.0);
 }
 
 } // namespace

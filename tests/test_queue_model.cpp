@@ -5,15 +5,21 @@
  * mixture machinery (util/stats), and the latency sweep
  * (queue/latency) on instances small enough to check by hand - plus
  * the determinism contract (bit-identical results on a thread pool,
- * the tier2-tsan path).
+ * the tier2-tsan path) and the merge of equal mixture components,
+ * pinned to the sort-and-deduplicate sweep it replaced and to its
+ * documented summation order.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
+#include "clos/rfc.hpp"
 #include "flow/demand.hpp"
 #include "flow/solver.hpp"
 #include "mixture_reference.hpp"
@@ -312,6 +318,9 @@ TEST(QueueSweepCore, CftSweepConservationAndPoolInvariance)
     EXPECT_EQ(serial.unrouted, 0u);
     EXPECT_GT(serial.saturation, 0.0);
     EXPECT_LE(serial.saturation, 1.0 + 1e-9);
+    // Every load is live, so both halves of the sweep took time.
+    EXPECT_GT(serial.mixture_seconds, 0.0);
+    EXPECT_GT(serial.quantile_seconds, 0.0);
 
     // Bit-identical on a pool (the tier2-tsan path): same problem,
     // same model, three workers.
@@ -338,6 +347,232 @@ TEST(QueueSweepCore, CftSweepConservationAndPoolInvariance)
                   serial.points[i].p99_latency);
         EXPECT_EQ(par.points[i].max_utilization,
                   serial.points[i].max_utilization);
+    }
+}
+
+// --- merging equal mixture components -------------------------------
+
+/** Every field of two load points, bit for bit. */
+void
+expectSamePoint(const QueueLoadPoint &a, const QueueLoadPoint &b,
+                const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.load, b.load);
+    EXPECT_EQ(a.saturated, b.saturated);
+    EXPECT_TRUE(reference::sameBits(a.mean_latency, b.mean_latency));
+    EXPECT_TRUE(reference::sameBits(a.p50_latency, b.p50_latency));
+    EXPECT_TRUE(reference::sameBits(a.p99_latency, b.p99_latency));
+    EXPECT_TRUE(reference::sameBits(a.max_utilization, b.max_utilization));
+}
+
+bool
+keyLess(const ShiftedGamma &a, const ShiftedGamma &b)
+{
+    if (a.shift != b.shift)
+        return a.shift < b.shift;
+    if (a.mean != b.mean)
+        return a.mean < b.mean;
+    return a.variance < b.variance;
+}
+
+/** Sort by key and add up the weights of equal neighbours. */
+void
+sortDedup(std::vector<ShiftedGamma> &comps)
+{
+    std::sort(comps.begin(), comps.end(), keyLess);
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+        if (out > 0 && comps[out - 1].shift == comps[i].shift &&
+            comps[out - 1].mean == comps[i].mean &&
+            comps[out - 1].variance == comps[i].variance)
+            comps[out - 1].weight += comps[i].weight;
+        else
+            comps[out++] = comps[i];
+    }
+    comps.resize(out);
+}
+
+/**
+ * The load points of queueLatencySweep as it was before the hash
+ * merge: each of 32 fixed demand ranges sorts and deduplicates its
+ * components, then the concatenation is sorted and deduplicated again.
+ */
+std::vector<QueueLoadPoint>
+sortDedupSweep(const FlowProblem &problem, const QueueModel &model,
+               const QueueSweepOptions &opt)
+{
+    const EcmpFluidResult fluid = ecmpFluid(problem);
+    double worst_util = 0.0;
+    for (double u : fluid.utilization)
+        worst_util = std::max(worst_util, u);
+    const std::size_t nd = problem.numDemands();
+    const double service = static_cast<double>(opt.pkt_phits);
+    constexpr std::size_t kRanges = 32;
+
+    std::vector<QueueLoadPoint> points;
+    for (double load : opt.loads) {
+        QueueLoadPoint pt;
+        pt.load = load;
+        pt.max_utilization = load * worst_util;
+        pt.saturated = load * worst_util >= 1.0 - 1e-12;
+        points.push_back(pt);
+        if (pt.saturated)
+            continue;
+        std::vector<QueueDelay> delay;
+        for (double u : fluid.utilization)
+            delay.push_back(model.waiting(load * u));
+        std::vector<ShiftedGamma> comps;
+        double wsum = 0.0, wlat = 0.0;
+        for (std::size_t rg = 0; rg < kRanges; ++rg) {
+            std::vector<ShiftedGamma> part;
+            double rsum = 0.0, rlat = 0.0;
+            for (std::size_t d = nd * rg / kRanges;
+                 d < nd * (rg + 1) / kRanges; ++d) {
+                std::size_t np = problem.numPaths(d);
+                if (np == 0)
+                    continue;
+                double share = problem.weight(d) / static_cast<double>(np);
+                for (std::size_t q = problem.pathBegin(d);
+                     q < problem.pathBegin(d) + np; ++q) {
+                    std::size_t len = problem.pathLength(q);
+                    double wmean = 0.0, wvar = 0.0;
+                    for (std::size_t k = 0; k < len; ++k) {
+                        const QueueDelay &w = delay[static_cast<std::size_t>(
+                            problem.pathLinks(q)[k])];
+                        wmean += w.mean;
+                        wvar += w.variance;
+                    }
+                    double shift =
+                        static_cast<double>(len) * opt.link_latency +
+                        service;
+                    part.push_back({shift, wmean, wvar, share});
+                    rsum += share;
+                    rlat += share * (shift + wmean);
+                }
+            }
+            sortDedup(part);
+            comps.insert(comps.end(), part.begin(), part.end());
+            wsum += rsum;
+            wlat += rlat;
+        }
+        sortDedup(comps);
+        points.back().mean_latency = wlat / wsum;
+        points.back().p50_latency = shiftedGammaMixtureQuantile(comps, 0.5);
+        points.back().p99_latency = shiftedGammaMixtureQuantile(comps, 0.99);
+    }
+    return points;
+}
+
+TEST(QueueSweepCore, MergeMatchesSortDedupReference)
+{
+    struct Net
+    {
+        std::string name;
+        FoldedClos fc;
+    };
+    std::vector<Net> nets;
+    nets.push_back({"CFT(8,3)", buildCft(8, 3)});
+    Rng rng(5);
+    nets.push_back({"RFC(8,3,24)", buildRfc(8, 3, 24, rng).topology});
+    nets.push_back({"CFT(12,3)", buildCft(12, 3)});
+
+    ThreadPool pool0(0), pool1(1), pool3(3);
+    QueueModel model(kS, 0.0);
+    for (const Net &net : nets) {
+        UpDownOracle oracle(net.fc);
+        UpDownEcmpPaths provider(net.fc, oracle, 8, /*seed=*/7);
+        for (const char *pattern : {"uniform", "random-pairing"}) {
+            auto dm = makeDemandMatrix(pattern, net.fc.numTerminals(), 9, 2);
+            auto problem = buildClosFlowProblem(net.fc, provider, dm);
+            QueueSweepOptions opt;
+            opt.loads = {0.1, 0.3, 0.5, 0.7, 0.9};
+            const auto want = sortDedupSweep(problem, model, opt);
+            std::size_t live = 0;
+            for (const auto &pt : want)
+                live += pt.saturated ? 0 : 1;
+            EXPECT_GE(live, 2u) << net.name << " " << pattern;
+            for (ThreadPool *pool : {&pool0, &pool1, &pool3}) {
+                opt.pool = pool;
+                const auto got = queueLatencySweep(problem, model, opt);
+                ASSERT_EQ(got.points.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    expectSamePoint(got.points[i], want[i],
+                                    net.name + " " + pattern + " pool " +
+                                        std::to_string(pool->size()) +
+                                        " load " +
+                                        std::to_string(want[i].load));
+            }
+        }
+    }
+}
+
+TEST(QueueSweepCore, EqualComponentsMergeInRangeOrder)
+{
+    // Four demands, so each of the 32 fixed ranges holds at most one
+    // (demand d sits in range 8 d + 7).  Demands 0-2 put shares 1/3,
+    // 1/14 and 1/7 on one-hop paths over link 0 - one key in three
+    // ranges.  Demand 3 sends their range-order sum w over two further
+    // links, so all three links carry w and wait alike, and a long
+    // wire keeps its two-hop component far from the one-hop one.
+    const double shares[3] = {1.0 / 3.0, 1.0 / 14.0, 1.0 / 7.0};
+    const double w = (shares[0] + shares[1]) + shares[2];
+    const double reversed = (shares[2] + shares[1]) + shares[0];
+    ASSERT_NE(w, reversed);  // the association is observable
+
+    FlowProblem p;
+    for (int l = 0; l < 3; ++l)
+        p.addLink(1.0);
+    for (double share : shares) {
+        p.addDemand(share);
+        p.addPath({0});
+    }
+    p.addDemand(w);
+    p.addPath({1, 2});
+
+    QueueModel model(kS, 0.0);
+    QueueSweepOptions opt;
+    opt.loads = {0.5};
+    opt.link_latency = 1000;
+    const QueueDelay d = model.waiting(0.5 * w);
+
+    // Equal weights put the mixture CDF at exactly 1/2 once the
+    // one-hop component's CDF rounds to 1, so p50 stays below the
+    // two-hop component's origin; a merged weight one ulp lighter
+    // would move it past that origin.
+    auto mixture = [&](double one_hop_weight) {
+        std::vector<ShiftedGamma> m = {
+            {1000.0 + kS, d.mean, d.variance, one_hop_weight},
+            {2000.0 + kS, d.mean + d.mean, d.variance + d.variance, w}};
+        return m;
+    };
+    const double p50 = shiftedGammaMixtureQuantile(mixture(w), 0.5);
+    const double p99 = shiftedGammaMixtureQuantile(mixture(w), 0.99);
+    EXPECT_LT(p50, 2000.0 + kS);
+    EXPECT_FALSE(reference::sameBits(
+        p50, shiftedGammaMixtureQuantile(mixture(reversed), 0.5)));
+
+    QueueLoadPoint want;
+    want.load = 0.5;
+    want.max_utilization = 0.5 * w;
+    want.p50_latency = p50;
+    want.p99_latency = p99;
+    double wsum = 0.0, wlat = 0.0;
+    for (double share : shares) {
+        wsum += share;
+        wlat += share * (1000.0 + kS + d.mean);
+    }
+    wsum += w;
+    wlat += w * (2000.0 + kS + (d.mean + d.mean));
+    want.mean_latency = wlat / wsum;
+
+    ThreadPool pool0(0), pool1(1), pool3(3);
+    for (ThreadPool *pool : {&pool0, &pool1, &pool3}) {
+        opt.pool = pool;
+        const auto r = queueLatencySweep(p, model, opt);
+        ASSERT_EQ(r.points.size(), 1u);
+        expectSamePoint(r.points[0], want,
+                        "pool " + std::to_string(pool->size()));
     }
 }
 
