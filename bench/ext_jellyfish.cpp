@@ -15,8 +15,8 @@
  * RFC comes from routableRfc, so a --leaves past the radix's up/down
  * threshold stops the run instead of losing unroutable pairs' packets.
  * Every run is audited against the packet conservation identity
- * (exp/experiment.hpp conservationGap); any violation makes the run
- * exit 1.
+ * (exp/experiment.hpp conservationGap) and, in a guard build, against
+ * the engine's guard reports; any violation makes the run exit 1.
  */
 #include <iostream>
 
@@ -32,15 +32,24 @@ using namespace rfc;
 
 namespace {
 
-/** Report a run that broke packet conservation; 1 if it did, else 0. */
+/**
+ * Report a run that broke packet conservation or, in a guard build
+ * (-DRFC_CHECK_INVARIANTS=ON), raised any guard report, as study
+ * trials count them; 1 if it did, else 0.
+ */
 int
-auditDirect(const std::string &label, const SimResult &r)
+auditDirect(const std::string &label, const Simulator &sim,
+            const SimResult &r)
 {
     const long long gap = conservationGap(r);
-    if (gap == 0)
+    const CheckContext &check = sim.checkContext();
+    if (gap == 0 && check.violations() == 0)
         return 0;
-    std::cerr << "[conservation] VIOLATION at " << label << " (gap " << gap
-              << ")\n";
+    if (gap != 0)
+        std::cerr << "[conservation] VIOLATION at " << label << " (gap "
+                  << gap << ")\n";
+    if (check.violations() != 0)
+        std::cerr << "[guard] " << label << ": " << check.summary() << "\n";
     return 1;
 }
 
@@ -128,10 +137,10 @@ main(int argc, char **argv)
             Simulator flowlet_sim(rrn, routes, hosts, *tr4, cfg,
                                   PathPolicy::kFlowletEcmp);
             auto r4 = flowlet_sim.run();
-            violations += auditDirect(at + "RFC", r1) +
-                          auditDirect(at + "RRN-ecmp", r2) +
-                          auditDirect(at + "RRN-ksp", r3) +
-                          auditDirect(at + "RRN-flowlet", r4);
+            violations += auditDirect(at + "RFC", rfc_sim, r1) +
+                          auditDirect(at + "RRN-ecmp", ecmp_sim, r2) +
+                          auditDirect(at + "RRN-ksp", ksp_sim, r3) +
+                          auditDirect(at + "RRN-flowlet", flowlet_sim, r4);
             t.addRow({TablePrinter::fmt(load, 2),
                       TablePrinter::fmt(r1.accepted, 3),
                       TablePrinter::fmt(r1.avg_latency, 1),

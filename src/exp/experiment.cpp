@@ -580,7 +580,7 @@ void
 ExperimentEngine::forEachIndex(
     std::size_t n, const std::function<void(std::size_t)> &fn) const
 {
-    parallelFor(*pool_, n, fn);
+    parallelFor(pool_.get(), n, fn);
 }
 
 StudyResult

@@ -49,20 +49,6 @@ FlowProblem::addPath(const std::vector<std::int32_t> &links)
 
 namespace {
 
-/** fn(i) for i in [lo, hi), on the pool when one is given. */
-template <typename Fn>
-void
-runRange(ThreadPool *pool, std::size_t lo, std::size_t hi, Fn &&fn)
-{
-    if (pool && pool->size() > 0 && hi - lo > 1) {
-        parallelFor(*pool, hi - lo,
-                    [&](std::size_t k) { fn(lo + k); });
-    } else {
-        for (std::size_t i = lo; i < hi; ++i)
-            fn(i);
-    }
-}
-
 /**
  * Fixed demand ranges of the path assembly and the ECMP fluid: work
  * is split and merged by range index, never by thread, so results are
@@ -168,7 +154,7 @@ buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
     // is appended.
     const std::size_t nd = dm.demands.size();
     std::vector<RangePaths> parts(kRanges);
-    runRange(pool, 0, kRanges, [&](std::size_t rg) {
+    parallelFor(pool, kRanges, [&](std::size_t rg) {
         RangePaths &part = parts[rg];
         const std::size_t lo = rangeBegin(nd, rg), hi = rangeBegin(nd, rg + 1);
         part.demand_paths.reserve(hi - lo);
@@ -301,7 +287,8 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         ++t;
         for (std::size_t blo = 0; blo < active.size(); blo += block) {
             std::size_t bhi = std::min(blo + block, active.size());
-            runRange(opt.pool, blo, bhi, argmin);
+            parallelFor(opt.pool, bhi - blo,
+                        [&](std::size_t k) { argmin(blo + k); });
             // Each link joins the touched list on its first hop in
             // the block (delta is still 0 there, and wt > 0 keeps it
             // nonzero after); the write is unconditional and only the
@@ -341,7 +328,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         }
 
         if (t % kDualEvery == 0 || t == opt.max_phases) {
-            runRange(opt.pool, 0, active.size(), argmin);
+            parallelFor(opt.pool, active.size(), argmin);
             double dist_sum = 0.0;
             for (std::size_t i = 0; i < active.size(); ++i)
                 dist_sum += p.weight(active[i]) * mincost[i];

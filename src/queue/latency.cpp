@@ -15,17 +15,6 @@ namespace rfc {
 
 namespace {
 
-template <typename Fn>
-void
-runRange(ThreadPool *pool, std::size_t n, Fn &&fn)
-{
-    if (pool && pool->size() > 0 && n > 1)
-        parallelFor(*pool, n, fn);
-    else
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-}
-
 /** Partial mixture built from one fixed demand range at one load. */
 struct RangePartial
 {
@@ -207,7 +196,7 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
         for (std::size_t l = 0; l < delay.size(); ++l)
             delay[l] = model.waiting(pt.load * fluid.utilization[l]);
 
-        runRange(opt.pool, kRanges, [&](std::size_t rg) {
+        parallelFor(opt.pool, kRanges, [&](std::size_t rg) {
             RangePartial &out = parts[rg];
             std::size_t lo = nd * rg / kRanges;
             std::size_t hi = nd * (rg + 1) / kRanges;
@@ -268,7 +257,7 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
         const auto quantile_start = std::chrono::steady_clock::now();
         const double qs[2] = {0.50, 0.99};
         double qv[2];
-        runRange(opt.pool, 2, [&](std::size_t i) {
+        parallelFor(opt.pool, 2, [&](std::size_t i) {
             qv[i] = shiftedGammaMixtureQuantile(comps, qs[i]);
         });
         pt.p50_latency = qv[0];

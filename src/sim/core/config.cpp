@@ -38,9 +38,6 @@ SimConfig::validate() const
     if (telemetry_bin < 0)
         throw std::invalid_argument(
             "SimConfig: telemetry_bin must be >= 0");
-    if (flowlet_gap < 0)
-        throw std::invalid_argument(
-            "SimConfig: flowlet_gap must be >= 0");
     if (active_terminals < -1)
         throw std::invalid_argument(
             "SimConfig: active_terminals must be -1 (all) or >= 1");

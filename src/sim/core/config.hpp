@@ -94,15 +94,6 @@ struct SimConfig
     long long telemetry_bin = 0;
 
     /**
-     * Flowlet idle gap of PathPolicy::kFlowletEcmp on direct
-     * networks, in cycles: a (terminal, destination) flow keeps its
-     * path while consecutive injections are spaced less than this;
-     * after a longer idle gap the path is re-drawn.  0 degenerates to
-     * per-packet ECMP.  Must be >= 0.
-     */
-    long long flowlet_gap = 64;
-
-    /**
      * Activation barrier for live expansion: number of terminals (a
      * contiguous prefix [0, n)) that inject traffic from cycle 0.  -1
      * (default) activates every terminal, which is exactly the
@@ -130,13 +121,12 @@ struct SimConfig
      * zero latency link cannot be modeled), empty measurement window
      * (measure < 1, which is also what a "warmup >= total cycles"
      * misconfiguration reduces to), negative warmup, load outside
-     * (0, 1], a negative flowlet_gap, an active_terminals value other
-     * than -1 or >= 1, or Valiant or UGAL routing with vcs < 2.  Also
-     * rejects values the engine's narrow hot-state types would
-     * silently wrap: vcs or buf_packets > 127 (8-bit VC indices and
-     * injection credits), pkt_phits >= kGenWheelSlots (an injection
-     * rescheduled pkt_phits ahead would land in the slot being
-     * drained), and warmup + measure + link_latency + pkt_phits >
+     * (0, 1], an active_terminals value other than -1 or >= 1, or
+     * Valiant or UGAL routing with vcs < 2.  Also rejects values the
+     * engine's narrow hot-state types would silently wrap: vcs or
+     * buf_packets > 127 (8-bit VC indices and injection credits),
+     * pkt_phits >= kGenWheelSlots (an injection rescheduled pkt_phits
+     * ahead would land in the slot being drained), and warmup + measure + link_latency + pkt_phits >
      * INT32_MAX (packet ready and birth times, busy-until times and
      * timers are 32-bit cycle stamps, and the wake and release wheels
      * have pkt_phits + link_latency + 2 slots).

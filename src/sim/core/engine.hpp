@@ -19,23 +19,22 @@
  *     struct Pkt { std::int32_t gen, wl_src, next, ready;
  *                  std::uint32_t wl_tag; std::uint8_t noroute; ... };
  *     bool routable(long long term, long long dest) const;
- *     // Injection VC for the head-of-queue packet, or -1 to retry
- *     // next cycle.  `cv.injCredits(term)` is the terminal's per-VC
- *     // credit row.  May draw from rng (Valiant/UGAL intermediate
- *     // pick, credit tie-breaks) and stash state for initPacket.
- *     int injectVc(const CongestionView &cv, long long term,
- *                  std::int32_t dest, Rng &rng);
- *     void initPacket(Pkt &p, long long term, std::int32_t dest,
- *                     Rng &rng);
+ *     // Inject the head-of-queue packet of term: return its injection
+ *     // VC and write p's routing fields, or return -1 (retry next
+ *     // cycle) and leave p untouched.  `cv.injCredits(term)` is the
+ *     // terminal's per-VC credit row.  May draw from rng (Valiant/UGAL
+ *     // intermediate pick, credit tie-breaks, the KSP path).
+ *     int inject(const CongestionView &cv, long long term,
+ *                std::int32_t dest, Rng &rng, Pkt &p);
  *     // Local output port at switch s, or -1 (unroutable).  Sets
- *     // fixed_vc >= 0 when exactly one output VC is legal
- *     // (hop-escalating VCs), or -1 when any VC in vcRange works.
- *     // Sets sole when the returned port was the only legal one
+ *     // sole when the returned port was the only legal one
  *     // (ejection, a one-port choice set, a fixed path's hop), so a
  *     // head blocked on it may sleep until it frees; false when
  *     // another call could pick a different port.
  *     int routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
- *                  int &fixed_vc, bool &sole);
+ *                  bool &sole);
+ *     // Legal output VCs [lo, hi) of p's next hop: a head competes
+ *     // for its output only while one of them has credit.
  *     void vcRange(const Pkt &p, int &lo, int &hi) const;
  *     // Output VC among those with credit on out port o_gid
  *     // (cv.credit(o_gid, v)), or -1 (blocked).
@@ -43,16 +42,13 @@
  *                     const Pkt &p, Rng &rng);
  *     void onForward(Pkt &p);          // per-hop bookkeeping
  *     double hopsOf(const Pkt &p) const;
- *     // Invalidate routing caches after a cycle hook mutated the
- *     // routing tables (runtime link fail/repair).
- *     void onTopologyChange();
  *     // Optional, for a policy that caches routing state in its Pkt
- *     // (UpDownPolicy's next-hop set): right after onTopologyChange
- *     // the engine calls forgetRoute on every packet in its arena, so
- *     // no buffered packet keeps a set from the old tables.  With
- *     // the guards on, routeCacheFresh(s, p) is asked before every
- *     // routeOut at switch s and a false answer is reported as
- *     // "route-cache".
+ *     // (UpDownPolicy's next-hop set): right after every cycle hook,
+ *     // which may change the routing tables, the engine calls
+ *     // forgetRoute on every packet in its arena, so no buffered
+ *     // packet keeps a set from the old tables.  With the guards on,
+ *     // routeCacheFresh(s, p) is asked before every routeOut at
+ *     // switch s and a false answer is reported as "route-cache".
  *     void forgetRoute(Pkt &p) const;
  *     bool routeCacheFresh(int s, const Pkt &p) const;
  *   };
@@ -160,12 +156,20 @@ class PktArena
     static constexpr int kChunkShift = 12;
     static constexpr std::int32_t kChunkSize = 1 << kChunkShift;
 
-    std::int32_t
-    append()
+    /** Storage of the packet the next append() returns. */
+    Pkt &
+    peekAppend()
     {
         if (static_cast<std::size_t>(count_ >> kChunkShift) ==
             chunks_.size())
             chunks_.push_back(std::make_unique<Pkt[]>(kChunkSize));
+        return at(count_);
+    }
+
+    std::int32_t
+    append()
+    {
+        peekAppend();
         return count_++;
     }
 
@@ -280,9 +284,10 @@ class VctEngine
      * Install a deterministic cycle hook (the fault-injection entry
      * point).  At the start of every cycle listed in @p cycles, before
      * that cycle's releases, the engine invokes @p hook(now) and then
-     * the policy's onTopologyChange() - so the hook may mutate the
-     * routing tables the policy reads.  The hook cycles are part of
-     * the experiment definition.  Must be called before run().
+     * empties every packet's cached route (the policy's forgetRoute) -
+     * so the hook may mutate the routing tables the policy reads.  The
+     * hook cycles are part of the experiment definition.  Must be
+     * called before run().
      */
     void
     setCycleHook(std::vector<long long> cycles,
@@ -303,7 +308,7 @@ class VctEngine
      * Attach a closed-loop workload (see workload/workload.hpp): the
      * engine stops generating open-loop traffic and instead drives
      * @p wl through onWake/onDeliver callbacks (plus the end-of-cycle
-     * onGlobalStep when the workload wants it).  Every terminal gets
+     * onGlobalStep in cycles where one signalled).  Every terminal gets
      * an initial onWake at cycle 0.  @p wl must outlive the engine;
      * nullptr detaches.  Must be called before run().  Workload draws
      * come from a dedicated deriveSeed stream, so attaching a workload
@@ -313,7 +318,6 @@ class VctEngine
     setWorkload(Workload *wl)
     {
         wl_ = wl;
-        wl_global_ = wl != nullptr && wl->wantsGlobalStep();
         if (wl != nullptr) {
             wl_next_.assign(lay_.num_terms, -1);
             src_tag_.assign(
@@ -402,6 +406,18 @@ class VctEngine
             return id;
         }
         return arena_.append();
+    }
+
+    /**
+     * Storage of the packet the next allocPkt() returns, so injection
+     * can route into it before it is allocated: a failed injection
+     * allocates no packet.
+     */
+    Pkt &
+    nextPkt()
+    {
+        return free_pkts_.empty() ? arena_.peekAppend()
+                                  : pkt(free_pkts_.back());
     }
 
     // ---- shared per-cycle machinery --------------------------------
@@ -556,7 +572,7 @@ class VctEngine
     void workloadWake(long long term, long long at, long long now);
     /** Closed-loop replacement for processGeneration: fire due timers. */
     void processWorkloadWakes(long long now);
-    /** End-of-cycle onGlobalStep dispatch. */
+    /** End-of-cycle onGlobalStep dispatch (a callback signalled). */
     void workloadGlobalStep(long long now);
 
     /** Arbitrate the input VCs due on the wake wheel. */
@@ -609,19 +625,17 @@ class VctEngine
     }
 
     /**
-     * Invoke the due hook and refresh the policy's caches, then empty
-     * every packet's per-packet route cache (the policy's optional
-     * forgetRoute): the hook may have rebuilt the oracle or the
-     * topology the cached sets came from.  The walk covers the whole
-     * arena, so every buffered packet is reached; a free slot is
-     * re-initialized before reuse anyway.
+     * Invoke the due hook, then empty every packet's per-packet route
+     * cache (the policy's optional forgetRoute): the hook may have
+     * rebuilt the oracle or the topology the cached sets came from.
+     * The walk covers the whole arena, so every buffered packet is
+     * reached; a free slot is re-initialized before reuse anyway.
      */
     void
     runHook(long long now)
     {
         hook_(now);
         ++hook_idx_;
-        policy_.onTopologyChange();
         if constexpr (requires(Policy &pol, Pkt &p) {
                           pol.forgetRoute(p);
                       }) {
@@ -717,7 +731,6 @@ class VctEngine
 
     // ---- closed-loop workload --------------------------------------
     Workload *wl_ = nullptr;
-    bool wl_global_ = false;
     bool wl_signal_ = false;  //!< onGlobalStep requested this cycle
     /** Per-terminal wake timer (-1 = none); gen_wheel_ entries whose
      *  terminal's timer moved or fired are dropped as stale. */
@@ -924,7 +937,8 @@ VctEngine<Policy>::processInjection(long long now)
         }
         std::int64_t base = static_cast<std::int64_t>(t) * kSourceQueue;
         std::int32_t dest = src_dest_[base + sq_head_[t]];
-        int best_vc = policy_.injectVc(cv, t, dest, rng_);
+        Pkt &p = nextPkt();
+        const int best_vc = policy_.inject(cv, t, dest, rng_, p);
         if (best_vc < 0) {
             scheduleInjection(t, now + 1);
             continue;
@@ -940,13 +954,11 @@ VctEngine<Policy>::processInjection(long long now)
             last_progress_ = now;
         }
 
-        std::int32_t id = allocPkt();
-        Pkt &p = pkt(id);
+        const std::int32_t id = allocPkt();  // the packet p refers to
         p.gen = gen;
         p.noroute = 0;
         p.wl_src = t;
         p.wl_tag = wl_ != nullptr ? src_tag_[base + k] : 0;
-        policy_.initPacket(p, t, dest, rng_);
 
         std::int64_t gi = lay_.term_iport[t] * V + best_vc;
         enqueueInput(gi, id,
@@ -1047,16 +1059,14 @@ VctEngine<Policy>::processWorkloadWakes(long long now)
 }
 
 /**
- * End-of-cycle global step: when a callback raised signalGlobal this
- * cycle, run the workload's cross-terminal logic.  Sends and wakes
+ * End-of-cycle global step, run in a cycle where a callback raised
+ * signalGlobal: the workload's cross-terminal logic.  Sends and wakes
  * issued here take effect next cycle.
  */
 template <class Policy>
 void
 VctEngine<Policy>::workloadGlobalStep(long long now)
 {
-    if (!wl_signal_)
-        return;
     wl_signal_ = false;
     PortImpl port(this, now, /*inject_at=*/now + 1);
     wl_->onGlobalStep(now, port, wl_stats_);
@@ -1255,9 +1265,8 @@ VctEngine<Policy>::arbitrate(long long now)
         int s = lay_.port_owner[iport];
         if constexpr (kGuards)
             guardRouteCache(s, vc_head_[gi], now);
-        int fixed_vc = -1;
         bool sole = false;
-        int o_local = policy_.routeOut(cv, s, p, rng_, fixed_vc, sole);
+        int o_local = policy_.routeOut(cv, s, p, rng_, sole);
         if (o_local < 0) {
             // No route from here (runtime fault): retry next cycle
             // against the (possibly repaired) tables, or drop once the
@@ -1288,18 +1297,13 @@ VctEngine<Policy>::arbitrate(long long now)
             continue;
         }
         if (out_peer_ivc_base_[o_gid] >= 0) {
-            bool has_credit;
-            if (fixed_vc >= 0) {
-                has_credit = out_credits_[o_gid * V + fixed_vc] > 0;
-            } else {
-                has_credit = false;
-                int vc_lo, vc_hi;
-                policy_.vcRange(p, vc_lo, vc_hi);
-                for (int v = vc_lo; v < vc_hi; ++v) {
-                    if (out_credits_[o_gid * V + v] > 0) {
-                        has_credit = true;
-                        break;
-                    }
+            bool has_credit = false;
+            int vc_lo, vc_hi;
+            policy_.vcRange(p, vc_lo, vc_hi);
+            for (int v = vc_lo; v < vc_hi; ++v) {
+                if (out_credits_[o_gid * V + v] > 0) {
+                    has_credit = true;
+                    break;
                 }
             }
             if (!has_credit) {
@@ -1571,7 +1575,7 @@ VctEngine<Policy>::runCycles(long long total)
             sampleOccupancy();
             t = Clock::now();
         }
-        if (wl_global_) {
+        if (wl_signal_) {
             workloadGlobalStep(now);
             lap(perf_.global_step_seconds);
         }

@@ -14,7 +14,9 @@
  * local knowledge under the CongestionView contract: flows are keyed
  * by source terminal, so only that terminal's injections touch them,
  * and re-draws consume the engine's RNG stream in its deterministic
- * injection order.
+ * injection order.  The cached paths point into the KspRoutes table,
+ * which stays fixed for the policy's lifetime (the direct network has
+ * no topology timeline), so they never go stale.
  */
 #ifndef RFC_SIM_CORE_POLICY_KSP_HPP
 #define RFC_SIM_CORE_POLICY_KSP_HPP
@@ -41,7 +43,7 @@ enum class PathPolicy
      * Flowlet-switching ECMP: a shortest path is drawn per *flowlet*
      * rather than per packet - consecutive packets of a (terminal,
      * destination) flow reuse one path until the flow has been idle
-     * for SimConfig::flowlet_gap cycles, then the path is re-drawn.
+     * for KspPolicy::kFlowletGap cycles, then the path is re-drawn.
      */
     kFlowletEcmp,
 };
@@ -49,6 +51,9 @@ enum class PathPolicy
 class KspPolicy
 {
   public:
+    /** Idle cycles after which a flowlet's path is re-drawn. */
+    static constexpr long long kFlowletGap = 64;
+
     struct Pkt
     {
         // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
@@ -74,8 +79,7 @@ class KspPolicy
               const FabricLayout &lay, const SimConfig &cfg,
               int hosts_per_switch, PathPolicy path_policy)
         : g_(&g), routes_(&routes), lay_(&lay), vcs_(cfg.vcs),
-          hosts_(hosts_per_switch), path_policy_(path_policy),
-          flowlet_gap_(cfg.flowlet_gap)
+          hosts_(hosts_per_switch), path_policy_(path_policy)
     {}
 
     bool
@@ -87,21 +91,13 @@ class KspPolicy
     }
 
     int
-    injectVc(const CongestionView &cv, long long term,
-             std::int32_t dest, Rng &rng)
+    inject(const CongestionView &cv, long long term, std::int32_t dest,
+           Rng &rng, Pkt &p)
     {
-        (void)dest;
-        (void)rng;
-        // The flowlet clock: injectVc may fail and retry on later
-        // cycles, and only the call right before initPacket counts.
-        now_ = cv.now();
-        // Injection always targets VC 0 (a packet with 0 hops crossed).
-        return cv.injCredits(term)[0] > 0 ? 0 : -1;
-    }
-
-    void
-    initPacket(Pkt &p, long long term, std::int32_t dest, Rng &rng)
-    {
+        // Injection always targets VC 0 (a packet with 0 hops crossed);
+        // the path is drawn only once that VC has credit.
+        if (cv.injCredits(term)[0] <= 0)
+            return -1;
         int src_sw = static_cast<int>(term / hosts_);
         int dst_sw = dest / hosts_;
         p.dest_sw = dst_sw;
@@ -115,20 +111,19 @@ class KspPolicy
         else if (path_policy_ == PathPolicy::kShortestEcmp)
             p.path = routes_->pickShortest(src_sw, dst_sw, rng);
         else
-            p.path = flowletPath(term, dest, src_sw, dst_sw, rng);
+            p.path = flowletPath(term, dest, src_sw, dst_sw, cv.now(), rng);
+        return 0;
     }
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc, bool &sole)
+             bool &sole)
     {
         (void)cv;  // oblivious: the path was fixed at injection
         (void)rng;
-        fixed_vc = -1;
         sole = true;  // ejection or the path's next hop: no alternative
         if (s == p.dest_sw)
             return lay_->n_net[s] + p.dest_local;  // ejection
-        fixed_vc = std::min<int>(p.hop, vcs_ - 1);
         // The path is fixed at injection, so the out port is resolved
         // once per hop and cached - blocked packets re-arbitrate every
         // cycle and must not rescan the adjacency list each time.
@@ -168,9 +163,6 @@ class KspPolicy
 
     double hopsOf(const Pkt &p) const { return p.hop; }
 
-    /** Cached flowlet paths point into the routes table: drop them. */
-    void onTopologyChange() { flows_.clear(); }
-
   private:
     struct Flowlet
     {
@@ -178,17 +170,17 @@ class KspPolicy
         long long last_send = 0;
     };
 
-    /** The flow's path, re-drawn when it idled flowlet_gap_ cycles. */
+    /** The flow's path at cycle @p now, re-drawn after an idle gap. */
     const Path *
     flowletPath(long long term, std::int32_t dest, int src_sw, int dst_sw,
-                Rng &rng)
+                long long now, Rng &rng)
     {
         const std::uint64_t key = (static_cast<std::uint64_t>(term) << 32) ^
                                   static_cast<std::uint32_t>(dest);
         Flowlet &f = flows_[key];
-        if (f.path == nullptr || now_ - f.last_send >= flowlet_gap_)
+        if (f.path == nullptr || now - f.last_send >= kFlowletGap)
             f.path = routes_->pickShortest(src_sw, dst_sw, rng);
-        f.last_send = now_;
+        f.last_send = now;
         return f.path;
     }
 
@@ -198,8 +190,6 @@ class KspPolicy
     int vcs_;
     int hosts_;
     PathPolicy path_policy_;
-    long long flowlet_gap_;  //!< SimConfig::flowlet_gap
-    long long now_ = 0;      //!< cycle of the last injectVc
     //! Flowlet state per (terminal, destination).
     std::unordered_map<std::uint64_t, Flowlet> flows_;
 };

@@ -20,7 +20,7 @@
  * bits, and a head blocked there re-draws from that mask instead of
  * re-walking the reach words.  The draw discipline is unchanged (one
  * uniform(count) draw per visit over the same ascending-port set), so
- * caching moves no result.  onForward and initPacket empty the cache;
+ * caching moves no result.  inject and onForward empty the cache;
  * the engine empties every packet's cache through forgetRoute after a
  * cycle hook, which may rebuild the oracle or the topology.
  *
@@ -105,14 +105,14 @@ class UpDownPolicy
     }
 
     int
-    injectVc(const CongestionView &cv, long long term,
-             std::int32_t dest, Rng &rng)
+    inject(const CongestionView &cv, long long term, std::int32_t dest,
+           Rng &rng, Pkt &p)
     {
         // Valiant/UGAL set-up: fix the packet's intermediate leaf (if
         // any) before choosing the injection VC, whose range depends on
         // the packet's phase.
-        pending_inter_ = -1;
-        pending_phase_ = 1;
+        std::int32_t inter = -1;
+        std::int8_t phase = 1;
         if (phased()) {
             const int src_leaf = static_cast<int>(term / tpl_);
             const int dst_leaf = dest / tpl_;
@@ -120,12 +120,12 @@ class UpDownPolicy
                 sampleIntermediate(src_leaf, dst_leaf, rng);
             if (cand >= 0 && (mode_ == RouteMode::kValiant ||
                               ugalDetours(cv, src_leaf, dst_leaf, cand))) {
-                pending_inter_ = cand;
-                pending_phase_ = 0;
+                inter = cand;
+                phase = 0;
             }
         }
         int vc_lo, vc_hi;
-        phaseVcs(pending_phase_, vc_lo, vc_hi);
+        phaseVcs(phase, vc_lo, vc_hi);
 
         // "shortest" injection: the VC with most credits; random among
         // ties; skip if all are full.
@@ -143,28 +143,22 @@ class UpDownPolicy
                     best_vc = v;
             }
         }
-        return best_vc;
-    }
-
-    void
-    initPacket(Pkt &p, long long term, std::int32_t dest, Rng &rng)
-    {
-        (void)term;
-        (void)rng;
+        if (best_vc < 0)
+            return -1;
         p.dest_leaf = dest / tpl_;
         p.dest_local = static_cast<std::int16_t>(dest % tpl_);
         p.hops = 0;
-        p.inter_leaf = pending_inter_;
-        p.phase = pending_phase_;
+        p.inter_leaf = inter;
+        p.phase = phase;
         forgetRoute(p);
+        return best_vc;
     }
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc, bool &sole)
+             bool &sole)
     {
         (void)cv;  // oblivious: the choice never reads congestion
-        fixed_vc = -1;
         // A cached set implies the phase and target checks below already
         // ran at this switch.
         if (p.route_mask != 0)
@@ -256,13 +250,6 @@ class UpDownPolicy
     }
 
     double hopsOf(const Pkt &p) const { return p.hops; }
-
-    /**
-     * The oracle's tables changed under us (runtime link fail/repair).
-     * The policy holds no tables of its own; the packets' cached sets
-     * are dropped by the engine's forgetRoute walk that follows.
-     */
-    void onTopologyChange() {}
 
   private:
     /** Valiant and UGAL route in two phases over split VC halves. */
@@ -413,11 +400,6 @@ class UpDownPolicy
     RouteMode mode_;
     int vcs_;
     int tpl_;
-
-    // Injection-time Valiant/UGAL state, valid between injectVc and the
-    // following initPacket.
-    std::int32_t pending_inter_ = -1;
-    std::int8_t pending_phase_ = 1;
     std::vector<int> choice_scratch_;
 };
 

@@ -156,17 +156,18 @@ Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
 {
     config.validate();
     runtime_ = std::make_unique<TopologyRuntime>(fc, timeline);
-    engine_ = std::make_unique<EngineHolder<UpDownPolicy>>(
+    auto holder = std::make_unique<EngineHolder<UpDownPolicy>>(
         layout_, traffic, config,
         UpDownPolicy(fc, runtime_->oracle, layout_, config));
-    runtime_->engine = engine_.get();
+    runtime_->engine = &holder->e;
     std::vector<long long> cycles;
     cycles.reserve(runtime_->timeline.size());
     for (const TopologyEvent &e : runtime_->timeline.events())
         cycles.push_back(e.cycle);
     TopologyRuntime *tr = runtime_.get();
-    engine_->setCycleHook(std::move(cycles),
-                          [tr](long long now) { tr->apply(now); });
+    holder->e.setCycleHook(std::move(cycles),
+                           [tr](long long now) { tr->apply(now); });
+    engine_ = std::move(holder);
 }
 
 const UpDownOracle *

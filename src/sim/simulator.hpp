@@ -94,8 +94,7 @@ class Simulator
      *
      * @param hosts_per_switch Terminals attached to every switch.
      * @param policy Path selection at injection: per-packet ECMP /
-     *        all-k / flowlet-switching ECMP (with
-     *        SimConfig::flowlet_gap).
+     *        all-k / flowlet-switching ECMP (KspPolicy::kFlowletGap).
      * @throws std::invalid_argument if hosts_per_switch < 1, or if
      *         config.vcs < routes.maxHops() (hop-escalating VCs could
      *         not guarantee deadlock freedom).
@@ -151,7 +150,8 @@ class Simulator
         LinkFaultState overlay;
         UpDownOracle oracle;   //!< mutable copy, bound to the overlay
         std::size_t next = 0;  //!< first unapplied timeline event
-        EngineBase *engine = nullptr;  //!< set once the engine exists
+        //! The engine the timeline drives; set once it exists.
+        VctEngine<UpDownPolicy> *engine = nullptr;
         ExpansionCounters counters;
 
         /** Checks every event against @p topo, masks every staged
@@ -166,21 +166,17 @@ class Simulator
     };
 
     /**
-     * Policy-erased engine handle.  The virtual hop is once per call
-     * to run()/setWorkload()/setCycleHook() - never per cycle; inside,
-     * VctEngine<Policy> is the same fully inlined compile-time
-     * instantiation as before.
+     * Policy-erased engine handle for the three calls every family
+     * shares.  The virtual hop is once per call - never per cycle;
+     * inside, VctEngine<Policy> is the same fully inlined compile-time
+     * instantiation as before.  The timeline run reaches its up/down
+     * engine directly through TopologyRuntime::engine.
      */
     struct EngineBase
     {
         virtual ~EngineBase() = default;
         virtual SimResult run() = 0;
         virtual void setWorkload(Workload *wl) = 0;
-        virtual void setCycleHook(std::vector<long long> cycles,
-                                  std::function<void(long long)> hook) = 0;
-        virtual void activateTerminals(long long upto, long long now) = 0;
-        virtual long long activeTerminals() const = 0;
-        virtual long long inFlightNow() const = 0;
         virtual const CheckContext &checkContext() const = 0;
     };
 
@@ -197,23 +193,6 @@ class Simulator
 
         SimResult run() override { return e.run(); }
         void setWorkload(Workload *wl) override { e.setWorkload(wl); }
-        void
-        setCycleHook(std::vector<long long> cycles,
-                     std::function<void(long long)> hook) override
-        {
-            e.setCycleHook(std::move(cycles), std::move(hook));
-        }
-        void
-        activateTerminals(long long upto, long long now) override
-        {
-            e.activateTerminals(upto, now);
-        }
-        long long
-        activeTerminals() const override
-        {
-            return e.activeTerminals();
-        }
-        long long inFlightNow() const override { return e.inFlightNow(); }
         const CheckContext &
         checkContext() const override
         {

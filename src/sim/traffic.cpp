@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace rfc {
 
@@ -91,6 +92,16 @@ long long
 PermutationTraffic::dest(long long src, Rng &)
 {
     return perm_[src];
+}
+
+HotspotTraffic::HotspotTraffic(double hot_fraction, int hotspots)
+    : hot_fraction_(hot_fraction), num_hotspots_(hotspots)
+{
+    // Written so that NaN fails too.
+    if (!(hot_fraction >= 0.0 && hot_fraction <= 1.0))
+        throw std::invalid_argument("HotspotTraffic: hot fraction " +
+                                    std::to_string(hot_fraction) +
+                                    " is outside [0, 1]");
 }
 
 void

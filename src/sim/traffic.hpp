@@ -106,9 +106,8 @@ class PermutationTraffic : public Traffic
 class HotspotTraffic : public Traffic
 {
   public:
-    HotspotTraffic(double hot_fraction, int hotspots)
-        : hot_fraction_(hot_fraction), num_hotspots_(hotspots)
-    {}
+    /** @throws std::invalid_argument unless @p hot_fraction is in [0, 1]. */
+    HotspotTraffic(double hot_fraction, int hotspots);
 
     void init(long long nodes, Rng &rng) override;
     long long dest(long long src, Rng &rng) override;

@@ -118,15 +118,16 @@ struct ForState
  * workers plus the calling thread.  Blocks until all items finish (or
  * the first exception, which is rethrown on the caller).  Items must be
  * independent; completion order is unspecified, so determinism requires
- * indexing any output by i.
+ * indexing any output by i.  A null or empty @p pool, or n == 1, runs
+ * every item inline on the caller in index order.
  */
 template <typename Fn>
 void
-parallelFor(ThreadPool &pool, std::size_t n, Fn &&fn)
+parallelFor(ThreadPool *pool, std::size_t n, Fn &&fn)
 {
     if (n == 0)
         return;
-    if (pool.size() == 0 || n == 1) {
+    if (pool == nullptr || pool->size() == 0 || n == 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
@@ -136,14 +137,14 @@ parallelFor(ThreadPool &pool, std::size_t n, Fn &&fn)
     state->total = n;
     // Chunking amortizes the atomic per item; 4 chunks per thread keeps
     // dynamic balancing for unequal trial costs (big vs small networks).
-    std::size_t parts = static_cast<std::size_t>(pool.size()) + 1;
+    std::size_t parts = static_cast<std::size_t>(pool->size()) + 1;
     state->chunk = std::max<std::size_t>(1, n / (parts * 4));
 
     int helpers = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(pool.size()), n));
+        std::min<std::size_t>(static_cast<std::size_t>(pool->size()), n));
     state->pending.store(helpers);
     for (int t = 0; t < helpers; ++t) {
-        pool.submit([state, &fn]() {
+        pool->submit([state, &fn]() {
             state->drain(fn);
             if (state->pending.fetch_sub(1) == 1) {
                 std::lock_guard<std::mutex> lock(state->mutex);

@@ -198,7 +198,6 @@ class CoflowWorkload final : public ClosedLoopWorkload
     explicit CoflowWorkload(Params p);
 
     std::string name() const override { return "coflow"; }
-    bool wantsGlobalStep() const override { return true; }
     void init(long long terminals, long long win_start, long long win_end,
               std::uint64_t seed) override;
     void onWake(long long term, long long now, WorkloadPort &port,

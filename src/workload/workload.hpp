@@ -12,10 +12,10 @@
  *                           WorkloadPort::wakeAt fired for @p term;
  *  - onDeliver(term, ...):  a packet ejected at @p term (called at the
  *                           commit cycle, with the tail-arrival time);
- *  - onGlobalStep(now):     end-of-cycle step, run after some
- *                           callback called WorkloadPort::signalGlobal
- *                           this cycle (only when wantsGlobalStep() is
- *                           true).
+ *  - onGlobalStep(now):     end-of-cycle step, run exactly in the
+ *                           cycles where some callback called
+ *                           WorkloadPort::signalGlobal; a workload that
+ *                           never signals never gets one.
  *
  * Sources that wait for replies close the loop: a terminal only sends
  * when the workload's state machine says so (request issued, response
@@ -72,8 +72,8 @@ class WorkloadPort
     virtual void wakeAt(long long term, long long at) = 0;
 
     /**
-     * Request onGlobalStep at the end of this cycle.  Ignored unless
-     * wantsGlobalStep() is true.
+     * Request onGlobalStep at the end of this cycle (once, however
+     * often it is called within the cycle).
      */
     virtual void signalGlobal() = 0;
 };
@@ -127,9 +127,6 @@ class Workload
     virtual ~Workload() = default;
 
     virtual std::string name() const = 0;
-
-    /** True when the workload needs end-of-cycle onGlobalStep calls. */
-    virtual bool wantsGlobalStep() const { return false; }
 
     /**
      * Bind to a fabric of @p terminals terminals before cycle 0.  The

@@ -8,8 +8,8 @@
  * route resolution, output-VC selection - and audits what the view
  * exposes at each call:
  *
- *  - the hooks actually fire (counts > 0) and pair up (every
- *    initPacket follows a successful injectVc),
+ *  - the hooks actually fire (counts > 0), and an inject that
+ *    returns -1 leaves the packet untouched,
  *  - now() never runs backwards,
  *  - credits stay within [0, bufPackets] and backlog within
  *    [0, vcs * bufPackets] for every port of the deciding switch.
@@ -21,6 +21,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "check/guard.hpp"
@@ -40,7 +41,7 @@ struct MockStats
 {
     long long inject_calls = 0;
     long long inject_success = 0;
-    long long init_calls = 0;
+    long long failed_writes = 0;  //!< failed injects that wrote the Pkt
     long long route_calls = 0;
     long long choose_calls = 0;
     long long bounds_violations = 0;
@@ -69,8 +70,8 @@ class MockPolicy
     }
 
     int
-    injectVc(const CongestionView &cv, long long term,
-             std::int32_t dest, Rng &rng)
+    inject(const CongestionView &cv, long long term, std::int32_t dest,
+           Rng &rng, Pkt &p)
     {
         ++stats_->inject_calls;
         observeNow(cv);
@@ -80,27 +81,26 @@ class MockPolicy
             if (c < 0 || c > stats_->buf)
                 ++stats_->bounds_violations;
         }
-        const int vc = base_.injectVc(cv, term, dest, rng);
+        // A marked packet shows whether a failed inject wrote to it.
+        std::memset(&p, 0xA5, sizeof p);
+        Pkt marked;
+        std::memcpy(&marked, &p, sizeof p);
+        const int vc = base_.inject(cv, term, dest, rng, p);
         if (vc >= 0)
             ++stats_->inject_success;
+        else if (std::memcmp(&marked, &p, sizeof p) != 0)
+            ++stats_->failed_writes;
         return vc;
-    }
-
-    void
-    initPacket(Pkt &p, long long term, std::int32_t dest, Rng &rng)
-    {
-        ++stats_->init_calls;
-        base_.initPacket(p, term, dest, rng);
     }
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc, bool &sole)
+             bool &sole)
     {
         ++stats_->route_calls;
         observeNow(cv);
         auditSwitch(cv, s);
-        return base_.routeOut(cv, s, p, rng, fixed_vc, sole);
+        return base_.routeOut(cv, s, p, rng, sole);
     }
 
     void
@@ -125,8 +125,6 @@ class MockPolicy
     void onForward(Pkt &p) { base_.onForward(p); }
 
     double hopsOf(const Pkt &p) const { return base_.hopsOf(p); }
-
-    void onTopologyChange() { base_.onTopologyChange(); }
 
   private:
     void
@@ -167,18 +165,24 @@ class MockPolicy
     long long last_now_ = -1;
 };
 
-std::shared_ptr<MockStats>
-runMock()
+SimConfig
+mockConfig()
 {
-    auto fc = buildCft(8, 2);
-    UpDownOracle oracle(fc);
-    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
-    UniformTraffic traffic;
     SimConfig cfg;
     cfg.warmup = 200;
     cfg.measure = 800;
     cfg.load = 0.7;
     cfg.seed = 31;
+    return cfg;
+}
+
+std::shared_ptr<MockStats>
+runMock(const SimConfig &cfg = mockConfig())
+{
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    FabricLayout lay = FabricLayout::fromFoldedClos(fc);
+    UniformTraffic traffic;
     cfg.validate();
 
     auto stats = std::make_shared<MockStats>();
@@ -204,9 +208,9 @@ expectCleanContract(const MockStats &s)
     EXPECT_GT(s.inject_calls, 0);
     EXPECT_GT(s.route_calls, 0);
     EXPECT_GT(s.choose_calls, 0);
-    // ...initPacket pairs with successful injections only...
-    EXPECT_EQ(s.init_calls, s.inject_success);
+    // ...a failed injection leaves the packet as it was...
     EXPECT_LE(s.inject_success, s.inject_calls);
+    EXPECT_EQ(s.failed_writes, 0);
     // ...and every view read stayed inside the documented bounds.
     EXPECT_EQ(s.bounds_violations, 0);
     EXPECT_EQ(s.nonmonotone_now, 0);
@@ -216,6 +220,20 @@ TEST(PolicyContract, HooksFireAndReadsStayInBounds)
 {
     auto stats = runMock();
     expectCleanContract(*stats);
+}
+
+TEST(PolicyContract, FailedInjectionWritesNothing)
+{
+    // One-packet buffers at full load: injections run out of credit,
+    // after the Valiant intermediate draw that precedes the VC choice.
+    SimConfig cfg = mockConfig();
+    cfg.load = 1.0;
+    cfg.vcs = 2;
+    cfg.buf_packets = 1;
+    cfg.route_mode = RouteMode::kValiant;
+    auto stats = runMock(cfg);
+    expectCleanContract(*stats);
+    EXPECT_LT(stats->inject_success, stats->inject_calls);
 }
 
 } // namespace

@@ -66,9 +66,6 @@ TEST(SimConfigValidate, RejectsBadParameters)
     });
     broken([](SimConfig &c) { c.telemetry_bin = -1; });
     broken([](SimConfig &c) { c.route_ttl = -1; });
-    // The flowlet idle gap is a non-negative cycle count (0 =
-    // per-packet ECMP is legal).
-    broken([](SimConfig &c) { c.flowlet_gap = -1; });
 }
 
 TEST(SimConfigValidate, UgalNeedsTwoVcs)
@@ -231,15 +228,12 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
                             choices[ref_rng.uniform(choices.size())];
                         const int want =
                             need == 0 ? lay.n_up[s] + pick : pick;
-                        int fixed_vc = 0;
                         bool sole = false;
-                        EXPECT_EQ(policy.routeOut(cv, s, p, rng, fixed_vc,
-                                                  sole),
+                        EXPECT_EQ(policy.routeOut(cv, s, p, rng, sole),
                                   want)
                             << "radix " << radix << " switch " << s
                             << " target " << target << " visit " << visit;
                         EXPECT_EQ(sole, choices.size() == 1);
-                        EXPECT_EQ(fixed_vc, -1);
                         // Cached exactly when the set fits 32 bits.
                         EXPECT_EQ(p.route_mask != 0, fits);
                         EXPECT_TRUE(policy.routeCacheFresh(s, p));
@@ -255,23 +249,32 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
 
 TEST(UpDownPolicyMemo, ForwardEmptiesTheRouteCache)
 {
-    // A leaf of CFT(8,3) has 4 up ports: its up set is cached on the
-    // first visit, and the hop to the next switch must drop it.
+    // A leaf of CFT(8,3) has 4 up ports: injection starts with an
+    // empty cache, the first visit caches the up set, and the hop to
+    // the next switch must drop it.
     auto fc = buildCft(8, 3);
     UpDownOracle oracle(fc);
     FabricLayout lay = FabricLayout::fromFoldedClos(fc);
     SimConfig cfg;
     UpDownPolicy policy(fc, oracle, lay, cfg);
-    const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
-                            nullptr, 0);
+    // Terminal 0 first has no injection credit, then a full row.
+    std::vector<std::int8_t> inj(static_cast<std::size_t>(cfg.vcs), 0);
     Rng rng(5);
     const int target = fc.numLeaves() - 1;
+    const std::int32_t dest = target * fc.terminalsPerLeaf();
     UpDownPolicy::Pkt p{};
-    policy.initPacket(p, 0, target * fc.terminalsPerLeaf(), rng);
+    p.route_mask = ~0u;
+    const CongestionView blocked(lay, cfg.vcs, cfg.buf_packets, nullptr,
+                                 inj.data(), 0);
+    EXPECT_EQ(policy.inject(blocked, 0, dest, rng, p), -1);
+    EXPECT_EQ(p.route_mask, ~0u);  // a failed injection writes nothing
+    inj.assign(inj.size(), static_cast<std::int8_t>(cfg.buf_packets));
+    const CongestionView cv(lay, cfg.vcs, cfg.buf_packets, nullptr,
+                            inj.data(), 0);
+    ASSERT_GE(policy.inject(cv, 0, dest, rng, p), 0);
     EXPECT_EQ(p.route_mask, 0u);
-    int fixed_vc = 0;
     bool sole = true;
-    const int port = policy.routeOut(cv, 0, p, rng, fixed_vc, sole);
+    const int port = policy.routeOut(cv, 0, p, rng, sole);
     ASSERT_GE(port, 0);
     EXPECT_LT(port, lay.n_up[0]);
     EXPECT_EQ(__builtin_popcount(p.route_mask), lay.n_up[0]);
@@ -307,13 +310,13 @@ class HookWalkProbe : public UpDownPolicy
 
     int
     routeOut(const CongestionView &cv, int s, Pkt &p, Rng &rng,
-             int &fixed_vc, bool &sole)
+             bool &sole)
     {
         if (cv.now() == stats_->hook_cycle) {
             ++stats_->hook_visits;
             stats_->stale_visits += p.route_mask != 0;
         }
-        return UpDownPolicy::routeOut(cv, s, p, rng, fixed_vc, sole);
+        return UpDownPolicy::routeOut(cv, s, p, rng, sole);
     }
 
     void
@@ -611,33 +614,6 @@ TEST(AdaptivePolicies, UgalRunsAndDelivers)
     SimResult r = sim.run();
     EXPECT_GT(r.delivered_packets, 0);
     EXPECT_GT(r.accepted, 0.0);
-}
-
-TEST(AdaptivePolicies, FlowletGapZeroIsPerPacketEcmp)
-{
-    // gap = 0 means "idle >= 0 cycles", which is true for every
-    // packet: each one re-draws, i.e. plain per-packet ECMP.  The two
-    // runs use different seeds, so compare statistically.
-    Rng grng(6);
-    Graph g = randomRegularGraph(16, 4, grng);
-    KspRoutes routes(g, 4);
-    SimConfig cfg;
-    cfg.warmup = 300;
-    cfg.measure = 1200;
-    cfg.load = 0.6;
-    cfg.seed = 22;
-    cfg.vcs = std::max(6, routes.maxHops());
-    UniformTraffic ecmp_traffic;
-    const SimResult ecmp =
-        Simulator(g, routes, 2, ecmp_traffic, cfg).run();
-    cfg.seed = 24;
-    cfg.flowlet_gap = 0;
-    UniformTraffic gap0_traffic;
-    const SimResult gap0 = Simulator(g, routes, 2, gap0_traffic, cfg,
-                                     PathPolicy::kFlowletEcmp)
-                               .run();
-    EXPECT_GT(gap0.delivered_packets, 0);
-    EXPECT_NEAR(gap0.accepted, ecmp.accepted, 0.15 * ecmp.accepted);
 }
 
 } // namespace

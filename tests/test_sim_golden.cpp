@@ -313,8 +313,7 @@ directUniformFlowlet(std::uint64_t seed, Drive drive)
     KspRoutes routes(g, 4);
     UniformTraffic traffic;
     SimConfig cfg = goldenConfig(0.4, seed);
-    cfg.vcs = 6;
-    cfg.flowlet_gap = 64;
+    cfg.vcs = 6;  // the flowlet gap is KspPolicy::kFlowletGap = 64
     return runDirect(g, routes, traffic, cfg, PathPolicy::kFlowletEcmp,
                      drive);
 }

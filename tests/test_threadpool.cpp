@@ -50,7 +50,7 @@ TEST(ParallelFor, EmptyRangeIsANoOp)
 {
     ThreadPool pool(2);
     std::atomic<int> ran{0};
-    parallelFor(pool, 0, [&](std::size_t) { ran.fetch_add(1); });
+    parallelFor(&pool, 0, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 0);
 }
 
@@ -60,7 +60,7 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce)
     const std::size_t n = 10000;
     ThreadPool pool(3);
     std::vector<std::atomic<int>> visits(n);
-    parallelFor(pool, n,
+    parallelFor(&pool, n,
                 [&](std::size_t i) { visits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(visits[i].load(), 1) << "index " << i;
@@ -70,15 +70,30 @@ TEST(ParallelFor, SerialPoolStillCoversTheRange)
 {
     ThreadPool pool(0);
     std::vector<int> visits(257, 0);
-    parallelFor(pool, visits.size(),
+    parallelFor(&pool, visits.size(),
                 [&](std::size_t i) { visits[i] += 1; });
     EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0), 257);
+}
+
+TEST(ParallelFor, NullPoolRunsInlineInIndexOrder)
+{
+    std::vector<std::size_t> order;
+    parallelFor(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    parallelFor(nullptr, 0, [&](std::size_t i) { order.push_back(i); });
+    EXPECT_EQ(order.size(), 5u);
+    EXPECT_THROW(parallelFor(nullptr, 3,
+                             [](std::size_t i) {
+                                 if (i == 1)
+                                     throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
 }
 
 TEST(ParallelFor, ExceptionPropagatesToCaller)
 {
     ThreadPool pool(4);
-    EXPECT_THROW(parallelFor(pool, 1000,
+    EXPECT_THROW(parallelFor(&pool, 1000,
                              [](std::size_t i) {
                                  if (i == 37)
                                      throw std::runtime_error("boom");
@@ -90,13 +105,13 @@ TEST(ParallelFor, PoolIsReusableAfterAnException)
 {
     ThreadPool pool(2);
     try {
-        parallelFor(pool, 100, [](std::size_t) {
+        parallelFor(&pool, 100, [](std::size_t) {
             throw std::runtime_error("boom");
         });
     } catch (const std::runtime_error &) {
     }
     std::atomic<int> ran{0};
-    parallelFor(pool, 100, [&](std::size_t) { ran.fetch_add(1); });
+    parallelFor(&pool, 100, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 100);
 }
 
@@ -107,7 +122,7 @@ TEST(ParallelFor, IndexedWritesIdenticalAcrossPoolSizes)
     auto run = [](int threads) {
         ThreadPool pool(threads);
         std::vector<double> out(777);
-        parallelFor(pool, out.size(), [&](std::size_t i) {
+        parallelFor(&pool, out.size(), [&](std::size_t i) {
             out[i] = static_cast<double>(i) * 0.3 + 1.0;
         });
         return out;

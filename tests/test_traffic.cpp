@@ -4,7 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,6 +137,23 @@ TEST(HotspotTraffic, ConcentratesOnHotNodes)
         hottest = std::max(hottest, count[d]);
     // ~50% of packets go to the single hotspot.
     EXPECT_GT(hottest, 8000);
+}
+
+TEST(HotspotTraffic, RejectsFractionOutsideUnitInterval)
+{
+    EXPECT_NO_THROW(HotspotTraffic(0.0, 1));
+    EXPECT_NO_THROW(HotspotTraffic(1.0, 1));
+    for (double bad : {2.0, -1.0, std::nan("")}) {
+        try {
+            HotspotTraffic t(bad, 1);
+            ADD_FAILURE() << "accepted hot fraction " << bad;
+        } catch (const std::invalid_argument &e) {
+            // The message names the rejected value.
+            EXPECT_NE(std::string(e.what()).find(std::to_string(bad)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ShiftTraffic, ShiftsByStrideModulo)

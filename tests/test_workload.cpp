@@ -7,7 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "exp/experiment.hpp"
@@ -104,6 +109,70 @@ TEST(Workload, CoflowPhasesAdvanceAndConserve)
     EXPECT_GT(r.workload.cct_mean, 0.0);
     EXPECT_GE(r.workload.cct_max, r.workload.cct_mean);
     expectConserving(r);
+}
+
+/**
+ * Signals a global step from onWake in chosen cycles (twice in each,
+ * from two terminals) and records the cycles onGlobalStep runs in.  It
+ * overrides nothing beyond the callbacks it needs.
+ */
+class SignalProbe final : public Workload
+{
+  public:
+    explicit SignalProbe(std::vector<long long> signal_cycles)
+        : signal_(std::move(signal_cycles))
+    {
+    }
+
+    std::string name() const override { return "signal-probe"; }
+    void init(long long, long long, long long, std::uint64_t) override {}
+
+    void
+    onWake(long long term, long long now, WorkloadPort &port,
+           WorkloadStats &) override
+    {
+        if (term > 1)
+            return;
+        if (std::find(signal_.begin(), signal_.end(), now) != signal_.end())
+            port.signalGlobal();
+        if (now < signal_.back())
+            port.wakeAt(term, now + 1);
+    }
+
+    void onDeliver(long long, long long, std::uint32_t, long long,
+                   long long, long long, WorkloadPort &,
+                   WorkloadStats &) override
+    {
+    }
+
+    void
+    onGlobalStep(long long now, WorkloadPort &, WorkloadStats &) override
+    {
+        steps.push_back(now);
+    }
+
+    WorkloadAccount account() const override { return {}; }
+
+    std::vector<long long> steps;
+
+  private:
+    std::vector<long long> signal_;
+};
+
+TEST(Workload, GlobalStepRunsExactlyInSignallingCycles)
+{
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    const std::vector<long long> cycles = {0, 3, 4, 17, 100};
+    SignalProbe probe(cycles);
+    auto traffic = makeTraffic("uniform");
+    SimConfig cfg = smallConfig();
+    cfg.warmup = 50;
+    cfg.measure = 200;
+    Simulator sim(fc, oracle, *traffic, cfg);
+    sim.attachWorkload(probe);
+    sim.run();
+    EXPECT_EQ(probe.steps, cycles);
 }
 
 TEST(Workload, MakeWorkloadValidates)

@@ -80,6 +80,11 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 ./examples/simulate --topo rfc --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --route-mode ugal > /dev/null
 # The hotspot pattern and the CSV printer.
 ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --csv > /dev/null
+# A hot fraction outside [0, 1] must be rejected, not run as some other
+# pattern (NaN included).
+for f in 2 -1 nan; do
+  if ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --hot-fraction "$f" > /dev/null 2>&1; then exit 1; fi
+done
 # Int flags outside their range must be rejected: an int cast would
 # run --radix 4294967304 as R = 8.
 if ./examples/simulate --topo cft --radix 4294967304 --levels 3 --points 1 --warmup 100 --measure 300 > /dev/null 2>&1; then exit 1; fi
