@@ -1,7 +1,10 @@
 #include "clos/folded_clos.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace rfc {
 
@@ -13,14 +16,20 @@ FoldedClos::FoldedClos(std::vector<int> level_count, int radix,
     if (level_count_.empty())
         throw std::invalid_argument("FoldedClos: need at least one level");
     level_offset_.resize(level_count_.size());
-    int off = 0;
+    std::int64_t off = 0;
     for (std::size_t i = 0; i < level_count_.size(); ++i) {
         if (level_count_[i] <= 0)
             throw std::invalid_argument("FoldedClos: empty level");
-        level_offset_[i] = off;
+        level_offset_[i] = static_cast<int>(off);
         off += level_count_[i];
+        // Switch ids are int: the levels must sum to at most INT_MAX.
+        if (off > std::numeric_limits<int>::max())
+            throw std::invalid_argument(
+                "FoldedClos: level counts sum past " +
+                std::to_string(std::numeric_limits<int>::max()) +
+                " switches");
     }
-    num_switches_ = off;
+    num_switches_ = static_cast<int>(off);
 
     // Size the CSR segments from radix regularity (Definition 3.1):
     // R/2 up below the top, R down at the top, R/2 down except at the

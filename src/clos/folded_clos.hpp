@@ -54,6 +54,8 @@ class FoldedClos
      * @param radix Nominal switch radix R.
      * @param terminals_per_leaf Compute nodes attached to each leaf.
      * @param name Human-readable topology name (for reports).
+     * @throws std::invalid_argument on no levels, an empty level, or
+     *         level counts that sum past INT_MAX (switch ids are int).
      */
     FoldedClos(std::vector<int> level_count, int radix,
                int terminals_per_leaf, std::string name);

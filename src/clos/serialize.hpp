@@ -30,8 +30,11 @@ namespace rfc {
 void saveTopology(const FoldedClos &fc, std::ostream &os);
 
 /**
- * Parse a topology previously written by saveTopology.
- * @throws std::runtime_error on malformed input.
+ * Parse a topology previously written by saveTopology.  Every field is
+ * a whole number in range, and nothing may follow a line's fields
+ * except a comment.
+ * @throws std::runtime_error on malformed input, with a message naming
+ *         the offending line (its number and text).
  */
 FoldedClos loadTopology(std::istream &is);
 

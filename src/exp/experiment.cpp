@@ -266,7 +266,10 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
                             {"mean_latency", q.mean_latency},
                             {"p50_latency", q.p50_latency},
                             {"p99_latency", q.p99_latency},
-                            {"max_utilization", q.max_utilization}});
+                            {"max_utilization", q.max_utilization},
+                            {"exact_cdf_passes", num(q.exact_cdf_passes)},
+                            {"bounded_cdf_passes",
+                             num(q.bounded_cdf_passes)}});
         }
         sweep_split = {{"mixture_seconds", sweep.mixture_seconds},
                        {"quantile_seconds", sweep.quantile_seconds}};

@@ -17,8 +17,10 @@ namespace rfc {
 std::int32_t
 FlowProblem::addLink(double capacity)
 {
-    if (capacity <= 0.0)
-        throw std::invalid_argument("FlowProblem: capacity must be > 0");
+    if (!(capacity > 0.0) || !std::isfinite(capacity))
+        throw std::invalid_argument(
+            "FlowProblem: link capacity must be finite and > 0, got " +
+            std::to_string(capacity));
     cap_.push_back(capacity);
     return static_cast<std::int32_t>(cap_.size() - 1);
 }
@@ -26,8 +28,10 @@ FlowProblem::addLink(double capacity)
 std::size_t
 FlowProblem::addDemand(double weight)
 {
-    if (weight <= 0.0)
-        throw std::invalid_argument("FlowProblem: weight must be > 0");
+    if (!(weight > 0.0) || !std::isfinite(weight))
+        throw std::invalid_argument(
+            "FlowProblem: demand weight must be finite and > 0, got " +
+            std::to_string(weight));
     weight_.push_back(weight);
     first_path_.push_back(numPathsTotal());
     return weight_.size() - 1;

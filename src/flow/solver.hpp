@@ -70,10 +70,16 @@ class ThreadPool;
 class FlowProblem
 {
   public:
-    /** Add a link with @p capacity > 0; returns its id. */
+    /**
+     * Add a link with finite @p capacity > 0; returns its id.  Throws
+     * std::invalid_argument otherwise (NaN and infinities included).
+     */
     std::int32_t addLink(double capacity);
 
-    /** Add a demand with @p weight > 0; paths are added afterwards. */
+    /**
+     * Add a demand with finite @p weight > 0 (else throws like
+     * addLink); paths are added afterwards.
+     */
     std::size_t addDemand(double weight);
 
     /**

@@ -255,13 +255,12 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
         result.mixture_seconds += secondsSince(mixture_start);
 
         const auto quantile_start = std::chrono::steady_clock::now();
-        const double qs[2] = {0.50, 0.99};
-        double qv[2];
-        parallelFor(opt.pool, 2, [&](std::size_t i) {
-            qv[i] = shiftedGammaMixtureQuantile(comps, qs[i]);
-        });
-        pt.p50_latency = qv[0];
-        pt.p99_latency = qv[1];
+        const MixtureQuantiles qv =
+            shiftedGammaMixtureQuantiles(comps, {0.50, 0.99}, opt.pool);
+        pt.p50_latency = qv.values[0];
+        pt.p99_latency = qv.values[1];
+        pt.exact_cdf_passes = qv.exact_passes;
+        pt.bounded_cdf_passes = qv.bounded_passes;
         result.quantile_seconds += secondsSince(quantile_start);
     }
 

@@ -38,9 +38,13 @@
  * table lookups to build the mixture, a hash merge of equal
  * components inside each range and one across ranges, one sort of
  * the unique components, and then - the dominant term at scale - p50
- * and p99, each a handful of full-mixture CDF evaluations costing a
- * cbrt and an erfc per distinct component (util/stats).  The result
- * reports the wall time of the mixture build and of the quantiles.
+ * and p99 from one prepared copy of the mixture (util/stats).  Each
+ * quantile costs a few full-mixture CDF passes with a cbrt and an erfc
+ * per distinct component: ~6 bounded passes on 2-lane vector libm
+ * that locate the root and certify the bisection steps either side of
+ * it, and ~3 exact passes on scalar libm for the steps only they can
+ * decide.  The result reports the wall time of the mixture build and
+ * of the quantiles, and each point its pass counts.
  * Loads are processed one at a time, so memory holds one load's
  * mixture.  This is typically 10-100x faster than a VCT sweep at
  * sandbox scale and the only affordable option at the
@@ -80,6 +84,14 @@ struct QueueLoadPoint
     double p99_latency = 0.0;
     /** Max port utilization at this load (= load / saturation). */
     double max_utilization = 0.0;
+    /**
+     * Full-mixture CDF passes that p50 and p99 took (util/stats
+     * shiftedGammaMixtureQuantiles): exact ones, whose bits decide a
+     * bisection step, and bounded ones, which locate and certify.
+     * Identical at any pool size; zero at a saturated load.
+     */
+    std::size_t exact_cdf_passes = 0;
+    std::size_t bounded_cdf_passes = 0;
 };
 
 /** One sweep: load-independent structure plus the per-load curve. */

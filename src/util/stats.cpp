@@ -5,6 +5,12 @@
 #include <limits>
 #include <stdexcept>
 
+#ifdef RFC_HAVE_LIBMVEC
+#include <emmintrin.h>
+#endif
+
+#include "util/threadpool.hpp"
+
 namespace rfc {
 
 void
@@ -104,27 +110,79 @@ normalCdf(double z)
 }
 
 /**
- * One mixture component with its Wilson-Hilferty constants hoisted out
- * of the CDF loop.  A point mass (mean <= 0 or variance <= 0) sits at
- * @c origin = shift + max(mean, 0); a gamma component's excess starts
- * at @c origin = shift.
+ * Components per block of both CDF passes: the staging arrays of one
+ * block stay in L1.  Even, so a 2-lane pass pads an odd tail in place.
  */
-struct PreparedComponent
-{
-    bool point;
-    double origin, inv_mean, omh, inv_sqrt_h, weight;
-};
+constexpr std::size_t kBlock = 256;
 
-/** A validated mixture ready for CDF evaluation. */
+#ifdef RFC_HAVE_LIBMVEC
+// glibc libmvec's 2-lane SSE variants (x86_64, glibc >= 2.35); CMake
+// defines RFC_HAVE_LIBMVEC only when a test program links them.
+extern "C" __m128d _ZGVbN2v_cbrt(__m128d);
+extern "C" __m128d _ZGVbN2v_erfc(__m128d);
+
+/** cbrt of @p v[0, n) in place, n even. */
+void
+cbrtPairs(double *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 2)
+        _mm_storeu_pd(v + i, _ZGVbN2v_cbrt(_mm_loadu_pd(v + i)));
+}
+
+/** erfc of @p v[0, n) in place, n even. */
+void
+erfcPairs(double *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 2)
+        _mm_storeu_pd(v + i, _ZGVbN2v_erfc(_mm_loadu_pd(v + i)));
+}
+#else
+void
+cbrtPairs(double *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = std::cbrt(v[i]);
+}
+
+void
+erfcPairs(double *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = std::erfc(v[i]);
+}
+#endif
+
+/**
+ * A validated mixture ready for CDF evaluation, one array per hoisted
+ * Wilson-Hilferty constant, in component order.  A point mass (mean
+ * <= 0 or variance <= 0) sits at @c origin = shift + max(mean, 0) and
+ * has zero constants; a gamma component's excess starts at
+ * @c origin = shift.
+ */
 struct PreparedMixture
 {
-    std::vector<PreparedComponent> comps;
+    std::vector<double> origin, inv_mean, omh, inv_sqrt_h, weight;
+    std::vector<unsigned char> point;
     double total = 0.0;  //!< sum of weights, in component order
     /** Initial quantile bracket: lowest origin, highest at + 12 sd. */
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    /** Worst-case rounding error of mixtureCdf (see prepareMixture). */
+    /** Worst-case rounding errors E and E_b (see prepareMixture). */
     double err = 0.0;
+    double err_bounded = 0.0;
+
+    std::size_t size() const { return weight.size(); }
+
+    void
+    push(double o, double im, double om, double ish, double w, bool pt)
+    {
+        origin.push_back(o);
+        inv_mean.push_back(im);
+        omh.push_back(om);
+        inv_sqrt_h.push_back(ish);
+        weight.push_back(w);
+        point.push_back(pt ? 1 : 0);
+    }
 };
 
 PreparedMixture
@@ -142,106 +200,199 @@ prepareMixture(const std::vector<ShiftedGamma> &mix)
                 "shiftedGammaMixture: bad component");
         m.total += c.weight;
     }
-    m.comps.reserve(mix.size());
+    for (auto *v : {&m.origin, &m.inv_mean, &m.omh, &m.inv_sqrt_h,
+                    &m.weight})
+        v->reserve(mix.size());
+    m.point.reserve(mix.size());
     double spread = 0.0;  // sum of weight * (1 + inv_sqrt_h)
     bool bounded = std::isfinite(m.total);
     for (const auto &c : mix) {
-        PreparedComponent p;
-        p.point = c.mean <= 0.0 || c.variance <= 0.0;
-        double at = c.shift + (c.mean > 0.0 ? c.mean : 0.0);
-        p.origin = p.point ? at : c.shift;
-        p.weight = c.weight;
-        if (!p.point) {
+        const bool point = c.mean <= 0.0 || c.variance <= 0.0;
+        const double at = c.shift + (c.mean > 0.0 ? c.mean : 0.0);
+        double inv_mean = 0.0, omh = 0.0, inv_sqrt_h = 0.0;
+        if (!point) {
             // Gamma(k, theta) with k theta = mean: (X / mean)^(1/3) is
             // approximately Normal(1 - h, h) with h = 1 / (9 k).
             double k = c.mean * c.mean / c.variance;
             double h = 1.0 / (9.0 * k);
-            p.inv_mean = 1.0 / c.mean;
-            p.omh = 1.0 - h;
-            p.inv_sqrt_h = 1.0 / std::sqrt(h);
+            inv_mean = 1.0 / c.mean;
+            omh = 1.0 - h;
+            inv_sqrt_h = 1.0 / std::sqrt(h);
             // h = 0 or h = inf (extreme mean/variance ratios) can turn
             // z into NaN; such a mixture gets no certificates.
             bounded = bounded && h > 0.0 && std::isfinite(h);
-        } else {
-            p.inv_mean = p.omh = p.inv_sqrt_h = 0.0;
         }
-        m.lo = std::min(m.lo, p.origin);
-        m.hi = std::max(m.hi, at + (p.point ? 0.0
-                                            : 12.0 * std::sqrt(
-                                                         c.variance)));
-        spread += p.weight * (1.0 + p.inv_sqrt_h);
-        m.comps.push_back(p);
+        const double origin = point ? at : c.shift;
+        m.lo = std::min(m.lo, origin);
+        m.hi = std::max(m.hi, at + (point ? 0.0
+                                          : 12.0 * std::sqrt(c.variance)));
+        spread += c.weight * (1.0 + inv_sqrt_h);
+        m.push(origin, inv_mean, omh, inv_sqrt_h, c.weight, point);
     }
-    // Rounding-error bound of mixtureCdf against the same formula in
-    // exact arithmetic on the stored constants and the rounded
-    // t = x - origin, a function nondecreasing in x.  With eps = 2^-52
-    // and libm's cbrt within 4 ulps and erfc within 8:
+    // Rounding-error bounds of the two passes against the same formula
+    // in exact arithmetic on the stored constants and the rounded
+    // t = x - origin, a function nondecreasing in x.  With eps = 2^-52,
+    // for libm's cbrt within C ulps and erfc within R:
     //  - z = (cbrt(t inv_mean) - omh) inv_sqrt_h is off by at most
-    //    4.2 eps inv_sqrt_h cbrt(.) + eps |z|; since inv_sqrt_h cbrt(.)
-    //    <= |z| + inv_sqrt_h and phi(z) <= 0.4, phi(z) |z| <= 0.25, the
-    //    component CDF moves by <= eps (1.3 + 1.7 inv_sqrt_h);
-    //  - -z / sqrt(2), erfc and the weight product add <= 8.8 eps per
-    //    unit weight;
-    //  - summing n nonnegative terms adds <= n eps / 2 of the total and
-    //    the division by the total eps / 2.
-    // That totals eps (n / 2 + 1 + sum w (10.1 + 1.7 inv_sqrt_h) / total).
-    // The bound below exceeds it by over 60 eps, which also covers the
-    // rounding of q -/+ 2 err in CertifiedCdf.
+    //    (C + 0.2) eps inv_sqrt_h cbrt(.) + eps |z|; since inv_sqrt_h
+    //    cbrt(.) <= |z| + inv_sqrt_h and phi(z) <= 0.4, phi(z) |z| <=
+    //    0.25, the component CDF moves by <= eps ((C + 0.2) / 4 + 0.25
+    //    + 0.4 (C + 0.2) inv_sqrt_h);
+    //  - -z / sqrt(2), erfc and the weight product add <= (R + 0.8) eps
+    //    per unit weight;
+    //  - summing n nonnegative terms, in any order and in one or two
+    //    accumulators, adds <= n eps / 2 of the total and the division
+    //    by the total eps / 2.
+    // The exact pass calls scalar libm, taken as C = 4 and R = 8: that
+    // totals eps (n / 2 + 1 + sum w (10.1 + 1.7 inv_sqrt_h) / total),
+    // and E below exceeds it by over 60 eps, which also covers the
+    // rounding of q -/+ 2E in CertifiedCdf.  The bounded pass calls
+    // libmvec, which glibc documents to 4 ulps, or scalar libm; E_b
+    // allows twice that, C = 8 and R = 16, for eps (n / 2 + 1 + sum w
+    // (19.1 + 3.3 inv_sqrt_h) / total), and exceeds it by as much.
     constexpr double eps = std::numeric_limits<double>::epsilon();
-    m.err = bounded ? eps * (2.0 * static_cast<double>(m.comps.size()) +
-                             64.0 + 16.0 * spread / m.total)
-                    : std::numeric_limits<double>::infinity();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double n = static_cast<double>(m.size());
+    m.err = bounded ? eps * (2.0 * n + 64.0 + 16.0 * spread / m.total)
+                    : inf;
+    m.err_bounded =
+        bounded ? eps * (2.0 * n + 64.0 + 32.0 * spread / m.total) : inf;
     return m;
 }
 
-/** Sum of weight * component CDF at @p x (not yet divided by total). */
-double
-weightedCdfSum(const std::vector<PreparedComponent> &comps, double x)
+/**
+ * Every @p stride-th component of @p m, from the first: the mixture
+ * the initial guess bisects.  Only its constants are set.
+ */
+PreparedMixture
+subsample(const PreparedMixture &m, std::size_t stride)
 {
+    PreparedMixture sub;
+    for (std::size_t i = 0; i < m.size(); i += stride) {
+        sub.push(m.origin[i], m.inv_mean[i], m.omh[i], m.inv_sqrt_h[i],
+                 m.weight[i], m.point[i] != 0);
+        sub.total += m.weight[i];
+    }
+    return sub;
+}
+
+/**
+ * Exact pass: the sum of weight * component CDF at @p x (not yet
+ * divided by the total).  Staged per block - every live cbrt, then
+ * every erfc, then the block's terms added in component order - so
+ * each term and the summation order are those of the plain loop, and
+ * so is every bit of the sum.  A term that is not live (a gamma at or
+ * before its origin, a point mass above x) is +0, which leaves a
+ * nonnegative sum unchanged.
+ */
+double
+exactCdfSum(const PreparedMixture &m, double x)
+{
+    double term[kBlock], arg[kBlock];
+    unsigned live[kBlock];
     double sum = 0.0;
-    for (const auto &p : comps) {
-        if (p.point) {
-            sum += x >= p.origin ? p.weight : 0.0;
-            continue;
+    for (std::size_t b = 0; b < m.size(); b += kBlock) {
+        const std::size_t len = std::min(kBlock, m.size() - b);
+        const double *origin = m.origin.data() + b;
+        const double *inv_mean = m.inv_mean.data() + b;
+        const double *omh = m.omh.data() + b;
+        const double *inv_sqrt_h = m.inv_sqrt_h.data() + b;
+        const double *weight = m.weight.data() + b;
+        const unsigned char *point = m.point.data() + b;
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            term[i] = point[i] && x >= origin[i] ? weight[i] : 0.0;
+            const double t = x - origin[i];
+            if (!point[i] && t > 0.0) {
+                live[k] = static_cast<unsigned>(i);
+                arg[k++] = t * inv_mean[i];
+            }
         }
-        double t = x - p.origin;
-        if (t <= 0.0)
-            continue;
-        double z = (std::cbrt(t * p.inv_mean) - p.omh) * p.inv_sqrt_h;
-        sum += p.weight * normalCdf(z);
+        for (std::size_t j = 0; j < k; ++j)
+            arg[j] = std::cbrt(arg[j]);
+        for (std::size_t j = 0; j < k; ++j) {
+            const unsigned i = live[j];
+            const double z = (arg[j] - omh[i]) * inv_sqrt_h[i];
+            term[i] = weight[i] * normalCdf(z);
+        }
+        for (std::size_t i = 0; i < len; ++i)
+            sum += term[i];
     }
     return sum;
 }
 
+/**
+ * Bounded pass: the same sum within E_b of the exact-arithmetic CDF
+ * times the total.  Each block runs branch-free over every component
+ * through cbrtPairs and erfcPairs and selects the live terms after;
+ * the point masses' zero constants keep their dead lanes finite.
+ */
 double
-mixtureCdf(const PreparedMixture &m, double x)
+boundedCdfSum(const PreparedMixture &m, double x)
 {
-    return weightedCdfSum(m.comps, x) / m.total;
+    double a[kBlock], e[kBlock];
+    double acc[2] = {0.0, 0.0};
+    for (std::size_t b = 0; b < m.size(); b += kBlock) {
+        const std::size_t len = std::min(kBlock, m.size() - b);
+        const std::size_t even = len + (len & 1);
+        const double *origin = m.origin.data() + b;
+        const double *inv_mean = m.inv_mean.data() + b;
+        const double *omh = m.omh.data() + b;
+        const double *inv_sqrt_h = m.inv_sqrt_h.data() + b;
+        const double *weight = m.weight.data() + b;
+        const unsigned char *point = m.point.data() + b;
+        for (std::size_t i = 0; i < len; ++i)
+            a[i] = (x - origin[i]) * inv_mean[i];
+        if (len & 1)
+            a[len] = 0.0;  // the padding lane of an odd tail
+        cbrtPairs(a, even);
+        for (std::size_t i = 0; i < len; ++i)
+            e[i] = -((a[i] - omh[i]) * inv_sqrt_h[i]) / std::sqrt(2.0);
+        if (len & 1)
+            e[len] = 0.0;
+        erfcPairs(e, even);
+        for (std::size_t i = 0; i < len; ++i) {
+            const double t = x - origin[i];
+            const double gamma = t > 0.0 ? weight[i] * (0.5 * e[i]) : 0.0;
+            const double atom = x >= origin[i] ? weight[i] : 0.0;
+            acc[i & 1] += point[i] ? atom : gamma;
+        }
+    }
+    return acc[0] + acc[1];
 }
 
 /**
- * The decision "mixtureCdf(x) >= q", answered from certificates where
- * possible.  Every exact evaluation v = mixtureCdf(x) with v < q - 2E
- * proves F(x) < q - E for the exact-arithmetic CDF F (E = m.err), so
- * by monotonicity every x' <= x has F(x') < q - E and a computed value
- * below q; symmetrically for v >= q + 2E.  Only points strictly
- * between the two certificates are evaluated, so each answer equals
- * the one a fresh evaluation would give, bit for bit.
+ * The decision "exact CDF(x) >= q", answered from certificates where
+ * possible.  For the exact-arithmetic CDF F (monotone in x), an exact
+ * value v < q - 2E proves F(x) < q - E, and a bounded value below
+ * q - (E + E_b) proves the same; then every x' <= x has F(x') < q - E
+ * and an exact value below q.  Symmetrically above.  Only points
+ * strictly between the two certificates get an exact pass, so each
+ * answer equals the one a fresh exact pass would give, bit for bit.
  */
 class CertifiedCdf
 {
   public:
-    CertifiedCdf(const PreparedMixture &m, double q) : m_(m), q_(q) {}
+    CertifiedCdf(const PreparedMixture &m, double q)
+        : m_(m), q_(q), exact_band_(2.0 * m.err),
+          bounded_band_(m.err + m.err_bounded)
+    {
+    }
 
+    /** One exact pass at @p x, recorded as a certificate if it is one. */
     double
     exact(double x)
     {
-        double v = mixtureCdf(m_, x);
-        if (v < q_ - 2.0 * m_.err)
-            below_ = std::max(below_, x);
-        else if (v >= q_ + 2.0 * m_.err)
-            above_ = std::min(above_, x);
-        return v;
+        ++exact_passes;
+        return certify(x, exactCdfSum(m_, x) / m_.total, exact_band_);
+    }
+
+    /** One bounded pass at @p x, likewise. */
+    double
+    bounded(double x)
+    {
+        ++bounded_passes;
+        return certify(x, boundedCdfSum(m_, x) / m_.total, bounded_band_);
     }
 
     bool
@@ -256,44 +407,50 @@ class CertifiedCdf
 
     double below() const { return below_; }
     double above() const { return above_; }
+    double boundedBand() const { return bounded_band_; }
+
+    std::size_t exact_passes = 0;
+    std::size_t bounded_passes = 0;
 
   private:
+    double
+    certify(double x, double v, double band)
+    {
+        if (v < q_ - band)
+            below_ = std::max(below_, x);
+        else if (v >= q_ + band)
+            above_ = std::min(above_, x);
+        return v;
+    }
+
     const PreparedMixture &m_;
     double q_;
+    double exact_band_, bounded_band_;
     double below_ = -std::numeric_limits<double>::infinity();
     double above_ = std::numeric_limits<double>::infinity();
 };
 
 /**
- * Place exact evaluations just either side of the q-quantile so that
- * the bisection's certificates decide nearly all of its steps.  A
- * guess from bisecting a strided subsample's CDF seeds secant steps on
- * the exact CDF; two probes at twice the uncertifiable band 2E / slope
- * (at least half the bisection tolerance) then pin the root from both
- * sides.  Nothing here decides the result: a poor guess only costs
- * evaluations.
+ * Place bounded passes just either side of the q-quantile so that the
+ * bisection's certificates decide nearly all of its steps.  A guess
+ * from bisecting the strided subsample @p sub seeds secant steps on
+ * the full mixture; two probes at twice the uncertifiable band
+ * (E + E_b) / slope (at least half the bisection tolerance) then pin
+ * the root from both sides.  Nothing here decides the result: a poor
+ * guess only costs passes.
  */
 void
-certifyNearRoot(CertifiedCdf &cdf, const PreparedMixture &m, double q,
-                double lo, double hi)
+locateRoot(CertifiedCdf &cdf, const PreparedMixture &sub, double q,
+           double lo, double hi)
 {
-    constexpr std::size_t kSubsample = 4096;
     constexpr int kGuessSteps = 16;
     constexpr int kSecantSteps = 6;
 
-    std::size_t stride = std::max<std::size_t>(
-        8, m.comps.size() / kSubsample);
-    std::vector<PreparedComponent> sub;
-    double sub_total = 0.0;
-    for (std::size_t i = 0; i < m.comps.size(); i += stride) {
-        sub.push_back(m.comps[i]);
-        sub_total += m.comps[i].weight;
-    }
     double glo = lo, ghi = hi;
     double vlo = 0.0, vhi = 1.0;
     for (int i = 0; i < kGuessSteps; ++i) {
         double mid = 0.5 * (glo + ghi);
-        double v = weightedCdfSum(sub, mid) / sub_total;
+        double v = boundedCdfSum(sub, mid) / sub.total;
         if (v >= q) {
             ghi = mid;
             vhi = v;
@@ -303,12 +460,12 @@ certifyNearRoot(CertifiedCdf &cdf, const PreparedMixture &m, double q,
         }
     }
 
+    const double band = cdf.boundedBand();
     double x = 0.5 * (glo + ghi);
-    double v = cdf.exact(x);
+    double v = cdf.bounded(x);
     double slope = (vhi - vlo) / (ghi - glo);
     const double tol = 1e-9 * std::max(1.0, std::abs(x));
-    for (int i = 0; i < kSecantSteps && std::abs(v - q) >= 2.0 * m.err;
-         ++i) {
+    for (int i = 0; i < kSecantSteps && std::abs(v - q) >= band; ++i) {
         if (!(slope > 0.0 && std::isfinite(slope)))
             break;
         double next = x - (v - q) / slope;
@@ -320,7 +477,7 @@ certifyNearRoot(CertifiedCdf &cdf, const PreparedMixture &m, double q,
             x = next;
             break;
         }
-        double vn = cdf.exact(next);
+        double vn = cdf.bounded(next);
         slope = (vn - v) / (next - x);
         x = next;
         v = vn;
@@ -328,38 +485,32 @@ certifyNearRoot(CertifiedCdf &cdf, const PreparedMixture &m, double q,
 
     double d = 0.5 * tol;
     if (slope > 0.0)
-        d = std::max(d, 4.0 * m.err / slope);
+        d = std::max(d, 2.0 * band / slope);
     if (cdf.below() < x - d)
-        cdf.exact(x - d);
+        cdf.bounded(x - d);
     if (cdf.above() > x + d)
-        cdf.exact(x + d);
+        cdf.bounded(x + d);
 }
 
-} // namespace
-
+/**
+ * The q-quantile of @p m by certified replay; @p sub is the guess's
+ * subsample, used only when @p m gets certificates.  Records the
+ * passes it took in @p passes.
+ */
 double
-shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix, double x)
+certifiedQuantile(const PreparedMixture &m, const PreparedMixture &sub,
+                  double q, MixtureQuantiles &passes)
 {
-    return mixtureCdf(prepareMixture(mix), x);
-}
-
-double
-shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
-                            double q)
-{
-    const PreparedMixture m = prepareMixture(mix);
-    if (!(q >= 0.0 && q <= 1.0))
-        throw std::invalid_argument(
-            "shiftedGammaMixtureQuantile: q outside [0, 1]");
     double lo = m.lo, hi = m.hi;
     if (q == 0.0 || hi <= lo)
         return lo;
 
     // A plain bisection whose "CDF >= q" tests are answered by
     // CertifiedCdf: the same steps, stop rule and result as evaluating
-    // every test, at a fraction of the evaluations.
+    // every test, at a fraction of the exact passes.
     CertifiedCdf cdf(m, q);
-    certifyNearRoot(cdf, m, q, lo, hi);
+    if (std::isfinite(m.err))
+        locateRoot(cdf, sub, q, lo, hi);
     // Expand the bracket until it contains the quantile (gamma tails
     // reach CDF = 1 in floating point once erfc underflows).
     double width = hi - lo;
@@ -374,7 +525,63 @@ shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
         else
             lo = mid;
     }
+    passes.exact_passes = cdf.exact_passes;
+    passes.bounded_passes = cdf.bounded_passes;
     return 0.5 * (lo + hi);
+}
+
+} // namespace
+
+double
+shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix, double x)
+{
+    const PreparedMixture m = prepareMixture(mix);
+    return exactCdfSum(m, x) / m.total;
+}
+
+BoundedCdf
+shiftedGammaMixtureBoundedCdf(const std::vector<ShiftedGamma> &mix,
+                              double x)
+{
+    const PreparedMixture m = prepareMixture(mix);
+    return {boundedCdfSum(m, x) / m.total, m.err + m.err_bounded};
+}
+
+double
+shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
+                            double q)
+{
+    return shiftedGammaMixtureQuantiles(mix, {q}).values[0];
+}
+
+MixtureQuantiles
+shiftedGammaMixtureQuantiles(const std::vector<ShiftedGamma> &mix,
+                             const std::vector<double> &qs,
+                             ThreadPool *pool)
+{
+    const PreparedMixture m = prepareMixture(mix);
+    for (double q : qs)
+        if (!(q >= 0.0 && q <= 1.0))
+            throw std::invalid_argument(
+                "shiftedGammaMixtureQuantile: q outside [0, 1]");
+    // The guess bisects ~4k components; both passes' certificates
+    // need a finite E.
+    constexpr std::size_t kSubsample = 4096;
+    const PreparedMixture sub =
+        std::isfinite(m.err)
+            ? subsample(m, std::max<std::size_t>(8, m.size() / kSubsample))
+            : PreparedMixture();
+    MixtureQuantiles out;
+    out.values.resize(qs.size());
+    std::vector<MixtureQuantiles> passes(qs.size());
+    parallelFor(pool, qs.size(), [&](std::size_t i) {
+        out.values[i] = certifiedQuantile(m, sub, qs[i], passes[i]);
+    });
+    for (const MixtureQuantiles &p : passes) {
+        out.exact_passes += p.exact_passes;
+        out.bounded_passes += p.bounded_passes;
+    }
+    return out;
 }
 
 double

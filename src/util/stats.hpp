@@ -13,6 +13,8 @@
 
 namespace rfc {
 
+class ThreadPool;
+
 /**
  * Welford streaming accumulator for mean / variance / confidence interval.
  */
@@ -86,13 +88,31 @@ struct ShiftedGamma
  * cube-root normal approximation (the same machinery as
  * chiSquareCritical; relative error a few percent for shape < 1,
  * well inside the queue model's own accuracy).  This is bit for bit
- * the function shiftedGammaMixtureQuantile inverts: both evaluate the
- * same hoisted per-component constants.  Throws
+ * the function shiftedGammaMixtureQuantile inverts: both run the
+ * exact pass over the same hoisted per-component constants, summing
+ * the components' terms in input order.  Throws
  * std::invalid_argument on an empty mixture, a weight <= 0, or a
  * non-finite field.
  */
 double shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix,
                               double x);
+
+/**
+ * The bounded pass of the mixture CDF at @p x, as the quantile search
+ * uses it to locate and certify (vector libm when the build found
+ * glibc's libmvec, scalar libm otherwise), and the bound on its
+ * distance from shiftedGammaMixtureCdf: @c bound = E + E_b, the
+ * documented worst-case rounding errors of the exact and the bounded
+ * pass against the same CDF in exact arithmetic (+inf when the
+ * mixture gets no certificates).  Throws like shiftedGammaMixtureCdf.
+ */
+struct BoundedCdf
+{
+    double value = 0.0;
+    double bound = 0.0;
+};
+BoundedCdf shiftedGammaMixtureBoundedCdf(
+    const std::vector<ShiftedGamma> &mix, double x);
 
 /**
  * Inverse of shiftedGammaMixtureCdf: the smallest x with CDF(x) >= q,
@@ -101,21 +121,48 @@ double shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix,
  * mean + 12 sd, doubled until it holds the quantile; halved until its
  * width is at most 1e-9 max(1, |hi|); the midpoint is returned).
  *
- * It is computed by certified replay: each bisection step "CDF(mid)
- * >= q" is answered from certificates where possible.  A documented
- * worst-case bound E on the CDF's rounding error (summation over n
- * components, per-component cbrt/erfc error, the final division)
- * turns every evaluation v at x with v < q - 2E into a proof that
- * every x' <= x evaluates below q, and every v >= q + 2E into the
- * mirror proof above x; only steps between the two certificates are
- * evaluated.  A short search places evaluations just either side of
- * the root first, so a fig10-sized mixture needs ~9 evaluations
- * instead of ~34, and the result is bit-identical to evaluating every
- * step.  Deterministic (pure function of the component list).  Throws
- * like shiftedGammaMixtureCdf, plus on q outside [0, 1].
+ * It is computed by certified replay over two CDF passes.  The exact
+ * pass is the CDF above; E bounds its rounding error (summation over
+ * n components, per-component cbrt/erfc error, the final division).
+ * The bounded pass runs the same formula through 2-lane vector libm
+ * with its own bound E_b.  Both turn a value far enough below q into
+ * a proof that every x' <= x evaluates below q, and one far enough
+ * above into the mirror proof: exact values by 2E, bounded ones by
+ * E + E_b.  The bounded pass does all the locating - a guess from a
+ * strided subsample, secant steps, two probes just either side of the
+ * root - and the exact pass runs only for bisection steps strictly
+ * between the certificates, the only ones whose answer its bits
+ * decide.  A fig10-sized quantile takes ~6 bounded and ~3 exact
+ * passes instead of ~34 exact ones, and the result is bit-identical
+ * to evaluating every step.  Deterministic (pure function of the
+ * component list).  Throws like shiftedGammaMixtureCdf, plus on q
+ * outside [0, 1].
  */
 double shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
                                    double q);
+
+/** Several quantiles of one mixture and the CDF passes they took. */
+struct MixtureQuantiles
+{
+    std::vector<double> values;  //!< one per requested level, in order
+    /**
+     * Full-mixture passes, summed over the levels: a pure function of
+     * the mixture and the levels on a given build (the bounded pass's
+     * bits, and so its certificates, depend on the libm it runs on).
+     * The subsample passes of the initial guess are not counted.
+     */
+    std::size_t exact_passes = 0;
+    std::size_t bounded_passes = 0;
+};
+
+/**
+ * shiftedGammaMixtureQuantile at every level of @p qs, validating and
+ * preparing the mixture once.  The levels run as tasks of @p pool
+ * when one is given; each value is the same double either way.
+ */
+MixtureQuantiles shiftedGammaMixtureQuantiles(
+    const std::vector<ShiftedGamma> &mix, const std::vector<double> &qs,
+    ThreadPool *pool = nullptr);
 
 /**
  * Pearson chi-square statistic sum((O_i - E_i)^2 / E_i) for observed

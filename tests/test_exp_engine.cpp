@@ -173,6 +173,20 @@ TEST(ExperimentEngine, QueuePointsSplitTheSweepTime)
     EXPECT_EQ(flow.find("\"mixture_seconds\""), std::string::npos);
 }
 
+TEST(ExperimentEngine, QueuePointsReportCdfPassesAsMetrics)
+{
+    // Deterministic counts, so they are metrics outside the timing
+    // objects (StudyTiers checks the whole document at any --jobs).
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    const Network net{"cft", &fc, &oracle};
+    const std::string queue = withoutTiming(
+        document(ExperimentEngine(1, 5), smallStudy(Tier::kQueue, net)));
+    for (const char *key :
+         {"\"exact_cdf_passes\"", "\"bounded_cdf_passes\""})
+        EXPECT_NE(queue.find(key), std::string::npos) << key;
+}
+
 TEST(ExperimentEngine, GridIndexCoversEveryAxisIncludingPolicy)
 {
     auto fc = buildCft(4, 2);

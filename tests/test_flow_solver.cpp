@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -58,6 +59,39 @@ TEST(FlowProblem, ValidatesInput)
     EXPECT_EQ(p.numPathsTotal(), 1u);
     EXPECT_EQ(p.numPaths(0), 1u);
     EXPECT_EQ(p.pathLength(0), 1u);
+}
+
+TEST(FlowProblem, RejectsNonFiniteCapacityAndWeight)
+{
+    // NaN fails every comparison, so a bare "<= 0" test lets it
+    // through to the solver.  Each message names its field.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto message = [](auto &&call) {
+        try {
+            call();
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    FlowProblem p;
+    for (double bad : {nan, inf, -inf, -1.0}) {
+        EXPECT_NE(message([&] { p.addLink(bad); }).find("link capacity"),
+                  std::string::npos)
+            << bad;
+        EXPECT_NE(message([&] { p.addDemand(bad); }).find("demand weight"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_EQ(p.numLinks(), 0);
+    EXPECT_EQ(p.numDemands(), 0u);
+    EXPECT_NE(message([&] { p.addDemand(nan); }).find("nan"),
+              std::string::npos);
+    // The largest finite values are still accepted.
+    p.addLink(std::numeric_limits<double>::max());
+    p.addDemand(std::numeric_limits<double>::max());
+    EXPECT_EQ(p.numLinks(), 1);
 }
 
 TEST(FlowSolver, TwoDemandsSharedLink)

@@ -207,19 +207,78 @@ TEST(GammaMixtureCore, PublicCdfIsTheBisectedFunction)
 {
     // shiftedGammaMixtureCdf evaluates exactly the function the
     // quantile bisects (same hoisted constants, same operation order).
+    // The exact pass is staged in blocks of 256 components, so the
+    // sizes include odd ones above a block; the point-mass and rugged
+    // families mix point masses in.
     Rng rng(0xcdf);
     for (int f = 0; f < reference::kFamilies; ++f) {
-        auto mix = reference::randomMixture(
-            rng, static_cast<reference::Family>(f), 200);
-        for (int i = 0; i < 50; ++i) {
-            double x = 15.0 + 60.0 * rng.uniformReal();
-            double want = reference::mixtureCdf(mix, x);
-            double got = shiftedGammaMixtureCdf(mix, x);
-            EXPECT_TRUE(reference::sameBits(want, got))
-                << "family " << f << " x=" << x << ": " << want
-                << " vs " << got;
+        for (std::size_t n : {200, 257, 1001, 4097}) {
+            auto mix = reference::randomMixture(
+                rng, static_cast<reference::Family>(f), n);
+            for (int i = 0; i < 50; ++i) {
+                double x = 15.0 + 60.0 * rng.uniformReal();
+                double want = reference::mixtureCdf(mix, x);
+                double got = shiftedGammaMixtureCdf(mix, x);
+                EXPECT_TRUE(reference::sameBits(want, got))
+                    << "family " << f << " n=" << n << " x=" << x
+                    << ": " << want << " vs " << got;
+            }
         }
     }
+}
+
+TEST(GammaMixtureCore, BoundedPassWithinItsBound)
+{
+    // The bounded pass locates and certifies, so its distance from the
+    // exact pass must stay within E + E_b everywhere in the bracket.
+    auto check = [](const std::vector<ShiftedGamma> &mix, int points,
+                    const char *family) {
+        double lo, hi;
+        reference::prepare(mix, lo, hi);
+        for (int i = 0; i <= points; ++i) {
+            const double x = lo + (hi - lo) * i / points;
+            const BoundedCdf b = shiftedGammaMixtureBoundedCdf(mix, x);
+            const double exact = shiftedGammaMixtureCdf(mix, x);
+            ASSERT_TRUE(std::isfinite(b.bound)) << family;
+            EXPECT_LE(std::abs(b.value - exact), b.bound)
+                << family << " n=" << mix.size() << " x=" << x;
+        }
+    };
+    const char *names[] = {"fig10-like", "tiny variance", "point masses",
+                           "wide weights", "rugged"};
+    Rng rng(0xb0b);
+    for (int f = 0; f < reference::kFamilies; ++f)
+        for (std::size_t n : {1, 7, 301, 3000})
+            check(reference::randomMixture(
+                      rng, static_cast<reference::Family>(f), n),
+                  200, names[f]);
+    check(reference::randomMixture(rng, reference::Family::kFig10, 100000),
+          40, "fig10-like, 100k components");
+}
+
+TEST(GammaMixtureCore, QuantilesShareOnePreparedMixture)
+{
+    // Several levels at once give each single level's double, on a
+    // pool too, and count the passes they took.
+    Rng rng(0x9a);
+    auto mix = reference::randomMixture(rng, reference::Family::kRugged,
+                                        3000);
+    const std::vector<double> qs = reference::levels();
+    ThreadPool pool(3);
+    const MixtureQuantiles serial = shiftedGammaMixtureQuantiles(mix, qs);
+    const MixtureQuantiles par =
+        shiftedGammaMixtureQuantiles(mix, qs, &pool);
+    ASSERT_EQ(serial.values.size(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        const double one = shiftedGammaMixtureQuantile(mix, qs[i]);
+        EXPECT_TRUE(reference::sameBits(serial.values[i], one)) << qs[i];
+        EXPECT_TRUE(reference::sameBits(par.values[i], one)) << qs[i];
+    }
+    EXPECT_GT(serial.bounded_passes, 0u);
+    EXPECT_EQ(par.exact_passes, serial.exact_passes);
+    EXPECT_EQ(par.bounded_passes, serial.bounded_passes);
+    EXPECT_THROW(shiftedGammaMixtureQuantiles(mix, {0.5, 1.5}),
+                 std::invalid_argument);
 }
 
 // --- the latency sweep on a hand-checkable instance -----------------
@@ -348,6 +407,45 @@ TEST(QueueSweepCore, CftSweepConservationAndPoolInvariance)
         EXPECT_EQ(par.points[i].max_utilization,
                   serial.points[i].max_utilization);
     }
+}
+
+TEST(QueueSweepCore, CdfPassCountsArePoolInvariant)
+{
+    // The pass counts are deterministic outputs, like the latencies.
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    UpDownEcmpPaths provider(fc, oracle, 8, /*seed=*/7);
+    auto dm = makeDemandMatrix("uniform", fc.numTerminals(), 9, 2);
+    auto problem = buildClosFlowProblem(fc, provider, dm);
+    QueueModel model(kS, 0.0);
+    QueueSweepOptions opt;
+    opt.loads = {0.1, 0.5, 0.9, 1.0};
+
+    ThreadPool pool0(0), pool1(1), pool3(3);
+    std::vector<QueueSweepResult> runs;
+    for (ThreadPool *pool : {&pool0, &pool1, &pool3}) {
+        opt.pool = pool;
+        runs.push_back(queueLatencySweep(problem, model, opt));
+    }
+    const auto &want = runs[0].points;
+    ASSERT_EQ(want.size(), opt.loads.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        // A live load always locates with bounded passes; whether any
+        // step needs an exact one depends on where the mids fall.
+        if (want[i].saturated) {
+            EXPECT_EQ(want[i].exact_cdf_passes, 0u);
+            EXPECT_EQ(want[i].bounded_cdf_passes, 0u);
+        } else {
+            EXPECT_GT(want[i].bounded_cdf_passes, 0u) << i;
+        }
+        for (const QueueSweepResult &r : runs) {
+            EXPECT_EQ(r.points[i].exact_cdf_passes,
+                      want[i].exact_cdf_passes);
+            EXPECT_EQ(r.points[i].bounded_cdf_passes,
+                      want[i].bounded_cdf_passes);
+        }
+    }
+    EXPECT_TRUE(want.back().saturated);
 }
 
 // --- merging equal mixture components -------------------------------

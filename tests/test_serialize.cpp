@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "check/invariants.hpp"
 #include "clos/expansion.hpp"
@@ -139,6 +140,92 @@ TEST(Serialize, RejectsOutOfRangeLink)
         "rfc-topology 1\nname x\nradix 4\nterminals-per-leaf 2\n"
         "levels 2 2 1\nlinks 1\n0 99\nend\n");
     EXPECT_THROW(loadTopology(ss), std::runtime_error);
+}
+
+/** loadTopology's error message on @p text ("" if it parses). */
+std::string
+loadError(const std::string &text)
+{
+    std::stringstream ss(text);
+    try {
+        loadTopology(ss);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A valid CFT(4,2) file with line @p line (1-based) replaced. */
+std::string
+cft42With(int line, const std::string &replacement)
+{
+    std::stringstream in;
+    saveTopology(buildCft(4, 2), in);
+    std::string out, l;
+    for (int n = 1; std::getline(in, l); ++n)
+        out += (n == line ? replacement : l) + "\n";
+    return out;
+}
+
+TEST(Serialize, ValidFileWithTrailingCommentsParses)
+{
+    // Comments and trailing blanks after a line's fields are fine.
+    EXPECT_EQ(loadError(cft42With(3, "radix 4   # nominal")), "");
+    EXPECT_EQ(loadError(cft42With(6, "links 8 \t")), "");
+}
+
+TEST(Serialize, RejectsTrailingTokens)
+{
+    // Every line's fields must be all it holds.
+    std::string e = loadError(cft42With(3, "radix 4 junk"));
+    EXPECT_NE(e.find("line 3 'radix 4 junk'"), std::string::npos) << e;
+    EXPECT_NE(e.find("trailing 'junk'"), std::string::npos) << e;
+    e = loadError(cft42With(6, "links 0 trailing"));
+    EXPECT_NE(e.find("line 6"), std::string::npos) << e;
+    EXPECT_NE(e.find("trailing"), std::string::npos) << e;
+    e = loadError(cft42With(7, "0 2 5"));
+    EXPECT_NE(e.find("line 7 '0 2 5'"), std::string::npos) << e;
+    e = loadError(cft42With(1, "rfc-topology 1 x"));
+    EXPECT_NE(e.find("line 1"), std::string::npos) << e;
+    e = loadError(cft42With(15, "end now"));
+    EXPECT_NE(e.find("line 15"), std::string::npos) << e;
+}
+
+TEST(Serialize, RejectsFractionalNumbers)
+{
+    // A stream read of "2.5" into an int stops at the dot and yields 2.
+    const std::string e =
+        loadError(cft42With(4, "terminals-per-leaf 2.5"));
+    EXPECT_NE(e.find("line 4"), std::string::npos) << e;
+    EXPECT_NE(e.find("'2.5' is not a whole number"), std::string::npos)
+        << e;
+    EXPECT_NE(loadError(cft42With(3, "radix 4x")).find("line 3"),
+              std::string::npos);
+    EXPECT_NE(loadError(cft42With(3, "radix 99999999999")).find("outside"),
+              std::string::npos);
+}
+
+TEST(Serialize, RejectsExtraLevelCounts)
+{
+    // The level list holds exactly as many counts as it declares.
+    const std::string e = loadError(cft42With(5, "levels 2 4 2 7"));
+    EXPECT_NE(e.find("line 5 'levels 2 4 2 7'"), std::string::npos) << e;
+    EXPECT_NE(e.find("trailing '7'"), std::string::npos) << e;
+    EXPECT_NE(loadError(cft42With(5, "levels 3 4 2")).find("missing"),
+              std::string::npos);
+    EXPECT_NE(loadError(cft42With(5, "levels 2 4 0")).find("line 5"),
+              std::string::npos);
+}
+
+TEST(Serialize, RejectsLevelSumPastIntMax)
+{
+    // The sum would overflow FoldedClos's int switch ids.
+    const std::string e =
+        loadError(cft42With(5, "levels 2 2000000000 2000000000"));
+    EXPECT_NE(e.find("line 5"), std::string::npos) << e;
+    EXPECT_NE(e.find("sum past"), std::string::npos) << e;
+    EXPECT_THROW(FoldedClos({2000000000, 2000000000}, 4, 2, "x"),
+                 std::invalid_argument);
 }
 
 TEST(Serialize, DotOutputContainsAllSwitches)
