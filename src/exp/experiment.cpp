@@ -269,7 +269,9 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
                             {"max_utilization", q.max_utilization},
                             {"exact_cdf_passes", num(q.exact_cdf_passes)},
                             {"bounded_cdf_passes",
-                             num(q.bounded_cdf_passes)}});
+                             num(q.bounded_cdf_passes)},
+                            {"mixture_components",
+                             num(q.mixture_components)}});
         }
         sweep_split = {{"mixture_seconds", sweep.mixture_seconds},
                        {"quantile_seconds", sweep.quantile_seconds}};

@@ -13,7 +13,15 @@
  * the full set fits the cap it is returned exactly, otherwise a
  * deterministic random sample of distinct minimal paths (seeded per
  * leaf pair) stands in for it.  The enumerator is immutable after
- * construction and safe to share across solver threads.
+ * construction and safe to share across solver threads; each thread
+ * passes its own `LeafPairPaths`, which holds the output and the
+ * per-pair scratch.
+ *
+ * Each switch's choice list (`UpDownOracle::upChoices` or
+ * `downChoices`) is computed once per leaf pair, however often the DFS
+ * and the samples revisit it.  Every path reports the port each hop
+ * leaves by, so a caller maps a hop to its link without searching the
+ * port lists.
  */
 #ifndef RFC_FLOW_PATHS_HPP
 #define RFC_FLOW_PATHS_HPP
@@ -26,6 +34,61 @@
 #include "routing/updown.hpp"
 
 namespace rfc {
+
+class UpDownEcmpPaths;
+
+/**
+ * The candidate paths of one leaf pair, all of one length, plus the
+ * enumerator's reusable scratch (reuse one object across calls to
+ * avoid allocating per pair).  Path i visits hops() + 1 switches,
+ * switches(i)[0] being the source leaf, and leaves switch j through
+ * port ports(i)[j] of that switch, numbered up ports first, then down
+ * ports: fc.up(s)[k] is port k and fc.down(s)[k] is port
+ * fc.up(s).size() + k.
+ */
+class LeafPairPaths
+{
+  public:
+    /** Number of paths (0 = no up/down route). */
+    std::size_t size() const { return count_; }
+
+    /** Hops per path (switches per path minus one). */
+    int hops() const { return hops_; }
+
+    const int *
+    switches(std::size_t i) const
+    {
+        return sw_.data() + i * static_cast<std::size_t>(hops_ + 1);
+    }
+
+    const int *
+    ports(std::size_t i) const
+    {
+        return port_.data() + i * static_cast<std::size_t>(hops_);
+    }
+
+  private:
+    friend class UpDownEcmpPaths;
+
+    /** One switch's choice list toward the pair's destination leaf. */
+    struct Hop
+    {
+        int sw = -1;
+        std::uint32_t gen = 0;   //!< call that filled it (0 = never)
+        std::int32_t first = 0;  //!< offset of its list in choice_
+        std::int32_t count = 0;  //!< number of choices
+    };
+
+    int hops_ = 0;
+    std::size_t count_ = 0;
+    std::vector<int> sw_, port_;  //!< rows of hops_ + 1 and hops_
+    std::vector<int> at_, via_;   //!< the path being built
+    std::vector<Hop> memo_;       //!< open addressing, power of two
+    std::size_t memo_used_ = 0;
+    std::uint32_t gen_ = 0;
+    std::vector<int> choice_;     //!< the memoised choice lists
+    std::vector<int> list_;       //!< oracle list scratch
+};
 
 /**
  * Minimal up/down ECMP paths between leaf switches of a folded Clos,
@@ -44,28 +107,32 @@ class UpDownEcmpPaths
                     int max_paths = 16, std::uint64_t seed = 1);
 
     /**
-     * Candidate paths from leaf @p src to leaf @p dst, as visited
-     * switch sequences (src first, dst last; a single-element path when
-     * src == dst).  Empty when no up/down route exists.
+     * Candidate paths from leaf @p src to leaf @p dst into @p out: a
+     * single zero-hop path when src == dst, none when no up/down route
+     * exists.  Enumerated paths come in DFS order over ascending ports;
+     * sampled ones sorted by switch sequence.
+     * @throws std::invalid_argument if either leaf is outside
+     *         [0, numLeaves()).
      */
-    void paths(int src, int dst, std::vector<Path> &out) const;
+    void paths(int src, int dst, LeafPairPaths &out) const;
 
   private:
     /**
-     * Exhaustive DFS; returns false once more than max_paths_ exist.
-     * @p choices holds one next-hop list per path position, reused
-     * across the nodes at that depth.
+     * Index in out.memo_ of @p s's memoised up (@p up) or down choices
+     * toward @p dst.
      */
-    bool enumerate(int s, int ups, int dst, Path &prefix,
-                   std::vector<std::vector<int>> &choices,
-                   std::vector<Path> &out) const;
+    std::size_t choicesAt(int s, int dst, bool up, LeafPairPaths &out) const;
 
     /**
-     * One random minimal up/down path (never fails when routable);
-     * @p choices is scratch.
+     * Exhaustive DFS from out.at_[depth] = @p s; returns false once
+     * more than max_paths_ paths exist.
      */
+    bool enumerate(std::size_t depth, int s, int ups, int dst,
+                   LeafPairPaths &out) const;
+
+    /** One random minimal up/down path into out.at_ / out.via_. */
     void samplePath(int src, int ups, int dst, Rng &rng,
-                    std::vector<int> &choices, Path &out) const;
+                    LeafPairPaths &out) const;
 
     const FoldedClos &fc_;
     const UpDownOracle &oracle_;

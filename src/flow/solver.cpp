@@ -33,22 +33,33 @@ FlowProblem::addDemand(double weight)
             "FlowProblem: demand weight must be finite and > 0, got " +
             std::to_string(weight));
     weight_.push_back(weight);
-    first_path_.push_back(numPathsTotal());
+    first_path_.push_back(static_cast<std::int32_t>(numPathsTotal()));
     return weight_.size() - 1;
 }
 
 void
 FlowProblem::addPath(const std::vector<std::int32_t> &links)
 {
+    addPath(links.data(), links.size());
+}
+
+void
+FlowProblem::addPath(const std::int32_t *links, std::size_t n)
+{
     if (weight_.empty())
         throw std::logic_error("FlowProblem: addPath before addDemand");
-    if (links.empty())
+    if (n == 0)
         throw std::invalid_argument("FlowProblem: empty path");
-    for (std::int32_t l : links)
-        if (l < 0 || l >= numLinks())
+    for (std::size_t k = 0; k < n; ++k)
+        if (links[k] < 0 || links[k] >= numLinks())
             throw std::out_of_range("FlowProblem: bad link id in path");
-    path_links_.insert(path_links_.end(), links.begin(), links.end());
-    path_off_.push_back(static_cast<std::int64_t>(path_links_.size()));
+    constexpr auto kMax =
+        static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+    if (n > kMax - path_links_.size())
+        throw std::length_error(
+            "FlowProblem: more than INT32_MAX link entries in paths");
+    path_links_.insert(path_links_.end(), links, links + n);
+    path_off_.push_back(static_cast<std::int32_t>(path_links_.size()));
 }
 
 namespace {
@@ -67,13 +78,36 @@ rangeBegin(std::size_t nd, std::size_t rg)
     return nd * rg / kRanges;
 }
 
-/** One demand range's candidate paths, flat. */
+/**
+ * One demand range's candidate paths as link rows: per path, the
+ * injection slot, the switch links, the ejection slot (the merge fills
+ * both slots in demand order).
+ */
 struct RangePaths
 {
-    std::vector<std::int32_t> hops;          //!< switch-link ids
-    std::vector<std::int32_t> path_hops;     //!< per path: hop count
+    std::vector<std::int32_t> links;
     std::vector<std::int32_t> demand_paths;  //!< per demand: path count
+    std::vector<std::int32_t> demand_hops;   //!< per demand: hops per path
 };
+
+/**
+ * Throws std::invalid_argument, prefixed by @p who, at the first
+ * demand of @p dm with an endpoint outside fc's terminals.
+ */
+void
+requireTerminals(const char *who, const FoldedClos &fc,
+                 const DemandMatrix &dm)
+{
+    const long long n = fc.numTerminals();
+    for (std::size_t i = 0; i < dm.demands.size(); ++i)
+        for (long long t : {dm.demands[i].src, dm.demands[i].dst})
+            if (t < 0 || t >= n)
+                throw std::invalid_argument(
+                    std::string(who) + ": demand " + std::to_string(i) +
+                    " has endpoint " + std::to_string(t) +
+                    ", outside the network's " + std::to_string(n) +
+                    " terminals");
+}
 
 /** Phases between dual-bound evaluations. */
 constexpr int kDualEvery = 10;
@@ -128,85 +162,76 @@ FlowProblem
 buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
                      const DemandMatrix &dm, ThreadPool *pool)
 {
+    requireTerminals("buildClosFlowProblem", fc, dm);
     // Directed link ids: per switch s, up ports first then down ports,
     // at base offset off[s] (one id per port, matching the simulator's
-    // one-phit-per-cycle-per-direction links).
+    // one-phit-per-cycle-per-direction links), so a hop's link is its
+    // switch's base plus the port the enumerator reports.
     const int n = fc.numSwitches();
     std::vector<std::int64_t> off(static_cast<std::size_t>(n) + 1, 0);
     for (int s = 0; s < n; ++s)
         off[s + 1] = off[s] + static_cast<std::int64_t>(fc.up(s).size()) +
                      static_cast<std::int64_t>(fc.down(s).size());
 
-    // Enumerated hops are ports of fc by construction; a -1 (no such
-    // port) would make addPath throw instead of dropping the path.
-    auto link_id = [&](int a, int b) -> std::int32_t {
-        const auto &up = fc.up(a);
-        for (std::size_t k = 0; k < up.size(); ++k)
-            if (up[k] == b)
-                return static_cast<std::int32_t>(off[a] + k);
-        const auto &down = fc.down(a);
-        for (std::size_t k = 0; k < down.size(); ++k)
-            if (down[k] == b)
-                return static_cast<std::int32_t>(off[a] + up.size() + k);
-        return -1;
-    };
-
-    // Enumerate candidate paths over fixed demand ranges (parallel)
-    // into flat per-range buffers, then assemble links, lazily
-    // registered terminal links and the CSR path storage in demand
-    // order (serial, hence deterministic), freeing each range once it
-    // is appended.
-    const std::size_t nd = dm.demands.size();
-    std::vector<RangePaths> parts(kRanges);
-    parallelFor(pool, kRanges, [&](std::size_t rg) {
-        RangePaths &part = parts[rg];
-        const std::size_t lo = rangeBegin(nd, rg), hi = rangeBegin(nd, rg + 1);
-        part.demand_paths.reserve(hi - lo);
-        std::vector<Path> ps;
-        for (std::size_t i = lo; i < hi; ++i) {
-            const Demand &d = dm.demands[i];
-            paths.paths(fc.leafOfTerminal(d.src), fc.leafOfTerminal(d.dst),
-                        ps);
-            part.demand_paths.push_back(static_cast<std::int32_t>(ps.size()));
-            for (const Path &p : ps) {
-                part.path_hops.push_back(
-                    static_cast<std::int32_t>(p.size() - 1));
-                for (std::size_t h = 0; h + 1 < p.size(); ++h)
-                    part.hops.push_back(link_id(p[h], p[h + 1]));
-            }
-        }
-    });
-
     FlowProblem prob;
     for (std::int64_t l = 0; l < off[n]; ++l)
         prob.addLink(1.0);
+
+    // Enumerate candidate paths over fixed demand ranges in waves
+    // (parallel within a wave) into link rows, then append each range
+    // in demand order with lazily registered terminal links (serial,
+    // hence deterministic).
+    const std::size_t nd = dm.demands.size();
     std::unordered_map<long long, std::int32_t> inj, ej;
-    std::vector<std::int32_t> links;
-    for (std::size_t rg = 0; rg < kRanges; ++rg) {
-        RangePaths &part = parts[rg];
-        const std::int32_t *hop = part.hops.data();
-        const std::int32_t *hops_of_path = part.path_hops.data();
-        const std::size_t lo = rangeBegin(nd, rg), hi = rangeBegin(nd, rg + 1);
-        for (std::size_t i = lo; i < hi; ++i) {
-            const Demand &d = dm.demands[i];
-            prob.addDemand(d.weight);
-            auto [ii, inew] = inj.try_emplace(d.src, 0);
-            if (inew)
-                ii->second = prob.addLink(1.0);
-            auto [ei, enew] = ej.try_emplace(d.dst, 0);
-            if (enew)
-                ei->second = prob.addLink(1.0);
-            for (std::int32_t k = 0; k < part.demand_paths[i - lo]; ++k) {
-                const std::int32_t len = *hops_of_path++;
-                links.assign(1, ii->second);
-                links.insert(links.end(), hop, hop + len);
-                links.push_back(ei->second);
-                prob.addPath(links);
-                hop += len;
+    parallelWaves<RangePaths>(
+        pool, kRanges,
+        [&](std::size_t rg, RangePaths &part) {
+            const std::size_t lo = rangeBegin(nd, rg);
+            const std::size_t hi = rangeBegin(nd, rg + 1);
+            part.demand_paths.reserve(hi - lo);
+            part.demand_hops.reserve(hi - lo);
+            LeafPairPaths ps;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const Demand &d = dm.demands[i];
+                paths.paths(fc.leafOfTerminal(d.src),
+                            fc.leafOfTerminal(d.dst), ps);
+                part.demand_paths.push_back(
+                    static_cast<std::int32_t>(ps.size()));
+                part.demand_hops.push_back(ps.hops());
+                for (std::size_t k = 0; k < ps.size(); ++k) {
+                    const int *sw = ps.switches(k);
+                    const int *port = ps.ports(k);
+                    part.links.push_back(-1);
+                    for (int h = 0; h < ps.hops(); ++h)
+                        part.links.push_back(
+                            static_cast<std::int32_t>(off[sw[h]] + port[h]));
+                    part.links.push_back(-1);
+                }
             }
-        }
-        part = {};  // release as we go
-    }
+        },
+        [&](std::size_t rg, RangePaths &part) {
+            const std::size_t lo = rangeBegin(nd, rg);
+            const std::size_t hi = rangeBegin(nd, rg + 1);
+            std::int32_t *row = part.links.data();
+            for (std::size_t i = lo; i < hi; ++i) {
+                const Demand &d = dm.demands[i];
+                prob.addDemand(d.weight);
+                auto [ii, inew] = inj.try_emplace(d.src, 0);
+                if (inew)
+                    ii->second = prob.addLink(1.0);
+                auto [ei, enew] = ej.try_emplace(d.dst, 0);
+                if (enew)
+                    ei->second = prob.addLink(1.0);
+                const std::size_t len =
+                    static_cast<std::size_t>(part.demand_hops[i - lo]) + 2;
+                for (std::int32_t k = 0; k < part.demand_paths[i - lo]; ++k) {
+                    row[0] = ii->second;
+                    row[len - 1] = ei->second;
+                    prob.addPath(row, len);
+                    row += len;
+                }
+            }
+        });
     return prob;
 }
 
@@ -363,23 +388,19 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
     return sol;
 }
 
-EcmpFluidResult
-ecmpFluid(const FlowProblem &p)
+std::vector<double>
+ecmpLinkUtilization(const FlowProblem &p)
 {
-    EcmpFluidResult r;
     const std::size_t nd = p.numDemands();
     const std::int32_t nl = p.numLinks();
-    r.utilization.assign(static_cast<std::size_t>(nl), 0.0);
-    r.demand_throughput.assign(nd, 0.0);
-    if (nd == 0)
-        return r;
+    std::vector<double> util(static_cast<std::size_t>(nl), 0.0);
 
     // Link-load accumulation over a fixed demand partition: each range
     // sums its contributions per link in demand order into a dense
-    // scratch array, then adds every link it touched into utilization;
-    // ranges merge in index order.  Per link this is the association
-    // of a per-range reduction sorted by link (0.0 + x == x), which
-    // the output is pinned to (DESIGN.md 4.8).
+    // scratch array, then adds every link it touched into util; ranges
+    // merge in index order.  Per link this is the association of a
+    // per-range reduction sorted by link (0.0 + x == x), which the
+    // output is pinned to (DESIGN.md 4.8).
     std::vector<double> acc(static_cast<std::size_t>(nl), 0.0);
     std::vector<std::int32_t> touched;
     for (std::size_t rg = 0; rg < kRanges; ++rg) {
@@ -403,16 +424,28 @@ ecmpFluid(const FlowProblem &p)
             }
         }
         for (std::int32_t l : touched) {
-            r.utilization[l] += acc[l];
+            util[l] += acc[l];
             acc[l] = 0.0;
         }
     }
+    for (std::int32_t l = 0; l < nl; ++l)
+        util[l] /= p.capacity(l);
+    return util;
+}
+
+EcmpFluidResult
+ecmpFluid(const FlowProblem &p)
+{
+    EcmpFluidResult r;
+    const std::size_t nd = p.numDemands();
+    r.utilization = ecmpLinkUtilization(p);
+    r.demand_throughput.assign(nd, 0.0);
+    if (nd == 0)
+        return r;
 
     double maxu = 0.0;
-    for (std::int32_t l = 0; l < nl; ++l) {
-        r.utilization[l] /= p.capacity(l);
-        maxu = std::max(maxu, r.utilization[l]);
-    }
+    for (double u : r.utilization)
+        maxu = std::max(maxu, u);
     r.saturation = maxu > 0.0 ? 1.0 / maxu : 0.0;
 
     for (std::size_t d = 0; d < nd; ++d) {
@@ -449,6 +482,7 @@ double
 cutThroughputBound(const FoldedClos &fc, const UpDownOracle &oracle,
                    const DemandMatrix &dm, const DynBitset &leaf_in_a)
 {
+    requireTerminals("cutThroughputBound", fc, dm);
     const int n = fc.numSwitches();
     const int leaves = fc.numLeaves();
     std::vector<char> side(static_cast<std::size_t>(n));

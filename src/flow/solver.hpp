@@ -84,9 +84,14 @@ class FlowProblem
 
     /**
      * Add a candidate path (non-empty link-id sequence) to the most
-     * recently added demand.
+     * recently added demand.  Throws std::length_error once the
+     * problem would hold more than INT32_MAX link entries (path
+     * offsets are 32-bit).
      */
     void addPath(const std::vector<std::int32_t> &links);
+
+    /** addPath over the @p n link ids at @p links. */
+    void addPath(const std::int32_t *links, std::size_t n);
 
     std::int32_t numLinks() const
     {
@@ -99,14 +104,18 @@ class FlowProblem
     double weight(std::size_t d) const { return weight_[d]; }
 
     /** Global id of demand @p d's first path. */
-    std::size_t pathBegin(std::size_t d) const { return first_path_[d]; }
+    std::size_t
+    pathBegin(std::size_t d) const
+    {
+        return static_cast<std::size_t>(first_path_[d]);
+    }
     /** Number of candidate paths of demand @p d (0 = unroutable). */
     std::size_t
     numPaths(std::size_t d) const
     {
-        return (d + 1 < first_path_.size() ? first_path_[d + 1]
+        return (d + 1 < first_path_.size() ? pathBegin(d + 1)
                                            : numPathsTotal()) -
-               first_path_[d];
+               pathBegin(d);
     }
 
     /** Links of global path @p p. */
@@ -124,8 +133,9 @@ class FlowProblem
   private:
     std::vector<double> cap_;
     std::vector<double> weight_;
-    std::vector<std::size_t> first_path_;   //!< per demand
-    std::vector<std::int64_t> path_off_ = {0};  //!< per path, +sentinel
+    // Every path holds a link, so 32 bits index both.
+    std::vector<std::int32_t> first_path_;   //!< per demand
+    std::vector<std::int32_t> path_off_ = {0};  //!< per path, +sentinel
     std::vector<std::int32_t> path_links_;
 };
 
@@ -134,9 +144,12 @@ class FlowProblem
  * @p paths between their endpoint leaves, every switch port becomes a
  * directed unit-capacity link, and each terminal appearing in @p dm
  * gets a unit injection/ejection link.  Demand order (and therefore
- * every solver output) follows dm.demands.  Path enumeration
- * parallelizes over fixed demand ranges on @p pool (deterministically;
- * nullptr = serial).
+ * every solver output) follows dm.demands.  Path enumeration runs over
+ * fixed demand ranges in waves on @p pool (util/threadpool
+ * parallelWaves; nullptr = one range at a time), each wave appended
+ * in demand order and freed, so the problem is the same bits at any
+ * pool size.  Throws std::invalid_argument, naming the demand, when
+ * an endpoint is not a terminal of @p fc.
  */
 FlowProblem buildClosFlowProblem(const FoldedClos &fc,
                                  const UpDownEcmpPaths &paths,
@@ -215,6 +228,13 @@ struct EcmpFluidResult
 EcmpFluidResult ecmpFluid(const FlowProblem &problem);
 
 /**
+ * Per link: relative load at unit injection under even ECMP splitting,
+ * divided by capacity - ecmpFluid's utilization, without the
+ * per-demand results.
+ */
+std::vector<double> ecmpLinkUtilization(const FlowProblem &problem);
+
+/**
  * Cut-based throughput upper bound (the Section 4.2 bisection argument
  * at leaf granularity).  @p leaf_in_a partitions the leaves; upper
  * switches side with the majority of the leaves below them.  Every
@@ -223,7 +243,9 @@ EcmpFluidResult ecmpFluid(const FlowProblem &problem);
  * tighter of the two directions.  Feed it the partition found by
  * `empiricalBisectionParts` (graph/bisection) to turn the paper's
  * bisection estimates into a checkable bound on the flow solver.
- * Returns +infinity when no demand crosses the cut.
+ * Returns +infinity when no demand crosses the cut.  Throws
+ * std::invalid_argument, naming the demand, when an endpoint is not a
+ * terminal of @p fc.
  */
 double cutThroughputBound(const FoldedClos &fc, const UpDownOracle &oracle,
                           const DemandMatrix &dm,

@@ -25,14 +25,16 @@ struct RangePartial
 
 /**
  * Merge of equal (shift, mean, variance) components through an
- * open-addressing table of indices into @c comps: a key's first
- * occurrence is appended, later ones add their weight to it, so a
- * merged weight is summed in insertion order.
+ * open-addressing table of indices into @c comps (which starts
+ * empty): a key's first occurrence is appended, later ones add their
+ * weight to it, so a merged weight is summed in insertion order.  The
+ * table doubles, rehashing the unique keys, before its load factor
+ * passes 1/2, so it never needs a bound on the keys.
  */
 class ComponentMerge
 {
   public:
-    /** Room for @p keys distinct keys at load factor <= 1/2. */
+    /** Room for @p keys distinct keys before the first rehash. */
     ComponentMerge(std::vector<ShiftedGamma> &comps, std::size_t keys)
         : comps_(comps)
     {
@@ -51,6 +53,8 @@ class ComponentMerge
             if (at == 0) {
                 comps_.push_back(c);
                 slots_[s] = static_cast<std::uint32_t>(comps_.size());
+                if (2 * comps_.size() > slots_.size())
+                    grow();
                 return;
             }
             ShiftedGamma &m = comps_[at - 1];
@@ -63,6 +67,20 @@ class ComponentMerge
     }
 
   private:
+    /** Double the table and re-seat every key (all distinct). */
+    void
+    grow()
+    {
+        slots_.assign(2 * slots_.size(), 0);
+        mask_ = slots_.size() - 1;
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
+            std::size_t s = hash(comps_[i]) & mask_;
+            while (slots_[s] != 0)
+                s = (s + 1) & mask_;
+            slots_[s] = static_cast<std::uint32_t>(i + 1);
+        }
+    }
+
     static std::uint64_t
     bitsOf(double x)
     {
@@ -114,8 +132,12 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
             "queueLatencySweep: link_latency must be >= 0");
 
     QueueSweepResult result;
-    EcmpFluidResult fluid = ecmpFluid(problem);
-    result.saturation = fluid.saturation;
+    // Only the links' loads: the per-demand fluid results go unused.
+    const std::vector<double> util = ecmpLinkUtilization(problem);
+    double worst_util = 0.0;
+    for (double u : util)
+        worst_util = std::max(worst_util, u);
+    result.saturation = worst_util > 0.0 ? 1.0 / worst_util : 0.0;
 
     const std::size_t nd = problem.numDemands();
     const double service = static_cast<double>(opt.pkt_phits);
@@ -151,18 +173,12 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
     }
     if (result.offered_weight > 0.0)
         result.zero_load_latency = floor_num / result.offered_weight;
-    for (std::int32_t l = 0; l < problem.numLinks(); ++l) {
-        if (is_first[static_cast<std::size_t>(l)])
-            result.injection_util +=
-                fluid.utilization[static_cast<std::size_t>(l)];
-        if (is_last[static_cast<std::size_t>(l)])
-            result.ejection_util +=
-                fluid.utilization[static_cast<std::size_t>(l)];
+    for (std::size_t l = 0; l < util.size(); ++l) {
+        if (is_first[l])
+            result.injection_util += util[l];
+        if (is_last[l])
+            result.ejection_util += util[l];
     }
-
-    double worst_util = 0.0;
-    for (double u : fluid.utilization)
-        worst_util = std::max(worst_util, u);
 
     const std::size_t n_loads = opt.loads.size();
     result.points.resize(n_loads);
@@ -175,75 +191,80 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
     if (result.routed == 0)
         return result;
 
-    // One live load at a time, so only that load's partial mixtures
-    // are alive.  A per-link waiting table makes each path hop a
-    // lookup.  Phase A builds one shifted-gamma component per
-    // candidate path over fixed demand ranges, merging equal ones
-    // within the range in path order; the ranges then merge into one
-    // table in index order and the unique components are sorted, so
-    // the output is bit-identical at any pool size.  Phase B evaluates
-    // the merged mixture (mean exactly, p50/p99 via util/stats).
+    // One live load at a time.  A per-link waiting table, alive until
+    // the load's mixture is merged, makes each path hop a lookup.
+    // Phase A builds one shifted-gamma component per candidate path
+    // over fixed demand ranges, merging equal ones within the range in
+    // path order; the ranges are built in waves as wide as the pool
+    // and merged into one table in index order as each wave ends
+    // (util/threadpool parallelWaves), and the unique components are
+    // sorted, so the output is bit-identical at any pool size.  Phase
+    // B evaluates the merged mixture (mean exactly, p50/p99 via
+    // util/stats).  The merged vector keeps its capacity from load to
+    // load; when a range's partial would not fit, it is reserved for
+    // the merged count so far extrapolated over all 32 ranges (about
+    // what the 32 partials would hold), so it rarely moves while it
+    // fills.  The merge table starts at the previous load's unique
+    // count and rehashes as it grows.
     constexpr std::size_t kRanges = 32;
-    std::vector<QueueDelay> delay(fluid.utilization.size());
-    std::vector<RangePartial> parts(kRanges);
     auto pathsBefore = [&](std::size_t d) {
         return d < nd ? problem.pathBegin(d) : problem.numPathsTotal();
     };
+    std::vector<ShiftedGamma> comps;
+    std::size_t last_unique = 0;
     for (auto &pt : result.points) {
         if (pt.saturated)
             continue;
         const auto mixture_start = std::chrono::steady_clock::now();
-        for (std::size_t l = 0; l < delay.size(); ++l)
-            delay[l] = model.waiting(pt.load * fluid.utilization[l]);
-
-        parallelFor(opt.pool, kRanges, [&](std::size_t rg) {
-            RangePartial &out = parts[rg];
-            std::size_t lo = nd * rg / kRanges;
-            std::size_t hi = nd * (rg + 1) / kRanges;
-            ComponentMerge merge(out.comps,
-                                 pathsBefore(hi) - pathsBefore(lo));
-            for (std::size_t d = lo; d < hi; ++d) {
-                std::size_t np = problem.numPaths(d);
-                if (np == 0)
-                    continue;
-                double share =
-                    problem.weight(d) / static_cast<double>(np);
-                std::size_t pb = problem.pathBegin(d);
-                for (std::size_t q = pb; q < pb + np; ++q) {
-                    std::size_t len = problem.pathLength(q);
-                    const std::int32_t *links = problem.pathLinks(q);
-                    double wmean = 0.0, wvar = 0.0;
-                    for (std::size_t k = 0; k < len; ++k) {
-                        const QueueDelay &w =
-                            delay[static_cast<std::size_t>(links[k])];
-                        wmean += w.mean;
-                        wvar += w.variance;
-                    }
-                    double shift =
-                        static_cast<double>(len) * opt.link_latency +
-                        service;
-                    merge.add({shift, wmean, wvar, share});
-                    out.weight_sum += share;
-                    out.weighted_latency += share * (shift + wmean);
-                }
-            }
-        });
-
-        std::size_t n_keys = 0;
-        for (const auto &rp : parts)
-            n_keys += rp.comps.size();
-        std::vector<ShiftedGamma> comps;
-        comps.reserve(n_keys);
         double wsum = 0.0, wlat = 0.0;
+        comps.clear();
         {
-            ComponentMerge merge(comps, n_keys);
-            for (auto &rp : parts) {
-                for (const ShiftedGamma &c : rp.comps)
-                    merge.add(c);
-                wsum += rp.weight_sum;
-                wlat += rp.weighted_latency;
-                rp = RangePartial();
-            }
+            std::vector<QueueDelay> delay(util.size());
+            for (std::size_t l = 0; l < delay.size(); ++l)
+                delay[l] = model.waiting(pt.load * util[l]);
+            ComponentMerge merged(comps, last_unique);
+            parallelWaves<RangePartial>(
+                opt.pool, kRanges,
+                [&](std::size_t rg, RangePartial &out) {
+                    std::size_t lo = nd * rg / kRanges;
+                    std::size_t hi = nd * (rg + 1) / kRanges;
+                    ComponentMerge merge(out.comps,
+                                         pathsBefore(hi) - pathsBefore(lo));
+                    for (std::size_t d = lo; d < hi; ++d) {
+                        std::size_t np = problem.numPaths(d);
+                        if (np == 0)
+                            continue;
+                        double share =
+                            problem.weight(d) / static_cast<double>(np);
+                        std::size_t pb = problem.pathBegin(d);
+                        for (std::size_t q = pb; q < pb + np; ++q) {
+                            std::size_t len = problem.pathLength(q);
+                            const std::int32_t *links = problem.pathLinks(q);
+                            double wmean = 0.0, wvar = 0.0;
+                            for (std::size_t k = 0; k < len; ++k) {
+                                const QueueDelay &w = delay[
+                                    static_cast<std::size_t>(links[k])];
+                                wmean += w.mean;
+                                wvar += w.variance;
+                            }
+                            double shift =
+                                static_cast<double>(len) * opt.link_latency +
+                                service;
+                            merge.add({shift, wmean, wvar, share});
+                            out.weight_sum += share;
+                            out.weighted_latency += share * (shift + wmean);
+                        }
+                    }
+                },
+                [&](std::size_t rg, RangePartial &rp) {
+                    const std::size_t need = comps.size() + rp.comps.size();
+                    if (need > comps.capacity())
+                        comps.reserve(need * kRanges / (rg + 1));
+                    for (const ShiftedGamma &c : rp.comps)
+                        merged.add(c);
+                    wsum += rp.weight_sum;
+                    wlat += rp.weighted_latency;
+                });
         }
         // The keys are unique now, so the order is fully determined.
         std::sort(comps.begin(), comps.end(),
@@ -252,6 +273,8 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
                              std::tie(b.shift, b.mean, b.variance);
                   });
         pt.mean_latency = wlat / wsum;
+        pt.mixture_components = comps.size();
+        last_unique = comps.size();
         result.mixture_seconds += secondsSince(mixture_start);
 
         const auto quantile_start = std::chrono::steady_clock::now();

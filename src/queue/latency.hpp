@@ -9,7 +9,8 @@
  * ECMP candidate paths + per-port directed links) and replaces packet
  * simulation with analytic per-port queueing:
  *
- *  1. `ecmpFluid` gives every link's relative load at unit injection;
+ *  1. `ecmpLinkUtilization` (the link half of `ecmpFluid`) gives every
+ *     link's relative load at unit injection;
  *     at offered load lambda, port utilization is rho_l = lambda u_l.
  *  2. A QueueModel maps rho_l to waiting-time moments at that port.
  *  3. Per candidate path, waiting moments add up hop by hop (the
@@ -27,12 +28,14 @@
  * which tier-2 properties assert).
  *
  * Determinism: identical inputs give bit-identical results at any
- * pool size - work is partitioned into 32 fixed demand ranges merged
- * in index order, exactly like the flow solver.  Components with equal
- * (shift, mean, variance) merge into one whose weight is the sum over
- * ranges, in range order, of each range's sum over its paths, in path
- * order; the unique components are then sorted by that key.  The
- * association is fixed by the range partition, not by the pool.
+ * pool size - work is partitioned into 32 fixed demand ranges, built
+ * in waves as wide as the pool and merged in index order
+ * (util/threadpool parallelWaves), like the flow problem's paths.
+ * Components with equal (shift, mean, variance) merge into one whose
+ * weight is the sum over ranges, in range order, of each range's sum
+ * over its paths, in path order; the unique components are then
+ * sorted by that key.  The association is fixed by the range
+ * partition, not by the pool.
  *
  * Cost per load point: one waiting() call per link, O(paths * hops)
  * table lookups to build the mixture, a hash merge of equal
@@ -45,10 +48,18 @@
  * it, and ~3 exact passes on scalar libm for the steps only they can
  * decide.  The result reports the wall time of the mixture build and
  * of the quantiles, and each point its pass counts.
- * Loads are processed one at a time, so memory holds one load's
- * mixture.  This is typically 10-100x faster than a VCT sweep at
- * sandbox scale and the only affordable option at the
- * million-terminal tier.
+ *
+ * Memory: loads are processed one at a time.  Besides the problem, a
+ * sweep holds 10 B per link for the whole sweep (utilization and the
+ * injection/ejection flags); per load, a 16 B per link waiting table
+ * until the mixture is merged, one wave of range partials, and the
+ * merged mixture at 32 B per unique component (`mixture_components`;
+ * its capacity, extrapolated from the first partials merged, is about
+ * 32 B per range-partial component) with its merge table at 8-16 B
+ * per component, then the quantiles' prepared copy at 41 B per
+ * component.  This is typically 10-100x
+ * faster than a VCT sweep at sandbox scale and the only affordable
+ * option at the million-terminal tier.
  */
 #ifndef RFC_QUEUE_LATENCY_HPP
 #define RFC_QUEUE_LATENCY_HPP
@@ -92,6 +103,12 @@ struct QueueLoadPoint
      */
     std::size_t exact_cdf_passes = 0;
     std::size_t bounded_cdf_passes = 0;
+    /**
+     * Unique (shift, mean, variance) components of the merged mixture
+     * the quantiles ran over: the size of the load's largest live
+     * buffer.  Identical at any pool size; zero at a saturated load.
+     */
+    std::size_t mixture_components = 0;
 };
 
 /** One sweep: load-independent structure plus the per-load curve. */

@@ -16,6 +16,7 @@
 #ifndef RFC_UTIL_THREADPOOL_HPP
 #define RFC_UTIL_THREADPOOL_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -161,6 +162,36 @@ parallelFor(ThreadPool *pool, std::size_t n, Fn &&fn)
     }
     if (state->error)
         std::rethrow_exception(state->error);
+}
+
+/**
+ * Build @p n fixed ranges and fold them in index order without holding
+ * them all at once.  Ranges are built in waves as wide as the pool
+ * (its workers plus the caller; one range when @p pool is null): for
+ * each range i of a wave, build(i, part) fills a default-constructed
+ * Part on some thread; then the caller runs merge(i, part) for the
+ * wave's ranges in index order and frees their parts before the next
+ * wave starts.  Every merge call therefore sees the same parts in the
+ * same order at any pool size and in any completion order, and at most
+ * one wave of parts is alive.  An exception from build or merge stops
+ * the fold and is rethrown on the caller.
+ */
+template <typename Part, typename Build, typename Merge>
+void
+parallelWaves(ThreadPool *pool, std::size_t n, Build &&build, Merge &&merge)
+{
+    const std::size_t width =
+        pool == nullptr ? 1 : static_cast<std::size_t>(pool->size()) + 1;
+    std::vector<Part> wave(std::min(width, n));
+    for (std::size_t lo = 0; lo < n; lo += wave.size()) {
+        const std::size_t m = std::min(wave.size(), n - lo);
+        parallelFor(pool, m,
+                    [&](std::size_t k) { build(lo + k, wave[k]); });
+        for (std::size_t k = 0; k < m; ++k) {
+            merge(lo + k, wave[k]);
+            wave[k] = Part();
+        }
+    }
 }
 
 } // namespace rfc

@@ -12,13 +12,17 @@
  *    demand range, stable-sorted by link and reduced, merged in range
  *    order - against the dense per-range scratch array of ecmpFluid;
  *  - `legacyBuild`: one heap vector of link ids per candidate path
- *    kept for every demand, then assembled in demand order - against
- *    the flat per-range buffers of buildClosFlowProblem (serial and on
+ *    kept for every demand, each hop's link found by scanning port
+ *    lists, then assembled in demand order - against
+ *    buildClosFlowProblem's waves of range link rows (serial and on
  *    thread pools);
  *  - `LegacyPaths`: UpDownEcmpPaths as it was, always enumerating
- *    before it samples and allocating a choice list per DFS node and
- *    per sample - against the enumerator that skips enumeration when
- *    the source's up choices alone exceed the cap;
+ *    before it samples, allocating a choice list per DFS node and per
+ *    sample and asking the oracle's list methods at every hop -
+ *    against the enumerator that skips enumeration when the source's
+ *    up choices alone exceed the cap and takes each switch's choices
+ *    once per leaf pair; every port it reports must join its hop's
+ *    switches;
  *  - `legacySolve`: solveMaxConcurrentFlow with a std::exp call per
  *    weight update and a push_back touched list - against the solver
  *    that memoises exp by argument and fills the list without a
@@ -27,10 +31,13 @@
  * Every comparison is exact (EXPECT_EQ on doubles and link ids), over
  * CFT, OFT and random RFC networks (one with link faults, so that
  * some demands are unroutable), path caps 1, 4, 8 and 64, and
- * uniform, random-pairing and hand-made unequal demand weights; the
- * solver also runs on hand-made problems with non-unit capacities
- * (many distinct update exponents, so memo slots collide) and on one
- * whose weights grow past the rescale threshold.
+ * uniform, random-pairing and hand-made unequal demand weights, plus
+ * an RFC under a dead-link overlay and CFT(132,2), whose port sets are
+ * wider than 64, at caps 1, 2, 8 and 64; the problem is built at
+ * every wave width from 1 to 4 ranges, also from fewer demands than
+ * ranges; the solver also runs on hand-made problems with non-unit
+ * capacities (many distinct update exponents, so memo slots collide)
+ * and on one whose weights grow past the rescale threshold.
  */
 #include <gtest/gtest.h>
 
@@ -38,7 +45,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -51,6 +60,7 @@
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
 #include "routing/updown.hpp"
+#include "switch_paths.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -525,57 +535,242 @@ demands(long long terminals)
     return out;
 }
 
+/**
+ * A network whose oracle is built in place: either over a fault
+ * overlay, which kills ports without rewiring (a dead link is a dead up
+ * port at its lower switch and a dead down port at its upper one), or
+ * with more than 64 ports on one side of a switch, which a next-hop
+ * mask cannot hold.
+ */
+struct OracleNet
+{
+    std::string name;
+    FoldedClos fc;
+    LinkFaultState faults;
+    UpDownOracle oracle;
+};
+
+/**
+ * RFC(8,3,24) under an overlay with 16 dead links, and CFT(132,2),
+ * whose leaves have 66 up ports and whose top switches 132 down ports.
+ */
+std::vector<std::unique_ptr<OracleNet>>
+overlayAndWideNetworks()
+{
+    std::vector<std::unique_ptr<OracleNet>> out;
+    auto faulted = std::make_unique<OracleNet>();
+    faulted->name = "RFC(8,3,24) seed 21, overlay with 16 dead links";
+    Rng rng(21);
+    faulted->fc = buildRfcUnchecked(8, 3, 24, rng);
+    faulted->faults = LinkFaultState(faulted->fc);
+    const std::vector<ClosLink> links = faulted->fc.links();
+    while (faulted->faults.deadLinks() < 16) {
+        const ClosLink &l = links[rng.uniform(links.size())];
+        faulted->faults.setLink(l.lower, l.upper, true);
+    }
+    faulted->oracle.build(faulted->fc, &faulted->faults);
+    out.push_back(std::move(faulted));
+
+    auto wide = std::make_unique<OracleNet>();
+    wide->name = "CFT(132,2)";
+    wide->fc = buildCft(132, 2);
+    wide->oracle.build(wide->fc);
+    out.push_back(std::move(wide));
+    return out;
+}
+
+/**
+ * Demand for the networks above: demands() on the RFC; on CFT(132,2),
+ * whose 8712 terminals would make those matrices heavy for a replica
+ * that keeps a vector per path, every 37th terminal sends unequal
+ * weights to two others.
+ */
+std::vector<std::pair<std::string, DemandMatrix>>
+demandsFor(const FoldedClos &fc)
+{
+    const long long terminals = fc.numTerminals();
+    if (terminals <= 1024)
+        return demands(terminals);
+    DemandMatrix sparse;
+    sparse.nodes = terminals;
+    for (long long s = 0; s < terminals; s += 37)
+        for (long long k : {1LL, terminals / 2 + 1})
+            sparse.demands.push_back(
+                {s, (s * 7 + k) % terminals,
+                 0.1 * static_cast<double>(1 + (s * 5 + k) % 9)});
+    std::sort(sparse.demands.begin(), sparse.demands.end(),
+              [](const Demand &a, const Demand &b) {
+                  return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+              });
+    std::vector<std::pair<std::string, DemandMatrix>> out;
+    out.emplace_back("sparse unequal", std::move(sparse));
+    return out;
+}
+
+/**
+ * Every hop of every path in @p set leaves its switch through a live
+ * port that joins it to the next switch of the path.
+ */
+void
+expectPortsJoinSwitches(const FoldedClos &fc, const UpDownOracle &oracle,
+                        const LeafPairPaths &set, const std::string &what)
+{
+    const LinkFaultState *faults = oracle.faultOverlay();
+    for (std::size_t i = 0; i < set.size(); ++i)
+        for (int h = 0; h < set.hops(); ++h) {
+            const int s = set.switches(i)[h];
+            const int t = set.switches(i)[h + 1];
+            const auto port = static_cast<std::size_t>(set.ports(i)[h]);
+            const std::size_t ups = fc.up(s).size();
+            if (port < ups) {
+                EXPECT_EQ(fc.up(s)[port], t) << what << " hop " << h;
+                EXPECT_FALSE(faults && faults->upDead(s, port)) << what;
+            } else {
+                ASSERT_LT(port - ups, fc.down(s).size()) << what;
+                EXPECT_EQ(fc.down(s)[port - ups], t) << what << " hop " << h;
+                EXPECT_FALSE(faults && faults->downDead(s, port - ups))
+                    << what;
+            }
+        }
+}
+
+/**
+ * Every leaf pair from every @p src_step-th source leaf: the
+ * enumerator's switch sequences equal the replica's, the scratch
+ * reused across pairs gives the same paths as a fresh one, and every
+ * reported port joins its hop's switches.
+ */
+void
+expectPathsMatch(const std::string &name, const FoldedClos &fc,
+                 const UpDownOracle &oracle, std::initializer_list<int> caps,
+                 int src_step = 1)
+{
+    for (int cap : caps) {
+        SCOPED_TRACE(name + " cap " + std::to_string(cap));
+        const UpDownEcmpPaths paths(fc, oracle, cap, 99);
+        const LegacyPaths legacy(fc, oracle, cap, 99);
+        std::vector<Path> want;
+        LeafPairPaths reused;
+        for (int a = 0; a < fc.numLeaves(); a += src_step)
+            for (int b = 0; b < fc.numLeaves(); ++b) {
+                const std::string pair =
+                    "leaves " + std::to_string(a) + " -> " + std::to_string(b);
+                const std::vector<Path> got = switchPaths(paths, a, b);
+                legacy.paths(a, b, want);
+                EXPECT_EQ(got, want) << pair;
+                paths.paths(a, b, reused);
+                ASSERT_EQ(reused.size(), got.size()) << pair;
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    EXPECT_EQ(Path(reused.switches(i),
+                                   reused.switches(i) + reused.hops() + 1),
+                              got[i])
+                        << pair;
+                expectPortsJoinSwitches(fc, oracle, reused, pair);
+            }
+    }
+}
+
 TEST(FlowLegacyEquivalence, PathsMatchAlwaysEnumerateFirst)
 {
     for (const Net &net : networks()) {
         UpDownOracle oracle(net.fc);
-        for (int cap : {1, 4, 8, 64}) {
-            SCOPED_TRACE(net.name + " cap " + std::to_string(cap));
-            const UpDownEcmpPaths paths(net.fc, oracle, cap, 99);
-            const LegacyPaths legacy(net.fc, oracle, cap, 99);
-            std::vector<Path> got, want;
-            for (int a = 0; a < net.fc.numLeaves(); ++a)
-                for (int b = 0; b < net.fc.numLeaves(); ++b) {
-                    paths.paths(a, b, got);
-                    legacy.paths(a, b, want);
-                    EXPECT_EQ(got, want) << "leaves " << a << " -> " << b;
-                }
-        }
+        expectPathsMatch(net.name, net.fc, oracle, {1, 4, 8, 64});
     }
+    // CFT(132,2) has 17,424 leaf pairs; from every 11th source leaf
+    // the paths still cross both wide sides, at a tenth of the cost.
+    for (const auto &net : overlayAndWideNetworks())
+        expectPathsMatch(net->name, net->fc, net->oracle, {1, 2, 8, 64},
+                         net->fc.numLeaves() > 64 ? 11 : 1);
+}
+
+/**
+ * buildClosFlowProblem at every wave width a test pool gives (serial,
+ * then 1, 2 and 3 workers: waves of 1 to 4 ranges) against the
+ * replica, and its ECMP fluid against the replica fluid.  Returns the
+ * number of demands without a candidate path.
+ */
+std::size_t
+expectProblemMatches(const std::string &what, const FoldedClos &fc,
+                     const UpDownOracle &oracle, const DemandMatrix &dm,
+                     int cap)
+{
+    static ThreadPool pool1(1), pool2(2), pool3(3);
+    const UpDownEcmpPaths paths(fc, oracle, cap, 7);
+    const LegacyPaths legacy_paths(fc, oracle, cap, 7);
+    const FlowProblem want = legacyBuild(fc, legacy_paths, dm);
+    const EcmpFluidResult want_fluid = legacyEcmpFluid(want);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &pool1,
+                             &pool2, &pool3}) {
+        const std::string where =
+            what + (pool ? " pool " + std::to_string(pool->size())
+                         : " serial");
+        const FlowProblem got = buildClosFlowProblem(fc, paths, dm, pool);
+        expectSameProblem(got, want, where);
+        expectSameFluid(ecmpFluid(got), want_fluid, where);
+    }
+    std::size_t unrouted = 0;
+    for (std::size_t d = 0; d < want.numDemands(); ++d)
+        unrouted += want.numPaths(d) == 0 ? 1 : 0;
+    return unrouted;
 }
 
 TEST(FlowLegacyEquivalence, ProblemAndFluidMatchLegacy)
 {
-    ThreadPool pool2(2), pool3(3);
     std::size_t unrouted = 0, cases = 0;
     for (const Net &net : networks()) {
         UpDownOracle oracle(net.fc);
         for (const auto &[pattern, dm] : demands(net.fc.numTerminals()))
             for (int cap : {1, 4, 8, 64}) {
-                const std::string what = net.name + " " + pattern +
-                                         " cap " + std::to_string(cap);
-                const UpDownEcmpPaths paths(net.fc, oracle, cap, 7);
-                const LegacyPaths legacy_paths(net.fc, oracle, cap, 7);
-                const FlowProblem want =
-                    legacyBuild(net.fc, legacy_paths, dm);
-                const EcmpFluidResult want_fluid = legacyEcmpFluid(want);
-                for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr),
-                                         &pool2, &pool3}) {
-                    const std::string where =
-                        what + (pool ? " pool " + std::to_string(pool->size())
-                                     : " serial");
-                    const FlowProblem got =
-                        buildClosFlowProblem(net.fc, paths, dm, pool);
-                    expectSameProblem(got, want, where);
-                    expectSameFluid(ecmpFluid(got), want_fluid, where);
-                }
-                for (std::size_t d = 0; d < want.numDemands(); ++d)
-                    unrouted += want.numPaths(d) == 0 ? 1 : 0;
+                unrouted += expectProblemMatches(
+                    net.name + " " + pattern + " cap " + std::to_string(cap),
+                    net.fc, oracle, dm, cap);
                 ++cases;
             }
     }
     EXPECT_EQ(cases, 7u * 3u * 4u);
     // The faulted RFC must exercise demands without a candidate path.
+    EXPECT_GT(unrouted, 0u);
+
+    cases = 0;
+    for (const auto &net : overlayAndWideNetworks())
+        for (const auto &[pattern, dm] : demandsFor(net->fc))
+            for (int cap : {1, 2, 8, 64}) {
+                expectProblemMatches(net->name + " " + pattern + " cap " +
+                                         std::to_string(cap),
+                                     net->fc, net->oracle, dm, cap);
+                ++cases;
+            }
+    EXPECT_EQ(cases, (3u + 1u) * 4u);
+}
+
+TEST(FlowLegacyEquivalence, ProblemIsWaveWidthInvariant)
+{
+    // Fewer demands than the 32 ranges (most ranges empty, so most
+    // waves merge nothing), one more than a range per demand, and
+    // demands with no candidate path on the faulted networks.
+    std::size_t unrouted = 0;
+    auto check = [&](const std::string &name, const FoldedClos &fc,
+                     const UpDownOracle &oracle) {
+        const DemandMatrix all =
+            makeDemandMatrix("random-pairing", fc.numTerminals(), 4);
+        for (std::size_t n : {1u, 5u, 31u, 33u}) {
+            DemandMatrix dm;
+            dm.nodes = all.nodes;
+            // Spread the picks so that they reach far-apart leaves.
+            for (std::size_t k = 0; k < n; ++k)
+                dm.demands.push_back(
+                    all.demands[k * all.demands.size() / n]);
+            unrouted += expectProblemMatches(
+                name + " " + std::to_string(n) + " demands", fc, oracle,
+                dm, 4);
+        }
+    };
+    for (const Net &net : networks()) {
+        UpDownOracle oracle(net.fc);
+        check(net.name, net.fc, oracle);
+    }
+    for (const auto &net : overlayAndWideNetworks())
+        check(net->name, net->fc, net->oracle);
     EXPECT_GT(unrouted, 0u);
 }
 

@@ -10,12 +10,14 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
 #include "routing/updown.hpp"
+#include "switch_paths.hpp"
 #include "util/threadpool.hpp"
 
 namespace rfc {
@@ -263,8 +265,7 @@ TEST(FlowPaths, CftEnumerationIsExact)
     auto fc = buildCft(4, 2);
     UpDownOracle oracle(fc);
     UpDownEcmpPaths provider(fc, oracle, 8);
-    std::vector<Path> ps;
-    provider.paths(0, 1, ps);
+    std::vector<Path> ps = switchPaths(provider, 0, 1);
     ASSERT_EQ(ps.size(), 2u);
     for (const auto &path : ps) {
         ASSERT_EQ(path.size(), 3u);
@@ -274,14 +275,13 @@ TEST(FlowPaths, CftEnumerationIsExact)
     }
     EXPECT_NE(ps[0][1], ps[1][1]);
 
-    provider.paths(2, 2, ps);
+    ps = switchPaths(provider, 2, 2);
     ASSERT_EQ(ps.size(), 1u);  // self pair: trivial path
 
     // Cap smaller than the ECMP set: deterministic sampled subset.
     UpDownEcmpPaths capped(fc, oracle, 1);
-    std::vector<Path> one, again;
-    capped.paths(0, 1, one);
-    capped.paths(0, 1, again);
+    const std::vector<Path> one = switchPaths(capped, 0, 1);
+    const std::vector<Path> again = switchPaths(capped, 0, 1);
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(one, again);
 }
@@ -400,6 +400,104 @@ TEST(FlowCut, BoundRespectedOnCft)
     auto s = solveMaxConcurrentFlow(p, opt);
     EXPECT_LE(s.throughput, bound + 1e-9);
     EXPECT_LE(ecmpFluid(p).saturation, bound + 1e-9);
+}
+
+// --- demand endpoints outside the topology --------------------------
+
+/**
+ * Expect std::invalid_argument whose message holds every string of
+ * @p parts.
+ */
+template <typename Fn>
+void
+expectRejectedNaming(const std::vector<std::string> &parts, Fn &&fn)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "accepted an endpoint outside the topology";
+    } catch (const std::invalid_argument &e) {
+        for (const std::string &part : parts)
+            EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+                << e.what() << " lacks " << part;
+    }
+}
+
+/**
+ * A demand matrix built for three times CFT(8,3)'s 128 terminals: its
+ * first demand whose endpoint reaches past the topology is reported.
+ */
+DemandMatrix
+oversizedDemand(long long terminals, std::size_t &first_bad,
+                long long &bad_endpoint)
+{
+    DemandMatrix dm = makeDemandMatrix("uniform", 3 * terminals, 3, 2);
+    for (std::size_t i = 0; i < dm.demands.size(); ++i)
+        for (long long t : {dm.demands[i].src, dm.demands[i].dst})
+            if (t >= terminals) {
+                first_bad = i;
+                bad_endpoint = t;
+                return dm;
+            }
+    ADD_FAILURE() << "no demand reaches past the topology";
+    return dm;
+}
+
+TEST(FlowEndpoints, BuildRejectsEndpointsOutsideTheTopology)
+{
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    UpDownEcmpPaths provider(fc, oracle, 8);
+    std::size_t bad = 0;
+    long long endpoint = 0;
+    const DemandMatrix dm =
+        oversizedDemand(fc.numTerminals(), bad, endpoint);
+    ThreadPool pool(3);
+    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool})
+        expectRejectedNaming(
+            {"buildClosFlowProblem", "demand " + std::to_string(bad),
+             std::to_string(endpoint), std::to_string(fc.numTerminals())},
+            [&] { buildClosFlowProblem(fc, provider, dm, p); });
+
+    DemandMatrix negative;
+    negative.nodes = fc.numTerminals();
+    negative.demands = {{0, 5, 1.0}, {-1, 2, 1.0}};
+    expectRejectedNaming({"demand 1", "-1"}, [&] {
+        buildClosFlowProblem(fc, provider, negative);
+    });
+}
+
+TEST(FlowEndpoints, CutBoundRejectsEndpointsOutsideTheTopology)
+{
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    std::size_t bad = 0;
+    long long endpoint = 0;
+    const DemandMatrix dm =
+        oversizedDemand(fc.numTerminals(), bad, endpoint);
+    DynBitset half(static_cast<std::size_t>(fc.numLeaves()));
+    for (int s = 0; s < fc.numLeaves() / 2; ++s)
+        half.set(static_cast<std::size_t>(s));
+    expectRejectedNaming(
+        {"cutThroughputBound", "demand " + std::to_string(bad),
+         std::to_string(endpoint), std::to_string(fc.numTerminals())},
+        [&] { cutThroughputBound(fc, oracle, dm, half); });
+}
+
+TEST(FlowEndpoints, PathsRejectLeavesOutsideTheTopology)
+{
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    UpDownEcmpPaths provider(fc, oracle, 8);
+    const std::string leaves = std::to_string(fc.numLeaves());
+    LeafPairPaths set;
+    for (int bad : {fc.numLeaves(), 3 * fc.numLeaves(), -1}) {
+        expectRejectedNaming({"leaf " + std::to_string(bad), leaves},
+                             [&] { provider.paths(0, bad, set); });
+        expectRejectedNaming({"leaf " + std::to_string(bad), leaves},
+                             [&] { provider.paths(bad, 0, set); });
+    }
+    provider.paths(0, fc.numLeaves() - 1, set);  // the last leaf is fine
+    EXPECT_GT(set.size(), 0u);
 }
 
 } // namespace

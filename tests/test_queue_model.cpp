@@ -6,19 +6,23 @@
  * (queue/latency) on instances small enough to check by hand - plus
  * the determinism contract (bit-identical results on a thread pool,
  * the tier2-tsan path) and the merge of equal mixture components,
- * pinned to the sort-and-deduplicate sweep it replaced and to its
- * documented summation order.
+ * pinned to the sort-and-deduplicate sweep it replaced, to its
+ * documented summation order, and at every wave width to a sweep that
+ * builds all 32 range partials before merging them.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "clos/fat_tree.hpp"
+#include "clos/faults.hpp"
 #include "clos/rfc.hpp"
 #include "flow/demand.hpp"
 #include "flow/solver.hpp"
@@ -672,6 +676,207 @@ TEST(QueueSweepCore, EqualComponentsMergeInRangeOrder)
         expectSamePoint(r.points[0], want,
                         "pool " + std::to_string(pool->size()));
     }
+}
+
+// --- the waves of range partials ------------------------------------
+
+/**
+ * The load points of queueLatencySweep before it built its ranges in
+ * waves: all 32 range partials first, each merging equal keys in path
+ * order (a key's first occurrence kept, later weights added to it),
+ * then one merge of the partials in range order, one sort, and both
+ * quantiles from one prepared mixture - pass counts and the unique
+ * component count included.
+ */
+std::vector<QueueLoadPoint>
+allPartialsSweep(const FlowProblem &problem, const QueueModel &model,
+                 const QueueSweepOptions &opt)
+{
+    using Key = std::tuple<double, double, double>;
+    auto mergeInto = [](std::vector<ShiftedGamma> &into,
+                        std::map<Key, std::size_t> &at,
+                        const ShiftedGamma &c) {
+        auto [it, fresh] =
+            at.try_emplace(Key{c.shift, c.mean, c.variance}, into.size());
+        if (fresh)
+            into.push_back(c);
+        else
+            into[it->second].weight += c.weight;
+    };
+    const EcmpFluidResult fluid = ecmpFluid(problem);
+    double worst_util = 0.0;
+    for (double u : fluid.utilization)
+        worst_util = std::max(worst_util, u);
+    const std::size_t nd = problem.numDemands();
+    const double service = static_cast<double>(opt.pkt_phits);
+    constexpr std::size_t kRanges = 32;
+
+    std::vector<QueueLoadPoint> points;
+    for (double load : opt.loads) {
+        QueueLoadPoint pt;
+        pt.load = load;
+        pt.max_utilization = load * worst_util;
+        pt.saturated = load * worst_util >= 1.0 - 1e-12;
+        if (pt.saturated) {
+            points.push_back(pt);
+            continue;
+        }
+        std::vector<QueueDelay> delay;
+        for (double u : fluid.utilization)
+            delay.push_back(model.waiting(load * u));
+        std::vector<std::vector<ShiftedGamma>> parts(kRanges);
+        std::vector<double> rsum(kRanges, 0.0), rlat(kRanges, 0.0);
+        for (std::size_t rg = 0; rg < kRanges; ++rg) {
+            std::map<Key, std::size_t> at;
+            for (std::size_t d = nd * rg / kRanges;
+                 d < nd * (rg + 1) / kRanges; ++d) {
+                std::size_t np = problem.numPaths(d);
+                if (np == 0)
+                    continue;
+                double share = problem.weight(d) / static_cast<double>(np);
+                for (std::size_t q = problem.pathBegin(d);
+                     q < problem.pathBegin(d) + np; ++q) {
+                    std::size_t len = problem.pathLength(q);
+                    double wmean = 0.0, wvar = 0.0;
+                    for (std::size_t k = 0; k < len; ++k) {
+                        const QueueDelay &w = delay[static_cast<std::size_t>(
+                            problem.pathLinks(q)[k])];
+                        wmean += w.mean;
+                        wvar += w.variance;
+                    }
+                    double shift =
+                        static_cast<double>(len) * opt.link_latency +
+                        service;
+                    mergeInto(parts[rg], at, {shift, wmean, wvar, share});
+                    rsum[rg] += share;
+                    rlat[rg] += share * (shift + wmean);
+                }
+            }
+        }
+        std::vector<ShiftedGamma> comps;
+        std::map<Key, std::size_t> at;
+        double wsum = 0.0, wlat = 0.0;
+        for (std::size_t rg = 0; rg < kRanges; ++rg) {
+            for (const ShiftedGamma &c : parts[rg])
+                mergeInto(comps, at, c);
+            wsum += rsum[rg];
+            wlat += rlat[rg];
+        }
+        std::sort(comps.begin(), comps.end(), keyLess);
+        pt.mean_latency = wlat / wsum;
+        const MixtureQuantiles qv =
+            shiftedGammaMixtureQuantiles(comps, {0.50, 0.99});
+        pt.p50_latency = qv.values[0];
+        pt.p99_latency = qv.values[1];
+        pt.exact_cdf_passes = qv.exact_passes;
+        pt.bounded_cdf_passes = qv.bounded_passes;
+        pt.mixture_components = comps.size();
+        points.push_back(pt);
+    }
+    return points;
+}
+
+/** The CSR of @p a equals that of @p b. */
+void
+expectSameCsr(const FlowProblem &a, const FlowProblem &b,
+              const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(a.numLinks(), b.numLinks());
+    ASSERT_EQ(a.numDemands(), b.numDemands());
+    ASSERT_EQ(a.numPathsTotal(), b.numPathsTotal());
+    for (std::size_t d = 0; d < a.numDemands(); ++d) {
+        EXPECT_EQ(a.weight(d), b.weight(d));
+        EXPECT_EQ(a.pathBegin(d), b.pathBegin(d));
+    }
+    for (std::size_t q = 0; q < a.numPathsTotal(); ++q)
+        EXPECT_EQ(std::vector<std::int32_t>(a.pathLinks(q),
+                                            a.pathLinks(q) + a.pathLength(q)),
+                  std::vector<std::int32_t>(b.pathLinks(q),
+                                            b.pathLinks(q) + b.pathLength(q)))
+            << "path " << q;
+}
+
+TEST(QueueSweepCore, WaveWidthCannotMoveABit)
+{
+    struct Net
+    {
+        std::string name;
+        FoldedClos fc;
+    };
+    std::vector<Net> nets;
+    nets.push_back({"CFT(8,3)", buildCft(8, 3)});
+    Rng rng(5);
+    nets.push_back({"RFC(8,3,24)", buildRfc(8, 3, 24, rng).topology});
+    Rng cut_rng(13);
+    Net faulted{"RFC(6,3,14) minus 20 links",
+                buildRfcUnchecked(6, 3, 14, cut_rng)};
+    removeRandomLinks(faulted.fc, 20, cut_rng);
+    nets.push_back(std::move(faulted));
+
+    // Serial, then waves of 2 and 4 ranges.
+    ThreadPool pool1(1), pool3(3);
+    const std::vector<ThreadPool *> pools = {nullptr, &pool1, &pool3};
+    QueueModel model(kS, 0.0);
+    QueueSweepOptions opt;
+    opt.loads = {0.1, 0.4, 0.7, 1.0};
+    std::size_t unrouted = 0, few = 0, live = 0;
+    for (const Net &net : nets) {
+        UpDownOracle oracle(net.fc);
+        UpDownEcmpPaths provider(net.fc, oracle, 8, /*seed=*/7);
+        const DemandMatrix all =
+            makeDemandMatrix("uniform", net.fc.numTerminals(), 9, 2);
+        DemandMatrix some;  // fewer demands than ranges
+        some.nodes = all.nodes;
+        for (std::size_t k = 0; k < 7; ++k)
+            some.demands.push_back(all.demands[k * all.demands.size() / 7]);
+        const DemandMatrix *sets[] = {&all, &some};
+        for (const DemandMatrix *dm : sets) {
+            const std::string what =
+                net.name + " " + std::to_string(dm->demands.size()) +
+                " demands";
+            const FlowProblem serial =
+                buildClosFlowProblem(net.fc, provider, *dm);
+            const auto want = allPartialsSweep(serial, model, opt);
+            for (ThreadPool *pool : pools) {
+                const std::string where =
+                    what + " pool " +
+                    (pool ? std::to_string(pool->size()) : "null");
+                expectSameCsr(
+                    buildClosFlowProblem(net.fc, provider, *dm, pool), serial,
+                    where);
+                opt.pool = pool;
+                const auto got = queueLatencySweep(serial, model, opt);
+                ASSERT_EQ(got.points.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    const QueueLoadPoint &g = got.points[i];
+                    const std::string at =
+                        where + " load " + std::to_string(want[i].load);
+                    expectSamePoint(g, want[i], at);
+                    EXPECT_EQ(g.exact_cdf_passes, want[i].exact_cdf_passes)
+                        << at;
+                    EXPECT_EQ(g.bounded_cdf_passes,
+                              want[i].bounded_cdf_passes)
+                        << at;
+                    EXPECT_EQ(g.mixture_components,
+                              want[i].mixture_components)
+                        << at;
+                    if (want[i].saturated)
+                        EXPECT_EQ(g.mixture_components, 0u) << at;
+                    else
+                        EXPECT_GT(g.mixture_components, 0u) << at;
+                }
+            }
+            for (std::size_t d = 0; d < serial.numDemands(); ++d)
+                unrouted += serial.numPaths(d) == 0 ? 1 : 0;
+            few += dm->demands.size() < 32 ? 1 : 0;
+            for (const auto &pt : want)
+                live += pt.saturated ? 0 : 1;
+        }
+    }
+    EXPECT_GT(unrouted, 0u);  // the faulted RFC strands some demands
+    EXPECT_EQ(few, nets.size());
+    EXPECT_GT(live, 2 * nets.size());
 }
 
 } // namespace

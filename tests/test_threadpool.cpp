@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -130,6 +131,68 @@ TEST(ParallelFor, IndexedWritesIdenticalAcrossPoolSizes)
     auto serial = run(0);
     EXPECT_EQ(serial, run(3));
     EXPECT_EQ(serial, run(8));
+}
+
+/** A part that counts how many parts are alive. */
+struct LivePart
+{
+    static std::atomic<int> alive;
+    int range = -1;
+    LivePart() { ++alive; }
+    LivePart(const LivePart &o) : range(o.range) { ++alive; }
+    LivePart &operator=(const LivePart &) = default;
+    ~LivePart() { --alive; }
+};
+std::atomic<int> LivePart::alive{0};
+
+TEST(ParallelWaves, MergesInIndexOrderOneWaveAtATime)
+{
+    ThreadPool p0(0), p1(1), p3(3);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &p0, &p1,
+                             &p3}) {
+        // A null pool works one range at a time, a pool of w workers
+        // w + 1 at a time; the last wave of 13 ranges is partial.
+        const int width = pool ? pool->size() + 1 : 1;
+        std::vector<int> merged;
+        int peak = 0;
+        parallelWaves<LivePart>(
+            pool, 13,
+            [&](std::size_t i, LivePart &part) {
+                EXPECT_EQ(part.range, -1);  // every part starts fresh
+                part.range = static_cast<int>(i);
+            },
+            [&](std::size_t i, LivePart &part) {
+                EXPECT_EQ(part.range, static_cast<int>(i));
+                merged.push_back(part.range);
+                peak = std::max(peak, LivePart::alive.load());
+            });
+        std::vector<int> want(13);
+        std::iota(want.begin(), want.end(), 0);
+        EXPECT_EQ(merged, want) << "width " << width;
+        EXPECT_EQ(peak, std::min(width, 13)) << "width " << width;
+        EXPECT_EQ(LivePart::alive.load(), 0);
+    }
+    // No ranges: neither callback runs.
+    parallelWaves<LivePart>(
+        &p3, 0, [](std::size_t, LivePart &) { ADD_FAILURE(); },
+        [](std::size_t, LivePart &) { ADD_FAILURE(); });
+}
+
+TEST(ParallelWaves, ExceptionStopsTheFold)
+{
+    ThreadPool pool(3);
+    std::vector<std::size_t> merged;
+    EXPECT_THROW(parallelWaves<int>(
+                     &pool, 32,
+                     [](std::size_t i, int &part) {
+                         if (i == 9)
+                             throw std::runtime_error("range 9");
+                         part = static_cast<int>(i);
+                     },
+                     [&](std::size_t i, int &) { merged.push_back(i); }),
+                 std::runtime_error);
+    // Waves of four: ranges 0-7 merged, the wave holding 9 was not.
+    EXPECT_EQ(merged.size(), 8u);
 }
 
 } // namespace
