@@ -25,7 +25,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ablation_bisection", 17);
+    Bench b(argc, argv, "ablation_bisection", 17, {"restarts"});
     b.banner("Ablation: bisection bounds vs empirical cuts");
     const bool full = b.opts.fullScale();
     const int restarts = b.opts.getIntAtLeast("restarts", full ? 20 : 6, 1);

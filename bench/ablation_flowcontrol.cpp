@@ -21,7 +21,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ablation_flowcontrol", 21);
+    Bench b(argc, argv, "ablation_flowcontrol", 21,
+            {"radix", "warmup", "measure"});
     b.banner("Ablation: virtual channels and buffer depth");
     const bool full = b.opts.fullScale();
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);

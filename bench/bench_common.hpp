@@ -6,9 +6,12 @@
  * default the experiments run at a sandbox-friendly scale; pass
  * --full (or set RFC_FULL=1) to run the paper-scale configuration.
  * All binaries accept --seed, --trials, and simulation-size overrides
- * where meaningful.
+ * where meaningful.  Each bench names its own flags when it constructs
+ * its Bench; any other flag stops it, before it builds anything, with
+ * a message listing the valid ones (util/options.hpp).
  *
- * Output and execution flags (handled here / by util/options):
+ * Output and execution flags (added by Bench, read here / by
+ * util/options):
  *   --csv      print tables as CSV instead of aligned columns
  *   --json     print exactly one JSON document on stdout instead
  *              (exp/experiment.hpp Report): every study section with
@@ -21,8 +24,7 @@
  *              bit-identical for any N: seeds derive from
  *              {base seed, study point, rep}, never from thread order.
  *              Each simulation runs on one thread; --jobs is the only
- *              parallelism lever, and the removed --shards/--sim-jobs
- *              flags are rejected.
+ *              parallelism lever.
  *
  * Benches declare their studies (points x reps at one fidelity tier)
  * and hand them to Bench::run rather than looping; see runPerfScenario
@@ -65,22 +67,19 @@ namespace rfc {
 class Bench
 {
   public:
+    /**
+     * @p flags are the bench's own flags; --seed --jobs --json --csv
+     * --full are added to them.
+     */
     Bench(int argc, char **argv, std::string name,
-          std::uint64_t default_seed)
-        : opts(argc, argv), json(opts.getBool("json", false)),
+          std::uint64_t default_seed, std::vector<std::string> flags)
+        : opts(argc, argv, withSharedFlags(std::move(flags))),
+          json(opts.getBool("json", false)),
           seed(static_cast<std::uint64_t>(opts.getInt(
               "seed", static_cast<std::int64_t>(default_seed)))),
           engine(opts.jobs(), seed),
           report_(std::move(name), seed, engine.jobs())
     {
-        // Options accepts any flag, so a removed one would otherwise
-        // run a different experiment than the user asked for.
-        for (const char *removed : {"shards", "sim-jobs"})
-            if (opts.has(removed))
-                throw std::invalid_argument(
-                    std::string("--") + removed +
-                    " was removed: one simulation now runs on one "
-                    "thread; --jobs N runs N trials in parallel");
     }
 
     const Options opts;
@@ -156,6 +155,13 @@ class Bench
     }
 
   private:
+    static std::vector<std::string>
+    withSharedFlags(std::vector<std::string> flags)
+    {
+        flags.insert(flags.end(), {"seed", "jobs", "json", "csv", "full"});
+        return flags;
+    }
+
     Report report_;
 };
 

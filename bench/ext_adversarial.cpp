@@ -33,7 +33,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_adversarial", 55);
+    Bench b(argc, argv, "ext_adversarial", 55,
+            {"radix", "warmup", "measure", "trials"});
     b.banner("Extension: adversarial (leaf-shift) traffic");
     const bool full = b.opts.fullScale();
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);

@@ -90,7 +90,9 @@ runSection(Bench &b, const std::string &section, const std::string &heading,
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_closed_loop", 29);
+    Bench b(argc, argv, "ext_closed_loop", 29,
+            {"smoke", "section", "loads", "warmup", "measure", "trials",
+             "incast-load"});
     const bool smoke = b.opts.getBool("smoke", false);
     b.banner("Closed-loop workloads on the VCT engine (CFT vs RFC)",
              smoke ? "mode: SMOKE (CI-sized, conservation-audited)"

@@ -127,7 +127,9 @@ rrnIncrementalGrow(Graph &g, int add_switches, int d, Rng &rng)
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_expansion_drill", 17);
+    Bench b(argc, argv, "ext_expansion_drill", 17,
+            {"smoke", "radix", "steps", "warmup", "measure", "load",
+             "route-ttl", "telemetry-bin", "trials", "change-at", "traffic"});
     b.banner("Extension: live expansion drill (grow under traffic)");
     const bool full = b.opts.fullScale();
     const bool smoke = b.opts.getBool("smoke", false);
@@ -169,14 +171,15 @@ main(int argc, char **argv)
         b.opts.getIntAtLeast("route-ttl", smoke ? 128 : 256, 0);
     const long long total = base.warmup + base.measure;
     base.telemetry_bin = b.opts.getInt(
-        "telemetry-bin", std::max<long long>(total / 40, 1));
+        "telemetry-bin", std::max<long long>(total / 40, 1), 1);
     int reps = b.opts.getIntAtLeast("trials", full ? 5 : 2, 1);
 
     // Upgrade schedule: changes start one third into the run; RFC steps
     // spread across the middle third, the forklift and the plane-add
     // land in one barrier.  New terminals pass their activation barrier
     // two packet times after their step's links attach.
-    const long long change_at = b.opts.getInt("change-at", total / 3);
+    const long long change_at =
+        b.opts.getInt("change-at", total / 3, 0, total - 1);
     const long long spacing = std::max<long long>(total / (3 * steps), 1);
     const long long activate_delay = 2LL * base.pkt_phits;
 

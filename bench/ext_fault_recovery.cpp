@@ -36,7 +36,10 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_fault_recovery", 12);
+    Bench b(argc, argv, "ext_fault_recovery", 12,
+            {"smoke", "radix", "steps", "step-links", "warmup", "measure",
+             "load", "route-ttl", "telemetry-bin", "trials", "fail-at",
+             "repair-at", "no-repair", "traffic"});
     b.banner("Extension: dynamic faults + online up/down recovery");
     const bool full = b.opts.fullScale();
     const bool smoke = b.opts.getBool("smoke", false);
@@ -56,7 +59,7 @@ main(int argc, char **argv)
     const int steps =
         b.opts.getIntAtLeast("steps", full ? 8 : (smoke ? 2 : 4), 0);
     const long long step_links = b.opts.getInt(
-        "step-links", std::max<long long>(wires * 129 / 10000, 1));
+        "step-links", std::max<long long>(wires * 129 / 10000, 1), 1);
 
     SimConfig base;
     base.warmup =
@@ -72,16 +75,18 @@ main(int argc, char **argv)
         b.opts.getIntAtLeast("route-ttl", smoke ? 128 : 256, 0);
     const long long total = base.warmup + base.measure;
     base.telemetry_bin = b.opts.getInt(
-        "telemetry-bin", std::max<long long>(total / 40, 1));
+        "telemetry-bin", std::max<long long>(total / 40, 1), 1);
     int reps = b.opts.getIntAtLeast("trials", full ? 5 : 2, 1);
 
     // Failure schedule: links die one third into the run; by default
     // they are all repaired at two thirds, so the tail of the curve
-    // shows the post-repair re-convergence.
-    const long long fail_at = b.opts.getInt("fail-at", total / 3);
+    // shows the post-repair re-convergence.  Both cycles lie inside
+    // the run; repair-at -1 is --no-repair.
+    const long long fail_at =
+        b.opts.getInt("fail-at", total / 3, 0, total - 1);
     const long long repair_at = b.opts.getInt(
-        "repair-at",
-        b.opts.getBool("no-repair", false) ? -1 : 2 * total / 3);
+        "repair-at", b.opts.getBool("no-repair", false) ? -1 : 2 * total / 3,
+        -1, total - 1);
 
     b.text() << "terminals: " << cft.numTerminals() << ", wires: "
              << wires << ", fault step: " << step_links

@@ -79,7 +79,9 @@ runScenario(Bench &b, Study study, const std::string &heading,
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_flow_throughput", 13);
+    Bench b(argc, argv, "ext_flow_throughput", 13,
+            {"scenario", "patterns", "max-paths", "samples", "epsilon",
+             "phases", "fault-steps", "step-links"});
     b.banner("Extension: flow-level throughput (Figs 8-10 + fault "
              "sweep)");
     const bool full = b.opts.fullScale();
@@ -144,7 +146,7 @@ main(int argc, char **argv)
         const int steps =
             b.opts.getIntAtLeast("fault-steps", full ? 10 : 6, 0);
         const long long step_links = b.opts.getInt(
-            "step-links", std::max<long long>(wires * 129 / 10000, 1));
+            "step-links", std::max<long long>(wires * 129 / 10000, 1), 1);
 
         // The CFT order is drawn before the RFC order, from one stream.
         Rng order_rng(static_cast<std::uint64_t>(seed + 1));

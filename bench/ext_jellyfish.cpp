@@ -58,7 +58,8 @@ auditDirect(const std::string &label, const Simulator &sim,
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_jellyfish", 77);
+    Bench b(argc, argv, "ext_jellyfish", 77,
+            {"radix", "leaves", "degree", "k", "warmup", "measure"});
     b.banner("Extension: RFC vs Jellyfish (RRN) head to head");
     Rng rng(b.seed);
 

@@ -128,7 +128,9 @@ selfCheck(const Bench &b, double queue_seconds,
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ext_latency_curves", 21);
+    Bench b(argc, argv, "ext_latency_curves", 21,
+            {"smoke", "section", "patterns", "loads", "max-paths", "samples",
+             "model", "cv2", "pkt-phits", "link-latency"});
     const bool smoke = b.opts.getBool("smoke", false);
     b.banner("Latency-vs-load curves from the queue-model engine (CFT vs "
              "RFC)",

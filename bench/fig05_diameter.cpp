@@ -24,7 +24,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig05_diameter", 1);
+    Bench b(argc, argv, "fig05_diameter", 1, {"radix"});
     b.banner("Figure 5: diameter vs compute nodes (R = 36)");
     // R >= 4: with one port per side (R < 4) the sweep never grows.
     const int radix = b.opts.getIntAtLeast("radix", 36, 4);

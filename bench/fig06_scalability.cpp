@@ -18,7 +18,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig06_scalability", 1);
+    Bench b(argc, argv, "fig06_scalability", 1, {});
     b.banner("Figure 6: scalability (terminals vs radix)");
 
     for (int levels : {2, 3, 4}) {

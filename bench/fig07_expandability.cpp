@@ -21,7 +21,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig07_expandability", 3);
+    Bench b(argc, argv, "fig07_expandability", 3, {"radix"});
     b.banner("Figure 7: expandability (ports vs terminals, R = 36)");
     // R >= 4: with one port per side (R < 4) the sweep never grows.
     const int radix = b.opts.getIntAtLeast("radix", 36, 4);

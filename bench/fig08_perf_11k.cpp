@@ -24,7 +24,9 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig08_perf_11k", 8);
+    Bench b(argc, argv, "fig08_perf_11k", 8,
+            {"smoke", "radix", "small-radix", "warmup", "measure", "min-load",
+             "max-load", "points", "trials"});
     b.banner("Figure 8: equal-resources CFT vs RFC (11K scenario)");
     const bool full = b.opts.fullScale();
     // --smoke: CI-sized run (seconds, not minutes) that still exercises

@@ -23,7 +23,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig09_perf_100k", 9);
+    Bench b(argc, argv, "fig09_perf_100k", 9,
+            {"warmup", "measure", "min-load", "max-load", "points", "trials"});
     b.banner("Figure 9: 100K scenario (3-level RFC vs 4-level CFT)");
     const bool full = b.opts.fullScale();
     Rng rng(b.seed);

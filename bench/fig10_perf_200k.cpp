@@ -24,7 +24,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig10_perf_200k", 10);
+    Bench b(argc, argv, "fig10_perf_200k", 10,
+            {"warmup", "measure", "min-load", "max-load", "points", "trials"});
     b.banner("Figure 10: 200K scenario (max 3-level RFC vs 4-level "
              "CFT)");
     const bool full = b.opts.fullScale();

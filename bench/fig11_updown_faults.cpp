@@ -26,7 +26,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig11_updown_faults", 11);
+    Bench b(argc, argv, "fig11_updown_faults", 11, {"radix", "trials"});
     b.banner("Figure 11: up/down-preserving fault tolerance (R=12)");
     const bool full = b.opts.fullScale();
     const int radix = b.opts.getIntAtLeast("radix", 12, 2);

@@ -30,7 +30,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig12_perf_faults", 12);
+    Bench b(argc, argv, "fig12_perf_faults", 12,
+            {"radix", "steps", "step-links", "warmup", "measure", "trials"});
     b.banner("Figure 12: throughput under faults (equal resources)");
     const bool full = b.opts.fullScale();
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
@@ -43,8 +44,8 @@ main(int argc, char **argv)
     // Paper: steps of 300 of 23,328 wires -> ~1.29% per step, 10 steps.
     const int steps = b.opts.getIntAtLeast("steps", 10, 0);
     const long long step_links =
-        b.opts.getInt("step-links", std::max<long long>(wires * 129 /
-                                                        10000, 1));
+        b.opts.getInt("step-links",
+                      std::max<long long>(wires * 129 / 10000, 1), 1);
 
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 3000 : 500);

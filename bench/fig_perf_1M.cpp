@@ -85,7 +85,9 @@ runFlowSection(Bench &b, Study study, const std::string &heading,
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig_perf_1M", 21);
+    Bench b(argc, argv, "fig_perf_1M", 21,
+            {"smoke", "section", "patterns", "max-paths", "samples", "epsilon",
+             "phases", "warmup", "measure", "trials"});
     const bool smoke = b.opts.getBool("smoke", false);
     b.banner("Million-terminal scale tier (flow CFT-vs-RFC, VCT subtree, "
              "table compression)",
@@ -95,12 +97,6 @@ main(int argc, char **argv)
     const std::uint64_t seed = b.seed;
     const auto sections = b.opts.getList("section", "flow,vct,tables",
                                          {"flow", "vct", "tables", "all"});
-    // Options accepts any flag, so the old spelling would run uniform
-    // traffic whatever pattern it named.
-    if (b.opts.has("pattern"))
-        throw std::invalid_argument(
-            "--pattern was renamed: use --patterns (a comma list, as in "
-            "ext_flow_throughput and ext_latency_curves)");
 
     // Per-section rng streams: running `--section=tables` alone must
     // build the same wirings as the full run, so no section may consume

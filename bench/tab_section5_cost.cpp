@@ -32,7 +32,7 @@ addRow(TablePrinter &t, const std::string &name, const CostPoint &c)
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "tab_section5_cost", 1);
+    Bench b(argc, argv, "tab_section5_cost", 1, {});
     b.banner("Section 5: cost comparison scenarios (R = 36)");
 
     TablePrinter t({"configuration", "terminals", "levels", "switches",

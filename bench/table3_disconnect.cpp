@@ -88,7 +88,7 @@ oftOrderFor(long long t)
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "table3_disconnect", 33);
+    Bench b(argc, argv, "table3_disconnect", 33, {"trials"});
     b.banner("Table 3: faults to disconnect a diameter-4 network");
     const bool full = b.opts.fullScale();
     const int trials =

@@ -24,7 +24,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "thm42_threshold", 42);
+    Bench b(argc, argv, "thm42_threshold", 42,
+            {"radix", "levels", "generations"});
     b.banner("Theorem 4.2: sharp threshold for up/down routing");
     const bool full = b.opts.fullScale();
     // Defaults chosen so the asymptotic theorem is visible: 2-level

@@ -19,7 +19,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
+    Options opts(argc, argv, {"radix", "terminals", "verify", "seed"});
     const int radix = opts.getIntAtLeast("radix", 36, 2);
     const long long target = opts.getInt("terminals", 100008);
     const int m = radix / 2;

@@ -16,7 +16,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
+    Options opts(argc, argv, {"radix", "levels", "leaves", "load", "seed"});
     const int radix = opts.getIntAtLeast("radix", 16, 2);
     const int levels = opts.getIntAtLeast("levels", 3, 1);
     int n1 = opts.getIntAtLeast("leaves", 0, 0);

@@ -17,6 +17,7 @@
  *   --topo cft|rfc|oft|kary [rfc]     --radix R [16]
  *   --levels L [3]                    --leaves N1 [auto from Thm 4.2]
  *   --traffic NAME [uniform]          --shift-stride S [tpl]
+ *   --hot-fraction F [0.2]            --hotspots H [1]
  *   --load X (single point) | --min-load/--max-load/--points [0.1..1.0 x7]
  *   --route-mode minimal|updown-random|valiant|ugal [minimal]
  *   --vcs [4] --buffers [4] --pkt-phits [16] --warmup [1000]
@@ -27,6 +28,7 @@
  *
  * Integer flags are range-checked (--radix >= 2, --trials >= 1, ...):
  * a value outside its range or past an int throws instead of wrapping.
+ * Any flag not listed here is rejected.
  *
  * The load sweep is declared as a study (1 network x 1 traffic x
  * points x trials) and runs on the shared engine; per-trial seeds are
@@ -43,7 +45,12 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
+    Options opts(argc, argv,
+                 {"topo", "radix", "levels", "leaves", "traffic",
+                  "shift-stride", "hot-fraction", "hotspots", "load",
+                  "min-load", "max-load", "points", "route-mode", "vcs",
+                  "buffers", "pkt-phits", "warmup", "measure", "seed",
+                  "trials", "jobs", "csv", "json"});
     // Built first, so the report's wall clock covers the topology and
     // oracle builds as well as the sweep, as a bench's does.
     ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 1));

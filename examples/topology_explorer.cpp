@@ -14,8 +14,6 @@
  *                          [--samples N] [--max-paths K] [--jobs N]
  */
 #include <iostream>
-#include <stdexcept>
-#include <utility>
 
 #include "rfc/rfc.hpp"
 
@@ -24,21 +22,8 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
-    // Options accepts any flag, so a removed one would otherwise exit 0
-    // without the table it asked for.  Each names what prints it now.
-    const std::pair<const char *, const char *> removed[] = {
-        {"simulate", "examples/simulate (--traffic uniform|shift, "
-                     "--route-mode minimal|ugal) and bench/ext_adversarial"},
-        {"load", "examples/simulate --load and bench/ext_closed_loop"},
-        {"measure", "examples/simulate --measure and bench/ext_closed_loop"},
-    };
-    for (const auto &[flag, now] : removed)
-        if (opts.has(flag))
-            throw std::invalid_argument(
-                std::string("--") + flag +
-                " was removed from topology_explorer; packet-level "
-                "tables are printed by " + now);
+    Options opts(argc, argv,
+                 {"radix", "levels", "seed", "max-paths", "samples", "jobs"});
     const int radix = opts.getIntAtLeast("radix", 12, 2);
     const int levels = opts.getIntAtLeast("levels", 3, 1);
     Rng rng(opts.getInt("seed", 2));

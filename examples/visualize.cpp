@@ -39,7 +39,8 @@ dump(const FoldedClos &fc, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    Options opts(argc, argv);
+    Options opts(argc, argv,
+                 {"out-dir", "topo", "radix", "levels", "leaves", "seed"});
     const std::string dir = opts.get("out-dir", ".");
 
     if (opts.has("topo")) {

@@ -56,67 +56,84 @@ parseNumber(const std::string &what, const std::string &text)
 
 } // namespace
 
-Options::Options(int argc, const char *const *argv)
+Options::Options(int argc, const char *const *argv,
+                 const std::vector<std::string> &flags)
+    : flags_(flags.begin(), flags.end())
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
             throw std::invalid_argument("unexpected argument: " + arg);
         arg = arg.substr(2);
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc &&
-                   std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            values_[arg] = argv[++i];
-        } else {
-            values_[arg] = "";  // bare flag
+        const auto eq = arg.find('=');
+        std::string name = arg.substr(0, eq);
+        if (flags_.count(name) == 0) {
+            std::string valid;
+            for (const auto &f : flags_)
+                valid += (valid.empty() ? "--" : ", --") + f;
+            throw std::invalid_argument("unknown flag --" + name +
+                                        " (valid: " + valid + ")");
         }
+        if (eq != std::string::npos)
+            values_[name] = arg.substr(eq + 1);
+        else if (i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0)
+            values_[name] = argv[++i];
+        else
+            values_[name] = "";  // bare flag
     }
+}
+
+const std::string *
+Options::lookup(const std::string &name) const
+{
+    if (flags_.count(name) == 0)
+        throw std::logic_error("option --" + name +
+                               " is read but was not declared");
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : &it->second;
 }
 
 bool
 Options::has(const std::string &name) const
 {
-    return values_.count(name) > 0;
+    return lookup(name) != nullptr;
 }
 
 std::string
 Options::get(const std::string &name, const std::string &def) const
 {
-    auto it = values_.find(name);
-    return it == values_.end() ? def : it->second;
+    const std::string *v = lookup(name);
+    return v ? *v : def;
 }
 
 std::int64_t
-Options::getInt(const std::string &name, std::int64_t def) const
+Options::getInt(const std::string &name, std::int64_t def, std::int64_t lo,
+                std::int64_t hi) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseInteger("option --" + name, it->second);
+    const std::string *text = lookup(name);
+    const std::int64_t v =
+        text ? parseInteger("option --" + name, *text) : def;
+    if (v < lo || v > hi)
+        throw std::invalid_argument(
+            "option --" + name + ": " + std::to_string(v) +
+            " is out of range [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "]");
+    return v;
 }
 
 int
 Options::getIntAtLeast(const std::string &name, int def, int lo) const
 {
-    constexpr int kMax = std::numeric_limits<int>::max();
-    const std::int64_t v = getInt(name, def);
-    if (v < lo || v > kMax)
-        throw std::invalid_argument(
-            "option --" + name + ": " + std::to_string(v) +
-            " is out of range [" + std::to_string(lo) + ", " +
-            std::to_string(kMax) + "]");
-    return static_cast<int>(v);
+    return static_cast<int>(
+        getInt(name, def, lo, std::numeric_limits<int>::max()));
 }
 
 double
 Options::getDouble(const std::string &name, double def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseNumber("option --" + name, it->second);
+    const std::string *text = lookup(name);
+    return text ? parseNumber("option --" + name, *text) : def;
 }
 
 std::vector<std::string>
@@ -160,11 +177,16 @@ Options::getDoubleList(const std::string &name,
 bool
 Options::getBool(const std::string &name, bool def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
+    const std::string *v = lookup(name);
+    if (!v)
         return def;
-    const std::string &v = it->second;
-    return v.empty() || v == "1" || v == "true" || v == "yes";
+    if (v->empty() || *v == "1" || *v == "true" || *v == "yes")
+        return true;
+    if (*v == "0" || *v == "false" || *v == "no")
+        return false;
+    throw std::invalid_argument("option --" + name +
+                                ": expected 1/0, true/false or yes/no, "
+                                "got '" + *v + "'");
 }
 
 bool
@@ -181,8 +203,8 @@ Options::jobs() const
 {
     std::string what = "option --jobs";
     std::int64_t n = 0;  // 0 = auto (hardware concurrency)
-    if (has("jobs")) {
-        n = getInt("jobs", 0);
+    if (const std::string *v = lookup("jobs")) {
+        n = parseInteger(what, *v);
     } else if (const char *env = std::getenv("RFC_JOBS")) {
         what = "environment variable RFC_JOBS";
         n = parseInteger(what, env);

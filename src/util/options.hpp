@@ -2,16 +2,21 @@
  * @file
  * Minimal command-line option parser shared by benches and examples.
  *
- * Accepts "--name=value", "--name value" and bare "--flag" forms.  The
- * environment variable RFC_FULL=1 switches every bench from its sandbox
- * default scale to the paper-scale experiment; it is surfaced here as the
- * implicit boolean option "full".
+ * Each program declares the flags it reads.  Parsing accepts
+ * "--name=value", "--name value" and bare "--flag" forms of a declared
+ * name and rejects every other flag, so a typo stops the run instead
+ * of running a different experiment.  The environment variable
+ * RFC_FULL=1 switches every bench from its sandbox default scale to
+ * the paper-scale experiment; it is surfaced here as the implicit
+ * boolean option "full".
  */
 #ifndef RFC_UTIL_OPTIONS_HPP
 #define RFC_UTIL_OPTIONS_HPP
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,8 +26,15 @@ namespace rfc {
 class Options
 {
   public:
-    /** Parse argv; throws std::invalid_argument on malformed input. */
-    Options(int argc, const char *const *argv);
+    /**
+     * Parse argv against @p flags, the names (without "--") the
+     * program reads.  Throws std::invalid_argument on malformed input
+     * and on a flag outside @p flags; that message names the flag and
+     * lists the declared ones.  Every accessor below throws
+     * std::logic_error for a name outside @p flags.
+     */
+    Options(int argc, const char *const *argv,
+            const std::vector<std::string> &flags);
 
     /** True if --name was supplied (with or without a value). */
     bool has(const std::string &name) const;
@@ -33,21 +45,24 @@ class Options
     /**
      * Integer option with default.  Throws std::invalid_argument,
      * naming the flag and the value, unless the whole value parses
-     * ("4x", "abc", " 4" and out-of-range values are rejected).
+     * ("4x", "abc", " 4" and out-of-range values are rejected), and,
+     * naming the range as well, unless lo <= value <= hi.
      */
-    std::int64_t getInt(const std::string &name, std::int64_t def) const;
+    std::int64_t
+    getInt(const std::string &name, std::int64_t def,
+           std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
 
-    /**
-     * getInt narrowed to int: throws std::invalid_argument, naming the
-     * flag, the value and the range, unless lo <= value <= INT_MAX, so
-     * no value wraps in the cast.
-     */
+    /** getInt in [lo, INT_MAX], narrowed to int. */
     int getIntAtLeast(const std::string &name, int def, int lo) const;
 
     /** Floating-point option with default; parsed as strictly as getInt. */
     double getDouble(const std::string &name, double def) const;
 
-    /** Boolean option: bare flag, or values 0/1/true/false. */
+    /**
+     * Boolean option: a bare flag, or 1/0, true/false, yes/no.  Throws
+     * std::invalid_argument, naming the flag, on any other value.
+     */
     bool getBool(const std::string &name, bool def) const;
 
     /**
@@ -76,6 +91,13 @@ class Options
     int jobs() const;
 
   private:
+    /**
+     * The value given for @p name, nullptr when absent.  Throws
+     * std::logic_error when @p name is not a declared flag.
+     */
+    const std::string *lookup(const std::string &name) const;
+
+    std::set<std::string> flags_;
     std::map<std::string, std::string> values_;
 };
 

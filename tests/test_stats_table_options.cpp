@@ -101,10 +101,23 @@ TEST(TablePrinter, Formatters)
     EXPECT_EQ(TablePrinter::fmtPct(0.456, 1), "45.6%");
 }
 
+/** The what() of the exception of type E @p fn throws ("" if none). */
+template <typename E = std::invalid_argument, typename Fn>
+std::string
+thrownMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const E &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(Options, ParsesEqualsForm)
 {
     const char *argv[] = {"prog", "--radix=36", "--load=0.5"};
-    Options o(3, argv);
+    Options o(3, argv, {"radix", "load"});
     EXPECT_EQ(o.getInt("radix", 0), 36);
     EXPECT_DOUBLE_EQ(o.getDouble("load", 0.0), 0.5);
 }
@@ -112,14 +125,14 @@ TEST(Options, ParsesEqualsForm)
 TEST(Options, ParsesSpaceForm)
 {
     const char *argv[] = {"prog", "--levels", "4"};
-    Options o(3, argv);
+    Options o(3, argv, {"levels"});
     EXPECT_EQ(o.getInt("levels", 0), 4);
 }
 
 TEST(Options, BareFlag)
 {
     const char *argv[] = {"prog", "--fast"};
-    Options o(2, argv);
+    Options o(2, argv, {"fast", "slow"});
     EXPECT_TRUE(o.has("fast"));
     EXPECT_TRUE(o.getBool("fast", false));
     EXPECT_FALSE(o.getBool("slow", false));
@@ -128,7 +141,7 @@ TEST(Options, BareFlag)
 TEST(Options, Defaults)
 {
     const char *argv[] = {"prog"};
-    Options o(1, argv);
+    Options o(1, argv, {"x", "s", "b"});
     EXPECT_EQ(o.getInt("x", 7), 7);
     EXPECT_EQ(o.get("s", "dflt"), "dflt");
     EXPECT_TRUE(o.getBool("b", true));
@@ -136,24 +149,36 @@ TEST(Options, Defaults)
 
 TEST(Options, BooleanValues)
 {
-    const char *argv[] = {"prog", "--a=0", "--b=true", "--c=false"};
-    Options o(4, argv);
+    const char *argv[] = {"prog",    "--a=0",  "--b=true", "--c=false",
+                          "--d=yes", "--e=no", "--f=1",    "--g=2",
+                          "--h=on",  "--i=TRUE"};
+    Options o(10, argv, {"a", "b", "c", "d", "e", "f", "g", "h", "i"});
     EXPECT_FALSE(o.getBool("a", true));
     EXPECT_TRUE(o.getBool("b", false));
     EXPECT_FALSE(o.getBool("c", true));
+    EXPECT_TRUE(o.getBool("d", false));
+    EXPECT_FALSE(o.getBool("e", true));
+    EXPECT_TRUE(o.getBool("f", false));
+    // Any other value is an error naming the flag, not a silent false:
+    // "--json 2" used to print text tables.
+    const std::string m = thrownMessage([&] { o.getBool("g", false); });
+    EXPECT_NE(m.find("--g"), std::string::npos) << m;
+    EXPECT_NE(m.find("'2'"), std::string::npos) << m;
+    EXPECT_THROW(o.getBool("h", false), std::invalid_argument);
+    EXPECT_THROW(o.getBool("i", false), std::invalid_argument);
 }
 
 TEST(Options, RejectsPositionalArguments)
 {
     const char *argv[] = {"prog", "junk"};
-    EXPECT_THROW(Options(2, argv), std::invalid_argument);
+    EXPECT_THROW(Options(2, argv, {"junk"}), std::invalid_argument);
 }
 
 TEST(Options, RepeatedFlagLastWins)
 {
     const char *argv[] = {"prog", "--radix=8", "--radix=16",
                           "--load", "0.1", "--load=0.9"};
-    Options o(6, argv);
+    Options o(6, argv, {"radix", "load"});
     EXPECT_EQ(o.getInt("radix", 0), 16);
     EXPECT_DOUBLE_EQ(o.getDouble("load", 0.0), 0.9);
 }
@@ -163,7 +188,7 @@ TEST(Options, MissingValueAtEndBecomesBareFlag)
     // "--levels" with nothing after it cannot consume a value; it
     // parses as a bare flag, so typed accessors see an empty string.
     const char *argv[] = {"prog", "--levels"};
-    Options o(2, argv);
+    Options o(2, argv, {"levels"});
     EXPECT_TRUE(o.has("levels"));
     EXPECT_EQ(o.get("levels", "x"), "");
     EXPECT_THROW(o.getInt("levels", 0), std::invalid_argument);
@@ -174,40 +199,75 @@ TEST(Options, MissingValueAtEndBecomesBareFlag)
 TEST(Options, FlagFollowedByFlagDoesNotStealValue)
 {
     const char *argv[] = {"prog", "--fast", "--jobs=4"};
-    Options o(3, argv);
+    Options o(3, argv, {"fast", "jobs"});
     EXPECT_EQ(o.get("fast", "x"), "");
     EXPECT_EQ(o.getInt("jobs", 0), 4);
 }
 
-TEST(Options, UnknownFlagIsQueryableButAbsentOnesDefault)
+TEST(Options, UnknownFlagIsRejectedListingTheDeclaredNames)
 {
     const char *argv[] = {"prog", "--definitely-not-a-real-option=3"};
-    Options o(2, argv);
-    EXPECT_TRUE(o.has("definitely-not-a-real-option"));
-    EXPECT_FALSE(o.has("definitely"));
-    EXPECT_EQ(o.getInt("other", 42), 42);
+    const std::string m =
+        thrownMessage([&] { Options(2, argv, {"radix", "load"}); });
+    EXPECT_NE(m.find("--definitely-not-a-real-option"), std::string::npos)
+        << m;
+    EXPECT_NE(m.find("--load, --radix"), std::string::npos) << m;
+}
+
+TEST(Options, NearMissOfADeclaredFlagIsRejected)
+{
+    const char *argv[] = {"prog", "--job", "4"};
+    const std::string m = thrownMessage([&] { Options(3, argv, {"jobs"}); });
+    EXPECT_NE(m.find("--job "), std::string::npos) << m;
+    EXPECT_NE(m.find("--jobs"), std::string::npos) << m;
+}
+
+TEST(Options, EveryFormIsCheckedAgainstTheDeclaredNames)
+{
+    const char *equals[] = {"prog", "--warm-up=3000"};
+    const char *space[] = {"prog", "--warm-up", "3000"};
+    const char *bare[] = {"prog", "--warm-up"};
+    const std::vector<std::string> flags{"warmup"};
+    EXPECT_THROW(Options(2, equals, flags), std::invalid_argument);
+    EXPECT_THROW(Options(3, space, flags), std::invalid_argument);
+    EXPECT_THROW(Options(2, bare, flags), std::invalid_argument);
+    // A value is never taken for a flag name, nor "--" for an empty one.
+    const char *value[] = {"prog", "--warmup", "warm-up"};
+    EXPECT_EQ(Options(3, value, flags).get("warmup", ""), "warm-up");
+    const char *empty[] = {"prog", "--"};
+    EXPECT_THROW(Options(2, empty, flags), std::invalid_argument);
+}
+
+TEST(Options, ReadingAnUndeclaredNameIsALogicError)
+{
+    // Thrown whether or not the flag was given, so a declaration list
+    // that drifts from the reads fails the first run.
+    const char *argv[] = {"prog", "--radix=8"};
+    Options o(2, argv, {"radix"});
+    // std::invalid_argument derives from std::logic_error; the message
+    // tells the declaration error from a parse error.
+    const std::string m =
+        thrownMessage<std::logic_error>([&] { o.getInt("levels", 3); });
+    EXPECT_NE(m.find("--levels"), std::string::npos) << m;
+    EXPECT_NE(m.find("not declared"), std::string::npos) << m;
+    EXPECT_THROW(o.has("levels"), std::logic_error);
+    EXPECT_THROW(o.get("levels", ""), std::logic_error);
+    EXPECT_THROW(o.getIntAtLeast("levels", 3, 1), std::logic_error);
+    EXPECT_THROW(o.getDouble("levels", 0.0), std::logic_error);
+    EXPECT_THROW(o.getBool("levels", false), std::logic_error);
+    EXPECT_THROW(o.getList("levels", "a"), std::logic_error);
+    EXPECT_THROW(o.getDoubleList("levels", "1"), std::logic_error);
+    EXPECT_THROW(o.fullScale(), std::logic_error);
+    EXPECT_THROW(o.jobs(), std::logic_error);
 }
 
 TEST(Options, NonNumericValueThrowsFromTypedAccessors)
 {
     const char *argv[] = {"prog", "--radix=abc"};
-    Options o(2, argv);
+    Options o(2, argv, {"radix"});
     EXPECT_THROW(o.getInt("radix", 0), std::invalid_argument);
     EXPECT_THROW(o.getDouble("radix", 0.0), std::invalid_argument);
     EXPECT_EQ(o.get("radix", ""), "abc");  // string access still works
-}
-
-/** The what() of the std::invalid_argument @p fn throws ("" if none). */
-template <typename Fn>
-std::string
-invalidArgumentMessage(Fn fn)
-{
-    try {
-        fn();
-    } catch (const std::invalid_argument &e) {
-        return e.what();
-    }
-    return "";
 }
 
 TEST(Options, NumbersMustParseAsTheWholeValue)
@@ -215,7 +275,8 @@ TEST(Options, NumbersMustParseAsTheWholeValue)
     const char *argv[] = {"prog",        "--trials=4x", "--load=0.5x",
                           "--radix= 8",  "--big=99999999999999999999",
                           "--hex=0x10",  "--ok=-3",     "--frac=2.5e-1"};
-    Options o(8, argv);
+    Options o(8, argv,
+              {"trials", "load", "radix", "big", "hex", "ok", "frac"});
     EXPECT_THROW(o.getInt("trials", 1), std::invalid_argument);
     EXPECT_THROW(o.getDouble("trials", 1.0), std::invalid_argument);
     EXPECT_THROW(o.getDouble("load", 0.0), std::invalid_argument);
@@ -232,9 +293,9 @@ TEST(Options, IntAtLeastRejectsValuesAnIntCastWouldWrap)
 {
     const char *argv[] = {"prog", "--max-paths=4294967297", "--samples=-1",
                           "--phases=2147483647", "--zero=0"};
-    Options o(5, argv);
-    std::string m = invalidArgumentMessage(
-        [&] { o.getIntAtLeast("max-paths", 16, 1); });
+    Options o(5, argv, {"max-paths", "samples", "phases", "zero", "absent"});
+    std::string m =
+        thrownMessage([&] { o.getIntAtLeast("max-paths", 16, 1); });
     EXPECT_NE(m.find("--max-paths"), std::string::npos) << m;
     EXPECT_NE(m.find("4294967297"), std::string::npos) << m;
     EXPECT_NE(m.find("[1, 2147483647]"), std::string::npos) << m;
@@ -247,14 +308,35 @@ TEST(Options, IntAtLeastRejectsValuesAnIntCastWouldWrap)
     EXPECT_EQ(o.getIntAtLeast("absent", 8, 1), 8);
 }
 
+TEST(Options, IntRangeNamesFlagValueAndBothBounds)
+{
+    // The drills' schedule cycles must lie inside the run and their
+    // fault counts be positive: "--change-at 999999" never fired and
+    // "--step-links -3" wrapped in a size_t cast.
+    const char *argv[] = {"prog", "--change-at", "999999",
+                          "--step-links", "-3", "--fail-at=1199"};
+    Options o(6, argv, {"change-at", "step-links", "fail-at", "absent"});
+    std::string m =
+        thrownMessage([&] { o.getInt("change-at", 400, 0, 1199); });
+    EXPECT_NE(m.find("--change-at"), std::string::npos) << m;
+    EXPECT_NE(m.find("999999"), std::string::npos) << m;
+    EXPECT_NE(m.find("[0, 1199]"), std::string::npos) << m;
+    m = thrownMessage([&] { o.getInt("step-links", 4, 1); });
+    EXPECT_NE(m.find("--step-links"), std::string::npos) << m;
+    EXPECT_NE(m.find("-3"), std::string::npos) << m;
+    EXPECT_EQ(o.getInt("fail-at", 400, 0, 1199), 1199);
+    EXPECT_THROW(o.getInt("fail-at", 400, 0, 1198), std::invalid_argument);
+    EXPECT_EQ(o.getInt("absent", -1, -1, 1199), -1);
+}
+
 TEST(Options, BadNumberMessageNamesFlagAndValue)
 {
     const char *argv[] = {"prog", "--trials", "abc", "--load=1.5q"};
-    Options o(4, argv);
-    std::string m = invalidArgumentMessage([&] { o.getInt("trials", 1); });
+    Options o(4, argv, {"trials", "load"});
+    std::string m = thrownMessage([&] { o.getInt("trials", 1); });
     EXPECT_NE(m.find("--trials"), std::string::npos) << m;
     EXPECT_NE(m.find("'abc'"), std::string::npos) << m;
-    m = invalidArgumentMessage([&] { o.getDouble("load", 0.0); });
+    m = thrownMessage([&] { o.getDouble("load", 0.0); });
     EXPECT_NE(m.find("--load"), std::string::npos) << m;
     EXPECT_NE(m.find("'1.5q'"), std::string::npos) << m;
 }
@@ -263,7 +345,7 @@ TEST(Options, ListsSplitOnCommasAndDefault)
 {
     const char *argv[] = {"prog", "--patterns=uniform,shift",
                           "--loads=0.25,0.5,9e-1"};
-    Options o(3, argv);
+    Options o(3, argv, {"patterns", "loads", "absent"});
     EXPECT_EQ(o.getList("patterns", "x"),
               (std::vector<std::string>{"uniform", "shift"}));
     EXPECT_EQ(o.getList("absent", "a,b"),
@@ -279,11 +361,11 @@ TEST(Options, ListItemsParseStrictly)
     // load 0.5 and "abc" aborted with a bare "stod".
     const char *argv[] = {"prog", "--a=0.5x", "--b=abc", "--c=0.5,,0.9",
                           "--d=0.5,"};
-    Options o(5, argv);
-    std::string m = invalidArgumentMessage([&] { o.getDoubleList("a", ""); });
+    Options o(5, argv, {"a", "b", "c", "d"});
+    std::string m = thrownMessage([&] { o.getDoubleList("a", ""); });
     EXPECT_NE(m.find("--a"), std::string::npos) << m;
     EXPECT_NE(m.find("'0.5x'"), std::string::npos) << m;
-    m = invalidArgumentMessage([&] { o.getDoubleList("b", ""); });
+    m = thrownMessage([&] { o.getDoubleList("b", ""); });
     EXPECT_NE(m.find("'abc'"), std::string::npos) << m;
     EXPECT_THROW(o.getDoubleList("c", ""), std::invalid_argument);
     EXPECT_THROW(o.getList("d", ""), std::invalid_argument);
@@ -292,10 +374,10 @@ TEST(Options, ListItemsParseStrictly)
 TEST(Options, ListOutsideTheValidNamesThrowsListingThem)
 {
     const char *argv[] = {"prog", "--section=fig8,fig9", "--ok=fig10"};
-    Options o(3, argv);
+    Options o(3, argv, {"section", "ok", "absent"});
     const std::vector<std::string> valid{"fig8", "fig10", "all"};
     const std::string m =
-        invalidArgumentMessage([&] { o.getList("section", "", valid); });
+        thrownMessage([&] { o.getList("section", "", valid); });
     EXPECT_NE(m.find("--section"), std::string::npos) << m;
     EXPECT_NE(m.find("'fig9'"), std::string::npos) << m;
     EXPECT_NE(m.find("fig8, fig10, all"), std::string::npos) << m;
@@ -309,12 +391,13 @@ TEST(Options, JobsParsesFlagAndEnvironmentStrictly)
     const char *saved = std::getenv("RFC_JOBS");
     std::string restore = saved ? saved : "";
 
+    const std::vector<std::string> flags{"jobs"};
     const char *none[] = {"prog"};
-    Options bare(1, none);
+    Options bare(1, none, flags);
     ::setenv("RFC_JOBS", "3", 1);
     EXPECT_EQ(bare.jobs(), 3);
     ::setenv("RFC_JOBS", "3x", 1);
-    std::string m = invalidArgumentMessage([&] { bare.jobs(); });
+    std::string m = thrownMessage([&] { bare.jobs(); });
     EXPECT_NE(m.find("RFC_JOBS"), std::string::npos) << m;
     EXPECT_NE(m.find("'3x'"), std::string::npos) << m;
     ::setenv("RFC_JOBS", "abc", 1);
@@ -322,11 +405,11 @@ TEST(Options, JobsParsesFlagAndEnvironmentStrictly)
 
     // The flag wins over the environment and parses the same way.
     const char *flag[] = {"prog", "--jobs=2"};
-    EXPECT_EQ(Options(2, flag).jobs(), 2);
+    EXPECT_EQ(Options(2, flag, flags).jobs(), 2);
     const char *bad[] = {"prog", "--jobs=2 "};
-    EXPECT_THROW(Options(2, bad).jobs(), std::invalid_argument);
+    EXPECT_THROW(Options(2, bad, flags).jobs(), std::invalid_argument);
     const char *huge[] = {"prog", "--jobs=4294967296"};
-    EXPECT_THROW(Options(2, huge).jobs(), std::invalid_argument);
+    EXPECT_THROW(Options(2, huge, flags).jobs(), std::invalid_argument);
 
     if (saved)
         ::setenv("RFC_JOBS", restore.c_str(), 1);

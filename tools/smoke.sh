@@ -8,8 +8,31 @@
 # unexpectedly passes.  CI's bench-smoke job runs it, and so does
 # tools/coverage.py, so both reach the same code.
 set -euo pipefail
+src="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${1:-build}"
 set -x
+
+# Every bench and example binary declares its flags: an undeclared one
+# must stop it before it prints anything, with a message naming the
+# flag and, from util/options, the valid ones (micro_generators' flags
+# are google-benchmark's, whose message names only the bad flag).
+for cpp in "$src"/bench/*.cpp "$src"/examples/*.cpp; do
+  bin="./$(basename "$(dirname "$cpp")")/$(basename "$cpp" .cpp)"
+  if "$bin" --bogus-flag 1 > bogus.out 2> bogus.err; then exit 1; fi
+  test ! -s bogus.out
+  grep -q -- "--bogus-flag" bogus.err
+  [ "$bin" = ./bench/micro_generators ] || grep -q "valid: --" bogus.err
+done
+rm -f bogus.out bogus.err
+if ./bench/fig05_diameter --bogus-flag 3 > /dev/null 2>&1; then exit 1; fi
+# Near misses of a declared flag are undeclared flags too: --job 4
+# would run at the default job count and --warm-up 3000 at the default
+# 600-cycle window.
+if ./bench/fig08_perf_11k --smoke --job 4 > /dev/null 2>&1; then exit 1; fi
+if ./bench/fig08_perf_11k --smoke --warm-up 3000 > /dev/null 2>&1; then exit 1; fi
+# A boolean takes 1/0, true/false or yes/no: --json 2 used to print
+# text tables.
+if ./bench/fig08_perf_11k --smoke --json 2 > /dev/null 2>&1; then exit 1; fi
 
 # Every bench binary.
 ./bench/fig05_diameter > /dev/null
@@ -39,7 +62,15 @@ if ./bench/fig05_diameter --radix 4294967304 > /dev/null 2>&1; then exit 1; fi
 # run 4294967297 as one path and -1 samples as exact all-pairs demand.
 if ./bench/ext_flow_throughput --phases 50 --max-paths 4294967297 --samples 2 > /dev/null 2>&1; then exit 1; fi
 if ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples -1 > /dev/null 2>&1; then exit 1; fi
+if ./bench/ext_flow_throughput --scenario faults --phases 50 --max-paths 4 --samples 2 --step-links 0 > /dev/null 2>&1; then exit 1; fi
 ./bench/ext_fault_recovery --smoke > /dev/null
+# The drills' telemetry bins are at least one cycle (a zero bin left
+# no recovery metric), their schedule cycles lie inside the run, and
+# a fault step is at least one link (a negative one wrapped).
+if ./bench/ext_fault_recovery --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
+if ./bench/ext_fault_recovery --smoke --fail-at -1 > /dev/null 2>&1; then exit 1; fi
+if ./bench/ext_fault_recovery --smoke --step-links -3 > /dev/null 2>&1; then exit 1; fi
+if ./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 --step-links -1 > /dev/null 2>&1; then exit 1; fi
 # --smoke includes the self-check: the queue sweep must be
 # >= 10x faster than an equivalent VCT sweep (exit 1 if not).
 ./bench/ext_latency_curves --smoke > /dev/null
@@ -48,7 +79,7 @@ if ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples -1 > /dev/nul
 # rejected, not ignored (set -e ignores a !-negated command).
 if ./bench/ext_latency_curves --smoke --section fig8 --model md1 --cv2 2 > /dev/null 2>&1; then exit 1; fi
 # One simulation runs on one thread: the removed --shards and
-# --sim-jobs flags must be rejected, not ignored.
+# --sim-jobs flags are undeclared, so they are rejected, not ignored.
 if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
 # An RFC without up/down routes must stop a comparison, not bias it:
 # RFC(8, 3) at 120 leaves stays unroutable through every attempt.
@@ -57,7 +88,7 @@ if ./bench/ext_jellyfish --radix 8 --leaves 120 --degree 5 --warmup 50 --measure
 # run --leaves 4294967466 as the default 170.
 if ./bench/ext_jellyfish --leaves 4294967466 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
 # fig_perf_1M reads --patterns like the other flow benches; the old
-# --pattern must be rejected, not ignored.
+# --pattern is undeclared, so it is rejected, not ignored.
 ./bench/fig_perf_1M --smoke --section flow --patterns random-pairing | grep "pattern: random-pairing" > /dev/null
 if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/null 2>&1; then exit 1; fi
 # --smoke audits message conservation in every trial
@@ -66,6 +97,8 @@ if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/nu
 # --smoke audits packet conservation (exit 1 on any
 # violation).
 ./bench/ext_expansion_drill --smoke > /dev/null
+if ./bench/ext_expansion_drill --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
+if ./bench/ext_expansion_drill --smoke --change-at 999999 > /dev/null 2>&1; then exit 1; fi
 ./bench/fig_perf_1M --smoke --json > perf1m.json
 # --json prints exactly one document on stdout.
 python3 -m json.tool perf1m.json > /dev/null
@@ -99,7 +132,7 @@ sys.exit(0 if t["wall_seconds"] >= sum(t["section_seconds"].values()) else 1)'
 # Its int flags are range-checked like every bench's.
 if ./examples/topology_explorer --radix 8 --max-paths 4294967297 > /dev/null 2>&1; then exit 1; fi
 # Its packet-level sections moved to examples/simulate and the benches:
-# the removed flags must be rejected, not ignored.
+# the removed flags are undeclared, so they are rejected, not ignored.
 if ./examples/topology_explorer --radix 8 --simulate > /dev/null 2>&1; then exit 1; fi
 if ./examples/topology_explorer --radix 8 --load 0.5 > /dev/null 2>&1; then exit 1; fi
 if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then exit 1; fi
