@@ -318,6 +318,24 @@ directUniformFlowlet(std::uint64_t seed, Drive drive)
                      drive);
 }
 
+/**
+ * UGAL on CFT(132,2): leaves have 66 up ports and spines 132 down
+ * ports, so every next-hop set and every UGAL backlog probe spans more
+ * than 64 ports.  Short windows keep the 8,712-terminal run quick.
+ */
+SimResult
+cftWideShiftUgal(std::uint64_t seed, Drive drive)
+{
+    auto fc = buildCft(132, 2);
+    UpDownOracle oracle(fc);
+    ShiftTraffic traffic(fc.terminalsPerLeaf());  // neighbor-leaf flood
+    SimConfig cfg = goldenConfig(0.9, seed);
+    cfg.warmup = 60;
+    cfg.measure = 140;
+    cfg.route_mode = RouteMode::kUgal;
+    return runClos(fc, oracle, traffic, cfg, drive);
+}
+
 /** CFT(8,3) losing 12 random links at cycle 300, repaired at 700. */
 SimResult
 cftFaultTimeline(std::uint64_t seed)
@@ -370,13 +388,15 @@ constexpr Golden kGoldens[] = {
 };
 
 /**
- * Goldens of the adaptive route choices (UGAL, flowlet ECMP).  Kept
+ * Goldens of the adaptive route choices (UGAL, flowlet ECMP, and UGAL
+ * on next-hop sets wider than 64 ports).  Kept
  * apart from kGoldens because they were recorded after the sole-port
  * sleep rule, so polling/ holds no file for them.
  */
 constexpr Golden kPolicyGoldens[] = {
     {"cft8_shift_ugal", cftShiftUgal, 18},
     {"rrn16_uniform_flowlet", directUniformFlowlet, 19},
+    {"cft132_shift_ugal", cftWideShiftUgal, 22},
 };
 
 /** Goldens of live topology-change runs, checked with timelineFields. */
@@ -423,6 +443,8 @@ TEST(SimGolden, DirectPairingAllKsp) { checkGolden(6); }
 TEST(SimGolden, CftShiftUgal) { checkGolden(kPolicyGoldens[0]); }
 
 TEST(SimGolden, DirectUniformFlowlet) { checkGolden(kPolicyGoldens[1]); }
+
+TEST(SimGolden, CftWideShiftUgal) { checkGolden(kPolicyGoldens[2]); }
 
 TEST(SimGolden, CftFaultTimeline) { checkGolden(kTimelineGoldens[0]); }
 
