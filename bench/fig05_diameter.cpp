@@ -25,9 +25,11 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig05_diameter", 1, {"radix"});
-    b.banner("Figure 5: diameter vs compute nodes (R = 36)");
-    // R >= 4: with one port per side (R < 4) the sweep never grows.
+    // R >= 4: with one port per side (R < 4) the sweep never grows; an
+    // odd radix makes the models throw.
     const int radix = b.opts.getIntAtLeast("radix", 36, 4);
+    b.banner("Figure 5: diameter vs compute nodes (R = " +
+             std::to_string(radix) + ")");
 
     TablePrinter t({"terminals", "D(RRN)", "D(RFC)", "D(CFT)", "D(OFT)"});
     for (long long T = 64; T <= 100000000LL; T *= 2) {

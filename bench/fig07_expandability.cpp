@@ -22,9 +22,11 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig07_expandability", 3, {"radix"});
-    b.banner("Figure 7: expandability (ports vs terminals, R = 36)");
-    // R >= 4: with one port per side (R < 4) the sweep never grows.
+    // R >= 4: with one port per side (R < 4) the sweep never grows; an
+    // odd radix makes the models throw.
     const int radix = b.opts.getIntAtLeast("radix", 36, 4);
+    b.banner("Figure 7: expandability (ports vs terminals, R = " +
+             std::to_string(radix) + ")");
 
     TablePrinter t({"terminals", "ports(CFT)", "ports(OFT)", "ports(RFC)",
                     "ports(RRN)", "l(CFT)", "l(RFC)"});

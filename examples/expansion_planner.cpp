@@ -20,8 +20,9 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv, {"radix", "terminals", "verify", "seed"});
-    const int radix = opts.getIntAtLeast("radix", 36, 2);
-    const long long target = opts.getInt("terminals", 100008);
+    // The cost models reject a radix below 4 or an odd one.
+    const int radix = opts.getIntAtLeast("radix", 36, 4);
+    const long long target = opts.getInt("terminals", 100008, 1);
     const int m = radix / 2;
 
     std::cout << "== expansion plan: R = " << radix << ", target T = "
@@ -52,11 +53,15 @@ main(int argc, char **argv)
 
     double save_sw = 1.0 - static_cast<double>(rfc_c.switches) /
                                cft_c.switches;
-    double save_w =
-        1.0 - static_cast<double>(rfc_c.wires) / cft_c.wires;
+    // A one-level CFT (target <= R) is a single switch with no wires.
+    const std::string save_w =
+        cft_c.wires == 0
+            ? std::string("n/a")
+            : TablePrinter::fmtPct(
+                  1.0 - static_cast<double>(rfc_c.wires) / cft_c.wires, 1);
     std::cout << "\nRFC vs CFT savings: "
               << TablePrinter::fmtPct(save_sw, 1) << " switches, "
-              << TablePrinter::fmtPct(save_w, 1) << " wires\n\n";
+              << save_w << " wires\n\n";
 
     // Growth headroom.
     const int levels = rfc_c.levels;

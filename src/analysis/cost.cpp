@@ -11,6 +11,7 @@ namespace rfc {
 CostPoint
 cftCost(int radix, int levels)
 {
+    checkModelRadix("cftCost", radix, true);
     const long long m = radix / 2;
     long long inner = 2;  // N_i = 2 m^(l-1) for i < l
     for (int i = 1; i < levels; ++i)
@@ -43,6 +44,7 @@ oftCost(int q, int levels)
 CostPoint
 rfcCost(int radix, int levels, long long n1)
 {
+    checkModelRadix("rfcCost", radix, true);
     const long long m = radix / 2;
     CostPoint c;
     c.levels = levels;
@@ -56,6 +58,7 @@ rfcCost(int radix, int levels, long long n1)
 CostPoint
 rrnCost(int radix, int diameter, long long switches)
 {
+    checkModelRadix("rrnCost", radix, false);
     int delta = static_cast<int>(std::floor(
         static_cast<double>(radix) * diameter / (diameter + 1)));
     CostPoint c;
@@ -86,6 +89,7 @@ oftCostFor(long long terminals, int radix)
 CostPoint
 rfcCostFor(long long terminals, int radix)
 {
+    checkModelRadix("rfcCostFor", radix, true);
     const long long m = radix / 2;
     long long n1 = (terminals + m - 1) / m;
     if (n1 % 2)

@@ -5,7 +5,8 @@
  * Cost is measured in switch counts, inter-switch wires and network
  * ports (ports = 2 * wires).  CFT and OFT grow in steps - each step is
  * a weak expansion adding a level - while RFC and RRN grow almost
- * linearly (strong expansion).
+ * linearly (strong expansion).  Radices are checked as in
+ * analysis/scalability.hpp (std::invalid_argument).
  */
 #ifndef RFC_ANALYSIS_COST_HPP
 #define RFC_ANALYSIS_COST_HPP

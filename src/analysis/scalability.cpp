@@ -1,15 +1,28 @@
 #include "analysis/scalability.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "clos/oft.hpp"
 #include "clos/rfc.hpp"
 
 namespace rfc {
 
+void
+checkModelRadix(const char *fn, int radix, bool folded)
+{
+    if (radix < 4 || (folded && radix % 2 != 0))
+        throw std::invalid_argument(
+            std::string(fn) + ": radix must be " +
+            (folded ? "even and " : "") + ">= 4, got " +
+            std::to_string(radix));
+}
+
 long long
 cftTerminals(int radix, int levels)
 {
+    checkModelRadix("cftTerminals", radix, true);
     long long t = 2;
     for (int i = 0; i < levels; ++i)
         t *= radix / 2;
@@ -28,6 +41,7 @@ cftLevelsFor(long long terminals, int radix)
 long long
 rfcMaxTerminals(int radix, int levels)
 {
+    checkModelRadix("rfcMaxTerminals", radix, true);
     // rfcMaxLeavesLL: the threshold exceeds int range already at
     // moderate radix/level combinations (R=54, l=5 -> N1 ~ 1.2e10),
     // and the levels-for loops below probe exactly that regime.
@@ -46,6 +60,7 @@ rfcLevelsFor(long long terminals, int radix)
 long long
 rrnMaxSwitches(int radix, int diameter)
 {
+    checkModelRadix("rrnMaxSwitches", radix, false);
     double delta = std::floor(static_cast<double>(radix) * diameter /
                               (diameter + 1));
     double target = std::pow(delta, diameter);
@@ -97,6 +112,7 @@ cftDiameterFor(long long terminals, int radix)
 int
 oftOrderFromRadix(int radix)
 {
+    checkModelRadix("oftOrderFromRadix", radix, true);
     return radix / 2 - 1;
 }
 

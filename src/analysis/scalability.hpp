@@ -12,11 +12,23 @@
  *
  * These feed Figure 5 (diameter vs terminals at R = 36) and Figure 6
  * (terminals vs radix for levels 2-4).
+ *
+ * Every model that takes a radix throws std::invalid_argument for one
+ * below 4, whose capacity stops growing with levels or diameter (a
+ * level-count search would never end), and the folded-Clos models
+ * (CFT, OFT, RFC) for an odd one, as buildCft does: R/2 would round
+ * down and silently model R - 1.  RRN switches may have any radix.
  */
 #ifndef RFC_ANALYSIS_SCALABILITY_HPP
 #define RFC_ANALYSIS_SCALABILITY_HPP
 
 namespace rfc {
+
+/**
+ * Throw std::invalid_argument naming @p fn unless @p radix >= 4 and,
+ * for a folded-Clos model (@p folded), even.
+ */
+void checkModelRadix(const char *fn, int radix, bool folded);
 
 /** CFT terminals: 2 (R/2)^l. */
 long long cftTerminals(int radix, int levels);

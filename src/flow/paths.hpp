@@ -17,11 +17,11 @@
  * passes its own `LeafPairPaths`, which holds the output and the
  * per-pair scratch.
  *
- * Each switch's choice list (`UpDownOracle::upChoices` or
- * `downChoices`) is computed once per leaf pair, however often the DFS
- * and the samples revisit it.  Every path reports the port each hop
- * leaves by, so a caller maps a hop to its link without searching the
- * port lists.
+ * Each hop's choices come from `UpDownOracle::nextHops` as a port mask
+ * of `maskWords()` words, one mask row per depth, at any radix; the DFS
+ * and the samples re-read a revisited switch's reach bits rather than
+ * keep its set.  Every path reports the port each hop leaves by, so a
+ * caller maps a hop to its link without searching the port lists.
  */
 #ifndef RFC_FLOW_PATHS_HPP
 #define RFC_FLOW_PATHS_HPP
@@ -70,24 +70,12 @@ class LeafPairPaths
   private:
     friend class UpDownEcmpPaths;
 
-    /** One switch's choice list toward the pair's destination leaf. */
-    struct Hop
-    {
-        int sw = -1;
-        std::uint32_t gen = 0;   //!< call that filled it (0 = never)
-        std::int32_t first = 0;  //!< offset of its list in choice_
-        std::int32_t count = 0;  //!< number of choices
-    };
-
     int hops_ = 0;
     std::size_t count_ = 0;
     std::vector<int> sw_, port_;  //!< rows of hops_ + 1 and hops_
     std::vector<int> at_, via_;   //!< the path being built
-    std::vector<Hop> memo_;       //!< open addressing, power of two
-    std::size_t memo_used_ = 0;
-    std::uint32_t gen_ = 0;
-    std::vector<int> choice_;     //!< the memoised choice lists
-    std::vector<int> list_;       //!< oracle list scratch
+    //! nextHops mask of at_[depth], maskWords() words per depth
+    std::vector<std::uint64_t> mask_;
 };
 
 /**
@@ -118,21 +106,14 @@ class UpDownEcmpPaths
 
   private:
     /**
-     * Index in out.memo_ of @p s's memoised up (@p up) or down choices
-     * toward @p dst.
-     */
-    std::size_t choicesAt(int s, int dst, bool up, LeafPairPaths &out) const;
-
-    /**
      * Exhaustive DFS from out.at_[depth] = @p s; returns false once
      * more than max_paths_ paths exist.
      */
-    bool enumerate(std::size_t depth, int s, int ups, int dst,
+    bool enumerate(std::size_t depth, int s, int dst,
                    LeafPairPaths &out) const;
 
     /** One random minimal up/down path into out.at_ / out.via_. */
-    void samplePath(int src, int ups, int dst, Rng &rng,
-                    LeafPairPaths &out) const;
+    void samplePath(int src, int dst, Rng &rng, LeafPairPaths &out) const;
 
     const FoldedClos &fc_;
     const UpDownOracle &oracle_;

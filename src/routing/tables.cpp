@@ -237,23 +237,15 @@ std::vector<std::uint16_t>
 ForwardingTables::ports(int sw, int dest_leaf) const
 {
     std::vector<std::uint16_t> out;
-    const auto hops = oracle_->nextHops(*fc_, sw, dest_leaf, false);
-    if (hops.need < 0)
-        return out;
-    const int base =
-        hops.need == 0 ? static_cast<int>(fc_->up(sw).size()) : 0;
-    if (hops.wide) {
-        std::vector<int> choices;
-        if (hops.need == 0)
-            oracle_->downChoices(*fc_, sw, dest_leaf, choices);
-        else
-            oracle_->upChoices(*fc_, sw, dest_leaf, choices);
-        for (int c : choices)
-            out.push_back(static_cast<std::uint16_t>(base + c));
-        return out;
-    }
-    for (std::uint64_t m = hops.mask; m; m &= m - 1)
-        out.push_back(static_cast<std::uint16_t>(base + __builtin_ctzll(m)));
+    std::vector<std::uint64_t> mask(
+        static_cast<std::size_t>(oracle_->maskWords()));
+    const int need = oracle_->nextHops(*fc_, sw, dest_leaf, false,
+                                       mask.data());
+    const int base = need == 0 ? static_cast<int>(fc_->up(sw).size()) : 0;
+    for (std::size_t w = 0; w < mask.size(); ++w)
+        for (std::uint64_t m = mask[w]; m; m &= m - 1)
+            out.push_back(static_cast<std::uint16_t>(
+                base + static_cast<int>(64 * w) + __builtin_ctzll(m)));
     return out;
 }
 

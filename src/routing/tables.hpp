@@ -40,7 +40,9 @@
  * one hash lookup per leaf whose set differs from the previous leaf's;
  * pool ids follow first occurrence in (switch, leaf) order.
  * check/invariants.cpp compares every streamed row with the per-entry
- * oracle scan (minUps, then upChoices or downChoices).
+ * oracle scan (minUps, then upChoices or downChoices).  ports() reads
+ * one entry from UpDownOracle::nextHops, the mask form the engine
+ * routes by, at any port count.
  */
 #ifndef RFC_ROUTING_TABLES_HPP
 #define RFC_ROUTING_TABLES_HPP
@@ -89,8 +91,7 @@ class ForwardingTables
 
     /**
      * Minimal next-hop ports at @p sw toward @p dest_leaf, ascending:
-     * the oracle's nextHops mask, or its choice lists when a side has
-     * more than 64 ports.
+     * the set bits of the oracle's nextHops mask.
      */
     std::vector<std::uint16_t> ports(int sw, int dest_leaf) const;
 

@@ -9,6 +9,10 @@ UpDownOracle::build(const FoldedClos &fc, const LinkFaultState *faults)
     num_leaves_ = fc.numLeaves();
     faults_ = faults;
     const int s_count = fc.numSwitches();
+    std::size_t widest = 1;
+    for (int s = 0; s < s_count; ++s)
+        widest = std::max({widest, fc.up(s).size(), fc.down(s).size()});
+    mask_words_ = static_cast<int>((widest + 63) / 64);
 
     reach_.assign(levels_,
                   std::vector<DynBitset>(

@@ -12,9 +12,18 @@
  * This yields:
  *
  *  - exact minimal up/down ECMP next-hop choices in O(degree) per hop,
+ *    as one port mask of maskWords() words at any radix (nextHops: the
+ *    form the packet engine, the table meter and the flow-path
+ *    enumerator all read),
  *  - the network-wide routability predicate of Theorem 4.2
  *    (reach_{l-1}[leaf] = all leaves, for every leaf), and
  *  - minimal up/down path lengths for latency accounting.
+ *
+ * The list methods (downChoices, upChoices, feasibleUpChoices) give
+ * the same sets as port-index lists, each from its own per-entry
+ * scan; no routing path uses them.  They stay as the independent
+ * reference the checkers (src/check), the tests and the benchmark's
+ * self-check compare nextHops and the table rows against.
  *
  * Dynamic faults: bind a LinkFaultState overlay at build time and the
  * oracle sees only alive links - both in the reachability tables and
@@ -121,22 +130,51 @@ class UpDownOracle
     void feasibleUpChoices(const FoldedClos &fc, int s, int dest_leaf,
                            std::vector<int> &out) const;
 
-    /** The next hops of one (switch, leaf) pair. */
-    struct NextHops
-    {
-        int need;            //!< minUps(s, dest_leaf); -1 = unreachable
-        bool wide;           //!< the port list has more than 64 entries
-        std::uint64_t mask;  //!< bit i: port index i is a choice
-    };
-
     /**
-     * minUps and the choice set of downChoices (need == 0), upChoices
-     * or, with @p feasible, feasibleUpChoices as a mask over the first
-     * 64 port indices; when wide, only the list methods hold the rest.
+     * The next hops of one (switch, leaf) pair as a port mask: returns
+     * minUps(s, dest_leaf) (-1 = unreachable) and writes the choice set
+     * of downChoices (need 0), upChoices or, with @p feasible,
+     * feasibleUpChoices to @p mask[0, maskWords()): bit i % 64 of word
+     * i / 64 is port index i.  An unreachable leaf leaves it empty.
      * Tests one reach word per level and per alive port.
      */
-    NextHops nextHops(const FoldedClos &fc, int s, int dest_leaf,
-                      bool feasible) const;
+    int nextHops(const FoldedClos &fc, int s, int dest_leaf, bool feasible,
+                 std::uint64_t *mask) const;
+
+    /** Words of a nextHops mask: ceil(widest up or down list / 64). */
+    int maskWords() const { return mask_words_; }
+
+    /** Number of choices in @p mask of @p words words. */
+    static int
+    maskCount(const std::uint64_t *mask, int words)
+    {
+        int count = 0;
+        for (int w = 0; w < words; ++w)
+            count += __builtin_popcountll(mask[w]);
+        return count;
+    }
+
+    /**
+     * Port index of choice @p k (0-based, ascending) of @p mask: the
+     * k-th entry the list methods would return.  @p k must be below the
+     * mask's maskCount.
+     */
+    static int
+    maskSelect(const std::uint64_t *mask, std::uint64_t k)
+    {
+        int w = 0;
+        for (;; ++w) {
+            const auto c =
+                static_cast<std::uint64_t>(__builtin_popcountll(mask[w]));
+            if (k < c)
+                break;
+            k -= c;
+        }
+        std::uint64_t m = mask[w];
+        while (k--)
+            m &= m - 1;
+        return 64 * w + __builtin_ctzll(m);
+    }
 
     int numLeaves() const { return num_leaves_; }
 
@@ -170,40 +208,39 @@ class UpDownOracle
 
     int levels_ = 0;
     int num_leaves_ = 0;
+    int mask_words_ = 1;
     // reach_[j][s]: leaves reachable from s with <= j up hops.
     std::vector<std::vector<DynBitset>> reach_;
     const LinkFaultState *faults_ = nullptr;
 };
 
 // Inline: the packet engine calls it on every up/down routing visit.
-inline UpDownOracle::NextHops
+inline int
 UpDownOracle::nextHops(const FoldedClos &fc, int s, int dest_leaf,
-                       bool feasible) const
+                       bool feasible, std::uint64_t *mask) const
 {
+    std::fill_n(mask, mask_words_, std::uint64_t{0});
     const auto d = static_cast<std::size_t>(dest_leaf);
     int need = 0;
     while (!reach_[need][s].test(d))
         if (++need == levels_)
-            return {-1, false, 0};
+            return -1;
 
-    std::uint64_t mask = 0;
     if (need == 0) {
         const auto down = fc.down(s);
-        const std::size_t n = std::min<std::size_t>(down.size(), 64);
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < down.size(); ++i)
             if (downAlive(s, i) && reach_[0][down[i]].test(d))
-                mask |= std::uint64_t{1} << i;
-        return {need, down.size() > 64, mask};
+                mask[i / 64] |= std::uint64_t{1} << (i % 64);
+        return need;
     }
     // Minimal parents reach dest in need - 1 more ups; feasible ones
     // in whatever budget remains above them (see feasibleUpChoices).
     const auto up = fc.up(s);
-    const std::size_t n = std::min<std::size_t>(up.size(), 64);
     const int budget = feasible ? levels_ - fc.levelOf(s) - 1 : need - 1;
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < up.size(); ++i)
         if (upAlive(s, i) && reach_[budget][up[i]].test(d))
-            mask |= std::uint64_t{1} << i;
-    return {need, up.size() > 64, mask};
+            mask[i / 64] |= std::uint64_t{1} << (i % 64);
+    return need;
 }
 
 } // namespace rfc

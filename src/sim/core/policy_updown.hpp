@@ -14,15 +14,17 @@
  * of the packet's phase range.
  *
  * No state is kept per (switch, leaf): a packet's next-hop set comes
- * from UpDownOracle::nextHops, so a Simulator adds no routing memory
- * beyond the oracle's.  The one cache is per packet: the first visit
- * at a switch stores the set's port mask in the Pkt when it fits 32
- * bits, and a head blocked there re-draws from that mask instead of
- * re-walking the reach words.  The draw discipline is unchanged (one
- * uniform(count) draw per visit over the same ascending-port set), so
- * caching moves no result.  inject and onForward empty the cache;
- * the engine empties every packet's cache through forgetRoute after a
- * cycle hook, which may rebuild the oracle or the topology.
+ * from UpDownOracle::nextHops as a port mask of maskWords() words, at
+ * any radix, so a Simulator adds no routing memory beyond the oracle's
+ * and one mask of scratch.  The one cache is per packet: the first
+ * visit at a switch stores the set's port mask in the Pkt when every
+ * choice is below port 32, and a head blocked there re-draws from that
+ * mask instead of re-walking the reach words.  The draw discipline is
+ * unchanged (one uniform(count) draw per visit over the same
+ * ascending-port set), so caching moves no result.  inject and
+ * onForward empty the cache; the engine empties every packet's cache
+ * through forgetRoute after a cycle hook, which may rebuild the oracle
+ * or the topology.
  *
  * UGAL (RouteMode::kUgal) samples its candidate intermediate exactly
  * like Valiant, then keeps it only when the minimal route is backed
@@ -44,6 +46,7 @@
 #ifndef RFC_SIM_CORE_POLICY_UPDOWN_HPP
 #define RFC_SIM_CORE_POLICY_UPDOWN_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -161,8 +164,10 @@ class UpDownPolicy
         (void)cv;  // oblivious: the choice never reads congestion
         // A cached set implies the phase and target checks below already
         // ran at this switch.
-        if (p.route_mask != 0)
-            return drawPort(s, p.route_mask, p.route_down != 0, rng, sole);
+        if (p.route_mask != 0) {
+            const std::uint64_t cached = p.route_mask;
+            return drawPort(s, &cached, 1, p.route_down != 0, rng, sole);
+        }
         sole = true;
         if (p.phase == 0 && s == p.inter_leaf)
             p.phase = 1;  // Valiant intermediate reached: head for dest
@@ -172,21 +177,17 @@ class UpDownPolicy
             return lay_->n_up[s] + p.dest_local;  // ejection (phase 1)
 
         // The choice set comes from the oracle's reach words as a port
-        // bitmask and is cached in the packet when it fits 32 bits;
-        // nothing is cached per (switch, leaf).
-        const UpDownOracle::NextHops h = oracle_->nextHops(
-            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
-        if (h.need < 0)
+        // bitmask and is cached in the packet when every choice is below
+        // port 32; nothing is cached per (switch, leaf).
+        const int need = nextHops(s, target, mask_);
+        if (need < 0)
             return -1;
-        if (h.wide)
-            return routeOutWide(s, target, h.need, rng, sole);
-        if (h.mask == 0)
-            return -1;
-        if (h.mask >> 32 == 0) {
-            p.route_mask = static_cast<std::uint32_t>(h.mask);
-            p.route_down = h.need == 0;
+        if (fitsCache(mask_)) {
+            p.route_mask = static_cast<std::uint32_t>(mask_[0]);
+            p.route_down = need == 0;
         }
-        return drawPort(s, h.mask, h.need == 0, rng, sole);
+        return drawPort(s, mask_.data(), oracle_->maskWords(), need == 0,
+                        rng, sole);
     }
 
     void
@@ -243,10 +244,10 @@ class UpDownPolicy
             p.phase == 0 && s != p.inter_leaf ? p.inter_leaf : p.dest_leaf;
         if (s == target)
             return false;
-        const UpDownOracle::NextHops h = oracle_->nextHops(
-            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
-        return h.need >= 0 && !h.wide && h.mask == p.route_mask &&
-               (h.need == 0) == (p.route_down != 0);
+        std::vector<std::uint64_t> mask;
+        const int need = nextHops(s, target, mask);
+        return need >= 0 && fitsCache(mask) && mask[0] == p.route_mask &&
+               (need == 0) == (p.route_down != 0);
     }
 
     double hopsOf(const Pkt &p) const { return p.hops; }
@@ -319,48 +320,58 @@ class UpDownPolicy
     {
         if (s == target)
             return 0;
-        const UpDownOracle::NextHops h = oracle_->nextHops(
-            *fc_, s, target, mode_ == RouteMode::kUpDownRandom);
-        if (h.need < 0)
+        const int need = nextHops(s, target, mask_);
+        if (need < 0)
             return -1;
         const std::int64_t base =
-            cv.portBase(s) + (h.need == 0 ? lay_->n_up[s] : 0);
+            cv.portBase(s) + (need == 0 ? lay_->n_up[s] : 0);
         int best = -1;
-        auto consider = [&](int p) {
-            const int b = cv.backlog(base + p);
-            if (best < 0 || b < best)
-                best = b;
-        };
-        if (h.wide) {
-            fillScratch(s, target, h.need);
-            for (int p : choice_scratch_)
-                consider(p);
-            return best;
-        }
-        for (std::uint64_t m = h.mask; m != 0; m &= m - 1)
-            consider(__builtin_ctzll(m));
+        for (int w = 0; w < oracle_->maskWords(); ++w)
+            for (std::uint64_t m = mask_[w]; m != 0; m &= m - 1) {
+                const int b = cv.backlog(base + 64 * w + __builtin_ctzll(m));
+                if (best < 0 || b < best)
+                    best = b;
+            }
         return best;
     }
 
     /**
-     * The draw discipline: one uniform(count) draw mapping to the k-th
-     * port of @p mask in ascending order, as the oracle scan lists them.
+     * The oracle's next hops from @p s toward leaf @p target into
+     * @p mask (sized here: a rebuild may widen it); returns need.
      */
     int
-    drawPort(int s, std::uint64_t mask, bool down, Rng &rng, bool &sole)
+    nextHops(int s, int target, std::vector<std::uint64_t> &mask) const
     {
-        const int count = __builtin_popcountll(mask);
-        sole = count == 1;
-        const int pick = selectBit(mask, rng.uniform(count));
-        return down ? lay_->n_up[s] + pick : pick;
+        mask.resize(static_cast<std::size_t>(oracle_->maskWords()));
+        return oracle_->nextHops(*fc_, s, target,
+                                 mode_ == RouteMode::kUpDownRandom,
+                                 mask.data());
     }
 
-    static int
-    selectBit(std::uint64_t mask, std::uint64_t k)
+    /** Whether every choice in @p mask is below port 32. */
+    static bool
+    fitsCache(const std::vector<std::uint64_t> &mask)
     {
-        while (k--)
-            mask &= mask - 1;
-        return __builtin_ctzll(mask);
+        return mask[0] >> 32 == 0 &&
+               std::all_of(mask.begin() + 1, mask.end(),
+                           [](std::uint64_t w) { return w == 0; });
+    }
+
+    /**
+     * The draw discipline: one uniform(count) draw mapping to the k-th
+     * port of @p mask in ascending order, as the oracle scan lists them;
+     * -1 (no draw) for an empty set.
+     */
+    int
+    drawPort(int s, const std::uint64_t *mask, int words, bool down,
+             Rng &rng, bool &sole)
+    {
+        const int count = UpDownOracle::maskCount(mask, words);
+        if (count == 0)
+            return -1;
+        sole = count == 1;
+        const int pick = UpDownOracle::maskSelect(mask, rng.uniform(count));
+        return down ? lay_->n_up[s] + pick : pick;
     }
 
     /** Minimal up hops from @p s to leaf @p target; -1 = none. */
@@ -370,37 +381,13 @@ class UpDownPolicy
         return oracle_->minUps(s, target);
     }
 
-    //! Fill choice_scratch_ with the oracle's choice set, in port order.
-    void
-    fillScratch(int s, int target, int need)
-    {
-        if (need == 0)
-            oracle_->downChoices(*fc_, s, target, choice_scratch_);
-        else if (mode_ == RouteMode::kUpDownRandom)
-            oracle_->feasibleUpChoices(*fc_, s, target, choice_scratch_);
-        else
-            oracle_->upChoices(*fc_, s, target, choice_scratch_);
-    }
-
-    //! Slow path for port lists longer than the 64-bit mask (rare).
-    int
-    routeOutWide(int s, int target, int need, Rng &rng, bool &sole)
-    {
-        fillScratch(s, target, need);
-        if (choice_scratch_.empty())
-            return -1;
-        sole = choice_scratch_.size() == 1;
-        int pick = choice_scratch_[rng.uniform(choice_scratch_.size())];
-        return need == 0 ? lay_->n_up[s] + pick : pick;
-    }
-
     const FoldedClos *fc_;
     const UpDownOracle *oracle_;
     const FabricLayout *lay_;
     RouteMode mode_;
     int vcs_;
     int tpl_;
-    std::vector<int> choice_scratch_;
+    std::vector<std::uint64_t> mask_;  //!< nextHops scratch
 };
 
 } // namespace rfc

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analysis/cost.hpp"
 #include "analysis/scalability.hpp"
 #include "clos/oft.hpp"
@@ -19,6 +21,41 @@ TEST(Scalability, CftClosedForm)
     EXPECT_EQ(cftTerminals(36, 4), 209952);  // Section 5: 200K scenario
     EXPECT_EQ(cftTerminals(4, 4), 32);       // Figure 1
     EXPECT_EQ(cftTerminals(20, 3), 2000);    // radix-20 example, 11K RFC
+}
+
+TEST(Scalability, ModelsRejectRadixTheyCannotModel)
+{
+    // An odd folded-Clos radix would model R - 1 (R/2 rounds down);
+    // below 4 a model's capacity never grows, so a level search at
+    // R = 2 (cftTerminals(2, l) = 2 for every l) never ended.
+    for (int radix : {7, 2, 3, 0, -4}) {
+        SCOPED_TRACE(radix);
+        EXPECT_THROW(cftTerminals(radix, 3), std::invalid_argument);
+        EXPECT_THROW(cftLevelsFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(cftDiameterFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(rfcMaxTerminals(radix, 3), std::invalid_argument);
+        EXPECT_THROW(rfcLevelsFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(rfcDiameterFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(oftOrderFromRadix(radix), std::invalid_argument);
+        EXPECT_THROW(oftDiameterFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(cftCost(radix, 3), std::invalid_argument);
+        EXPECT_THROW(rfcCost(radix, 3, 64), std::invalid_argument);
+        EXPECT_THROW(cftCostFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(oftCostFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(rfcCostFor(100, radix), std::invalid_argument);
+    }
+    // RRN switches may have any radix from 4; below it Delta^D stalls.
+    for (int radix : {2, 3}) {
+        SCOPED_TRACE(radix);
+        EXPECT_THROW(rrnMaxSwitches(radix, 2), std::invalid_argument);
+        EXPECT_THROW(rrnMaxTerminals(radix, 2), std::invalid_argument);
+        EXPECT_THROW(rrnDiameterFor(100, radix), std::invalid_argument);
+        EXPECT_THROW(rrnCost(radix, 2, 10), std::invalid_argument);
+        EXPECT_THROW(rrnCostFor(100, radix), std::invalid_argument);
+    }
+    EXPECT_GT(rrnMaxTerminals(5, 4), 0);
+    EXPECT_EQ(cftTerminals(4, 1), 4);
+    EXPECT_EQ(cftCostFor(1, 4).levels, 1);
 }
 
 TEST(Scalability, CftLevelsFor)

@@ -172,15 +172,16 @@ TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
 TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
 {
     // Radix 40: a spine has 40 down ports, so down sets straddle the
-    // 32-bit per-packet cache.  Radix 120: a leaf has 60 up ports and a
-    // spine 120 down ports, so choice sets straddle the 64-bit port
-    // mask of UpDownOracle::nextHops.  Together the cached path, the
-    // uncached 64-bit mask path and the oracle-scan path all run.  Each
-    // must pick the port a plain uniform draw over the oracle's list
-    // picks, on the first visit and on a second visit of the same
-    // packet (a cache hit where the set fits 32 bits), and report a
-    // sole port exactly when that list has one entry.
-    int hits = 0, masked = 0, wide = 0;
+    // 32-bit per-packet cache.  Radix 120: a spine has 120 down ports,
+    // so its sets sit in a 2-word UpDownOracle::nextHops mask, and a
+    // leaf's 60 up ports fill most of one word.  So cached, uncached
+    // and multi-word sets all run, and a multi-word set whose choices
+    // all sit below port 32 is cached too.  Each visit must pick the
+    // port a plain uniform draw over the oracle's list picks, on the
+    // first visit and on a second visit of the same packet (a cache hit
+    // where every choice is below 32), and report a sole port exactly
+    // when that list has one entry.
+    int hits = 0, uncached = 0, wide = 0, wide_hits = 0;
     for (int radix : {40, 120}) {
         auto fc = buildCft(radix, 2);
         UpDownOracle oracle(fc);
@@ -211,12 +212,11 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
                     const bool is_wide =
                         (need == 0 ? fc.down(s).size()
                                    : fc.up(s).size()) > 64;
-                    const bool fits =
-                        !is_wide &&
-                        *std::max_element(choices.begin(),
-                                          choices.end()) < 32;
+                    const bool fits = *std::max_element(choices.begin(),
+                                                        choices.end()) < 32;
                     wide += is_wide;
-                    masked += !is_wide && !fits;
+                    wide_hits += is_wide && fits;
+                    uncached += !fits;
                     hits += fits;
 
                     UpDownPolicy::Pkt p{};
@@ -234,7 +234,7 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
                             << "radix " << radix << " switch " << s
                             << " target " << target << " visit " << visit;
                         EXPECT_EQ(sole, choices.size() == 1);
-                        // Cached exactly when the set fits 32 bits.
+                        // Cached exactly when every choice is below 32.
                         EXPECT_EQ(p.route_mask != 0, fits);
                         EXPECT_TRUE(policy.routeCacheFresh(s, p));
                     }
@@ -243,8 +243,9 @@ TEST(UpDownPolicyMemo, PicksMatchOracleScanAcrossMaskWidth)
         }
     }
     EXPECT_GT(hits, 0);
-    EXPECT_GT(masked, 0);
+    EXPECT_GT(uncached, 0);
     EXPECT_GT(wide, 0);
+    EXPECT_GT(wide_hits, 0);
 }
 
 TEST(UpDownPolicyMemo, ForwardEmptiesTheRouteCache)

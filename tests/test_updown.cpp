@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
@@ -361,44 +362,54 @@ TEST(UpDownOracle, UnroutableDestinationReportsMinusOne)
 
 /**
  * Check nextHops against minUps plus the list methods for every
- * (switch, leaf) pair of @p fc, in minimal and feasible mode; count
- * the unreachable pairs into @p unreachable.
+ * (switch, leaf) pair of @p fc, in minimal and feasible mode, as whole
+ * masks of maskWords() words; maskSelect must give the k-th list entry.
+ * Counts the unreachable pairs into @p unreachable.
  */
 void
 expectNextHopsMatchLists(const FoldedClos &fc, const UpDownOracle &oracle,
                          long long &unreachable)
 {
+    std::size_t widest = 1;
+    for (int s = 0; s < fc.numSwitches(); ++s)
+        widest = std::max({widest, fc.up(s).size(), fc.down(s).size()});
+    const int words = oracle.maskWords();
+    ASSERT_EQ(static_cast<std::size_t>(words), (widest + 63) / 64);
+
     std::vector<int> list;
+    std::vector<std::uint64_t> mask, want;
     for (bool feasible : {false, true}) {
         for (int s = 0; s < fc.numSwitches(); ++s) {
             for (int leaf = 0; leaf < fc.numLeaves(); ++leaf) {
-                const auto h = oracle.nextHops(fc, s, leaf, feasible);
-                const int need = oracle.minUps(s, leaf);
-                ASSERT_EQ(h.need, need) << "switch " << s << " leaf " << leaf;
+                // Stale bits everywhere: nextHops must write every word.
+                mask.assign(static_cast<std::size_t>(words), ~0ULL);
+                want.assign(static_cast<std::size_t>(words), 0);
+                const int need =
+                    oracle.nextHops(fc, s, leaf, feasible, mask.data());
+                ASSERT_EQ(need, oracle.minUps(s, leaf))
+                    << "switch " << s << " leaf " << leaf;
                 if (need < 0) {
-                    EXPECT_EQ(h.mask, 0u);
+                    EXPECT_EQ(mask, want);
                     ++unreachable;
                     continue;
                 }
-                std::size_t ports;
-                if (need == 0) {
+                if (need == 0)
                     oracle.downChoices(fc, s, leaf, list);
-                    ports = fc.down(s).size();
-                } else {
-                    if (feasible)
-                        oracle.feasibleUpChoices(fc, s, leaf, list);
-                    else
-                        oracle.upChoices(fc, s, leaf, list);
-                    ports = fc.up(s).size();
-                }
-                std::uint64_t want = 0;
+                else if (feasible)
+                    oracle.feasibleUpChoices(fc, s, leaf, list);
+                else
+                    oracle.upChoices(fc, s, leaf, list);
                 for (int i : list)
-                    if (i < 64)
-                        want |= std::uint64_t{1} << i;
-                EXPECT_EQ(h.mask, want)
+                    want[static_cast<std::size_t>(i / 64)] |=
+                        std::uint64_t{1} << (i % 64);
+                EXPECT_EQ(mask, want)
                     << "switch " << s << " leaf " << leaf << " feasible "
                     << feasible;
-                EXPECT_EQ(h.wide, ports > 64);
+                ASSERT_EQ(UpDownOracle::maskCount(mask.data(), words),
+                          static_cast<int>(list.size()));
+                for (std::size_t k = 0; k < list.size(); ++k)
+                    EXPECT_EQ(UpDownOracle::maskSelect(mask.data(), k),
+                              list[k]);
             }
         }
     }
@@ -421,13 +432,16 @@ TEST(UpDownOracle, NextHopsMatchListMethodsExhaustively)
     nets.push_back(buildRfcUnchecked(8, 3, 24, rng));
     nets.push_back(buildRfcUnchecked(6, 4, 12, rng));
     nets.push_back(buildOft(2, 3));
-    // Radix 130: 65 up ports per leaf, 130 down per spine - both lists
-    // run past the mask.
+    // Radix 100: 100 down ports per spine, a 2-word mask.  Radix 130:
+    // 65 up ports per leaf and 130 down per spine, a 3-word mask.
+    nets.push_back(buildCft(100, 2));
     nets.push_back(buildCft(130, 2));
     long long unreachable = 0;
+    std::set<int> widths;
     for (const auto &fc : nets) {
         SCOPED_TRACE(fc.numSwitches());
         UpDownOracle pristine(fc);
+        widths.insert(pristine.maskWords());
         expectNextHopsMatchLists(fc, pristine, unreachable);
 
         LinkFaultState overlay(fc);
@@ -438,6 +452,7 @@ TEST(UpDownOracle, NextHopsMatchListMethodsExhaustively)
         expectNextHopsMatchLists(fc, faulty, unreachable);
     }
     EXPECT_GT(unreachable, 0);  // the need == -1 case ran
+    EXPECT_EQ(widths, (std::set<int>{1, 2, 3}));
 }
 
 } // namespace

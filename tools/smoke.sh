@@ -39,6 +39,10 @@ if ./bench/fig08_perf_11k --smoke --json 2 > /dev/null 2>&1; then exit 1; fi
 # Every int flag of the bench drivers has a stated lower bound and
 # rejects values outside an int; a plain cast would run R = 8 here.
 if ./bench/fig05_diameter --radix 4294967304 > /dev/null 2>&1; then exit 1; fi
+# The closed-form models take an even radix >= 4: an odd one used to
+# run as R - 1 under an "R = 36" banner.
+if ./bench/fig05_diameter --radix 7 > /dev/null 2>&1; then exit 1; fi
+if ./bench/fig07_expandability --radix 7 > /dev/null 2>&1; then exit 1; fi
 ./bench/fig06_scalability > /dev/null
 ./bench/fig07_expandability > /dev/null
 ./bench/tab_section5_cost > /dev/null
@@ -138,3 +142,14 @@ if ./examples/topology_explorer --radix 8 --load 0.5 > /dev/null 2>&1; then exit
 if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then exit 1; fi
 ./examples/visualize > /dev/null
 ./examples/expansion_planner > /dev/null
+# An odd radix, a radix of 2 and a terminal count below 1 (which
+# printed "-nan% wires") must be rejected.  At R = 2 the CFT level
+# search used to loop forever: a timeout (status 124) fails the check
+# instead of stalling it.
+if ./examples/expansion_planner --radix 7 > /dev/null 2>&1; then exit 1; fi
+rc=0
+timeout 10 ./examples/expansion_planner --radix 2 > /dev/null 2>&1 || rc=$?
+if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ]; then exit 1; fi
+for t in 0 -5; do
+  if ./examples/expansion_planner --terminals "$t" > /dev/null 2>&1; then exit 1; fi
+done
