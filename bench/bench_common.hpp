@@ -4,11 +4,11 @@
  *
  * Every bench binary prints the series of one paper artifact.  By
  * default the experiments run at a sandbox-friendly scale; pass
- * --full (or set RFC_FULL=1) to run the paper-scale configuration.
- * All binaries accept --seed, --trials, and simulation-size overrides
- * where meaningful.  Each bench names its own flags when it constructs
- * its Bench; any other flag stops it, before it builds anything, with
- * a message listing the valid ones (util/options.hpp).
+ * --full to run the paper-scale configuration.  All binaries accept
+ * --seed, --trials, and simulation-size overrides where meaningful.
+ * Each bench names its own flags when it constructs its Bench; any
+ * other flag stops it, before it builds anything, with a message
+ * listing the valid ones (util/options.hpp).
  *
  * Output and execution flags (added by Bench, read here / by
  * util/options):
@@ -20,7 +20,7 @@
  *              peak RSS) only inside "timing" objects; banners,
  *              headings and prose go to stderr
  *   --jobs N   worker threads for the experiment engine (default:
- *              hardware concurrency, env RFC_JOBS).  Results are
+ *              hardware concurrency).  Results are
  *              bit-identical for any N: seeds derive from
  *              {base seed, study point, rep}, never from thread order.
  *              Each simulation runs on one thread; --jobs is the only
@@ -28,7 +28,9 @@
  *
  * Benches declare their studies (points x reps at one fidelity tier)
  * and hand them to Bench::run rather than looping; see runPerfScenario
- * below for the Figures 8-10 shape.
+ * below for the Figures 8-10 shape.  Bench::run totals the audit
+ * failures of every packet (kVct) study, open- or closed-loop, and
+ * Bench::finish exits 1 after any, so no bench repeats that check.
  *
  * The paper's fixed comparisons are defined once, below: every bench
  * that runs the equal-resources (Fig 8), 100K (Fig 9), 200K (Fig 10)
@@ -40,7 +42,6 @@
 #define RFC_BENCH_COMMON_HPP
 
 #include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -98,8 +99,8 @@ class Bench
                << (!mode.empty() ? mode
                    : opts.fullScale()
                        ? "mode: FULL (paper-scale; may take a long time)"
-                       : "mode: default (reduced scale; --full or "
-                         "RFC_FULL=1 for paper scale)")
+                       : "mode: default (reduced scale; --full for "
+                         "paper scale)")
                << "\n";
     }
 
@@ -127,11 +128,17 @@ class Bench
             report_.field(key, std::move(value));
     }
 
-    /** Run @p study on the engine; timing telemetry goes to stderr. */
+    /**
+     * Run @p study on the engine; timing telemetry goes to stderr.  A
+     * packet study's audit failures are named there and counted for
+     * finish().
+     */
     StudyResult
     run(const Study &study)
     {
         StudyResult r = engine.run(study);
+        if (r.tier == Tier::kVct)
+            violations_ += conservationViolations(r);
         double trials = 0.0;
         for (const auto &p : r.points)
             trials += p.timing.front().second;
@@ -145,13 +152,20 @@ class Bench
         return r;
     }
 
-    /** Print the document (--json) and pass @p code through. */
+    /**
+     * Print the document (--json) and return @p code, or 1 when it is 0
+     * and a study run() ran failed the packet audit.
+     */
     int
     finish(int code = 0) const
     {
         if (json)
             report_.write(std::cout);
-        return code;
+        if (violations_ == 0)
+            return code;
+        std::cerr << "[conservation] " << violations_
+                  << " trial(s) failed the packet audit; failing the run\n";
+        return code != 0 ? code : 1;
     }
 
   private:
@@ -163,6 +177,7 @@ class Bench
     }
 
     Report report_;
+    long long violations_ = 0;
 };
 
 /** True when the --section style @p list names @p name or "all". */
@@ -171,24 +186,6 @@ selected(const std::vector<std::string> &list, const std::string &name)
 {
     return std::find(list.begin(), list.end(), name) != list.end() ||
            std::find(list.begin(), list.end(), "all") != list.end();
-}
-
-/**
- * Report every point of a packet-tier study whose trials broke
- * conservation on stderr; returns the number of violating trials.
- */
-inline long long
-conservationViolations(const StudyResult &r)
-{
-    long long total = 0;
-    for (const auto &p : r.points) {
-        const long long v = std::llround(p.mean("conservation_violations"));
-        if (v != 0)
-            std::cerr << "[conservation] VIOLATION at " << p.label << " ("
-                      << v << " trial(s))\n";
-        total += v;
-    }
-    return total;
 }
 
 /**

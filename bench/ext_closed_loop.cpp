@@ -19,9 +19,12 @@
  *    3-level RFC) at reduced cycle counts - RPC tail and CCT when the
  *    CFT pays an extra level.
  *
- * Every trial carries the workload's own conservation audit (packets
- * created = pending + queued + in-flight + received, and ejections =
- * receipts); any violation fails the bench (exit 1), which the CI
+ * Every point is a packet-tier (kVct) point whose case names its
+ * workload, so every trial passes the packet audit (exp/experiment.hpp
+ * failsAudit): packet conservation, the workload's own message
+ * conservation (packets created = pending + queued + in-flight +
+ * received, and ejections = receipts) and, in guard builds, the
+ * runtime guards.  Any failure fails the bench (exit 1), which the CI
  * bench-smoke job runs continuously via --smoke.
  *
  * Knobs: --section=fig8,incast,fig10, --loads (comma list), --trials,
@@ -29,7 +32,6 @@
  * any --jobs value; timing goes to stderr or the JSON timing blocks
  * (filtered by the CI determinism diff).
  */
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -40,8 +42,8 @@ using namespace rfc;
 
 namespace {
 
-/** Run one section study, print it, and count conservation failures. */
-long long
+/** Run one section study and print it. */
+void
 runSection(Bench &b, const std::string &section, const std::string &heading,
            const std::vector<Network> &nets,
            const std::vector<WorkloadSpec> &workloads,
@@ -55,10 +57,9 @@ runSection(Bench &b, const std::string &section, const std::string &heading,
         c.workload = spec;
         cases.push_back(c);
     }
-    const StudyResult result = b.run({section, Tier::kWorkload,
+    const StudyResult result = b.run({section, Tier::kVct,
                                       crossPoints(nets, cases, loads, base),
                                       reps});
-    const long long violations = conservationViolations(result);
 
     b.text() << "## " << heading << "\n";
     TablePrinter t({"network", "workload", "load", "goodput", "rpc_p50",
@@ -82,7 +83,6 @@ runSection(Bench &b, const std::string &section, const std::string &heading,
                           cell("cct_mean", coflow)});
             }
     b.emit("closed-loop metrics (cycles; per-rep means)", t);
-    return violations;
 }
 
 } // namespace
@@ -117,17 +117,15 @@ main(int argc, char **argv)
     Rng fig8_rng(seed);
     Rng incast_rng(deriveSeed(seed, 1, 0));
     Rng fig10_rng(deriveSeed(seed, 2, 0));
-    long long violations = 0;
 
     if (selected(sections, "fig8")) {
         // Figure 8 shape: 3-level CFT vs the equal-resources RFC.
         const Scenario sc = equalResources(smoke ? 8 : 36, fig8_rng);
-        violations += runSection(
-            b, "fig8",
-            "Fig 8 shape (" +
-                std::to_string(sc.topology(0).numTerminals()) +
-                " terminals, equal resources): RPC tail and CCT",
-            sc.networks(), {rpc, coflow}, loads, base, reps);
+        runSection(b, "fig8",
+                   "Fig 8 shape (" +
+                       std::to_string(sc.topology(0).numTerminals()) +
+                       " terminals, equal resources): RPC tail and CCT",
+                   sc.networks(), {rpc, coflow}, loads, base, reps);
     }
 
     if (selected(sections, "incast")) {
@@ -144,10 +142,10 @@ main(int argc, char **argv)
             spec.fanin = fanin;
             incasts.push_back(spec);
         }
-        violations += runSection(
-            b, "incast", "Incast stress (fan-in sweep, wave latency + goodput)",
-            sc.networks(), incasts, {b.opts.getDouble("incast-load", 0.75)},
-            base, reps);
+        runSection(b, "incast",
+                   "Incast stress (fan-in sweep, wave latency + goodput)",
+                   sc.networks(), incasts,
+                   {b.opts.getDouble("incast-load", 0.75)}, base, reps);
     }
 
     if (selected(sections, "fig10")) {
@@ -159,20 +157,13 @@ main(int argc, char **argv)
         SimConfig tall = base;
         tall.warmup = b.opts.getInt("warmup", smoke ? 300 : 1000);
         tall.measure = b.opts.getInt("measure", smoke ? 1500 : 4000);
-        violations += runSection(
-            b, "fig10",
-            "Fig 10 shape (" +
-                std::to_string(sc.topology(0).numTerminals()) +
-                "-terminal CFT4 vs max RFC3): RPC tail and CCT",
-            sc.networks(), {rpc, coflow},
-            b.opts.getDoubleList("loads", "0.5,0.9"), tall, reps);
+        runSection(b, "fig10",
+                   "Fig 10 shape (" +
+                       std::to_string(sc.topology(0).numTerminals()) +
+                       "-terminal CFT4 vs max RFC3): RPC tail and CCT",
+                   sc.networks(), {rpc, coflow},
+                   b.opts.getDoubleList("loads", "0.5,0.9"), tall, reps);
     }
 
-    if (violations > 0) {
-        std::cerr << "[self-check] FAILED: " << violations
-                  << " trial(s) violated message conservation\n";
-        return b.finish(1);
-    }
-    std::cerr << "[self-check] conservation audit clean\n";
     return b.finish();
 }

@@ -25,7 +25,6 @@
  * per-bin recovery curve.
  */
 #include <cmath>
-#include <iostream>
 
 #include "bench_common.hpp"
 #include "clos/topology_events.hpp"
@@ -129,7 +128,6 @@ main(int argc, char **argv)
         }
     }
     const StudyResult result = b.run(study);
-    const long long violations = conservationViolations(result);
     const std::vector<PointResult> &points = result.points;
 
     TablePrinter t({"net", "faulty links", "% of wires", "accepted",
@@ -172,9 +170,5 @@ main(int argc, char **argv)
                 "'reconverge' is the cycle count from first failure "
                 "to a\nsustained return to >= 90% of baseline "
                 "('never' = still degraded at run end).\n";
-    if (violations > 0) {
-        std::cerr << "conservation violations: " << violations << "\n";
-        return b.finish(1);
-    }
     return b.finish();
 }

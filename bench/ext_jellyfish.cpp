@@ -14,12 +14,11 @@
  * Default scale: ~1,000 terminals per network at matched radix.  The
  * RFC comes from routableRfc, so a --leaves past the radix's up/down
  * threshold stops the run instead of losing unroutable pairs' packets.
- * Every run is audited against the packet conservation identity
- * (exp/experiment.hpp conservationGap) and, in a guard build, against
- * the engine's guard reports; any violation makes the run exit 1.
+ * Every run passes the packet audit the study runner applies
+ * (exp/experiment.hpp failsAudit: the conservation identity and, in a
+ * guard build, the engine's guard reports); any failure makes the run
+ * exit 1.
  */
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/random_regular.hpp"
@@ -29,31 +28,6 @@
 #include "util/rng.hpp"
 
 using namespace rfc;
-
-namespace {
-
-/**
- * Report a run that broke packet conservation or, in a guard build
- * (-DRFC_CHECK_INVARIANTS=ON), raised any guard report, as study
- * trials count them; 1 if it did, else 0.
- */
-int
-auditDirect(const std::string &label, const Simulator &sim,
-            const SimResult &r)
-{
-    const long long gap = conservationGap(r);
-    const CheckContext &check = sim.checkContext();
-    if (gap == 0 && check.violations() == 0)
-        return 0;
-    if (gap != 0)
-        std::cerr << "[conservation] VIOLATION at " << label << " (gap "
-                  << gap << ")\n";
-    if (check.violations() != 0)
-        std::cerr << "[guard] " << label << ": " << check.summary() << "\n";
-    return 1;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -138,10 +112,10 @@ main(int argc, char **argv)
             Simulator flowlet_sim(rrn, routes, hosts, *tr4, cfg,
                                   PathPolicy::kFlowletEcmp);
             auto r4 = flowlet_sim.run();
-            violations += auditDirect(at + "RFC", rfc_sim, r1) +
-                          auditDirect(at + "RRN-ecmp", ecmp_sim, r2) +
-                          auditDirect(at + "RRN-ksp", ksp_sim, r3) +
-                          auditDirect(at + "RRN-flowlet", flowlet_sim, r4);
+            violations += failsAudit(rfc_sim, r1, at + "RFC") +
+                          failsAudit(ecmp_sim, r2, at + "RRN-ecmp") +
+                          failsAudit(ksp_sim, r3, at + "RRN-ksp") +
+                          failsAudit(flowlet_sim, r4, at + "RRN-flowlet");
             t.addRow({TablePrinter::fmt(load, 2),
                       TablePrinter::fmt(r1.accepted, 3),
                       TablePrinter::fmt(r1.avg_latency, 1),
@@ -154,10 +128,5 @@ main(int argc, char **argv)
         }
         b.emit(std::string("traffic: ") + tname, t);
     }
-    if (violations != 0) {
-        std::cerr << "[conservation] " << violations
-                  << " violating run(s); failing the run\n";
-        return b.finish(1);
-    }
-    return b.finish();
+    return b.finish(violations != 0 ? 1 : 0);
 }

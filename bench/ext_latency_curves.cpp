@@ -91,7 +91,8 @@ runSection(Bench &b, Study study, const std::string &heading,
 
 /**
  * Smoke self-check: the queue sweep must beat a VCT sweep over the
- * same networks and loads by >= 10x (the tier's reason to exist).
+ * same networks and loads by >= 10x (the tier's reason to exist), and
+ * that VCT sweep must pass the packet audit like every packet run.
  */
 bool
 selfCheck(const Bench &b, double queue_seconds,
@@ -103,12 +104,12 @@ selfCheck(const Bench &b, double queue_seconds,
     SimConfig base;
     base.warmup = 1000;
     base.measure = 5000;
-    const double vct_seconds =
-        b.engine
-            .run({"self-check", Tier::kVct,
-                  crossPoints(nets, {{"uniform", namedTraffic("uniform")}},
-                              loads, base)})
-            .wall_seconds;
+    const StudyResult vct = b.engine.run(
+        {"self-check", Tier::kVct,
+         crossPoints(nets, {{"uniform", namedTraffic("uniform")}}, loads,
+                     base)});
+    const double vct_seconds = vct.wall_seconds;
+    bool ok = conservationViolations(vct) == 0;
 
     double ratio = queue_seconds > 0.0 ? vct_seconds / queue_seconds
                                        : 1e9;
@@ -118,9 +119,9 @@ selfCheck(const Bench &b, double queue_seconds,
     if (vct_seconds < 10.0 * queue_seconds) {
         std::cerr << "[self-check] FAILED: queue sweep less than 10x "
                      "faster than VCT\n";
-        return false;
+        ok = false;
     }
-    return true;
+    return ok;
 }
 
 } // namespace

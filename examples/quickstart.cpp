@@ -6,6 +6,9 @@
  *
  * Usage: quickstart [--radix R] [--levels L] [--leaves N1]
  *                   [--load X] [--seed S]
+ *
+ * Exits 1 when the simulation fails the packet audit
+ * (exp/experiment.hpp failsAudit).
  */
 #include <iostream>
 
@@ -72,5 +75,7 @@ main(int argc, char **argv)
               << " phits/node/cycle\n"
               << "  average latency: " << r.avg_latency << " cycles\n"
               << "  average hops: " << r.avg_hops << "\n";
-    return 0;
+
+    // 6. Audit the run: every packet generated is accounted for.
+    return failsAudit(sim, r, "quickstart") ? 1 : 0;
 }

@@ -34,6 +34,9 @@
  * points x trials) and runs on the shared engine; per-trial seeds are
  * derived from --seed, so results do not depend on --jobs.  With
  * --json the text lines go to stderr and stdout is one document.
+ * Every trial passes the packet audit (exp/experiment.hpp failsAudit);
+ * the results print either way, and the exit status is 1 after any
+ * failure.
  */
 #include <cmath>
 #include <iostream>
@@ -153,6 +156,7 @@ main(int argc, char **argv)
          crossPoints({{fc.name(), &fc, &oracle}}, {{tname, make_traffic}},
                      loads, cfg),
          trials});
+    const int status = conservationViolations(result) == 0 ? 0 : 1;
 
     text << "traffic: " << tname << ", route mode: " << mode << ", "
          << trials << " trial(s)/point, " << engine.jobs() << " job(s), "
@@ -161,7 +165,7 @@ main(int argc, char **argv)
     if (json) {
         report.add(result);
         report.write(std::cout);
-        return 0;
+        return status;
     }
 
     TablePrinter t({"offered", "accepted", "avg-lat", "p50-lat",
@@ -181,5 +185,5 @@ main(int argc, char **argv)
         t.printCsv(std::cout);
     else
         t.print(std::cout);
-    return 0;
+    return status;
 }

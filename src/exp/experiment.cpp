@@ -1,6 +1,7 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -79,50 +80,68 @@ addEngineTiming(Sample &s, const PerfCounters &p)
 }
 
 /**
- * Whether the runtime invariant guards (compiled in only with
- * -DRFC_CHECK_INVARIANTS=ON) flagged @p sim's run; the first violation
- * goes to stderr.  A flagged trial counts as a conservation violation.
+ * One packet-simulation trial: the case's open-loop traffic or, when
+ * it names one, its closed-loop workload.
  */
-bool
-guardFailed(const Simulator &sim)
-{
-    const CheckContext &check = sim.checkContext();
-    if (check.violations() == 0)
-        return false;
-    std::cerr << "[guard] " + check.summary() + "\n";
-    return true;
-}
-
-/** One open-loop packet-simulation trial. */
 Sample
-vctTrial(const Point &pt, const SimConfig &cfg)
+packetTrial(const Point &pt, const SimConfig &cfg)
 {
     const Case &c = pt.scenario;
     const FoldedClos &fc = *pt.network.topology;
-    auto traffic = c.traffic();
+    const std::unique_ptr<Workload> wl =
+        c.workload ? makeWorkload(*c.workload, cfg.load) : nullptr;
+    // A workload replaces the traffic, but the simulator still needs a
+    // pattern (its ctor seeds the demand matrix): pass the cheapest.
+    const auto traffic = wl ? makeTraffic("uniform") : c.traffic();
     const auto sim =
         c.changes
             ? std::make_unique<Simulator>(fc, *traffic, cfg, *c.changes)
             : std::make_unique<Simulator>(fc, *pt.network.oracle, *traffic,
                                           cfg);
+    if (wl)
+        sim->attachWorkload(*wl);
     const SimResult r = sim->run();
+    const WorkloadMetrics &w = r.workload;
 
     Sample s;
-    addAll(s, {{"accepted", r.accepted},
-               {"avg_latency", r.avg_latency},
-               {"p50_latency", r.p50_latency},
-               {"p99_latency", r.p99_latency},
-               {"avg_hops", r.avg_hops},
-               {"delivered_packets", num(r.delivered_packets)},
-               {"generated_packets", num(r.generated_packets)},
-               {"suppressed_packets", num(r.suppressed_packets)},
-               {"unroutable_packets", num(r.unroutable_packets)},
-               {"dropped_packets", num(r.dropped_packets)},
-               {"rerouted_packets", num(r.rerouted_packets)},
-               {"route_retries", num(r.route_retries)}});
-    s.add("conservation_violations",
-          conservationGap(r) != 0 || guardFailed(*sim) ? 1 : 0,
+    if (wl)
+        addAll(s, {{"goodput", w.goodput},
+                   {"accepted", r.accepted},
+                   {"avg_latency", r.avg_latency},
+                   {"p99_latency", r.p99_latency},
+                   {"fct_mean", w.fct_mean},
+                   {"fct_p50", w.fct_p50},
+                   {"fct_p99", w.fct_p99},
+                   {"fct_max", w.fct_max},
+                   {"rpc_mean", w.rpc_mean},
+                   {"rpc_p50", w.rpc_p50},
+                   {"rpc_p99", w.rpc_p99},
+                   {"rpc_p999", w.rpc_p999},
+                   {"rpc_max", w.rpc_max},
+                   {"cct_mean", w.cct_mean},
+                   {"cct_max", w.cct_max},
+                   {"messages_sent", num(w.messages_sent)},
+                   {"flows_completed", num(w.flows_completed)},
+                   {"rpcs_completed", num(w.rpcs_completed)},
+                   {"coflow_phases", num(w.coflow_phases)}});
+    else
+        addAll(s, {{"accepted", r.accepted},
+                   {"avg_latency", r.avg_latency},
+                   {"p50_latency", r.p50_latency},
+                   {"p99_latency", r.p99_latency},
+                   {"avg_hops", r.avg_hops},
+                   {"delivered_packets", num(r.delivered_packets)},
+                   {"generated_packets", num(r.generated_packets)},
+                   {"suppressed_packets", num(r.suppressed_packets)},
+                   {"unroutable_packets", num(r.unroutable_packets)},
+                   {"dropped_packets", num(r.dropped_packets)},
+                   {"rerouted_packets", num(r.rerouted_packets)},
+                   {"route_retries", num(r.route_retries)}});
+    s.add("conservation_violations", failsAudit(*sim, r, pt.label) ? 1 : 0,
           Fold::kSum);
+    addEngineTiming(s, r.perf);
+    if (wl)
+        return s;
     if (c.changes && cfg.telemetry_bin > 0) {
         // Recovery after the first failure or detach.
         const RecoveryStats rec = computeRecovery(
@@ -155,47 +174,6 @@ vctTrial(const Point &pt, const SimConfig &cfg)
     s.add("scan_commit_blocked", num(r.perf.scan_commit_blocked),
           Fold::kSum);
     s.add("occupancy", r.perf.occupancy, Fold::kSeriesSum);
-    addEngineTiming(s, r.perf);
-    return s;
-}
-
-/** One closed-loop workload trial. */
-Sample
-workloadTrial(const Point &pt, const SimConfig &cfg)
-{
-    auto wl = makeWorkload(pt.scenario.workload, cfg.load);
-    // The simulator still needs a pattern (its ctor seeds the demand
-    // matrix); the workload replaces it, so pass the cheapest one.
-    auto traffic = makeTraffic("uniform");
-    Simulator sim(*pt.network.topology, *pt.network.oracle, *traffic, cfg);
-    sim.attachWorkload(*wl);
-    const SimResult r = sim.run();
-    const WorkloadMetrics &w = r.workload;
-
-    Sample s;
-    addAll(s, {{"goodput", w.goodput},
-               {"accepted", r.accepted},
-               {"avg_latency", r.avg_latency},
-               {"p99_latency", r.p99_latency},
-               {"fct_mean", w.fct_mean},
-               {"fct_p50", w.fct_p50},
-               {"fct_p99", w.fct_p99},
-               {"fct_max", w.fct_max},
-               {"rpc_mean", w.rpc_mean},
-               {"rpc_p50", w.rpc_p50},
-               {"rpc_p99", w.rpc_p99},
-               {"rpc_p999", w.rpc_p999},
-               {"rpc_max", w.rpc_max},
-               {"cct_mean", w.cct_mean},
-               {"cct_max", w.cct_max},
-               {"messages_sent", num(w.messages_sent)},
-               {"flows_completed", num(w.flows_completed)},
-               {"rpcs_completed", num(w.rpcs_completed)},
-               {"coflow_phases", num(w.coflow_phases)}});
-    const bool broken = w.conservation_residual != 0 ||
-                        w.eject_mismatch != 0 || guardFailed(sim);
-    s.add("conservation_violations", broken ? 1 : 0, Fold::kSum);
-    addEngineTiming(s, r.perf);
     return s;
 }
 
@@ -521,7 +499,6 @@ tierName(Tier tier)
 {
     switch (tier) {
     case Tier::kVct: return "vct";
-    case Tier::kWorkload: return "closed-loop";
     case Tier::kFlow: return "flow";
     case Tier::kQueue: return "queue";
     }
@@ -552,6 +529,41 @@ conservationGap(const SimResult &r)
            (r.suppressed_packets + r.unroutable_packets +
             r.queued_packets_end + r.in_flight_packets +
             r.ejected_packets + r.dropped_packets);
+}
+
+bool
+failsAudit(const Simulator &sim, const SimResult &r, const std::string &label)
+{
+    std::string broken;
+    if (const long long gap = conservationGap(r); gap != 0)
+        broken += " [conservation] gap " + std::to_string(gap);
+    if (const WorkloadMetrics &w = r.workload;
+        w.active && (w.conservation_residual != 0 || w.eject_mismatch != 0))
+        broken += " [workload] residual " +
+                  std::to_string(w.conservation_residual) +
+                  ", eject mismatch " + std::to_string(w.eject_mismatch);
+    if (const CheckContext &check = sim.checkContext();
+        check.violations() != 0)
+        broken += " [guard] " + check.summary();
+    if (broken.empty())
+        return false;
+    // One write, as trials on the pool may fail at the same time.
+    std::cerr << "[audit] " + label + ":" + broken + "\n";
+    return true;
+}
+
+long long
+conservationViolations(const StudyResult &r)
+{
+    long long total = 0;
+    for (const auto &p : r.points) {
+        const long long v = std::llround(p.mean("conservation_violations"));
+        if (v != 0)
+            std::cerr << "[conservation] VIOLATION at " << p.label << " ("
+                      << v << " trial(s))\n";
+        total += v;
+    }
+    return total;
 }
 
 ExperimentEngine::ExperimentEngine(int jobs, std::uint64_t base_seed)
@@ -598,15 +610,14 @@ ExperimentEngine::run(const Study &study) const
     // One slot per trial (point-major), each written exactly once.
     std::vector<Sample> slots(pts.size() * reps);
 
-    if (study.tier == Tier::kVct || study.tier == Tier::kWorkload) {
+    if (study.tier == Tier::kVct) {
         forEachIndex(slots.size(), [&](std::size_t t) {
             const Point &pt = pts[t / reps];
             SimConfig cfg = pt.config;
             cfg.load = pt.load;
             cfg.seed = deriveSeed(base_seed_, t / reps, t % reps);
             const auto trial_start = Clock::now();
-            slots[t] = study.tier == Tier::kVct ? vctTrial(pt, cfg)
-                                                : workloadTrial(pt, cfg);
+            slots[t] = packetTrial(pt, cfg);
             slots[t].seconds = since(trial_start);
         });
     } else {

@@ -7,15 +7,15 @@
  * loads x seeds.  A Study lists its points (the crossPoints product or a
  * hand-built list) and names the tier that evaluates them:
  *
- *  - kVct: the packet simulator under open-loop traffic;
- *  - kWorkload: the packet simulator driving a closed-loop workload;
+ *  - kVct: the packet simulator, under the case's open-loop traffic or,
+ *    when the case names a workload, driving that closed loop;
  *  - kFlow: certified max concurrent flow plus ECMP fluid (src/flow);
  *  - kQueue: the analytic queue-model latency sweep (src/queue).
  *
  * ExperimentEngine::run keeps the output bit-identical at any --jobs
  * value: trial r of point p runs at seed deriveSeed(base, p, r), every
  * trial fills its own slot, and aggregation is one serial pass.  The
- * packet tiers spread their trials across the engine's pool.  The
+ * packet tier spreads its trials across the engine's pool.  The
  * analytic tiers run one group at a time (consecutive points with equal
  * network and case labels, e.g. one load curve) and hand the pool to
  * the solver instead: a parallelFor nested on one pool can deadlock,
@@ -33,7 +33,9 @@
  *
  * Packet counters are per-trial means like every other metric; only
  * the engine perf counters, histograms and conservation-violation
- * counts are totals over the reps.
+ * counts are totals over the reps.  Every packet trial passes one
+ * audit (failsAudit) and counts a failure in conservation_violations;
+ * conservationViolations totals them for a caller to act on.
  */
 #ifndef RFC_EXP_EXPERIMENT_HPP
 #define RFC_EXP_EXPERIMENT_HPP
@@ -94,6 +96,7 @@ struct Case
     std::string label;
 
     // ---- kVct ------------------------------------------------------
+    /** Open-loop traffic; unused when a workload is set. */
     TrafficFactory traffic{};
     /** Replaces the base config's route mode in crossPoints. */
     std::optional<RouteMode> route_mode{};
@@ -103,9 +106,8 @@ struct Case
      * of any staged (attached) links.
      */
     const TopologyTimeline *changes = nullptr;
-
-    // ---- kWorkload -------------------------------------------------
-    WorkloadSpec workload{};
+    /** Set: the point runs this closed-loop workload instead. */
+    std::optional<WorkloadSpec> workload{};
 
     // ---- kFlow, kQueue ---------------------------------------------
     std::string pattern{};  //!< makeDemandMatrix name
@@ -149,12 +151,11 @@ std::size_t gridIndex(const std::vector<std::size_t> &sizes,
 enum class Tier
 {
     kVct,
-    kWorkload,
     kFlow,
     kQueue,
 };
 
-/** "vct", "closed-loop", "flow" or "queue". */
+/** "vct", "flow" or "queue". */
 const char *tierName(Tier tier);
 
 /** A scalar in the document: configuration echoes, headline fields. */
@@ -290,19 +291,38 @@ class ExperimentEngine
 };
 
 /**
- * Packet conservation audit for one open-loop run: every generated
- * packet must end in exactly one terminal state, so
+ * Packet conservation of one run: every generated packet must end in
+ * exactly one terminal state, so
  *
  *   generated == suppressed + unroutable + queued_packets_end
  *              + in_flight_packets + ejected_packets + dropped_packets
  *
- * Returns the (signed) imbalance; 0 on a healthy engine.  The packet
- * tier audits every trial and reports the violating ones in the
- * conservation_violations metric, which in guard builds
- * (-DRFC_CHECK_INVARIANTS=ON) also counts trials the runtime guards
- * flagged.
+ * Returns the (signed) imbalance; 0 on a healthy engine.
  */
 long long conservationGap(const SimResult &r);
+
+/**
+ * The audit every packet run passes.  @p r of @p sim fails it when
+ *
+ *  - conservationGap(r) != 0;
+ *  - a workload ran and its message conservation residual or its
+ *    ejection mismatch (WorkloadMetrics) is not 0;
+ *  - the runtime guards, compiled in only with
+ *    -DRFC_CHECK_INVARIANTS=ON, reported anything.
+ *
+ * Returns true on a failure, after writing what broke to stderr under
+ * @p label.  A study trial counts a failure in its
+ * conservation_violations metric.
+ */
+bool failsAudit(const Simulator &sim, const SimResult &r,
+                const std::string &label);
+
+/**
+ * The conservation_violations total of a kVct study; each point whose
+ * trials failed the audit is named on stderr.  Analytic tiers have no
+ * such metric.
+ */
+long long conservationViolations(const StudyResult &r);
 
 /**
  * One run's JSON document:

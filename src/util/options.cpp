@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -192,28 +191,16 @@ Options::getBool(const std::string &name, bool def) const
 bool
 Options::fullScale() const
 {
-    if (getBool("full", false))
-        return true;
-    const char *env = std::getenv("RFC_FULL");
-    return env && std::string(env) == "1";
+    return getBool("full", false);
 }
 
 int
 Options::jobs() const
 {
-    std::string what = "option --jobs";
-    std::int64_t n = 0;  // 0 = auto (hardware concurrency)
-    if (const std::string *v = lookup("jobs")) {
-        n = parseInteger(what, *v);
-    } else if (const char *env = std::getenv("RFC_JOBS")) {
-        what = "environment variable RFC_JOBS";
-        n = parseInteger(what, env);
-    }
-    if (n < std::numeric_limits<int>::min() ||
-        n > std::numeric_limits<int>::max())
-        throw std::invalid_argument(what + ": " + std::to_string(n) +
-                                    " is out of range");
-    return static_cast<int>(n);
+    // 0 = auto (hardware concurrency).
+    return static_cast<int>(getInt("jobs", 0,
+                                   std::numeric_limits<int>::min(),
+                                   std::numeric_limits<int>::max()));
 }
 
 } // namespace rfc

@@ -5,10 +5,8 @@
  * Each program declares the flags it reads.  Parsing accepts
  * "--name=value", "--name value" and bare "--flag" forms of a declared
  * name and rejects every other flag, so a typo stops the run instead
- * of running a different experiment.  The environment variable
- * RFC_FULL=1 switches every bench from its sandbox default scale to
- * the paper-scale experiment; it is surfaced here as the implicit
- * boolean option "full".
+ * of running a different experiment.  Flags are the only input: no
+ * environment variable changes what a program runs.
  */
 #ifndef RFC_UTIL_OPTIONS_HPP
 #define RFC_UTIL_OPTIONS_HPP
@@ -79,14 +77,14 @@ class Options
     std::vector<double> getDoubleList(const std::string &name,
                                       const std::string &def) const;
 
-    /** Paper-scale switch: --full flag or env RFC_FULL=1. */
+    /** Paper-scale switch: the --full flag. */
     bool fullScale() const;
 
     /**
-     * Worker threads for parallel experiment grids: --jobs N (or env
-     * RFC_JOBS).  Defaults to hardware concurrency; the deterministic
-     * engine guarantees identical results at any value.  Both sources
-     * parse like getInt and must fit an int.
+     * Worker threads for parallel experiment grids: --jobs N, parsed
+     * like getInt and within an int; absent gives 0, which selects
+     * hardware concurrency.  The deterministic engine guarantees
+     * identical results at any value.
      */
     int jobs() const;
 

@@ -223,9 +223,9 @@ class CoflowWorkload final : public ClosedLoopWorkload
 };
 
 /**
- * Declarative workload description used by the closed-loop study tier,
- * benches and tests; kind selects the concrete class, the rest
- * parameterizes it.
+ * Declarative workload description used by closed-loop study points
+ * (Case::workload), benches and tests; kind selects the concrete
+ * class, the rest parameterizes it.
  */
 struct WorkloadSpec
 {

@@ -2,9 +2,10 @@
  * @file
  * Tests for the deterministic parallel experiment runner: seed
  * derivation, bit-identical documents at any --jobs value on every
- * fidelity tier, the one JSON envelope, the grid index helper, the
- * repetition-count check, results that appended points leave alone
- * and the per-trial-mean counter semantics.
+ * fidelity tier and on closed-loop packet points, the one JSON
+ * envelope, the packet points' metric lists and audit, the grid index
+ * helper, the repetition-count check, results that appended points
+ * leave alone and the per-trial-mean counter semantics.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "clos/fat_tree.hpp"
 #include "exp/experiment.hpp"
@@ -20,8 +23,10 @@
 #include "flow/paths.hpp"
 #include "json_deterministic.hpp"
 #include "routing/updown.hpp"
+#include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
+#include "workload/closed_loop.hpp"
 
 namespace rfc {
 namespace {
@@ -56,20 +61,35 @@ TEST(DeriveSeed, StreamAndRepAreNotInterchangeable)
     EXPECT_NE(deriveSeed(1, 0, 1), deriveSeed(2, 0, 0));
 }
 
-/** Two loads x two reps of one case on @p net at @p tier. */
+/**
+ * Two loads x two reps of one case on @p net at @p tier; a
+ * @p closed_loop kVct case runs the default RPC workload.
+ */
 Study
-smallStudy(Tier tier, const Network &net)
+smallStudy(Tier tier, const Network &net, bool closed_loop = false)
 {
     Case c;
     c.label = "uniform";
-    if (tier == Tier::kVct)
+    if (closed_loop) {
+        c.workload = WorkloadSpec{};
+        c.label = c.workload->label();
+    } else if (tier == Tier::kVct) {
         c.traffic = namedTraffic("uniform");
-    else if (tier == Tier::kWorkload)
-        c.label = c.workload.label();
-    else
+    } else {
         c.pattern = "uniform";
+    }
     return {tierName(tier), tier,
             crossPoints({net}, {c}, {0.3, 0.8}, quickConfig()), 2};
+}
+
+/** The metric names of @p p, in evaluator order. */
+std::vector<std::string>
+metricNames(const PointResult &p)
+{
+    std::vector<std::string> out;
+    for (const Metric &m : p.metrics)
+        out.push_back(m.name);
+    return out;
 }
 
 std::string
@@ -96,9 +116,23 @@ keysAtIndent(const std::string &doc, int indent)
     return out;
 }
 
-class StudyTiers : public ::testing::TestWithParam<Tier>
+/** A study shape: each tier, and kVct once more closed-loop. */
+struct StudyKind
+{
+    const char *name;
+    Tier tier;
+    bool closed_loop;
+};
+
+class StudyTiers : public ::testing::TestWithParam<StudyKind>
 {
   protected:
+    Study
+    study() const
+    {
+        return smallStudy(GetParam().tier, net_, GetParam().closed_loop);
+    }
+
     FoldedClos fc_ = buildCft(4, 2);
     UpDownOracle oracle_{fc_};
     Network net_{"cft", &fc_, &oracle_};
@@ -106,7 +140,7 @@ class StudyTiers : public ::testing::TestWithParam<Tier>
 
 TEST_P(StudyTiers, DocumentIsBitIdenticalAtJobs1And4)
 {
-    const Study study = smallStudy(GetParam(), net_);
+    const Study study = this->study();
     const std::string one = document(ExperimentEngine(1, 5), study);
     const std::string four = document(ExperimentEngine(4, 5), study);
     // Only the timing objects may differ ("jobs" at least does).
@@ -116,8 +150,7 @@ TEST_P(StudyTiers, DocumentIsBitIdenticalAtJobs1And4)
 
 TEST_P(StudyTiers, EnvelopeIsTheSameForEveryTier)
 {
-    const std::string doc =
-        document(ExperimentEngine(2, 5), smallStudy(GetParam(), net_));
+    const std::string doc = document(ExperimentEngine(2, 5), study());
     EXPECT_EQ(keysAtIndent(doc, 2),
               (std::vector<std::string>{"meta", "points", "tables",
                                         "summary", "timing"}));
@@ -135,14 +168,80 @@ TEST_P(StudyTiers, EnvelopeIsTheSameForEveryTier)
     EXPECT_NE(doc.find("\"ci95\""), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTiers, StudyTiers,
-                         ::testing::Values(Tier::kVct, Tier::kWorkload,
-                                           Tier::kFlow, Tier::kQueue),
-                         [](const auto &info) {
-                             std::string name = tierName(info.param);
-                             return name == "closed-loop" ? "closed_loop"
-                                                          : name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, StudyTiers,
+    ::testing::Values(StudyKind{"vct", Tier::kVct, false},
+                      StudyKind{"closed_loop", Tier::kVct, true},
+                      StudyKind{"flow", Tier::kFlow, false},
+                      StudyKind{"queue", Tier::kQueue, false}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+TEST(ExperimentEngine, PacketPointsEmitTheirMetricLists)
+{
+    // An open-loop point and a closed-loop point of the one packet
+    // tier each keep the list their separate evaluators emitted.
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    const Network net{"cft", &fc, &oracle};
+    const ExperimentEngine engine(2, 5);
+    EXPECT_EQ(
+        metricNames(engine.run(smallStudy(Tier::kVct, net)).points[0]),
+        (std::vector<std::string>{
+            "accepted", "avg_latency", "p50_latency", "p99_latency",
+            "avg_hops", "delivered_packets", "generated_packets",
+            "suppressed_packets", "unroutable_packets", "dropped_packets",
+            "rerouted_packets", "route_retries", "conservation_violations",
+            "cycles", "switch_scans", "arb_conflicts", "credit_stalls",
+            "forwards", "scan_not_ready", "scan_no_route",
+            "scan_sole_busy", "scan_choice_busy", "scan_credit_blocked",
+            "scan_commit_blocked", "occupancy"}));
+    EXPECT_EQ(
+        metricNames(
+            engine.run(smallStudy(Tier::kVct, net, true)).points[0]),
+        (std::vector<std::string>{
+            "goodput", "accepted", "avg_latency", "p99_latency",
+            "fct_mean", "fct_p50", "fct_p99", "fct_max", "rpc_mean",
+            "rpc_p50", "rpc_p99", "rpc_p999", "rpc_max", "cct_mean",
+            "cct_max", "messages_sent", "flows_completed",
+            "rpcs_completed", "coflow_phases",
+            "conservation_violations"}));
+}
+
+TEST(ExperimentEngine, ClosedLoopPointsPassTheAudit)
+{
+    // The audit of a closed-loop trial adds the packet identity to the
+    // workload's own message conservation; both hold on every trial.
+    auto fc = buildCft(8, 2);
+    UpDownOracle oracle(fc);
+    const StudyResult r = ExperimentEngine(2, 5).run(
+        smallStudy(Tier::kVct, {"cft", &fc, &oracle}, true));
+    ASSERT_EQ(r.points.size(), 2u);
+    for (const PointResult &p : r.points)
+        EXPECT_GT(p.mean("rpcs_completed"), 0.0) << p.label;
+    EXPECT_EQ(conservationViolations(r), 0);
+}
+
+TEST(ExperimentEngine, AuditFailsEveryBrokenRule)
+{
+    auto fc = buildCft(4, 2);
+    UpDownOracle oracle(fc);
+    UniformTraffic traffic;
+    Simulator sim(fc, oracle, traffic, quickConfig());
+    const SimResult r = sim.run();
+    ASSERT_EQ(conservationGap(r), 0);
+    EXPECT_FALSE(failsAudit(sim, r, "clean"));
+    SimResult lost = r;
+    --lost.ejected_packets;
+    EXPECT_TRUE(failsAudit(sim, lost, "packet gap"));
+    SimResult residual = r;
+    residual.workload.active = true;
+    residual.workload.conservation_residual = 1;
+    EXPECT_TRUE(failsAudit(sim, residual, "message residual"));
+    SimResult mismatch = r;
+    mismatch.workload.active = true;
+    mismatch.workload.eject_mismatch = -1;
+    EXPECT_TRUE(failsAudit(sim, mismatch, "eject mismatch"));
+}
 
 TEST(ExperimentEngine, SpreadIsWrittenOnlyWhenRepsExceedOne)
 {

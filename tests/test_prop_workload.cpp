@@ -145,7 +145,7 @@ jsonJobsInvariance(const TopoParams &params)
     base.warmup = 200;
     base.measure = 800;
     const Study study{
-        "closed-loop", Tier::kWorkload,
+        "closed-loop", Tier::kVct,
         crossPoints({{"net", &fc, &oracle}}, cases, {0.5}, base), 2};
 
     // The same study at 1 and 3 engine jobs.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -386,35 +385,17 @@ TEST(Options, ListOutsideTheValidNamesThrowsListingThem)
               std::vector<std::string>{"all"});
 }
 
-TEST(Options, JobsParsesFlagAndEnvironmentStrictly)
+TEST(Options, JobsParsesTheFlagStrictly)
 {
-    const char *saved = std::getenv("RFC_JOBS");
-    std::string restore = saved ? saved : "";
-
     const std::vector<std::string> flags{"jobs"};
     const char *none[] = {"prog"};
-    Options bare(1, none, flags);
-    ::setenv("RFC_JOBS", "3", 1);
-    EXPECT_EQ(bare.jobs(), 3);
-    ::setenv("RFC_JOBS", "3x", 1);
-    std::string m = thrownMessage([&] { bare.jobs(); });
-    EXPECT_NE(m.find("RFC_JOBS"), std::string::npos) << m;
-    EXPECT_NE(m.find("'3x'"), std::string::npos) << m;
-    ::setenv("RFC_JOBS", "abc", 1);
-    EXPECT_THROW(bare.jobs(), std::invalid_argument);
-
-    // The flag wins over the environment and parses the same way.
+    EXPECT_EQ(Options(1, none, flags).jobs(), 0);  // auto
     const char *flag[] = {"prog", "--jobs=2"};
     EXPECT_EQ(Options(2, flag, flags).jobs(), 2);
     const char *bad[] = {"prog", "--jobs=2 "};
     EXPECT_THROW(Options(2, bad, flags).jobs(), std::invalid_argument);
     const char *huge[] = {"prog", "--jobs=4294967296"};
     EXPECT_THROW(Options(2, huge, flags).jobs(), std::invalid_argument);
-
-    if (saved)
-        ::setenv("RFC_JOBS", restore.c_str(), 1);
-    else
-        ::unsetenv("RFC_JOBS");
 }
 
 TEST(ChiSquare, ExactStatisticOnSmallExample)

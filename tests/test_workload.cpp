@@ -2,8 +2,9 @@
  * @file
  * Unit/integration tests for the closed-loop workload subsystem: the
  * three concrete workloads complete work on a small folded Clos, every
- * run satisfies message conservation exactly, and the closed-loop tier
- * of the study runner aggregates and indexes its points.
+ * run satisfies message conservation exactly, and the study runner's
+ * closed-loop points (kVct points whose case names a workload)
+ * aggregate and index like any other.
  */
 #include <gtest/gtest.h>
 
@@ -217,7 +218,7 @@ TEST(Workload, StudyRunsAndIndexes)
     base.measure = 1500;
 
     const StudyResult res = ExperimentEngine(2, 99).run(
-        {"closed-loop", Tier::kWorkload,
+        {"closed-loop", Tier::kVct,
          crossPoints({{"cft8", &fc, &oracle}}, cases, {0.25, 0.75}, base),
          2});
     ASSERT_EQ(res.points.size(), 4u);

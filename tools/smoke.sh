@@ -34,7 +34,12 @@ if ./bench/fig08_perf_11k --smoke --warm-up 3000 > /dev/null 2>&1; then exit 1; 
 # text tables.
 if ./bench/fig08_perf_11k --smoke --json 2 > /dev/null 2>&1; then exit 1; fi
 
-# Every bench binary.
+# Every bench binary.  Each one that simulates packets (fig08-fig10,
+# fig12, ablation_flowcontrol, ext_jellyfish, ext_adversarial,
+# ext_fault_recovery, ext_latency_curves' self-check, ext_closed_loop,
+# ext_expansion_drill, and the quickstart and simulate examples) passes
+# every run through the one packet audit (exp/experiment.hpp
+# failsAudit) and exits 1 on any failure.
 ./bench/fig05_diameter > /dev/null
 # Every int flag of the bench drivers has a stated lower bound and
 # rejects values outside an int; a plain cast would run R = 8 here.
@@ -57,8 +62,6 @@ if ./bench/fig07_expandability --radix 7 > /dev/null 2>&1; then exit 1; fi
 ./bench/thm42_threshold --generations 5 > /dev/null
 ./bench/ablation_flowcontrol --warmup 50 --measure 200 > /dev/null
 ./bench/ablation_bisection --restarts 2 > /dev/null
-# Both audit packet conservation in every run (exit 1 on any
-# violation).
 ./bench/ext_jellyfish --warmup 50 --measure 200 > /dev/null
 ./bench/ext_adversarial --warmup 50 --measure 200 --trials 1 > /dev/null
 ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples 2 > /dev/null
@@ -76,7 +79,8 @@ if ./bench/ext_fault_recovery --smoke --fail-at -1 > /dev/null 2>&1; then exit 1
 if ./bench/ext_fault_recovery --smoke --step-links -3 > /dev/null 2>&1; then exit 1; fi
 if ./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 --step-links -1 > /dev/null 2>&1; then exit 1; fi
 # --smoke includes the self-check: the queue sweep must be
-# >= 10x faster than an equivalent VCT sweep (exit 1 if not).
+# >= 10x faster than an equivalent VCT sweep, which must pass the
+# packet audit (exit 1 if not).
 ./bench/ext_latency_curves --smoke > /dev/null
 ./bench/ext_latency_curves --smoke --section fig8 --model mm1 > /dev/null
 # --cv2 belongs to --model mg1; with a preset it must be
@@ -95,11 +99,9 @@ if ./bench/ext_jellyfish --leaves 4294967466 --warmup 50 --measure 200 > /dev/nu
 # --pattern is undeclared, so it is rejected, not ignored.
 ./bench/fig_perf_1M --smoke --section flow --patterns random-pairing | grep "pattern: random-pairing" > /dev/null
 if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/null 2>&1; then exit 1; fi
-# --smoke audits message conservation in every trial
-# (exit 1 on any violation).
+# The closed-loop audit adds message conservation (packets created =
+# pending + queued + in-flight + received, ejections = receipts).
 ./bench/ext_closed_loop --smoke > /dev/null
-# --smoke audits packet conservation (exit 1 on any
-# violation).
 ./bench/ext_expansion_drill --smoke > /dev/null
 if ./bench/ext_expansion_drill --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
 if ./bench/ext_expansion_drill --smoke --change-at 999999 > /dev/null 2>&1; then exit 1; fi
