@@ -25,9 +25,9 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "ablation_bisection", 17, {"restarts"});
+    Bench b(argc, argv, "ablation_bisection", 17, {"full", "restarts"});
     b.banner("Ablation: bisection bounds vs empirical cuts");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int restarts = b.opts.getIntAtLeast("restarts", full ? 20 : 6, 1);
 
     // Paper's quoted normalized bisections at R=36.

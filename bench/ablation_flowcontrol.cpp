@@ -22,9 +22,9 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "ablation_flowcontrol", 21,
-            {"radix", "warmup", "measure"});
+            {"full", "radix", "warmup", "measure"});
     b.banner("Ablation: virtual channels and buffer depth");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 

@@ -2,13 +2,17 @@
  * @file
  * Shared harness of the per-figure/per-table benchmark binaries.
  *
- * Every bench binary prints the series of one paper artifact.  By
- * default the experiments run at a sandbox-friendly scale; pass
- * --full to run the paper-scale configuration.  All binaries accept
- * --seed, --trials, and simulation-size overrides where meaningful.
- * Each bench names its own flags when it constructs its Bench; any
- * other flag stops it, before it builds anything, with a message
- * listing the valid ones (util/options.hpp).
+ * Every bench binary prints the series of one paper artifact.  Each
+ * bench names its own flags when it constructs its Bench; any other
+ * flag stops it, before it builds anything, with a message listing
+ * the valid ones (util/options.hpp).
+ *
+ * Run scale: a bench that lists "smoke" and/or "full" among its flags
+ * has a Scale, read once here.  --smoke is the CI-sized run, --full
+ * the paper-scale configuration and neither the default; a bench
+ * without --full runs the paper shapes by default.  --smoke with
+ * --full stops the run.  Every other bench has no scale and accepts
+ * neither flag.
  *
  * Output and execution flags (added by Bench, read here / by
  * util/options):
@@ -44,6 +48,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,6 +64,24 @@
 
 namespace rfc {
 
+/** A bench's run scale: --smoke, neither flag, or --full. */
+enum class Scale { kSmoke, kDefault, kFull };
+
+/** "smoke", "default" or "full". */
+inline const char *
+scaleName(Scale s)
+{
+    switch (s) {
+    case Scale::kSmoke:
+        return "smoke";
+    case Scale::kDefault:
+        return "default";
+    case Scale::kFull:
+        return "full";
+    }
+    return "?";
+}
+
 /**
  * One bench process: its options, its experiment engine and its one
  * output.  In text mode (the default, or --csv) everything prints on
@@ -69,21 +92,28 @@ class Bench
 {
   public:
     /**
-     * @p flags are the bench's own flags; --seed --jobs --json --csv
-     * --full are added to them.
+     * @p flags are the bench's own flags, "smoke" and "full" among
+     * them when it has those scales; --seed --jobs --json --csv are
+     * added to them.  Throws std::invalid_argument, naming both flags,
+     * on --smoke with --full.
      */
-    Bench(int argc, char **argv, std::string name,
+    Bench(int argc, const char *const *argv, std::string name,
           std::uint64_t default_seed, std::vector<std::string> flags)
         : opts(argc, argv, withSharedFlags(std::move(flags))),
+          scale(readScale(opts)),
           json(opts.getBool("json", false)),
           seed(static_cast<std::uint64_t>(opts.getInt(
               "seed", static_cast<std::int64_t>(default_seed)))),
           engine(opts.jobs(), seed),
           report_(std::move(name), seed, engine.jobs())
     {
+        if (scale)
+            report_.meta("scale", scaleName(*scale));
     }
 
     const Options opts;
+    /** The run scale; empty when the bench declares neither flag. */
+    const std::optional<Scale> scale;
     const bool json;
     const std::uint64_t seed;  //!< --seed, else the bench's default
     const ExperimentEngine engine;
@@ -91,17 +121,32 @@ class Bench
     /** Prose and headings: stdout, or stderr under --json. */
     std::ostream &text() const { return json ? std::cerr : std::cout; }
 
-    /** Banner naming the artifact; @p mode replaces the scale line. */
+    /**
+     * Banner naming the artifact, then, on a bench with a scale, a
+     * mode line naming it and the scale flags the bench accepts.
+     */
     void
-    banner(const std::string &what, const std::string &mode = "") const
+    banner(const std::string &what) const
     {
-        text() << "== " << what << " ==\n"
-               << (!mode.empty() ? mode
-                   : opts.fullScale()
-                       ? "mode: FULL (paper-scale; may take a long time)"
-                       : "mode: default (reduced scale; --full for "
-                         "paper scale)")
-               << "\n";
+        text() << "== " << what << " ==\n";
+        if (!scale)
+            return;
+        if (*scale == Scale::kFull) {
+            text() << "mode: FULL (paper-scale; may take a long time)\n";
+            return;
+        }
+        const bool full = opts.declares("full");
+        std::string line = *scale == Scale::kSmoke ? "mode: smoke (CI scale"
+                           : full ? "mode: default (reduced scale"
+                                  : "mode: default (paper shapes";
+        std::string sep = "; ";
+        if (*scale == Scale::kDefault && opts.declares("smoke")) {
+            line += sep + "--smoke for CI scale";
+            sep = ", ";
+        }
+        if (full)
+            line += sep + "--full for paper scale";
+        text() << line << ")\n";
     }
 
     /** A table under a heading: printed, or kept for the document. */
@@ -172,8 +217,24 @@ class Bench
     static std::vector<std::string>
     withSharedFlags(std::vector<std::string> flags)
     {
-        flags.insert(flags.end(), {"seed", "jobs", "json", "csv", "full"});
+        flags.insert(flags.end(), {"seed", "jobs", "json", "csv"});
         return flags;
+    }
+
+    static std::optional<Scale>
+    readScale(const Options &opts)
+    {
+        if (!opts.declares("smoke") && !opts.declares("full"))
+            return std::nullopt;
+        auto given = [&](const char *flag) {
+            return opts.declares(flag) && opts.getBool(flag, false);
+        };
+        const bool smoke = given("smoke"), full = given("full");
+        if (smoke && full)
+            throw std::invalid_argument(
+                "--smoke and --full are different scales: give at most "
+                "one of them");
+        return smoke ? Scale::kSmoke : full ? Scale::kFull : Scale::kDefault;
     }
 
     Report report_;

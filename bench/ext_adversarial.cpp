@@ -33,9 +33,9 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_adversarial", 55,
-            {"radix", "warmup", "measure", "trials"});
+            {"full", "radix", "warmup", "measure", "trials"});
     b.banner("Extension: adversarial (leaf-shift) traffic");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 

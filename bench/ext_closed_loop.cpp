@@ -93,10 +93,8 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ext_closed_loop", 29,
             {"smoke", "section", "loads", "warmup", "measure", "trials",
              "incast-load"});
-    const bool smoke = b.opts.getBool("smoke", false);
-    b.banner("Closed-loop workloads on the VCT engine (CFT vs RFC)",
-             smoke ? "mode: SMOKE (CI-sized, conservation-audited)"
-                   : "mode: FULL (paper shapes; --smoke for CI scale)");
+    const bool smoke = b.scale == Scale::kSmoke;
+    b.banner("Closed-loop workloads on the VCT engine (CFT vs RFC)");
     const std::uint64_t seed = b.seed;
     const auto sections = b.opts.getList("section", "fig8,incast,fig10",
                                          {"fig8", "incast", "fig10", "all"});

@@ -127,11 +127,11 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_expansion_drill", 17,
-            {"smoke", "radix", "steps", "warmup", "measure", "load",
+            {"smoke", "full", "radix", "steps", "warmup", "measure", "load",
              "route-ttl", "telemetry-bin", "trials", "change-at", "traffic"});
     b.banner("Extension: live expansion drill (grow under traffic)");
-    const bool full = b.opts.fullScale();
-    const bool smoke = b.opts.getBool("smoke", false);
+    const bool full = b.scale == Scale::kFull;
+    const bool smoke = b.scale == Scale::kSmoke;
     const int radix =
         b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 8 : 12), 2);
     const std::uint64_t seed = b.seed;

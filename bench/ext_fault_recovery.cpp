@@ -9,7 +9,7 @@
  * random links fails mid-run, the up/down oracle is rebuilt once
  * against the link overlay, head packets that lost their route retry
  * against the new tables under a bounded TTL, and - unless
- * --no-repair - the same links come back later in the run.
+ * --repair-at -1 - the same links come back later in the run.
  *
  * Reported per fault level and topology: accepted throughput over the
  * measurement window, TTL drops, successful re-routes, route-less
@@ -36,12 +36,12 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_fault_recovery", 12,
-            {"smoke", "radix", "steps", "step-links", "warmup", "measure",
-             "load", "route-ttl", "telemetry-bin", "trials", "fail-at",
-             "repair-at", "no-repair", "traffic"});
+            {"smoke", "full", "radix", "steps", "step-links", "warmup",
+             "measure", "load", "route-ttl", "telemetry-bin", "trials",
+             "fail-at", "repair-at", "traffic"});
     b.banner("Extension: dynamic faults + online up/down recovery");
-    const bool full = b.opts.fullScale();
-    const bool smoke = b.opts.getBool("smoke", false);
+    const bool full = b.scale == Scale::kFull;
+    const bool smoke = b.scale == Scale::kSmoke;
     const int radix =
         b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 8 : 12), 2);
     const std::uint64_t seed = b.seed;
@@ -80,12 +80,11 @@ main(int argc, char **argv)
     // Failure schedule: links die one third into the run; by default
     // they are all repaired at two thirds, so the tail of the curve
     // shows the post-repair re-convergence.  Both cycles lie inside
-    // the run; repair-at -1 is --no-repair.
+    // the run; --repair-at -1 never repairs.
     const long long fail_at =
         b.opts.getInt("fail-at", total / 3, 0, total - 1);
-    const long long repair_at = b.opts.getInt(
-        "repair-at", b.opts.getBool("no-repair", false) ? -1 : 2 * total / 3,
-        -1, total - 1);
+    const long long repair_at =
+        b.opts.getInt("repair-at", 2 * total / 3, -1, total - 1);
 
     b.text() << "terminals: " << cft.numTerminals() << ", wires: "
              << wires << ", fault step: " << step_links

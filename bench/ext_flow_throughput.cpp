@@ -80,11 +80,11 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_flow_throughput", 13,
-            {"scenario", "patterns", "max-paths", "samples", "epsilon",
+            {"full", "scenario", "patterns", "max-paths", "samples", "epsilon",
              "phases", "fault-steps", "step-links"});
     b.banner("Extension: flow-level throughput (Figs 8-10 + fault "
              "sweep)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const std::uint64_t seed = b.seed;
 
     // At paper scale default to the headline 200K comparison; the

@@ -132,12 +132,9 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ext_latency_curves", 21,
             {"smoke", "section", "patterns", "loads", "max-paths", "samples",
              "model", "cv2", "pkt-phits", "link-latency"});
-    const bool smoke = b.opts.getBool("smoke", false);
+    const bool smoke = b.scale == Scale::kSmoke;
     b.banner("Latency-vs-load curves from the queue-model engine (CFT vs "
-             "RFC)",
-             smoke ? "mode: SMOKE (CI-sized, with VCT self-check)"
-                   : "mode: FULL (paper shapes up to 1M terminals; "
-                     "--smoke for CI scale)");
+             "RFC)");
     const std::uint64_t seed = b.seed;
     const auto sections = b.opts.getList("section", "fig8,fig10,1m",
                                          {"fig8", "fig10", "1m", "all"});

@@ -21,7 +21,7 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig07_expandability", 3, {"radix"});
+    Bench b(argc, argv, "fig07_expandability", 3, {"full", "radix"});
     // R >= 4: with one port per side (R < 4) the sweep never grows; an
     // odd radix makes the models throw.
     const int radix = b.opts.getIntAtLeast("radix", 36, 4);
@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
     // Incremental rewiring cost on a real instance.  Default scale
     // R=12, T~1000; full scale R=36, T~10000 (the paper's example).
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int r = full ? 36 : 12;
     const int m = r / 2;
     long long target = full ? 10000 : 1000;

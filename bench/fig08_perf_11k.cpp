@@ -25,13 +25,13 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig08_perf_11k", 8,
-            {"smoke", "radix", "small-radix", "warmup", "measure", "min-load",
-             "max-load", "points", "trials"});
+            {"smoke", "full", "radix", "small-radix", "warmup", "measure",
+             "min-load", "max-load", "points", "trials"});
     b.banner("Figure 8: equal-resources CFT vs RFC (11K scenario)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     // --smoke: CI-sized run (seconds, not minutes) that still exercises
     // the full grid machinery; used by the determinism smoke check.
-    const bool smoke = b.opts.getBool("smoke", false);
+    const bool smoke = b.scale == Scale::kSmoke;
 
     // Smoke runs R = 12 / R' = 10 (432 / 430 terminals): at R = 8 no
     // smaller radix gives a routable RFC with the CFT's 128 terminals.

@@ -24,9 +24,10 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig09_perf_100k", 9,
-            {"warmup", "measure", "min-load", "max-load", "points", "trials"});
+            {"full", "warmup", "measure", "min-load", "max-load", "points",
+             "trials"});
     b.banner("Figure 9: 100K scenario (3-level RFC vs 4-level CFT)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     Rng rng(b.seed);
 
     const Scenario sc = full ? fig9Triple(36, 36, 5556, rng)

@@ -25,10 +25,11 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig10_perf_200k", 10,
-            {"warmup", "measure", "min-load", "max-load", "points", "trials"});
+            {"full", "warmup", "measure", "min-load", "max-load", "points",
+             "trials"});
     b.banner("Figure 10: 200K scenario (max 3-level RFC vs 4-level "
              "CFT)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     Rng rng(b.seed);
 
     const int radix = full ? 36 : 12;

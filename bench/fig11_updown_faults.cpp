@@ -26,9 +26,9 @@ using namespace rfc;
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "fig11_updown_faults", 11, {"radix", "trials"});
+    Bench b(argc, argv, "fig11_updown_faults", 11, {"full", "radix", "trials"});
     b.banner("Figure 11: up/down-preserving fault tolerance (R=12)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int radix = b.opts.getIntAtLeast("radix", 12, 2);
     const int trials =
         b.opts.getIntAtLeast("trials", full ? 20 : 5, 1);

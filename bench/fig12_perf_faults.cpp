@@ -31,9 +31,10 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "fig12_perf_faults", 12,
-            {"radix", "steps", "step-links", "warmup", "measure", "trials"});
+            {"full", "radix", "steps", "step-links", "warmup", "measure",
+             "trials"});
     b.banner("Figure 12: throughput under faults (equal resources)");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int radix = b.opts.getIntAtLeast("radix", full ? 36 : 12, 2);
     Rng rng(b.seed);
 

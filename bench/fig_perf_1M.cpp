@@ -88,12 +88,9 @@ main(int argc, char **argv)
     Bench b(argc, argv, "fig_perf_1M", 21,
             {"smoke", "section", "patterns", "max-paths", "samples", "epsilon",
              "phases", "warmup", "measure", "trials"});
-    const bool smoke = b.opts.getBool("smoke", false);
+    const bool smoke = b.scale == Scale::kSmoke;
     b.banner("Million-terminal scale tier (flow CFT-vs-RFC, VCT subtree, "
-             "table compression)",
-             smoke ? "mode: SMOKE (CI-sized)"
-                   : "mode: FULL (1M terminals; needs a few GB of RAM; "
-                     "--smoke for CI scale)");
+             "table compression)");
     const std::uint64_t seed = b.seed;
     const auto sections = b.opts.getList("section", "flow,vct,tables",
                                          {"flow", "vct", "tables", "all"});

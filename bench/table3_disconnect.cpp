@@ -88,9 +88,9 @@ oftOrderFor(long long t)
 int
 main(int argc, char **argv)
 {
-    Bench b(argc, argv, "table3_disconnect", 33, {"trials"});
+    Bench b(argc, argv, "table3_disconnect", 33, {"full", "trials"});
     b.banner("Table 3: faults to disconnect a diameter-4 network");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     const int trials =
         b.opts.getIntAtLeast("trials", full ? 100 : 10, 1);
     Rng rng(b.seed);

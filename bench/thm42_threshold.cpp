@@ -25,9 +25,9 @@ int
 main(int argc, char **argv)
 {
     Bench b(argc, argv, "thm42_threshold", 42,
-            {"radix", "levels", "generations"});
+            {"full", "radix", "levels", "generations"});
     b.banner("Theorem 4.2: sharp threshold for up/down routing");
-    const bool full = b.opts.fullScale();
+    const bool full = b.scale == Scale::kFull;
     // Defaults chosen so the asymptotic theorem is visible: 2-level
     // RFCs at tiny N1 are trivially routable (finite-size effect), so
     // the default sweep uses 3 levels where N1* ~ 230.

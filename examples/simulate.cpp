@@ -19,6 +19,7 @@
  *   --traffic NAME [uniform]          --shift-stride S [tpl]
  *   --hot-fraction F [0.2]            --hotspots H [1]
  *   --load X (single point) | --min-load/--max-load/--points [0.1..1.0 x7]
+ *                     (--load with any sweep flag is rejected)
  *   --route-mode minimal|updown-random|valiant|ugal [minimal]
  *   --vcs [4] --buffers [4] --pkt-phits [16] --warmup [1000]
  *   --measure [4000] --seed [1] --trials [1]
@@ -40,6 +41,7 @@
  */
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 
 #include "rfc/rfc.hpp"
 
@@ -54,6 +56,21 @@ main(int argc, char **argv)
                   "min-load", "max-load", "points", "route-mode", "vcs",
                   "buffers", "pkt-phits", "warmup", "measure", "seed",
                   "trials", "jobs", "csv", "json"});
+    // One point (--load) or a sweep (--min-load/--max-load/--points),
+    // never both.
+    std::vector<double> loads;
+    if (opts.has("load")) {
+        for (const char *sweep : {"min-load", "max-load", "points"})
+            if (opts.has(sweep))
+                throw std::invalid_argument(
+                    std::string("--load runs one point and --") + sweep +
+                    " shapes a sweep: give one or the other");
+        loads.push_back(opts.getDouble("load", 0.5));
+    } else {
+        loads = loadRange(opts.getDouble("min-load", 0.1),
+                          opts.getDouble("max-load", 1.0),
+                          opts.getIntAtLeast("points", 7, 1));
+    }
     // Built first, so the report's wall clock covers the topology and
     // oracle builds as well as the sweep, as a bench's does.
     ExperimentEngine engine(opts.jobs(), opts.getInt("seed", 1));
@@ -141,14 +158,6 @@ main(int argc, char **argv)
         return makeTraffic(tname);
     };
 
-    std::vector<double> loads;
-    if (opts.has("load")) {
-        loads.push_back(opts.getDouble("load", 0.5));
-    } else {
-        loads = loadRange(opts.getDouble("min-load", 0.1),
-                          opts.getDouble("max-load", 1.0),
-                          opts.getIntAtLeast("points", 7, 1));
-    }
     const int trials = opts.getIntAtLeast("trials", 1, 1);
 
     const StudyResult result = engine.run(

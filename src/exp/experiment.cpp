@@ -678,6 +678,12 @@ Report::field(std::string key, JsonScalar value)
 }
 
 void
+Report::meta(std::string key, JsonScalar value)
+{
+    meta_.emplace_back(std::move(key), std::move(value));
+}
+
+void
 Report::write(std::ostream &os) const
 {
     JsonWriter w(os);
@@ -686,6 +692,7 @@ Report::write(std::ostream &os) const
     w.beginObject();
     w.kv("bench", bench_);
     w.kv("base_seed", base_seed_);
+    writeFields(w, meta_);
     w.key("sections");
     w.beginArray();
     for (const StudyResult &s : studies_) {

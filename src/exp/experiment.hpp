@@ -327,8 +327,8 @@ long long conservationViolations(const StudyResult &r);
 /**
  * One run's JSON document:
  *
- *   {"meta": {bench, base_seed, sections: [{name, tier, repetitions,
- *             ...config}]},
+ *   {"meta": {bench, base_seed, ...meta fields,
+ *             sections: [{name, tier, repetitions, ...config}]},
  *    "points": [{section, network, case, label, load, reps, terminals,
  *                metrics: {name: {mean[, stddev, ci95, min, max]} |
  *                          total | [series]},
@@ -348,6 +348,8 @@ class Report
     void add(StudyResult study);
     void addTable(std::string heading, TablePrinter table);
     void field(std::string key, JsonScalar value);
+    /** A field of "meta", written after base_seed. */
+    void meta(std::string key, JsonScalar value);
     void write(std::ostream &os) const;
 
   private:
@@ -357,6 +359,7 @@ class Report
     std::chrono::steady_clock::time_point start_;
     std::vector<StudyResult> studies_;
     std::vector<std::pair<std::string, TablePrinter>> tables_;
+    Fields meta_;
     Fields summary_;
 };
 

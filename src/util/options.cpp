@@ -66,7 +66,7 @@ Options::Options(int argc, const char *const *argv,
         arg = arg.substr(2);
         const auto eq = arg.find('=');
         std::string name = arg.substr(0, eq);
-        if (flags_.count(name) == 0) {
+        if (!declares(name)) {
             std::string valid;
             for (const auto &f : flags_)
                 valid += (valid.empty() ? "--" : ", --") + f;
@@ -86,7 +86,7 @@ Options::Options(int argc, const char *const *argv,
 const std::string *
 Options::lookup(const std::string &name) const
 {
-    if (flags_.count(name) == 0)
+    if (!declares(name))
         throw std::logic_error("option --" + name +
                                " is read but was not declared");
     const auto it = values_.find(name);
@@ -189,9 +189,9 @@ Options::getBool(const std::string &name, bool def) const
 }
 
 bool
-Options::fullScale() const
+Options::declares(const std::string &name) const
 {
-    return getBool("full", false);
+    return flags_.count(name) != 0;
 }
 
 int

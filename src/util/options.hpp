@@ -77,8 +77,8 @@ class Options
     std::vector<double> getDoubleList(const std::string &name,
                                       const std::string &def) const;
 
-    /** Paper-scale switch: the --full flag. */
-    bool fullScale() const;
+    /** True if @p name is one of the declared flags. */
+    bool declares(const std::string &name) const;
 
     /**
      * Worker threads for parallel experiment grids: --jobs N, parsed

@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the paper scenarios the benches share (bench_common.hpp):
- * each shape's sizes and labels at smoke radices, pointer stability of
+ * Tests for what the benches share (bench_common.hpp): Bench's run
+ * scale, its banner and its document's meta.scale; each paper
+ * scenario's sizes and labels at smoke radices, pointer stability of
  * a moved Scenario, and routableRfc's throw.
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -24,6 +27,117 @@ labels(const Scenario &sc)
     for (const Network &net : sc.networks())
         out.push_back(net.label);
     return out;
+}
+
+/** A one-job Bench over @p args that declares @p flags. */
+std::unique_ptr<Bench>
+makeBench(std::vector<const char *> args, std::vector<std::string> flags)
+{
+    args.insert(args.begin(), "bench");
+    args.insert(args.end(), {"--jobs", "1"});
+    return std::make_unique<Bench>(static_cast<int>(args.size()),
+                                   args.data(), "bench", 1,
+                                   std::move(flags));
+}
+
+/** What constructing makeBench(@p args, @p flags) throws. */
+std::string
+constructionError(std::vector<const char *> args,
+                  std::vector<std::string> flags)
+{
+    try {
+        makeBench(std::move(args), std::move(flags));
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(BenchScale, EachFlagMapsToItsScale)
+{
+    const std::vector<std::string> both{"smoke", "full"};
+    EXPECT_EQ(makeBench({}, both)->scale, Scale::kDefault);
+    EXPECT_EQ(makeBench({"--smoke"}, both)->scale, Scale::kSmoke);
+    EXPECT_EQ(makeBench({"--full"}, both)->scale, Scale::kFull);
+    EXPECT_EQ(makeBench({"--smoke", "0", "--full"}, both)->scale,
+              Scale::kFull);
+    EXPECT_EQ(makeBench({}, {"full"})->scale, Scale::kDefault);
+    EXPECT_EQ(makeBench({"--smoke"}, {"smoke"})->scale, Scale::kSmoke);
+    // A bench that declares neither flag has no scale.
+    EXPECT_EQ(makeBench({}, {"radix"})->scale, std::nullopt);
+}
+
+TEST(BenchScale, SmokeWithFullThrowsNamingBoth)
+{
+    const std::string m =
+        constructionError({"--smoke", "--full"}, {"smoke", "full"});
+    EXPECT_NE(m.find("--smoke"), std::string::npos) << m;
+    EXPECT_NE(m.find("--full"), std::string::npos) << m;
+}
+
+TEST(BenchScale, UndeclaredScaleFlagThrowsListingTheValidFlags)
+{
+    for (const char *flag : {"--full", "--smoke"}) {
+        const std::string m = constructionError({flag}, {"radix"});
+        EXPECT_NE(m.find(std::string("unknown flag ") + flag),
+                  std::string::npos) << m;
+        EXPECT_NE(m.find("valid: --csv, --jobs, --json, --radix, --seed"),
+                  std::string::npos) << m;
+    }
+    const std::string m = constructionError({"--full"}, {"smoke"});
+    EXPECT_NE(m.find("unknown flag --full"), std::string::npos) << m;
+    EXPECT_NE(m.find("--smoke"), std::string::npos) << m;
+}
+
+TEST(BenchScale, BannerModeLineNamesTheScaleAndOnlyAcceptedFlags)
+{
+    const std::vector<std::string> both{"smoke", "full"};
+    const std::vector<std::tuple<std::vector<const char *>,
+                                 std::vector<std::string>, std::string>>
+        cases{
+            {{}, both,
+             "mode: default (reduced scale; --smoke for CI scale, --full "
+             "for paper scale)\n"},
+            {{}, {"full"},
+             "mode: default (reduced scale; --full for paper scale)\n"},
+            {{}, {"smoke"},
+             "mode: default (paper shapes; --smoke for CI scale)\n"},
+            {{"--smoke"}, both,
+             "mode: smoke (CI scale; --full for paper scale)\n"},
+            {{"--smoke"}, {"smoke"}, "mode: smoke (CI scale)\n"},
+            {{"--full"}, both,
+             "mode: FULL (paper-scale; may take a long time)\n"},
+            {{"--full"}, {"full"},
+             "mode: FULL (paper-scale; may take a long time)\n"},
+            {{}, {}, ""},
+        };
+    for (const auto &[args, flags, mode] : cases) {
+        const auto b = makeBench(args, flags);
+        testing::internal::CaptureStdout();
+        b->banner("Figure 0");
+        EXPECT_EQ(testing::internal::GetCapturedStdout(),
+                  "== Figure 0 ==\n" + mode);
+    }
+}
+
+TEST(BenchScale, DocumentRecordsTheScale)
+{
+    const std::vector<std::pair<std::vector<const char *>, std::string>>
+        cases{{{"--json"}, "\"scale\": \"default\""},
+              {{"--json", "--smoke"}, "\"scale\": \"smoke\""},
+              {{"--json", "--full"}, "\"scale\": \"full\""}};
+    for (const auto &[args, key] : cases) {
+        const auto b = makeBench(args, {"smoke", "full"});
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(b->finish(), 0);
+        const std::string doc = testing::internal::GetCapturedStdout();
+        EXPECT_NE(doc.find(key), std::string::npos) << doc;
+    }
+    const auto b = makeBench({"--json"}, {});
+    testing::internal::CaptureStdout();
+    b->finish();
+    const std::string doc = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(doc.find("\"scale\""), std::string::npos) << doc;
 }
 
 TEST(BenchScenarios, EqualResourcesRfcHasTheCftLeafCount)

@@ -256,8 +256,16 @@ TEST(Options, ReadingAnUndeclaredNameIsALogicError)
     EXPECT_THROW(o.getBool("levels", false), std::logic_error);
     EXPECT_THROW(o.getList("levels", "a"), std::logic_error);
     EXPECT_THROW(o.getDoubleList("levels", "1"), std::logic_error);
-    EXPECT_THROW(o.fullScale(), std::logic_error);
     EXPECT_THROW(o.jobs(), std::logic_error);
+}
+
+TEST(Options, DeclaresNamesOnlyTheDeclaredFlags)
+{
+    const char *argv[] = {"prog"};
+    Options o(1, argv, {"radix", "full"});
+    EXPECT_TRUE(o.declares("radix"));
+    EXPECT_TRUE(o.declares("full"));  // declared, though not given
+    EXPECT_FALSE(o.declares("smoke"));
 }
 
 TEST(Options, NonNumericValueThrowsFromTypedAccessors)

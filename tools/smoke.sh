@@ -12,18 +12,36 @@ src="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${1:-build}"
 set -x
 
+# rejects FLAG CMD...: CMD must exit nonzero before it prints anything
+# on stdout (so before it builds a network), naming FLAG on stderr.
+rejects() {
+  local flag="$1"
+  shift
+  if "$@" > rejected.out 2> rejected.err; then exit 1; fi
+  test ! -s rejected.out
+  grep -q -- "$flag" rejected.err
+}
+
 # Every bench and example binary declares its flags: an undeclared one
-# must stop it before it prints anything, with a message naming the
-# flag and, from util/options, the valid ones (micro_generators' flags
-# are google-benchmark's, whose message names only the bad flag).
+# must stop it, with a message naming the flag and, from util/options,
+# the valid ones (micro_generators' flags are google-benchmark's, whose
+# message names only the bad flag).
 for cpp in "$src"/bench/*.cpp "$src"/examples/*.cpp; do
   bin="./$(basename "$(dirname "$cpp")")/$(basename "$cpp" .cpp)"
-  if "$bin" --bogus-flag 1 > bogus.out 2> bogus.err; then exit 1; fi
-  test ! -s bogus.out
-  grep -q -- "--bogus-flag" bogus.err
-  [ "$bin" = ./bench/micro_generators ] || grep -q "valid: --" bogus.err
+  rejects --bogus-flag "$bin" --bogus-flag 1
+  [ "$bin" = ./bench/micro_generators ] || grep -q "valid: --" rejected.err
 done
-rm -f bogus.out bogus.err
+# Only a bench that has a scale accepts its flag (fig06 and the cost
+# table have none, fig_perf_1M has no --full), and --smoke with --full
+# is no scale at all.
+rejects --full ./bench/fig06_scalability --full
+rejects --full ./bench/tab_section5_cost --full
+rejects --full ./bench/fig_perf_1M --smoke --full
+rejects --full ./bench/fig08_perf_11k --smoke --full
+# --repair-at -1 is the one way to say "no repair".
+rejects --no-repair ./bench/ext_fault_recovery --smoke --no-repair
+# --load is one point and --points shapes a sweep: not both.
+rejects --points ./examples/simulate --topo cft --radix 4 --levels 2 --load 0.3 --points 5
 if ./bench/fig05_diameter --bogus-flag 3 > /dev/null 2>&1; then exit 1; fi
 # Near misses of a declared flag are undeclared flags too: --job 4
 # would run at the default job count and --warm-up 3000 at the default
@@ -155,3 +173,4 @@ if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ]; then exit 1; fi
 for t in 0 -5; do
   if ./examples/expansion_planner --terminals "$t" > /dev/null 2>&1; then exit 1; fi
 done
+rm -f rejected.out rejected.err
