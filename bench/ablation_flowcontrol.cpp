@@ -33,7 +33,6 @@ main(int argc, char **argv)
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 2000 : 500);
     base.measure = b.opts.getInt("measure", full ? 6000 : 1500);
-    base.seed = b.seed;
 
     const std::vector<int> vc_axis{1, 2, 4, 8};
     const std::vector<int> buf_axis{2, 4, 8};

@@ -95,13 +95,13 @@ class Bench
      * @p flags are the bench's own flags, "smoke" and "full" among
      * them when it has those scales; --seed --jobs --json --csv are
      * added to them.  Throws std::invalid_argument, naming both flags,
-     * on --smoke with --full.
+     * on --smoke with --full or --csv with --json.
      */
     Bench(int argc, const char *const *argv, std::string name,
           std::uint64_t default_seed, std::vector<std::string> flags)
         : opts(argc, argv, withSharedFlags(std::move(flags))),
           scale(readScale(opts)),
-          json(opts.getBool("json", false)),
+          json(readJson(opts)),
           seed(static_cast<std::uint64_t>(opts.getInt(
               "seed", static_cast<std::int64_t>(default_seed)))),
           engine(opts.jobs(), seed),
@@ -235,6 +235,17 @@ class Bench
                 "--smoke and --full are different scales: give at most "
                 "one of them");
         return smoke ? Scale::kSmoke : full ? Scale::kFull : Scale::kDefault;
+    }
+
+    static bool
+    readJson(const Options &opts)
+    {
+        const bool json = opts.getBool("json", false);
+        if (json && opts.getBool("csv", false))
+            throw std::invalid_argument(
+                "--csv and --json are different output formats: give at "
+                "most one of them");
+        return json;
     }
 
     Report report_;

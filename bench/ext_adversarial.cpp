@@ -46,7 +46,6 @@ main(int argc, char **argv)
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 2000 : 600);
     base.measure = b.opts.getInt("measure", full ? 8000 : 2000);
-    base.seed = b.seed;
 
     const long long tpl = cft.terminalsPerLeaf();
     auto shift = [](long long stride) -> TrafficFactory {

@@ -101,7 +101,6 @@ main(int argc, char **argv)
 
     const auto loads = b.opts.getDoubleList("loads", "0.25,0.5,0.9");
     SimConfig base;
-    base.seed = seed;
     base.warmup = b.opts.getInt("warmup", smoke ? 500 : 2000);
     base.measure = b.opts.getInt("measure", smoke ? 3000 : 8000);
     const int reps = b.opts.getIntAtLeast("trials", smoke ? 1 : 3, 1);

@@ -33,7 +33,8 @@
  * --jobs value.
  *
  * Scale flags: --smoke (CI seconds), default (sandbox), --full
- * (paper-scale R = 36).  --json emits the point aggregates.
+ * (paper-scale R = 36).  --radix takes a multiple of 4 only.  --json
+ * emits the point aggregates.
  */
 #include <algorithm>
 #include <cmath>
@@ -129,11 +130,16 @@ main(int argc, char **argv)
     Bench b(argc, argv, "ext_expansion_drill", 17,
             {"smoke", "full", "radix", "steps", "warmup", "measure", "load",
              "route-ttl", "telemetry-bin", "trials", "change-at", "traffic"});
-    b.banner("Extension: live expansion drill (grow under traffic)");
     const bool full = b.scale == Scale::kFull;
     const bool smoke = b.scale == Scale::kSmoke;
     const int radix =
         b.opts.getIntAtLeast("radix", full ? 36 : (smoke ? 8 : 12), 2);
+    if (radix % 4 != 0)
+        throw std::invalid_argument(
+            "--radix must be a multiple of 4 (the RRN row adds switches "
+            "of degree R/2 by stealing R/4 edges each), got " +
+            std::to_string(radix));
+    b.banner("Extension: live expansion drill (grow under traffic)");
     const std::uint64_t seed = b.seed;
     const int steps =
         b.opts.getIntAtLeast("steps", full ? 4 : (smoke ? 1 : 2), 1);
@@ -164,7 +170,6 @@ main(int argc, char **argv)
         b.opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
     base.measure =
         b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
-    base.seed = seed;
     base.load = b.opts.getDouble("load", 0.6);
     base.route_ttl =
         b.opts.getIntAtLeast("route-ttl", smoke ? 128 : 256, 0);
@@ -212,22 +217,18 @@ main(int argc, char **argv)
                     {"telemetry_bin", base.telemetry_bin}};
     auto add = [&](const std::string &net, const std::string &upgrade,
                    const FoldedClos &topo, const UpDownOracle *oracle,
-                   const TopologyTimeline *tl, long long gate) {
+                   const TopologyTimeline *tl) {
         Case c{upgrade, namedTraffic(traffic)};
         c.changes = tl;
-        SimConfig cfg = base;
-        cfg.active_terminals = gate;
         const Network network{net, &topo, oracle};
         study.points.push_back(
-            {network, std::move(c), base.load, cfg, net + "@" + upgrade});
+            {network, std::move(c), base.load, base, net + "@" + upgrade});
     };
-    add("CFT", "static", cft, sc.networks()[0].oracle, nullptr, -1);
-    add("RFC", "static", rfc_base, sc.networks()[1].oracle, nullptr, -1);
-    add("RFC", "expand", rfc_union, nullptr, &tl_expand,
-        plan->baseTerminals());
-    add("CFT", "forklift", forklift.union_topology, nullptr, &tl_forklift,
-        cft.numTerminals());
-    add("CFT", "plane-add", plane.union_topology, nullptr, &tl_plane, -1);
+    add("CFT", "static", cft, sc.networks()[0].oracle, nullptr);
+    add("RFC", "static", rfc_base, sc.networks()[1].oracle, nullptr);
+    add("RFC", "expand", rfc_union, nullptr, &tl_expand);
+    add("CFT", "forklift", forklift.union_topology, nullptr, &tl_forklift);
+    add("CFT", "plane-add", plane.union_topology, nullptr, &tl_plane);
     const StudyResult result = b.run(study);
 
     // The RRN cost column: equal terminals (one leaf-equivalent switch

@@ -65,7 +65,6 @@ main(int argc, char **argv)
         b.opts.getInt("warmup", full ? 3000 : (smoke ? 200 : 600));
     base.measure =
         b.opts.getInt("measure", full ? 10000 : (smoke ? 1000 : 3000));
-    base.seed = seed;
     base.load = b.opts.getDouble("load", 0.7);
     // Bounded graceful degradation: a head packet that cannot route
     // retries against the (rebuilt) tables for up to

@@ -6,7 +6,7 @@
  * adding a level); RFC and RRN are nearly linear.  Also reprints the
  * Section 5 rewiring example: expanding a ~10K-terminal random network
  * by 180 terminals rewires ~1.8% of the links - verified here on a
- * real RFC instance via strongExpand.
+ * real RFC instance via ExpansionPlan.
  */
 #include <iostream>
 
@@ -61,19 +61,19 @@ main(int argc, char **argv)
 
     // Add R terminals per step until ~1.8% of target is added.
     int steps = static_cast<int>(target * 18 / 1000 / r) + 1;
-    auto res = strongExpand(fc, steps, rng);
+    ExpansionPlan plan(fc, steps, rng);
     TablePrinter rw({"metric", "value"});
     rw.addRow({"radix", std::to_string(r)});
     rw.addRow({"terminals before", TablePrinter::fmtInt(fc.numTerminals())});
     rw.addRow({"terminals added",
-               TablePrinter::fmtInt(res.added_terminals)});
-    rw.addRow({"links rewired", TablePrinter::fmtInt(res.rewired)});
+               TablePrinter::fmtInt(plan.addedTerminals())});
+    rw.addRow({"links rewired", TablePrinter::fmtInt(plan.rewired())});
     rw.addRow({"rewired fraction of links",
                TablePrinter::fmtPct(
-                   static_cast<double>(res.rewired) /
+                   static_cast<double>(plan.rewired()) /
                        static_cast<double>(wires), 2)});
     rw.addRow({"radix-regular after",
-               res.topology.isRadixRegular() ? "yes" : "NO"});
+               plan.finalTopology().isRadixRegular() ? "yes" : "NO"});
     b.emit("incremental expansion rewiring (Sec 5 example)", rw);
     return b.finish();
 }

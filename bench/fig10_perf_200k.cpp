@@ -46,7 +46,6 @@ main(int argc, char **argv)
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 3000 : 600);
     base.measure = b.opts.getInt("measure", full ? 10000 : 2000);
-    base.seed = b.seed;
     auto loads = loadRange(b.opts.getDouble("min-load", 0.2),
                            b.opts.getDouble("max-load", 1.0),
                            b.opts.getIntAtLeast("points", 7, 1));

@@ -51,7 +51,6 @@ main(int argc, char **argv)
     SimConfig base;
     base.warmup = b.opts.getInt("warmup", full ? 3000 : 500);
     base.measure = b.opts.getInt("measure", full ? 10000 : 1500);
-    base.seed = b.seed;
     int reps = b.opts.getIntAtLeast("trials", full ? 5 : 1, 1);
 
     b.text() << "terminals: " << cft.numTerminals()
@@ -62,7 +61,7 @@ main(int argc, char **argv)
     // which define every fault level (the CFT order is drawn before
     // the RFC order from the same stream, as the hand-rolled loop
     // always did).
-    Rng order_rng(base.seed + 1);
+    Rng order_rng(b.seed + 1);
     auto n_levels = static_cast<std::size_t>(steps + 1);
     auto cft_levels = nestedFaultLevels(
         cft, n_levels, static_cast<std::size_t>(step_links), order_rng);

@@ -138,7 +138,6 @@ main(int argc, char **argv)
         SimConfig base;
         base.warmup = b.opts.getInt("warmup", smoke ? 200 : 1000);
         base.measure = b.opts.getInt("measure", smoke ? 600 : 4000);
-        base.seed = seed;
         b.text() << "## VCT sampled-subtree point (radix " << radix
                  << ", 2 levels, " << cft2.numTerminals()
                  << " terminals)\n";

@@ -92,12 +92,12 @@ main(int argc, char **argv)
         int r = std::min(radix, 16);
         n1 = std::max(n1, r);
         auto built = buildRfc(r, 3, n1, rng);
-        auto grown = strongExpand(built.topology, 3, rng);
-        UpDownOracle oracle(grown.topology);
+        ExpansionPlan plan(built.topology, 3, rng);
+        UpDownOracle oracle(plan.finalTopology());
         std::cout << "  built RFC(" << r << ",3," << n1
                   << "), expanded 3 steps: +"
-                  << grown.added_terminals << " terminals, rewired "
-                  << grown.rewired << " links, routable: "
+                  << plan.addedTerminals() << " terminals, rewired "
+                  << plan.rewired() << " links, routable: "
                   << (oracle.routable() ? "yes" : "NO") << "\n";
     }
     return 0;

@@ -25,7 +25,8 @@
  *   --measure [4000] --seed [1] --trials [1]
  *   --jobs N [auto]  parallel trials (bit-identical at any N)
  *   --csv | --json   machine-readable output (JSON includes
- *                    stddev/ci95 when --trials > 1, plus timing)
+ *                    stddev/ci95 when --trials > 1, plus timing);
+ *                    giving both is rejected
  *
  * Integer flags are range-checked (--radix >= 2, --trials >= 1, ...):
  * a value outside its range or past an int throws instead of wrapping.
@@ -56,6 +57,11 @@ main(int argc, char **argv)
                   "min-load", "max-load", "points", "route-mode", "vcs",
                   "buffers", "pkt-phits", "warmup", "measure", "seed",
                   "trials", "jobs", "csv", "json"});
+    const bool json = opts.getBool("json", false);
+    if (json && opts.getBool("csv", false))
+        throw std::invalid_argument(
+            "--csv and --json are different output formats: give at most "
+            "one of them");
     // One point (--load) or a sweep (--min-load/--max-load/--points),
     // never both.
     std::vector<double> loads;
@@ -109,7 +115,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const bool json = opts.getBool("json", false);
     std::ostream &text = json ? std::cerr : std::cout;
     UpDownOracle oracle(fc);
     text << "topology: " << fc.name() << "  terminals "

@@ -1,7 +1,6 @@
 #include "clos/expansion.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,26 +9,16 @@ namespace rfc {
 namespace {
 
 /**
- * Rebuild @p fc with @p extra more switches per level (2 below top, 1 at
- * the top), copying all existing links, then rewire one increment.
+ * A network of @p counts switches per level holding every link of
+ * @p fc, each switch at the same position of its level, links added in
+ * (switch, up-port) order - which fixes every down list's order.
  */
 FoldedClos
-grow(const FoldedClos &fc)
+relinked(const FoldedClos &fc, const std::vector<int> &counts)
 {
-    std::vector<int> counts(fc.levels());
-    for (int lv = 1; lv <= fc.levels(); ++lv)
-        counts[lv - 1] = fc.switchesAtLevel(lv) + (lv == fc.levels() ? 1 : 2);
-
     FoldedClos out(counts, fc.radix(), fc.terminalsPerLeaf(), fc.name());
-    // Old switch id -> new switch id (levels shift because counts grew).
     auto remap = [&](int s) {
-        int lv = 1;
-        for (int l = fc.levels(); l >= 1; --l) {
-            if (s >= fc.levelOffset(l)) {
-                lv = l;
-                break;
-            }
-        }
+        const int lv = fc.levelOf(s);
         return out.levelOffset(lv) + (s - fc.levelOffset(lv));
     };
     for (int s = 0; s < fc.numSwitches(); ++s)
@@ -38,59 +27,59 @@ grow(const FoldedClos &fc)
     return out;
 }
 
-/**
- * Stage observer of the shared rewiring routine: called once per
- * (step, level pair) with the chosen donor links and the new-switch
- * slot assignments, *before* they are applied - all in the current
- * step's switch numbering.
- */
-using StageObserver = std::function<void(
-    const FoldedClos &cur, int step, int lv,
-    const std::vector<ClosLink> &chosen, const std::vector<int> &uppers,
-    const std::vector<int> &lowers)>;
+} // namespace
 
-/**
- * The one rewiring routine behind strongExpand and ExpansionPlan.  The
- * RNG call sequence is part of the reproducibility contract: adding
- * the observer must not change a single draw.
- */
-ExpansionResult
-strongExpandImpl(const FoldedClos &fc, int steps, Rng &rng,
-                 const StageObserver *observe)
+ExpansionPlan::ExpansionPlan(const FoldedClos &base, int steps, Rng &rng)
+    : base_(base), steps_(steps)
 {
-    if (fc.levels() < 2)
-        throw std::invalid_argument("strongExpand: need >= 2 levels");
+    if (steps < 1)
+        throw std::invalid_argument("ExpansionPlan: steps must be >= 1");
+    if (base.levels() < 2)
+        throw std::invalid_argument("ExpansionPlan: need >= 2 levels");
 
-    ExpansionResult res;
-    res.topology = fc;
-
-    const int m = fc.radix() / 2;
+    // Every stage is drawn directly in the final numbering: a switch
+    // keeps its position within its level, and each step's new switches
+    // append at the level's end (the later steps' ones stay unwired).
+    const int l = base.levels();
+    std::vector<int> counts(static_cast<std::size_t>(l));
+    for (int lv = 1; lv <= l; ++lv)
+        counts[static_cast<std::size_t>(lv - 1)] =
+            base.switchesAtLevel(lv) + steps * (lv == l ? 1 : 2);
+    const int m = base.radix() / 2;
 
     for (int step = 0; step < steps; ++step) {
-        FoldedClos cur = grow(res.topology);
-        const int l = cur.levels();
+        // Relinking at each step start re-adds the links in (switch,
+        // up-port) order, which resets every down list's port order:
+        // the port numbering a simulation of the result reads.
+        final_ = relinked(step == 0 ? base : final_, counts);
+        std::vector<int> &fresh = new_switches_.emplace_back();
+        for (int lv = 1; lv <= l; ++lv) {
+            const int first = final_.levelOffset(lv) +
+                              base.switchesAtLevel(lv) +
+                              step * (lv == l ? 1 : 2);
+            fresh.push_back(first);
+            if (lv < l)
+                fresh.push_back(first + 1);
+        }
 
         for (int lv = 1; lv < l; ++lv) {
-            // New switches sit at the end of each level's range.
-            const int new_lo_base = cur.levelOffset(lv) +
-                                    cur.switchesAtLevel(lv) - 2;
+            // This step's first new switch at levels lv and lv + 1.
+            const auto at = static_cast<std::size_t>(2 * lv - 2);
+            const int new_lo_base = fresh[at];
+            const int new_up_base = fresh[at + 2];
             const bool top_pair = (lv + 1 == l);
-            const int new_up_base = cur.levelOffset(lv + 1) +
-                                    cur.switchesAtLevel(lv + 1) -
-                                    (top_pair ? 1 : 2);
 
             // Free 2m endpoints on each side by removing 2m random
             // existing links between levels lv and lv+1, none of which
             // touches a new switch.
             std::vector<ClosLink> candidates;
-            int lo = cur.levelOffset(lv);
-            for (int s = lo; s < new_lo_base; ++s)
-                for (int p : cur.up(s))
+            for (int s = final_.levelOffset(lv); s < new_lo_base; ++s)
+                for (int p : final_.up(s))
                     if (p < new_up_base)
                         candidates.push_back({s, p});
             if (static_cast<int>(candidates.size()) < 2 * m)
-                throw std::runtime_error("strongExpand: network too small "
-                                         "to rewire");
+                throw std::runtime_error("ExpansionPlan: network too "
+                                         "small to rewire");
             rng.shuffle(candidates);
 
             // Port slots to fill: each removed link (a, b) donates its
@@ -109,7 +98,7 @@ strongExpandImpl(const FoldedClos &fc, int steps, Rng &rng,
             rng.shuffle(uppers);
             rng.shuffle(lowers);
 
-            std::vector<ClosLink> chosen(2 * m);
+            ExpansionStage st{step, lv, std::vector<RewireOp>(2 * m)};
             bool done = false;
             for (int attempt = 0; attempt < 64 && !done; ++attempt) {
                 std::vector<std::pair<int, int>> new_up_links;
@@ -136,7 +125,8 @@ strongExpandImpl(const FoldedClos &fc, int steps, Rng &rng,
                         used[e] = 1;
                         new_up_links.push_back(au);
                         new_down_links.push_back(bl);
-                        chosen[i] = c;
+                        st.ops[i] = {c, {c.lower, uppers[i]},
+                                     {lowers[i], c.upper}};
                         placed = true;
                         break;
                     }
@@ -145,99 +135,13 @@ strongExpandImpl(const FoldedClos &fc, int steps, Rng &rng,
                 done = ok;
             }
             if (!done)
-                throw std::runtime_error("strongExpand: rewire failed");
+                throw std::runtime_error("ExpansionPlan: rewire failed");
 
-            if (observe)
-                (*observe)(cur, step, lv, chosen, uppers, lowers);
-
-            for (int i = 0; i < 2 * m; ++i) {
-                cur.removeLink(chosen[i].lower, chosen[i].upper);
-                cur.addLink(chosen[i].lower, uppers[i]);
-                cur.addLink(lowers[i], chosen[i].upper);
-                res.rewired += 1;
-            }
+            applyStage(final_, st);
+            rewired_ += 2 * m;
+            stages_.push_back(std::move(st));
         }
-        res.topology = std::move(cur);
-        res.added_terminals +=
-            2LL * res.topology.terminalsPerLeaf();
-    }
-    return res;
-}
-
-} // namespace
-
-ExpansionResult
-strongExpand(const FoldedClos &fc, int steps, Rng &rng)
-{
-    return strongExpandImpl(fc, steps, rng, nullptr);
-}
-
-// ======================================================================
-// ExpansionPlan
-// ======================================================================
-
-ExpansionPlan::ExpansionPlan(const FoldedClos &base, int steps, Rng &rng)
-    : base_(base), steps_(steps)
-{
-    if (steps < 1)
-        throw std::invalid_argument("ExpansionPlan: steps must be >= 1");
-
-    // Final level counts are known up front, so every stage can be
-    // recorded directly in the final numbering: a switch's position
-    // within its level never changes (new switches append at the end).
-    std::vector<int> final_off(static_cast<std::size_t>(base.levels()) +
-                               1);
-    {
-        int off = 0;
-        for (int lv = 1; lv <= base.levels(); ++lv) {
-            final_off[static_cast<std::size_t>(lv)] = off;
-            off += base.switchesAtLevel(lv) +
-                   steps * (lv == base.levels() ? 1 : 2);
-        }
-    }
-    auto to_final = [&](const FoldedClos &cur, int s) {
-        int lv = cur.levelOf(s);
-        return final_off[static_cast<std::size_t>(lv)] +
-               (s - cur.levelOffset(lv));
-    };
-
-    StageObserver observe = [&](const FoldedClos &cur, int step, int lv,
-                                const std::vector<ClosLink> &chosen,
-                                const std::vector<int> &uppers,
-                                const std::vector<int> &lowers) {
-        ExpansionStage st;
-        st.step = step;
-        st.level = lv;
-        st.ops.reserve(chosen.size());
-        for (std::size_t i = 0; i < chosen.size(); ++i) {
-            RewireOp op;
-            op.removed = {to_final(cur, chosen[i].lower),
-                          to_final(cur, chosen[i].upper)};
-            op.added_up = {op.removed.lower, to_final(cur, uppers[i])};
-            op.added_down = {to_final(cur, lowers[i]), op.removed.upper};
-            st.ops.push_back(op);
-        }
-        stages_.push_back(std::move(st));
-    };
-
-    ExpansionResult res = strongExpandImpl(base, steps, rng, &observe);
-    final_ = std::move(res.topology);
-    rewired_ = res.rewired;
-    added_terminals_ = res.added_terminals;
-
-    new_switches_.resize(static_cast<std::size_t>(steps));
-    for (int k = 0; k < steps; ++k) {
-        auto &list = new_switches_[static_cast<std::size_t>(k)];
-        for (int lv = 1; lv <= base.levels(); ++lv) {
-            const int base_count = base.switchesAtLevel(lv);
-            const int off = final_off[static_cast<std::size_t>(lv)];
-            if (lv == base.levels()) {
-                list.push_back(off + base_count + k);
-            } else {
-                list.push_back(off + base_count + 2 * k);
-                list.push_back(off + base_count + 2 * k + 1);
-            }
-        }
+        added_terminals_ += 2LL * base.terminalsPerLeaf();
     }
 }
 
@@ -248,16 +152,7 @@ ExpansionPlan::preStaged() const
     for (int lv = 1; lv <= final_.levels(); ++lv)
         counts[static_cast<std::size_t>(lv - 1)] =
             final_.switchesAtLevel(lv);
-    FoldedClos out(counts, base_.radix(), base_.terminalsPerLeaf(),
-                   base_.name());
-    auto remap = [&](int s) {
-        int lv = base_.levelOf(s);
-        return out.levelOffset(lv) + (s - base_.levelOffset(lv));
-    };
-    for (int s = 0; s < base_.numSwitches(); ++s)
-        for (int p : base_.up(s))
-            out.addLink(remap(s), remap(p));
-    return out;
+    return relinked(base_, counts);
 }
 
 FoldedClos
@@ -290,13 +185,6 @@ ExpansionPlan::applyStage(FoldedClos &fc, const ExpansionStage &st) const
     }
 }
 
-void
-ExpansionPlan::applyAll(FoldedClos &fc) const
-{
-    for (const ExpansionStage &st : stages_)
-        applyStage(fc, st);
-}
-
 TopologyTimeline
 ExpansionPlan::liveTimeline(long long start, long long step_spacing,
                             long long activate_delay) const
@@ -305,6 +193,7 @@ ExpansionPlan::liveTimeline(long long start, long long step_spacing,
         throw std::invalid_argument(
             "ExpansionPlan::liveTimeline: cycles must be >= 0");
     TopologyTimeline tl;
+    tl.setInitialActive(baseTerminals());
     std::size_t si = 0;
     for (int k = 0; k < steps_; ++k) {
         const long long cycle = start + step_spacing * k;
@@ -393,6 +282,7 @@ MorphPlan::liveTimeline(long long cycle, long long activate_delay) const
         throw std::invalid_argument(
             "MorphPlan::liveTimeline: cycles must be >= 0");
     TopologyTimeline tl;
+    tl.setInitialActive(from_terminals);
     // Commissioned switches: wired solely by attach events, i.e. they
     // touch a staged link but no from-link.  Union links split exactly
     // into from-links and staged links, so mark endpoints of each set.

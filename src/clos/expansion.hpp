@@ -10,16 +10,13 @@
  * links and reconnect their endpoints to the new switches, which keeps
  * every degree intact and the wiring close to uniformly random.
  *
- * Two consumers share one rewiring routine (identical RNG draw
- * sequence):
- *
- *  - strongExpand(): the offline one-shot result, as before.
- *  - ExpansionPlan: the same expansion decomposed into *stages* of
- *    explicit rewire operations in the final switch numbering, so it
- *    can be replayed in place on a live CSR FoldedClos
- *    (removeLink/addLink, exercising the rare growSegment path), fed
- *    to the runtime as a TopologyTimeline of detach/attach events, or
- *    cross-checked op for op against the offline result.
+ * ExpansionPlan is the one expansion routine.  It draws every rewire
+ * directly in the *final* switch numbering, records the expansion as
+ * stages of explicit rewire operations and applies them to a
+ * final-sized copy of the base, so the same plan is the offline result
+ * (finalTopology()), a replay in place on a live CSR FoldedClos
+ * (removeLink/addLink, exercising the rare growSegment path), and a
+ * TopologyTimeline of detach/attach events for the runtime.
  */
 #ifndef RFC_CLOS_EXPANSION_HPP
 #define RFC_CLOS_EXPANSION_HPP
@@ -31,24 +28,6 @@
 #include "util/rng.hpp"
 
 namespace rfc {
-
-/** Outcome of one or more expansion steps. */
-struct ExpansionResult
-{
-    FoldedClos topology;      //!< expanded network
-    long long rewired = 0;    //!< links detached and reattached
-    long long added_terminals = 0;
-};
-
-/**
- * Apply @p steps minimal strong-expansion increments to @p fc.
- *
- * Each step adds 2 switches per level below the top, 1 top switch and
- * R terminals.  @p fc must be radix-regular.  The result keeps radix
- * regularity; up/down routability should be rechecked by the caller
- * (guaranteed w.h.p. only below the Theorem 4.2 threshold).
- */
-ExpansionResult strongExpand(const FoldedClos &fc, int steps, Rng &rng);
 
 /**
  * One rewire: `removed` leaves the network; its lower endpoint hooks
@@ -76,29 +55,37 @@ struct ExpansionStage
 /**
  * A strong expansion decomposed into explicit staged rewires.
  *
- * The constructor consumes @p rng exactly like
- * strongExpand(base, steps, rng) - draw for draw - so a plan built
- * from a given (base, steps, seed) describes precisely that offline
- * expansion: applyAll() on preStaged() ends sameTopology-equal to
- * finalTopology().
+ * Each step adds 2 switches per level below the top, 1 top switch and
+ * R terminals.  @p base must be radix-regular; the result keeps radix
+ * regularity, while up/down routability should be rechecked by the
+ * caller (guaranteed w.h.p. only below the Theorem 4.2 threshold).
+ * The constructor relinks its working copy at every step start, which
+ * fixes every switch's down-port order; applying every stage to
+ * preStaged() in order ends sameTopology-equal to finalTopology().
  *
  * For the *live* drill the plan provides the union/overlay encoding:
  * unionTopology() holds every link that exists at any point of the
  * expansion (base links plus all staged additions; removed links are
  * retained and masked dead later), so a running engine's port
  * numbering never changes, and liveTimeline() emits the matching
- * detach/attach/commission/activate schedule.
+ * detach/attach/commission/activate schedule, gated to the base
+ * terminals from cycle 0.
  */
 class ExpansionPlan
 {
   public:
-    /** Plan @p steps increments of @p base (consumes @p rng). */
+    /**
+     * Plan @p steps >= 1 increments of @p base (consumes @p rng).
+     * @throws std::invalid_argument below 1 step or 2 levels;
+     *         std::runtime_error when the network is too small to
+     *         rewire.
+     */
     ExpansionPlan(const FoldedClos &base, int steps, Rng &rng);
 
     int steps() const { return steps_; }
     const FoldedClos &base() const { return base_; }
 
-    /** The offline end state (== strongExpand's topology). */
+    /** The expanded network, in the final switch numbering. */
     const FoldedClos &finalTopology() const { return final_; }
 
     /** All stages, in apply order (step-major, then level). */
@@ -122,7 +109,7 @@ class ExpansionPlan
      * The final-sized network holding only the base links (remapped to
      * final numbering): every new switch is present but unwired, every
      * new terminal attached but expected to stay inactive.  The
-     * starting point for applyStage()/applyAll() replay.
+     * starting point for applyStage() replay.
      */
     FoldedClos preStaged() const;
 
@@ -144,15 +131,13 @@ class ExpansionPlan
      */
     void applyStage(FoldedClos &fc, const ExpansionStage &st) const;
 
-    /** Replay every stage onto @p fc (start from preStaged()). */
-    void applyAll(FoldedClos &fc) const;
-
     /**
      * The runtime schedule of this plan against unionTopology():
      * step k fires at @p start + k * @p step_spacing - commissioning
      * markers first, then each stage's detach/attach triplets in op
      * order - and the step's new terminals pass their activation
-     * barrier @p activate_delay cycles later.
+     * barrier @p activate_delay cycles later.  The timeline starts with
+     * baseTerminals() active (TopologyTimeline::initialActive()).
      */
     TopologyTimeline liveTimeline(long long start, long long step_spacing,
                                   long long activate_delay) const;
@@ -186,7 +171,8 @@ struct MorphPlan
     /**
      * Detaches and attaches at @p cycle (detaches first), commission
      * markers for switches with no link in @p from, and the terminal
-     * activation barrier @p activate_delay cycles later.
+     * activation barrier @p activate_delay cycles later; from_terminals
+     * are active from cycle 0.
      */
     TopologyTimeline liveTimeline(long long cycle,
                                   long long activate_delay) const;

@@ -34,6 +34,12 @@
  *    prefix and begin injecting a deterministic stagger after the
  *    barrier; they never deactivate.
  *
+ * Initial state travels with the timeline, not with the simulation
+ * config: initialDead() lists the staged links that start dead, and
+ * initialActive() is the active-terminal count at cycle 0 (unset: every
+ * terminal is active).  A gated run is therefore fully described by
+ * the union topology plus its timeline.
+ *
  * Ordering contract: events are kept sorted by cycle with insertion
  * order as the tie-break, and the engine applies all events of a cycle
  * in that order inside one barrier, before any traffic of that cycle
@@ -53,6 +59,7 @@
 #define RFC_CLOS_TOPOLOGY_EVENTS_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "clos/folded_clos.hpp"
@@ -132,6 +139,18 @@ class TopologyTimeline
     }
 
     /**
+     * Start the run with only terminals [0, @p count) active; the
+     * runtime rejects a count below 1 or above the bound topology's
+     * terminals.
+     */
+    TopologyTimeline &
+    setInitialActive(long long count)
+    {
+        initial_active_ = count;
+        return *this;
+    }
+
+    /**
      * The canonical fail/recover drill: @p count uniformly random
      * distinct links of @p fc fail at @p fail_at and - unless
      * @p repair_at < 0 - are all repaired at @p repair_at, in the same
@@ -160,6 +179,9 @@ class TopologyTimeline
      */
     std::vector<ClosLink> initialDead() const;
 
+    /** Active-terminal count at cycle 0; empty when every terminal is. */
+    std::optional<long long> initialActive() const { return initial_active_; }
+
     /**
      * Cycle of the first service-disrupting event (kFail or kDetach),
      * or -1 when none - the recovery-analysis anchor.
@@ -171,6 +193,7 @@ class TopologyTimeline
 
   private:
     std::vector<TopologyEvent> events_;
+    std::optional<long long> initial_active_;
 };
 
 } // namespace rfc

@@ -38,13 +38,6 @@ SimConfig::validate() const
     if (telemetry_bin < 0)
         throw std::invalid_argument(
             "SimConfig: telemetry_bin must be >= 0");
-    if (active_terminals < -1)
-        throw std::invalid_argument(
-            "SimConfig: active_terminals must be -1 (all) or >= 1");
-    if (active_terminals == 0)
-        throw std::invalid_argument(
-            "SimConfig: active_terminals == 0 would leave no sender "
-            "(use -1 to activate every terminal)");
     if (route_mode == RouteMode::kValiant && vcs < 2)
         throw std::invalid_argument("Valiant routing needs vcs >= 2 "
                                     "(phase-partitioned channels)");

@@ -6,7 +6,9 @@
  * network, instantiates one flow control engine (sim/core/engine.hpp)
  * and shares this configuration: Table 2 parameters, the
  * warm-up/measurement window, the seed, and the routing and fault
- * knobs.
+ * knobs.  A live run's initial topology state - staged links and the
+ * active-terminal gate - is not configuration: it travels with its
+ * TopologyTimeline (clos/topology_events.hpp).
  */
 #ifndef RFC_SIM_CORE_CONFIG_HPP
 #define RFC_SIM_CORE_CONFIG_HPP
@@ -93,20 +95,6 @@ struct SimConfig
      */
     long long telemetry_bin = 0;
 
-    /**
-     * Activation barrier for live expansion: number of terminals (a
-     * contiguous prefix [0, n)) that inject traffic from cycle 0.  -1
-     * (default) activates every terminal, which is exactly the
-     * historical behavior - golden baselines are unaffected.  A
-     * TopologyTimeline kActivateTerminals event raises the count at a
-     * cycle barrier; inactive terminals generate nothing, hold no
-     * source-queue packets, and are excluded from destination draws of
-     * prefix-aware traffic patterns.  Never exceeds the terminal
-     * count; gating requires >= 1 active terminal and is incompatible
-     * with a closed-loop workload.
-     */
-    long long active_terminals = -1;
-
     /** Slots of the engine's generation and injection wheels. */
     static constexpr int kGenWheelSlots = 1024;
 
@@ -121,10 +109,9 @@ struct SimConfig
      * zero latency link cannot be modeled), empty measurement window
      * (measure < 1, which is also what a "warmup >= total cycles"
      * misconfiguration reduces to), negative warmup, load outside
-     * (0, 1], an active_terminals value other than -1 or >= 1, or
-     * Valiant or UGAL routing with vcs < 2.  Also rejects values the
-     * engine's narrow hot-state types would silently wrap: vcs or
-     * buf_packets > 127 (8-bit VC indices and injection credits),
+     * (0, 1], or Valiant or UGAL routing with vcs < 2.  Also rejects
+     * values the engine's narrow hot-state types would silently wrap:
+     * vcs or buf_packets > 127 (8-bit VC indices and injection credits),
      * pkt_phits >= kGenWheelSlots (an injection rescheduled pkt_phits
      * ahead would land in the slot being drained), and warmup + measure + link_latency + pkt_phits >
      * INT32_MAX (packet ready and birth times, busy-until times and

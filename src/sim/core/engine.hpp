@@ -326,6 +326,16 @@ class VctEngine
     }
 
     /**
+     * Gate the run: only the prefix [0, @p count) of the terminals
+     * generates traffic from cycle 0 (1 <= @p count <= terminal count;
+     * the runtime checks the bound).  Inactive terminals hold no
+     * source-queue packets and are excluded from destination draws of
+     * prefix-aware traffic patterns.  Must be called before run();
+     * incompatible with a closed-loop workload.
+     */
+    void gateTerminals(long long count) { active_terms_ = count; }
+
+    /**
      * Raise the active-terminal prefix to min(@p upto, terminal
      * count) at cycle @p now - the expansion activation barrier.  Must
      * be called from the hook installed with setCycleHook(), which
@@ -809,9 +819,7 @@ VctEngine<Policy>::buildStructures()
     sq_count_.assign(lay_.num_terms, 0);
     next_gen_.assign(lay_.num_terms, 0);
     inj_scheduled_.assign(lay_.num_terms, 0);
-    active_terms_ = cfg_.active_terminals < 0
-                        ? lay_.num_terms
-                        : std::min(cfg_.active_terminals, lay_.num_terms);
+    active_terms_ = lay_.num_terms;
 
     wheel_size_ = static_cast<long long>(cfg_.pkt_phits) +
                   cfg_.link_latency + 2;
@@ -1723,7 +1731,7 @@ VctEngine<Policy>::run()
     if (active_terms_ < lay_.num_terms) {
         if (wl_ != nullptr)
             throw std::invalid_argument(
-                "VctEngine: active_terminals gating is open-loop only "
+                "VctEngine: terminal gating is open-loop only "
                 "(closed-loop workloads schedule every terminal)");
         traffic_.setActiveTerminals(active_terms_);
     }

@@ -85,6 +85,13 @@ Simulator::TopologyRuntime::TopologyRuntime(const FoldedClos &topo,
 {
     for (const TopologyEvent &e : timeline.events())
         checkEvent(topo, e);
+    if (const auto n = timeline.initialActive();
+        n && (*n < 1 || *n > topo.numTerminals()))
+        throw std::invalid_argument(
+            "TopologyRuntime: starting active-terminal count " +
+            std::to_string(*n) + " is outside [1, " +
+            std::to_string(topo.numTerminals()) +
+            "] (the bound topology's terminals)");
     // Staged links exist in the (union) topology but must be invisible
     // until their attach event fires: mask them dead before the oracle
     // ever sees the fabric.  setLink() returning false means the link
@@ -160,6 +167,8 @@ Simulator::Simulator(const FoldedClos &fc, Traffic &traffic,
         layout_, traffic, config,
         UpDownPolicy(fc, runtime_->oracle, layout_, config));
     runtime_->engine = &holder->e;
+    if (const auto n = runtime_->timeline.initialActive())
+        holder->e.gateTerminals(*n);
     std::vector<long long> cycles;
     cycles.reserve(runtime_->timeline.size());
     for (const TopologyEvent &e : runtime_->timeline.events())

@@ -73,15 +73,18 @@ class Simulator
      * *union* topology), commissions switches and raises the
      * active-terminal barrier while packets fly.  The simulator owns a
      * private link-state overlay plus a mutable oracle copy bound to
-     * it.  Staged links (every kAttach target) start dead in the
-     * overlay; a gated run additionally sets config.active_terminals to
-     * the pre-expansion terminal count.  Events apply at cycle barriers
-     * in timeline order; after a barrier's last link flip the oracle
-     * is rebuilt once against the overlay, and SimResult::expansion
-     * reports the applied-change counters.  @p fc, @p traffic must
-     * outlive the simulator; the timeline is copied.
+     * it.  The timeline carries the initial state: staged links (every
+     * kAttach target) start dead in the overlay, and when
+     * timeline.initialActive() is set only that many terminals inject
+     * from cycle 0.  Events apply at cycle barriers in timeline order;
+     * after a barrier's last link flip the oracle is rebuilt once
+     * against the overlay, and SimResult::expansion reports the
+     * applied-change counters.  @p fc, @p traffic must outlive the
+     * simulator; the timeline is copied.
      * @throws std::invalid_argument if an event names a switch outside
-     *         @p fc or a link @p fc does not hold.
+     *         @p fc or a link @p fc does not hold, or if the starting
+     *         active-terminal count is below 1 or above @p fc's
+     *         terminals.
      */
     Simulator(const FoldedClos &fc, Traffic &traffic, SimConfig config,
               const TopologyTimeline &timeline);
@@ -154,10 +157,11 @@ class Simulator
         VctEngine<UpDownPolicy> *engine = nullptr;
         ExpansionCounters counters;
 
-        /** Checks every event against @p topo, masks every staged
-         *  (kAttach) link dead, then builds the oracle; throws
-         *  std::invalid_argument when an event names a switch or link
-         *  absent from @p topo. */
+        /** Checks every event and the starting active-terminal count
+         *  against @p topo, masks every staged (kAttach) link dead,
+         *  then builds the oracle; throws std::invalid_argument when an
+         *  event names a switch or link absent from @p topo or the
+         *  count is outside [1, terminals]. */
         TopologyRuntime(const FoldedClos &topo, TopologyTimeline tl);
         /** Apply every event scheduled for cycle @p now (runs in
          *  cycle-hook context, before that cycle's traffic), then

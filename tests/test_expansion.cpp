@@ -1,15 +1,28 @@
 /**
  * @file
  * Tests for strong (incremental) RFC expansion (Section 5).
+ *
+ * The expansion goldens in tests/golden/expand_*.txt pin every port
+ * list, the counters and the generator's state after planning; re-record
+ * (only for an intended change of the rewiring) with
+ * RFC_GOLDEN_RECORD=1 ./test_expansion
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "check/invariants.hpp"
 #include "clos/expansion.hpp"
 #include "clos/rfc.hpp"
 #include "routing/updown.hpp"
+
+#ifndef RFC_GOLDEN_DIR
+#define RFC_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace rfc {
 namespace {
@@ -18,10 +31,10 @@ TEST(Expansion, AddsTwoPerLevelAndOneTop)
 {
     Rng rng(3);
     auto fc = buildRfcUnchecked(8, 3, 20, rng);
-    auto res = strongExpand(fc, 1, rng);
-    EXPECT_EQ(res.topology.switchesAtLevel(1), 22);
-    EXPECT_EQ(res.topology.switchesAtLevel(2), 22);
-    EXPECT_EQ(res.topology.switchesAtLevel(3), 11);
+    ExpansionPlan plan(fc, 1, rng);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(1), 22);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(2), 22);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(3), 11);
 }
 
 TEST(Expansion, AddsRadixTerminalsPerStep)
@@ -29,29 +42,29 @@ TEST(Expansion, AddsRadixTerminalsPerStep)
     Rng rng(5);
     auto fc = buildRfcUnchecked(8, 3, 20, rng);
     long long before = fc.numTerminals();
-    auto res = strongExpand(fc, 1, rng);
-    EXPECT_EQ(res.topology.numTerminals() - before, 8);  // R terminals
-    EXPECT_EQ(res.added_terminals, 8);
+    ExpansionPlan plan(fc, 1, rng);
+    EXPECT_EQ(plan.finalTopology().numTerminals() - before, 8);  // R
+    EXPECT_EQ(plan.addedTerminals(), 8);
 }
 
 TEST(Expansion, PreservesRadixRegularity)
 {
     Rng rng(7);
     auto fc = buildRfcUnchecked(12, 3, 30, rng);
-    auto res = strongExpand(fc, 3, rng);
-    EXPECT_TRUE(res.topology.isRadixRegular());
-    EXPECT_TRUE(res.topology.validate());
+    ExpansionPlan plan(fc, 3, rng);
+    EXPECT_TRUE(plan.finalTopology().isRadixRegular());
+    EXPECT_TRUE(plan.finalTopology().validate());
 }
 
 TEST(Expansion, WiringStaysSimple)
 {
     Rng rng(11);
     auto fc = buildRfcUnchecked(8, 3, 24, rng);
-    auto res = strongExpand(fc, 5, rng);
-    for (int s = 0; s < res.topology.numSwitches(); ++s) {
-        std::set<int> seen(res.topology.up(s).begin(),
-                           res.topology.up(s).end());
-        EXPECT_EQ(seen.size(), res.topology.up(s).size());
+    ExpansionPlan plan(fc, 5, rng);
+    const FoldedClos &out = plan.finalTopology();
+    for (int s = 0; s < out.numSwitches(); ++s) {
+        std::set<int> seen(out.up(s).begin(), out.up(s).end());
+        EXPECT_EQ(seen.size(), out.up(s).size());
     }
 }
 
@@ -60,10 +73,8 @@ TEST(Expansion, RewiringCountMatchesMinimalUpgrade)
     // Each step rewires 2m links per level pair: (l-1) * R total.
     Rng rng(13);
     auto fc = buildRfcUnchecked(8, 3, 20, rng);
-    auto res = strongExpand(fc, 1, rng);
-    EXPECT_EQ(res.rewired, 2 * 8);
-    auto res3 = strongExpand(fc, 3, rng);
-    EXPECT_EQ(res3.rewired, 3 * 2 * 8);
+    EXPECT_EQ(ExpansionPlan(fc, 1, rng).rewired(), 2 * 8);
+    EXPECT_EQ(ExpansionPlan(fc, 3, rng).rewired(), 3 * 2 * 8);
 }
 
 TEST(Expansion, WireCountGrowsLinearly)
@@ -71,10 +82,10 @@ TEST(Expansion, WireCountGrowsLinearly)
     Rng rng(17);
     auto fc = buildRfcUnchecked(8, 3, 20, rng);
     long long w0 = fc.numWires();
-    auto res = strongExpand(fc, 4, rng);
+    ExpansionPlan plan(fc, 4, rng);
     // Each step adds 2 leaves (2m up-links) and 2 level-2 up ports
     // worth of links: +2m per level pair.
-    EXPECT_EQ(res.topology.numWires() - w0, 4 * 2 * (8 / 2) * 2);
+    EXPECT_EQ(plan.finalTopology().numWires() - w0, 4 * 2 * (8 / 2) * 2);
 }
 
 TEST(Expansion, RoutabilityPreservedBelowThreshold)
@@ -87,8 +98,8 @@ TEST(Expansion, RoutabilityPreservedBelowThreshold)
         --n1;
     auto built = buildRfc(12, 3, n1, rng);
     ASSERT_TRUE(built.routable);
-    auto res = strongExpand(built.topology, 2, rng);
-    UpDownOracle oracle(res.topology);
+    ExpansionPlan plan(built.topology, 2, rng);
+    UpDownOracle oracle(plan.finalTopology());
     EXPECT_TRUE(oracle.routable());
 }
 
@@ -96,49 +107,113 @@ TEST(Expansion, MultiStepAccumulates)
 {
     Rng rng(23);
     auto fc = buildRfcUnchecked(8, 3, 20, rng);
-    auto res = strongExpand(fc, 10, rng);
-    EXPECT_EQ(res.topology.switchesAtLevel(1), 40);
-    EXPECT_EQ(res.topology.switchesAtLevel(3), 20);
-    EXPECT_EQ(res.added_terminals, 80);
+    ExpansionPlan plan(fc, 10, rng);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(1), 40);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(3), 20);
+    EXPECT_EQ(plan.addedTerminals(), 80);
 }
 
 TEST(Expansion, TwoLevelNetworks)
 {
     Rng rng(29);
     auto fc = buildRfcUnchecked(8, 2, 16, rng);
-    auto res = strongExpand(fc, 2, rng);
-    EXPECT_EQ(res.topology.switchesAtLevel(1), 20);
-    EXPECT_EQ(res.topology.switchesAtLevel(2), 10);
-    EXPECT_TRUE(res.topology.isRadixRegular());
+    ExpansionPlan plan(fc, 2, rng);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(1), 20);
+    EXPECT_EQ(plan.finalTopology().switchesAtLevel(2), 10);
+    EXPECT_TRUE(plan.finalTopology().isRadixRegular());
 }
 
 TEST(Expansion, RejectsSingleLevel)
 {
     Rng rng(31);
     FoldedClos fc({4}, 8, 4, "flat");
-    EXPECT_THROW(strongExpand(fc, 1, rng), std::invalid_argument);
+    EXPECT_THROW(ExpansionPlan(fc, 1, rng), std::invalid_argument);
 }
 
 // ======================================================================
-// ExpansionPlan: the staged decomposition of strongExpand
+// Expansion golden: port order, counters and generator state
 // ======================================================================
 
-TEST(ExpansionPlan, MatchesOfflineStrongExpandDrawForDraw)
+/** One recorded expansion: an RFC base, its seeds and the step count. */
+struct ExpansionGolden
 {
-    // Same (base, steps, seed) must give the same expansion through
-    // both entry points: the plan's rewiring routine consumes the RNG
-    // exactly like strongExpand.
-    Rng build_rng(37);
-    auto base = buildRfcUnchecked(8, 3, 20, build_rng);
-    Rng a(41), b(41);
-    auto off = strongExpand(base, 3, a);
-    ExpansionPlan plan(base, 3, b);
-    EXPECT_TRUE(sameTopology(plan.finalTopology(), off.topology).ok);
-    EXPECT_EQ(plan.rewired(), off.rewired);
-    EXPECT_EQ(plan.addedTerminals(), off.added_terminals);
-    // The two generators must have advanced identically.
-    EXPECT_EQ(a.nextU64(), b.nextU64());
+    const char *name;
+    int radix, levels, leaves;
+    std::uint64_t build_seed, seed;
+    int steps;
+};
+
+constexpr ExpansionGolden kExpansionGoldens[] = {
+    {"expand_rfc8_3_n20_s1", 8, 3, 20, 37, 41, 1},
+    {"expand_rfc8_3_n20_s2", 8, 3, 20, 37, 41, 2},
+    {"expand_rfc8_3_n20_s3", 8, 3, 20, 37, 41, 3},
+    {"expand_rfc16_3_n64_s2", 16, 3, 64, 89, 97, 2},
+};
+
+/**
+ * The expansion of @p g as text: its counters, the generator's next
+ * draw after planning, then every switch's up and down lists in port
+ * order - which the engine's port numbering and every later draw of
+ * the rewiring read.
+ */
+std::vector<std::string>
+describeExpansion(const ExpansionGolden &g)
+{
+    Rng build_rng(g.build_seed);
+    auto base = buildRfcUnchecked(g.radix, g.levels, g.leaves, build_rng);
+    Rng rng(g.seed);
+    ExpansionPlan plan(base, g.steps, rng);
+    const FoldedClos &fc = plan.finalTopology();
+    const long long rewired = plan.rewired(), added = plan.addedTerminals();
+    std::vector<std::string> lines = {
+        "rewired " + std::to_string(rewired),
+        "added_terminals " + std::to_string(added),
+        "next_draw " + std::to_string(rng.nextU64()),
+    };
+    auto list = [](Span<std::int32_t> ports) {
+        std::string s;
+        for (int p : ports)
+            s += " " + std::to_string(p);
+        return s;
+    };
+    for (int s = 0; s < fc.numSwitches(); ++s) {
+        lines.push_back("up " + std::to_string(s) + ":" + list(fc.up(s)));
+        lines.push_back("down " + std::to_string(s) + ":" +
+                        list(fc.down(s)));
+    }
+    return lines;
 }
+
+TEST(ExpansionPlan, ReproducesRecordedExpansionsBitForBit)
+{
+    for (const ExpansionGolden &g : kExpansionGoldens) {
+        SCOPED_TRACE(g.name);
+        const std::string path =
+            std::string(RFC_GOLDEN_DIR) + "/" + g.name + ".txt";
+        const std::vector<std::string> got = describeExpansion(g);
+        const char *env = std::getenv("RFC_GOLDEN_RECORD");
+        if (env != nullptr && env[0] != '\0' && env[0] != '0') {
+            std::ofstream out(path);
+            ASSERT_TRUE(out.good()) << "cannot write " << path;
+            for (const std::string &line : got)
+                out << line << "\n";
+            continue;
+        }
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << "missing golden file " << path
+                               << " (record with RFC_GOLDEN_RECORD=1)";
+        std::vector<std::string> want;
+        for (std::string line; std::getline(in, line);)
+            want.push_back(line);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(want[i], got[i]) << "line " << i + 1;
+    }
+}
+
+// ======================================================================
+// ExpansionPlan: staged replay, union fabric and timelines
+// ======================================================================
 
 TEST(ExpansionPlan, StagedReplayReachesTheFinalTopology)
 {
@@ -150,14 +225,16 @@ TEST(ExpansionPlan, StagedReplayReachesTheFinalTopology)
     FoldedClos live = plan.preStaged();
     EXPECT_EQ(live.numSwitches(), plan.finalTopology().numSwitches());
     EXPECT_EQ(live.numWires(), base.numWires());
-    plan.applyAll(live);
+    for (const ExpansionStage &st : plan.stages())
+        plan.applyStage(live, st);
     CheckResult same = sameTopology(live, plan.finalTopology());
     EXPECT_TRUE(same.ok) << same.message;
     EXPECT_TRUE(live.isRadixRegular());
     EXPECT_TRUE(live.validate());
 
     // Replaying again must fail loudly: the removed links are gone.
-    EXPECT_THROW(plan.applyAll(live), std::logic_error);
+    EXPECT_THROW(plan.applyStage(live, plan.stages().front()),
+                 std::logic_error);
 }
 
 TEST(ExpansionPlan, UnionMinusDetachedLinksIsTheFinalTopology)

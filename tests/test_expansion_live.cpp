@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "check/invariants.hpp"
 #include "clos/expansion.hpp"
@@ -157,7 +158,6 @@ TEST(LiveExpansion, DrillEndsEqualToOfflineRebuild)
     TopologyTimeline tl = plan->liveTimeline(300, 200, 32);
 
     SimConfig cfg = liveConfig();
-    cfg.active_terminals = plan->baseTerminals();
     UniformTraffic traffic;
     Simulator sim(u, traffic, cfg, tl);
     SimResult r;
@@ -198,7 +198,6 @@ TEST(LiveExpansion, Reproducible)
     TopologyTimeline tl = plan->liveTimeline(300, 200, 32);
 
     SimConfig cfg = liveConfig();
-    cfg.active_terminals = plan->baseTerminals();
 
     auto run = [&] {
         UniformTraffic traffic;
@@ -231,7 +230,6 @@ TEST(LiveExpansion, MorphDrillRunsAndConverges)
     MorphPlan mp = planMorph(base, plan.finalTopology());
 
     SimConfig cfg = liveConfig();
-    cfg.active_terminals = mp.from_terminals;
     TopologyTimeline tl = mp.liveTimeline(300, 32);
     UniformTraffic traffic;
     Simulator sim(mp.union_topology, traffic, cfg, tl);
@@ -269,9 +267,10 @@ TEST(ActivationGating, InactiveTerminalsDoNotInject)
     Simulator full(fc, oracle, full_traffic, cfg);
     auto r_full = full.run();
 
-    cfg.active_terminals = fc.numTerminals() / 2;
+    TopologyTimeline gate;
+    gate.setInitialActive(fc.numTerminals() / 2);
     UniformTraffic gated_traffic;
-    Simulator gated(fc, oracle, gated_traffic, cfg);
+    Simulator gated(fc, gated_traffic, cfg, gate);
     auto r_gated = gated.run();
 
     // Half the sources, open-loop Bernoulli injection: the gated run
@@ -281,16 +280,8 @@ TEST(ActivationGating, InactiveTerminalsDoNotInject)
     expectConservation(r_gated);
 }
 
-TEST(ActivationGating, ConfigAndTrafficValidateTheGate)
+TEST(ActivationGating, TrafficValidatesTheGate)
 {
-    SimConfig cfg;
-    cfg.active_terminals = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.active_terminals = -5;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.active_terminals = -1;
-    EXPECT_NO_THROW(cfg.validate());
-
     UniformTraffic traffic;
     Rng rng(3);
     traffic.init(16, rng);
@@ -303,6 +294,46 @@ TEST(ActivationGating, ConfigAndTrafficValidateTheGate)
         EXPECT_LT(traffic.dest(0, rng), 8);
 }
 
+/** The message of the std::invalid_argument @p fn throws, or "". */
+template <class Fn>
+std::string
+invalidArgument(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ActivationGating, SimulatorRejectsAStartOutsideTheTerminals)
+{
+    // The starting count is initial state of the timeline; the runtime
+    // bounds it by the union's terminals before anything runs.
+    FoldedClos base;
+    auto plan = routablePlan(base);
+    FoldedClos u = plan->unionTopology();
+    ASSERT_EQ(plan->liveTimeline(300, 200, 32).initialActive().value_or(-1),
+              plan->baseTerminals());
+    SimConfig cfg = liveConfig();
+    for (long long n : {0LL, u.numTerminals() + 1}) {
+        TopologyTimeline tl = plan->liveTimeline(300, 200, 32);
+        tl.setInitialActive(n);
+        const std::string msg = invalidArgument([&] {
+            UniformTraffic traffic;
+            Simulator sim(u, traffic, cfg, tl);
+        });
+        EXPECT_NE(msg.find("count " + std::to_string(n) + " "),
+                  std::string::npos)
+            << msg;
+    }
+    TopologyTimeline all;
+    all.setInitialActive(u.numTerminals());
+    UniformTraffic traffic;
+    EXPECT_NO_THROW(Simulator(u, traffic, cfg, all));
+}
+
 TEST(ActivationGating, ActivationRaisesGeneratedTraffic)
 {
     // Same gate, with vs without the mid-run activation barrier: the
@@ -310,10 +341,10 @@ TEST(ActivationGating, ActivationRaisesGeneratedTraffic)
     // counters must record exactly the activated terminals.
     auto fc = buildCft(8, 2);
     SimConfig cfg = liveConfig();
-    cfg.active_terminals = fc.numTerminals() / 2;
 
     TopologyTimeline activate;
-    activate.activateTerminals(300, fc.numTerminals());
+    activate.setInitialActive(fc.numTerminals() / 2)
+        .activateTerminals(300, fc.numTerminals());
     UniformTraffic t1;
     Simulator with(fc, t1, cfg, activate);
     auto r_with = with.run();
@@ -321,7 +352,8 @@ TEST(ActivationGating, ActivationRaisesGeneratedTraffic)
               fc.numTerminals() - fc.numTerminals() / 2);
 
     TopologyTimeline none;
-    none.addSwitch(300, 0);  // non-empty timeline, no activation
+    none.setInitialActive(fc.numTerminals() / 2)
+        .addSwitch(300, 0);  // non-empty timeline, no activation
     UniformTraffic t2;
     Simulator without(fc, t2, cfg, none);
     auto r_without = without.run();

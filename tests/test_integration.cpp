@@ -109,11 +109,11 @@ TEST(Integration, ExpansionThenSimulate)
     Rng rng(4);
     auto built = buildRfc(8, 3, 32, rng);
     ASSERT_TRUE(built.routable);
-    auto grown = strongExpand(built.topology, 4, rng);
-    UpDownOracle oracle(grown.topology);
+    ExpansionPlan plan(built.topology, 4, rng);
+    UpDownOracle oracle(plan.finalTopology());
     ASSERT_TRUE(oracle.routable());
     UniformTraffic traffic;
-    auto r = Simulator(grown.topology, oracle, traffic,
+    auto r = Simulator(plan.finalTopology(), oracle, traffic,
                        quickConfig(0.4)).run();
     EXPECT_NEAR(r.accepted, 0.4, 0.04);
 }

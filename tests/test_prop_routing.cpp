@@ -127,9 +127,9 @@ TEST(PropRouting, OracleConsistentAfterExpansion)
         [](const TopoParams &p) {
             FoldedClos fc = materializeTopo(p);
             Rng rng(deriveSeed(p.wiring_seed, 0x657870ULL, 1));
-            auto exp = strongExpand(fc, 1, rng);
+            ExpansionPlan plan(fc, 1, rng);
             return checkRoutingState(
-                exp.topology,
+                plan.finalTopology(),
                 deriveSeed(p.wiring_seed, 0x70616972ULL, 2));
         },
         kShrinkTopo, kDescribeTopo);

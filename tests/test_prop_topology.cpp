@@ -64,15 +64,15 @@ TEST(PropTopology, ExpansionPreservesStructuralInvariants)
             FoldedClos fc = materializeTopo(p);
             Rng rng(deriveSeed(p.wiring_seed, 0x657870ULL, 0));
             int steps = 1 + static_cast<int>(p.wiring_seed % 2);
-            auto exp = strongExpand(fc, steps, rng);
-            CheckResult r = checkAllStructural(exp.topology);
+            ExpansionPlan plan(fc, steps, rng);
+            const FoldedClos &grown = plan.finalTopology();
+            CheckResult r = checkAllStructural(grown);
             if (!r.ok)
                 return r;
-            if (exp.topology.numLeaves() != fc.numLeaves() + 2 * steps)
+            if (grown.numLeaves() != fc.numLeaves() + 2 * steps)
                 return CheckResult::fail(
                     "expansion added " +
-                    std::to_string(exp.topology.numLeaves() -
-                                   fc.numLeaves()) +
+                    std::to_string(grown.numLeaves() - fc.numLeaves()) +
                     " leaves for " + std::to_string(steps) + " steps");
             return CheckResult::pass();
         },
@@ -82,11 +82,10 @@ TEST(PropTopology, ExpansionPreservesStructuralInvariants)
 
 TEST(PropTopology, StagedPlanReplaysOfflineExpansionInPlace)
 {
-    // ExpansionPlan shares strongExpand's rewiring routine draw for
-    // draw: for every generated base and seed, replaying the staged
-    // rewires in place (preStaged -> applyAll, the live-drill path)
-    // must land sameTopology-equal to the offline one-shot result and
-    // keep radix regularity.
+    // For every generated base and seed, replaying the staged rewires
+    // in place (preStaged -> applyStage, the live-drill path) must land
+    // sameTopology-equal to the plan's own end state and keep radix
+    // regularity, and the stages must hold every counted rewire.
     PropConfig cfg;
     cfg.cases = 20;
     cfg.seed = 107;
@@ -96,24 +95,22 @@ TEST(PropTopology, StagedPlanReplaysOfflineExpansionInPlace)
         [](const TopoParams &p) {
             FoldedClos fc = materializeTopo(p);
             int steps = 1 + static_cast<int>(p.wiring_seed % 2);
-            Rng a(deriveSeed(p.wiring_seed, 0x706c61ULL, 0));
-            Rng b(deriveSeed(p.wiring_seed, 0x706c61ULL, 0));
-            auto off = strongExpand(fc, steps, a);
-            ExpansionPlan plan(fc, steps, b);
-            CheckResult r =
-                sameTopology(plan.finalTopology(), off.topology);
-            if (!r.ok)
-                return r;
+            Rng rng(deriveSeed(p.wiring_seed, 0x706c61ULL, 0));
+            ExpansionPlan plan(fc, steps, rng);
             FoldedClos live = plan.preStaged();
-            plan.applyAll(live);
-            r = sameTopology(live, off.topology);
+            for (const ExpansionStage &st : plan.stages())
+                plan.applyStage(live, st);
+            CheckResult r = sameTopology(live, plan.finalTopology());
             if (!r.ok)
                 return CheckResult::fail("staged replay diverged: " +
                                          r.message);
             if (!live.isRadixRegular())
                 return CheckResult::fail(
                     "staged replay broke radix regularity");
-            if (plan.rewired() != off.rewired)
+            long long ops = 0;
+            for (const ExpansionStage &st : plan.stages())
+                ops += static_cast<long long>(st.ops.size());
+            if (plan.rewired() != ops)
                 return CheckResult::fail("rewire count diverged");
             return CheckResult::pass();
         },

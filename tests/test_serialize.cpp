@@ -65,8 +65,8 @@ TEST(Serialize, RoundTripExpandedRfc)
     // round-trip invariant rather than a field-by-field list).
     Rng rng(6);
     auto fc = buildRfcUnchecked(8, 3, 16, rng);
-    auto exp = strongExpand(fc, 2, rng);
-    auto r = checkRoundTrip(exp.topology);
+    ExpansionPlan plan(fc, 2, rng);
+    auto r = checkRoundTrip(plan.finalTopology());
     EXPECT_TRUE(r.ok) << r.message;
 }
 

@@ -365,7 +365,6 @@ rfcExpandTimeline(std::uint64_t seed)
     UniformTraffic traffic;
     SimConfig cfg = goldenConfig(0.6, seed);
     cfg.route_ttl = 64;
-    cfg.active_terminals = plan.baseTerminals();
     return Simulator(u, traffic, cfg, plan.liveTimeline(300, 200, 32)).run();
 }
 

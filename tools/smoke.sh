@@ -38,6 +38,9 @@ rejects --full ./bench/fig06_scalability --full
 rejects --full ./bench/tab_section5_cost --full
 rejects --full ./bench/fig_perf_1M --smoke --full
 rejects --full ./bench/fig08_perf_11k --smoke --full
+# --csv and --json are two output formats, not one.
+rejects --json ./bench/fig06_scalability --csv --json
+rejects --json ./examples/simulate --topo cft --radix 4 --levels 2 --csv --json
 # --repair-at -1 is the one way to say "no repair".
 rejects --no-repair ./bench/ext_fault_recovery --smoke --no-repair
 # --load is one point and --points shapes a sweep: not both.
@@ -123,6 +126,9 @@ if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/nu
 ./bench/ext_expansion_drill --smoke > /dev/null
 if ./bench/ext_expansion_drill --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
 if ./bench/ext_expansion_drill --smoke --change-at 999999 > /dev/null 2>&1; then exit 1; fi
+# The RRN row adds switches of degree R/2, so an odd R/2 never stays
+# regular: it must stop the drill before it runs.
+rejects --radix ./bench/ext_expansion_drill --smoke --radix 6
 ./bench/fig_perf_1M --smoke --json > perf1m.json
 # --json prints exactly one document on stdout.
 python3 -m json.tool perf1m.json > /dev/null
@@ -162,6 +168,7 @@ if ./examples/topology_explorer --radix 8 --load 0.5 > /dev/null 2>&1; then exit
 if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then exit 1; fi
 ./examples/visualize > /dev/null
 ./examples/expansion_planner > /dev/null
+./examples/expansion_planner --verify > /dev/null
 # An odd radix, a radix of 2 and a terminal count below 1 (which
 # printed "-nan% wires") must be rejected.  At R = 2 the CFT level
 # search used to loop forever: a timeout (status 124) fails the check
