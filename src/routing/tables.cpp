@@ -57,7 +57,7 @@ forEachTableRow(const FoldedClos &fc, const UpDownOracle &oracle,
     // minimal ascent from this switch is k up hops (k >= 1).
     std::vector<std::uint64_t> need(static_cast<std::size_t>(levels) * lw);
     std::vector<int> alive_up;
-    std::vector<const std::uint64_t *> parent_reach;  // alive_up x (l-1)
+    std::vector<const std::uint64_t *> parent_reach;  // alive_up x ceiling
     std::vector<std::uint64_t> masks;  // leaves x words port masks
 
     for (int sw = 0; sw < fc.numSwitches(); ++sw) {
@@ -85,7 +85,7 @@ forEachTableRow(const FoldedClos &fc, const UpDownOracle &oracle,
             if (faults && faults->downDead(sw, i))
                 continue;
             const int port = n_up + static_cast<int>(i);
-            const auto &below = oracle.below(down[i]).words();
+            const std::uint64_t *below = oracle.reachWords(down[i], 0);
             for (std::size_t w = 0; w < lw; ++w)
                 if (below[w])
                     mark(w, below[w], port >> 6,
@@ -95,10 +95,12 @@ forEachTableRow(const FoldedClos &fc, const UpDownOracle &oracle,
         // need >= 1: every alive parent that reaches the leaf with one
         // up hop fewer.  A run of parents with equal bits in a word (all
         // of a fat-tree switch's parents) shares one pass over them.
+        // Budgets stop at the switch's ceiling: past it no leaf is new.
         if (n_up > 0) {
-            for (int k = 1; k < levels; ++k) {
-                const auto &hi = oracle.reach(sw, k).words();
-                const auto &lo = oracle.reach(sw, k - 1).words();
+            const int ceiling = levels - fc.levelOf(sw);
+            for (int k = 1; k <= ceiling; ++k) {
+                const std::uint64_t *hi = oracle.reachWords(sw, k);
+                const std::uint64_t *lo = oracle.reachWords(sw, k - 1);
                 for (std::size_t w = 0; w < lw; ++w)
                     need[static_cast<std::size_t>(k) * lw + w] =
                         hi[w] & ~lo[w];
@@ -109,13 +111,11 @@ forEachTableRow(const FoldedClos &fc, const UpDownOracle &oracle,
                 if (faults && faults->upDead(sw, static_cast<std::size_t>(i)))
                     continue;
                 alive_up.push_back(i);
-                for (int k = 1; k < levels; ++k)
-                    parent_reach.push_back(
-                        oracle.reach(up[static_cast<std::size_t>(i)], k - 1)
-                            .words()
-                            .data());
+                for (int k = 1; k <= ceiling; ++k)
+                    parent_reach.push_back(oracle.reachWords(
+                        up[static_cast<std::size_t>(i)], k - 1));
             }
-            const auto nk = static_cast<std::size_t>(levels - 1);
+            const auto nk = static_cast<std::size_t>(ceiling);
             for (std::size_t w = 0; w < lw; ++w) {
                 std::uint64_t run_bits = 0, run_ports = 0;
                 int run_word = 0;

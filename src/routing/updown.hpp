@@ -7,8 +7,23 @@
  * free without virtual channels because the channel dependency graph is
  * acyclic.  In a fat-tree the ancestor structure is implicit in the
  * wiring; in a *random* folded Clos it must be discovered.  The oracle
- * stores, per switch s and ascent budget j, the bitset reach_j[s] of
+ * stores, per switch s and ascent budget j, the set reach_j[s] of
  * leaves reachable by at most j up hops followed by down hops only.
+ *
+ * Layout: one contiguous array of 64-bit words, level-major.  A switch
+ * at level L (1-based) of an l-level network can climb at most l - L
+ * hops (its ceiling), so every budget above that repeats the ceiling's
+ * set; it stores only budgets 0..l-L.  Level L holds
+ * switchesAtLevel(L) x (l - L + 1) rows of ceil(N1 / 64) words, budget
+ * by budget, each budget's rows in switch order, so row (s, j) starts
+ * at the level's base + j x the level's stride (one budget's rows) +
+ * (s - first switch) x the row width.  (The packet engine measured
+ * slower with each switch's budgets side by side; DESIGN.md section 4
+ * item 2.)  The tables hold
+ *     8 x ceil(N1 / 64) x sum_L switchesAtLevel(L) x (l - L + 1)
+ * bytes (memoryBytes), and reach(s, j) for j above s's ceiling returns
+ * the ceiling row.
+ *
  * This yields:
  *
  *  - exact minimal up/down ECMP next-hop choices in O(degree) per hop,
@@ -70,14 +85,31 @@ class UpDownOracle
     /** The bound link-state overlay (null = all links alive). */
     const LinkFaultState *faultOverlay() const { return faults_; }
 
-    /** Leaves reachable from @p s going only down. */
-    const DynBitset &below(int s) const { return reach_[0][s]; }
+    /** Leaves reachable from @p s going only down (a copy). */
+    DynBitset below(int s) const { return reach(s, 0); }
 
-    /** Leaves reachable from @p s with at most @p ups up hops. */
-    const DynBitset &
+    /**
+     * Leaves reachable from @p s with at most @p ups up hops (a copy);
+     * a budget above s's ceiling gives the ceiling's set.
+     */
+    DynBitset
     reach(int s, int ups) const
     {
-        return reach_[ups][s];
+        return DynBitset(static_cast<std::size_t>(num_leaves_),
+                         reachWords(s, ups));
+    }
+
+    /**
+     * The ceil(numLeaves / 64) words of reach(s, ups) in place: bit
+     * d % 64 of word d / 64 is leaf d.  The same ceiling rule applies.
+     */
+    const std::uint64_t *
+    reachWords(int s, int ups) const
+    {
+        const int lv = levelIndex(s);
+        return rows(s, lv) +
+               static_cast<std::size_t>(std::min(ups, levels_ - 1 - lv)) *
+                   level_[static_cast<std::size_t>(lv)].stride;
     }
 
     /**
@@ -136,7 +168,9 @@ class UpDownOracle
      * of downChoices (need 0), upChoices or, with @p feasible,
      * feasibleUpChoices to @p mask[0, maskWords()): bit i % 64 of word
      * i / 64 is port index i.  An unreachable leaf leaves it empty.
-     * Tests one reach word per level and per alive port.
+     * Finds the switch's level once, then tests one word of each of
+     * its rows up to minUps and one word of each alive neighbour's row
+     * at the budget the port needs.
      */
     int nextHops(const FoldedClos &fc, int s, int dest_leaf, bool feasible,
                  std::uint64_t *mask) const;
@@ -179,23 +213,60 @@ class UpDownOracle
     int numLeaves() const { return num_leaves_; }
 
     /**
-     * Measured bytes held by the reachability tables: levels x switches
-     * bitsets of numLeaves bits each, plus the bitset headers.
+     * Bytes of the reach array: 8 x ceil(N1 / 64) x sum over levels L
+     * of switchesAtLevel(L) x (levels - L + 1), one row per switch and
+     * stored budget (0 before a build).
      */
     std::int64_t
     memoryBytes() const
     {
-        if (reach_.empty() || reach_[0].empty())
-            return 0;
-        const std::int64_t words =
-            (static_cast<std::int64_t>(num_leaves_) + 63) / 64;
-        const std::int64_t per =
-            words * 8 + static_cast<std::int64_t>(sizeof(DynBitset));
-        return static_cast<std::int64_t>(reach_.size()) *
-               static_cast<std::int64_t>(reach_[0].size()) * per;
+        return static_cast<std::int64_t>(words_.size()) *
+               static_cast<std::int64_t>(sizeof(std::uint64_t));
     }
 
   private:
+    /** Where one level's rows sit in words_. */
+    struct Level
+    {
+        int first = 0;           //!< id of the level's first switch
+        std::size_t base = 0;    //!< word offset of its first row
+        std::size_t stride = 0;  //!< words per budget: switches x row width
+        bool operator==(const Level &) const = default;
+    };
+
+    /** 0-based level of switch @p s (levels are few: a short scan). */
+    int
+    levelIndex(int s) const
+    {
+        int lv = levels_ - 1;
+        while (s < level_[static_cast<std::size_t>(lv)].first)
+            --lv;
+        return lv;
+    }
+
+    /** Budget-0 row of switch @p s at 0-based level @p lv; budget j is
+     *  j x the level's stride on, up to the ceiling levels_ - 1 - lv. */
+    const std::uint64_t *
+    rows(int s, int lv) const
+    {
+        const Level &l = level_[static_cast<std::size_t>(lv)];
+        return words_.data() + l.base +
+               static_cast<std::size_t>(s - l.first) * row_words_;
+    }
+
+    std::uint64_t *
+    rows(int s, int lv)
+    {
+        return const_cast<std::uint64_t *>(
+            static_cast<const UpDownOracle *>(this)->rows(s, lv));
+    }
+
+    static bool
+    hasLeaf(const std::uint64_t *row, int leaf)
+    {
+        return (row[static_cast<std::size_t>(leaf) >> 6] >> (leaf & 63)) & 1;
+    }
+
     bool upAlive(int s, std::size_t i) const
     {
         return !faults_ || !faults_->upDead(s, i);
@@ -209,8 +280,10 @@ class UpDownOracle
     int levels_ = 0;
     int num_leaves_ = 0;
     int mask_words_ = 1;
-    // reach_[j][s]: leaves reachable from s with <= j up hops.
-    std::vector<std::vector<DynBitset>> reach_;
+    std::size_t row_words_ = 0;  // ceil(num_leaves_ / 64)
+    std::vector<Level> level_;   // by 0-based level
+    // The rows of reach_j[s] for j <= s's ceiling, laid out as level_.
+    std::vector<std::uint64_t> words_;
     const LinkFaultState *faults_ = nullptr;
 };
 
@@ -220,25 +293,45 @@ UpDownOracle::nextHops(const FoldedClos &fc, int s, int dest_leaf,
                        bool feasible, std::uint64_t *mask) const
 {
     std::fill_n(mask, mask_words_, std::uint64_t{0});
-    const auto d = static_cast<std::size_t>(dest_leaf);
+    const int lv = levelIndex(s);
+    const int ceiling = levels_ - 1 - lv;
+    const std::size_t own_stride = level_[static_cast<std::size_t>(lv)].stride;
+    const std::uint64_t *own = rows(s, lv);
     int need = 0;
-    while (!reach_[need][s].test(d))
-        if (++need == levels_)
+    while (!hasLeaf(own + static_cast<std::size_t>(need) * own_stride,
+                    dest_leaf))
+        if (++need > ceiling)
             return -1;
 
     if (need == 0) {
+        // Children sit one level down; their budget-0 rows.
         const auto down = fc.down(s);
+        if (down.empty())
+            return need;
+        const Level &c = level_[static_cast<std::size_t>(lv - 1)];
+        const std::uint64_t *c_rows = words_.data() + c.base;
         for (std::size_t i = 0; i < down.size(); ++i)
-            if (downAlive(s, i) && reach_[0][down[i]].test(d))
+            if (downAlive(s, i) &&
+                hasLeaf(c_rows + static_cast<std::size_t>(down[i] - c.first) *
+                                     row_words_,
+                        dest_leaf))
                 mask[i / 64] |= std::uint64_t{1} << (i % 64);
         return need;
     }
     // Minimal parents reach dest in need - 1 more ups; feasible ones
-    // in whatever budget remains above them (see feasibleUpChoices).
+    // in whatever budget remains above them, their own ceiling (see
+    // feasibleUpChoices).
     const auto up = fc.up(s);
-    const int budget = feasible ? levels_ - fc.levelOf(s) - 1 : need - 1;
+    const Level &p = level_[static_cast<std::size_t>(lv + 1)];
+    const std::uint64_t *p_rows =
+        words_.data() + p.base +
+        static_cast<std::size_t>(feasible ? ceiling - 1 : need - 1) *
+            p.stride;
     for (std::size_t i = 0; i < up.size(); ++i)
-        if (upAlive(s, i) && reach_[budget][up[i]].test(d))
+        if (upAlive(s, i) &&
+            hasLeaf(p_rows + static_cast<std::size_t>(up[i] - p.first) *
+                                 row_words_,
+                    dest_leaf))
             mask[i / 64] |= std::uint64_t{1} << (i % 64);
     return need;
 }

@@ -2,8 +2,9 @@
  * @file
  * Compact dynamic bitset used by the up/down reachability oracle.
  *
- * The routing oracle stores one bitset over leaf switches per switch and
- * per ascent budget, so this type is optimized for bulk OR and popcount.
+ * The routing oracle hands out its per-switch leaf sets as these (its
+ * own storage is one flat word array), so this type is optimized for
+ * bulk OR and popcount.
  */
 #ifndef RFC_UTIL_BITSET_HPP
 #define RFC_UTIL_BITSET_HPP
@@ -23,6 +24,15 @@ class DynBitset
     /** Construct with @p n bits, all clear. */
     explicit DynBitset(std::size_t n)
         : size_(n), words_((n + 63) / 64, 0)
+    {}
+
+    /**
+     * Construct with @p n bits copied from @p words[0, ceil(n / 64)),
+     * bit i at words[i / 64] bit i % 64; bits at and past @p n must be
+     * clear.
+     */
+    DynBitset(std::size_t n, const std::uint64_t *words)
+        : size_(n), words_(words, words + (n + 63) / 64)
     {}
 
     std::size_t size() const { return size_; }

@@ -10,6 +10,7 @@
 #include "clos/fat_tree.hpp"
 #include "clos/faults.hpp"
 #include "clos/oft.hpp"
+#include "clos/expansion.hpp"
 #include "clos/rfc.hpp"
 #include "graph/algorithms.hpp"
 #include "routing/updown.hpp"
@@ -453,6 +454,352 @@ TEST(UpDownOracle, NextHopsMatchListMethodsExhaustively)
     }
     EXPECT_GT(unreachable, 0);  // the need == -1 case ran
     EXPECT_EQ(widths, (std::set<int>{1, 2, 3}));
+}
+
+// ======================================================================
+// The flat reach array against the per-budget bitsets it replaced
+// ======================================================================
+
+/**
+ * The oracle's storage before the flat reach array: one DynBitset per
+ * (budget, switch) for every budget below levels, built with the same
+ * OR recurrences, and every query as it read those bitsets.
+ */
+class LegacyOracle
+{
+  public:
+    LegacyOracle(const FoldedClos &fc, const LinkFaultState *faults)
+        : levels_(fc.levels()), faults_(faults)
+    {
+        const int s_count = fc.numSwitches();
+        const int leaves = fc.numLeaves();
+        std::size_t widest = 1;
+        for (int s = 0; s < s_count; ++s)
+            widest = std::max({widest, fc.up(s).size(), fc.down(s).size()});
+        mask_words_ = static_cast<int>((widest + 63) / 64);
+        reach_.assign(levels_,
+                      std::vector<DynBitset>(
+                          s_count,
+                          DynBitset(static_cast<std::size_t>(leaves))));
+        for (int leaf = 0; leaf < leaves; ++leaf)
+            reach_[0][leaf].set(static_cast<std::size_t>(leaf));
+        for (int lv = 2; lv <= levels_; ++lv) {
+            const int lo = fc.levelOffset(lv);
+            const int hi = lo + fc.switchesAtLevel(lv);
+            for (int s = lo; s < hi; ++s) {
+                const auto &down = fc.down(s);
+                for (std::size_t i = 0; i < down.size(); ++i)
+                    if (downAlive(s, i))
+                        reach_[0][s] |= reach_[0][down[i]];
+            }
+        }
+        for (int j = 1; j < levels_; ++j) {
+            for (int s = 0; s < s_count; ++s) {
+                reach_[j][s] = reach_[j - 1][s];
+                const auto &up = fc.up(s);
+                for (std::size_t i = 0; i < up.size(); ++i)
+                    if (upAlive(s, i))
+                        reach_[j][s] |= reach_[j - 1][up[i]];
+            }
+        }
+    }
+
+    const DynBitset &reach(int s, int j) const { return reach_[j][s]; }
+    int maskWords() const { return mask_words_; }
+
+    int
+    minUps(int s, int d) const
+    {
+        for (int j = 0; j < levels_; ++j)
+            if (reach_[j][s].test(static_cast<std::size_t>(d)))
+                return j;
+        return -1;
+    }
+
+    int
+    leafDistance(int a, int b) const
+    {
+        if (a == b)
+            return 0;
+        const int j = minUps(a, b);
+        return j < 0 ? -1 : 2 * j;
+    }
+
+    double
+    averageLeafDistance() const
+    {
+        double total = 0.0;
+        long long pairs = 0;
+        for (std::size_t leaf = 0; leaf < reach_[0][0].size(); ++leaf) {
+            std::size_t prev = 1;
+            for (int j = 1; j < levels_; ++j) {
+                const std::size_t cur = reach_[j][leaf].count();
+                total += 2.0 * j * static_cast<double>(cur - prev);
+                pairs += static_cast<long long>(cur - prev);
+                prev = cur;
+            }
+        }
+        return pairs ? total / static_cast<double>(pairs) : 0.0;
+    }
+
+    bool
+    routable() const
+    {
+        for (std::size_t leaf = 0; leaf < reach_[0][0].size(); ++leaf)
+            if (!reach_[levels_ - 1][leaf].all())
+                return false;
+        return true;
+    }
+
+    double
+    routablePairFraction() const
+    {
+        const auto n = static_cast<long long>(reach_[0][0].size());
+        if (n < 2)
+            return 1.0;
+        long long good = 0;
+        for (long long leaf = 0; leaf < n; ++leaf)
+            good += static_cast<long long>(
+                reach_[levels_ - 1][static_cast<std::size_t>(leaf)].count());
+        good -= n;
+        return static_cast<double>(good) / static_cast<double>(n * (n - 1));
+    }
+
+    void
+    downChoices(const FoldedClos &fc, int s, int d,
+                std::vector<int> &out) const
+    {
+        out.clear();
+        const auto &down = fc.down(s);
+        for (std::size_t i = 0; i < down.size(); ++i)
+            if (downAlive(s, i) &&
+                reach_[0][down[i]].test(static_cast<std::size_t>(d)))
+                out.push_back(static_cast<int>(i));
+    }
+
+    void
+    upChoices(const FoldedClos &fc, int s, int d,
+              std::vector<int> &out) const
+    {
+        out.clear();
+        const int need = minUps(s, d);
+        if (need >= 1)
+            upChoicesAt(fc, s, d, need - 1, out);
+    }
+
+    void
+    feasibleUpChoices(const FoldedClos &fc, int s, int d,
+                      std::vector<int> &out) const
+    {
+        out.clear();
+        if (!fc.up(s).empty())
+            upChoicesAt(fc, s, d, levels_ - fc.levelOf(s) - 1, out);
+    }
+
+    int
+    nextHops(const FoldedClos &fc, int s, int d, bool feasible,
+             std::uint64_t *mask) const
+    {
+        std::fill_n(mask, mask_words_, std::uint64_t{0});
+        const auto dd = static_cast<std::size_t>(d);
+        int need = 0;
+        while (!reach_[need][s].test(dd))
+            if (++need == levels_)
+                return -1;
+        if (need == 0) {
+            const auto down = fc.down(s);
+            for (std::size_t i = 0; i < down.size(); ++i)
+                if (downAlive(s, i) && reach_[0][down[i]].test(dd))
+                    mask[i / 64] |= std::uint64_t{1} << (i % 64);
+            return need;
+        }
+        const auto up = fc.up(s);
+        const int budget =
+            feasible ? levels_ - fc.levelOf(s) - 1 : need - 1;
+        for (std::size_t i = 0; i < up.size(); ++i)
+            if (upAlive(s, i) && reach_[budget][up[i]].test(dd))
+                mask[i / 64] |= std::uint64_t{1} << (i % 64);
+        return need;
+    }
+
+  private:
+    bool upAlive(int s, std::size_t i) const
+    {
+        return !faults_ || !faults_->upDead(s, i);
+    }
+
+    bool downAlive(int s, std::size_t i) const
+    {
+        return !faults_ || !faults_->downDead(s, i);
+    }
+
+    void
+    upChoicesAt(const FoldedClos &fc, int s, int d, int budget,
+                std::vector<int> &out) const
+    {
+        const auto &up = fc.up(s);
+        for (std::size_t i = 0; i < up.size(); ++i)
+            if (upAlive(s, i) &&
+                reach_[budget][up[i]].test(static_cast<std::size_t>(d)))
+                out.push_back(static_cast<int>(i));
+    }
+
+    int levels_;
+    int mask_words_ = 1;
+    std::vector<std::vector<DynBitset>> reach_;
+    const LinkFaultState *faults_;
+};
+
+/**
+ * Every answer of @p oracle (built on @p fc) bit-equal to the legacy
+ * replica's for every switch and leaf, and its tables equal to a fresh
+ * build's.  Counts the unreachable (switch, leaf) pairs into
+ * @p unreachable.
+ */
+void
+expectMatchesLegacy(const FoldedClos &fc, const UpDownOracle &oracle,
+                    long long &unreachable)
+{
+    const LegacyOracle legacy(fc, oracle.faultOverlay());
+    const int leaves = fc.numLeaves();
+    ASSERT_EQ(oracle.maskWords(), legacy.maskWords());
+    const auto words = static_cast<std::size_t>(oracle.maskWords());
+    std::vector<std::uint64_t> mask(words), want(words);
+    std::vector<int> got_list, want_list;
+    for (int s = 0; s < fc.numSwitches(); ++s) {
+        for (int j = 0; j < fc.levels(); ++j)
+            ASSERT_TRUE(oracle.reach(s, j) == legacy.reach(s, j))
+                << "switch " << s << " budget " << j;
+        ASSERT_TRUE(oracle.below(s) == legacy.reach(s, 0)) << s;
+        for (int d = 0; d < leaves; ++d) {
+            const int need = legacy.minUps(s, d);
+            ASSERT_EQ(oracle.minUps(s, d), need) << s << " " << d;
+            unreachable += need < 0;
+            for (bool feasible : {false, true}) {
+                EXPECT_EQ(oracle.nextHops(fc, s, d, feasible, mask.data()),
+                          legacy.nextHops(fc, s, d, feasible, want.data()));
+                EXPECT_EQ(mask, want) << "switch " << s << " leaf " << d
+                                      << " feasible " << feasible;
+            }
+            oracle.downChoices(fc, s, d, got_list);
+            legacy.downChoices(fc, s, d, want_list);
+            EXPECT_EQ(got_list, want_list) << s << " " << d;
+            oracle.upChoices(fc, s, d, got_list);
+            legacy.upChoices(fc, s, d, want_list);
+            EXPECT_EQ(got_list, want_list) << s << " " << d;
+            oracle.feasibleUpChoices(fc, s, d, got_list);
+            legacy.feasibleUpChoices(fc, s, d, want_list);
+            EXPECT_EQ(got_list, want_list) << s << " " << d;
+        }
+    }
+    for (int a = 0; a < leaves; ++a)
+        for (int b = 0; b < leaves; ++b)
+            ASSERT_EQ(oracle.leafDistance(a, b), legacy.leafDistance(a, b));
+    EXPECT_EQ(oracle.routable(), legacy.routable());
+    EXPECT_EQ(oracle.routablePairFraction(), legacy.routablePairFraction());
+    EXPECT_EQ(oracle.averageLeafDistance(), legacy.averageLeafDistance());
+
+    UpDownOracle fresh;
+    fresh.build(fc, oracle.faultOverlay());
+    EXPECT_TRUE(oracle.sameTables(fresh));
+}
+
+/**
+ * The legacy comparison on @p fc pristine and under an overlay with
+ * dead links at every level pair (so dead up and dead down ports).
+ */
+void
+expectMatchesLegacyWithFaults(const FoldedClos &fc, long long &unreachable)
+{
+    UpDownOracle pristine(fc);
+    expectMatchesLegacy(fc, pristine, unreachable);
+
+    LinkFaultState overlay(fc);
+    killEvery(fc, overlay, 4);
+    ASSERT_GT(overlay.deadLinks(), 0u);
+    UpDownOracle faulty;
+    faulty.build(fc, &overlay);
+    expectMatchesLegacy(fc, faulty, unreachable);
+}
+
+TEST(UpDownLegacyEquivalence, FlatReachMatchesPerBudgetBitsets)
+{
+    Rng rng(73);
+    std::vector<FoldedClos> nets;
+    nets.push_back(buildCft(8, 3));
+    nets.push_back(buildCft(8, 4));
+    nets.push_back(buildOft(2, 3));
+    nets.push_back(buildRfcUnchecked(8, 3, rfcMaxLeaves(8, 3), rng));
+    nets.push_back(buildRfcUnchecked(12, 3, rfcMaxLeaves(12, 3), rng));
+    long long unreachable = 0;
+    for (const auto &fc : nets) {
+        SCOPED_TRACE(fc.name());
+        expectMatchesLegacyWithFaults(fc, unreachable);
+    }
+    EXPECT_GT(unreachable, 0);  // the need == -1 case ran
+}
+
+TEST(UpDownLegacyEquivalence, RebuildAfterExpansionStageMatches)
+{
+    // One oracle object rebuilt as an expansion stage grows the switch
+    // count: every level's base and stride move.
+    Rng build_rng(79);
+    const auto base = buildRfcUnchecked(8, 3, 40, build_rng);
+    Rng rng(83);
+    ExpansionPlan plan(base, 2, rng);
+    UpDownOracle oracle(base);
+    FoldedClos live = plan.preStaged();
+    ASSERT_GT(live.numSwitches(), base.numSwitches());
+    plan.applyStage(live, plan.stages().front());
+    oracle.build(live);
+    long long unreachable = 0;
+    expectMatchesLegacy(live, oracle, unreachable);
+
+    LinkFaultState overlay(live);
+    killEvery(live, overlay, 4);
+    oracle.build(live, &overlay);
+    expectMatchesLegacy(live, oracle, unreachable);
+    EXPECT_GT(unreachable, 0);  // the staged network's new leaves
+}
+
+// ======================================================================
+// Oracle bytes: one row per switch and stored budget
+// ======================================================================
+
+/** 8 x ceil(N1 / 64) x sum_L switchesAtLevel(L) x (levels - L + 1). */
+std::int64_t
+plannedOracleBytes(const FoldedClos &fc)
+{
+    std::int64_t rows = 0;
+    for (int lv = 1; lv <= fc.levels(); ++lv)
+        rows += static_cast<std::int64_t>(fc.switchesAtLevel(lv)) *
+                (fc.levels() - lv + 1);
+    return 8 * ((fc.numLeaves() + 63) / 64) * rows;
+}
+
+TEST(UpDownOracle, MemoryBytesIsTheClosedForm)
+{
+    EXPECT_EQ(UpDownOracle().memoryBytes(), 0);
+    Rng rng(89);
+    std::vector<FoldedClos> nets;
+    for (int i = 0; i < 6; ++i) {
+        const int radix = 2 * static_cast<int>(rng.uniformInRange(2, 6));
+        const int levels = static_cast<int>(rng.uniformInRange(2, 4));
+        nets.push_back(buildCft(radix, levels));
+        int n1 = 2 * static_cast<int>(rng.uniformInRange(
+                         radix / 2, std::max(radix, rfcMaxLeaves(radix, 3))));
+        nets.push_back(buildRfcUnchecked(radix, 3, n1, rng));
+    }
+    nets.push_back(buildOft(2, 2));
+    nets.push_back(buildOft(3, 3));
+    bool multi_word = false;
+    for (const auto &fc : nets) {
+        SCOPED_TRACE(fc.name());
+        UpDownOracle oracle(fc);
+        EXPECT_EQ(oracle.memoryBytes(), plannedOracleBytes(fc));
+        multi_word |= fc.numLeaves() > 64;
+    }
+    EXPECT_TRUE(multi_word);
 }
 
 } // namespace
