@@ -26,13 +26,21 @@ FlowProblem::addLink(double capacity)
 }
 
 std::size_t
-FlowProblem::addDemand(double weight)
+FlowProblem::addDemand(double weight, std::int32_t src_link,
+                       std::int32_t dst_link)
 {
     if (!(weight > 0.0) || !std::isfinite(weight))
         throw std::invalid_argument(
             "FlowProblem: demand weight must be finite and > 0, got " +
             std::to_string(weight));
+    for (std::int32_t l : {src_link, dst_link})
+        if (l < -1 || l >= numLinks())
+            throw std::out_of_range(
+                "FlowProblem: bad end link id " + std::to_string(l) +
+                " for a demand (" + std::to_string(numLinks()) + " links)");
     weight_.push_back(weight);
+    src_link_.push_back(src_link);
+    dst_link_.push_back(dst_link);
     first_path_.push_back(static_cast<std::int32_t>(numPathsTotal()));
     return weight_.size() - 1;
 }
@@ -48,16 +56,17 @@ FlowProblem::addPath(const std::int32_t *links, std::size_t n)
 {
     if (weight_.empty())
         throw std::logic_error("FlowProblem: addPath before addDemand");
-    if (n == 0)
-        throw std::invalid_argument("FlowProblem: empty path");
+    if (n == 0 && src_link_.back() < 0 && dst_link_.back() < 0)
+        throw std::invalid_argument(
+            "FlowProblem: empty path for a demand without an end link");
     for (std::size_t k = 0; k < n; ++k)
         if (links[k] < 0 || links[k] >= numLinks())
             throw std::out_of_range("FlowProblem: bad link id in path");
     constexpr auto kMax =
         static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
-    if (n > kMax - path_links_.size())
+    if (n > kMax - path_links_.size() || numPathsTotal() >= kMax)
         throw std::length_error(
-            "FlowProblem: more than INT32_MAX link entries in paths");
+            "FlowProblem: more than INT32_MAX paths or path link entries");
     path_links_.insert(path_links_.end(), links, links + n);
     path_off_.push_back(static_cast<std::int32_t>(path_links_.size()));
 }
@@ -79,9 +88,9 @@ rangeBegin(std::size_t nd, std::size_t rg)
 }
 
 /**
- * One demand range's candidate paths as link rows: per path, the
- * injection slot, the switch links, the ejection slot (the merge fills
- * both slots in demand order).
+ * One demand range's candidate paths as rows of switch links (the
+ * merge adds each demand's injection and ejection links as its ends,
+ * in demand order).
  */
 struct RangePaths
 {
@@ -178,9 +187,9 @@ buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
         prob.addLink(1.0);
 
     // Enumerate candidate paths over fixed demand ranges in waves
-    // (parallel within a wave) into link rows, then append each range
-    // in demand order with lazily registered terminal links (serial,
-    // hence deterministic).
+    // (parallel within a wave) into switch-link rows, then append each
+    // range in demand order, registering terminal links at their first
+    // demand (serial, hence deterministic).
     const std::size_t nd = dm.demands.size();
     std::unordered_map<long long, std::int32_t> inj, ej;
     parallelWaves<RangePaths>(
@@ -201,32 +210,28 @@ buildClosFlowProblem(const FoldedClos &fc, const UpDownEcmpPaths &paths,
                 for (std::size_t k = 0; k < ps.size(); ++k) {
                     const int *sw = ps.switches(k);
                     const int *port = ps.ports(k);
-                    part.links.push_back(-1);
                     for (int h = 0; h < ps.hops(); ++h)
                         part.links.push_back(
                             static_cast<std::int32_t>(off[sw[h]] + port[h]));
-                    part.links.push_back(-1);
                 }
             }
         },
         [&](std::size_t rg, RangePaths &part) {
             const std::size_t lo = rangeBegin(nd, rg);
             const std::size_t hi = rangeBegin(nd, rg + 1);
-            std::int32_t *row = part.links.data();
+            const std::int32_t *row = part.links.data();
             for (std::size_t i = lo; i < hi; ++i) {
                 const Demand &d = dm.demands[i];
-                prob.addDemand(d.weight);
                 auto [ii, inew] = inj.try_emplace(d.src, 0);
                 if (inew)
                     ii->second = prob.addLink(1.0);
                 auto [ei, enew] = ej.try_emplace(d.dst, 0);
                 if (enew)
                     ei->second = prob.addLink(1.0);
-                const std::size_t len =
-                    static_cast<std::size_t>(part.demand_hops[i - lo]) + 2;
+                prob.addDemand(d.weight, ii->second, ei->second);
+                const auto len =
+                    static_cast<std::size_t>(part.demand_hops[i - lo]);
                 for (std::int32_t k = 0; k < part.demand_paths[i - lo]; ++k) {
-                    row[0] = ii->second;
-                    row[len - 1] = ei->second;
                     prob.addPath(row, len);
                     row += len;
                 }
@@ -272,7 +277,7 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         w[l] = inv_cap[l];
     }
 
-    std::vector<double> raw_flow(p.numPathsTotal(), 0.0);
+    // sol.path_flow holds each path's raw phase flow until the end.
     std::vector<std::size_t> choice(active.size());
     std::vector<double> mincost(active.size());
 
@@ -284,11 +289,8 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         double best = std::numeric_limits<double>::infinity();
         std::size_t bestp = pb;
         for (std::size_t q = pb; q < pb + np; ++q) {
-            const std::int32_t *ls = p.pathLinks(q);
-            std::size_t len = p.pathLength(q);
             double c = 0.0;
-            for (std::size_t k = 0; k < len; ++k)
-                c += w[ls[k]];
+            p.forEachLink(d, q, [&](std::int32_t l) { c += w[l]; });
             if (c < best) {
                 best = c;
                 bestp = q;
@@ -324,17 +326,15 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
             // count depends on the test, so the hop loop has no branch.
             std::size_t nt = 0;
             for (std::size_t i = blo; i < bhi; ++i) {
-                double wt = p.weight(active[i]);
-                std::size_t q = choice[i];
-                raw_flow[q] += wt;
-                const std::int32_t *ls = p.pathLinks(q);
-                std::size_t len = p.pathLength(q);
-                for (std::size_t k = 0; k < len; ++k) {
-                    std::int32_t l = ls[k];
+                const std::size_t d = active[i];
+                const double wt = p.weight(d);
+                const std::size_t q = choice[i];
+                sol.path_flow[q] += wt;
+                p.forEachLink(d, q, [&](std::int32_t l) {
                     touched[nt] = l;
                     nt += delta[l] == 0.0;
                     delta[l] += wt;
-                }
+                });
             }
             for (std::size_t j = 0; j < nt; ++j) {
                 const std::int32_t l = touched[j];
@@ -383,8 +383,8 @@ solveMaxConcurrentFlow(const FlowProblem &p, const SolveOptions &opt)
         sol.utilization[l] = load[l] * inv_cap[l] * inv_cong;
     // Phase flow scaled by worst congestion: demand d's paths carry
     // t * w_d / congestion = lambda * w_d in total.
-    for (std::size_t q = 0; q < raw_flow.size(); ++q)
-        sol.path_flow[q] = raw_flow[q] * inv_cong;
+    for (double &f : sol.path_flow)
+        f *= inv_cong;
     return sol;
 }
 
@@ -412,16 +412,12 @@ ecmpLinkUtilization(const FlowProblem &p)
                 continue;
             double c = p.weight(d) / static_cast<double>(np);
             std::size_t pb = p.pathBegin(d);
-            for (std::size_t q = pb; q < pb + np; ++q) {
-                const std::int32_t *ls = p.pathLinks(q);
-                std::size_t len = p.pathLength(q);
-                for (std::size_t k = 0; k < len; ++k) {
-                    std::int32_t l = ls[k];
+            for (std::size_t q = pb; q < pb + np; ++q)
+                p.forEachLink(d, q, [&](std::int32_t l) {
                     if (acc[l] == 0.0)
                         touched.push_back(l);
                     acc[l] += c;
-                }
-            }
+                });
         }
         for (std::int32_t l : touched) {
             util[l] += acc[l];
@@ -454,12 +450,10 @@ ecmpFluid(const FlowProblem &p)
             continue;
         double m = 0.0;
         std::size_t pb = p.pathBegin(d);
-        for (std::size_t q = pb; q < pb + np; ++q) {
-            const std::int32_t *ls = p.pathLinks(q);
-            std::size_t len = p.pathLength(q);
-            for (std::size_t k = 0; k < len; ++k)
-                m = std::max(m, r.utilization[ls[k]]);
-        }
+        for (std::size_t q = pb; q < pb + np; ++q)
+            p.forEachLink(d, q, [&](std::int32_t l) {
+                m = std::max(m, r.utilization[l]);
+            });
         r.demand_throughput[d] = m > 0.0 ? 1.0 / m : 0.0;
     }
 

@@ -28,6 +28,16 @@
  * certificate: tests recompute link loads from them and verify both
  * capacity feasibility and per-demand delivery at lambda.
  *
+ * Path format: links a demand crosses on every candidate path - a
+ * Clos demand's injection and ejection links - are stored once, as the
+ * demand's two end links, and a path stores only the links between
+ * them (at Fig 10 scale the ends were a quarter to a third of all
+ * path entries).  `FlowProblem::forEachLink` visits a path's whole
+ * sequence, ends included, in order; the solver, the ECMP fluid and
+ * the queue sweep (queue/latency) read paths only through it, so they
+ * see the same links in the same order as when every path held its
+ * ends, and their sums are the same bits.
+ *
  * A one-pass ECMP fluid model (`ecmpFluid`) complements the optimal
  * split: every demand divides evenly over its candidate paths - what
  * per-hop random ECMP does in expectation - giving the per-demand
@@ -60,12 +70,18 @@ class ThreadPool;
 /**
  * A capacitated directed-link network with per-demand candidate paths.
  *
- * Links are abstract ids with a capacity; paths are link-id sequences.
- * Build directly for hand-crafted instances (tests), or via
- * `buildClosFlowProblem`, which translates a folded Clos + its ECMP
- * paths + a demand matrix into link ids: one directed unit-capacity
- * link per switch port plus one injection and one ejection link per
- * terminal that appears in the demand matrix.
+ * Links are abstract ids with a capacity.  A demand may carry two end
+ * links, a source end and a destination end, that every one of its
+ * candidate paths crosses; a path stores only the links between them.
+ * A path's link sequence is therefore its demand's source end (if
+ * any), the path's own links, then the destination end (if any), and
+ * `forEachLink` is the one way to read it.  Build directly for
+ * hand-crafted instances (tests; demands without ends, paths holding
+ * every link), or via `buildClosFlowProblem`, which translates a
+ * folded Clos + its ECMP paths + a demand matrix into link ids: one
+ * directed unit-capacity link per switch port plus one injection and
+ * one ejection link per terminal that appears in the demand matrix,
+ * which are its demands' ends.
  */
 class FlowProblem
 {
@@ -78,15 +94,22 @@ class FlowProblem
 
     /**
      * Add a demand with finite @p weight > 0 (else throws like
-     * addLink); paths are added afterwards.
+     * addLink) whose every path starts with link @p src_link and ends
+     * with link @p dst_link (-1 = no such end); paths are added
+     * afterwards.  Throws std::out_of_range for an end outside
+     * [0, numLinks()) other than -1.
      */
-    std::size_t addDemand(double weight);
+    std::size_t addDemand(double weight, std::int32_t src_link = -1,
+                          std::int32_t dst_link = -1);
 
     /**
-     * Add a candidate path (non-empty link-id sequence) to the most
-     * recently added demand.  Throws std::length_error once the
-     * problem would hold more than INT32_MAX link entries (path
-     * offsets are 32-bit).
+     * Add a candidate path to the most recently added demand: the
+     * link ids between its ends.  The list may be empty only when the
+     * demand has an end link (a path must cross at least one link);
+     * throws std::invalid_argument otherwise.  Throws
+     * std::length_error once the problem would hold more than
+     * INT32_MAX paths or stored link entries (path offsets are
+     * 32-bit).
      */
     void addPath(const std::vector<std::int32_t> &links);
 
@@ -103,6 +126,11 @@ class FlowProblem
     double capacity(std::int32_t l) const { return cap_[l]; }
     double weight(std::size_t d) const { return weight_[d]; }
 
+    /** Source end link of demand @p d (-1 = none). */
+    std::int32_t srcLink(std::size_t d) const { return src_link_[d]; }
+    /** Destination end link of demand @p d (-1 = none). */
+    std::int32_t dstLink(std::size_t d) const { return dst_link_[d]; }
+
     /** Global id of demand @p d's first path. */
     std::size_t
     pathBegin(std::size_t d) const
@@ -118,22 +146,32 @@ class FlowProblem
                pathBegin(d);
     }
 
-    /** Links of global path @p p. */
-    const std::int32_t *
-    pathLinks(std::size_t p) const
+    /**
+     * Links of demand @p d's global path @p q (pathBegin(d) <= q <
+     * pathBegin(d) + numPaths(d)), in order: f(link) for the source
+     * end, each link stored with the path, then the destination end.
+     */
+    template <class F>
+    void
+    forEachLink(std::size_t d, std::size_t q, F &&f) const
     {
-        return path_links_.data() + path_off_[p];
-    }
-    std::size_t
-    pathLength(std::size_t p) const
-    {
-        return static_cast<std::size_t>(path_off_[p + 1] - path_off_[p]);
+        if (src_link_[d] >= 0)
+            f(src_link_[d]);
+        const std::int32_t *ls = path_links_.data() + path_off_[q];
+        const std::int32_t *end = path_links_.data() + path_off_[q + 1];
+        for (; ls != end; ++ls)
+            f(*ls);
+        if (dst_link_[d] >= 0)
+            f(dst_link_[d]);
     }
 
   private:
     std::vector<double> cap_;
     std::vector<double> weight_;
-    // Every path holds a link, so 32 bits index both.
+    std::vector<std::int32_t> src_link_;     //!< per demand, -1 = none
+    std::vector<std::int32_t> dst_link_;     //!< per demand, -1 = none
+    // addPath keeps both the path count and the stored link entries
+    // within 32 bits.
     std::vector<std::int32_t> first_path_;   //!< per demand
     std::vector<std::int32_t> path_off_ = {0};  //!< per path, +sentinel
     std::vector<std::int32_t> path_links_;
@@ -143,13 +181,15 @@ class FlowProblem
  * Build the flow problem for a folded Clos: demands route over
  * @p paths between their endpoint leaves, every switch port becomes a
  * directed unit-capacity link, and each terminal appearing in @p dm
- * gets a unit injection/ejection link.  Demand order (and therefore
- * every solver output) follows dm.demands.  Path enumeration runs over
- * fixed demand ranges in waves on @p pool (util/threadpool
- * parallelWaves; nullptr = one range at a time), each wave appended
- * in demand order and freed, so the problem is the same bits at any
- * pool size.  Throws std::invalid_argument, naming the demand, when
- * an endpoint is not a terminal of @p fc.
+ * gets a unit injection/ejection link, registered at its first demand
+ * and set as the demand's source/destination end; paths hold only
+ * switch links (a same-leaf demand gets one path of none).  Demand
+ * order (and therefore every solver output) follows dm.demands.  Path
+ * enumeration runs over fixed demand ranges in waves on @p pool
+ * (util/threadpool parallelWaves; nullptr = one range at a time),
+ * each wave appended in demand order and freed, so the problem is the
+ * same bits at any pool size.  Throws std::invalid_argument, naming
+ * the demand, when an endpoint is not a terminal of @p fc.
  */
 FlowProblem buildClosFlowProblem(const FoldedClos &fc,
                                  const UpDownEcmpPaths &paths,

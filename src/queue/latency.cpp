@@ -162,10 +162,14 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
             problem.weight(d) / static_cast<double>(np);
         std::size_t pb = problem.pathBegin(d);
         for (std::size_t q = pb; q < pb + np; ++q) {
-            std::size_t len = problem.pathLength(q);
-            const std::int32_t *links = problem.pathLinks(q);
-            is_first[static_cast<std::size_t>(links[0])] = 1;
-            is_last[static_cast<std::size_t>(links[len - 1])] = 1;
+            std::size_t len = 0;
+            std::int32_t last = -1;
+            problem.forEachLink(d, q, [&](std::int32_t l) {
+                if (len++ == 0)
+                    is_first[static_cast<std::size_t>(l)] = 1;
+                last = l;
+            });
+            is_last[static_cast<std::size_t>(last)] = 1;
             floor_num +=
                 share * (static_cast<double>(len) * opt.link_latency +
                          service);
@@ -238,15 +242,15 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
                             problem.weight(d) / static_cast<double>(np);
                         std::size_t pb = problem.pathBegin(d);
                         for (std::size_t q = pb; q < pb + np; ++q) {
-                            std::size_t len = problem.pathLength(q);
-                            const std::int32_t *links = problem.pathLinks(q);
+                            std::size_t len = 0;
                             double wmean = 0.0, wvar = 0.0;
-                            for (std::size_t k = 0; k < len; ++k) {
-                                const QueueDelay &w = delay[
-                                    static_cast<std::size_t>(links[k])];
+                            problem.forEachLink(d, q, [&](std::int32_t l) {
+                                const QueueDelay &w =
+                                    delay[static_cast<std::size_t>(l)];
                                 wmean += w.mean;
                                 wvar += w.variance;
-                            }
+                                ++len;
+                            });
                             double shift =
                                 static_cast<double>(len) * opt.link_latency +
                                 service;

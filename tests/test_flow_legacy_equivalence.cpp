@@ -28,6 +28,16 @@
  *    that memoises exp by argument and fills the list without a
  *    branch (serial and on a thread pool).
  *
+ * The replicas build and read the path format that kept a demand's
+ * injection and ejection links inside every one of its paths; the
+ * problem now stores them once per demand as its end links.  The
+ * replicas read paths through FlowProblem::forEachLink like the code
+ * under test, the problem comparison is over whole link sequences,
+ * ends included, and `withoutEnds` re-expresses a problem in the old
+ * format so that the solver, the ECMP fluid and the queue sweep can
+ * be run on both encodings of one instance, built by
+ * buildClosFlowProblem or by hand.
+ *
  * Every comparison is exact (EXPECT_EQ on doubles and link ids), over
  * CFT, OFT and random RFC networks (one with link faults, so that
  * some demands are unroutable), path caps 1, 4, 8 and 64, and
@@ -59,6 +69,8 @@
 #include "flow/demand.hpp"
 #include "flow/paths.hpp"
 #include "flow/solver.hpp"
+#include "queue/latency.hpp"
+#include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
 #include "switch_paths.hpp"
 #include "util/rng.hpp"
@@ -164,7 +176,10 @@ class LegacyPaths
     std::uint64_t seed_;
 };
 
-/** buildClosFlowProblem before the flat per-range assembly (serial). */
+/**
+ * buildClosFlowProblem before the flat per-range assembly (serial),
+ * with each demand's terminal links inside every one of its paths.
+ */
 FlowProblem
 legacyBuild(const FoldedClos &fc, const LegacyPaths &paths,
             const DemandMatrix &dm)
@@ -249,8 +264,9 @@ legacyEcmpFluid(const FlowProblem &p)
             double c = p.weight(d) / static_cast<double>(np);
             std::size_t pb = p.pathBegin(d);
             for (std::size_t q = pb; q < pb + np; ++q)
-                for (std::size_t k = 0; k < p.pathLength(q); ++k)
-                    acc.emplace_back(p.pathLinks(q)[k], c);
+                p.forEachLink(d, q, [&](std::int32_t l) {
+                    acc.emplace_back(l, c);
+                });
         }
         std::stable_sort(acc.begin(), acc.end(),
                          [](const auto &a, const auto &b) {
@@ -283,8 +299,9 @@ legacyEcmpFluid(const FlowProblem &p)
         double m = 0.0;
         std::size_t pb = p.pathBegin(d);
         for (std::size_t q = pb; q < pb + np; ++q)
-            for (std::size_t k = 0; k < p.pathLength(q); ++k)
-                m = std::max(m, r.utilization[p.pathLinks(q)[k]]);
+            p.forEachLink(d, q, [&](std::int32_t l) {
+                m = std::max(m, r.utilization[l]);
+            });
         r.demand_throughput[d] = m > 0.0 ? 1.0 / m : 0.0;
     }
 
@@ -346,8 +363,7 @@ legacySolve(const FlowProblem &p, const SolveOptions &opt)
         std::size_t bestp = pb;
         for (std::size_t q = pb; q < pb + np; ++q) {
             double c = 0.0;
-            for (std::size_t k = 0; k < p.pathLength(q); ++k)
-                c += w[p.pathLinks(q)[k]];
+            p.forEachLink(d, q, [&](std::int32_t l) { c += w[l]; });
             if (c < best) {
                 best = c;
                 bestp = q;
@@ -378,12 +394,11 @@ legacySolve(const FlowProblem &p, const SolveOptions &opt)
                 double wt = p.weight(active[i]);
                 std::size_t q = choice[i];
                 raw_flow[q] += wt;
-                for (std::size_t k = 0; k < p.pathLength(q); ++k) {
-                    std::int32_t l = p.pathLinks(q)[k];
+                p.forEachLink(active[i], q, [&](std::int32_t l) {
                     if (delta[l] == 0.0)
                         touched.push_back(l);
                     delta[l] += wt;
-                }
+                });
             }
             for (std::int32_t l : touched) {
                 load[l] += delta[l];
@@ -431,7 +446,11 @@ legacySolve(const FlowProblem &p, const SolveOptions &opt)
     return sol;
 }
 
-/** Every observable of @p a equals that of @p b, bit for bit. */
+/**
+ * Every observable of @p a equals that of @p b, bit for bit: links,
+ * demands and each path's whole link sequence, however the two split
+ * it between demand ends and path links.
+ */
 void
 expectSameProblem(const FlowProblem &a, const FlowProblem &b,
                   const std::string &what)
@@ -444,16 +463,32 @@ expectSameProblem(const FlowProblem &a, const FlowProblem &b,
         EXPECT_EQ(a.capacity(l), b.capacity(l)) << "link " << l;
     for (std::size_t d = 0; d < a.numDemands(); ++d) {
         EXPECT_EQ(a.weight(d), b.weight(d)) << "demand " << d;
-        EXPECT_EQ(a.pathBegin(d), b.pathBegin(d)) << "demand " << d;
-        EXPECT_EQ(a.numPaths(d), b.numPaths(d)) << "demand " << d;
+        ASSERT_EQ(a.pathBegin(d), b.pathBegin(d)) << "demand " << d;
+        ASSERT_EQ(a.numPaths(d), b.numPaths(d)) << "demand " << d;
+        for (std::size_t q = a.pathBegin(d); q < a.pathBegin(d) + a.numPaths(d);
+             ++q)
+            EXPECT_EQ(linkSequence(a, d, q), linkSequence(b, d, q))
+                << "demand " << d << " path " << q;
     }
-    for (std::size_t q = 0; q < a.numPathsTotal(); ++q) {
-        const std::vector<std::int32_t> la(
-            a.pathLinks(q), a.pathLinks(q) + a.pathLength(q));
-        const std::vector<std::int32_t> lb(
-            b.pathLinks(q), b.pathLinks(q) + b.pathLength(q));
-        EXPECT_EQ(la, lb) << "path " << q;
+}
+
+/**
+ * @p p in the format without end links: the same links and demands,
+ * each path holding its whole link sequence.
+ */
+FlowProblem
+withoutEnds(const FlowProblem &p)
+{
+    FlowProblem out;
+    for (std::int32_t l = 0; l < p.numLinks(); ++l)
+        out.addLink(p.capacity(l));
+    for (std::size_t d = 0; d < p.numDemands(); ++d) {
+        out.addDemand(p.weight(d));
+        for (std::size_t q = p.pathBegin(d); q < p.pathBegin(d) + p.numPaths(d);
+             ++q)
+            out.addPath(linkSequence(p, d, q));
     }
+    return out;
 }
 
 void
@@ -481,6 +516,63 @@ expectSameSolution(const FlowSolution &a, const FlowSolution &b,
     EXPECT_EQ(a.unrouted_demands, b.unrouted_demands);
     EXPECT_EQ(a.utilization, b.utilization);
     EXPECT_EQ(a.path_flow, b.path_flow);
+}
+
+/** Every field of two sweeps but the timings, bit for bit. */
+void
+expectSameSweep(const QueueSweepResult &a, const QueueSweepResult &b,
+                const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.saturation, b.saturation);
+    EXPECT_EQ(a.zero_load_latency, b.zero_load_latency);
+    EXPECT_EQ(a.offered_weight, b.offered_weight);
+    EXPECT_EQ(a.injection_util, b.injection_util);
+    EXPECT_EQ(a.ejection_util, b.ejection_util);
+    EXPECT_EQ(a.routed, b.routed);
+    EXPECT_EQ(a.unrouted, b.unrouted);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+        const QueueLoadPoint &pa = a.points[i], &pb = b.points[i];
+        EXPECT_EQ(pa.load, pb.load) << "point " << i;
+        EXPECT_EQ(pa.saturated, pb.saturated) << "point " << i;
+        EXPECT_EQ(pa.mean_latency, pb.mean_latency) << "point " << i;
+        EXPECT_EQ(pa.p50_latency, pb.p50_latency) << "point " << i;
+        EXPECT_EQ(pa.p99_latency, pb.p99_latency) << "point " << i;
+        EXPECT_EQ(pa.max_utilization, pb.max_utilization) << "point " << i;
+        EXPECT_EQ(pa.exact_cdf_passes, pb.exact_cdf_passes) << "point " << i;
+        EXPECT_EQ(pa.bounded_cdf_passes, pb.bounded_cdf_passes)
+            << "point " << i;
+        EXPECT_EQ(pa.mixture_components, pb.mixture_components)
+            << "point " << i;
+    }
+}
+
+/**
+ * @p ends and @p flat are one instance, the first with demand end
+ * links and the second without: the same whole link sequences, and
+ * the solver, the ECMP fluid and an md1 queue sweep at four fractions
+ * of the fluid saturation return the same bits on both.
+ */
+void
+expectEncodingsAgree(const FlowProblem &ends, const FlowProblem &flat,
+                     const std::string &what)
+{
+    expectSameProblem(ends, flat, what);
+    SolveOptions opt;
+    opt.block = 3;  // several frozen-weight blocks per phase
+    opt.max_phases = 60;
+    expectSameSolution(solveMaxConcurrentFlow(ends, opt),
+                       solveMaxConcurrentFlow(flat, opt), what);
+    const EcmpFluidResult fluid = ecmpFluid(ends);
+    expectSameFluid(fluid, ecmpFluid(flat), what);
+    ASSERT_GT(fluid.saturation, 0.0) << what;
+    QueueSweepOptions qopt;
+    for (double f : {0.25, 0.5, 0.75, 0.95})
+        qopt.loads.push_back(std::min(1.0, f * fluid.saturation));
+    const auto model = makeQueueModel("md1", qopt.pkt_phits);
+    expectSameSweep(queueLatencySweep(ends, *model, qopt),
+                    queueLatencySweep(flat, *model, qopt), what);
 }
 
 /** A named network. */
@@ -706,6 +798,11 @@ expectProblemMatches(const std::string &what, const FoldedClos &fc,
                          : " serial");
         const FlowProblem got = buildClosFlowProblem(fc, paths, dm, pool);
         expectSameProblem(got, want, where);
+        // Every demand's terminal links are its ends, stored once.
+        for (std::size_t d = 0; d < got.numDemands(); ++d) {
+            EXPECT_GE(got.srcLink(d), 0) << where << " demand " << d;
+            EXPECT_GE(got.dstLink(d), 0) << where << " demand " << d;
+        }
         expectSameFluid(ecmpFluid(got), want_fluid, where);
     }
     std::size_t unrouted = 0;
@@ -897,6 +994,76 @@ TEST(FlowLegacyEquivalence, SolverMatchesLegacy)
     EXPECT_GE(sol.phases, 10);
     EXPECT_TRUE(std::isfinite(sol.dual_bound));
     EXPECT_GT(sol.throughput, 0.0);
+}
+
+TEST(FlowLegacyEquivalence, EndLinkEncodingIsBitIdentical)
+{
+    // CFT, OFT and RFC shapes, the faulted RFC with unrouted demands.
+    std::size_t cases = 0;
+    for (const Net &net : networks()) {
+        UpDownOracle oracle(net.fc);
+        const UpDownEcmpPaths paths(net.fc, oracle, 8, 7);
+        for (const auto &[pattern, dm] : demands(net.fc.numTerminals())) {
+            if (pattern == "unequal")
+                continue;
+            const FlowProblem prob = buildClosFlowProblem(net.fc, paths, dm);
+            expectEncodingsAgree(prob, withoutEnds(prob),
+                                 net.name + " " + pattern);
+            ++cases;
+        }
+    }
+    EXPECT_EQ(cases, 7u * 2u);
+}
+
+TEST(FlowLegacyEquivalence, HandMadeEndsMatchInlinedEnds)
+{
+    // Demands with both ends, one end, none, and the same link at both
+    // ends; a path of no stored link, a link repeated inside a path and
+    // a path link equal to an end; capacities other than 1; and a
+    // demand with ends but no path.
+    const std::vector<double> caps = {1.0, 2.5, 0.5, 1.0,
+                                      3.0, 1.0, 0.75, 1.5};
+    FlowProblem ends, flat;
+    for (double c : caps) {
+        ends.addLink(c);
+        flat.addLink(c);
+    }
+    ends.addDemand(0.7, 0, 1);
+    ends.addPath({2, 3});
+    ends.addPath({4});
+    ends.addPath({});
+    flat.addDemand(0.7);
+    flat.addPath({0, 2, 3, 1});
+    flat.addPath({0, 4, 1});
+    flat.addPath({0, 1});
+
+    ends.addDemand(1.3, 5);
+    ends.addPath({6});
+    ends.addPath({2, 2});
+    flat.addDemand(1.3);
+    flat.addPath({5, 6});
+    flat.addPath({5, 2, 2});
+
+    ends.addDemand(0.2, -1, 7);
+    ends.addPath({3, 0});
+    flat.addDemand(0.2);
+    flat.addPath({3, 0, 7});
+
+    ends.addDemand(3.0);
+    ends.addPath({1});
+    flat.addDemand(3.0);
+    flat.addPath({1});
+
+    ends.addDemand(0.9, 0, 7);  // no candidate path: unrouted
+    flat.addDemand(0.9);
+
+    ends.addDemand(0.4, 1, 1);
+    ends.addPath({1});
+    flat.addDemand(0.4);
+    flat.addPath({1, 1, 1});
+
+    expectEncodingsAgree(ends, flat, "hand-made");
+    expectSameProblem(withoutEnds(ends), flat, "hand-made, ends inlined");
 }
 
 } // namespace

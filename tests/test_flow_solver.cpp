@@ -36,8 +36,9 @@ verifyCertificate(const FlowProblem &p, const FlowSolution &s,
         std::size_t pb = p.pathBegin(d);
         for (std::size_t q = pb; q < pb + p.numPaths(d); ++q) {
             delivered += s.path_flow[q];
-            for (std::size_t k = 0; k < p.pathLength(q); ++k)
-                load[p.pathLinks(q)[k]] += s.path_flow[q];
+            p.forEachLink(d, q, [&](std::int32_t l) {
+                load[l] += s.path_flow[q];
+            });
         }
         if (p.numPaths(d) > 0)
             EXPECT_NEAR(delivered, s.throughput * p.weight(d),
@@ -60,7 +61,45 @@ TEST(FlowProblem, ValidatesInput)
     p.addPath({l});
     EXPECT_EQ(p.numPathsTotal(), 1u);
     EXPECT_EQ(p.numPaths(0), 1u);
-    EXPECT_EQ(p.pathLength(0), 1u);
+    EXPECT_EQ(linkSequence(p, 0, 0), std::vector<std::int32_t>{l});
+}
+
+TEST(FlowProblem, ValidatesEndLinks)
+{
+    FlowProblem p;
+    const std::int32_t a = p.addLink(1.0), b = p.addLink(1.0);
+    // An end must be a link id or -1.
+    EXPECT_THROW(p.addDemand(1.0, b + 1), std::out_of_range);
+    EXPECT_THROW(p.addDemand(1.0, -1, b + 1), std::out_of_range);
+    EXPECT_THROW(p.addDemand(1.0, -2), std::out_of_range);
+    EXPECT_THROW(p.addDemand(1.0, a, -5), std::out_of_range);
+    EXPECT_EQ(p.numDemands(), 0u);
+
+    // A path may be empty only for a demand with an end link.
+    p.addDemand(1.0);
+    EXPECT_THROW(p.addPath({}), std::invalid_argument);
+    p.addDemand(1.0, a);
+    p.addPath({});
+    p.addDemand(1.0, -1, b);
+    p.addPath({});
+    p.addDemand(1.0, a, b);
+    p.addPath({});
+    p.addPath({b, a});
+    EXPECT_EQ(p.numPathsTotal(), 4u);
+    EXPECT_EQ(p.numPaths(0), 0u);
+
+    EXPECT_EQ(p.srcLink(0), -1);
+    EXPECT_EQ(p.dstLink(0), -1);
+    EXPECT_EQ(p.srcLink(1), a);
+    EXPECT_EQ(p.dstLink(1), -1);
+    EXPECT_EQ(p.srcLink(2), -1);
+    EXPECT_EQ(p.dstLink(2), b);
+    using Seq = std::vector<std::int32_t>;
+    EXPECT_EQ(linkSequence(p, 1, p.pathBegin(1)), Seq{a});
+    EXPECT_EQ(linkSequence(p, 2, p.pathBegin(2)), Seq{b});
+    // Source end, the path's links, then the destination end.
+    EXPECT_EQ(linkSequence(p, 3, p.pathBegin(3)), (Seq{a, b}));
+    EXPECT_EQ(linkSequence(p, 3, p.pathBegin(3) + 1), (Seq{a, b, a, b}));
 }
 
 TEST(FlowProblem, RejectsNonFiniteCapacityAndWeight)
@@ -178,6 +217,42 @@ TEST(FlowSolver, UnroutedDemandsAreCountedAndSkipped)
     EXPECT_EQ(s.routed_demands, 1u);
     EXPECT_EQ(s.unrouted_demands, 1u);
     EXPECT_NEAR(s.throughput, 1.0, 1e-9);
+}
+
+TEST(FlowSolver, SameLeafDemandIsCappedByItsTerminalLinks)
+{
+    // Terminals 0 and 1 share a leaf, so their demand gets one path of
+    // no switch link and crosses only its injection and ejection links:
+    // at weight 2 it caps lambda at exactly 1/2, its two terminal
+    // links are the bottlenecks, and a cross-leaf demand of weight 1
+    // rides along.
+    auto fc = buildCft(4, 2);
+    ASSERT_EQ(fc.leafOfTerminal(0), fc.leafOfTerminal(1));
+    ASSERT_NE(fc.leafOfTerminal(2), fc.leafOfTerminal(5));
+    UpDownOracle oracle(fc);
+    UpDownEcmpPaths provider(fc, oracle, 8);
+    DemandMatrix dm;
+    dm.nodes = fc.numTerminals();
+    dm.demands = {{0, 1, 2.0}, {2, 5, 1.0}};
+    auto p = buildClosFlowProblem(fc, provider, dm);
+
+    ASSERT_EQ(p.numPaths(0), 1u);
+    const std::vector<std::int32_t> seq =
+        linkSequence(p, 0, p.pathBegin(0));
+    EXPECT_EQ(seq, (std::vector<std::int32_t>{p.srcLink(0), p.dstLink(0)}));
+    EXPECT_NE(p.srcLink(0), p.dstLink(0));
+    EXPECT_EQ(linkSequence(p, 1, p.pathBegin(1)).size(), 4u);
+
+    auto s = solveMaxConcurrentFlow(p);
+    EXPECT_NEAR(s.throughput, 0.5, 1e-12);
+    EXPECT_LE(s.throughput, s.dual_bound + 1e-9);
+    for (std::int32_t l : seq)
+        EXPECT_NEAR(s.utilization[static_cast<std::size_t>(l)], 1.0, 1e-12);
+    verifyCertificate(p, s);
+
+    auto r = ecmpFluid(p);
+    EXPECT_NEAR(r.demand_throughput[0], 0.5, 1e-12);
+    EXPECT_NEAR(r.saturation, 0.5, 1e-12);
 }
 
 TEST(FlowSolver, CftUniformNearUnity)

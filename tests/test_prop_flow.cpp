@@ -9,8 +9,10 @@
  *  - weak duality: certified lambda <= its own dual upper bound;
  *  - the injection-link cap: lambda <= 1 / maxInjection (here = 1,
  *    since sampled uniform demand is doubly stochastic);
- *  - the path-flow certificate is feasible (per-link loads within
- *    capacity) and delivers lambda * weight per routed demand;
+ *  - the path-flow certificate is feasible (per-link loads, read
+ *    through FlowProblem::forEachLink so that every demand's terminal
+ *    end links count, within capacity and equal to the reported
+ *    utilization) and delivers lambda * weight per routed demand;
  *  - the ECMP fluid saturation never exceeds the optimum by more than
  *    the approximation gap;
  *  - every output is bit-identical when solved on a thread pool.
@@ -73,8 +75,9 @@ flowContract(const TopoParams &params)
         std::size_t pb = problem.pathBegin(d);
         for (std::size_t q = pb; q < pb + problem.numPaths(d); ++q) {
             delivered += sol.path_flow[q];
-            for (std::size_t k = 0; k < problem.pathLength(q); ++k)
-                load[problem.pathLinks(q)[k]] += sol.path_flow[q];
+            problem.forEachLink(d, q, [&](std::int32_t l) {
+                load[l] += sol.path_flow[q];
+            });
         }
         if (problem.numPaths(d) > 0 &&
             std::abs(delivered - sol.throughput * problem.weight(d)) >
@@ -84,12 +87,22 @@ flowContract(const TopoParams &params)
             return CheckResult::fail(err.str());
         }
     }
-    for (std::int32_t l = 0; l < problem.numLinks(); ++l)
+    for (std::int32_t l = 0; l < problem.numLinks(); ++l) {
         if (load[l] > problem.capacity(l) * (1.0 + 1e-6)) {
             err << "link " << l << " overloaded: " << load[l] << " of "
                 << problem.capacity(l);
             return CheckResult::fail(err.str());
         }
+        // The reported utilization is the certificate's load, so a
+        // link the solver never charged (a terminal end skipped, say)
+        // shows even where its load stays within capacity.
+        const double reported = sol.utilization[l] * problem.capacity(l);
+        if (std::abs(load[l] - reported) > 1e-6 * (1.0 + load[l])) {
+            err << "link " << l << " carries " << load[l]
+                << " by the certificate, " << reported << " reported";
+            return CheckResult::fail(err.str());
+        }
+    }
 
     // ECMP fluid is feasible, so it cannot beat the certified optimum
     // by more than the approximation gap.

@@ -30,6 +30,7 @@
 #include "queue/latency.hpp"
 #include "queue/queue_model.hpp"
 #include "routing/updown.hpp"
+#include "switch_paths.hpp"
 #include "util/stats.hpp"
 #include "util/threadpool.hpp"
 
@@ -537,14 +538,15 @@ sortDedupSweep(const FlowProblem &problem, const QueueModel &model,
                 double share = problem.weight(d) / static_cast<double>(np);
                 for (std::size_t q = problem.pathBegin(d);
                      q < problem.pathBegin(d) + np; ++q) {
-                    std::size_t len = problem.pathLength(q);
+                    std::size_t len = 0;
                     double wmean = 0.0, wvar = 0.0;
-                    for (std::size_t k = 0; k < len; ++k) {
-                        const QueueDelay &w = delay[static_cast<std::size_t>(
-                            problem.pathLinks(q)[k])];
+                    problem.forEachLink(d, q, [&](std::int32_t l) {
+                        const QueueDelay &w =
+                            delay[static_cast<std::size_t>(l)];
                         wmean += w.mean;
                         wvar += w.variance;
-                    }
+                        ++len;
+                    });
                     double shift =
                         static_cast<double>(len) * opt.link_latency +
                         service;
@@ -736,14 +738,15 @@ allPartialsSweep(const FlowProblem &problem, const QueueModel &model,
                 double share = problem.weight(d) / static_cast<double>(np);
                 for (std::size_t q = problem.pathBegin(d);
                      q < problem.pathBegin(d) + np; ++q) {
-                    std::size_t len = problem.pathLength(q);
+                    std::size_t len = 0;
                     double wmean = 0.0, wvar = 0.0;
-                    for (std::size_t k = 0; k < len; ++k) {
-                        const QueueDelay &w = delay[static_cast<std::size_t>(
-                            problem.pathLinks(q)[k])];
+                    problem.forEachLink(d, q, [&](std::int32_t l) {
+                        const QueueDelay &w =
+                            delay[static_cast<std::size_t>(l)];
                         wmean += w.mean;
                         wvar += w.variance;
-                    }
+                        ++len;
+                    });
                     double shift =
                         static_cast<double>(len) * opt.link_latency +
                         service;
@@ -776,7 +779,7 @@ allPartialsSweep(const FlowProblem &problem, const QueueModel &model,
     return points;
 }
 
-/** The CSR of @p a equals that of @p b. */
+/** The CSR of @p a equals that of @p b, end links included. */
 void
 expectSameCsr(const FlowProblem &a, const FlowProblem &b,
               const std::string &what)
@@ -788,13 +791,13 @@ expectSameCsr(const FlowProblem &a, const FlowProblem &b,
     for (std::size_t d = 0; d < a.numDemands(); ++d) {
         EXPECT_EQ(a.weight(d), b.weight(d));
         EXPECT_EQ(a.pathBegin(d), b.pathBegin(d));
+        EXPECT_EQ(a.srcLink(d), b.srcLink(d));
+        EXPECT_EQ(a.dstLink(d), b.dstLink(d));
+        for (std::size_t q = a.pathBegin(d); q < a.pathBegin(d) + a.numPaths(d);
+             ++q)
+            EXPECT_EQ(linkSequence(a, d, q), linkSequence(b, d, q))
+                << "path " << q;
     }
-    for (std::size_t q = 0; q < a.numPathsTotal(); ++q)
-        EXPECT_EQ(std::vector<std::int32_t>(a.pathLinks(q),
-                                            a.pathLinks(q) + a.pathLength(q)),
-                  std::vector<std::int32_t>(b.pathLinks(q),
-                                            b.pathLinks(q) + b.pathLength(q)))
-            << "path " << q;
 }
 
 TEST(QueueSweepCore, WaveWidthCannotMoveABit)
