@@ -101,18 +101,19 @@
  * control and the arbitration rule are unchanged.  The skipped visits
  * no longer consume draws and wake order shifts, so the random stream
  * differs from polling every cycle while the distribution of results
- * does not.  A wheel slot is an intrusive FIFO list threaded through
- * one per-VC next index, so the scheduler's memory is four bytes per
- * input VC at any load.  The arbiter drains its slot into a reusable
- * array first and walks that in the same order, so it can prefetch a
- * few visits ahead what each due VC's visit will load.
+ * does not.  A VC sits on at most one wake slot at a time (a one-byte
+ * flag per input VC says whether it does).  The arbiter copies its
+ * slot into a reusable array a chunk at a time and walks that in the
+ * same order, so it can prefetch a few visits ahead what each due VC's
+ * visit will load.
  *
  * Memory follows what is live, not what could be: an input VC's
  * buffer is a FIFO threaded through the packets' next fields (head,
- * tail and count per VC), and the release, generation and injection
- * wheels are SlotQueues whose one node pool holds only the entries
- * pending at once.  Both are FIFO in push order, which is all the
- * visit order and the draw sequence rely on.
+ * tail and count per VC), and all four wheels - release, generation,
+ * injection and wake - are SlotQueues, whose one chunk pool holds only
+ * the entries pending at once plus part of a chunk at either end of a
+ * slot.  Both are FIFO in push order, which is all the visit order and
+ * the draw sequence rely on.
  */
 #ifndef RFC_SIM_CORE_ENGINE_HPP
 #define RFC_SIM_CORE_ENGINE_HPP
@@ -187,38 +188,41 @@ class PktArena
 };
 
 /**
- * Timing wheel: one FIFO per slot, all threaded through a single node
- * pool with a free list.  pop() returns a node to the free list before
- * the caller handles its entry, and the next push() reuses it, so the
- * pool holds as many nodes as were ever live at once rather than the
- * sum of every slot's high-water mark.  Entries are opaque: duplicates
- * stay queued side by side.  Pushing into any slot while another is
- * being drained is safe (ids survive pool growth); a slot pushed while
- * it drains yields those entries in the same drain.
+ * Timing wheel: one FIFO per slot, each kept in fixed-size chunks of
+ * kChunk entries taken from one shared chunk pool with a free list, so
+ * a push writes and a drain reads consecutive entries rather than
+ * chasing one link per entry.  A chunk goes back to the free list as
+ * soon as its last entry is popped (pop() copies the entry out first)
+ * and the next chunk a push needs reuses it, so the pool holds as many
+ * chunks as were ever in use at once: a slot with live entries uses
+ * ceil((consumed + live) / kChunk) of them, where consumed < kChunk is
+ * what was already popped from its head chunk.  Entries are opaque:
+ * duplicates stay queued side by side.  Pushing into any slot while
+ * another is being drained is safe (positions survive pool growth); a
+ * slot pushed while it drains yields those entries in the same drain.
  */
 template <class T>
 class SlotQueue
 {
   public:
+    static constexpr std::int32_t kChunk = 32;
+
     explicit SlotQueue(std::size_t slots = 0) : ends_(slots) {}
 
     void
     push(std::size_t slot, const T &value)
     {
-        std::int32_t id = free_;
-        if (id >= 0) {
-            free_ = nodes_[id].next;
-            nodes_[id] = {value, -1};
-        } else {
-            id = static_cast<std::int32_t>(nodes_.size());
-            nodes_.push_back({value, -1});
-        }
         Ends &e = ends_[slot];
-        if (e.tail < 0)
-            e.head = id;
-        else
-            nodes_[e.tail].next = id;
-        e.tail = id;
+        if (e.head < 0) {
+            e.head = e.tail = newChunk();
+        } else if ((e.tail + 1) % kChunk == 0) {
+            const std::int32_t c = newChunk();
+            next_[e.tail / kChunk] = c / kChunk;
+            e.tail = c;
+        } else {
+            ++e.tail;
+        }
+        items_[e.tail] = value;
     }
 
     bool empty(std::size_t slot) const { return ends_[slot].head < 0; }
@@ -228,30 +232,95 @@ class SlotQueue
     pop(std::size_t slot)
     {
         Ends &e = ends_[slot];
-        const std::int32_t id = e.head;
-        Node &n = nodes_[id];
-        e.head = n.next;
-        if (e.head < 0)
-            e.tail = -1;
-        n.next = free_;
-        free_ = id;
-        return n.value;
+        const T value = items_[e.head];
+        if (e.head == e.tail) {
+            freeChunk(e.head / kChunk);
+            e.head = e.tail = -1;
+        } else if ((e.head + 1) % kChunk == 0) {
+            const std::int32_t c = e.head / kChunk;
+            e.head = next_[c] * kChunk;
+            freeChunk(c);
+        } else {
+            ++e.head;
+        }
+        return value;
     }
 
-    /** Nodes ever allocated: the peak number of entries live at once. */
-    std::size_t poolSize() const { return nodes_.size(); }
+    /**
+     * Append every entry of @p slot to @p out in order, a chunk at a
+     * time, and leave the slot empty with its chunks freed.
+     */
+    void
+    drainInto(std::size_t slot, std::vector<T> &out)
+    {
+        Ends &e = ends_[slot];
+        if (e.head < 0)
+            return;
+        std::int32_t at = e.head;
+        for (;;) {
+            const std::int32_t c = at / kChunk;
+            const bool last = c == e.tail / kChunk;
+            const std::int32_t end = last ? e.tail + 1 : (c + 1) * kChunk;
+            out.insert(out.end(), items_.begin() + at, items_.begin() + end);
+            const std::int32_t after = next_[c];
+            freeChunk(c);
+            if (last)
+                break;
+            at = after * kChunk;
+        }
+        e.head = e.tail = -1;
+    }
+
+    /** Call @p f on every entry of @p slot in order, leaving them queued. */
+    template <class F>
+    void
+    forEach(std::size_t slot, F f) const
+    {
+        const Ends &e = ends_[slot];
+        if (e.head < 0)
+            return;
+        for (std::int32_t at = e.head;;) {
+            f(items_[at]);
+            if (at == e.tail)
+                return;
+            at = (at + 1) % kChunk == 0 ? next_[at / kChunk] * kChunk
+                                        : at + 1;
+        }
+    }
+
+    /** Chunks ever allocated: the peak number in use at once. */
+    std::size_t chunkCount() const { return next_.size(); }
 
   private:
-    struct Node
+    /** Position of the first entry of a fresh chunk. */
+    std::int32_t
+    newChunk()
     {
-        T value;
-        std::int32_t next;  //!< next in its slot, or in the free list
-    };
+        std::int32_t c = free_;
+        if (c >= 0) {
+            free_ = next_[c];
+        } else {
+            c = static_cast<std::int32_t>(next_.size());
+            next_.push_back(-1);
+            items_.resize(items_.size() + kChunk);
+        }
+        return c * kChunk;
+    }
+
+    void
+    freeChunk(std::int32_t c)
+    {
+        next_[c] = free_;
+        free_ = c;
+    }
+
+    /** First and last entry of a slot as positions in items_, or -1. */
     struct Ends
     {
         std::int32_t head = -1, tail = -1;
     };
-    std::vector<Node> nodes_;
+    std::vector<T> items_;             //!< chunk c is [c * kChunk, +kChunk)
+    std::vector<std::int32_t> next_;   //!< next chunk of its slot or free list
     std::vector<Ends> ends_;
     std::int32_t free_ = -1;
 };
@@ -395,12 +464,6 @@ class VctEngine
         std::int8_t vc;
     };
 
-    /** One wake-wheel slot: a FIFO of input VCs linked by wake_next_. */
-    struct WakeList
-    {
-        std::int32_t head = -1, tail = -1;
-    };
-
     // ---- construction ----------------------------------------------
     void buildStructures();
 
@@ -503,16 +566,10 @@ class VctEngine
                                   std::to_string(wheel_size_) +
                                   "-slot wheel");
         }
-        if (wake_next_[ivc] != kNotQueued)
+        if (wake_queued_[ivc])
             return;
-        const auto id = static_cast<std::int32_t>(ivc);
-        wake_next_[ivc] = -1;
-        WakeList &slot = wake_wheel_[at % wheel_size_];
-        if (slot.tail < 0)
-            slot.head = id;
-        else
-            wake_next_[slot.tail] = id;
-        slot.tail = id;
+        wake_queued_[ivc] = 1;
+        wake_wheel_.push(at % wheel_size_, static_cast<std::int32_t>(ivc));
     }
 
     /** Append @p pkt_id to input VC @p gi's FIFO (+ scheduling). */
@@ -702,10 +759,8 @@ class VctEngine
     std::vector<std::int32_t> vc_head_, vc_tail_;
     std::vector<std::uint8_t> q_count_;
 
-    /** Wake-wheel links, [ivc]: the next VC in the same slot (-1 ends
-     *  the slot), or kNotQueued while the VC is in no slot. */
-    static constexpr std::int32_t kNotQueued = -2;
-    std::vector<std::int32_t> wake_next_;
+    /** [ivc]: 1 while the VC sits on a wake-wheel slot. */
+    std::vector<std::uint8_t> wake_queued_;
 
     // ---- scheduling and packets ------------------------------------
     Rng rng_{0};
@@ -713,7 +768,7 @@ class VctEngine
     std::vector<std::int32_t> free_pkts_;
     core_detail::SlotQueue<Release> release_wheel_;
     core_detail::SlotQueue<std::int32_t> gen_wheel_, inj_wheel_;
-    std::vector<WakeList> wake_wheel_;
+    core_detail::SlotQueue<std::int32_t> wake_wheel_;  //!< input VC ids
 
     // ---- terminals --------------------------------------------------
     std::vector<std::int32_t> inj_busy_;
@@ -780,7 +835,7 @@ VctEngine<Policy>::buildStructures()
 {
     const int V = cfg_.vcs;
 
-    // Wake lists and the arbitration scratch hold input-VC ids, and
+    // The wake wheel and the arbitration scratch hold input-VC ids, and
     // packet ids index an arena no larger than the buffer slots (see
     // PktArena), all as int32.
     const std::int64_t ivcs = lay_.total_ports * V;
@@ -808,7 +863,7 @@ VctEngine<Policy>::buildStructures()
     vc_head_.assign(ivcs, -1);
     vc_tail_.assign(ivcs, -1);
     q_count_.assign(ivcs, 0);
-    wake_next_.assign(ivcs, kNotQueued);
+    wake_queued_.assign(ivcs, 0);
 
     inj_busy_.assign(lay_.num_terms, 0);
     inj_credits_.assign(lay_.num_terms * V,
@@ -834,7 +889,7 @@ VctEngine<Policy>::buildStructures()
     release_wheel_ = core_detail::SlotQueue<Release>(wheel_size_);
     gen_wheel_ = core_detail::SlotQueue<std::int32_t>(kGenWheel);
     inj_wheel_ = core_detail::SlotQueue<std::int32_t>(kGenWheel);
-    wake_wheel_.assign(wheel_size_, {});
+    wake_wheel_ = core_detail::SlotQueue<std::int32_t>(wheel_size_);
     perf_.occupancy.assign(cfg_.buf_packets + 1, 0);
 }
 
@@ -1213,24 +1268,21 @@ void
 VctEngine<Policy>::arbitrate(long long now)
 {
     const int V = cfg_.vcs;
-    WakeList &slot = wake_wheel_[now % wheel_size_];
-    if (slot.head < 0)
+    const std::size_t slot = now % wheel_size_;
+    if (wake_wheel_.empty(slot))
         return;
     touched_outs_.clear();
     scanned_ivcs_.clear();
     const CongestionView cv = view(now);
 
-    // Drain the slot into due_, in wake order.  Draining first is safe:
-    // the scan re-pushes only the VC it visits, always to now + 1 or
-    // later, so the array is exactly the list a walk would have seen.
+    // Drain the slot into due_, in wake order, and mark its VCs off the
+    // wheel.  Draining first is safe: the scan re-pushes only the VC it
+    // visits, always to now + 1 or later, so the array is exactly what
+    // popping entry by entry would have seen.
     due_.clear();
-    for (std::int32_t next = slot.head; next >= 0;) {
-        due_.push_back(next);
-        const std::int32_t after = wake_next_[next];
-        wake_next_[next] = kNotQueued;
-        next = after;
-    }
-    slot = WakeList{};
+    wake_wheel_.drainInto(slot, due_);
+    for (std::int32_t gi : due_)
+        wake_queued_[gi] = 0;
 
     // Scan phase over the due VCs.  Two prefetch stages hide the
     // dependent misses of a visit: the FIFO head id and in-port busy
@@ -1345,7 +1397,7 @@ VctEngine<Policy>::arbitrate(long long now)
     // Reschedule every scanned VC that still holds packets: losers and
     // blocked movers retry, winners sleep out their port's busy time.
     for (std::int64_t gi : scanned_ivcs_) {
-        if (q_count_[gi] == 0 || wake_next_[gi] != kNotQueued)
+        if (q_count_[gi] == 0 || wake_queued_[gi])
             continue;
         const long long busy = in_busy_[gi / V];
         const long long ready = pkt(vc_head_[gi]).ready;
@@ -1432,10 +1484,16 @@ VctEngine<Policy>::guardScanGlobal(long long now)
         }
         // VC occupancy bounds, FIFO links, and no lost wakeup: a VC
         // holding packets but on no wake slot would never be arbitrated
-        // again.
+        // again, and one whose wake flag disagrees with the wheel would
+        // be skipped by (or pushed twice by) its next wakePush.
+        std::vector<std::uint8_t> on_wheel(q_count_.size(), 0);
+        for (long long slot = 0; slot < wheel_size_; ++slot)
+            wake_wheel_.forEach(slot, [&](std::int32_t gi) {
+                on_wheel[gi] = std::min(on_wheel[gi] + 1, 2);
+            });
         for (std::int64_t ivc = 0;
              ivc < static_cast<std::int64_t>(q_count_.size()); ++ivc) {
-            check_.countChecks(3);
+            check_.countChecks(4);
             // Walking next from the head must visit exactly q_count_
             // arena packets and end at the tail; a stale id shows here.
             std::int32_t id = q_count_[ivc] > 0 ? vc_head_[ivc] : -1;
@@ -1460,12 +1518,20 @@ VctEngine<Policy>::guardScanGlobal(long long now)
                     lay_.port_owner[ivc / V], static_cast<int>(ivc % V),
                     "queue depth " + std::to_string(q_count_[ivc]) +
                         " > cap " + std::to_string(cap));
-            if (q_count_[ivc] > 0 && wake_next_[ivc] == kNotQueued)
+            if (q_count_[ivc] > 0 && on_wheel[ivc] == 0)
                 check_.report(
                     "lost-wakeup", now, lay_.port_owner[ivc / V],
                     static_cast<int>(ivc % V),
                     "VC holds " + std::to_string(q_count_[ivc]) +
                         " packets but sits on no wake slot");
+            else if (on_wheel[ivc] != wake_queued_[ivc])
+                check_.report(
+                    "lost-wakeup", now, lay_.port_owner[ivc / V],
+                    static_cast<int>(ivc % V),
+                    "wake flag " + std::to_string(wake_queued_[ivc]) +
+                        " but the VC sits on " +
+                        std::to_string(on_wheel[ivc]) +
+                        (on_wheel[ivc] > 1 ? "+" : "") + " wake slots");
         }
     }
 }

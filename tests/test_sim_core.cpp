@@ -403,6 +403,7 @@ TEST(LatencyHistogramCore, TracksMinMaxSum)
 // ---------------------------------------------------------------------
 
 using core_detail::SlotQueue;
+constexpr std::size_t kChunk = SlotQueue<int>::kChunk;
 
 /** Pop every entry of @p slot, in order. */
 std::vector<int>
@@ -413,6 +414,71 @@ drain(SlotQueue<int> &q, std::size_t slot)
         out.push_back(q.pop(slot));
     return out;
 }
+
+std::vector<int>
+iota(int first, int count)
+{
+    std::vector<int> v(count);
+    for (int i = 0; i < count; ++i)
+        v[i] = first + i;
+    return v;
+}
+
+/**
+ * Chunk accounting a SlotQueue must follow.  A slot's entries since it
+ * was last empty sit at positions [0, pushed) of its chunk chain, of
+ * which [0, popped) are consumed; a chunk is freed once every position
+ * in it is consumed, or when the slot empties.  So the slot uses
+ * ceil(pushed / K) - floor(popped / K) chunks, and the pool, which
+ * grows only when no freed chunk is left, must hold exactly the peak
+ * over time of their sum.  That sum exceeds sum ceil(live / K) only
+ * by the consumed head of a slot that is partly popped.
+ */
+class ChunkModel
+{
+  public:
+    explicit ChunkModel(std::size_t slots) : pushed_(slots), popped_(slots) {}
+
+    void
+    push(std::size_t s)
+    {
+        ++pushed_[s];
+        peak_ = std::max(peak_, inUse());
+        std::size_t live_chunks = 0;
+        for (std::size_t t = 0; t < pushed_.size(); ++t)
+            live_chunks += (pushed_[t] - popped_[t] + kChunk - 1) / kChunk;
+        peak_live_chunks_ = std::max(peak_live_chunks_, live_chunks);
+    }
+
+    void
+    pop(std::size_t s)
+    {
+        if (++popped_[s] == pushed_[s])
+            pushed_[s] = popped_[s] = 0;
+    }
+
+    void popAll(std::size_t s) { pushed_[s] = popped_[s] = 0; }
+
+    std::size_t
+    inUse() const
+    {
+        std::size_t n = 0;
+        for (std::size_t s = 0; s < pushed_.size(); ++s)
+            if (pushed_[s] > popped_[s])
+                n += (pushed_[s] + kChunk - 1) / kChunk - popped_[s] / kChunk;
+        return n;
+    }
+
+    /** Peak over time of the chunks in use. */
+    std::size_t peak() const { return peak_; }
+
+    /** Peak over time of sum over slots of ceil(live / K). */
+    std::size_t peakLiveChunks() const { return peak_live_chunks_; }
+
+  private:
+    std::vector<std::size_t> pushed_, popped_;
+    std::size_t peak_ = 0, peak_live_chunks_ = 0;
+};
 
 TEST(SlotQueue, EachSlotIsFifo)
 {
@@ -428,34 +494,45 @@ TEST(SlotQueue, EachSlotIsFifo)
 
 TEST(SlotQueue, ReusesNodesAfterADrain)
 {
+    // Ten entries fit one chunk; the drain frees it and the next
+    // slot's pushes reuse it instead of growing the pool.
     SlotQueue<int> q(4);
     for (int v = 0; v < 10; ++v)
         q.push(0, v);
-    EXPECT_EQ(q.poolSize(), 10u);
+    EXPECT_EQ(q.chunkCount(), 1u);
     drain(q, 0);
     for (int v = 0; v < 10; ++v)
         q.push(3, v);
-    EXPECT_EQ(q.poolSize(), 10u);
-    EXPECT_EQ(drain(q, 3), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(q.chunkCount(), 1u);
+    EXPECT_EQ(drain(q, 3), iota(0, 10));
 }
 
 TEST(SlotQueue, PushesIntoOtherSlotsDuringADrainLandInOrder)
 {
     // The engine's wheels re-push what they pop into later slots while
-    // draining; each popped node is free again before that push.
+    // draining; a chunk is free again once its last entry is popped.
     SlotQueue<int> q(3);
+    ChunkModel m(3);
     q.push(2, -1);
-    for (int v = 0; v < 6; ++v)
+    m.push(2);
+    for (int v = 0; v < 6; ++v) {
         q.push(0, v);
+        m.push(0);
+    }
     while (!q.empty(0)) {
         const int v = q.pop(0);
+        m.pop(0);
         q.push(1, v);
+        m.push(1);
         q.push(2, 10 + v);
+        m.push(2);
     }
-    EXPECT_EQ(drain(q, 1), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(drain(q, 1), iota(0, 6));
     EXPECT_EQ(drain(q, 2),
               (std::vector<int>{-1, 10, 11, 12, 13, 14, 15}));
-    EXPECT_EQ(q.poolSize(), 13u);
+    EXPECT_EQ(q.chunkCount(), m.peak());
+    EXPECT_EQ(q.chunkCount(), 3u);
+    EXPECT_LE(q.chunkCount(), m.peakLiveChunks());
 }
 
 TEST(SlotQueue, KeepsDuplicates)
@@ -471,32 +548,184 @@ TEST(SlotQueue, KeepsDuplicates)
     EXPECT_EQ(drain(q, 0), (std::vector<int>{7}));
 }
 
+TEST(SlotQueue, OneSlotSpansSeveralChunks)
+{
+    SlotQueue<int> q(2);
+    const int n = 3 * static_cast<int>(kChunk) + 5;
+    for (int v = 0; v < n; ++v)
+        q.push(1, v);
+    EXPECT_EQ(q.chunkCount(), 4u);
+    EXPECT_TRUE(q.empty(0));
+    EXPECT_EQ(drain(q, 1), iota(0, n));
+    EXPECT_TRUE(q.empty(1));
+    EXPECT_EQ(q.chunkCount(), 4u);
+}
+
+TEST(SlotQueue, InterleavedSlotsKeepTheirOwnChains)
+{
+    // Round-robin pushes give every slot's chain chunks that alternate
+    // with the other slots' in the pool.
+    constexpr std::size_t kSlots = 3;
+    const int per_slot = 2 * static_cast<int>(kChunk) + 3;
+    SlotQueue<int> q(kSlots);
+    for (int i = 0; i < per_slot; ++i)
+        for (std::size_t s = 0; s < kSlots; ++s)
+            q.push(s, static_cast<int>(s) * 1000 + i);
+    EXPECT_EQ(q.chunkCount(), kSlots * 3);
+    EXPECT_EQ(drain(q, 1), iota(1000, per_slot));
+    EXPECT_EQ(drain(q, 2), iota(2000, per_slot));
+    EXPECT_EQ(drain(q, 0), iota(0, per_slot));
+}
+
+TEST(SlotQueue, PushIntoTheDrainingSlotAtAChunkEdge)
+{
+    // A drain that pushes into its own slot yields those entries in the
+    // same drain, also when the push opens a chunk and the pop that
+    // follows leaves the one before it.
+    SlotQueue<int> q(2);
+    ChunkModel m(2);
+    const int k = static_cast<int>(kChunk);
+    for (int v = 0; v < k; ++v) {
+        q.push(0, v);
+        m.push(0);
+    }
+    // Pop to the chunk's last entry, then push while it is still there:
+    // the push needs a second chunk, the next pop frees the first.
+    for (int v = 0; v < k - 1; ++v) {
+        ASSERT_EQ(q.pop(0), v);
+        m.pop(0);
+    }
+    q.push(0, k);
+    m.push(0);
+    EXPECT_EQ(q.chunkCount(), 2u);
+    EXPECT_EQ(q.pop(0), k - 1);
+    m.pop(0);
+    // Keep two entries queued while re-pushing into the draining slot,
+    // so its window slides across several chunk edges without emptying.
+    q.push(0, k + 1);
+    m.push(0);
+    std::vector<int> seen;
+    while (!q.empty(0)) {
+        const int v = q.pop(0);
+        m.pop(0);
+        seen.push_back(v);
+        if (v + 2 <= 4 * k) {
+            q.push(0, v + 2);
+            m.push(0);
+        }
+    }
+    EXPECT_EQ(seen, iota(k, 3 * k + 1));
+    EXPECT_EQ(q.chunkCount(), m.peak());
+    EXPECT_EQ(q.chunkCount(), 2u);
+}
+
+TEST(SlotQueue, DuplicatesAcrossAChunkEdge)
+{
+    SlotQueue<int> q(1);
+    const int k = static_cast<int>(kChunk);
+    for (int v = 0; v < k - 2; ++v)
+        q.push(0, v);
+    for (int i = 0; i < 4; ++i)
+        q.push(0, 7);  // positions K-2 .. K+1 straddle the edge
+    q.push(0, 9);
+    std::vector<int> want = iota(0, k - 2);
+    want.insert(want.end(), {7, 7, 7, 7, 9});
+    EXPECT_EQ(q.chunkCount(), 2u);
+    EXPECT_EQ(drain(q, 0), want);
+}
+
+TEST(SlotQueue, DrainThenRefillReusesFreedChunks)
+{
+    SlotQueue<int> q(3);
+    const int n = 3 * static_cast<int>(kChunk);
+    for (int round = 0; round < 4; ++round) {
+        const std::size_t s = round % 3;
+        for (int v = 0; v < n; ++v)
+            q.push(s, round * n + v);
+        EXPECT_EQ(q.chunkCount(), 3u);
+        if (round % 2 == 0) {
+            EXPECT_EQ(drain(q, s), iota(round * n, n));
+        } else {
+            std::vector<int> out{-5};
+            q.drainInto(s, out);
+            std::vector<int> want{-5};
+            const std::vector<int> tail = iota(round * n, n);
+            want.insert(want.end(), tail.begin(), tail.end());
+            EXPECT_EQ(out, want);
+        }
+        EXPECT_TRUE(q.empty(s));
+    }
+    EXPECT_EQ(q.chunkCount(), 3u);
+}
+
+TEST(SlotQueue, DrainIntoAfterPartialPops)
+{
+    // drainInto starts mid-chunk and stops mid-chunk, appending.
+    SlotQueue<int> q(2);
+    const int k = static_cast<int>(kChunk);
+    for (int v = 0; v < 2 * k + 7; ++v)
+        q.push(1, v);
+    for (int v = 0; v < k + 3; ++v)
+        ASSERT_EQ(q.pop(1), v);
+    std::vector<int> out;
+    q.drainInto(0, out);  // empty slot: appends nothing
+    EXPECT_TRUE(out.empty());
+    q.drainInto(1, out);
+    EXPECT_EQ(out, iota(k + 3, k + 4));
+    EXPECT_TRUE(q.empty(1));
+    for (int v = 0; v < 3 * k; ++v)
+        q.push(0, v);
+    EXPECT_EQ(q.chunkCount(), 3u);  // all three freed chunks reused
+}
+
 TEST(SlotQueue, MatchesPerSlotDequesAndPoolTracksPeakLive)
 {
-    // Random pushes and pops against one std::deque per slot: same
-    // entries in the same order, and the pool never holds more nodes
-    // than were live at once.
+    // Random pushes, pops and whole-slot drains against one std::deque
+    // per slot: same entries in the same order (forEach included), and
+    // the pool holds exactly the peak number of chunks in use at once
+    // (ChunkModel).
     constexpr std::size_t kSlots = 16;
     SlotQueue<int> q(kSlots);
+    ChunkModel m(kSlots);
     std::vector<std::deque<int>> ref(kSlots);
     Rng rng(11);
-    std::size_t live = 0, peak = 0;
-    for (int step = 0; step < 20000; ++step) {
+    std::size_t live = 0, peak_live = 0;
+    int steps = 0;
+    for (int step = 0; step < 20000; ++step, ++steps) {
         const std::size_t s = rng.uniform(kSlots);
-        if (rng.uniform(100) < 52) {
+        const std::uint64_t r = rng.uniform(1000);
+        if (r < 520) {
             q.push(s, step);
+            m.push(s);
             ref[s].push_back(step);
-            peak = std::max(peak, ++live);
-        } else if (!ref[s].empty()) {
+            peak_live = std::max(peak_live, ++live);
+        } else if (r < 995 && !ref[s].empty()) {
             ASSERT_FALSE(q.empty(s));
             ASSERT_EQ(q.pop(s), ref[s].front());
+            m.pop(s);
             ref[s].pop_front();
             --live;
+        } else if (r >= 995) {
+            std::vector<int> out;
+            q.drainInto(s, out);
+            m.popAll(s);
+            ASSERT_EQ(out, std::vector<int>(ref[s].begin(), ref[s].end()));
+            live -= ref[s].size();
+            ref[s].clear();
         } else {
             ASSERT_TRUE(q.empty(s));
         }
-        ASSERT_EQ(q.poolSize(), peak);
+        ASSERT_EQ(q.chunkCount(), m.peak()) << "step " << step;
+        if (step % 97 == 0) {
+            std::vector<int> seen;
+            q.forEach(s, [&](int v) { seen.push_back(v); });
+            ASSERT_EQ(seen, std::vector<int>(ref[s].begin(), ref[s].end()));
+        }
+        // Each slot wastes less than one chunk at either end.
+        ASSERT_LE(q.chunkCount(), peak_live / kChunk + 2 * kSlots);
     }
+    EXPECT_EQ(steps, 20000);
+    EXPECT_GT(peak_live, 4 * kChunk);  // the run crossed many chunk edges
     for (std::size_t s = 0; s < kSlots; ++s)
         EXPECT_EQ(drain(q, s), std::vector<int>(ref[s].begin(), ref[s].end()));
 }
