@@ -245,9 +245,7 @@ analyticGroup(const Study &st, const Point *pts, std::size_t n,
                             {"p50_latency", q.p50_latency},
                             {"p99_latency", q.p99_latency},
                             {"max_utilization", q.max_utilization},
-                            {"exact_cdf_passes", num(q.exact_cdf_passes)},
-                            {"bounded_cdf_passes",
-                             num(q.bounded_cdf_passes)},
+                            {"cdf_passes", num(q.cdf_passes)},
                             {"mixture_components",
                              num(q.mixture_components)}});
         }

@@ -286,8 +286,7 @@ queueLatencySweep(const FlowProblem &problem, const QueueModel &model,
             shiftedGammaMixtureQuantiles(comps, {0.50, 0.99}, opt.pool);
         pt.p50_latency = qv.values[0];
         pt.p99_latency = qv.values[1];
-        pt.exact_cdf_passes = qv.exact_passes;
-        pt.bounded_cdf_passes = qv.bounded_passes;
+        pt.cdf_passes = qv.cdf_passes;
         result.quantile_seconds += secondsSince(quantile_start);
     }
 

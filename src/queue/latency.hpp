@@ -42,12 +42,10 @@
  * components inside each range and one across ranges, one sort of
  * the unique components, and then - the dominant term at scale - p50
  * and p99 from one prepared copy of the mixture (util/stats).  Each
- * quantile costs a few full-mixture CDF passes with a cbrt and an erfc
- * per distinct component: ~6 bounded passes on 2-lane vector libm
- * that locate the root and certify the bisection steps either side of
- * it, and ~3 exact passes on scalar libm for the steps only they can
- * decide.  The result reports the wall time of the mixture build and
- * of the quantiles, and each point its pass counts.
+ * quantile costs a few full-mixture passes of safeguarded Newton, each
+ * with a cbrt, an erfc and an exp per distinct component.  The result
+ * reports the wall time of the mixture build and of the quantiles,
+ * and each point its pass count.
  *
  * Memory: loads are processed one at a time.  Besides the problem, a
  * sweep holds 10 B per link for the whole sweep (utilization and the
@@ -97,12 +95,10 @@ struct QueueLoadPoint
     double max_utilization = 0.0;
     /**
      * Full-mixture CDF passes that p50 and p99 took (util/stats
-     * shiftedGammaMixtureQuantiles): exact ones, whose bits decide a
-     * bisection step, and bounded ones, which locate and certify.
-     * Identical at any pool size; zero at a saturated load.
+     * shiftedGammaMixtureQuantiles).  Identical at any pool size; zero
+     * at a saturated load.
      */
-    std::size_t exact_cdf_passes = 0;
-    std::size_t bounded_cdf_passes = 0;
+    std::size_t cdf_passes = 0;
     /**
      * Unique (shift, mean, variance) components of the merged mixture
      * the quantiles ran over: the size of the load's largest live

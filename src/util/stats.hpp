@@ -88,55 +88,32 @@ struct ShiftedGamma
  * cube-root normal approximation (the same machinery as
  * chiSquareCritical; relative error a few percent for shape < 1,
  * well inside the queue model's own accuracy).  This is bit for bit
- * the function shiftedGammaMixtureQuantile inverts: both run the
- * exact pass over the same hoisted per-component constants, summing
- * the components' terms in input order.  Throws
- * std::invalid_argument on an empty mixture, a weight <= 0, or a
- * non-finite field.
+ * the function shiftedGammaMixtureQuantile inverts: both run one pass
+ * over the same hoisted per-component constants, summing the
+ * components' terms in input order.  Throws std::invalid_argument on
+ * an empty mixture, a weight <= 0, or a non-finite field.
  */
 double shiftedGammaMixtureCdf(const std::vector<ShiftedGamma> &mix,
                               double x);
 
 /**
- * The bounded pass of the mixture CDF at @p x, as the quantile search
- * uses it to locate and certify (vector libm when the build found
- * glibc's libmvec, scalar libm otherwise), and the bound on its
- * distance from shiftedGammaMixtureCdf: @c bound = E + E_b, the
- * documented worst-case rounding errors of the exact and the bounded
- * pass against the same CDF in exact arithmetic (+inf when the
- * mixture gets no certificates).  Throws like shiftedGammaMixtureCdf.
- */
-struct BoundedCdf
-{
-    double value = 0.0;
-    double bound = 0.0;
-};
-BoundedCdf shiftedGammaMixtureBoundedCdf(
-    const std::vector<ShiftedGamma> &mix, double x);
-
-/**
  * Inverse of shiftedGammaMixtureCdf: the smallest x with CDF(x) >= q,
- * to ~1e-9 relative precision.  Defined as a bracketed bisection on
- * shiftedGammaMixtureCdf (bracket from the lowest shift to the highest
- * mean + 12 sd, doubled until it holds the quantile; halved until its
- * width is at most 1e-9 max(1, |hi|); the midpoint is returned).
+ * to ~1e-9 relative precision.  For 0 < q the returned x is a root in
+ * this sense: with tol = 1e-9 max(1, |x|), CDF(x - tol) < q <=
+ * CDF(x + tol).  q = 0 returns the lowest point of any component's
+ * support.
  *
- * It is computed by certified replay over two CDF passes.  The exact
- * pass is the CDF above; E bounds its rounding error (summation over
- * n components, per-component cbrt/erfc error, the final division).
- * The bounded pass runs the same formula through 2-lane vector libm
- * with its own bound E_b.  Both turn a value far enough below q into
- * a proof that every x' <= x evaluates below q, and one far enough
- * above into the mirror proof: exact values by 2E, bounded ones by
- * E + E_b.  The bounded pass does all the locating - a guess from a
- * strided subsample, secant steps, two probes just either side of the
- * root - and the exact pass runs only for bisection steps strictly
- * between the certificates, the only ones whose answer its bits
- * decide.  A fig10-sized quantile takes ~6 bounded and ~3 exact
- * passes instead of ~34 exact ones, and the result is bit-identical
- * to evaluating every step.  Deterministic (pure function of the
- * component list).  Throws like shiftedGammaMixtureCdf, plus on q
- * outside [0, 1].
+ * It is computed by safeguarded Newton on one pass that returns the
+ * CDF and its density (one cbrt, erfc and exp per live component).
+ * The search keeps a bracket from the lowest shift to the highest
+ * mean + 12 sd, grown by its width until a pass shows CDF >= q at its
+ * upper end, and takes a bisection step wherever Newton would leave
+ * it (point masses, a zero or non-finite density).  It starts from
+ * the same search run on a strided subsample of ~4k components.  A
+ * fig10-sized quantile takes about 4 full passes, where a plain
+ * bisection takes ~34.  Deterministic (pure function of the component
+ * list and q).  Throws like shiftedGammaMixtureCdf, plus on q outside
+ * [0, 1].
  */
 double shiftedGammaMixtureQuantile(const std::vector<ShiftedGamma> &mix,
                                    double q);
@@ -147,12 +124,10 @@ struct MixtureQuantiles
     std::vector<double> values;  //!< one per requested level, in order
     /**
      * Full-mixture passes, summed over the levels: a pure function of
-     * the mixture and the levels on a given build (the bounded pass's
-     * bits, and so its certificates, depend on the libm it runs on).
-     * The subsample passes of the initial guess are not counted.
+     * the mixture and the levels.  The subsample passes of the initial
+     * guess are not counted.
      */
-    std::size_t exact_passes = 0;
-    std::size_t bounded_passes = 0;
+    std::size_t cdf_passes = 0;
 };
 
 /**

@@ -1,11 +1,11 @@
 /**
  * @file
  * Test-only reference for the shifted-gamma mixture quantile: the
- * plain bracketed bisection that evaluates the full mixture CDF for
- * every decision, written out independently of util/stats.  The
- * library's certified replay must return the same double, bit for bit
- * (tier 1 in test_queue_model, tier 2 in test_prop_queue).  Also holds
- * the random mixture families both suites draw from.
+ * mixture CDF and the plain bracketed bisection that evaluates it for
+ * every decision, written out independently of util/stats, and the
+ * root statement the library's quantile must meet against them (tier 1
+ * in test_queue_model, tier 2 in test_prop_queue).  Also holds the
+ * random mixture families both suites draw from.
  */
 #ifndef RFC_TESTS_MIXTURE_REFERENCE_HPP
 #define RFC_TESTS_MIXTURE_REFERENCE_HPP
@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -124,6 +126,30 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/**
+ * Whether @p x is the q-quantile of @p mix: with tol = 1e-9 max(1,
+ * |x|), CDF(x - tol) < q <= CDF(x + tol) when 0 < q, and x lies within
+ * 1e-9 max(1, |b|) of the plain bisection's b.  Returns what failed,
+ * or an empty string.
+ */
+inline std::string
+rootStatementFails(const std::vector<ShiftedGamma> &mix, double q,
+                   double x)
+{
+    std::ostringstream err;
+    err.precision(17);
+    const double tol = 1e-9 * std::max(1.0, std::abs(x));
+    const double below = mixtureCdf(mix, x - tol);
+    const double above = mixtureCdf(mix, x + tol);
+    if (q > 0.0 && !(below < q && q <= above))
+        err << "x=" << x << ": CDF(x - tol)=" << below
+            << ", CDF(x + tol)=" << above << " ";
+    const double b = plainBisectionQuantile(mix, q);
+    if (!(std::abs(x - b) <= 1e-9 * std::max(1.0, std::abs(b))))
+        err << "x=" << x << " vs plain bisection " << b;
+    return err.str();
+}
+
 /** The quantile levels every comparison covers, endpoints included. */
 inline const std::vector<double> &
 levels()
@@ -136,7 +162,7 @@ levels()
 enum class Family
 {
     kFig10,         //!< shifts 18..26, shape k in [0.2, 8]
-    kTinyVariance,  //!< shape k up to 1e5: the widest error bound
+    kTinyVariance,  //!< shape k up to 1e5: the steepest CDF rises
     kPointMasses,   //!< fig10-like with ~40% point masses
     kWideWeights,   //!< fig10-like, weights from 1e-3 to 1
     kRugged,        //!< shifts -20..80, k from 1e-3 to 1e5, some atoms

@@ -281,8 +281,7 @@ TEST(ExperimentEngine, QueuePointsReportCdfPassesAsMetrics)
     const Network net{"cft", &fc, &oracle};
     const std::string queue = withoutTiming(
         document(ExperimentEngine(1, 5), smallStudy(Tier::kQueue, net)));
-    for (const char *key : {"\"exact_cdf_passes\"", "\"bounded_cdf_passes\"",
-                            "\"mixture_components\""})
+    for (const char *key : {"\"cdf_passes\"", "\"mixture_components\""})
         EXPECT_NE(queue.find(key), std::string::npos) << key;
 }
 

@@ -540,9 +540,7 @@ expectSameSweep(const QueueSweepResult &a, const QueueSweepResult &b,
         EXPECT_EQ(pa.p50_latency, pb.p50_latency) << "point " << i;
         EXPECT_EQ(pa.p99_latency, pb.p99_latency) << "point " << i;
         EXPECT_EQ(pa.max_utilization, pb.max_utilization) << "point " << i;
-        EXPECT_EQ(pa.exact_cdf_passes, pb.exact_cdf_passes) << "point " << i;
-        EXPECT_EQ(pa.bounded_cdf_passes, pb.bounded_cdf_passes)
-            << "point " << i;
+        EXPECT_EQ(pa.cdf_passes, pb.cdf_passes) << "point " << i;
         EXPECT_EQ(pa.mixture_components, pb.mixture_components)
             << "point " << i;
     }

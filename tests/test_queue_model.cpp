@@ -180,19 +180,19 @@ TEST(GammaMixtureCore, QuantileMonotoneInQ)
                  std::invalid_argument);
 }
 
-TEST(GammaMixtureCore, CertifiedQuantileMatchesPlainBisection)
+TEST(GammaMixtureCore, QuantileIsARootWithinTheBisectionWidth)
 {
-    // The certified replay answers each bisection step from rounding-
-    // error certificates where it can; the result must be the plain
-    // bisection's double, bit for bit.
+    // The Newton search must return a root of the mixture CDF at q,
+    // within the plain bisection's 1e-9 stop width of its midpoint.
     auto check = [](const std::vector<ShiftedGamma> &mix,
                     const char *family) {
         for (double q : reference::levels()) {
-            double want = reference::plainBisectionQuantile(mix, q);
-            double got = shiftedGammaMixtureQuantile(mix, q);
-            EXPECT_TRUE(reference::sameBits(want, got))
-                << family << " n=" << mix.size() << " q=" << q
-                << ": plain " << want << " certified " << got;
+            const double got = shiftedGammaMixtureQuantile(mix, q);
+            const std::string fail =
+                reference::rootStatementFails(mix, q, got);
+            EXPECT_TRUE(fail.empty())
+                << family << " n=" << mix.size() << " q=" << q << ": "
+                << fail;
         }
     };
     const char *names[] = {"fig10-like", "tiny variance", "point masses",
@@ -206,6 +206,83 @@ TEST(GammaMixtureCore, CertifiedQuantileMatchesPlainBisection)
                       names[f]);
     check(reference::randomMixture(rng, reference::Family::kFig10, 100000),
           "fig10-like, 100k components");
+}
+
+TEST(GammaMixtureCore, QuantileOnAPointMassJump)
+{
+    // q falls inside the CDF's jump at the atom at 24: the smooth part
+    // has density there, so Newton steps either side keep missing, and
+    // the bracket must close on the atom.
+    const std::vector<ShiftedGamma> mix = {{18.0, 6.0, 9.0, 1.0},
+                                           {24.0, 0.0, 0.0, 2.0},
+                                           {20.0, 8.0, 40.0, 1.0}};
+    const double below = shiftedGammaMixtureCdf(mix, 24.0 - 1e-6);
+    const double at = shiftedGammaMixtureCdf(mix, 24.0);
+    ASSERT_LT(below + 0.4, at);
+    for (double q : {below + 0.01, 0.5 * (below + at), at}) {
+        const double got = shiftedGammaMixtureQuantile(mix, q);
+        EXPECT_NEAR(got, 24.0, 24e-9) << q;
+        const std::string fail = reference::rootStatementFails(mix, q, got);
+        EXPECT_TRUE(fail.empty()) << q << ": " << fail;
+    }
+}
+
+TEST(GammaMixtureCore, QuantileOfOneTinyVarianceComponent)
+{
+    // Shape 1e5 puts the whole CDF rise within ~0.1 of 24.1, so the
+    // density is 0 over nearly all of the bracket: a Newton step from
+    // there leaves it, and only the bracket's upper end keeps it
+    // finite until a pass has reached q there.
+    const double mean = 6.1;
+    const std::vector<ShiftedGamma> mix = {
+        {18.0, mean, mean * mean / 1e5, 1.0}};
+    for (double q : reference::levels()) {
+        const double got = shiftedGammaMixtureQuantile(mix, q);
+        if (q > 0.0 && q < 1.0) {
+            EXPECT_NEAR(got, 24.1, 0.2) << q;
+        }
+        const std::string fail = reference::rootStatementFails(mix, q, got);
+        EXPECT_TRUE(fail.empty()) << q << ": " << fail;
+    }
+}
+
+TEST(GammaMixtureCore, NanCdfTerminatesPoolInvariant)
+{
+    // h = inf (mean^2 underflows against the variance) makes z NaN for
+    // every x past the shift, and h = 0 (the shape overflows) makes the
+    // density NaN everywhere: the CDF is NaN or a step.  The search
+    // must stop within its pass cap and give the same double on a pool.
+    const std::vector<std::vector<ShiftedGamma>> mixes = {
+        {{20.0, 1e-200, 1.0, 1.0}},
+        {{20.0, 4.0, 1e-320, 1.0}},
+        {{20.0, 1e-200, 1.0, 1.0}, {22.0, 3.0, 4.0, 1.0}}};
+    const std::vector<double> qs = {0.5, 0.99};
+    ThreadPool pool(2);
+    for (const auto &mix : mixes) {
+        const MixtureQuantiles serial = shiftedGammaMixtureQuantiles(mix, qs);
+        const MixtureQuantiles par =
+            shiftedGammaMixtureQuantiles(mix, qs, &pool);
+        EXPECT_LE(serial.cdf_passes, 400u * qs.size());
+        EXPECT_EQ(par.cdf_passes, serial.cdf_passes);
+        for (std::size_t i = 0; i < qs.size(); ++i)
+            EXPECT_TRUE(reference::sameBits(serial.values[i],
+                                            par.values[i]))
+                << serial.values[i] << " vs " << par.values[i];
+    }
+}
+
+TEST(GammaMixtureCore, Fig10MixtureQuantilesTakeFewPasses)
+{
+    // A plain bisection takes ~34 passes per level here; Newton from
+    // the subsample guess takes a handful.
+    Rng rng(0xce27);
+    const auto mix =
+        reference::randomMixture(rng, reference::Family::kFig10, 100000);
+    for (double q : {0.50, 0.99}) {
+        const MixtureQuantiles one = shiftedGammaMixtureQuantiles(mix, {q});
+        EXPECT_GT(one.cdf_passes, 0u) << q;
+        EXPECT_LE(one.cdf_passes, 6u) << q;
+    }
 }
 
 TEST(GammaMixtureCore, PublicCdfIsTheBisectedFunction)
@@ -232,35 +309,6 @@ TEST(GammaMixtureCore, PublicCdfIsTheBisectedFunction)
     }
 }
 
-TEST(GammaMixtureCore, BoundedPassWithinItsBound)
-{
-    // The bounded pass locates and certifies, so its distance from the
-    // exact pass must stay within E + E_b everywhere in the bracket.
-    auto check = [](const std::vector<ShiftedGamma> &mix, int points,
-                    const char *family) {
-        double lo, hi;
-        reference::prepare(mix, lo, hi);
-        for (int i = 0; i <= points; ++i) {
-            const double x = lo + (hi - lo) * i / points;
-            const BoundedCdf b = shiftedGammaMixtureBoundedCdf(mix, x);
-            const double exact = shiftedGammaMixtureCdf(mix, x);
-            ASSERT_TRUE(std::isfinite(b.bound)) << family;
-            EXPECT_LE(std::abs(b.value - exact), b.bound)
-                << family << " n=" << mix.size() << " x=" << x;
-        }
-    };
-    const char *names[] = {"fig10-like", "tiny variance", "point masses",
-                           "wide weights", "rugged"};
-    Rng rng(0xb0b);
-    for (int f = 0; f < reference::kFamilies; ++f)
-        for (std::size_t n : {1, 7, 301, 3000})
-            check(reference::randomMixture(
-                      rng, static_cast<reference::Family>(f), n),
-                  200, names[f]);
-    check(reference::randomMixture(rng, reference::Family::kFig10, 100000),
-          40, "fig10-like, 100k components");
-}
-
 TEST(GammaMixtureCore, QuantilesShareOnePreparedMixture)
 {
     // Several levels at once give each single level's double, on a
@@ -279,9 +327,8 @@ TEST(GammaMixtureCore, QuantilesShareOnePreparedMixture)
         EXPECT_TRUE(reference::sameBits(serial.values[i], one)) << qs[i];
         EXPECT_TRUE(reference::sameBits(par.values[i], one)) << qs[i];
     }
-    EXPECT_GT(serial.bounded_passes, 0u);
-    EXPECT_EQ(par.exact_passes, serial.exact_passes);
-    EXPECT_EQ(par.bounded_passes, serial.bounded_passes);
+    EXPECT_GT(serial.cdf_passes, 0u);
+    EXPECT_EQ(par.cdf_passes, serial.cdf_passes);
     EXPECT_THROW(shiftedGammaMixtureQuantiles(mix, {0.5, 1.5}),
                  std::invalid_argument);
 }
@@ -435,20 +482,12 @@ TEST(QueueSweepCore, CdfPassCountsArePoolInvariant)
     const auto &want = runs[0].points;
     ASSERT_EQ(want.size(), opt.loads.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
-        // A live load always locates with bounded passes; whether any
-        // step needs an exact one depends on where the mids fall.
-        if (want[i].saturated) {
-            EXPECT_EQ(want[i].exact_cdf_passes, 0u);
-            EXPECT_EQ(want[i].bounded_cdf_passes, 0u);
-        } else {
-            EXPECT_GT(want[i].bounded_cdf_passes, 0u) << i;
-        }
-        for (const QueueSweepResult &r : runs) {
-            EXPECT_EQ(r.points[i].exact_cdf_passes,
-                      want[i].exact_cdf_passes);
-            EXPECT_EQ(r.points[i].bounded_cdf_passes,
-                      want[i].bounded_cdf_passes);
-        }
+        if (want[i].saturated)
+            EXPECT_EQ(want[i].cdf_passes, 0u);
+        else
+            EXPECT_GT(want[i].cdf_passes, 0u) << i;
+        for (const QueueSweepResult &r : runs)
+            EXPECT_EQ(r.points[i].cdf_passes, want[i].cdf_passes);
     }
     EXPECT_TRUE(want.back().saturated);
 }
@@ -771,8 +810,7 @@ allPartialsSweep(const FlowProblem &problem, const QueueModel &model,
             shiftedGammaMixtureQuantiles(comps, {0.50, 0.99});
         pt.p50_latency = qv.values[0];
         pt.p99_latency = qv.values[1];
-        pt.exact_cdf_passes = qv.exact_passes;
-        pt.bounded_cdf_passes = qv.bounded_passes;
+        pt.cdf_passes = qv.cdf_passes;
         pt.mixture_components = comps.size();
         points.push_back(pt);
     }
@@ -856,11 +894,7 @@ TEST(QueueSweepCore, WaveWidthCannotMoveABit)
                     const std::string at =
                         where + " load " + std::to_string(want[i].load);
                     expectSamePoint(g, want[i], at);
-                    EXPECT_EQ(g.exact_cdf_passes, want[i].exact_cdf_passes)
-                        << at;
-                    EXPECT_EQ(g.bounded_cdf_passes,
-                              want[i].bounded_cdf_passes)
-                        << at;
+                    EXPECT_EQ(g.cdf_passes, want[i].cdf_passes) << at;
                     EXPECT_EQ(g.mixture_components,
                               want[i].mixture_components)
                         << at;
