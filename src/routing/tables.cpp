@@ -1,45 +1,35 @@
 #include "routing/tables.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace rfc {
 
 namespace {
 
-/** Hash of a port mask's words (splitmix64 rounds). */
+/** splitmix64's finaliser: a bijection on 64-bit words. */
 std::uint64_t
-maskHash(const std::uint64_t *mask, int words)
+mix64(std::uint64_t x)
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (int i = 0; i < words; ++i) {
-        h ^= mask[i];
-        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-        h ^= h >> 31;
-    }
-    return h;
-}
-
-bool
-sameMask(const std::uint64_t *a, const std::uint64_t *b, int words)
-{
-    return std::equal(a, a + words, b);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
 }
 
 /**
- * Linear probe of an open-addressing table of ids + 1 (0 = empty, size
- * a power of two): the slot of the id @p same accepts, or the empty
- * slot where a new id goes.
+ * Key of a port set of @p words words with no trailing zero word: the
+ * mixed word itself for at most one word (a bijection, so equal keys
+ * are equal sets), else a hash of the words and their count.
  */
-template <class Same>
-std::size_t
-probe(const std::vector<std::uint32_t> &slots, std::uint64_t h, Same same)
+std::uint64_t
+setKey(const std::uint64_t *mask, int words)
 {
-    const std::size_t m = slots.size() - 1;
-    std::size_t at = h & m;
-    while (slots[at] != 0 && !same(slots[at] - 1))
-        at = (at + 1) & m;
-    return at;
+    if (words <= 1)
+        return mix64(words == 1 ? mask[0] : 0);
+    std::uint64_t h = static_cast<std::uint64_t>(words);
+    for (int i = 0; i < words; ++i)
+        h = mix64(h ^ mask[i]);
+    return h;
 }
 
 } // namespace
@@ -148,70 +138,117 @@ ForwardingTables::ForwardingTables(const FoldedClos &fc,
     : fc_(&fc), oracle_(&oracle), switches_(fc.numSwitches()),
       leaves_(fc.numLeaves())
 {
-    // Global intern table, keyed by the set's mask words with trailing
-    // zero words dropped, so one port set is one pool entry at switches
-    // of any port count.  last_sw[g]: the last switch that referenced
-    // pool set g, so each switch counts its distinct sets once.
-    std::vector<std::uint32_t> pool_slots(1024, 0);
-    std::vector<std::uint64_t> pool_hash, pool_mask;
-    std::vector<std::size_t> pool_mask_off{0};
-    std::vector<int> last_sw;
+    // A set is keyed by its mask words with trailing zero words
+    // dropped, so one port set is one pool entry at switches of any
+    // port count.  Each switch dedupes its runs' sets in `local`, whose
+    // slots count only while stamped with that switch, and lists them
+    // in first-occurrence order in `sets`; only those are looked up in
+    // the global set, so pool ids follow first occurrence in (switch,
+    // leaf) order.
+    struct Local
+    {
+        int sw = -1, set = 0;  // stamp, index into `sets`
+    };
+    struct Set
+    {
+        std::uint64_t key;
+        int leaf, words, size;  // first leaf, trimmed words, popcount
+    };
+    // A global slot holds its set's key, pool id + 1 (0 = empty) and,
+    // for a set of two or more words, 1 + the offset of its word count
+    // in `multi`, which stores each such set's count and words (0 for
+    // one word, whose key alone decides equality).
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::uint32_t id = 0, at = 0;
+    };
+    constexpr std::size_t kAhead = 8;  // global slots prefetched ahead
+    std::vector<Local> local(
+        std::bit_ceil(2 * static_cast<std::size_t>(leaves_)));
+    std::vector<Set> sets;
+    std::vector<Slot> slots(1024);
+    std::vector<std::uint64_t> multi;
     long long pool_ports = 0, row_bytes = 0;
-    auto intern = [&](const std::uint64_t *mask, int words,
-                      std::uint32_t size) {
-        while (words > 0 && mask[words - 1] == 0)
-            --words;
-        const std::uint64_t h = maskHash(mask, words);
-        const std::size_t at = probe(pool_slots, h, [&](std::uint32_t g) {
-            return pool_hash[g] == h &&
-                   pool_mask_off[g + 1] - pool_mask_off[g] ==
-                       static_cast<std::size_t>(words) &&
-                   sameMask(mask, pool_mask.data() + pool_mask_off[g],
-                            words);
-        });
-        if (pool_slots[at] != 0)
-            return pool_slots[at] - 1;
-        const auto gid = static_cast<std::uint32_t>(pool_hash.size());
-        pool_slots[at] = gid + 1;
-        pool_hash.push_back(h);
-        pool_mask.insert(pool_mask.end(), mask, mask + words);
-        pool_mask_off.push_back(pool_mask.size());
-        last_sw.push_back(-1);
-        pool_ports += size;
-        if (2 * pool_hash.size() > pool_slots.size()) {
-            pool_slots.assign(2 * pool_slots.size(), 0);
-            for (std::uint32_t g = 0; g < pool_hash.size(); ++g)
-                pool_slots[probe(pool_slots, pool_hash[g],
-                                 [](std::uint32_t) { return false; })] =
-                    g + 1;
+
+    // Pool id of @p s (words @p m), added to the pool when new.
+    auto poolId = [&](const Set &s, const std::uint64_t *m) {
+        std::size_t at = s.key & (slots.size() - 1);
+        for (; slots[at].id != 0; at = (at + 1) & (slots.size() - 1)) {
+            const Slot &g = slots[at];
+            if (g.key == s.key && (g.at == 0) == (s.words <= 1) &&
+                (g.at == 0 ||
+                 (multi[g.at - 1] == static_cast<std::uint64_t>(s.words) &&
+                  std::equal(m, m + s.words, multi.begin() + g.at))))
+                return g.id - 1;
+        }
+        const auto gid = static_cast<std::uint32_t>(unique_sets_++);
+        slots[at] = {s.key, gid + 1, 0};
+        if (s.words > 1) {
+            multi.push_back(static_cast<std::uint64_t>(s.words));
+            slots[at].at = static_cast<std::uint32_t>(multi.size());
+            multi.insert(multi.end(), m, m + s.words);
+        }
+        pool_ports += s.size;
+        if (4 * static_cast<std::size_t>(unique_sets_) > 3 * slots.size()) {
+            std::vector<Slot> old(2 * slots.size());
+            old.swap(slots);
+            for (const Slot &g : old) {
+                if (g.id == 0)
+                    continue;
+                std::size_t to = g.key & (slots.size() - 1);
+                while (slots[to].id != 0)
+                    to = (to + 1) & (slots.size() - 1);
+                slots[to] = g;
+            }
         }
         return gid;
     };
 
     forEachTableRow(fc, oracle, [&](int sw, const std::uint64_t *masks,
                                     int words) {
-        // Intern each run of equal masks in leaf order, so pool ids
-        // follow first occurrence in (switch, leaf) order.
-        std::uint32_t size = 0, distinct = 0, max_gid = 0;
-        for (long long d = 0; d < leaves_; ++d) {
+        // One local lookup per run of equal masks, one popcount per
+        // distinct set.
+        sets.clear();
+        for (long long d = 0, e = 0; d < leaves_; d = e) {
             const std::uint64_t *m = masks + d * words;
-            if (d == 0 || !sameMask(m, m - words, words)) {
-                size = 0;
-                for (int w = 0; w < words; ++w)
-                    size += static_cast<std::uint32_t>(
-                        __builtin_popcountll(m[w]));
-                const std::uint32_t gid = intern(m, words, size);
-                if (last_sw[gid] != sw) {
-                    last_sw[gid] = sw;
-                    ++distinct;
-                    max_gid = std::max(max_gid, gid);
-                }
+            // The run ends at the entry holding the first word that
+            // differs from the word one entry before it.
+            const std::uint64_t *p =
+                std::mismatch(m + words, masks + leaves_ * words, m).first;
+            e = p - m < 2 * words ? d + 1 : (p - masks) / words;
+            int n = words;
+            while (n > 0 && m[n - 1] == 0)
+                --n;
+            const std::uint64_t key = setKey(m, n);
+            std::size_t at = key & (local.size() - 1);
+            while (local[at].sw == sw &&
+                   !(sets[local[at].set].key == key &&
+                     (words == 1 ||
+                      std::equal(m, m + words,
+                                 masks + sets[local[at].set].leaf * words))))
+                at = (at + 1) & (local.size() - 1);
+            if (local[at].sw != sw) {
+                int size = 0;
+                for (int w = 0; w < n; ++w)
+                    size += __builtin_popcountll(m[w]);
+                local[at] = {sw, static_cast<int>(sets.size())};
+                sets.push_back({key, static_cast<int>(d), n, size});
             }
-            if (size != 0) {
-                ++populated_;
-                total_ports_ += size;
-            }
+            const int size = sets[local[at].set].size;
+            populated_ += size != 0 ? e - d : 0;
+            total_ports_ += (e - d) * size;
         }
+
+        std::uint32_t max_gid = 0;
+        for (std::size_t i = 0; i < sets.size(); ++i) {
+            if (i + kAhead < sets.size())
+                __builtin_prefetch(slots.data() + (sets[i + kAhead].key &
+                                                   (slots.size() - 1)));
+            max_gid = std::max(
+                max_gid, poolId(sets[i], masks + sets[i].leaf * words));
+        }
+        const auto distinct = static_cast<long long>(sets.size());
 
         // The cheaper encoding for this switch: a local dictionary
         // (1/2/4-byte entries + 4 bytes per distinct set) or direct
@@ -228,7 +265,6 @@ ForwardingTables::ForwardingTables(const FoldedClos &fc,
 
     // 2-byte pool ports, 8-byte pool/dictionary/entry offsets, and one
     // width byte per switch.
-    unique_sets_ = static_cast<long long>(pool_hash.size());
     memory_bytes_ = pool_ports * 2 + (unique_sets_ + 1) * 8 +
                     (switches_ + 1) * 16 + switches_ + row_bytes;
 }

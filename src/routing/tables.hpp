@@ -36,9 +36,13 @@
  * bit into the leaves its neighbour reaches at the right ascent budget.
  * A row costs O(ports * levels * leaves / 64) word operations and one
  * bit operation per port (one per run of parents with equal reach,
- * which covers all of a fat-tree switch's parents).  The meter adds
- * one hash lookup per leaf whose set differs from the previous leaf's;
- * pool ids follow first occurrence in (switch, leaf) order.
+ * which covers all of a fat-tree switch's parents).  The meter walks
+ * each row run by run (a run is a stretch of leaves with equal masks):
+ * one lookup per run in a per-switch table dedupes the switch's sets,
+ * one popcount per distinct set prices it, and only the switch's
+ * distinct sets are looked up in the global set, whose slots hold
+ * their keys inline.  Pool ids follow first occurrence in (switch,
+ * leaf) order.
  * check/invariants.cpp compares every streamed row with the per-entry
  * oracle scan (minUps, then upChoices or downChoices).  ports() reads
  * one entry from UpDownOracle::nextHops, the mask form the engine

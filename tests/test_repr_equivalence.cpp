@@ -18,8 +18,8 @@
  *  - every streamed table row == the per-entry oracle reference
  *    (checkForwardingTables), with all four meter counters equal to a
  *    replay of the compressed encoding over those rows and a real
- *    compression win - on plain, dead-link-overlay, radix-72 and
- *    expansion-union fabrics;
+ *    compression win - on plain, dead-link-overlay, radix-72,
+ *    CFT(132, 2) and expansion-union fabrics;
  *  - int-overflow guards at the sizes where the legacy code wrapped
  *    (rfcMaxLeaves at R=54 l=5, buildOft3 at q ~ 1290, dense-bytes
  *    formula at 1M-terminal parameters).
@@ -444,16 +444,38 @@ TEST(ReprEquivalence, CompressedTablesMatchDenseReference)
     EXPECT_TRUE(res.passed) << res.report();
 
     // Radix 72: middle and top switches have 72 ports, so a port mask
-    // spans two words; with and without dead links.
+    // spans two words; with and without dead links.  This case also
+    // covers the meter's global set growing: it starts at 1024 slots
+    // and doubles past 3/4 load, so more than 1536 unique sets make it
+    // grow at least twice.
     Rng rng(605);
     const FoldedClos wide = buildRfcUnchecked(72, 3, 72, rng);
-    auto r = matchesDenseReference(wide, UpDownOracle(wide));
+    const UpDownOracle wide_oracle(wide);
+    auto r = matchesDenseReference(wide, wide_oracle);
     EXPECT_TRUE(r.ok) << r.message;
+    EXPECT_GT(ForwardingTables(wide, wide_oracle).uniqueSets(), 1536);
     LinkFaultState wide_overlay(wide);
     killRandomLinks(wide, wide_overlay, 0.3, 606);
     UpDownOracle wide_faulted;
     wide_faulted.build(wide, &wide_overlay);
     r = matchesDenseReference(wide, wide_faulted);
+    EXPECT_TRUE(r.ok) << r.message;
+
+    // Leaf 0 of the radix-72 RFC cut off: the 2-word middle and top
+    // switches then hold the empty set, as the 1-word leaf switches
+    // do, so it is one pool set only if keys drop trailing zero words.
+    LinkFaultState cut(wide);
+    for (const int parent : wide.up(0))
+        ASSERT_TRUE(cut.setLink(0, parent, true));
+    UpDownOracle cut_oracle;
+    cut_oracle.build(wide, &cut);
+    r = matchesDenseReference(wide, cut_oracle);
+    EXPECT_TRUE(r.ok) << r.message;
+
+    // CFT(132, 2): top switches have 132 ports, so their rows are three
+    // words and a set's key spans more than two words.
+    const FoldedClos cft132 = buildCft(132, 2);
+    r = matchesDenseReference(cft132, UpDownOracle(cft132));
     EXPECT_TRUE(r.ok) << r.message;
 
     // An expansion's union fabric with its staged links dead, as a

@@ -5,8 +5,8 @@
 
 Loads every BENCH_*.json at the repo root (or ROOT), checks that each
 is well formed, and prints the last entry of each file as one table
-row: the parent's and the change's median run_s and peak_rss_mb with
-the change's verdicts.
+row: the parent's and the change's median setup_s, run_s, wall_s and
+peak_rss_mb with the change's verdicts.
 
 A file is well formed when it holds the top-level keys and, in every
 entry, the entry keys below; when every entry records equal digests
@@ -94,7 +94,7 @@ def row(doc):
     """One table row for the last entry of a well-formed file."""
     e = doc["entries"][-1]
     cells = [doc["workload"], str(e["pairs"])]
-    for metric in ("run_s", "peak_rss_mb"):
+    for metric in END_TO_END:
         p, c = e["parent"][metric]["median"], e["change"][metric]["median"]
         delta = 100.0 * (c - p) / p if p else 0.0
         cells.append(f"{p:.4g} -> {c:.4g} ({delta:+.1f}%) "
@@ -126,8 +126,8 @@ def main(argv):
         if not found:
             rows.append(row(doc))
 
-    header = ["workload", "pairs", "run_s median parent -> change",
-              "peak_rss_mb median parent -> change", "last entry"]
+    header = ["workload", "pairs"] + \
+        [f"{m} median parent -> change" for m in END_TO_END] + ["last entry"]
     widths = [max(len(r[k]) for r in rows + [header])
               for k in range(len(header) - 1)]
     for r in [header] + rows:
