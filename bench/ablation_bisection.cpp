@@ -22,8 +22,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ablation_bisection", 17, {"full", "restarts"});
     b.banner("Ablation: bisection bounds vs empirical cuts");
@@ -123,4 +123,10 @@ main(int argc, char **argv)
                 "is a\nconservative lower proxy, not a refutation of "
                 "the bound.\n";
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -18,8 +18,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ablation_flowcontrol", 21,
             {"full", "radix", "warmup", "measure"});
@@ -96,4 +96,10 @@ main(int argc, char **argv)
     }
     b.emit("random-pairing at saturation vs VC count", pt);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -29,8 +29,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_adversarial", 55,
             {"full", "radix", "warmup", "measure", "trials"});
@@ -158,4 +158,10 @@ main(int argc, char **argv)
                 "minimally until the minimal queues back up, then\n"
                 "detours like Valiant.\n";
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -87,8 +87,8 @@ runSection(Bench &b, const std::string &section, const std::string &heading,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_closed_loop", 29,
             {"smoke", "section", "loads", "warmup", "measure", "trials",
@@ -163,4 +163,10 @@ main(int argc, char **argv)
     }
 
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -124,8 +124,8 @@ rrnIncrementalGrow(Graph &g, int add_switches, int d, Rng &rng)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_expansion_drill", 17,
             {"smoke", "full", "radix", "steps", "warmup", "measure", "load",
@@ -290,4 +290,10 @@ main(int argc, char **argv)
            "capacity steps, regularity\nre-verified after every added "
            "switch.\n";
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

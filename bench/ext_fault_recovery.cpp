@@ -32,8 +32,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_fault_recovery", 12,
             {"smoke", "full", "radix", "steps", "step-links", "warmup",
@@ -169,4 +169,10 @@ main(int argc, char **argv)
                 "to a\nsustained return to >= 90% of baseline "
                 "('never' = still degraded at run end).\n";
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

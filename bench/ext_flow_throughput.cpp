@@ -76,8 +76,8 @@ runScenario(Bench &b, Study study, const std::string &heading,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_flow_throughput", 13,
             {"full", "scenario", "patterns", "max-paths", "samples", "epsilon",
@@ -195,4 +195,10 @@ main(int argc, char **argv)
         }
     }
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

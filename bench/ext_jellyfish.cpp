@@ -29,8 +29,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_jellyfish", 77,
             {"radix", "leaves", "degree", "k", "warmup", "measure"});
@@ -129,4 +129,10 @@ main(int argc, char **argv)
         b.emit(std::string("traffic: ") + tname, t);
     }
     return b.finish(violations != 0 ? 1 : 0);
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

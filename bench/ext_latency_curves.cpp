@@ -126,8 +126,8 @@ selfCheck(const Bench &b, double queue_seconds,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "ext_latency_curves", 21,
             {"smoke", "section", "patterns", "loads", "max-paths", "samples",
@@ -214,4 +214,10 @@ main(int argc, char **argv)
     }
 
     return b.finish(ok ? 0 : 1);
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -21,8 +21,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig05_diameter", 1, {"radix"});
     // R >= 4: with one port per side (R < 4) the sweep never grows; an
@@ -84,4 +84,10 @@ main(int argc, char **argv)
     }
     b.emit("model vs constructed instances", v);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

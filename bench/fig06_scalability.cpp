@@ -15,8 +15,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig06_scalability", 1, {});
     b.banner("Figure 6: scalability (terminals vs radix)");
@@ -62,4 +62,10 @@ main(int argc, char **argv)
               oft_beats_rfc ? "yes" : "NO"});
     b.emit("headline ordering checks", s);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

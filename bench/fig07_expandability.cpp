@@ -18,8 +18,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig07_expandability", 3, {"full", "radix"});
     // R >= 4: with one port per side (R < 4) the sweep never grows; an
@@ -76,4 +76,10 @@ main(int argc, char **argv)
                plan.finalTopology().isRadixRegular() ? "yes" : "NO"});
     b.emit("incremental expansion rewiring (Sec 5 example)", rw);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -21,8 +21,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig08_perf_11k", 8,
             {"smoke", "full", "radix", "small-radix", "warmup", "measure",
@@ -65,4 +65,10 @@ main(int argc, char **argv)
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -20,8 +20,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig09_perf_100k", 9,
             {"full", "warmup", "measure", "min-load", "max-load", "points",
@@ -52,4 +52,10 @@ main(int argc, char **argv)
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -21,8 +21,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig10_perf_200k", 10,
             {"full", "warmup", "measure", "min-load", "max-load", "points",
@@ -55,4 +55,10 @@ main(int argc, char **argv)
                     {"uniform", "random-pairing", "fixed-random"}, loads,
                     base, reps);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -23,8 +23,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig11_updown_faults", 11, {"full", "radix", "trials"});
     b.banner("Figure 11: up/down-preserving fault tolerance (R=12)");
@@ -102,4 +102,10 @@ main(int argc, char **argv)
     }
     b.emit("CFT / OFT isolated points", c);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -27,8 +27,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig12_perf_faults", 12,
             {"full", "radix", "steps", "step-links", "warmup", "measure",
@@ -114,4 +114,10 @@ main(int argc, char **argv)
         b.emit("traffic: " + traffics[ti], t);
     }
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -82,8 +82,8 @@ runFlowSection(Bench &b, Study study, const std::string &heading,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "fig_perf_1M", 21,
             {"smoke", "section", "patterns", "max-paths", "samples", "epsilon",
@@ -185,4 +185,10 @@ main(int argc, char **argv)
                   << " MiB\n";
     }
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -29,8 +29,8 @@ addRow(TablePrinter &t, const std::string &name, const CostPoint &c)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "tab_section5_cost", 1, {});
     b.banner("Section 5: cost comparison scenarios (R = 36)");
@@ -70,4 +70,10 @@ main(int argc, char **argv)
               TablePrinter::fmtInt(cft4.wires)});
     b.emit("paper vs measured", s);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -85,8 +85,8 @@ oftOrderFor(long long t)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "table3_disconnect", 33, {"full", "trials"});
     b.banner("Table 3: faults to disconnect a diameter-4 network");
@@ -156,4 +156,10 @@ main(int argc, char **argv)
     }
     b.emit("percentage of removed links at first disconnection", t);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -21,8 +21,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Bench b(argc, argv, "thm42_threshold", 42,
             {"full", "radix", "levels", "generations"});
@@ -101,4 +101,10 @@ main(int argc, char **argv)
                   static_cast<double>(total_attempts) / builds, 2)});
     b.emit("acceptance-loop cost", a);
     return b.finish();
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -16,8 +16,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts(argc, argv, {"radix", "terminals", "verify", "seed"});
     // The cost models reject a radix below 4 or an odd one.
@@ -101,4 +101,10 @@ main(int argc, char **argv)
                   << (oracle.routable() ? "yes" : "NO") << "\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -16,8 +16,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts(argc, argv, {"radix", "levels", "leaves", "load", "seed"});
     const int radix = opts.getIntAtLeast("radix", 16, 2);
@@ -78,4 +78,10 @@ main(int argc, char **argv)
 
     // 6. Audit the run: every packet generated is accounted for.
     return failsAudit(sim, r, "quickstart") ? 1 : 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -48,8 +48,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts(argc, argv,
                  {"topo", "radix", "levels", "leaves", "traffic",
@@ -200,4 +200,10 @@ main(int argc, char **argv)
     else
         t.print(std::cout);
     return status;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

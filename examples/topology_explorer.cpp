@@ -19,8 +19,8 @@
 
 using namespace rfc;
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts(argc, argv,
                  {"radix", "levels", "seed", "max-paths", "samples", "jobs"});
@@ -104,4 +104,10 @@ main(int argc, char **argv)
                   TablePrinter::fmt(p.mean("ecmp_average"), 3)});
     f.print(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -36,8 +36,8 @@ dump(const FoldedClos &fc, const std::string &path)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+programMain(int argc, char **argv)
 {
     Options opts(argc, argv,
                  {"out-dir", "topo", "radix", "levels", "leaves", "seed"});
@@ -71,4 +71,10 @@ main(int argc, char **argv)
     Rng rng(opts.getInt("seed", 4));
     dump(buildRfcUnchecked(4, 4, 16, rng), dir + "/figure4.dot");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, programMain);
 }

@@ -10,19 +10,27 @@
  * stores, per switch s and ascent budget j, the set reach_j[s] of
  * leaves reachable by at most j up hops followed by down hops only.
  *
- * Layout: one contiguous array of 64-bit words, level-major.  A switch
- * at level L (1-based) of an l-level network can climb at most l - L
- * hops (its ceiling), so every budget above that repeats the ceiling's
- * set; it stores only budgets 0..l-L.  Level L holds
- * switchesAtLevel(L) x (l - L + 1) rows of ceil(N1 / 64) words, budget
- * by budget, each budget's rows in switch order, so row (s, j) starts
- * at the level's base + j x the level's stride (one budget's rows) +
- * (s - first switch) x the row width.  (The packet engine measured
- * slower with each switch's budgets side by side; DESIGN.md section 4
- * item 2.)  The tables hold
- *     8 x ceil(N1 / 64) x sum_L switchesAtLevel(L) x (l - L + 1)
- * bytes (memoryBytes), and reach(s, j) for j above s's ceiling returns
- * the ceiling row.
+ * Layout: a pool of distinct rows and per-switch runs of row offsets.
+ * A switch at level L (1-based) of an l-level network can climb at
+ * most l - L hops (its ceiling c), so every budget above c repeats the
+ * ceiling's set; it keeps only budgets 0..c.  Every row is ceil(N1 / 64)
+ * words, and each distinct row is stored once in the pool: in a
+ * fat-tree every switch of a subtree reaches the same leaves, so
+ * CFT(36,4) has 12,349 distinct rows among its 110,808.  Each switch
+ * owns one contiguous run of 32-bit word offsets into the pool:
+ *     its own rows for budgets 0..c,
+ *     then, for each budget j < c, each parent's budget-j row,
+ *     then each child's budget-0 row,
+ * so a next-hop decision reads one run and never the neighbour ids.
+ * The build computes each row in a scratch row at the pool's end and
+ * keeps it only when no equal row is there yet (hash, then compare
+ * words); the dense (switch, budget) array never exists.
+ * The tables hold
+ *     8 x ceil(N1 / 64) x D + 4 x (run entries + switches)
+ * bytes (memoryBytes), D the number of distinct rows: at most the
+ * dense count sum_L switchesAtLevel(L) x (l - L + 1), and exactly
+ * N1 + sum_{k=2}^{l-1} N1 / (R/2)^(k-1) + 1 for CFT(R, l).
+ * reach(s, j) for j above s's ceiling returns the ceiling row.
  *
  * This yields:
  *
@@ -51,6 +59,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "clos/faults.hpp"
@@ -106,10 +116,8 @@ class UpDownOracle
     const std::uint64_t *
     reachWords(int s, int ups) const
     {
-        const int lv = levelIndex(s);
-        return rows(s, lv) +
-               static_cast<std::size_t>(std::min(ups, levels_ - 1 - lv)) *
-                   level_[static_cast<std::size_t>(lv)].stride;
+        const int ceiling = levels_ - 1 - levelIndex(s);
+        return pool_.data() + run(s)[std::min(ups, ceiling)];
     }
 
     /**
@@ -168,9 +176,10 @@ class UpDownOracle
      * of downChoices (need 0), upChoices or, with @p feasible,
      * feasibleUpChoices to @p mask[0, maskWords()): bit i % 64 of word
      * i / 64 is port index i.  An unreachable leaf leaves it empty.
-     * Finds the switch's level once, then tests one word of each of
-     * its rows up to minUps and one word of each alive neighbour's row
-     * at the budget the port needs.
+     * Finds the switch's level once, then, through the switch's run of
+     * row offsets, tests one word of each of its rows up to minUps and
+     * one word of each alive neighbour's row at the budget the port
+     * needs.
      */
     int nextHops(const FoldedClos &fc, int s, int dest_leaf, bool feasible,
                  std::uint64_t *mask) const;
@@ -213,25 +222,63 @@ class UpDownOracle
     int numLeaves() const { return num_leaves_; }
 
     /**
-     * Bytes of the reach array: 8 x ceil(N1 / 64) x sum over levels L
-     * of switchesAtLevel(L) x (levels - L + 1), one row per switch and
-     * stored budget (0 before a build).
+     * Bytes of the tables: 8 x ceil(N1 / 64) per distinct row, plus
+     * 4 per run entry and 4 per switch for the run bases (0 before a
+     * build).
      */
     std::int64_t
     memoryBytes() const
     {
-        return static_cast<std::int64_t>(words_.size()) *
-               static_cast<std::int64_t>(sizeof(std::uint64_t));
+        return static_cast<std::int64_t>(pool_.size()) * 8 +
+               static_cast<std::int64_t>(offs_.size() + base_.size()) * 4;
     }
 
   private:
-    /** Where one level's rows sit in words_. */
-    struct Level
+    /**
+     * The distinct rows, back to back.  It grows by realloc, so a pool
+     * past the allocator's mmap threshold is remapped, not copied:
+     * growing by copies would hold the old and the new pool at once.
+     */
+    class WordPool
     {
-        int first = 0;           //!< id of the level's first switch
-        std::size_t base = 0;    //!< word offset of its first row
-        std::size_t stride = 0;  //!< words per budget: switches x row width
-        bool operator==(const Level &) const = default;
+      public:
+        WordPool() = default;
+        WordPool(const WordPool &o);
+        WordPool(WordPool &&o) noexcept { swap(o); }
+        WordPool &
+        operator=(WordPool o) noexcept
+        {
+            swap(o);
+            return *this;
+        }
+        ~WordPool() { std::free(data_); }
+
+        const std::uint64_t *data() const { return data_; }
+        std::size_t size() const { return size_; }
+        void clear() { size_ = 0; }
+        /** Grow by @p words uninitialised words; returns the first. */
+        std::uint64_t *extend(std::size_t words);
+        /** Drop every word from @p size on. */
+        void truncate(std::size_t size) { size_ = size; }
+        /** Give back the capacity beyond size(). */
+        void shrinkToFit();
+        bool operator==(const WordPool &o) const;
+
+      private:
+        void
+        swap(WordPool &o) noexcept
+        {
+            std::swap(data_, o.data_);
+            std::swap(size_, o.size_);
+            std::swap(capacity_, o.capacity_);
+        }
+        /** Resize the block to @p capacity words (> 0), keeping the
+         *  words below both sizes. */
+        void reallocate(std::size_t capacity);
+
+        std::uint64_t *data_ = nullptr;
+        std::size_t size_ = 0;
+        std::size_t capacity_ = 0;
     };
 
     /** 0-based level of switch @p s (levels are few: a short scan). */
@@ -239,26 +286,20 @@ class UpDownOracle
     levelIndex(int s) const
     {
         int lv = levels_ - 1;
-        while (s < level_[static_cast<std::size_t>(lv)].first)
+        while (s < first_[static_cast<std::size_t>(lv)])
             --lv;
         return lv;
     }
 
-    /** Budget-0 row of switch @p s at 0-based level @p lv; budget j is
-     *  j x the level's stride on, up to the ceiling levels_ - 1 - lv. */
-    const std::uint64_t *
-    rows(int s, int lv) const
+    /**
+     * Switch @p s's run of pool offsets: budgets 0..c of its own rows
+     * (c its ceiling), then c blocks of one entry per parent (block j
+     * the parents' budget-j rows), then one per child (budget 0).
+     */
+    const std::uint32_t *
+    run(int s) const
     {
-        const Level &l = level_[static_cast<std::size_t>(lv)];
-        return words_.data() + l.base +
-               static_cast<std::size_t>(s - l.first) * row_words_;
-    }
-
-    std::uint64_t *
-    rows(int s, int lv)
-    {
-        return const_cast<std::uint64_t *>(
-            static_cast<const UpDownOracle *>(this)->rows(s, lv));
+        return offs_.data() + base_[static_cast<std::size_t>(s)];
     }
 
     static bool
@@ -280,10 +321,11 @@ class UpDownOracle
     int levels_ = 0;
     int num_leaves_ = 0;
     int mask_words_ = 1;
-    std::size_t row_words_ = 0;  // ceil(num_leaves_ / 64)
-    std::vector<Level> level_;   // by 0-based level
-    // The rows of reach_j[s] for j <= s's ceiling, laid out as level_.
-    std::vector<std::uint64_t> words_;
+    std::size_t row_words_ = 0;        // ceil(num_leaves_ / 64)
+    std::vector<int> first_;           // first switch of each 0-based level
+    WordPool pool_;                    // the distinct rows of reach_j[s]
+    std::vector<std::uint32_t> base_;  // per switch: its run's start in offs_
+    std::vector<std::uint32_t> offs_;  // the runs: word offsets into pool_
     const LinkFaultState *faults_ = nullptr;
 };
 
@@ -293,45 +335,33 @@ UpDownOracle::nextHops(const FoldedClos &fc, int s, int dest_leaf,
                        bool feasible, std::uint64_t *mask) const
 {
     std::fill_n(mask, mask_words_, std::uint64_t{0});
-    const int lv = levelIndex(s);
-    const int ceiling = levels_ - 1 - lv;
-    const std::size_t own_stride = level_[static_cast<std::size_t>(lv)].stride;
-    const std::uint64_t *own = rows(s, lv);
+    const int ceiling = levels_ - 1 - levelIndex(s);
+    const std::uint32_t *own = run(s);
+    const std::uint64_t *pool = pool_.data();
     int need = 0;
-    while (!hasLeaf(own + static_cast<std::size_t>(need) * own_stride,
-                    dest_leaf))
+    while (!hasLeaf(pool + own[need], dest_leaf))
         if (++need > ceiling)
             return -1;
 
+    const auto up = fc.up(s);
+    const std::uint32_t *next = own + ceiling + 1;
     if (need == 0) {
-        // Children sit one level down; their budget-0 rows.
+        // Children sit one level down; their budget-0 rows follow the
+        // parents' blocks.
         const auto down = fc.down(s);
-        if (down.empty())
-            return need;
-        const Level &c = level_[static_cast<std::size_t>(lv - 1)];
-        const std::uint64_t *c_rows = words_.data() + c.base;
+        next += static_cast<std::size_t>(ceiling) * up.size();
         for (std::size_t i = 0; i < down.size(); ++i)
-            if (downAlive(s, i) &&
-                hasLeaf(c_rows + static_cast<std::size_t>(down[i] - c.first) *
-                                     row_words_,
-                        dest_leaf))
+            if (downAlive(s, i) && hasLeaf(pool + next[i], dest_leaf))
                 mask[i / 64] |= std::uint64_t{1} << (i % 64);
         return need;
     }
     // Minimal parents reach dest in need - 1 more ups; feasible ones
     // in whatever budget remains above them, their own ceiling (see
     // feasibleUpChoices).
-    const auto up = fc.up(s);
-    const Level &p = level_[static_cast<std::size_t>(lv + 1)];
-    const std::uint64_t *p_rows =
-        words_.data() + p.base +
-        static_cast<std::size_t>(feasible ? ceiling - 1 : need - 1) *
-            p.stride;
+    next += static_cast<std::size_t>(feasible ? ceiling - 1 : need - 1) *
+            up.size();
     for (std::size_t i = 0; i < up.size(); ++i)
-        if (upAlive(s, i) &&
-            hasLeaf(p_rows + static_cast<std::size_t>(up[i] - p.first) *
-                                 row_words_,
-                    dest_leaf))
+        if (upAlive(s, i) && hasLeaf(pool + next[i], dest_leaf))
             mask[i / 64] |= std::uint64_t{1} << (i % 64);
     return need;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 
@@ -59,6 +60,15 @@ Options::Options(int argc, const char *const *argv,
                  const std::vector<std::string> &flags)
     : flags_(flags.begin(), flags.end())
 {
+    if (!declares("help"))
+        for (int i = 1; i < argc; ++i)
+            if (std::string(argv[i]) == "--help") {
+                std::string usage = std::string("usage: ") + argv[0] +
+                                    " [--flag [value]]...\nflags:\n";
+                for (const auto &f : flags_)
+                    usage += "  --" + f + "\n";
+                throw HelpRequested(usage);
+            }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
@@ -201,6 +211,20 @@ Options::jobs() const
     return static_cast<int>(getInt("jobs", 0,
                                    std::numeric_limits<int>::min(),
                                    std::numeric_limits<int>::max()));
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const HelpRequested &help) {
+        std::cout << help.what();
+        return 0;
+    } catch (const std::exception &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 }
 
 } // namespace rfc

@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <exception>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rfc {
@@ -98,6 +100,30 @@ class Options
     std::set<std::string> flags_;
     std::map<std::string, std::string> values_;
 };
+
+/**
+ * Thrown by the Options constructor when the command line holds a
+ * bare --help and the program does not declare "help"; what() is the
+ * usage text, one declared flag per line.
+ */
+class HelpRequested : public std::exception
+{
+  public:
+    explicit HelpRequested(std::string usage) : usage_(std::move(usage)) {}
+    const char *what() const noexcept override { return usage_.c_str(); }
+
+  private:
+    std::string usage_;
+};
+
+/**
+ * A program's entry: returns @p body(argc, argv), after mapping what
+ * it throws to an exit status.  --help (HelpRequested) prints the
+ * usage on stdout and returns 0; any other std::exception prints
+ * "error: <what>" on stderr and returns 2, so a bad flag or input ends
+ * in a message and status 2, never in an abort.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
 
 } // namespace rfc
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -235,6 +236,65 @@ TEST(Options, EveryFormIsCheckedAgainstTheDeclaredNames)
     EXPECT_EQ(Options(3, value, flags).get("warmup", ""), "warm-up");
     const char *empty[] = {"prog", "--"};
     EXPECT_THROW(Options(2, empty, flags), std::invalid_argument);
+}
+
+TEST(Options, HelpListsTheDeclaredFlags)
+{
+    // --help wins wherever it stands, even after an undeclared flag.
+    const char *argv[] = {"prog", "--bogus", "1", "--help"};
+    try {
+        Options(4, argv, {"radix", "load"});
+        FAIL() << "--help did not throw";
+    } catch (const HelpRequested &help) {
+        const std::string usage = help.what();
+        EXPECT_NE(usage.find("usage: prog"), std::string::npos) << usage;
+        EXPECT_NE(usage.find("  --load\n  --radix\n"), std::string::npos)
+            << usage;
+    }
+    // A program that declares "help" reads it like any flag.
+    const char *own[] = {"prog", "--help"};
+    EXPECT_TRUE(Options(2, own, {"help"}).has("help"));
+}
+
+int
+mainReturning(int argc, char **argv)
+{
+    return argc == 1 ? 7 : std::atoi(argv[1]);
+}
+
+int
+mainThrowing(int argc, char **argv)
+{
+    Options opts(argc, argv, {"radix"});
+    return opts.getIntAtLeast("radix", 4, 2);
+}
+
+TEST(RunMain, MapsHelpToZeroAndErrorsToTwo)
+{
+    char prog[] = "prog", five[] = "5", help[] = "--help",
+         bogus[] = "--bogus", radix[] = "--radix", one[] = "1";
+    char *plain[] = {prog};
+    char *value[] = {prog, five};
+    EXPECT_EQ(runMain(1, plain, mainReturning), 7);
+    EXPECT_EQ(runMain(2, value, mainReturning), 5);
+
+    char *asks[] = {prog, help};
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runMain(2, asks, mainThrowing), 0);
+    EXPECT_NE(testing::internal::GetCapturedStdout().find("--radix"),
+              std::string::npos);
+
+    char *undeclared[] = {prog, bogus};
+    char *low[] = {prog, radix, one};
+    for (char **args : {undeclared, low}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(runMain(args == low ? 3 : 2, args, mainThrowing), 2);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+        EXPECT_NE(err.find(args == low ? "--radix" : "--bogus"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(Options, ReadingAnUndeclaredNameIsALogicError)

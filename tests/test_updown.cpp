@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "clos/fat_tree.hpp"
@@ -763,10 +764,267 @@ TEST(UpDownLegacyEquivalence, RebuildAfterExpansionStageMatches)
 }
 
 // ======================================================================
-// Oracle bytes: one row per switch and stored budget
+// Pooled rows against a replica of the dense level-major build
 // ======================================================================
 
-/** 8 x ceil(N1 / 64) x sum_L switchesAtLevel(L) x (levels - L + 1). */
+/**
+ * Test-only replica of the oracle's earlier dense build: one row per
+ * (switch, budget up to its ceiling), level-major, each level's rows
+ * budget by budget in switch order, every row computed in place.
+ * Kept as the reference the pooled rows and their offset runs must
+ * reproduce bit for bit.
+ */
+class DenseOracle
+{
+  public:
+    DenseOracle(const FoldedClos &fc, const LinkFaultState *faults)
+        : levels_(fc.levels()), faults_(faults)
+    {
+        std::size_t widest = 1;
+        for (int s = 0; s < fc.numSwitches(); ++s)
+            widest = std::max({widest, fc.up(s).size(), fc.down(s).size()});
+        mask_words_ = static_cast<int>((widest + 63) / 64);
+        row_words_ = (static_cast<std::size_t>(fc.numLeaves()) + 63) / 64;
+        std::size_t total = 0;
+        for (int lv = 0; lv < levels_; ++lv) {
+            first_.push_back(fc.levelOffset(lv + 1));
+            base_.push_back(total);
+            stride_.push_back(
+                static_cast<std::size_t>(fc.switchesAtLevel(lv + 1)) *
+                row_words_);
+            total += static_cast<std::size_t>(levels_ - lv) * stride_.back();
+        }
+        words_.assign(total, 0);
+        for (int leaf = 0; leaf < fc.numLeaves(); ++leaf)
+            row(leaf, 0)[static_cast<std::size_t>(leaf) >> 6] |=
+                std::uint64_t{1} << (leaf & 63);
+        for (int lv = 1; lv < levels_; ++lv)
+            for (int s = first_[static_cast<std::size_t>(lv)];
+                 s < first_[static_cast<std::size_t>(lv)] +
+                         fc.switchesAtLevel(lv + 1);
+                 ++s) {
+                const auto down = fc.down(s);
+                for (std::size_t i = 0; i < down.size(); ++i)
+                    if (downAlive(s, i))
+                        orInto(row(s, 0), row(down[i], 0));
+            }
+        for (int lv = levels_ - 2; lv >= 0; --lv)
+            for (int j = 1; j <= levels_ - 1 - lv; ++j)
+                for (int s = first_[static_cast<std::size_t>(lv)];
+                     s < first_[static_cast<std::size_t>(lv)] +
+                             fc.switchesAtLevel(lv + 1);
+                     ++s) {
+                    orInto(row(s, j), row(s, j - 1));
+                    const auto up = fc.up(s);
+                    for (std::size_t i = 0; i < up.size(); ++i)
+                        if (upAlive(s, i))
+                            orInto(row(s, j), row(up[i], j - 1));
+                }
+    }
+
+    int maskWords() const { return mask_words_; }
+    std::size_t rowWords() const { return row_words_; }
+
+    /** Row (s, j), the ceiling row for j above s's ceiling. */
+    const std::uint64_t *
+    reachWords(int s, int j) const
+    {
+        return const_cast<DenseOracle *>(this)->row(
+            s, std::min(j, levels_ - 1 - levelIndex(s)));
+    }
+
+    int
+    minUps(int s, int d) const
+    {
+        for (int j = 0; j <= levels_ - 1 - levelIndex(s); ++j)
+            if (has(reachWords(s, j), d))
+                return j;
+        return -1;
+    }
+
+    int
+    nextHops(const FoldedClos &fc, int s, int d, bool feasible,
+             std::uint64_t *mask) const
+    {
+        std::fill_n(mask, mask_words_, std::uint64_t{0});
+        const int need = minUps(s, d);
+        if (need < 0)
+            return need;
+        if (need == 0) {
+            const auto down = fc.down(s);
+            for (std::size_t i = 0; i < down.size(); ++i)
+                if (downAlive(s, i) && has(reachWords(down[i], 0), d))
+                    mask[i / 64] |= std::uint64_t{1} << (i % 64);
+            return need;
+        }
+        const int ceiling = levels_ - 1 - levelIndex(s);
+        const auto up = fc.up(s);
+        for (std::size_t i = 0; i < up.size(); ++i)
+            if (upAlive(s, i) &&
+                has(reachWords(up[i], feasible ? ceiling - 1 : need - 1), d))
+                mask[i / 64] |= std::uint64_t{1} << (i % 64);
+        return need;
+    }
+
+  private:
+    int
+    levelIndex(int s) const
+    {
+        int lv = levels_ - 1;
+        while (s < first_[static_cast<std::size_t>(lv)])
+            --lv;
+        return lv;
+    }
+
+    std::uint64_t *
+    row(int s, int j)
+    {
+        const auto lv = static_cast<std::size_t>(levelIndex(s));
+        return words_.data() + base_[lv] +
+               static_cast<std::size_t>(j) * stride_[lv] +
+               static_cast<std::size_t>(s - first_[lv]) * row_words_;
+    }
+
+    void
+    orInto(std::uint64_t *dst, const std::uint64_t *src) const
+    {
+        for (std::size_t w = 0; w < row_words_; ++w)
+            dst[w] |= src[w];
+    }
+
+    static bool
+    has(const std::uint64_t *row, int d)
+    {
+        return (row[static_cast<std::size_t>(d) >> 6] >> (d & 63)) & 1;
+    }
+
+    bool upAlive(int s, std::size_t i) const
+    {
+        return !faults_ || !faults_->upDead(s, i);
+    }
+
+    bool downAlive(int s, std::size_t i) const
+    {
+        return !faults_ || !faults_->downDead(s, i);
+    }
+
+    int levels_;
+    int mask_words_ = 1;
+    std::size_t row_words_ = 0;
+    std::vector<int> first_;
+    std::vector<std::size_t> base_, stride_;
+    std::vector<std::uint64_t> words_;
+    const LinkFaultState *faults_;
+};
+
+/**
+ * Every reachWords(s, j) for j < levels, every minUps and every
+ * nextHops mask, minimal and feasible, of @p oracle (built on @p fc
+ * under its own overlay) equal to the dense replica's.
+ */
+void
+expectMatchesDense(const FoldedClos &fc, const UpDownOracle &oracle)
+{
+    const DenseOracle dense(fc, oracle.faultOverlay());
+    ASSERT_EQ(oracle.maskWords(), dense.maskWords());
+    const std::size_t row_words = dense.rowWords();
+    const auto words = static_cast<std::size_t>(oracle.maskWords());
+    std::vector<std::uint64_t> mask(words), want(words);
+    for (int s = 0; s < fc.numSwitches(); ++s) {
+        for (int j = 0; j < fc.levels(); ++j)
+            ASSERT_TRUE(std::equal(oracle.reachWords(s, j),
+                                   oracle.reachWords(s, j) + row_words,
+                                   dense.reachWords(s, j)))
+                << "switch " << s << " budget " << j;
+        for (int d = 0; d < fc.numLeaves(); ++d) {
+            ASSERT_EQ(oracle.minUps(s, d), dense.minUps(s, d))
+                << "switch " << s << " leaf " << d;
+            for (bool feasible : {false, true}) {
+                ASSERT_EQ(oracle.nextHops(fc, s, d, feasible, mask.data()),
+                          dense.nextHops(fc, s, d, feasible, want.data()));
+                ASSERT_EQ(mask, want) << "switch " << s << " leaf " << d
+                                      << " feasible " << feasible;
+            }
+        }
+    }
+}
+
+/**
+ * Flip each link's state in @p overlay with probability @p p; returns
+ * the number of links revived.
+ */
+std::size_t
+flipRandomLinks(const FoldedClos &fc, LinkFaultState &overlay, double p,
+                Rng &rng)
+{
+    std::size_t revived = 0;
+    for (const auto &link : fc.links())
+        if (rng.uniformReal() < p &&
+            !overlay.setLink(link.lower, link.upper, true)) {
+            EXPECT_TRUE(overlay.setLink(link.lower, link.upper, false));
+            ++revived;
+        }
+    return revived;
+}
+
+TEST(UpDownDenseEquivalence, PooledRowsMatchDenseBuild)
+{
+    // Plain, under a random dead-link overlay, and one oracle object
+    // rebuilt after links flip both ways.  CFT(132,2) has 3-word rows
+    // and 3-word masks.
+    Rng rng(97);
+    std::vector<FoldedClos> nets;
+    for (int i = 0; i < 3; ++i) {
+        const int radix = 2 * static_cast<int>(rng.uniformInRange(2, 6));
+        const int levels = static_cast<int>(rng.uniformInRange(2, 4));
+        nets.push_back(buildCft(radix, levels));
+        const int n1 = 2 * static_cast<int>(rng.uniformInRange(
+                               radix / 2, rfcMaxLeaves(radix, 3)));
+        nets.push_back(buildRfcUnchecked(radix, 3, n1, rng));
+        nets.push_back(buildRfcUnchecked(radix, 4, n1, rng));
+    }
+    nets.push_back(buildOft(2, 3));
+    nets.push_back(buildOft(3, 2));
+    nets.push_back(buildCft(132, 2));
+    bool multi_word = false;
+    for (const auto &fc : nets) {
+        SCOPED_TRACE(fc.name());
+        multi_word |= fc.numLeaves() > 64;
+        UpDownOracle oracle(fc);
+        expectMatchesDense(fc, oracle);
+
+        LinkFaultState overlay(fc);
+        flipRandomLinks(fc, overlay, 0.15, rng);
+        ASSERT_GT(overlay.deadLinks(), 0u);
+        oracle.build(fc, &overlay);
+        expectMatchesDense(fc, oracle);
+
+        ASSERT_GT(flipRandomLinks(fc, overlay, 0.3, rng), 0u);
+        ASSERT_GT(overlay.deadLinks(), 0u);
+        oracle.build(fc, &overlay);
+        expectMatchesDense(fc, oracle);
+
+        // Copies own their pool: the source is rebuilt under them.
+        const UpDownOracle copy = oracle;
+        UpDownOracle assigned;
+        assigned = oracle;
+        oracle.build(fc);
+        expectMatchesDense(fc, copy);
+        EXPECT_TRUE(copy.sameTables(assigned));
+        EXPECT_FALSE(copy.sameTables(oracle));
+    }
+    EXPECT_TRUE(multi_word);
+}
+
+// ======================================================================
+// Oracle bytes: one copy of each distinct row, plus the offset runs
+// ======================================================================
+
+/**
+ * The dense bound: 8 x ceil(N1 / 64) x sum_L switchesAtLevel(L) x
+ * (levels - L + 1), one row per switch and stored budget.  The pool
+ * never holds more rows than that.
+ */
 std::int64_t
 plannedOracleBytes(const FoldedClos &fc)
 {
@@ -777,7 +1035,49 @@ plannedOracleBytes(const FoldedClos &fc)
     return 8 * ((fc.numLeaves() + 63) / 64) * rows;
 }
 
-TEST(UpDownOracle, MemoryBytesIsTheClosedForm)
+/** Distinct rows among reachWords(s, j), j up to each ceiling. */
+std::int64_t
+distinctRows(const FoldedClos &fc, const UpDownOracle &oracle)
+{
+    const auto words = static_cast<std::size_t>((fc.numLeaves() + 63) / 64);
+    std::set<std::vector<std::uint64_t>> rows;
+    for (int s = 0; s < fc.numSwitches(); ++s)
+        for (int j = 0; j <= fc.levels() - fc.levelOf(s); ++j)
+            rows.emplace(oracle.reachWords(s, j),
+                         oracle.reachWords(s, j) + words);
+    return static_cast<std::int64_t>(rows.size());
+}
+
+/**
+ * 8 x ceil(N1 / 64) x D + 4 x (run entries + switches): each switch
+ * at level L runs c + 1 own entries, c x |up| parent entries and
+ * |down| child entries, c = levels - L its ceiling.
+ */
+std::int64_t
+pooledOracleBytes(const FoldedClos &fc, std::int64_t distinct)
+{
+    std::int64_t entries = 0;
+    for (int s = 0; s < fc.numSwitches(); ++s) {
+        const auto c = static_cast<std::int64_t>(fc.levels() - fc.levelOf(s));
+        entries += c + 1 + c * static_cast<std::int64_t>(fc.up(s).size()) +
+                   static_cast<std::int64_t>(fc.down(s).size());
+    }
+    return 8 * ((fc.numLeaves() + 63) / 64) * distinct +
+           4 * (entries + fc.numSwitches());
+}
+
+/** The CFT(R, l) subtree count N1 + sum_{k=2}^{l-1} N1/(R/2)^(k-1) + 1. */
+std::int64_t
+cftDistinctRows(int radix, int levels, int n1)
+{
+    std::int64_t rows = n1 + 1;
+    std::int64_t width = n1;
+    for (int k = 2; k <= levels - 1; ++k)
+        rows += width /= radix / 2;
+    return rows;
+}
+
+TEST(UpDownOracle, MemoryBytesCountsDistinctRowsAndRuns)
 {
     EXPECT_EQ(UpDownOracle().memoryBytes(), 0);
     Rng rng(89);
@@ -792,14 +1092,53 @@ TEST(UpDownOracle, MemoryBytesIsTheClosedForm)
     }
     nets.push_back(buildOft(2, 2));
     nets.push_back(buildOft(3, 3));
-    bool multi_word = false;
+    bool multi_word = false, shared = false;
     for (const auto &fc : nets) {
         SCOPED_TRACE(fc.name());
         UpDownOracle oracle(fc);
-        EXPECT_EQ(oracle.memoryBytes(), plannedOracleBytes(fc));
+        const std::int64_t distinct = distinctRows(fc, oracle);
+        EXPECT_EQ(oracle.memoryBytes(), pooledOracleBytes(fc, distinct));
+        EXPECT_LE(8 * ((fc.numLeaves() + 63) / 64) * distinct,
+                  plannedOracleBytes(fc));
+        shared |= 8 * ((fc.numLeaves() + 63) / 64) * distinct <
+                  plannedOracleBytes(fc);
         multi_word |= fc.numLeaves() > 64;
+
+        LinkFaultState overlay(fc);
+        killEvery(fc, overlay, 3);
+        UpDownOracle faulty;
+        faulty.build(fc, &overlay);
+        EXPECT_EQ(faulty.memoryBytes(),
+                  pooledOracleBytes(fc, distinctRows(fc, faulty)));
     }
     EXPECT_TRUE(multi_word);
+    EXPECT_TRUE(shared);
+}
+
+TEST(UpDownOracle, CftStoresOneRowPerSubtree)
+{
+    // Every switch of a CFT subtree reaches the same leaves: level-k
+    // subtrees give the distinct rows, plus the all-leaves row.
+    const std::vector<std::array<int, 3>> cases = {
+        {20, 4, 2221}, {36, 3, 685}, {12, 4, 517}};
+    for (const auto &[radix, levels, want] : cases) {
+        const FoldedClos fc = buildCft(radix, levels);
+        SCOPED_TRACE(fc.name());
+        ASSERT_EQ(cftDistinctRows(radix, levels, fc.numLeaves()), want);
+        const UpDownOracle oracle(fc);
+        EXPECT_EQ(distinctRows(fc, oracle), want);
+        EXPECT_EQ(oracle.memoryBytes(), pooledOracleBytes(fc, want));
+    }
+    Rng rng(101);
+    for (int i = 0; i < 6; ++i) {
+        const int radix = 2 * static_cast<int>(rng.uniformInRange(2, 8));
+        const int levels = static_cast<int>(rng.uniformInRange(2, 4));
+        const FoldedClos fc = buildCft(radix, levels);
+        SCOPED_TRACE(fc.name());
+        const UpDownOracle oracle(fc);
+        EXPECT_EQ(distinctRows(fc, oracle),
+                  cftDistinctRows(radix, levels, fc.numLeaves()));
+    }
 }
 
 } // namespace

@@ -12,24 +12,44 @@ src="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${1:-build}"
 set -x
 
-# rejects FLAG CMD...: CMD must exit nonzero before it prints anything
-# on stdout (so before it builds a network), naming FLAG on stderr.
+# fails CMD...: CMD must exit with status 2, the status runMain
+# (util/options.hpp) gives an error it reports; an abort (134), a crash
+# (139) or a failed audit (1) fails the check.
+fails() {
+  local status=0
+  "$@" > /dev/null 2>&1 || status=$?
+  test "$status" -eq 2
+}
+
+# rejects FLAG CMD...: CMD must exit with status 2 before it prints
+# anything on stdout (so before it builds a network), naming FLAG on
+# stderr.
 rejects() {
   local flag="$1"
   shift
-  if "$@" > rejected.out 2> rejected.err; then exit 1; fi
+  local status=0
+  "$@" > rejected.out 2> rejected.err || status=$?
+  test "$status" -eq 2
   test ! -s rejected.out
   grep -q -- "$flag" rejected.err
 }
 
 # Every bench and example binary declares its flags: an undeclared one
 # must stop it, with a message naming the flag and, from util/options,
-# the valid ones (micro_generators' flags are google-benchmark's, whose
-# message names only the bad flag).
+# the valid ones, and --help must list them and exit 0.
+# micro_generators' flags are google-benchmark's, whose message names
+# only the bad flag and whose status is its own.
 for cpp in "$src"/bench/*.cpp "$src"/examples/*.cpp; do
   bin="./$(basename "$(dirname "$cpp")")/$(basename "$cpp" .cpp)"
+  if [ "$bin" = ./bench/micro_generators ]; then
+    if "$bin" --bogus-flag 1 > rejected.out 2> rejected.err; then exit 1; fi
+    grep -q -- --bogus-flag rejected.err
+    continue
+  fi
   rejects --bogus-flag "$bin" --bogus-flag 1
-  [ "$bin" = ./bench/micro_generators ] || grep -q "valid: --" rejected.err
+  grep -q "valid: --" rejected.err
+  "$bin" --help > help.out
+  grep -q "^  --" help.out
 done
 # Only a bench that has a scale accepts its flag (fig06 and the cost
 # table have none, fig_perf_1M has no --full), and --smoke with --full
@@ -45,15 +65,15 @@ rejects --json ./examples/simulate --topo cft --radix 4 --levels 2 --csv --json
 rejects --no-repair ./bench/ext_fault_recovery --smoke --no-repair
 # --load is one point and --points shapes a sweep: not both.
 rejects --points ./examples/simulate --topo cft --radix 4 --levels 2 --load 0.3 --points 5
-if ./bench/fig05_diameter --bogus-flag 3 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig05_diameter --bogus-flag 3
 # Near misses of a declared flag are undeclared flags too: --job 4
 # would run at the default job count and --warm-up 3000 at the default
 # 600-cycle window.
-if ./bench/fig08_perf_11k --smoke --job 4 > /dev/null 2>&1; then exit 1; fi
-if ./bench/fig08_perf_11k --smoke --warm-up 3000 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig08_perf_11k --smoke --job 4
+fails ./bench/fig08_perf_11k --smoke --warm-up 3000
 # A boolean takes 1/0, true/false or yes/no: --json 2 used to print
 # text tables.
-if ./bench/fig08_perf_11k --smoke --json 2 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig08_perf_11k --smoke --json 2
 
 # Every bench binary.  Each one that simulates packets (fig08-fig10,
 # fig12, ablation_flowcontrol, ext_jellyfish, ext_adversarial,
@@ -64,11 +84,11 @@ if ./bench/fig08_perf_11k --smoke --json 2 > /dev/null 2>&1; then exit 1; fi
 ./bench/fig05_diameter > /dev/null
 # Every int flag of the bench drivers has a stated lower bound and
 # rejects values outside an int; a plain cast would run R = 8 here.
-if ./bench/fig05_diameter --radix 4294967304 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig05_diameter --radix 4294967304
 # The closed-form models take an even radix >= 4: an odd one used to
 # run as R - 1 under an "R = 36" banner.
-if ./bench/fig05_diameter --radix 7 > /dev/null 2>&1; then exit 1; fi
-if ./bench/fig07_expandability --radix 7 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig05_diameter --radix 7
+fails ./bench/fig07_expandability --radix 7
 ./bench/fig06_scalability > /dev/null
 ./bench/fig07_expandability > /dev/null
 ./bench/tab_section5_cost > /dev/null
@@ -88,17 +108,17 @@ if ./bench/fig07_expandability --radix 7 > /dev/null 2>&1; then exit 1; fi
 ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples 2 > /dev/null
 # Flow counts outside their range must be rejected: an int cast would
 # run 4294967297 as one path and -1 samples as exact all-pairs demand.
-if ./bench/ext_flow_throughput --phases 50 --max-paths 4294967297 --samples 2 > /dev/null 2>&1; then exit 1; fi
-if ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples -1 > /dev/null 2>&1; then exit 1; fi
-if ./bench/ext_flow_throughput --scenario faults --phases 50 --max-paths 4 --samples 2 --step-links 0 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_flow_throughput --phases 50 --max-paths 4294967297 --samples 2
+fails ./bench/ext_flow_throughput --phases 50 --max-paths 4 --samples -1
+fails ./bench/ext_flow_throughput --scenario faults --phases 50 --max-paths 4 --samples 2 --step-links 0
 ./bench/ext_fault_recovery --smoke > /dev/null
 # The drills' telemetry bins are at least one cycle (a zero bin left
 # no recovery metric), their schedule cycles lie inside the run, and
 # a fault step is at least one link (a negative one wrapped).
-if ./bench/ext_fault_recovery --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
-if ./bench/ext_fault_recovery --smoke --fail-at -1 > /dev/null 2>&1; then exit 1; fi
-if ./bench/ext_fault_recovery --smoke --step-links -3 > /dev/null 2>&1; then exit 1; fi
-if ./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 --step-links -1 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_fault_recovery --smoke --telemetry-bin 0
+fails ./bench/ext_fault_recovery --smoke --fail-at -1
+fails ./bench/ext_fault_recovery --smoke --step-links -3
+fails ./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 --step-links -1
 # --smoke includes the self-check: the queue sweep must be
 # >= 10x faster than an equivalent VCT sweep, which must pass the
 # packet audit (exit 1 if not).
@@ -106,26 +126,26 @@ if ./bench/fig12_perf_faults --warmup 50 --measure 200 --steps 2 --trials 1 --st
 ./bench/ext_latency_curves --smoke --section fig8 --model mm1 > /dev/null
 # --cv2 belongs to --model mg1; with a preset it must be
 # rejected, not ignored (set -e ignores a !-negated command).
-if ./bench/ext_latency_curves --smoke --section fig8 --model md1 --cv2 2 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_latency_curves --smoke --section fig8 --model md1 --cv2 2
 # One simulation runs on one thread: the removed --shards and
 # --sim-jobs flags are undeclared, so they are rejected, not ignored.
-if ./bench/fig08_perf_11k --smoke --shards 4 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig08_perf_11k --smoke --shards 4
 # An RFC without up/down routes must stop a comparison, not bias it:
 # RFC(8, 3) at 120 leaves stays unroutable through every attempt.
-if ./bench/ext_jellyfish --radix 8 --leaves 120 --degree 5 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_jellyfish --radix 8 --leaves 120 --degree 5 --warmup 50 --measure 200
 # Int flags outside their range must be rejected: an int cast would
 # run --leaves 4294967466 as the default 170.
-if ./bench/ext_jellyfish --leaves 4294967466 --warmup 50 --measure 200 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_jellyfish --leaves 4294967466 --warmup 50 --measure 200
 # fig_perf_1M reads --patterns like the other flow benches; the old
 # --pattern is undeclared, so it is rejected, not ignored.
 ./bench/fig_perf_1M --smoke --section flow --patterns random-pairing | grep "pattern: random-pairing" > /dev/null
-if ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing > /dev/null 2>&1; then exit 1; fi
+fails ./bench/fig_perf_1M --smoke --section flow --pattern random-pairing
 # The closed-loop audit adds message conservation (packets created =
 # pending + queued + in-flight + received, ejections = receipts).
 ./bench/ext_closed_loop --smoke > /dev/null
 ./bench/ext_expansion_drill --smoke > /dev/null
-if ./bench/ext_expansion_drill --smoke --telemetry-bin 0 > /dev/null 2>&1; then exit 1; fi
-if ./bench/ext_expansion_drill --smoke --change-at 999999 > /dev/null 2>&1; then exit 1; fi
+fails ./bench/ext_expansion_drill --smoke --telemetry-bin 0
+fails ./bench/ext_expansion_drill --smoke --change-at 999999
 # The RRN row adds switches of degree R/2, so an odd R/2 never stays
 # regular: it must stop the drill before it runs.
 rejects --radix ./bench/ext_expansion_drill --smoke --radix 6
@@ -146,11 +166,11 @@ grep -q '"topology_bytes": [1-9]' perf1m.json
 # A hot fraction outside [0, 1] must be rejected, not run as some other
 # pattern (NaN included).
 for f in 2 -1 nan; do
-  if ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --hot-fraction "$f" > /dev/null 2>&1; then exit 1; fi
+  fails ./examples/simulate --topo cft --radix 8 --levels 3 --points 1 --warmup 100 --measure 300 --traffic hotspot --hot-fraction "$f"
 done
 # Int flags outside their range must be rejected: an int cast would
 # run --radix 4294967304 as R = 8.
-if ./examples/simulate --topo cft --radix 4294967304 --levels 3 --points 1 --warmup 100 --measure 300 > /dev/null 2>&1; then exit 1; fi
+fails ./examples/simulate --topo cft --radix 4294967304 --levels 3 --points 1 --warmup 100 --measure 300
 # The document's wall clock starts before the topology is built, so it
 # covers every study section's own wall clock.
 ./examples/simulate --topo rfc --radix 8 --levels 3 --points 2 --warmup 100 --measure 300 --json | python3 -c '
@@ -160,12 +180,12 @@ sys.exit(0 if t["wall_seconds"] >= sum(t["section_seconds"].values()) else 1)'
 # Structure table and flow-model ranking of every topology.
 ./examples/topology_explorer --radix 8 > /dev/null
 # Its int flags are range-checked like every bench's.
-if ./examples/topology_explorer --radix 8 --max-paths 4294967297 > /dev/null 2>&1; then exit 1; fi
+fails ./examples/topology_explorer --radix 8 --max-paths 4294967297
 # Its packet-level sections moved to examples/simulate and the benches:
 # the removed flags are undeclared, so they are rejected, not ignored.
-if ./examples/topology_explorer --radix 8 --simulate > /dev/null 2>&1; then exit 1; fi
-if ./examples/topology_explorer --radix 8 --load 0.5 > /dev/null 2>&1; then exit 1; fi
-if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then exit 1; fi
+fails ./examples/topology_explorer --radix 8 --simulate
+fails ./examples/topology_explorer --radix 8 --load 0.5
+fails ./examples/topology_explorer --radix 8 --measure 2000
 ./examples/visualize > /dev/null
 ./examples/expansion_planner > /dev/null
 ./examples/expansion_planner --verify > /dev/null
@@ -173,11 +193,9 @@ if ./examples/topology_explorer --radix 8 --measure 2000 > /dev/null 2>&1; then 
 # printed "-nan% wires") must be rejected.  At R = 2 the CFT level
 # search used to loop forever: a timeout (status 124) fails the check
 # instead of stalling it.
-if ./examples/expansion_planner --radix 7 > /dev/null 2>&1; then exit 1; fi
-rc=0
-timeout 10 ./examples/expansion_planner --radix 2 > /dev/null 2>&1 || rc=$?
-if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ]; then exit 1; fi
+fails ./examples/expansion_planner --radix 7
+fails timeout 10 ./examples/expansion_planner --radix 2
 for t in 0 -5; do
-  if ./examples/expansion_planner --terminals "$t" > /dev/null 2>&1; then exit 1; fi
+  fails ./examples/expansion_planner --terminals "$t"
 done
-rm -f rejected.out rejected.err
+rm -f rejected.out rejected.err help.out
