@@ -60,15 +60,14 @@ Options::Options(int argc, const char *const *argv,
                  const std::vector<std::string> &flags)
     : flags_(flags.begin(), flags.end())
 {
-    if (!declares("help"))
-        for (int i = 1; i < argc; ++i)
-            if (std::string(argv[i]) == "--help") {
-                std::string usage = std::string("usage: ") + argv[0] +
-                                    " [--flag [value]]...\nflags:\n";
-                for (const auto &f : flags_)
-                    usage += "  --" + f + "\n";
-                throw HelpRequested(usage);
-            }
+    for (int i = 1; i < argc; ++i)
+        if (std::string(argv[i]) == "--help") {
+            std::string usage = std::string("usage: ") + argv[0] +
+                                " [--flag [value]]...\nflags:\n";
+            for (const auto &f : flags_)
+                usage += "  --" + f + "\n";
+            throw HelpRequested(usage);
+        }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)

@@ -103,8 +103,7 @@ class Options
 
 /**
  * Thrown by the Options constructor when the command line holds a
- * bare --help and the program does not declare "help"; what() is the
- * usage text, one declared flag per line.
+ * bare --help; what() is the usage text, one declared flag per line.
  */
 class HelpRequested : public std::exception
 {

@@ -251,9 +251,6 @@ TEST(Options, HelpListsTheDeclaredFlags)
         EXPECT_NE(usage.find("  --load\n  --radix\n"), std::string::npos)
             << usage;
     }
-    // A program that declares "help" reads it like any flag.
-    const char *own[] = {"prog", "--help"};
-    EXPECT_TRUE(Options(2, own, {"help"}).has("help"));
 }
 
 int

@@ -38,11 +38,15 @@ rejects() {
 # must stop it, with a message naming the flag and, from util/options,
 # the valid ones, and --help must list them and exit 0.
 # micro_generators' flags are google-benchmark's, whose message names
-# only the bad flag and whose status is its own.
+# only the bad flag and whose status is its own, 1; it too must stop
+# before it prints anything on stdout.
 for cpp in "$src"/bench/*.cpp "$src"/examples/*.cpp; do
   bin="./$(basename "$(dirname "$cpp")")/$(basename "$cpp" .cpp)"
   if [ "$bin" = ./bench/micro_generators ]; then
-    if "$bin" --bogus-flag 1 > rejected.out 2> rejected.err; then exit 1; fi
+    status=0
+    "$bin" --bogus-flag 1 > rejected.out 2> rejected.err || status=$?
+    test "$status" -eq 1
+    test ! -s rejected.out
     grep -q -- --bogus-flag rejected.err
     continue
   fi
