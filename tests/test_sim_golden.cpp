@@ -24,6 +24,10 @@
  * Two timeline goldens pin live topology-change runs (a fail/repair
  * drill and a staged expansion): their files add the fault-recovery
  * counters and every ExpansionCounters field to the common set.
+ * Two closed-loop goldens pin an RPC and an incast run: their files
+ * add the packet counters and every WorkloadMetrics field, so a
+ * packet that reaches its workload with the wrong source or tag at
+ * ejection shows as a diverged field.
  *
  * Re-recording (only legitimate when a behavior change is intended
  * and documented):  RFC_GOLDEN_RECORD=1 ./test_sim_golden
@@ -52,6 +56,7 @@
 #include "sim/core/policy_ksp.hpp"
 #include "sim/core/policy_updown.hpp"
 #include "sim/simulator.hpp"
+#include "workload/closed_loop.hpp"
 
 #ifndef RFC_GOLDEN_DIR
 #define RFC_GOLDEN_DIR "tests/golden"
@@ -122,6 +127,56 @@ timelineFields(const SimResult &r)
          std::to_string(x.terminals_activated)},
         {"expansion.barrier_inflight_max",
          std::to_string(x.barrier_inflight_max)},
+    });
+    return f;
+}
+
+/** fields() plus the packet counters and every WorkloadMetrics field. */
+Fields
+workloadFields(const SimResult &r)
+{
+    Fields f = fields(r);
+    const WorkloadMetrics &w = r.workload;
+    std::string ccts;
+    for (double v : w.ccts) {
+        if (!ccts.empty())
+            ccts += ',';
+        ccts += fmtDouble(v);
+    }
+    f.insert({
+        {"ejected_packets", std::to_string(r.ejected_packets)},
+        {"in_flight_packets", std::to_string(r.in_flight_packets)},
+        {"queued_packets_end", std::to_string(r.queued_packets_end)},
+        {"dropped_packets", std::to_string(r.dropped_packets)},
+        {"workload.active", std::to_string(w.active ? 1 : 0)},
+        {"workload.name", w.name},
+        {"workload.messages_sent", std::to_string(w.messages_sent)},
+        {"workload.requests_sent", std::to_string(w.requests_sent)},
+        {"workload.responses_sent", std::to_string(w.responses_sent)},
+        {"workload.flows_completed", std::to_string(w.flows_completed)},
+        {"workload.rpcs_completed", std::to_string(w.rpcs_completed)},
+        {"workload.coflow_phases", std::to_string(w.coflow_phases)},
+        {"workload.goodput", fmtDouble(w.goodput)},
+        {"workload.fct_mean", fmtDouble(w.fct_mean)},
+        {"workload.fct_p50", fmtDouble(w.fct_p50)},
+        {"workload.fct_p99", fmtDouble(w.fct_p99)},
+        {"workload.fct_max", fmtDouble(w.fct_max)},
+        {"workload.rpc_mean", fmtDouble(w.rpc_mean)},
+        {"workload.rpc_p50", fmtDouble(w.rpc_p50)},
+        {"workload.rpc_p99", fmtDouble(w.rpc_p99)},
+        {"workload.rpc_p999", fmtDouble(w.rpc_p999)},
+        {"workload.rpc_max", fmtDouble(w.rpc_max)},
+        {"workload.cct_mean", fmtDouble(w.cct_mean)},
+        {"workload.cct_max", fmtDouble(w.cct_max)},
+        {"workload.ccts", ccts.empty() ? "none" : ccts},
+        {"workload.msgs_created", std::to_string(w.msgs_created)},
+        {"workload.msgs_delivered", std::to_string(w.msgs_delivered)},
+        {"workload.pkts_created", std::to_string(w.pkts_created)},
+        {"workload.pkts_pending", std::to_string(w.pkts_pending)},
+        {"workload.pkts_received", std::to_string(w.pkts_received)},
+        {"workload.conservation_residual",
+         std::to_string(w.conservation_residual)},
+        {"workload.eject_mismatch", std::to_string(w.eject_mismatch)},
     });
     return f;
 }
@@ -368,6 +423,33 @@ rfcExpandTimeline(std::uint64_t seed)
     return Simulator(u, traffic, cfg, plan.liveTimeline(300, 200, 32)).run();
 }
 
+/**
+ * A closed-loop WorkloadSpec kind (defaults otherwise) on CFT(8,3) at
+ * load 1.0: zero think time, so terminals keep their source queues
+ * full and packet ids are recycled many times over.
+ */
+SimResult
+cftClosedLoop(const char *kind, std::uint64_t seed)
+{
+    auto fc = buildCft(8, 3);
+    UpDownOracle oracle(fc);
+    UniformTraffic traffic;  // unused once the workload is attached
+    WorkloadSpec spec;
+    spec.kind = kind;
+    auto wl = makeWorkload(spec, 1.0);
+    Simulator sim(fc, oracle, traffic, goldenConfig(1.0, seed));
+    sim.attachWorkload(*wl);
+    return sim.run();
+}
+
+SimResult cftRpc(std::uint64_t seed) { return cftClosedLoop("rpc", seed); }
+
+SimResult
+cftIncast(std::uint64_t seed)
+{
+    return cftClosedLoop("incast", seed);
+}
+
 /** One golden configuration: its file name, runner and recorded seed. */
 struct Golden
 {
@@ -398,17 +480,26 @@ constexpr Golden kPolicyGoldens[] = {
     {"cft132_shift_ugal", cftWideShiftUgal, 22},
 };
 
-/** Goldens of live topology-change runs, checked with timelineFields. */
-struct TimelineGolden
+/**
+ * A golden run built from its seed alone (live topology change or a
+ * closed-loop workload), with the field set its file pins.
+ */
+struct SeedGolden
 {
     const char *name;
     SimResult (*run)(std::uint64_t seed);
     std::uint64_t seed;
+    Fields (*fields)(const SimResult &r);
 };
 
-constexpr TimelineGolden kTimelineGoldens[] = {
-    {"cft8_fault_timeline", cftFaultTimeline, 20},
-    {"rfc8_expand_timeline", rfcExpandTimeline, 21},
+constexpr SeedGolden kTimelineGoldens[] = {
+    {"cft8_fault_timeline", cftFaultTimeline, 20, timelineFields},
+    {"rfc8_expand_timeline", rfcExpandTimeline, 21, timelineFields},
+};
+
+constexpr SeedGolden kWorkloadGoldens[] = {
+    {"cft8_rpc_closed_loop", cftRpc, 23, workloadFields},
+    {"cft8_incast_closed_loop", cftIncast, 24, workloadFields},
 };
 
 void
@@ -418,9 +509,9 @@ checkGolden(const Golden &g)
 }
 
 void
-checkGolden(const TimelineGolden &g)
+checkGolden(const SeedGolden &g)
 {
-    checkOrRecord(g.name, timelineFields(g.run(g.seed)));
+    checkOrRecord(g.name, g.fields(g.run(g.seed)));
 }
 
 void checkGolden(int i) { checkGolden(kGoldens[i]); }
@@ -448,6 +539,10 @@ TEST(SimGolden, CftWideShiftUgal) { checkGolden(kPolicyGoldens[2]); }
 TEST(SimGolden, CftFaultTimeline) { checkGolden(kTimelineGoldens[0]); }
 
 TEST(SimGolden, RfcExpandTimeline) { checkGolden(kTimelineGoldens[1]); }
+
+TEST(SimGolden, CftRpcClosedLoop) { checkGolden(kWorkloadGoldens[0]); }
+
+TEST(SimGolden, CftIncastClosedLoop) { checkGolden(kWorkloadGoldens[1]); }
 
 TEST(SimGolden, HookEveryCycleReproducesPolling)
 {
