@@ -16,8 +16,8 @@
  *   struct Policy {
  *     // Packet payload.  The engine-owned fields listed below are
  *     // mandatory; everything else is the policy's routing state.
- *     struct Pkt { std::int32_t gen, wl_src, next, ready;
- *                  std::uint32_t wl_tag; std::uint8_t noroute; ... };
+ *     struct Pkt { std::int32_t gen, next, ready;
+ *                  std::uint8_t noroute; ... };
  *     bool routable(long long term, long long dest) const;
  *     // Inject the head-of-queue packet of term: return its injection
  *     // VC and write p's routing fields, or return -1 (retry next
@@ -69,18 +69,19 @@
  *   std::uint8_t noroute;  1 while the packet is parked without a
  *                          route (runtime fault); the engine sets and
  *                          clears it around routeOut() == -1.
- *   std::int32_t wl_src;   source terminal, for the closed-loop
- *                          workload's ejection callback.
- *   std::uint32_t wl_tag;  workload message tag riding with the
- *                          packet to the same callback.
  *   std::int32_t next;     the packet behind this one in its input-VC
  *                          FIFO (-1 at the tail): the FIFOs are
  *                          threaded through the packet arena.
  *   std::int32_t ready;    cycle the packet's header reaches the input
  *                          VC it waits in (set on every enqueue).
  *
- * Policies never read or write these six; they only make room for
- * them, in whatever order packs their Pkt tightest.
+ * Policies never read or write these four; they only make room for
+ * them, in whatever order packs their Pkt tightest.  What only a
+ * closed-loop workload needs - each packet's source terminal and
+ * message tag, handed to its ejection callback - is not in the Pkt:
+ * the engine keeps it in a side table indexed by packet id (8 B per
+ * id), which exists only while a workload is attached, is written at
+ * every injection (a recycled id included) and is read at ejection.
  *
  * Execution: one simulation runs on one thread with one RNG stream,
  * deriveSeed(seed, 0x5A4D0000, 0).  Each cycle applies the due cycle
@@ -148,7 +149,8 @@ namespace core_detail {
  * allocates only when its free list is empty, and every live packet
  * sits in exactly one input-VC FIFO of at most buf_packets entries, so
  * the arena never outgrows the input buffers (ports x vcs x
- * buf_packets, checked to fit int32 at construction).
+ * buf_packets, checked to fit int32 at construction).  The closed-loop
+ * side table is a second arena of the same ids, grown with this one.
  */
 template <class Pkt>
 class PktArena
@@ -387,6 +389,7 @@ class VctEngine
     setWorkload(Workload *wl)
     {
         wl_ = wl;
+        wl_meta_ = {};
         if (wl != nullptr) {
             wl_next_.assign(lay_.num_terms, -1);
             src_tag_.assign(
@@ -464,11 +467,29 @@ class VctEngine
         std::int8_t vc;
     };
 
+    /** What a closed-loop workload needs of a packet at its ejection. */
+    struct WlMeta
+    {
+        std::int32_t src;  //!< source terminal
+        std::uint32_t tag; //!< workload message tag
+    };
+
     // ---- construction ----------------------------------------------
     void buildStructures();
 
     // ---- packet pool ------------------------------------------------
     Pkt &pkt(std::int32_t id) { return arena_.at(id); }
+
+    /**
+     * First input VC of the in-port that out port @p o_gid feeds, or
+     * -1 at an ejection port.
+     */
+    std::int64_t
+    peerIvcBase(std::int64_t o_gid) const
+    {
+        const std::int32_t peer = lay_.out_peer_iport[o_gid];
+        return peer < 0 ? -1 : static_cast<std::int64_t>(peer) * cfg_.vcs;
+    }
 
     std::int32_t
     allocPkt()
@@ -742,13 +763,12 @@ class VctEngine
     long long wheel_size_ = 0;
 
     // Two invariants let every per-port, per-VC and per-terminal array
-    // below hold int32: input-VC ids (so peer iport * vcs) fit, since
-    // construction rejects ports x vcs x buf_packets > INT32_MAX; and
-    // every cycle stamp fits, since SimConfig::validate caps warmup +
-    // measure + link_latency + pkt_phits at INT32_MAX (timers past the
-    // run saturate there, see stamp()).
-
-    std::vector<std::int32_t> out_peer_ivc_base_;  //!< peer iport * vcs
+    // below hold int32: input-VC ids fit, since construction rejects
+    // ports x vcs x buf_packets > INT32_MAX; and every cycle stamp
+    // fits, since SimConfig::validate caps warmup + measure +
+    // link_latency + pkt_phits at INT32_MAX (timers past the run
+    // saturate there, see stamp()).  Each out port's peer in-port is
+    // read from the layout (peerIvcBase).
 
     // ---- hot state (SoA) -------------------------------------------
     std::vector<std::int32_t> out_busy_;
@@ -802,6 +822,9 @@ class VctEngine
     std::vector<std::int32_t> wl_next_;
     /** Per source-queue slot: workload tag riding with the packet. */
     std::vector<std::uint32_t> src_tag_;
+    /** Per packet id: its source and tag, written at injection (empty
+     *  with no workload attached). */
+    core_detail::PktArena<WlMeta> wl_meta_;
     WorkloadStats wl_stats_;
 
     // ---- measurement window and statistics -------------------------
@@ -847,13 +870,6 @@ VctEngine<Policy>::buildStructures()
             std::to_string(cfg_.buf_packets) + " buffer packets = " +
             std::to_string(slots) +
             " buffer slots exceed the 32-bit packet index limit");
-
-    out_peer_ivc_base_.resize(lay_.total_ports);
-    for (std::int64_t gid = 0; gid < lay_.total_ports; ++gid) {
-        std::int64_t peer = lay_.out_peer_iport[gid];
-        out_peer_ivc_base_[gid] =
-            peer < 0 ? -1 : static_cast<std::int32_t>(peer * V);
-    }
 
     out_busy_.assign(lay_.total_ports, 0);
     out_credits_.assign(lay_.total_ports * V,
@@ -916,7 +932,7 @@ VctEngine<Policy>::processReleases(long long now)
                     check_.report("credit-overflow", now,
                                   lay_.port_owner[r.feeder], r.vc,
                                   "release beyond buffer capacity");
-                --slots_held_[out_peer_ivc_base_[r.feeder] + r.vc];
+                --slots_held_[peerIvcBase(r.feeder) + r.vc];
             }
         } else {
             std::int64_t term = -static_cast<std::int64_t>(r.feeder) - 1;
@@ -927,7 +943,9 @@ VctEngine<Policy>::processReleases(long long now)
                 if (cr > cfg_.buf_packets)
                     check_.report("credit-overflow", now, sw, r.vc,
                                   "terminal release beyond capacity");
-                --slots_held_[lay_.term_iport[term] * cfg_.vcs + r.vc];
+                --slots_held_[std::int64_t{lay_.term_iport[term]} *
+                                  cfg_.vcs +
+                              r.vc];
             }
         }
     }
@@ -1020,10 +1038,13 @@ VctEngine<Policy>::processInjection(long long now)
         const std::int32_t id = allocPkt();  // the packet p refers to
         p.gen = gen;
         p.noroute = 0;
-        p.wl_src = t;
-        p.wl_tag = wl_ != nullptr ? src_tag_[base + k] : 0;
+        if (wl_ != nullptr) {
+            while (wl_meta_.size() <= id)
+                wl_meta_.append();
+            wl_meta_.at(id) = {t, src_tag_[base + k]};
+        }
 
-        std::int64_t gi = lay_.term_iport[t] * V + best_vc;
+        std::int64_t gi = std::int64_t{lay_.term_iport[t]} * V + best_vc;
         enqueueInput(gi, id,
                      static_cast<std::int32_t>(now + cfg_.link_latency),
                      now);
@@ -1193,7 +1214,7 @@ VctEngine<Policy>::commitCandidate(std::int64_t gi, std::int64_t o_gid,
     const std::int32_t id = vc_head_[gi];
     Pkt &p = pkt(id);
 
-    std::int64_t peer = out_peer_ivc_base_[o_gid];
+    const std::int64_t peer = peerIvcBase(o_gid);
     int out_vc = -1;
     if (peer >= 0) {
         out_vc = policy_.chooseOutVc(view(now), o_gid, p, rng_);
@@ -1230,9 +1251,10 @@ VctEngine<Policy>::commitCandidate(std::int64_t gi, std::int64_t o_gid,
                 -static_cast<long long>(lay_.feeder_out[o_gid]) - 1;
             if (now >= win_start_ && now < win_end_)
                 ++wl_stats_.window_packets;
+            const WlMeta &m = wl_meta_.at(id);
             PortImpl port(this, now, /*inject_at=*/now + 1);
-            wl_->onDeliver(dst, p.wl_src, p.wl_tag, p.gen, done, now,
-                           port, wl_stats_);
+            wl_->onDeliver(dst, m.src, m.tag, p.gen, done, now, port,
+                           wl_stats_);
         }
         free_pkts_.push_back(id);
         if constexpr (kGuards) {
@@ -1356,7 +1378,7 @@ VctEngine<Policy>::arbitrate(long long now)
             wakePush(gi, sole ? hookCapped(out_until) : now + 1, now);
             continue;
         }
-        if (out_peer_ivc_base_[o_gid] >= 0) {
+        if (lay_.out_peer_iport[o_gid] >= 0) {
             bool has_credit = false;
             int vc_lo, vc_hi;
             policy_.vcRange(p, vc_lo, vc_hi);
@@ -1431,7 +1453,7 @@ VctEngine<Policy>::guardScanGlobal(long long now)
         // currently held at its peer input VC must equal the buffer
         // capacity, and both must stay within bounds.
         for (std::int64_t gid = 0; gid < lay_.total_ports; ++gid) {
-            std::int64_t peer = out_peer_ivc_base_[gid];
+            const std::int64_t peer = peerIvcBase(gid);
             if (peer < 0)
                 continue;
             for (int v = 0; v < V; ++v) {

@@ -1,11 +1,28 @@
 #include "sim/core/layout.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "clos/folded_clos.hpp"
 #include "graph/graph.hpp"
 
 namespace rfc {
+
+namespace {
+
+/** Port gids are int32: refuse @p ports past INT32_MAX. */
+void
+checkPortCount(std::int64_t ports)
+{
+    if (ports > std::numeric_limits<std::int32_t>::max())
+        throw std::invalid_argument(
+            "FabricLayout: " + std::to_string(ports) +
+            " ports exceed the 32-bit port id limit");
+}
+
+} // namespace
 
 FabricLayout
 FabricLayout::fromFoldedClos(const FoldedClos &fc)
@@ -30,6 +47,7 @@ FabricLayout::fromFoldedClos(const FoldedClos &fc)
         lay.iport_off[s] = static_cast<std::int32_t>(off);
         off += lay.n_ports[s];
     }
+    checkPortCount(off);
     lay.total_ports = off;
 
     lay.out_peer_iport.assign(lay.total_ports, -1);
@@ -46,12 +64,12 @@ FabricLayout::fromFoldedClos(const FoldedClos &fc)
             const auto &pd = fc.down(p);
             auto it = std::find(pd.begin(), pd.end(), s);
             auto j = static_cast<std::int32_t>(it - pd.begin());
-            std::int64_t out_gid = lay.iport_off[s] +
-                                   static_cast<int>(i);
-            std::int64_t peer_iport = lay.iport_off[p] + lay.n_up[p] + j;
+            const std::int32_t out_gid =
+                lay.iport_off[s] + static_cast<std::int32_t>(i);
+            const std::int32_t peer_iport =
+                lay.iport_off[p] + lay.n_up[p] + j;
             lay.out_peer_iport[out_gid] = peer_iport;
-            lay.feeder_out[peer_iport] =
-                static_cast<std::int32_t>(out_gid);
+            lay.feeder_out[peer_iport] = out_gid;
         }
         const auto &down = fc.down(s);
         for (std::size_t j = 0; j < down.size(); ++j) {
@@ -59,12 +77,11 @@ FabricLayout::fromFoldedClos(const FoldedClos &fc)
             const auto &cu = fc.up(c);
             auto it = std::find(cu.begin(), cu.end(), s);
             auto i = static_cast<std::int32_t>(it - cu.begin());
-            std::int64_t out_gid = lay.iport_off[s] + lay.n_up[s] +
-                                   static_cast<int>(j);
-            std::int64_t peer_iport = lay.iport_off[c] + i;
+            const std::int32_t out_gid = lay.iport_off[s] + lay.n_up[s] +
+                                         static_cast<std::int32_t>(j);
+            const std::int32_t peer_iport = lay.iport_off[c] + i;
             lay.out_peer_iport[out_gid] = peer_iport;
-            lay.feeder_out[peer_iport] =
-                static_cast<std::int32_t>(out_gid);
+            lay.feeder_out[peer_iport] = out_gid;
         }
     }
 
@@ -72,8 +89,8 @@ FabricLayout::fromFoldedClos(const FoldedClos &fc)
     lay.term_switch.resize(lay.num_terms);
     for (long long t = 0; t < lay.num_terms; ++t) {
         int leaf = static_cast<int>(t / tpl);
-        std::int64_t gid = lay.iport_off[leaf] + lay.n_net[leaf] +
-                           (t % tpl);
+        const std::int32_t gid = lay.iport_off[leaf] + lay.n_net[leaf] +
+                                 static_cast<std::int32_t>(t % tpl);
         lay.term_iport[t] = gid;
         lay.term_switch[t] = leaf;
         lay.feeder_out[gid] =
@@ -100,6 +117,7 @@ FabricLayout::fromGraph(const Graph &g, int hosts_per_switch)
         lay.iport_off[s] = static_cast<std::int32_t>(off);
         off += lay.n_ports[s];
     }
+    checkPortCount(off);
     lay.total_ports = off;
 
     lay.out_peer_iport.assign(lay.total_ports, -1);
@@ -116,12 +134,11 @@ FabricLayout::fromGraph(const Graph &g, int hosts_per_switch)
             const auto &back = g.neighbors(peer);
             auto it = std::find(back.begin(), back.end(), s);
             auto j = static_cast<std::int32_t>(it - back.begin());
-            std::int64_t out_gid = lay.iport_off[s] +
-                                   static_cast<int>(i);
-            std::int64_t peer_iport = lay.iport_off[peer] + j;
+            const std::int32_t out_gid =
+                lay.iport_off[s] + static_cast<std::int32_t>(i);
+            const std::int32_t peer_iport = lay.iport_off[peer] + j;
             lay.out_peer_iport[out_gid] = peer_iport;
-            lay.feeder_out[peer_iport] =
-                static_cast<std::int32_t>(out_gid);
+            lay.feeder_out[peer_iport] = out_gid;
         }
     }
 
@@ -129,8 +146,9 @@ FabricLayout::fromGraph(const Graph &g, int hosts_per_switch)
     lay.term_switch.resize(lay.num_terms);
     for (long long t = 0; t < lay.num_terms; ++t) {
         int sw = static_cast<int>(t / hosts_per_switch);
-        std::int64_t gid = lay.iport_off[sw] + lay.n_net[sw] +
-                           (t % hosts_per_switch);
+        const std::int32_t gid =
+            lay.iport_off[sw] + lay.n_net[sw] +
+            static_cast<std::int32_t>(t % hosts_per_switch);
         lay.term_iport[t] = gid;
         lay.term_switch[t] = sw;
         lay.feeder_out[gid] =

@@ -56,15 +56,13 @@ class KspPolicy
 
     struct Pkt
     {
-        // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
-        // see the "Engine-owned Pkt fields" convention atop
-        // sim/core/engine.hpp.  Six 4-byte fields put the pointer on an
-        // 8-byte boundary, and the narrow fields share the last word.
+        // gen, next, ready and noroute are engine-owned: see the
+        // "Engine-owned Pkt fields" convention atop sim/core/engine.hpp.
+        // Four 4-byte fields put the pointer on an 8-byte boundary, and
+        // the narrow fields share the last word: 31 bytes in 32.
         std::int32_t gen;
-        std::int32_t wl_src;
         std::int32_t next;
         std::int32_t ready;
-        std::uint32_t wl_tag;
         // Policy routing state.
         std::int32_t dest_sw;    //!< destination switch
         const Path *path;        //!< chosen at injection (null = local)
@@ -73,7 +71,7 @@ class KspPolicy
         std::int16_t cur_out;    //!< resolved out port (-1 = not yet)
         std::uint8_t noroute;
     };
-    static_assert(sizeof(Pkt) <= 40, "KspPolicy::Pkt grew past 40 B");
+    static_assert(sizeof(Pkt) == 32, "KspPolicy::Pkt is not 32 B");
 
     KspPolicy(const Graph &g, const KspRoutes &routes,
               const FabricLayout &lay, const SimConfig &cfg,

@@ -70,15 +70,13 @@ class UpDownPolicy
 
     struct Pkt
     {
-        // gen, wl_src, next, ready, wl_tag and noroute are engine-owned:
-        // see the "Engine-owned Pkt fields" convention atop
-        // sim/core/engine.hpp.  Fields run widest first, so the three
-        // one-byte fields share the last word.
+        // gen, next, ready and noroute are engine-owned: see the
+        // "Engine-owned Pkt fields" convention atop sim/core/engine.hpp.
+        // Fields run widest first, so the three one-byte fields share
+        // the last word: 31 bytes of fields in 32.
         std::int32_t gen;
-        std::int32_t wl_src;
         std::int32_t next;
         std::int32_t ready;
-        std::uint32_t wl_tag;
         // Policy routing state.
         std::int32_t dest_leaf;
         std::int32_t inter_leaf;  //!< Valiant intermediate (-1 = none)
@@ -91,7 +89,7 @@ class UpDownPolicy
         std::int8_t phase;        //!< 0 = toward intermediate, 1 = final
         std::uint8_t route_down;  //!< route_mask holds down ports
     };
-    static_assert(sizeof(Pkt) <= 40, "UpDownPolicy::Pkt grew past 40 B");
+    static_assert(sizeof(Pkt) == 32, "UpDownPolicy::Pkt is not 32 B");
 
     UpDownPolicy(const FoldedClos &fc, const UpDownOracle &oracle,
                  const FabricLayout &lay, const SimConfig &cfg)

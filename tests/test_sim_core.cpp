@@ -17,6 +17,8 @@
 
 #include "check/guard.hpp"
 #include "clos/fat_tree.hpp"
+#include "clos/folded_clos.hpp"
+#include "graph/graph.hpp"
 #include "graph/random_regular.hpp"
 #include "routing/ksp_tables.hpp"
 #include "routing/updown.hpp"
@@ -166,6 +168,31 @@ TEST(SimConfigValidate, RejectsRingSlotsBeyondInt32)
         const std::string m = e.what();
         for (const char *part : {"ports", "VCs", "buffer packets"})
             EXPECT_NE(m.find(part), std::string::npos) << m;
+    }
+}
+
+TEST(FabricLayoutBuild, RejectsPortGidsBeyondInt32)
+{
+    // Port gids (out_peer_iport, term_iport) are int32: a fabric of
+    // more than INT32_MAX ports is refused before any per-port array is
+    // sized.  Two switches of 1.2G terminal ports each hold 2.4G ports.
+    constexpr int kWide = 1'200'000'000;
+    Graph g(2);
+    g.addEdge(0, 1);
+    FoldedClos fc({2}, 2, kWide, "two wide leaves");
+    for (int which = 0; which < 2; ++which) {
+        try {
+            if (which == 0)
+                FabricLayout::fromGraph(g, kWide);
+            else
+                FabricLayout::fromFoldedClos(fc);
+            ADD_FAILURE() << "2.4G ports were accepted (builder " << which
+                          << ")";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("32-bit port id"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
